@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use setsig_core::kernel;
 
-/// The `parallel_scan` instance's slice width: ~99k rows spanning 3 full
+/// The benched slice width: ~99k rows spanning 3 full
 /// slice pages plus a partial fourth, so the 12,413-byte slices are NOT a
 /// multiple of 8 — the alignment case the byte bridge's per-word bounds
 /// branch pays for (at 8-aligned widths LLVM vectorizes both sides and

@@ -22,9 +22,8 @@
 //! exactly that; [`Bssf::insert_sparse`] and [`Bssf::bulk_load`] implement
 //! the improvements §6 anticipates.
 
-use setsig_pagestore::{BufferPool, Page, PageIo, PagedFile, PAGE_SIZE};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
+use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
@@ -48,11 +47,6 @@ pub struct Bssf {
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Bssf::sync_meta`].
     meta_file: Option<PagedFile>,
-    /// Worker threads for slice scans; `1` runs the serial protocol inline.
-    threads: usize,
-    /// The buffer pool slice reads are routed through when built via
-    /// [`Bssf::create_cached`].
-    pool: Option<Arc<BufferPool>>,
     /// Observability recorder; `None` (the default) keeps the query path
     /// free of any clock or metrics work.
     obs: Option<Arc<setsig_obs::Recorder>>,
@@ -60,7 +54,9 @@ pub struct Bssf {
 
 impl Bssf {
     /// Creates an empty BSSF named `name` (slice files `<name>.s<j>`, OID
-    /// file `<name>.oid`) on `io`.
+    /// file `<name>.oid`) on `io`. Hand it a
+    /// [`BufferPool`](setsig_pagestore::BufferPool) to serve hot slice pages
+    /// from memory on re-query; the caller keeps the pool's `Arc`.
     pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
         let slices = (0..cfg.f_bits())
             .map(|j| PagedFile::create(Arc::clone(&io), &format!("{name}.s{j}")))
@@ -70,61 +66,8 @@ impl Bssf {
             slices,
             oid_file: OidFile::create(io, &format!("{name}.oid")),
             meta_file: None,
-            threads: 1,
-            pool: None,
             obs: None,
         })
-    }
-
-    /// Creates an empty BSSF whose slice and OID reads are routed through a
-    /// fresh [`BufferPool`] of `pool_pages` frames over `disk`, so hot slice
-    /// pages are served from memory on re-query. Writes go through the pool
-    /// write-through, keeping the disk authoritative.
-    pub fn create_cached(
-        disk: Arc<setsig_pagestore::Disk>,
-        name: &str,
-        cfg: SignatureConfig,
-        pool_pages: usize,
-    ) -> Result<Self> {
-        Self::create_tiered(disk, name, cfg, pool_pages, 0)
-    }
-
-    /// Like [`Bssf::create_cached`], with a pinned in-RAM tier of up to
-    /// `pinned_pages` pages above the LRU pool (see
-    /// [`BufferPool::with_pinned`]); `0` disables the tier. Hot slice
-    /// pages — re-read by every query that touches their bit position —
-    /// are admitted on their second access and never evicted after.
-    pub fn create_tiered(
-        disk: Arc<setsig_pagestore::Disk>,
-        name: &str,
-        cfg: SignatureConfig,
-        pool_pages: usize,
-        pinned_pages: usize,
-    ) -> Result<Self> {
-        let pool = Arc::new(BufferPool::with_pinned(disk, pool_pages, pinned_pages));
-        let io: Arc<dyn PageIo> = Arc::clone(&pool) as Arc<dyn PageIo>;
-        let mut bssf = Self::create(io, name, cfg)?;
-        bssf.pool = Some(pool);
-        Ok(bssf)
-    }
-
-    /// Sets the number of worker threads for slice scans. `1` (the default)
-    /// runs the paper's serial protocol inline; higher values fan slice
-    /// fetches across scoped threads. Candidate sets and *logical* page
-    /// counts are identical either way.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Current worker-thread count for slice scans.
-    pub fn parallelism(&self) -> usize {
-        self.threads
-    }
-
-    /// The buffer pool reads are routed through, when built via
-    /// [`Bssf::create_cached`].
-    pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.pool.as_ref()
     }
 
     /// Attaches (or with `None`, detaches) an observability recorder.
@@ -258,8 +201,8 @@ impl Bssf {
     /// page, and returns the page count. Pages past the end of a sparsely
     /// built slice are known-zero from file metadata and cost nothing.
     ///
-    /// The serial scan loops call this with one hoisted buffer so the AND/
-    /// OR kernels run allocation-free after the first slice.
+    /// The scan loops call this with one hoisted buffer so the AND/OR
+    /// kernels run allocation-free after the first slice.
     // COST: pages_per_slice pages
     fn read_slice_into(&self, j: u32, buf: &mut Vec<u8>) -> Result<u64> {
         let n = self.oid_file.len();
@@ -286,21 +229,12 @@ impl Bssf {
         Ok(npages as u64)
     }
 
-    /// Owned-buffer variant of [`read_slice_into`](Bssf::read_slice_into),
-    /// for the parallel pipeline where each fetched slice must outlive its
-    /// worker.
-    // COST: pages_per_slice pages
-    fn read_slice_bytes(&self, j: u32) -> Result<(Vec<u8>, u64)> {
-        let mut buf = Vec::new();
-        let np = self.read_slice_into(j, &mut buf)?;
-        Ok((buf, np))
-    }
-
     /// Reads slice `j` as a row bitmap of length `n` (the current entry
     /// count).
     fn read_slice_rows(&self, j: u32) -> Result<Bitmap> {
         let n = self.oid_file.len();
-        let (buf, _) = self.read_slice_bytes(j)?;
+        let mut buf = Vec::new();
+        self.read_slice_into(j, &mut buf)?;
         Ok(Bitmap::from_bytes(n as u32, &buf))
     }
 
@@ -313,164 +247,33 @@ impl Bssf {
     /// candidate bitmap is empty — no later slice can revive a row.
     // HOT-PATH: bssf.and_loop
     // COST: slices * pages_per_slice pages
-    fn superset_positions(&self, query_sig: &Signature, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn superset_positions(
+        &self,
+        query_sig: &Signature,
+        ctr: &mut ScanCounters,
+    ) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
         if ones.is_empty() {
             // Empty query set: everything is a superset.
             return Ok((0..n).collect());
         }
-        if self.threads > 1 && ones.len() > 1 {
-            return self.superset_positions_parallel(&ones, n, ctr);
-        }
         let mut bytes = Vec::new();
-        let np = self.read_slice_into(ones[0], &mut bytes)?;
-        ctr.charge_both(np);
-        ctr.note_slices(1);
+        ctr.pages += self.read_slice_into(ones[0], &mut bytes)?;
+        ctr.slices += 1;
         let mut acc = Bitmap::from_bytes(n as u32, &bytes);
         // The AND kernel reports liveness as it combines, so each following
         // iteration needs no separate emptiness pass over the words.
         let mut alive = !acc.is_zero();
         for &j in &ones[1..] {
             if !alive {
-                ctr.mark_early_exit();
+                ctr.early_exit = true;
                 break;
             }
-            let np = self.read_slice_into(j, &mut bytes)?;
-            ctr.charge_both(np);
-            ctr.note_slices(1);
+            ctr.pages += self.read_slice_into(j, &mut bytes)?;
+            ctr.slices += 1;
             alive = acc.and_assign_bytes_alive(&bytes);
         }
-        Ok(acc.iter_ones().map(u64::from).collect())
-    }
-
-    /// The parallel `T ⊇ Q` engine: a bounded-prefetch pipeline.
-    ///
-    /// Workers fetch slices ahead of the combiner, but never more than
-    /// `window = 2·threads` slices past its commit frontier, so the
-    /// physical overshoot past the serial early-exit point is bounded. The
-    /// combiner (this thread) consumes fetched slices **in serial order**,
-    /// ANDs them word-at-a-time, and stops at exactly the slice where the
-    /// serial protocol would stop — charging the same logical pages and
-    /// producing the same candidate bitmap. Speculative fetches beyond the
-    /// stop point count only as physical pages.
-    // HOT-PATH: bssf.and_pipeline
-    // COST: slices * pages_per_slice pages
-    fn superset_positions_parallel(
-        &self,
-        ones: &[u32],
-        n: u64,
-        ctr: &ScanCounters,
-    ) -> Result<Vec<u64>> {
-        /// A fetched slice's bytes plus the pages read to get them.
-        type SliceFetch = Result<(Vec<u8>, u64)>;
-        let threads = self.threads.min(ones.len());
-        let window = threads * 2;
-        struct Shared {
-            fetched: Vec<Option<SliceFetch>>,
-            /// Next slice index a worker will claim.
-            next: usize,
-            /// The combiner's consume frontier; workers stay within
-            /// `committed + window`.
-            committed: usize,
-            stop: bool,
-        }
-        // Lock discipline: `shared` is the pipeline's only lock, and every
-        // I/O call (`read_slice_bytes`, which takes the pool and/or disk
-        // mutexes) happens with it RELEASED — workers claim an index under
-        // the lock, drop it, fetch, then re-lock to publish. The engine
-        // lock therefore never nests around the storage locks. std::sync
-        // (not parking_lot) because the pipeline needs a Condvar; the
-        // poisoning unwraps are justified in xtask's panics.allow.
-        // LOCK-ORDER: core.bssf_pipeline leaf
-        let shared = Mutex::new(Shared {
-            fetched: (0..ones.len()).map(|_| None).collect(),
-            next: 0,
-            committed: 0,
-            stop: false,
-        });
-        let work = Condvar::new();
-        let data = Condvar::new();
-        let acc = std::thread::scope(|s| -> Result<Bitmap> {
-            // Each spawned worker claims disjoint slice indices off the
-            // shared queue (`g.next`), so the spawn loop partitions the
-            // slice reads across workers instead of repeating them.
-            // COST-SPLIT: slices
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let idx = {
-                        let mut g = shared.lock().unwrap();
-                        loop {
-                            if g.stop || g.next >= ones.len() {
-                                return;
-                            }
-                            if g.next < g.committed + window {
-                                break;
-                            }
-                            g = work.wait(g).unwrap();
-                        }
-                        let idx = g.next;
-                        g.next += 1;
-                        idx
-                    };
-                    let res = self.read_slice_bytes(ones[idx]);
-                    if let Ok((_, np)) = &res {
-                        // ATOMIC: Relaxed — physical charge read after the
-                        // scope joins every fetch worker.
-                        ctr.physical.fetch_add(*np, Ordering::Relaxed);
-                    }
-                    let mut g = shared.lock().unwrap();
-                    g.fetched[idx] = Some(res);
-                    data.notify_all();
-                });
-            }
-            let mut acc: Option<Bitmap> = None;
-            for k in 0..ones.len() {
-                let res = {
-                    let mut g = shared.lock().unwrap();
-                    loop {
-                        if let Some(r) = g.fetched[k].take() {
-                            break r;
-                        }
-                        g = data.wait(g).unwrap();
-                    }
-                };
-                let (bytes, np) = match res {
-                    Ok(v) => v,
-                    Err(e) => {
-                        let mut g = shared.lock().unwrap();
-                        g.stop = true;
-                        work.notify_all();
-                        return Err(e);
-                    }
-                };
-                // ATOMIC: Relaxed — logical charge; the consumer thread owns
-                // the total after the scope ends.
-                ctr.logical.fetch_add(np, Ordering::Relaxed);
-                ctr.note_slices(1);
-                let empty = match &mut acc {
-                    None => {
-                        let first = Bitmap::from_bytes(n as u32, &bytes);
-                        let z = first.is_zero();
-                        acc = Some(first);
-                        z
-                    }
-                    Some(a) => !a.and_assign_bytes_alive(&bytes),
-                };
-                let mut g = shared.lock().unwrap();
-                g.committed = k + 1;
-                if empty {
-                    g.stop = true;
-                    if k + 1 < ones.len() {
-                        ctr.mark_early_exit();
-                    }
-                    work.notify_all();
-                    break;
-                }
-                work.notify_all();
-            }
-            Ok(acc.expect("ones is nonempty"))
-        })?;
         Ok(acc.iter_ones().map(u64::from).collect())
     }
 
@@ -479,75 +282,36 @@ impl Bssf {
     /// many zero-slices are read (`F − m_s` of them under the §5.2.2 smart
     /// strategy); `None` reads all `F − m_q`.
     ///
-    /// There is no early exit (a row cleared now can only stay clear), so
-    /// the parallel path lets workers pull slices from a shared queue into
-    /// per-worker accumulators and ORs those together at the join — every
-    /// slice is read exactly once, logical == physical, order irrelevant.
+    /// There is no early exit (a row cleared now can only stay clear):
+    /// every selected slice is read exactly once.
     // COST: slices * pages_per_slice pages
     fn subset_positions(
         &self,
         query_sig: &Signature,
         slice_cap: Option<usize>,
-        ctr: &ScanCounters,
+        ctr: &mut ScanCounters,
     ) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
         let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
         if take < zeros.len() {
             // The smart cap stops the scan before all F − m_q zero-slices.
-            ctr.mark_early_exit();
+            ctr.early_exit = true;
         }
         let zeros = &zeros[..take];
-        ctr.note_slices(zeros.len() as u64);
-        let acc = if self.threads > 1 && zeros.len() > 1 {
-            let threads = self.threads.min(zeros.len());
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| -> Result<Bitmap> {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| -> Result<(Bitmap, u64)> {
-                            let mut local = Bitmap::zeroed(n as u32);
-                            let mut bytes = Vec::new();
-                            let mut pages = 0u64;
-                            loop {
-                                // ATOMIC: Relaxed — unique work tickets via
-                                // the RMW; slice bytes travel through the
-                                // reader, not this counter.
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= zeros.len() {
-                                    break;
-                                }
-                                pages += self.read_slice_into(zeros[i], &mut bytes)?;
-                                local.or_assign_bytes(&bytes);
-                            }
-                            Ok((local, pages))
-                        })
-                    })
-                    .collect();
-                let mut acc = Bitmap::zeroed(n as u32);
-                for h in handles {
-                    let (local, pages) = h.join().expect("slice worker panicked")?;
-                    ctr.charge_both(pages);
-                    acc.or_assign(&local);
-                }
-                Ok(acc)
-            })?
-        } else {
-            let mut acc = Bitmap::zeroed(n as u32);
-            let mut bytes = Vec::new();
-            for &j in zeros {
-                let np = self.read_slice_into(j, &mut bytes)?;
-                ctr.charge_both(np);
-                acc.or_assign_bytes(&bytes);
-            }
-            acc
-        };
+        ctr.slices += zeros.len() as u64;
+        let mut acc = Bitmap::zeroed(n as u32);
+        let mut bytes = Vec::new();
+        for &j in zeros {
+            ctr.pages += self.read_slice_into(j, &mut bytes)?;
+            acc.or_assign_bytes(&bytes);
+        }
         Ok((0..n).filter(|&p| !acc.get(p as u32)).collect())
     }
 
     /// Set-equality scan: rows where every 1-slice is set and every 0-slice
     /// is clear. Reads all `F` slices.
-    fn equals_positions(&self, query_sig: &Signature, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn equals_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let sup = self.superset_positions(query_sig, ctr)?;
         let sub: std::collections::BTreeSet<u64> = self
             .subset_positions(query_sig, None, ctr)?
@@ -558,62 +322,21 @@ impl Bssf {
 
     /// Overlap scan: rows sharing at least `m` set bits with the query
     /// signature. Reads the `m_q` 1-slices and counts per row.
-    ///
-    /// Like the subset scan there is no early exit, so the parallel path
-    /// accumulates per-worker count vectors and sums them at the join.
     // COST: slices * pages_per_slice pages
-    fn overlap_positions(&self, query_sig: &Signature, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn overlap_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let n = self.oid_file.len() as usize;
         let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
-        ctr.note_slices(ones.len() as u64);
+        ctr.slices += ones.len() as u64;
         // Counts are u32, not u16: a row can match up to m_q ≤ F slices and
         // F is a u32, so u16 counts wrapped (and `m_weight() as u16`
         // truncated the threshold) for high-weight signatures — see
         // `overlap_filter_survives_u16_boundary`.
-        let counts = if self.threads > 1 && ones.len() > 1 {
-            let threads = self.threads.min(ones.len());
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| -> Result<Vec<u32>> {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| -> Result<(Vec<u32>, u64)> {
-                            let mut local = vec![0u32; n];
-                            let mut bytes = Vec::new();
-                            let mut pages = 0u64;
-                            loop {
-                                // ATOMIC: Relaxed — same unique-ticket RMW
-                                // as the subset scan above.
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= ones.len() {
-                                    break;
-                                }
-                                pages += self.read_slice_into(ones[i], &mut bytes)?;
-                                kernel::accumulate_ones(&mut local, &bytes);
-                            }
-                            Ok((local, pages))
-                        })
-                    })
-                    .collect();
-                let mut counts = vec![0u32; n];
-                for h in handles {
-                    let (local, pages) = h.join().expect("slice worker panicked")?;
-                    ctr.charge_both(pages);
-                    for (c, l) in counts.iter_mut().zip(&local) {
-                        *c += l;
-                    }
-                }
-                Ok(counts)
-            })?
-        } else {
-            let mut counts = vec![0u32; n];
-            let mut bytes = Vec::new();
-            for &j in &ones {
-                let np = self.read_slice_into(j, &mut bytes)?;
-                ctr.charge_both(np);
-                kernel::accumulate_ones(&mut counts, &bytes);
-            }
-            counts
-        };
+        let mut counts = vec![0u32; n];
+        let mut bytes = Vec::new();
+        for &j in &ones {
+            ctr.pages += self.read_slice_into(j, &mut bytes)?;
+            kernel::accumulate_ones(&mut counts, &bytes);
+        }
         Ok(Self::overlap_filter(&counts, self.cfg.m_weight()))
     }
 
@@ -633,7 +356,7 @@ impl Bssf {
         &self,
         query: &SetQuery,
         query_sig: &Signature,
-        ctr: &ScanCounters,
+        ctr: &mut ScanCounters,
     ) -> Result<Vec<u64>> {
         match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
@@ -646,10 +369,10 @@ impl Bssf {
     }
 
     // COST: oid_pages pages
-    fn resolve(&self, positions: Vec<u64>, ctr: &ScanCounters) -> Result<CandidateSet> {
+    fn resolve(&self, positions: Vec<u64>, ctr: &mut ScanCounters) -> Result<CandidateSet> {
         // The OID look-up is part of the filtering stage's protocol charge
-        // (the paper's LC_OID); it is never speculative or parallel.
-        ctr.charge_both(OidFile::pages_touched(&positions));
+        // (the paper's LC_OID).
+        ctr.pages += OidFile::pages_touched(&positions);
         let resolved = self.oid_file.lookup_positions(&positions)?;
         Ok(CandidateSet::new(
             resolved.into_iter().map(|(_, oid)| oid).collect(),
@@ -673,14 +396,14 @@ impl Bssf {
             ));
         }
         let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let ctr = ScanCounters::default();
+        let mut ctr = ScanCounters::default();
         let take = query.elements.len().min(max_elems.max(1));
         if take < query.elements.len() {
-            ctr.mark_early_exit();
+            ctr.early_exit = true;
         }
         let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
-        let positions = self.superset_positions(&reduced, &ctr)?;
-        let set = self.resolve(positions, &ctr)?;
+        let positions = self.superset_positions(&reduced, &mut ctr)?;
+        let set = self.resolve(positions, &mut ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
             o.finish(query, self.outcome(Some("smart"), &ctr, &set));
@@ -703,10 +426,10 @@ impl Bssf {
             ));
         }
         let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let ctr = ScanCounters::default();
+        let mut ctr = ScanCounters::default();
         let query_sig = query.signature(&self.cfg);
-        let positions = self.subset_positions(&query_sig, Some(max_slices), &ctr)?;
-        let set = self.resolve(positions, &ctr)?;
+        let positions = self.subset_positions(&query_sig, Some(max_slices), &mut ctr)?;
+        let set = self.resolve(positions, &mut ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
             o.finish(query, self.outcome(Some("smart"), &ctr, &set));
@@ -726,7 +449,7 @@ impl Bssf {
             facility: "bssf",
             strategy,
             geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-            ctr: Some(ctr),
+            ctr,
             track_slices: true,
             set,
             cache_after: self.cache_stats(),
@@ -755,10 +478,10 @@ impl SetAccessFacility for Bssf {
     // COST: slices * pages_per_slice + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let ctr = ScanCounters::default();
+        let mut ctr = ScanCounters::default();
         let query_sig = query.signature(&self.cfg);
-        let positions = self.positions_for(query, &query_sig, &ctr)?;
-        let set = self.resolve(positions, &ctr)?;
+        let positions = self.positions_for(query, &query_sig, &mut ctr)?;
+        let set = self.resolve(positions, &mut ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
             o.finish(query, self.outcome(None, &ctr, &set));
@@ -779,7 +502,7 @@ impl SetAccessFacility for Bssf {
     }
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
-        self.pool.as_ref().map(|p| p.stats())
+        self.oid_file.file().io().cache_stats()
     }
 }
 
@@ -995,7 +718,7 @@ mod tests {
         assert!(c.oids.contains(&Oid::new(7)));
         let s = disk.snapshot();
         assert!(s.reads <= 2 * 2 + 1, "smart read {} pages", s.reads);
-        assert_eq!(s.reads, stats.logical_pages);
+        assert_eq!(s.reads, stats.pages);
     }
 
     #[test]
@@ -1011,7 +734,7 @@ mod tests {
         assert!(c.oids.contains(&Oid::new(3)));
         let s = disk.snapshot();
         assert!(s.reads <= 10 + 1, "smart read {} pages", s.reads);
-        assert_eq!(s.reads, stats.logical_pages);
+        assert_eq!(s.reads, stats.pages);
     }
 
     #[test]
@@ -1131,12 +854,10 @@ mod tests {
 #[cfg(test)]
 mod engine_tests {
     use super::*;
-    use setsig_pagestore::Disk;
+    use setsig_pagestore::{BufferPool, Disk};
 
-    fn populated(f_bits: u32, m: u32, n: u64) -> (Arc<Disk>, Bssf) {
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let cfg = SignatureConfig::new(f_bits, m).unwrap();
+    fn populated(io: Arc<dyn PageIo>, n: u64) -> Bssf {
+        let cfg = SignatureConfig::new(128, 3).unwrap();
         let mut b = Bssf::create(io, "e", cfg).unwrap();
         let items: Vec<(Oid, Vec<ElementKey>)> = (0..n)
             .map(|i| {
@@ -1147,115 +868,32 @@ mod engine_tests {
             })
             .collect();
         b.bulk_load(&items).unwrap();
-        (disk, b)
-    }
-
-    fn queries() -> Vec<SetQuery> {
-        let mut qs = Vec::new();
-        for i in [0u64, 3, 11, 40, 77] {
-            qs.push(SetQuery::has_subset(vec![
-                ElementKey::from(i * 17),
-                ElementKey::from(i * 17 + 1),
-            ]));
-            qs.push(SetQuery::in_subset(
-                (0..6).map(|j| ElementKey::from(i * 17 + j)).collect(),
-            ));
-            qs.push(SetQuery::equals(
-                (0..4).map(|j| ElementKey::from(i * 17 + j)).collect(),
-            ));
-            qs.push(SetQuery::overlaps(vec![
-                ElementKey::from(i * 17 + 2),
-                ElementKey::from(999_999u64),
-            ]));
-        }
-        // A query with no matches, so the superset early exit fires.
-        qs.push(SetQuery::has_subset(vec![
-            ElementKey::from(500_000u64),
-            ElementKey::from(500_001u64),
-            ElementKey::from(500_002u64),
-            ElementKey::from(500_003u64),
-        ]));
-        qs
+        b
     }
 
     #[test]
-    fn serial_scan_stats_match_disk_reads() {
-        let (disk, b) = populated(128, 3, 120);
+    fn scan_stats_match_disk_reads() {
+        let disk = Arc::new(Disk::new());
+        let b = populated(Arc::clone(&disk) as Arc<dyn PageIo>, 120);
         let q = SetQuery::has_subset(vec![ElementKey::from(3 * 17), ElementKey::from(3 * 17 + 1)]);
         disk.reset_stats();
         let (_, stats) = b.candidates_with_stats(&q).unwrap();
-        let stats = stats.unwrap();
-        assert_eq!(
-            stats.logical_pages, stats.physical_pages,
-            "serial: no speculation"
-        );
         // The filtering stage's charge is exactly its disk traffic: slice
         // pages plus the OID-file look-up page.
-        assert_eq!(disk.snapshot().reads, stats.physical_pages);
+        assert_eq!(disk.snapshot().reads, stats.unwrap().pages);
     }
 
     #[test]
-    fn parallel_engine_matches_serial_candidates_and_logical_pages() {
-        let (_d1, serial) = populated(128, 3, 150);
-        let (_d2, mut par) = populated(128, 3, 150);
-        par.set_parallelism(8);
-        assert_eq!(par.parallelism(), 8);
-        for q in queries() {
-            let (cs, ss) = serial.candidates_with_stats(&q).unwrap();
-            let ss = ss.unwrap();
-            let (cp, sp) = par.candidates_with_stats(&q).unwrap();
-            let sp = sp.unwrap();
-            assert_eq!(
-                cs, cp,
-                "candidate sets must be identical ({:?})",
-                q.predicate
-            );
-            assert_eq!(
-                ss.logical_pages, sp.logical_pages,
-                "logical pages must be identical ({:?})",
-                q.predicate
-            );
-            assert!(sp.physical_pages >= sp.logical_pages);
-            assert_eq!(ss.logical_pages, ss.physical_pages);
-        }
-    }
-
-    #[test]
-    fn parallel_overshoot_is_bounded_by_prefetch_window() {
-        let (_d, mut b) = populated(256, 4, 200);
-        b.set_parallelism(4);
-        // No match: the accumulator empties early and workers may have
-        // speculatively fetched ahead — but never past the window.
-        let q = SetQuery::has_subset(
-            (0..8)
-                .map(|j| ElementKey::from(700_000 + j))
-                .collect::<Vec<ElementKey>>(),
-        );
-        let (_, s) = b.candidates_with_stats(&q).unwrap();
-        let s = s.unwrap();
-        assert!(s.physical_pages >= s.logical_pages);
-        // window = 2·threads slices, 1 page each at this size.
-        assert!(
-            s.physical_pages <= s.logical_pages + 2 * 4,
-            "overshoot {} pages exceeds window",
-            s.physical_pages - s.logical_pages
-        );
-    }
-
-    #[test]
-    fn cached_bssf_serves_repeat_queries_from_pool() {
+    fn cache_stats_come_from_the_io_handle() {
         let disk = Arc::new(Disk::new());
-        let cfg = SignatureConfig::new(64, 2).unwrap();
-        let mut b = Bssf::create_cached(Arc::clone(&disk), "c", cfg, 256).unwrap();
-        for i in 0..40u64 {
-            b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
-        }
-        let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 256));
+        let b = populated(Arc::clone(&pool) as Arc<dyn PageIo>, 40);
+        let q = SetQuery::has_subset(vec![ElementKey::from(7 * 17)]);
         let (first, first_stats) = b.candidates_with_stats(&q).unwrap();
         disk.reset_stats();
         let (second, second_stats) = b.candidates_with_stats(&q).unwrap();
         assert_eq!(first, second);
-        // Logical accounting is cache-independent...
+        // The page charge is cache-independent...
         assert_eq!(first_stats, second_stats);
         // ...but the hot slices never reach the disk.
         assert_eq!(
@@ -1263,42 +901,16 @@ mod engine_tests {
             0,
             "repeat query must be pool-resident"
         );
-        let cache = b.cache_stats().expect("cached facility reports pool stats");
+        let cache = b.cache_stats().expect("pooled facility reports pool stats");
         assert!(cache.hits > 0);
-        assert!(b.buffer_pool().is_some());
-    }
+        assert_eq!(
+            cache,
+            pool.stats(),
+            "the caller's pool is the one reporting"
+        );
 
-    #[test]
-    fn uncached_bssf_reports_no_cache_stats() {
-        let (_d, b) = populated(64, 2, 10);
-        assert!(b.cache_stats().is_none());
-        assert!(b.buffer_pool().is_none());
-    }
-
-    #[test]
-    fn parallel_engine_handles_multi_page_slices() {
-        let n = ROWS_PER_PAGE + 500;
-        let items: Vec<(Oid, Vec<ElementKey>)> = (0..n)
-            .map(|i| (Oid::new(i), vec![ElementKey::from(i % 89)]))
-            .collect();
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut serial = Bssf::create(io, "m", SignatureConfig::new(32, 2).unwrap()).unwrap();
-        serial.bulk_load(&items).unwrap();
-        let disk2 = Arc::new(Disk::new());
-        let io2: Arc<dyn PageIo> = Arc::clone(&disk2) as Arc<dyn PageIo>;
-        let mut par = Bssf::create(io2, "m", SignatureConfig::new(32, 2).unwrap()).unwrap();
-        par.bulk_load(&items).unwrap();
-        par.set_parallelism(6);
-        for q in [
-            SetQuery::has_subset(vec![ElementKey::from(42u64)]),
-            SetQuery::in_subset(vec![ElementKey::from(1u64), ElementKey::from(2u64)]),
-        ] {
-            let (cs, ss) = serial.candidates_with_stats(&q).unwrap();
-            let (cp, sp) = par.candidates_with_stats(&q).unwrap();
-            assert_eq!(cs, cp);
-            assert_eq!(ss.unwrap().logical_pages, sp.unwrap().logical_pages);
-        }
+        let bare = populated(disk as Arc<dyn PageIo>, 10);
+        assert!(bare.cache_stats().is_none());
     }
 }
 
@@ -1346,8 +958,6 @@ impl Bssf {
             slices,
             oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live),
             meta_file: Some(meta_file),
-            threads: 1,
-            pool: None,
             obs: None,
         })
     }

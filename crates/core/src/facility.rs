@@ -10,81 +10,38 @@ use setsig_pagestore::CacheStats;
 /// scan, including the OID-file look-up that maps matching signature
 /// positions to candidate OIDs (the paper's `LC_OID`).
 ///
-/// The *logical* count is what the paper's serial protocol charges — it is
-/// identical whether the engine runs serially or fans slice fetches across
-/// threads, and whether reads are served from a buffer pool or from disk.
-/// The *physical* count is the pages the engine actually requested from its
-/// I/O layer; the parallel engine may speculatively fetch a bounded number
-/// of slices past the early-termination point, so `physical_pages ≥
-/// logical_pages`, with equality on the serial path.
+/// The count is the pages the scan requested from its I/O handle — what the
+/// paper's serial protocol charges. It does not depend on whether a buffer
+/// pool under the handle served a read from memory or from disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Slice/signature pages the serial protocol charges for the scan.
-    pub logical_pages: u64,
-    /// Slice/signature pages actually requested from the I/O layer.
-    pub physical_pages: u64,
+    /// Slice/signature/OID pages the scan read.
+    pub pages: u64,
 }
 
-/// Interior-mutable page counters behind [`ScanStats`], shared by the SSF,
-/// BSSF and FSSF scan engines.
+/// The per-call tallies behind [`ScanStats`], shared by the SSF, BSSF and
+/// FSSF scan loops.
 ///
-/// A fresh instance is created for **each** `candidates*` call and threaded
-/// down the scan path, so every query owns its counters outright: the
-/// atomics exist only to let one query's scan workers charge pages
-/// concurrently, never to share state between queries. Besides the page
-/// counts the counters carry two trace facts — slices (or frames) touched
-/// and whether the scan exited early — that the observability layer turns
-/// into [`QueryTrace`](setsig_obs::QueryTrace) fields.
+/// A fresh instance is created on the stack of **each** `candidates*` call
+/// and passed down the scan path by `&mut`, so every query owns its counters
+/// outright and concurrent queries on one facility cannot see each other's.
+/// Besides the page count the counters carry two trace facts — slices (or
+/// frames) touched and whether the scan exited early — that the
+/// observability layer turns into [`QueryTrace`](setsig_obs::QueryTrace)
+/// fields.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCounters {
-    pub(crate) logical: std::sync::atomic::AtomicU64,
-    pub(crate) physical: std::sync::atomic::AtomicU64,
-    pub(crate) slices: std::sync::atomic::AtomicU64,
-    pub(crate) early_exit: std::sync::atomic::AtomicBool,
+    /// Pages read so far.
+    pub(crate) pages: u64,
+    /// Slices/frames touched (trace-only fact).
+    pub(crate) slices: u64,
+    /// Whether the scan stopped before its slice/page budget.
+    pub(crate) early_exit: bool,
 }
 
 impl ScanCounters {
-    /// Charges pages read on a non-speculative path (logical == physical).
-    pub(crate) fn charge_both(&self, pages: u64) {
-        use std::sync::atomic::Ordering;
-        // ATOMIC: Relaxed ×2 — page charges are summed after the scan's
-        // threads join; the join supplies the happens-before.
-        self.logical.fetch_add(pages, Ordering::Relaxed);
-        self.physical.fetch_add(pages, Ordering::Relaxed);
-    }
-
-    /// Notes `n` slices/frames touched by the scan (trace-only fact).
-    pub(crate) fn note_slices(&self, n: u64) {
-        use std::sync::atomic::Ordering;
-        // ATOMIC: Relaxed — a trace-only tally, read after the scan ends.
-        self.slices.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Marks that the scan stopped before its slice/page budget.
-    pub(crate) fn mark_early_exit(&self) {
-        use std::sync::atomic::Ordering;
-        // ATOMIC: Relaxed — a monotone flag; no data is published with it.
-        self.early_exit.store(true, Ordering::Relaxed);
-    }
-
     pub(crate) fn stats(&self) -> ScanStats {
-        use std::sync::atomic::Ordering;
-        // ATOMIC: Relaxed ×2 — read once the scan (and any worker joins)
-        // completed; the counters are quiescent here.
-        ScanStats {
-            logical_pages: self.logical.load(Ordering::Relaxed),
-            physical_pages: self.physical.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The trace facts: `(slices touched, early exit)`.
-    pub(crate) fn probe(&self) -> (u64, bool) {
-        use std::sync::atomic::Ordering;
-        // ATOMIC: Relaxed ×2 — same quiescent read as `stats`.
-        (
-            self.slices.load(Ordering::Relaxed),
-            self.early_exit.load(Ordering::Relaxed),
-        )
+        ScanStats { pages: self.pages }
     }
 }
 
@@ -93,16 +50,14 @@ impl std::ops::Add for ScanStats {
 
     fn add(self, rhs: ScanStats) -> ScanStats {
         ScanStats {
-            logical_pages: self.logical_pages + rhs.logical_pages,
-            physical_pages: self.physical_pages + rhs.physical_pages,
+            pages: self.pages + rhs.pages,
         }
     }
 }
 
 impl std::ops::AddAssign for ScanStats {
     fn add_assign(&mut self, rhs: ScanStats) {
-        self.logical_pages += rhs.logical_pages;
-        self.physical_pages += rhs.physical_pages;
+        self.pages += rhs.pages;
     }
 }
 
@@ -232,22 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_stats_sum_componentwise() {
-        let a = ScanStats {
-            logical_pages: 3,
-            physical_pages: 5,
-        };
-        let b = ScanStats {
-            logical_pages: 2,
-            physical_pages: 2,
-        };
-        assert_eq!(
-            a + b,
-            ScanStats {
-                logical_pages: 5,
-                physical_pages: 7
-            }
-        );
+    fn scan_stats_sum() {
+        let a = ScanStats { pages: 3 };
+        let b = ScanStats { pages: 2 };
+        assert_eq!(a + b, ScanStats { pages: 5 });
         let mut c = a;
         c += b;
         assert_eq!(c, a + b);
@@ -270,22 +213,5 @@ mod tests {
         // The empty union is the exact empty answer.
         let empty = CandidateSet::union(std::iter::empty());
         assert!(empty.is_empty() && empty.exact);
-    }
-
-    #[test]
-    fn per_call_counters_track_pages_and_trace_facts() {
-        let ctr = ScanCounters::default();
-        ctr.charge_both(3);
-        ctr.note_slices(2);
-        assert_eq!(
-            ctr.stats(),
-            ScanStats {
-                logical_pages: 3,
-                physical_pages: 3
-            }
-        );
-        assert_eq!(ctr.probe(), (2, false));
-        ctr.mark_early_exit();
-        assert_eq!(ctr.probe(), (2, true));
     }
 }

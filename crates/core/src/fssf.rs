@@ -191,7 +191,7 @@ impl Fssf {
     fn scan_frame(
         &self,
         j: u32,
-        ctr: &ScanCounters,
+        ctr: &mut ScanCounters,
         mut visit: impl FnMut(u64, &Bitmap),
     ) -> Result<()> {
         let n = self.oid_file.len();
@@ -205,12 +205,12 @@ impl Fssf {
                 "frame {j} has {have} pages but {n} indexed rows require {expected}"
             )));
         }
-        ctr.note_slices(1);
+        ctr.slices += 1;
         let mut page_no = 0u32;
         let mut row = 0u64;
         while row < n {
             let page = file.read(page_no)?;
-            ctr.charge_both(1);
+            ctr.pages += 1;
             let rows_here = (n - row).min(rpp);
             for r in 0..rows_here {
                 let base = r as usize * s;
@@ -230,7 +230,7 @@ impl Fssf {
 
     /// `T ⊇ Q`: read each distinct query frame once; a row survives iff in
     /// every such frame it covers the query's frame signature.
-    fn superset_positions(&self, query: &SetQuery, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn superset_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let by_frame = self.frame_signatures(&query.elements);
         if by_frame.is_empty() {
@@ -248,7 +248,7 @@ impl Fssf {
             acc.and_assign(&frame_match);
             if acc.is_zero() {
                 if consumed + 1 < total {
-                    ctr.mark_early_exit();
+                    ctr.early_exit = true;
                 }
                 break;
             }
@@ -258,7 +258,7 @@ impl Fssf {
 
     /// `T ⊆ Q`: every frame must be read; a row survives iff each frame's
     /// row bits are covered by the query's bits in that frame.
-    fn subset_positions(&self, query: &SetQuery, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn subset_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let by_frame = self.frame_signatures(&query.elements);
         let s = self.cfg.frame_bits();
@@ -275,7 +275,7 @@ impl Fssf {
             acc.and_assign(&frame_match);
             if acc.is_zero() {
                 if j + 1 < self.cfg.frames() {
-                    ctr.mark_early_exit();
+                    ctr.early_exit = true;
                 }
                 break;
             }
@@ -284,7 +284,7 @@ impl Fssf {
     }
 
     /// Equality: covers in both directions in every frame.
-    fn equals_positions(&self, query: &SetQuery, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn equals_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let sup: std::collections::BTreeSet<u64> =
             self.superset_positions(query, ctr)?.into_iter().collect();
         Ok(self
@@ -295,7 +295,7 @@ impl Fssf {
     }
 
     /// Overlap: some query element's frame signature is covered by the row.
-    fn overlap_positions(&self, query: &SetQuery, ctr: &ScanCounters) -> Result<Vec<u64>> {
+    fn overlap_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
         // Per element (not per frame): overlap needs one *element* fully
@@ -320,10 +320,10 @@ impl Fssf {
     }
 
     // COST: oid_pages pages
-    fn resolve(&self, positions: Vec<u64>, ctr: &ScanCounters) -> Result<CandidateSet> {
+    fn resolve(&self, positions: Vec<u64>, ctr: &mut ScanCounters) -> Result<CandidateSet> {
         // The OID look-up is part of the filtering stage's protocol charge
         // (the paper's LC_OID).
-        ctr.charge_both(OidFile::pages_touched(&positions));
+        ctr.pages += OidFile::pages_touched(&positions);
         let resolved = self.oid_file.lookup_positions(&positions)?;
         Ok(CandidateSet::new(
             resolved.into_iter().map(|(_, oid)| oid).collect(),
@@ -374,16 +374,16 @@ impl SetAccessFacility for Fssf {
     // COST: frames * frame_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let ctr = ScanCounters::default();
+        let mut ctr = ScanCounters::default();
         let positions = match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
-                self.superset_positions(query, &ctr)?
+                self.superset_positions(query, &mut ctr)?
             }
-            SetPredicate::InSubset => self.subset_positions(query, &ctr)?,
-            SetPredicate::Equals => self.equals_positions(query, &ctr)?,
-            SetPredicate::Overlaps => self.overlap_positions(query, &ctr)?,
+            SetPredicate::InSubset => self.subset_positions(query, &mut ctr)?,
+            SetPredicate::Equals => self.equals_positions(query, &mut ctr)?,
+            SetPredicate::Overlaps => self.overlap_positions(query, &mut ctr)?,
         };
-        let set = self.resolve(positions, &ctr)?;
+        let set = self.resolve(positions, &mut ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
             o.finish(
@@ -392,7 +392,7 @@ impl SetAccessFacility for Fssf {
                     facility: "fssf",
                     strategy: None,
                     geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-                    ctr: Some(&ctr),
+                    ctr: &ctr,
                     track_slices: true,
                     set: &set,
                     cache_after: self.cache_stats(),
@@ -538,8 +538,7 @@ mod tests {
         assert_eq!(disk.snapshot().reads, 2);
         // The per-query stats charge exactly the disk traffic.
         let stats = stats.unwrap();
-        assert_eq!(stats.logical_pages, 2);
-        assert_eq!(stats.physical_pages, 2);
+        assert_eq!(stats.pages, 2);
     }
 
     #[test]

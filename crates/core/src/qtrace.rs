@@ -20,9 +20,8 @@ pub(crate) struct QueryOutcome<'a> {
     pub strategy: Option<&'static str>,
     /// Signature geometry `(F, m)`, for facilities that have one.
     pub geometry: Option<(u32, u32)>,
-    /// The query's own counters; `None` when the facility tracks no page
-    /// accounting (NIX).
-    pub ctr: Option<&'a ScanCounters>,
+    /// The query's own counters.
+    pub ctr: &'a ScanCounters,
     /// Whether the slices/frames-touched counter is meaningful for this
     /// facility (BSSF slices, FSSF frames; false for SSF row scans).
     pub track_slices: bool,
@@ -62,8 +61,6 @@ impl QueryObs {
             Some(s) => format!("{:?}:{s}", query.predicate),
             None => format!("{:?}", query.predicate),
         };
-        let stats = out.ctr.map(ScanCounters::stats);
-        let (slices, early_exit) = out.ctr.map(ScanCounters::probe).unwrap_or((0, false));
         let (cache_hits, cache_misses, cache_pinned_hits) =
             match (self.cache_before, out.cache_after) {
                 (Some(before), Some(after)) => (
@@ -79,10 +76,9 @@ impl QueryObs {
             d_q: query.elements.len() as u64,
             f_bits: out.geometry.map(|(f, _)| f),
             m_weight: out.geometry.map(|(_, m)| m),
-            slices_touched: out.track_slices.then_some(slices),
-            early_exit,
-            logical_pages: stats.map(|s| s.logical_pages),
-            physical_pages: stats.map(|s| s.physical_pages),
+            slices_touched: out.track_slices.then_some(out.ctr.slices),
+            early_exit: out.ctr.early_exit,
+            pages: Some(out.ctr.pages),
             candidates: out.set.len() as u64,
             exact: out.set.exact,
             false_drops: None,

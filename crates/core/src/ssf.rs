@@ -11,8 +11,7 @@
 //! file (`UC_I = 2`), deletion tombstones the OID file entry (`UC_D =
 //! SC_OID/2`).
 
-use setsig_pagestore::{BufferPool, Page, PageIo, PagedFile, PAGE_SIZE};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::config::SignatureConfig;
@@ -35,11 +34,6 @@ pub struct Ssf {
     per_page: u64,
     /// Catalog checkpoint file; created lazily by [`Ssf::sync_meta`].
     meta_file: Option<PagedFile>,
-    /// Worker threads for signature scans; `1` scans serially.
-    threads: usize,
-    /// The buffer pool signature reads are routed through when built via
-    /// [`Ssf::create_cached`].
-    pool: Option<Arc<BufferPool>>,
     /// Optional observability recorder; `None` (the default) disables all
     /// tracing/metrics work on the query path.
     obs: Option<Arc<setsig_obs::Recorder>>,
@@ -47,7 +41,8 @@ pub struct Ssf {
 
 impl Ssf {
     /// Creates an empty SSF named `name` (files `<name>.ssf` / `<name>.oid`)
-    /// on `io`.
+    /// on `io`. Hand it a [`BufferPool`](setsig_pagestore::BufferPool) to
+    /// cache signature and OID reads; the caller keeps the pool's `Arc`.
     pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
         let sig_bytes = cfg.signature_bytes();
         let per_page = (PAGE_SIZE / sig_bytes) as u64;
@@ -63,57 +58,8 @@ impl Ssf {
             sig_bytes,
             per_page,
             meta_file: None,
-            threads: 1,
-            pool: None,
             obs: None,
         })
-    }
-
-    /// Creates an empty SSF whose signature and OID reads are routed
-    /// through a fresh [`BufferPool`] of `pool_pages` frames over `disk`.
-    pub fn create_cached(
-        disk: Arc<setsig_pagestore::Disk>,
-        name: &str,
-        cfg: SignatureConfig,
-        pool_pages: usize,
-    ) -> Result<Self> {
-        Self::create_tiered(disk, name, cfg, pool_pages, 0)
-    }
-
-    /// Like [`Ssf::create_cached`], with a pinned in-RAM tier of up to
-    /// `pinned_pages` pages above the LRU pool (see
-    /// [`BufferPool::with_pinned`]); `0` disables the tier.
-    pub fn create_tiered(
-        disk: Arc<setsig_pagestore::Disk>,
-        name: &str,
-        cfg: SignatureConfig,
-        pool_pages: usize,
-        pinned_pages: usize,
-    ) -> Result<Self> {
-        let pool = Arc::new(BufferPool::with_pinned(disk, pool_pages, pinned_pages));
-        let io: Arc<dyn PageIo> = Arc::clone(&pool) as Arc<dyn PageIo>;
-        let mut ssf = Self::create(io, name, cfg)?;
-        ssf.pool = Some(pool);
-        Ok(ssf)
-    }
-
-    /// Sets the number of worker threads for signature scans. `1` (the
-    /// default) scans serially; higher values partition the signature pages
-    /// across scoped threads. Candidate sets and page counts are identical
-    /// either way — every page is read exactly once.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Current worker-thread count for signature scans.
-    pub fn parallelism(&self) -> usize {
-        self.threads
-    }
-
-    /// The buffer pool reads are routed through, when built via
-    /// [`Ssf::create_cached`].
-    pub fn buffer_pool(&self) -> Option<&Arc<BufferPool>> {
-        self.pool.as_ref()
     }
 
     /// Attaches (or with `None` detaches) an observability recorder. With
@@ -194,16 +140,13 @@ impl Ssf {
 
     /// Full scan of the signature file, returning the positions whose
     /// signatures match `query` (§4.1 step 2). Reads every signature page
-    /// exactly once, serial or parallel.
+    /// exactly once.
     ///
     /// This is the batched row-scan path: each fetched page's rows are
     /// matched **in place** with the word-at-a-time byte kernels of
     /// [`Bitmap`](crate::Bitmap) — no per-row signature is materialized.
-    /// With `threads > 1` the page range is partitioned across scoped
-    /// worker threads and the per-page hit lists are merged in page order,
-    /// so the result is byte-identical to the serial scan.
     pub fn scan_matching_positions(&self, query: &SetQuery) -> Result<Vec<u64>> {
-        self.scan_matching_positions_counted(query, &ScanCounters::default())
+        self.scan_matching_positions_counted(query, &mut ScanCounters::default())
     }
 
     /// [`Ssf::scan_matching_positions`] charging its page accounting to
@@ -212,18 +155,15 @@ impl Ssf {
     fn scan_matching_positions_counted(
         &self,
         query: &SetQuery,
-        ctr: &ScanCounters,
+        ctr: &mut ScanCounters,
     ) -> Result<Vec<u64>> {
         let query_sig = query.signature(&self.cfg);
         let total = self.oid_file.len();
         let npages = self.sig_file.len()?;
-        if self.threads > 1 && npages > 1 {
-            return self.scan_parallel(query, &query_sig, total, npages, ctr);
-        }
         let mut positions = Vec::new();
         for page_no in 0..npages {
             self.scan_page(query, &query_sig, total, page_no, &mut positions)?;
-            ctr.charge_both(1);
+            ctr.pages += 1;
         }
         Ok(positions)
     }
@@ -260,76 +200,6 @@ impl Ssf {
             }
         }
         Ok(())
-    }
-
-    /// The parallel scan: workers claim pages from a shared counter,
-    /// producing `(page, hits)` lists that are merged in page order.
-    fn scan_parallel(
-        &self,
-        query: &SetQuery,
-        query_sig: &Signature,
-        total: u64,
-        npages: u32,
-        ctr: &ScanCounters,
-    ) -> Result<Vec<u64>> {
-        /// A worker's `(page, start, end)` segments into its flat hit list.
-        type Segments = Vec<(u32, usize, usize)>;
-        /// A worker's flat hit list, its segments, and its page count. One
-        /// growable buffer per worker — no per-page allocation in the claim
-        /// loop.
-        type WorkerScan = Result<(Vec<u64>, Segments, u64)>;
-        let threads = self.threads.min(npages as usize);
-        // Lock-free work claim: workers race on one atomic page cursor and
-        // hold no lock while scanning, so the storage locks (pool, disk)
-        // are the only ones taken and never nest. `join().expect` re-raises
-        // a worker panic on the coordinator rather than returning a scan
-        // missing that worker's pages.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| -> Result<Vec<u64>> {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| -> WorkerScan {
-                        let mut flat = Vec::new();
-                        let mut segs = Vec::new();
-                        let mut pages = 0u64;
-                        loop {
-                            // ATOMIC: Relaxed — the RMW alone makes tickets
-                            // unique; page data flows through `scan_page`,
-                            // never through this counter.
-                            let p = next.fetch_add(1, Ordering::Relaxed);
-                            if p >= npages as usize {
-                                break;
-                            }
-                            let start = flat.len();
-                            self.scan_page(query, query_sig, total, p as u32, &mut flat)?;
-                            pages += 1;
-                            segs.push((p as u32, start, flat.len()));
-                        }
-                        Ok((flat, segs, pages))
-                    })
-                })
-                .collect();
-            let mut parts: Vec<(Vec<u64>, Segments)> = Vec::with_capacity(threads);
-            for h in handles {
-                let (flat, segs, pages) = h.join().expect("scan worker panicked")?;
-                ctr.charge_both(pages);
-                parts.push((flat, segs));
-            }
-            // Merge in page order so the result is byte-identical to the
-            // serial scan.
-            let mut index: Vec<(u32, usize, usize, usize)> = Vec::new();
-            for (pi, (_, segs)) in parts.iter().enumerate() {
-                for &(page, start, end) in segs {
-                    index.push((page, pi, start, end));
-                }
-            }
-            index.sort_unstable_by_key(|&(p, ..)| p);
-            let mut out = Vec::with_capacity(index.iter().map(|&(_, _, s, e)| e - s).sum());
-            for (_, pi, start, end) in index {
-                out.extend_from_slice(&parts[pi].0[start..end]);
-            }
-            Ok(out)
-        })
     }
 
     /// The pre-kernel reference scan: materializes a [`Signature`] per row
@@ -411,11 +281,11 @@ impl SetAccessFacility for Ssf {
     // COST: sig_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let ctr = ScanCounters::default();
-        let positions = self.scan_matching_positions_counted(query, &ctr)?;
+        let mut ctr = ScanCounters::default();
+        let positions = self.scan_matching_positions_counted(query, &mut ctr)?;
         // The OID look-up is part of the filtering stage's protocol charge
-        // (the paper's LC_OID); it is never speculative or parallel.
-        ctr.charge_both(OidFile::pages_touched(&positions));
+        // (the paper's LC_OID).
+        ctr.pages += OidFile::pages_touched(&positions);
         let resolved = self.oid_file.lookup_positions(&positions)?;
         let set = CandidateSet::new(resolved.into_iter().map(|(_, oid)| oid).collect(), false);
         let stats = ctr.stats();
@@ -426,7 +296,7 @@ impl SetAccessFacility for Ssf {
                     facility: "ssf",
                     strategy: None,
                     geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-                    ctr: Some(&ctr),
+                    ctr: &ctr,
                     track_slices: false,
                     set: &set,
                     cache_after: self.cache_stats(),
@@ -445,7 +315,7 @@ impl SetAccessFacility for Ssf {
     }
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
-        self.pool.as_ref().map(|p| p.stats())
+        self.sig_file.io().cache_stats()
     }
 }
 
@@ -633,7 +503,7 @@ mod tests {
 #[cfg(test)]
 mod engine_tests {
     use super::*;
-    use setsig_pagestore::Disk;
+    use setsig_pagestore::{BufferPool, Disk};
 
     fn populated(f_bits: u32, m: u32, n: u64) -> (Arc<Disk>, Ssf) {
         let disk = Arc::new(Disk::new());
@@ -682,23 +552,6 @@ mod engine_tests {
     }
 
     #[test]
-    fn parallel_scan_is_byte_identical_to_serial() {
-        let (_d1, serial) = populated(256, 3, 400);
-        let (_d2, mut par) = populated(256, 3, 400);
-        par.set_parallelism(8);
-        assert_eq!(par.parallelism(), 8);
-        for q in probes() {
-            let (cs, ss) = serial.candidates_with_stats(&q).unwrap();
-            let ss = ss.unwrap();
-            let (cp, sp) = par.candidates_with_stats(&q).unwrap();
-            let sp = sp.unwrap();
-            assert_eq!(cs, cp, "candidates diverged ({:?})", q.predicate);
-            assert_eq!(ss, sp, "page accounting diverged ({:?})", q.predicate);
-            assert_eq!(sp.logical_pages, sp.physical_pages, "SSF never speculates");
-        }
-    }
-
-    #[test]
     fn scan_stats_count_signature_pages() {
         let (disk, s) = populated(500, 4, 300);
         let q = SetQuery::has_subset(vec![ElementKey::from(999_999u64)]);
@@ -707,16 +560,17 @@ mod engine_tests {
         let stats = stats.unwrap();
         let sig = s.signature_pages().unwrap();
         // Scan pages plus at most one OID page of (unlikely) false drops.
-        assert!(stats.logical_pages >= sig && stats.logical_pages <= sig + 1);
+        assert!(stats.pages >= sig && stats.pages <= sig + 1);
         // The filtering stage's charge is exactly its disk traffic.
-        assert_eq!(disk.snapshot().reads, stats.physical_pages);
+        assert_eq!(disk.snapshot().reads, stats.pages);
     }
 
     #[test]
-    fn cached_ssf_serves_repeat_scans_from_pool() {
+    fn cache_stats_come_from_the_io_handle() {
         let disk = Arc::new(Disk::new());
+        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 64));
         let cfg = SignatureConfig::new(128, 2).unwrap();
-        let mut s = Ssf::create_cached(Arc::clone(&disk), "c", cfg, 64).unwrap();
+        let mut s = Ssf::create(Arc::clone(&pool) as Arc<dyn PageIo>, "c", cfg).unwrap();
         for i in 0..200u64 {
             s.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
@@ -730,14 +584,16 @@ mod engine_tests {
             0,
             "repeat scan must be pool-resident"
         );
-        assert!(s.cache_stats().unwrap().hits > 0);
-        assert!(s.buffer_pool().is_some());
-    }
+        let cache = s.cache_stats().expect("pooled facility reports pool stats");
+        assert!(cache.hits > 0);
+        assert_eq!(
+            cache,
+            pool.stats(),
+            "the caller's pool is the one reporting"
+        );
 
-    #[test]
-    fn uncached_ssf_reports_no_cache_stats() {
-        let (_d, s) = populated(64, 2, 5);
-        assert!(s.cache_stats().is_none());
+        let (_d, bare) = populated(64, 2, 5);
+        assert!(bare.cache_stats().is_none());
     }
 
     #[test]
@@ -759,8 +615,7 @@ mod engine_tests {
         assert_eq!(ev.predicate, "HasSubset");
         assert_eq!(ev.d_q, 2);
         assert_eq!(ev.f_bits, Some(128));
-        assert_eq!(ev.logical_pages, Some(stats.logical_pages));
-        assert_eq!(ev.physical_pages, Some(stats.physical_pages));
+        assert_eq!(ev.pages, Some(stats.pages));
         assert_eq!(ev.candidates, set.len() as u64);
         assert_eq!(ev.slices_touched, None, "SSF row scans touch no slices");
         let snap = rec.registry().snapshot();
@@ -815,8 +670,6 @@ impl Ssf {
             sig_bytes,
             per_page,
             meta_file: Some(meta_file),
-            threads: 1,
-            pool: None,
             obs: None,
         })
     }

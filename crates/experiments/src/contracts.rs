@@ -12,9 +12,8 @@
 //! The two halves catch different regressions. The static lint catches a
 //! loop accidentally nested around a slice read before anything runs;
 //! this evaluator catches a contract that *parses* fine but lies — e.g.
-//! the `COST-SPLIT` annotation on the parallel pipeline's spawn loop
-//! claims the workers partition the slice reads, which no static check
-//! can prove; here the claim meets the disk counters.
+//! a symbol bound to the wrong quantity, which no static check can
+//! prove; here the claim meets the disk counters.
 //!
 //! Bindings are worst-case, not expected-case: `slices` binds to
 //! `min(F, m·D_q)` for a superset scan (every query bit set distinct)

@@ -122,17 +122,37 @@ impl Exhibit {
         f.flush()
     }
 
-    /// Writes every attached artifact into `dir` under its own file name.
+    /// Writes every attached artifact into `dir` under its own file name,
+    /// minus wall-clock: these files are committed, so a diff in them must
+    /// mean behaviour changed. Live sinks keep `latency_ns`.
     pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
         if self.artifacts.is_empty() {
             return Ok(());
         }
         std::fs::create_dir_all(dir)?;
         for (name, content) in &self.artifacts {
-            std::fs::write(dir.join(name), content)?;
+            std::fs::write(dir.join(name), without_wall_clock(content))?;
         }
         Ok(())
     }
+}
+
+/// Drops the trailing `latency_ns` key from trace lines and the `*_ns`
+/// histograms from metrics lines.
+fn without_wall_clock(content: &str) -> String {
+    let mut out = String::with_capacity(content.len());
+    for line in content.lines() {
+        if let Some(cut) = line.find(",\"latency_ns\":") {
+            out.push_str(&line[..cut]);
+            out.push('}');
+        } else if line.split(' ').next().is_some_and(|n| n.ends_with("_ns")) {
+            continue;
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -177,6 +197,33 @@ mod tests {
         e.write_csv(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("sample.csv")).unwrap();
         assert_eq!(text, "x,y\n1,2\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn written_artifacts_carry_no_wall_clock() {
+        // The same run timed twice differs only in its nanoseconds; what
+        // lands on disk must not.
+        let run = |ns: u64| {
+            let mut e = Exhibit::new("x", "test", vec!["a"]);
+            e.artifacts.push((
+                "x.trace.jsonl".into(),
+                format!("{{\"facility\":\"ssf\",\"pages\":8,\"latency_ns\":{ns}}}\n"),
+            ));
+            e.artifacts.push((
+                "x.metrics.txt".into(),
+                format!("ssf.latency_ns count=1 sum={ns} mean={ns}.0 p99<={ns}\nssf.queries 1\n"),
+            ));
+            e
+        };
+        let dir = std::env::temp_dir().join(format!("setsig-art-{}", std::process::id()));
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        run(5150).write_artifacts(&dir).unwrap();
+        let first = (read("x.trace.jsonl"), read("x.metrics.txt"));
+        run(777).write_artifacts(&dir).unwrap();
+        assert_eq!((read("x.trace.jsonl"), read("x.metrics.txt")), first);
+        assert_eq!(first.0, "{\"facility\":\"ssf\",\"pages\":8}\n");
+        assert_eq!(first.1, "ssf.queries 1\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

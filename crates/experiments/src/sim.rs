@@ -12,7 +12,7 @@ use setsig_core::{
 use setsig_nix::Nix;
 use setsig_obs::{Recorder, RingSink, TraceSink};
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
-use setsig_pagestore::PageIo;
+use setsig_pagestore::{BufferPool, PageIo};
 use setsig_service::{shard_of, QueryService, ServiceConfig};
 use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
 use std::sync::Arc;
@@ -70,17 +70,15 @@ impl MeasuredQuery {
     }
 }
 
-/// Query-engine knobs for the measured facilities: how many scan threads
-/// and whether reads are routed through a buffer pool.
+/// Knobs for the measured facilities: whether reads are routed through a
+/// buffer pool, and how the query service is laid out.
 ///
-/// The default — one thread, no pool — is the paper's protocol, and every
+/// The default — no pool, one shard — is the paper's protocol, and every
 /// published number is measured that way. The knobs exist so each exhibit
-/// can be re-run serial vs. parallel (the candidate sets and logical page
-/// counts are identical by construction) or with a hot cache.
+/// can be re-run with a hot cache (the candidate sets and page charges are
+/// identical by construction) or through the sharded service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for slice/signature scans (`1` = serial).
-    pub threads: usize,
     /// Buffer-pool capacity in frames; `None` leaves reads uncached.
     pub pool_pages: Option<usize>,
     /// Pinned in-RAM tier above the pool, in pages; requires `pool_pages`.
@@ -96,7 +94,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: 1,
             pool_pages: None,
             pinned_pages: None,
             shards: 1,
@@ -106,13 +103,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The paper's serial, uncached protocol.
+    /// The paper's uncached, unsharded protocol.
     pub fn serial() -> Self {
         Self::default()
     }
 
-    /// Reads `SETSIG_THREADS` (scan worker count, default 1),
-    /// `SETSIG_POOL_PAGES` (buffer-pool frames, default none),
+    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none),
     /// `SETSIG_PINNED_PAGES` (pinned tier above the pool, default none;
     /// requires `SETSIG_POOL_PAGES`), `SETSIG_SHARDS` (query-service
     /// shards, default 1), and `SETSIG_QUEUE_DEPTH` (service admission
@@ -120,7 +116,7 @@ impl EngineConfig {
     /// rebuild.
     ///
     /// Panics on an invalid value. A knob that silently fell back to the
-    /// serial default would let a typo masquerade as an 8-thread
+    /// default would let a typo masquerade as a pooled or sharded
     /// measurement, which is exactly the kind of quiet corruption the
     /// harness must fail loudly on instead.
     pub fn from_env() -> Self {
@@ -135,11 +131,9 @@ impl EngineConfig {
     /// malformed input without mutating process-global state.
     ///
     /// Rules: an unset or empty/whitespace variable means "default";
-    /// anything else must parse as an integer ≥ 1 (zero threads cannot
-    /// scan, and a zero-frame pool is spelled by unsetting the variable).
-    /// Surrounding whitespace is tolerated. There is no upper clamp:
-    /// oversubscribed thread counts are legal, and the engines already cap
-    /// workers at the number of pages/slices to scan.
+    /// anything else must parse as an integer ≥ 1 (a zero-frame pool is
+    /// spelled by unsetting the variable). Surrounding whitespace is
+    /// tolerated.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         fn knob(name: &str, val: Option<String>) -> Result<Option<usize>, String> {
             let Some(v) = val.filter(|v| !v.trim().is_empty()) else {
@@ -166,7 +160,6 @@ impl EngineConfig {
             );
         }
         Ok(EngineConfig {
-            threads: knob("SETSIG_THREADS", get("SETSIG_THREADS"))?.unwrap_or(1),
             pool_pages,
             pinned_pages,
             shards: knob("SETSIG_SHARDS", get("SETSIG_SHARDS"))?.unwrap_or(1),
@@ -268,6 +261,20 @@ impl SimDb {
         Arc::clone(self.db.disk()) as Arc<dyn PageIo>
     }
 
+    /// The I/O handle one facility is built on under `engine`: the bare
+    /// accounting disk, or a fresh [`BufferPool`] (with its pinned tier)
+    /// over it.
+    fn engine_io(&self, engine: EngineConfig) -> Arc<dyn PageIo> {
+        match engine.pool_pages {
+            Some(pages) => Arc::new(BufferPool::with_pinned(
+                Arc::clone(self.db.disk()),
+                pages,
+                engine.pinned_pages.unwrap_or(0),
+            )),
+            None => self.io(),
+        }
+    }
+
     /// Builds an SSF over the instance (inserting every target signature),
     /// with engine knobs from the environment (see [`EngineConfig::from_env`]).
     pub fn build_ssf(&self, f: u32, m: u32) -> Ssf {
@@ -278,18 +285,7 @@ impl SimDb {
     pub fn build_ssf_with(&self, f: u32, m: u32, engine: EngineConfig) -> Ssf {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
         let name = format!("ssf-f{f}-m{m}");
-        let mut ssf = match engine.pool_pages {
-            Some(pages) => Ssf::create_tiered(
-                Arc::clone(self.db.disk()),
-                &name,
-                cfg,
-                pages,
-                engine.pinned_pages.unwrap_or(0),
-            )
-            .expect("fits page"),
-            None => Ssf::create(self.io(), &name, cfg).expect("fits page"),
-        };
-        ssf.set_parallelism(engine.threads);
+        let mut ssf = Ssf::create(self.engine_io(engine), &name, cfg).expect("fits page");
         ssf.set_recorder(self.recorder.clone());
         for (i, set) in self.sets.iter().enumerate() {
             let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
@@ -309,18 +305,7 @@ impl SimDb {
     pub fn build_bssf_with(&self, f: u32, m: u32, engine: EngineConfig) -> Bssf {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
         let name = format!("bssf-f{f}-m{m}");
-        let mut bssf = match engine.pool_pages {
-            Some(pages) => Bssf::create_tiered(
-                Arc::clone(self.db.disk()),
-                &name,
-                cfg,
-                pages,
-                engine.pinned_pages.unwrap_or(0),
-            )
-            .expect("create"),
-            None => Bssf::create(self.io(), &name, cfg).expect("create"),
-        };
-        bssf.set_parallelism(engine.threads);
+        let mut bssf = Bssf::create(self.engine_io(engine), &name, cfg).expect("create");
         bssf.set_recorder(self.recorder.clone());
         let items: Vec<(Oid, Vec<ElementKey>)> = self
             .sets
@@ -339,7 +324,7 @@ impl SimDb {
     }
 
     /// Builds a sharded BSSF query service over the instance, with engine
-    /// knobs (shard count, queue depth, scan threads, pool pages) from the
+    /// knobs (shard count, queue depth, pool pages) from the
     /// environment. With `SETSIG_SHARDS` unset this is a 1-shard service
     /// whose answers and page charges are identical to [`build_bssf`]
     /// (see [`Self::build_bssf`]) — which is what lets the drift gates run
@@ -373,18 +358,7 @@ impl SimDb {
             .enumerate()
             .map(|(shard, items)| {
                 let name = format!("bssf-f{f}-m{m}-s{shard}");
-                let mut bssf = match engine.pool_pages {
-                    Some(pages) => Bssf::create_tiered(
-                        Arc::clone(self.db.disk()),
-                        &name,
-                        cfg,
-                        pages,
-                        engine.pinned_pages.unwrap_or(0),
-                    )
-                    .expect("create"),
-                    None => Bssf::create(self.io(), &name, cfg).expect("create"),
-                };
-                bssf.set_parallelism(engine.threads);
+                let mut bssf = Bssf::create(self.engine_io(engine), &name, cfg).expect("create");
                 bssf.set_recorder(self.recorder.clone());
                 bssf.bulk_load(items).expect("bulk load");
                 bssf
@@ -426,10 +400,9 @@ impl SimDb {
     /// candidate against the object store.
     ///
     /// A `filter` returning a bare [`CandidateSet`] is charged the raw disk
-    /// delta, which is only engine-independent for serial, unbuffered
-    /// facilities; prefer [`SimDb::measure_facility`] /
-    /// [`SimDb::measure_smart`], which charge the *logical* scan pages the
-    /// call itself reports.
+    /// delta, which is only cache-independent for unbuffered facilities;
+    /// prefer [`SimDb::measure_facility`] / [`SimDb::measure_smart`], which
+    /// charge the scan pages the call itself reports.
     pub fn measure(
         &self,
         query: &SetQuery,
@@ -451,8 +424,8 @@ impl SimDb {
 
     /// Measures a smart-strategy query (`filter` calls one of the
     /// facility's `candidates_*_smart` methods): like
-    /// [`SimDb::measure_facility`], the filter stage is charged the logical
-    /// scan pages the call returns. The `_facility` parameter is retained
+    /// [`SimDb::measure_facility`], the filter stage is charged the scan
+    /// pages the call returns. The `_facility` parameter is retained
     /// for call-site symmetry with [`SimDb::measure_facility`].
     pub fn measure_smart<R: FilterOutcome>(
         &self,
@@ -472,13 +445,12 @@ impl SimDb {
         let start = disk.snapshot();
         let (candidates, stats) = filter().expect("filter stage").into_parts();
         let after_filter = disk.snapshot();
-        // The paper's RC charges the serial protocol's page accesses. A
-        // call that returns its own scan stats reports exactly that logical
-        // count whatever its engine does physically (thread speculation,
-        // pool hits); calls without stats (NIX) run serial and unbuffered,
-        // where the disk delta is the same number.
+        // The paper's RC charges the protocol's page accesses. A call that
+        // returns its own scan stats reports exactly that count whether or
+        // not a pool served the reads; calls without stats (NIX) run
+        // unbuffered, where the disk delta is the same number.
         let filter_pages = stats
-            .map(|s| s.logical_pages)
+            .map(|s| s.pages)
             .unwrap_or_else(|| after_filter.since(start).accesses());
         let source = self
             .db
@@ -533,7 +505,7 @@ mod tests {
         );
         assert_eq!(
             EngineConfig::from_lookup(lookup(&[
-                ("SETSIG_THREADS", ""),
+                ("SETSIG_SHARDS", ""),
                 ("SETSIG_POOL_PAGES", "   "),
             ]))
             .unwrap(),
@@ -544,11 +516,11 @@ mod tests {
     #[test]
     fn engine_env_parses_valid_values_with_whitespace() {
         let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_THREADS", " 8 "),
+            ("SETSIG_SHARDS", " 8 "),
             ("SETSIG_POOL_PAGES", "256"),
         ]))
         .unwrap();
-        assert_eq!(cfg.threads, 8);
+        assert_eq!(cfg.shards, 8);
         assert_eq!(cfg.pool_pages, Some(256));
     }
 
@@ -576,9 +548,9 @@ mod tests {
     #[test]
     fn engine_env_rejects_zero_negative_and_garbage() {
         for bad in ["0", "-3", "eight", "2.5", "1e3"] {
-            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_THREADS", bad)])).unwrap_err();
+            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_SHARDS", bad)])).unwrap_err();
             assert!(
-                err.contains("SETSIG_THREADS") && err.contains(bad),
+                err.contains("SETSIG_SHARDS") && err.contains(bad),
                 "error must name the variable and value: {err}"
             );
         }
@@ -685,48 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_variants_measure_identically() {
+    fn pooled_engine_answers_and_measures_identically() {
         let sim = SimDb::build(small_cfg());
-        let serial = sim.build_bssf_with(128, 2, EngineConfig::serial());
-        let parallel = sim.build_bssf_with(
-            128,
-            2,
-            EngineConfig {
-                threads: 4,
-                ..EngineConfig::serial()
-            },
-        );
-        let mut qg = sim.query_gen(9);
-        for trial in 0..4u64 {
-            let target = &sim.sets[(trial * 131 % 500) as usize];
-            let q = SetQuery::has_subset(
-                qg.subset_of_target(target, 3)
-                    .into_iter()
-                    .map(ElementKey::from)
-                    .collect(),
-            );
-            let (a, sa) = serial.candidates_with_stats(&q).unwrap();
-            let (b, sb) = parallel.candidates_with_stats(&q).unwrap();
-            assert_eq!(a, b, "trial {trial}");
-            assert_eq!(
-                sa.expect("bssf reports stats").logical_pages,
-                sb.expect("bssf reports stats").logical_pages,
-                "trial {trial}"
-            );
-            // The exhibits' measured RC must not depend on the engine:
-            // measure_facility charges the logical scan pages, not the
-            // (speculation- and cache-dependent) physical disk delta.
-            let ms = sim.measure_facility(&serial, &q);
-            let mp = sim.measure_facility(&parallel, &q);
-            assert_eq!(ms.filter_pages, mp.filter_pages, "trial {trial}");
-            assert_eq!(ms.total_pages(), mp.total_pages(), "trial {trial}");
-        }
-        // A pooled engine still answers identically.
         let cached = sim.build_ssf_with(
             128,
             2,
             EngineConfig {
-                threads: 2,
                 pool_pages: Some(64),
                 ..EngineConfig::serial()
             },
@@ -737,7 +673,14 @@ mod tests {
             plain.candidates(&q).unwrap(),
             cached.candidates(&q).unwrap()
         );
+        // The exhibits' measured RC must not depend on the pool:
+        // measure_facility charges the scan's own page count, not the
+        // (cache-dependent) disk delta.
+        let mp = sim.measure_facility(&plain, &q);
+        let mc = sim.measure_facility(&cached, &q);
+        assert_eq!(mp.filter_pages, mc.filter_pages);
         assert!(cached.cache_stats().is_some());
+        assert!(plain.cache_stats().is_none());
     }
 
     #[test]
@@ -762,7 +705,7 @@ mod tests {
                 tiered.candidates(&q).unwrap(),
                 "pass {pass}"
             );
-            // Logical page charges are engine-independent (drift gate).
+            // Page charges are cache-independent (drift gate).
             let ms = sim.measure_facility(&serial, &q);
             let mt = sim.measure_facility(&tiered, &q);
             assert_eq!(ms.filter_pages, mt.filter_pages, "pass {pass}");

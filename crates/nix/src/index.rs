@@ -72,8 +72,7 @@ impl Nix {
             m_weight: None,
             slices_touched: None,
             early_exit: false,
-            logical_pages: None,
-            physical_pages: None,
+            pages: None,
             candidates: set.len() as u64,
             exact: set.exact,
             false_drops: None,

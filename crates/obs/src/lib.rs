@@ -71,15 +71,8 @@ impl Recorder {
         self.registry
             .histogram(&format!("{f}.latency_ns"))
             .record(ev.latency_ns);
-        if let Some(p) = ev.logical_pages {
-            self.registry
-                .histogram(&format!("{f}.logical_pages"))
-                .record(p);
-        }
-        if let Some(p) = ev.physical_pages {
-            self.registry
-                .histogram(&format!("{f}.physical_pages"))
-                .record(p);
+        if let Some(p) = ev.pages {
+            self.registry.histogram(&format!("{f}.pages")).record(p);
         }
         self.registry
             .counter(&format!("{f}.candidates"))
@@ -132,8 +125,7 @@ mod tests {
             m_weight: Some(2),
             slices_touched: Some(4),
             early_exit: false,
-            logical_pages: Some(5),
-            physical_pages: Some(5),
+            pages: Some(5),
             candidates: 3,
             exact: false,
             false_drops: Some(1),

@@ -28,10 +28,8 @@ pub struct QueryTrace {
     /// True when the scan stopped before its slice/page budget because the
     /// candidate accumulator emptied.
     pub early_exit: bool,
-    /// Logical page accesses (the serial protocol charge).
-    pub logical_pages: Option<u64>,
-    /// Physical page accesses (actual I/O, incl. speculative prefetch).
-    pub physical_pages: Option<u64>,
+    /// Page accesses the scan charged (filter stage incl. OID look-up).
+    pub pages: Option<u64>,
     /// Candidates (drops) returned by the filter.
     pub candidates: u64,
     /// True when the candidate set is exact (no verification needed).
@@ -86,8 +84,7 @@ impl QueryTrace {
         push_opt_u64(&mut out, "m_weight", self.m_weight.map(u64::from));
         push_opt_u64(&mut out, "slices_touched", self.slices_touched);
         out.push_str(&format!(",\"early_exit\":{}", self.early_exit));
-        push_opt_u64(&mut out, "logical_pages", self.logical_pages);
-        push_opt_u64(&mut out, "physical_pages", self.physical_pages);
+        push_opt_u64(&mut out, "pages", self.pages);
         out.push_str(&format!(",\"candidates\":{}", self.candidates));
         out.push_str(&format!(",\"exact\":{}", self.exact));
         push_opt_u64(&mut out, "false_drops", self.false_drops);
@@ -211,8 +208,7 @@ mod tests {
             m_weight: Some(2),
             slices_touched: None,
             early_exit: true,
-            logical_pages: Some(41),
-            physical_pages: Some(41),
+            pages: Some(41),
             candidates: 7,
             exact: false,
             false_drops: None,
@@ -230,7 +226,7 @@ mod tests {
             json,
             "{\"facility\":\"bssf\",\"predicate\":\"InSubset\",\"d_q\":30,\
              \"f_bits\":500,\"m_weight\":2,\"slices_touched\":null,\
-             \"early_exit\":true,\"logical_pages\":41,\"physical_pages\":41,\
+             \"early_exit\":true,\"pages\":41,\
              \"candidates\":7,\"exact\":false,\"false_drops\":null,\
              \"cache_hits\":null,\"cache_misses\":null,\
              \"cache_pinned_hits\":null,\"latency_ns\":5150}"

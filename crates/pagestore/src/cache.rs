@@ -2,11 +2,11 @@
 //!
 //! The paper's cost model assumes **no buffering** — every page touched is a
 //! page access. The buffer pool exists for the ablation experiments and for
-//! the cached query engines: hot BSSF slice pages and SSF signature pages
+//! facilities built over it: hot BSSF slice pages and SSF signature pages
 //! are served from the pool on re-query. Reads served from the pool do not
 //! reach the underlying disk and therefore do not appear in its counters;
-//! the engines' *logical* page accounting ([`ScanStats`] in `setsig-core`)
-//! stays cache-independent.
+//! the scans' own page accounting ([`ScanStats`] in `setsig-core`) counts
+//! requests to the I/O handle and stays cache-independent.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -333,6 +333,10 @@ impl PageIo for BufferPool {
 
     fn snapshot(&self) -> IoSnapshot {
         self.disk.snapshot()
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        Some(self.stats())
     }
 }
 

@@ -1,8 +1,8 @@
 //! The simulated disk: named paged files plus access accounting.
 
 use parking_lot::Mutex;
-use std::sync::Arc;
 
+use crate::cache::CacheStats;
 use crate::error::{Error, Result};
 use crate::page::Page;
 use crate::stats::{FileStats, IoSnapshot};
@@ -374,6 +374,11 @@ pub trait PageIo: Send + Sync {
     fn extend_to(&self, id: FileId, pages: u32) -> Result<()>;
     /// Disk-wide cumulative counters (post-cache where applicable).
     fn snapshot(&self) -> IoSnapshot;
+    /// Hit/miss counters of the cache this handle reads through; `None`
+    /// (the default) for uncached backends.
+    fn cache_stats(&self) -> Option<CacheStats> {
+        None
+    }
 }
 
 impl PageIo for Disk {
@@ -404,37 +409,10 @@ impl PageIo for Disk {
     }
 }
 
-impl PageIo for Arc<Disk> {
-    // COST: 1 pages
-    fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
-        Disk::read_page(self, id, n)
-    }
-    fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
-        Disk::write_page(self, id, n, page)
-    }
-    fn update_page(&self, id: FileId, n: u32, f: &mut dyn FnMut(&mut Page)) -> Result<()> {
-        Disk::update_page(self, id, n, |p| f(p))
-    }
-    fn append_page(&self, id: FileId, page: &Page) -> Result<u32> {
-        Disk::append_page(self, id, page)
-    }
-    fn page_count(&self, id: FileId) -> Result<u32> {
-        Disk::page_count(self, id)
-    }
-    fn create_file(&self, name: &str) -> FileId {
-        Disk::create_file(self, name)
-    }
-    fn extend_to(&self, id: FileId, pages: u32) -> Result<()> {
-        Disk::extend_to(self, id, pages)
-    }
-    fn snapshot(&self) -> IoSnapshot {
-        Disk::snapshot(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn create_and_roundtrip() {

@@ -28,8 +28,7 @@ impl ServiceConfig {
     pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
     /// A config for `shards` partitions: default queue depth, one worker
-    /// per shard (capped at 8 — beyond that the per-shard facilities'
-    /// own scan parallelism is the better lever).
+    /// per shard (capped at 8).
     pub fn new(shards: usize) -> Self {
         ServiceConfig {
             shards,

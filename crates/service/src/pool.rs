@@ -349,7 +349,7 @@ fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
             m.shards[task.shard].inflight.add(-1);
             m.shards[task.shard].queries.inc();
             if let Ok((_, Some(stats))) = &result {
-                m.shards[task.shard].scan_pages.record(stats.logical_pages);
+                m.shards[task.shard].scan_pages.record(stats.pages);
             }
         }
         task.pending.complete(task.shard, result);

@@ -156,7 +156,7 @@ impl<F: SetAccessFacility> ShardRouter<F> {
 
     /// Runs `f` with exclusive access to one shard's facility — the seam
     /// for concrete-type operations the trait does not carry (a per-shard
-    /// `bulk_load`, flipping scan parallelism).
+    /// `bulk_load`, attaching a recorder).
     pub fn with_shard_mut<R>(&self, shard: usize, f: impl FnOnce(&mut F) -> R) -> R {
         let mut guard = self.shards[shard].facility.write();
         f(&mut guard)
@@ -256,28 +256,16 @@ mod tests {
         let parts = vec![
             (
                 CandidateSet::new(vec![Oid::new(4), Oid::new(1)], false),
-                Some(ScanStats {
-                    logical_pages: 3,
-                    physical_pages: 4,
-                }),
+                Some(ScanStats { pages: 3 }),
             ),
             (
                 CandidateSet::new(vec![Oid::new(2)], false),
-                Some(ScanStats {
-                    logical_pages: 5,
-                    physical_pages: 5,
-                }),
+                Some(ScanStats { pages: 5 }),
             ),
         ];
         let (set, stats) = merge_parts(parts);
         assert_eq!(set.oids, vec![Oid::new(1), Oid::new(2), Oid::new(4)]);
-        assert_eq!(
-            stats,
-            Some(ScanStats {
-                logical_pages: 8,
-                physical_pages: 9
-            })
-        );
+        assert_eq!(stats, Some(ScanStats { pages: 8 }));
     }
 
     #[test]
@@ -332,8 +320,8 @@ mod tests {
         let (set, stats) = router.query_serial(&q).unwrap();
         let expected: Vec<Oid> = (0..30u64).filter(|r| r % 5 == 2).map(Oid::new).collect();
         assert_eq!(set.oids, expected);
-        // MockFacility charges one logical page per query; the merged
-        // charge is the conserved sum over shards.
-        assert_eq!(stats.map(|s| s.logical_pages), Some(3));
+        // MockFacility charges one page per query; the merged charge is
+        // the conserved sum over shards.
+        assert_eq!(stats.map(|s| s.pages), Some(3));
     }
 }

@@ -13,7 +13,7 @@ use setsig_core::{
 /// Exact in-memory store: every answer is evaluated with
 /// [`verify_predicate`], so candidate sets are the ground truth (no
 /// false drops *or* false positives), and every query charges exactly
-/// one logical and one physical page.
+/// one page.
 pub(crate) struct MockFacility {
     sets: BTreeMap<Oid, ElementSet>,
 }
@@ -58,13 +58,7 @@ impl SetAccessFacility for MockFacility {
             .filter(|(_, target)| verify_predicate(query.predicate, target, &query.elements))
             .map(|(&oid, _)| oid)
             .collect();
-        Ok((
-            CandidateSet::new(oids, true),
-            Some(ScanStats {
-                logical_pages: 1,
-                physical_pages: 1,
-            }),
-        ))
+        Ok((CandidateSet::new(oids, true), Some(ScanStats { pages: 1 })))
     }
 
     fn indexed_count(&self) -> u64 {

@@ -1,5 +1,5 @@
 //! cost PASS fixture: tight contracts at every level — the page
-//! primitive, a linear scan, a composed degree-2 pipeline, a contracted
+//! primitive, a linear scan, a composed degree-2 slice scan, a contracted
 //! hot-path root, a pure kernel root that owes nothing, an uncontracted
 //! entry that only enters a composite contract, and an allowlisted
 //! maintenance read. Nothing here may produce a diagnostic.
@@ -27,10 +27,10 @@ pub fn read_slice(pages_per_slice: u32) {
     }
 }
 
-/// …and the pipeline loops slices over it: 1 lexical level + the
+/// …and the AND scan loops slices over it: 1 lexical level + the
 /// callee's declared degree 1 = exactly the declared degree 2.
 // COST: slices * pages_per_slice pages
-pub fn and_pipeline(ones: &[u32]) {
+pub fn and_scan(ones: &[u32]) {
     for j in ones {
         read_slice(*j);
     }
@@ -54,23 +54,10 @@ pub fn kernel(a: u64, b: u64) -> u64 {
     a & b
 }
 
-/// A work-partitioning spawn loop multiplies nothing: the annotated
-/// `for` distributes disjoint slice claims across workers, so the claim
-/// loop under it is the only extra level and degree 2 still holds.
-// COST: slices * pages_per_slice pages
-pub fn and_parallel(workers: u32, ones: &[u32]) {
-    // COST-SPLIT: slices
-    for _ in 0..workers {
-        loop {
-            read_slice(8);
-        }
-    }
-}
-
 /// An uncontracted entry point that only *enters* a composite (degree
 /// ≥ 1) contract is sanctioned: the callee's bound accounts the pages.
 pub fn service_entry(ones: &[u32]) {
-    and_pipeline(ones);
+    and_scan(ones);
 }
 
 /// A maintenance read justified in the allowlist

@@ -1,10 +1,10 @@
 //! **accounting** — raw page I/O only inside accounting wrappers.
 //!
-//! The reproduced numbers of the paper are page-access counts, and PR 1
-//! made the engines concurrent: slice scans now charge their *logical*
-//! pages through `ScanStats` while the disk records the physical traffic.
-//! That split only stays trustworthy if every page actually moves through
-//! the accounting substrate. This lint therefore forbids calling
+//! The reproduced numbers of the paper are page-access counts: scans
+//! charge the pages they request through `ScanStats` while the disk
+//! records what actually reached it (fewer, under a buffer pool). Both
+//! only stay trustworthy if every page actually moves through the
+//! accounting substrate. This lint therefore forbids calling
 //! `read_page` / `write_page` anywhere except the allowlisted wrappers in
 //! `crates/pagestore` (the `Disk` itself, the `BufferPool` cache, and the
 //! `PagedFile` handle everything else is built on).

@@ -38,9 +38,8 @@
 //! * `missing-contract` — a `// HOT-PATH:` root that reaches page I/O
 //!   but declares no cost (the **root registry**: the hot-path names are
 //!   the scan entry points — `ssf.row_scan`, `bssf.and_loop`,
-//!   `bssf.and_pipeline`, `nix.probe`, `pagestore.read`,
-//!   `service.dispatch`; pure compute kernels have no I/O and owe no
-//!   contract);
+//!   `nix.probe`, `pagestore.read`, `service.dispatch`; pure compute
+//!   kernels have no I/O and owe no contract);
 //! * `superlinear-io` — inferred nest depth exceeds the declared degree;
 //! * `uncontracted-io` — a page-I/O site in a gated crate outside every
 //!   contracted root's call tree, not entering a composite (degree ≥ 1)

@@ -25,8 +25,7 @@
 //! * A named field whose type is `Mutex<…>` / `RwLock<…>`, possibly
 //!   wrapped in `Arc`/`Box`/`Rc` and path-qualified
 //!   (`std::sync::Mutex`, `parking_lot::Mutex`).
-//! * A local `let <name> = Mutex::new(…)` / `RwLock::new(…)` binding
-//!   (the BSSF pipeline's coordinator lock is such a local).
+//! * A local `let <name> = Mutex::new(…)` / `RwLock::new(…)` binding.
 //!
 //! Struct-literal initializers (`inner: Mutex::new(…)`) initialize an
 //! already-declared field and are deliberately not declarations.

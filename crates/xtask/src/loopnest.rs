@@ -56,17 +56,11 @@
 //! * Recursive cycles contribute depth 0 (cut at the back edge).
 //! * `while` bounds are opaque; they are named `?<ident>` after the
 //!   first identifier in the condition and count one level.
-//! * A loop annotated `// COST-SPLIT: <sym>` (on the loop keyword's line
-//!   or up to three lines above) is a *work-partitioning* fan-out — its
-//!   iterations claim disjoint items off a shared queue — and adds no
-//!   nesting level. The drift evaluator's measured-pages-vs-contract
-//!   assertion backstops the claim dynamically.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::callgraph::{CallGraph, CallKind};
-use crate::lints::hot_path;
 use crate::scan::{Tok, TokKind};
 
 /// A parsed bound expression: sums of products over integer literals and
@@ -241,14 +235,6 @@ fn parse_factor(toks: &mut Vec<String>) -> Result<Expr, String> {
     }
 }
 
-/// Marker for a loop whose iterations *partition* the enclosed work
-/// rather than repeat it — a spawn loop whose workers claim disjoint
-/// items off a shared queue. An annotated loop contributes no nest
-/// factor: the work total is carried by the claim loop beneath it, and
-/// the dynamic half (the drift evaluator) checks the measured pages
-/// against the contract, backstopping the annotation.
-pub const SPLIT_MARKER: &str = "COST-SPLIT:";
-
 /// One lexical loop inside a fn body: its token span and the symbolic
 /// name of its trip-count bound.
 #[derive(Debug, Clone)]
@@ -257,8 +243,6 @@ struct LoopSpan {
     open: usize,
     /// Token index of the matching `}`.
     close: usize,
-    /// 1-based line of the loop keyword.
-    line: u32,
     /// Symbolic bound (`npages`, `ones`, `?link`, `*` for bare `loop`).
     bound: String,
 }
@@ -280,12 +264,7 @@ fn loop_spans(toks: &[Tok], lo: usize, hi: usize) -> Vec<LoopSpan> {
                         "while" => while_bound(toks, i + 1, open),
                         _ => "*".to_string(),
                     };
-                    out.push(LoopSpan {
-                        open,
-                        close,
-                        line: t.line,
-                        bound,
-                    });
+                    out.push(LoopSpan { open, close, bound });
                 }
             }
         }
@@ -544,25 +523,6 @@ fn depth_of(
         let file = graph.files[def.file];
         let toks = &file.scanned.toks;
         let spans = loop_spans(toks, open, close);
-        // Each SPLIT_MARKER comment attaches to the nearest loop keyword
-        // at or below it (within the annotation window) — and only that
-        // one, so a marker on a spawn loop never bleeds onto the claim
-        // loop nested right under it.
-        let mut split = vec![false; spans.len()];
-        for (cline, text) in &file.scanned.comments {
-            if !text.contains(SPLIT_MARKER) {
-                continue;
-            }
-            let nearest = spans
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.line >= *cline && s.line - *cline <= hot_path::ANNOTATION_WINDOW)
-                .min_by_key(|(_, s)| s.line)
-                .map(|(i, _)| i);
-            if let Some(i) = nearest {
-                split[i] = true;
-            }
-        }
         for &ci in &graph.calls_by_fn[fid] {
             let call = &graph.calls[ci];
             if call.is_test {
@@ -575,9 +535,8 @@ fn depth_of(
             };
             let bounds: Vec<String> = spans
                 .iter()
-                .enumerate()
-                .filter(|(i, s)| call.tok > s.open && call.tok < s.close && !split[*i])
-                .map(|(_, s)| s.bound.clone())
+                .filter(|s| call.tok > s.open && call.tok < s.close)
+                .map(|s| s.bound.clone())
                 .collect();
             let depth = bounds.len() as u32 + contribution;
             max_depth = Some(max_depth.map_or(depth, |m| m.max(depth)));
@@ -849,35 +808,5 @@ mod tests {
     fn recursion_is_cut_not_divergent() {
         let an = analyze_src("fn f(n: u32) { read_page(n); if n > 0 { f(n - 1); } }\n");
         assert_eq!(depth(&an, "f"), Some(0));
-    }
-
-    #[test]
-    fn cost_split_loop_adds_no_nesting_level() {
-        let src = "fn f(w: usize, xs: &[u32]) {\n\
-                   \x20   // COST-SPLIT: xs\n\
-                   \x20   for _ in 0..w {\n\
-                   \x20       loop { read_page(0); }\n\
-                   \x20   }\n\
-                   }\n";
-        let an = analyze_src(src);
-        let fid = an.1.iter().position(|n| n == "f").unwrap();
-        // The spawn loop is dropped; only the claim loop counts.
-        assert_eq!(an.0.sites[fid][0].bounds, ["*"]);
-        assert_eq!(depth(&an, "f"), Some(1));
-    }
-
-    #[test]
-    fn cost_split_outside_window_still_multiplies() {
-        let src = "fn f(w: usize) {\n\
-                   \x20   // COST-SPLIT: xs\n\
-                   \x20   //\n\
-                   \x20   //\n\
-                   \x20   //\n\
-                   \x20   for _ in 0..w {\n\
-                   \x20       loop { read_page(0); }\n\
-                   \x20   }\n\
-                   }\n";
-        let an = analyze_src(src);
-        assert_eq!(depth(&an, "f"), Some(2));
     }
 }

@@ -69,10 +69,10 @@ fn parallel_queries_agree_with_serial_answers() {
 }
 
 #[test]
-fn parallel_engine_matches_serial_sets_and_counts() {
-    // The tentpole invariant, end to end: a BSSF with 8 scan workers must
-    // report byte-identical candidate sets and identical logical
-    // page-access counts to the serial engine, on every predicate shape.
+fn scan_stats_equal_filter_stage_disk_reads_on_every_predicate() {
+    // End to end, on every predicate shape: the page count a query reports
+    // is exactly the disk traffic of its filtering stage (slice pages plus
+    // the OID-file look-up).
     let items: Vec<(Oid, Vec<ElementKey>)> = (0..2000u64)
         .map(|i| {
             (
@@ -81,16 +81,10 @@ fn parallel_engine_matches_serial_sets_and_counts() {
             )
         })
         .collect();
-    let build = |threads: usize| {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "p", SignatureConfig::new(256, 3).unwrap()).unwrap();
-        b.bulk_load(&items).unwrap();
-        b.set_parallelism(threads);
-        (disk, b)
-    };
-    let (serial_disk, serial) = build(1);
-    let (_par_disk, parallel) = build(8);
+    let disk = Arc::new(Disk::new());
+    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
+    let mut bssf = Bssf::create(io, "p", SignatureConfig::new(256, 3).unwrap()).unwrap();
+    bssf.bulk_load(&items).unwrap();
 
     let mut queries: Vec<SetQuery> = (0..12u64)
         .flat_map(|t| {
@@ -106,8 +100,7 @@ fn parallel_engine_matches_serial_sets_and_counts() {
             ]
         })
         .collect();
-    // A miss query so the superset early exit (and its speculation
-    // window) is exercised.
+    // A miss query so the superset early exit is exercised.
     queries.push(SetQuery::has_subset(
         (0..6)
             .map(|j| ElementKey::from(10_000_000 + j))
@@ -115,66 +108,15 @@ fn parallel_engine_matches_serial_sets_and_counts() {
     ));
 
     for q in &queries {
-        serial_disk.reset_stats();
-        let (cs, ss) = serial.candidates_with_stats(q).unwrap();
-        let ss = ss.expect("bssf reports per-query stats");
-        let (cp, sp) = parallel.candidates_with_stats(q).unwrap();
-        let sp = sp.expect("bssf reports per-query stats");
-        assert_eq!(cs, cp, "candidate sets diverged on {:?}", q.predicate);
+        disk.reset_stats();
+        let (_, stats) = bssf.candidates_with_stats(q).unwrap();
+        let stats = stats.expect("bssf reports per-query stats");
         assert_eq!(
-            ss.logical_pages, sp.logical_pages,
-            "logical page counts diverged on {:?}",
+            disk.snapshot().reads,
+            stats.pages,
+            "page charge diverged from disk reads on {:?}",
             q.predicate
         );
-        // On the serial engine the logical charge IS the disk traffic of
-        // the filtering stage (drop resolution adds OID-file reads on top).
-        assert_eq!(ss.logical_pages, ss.physical_pages);
-        assert!(serial_disk.snapshot().reads >= ss.physical_pages);
-        assert!(
-            sp.physical_pages >= sp.logical_pages,
-            "parallel physical can only overshoot"
-        );
-    }
-}
-
-#[test]
-fn parallel_engine_is_safe_under_concurrent_callers() {
-    // Queries on a parallel-engined BSSF issued from many caller threads at
-    // once: nested scoped-thread fan-out must stay correct.
-    let items: Vec<(Oid, Vec<ElementKey>)> = (0..500u64)
-        .map(|i| {
-            (
-                Oid::new(i),
-                (0..4).map(|j| ElementKey::from(i * 7 + j)).collect(),
-            )
-        })
-        .collect();
-    let disk = Arc::new(Disk::new());
-    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut bssf = Bssf::create(io, "c", SignatureConfig::new(128, 2).unwrap()).unwrap();
-    bssf.bulk_load(&items).unwrap();
-    bssf.set_parallelism(4);
-    let bssf = Arc::new(bssf);
-
-    let queries: Vec<SetQuery> = (0..8u64)
-        .map(|t| SetQuery::has_subset(vec![ElementKey::from(t * 70 * 7)]))
-        .collect();
-    let expected: Vec<_> = queries
-        .iter()
-        .map(|q| bssf.candidates(q).unwrap())
-        .collect();
-    let handles: Vec<_> = queries
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, q)| {
-            let b = Arc::clone(&bssf);
-            std::thread::spawn(move || (i, b.candidates(&q).unwrap()))
-        })
-        .collect();
-    for h in handles {
-        let (i, got) = h.join().expect("no panics under concurrency");
-        assert_eq!(got, expected[i], "caller thread {i} diverged");
     }
 }
 
@@ -192,61 +134,56 @@ fn concurrent_queries_each_observe_their_own_scan_stats() {
             )
         })
         .collect();
-    for threads in [1usize, 4] {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "r", SignatureConfig::new(256, 3).unwrap()).unwrap();
-        b.bulk_load(&items).unwrap();
-        b.set_parallelism(threads);
-        let bssf = Arc::new(b);
+    let disk = Arc::new(Disk::new());
+    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
+    let mut b = Bssf::create(io, "r", SignatureConfig::new(256, 3).unwrap()).unwrap();
+    b.bulk_load(&items).unwrap();
+    let bssf = Arc::new(b);
 
-        // A cheap query (superset, early exit on a miss) and an expensive
-        // one (subset reads every zero slice of the query signature).
-        let q_cheap = SetQuery::has_subset(
-            (0..5)
-                .map(|j| ElementKey::from(20_000_000 + j))
-                .collect::<Vec<ElementKey>>(),
-        );
-        let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
-        let baselines: Vec<_> = [&q_cheap, &q_costly]
-            .iter()
-            .map(|q| {
-                let (set, stats) = bssf.candidates_with_stats(q).unwrap();
-                (set, stats.expect("bssf reports per-query stats"))
-            })
-            .collect();
-        assert_ne!(
-            baselines[0].1.logical_pages, baselines[1].1.logical_pages,
-            "queries must differ in cost for the race to be observable"
-        );
+    // A cheap query (superset, early exit on a miss) and an expensive
+    // one (subset reads every zero slice of the query signature).
+    let q_cheap = SetQuery::has_subset(
+        (0..5)
+            .map(|j| ElementKey::from(20_000_000 + j))
+            .collect::<Vec<ElementKey>>(),
+    );
+    let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
+    let baselines: Vec<_> = [&q_cheap, &q_costly]
+        .iter()
+        .map(|q| {
+            let (set, stats) = bssf.candidates_with_stats(q).unwrap();
+            (set, stats.expect("bssf reports per-query stats"))
+        })
+        .collect();
+    assert_ne!(
+        baselines[0].1.pages, baselines[1].1.pages,
+        "queries must differ in cost for the race to be observable"
+    );
 
-        let handles: Vec<_> = [q_cheap, q_costly]
-            .into_iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let b = Arc::clone(&bssf);
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..25 {
-                        let (set, stats) = b.candidates_with_stats(&q).unwrap();
-                        out.push((set, stats.expect("bssf reports per-query stats")));
-                    }
-                    (i, out)
-                })
+    let handles: Vec<_> = [q_cheap, q_costly]
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let b = Arc::clone(&bssf);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                for _ in 0..25 {
+                    let (set, stats) = b.candidates_with_stats(&q).unwrap();
+                    out.push((set, stats.expect("bssf reports per-query stats")));
+                }
+                (i, out)
             })
-            .collect();
-        for h in handles {
-            let (i, runs) = h.join().expect("no panics under concurrency");
-            let (want_set, want_stats) = &baselines[i];
-            for (set, stats) in runs {
-                assert_eq!(&set, want_set, "query {i} candidates diverged");
-                assert_eq!(
-                    stats.logical_pages, want_stats.logical_pages,
-                    "query {i} logical pages blended with the other query \
-                     (threads={threads})"
-                );
-                assert!(stats.physical_pages >= stats.logical_pages);
-            }
+        })
+        .collect();
+    for h in handles {
+        let (i, runs) = h.join().expect("no panics under concurrency");
+        let (want_set, want_stats) = &baselines[i];
+        for (set, stats) in runs {
+            assert_eq!(&set, want_set, "query {i} candidates diverged");
+            assert_eq!(
+                stats.pages, want_stats.pages,
+                "query {i} pages blended with the other query"
+            );
         }
     }
 }

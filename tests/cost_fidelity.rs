@@ -164,16 +164,11 @@ fn smart_strategies_cap_reads_and_stay_sound() {
     );
     // At most 2·m = 4 slice pages, plus the OID-file look-up pages (the
     // whole OID file spans ⌈2000/512⌉ = 4 pages).
-    assert!(
-        scan.logical_pages <= 4 + 4,
-        "smart ⊇ charged {} pages",
-        scan.logical_pages
-    );
-    assert_eq!(scan.logical_pages, scan.physical_pages);
+    assert!(scan.pages <= 4 + 4, "smart ⊇ charged {} pages", scan.pages);
     // Full strategy reads more slices and yields a subset of the smart
     // strategy's drops (more slices ANDed → fewer candidates).
     let (full, full_scan) = bssf.candidates_with_stats(&q_sup).unwrap();
-    assert!(full_scan.unwrap().logical_pages >= scan.logical_pages);
+    assert!(full_scan.unwrap().pages >= scan.pages);
     for oid in &full.oids {
         assert!(c.oids.contains(oid), "smart drops must cover full drops");
     }
@@ -188,42 +183,14 @@ fn smart_strategies_cap_reads_and_stay_sound() {
     );
     // Exactly the 40-slice cap, plus 1–4 OID-file look-up pages.
     assert!(
-        scan.logical_pages >= 40 && scan.logical_pages <= 40 + 4,
+        scan.pages >= 40 && scan.pages <= 40 + 4,
         "⊆ smart charged {} pages for a 40-slice cap",
-        scan.logical_pages
+        scan.pages
     );
     let (full, full_scan) = bssf.candidates_with_stats(&q_sub).unwrap();
-    assert!(full_scan.unwrap().logical_pages >= 40);
+    assert!(full_scan.unwrap().pages >= 40);
     for oid in &full.oids {
         assert!(c.oids.contains(oid), "smart ⊆ drops must cover full drops");
-    }
-}
-
-#[test]
-fn smart_strategies_are_identical_under_parallel_engine() {
-    let sets = build_sets(1_500, 800, 10, 8);
-    let build = |threads: usize| {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "b", SignatureConfig::new(250, 2).unwrap()).unwrap();
-        b.bulk_load(&as_items(&sets)).unwrap();
-        b.set_parallelism(threads);
-        b
-    };
-    let serial = build(1);
-    let parallel = build(8);
-    for t in [3usize, 77, 501] {
-        let target: Vec<ElementKey> = sets[t].iter().map(|&e| ElementKey::from(e)).collect();
-        let q_sup = SetQuery::has_subset(target.clone());
-        let (cs, ss) = serial.candidates_superset_smart(&q_sup, 3).unwrap();
-        let (cp, sp) = parallel.candidates_superset_smart(&q_sup, 3).unwrap();
-        assert_eq!(cs, cp);
-        assert_eq!(ss.logical_pages, sp.logical_pages);
-        let q_sub = SetQuery::in_subset(target);
-        let (cs, ss) = serial.candidates_subset_smart(&q_sub, 30).unwrap();
-        let (cp, sp) = parallel.candidates_subset_smart(&q_sub, 30).unwrap();
-        assert_eq!(cs, cp);
-        assert_eq!(ss.logical_pages, sp.logical_pages);
     }
 }
 
@@ -231,19 +198,15 @@ fn smart_strategies_are_identical_under_parallel_engine() {
 fn cached_engine_serves_hot_slices_without_disk_reads() {
     // Routing slice reads through the buffer pool: the second identical
     // query finds every slice page resident — pool hits, zero disk reads —
-    // while the logical page charge stays exactly the serial protocol's.
+    // while the page charge stays exactly the uncached protocol's.
     let sets = build_sets(2_000, 1_000, 10, 9);
     let disk = Arc::new(Disk::new());
-    let mut bssf = Bssf::create_cached(
-        Arc::clone(&disk),
-        "b",
-        SignatureConfig::new(250, 2).unwrap(),
-        512,
-    )
-    .unwrap();
+    let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 512));
+    let io = Arc::clone(&pool) as Arc<dyn PageIo>;
+    let mut bssf = Bssf::create(io, "b", SignatureConfig::new(250, 2).unwrap()).unwrap();
     bssf.bulk_load(&as_items(&sets)).unwrap();
     // The write-through load installed every page; start from a cold pool.
-    bssf.buffer_pool().unwrap().clear();
+    pool.clear();
 
     let q = SetQuery::has_subset(vec![ElementKey::from(7u64), ElementKey::from(423u64)]);
     let (first, first_scan) = bssf.candidates_with_stats(&q).unwrap();
@@ -259,7 +222,7 @@ fn cached_engine_serves_hot_slices_without_disk_reads() {
     assert_eq!(first, second, "cache must not change answers");
     assert_eq!(
         first_scan, second_scan,
-        "logical accounting is cache-independent"
+        "page accounting is cache-independent"
     );
     assert_eq!(
         disk.snapshot().reads,
@@ -270,13 +233,8 @@ fn cached_engine_serves_hot_slices_without_disk_reads() {
 
     // Same story for the SSF full scan.
     let disk2 = Arc::new(Disk::new());
-    let mut ssf = Ssf::create_cached(
-        Arc::clone(&disk2),
-        "s",
-        SignatureConfig::new(500, 2).unwrap(),
-        128,
-    )
-    .unwrap();
+    let io2 = Arc::new(BufferPool::new(Arc::clone(&disk2), 128)) as Arc<dyn PageIo>;
+    let mut ssf = Ssf::create(io2, "s", SignatureConfig::new(500, 2).unwrap()).unwrap();
     for (oid, set) in as_items(&sets[..500]) {
         ssf.insert(oid, &set).unwrap();
     }
