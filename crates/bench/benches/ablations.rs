@@ -4,6 +4,8 @@
 //! * buffer pool on/off under an SSF scan and a NIX look-up storm,
 //! * signature width F sweep for the ⊇ filter.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_bench::{bench_db, superset_query};
 use setsig_core::{
@@ -24,7 +26,7 @@ fn insert_paths(c: &mut Criterion) {
         b.iter(|| {
             next += 1;
             dense.insert(Oid::new(next), &set).unwrap();
-        })
+        });
     });
 
     let disk = Arc::new(Disk::new());
@@ -38,7 +40,7 @@ fn insert_paths(c: &mut Criterion) {
             sparse
                 .insert_signature_sparse(Oid::new(next), &sig)
                 .unwrap();
-        })
+        });
     });
 
     let disk = Arc::new(Disk::new());
@@ -49,7 +51,7 @@ fn insert_paths(c: &mut Criterion) {
         b.iter(|| {
             next += 1;
             fssf.insert(Oid::new(next), &set).unwrap();
-        })
+        });
     });
 
     let items: Vec<(Oid, Vec<ElementKey>)> = sim
@@ -78,7 +80,7 @@ fn insert_paths(c: &mut Criterion) {
                 })
                 .collect();
             bssf.insert_batch(&chunk).unwrap();
-        })
+        });
     });
 
     group.bench_function("bulk_load_whole_db", |b| {
@@ -87,7 +89,7 @@ fn insert_paths(c: &mut Criterion) {
             let io = Arc::clone(&disk) as Arc<dyn PageIo>;
             let mut bssf = Bssf::create(io, "bulk", SignatureConfig::new(500, 2).unwrap()).unwrap();
             bssf.bulk_load(&items).unwrap();
-        })
+        });
     });
     group.finish();
 }
@@ -110,7 +112,7 @@ fn buffer_pool(c: &mut Criterion) {
         nix_cached.insert(Oid::new(i as u64), &keys).unwrap();
     }
     group.bench_function("nix_cached_64_frames", |b| {
-        b.iter(|| nix_cached.candidates(&q).unwrap())
+        b.iter(|| nix_cached.candidates(&q).unwrap());
     });
     group.finish();
 }
@@ -123,7 +125,7 @@ fn f_sweep(c: &mut Criterion) {
         let bssf = sim.build_bssf(f, 2);
         let q = superset_query(&sim, 3, 11);
         group.bench_with_input(BenchmarkId::new("bssf", f), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&bssf, q))
+            b.iter(|| sim.measure_facility(&bssf, q));
         });
     }
     group.finish();

@@ -18,10 +18,10 @@ fn fig10(c: &mut Criterion) {
     for d_q in [150u32, 400] {
         let q = subset_query(&sim, d_q, 100 + d_q as u64);
         group.bench_with_input(BenchmarkId::new("bssf_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&bssf, q, || bssf.candidates_subset_smart(q, slice_cap)))
+            b.iter(|| sim.measure_smart(q, || bssf.candidates_subset_smart(q, slice_cap)));
         });
         group.bench_with_input(BenchmarkId::new("nix", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&nix, q))
+            b.iter(|| sim.measure_facility(&nix, q));
         });
     }
     group.finish();

@@ -13,11 +13,11 @@ fn fig5(c: &mut Criterion) {
     let q = superset_query(&sim, 3, 50);
     for (m, bssf) in &bssfs {
         group.bench_with_input(BenchmarkId::new("bssf_m", m), &q, |b, q| {
-            b.iter(|| sim.measure_facility(bssf, q))
+            b.iter(|| sim.measure_facility(bssf, q));
         });
     }
     group.bench_with_input(BenchmarkId::new("nix", 0), &q, |b, q| {
-        b.iter(|| sim.measure_facility(&nix, q))
+        b.iter(|| sim.measure_facility(&nix, q));
     });
     group.finish();
 }

@@ -14,16 +14,16 @@ fn fig6(c: &mut Criterion) {
     for d_q in [2u32, 5, 10] {
         let q = superset_query(&sim, d_q, 60 + d_q as u64);
         group.bench_with_input(BenchmarkId::new("bssf_plain", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&bssf, q))
+            b.iter(|| sim.measure_facility(&bssf, q));
         });
         group.bench_with_input(BenchmarkId::new("bssf_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&bssf, q, || bssf.candidates_superset_smart(q, 2)))
+            b.iter(|| sim.measure_smart(q, || bssf.candidates_superset_smart(q, 2)));
         });
         group.bench_with_input(BenchmarkId::new("nix_plain", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&nix, q))
+            b.iter(|| sim.measure_facility(&nix, q));
         });
         group.bench_with_input(BenchmarkId::new("nix_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&nix, q, || nix.candidates_superset_smart(q, 2)))
+            b.iter(|| sim.measure_smart(q, || nix.candidates_superset_smart(q, 2)));
         });
     }
     group.finish();

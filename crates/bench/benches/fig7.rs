@@ -13,10 +13,10 @@ fn fig7(c: &mut Criterion) {
     for d_q in [2u32, 10, 50] {
         let q = superset_query(&sim, d_q, 70 + d_q as u64);
         group.bench_with_input(BenchmarkId::new("bssf_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&bssf, q, || bssf.candidates_superset_smart(q, 3)))
+            b.iter(|| sim.measure_smart(q, || bssf.candidates_superset_smart(q, 3)));
         });
         group.bench_with_input(BenchmarkId::new("nix_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&nix, q, || nix.candidates_superset_smart(q, 2)))
+            b.iter(|| sim.measure_smart(q, || nix.candidates_superset_smart(q, 2)));
         });
     }
     group.finish();

@@ -15,13 +15,13 @@ fn fig8(c: &mut Criterion) {
     for d_q in [10u32, 100, 400] {
         let q = subset_query(&sim, d_q, 80 + d_q as u64);
         group.bench_with_input(BenchmarkId::new("ssf", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&ssf, q))
+            b.iter(|| sim.measure_facility(&ssf, q));
         });
         group.bench_with_input(BenchmarkId::new("bssf", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&bssf, q))
+            b.iter(|| sim.measure_facility(&bssf, q));
         });
         group.bench_with_input(BenchmarkId::new("nix", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&nix, q))
+            b.iter(|| sim.measure_facility(&nix, q));
         });
     }
     group.finish();

@@ -19,13 +19,13 @@ fn fig9(c: &mut Criterion) {
     for d_q in [30u32, 100, 300] {
         let q = subset_query(&sim, d_q, 90 + d_q as u64);
         group.bench_with_input(BenchmarkId::new("bssf_plain", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&bssf, q))
+            b.iter(|| sim.measure_facility(&bssf, q));
         });
         group.bench_with_input(BenchmarkId::new("bssf_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(&bssf, q, || bssf.candidates_subset_smart(q, slice_cap)))
+            b.iter(|| sim.measure_smart(q, || bssf.candidates_subset_smart(q, slice_cap)));
         });
         group.bench_with_input(BenchmarkId::new("nix", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_facility(&nix, q))
+            b.iter(|| sim.measure_facility(&nix, q));
         });
     }
     group.finish();

@@ -9,6 +9,8 @@
 //! code, kept in this bench (not the library) so the library carries
 //! exactly one implementation.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use setsig_core::kernel;
 
@@ -175,30 +177,30 @@ fn kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_and_scan");
     group.sample_size(30);
     group.bench_function("byte_bridge_pre", |b| {
-        b.iter(|| black_box(and_scan_pre(black_box(&data))))
+        b.iter(|| black_box(and_scan_pre(black_box(&data))));
     });
     group.bench_function("word_kernel", |b| {
-        b.iter(|| black_box(and_scan_kernel(black_box(&data))))
+        b.iter(|| black_box(and_scan_kernel(black_box(&data))));
     });
     group.finish();
 
     let mut group = c.benchmark_group("kernel_or_scan");
     group.sample_size(30);
     group.bench_function("byte_bridge_pre", |b| {
-        b.iter(|| black_box(or_scan_pre(black_box(&data))))
+        b.iter(|| black_box(or_scan_pre(black_box(&data))));
     });
     group.bench_function("word_kernel", |b| {
-        b.iter(|| black_box(or_scan_kernel(black_box(&data))))
+        b.iter(|| black_box(or_scan_kernel(black_box(&data))));
     });
     group.finish();
 
     let mut group = c.benchmark_group("kernel_overlap_count");
     group.sample_size(10);
     group.bench_function("iter_ones_bytes_pre", |b| {
-        b.iter(|| black_box(overlap_count_pre(black_box(&data))))
+        b.iter(|| black_box(overlap_count_pre(black_box(&data))));
     });
     group.bench_function("accumulate_ones", |b| {
-        b.iter(|| black_box(overlap_count_kernel(black_box(&data))))
+        b.iter(|| black_box(overlap_count_kernel(black_box(&data))));
     });
     group.finish();
 }

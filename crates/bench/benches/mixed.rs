@@ -2,6 +2,8 @@
 //! types) replayed against each facility — the deployment view the paper's
 //! per-cost tables imply but never run.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_core::{
     Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, SetQuery, SignatureConfig, Ssf,
@@ -58,7 +60,7 @@ fn mixed(c: &mut Criterion) {
                 let io = Arc::clone(&disk) as Arc<dyn PageIo>;
                 let mut f = Ssf::create(io, "s", SignatureConfig::new(250, 2).unwrap()).unwrap();
                 replay(&mut f, trace)
-            })
+            });
         });
         group.bench_with_input(BenchmarkId::new("bssf", mix_name), &trace, |b, trace| {
             b.iter(|| {
@@ -66,7 +68,7 @@ fn mixed(c: &mut Criterion) {
                 let io = Arc::clone(&disk) as Arc<dyn PageIo>;
                 let mut f = Bssf::create(io, "b", SignatureConfig::new(250, 2).unwrap()).unwrap();
                 replay(&mut f, trace)
-            })
+            });
         });
         group.bench_with_input(BenchmarkId::new("fssf", mix_name), &trace, |b, trace| {
             b.iter(|| {
@@ -74,14 +76,14 @@ fn mixed(c: &mut Criterion) {
                 let io = Arc::clone(&disk) as Arc<dyn PageIo>;
                 let mut f = Fssf::create(io, "f", FssfConfig::new(250, 25, 3).unwrap()).unwrap();
                 replay(&mut f, trace)
-            })
+            });
         });
         group.bench_with_input(BenchmarkId::new("nix", mix_name), &trace, |b, trace| {
             b.iter(|| {
                 let disk = Arc::new(Disk::new());
                 let mut f = Nix::create(disk, "n");
                 replay(&mut f, trace)
-            })
+            });
         });
     }
     group.finish();

@@ -2,6 +2,8 @@
 //! detached (the default — the `obs: None` fast path must cost nothing
 //! beyond the per-query counter allocation) and attached (ring sink).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_bench::{bench_db, bench_workload, subset_query, superset_query};
 use setsig_core::SetAccessFacility;
@@ -19,10 +21,10 @@ fn obs_overhead(c: &mut Criterion) {
         let q_sup = superset_query(sim, 3, 50);
         let q_sub = subset_query(sim, 50, 51);
         group.bench_with_input(BenchmarkId::new("superset", label), &q_sup, |b, q| {
-            b.iter(|| bssf.candidates_with_stats(q).unwrap())
+            b.iter(|| bssf.candidates_with_stats(q).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("subset", label), &q_sub, |b, q| {
-            b.iter(|| bssf.candidates_with_stats(q).unwrap())
+            b.iter(|| bssf.candidates_with_stats(q).unwrap());
         });
     }
     group.finish();

@@ -8,6 +8,8 @@
 //! `BENCH_JSON=BENCH_service.json` the harness writes the summary CI
 //! uploads for the perf trajectory.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_core::{Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, SignatureConfig};
 use setsig_pagestore::{Disk, PageIo};
@@ -96,7 +98,7 @@ fn bench_service(c: &mut Criterion) {
             for q in &qs {
                 criterion::black_box(flat.candidates_with_stats(q).unwrap());
             }
-        })
+        });
     });
 
     for shards in [1usize, 2, 4, 8] {
@@ -104,7 +106,7 @@ fn bench_service(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pooled", shards), &svc, |b, svc| {
             b.iter(|| {
                 criterion::black_box(svc.query_batch(&qs).unwrap());
-            })
+            });
         });
     }
 
@@ -132,7 +134,7 @@ fn bench_service(c: &mut Criterion) {
             for t in tickets {
                 criterion::black_box(t.wait().unwrap());
             }
-        })
+        });
     });
     group.finish();
 }

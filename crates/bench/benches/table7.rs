@@ -1,6 +1,8 @@
 //! Table 7 workload: single-object insert and delete costs on each
 //! facility.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use setsig_bench::bench_db;
 use setsig_core::{ElementKey, Oid, SetAccessFacility};
@@ -19,7 +21,7 @@ fn table7(c: &mut Criterion) {
             fresh += 1;
             ssf.insert(Oid::new(fresh), &set).unwrap();
             ssf.delete(Oid::new(fresh), &set).unwrap();
-        })
+        });
     });
 
     let mut bssf = sim.build_bssf(250, 2);
@@ -29,7 +31,7 @@ fn table7(c: &mut Criterion) {
             fresh += 1;
             bssf.insert(Oid::new(fresh), &set).unwrap();
             bssf.delete(Oid::new(fresh), &set).unwrap();
-        })
+        });
     });
 
     let mut nix = sim.build_nix();
@@ -39,7 +41,7 @@ fn table7(c: &mut Criterion) {
             fresh += 1;
             nix.insert(Oid::new(fresh), &set).unwrap();
             nix.delete(Oid::new(fresh), &set).unwrap();
-        })
+        });
     });
     group.finish();
 }

@@ -6,8 +6,6 @@
 //! wall-clock the real implementations take to do that work, plus
 //! ablations of the design choices DESIGN.md calls out.
 
-#![forbid(unsafe_code)]
-
 use setsig_core::{ElementKey, SetQuery};
 use setsig_experiments::SimDb;
 use setsig_workload::{Cardinality, Distribution, WorkloadConfig};

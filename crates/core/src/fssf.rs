@@ -555,7 +555,7 @@ mod tests {
         let q = SetQuery::has_subset(vec![ElementKey::from(0u64)]);
         match f.candidates(&q) {
             Err(Error::Corrupted(msg)) => {
-                assert!(msg.contains("frame 0"), "unexpected message: {msg}")
+                assert!(msg.contains("frame 0"), "unexpected message: {msg}");
             }
             other => panic!("expected Corrupted, got {other:?}"),
         }

@@ -30,6 +30,10 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Hashes `bytes` to 64 bits under `seed`, chunked 8 bytes at a time with a
 /// distinct finalization for the length so prefixes don't collide.
+#[expect(
+    clippy::unwrap_used,
+    reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+)]
 pub fn element_hash(bytes: &[u8], seed: u64) -> u64 {
     let mut h = mix64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut chunks = bytes.chunks_exact(8);

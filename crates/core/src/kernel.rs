@@ -59,6 +59,10 @@ pub fn mask_tail(words: &mut [u64], nbits: u32) {
 /// This is the *tail* path: the chunked loops below use it only for the
 /// final partial word (and out-of-range words, which read as zero).
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+)]
 pub fn le_word(bytes: &[u8], wi: usize) -> u64 {
     let start = wi * 8;
     if start + 8 <= bytes.len() {
@@ -76,6 +80,10 @@ pub fn le_word(bytes: &[u8], wi: usize) -> u64 {
 /// (zero-padded). The iterator body is branch-free so the combine loops
 /// autovectorize.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+)]
 fn full_words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, Option<u64>) {
     let chunks = bytes.chunks_exact(8);
     let tail = chunks.remainder();

@@ -58,10 +58,6 @@
 //! assert!(drops.oids.contains(&Oid::new(1)));
 //! ```
 
-// `deny` rather than `forbid`: this crate owns the hot bitmap/scan kernels,
-// where a future SIMD or scatter-gather path may need a scoped,
-// SAFETY-commented `unsafe` block (which `forbid` could not re-allow).
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitmap;

@@ -64,10 +64,18 @@ impl<'a> MetaReader<'a> {
         Ok(slice)
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub(crate) fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }

@@ -26,7 +26,6 @@
 //! assert!(bssf.rc_superset(3) < 2.0 * nix.rc_superset(3));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod actual;

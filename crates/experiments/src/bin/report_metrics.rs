@@ -35,14 +35,14 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
             }
             "--trials" => {
                 trials = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
             }
             "--out" => out_dir = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             _ => usage(),

@@ -44,14 +44,14 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
             }
             "--trials" => {
                 opts.trials = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
             }
             "--out" => out_dir = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
@@ -61,7 +61,7 @@ fn main() {
                 }
                 return;
             }
-            "all" => wanted.extend(ALL.iter().map(|s| s.to_string())),
+            "all" => wanted.extend(ALL.iter().map(std::string::ToString::to_string)),
             other if other.starts_with("--") => usage(),
             other => wanted.push(other.to_owned()),
         }

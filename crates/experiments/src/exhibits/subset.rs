@@ -116,7 +116,7 @@ fn smart_subset_exhibit(
                 let q =
                     SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect());
                 total += sim
-                    .measure_smart(bssf, &q, || bssf.candidates_subset_smart(&q, slice_cap))
+                    .measure_smart(&q, || bssf.candidates_subset_smart(&q, slice_cap))
                     .total_pages();
             }
             row.push(Exhibit::fmt(total as f64 / opts.trials as f64));

@@ -170,7 +170,7 @@ fn smart_superset_exhibit(
                     qg.random(d_q).into_iter().map(ElementKey::from).collect(),
                 );
                 total += sim
-                    .measure_smart(bssf, &q, || bssf.candidates_superset_smart(&q, cap))
+                    .measure_smart(&q, || bssf.candidates_superset_smart(&q, cap))
                     .total_pages();
             }
             row.push(Exhibit::fmt(total as f64 / opts.trials as f64));
@@ -182,9 +182,7 @@ fn smart_superset_exhibit(
                     qg.random(d_q).into_iter().map(ElementKey::from).collect(),
                 );
                 total += sim
-                    .measure_smart(nixi, &q, || {
-                        nixi.candidates_superset_smart(&q, nix_cap as usize)
-                    })
+                    .measure_smart(&q, || nixi.candidates_superset_smart(&q, nix_cap as usize))
                     .total_pages();
             }
             row.push(Exhibit::fmt(total as f64 / opts.trials as f64));

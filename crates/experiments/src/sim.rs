@@ -395,22 +395,6 @@ impl SimDb {
         nix
     }
 
-    /// Measures one query: `filter` produces the candidates (so smart
-    /// strategies plug in), then drop resolution fetches and verifies each
-    /// candidate against the object store.
-    ///
-    /// A `filter` returning a bare [`CandidateSet`] is charged the raw disk
-    /// delta, which is only cache-independent for unbuffered facilities;
-    /// prefer [`SimDb::measure_facility`] / [`SimDb::measure_smart`], which
-    /// charge the scan pages the call itself reports.
-    pub fn measure(
-        &self,
-        query: &SetQuery,
-        filter: impl FnOnce() -> CoreResult<CandidateSet>,
-    ) -> MeasuredQuery {
-        self.measure_inner(query, filter)
-    }
-
     /// Measures a plain facility query. The filter stage is charged the
     /// [`ScanStats`] returned by *this very call* — exact even when other
     /// queries run concurrently on the same facility.
@@ -419,24 +403,17 @@ impl SimDb {
         facility: &dyn SetAccessFacility,
         query: &SetQuery,
     ) -> MeasuredQuery {
-        self.measure_inner(query, || facility.candidates_with_stats(query))
+        self.measure_smart(query, || facility.candidates_with_stats(query))
     }
 
-    /// Measures a smart-strategy query (`filter` calls one of the
-    /// facility's `candidates_*_smart` methods): like
+    /// Measures a smart-strategy query: `filter` calls one of the
+    /// facility's `candidates_*_smart` methods, then drop resolution
+    /// fetches and verifies each candidate against the object store. Like
     /// [`SimDb::measure_facility`], the filter stage is charged the scan
-    /// pages the call returns. The `_facility` parameter is retained
-    /// for call-site symmetry with [`SimDb::measure_facility`].
+    /// pages the call returns; a `filter` returning a bare
+    /// [`CandidateSet`] (NIX) is charged the raw disk delta, which is only
+    /// cache-independent for unbuffered facilities.
     pub fn measure_smart<R: FilterOutcome>(
-        &self,
-        _facility: &dyn SetAccessFacility,
-        query: &SetQuery,
-        filter: impl FnOnce() -> CoreResult<R>,
-    ) -> MeasuredQuery {
-        self.measure_inner(query, filter)
-    }
-
-    fn measure_inner<R: FilterOutcome>(
         &self,
         query: &SetQuery,
         filter: impl FnOnce() -> CoreResult<R>,
@@ -449,9 +426,7 @@ impl SimDb {
         // returns its own scan stats reports exactly that count whether or
         // not a pool served the reads; calls without stats (NIX) run
         // unbuffered, where the disk delta is the same number.
-        let filter_pages = stats
-            .map(|s| s.pages)
-            .unwrap_or_else(|| after_filter.since(start).accesses());
+        let filter_pages = stats.map_or_else(|| after_filter.since(start).accesses(), |s| s.pages);
         let source = self
             .db
             .target_source(self.class, "elems")

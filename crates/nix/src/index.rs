@@ -413,6 +413,10 @@ impl Nix {
     }
 
     /// Reopens a nested index from a [`Nix::sync_meta`] checkpoint.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
         let meta_file = setsig_pagestore::PagedFile::open(Arc::clone(&io), meta);
         let blob = meta_file.read_blob()?;

@@ -40,7 +40,6 @@
 //! assert!(c.exact, "intersection proves T ⊇ Q — no false drops");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod btree;

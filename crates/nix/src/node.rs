@@ -29,30 +29,30 @@
 use setsig_pagestore::{Page, PAGE_SIZE};
 
 /// Page type tags.
-pub const TYPE_LEAF: u8 = 1;
+pub(crate) const TYPE_LEAF: u8 = 1;
 /// Internal node tag.
-pub const TYPE_INTERNAL: u8 = 2;
+pub(crate) const TYPE_INTERNAL: u8 = 2;
 /// Overflow chain link tag.
-pub const TYPE_OVERFLOW: u8 = 3;
+pub(crate) const TYPE_OVERFLOW: u8 = 3;
 
 /// Sentinel "no page" value for chain links.
-pub const NO_PAGE: u32 = u32::MAX;
+pub(crate) const NO_PAGE: u32 = u32::MAX;
 
 /// Maximum keys in an internal node (fanout − 1). 300 keys → 301 children:
 /// keys end at 8 + 2400 = 2408, children end at 2408 + 1204 = 3612 < 4096.
-pub const MAX_INTERNAL_KEYS: usize = 300;
+pub(crate) const MAX_INTERNAL_KEYS: usize = 300;
 
 const LEAF_HEADER: usize = 8;
 const SLOT: usize = 4;
 /// OID count limit encodable in the 15 flag bits of an inline entry.
-pub const MAX_INLINE_OIDS: usize = 400;
+pub(crate) const MAX_INLINE_OIDS: usize = 400;
 const OVERFLOW_FLAG: u16 = 1 << 15;
 /// OIDs per overflow page.
-pub const OVERFLOW_CAPACITY: usize = (PAGE_SIZE - 8) / 8;
+pub(crate) const OVERFLOW_CAPACITY: usize = (PAGE_SIZE - 8) / 8;
 
 /// A parsed leaf entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeafEntry {
+pub(crate) enum LeafEntry {
     /// The posting list is stored inline.
     Inline {
         /// The 8-byte element key.
@@ -73,14 +73,14 @@ pub enum LeafEntry {
 
 impl LeafEntry {
     /// The entry's key.
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         match self {
             LeafEntry::Inline { key, .. } | LeafEntry::Overflow { key, .. } => *key,
         }
     }
 
     /// Serialized length in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         match self {
             LeafEntry::Inline { oids, .. } => 10 + oids.len() * 8,
             LeafEntry::Overflow { .. } => 10 + 8,
@@ -88,7 +88,7 @@ impl LeafEntry {
     }
 
     /// Writes the entry at `off` in `page`.
-    pub fn write(&self, page: &mut Page, off: usize) {
+    pub(crate) fn write(&self, page: &mut Page, off: usize) {
         match self {
             LeafEntry::Inline { key, oids } => {
                 assert!(oids.len() <= MAX_INLINE_OIDS);
@@ -112,7 +112,7 @@ impl LeafEntry {
     }
 
     /// Parses the entry at `off` in `page`.
-    pub fn read(page: &Page, off: usize) -> LeafEntry {
+    pub(crate) fn read(page: &Page, off: usize) -> LeafEntry {
         let key = page.read_u64(off);
         let flags = page.read_u16(off + 8);
         if flags & OVERFLOW_FLAG != 0 {
@@ -130,30 +130,30 @@ impl LeafEntry {
 }
 
 /// Accessors for leaf pages.
-pub struct Leaf;
+pub(crate) struct Leaf;
 
 impl Leaf {
     /// Initializes `page` as an empty leaf.
-    pub fn init(page: &mut Page) {
+    pub(crate) fn init(page: &mut Page) {
         page.fill(0, PAGE_SIZE, 0);
         page.write_u8(0, TYPE_LEAF);
         page.write_u16(4, LEAF_HEADER as u16);
     }
 
     /// Number of slots.
-    pub fn count(page: &Page) -> usize {
+    pub(crate) fn count(page: &Page) -> usize {
         page.read_u16(2) as usize
     }
 
     /// Free contiguous bytes between the record heap and the slot array.
-    pub fn free_space(page: &Page) -> usize {
+    pub(crate) fn free_space(page: &Page) -> usize {
         let free_off = page.read_u16(4) as usize;
         let slots_start = PAGE_SIZE - Self::count(page) * SLOT;
         slots_start.saturating_sub(free_off)
     }
 
     /// Bytes lost to dead records (reclaimable by compaction).
-    pub fn frag(page: &Page) -> usize {
+    pub(crate) fn frag(page: &Page) -> usize {
         page.read_u16(6) as usize
     }
 
@@ -162,32 +162,32 @@ impl Leaf {
     }
 
     /// Record offset and length of slot `i`.
-    pub fn slot(page: &Page, i: usize) -> (usize, usize) {
+    pub(crate) fn slot(page: &Page, i: usize) -> (usize, usize) {
         let off = Self::slot_off(i);
         (page.read_u16(off) as usize, page.read_u16(off + 2) as usize)
     }
 
     /// The key stored in slot `i`.
-    pub fn key_at(page: &Page, i: usize) -> u64 {
+    pub(crate) fn key_at(page: &Page, i: usize) -> u64 {
         let (off, _) = Self::slot(page, i);
         page.read_u64(off)
     }
 
     /// The parsed entry at slot `i`.
-    pub fn entry_at(page: &Page, i: usize) -> LeafEntry {
+    pub(crate) fn entry_at(page: &Page, i: usize) -> LeafEntry {
         let (off, _) = Self::slot(page, i);
         LeafEntry::read(page, off)
     }
 
     /// All entries, in key order.
-    pub fn entries(page: &Page) -> Vec<LeafEntry> {
+    pub(crate) fn entries(page: &Page) -> Vec<LeafEntry> {
         (0..Self::count(page))
             .map(|i| Self::entry_at(page, i))
             .collect()
     }
 
     /// Binary search for `key`: `Ok(slot)` if present, `Err(insert_pos)`.
-    pub fn search(page: &Page, key: u64) -> Result<usize, usize> {
+    pub(crate) fn search(page: &Page, key: u64) -> Result<usize, usize> {
         let mut lo = 0;
         let mut hi = Self::count(page);
         while lo < hi {
@@ -203,7 +203,7 @@ impl Leaf {
 
     /// Appends `entry`'s record to the heap and inserts a slot at `pos`.
     /// Caller must have verified `free_space ≥ encoded_len + SLOT`.
-    pub fn insert_entry(page: &mut Page, pos: usize, entry: &LeafEntry) {
+    pub(crate) fn insert_entry(page: &mut Page, pos: usize, entry: &LeafEntry) {
         let len = entry.encoded_len();
         debug_assert!(Self::free_space(page) >= len + SLOT);
         let off = page.read_u16(4) as usize;
@@ -229,7 +229,7 @@ impl Leaf {
     /// Same-or-smaller records are rewritten in place; larger ones are
     /// appended to the heap (the old record becomes fragmentation). Returns
     /// `false` when the heap lacks room — caller compacts or splits.
-    pub fn replace_entry(page: &mut Page, i: usize, entry: &LeafEntry) -> bool {
+    pub(crate) fn replace_entry(page: &mut Page, i: usize, entry: &LeafEntry) -> bool {
         let (old_off, old_len) = Self::slot(page, i);
         let new_len = entry.encoded_len();
         if new_len <= old_len {
@@ -253,7 +253,7 @@ impl Leaf {
     }
 
     /// Removes slot `i`, leaving its record as fragmentation.
-    pub fn remove_entry(page: &mut Page, i: usize) {
+    pub(crate) fn remove_entry(page: &mut Page, i: usize) {
         let count = Self::count(page);
         let (_, len) = Self::slot(page, i);
         for j in i + 1..count {
@@ -268,7 +268,7 @@ impl Leaf {
 
     /// Rebuilds the page from `entries` (sorted by key), dropping all
     /// fragmentation.
-    pub fn rebuild(page: &mut Page, entries: &[LeafEntry]) {
+    pub(crate) fn rebuild(page: &mut Page, entries: &[LeafEntry]) {
         Self::init(page);
         for (i, e) in entries.iter().enumerate() {
             Self::insert_entry(page, i, e);
@@ -277,36 +277,36 @@ impl Leaf {
 }
 
 /// Accessors for internal pages.
-pub struct Internal;
+pub(crate) struct Internal;
 
 const CHILDREN_BASE: usize = 8 + MAX_INTERNAL_KEYS * 8;
 
 impl Internal {
     /// Initializes `page` as an internal node with a single child.
-    pub fn init(page: &mut Page, first_child: u32) {
+    pub(crate) fn init(page: &mut Page, first_child: u32) {
         page.fill(0, PAGE_SIZE, 0);
         page.write_u8(0, TYPE_INTERNAL);
         page.write_u32(CHILDREN_BASE, first_child);
     }
 
     /// Number of keys (children = keys + 1).
-    pub fn count(page: &Page) -> usize {
+    pub(crate) fn count(page: &Page) -> usize {
         page.read_u16(2) as usize
     }
 
     /// Key `i`.
-    pub fn key(page: &Page, i: usize) -> u64 {
+    pub(crate) fn key(page: &Page, i: usize) -> u64 {
         page.read_u64(8 + i * 8)
     }
 
     /// Child pointer `i`.
-    pub fn child(page: &Page, i: usize) -> u32 {
+    pub(crate) fn child(page: &Page, i: usize) -> u32 {
         page.read_u32(CHILDREN_BASE + i * 4)
     }
 
     /// Index of the child to follow for `key`: the number of stored keys
     /// that are `≤ key`.
-    pub fn child_for(page: &Page, key: u64) -> usize {
+    pub(crate) fn child_for(page: &Page, key: u64) -> usize {
         let count = Self::count(page);
         let mut lo = 0;
         let mut hi = count;
@@ -323,7 +323,7 @@ impl Internal {
 
     /// Inserts separator `key` with right child `child` at key position
     /// `pos`. Caller must have verified `count < MAX_INTERNAL_KEYS`.
-    pub fn insert_at(page: &mut Page, pos: usize, key: u64, child: u32) {
+    pub(crate) fn insert_at(page: &mut Page, pos: usize, key: u64, child: u32) {
         let count = Self::count(page);
         debug_assert!(count < MAX_INTERNAL_KEYS);
         for i in (pos..count).rev() {
@@ -341,7 +341,7 @@ impl Internal {
 
     /// Splits a full node: keeps the left half here, returns the median key
     /// and the contents (keys, children) for the new right sibling.
-    pub fn split(page: &mut Page) -> (u64, Vec<u64>, Vec<u32>) {
+    pub(crate) fn split(page: &mut Page) -> (u64, Vec<u64>, Vec<u32>) {
         let count = Self::count(page);
         let mid = count / 2;
         let median = Self::key(page, mid);
@@ -353,7 +353,7 @@ impl Internal {
 
     /// Builds a node from keys and children (for the right half of a
     /// split).
-    pub fn build(page: &mut Page, keys: &[u64], children: &[u32]) {
+    pub(crate) fn build(page: &mut Page, keys: &[u64], children: &[u32]) {
         debug_assert_eq!(children.len(), keys.len() + 1);
         Self::init(page, children[0]);
         for (i, &k) in keys.iter().enumerate() {
@@ -367,33 +367,33 @@ impl Internal {
 }
 
 /// Accessors for overflow chain pages.
-pub struct Overflow;
+pub(crate) struct Overflow;
 
 impl Overflow {
     /// Initializes `page` as an empty overflow link pointing at `next`.
-    pub fn init(page: &mut Page, next: u32) {
+    pub(crate) fn init(page: &mut Page, next: u32) {
         page.fill(0, PAGE_SIZE, 0);
         page.write_u8(0, TYPE_OVERFLOW);
         page.write_u32(4, next);
     }
 
     /// OIDs stored in this link.
-    pub fn count(page: &Page) -> usize {
+    pub(crate) fn count(page: &Page) -> usize {
         page.read_u16(2) as usize
     }
 
     /// Next link, or [`NO_PAGE`].
-    pub fn next(page: &Page) -> u32 {
+    pub(crate) fn next(page: &Page) -> u32 {
         page.read_u32(4)
     }
 
     /// OID `i`.
-    pub fn oid(page: &Page, i: usize) -> u64 {
+    pub(crate) fn oid(page: &Page, i: usize) -> u64 {
         page.read_u64(8 + i * 8)
     }
 
     /// Appends an OID; returns false when full.
-    pub fn push(page: &mut Page, oid: u64) -> bool {
+    pub(crate) fn push(page: &mut Page, oid: u64) -> bool {
         let count = Self::count(page);
         if count >= OVERFLOW_CAPACITY {
             return false;
@@ -404,7 +404,7 @@ impl Overflow {
     }
 
     /// Removes the OID at `i` by swapping in the last one.
-    pub fn swap_remove(page: &mut Page, i: usize) {
+    pub(crate) fn swap_remove(page: &mut Page, i: usize) {
         let count = Self::count(page);
         debug_assert!(i < count);
         let last = Self::oid(page, count - 1);
@@ -414,7 +414,7 @@ impl Overflow {
 }
 
 /// The type tag of a page.
-pub fn page_type(page: &Page) -> u8 {
+pub(crate) fn page_type(page: &Page) -> u8 {
     page.read_u8(0)
 }
 

@@ -20,7 +20,6 @@
 //! facilities or the harness) and uses no external dependencies beyond the
 //! vendored `parking_lot` stand-in.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod metrics;

@@ -175,12 +175,20 @@ impl JsonlSink {
     }
 
     /// Flushes the underlying writer.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort trace sink: a full disk or closed pipe must never take the query path down"
+    )]
     pub fn flush(&self) {
         let _ = self.out.lock().flush();
     }
 }
 
 impl TraceSink for JsonlSink {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort trace sink: a full disk or closed pipe must never take the query path down"
+    )]
     fn record(&self, ev: &QueryTrace) {
         let mut line = ev.to_json();
         line.push('\n');

@@ -38,7 +38,10 @@ struct RegisteredFacility {
 pub struct QueryExecution {
     /// Qualifying objects after false-drop resolution.
     pub actual: Vec<Oid>,
-    /// Drop classification from the resolution step.
+    /// Drop classification (counts) from the resolution step. On every
+    /// path — facility, full scan, `select Class` — the answer lives in
+    /// [`QueryExecution::actual`] only: `report.actual` is moved out, not
+    /// duplicated, and is always empty here.
     pub report: DropReport,
     /// Page accesses consumed by the whole query (filter + OID look-up +
     /// object fetches) — directly comparable to the paper's `RC`.
@@ -258,12 +261,12 @@ impl Database {
     ) -> Result<QueryExecution> {
         let source = StoreSource {
             store: &self.store,
-            source: &reg.source,
+            source: reg.source.clone(),
         };
-        let report = resolve_drops(query, &candidates, &source).map_err(Error::Facility)?;
+        let mut report = resolve_drops(query, &candidates, &source).map_err(Error::Facility)?;
         let io = self.disk.snapshot().since(before);
         Ok(QueryExecution {
-            actual: report.actual.clone(),
+            actual: std::mem::take(&mut report.actual),
             report,
             io,
         })
@@ -279,7 +282,7 @@ impl Database {
         attr_name: &str,
     ) -> Result<impl TargetSetSource + '_> {
         let attr = self.class(class)?.attr_index(attr_name)?;
-        Ok(OwnedStoreSource {
+        Ok(StoreSource {
             store: &self.store,
             source: IndexedSource::Direct(attr),
         })
@@ -341,14 +344,11 @@ fn source_set(
             .and_then(Value::as_element_set)
             .ok_or_else(|| Error::NotASetAttribute(format!("attribute #{attr}"))),
         IndexedSource::Path(spec) => {
-            let refs = match object.value(spec.ref_attr) {
-                Some(Value::Set(elems)) => elems,
-                _ => {
-                    return Err(Error::NotASetAttribute(format!(
-                        "attribute #{}",
-                        spec.ref_attr
-                    )))
-                }
+            let Some(Value::Set(refs)) = object.value(spec.ref_attr) else {
+                return Err(Error::NotASetAttribute(format!(
+                    "attribute #{}",
+                    spec.ref_attr
+                )));
             };
             let mut out = Vec::with_capacity(refs.len());
             for r in refs {
@@ -378,40 +378,22 @@ fn source_set(
 }
 
 /// Adapter: the object store as a [`TargetSetSource`] for drop resolution.
+/// Owns its (two-word) source so `target_source` can hand one out.
 struct StoreSource<'a> {
-    store: &'a ObjectStore,
-    source: &'a IndexedSource,
-}
-
-impl TargetSetSource for StoreSource<'_> {
-    fn fetch_set(&self, oid: Oid) -> setsig_core::Result<ElementSet> {
-        fetch_via(self.store, oid, self.source)
-    }
-}
-
-/// As [`StoreSource`] but owning its source (for `target_source`).
-struct OwnedStoreSource<'a> {
     store: &'a ObjectStore,
     source: IndexedSource,
 }
 
-impl TargetSetSource for OwnedStoreSource<'_> {
+impl TargetSetSource for StoreSource<'_> {
     fn fetch_set(&self, oid: Oid) -> setsig_core::Result<ElementSet> {
-        fetch_via(self.store, oid, &self.source)
+        let object = self
+            .store
+            .get(oid)
+            .map_err(|e| setsig_core::Error::BadQuery(format!("fetch {oid}: {e}")))?;
+        let set = source_set(self.store, &object, &self.source)
+            .map_err(|e| setsig_core::Error::BadQuery(format!("{oid}: {e}")))?;
+        Ok(set.into_iter().collect())
     }
-}
-
-fn fetch_via(
-    store: &ObjectStore,
-    oid: Oid,
-    source: &IndexedSource,
-) -> setsig_core::Result<ElementSet> {
-    let object = store
-        .get(oid)
-        .map_err(|e| setsig_core::Error::BadQuery(format!("fetch {oid}: {e}")))?;
-    let set = source_set(store, &object, source)
-        .map_err(|e| setsig_core::Error::BadQuery(format!("{oid}: {e}")))?;
-    Ok(set.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -503,6 +485,13 @@ mod tests {
         let via_scan = db.scan_set_query(student, "hobbies", &q).unwrap();
         assert_eq!(via_facility.actual, via_scan.actual);
         assert_eq!(via_facility.actual.len(), 6);
+        // One copy of the answer on every path: `report.actual` is moved
+        // into `actual`, never duplicated.
+        let whole_class = db.run_query("select Student").unwrap();
+        assert_eq!(whole_class.actual.len(), 300);
+        for exec in [&via_facility, &via_scan, &whole_class] {
+            assert!(exec.report.actual.is_empty(), "{:?}", exec.report);
+        }
         assert!(
             via_facility.io.accesses() < via_scan.io.accesses(),
             "facility {:?} vs scan {:?}",

@@ -41,7 +41,6 @@
 //! assert_eq!(hits.actual, vec![jeff]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod database;

@@ -32,6 +32,10 @@ impl Object {
     }
 
     /// Decodes a record produced by [`encode`](Object::encode).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn decode(bytes: &[u8]) -> Result<Object> {
         if bytes.len() < 16 {
             return Err(Error::CorruptObject("record shorter than header".into()));

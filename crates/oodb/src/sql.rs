@@ -128,9 +128,8 @@ pub fn parse_query(input: &str) -> Result<ParsedQuery> {
         Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("select") => {}
         _ => return Err(bad("expected `select`")),
     }
-    let class_name = match it.next() {
-        Some(Token::Ident(name)) => name,
-        _ => return Err(bad("expected a class name after `select`")),
+    let Some(Token::Ident(class_name)) = it.next() else {
+        return Err(bad("expected a class name after `select`"));
     };
     if it.peek().is_none() {
         return Ok(ParsedQuery {
@@ -142,9 +141,8 @@ pub fn parse_query(input: &str) -> Result<ParsedQuery> {
         Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("where") => {}
         _ => return Err(bad("expected `where` or end of query")),
     }
-    let attr = match it.next() {
-        Some(Token::Ident(name)) => name,
-        _ => return Err(bad("expected an attribute name after `where`")),
+    let Some(Token::Ident(attr)) = it.next() else {
+        return Err(bad("expected an attribute name after `where`"));
     };
     let op = match it.next() {
         Some(Token::Ident(op)) => op.to_ascii_lowercase(),
@@ -162,7 +160,7 @@ pub fn parse_query(input: &str) -> Result<ParsedQuery> {
                 _ => return Err(bad("expected a literal in the set")),
             }
             match it.next() {
-                Some(Token::Comma) => continue,
+                Some(Token::Comma) => {}
                 Some(Token::RParen) => break,
                 _ => return Err(bad("expected `,` or `)` in the set")),
             }

@@ -328,7 +328,7 @@ mod tests {
             s.put(&obj(i, 2)).unwrap();
         }
         s.delete(Oid::new(3)).unwrap();
-        let mut oids: Vec<u64> = s.oids().map(|o| o.raw()).collect();
+        let mut oids: Vec<u64> = s.oids().map(setsig_core::Oid::raw).collect();
         oids.sort_unstable();
         assert_eq!(oids, vec![0, 1, 2, 4]);
     }

@@ -36,7 +36,7 @@ impl Value {
     /// Convenience constructor for sets, normalizing (sort + dedup) the
     /// elements so two equal sets have equal representations.
     pub fn set(mut elems: Vec<Value>) -> Value {
-        elems.sort_by_key(|a| a.sort_key());
+        elems.sort_by_key(Value::sort_key);
         elems.dedup();
         Value::Set(elems)
     }
@@ -116,6 +116,10 @@ impl Value {
     }
 
     /// Deserializes one value from `bytes` starting at `*pos`, advancing it.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Value> {
         let corrupt = |msg: &str| Error::CorruptObject(msg.to_owned());
         let tag = *bytes.get(*pos).ok_or_else(|| corrupt("truncated tag"))?;
@@ -169,6 +173,10 @@ impl Value {
     }
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+)]
 fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
     let raw = bytes
         .get(*pos..*pos + 4)

@@ -150,7 +150,7 @@ impl Disk {
 
     /// Reads page `n` of `id`, charging one page read.
     pub fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
-        self.with_page(id, n, |p| p.clone())
+        self.with_page(id, n, std::clone::Clone::clone)
     }
 
     /// Runs `f` against page `n` of `id` without copying it out, charging
@@ -432,8 +432,8 @@ mod tests {
         let f = disk.create_file("t");
         disk.append_page(f, &Page::zeroed()).unwrap(); // 1 write
         disk.append_page(f, &Page::zeroed()).unwrap(); // 1 write
-        let _ = disk.read_page(f, 0); // 1 read
-        let _ = disk.read_page(f, 1); // 1 read
+        disk.read_page(f, 0).unwrap(); // 1 read
+        disk.read_page(f, 1).unwrap(); // 1 read
         disk.update_page(f, 0, |p| p.write_u8(0, 1)).unwrap(); // 1 write
         let s = disk.snapshot();
         assert_eq!(s.reads, 2);
@@ -452,11 +452,11 @@ mod tests {
         }
         // Appends 1..3 are sequential continuations of 0..2.
         assert_eq!(disk.file_stats(f).unwrap().seq_writes, 3);
-        let _ = disk.read_page(f, 0);
-        let _ = disk.read_page(f, 1); // seq
-        let _ = disk.read_page(f, 2); // seq
-        let _ = disk.read_page(f, 0); // random
-        let _ = disk.read_page(f, 3); // random
+        disk.read_page(f, 0).unwrap();
+        disk.read_page(f, 1).unwrap(); // seq
+        disk.read_page(f, 2).unwrap(); // seq
+        disk.read_page(f, 0).unwrap(); // random
+        disk.read_page(f, 3).unwrap(); // random
         assert_eq!(disk.file_stats(f).unwrap().seq_reads, 2);
     }
 

@@ -42,10 +42,6 @@
 //! assert_eq!(disk.snapshot().writes, 1);
 //! ```
 
-// `deny` rather than `forbid`: this crate owns the raw-I/O and paging
-// substrate, where a future mmap or io_uring backend may need a scoped,
-// SAFETY-commented `unsafe` block (which `forbid` could not re-allow).
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -17,6 +17,10 @@ pub struct Page {
 
 impl Page {
     /// Creates a page filled with zero bytes.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn zeroed() -> Self {
         Page {
             bytes: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
@@ -56,6 +60,10 @@ impl Page {
 
     /// Reads a little-endian `u16` at `off`.
     #[inline]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn read_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.bytes[off..off + 2].try_into().unwrap())
     }
@@ -68,6 +76,10 @@ impl Page {
 
     /// Reads a little-endian `u32` at `off`.
     #[inline]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn read_u32(&self, off: usize) -> u32 {
         u32::from_le_bytes(self.bytes[off..off + 4].try_into().unwrap())
     }
@@ -80,6 +92,10 @@ impl Page {
 
     /// Reads a little-endian `u64` at `off`.
     #[inline]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
+    )]
     pub fn read_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }

@@ -9,11 +9,12 @@
 //! merges candidates and sums [`ScanStats`].
 //!
 //! The vendored `parking_lot` stand-in has no `Condvar`, so the queue and
-//! the per-query completion latch use `std::sync` primitives (the same
-//! choice as the BSSF scan pipeline). Their `lock()/wait()` poisoning
-//! `unwrap`s are justified in `crates/xtask/allow/panics.allow`: a
-//! poisoned lock means another worker panicked mid-update, and
-//! propagating that panic beats limping on with torn state.
+//! the per-query completion latch use `std::sync` primitives. Their `lock()/wait()` return
+//! poisoning `Result`s; each `unwrap` carries an
+//! `#[expect(clippy::unwrap_used)]` at its fn: a poisoned lock means
+//! another worker panicked mid-update, and re-raising the panic at every
+//! other participant beats serving answers assembled from torn queue or
+//! latch state.
 //!
 //! Lock DAG (see DESIGN.md): `service.admission` (the queue) and
 //! `service.pending` (a query's completion latch) are never held
@@ -65,6 +66,10 @@ impl Pending {
     /// Deposits shard `shard`'s result and wakes the waiter when the
     /// query is fully answered (or has failed). A part already present
     /// is never overwritten — one answer per shard, exactly once.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
+    )]
     fn complete(&self, shard: usize, result: Result<QueryAnswer>) {
         let mut st = self.state.lock().unwrap();
         match result {
@@ -98,6 +103,10 @@ impl Ticket {
     /// union plus summed scan stats (see
     /// [`merge_parts`](crate::merge_parts)). Returns the first shard
     /// error if any shard failed.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
+    )]
     pub fn wait(self) -> Result<QueryAnswer> {
         let mut st = self.pending.state.lock().unwrap();
         while st.failed.is_none() && st.completed < st.parts.len() {
@@ -257,6 +266,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
     /// Admits `query` as one batch of per-shard tasks, blocking while
     /// the bounded queue lacks room for the whole batch. Returns a
     /// [`Ticket`] to redeem for the merged answer.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
+    )]
     pub fn submit(&self, query: &SetQuery) -> Ticket {
         let shards = self.inner.router.shard_count();
         let pending = Arc::new(Pending {
@@ -317,6 +330,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
 /// Worker body: pop a task (blocking while the queue is open and
 /// empty), run the shard query, deposit the part. Exits once the queue
 /// is closed *and* drained, so shutdown never drops admitted work.
+#[expect(
+    clippy::unwrap_used,
+    reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
+)]
 // HOT-PATH: service.dispatch
 // COST: tasks * (slices * pages_per_slice + oid_pages) pages
 fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
@@ -387,6 +404,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> SetAccessFacility for QuerySe
 }
 
 impl<F: SetAccessFacility + Send + Sync + 'static> Drop for QueryService<F> {
+    #[expect(
+        clippy::unwrap_used,
+        reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
+    )]
     fn drop(&mut self) {
         {
             let mut q = self.inner.queue.lock().unwrap();
@@ -394,8 +415,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> Drop for QueryService<F> {
         }
         self.inner.not_empty.notify_all();
         for w in self.workers.drain(..) {
-            // A worker that panicked already poisoned what it held; the
-            // panic surfaced to any waiter. Do not double-panic in Drop.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a panicked worker already surfaced its panic to the waiter holding its Pending; re-raising from Drop would double-panic"
+            )]
             let _ = w.join();
         }
     }

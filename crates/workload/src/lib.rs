@@ -17,7 +17,6 @@
 //!
 //! Everything is deterministic given the seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod generator;

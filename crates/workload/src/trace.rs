@@ -79,6 +79,10 @@ impl TraceConfig {
 }
 
 /// Expands `cfg` into a deterministic operation sequence.
+#[expect(
+    clippy::unreachable,
+    reason = "cumulative weights sum to `total` and `pick` is drawn in [0, total), so the walk always lands"
+)]
 pub fn generate_trace(cfg: &TraceConfig) -> Vec<TraceOp> {
     assert!(
         cfg.weights.iter().sum::<u32>() > 0,
@@ -161,10 +165,10 @@ mod tests {
                     assert!(set.iter().all(|&e| e < cfg.domain));
                 }
                 TraceOp::SupersetQuery { query } => {
-                    assert_eq!(query.len() as u32, cfg.d_q_superset)
+                    assert_eq!(query.len() as u32, cfg.d_q_superset);
                 }
                 TraceOp::SubsetQuery { query } => {
-                    assert_eq!(query.len() as u32, cfg.d_q_subset)
+                    assert_eq!(query.len() as u32, cfg.d_q_subset);
                 }
                 TraceOp::Delete { .. } => {}
             }

@@ -1,8 +1,8 @@
 //! hot-path-hygiene FAIL fixture: annotated roots whose bodies or callees
-//! allocate, take locks, or touch raw page I/O, plus every malformed
-//! annotation shape. Every marked line must produce a diagnostic.
+//! allocate, take locks, block, or touch raw page I/O, plus every
+//! malformed annotation shape. Every marked line must produce a diagnostic.
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 
 /// Direct violations in the root body itself.
 // HOT-PATH: fixture.scan_loop
@@ -81,6 +81,48 @@ pub fn widened(xs: &[u32]) -> usize {
     let label = xs.len().to_string(); //~ ERROR hot-path-hygiene: .to_string()
     let shared = std::sync::Arc::new(7u64); //~ ERROR hot-path-hygiene: Arc::new
     v.capacity() + doubled.len() + label.len() + *shared as usize
+}
+
+/// Blocking: a worker root that parks mid-task. The `.wait()` sits two
+/// hops down behind fns no allowlist names, so the witness chain names
+/// both; the boundary fn's own body is still checked (the sleep trips),
+/// but `beyond` is not followed — its thread join produces no diagnostic.
+pub struct Latch {
+    done: Mutex<bool>,
+    finished: Condvar,
+}
+
+// HOT-PATH: fixture.worker
+pub fn worker(l: &Latch, n: u64) -> u64 {
+    run_task(l, n)
+}
+
+fn run_task(l: &Latch, n: u64) -> u64 {
+    rendezvous(l) + merge(n) + fan_out(n)
+}
+
+fn rendezvous(l: &Latch) -> u64 {
+    let g = l.done.lock().unwrap(); //~ ERROR hot-path-hygiene: lock-in-hot-path
+    u64::from(*l.finished.wait(g).unwrap()) //~ ERROR hot-path-hygiene: block-in-hot-path: `.wait()` parks the thread on hot path `fixture.worker`: worker (crates/experiments/src/fixture.rs:96) → run_task (crates/experiments/src/fixture.rs:97) → rendezvous (crates/experiments/src/fixture.rs:101) → `.wait()`
+}
+
+/// A channel rendezvous smuggled into the merge step: one slow producer
+/// stalls the worker.
+fn merge(n: u64) -> u64 {
+    let (tx, rx) = std::sync::mpsc::channel::<u64>();
+    tx.send(n).ok();
+    rx.recv().ok().unwrap_or(0) //~ ERROR hot-path-hygiene: block-in-hot-path: `.recv()`
+}
+
+// HOT-PATH-BOUNDARY: shard fan-out reviewed on its own
+fn fan_out(n: u64) -> u64 {
+    std::thread::sleep(std::time::Duration::from_millis(n)); //~ ERROR hot-path-hygiene: thread::sleep
+    beyond(n)
+}
+
+fn beyond(n: u64) -> u64 {
+    let h = std::thread::spawn(move || n);
+    h.join().ok().unwrap_or(0)
 }
 
 /// Malformed annotations, one per shape.

@@ -63,7 +63,7 @@ fn seam_read(disk: &Disk) -> u64 {
 
 /// A boundary: its own body is checked (and is clean), but what it
 /// dispatches into is reviewed out of scope — the engine behind it may
-/// allocate and lock at will.
+/// allocate, lock and even park on a condvar at will.
 // HOT-PATH: fixture.routed
 pub fn routed(q: &Query) -> u64 {
     route(q)
@@ -76,7 +76,8 @@ fn route(q: &Query) -> u64 {
 
 fn engine_query(q: &Query) -> u64 {
     let copy = q.terms.to_vec();
-    copy.len() as u64
+    let g = q.ready.wait(q.gate.lock().unwrap()).unwrap();
+    copy.len() as u64 + *g
 }
 
 /// Locks off the hot path are equally fine.

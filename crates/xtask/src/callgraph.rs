@@ -34,8 +34,6 @@ pub struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// `pub` (any restriction: `pub(crate)` counts as pub).
-    pub is_pub: bool,
     /// The impl type for inherent and trait-impl methods.
     pub self_ty: Option<String>,
     /// The trait, for trait-impl methods and `trait { … }` declarations.
@@ -45,10 +43,6 @@ pub struct FnDef {
     pub is_trait_decl: bool,
     /// Token range `[open_brace, close_brace]` of the body, when present.
     pub body: Option<(usize, usize)>,
-    /// The declared return type mentions `Result`.
-    pub returns_result: bool,
-    /// Defined inside a non-`pub` inline `mod`.
-    pub in_private_mod: bool,
     /// Test-gated (by `#[cfg(test)]`/`#[test]` mask or a Test-class file).
     pub is_test: bool,
 }
@@ -116,9 +110,6 @@ enum Scope {
     },
     Trait {
         name: String,
-    },
-    Mod {
-        is_pub: bool,
     },
     Fn {
         id: usize,
@@ -331,11 +322,6 @@ impl<'a> CallGraph<'a> {
                 pending = Some(Scope::Trait {
                     name: toks[i + 1].text.clone(),
                 });
-            } else if t.is_ident("mod") && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident)
-            {
-                pending = Some(Scope::Mod {
-                    is_pub: is_pub_before(toks, i),
-                });
             } else if t.is_ident("fn") {
                 if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
                     let (self_ty, trait_name, is_trait_decl) = enclosing_impl(&stack);
@@ -344,15 +330,10 @@ impl<'a> CallGraph<'a> {
                         file: fi,
                         name: name.text.clone(),
                         line: t.line,
-                        is_pub: is_pub_before(toks, i),
                         self_ty,
                         trait_name,
                         is_trait_decl,
                         body: None,
-                        returns_result: signature_returns_result(toks, i + 1),
-                        in_private_mod: stack
-                            .iter()
-                            .any(|s| matches!(s, Scope::Mod { is_pub: false })),
                         is_test: file_is_test || file.test_mask[i],
                     });
                     pending = Some(Scope::Fn { id, open: 0 });
@@ -511,8 +492,7 @@ impl<'a> CallGraph<'a> {
                     }
                 }
                 // Unknown receiver: every method of that name (trait
-                // declarations included — their `Result`-ness matters for
-                // the swallowed-result lint even without a body).
+                // declarations included — a default body is a real callee).
                 let methods: Vec<usize> = all
                     .iter()
                     .copied()
@@ -570,33 +550,6 @@ fn enclosing_impl(stack: &[Scope]) -> (Option<String>, Option<String>, bool) {
     (None, None, false)
 }
 
-/// True when the tokens before `idx` say `pub` (with any restriction),
-/// looking back over the other item modifiers.
-fn is_pub_before(toks: &[Tok], idx: usize) -> bool {
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        if t.is_ident("unsafe")
-            || t.is_ident("const")
-            || t.is_ident("async")
-            || t.is_ident("extern")
-            || t.kind == TokKind::Literal
-        {
-            continue;
-        }
-        if t.is_punct(')') {
-            // A `pub(crate)` / `pub(super)` restriction: hop the parens.
-            while j > 0 && !toks[j].is_punct('(') {
-                j -= 1;
-            }
-            continue;
-        }
-        return t.is_ident("pub");
-    }
-    false
-}
-
 /// Parses `impl [<…>] [Trait for] Type` into an [`Scope::Impl`].
 fn parse_impl_header(toks: &[Tok], impl_idx: usize) -> Scope {
     let mut j = impl_idx + 1;
@@ -652,58 +605,6 @@ fn parse_impl_header(toks: &[Tok], impl_idx: usize) -> Scope {
     }
 }
 
-/// True when the signature starting at the fn name token declares a
-/// `Result` return type.
-fn signature_returns_result(toks: &[Tok], name_idx: usize) -> bool {
-    let mut j = name_idx + 1;
-    // Skip generics on the fn itself.
-    if toks.get(j).is_some_and(|t| t.is_punct('<')) {
-        let mut depth = 0i64;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('>') && !(j >= 1 && toks[j - 1].is_punct('-')) {
-                depth -= 1;
-                if depth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
-    }
-    // Skip the parameter list.
-    if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
-        return false;
-    }
-    let mut depth = 0i64;
-    while j < toks.len() {
-        if toks[j].is_punct('(') {
-            depth += 1;
-        } else if toks[j].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                j += 1;
-                break;
-            }
-        }
-        j += 1;
-    }
-    // Return type runs to the body brace, a `;`, or a `where` clause.
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
-            return false;
-        }
-        if t.is_ident("Result") {
-            return true;
-        }
-        j += 1;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,7 +648,6 @@ mod tests {
              impl T for S { fn decl(&self) {} }\n",
         );
         let g = graph(&[&f]);
-        assert!(fn_named(&g, "free").is_pub);
         assert_eq!(fn_named(&g, "inherent").self_ty.as_deref(), Some("S"));
         let decls = g.fns_by_name("decl");
         assert_eq!(decls.len(), 2);
@@ -757,21 +657,6 @@ mod tests {
         assert_eq!(g.fns[decls[1]].trait_name.as_deref(), Some("T"));
         assert!(fn_named(&g, "with_default").is_trait_decl);
         assert!(fn_named(&g, "with_default").body.is_some());
-    }
-
-    #[test]
-    fn result_return_is_detected() {
-        let f = file(
-            "crates/a/src/lib.rs",
-            "a",
-            "fn fallible() -> Result<u32, String> { Ok(1) }\n\
-             fn plain() -> u32 { 1 }\n\
-             fn arr() -> [u8; 4] { [0; 4] }\n",
-        );
-        let g = graph(&[&f]);
-        assert!(fn_named(&g, "fallible").returns_result);
-        assert!(!fn_named(&g, "plain").returns_result);
-        assert!(!fn_named(&g, "arr").returns_result);
     }
 
     #[test]
@@ -912,17 +797,15 @@ mod tests {
     }
 
     #[test]
-    fn private_mod_and_test_flags() {
+    fn test_gated_fns_are_flagged() {
         let f = file(
             "crates/a/src/lib.rs",
             "a",
-            "mod inner { pub fn hidden() {} }\n\
-             pub mod outer { pub fn shown() {} }\n\
+            "pub fn shown() {}\n\
              #[cfg(test)]\nmod tests { fn t() {} }\n",
         );
         let g = graph(&[&f]);
-        assert!(fn_named(&g, "hidden").in_private_mod);
-        assert!(!fn_named(&g, "shown").in_private_mod);
+        assert!(!fn_named(&g, "shown").is_test);
         assert!(fn_named(&g, "t").is_test);
     }
 

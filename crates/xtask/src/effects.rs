@@ -1,9 +1,9 @@
 //! Bottom-up effect inference over the workspace call graph.
 //!
 //! Every function gets an **inferred effect set** over the lattice
-//! `{ALLOC, LOCK, RAW_IO, PANIC, BLOCK}` (the powerset under union):
-//! local effects are detected from the token stream of the fn's own body
-//! (the primitive tables below are the single source of truth), then
+//! `{ALLOC, LOCK, RAW_IO, BLOCK}` (the powerset under union): local
+//! effects are detected from the token stream of the fn's own body (the
+//! primitive tables below are the single source of truth), then
 //! propagated bottom-up along the call graph's *trusted* edges
 //! ([`CallGraph::trusts`]) after condensing the graph into strongly
 //! connected components (Tarjan, [`CallGraph::sccs`]). Because the SCCs
@@ -21,10 +21,8 @@
 //!   `RwLock` declared in the same file (the guard-across-io receiver
 //!   heuristic, so `io::Read::read` cannot false-positive);
 //! * `RAW_IO` — `read_page` / `write_page` (the accounting lint's
-//!   subject; consumers decide whether the accounting seam excuses it);
-//! * `PANIC` — `.unwrap()` / `.expect(…)`, the `panic!` macro family,
-//!   and `xs[…]` indexing (prefix-ident, `)` or `]` before the bracket —
-//!   slice patterns, array types and attributes do not match);
+//!   subject; the consumer decides whether the accounting seam excuses
+//!   it);
 //! * `BLOCK` — `.wait(…)` / `.wait_timeout(…)` at any arity (condvars
 //!   carry the guard as an argument), `.join()` / `.recv()` only at zero
 //!   arity (`[_]::join(sep)` is string building, not thread blocking),
@@ -33,22 +31,16 @@
 //! On top of the per-fn sets, [`reach`] walks the effectful subgraph from
 //! a root and returns every primitive site it can see, each with the
 //! shortest **witness chain** — `root (file:line) → hop (file:line) → …
-//! → `primitive` (file:line)` — which is what the effect-backed lints
-//! (`hot-path-hygiene`, `panic-reachability`, `blocking-in-worker`) and
-//! the `cargo xtask effects --check` baseline gate print. Inference and
-//! traversal walk the same edge set, so the inferred sets double as an
-//! exact pruning oracle for the walk.
+//! → `primitive` (file:line)` — which is what `hot-path-hygiene`, the one
+//! consumer, prints. Inference and traversal walk the same edge set, so
+//! the inferred sets double as an exact pruning oracle for the walk.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::callgraph::CallGraph;
 use crate::locks::{self, AcqMethod, LockKind};
 use crate::scan::{Tok, TokKind};
 use crate::workspace::SourceFile;
-use crate::{Diagnostic, Lint};
-
-/// Where the committed effect baseline lives, workspace-relative.
-pub const BASELINE_REL: &str = "crates/xtask/effects.baseline.json";
 
 /// One element of the effect lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,38 +51,11 @@ pub enum Effect {
     Lock,
     /// Raw page I/O (`read_page` / `write_page`).
     RawIo,
-    /// A potential panic (unwrap/expect, `panic!` family, indexing).
-    Panic,
     /// Blocking the calling thread (condvar wait, join, recv, sleep).
     Block,
 }
 
 impl Effect {
-    /// Every element, in display order.
-    pub const ALL: [Effect; 5] = [
-        Effect::Alloc,
-        Effect::Lock,
-        Effect::RawIo,
-        Effect::Panic,
-        Effect::Block,
-    ];
-
-    /// Stable upper-case name, used in the JSON matrix and the baseline.
-    pub fn name(self) -> &'static str {
-        match self {
-            Effect::Alloc => "ALLOC",
-            Effect::Lock => "LOCK",
-            Effect::RawIo => "RAW_IO",
-            Effect::Panic => "PANIC",
-            Effect::Block => "BLOCK",
-        }
-    }
-
-    /// Parses a baseline effect name.
-    pub fn from_name(s: &str) -> Option<Effect> {
-        Effect::ALL.into_iter().find(|e| e.name() == s)
-    }
-
     fn bit(self) -> u8 {
         1 << (self as u8)
     }
@@ -137,16 +102,6 @@ impl EffectSet {
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
-
-    /// The members, in [`Effect::ALL`] order.
-    pub fn iter(self) -> impl Iterator<Item = Effect> {
-        Effect::ALL.into_iter().filter(move |e| self.contains(*e))
-    }
-
-    /// The effects in `self` but not in `other`.
-    pub fn difference(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 & !other.0)
-    }
 }
 
 /// Method calls that allocate.
@@ -170,12 +125,6 @@ pub const ALLOC_PATHS: [(&str, &str); 8] = [
 /// Raw page-I/O entry points (the accounting lint's subject).
 pub const IO_CALLS: [&str; 2] = ["read_page", "write_page"];
 
-/// Method calls that panic on the unhappy path.
-pub const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-/// Macros that unconditionally panic.
-pub const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 /// Methods that block the calling thread at any arity (condvar waits
 /// carry the guard as an argument).
 pub const BLOCK_METHODS: [&str; 2] = ["wait", "wait_timeout"];
@@ -185,12 +134,6 @@ pub const BLOCK_METHODS: [&str; 2] = ["wait", "wait_timeout"];
 /// string.
 pub const BLOCK_METHODS_NULLARY: [&str; 2] = ["join", "recv"];
 
-/// Identifiers that may precede `[` without the bracket being an index
-/// expression (slice patterns, `for`/`if let` heads, …).
-const NON_INDEX_KEYWORDS: [&str; 12] = [
-    "let", "in", "if", "else", "match", "return", "break", "continue", "while", "for", "move", "as",
-];
-
 /// One effect-primitive site inside a fn body.
 #[derive(Debug, Clone)]
 pub struct LocalEffect {
@@ -198,8 +141,8 @@ pub struct LocalEffect {
     pub effect: Effect,
     /// 1-based source line of the primitive.
     pub line: u32,
-    /// Human-readable spelling of the primitive (`vec!`, `.unwrap()`,
-    /// `xs[..]`, `counter.lock()`, …), also the dedup key.
+    /// Human-readable spelling of the primitive (`vec!`, `.clone()`,
+    /// `counter.lock()`, …), also the dedup key.
     pub what: String,
 }
 
@@ -211,8 +154,6 @@ pub struct EffectGraph<'a> {
     pub local: Vec<Vec<LocalEffect>>,
     /// Per fn: local effects ∪ everything reachable over trusted edges.
     pub inferred: Vec<EffectSet>,
-    /// The SCC condensation the fixed point ran over, callees first.
-    pub sccs: Vec<Vec<usize>>,
 }
 
 impl<'a> EffectGraph<'a> {
@@ -241,9 +182,8 @@ impl<'a> EffectGraph<'a> {
         // callees-first, so external callees are final when read, and
         // within an SCC every member shares one set (each member reaches
         // every other), so a single union over the component suffices.
-        let sccs = graph.sccs();
         let mut inferred = vec![EffectSet::EMPTY; graph.fns.len()];
-        for scc in &sccs {
+        for scc in &graph.sccs() {
             let mut set = EffectSet::EMPTY;
             for &fid in scc {
                 for le in &local[fid] {
@@ -263,7 +203,6 @@ impl<'a> EffectGraph<'a> {
             graph,
             local,
             inferred,
-            sccs,
         }
     }
 }
@@ -328,28 +267,6 @@ fn local_effects(
             continue;
         }
         let t = &toks[i];
-        // Indexing: `xs[…]`, `f()[…]`, `m[k][…]` — never a slice pattern
-        // (`let [a, b] = …`), an array type/literal, or an attribute.
-        if t.is_punct('[') && i >= 1 {
-            let p = &toks[i - 1];
-            let indexes = (p.kind == TokKind::Ident
-                && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
-                || p.is_punct(')')
-                || p.is_punct(']');
-            if indexes {
-                let recv = if p.kind == TokKind::Ident {
-                    p.text.as_str()
-                } else {
-                    "…"
-                };
-                out.push(LocalEffect {
-                    effect: Effect::Panic,
-                    line: t.line,
-                    what: format!("{recv}[..]"),
-                });
-            }
-            continue;
-        }
         if t.kind != TokKind::Ident {
             continue;
         }
@@ -384,22 +301,6 @@ fn local_effects(
                 effect: Effect::RawIo,
                 line: t.line,
                 what: name.to_string(),
-            });
-            continue;
-        }
-        if PANIC_MACROS.contains(&name) && next_bang {
-            out.push(LocalEffect {
-                effect: Effect::Panic,
-                line: t.line,
-                what: format!("{name}!"),
-            });
-            continue;
-        }
-        if PANIC_METHODS.contains(&name) && next_paren && via_dot {
-            out.push(LocalEffect {
-                effect: Effect::Panic,
-                line: t.line,
-                what: format!(".{name}()"),
             });
             continue;
         }
@@ -455,9 +356,6 @@ pub struct Traversal {
     pub boundaries: HashSet<usize>,
     /// Fns not entered at all (other roots run their own traversal).
     pub skip: HashSet<usize>,
-    /// Whether primitives in the root's own body count. `false` for
-    /// blocking-in-worker, where the root's admission wait is the design.
-    pub include_root_body: bool,
 }
 
 /// One primitive site reachable from a root, with the shortest call
@@ -494,27 +392,25 @@ pub fn reach(eg: &EffectGraph<'_>, root: usize, want: EffectSet, tr: &Traversal)
         if eg.graph.fns[fid].is_test {
             continue;
         }
-        if fid != root || tr.include_root_body {
-            for le in &eg.local[fid] {
-                if !want.contains(le.effect) {
-                    continue;
-                }
-                let mut chain = Vec::new();
-                let mut cur = fid;
-                while cur != root {
-                    let (p, line) = parent[&cur];
-                    chain.push((cur, line));
-                    cur = p;
-                }
-                chain.reverse();
-                out.push(Finding {
-                    fid,
-                    effect: le.effect,
-                    line: le.line,
-                    what: le.what.clone(),
-                    chain,
-                });
+        for le in &eg.local[fid] {
+            if !want.contains(le.effect) {
+                continue;
             }
+            let mut chain = Vec::new();
+            let mut cur = fid;
+            while cur != root {
+                let (p, line) = parent[&cur];
+                chain.push((cur, line));
+                cur = p;
+            }
+            chain.reverse();
+            out.push(Finding {
+                fid,
+                effect: le.effect,
+                line: le.line,
+                what: le.what.clone(),
+                chain,
+            });
         }
         if tr.boundaries.contains(&fid) {
             continue;
@@ -559,232 +455,6 @@ pub fn witness(eg: &EffectGraph<'_>, root: usize, f: &Finding) -> String {
     s
 }
 
-/// The baseline key for a fn: `file::SelfTy::name`, or `file::name` for
-/// free fns. Deliberately line-free so moving code within a file never
-/// counts as drift.
-pub fn fn_key(g: &CallGraph<'_>, fid: usize) -> String {
-    let d = &g.fns[fid];
-    let file = &g.files[d.file].rel;
-    match &d.self_ty {
-        Some(ty) => format!("{file}::{ty}::{}", d.name),
-        None => format!("{file}::{}", d.name),
-    }
-}
-
-/// The public-API effect matrix: what `cargo xtask effects` prints and
-/// the baseline gate diffs.
-pub struct Matrix {
-    /// `(key, fns sharing the key, union of their inferred sets)`,
-    /// sorted by key. Keys collide only across trait impls sharing a
-    /// method name and self type spelling; the union keeps the row
-    /// deterministic regardless.
-    pub rows: Vec<(String, Vec<usize>, EffectSet)>,
-}
-
-/// Builds the matrix: every non-test `pub` fn of the `gated` crates
-/// (outside private mods and trait declarations), plus `extra_roots`
-/// (the hot-path roots, whatever their crate or visibility — their
-/// effect budget is exactly what hot-path-hygiene polices).
-pub fn matrix(eg: &EffectGraph<'_>, gated: &[&str], extra_roots: &[usize]) -> Matrix {
-    let mut by_key: BTreeMap<String, (Vec<usize>, EffectSet)> = BTreeMap::new();
-    let mut add = |fid: usize| {
-        let entry = by_key.entry(fn_key(&eg.graph, fid)).or_default();
-        if !entry.0.contains(&fid) {
-            entry.0.push(fid);
-            entry.1 = entry.1.union(eg.inferred[fid]);
-        }
-    };
-    for (fid, def) in eg.graph.fns.iter().enumerate() {
-        if !def.is_pub || def.is_test || def.in_private_mod || def.is_trait_decl {
-            continue;
-        }
-        let crate_dir = eg.graph.files[def.file].crate_dir.as_deref();
-        if crate_dir.is_some_and(|c| gated.contains(&c)) {
-            add(fid);
-        }
-    }
-    for &fid in extra_roots {
-        if !eg.graph.fns[fid].is_test {
-            add(fid);
-        }
-    }
-    Matrix {
-        rows: by_key.into_iter().map(|(k, (f, s))| (k, f, s)).collect(),
-    }
-}
-
-impl Matrix {
-    /// Renders the baseline JSON: sorted keys, one fn per line, no line
-    /// numbers — byte-for-byte deterministic, so the git diff of the
-    /// committed baseline *is* the effect-drift review.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"version\": 1,\n  \"functions\": {\n");
-        for (i, (key, _, set)) in self.rows.iter().enumerate() {
-            let effects: Vec<String> = set.iter().map(|e| format!("\"{}\"", e.name())).collect();
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {}: [{}]{comma}\n",
-                crate::json_string(key),
-                effects.join(", ")
-            ));
-        }
-        s.push_str("  }\n}\n");
-        s
-    }
-}
-
-/// One parsed baseline row.
-struct BaselineRow {
-    key: String,
-    set: EffectSet,
-    /// 1-based line in the baseline file, for stale-entry diagnostics.
-    line: u32,
-}
-
-/// Parses the baseline. Line-oriented by design: the file is generated
-/// by [`Matrix::to_json`] (one `"key": [EFFECTS…]` row per line, keys
-/// are paths and identifiers, never escaped), so a real JSON parser
-/// would buy nothing but dependencies.
-fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
-    let mut rows = Vec::new();
-    let mut version_ok = false;
-    for (ln, raw) in text.lines().enumerate() {
-        let line = ln as u32 + 1;
-        let t = raw.trim();
-        if t.starts_with("\"version\"") {
-            version_ok = t
-                .trim_start_matches(|c| c != ':')
-                .trim_start_matches(':')
-                .trim()
-                == "1,";
-            continue;
-        }
-        // Keys contain `::`, so split on the exact `": ` boundary — the
-        // emitter never puts a quote inside a key.
-        let Some((quoted, rest)) = t.split_once("\": ") else {
-            continue;
-        };
-        let rest = rest.trim();
-        if !(quoted.starts_with('"') && rest.starts_with('[')) {
-            continue;
-        }
-        let key = quoted.trim_start_matches('"').to_string();
-        let inner = rest
-            .trim_start_matches('[')
-            .split_once(']')
-            .map(|(i, _)| i)
-            .ok_or_else(|| format!("{BASELINE_REL}:{line}: unclosed effect list"))?;
-        let mut set = EffectSet::EMPTY;
-        for name in inner.split(',').map(|p| p.trim().trim_matches('"')) {
-            if name.is_empty() {
-                continue;
-            }
-            let e = Effect::from_name(name)
-                .ok_or_else(|| format!("{BASELINE_REL}:{line}: unknown effect `{name}`"))?;
-            set.insert(e);
-        }
-        rows.push(BaselineRow { key, set, line });
-    }
-    if !version_ok {
-        return Err(format!(
-            "{BASELINE_REL}: missing or unsupported `\"version\": 1` header — \
-             regenerate with `cargo xtask effects --update`"
-        ));
-    }
-    Ok(rows)
-}
-
-/// Diffs the current matrix against the committed baseline and returns
-/// one [`Lint::EffectRegression`] diagnostic per drift: gained effects
-/// come with a witness chain down to the new primitive, dropped effects
-/// and added/removed fns just need the baseline refreshed.
-pub fn check_baseline(
-    eg: &EffectGraph<'_>,
-    m: &Matrix,
-    baseline_text: &str,
-) -> Result<Vec<Diagnostic>, String> {
-    let baseline = parse_baseline(baseline_text)?;
-    let by_key: HashMap<&str, &BaselineRow> =
-        baseline.iter().map(|r| (r.key.as_str(), r)).collect();
-    let mut diags = Vec::new();
-    let mut current: HashSet<&str> = HashSet::new();
-    let tr = Traversal {
-        include_root_body: true,
-        ..Traversal::default()
-    };
-    for (key, fids, set) in &m.rows {
-        current.insert(key.as_str());
-        let def = &eg.graph.fns[fids[0]];
-        let def_file = eg.graph.files[def.file];
-        let Some(base) = by_key.get(key.as_str()) else {
-            diags.push(Diagnostic {
-                file: def_file.rel.clone(),
-                line: def.line,
-                lint: Lint::EffectRegression,
-                msg: format!(
-                    "pub fn `{key}` is missing from the effect baseline; record it with \
-                     `cargo xtask effects --update` and commit the diff"
-                ),
-            });
-            continue;
-        };
-        for e in set.difference(base.set).iter() {
-            // The witness starts at whichever fn under this key actually
-            // carries the new effect (reach prunes on inferred sets, so
-            // the first finding is the shortest chain to a primitive).
-            let carrier = fids
-                .iter()
-                .copied()
-                .find(|&f| eg.inferred[f].contains(e))
-                .unwrap_or(fids[0]);
-            let w = reach(eg, carrier, EffectSet::of(&[e]), &tr)
-                .first()
-                .map_or_else(
-                    || "(no witness — inference bug?)".to_string(),
-                    |f| witness(eg, carrier, f),
-                );
-            diags.push(Diagnostic {
-                file: def_file.rel.clone(),
-                line: def.line,
-                lint: Lint::EffectRegression,
-                msg: format!(
-                    "`{key}` gained {}: {w}; fix the new path, or absorb the effect \
-                     deliberately with `cargo xtask effects --update`",
-                    e.name()
-                ),
-            });
-        }
-        for e in base.set.difference(*set).iter() {
-            diags.push(Diagnostic {
-                file: def_file.rel.clone(),
-                line: def.line,
-                lint: Lint::EffectRegression,
-                msg: format!(
-                    "`{key}` no longer carries {} — an improvement the baseline should \
-                     record; run `cargo xtask effects --update`",
-                    e.name()
-                ),
-            });
-        }
-    }
-    for row in &baseline {
-        if !current.contains(row.key.as_str()) {
-            diags.push(Diagnostic {
-                file: BASELINE_REL.to_string(),
-                line: row.line,
-                lint: Lint::EffectRegression,
-                msg: format!(
-                    "baseline entry `{}` matches no gated pub fn or hot-path root; \
-                     refresh with `cargo xtask effects --update`",
-                    row.key
-                ),
-            });
-        }
-    }
-    diags.sort_by(|a, b| (&a.file, a.line, &a.msg).cmp(&(&b.file, b.line, &b.msg)));
-    Ok(diags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,9 +482,7 @@ mod tests {
                let v: Vec<u32> = xs.iter().copied().collect::<Vec<u32>>();\n\
                let s = 42u32.to_string();\n\
                let c = Vec::<u8>::with_capacity(4);\n\
-               let first = xs[0];\n\
-               let second = xs.first().unwrap();\n\
-               s.len() as u32 + v.len() as u32 + c.len() as u32 + first + second\n\
+               s.len() as u32 + v.len() as u32 + c.len() as u32\n\
              }\n",
         );
         let eg = EffectGraph::build(&[&f]);
@@ -822,10 +490,7 @@ mod tests {
         let whats: Vec<&str> = eg.local[go].iter().map(|l| l.what.as_str()).collect();
         assert!(whats.contains(&".collect()"), "{whats:?}");
         assert!(whats.contains(&".to_string()"), "{whats:?}");
-        assert!(whats.contains(&"xs[..]"), "{whats:?}");
-        assert!(whats.contains(&".unwrap()"), "{whats:?}");
         assert!(eg.inferred[go].contains(Effect::Alloc));
-        assert!(eg.inferred[go].contains(Effect::Panic));
         assert!(!eg.inferred[go].contains(Effect::Block));
     }
 
@@ -841,31 +506,18 @@ mod tests {
     }
 
     #[test]
-    fn slice_patterns_and_array_types_are_not_indexing() {
-        let f = file(
-            "fn destructure(xs: &[u32]) -> u32 {\n\
-               if let [a, b] = xs { a + b } else { 0 }\n\
-             }\n\
-             fn arr() -> [u8; 4] { [0u8; 4] }\n",
-        );
-        let eg = EffectGraph::build(&[&f]);
-        assert!(eg.inferred[fid(&eg, "destructure")].is_empty());
-        assert!(eg.inferred[fid(&eg, "arr")].is_empty());
-    }
-
-    #[test]
     fn effects_propagate_through_cycles() {
         let f = file(
             "fn ping(n: u32) -> u32 { if n == 0 { pong(n) } else { ping(n - 1) } }\n\
              fn pong(n: u32) -> u32 { if n > 9 { ping(n) } else { boom() } }\n\
-             fn boom() -> u32 { panic!(\"end\") }\n\
+             fn boom() -> u32 { vec![1u32].len() as u32 }\n\
              fn clean() -> u32 { 1 }\n",
         );
         let eg = EffectGraph::build(&[&f]);
         for name in ["ping", "pong", "boom"] {
             assert!(
-                eg.inferred[fid(&eg, name)].contains(Effect::Panic),
-                "{name} must inherit PANIC"
+                eg.inferred[fid(&eg, name)].contains(Effect::Alloc),
+                "{name} must inherit ALLOC"
             );
         }
         assert!(eg.inferred[fid(&eg, "clean")].is_empty());
@@ -880,11 +532,12 @@ mod tests {
         );
         let eg = EffectGraph::build(&[&f]);
         let root = fid(&eg, "root");
-        let tr = Traversal {
-            include_root_body: true,
-            ..Traversal::default()
-        };
-        let findings = reach(&eg, root, EffectSet::of(&[Effect::Alloc]), &tr);
+        let findings = reach(
+            &eg,
+            root,
+            EffectSet::of(&[Effect::Alloc]),
+            &Traversal::default(),
+        );
         assert_eq!(findings.len(), 1);
         let w = witness(&eg, root, &findings[0]);
         assert_eq!(
@@ -899,47 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_baseline_roundtrip_is_clean() {
-        let f = file(
-            "pub fn api(xs: &[u32]) -> u32 { helper(xs) }\n\
-             fn helper(xs: &[u32]) -> u32 { xs[0] }\n\
-             pub fn tidy() -> u32 { 7 }\n",
-        );
-        let eg = EffectGraph::build(&[&f]);
-        let m = matrix(&eg, &["a"], &[]);
-        let keys: Vec<&str> = m.rows.iter().map(|(k, _, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["crates/a/src/lib.rs::api", "crates/a/src/lib.rs::tidy"],
-            "private helper must not appear"
-        );
-        let diags = check_baseline(&eg, &m, &m.to_json()).unwrap();
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn baseline_drift_fails_with_witness_and_stale_rows() {
-        let f = file("pub fn api(xs: &[u32]) -> u32 { xs[0] }\n");
-        let eg = EffectGraph::build(&[&f]);
-        let m = matrix(&eg, &["a"], &[]);
-        let stale = "{\n  \"version\": 1,\n  \"functions\": {\n    \
-                     \"crates/a/src/lib.rs::api\": [],\n    \
-                     \"crates/a/src/lib.rs::gone\": [\"ALLOC\"]\n  }\n}\n";
-        let diags = check_baseline(&eg, &m, stale).unwrap();
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(
-            diags[0].msg.contains("gained PANIC") && diags[0].msg.contains("`xs[..]`"),
-            "{}",
-            diags[0].msg
-        );
-        assert!(
-            diags[1].file == BASELINE_REL && diags[1].msg.contains("gone"),
-            "{}",
-            diags[1]
-        );
-    }
-
-    #[test]
     fn boundaries_stop_traversal_after_their_own_body() {
         let f = file(
             "fn root() { gate(); }\n\
@@ -950,7 +562,6 @@ mod tests {
         let root = fid(&eg, "root");
         let tr = Traversal {
             boundaries: HashSet::from([fid(&eg, "gate")]),
-            include_root_body: true,
             ..Traversal::default()
         };
         let findings = reach(&eg, root, EffectSet::of(&[Effect::Alloc]), &tr);

@@ -1,72 +1,49 @@
 //! # xtask — project-specific static analysis for the setsig workspace
 //!
-//! `cargo xtask analyze` runs thirteen offline, hand-rolled lints over the
-//! workspace source (token-level scanner, no network, no rustc plumbing):
+//! `cargo xtask analyze` runs seven offline, hand-rolled lints over the
+//! workspace source (token-level scanner, no network, no rustc plumbing).
+//! They are the invariants only this project can state — page accounting,
+//! the crate DAG, the lock hierarchy, the scan loops' effect and page-cost
+//! budgets; everything rustc or clippy can check on the real AST
+//! (`unsafe`, panics, discarded `Result`s, dead code) lives in the
+//! `[workspace.lints]` table of the root `Cargo.toml` instead:
 //!
 //! 1. **accounting** — raw page I/O (`read_page` / `write_page`) may only be
 //!    called from the allowlisted accounting wrappers inside
 //!    `crates/pagestore`, so no code path can bypass the disk counters or
 //!    the engines' [`ScanStats`] discipline and silently corrupt the
 //!    reproduced page-access numbers.
-//! 2. **unsafe-audit** — every `unsafe` token must carry a `// SAFETY:`
-//!    comment within the three lines above it, and every crate except
-//!    `pagestore` and `core` must declare `#![forbid(unsafe_code)]`
-//!    (`pagestore`/`core` may relax to `#![deny(unsafe_code)]` so a future
-//!    hot path can opt in per site, visibly).
-//! 3. **panic-surface** — no `unwrap` / `expect` / `panic!` (or
-//!    `unreachable!` / `todo!` / `unimplemented!`) in library code outside
-//!    `#[cfg(test)]` modules, tests and benches, except for sites justified
-//!    in `crates/xtask/allow/panics.allow`.
-//! 4. **layering** — crate dependencies (manifest edges *and* `setsig_*`
+//! 2. **layering** — crate dependencies (manifest edges *and* `setsig_*`
 //!    source references) must follow the workspace DAG: the storage layers
 //!    (`pagestore`, `core`) can never reach up into the harness layers
 //!    (`experiments`, `workload`, `bench`), and pure-math crates
-//!    (`costmodel`, `workload`) stay dependency-free.
-//! 5. **lock-order** — every `Mutex`/`RwLock` declaration carries a
+//!    (`costmodel`, `workload`) stay dependency-free. Every member must
+//!    also opt into the workspace lint table, so no crate escapes the
+//!    compiler-held invariants.
+//! 3. **lock-order** — every `Mutex`/`RwLock` declaration carries a
 //!    machine-readable `// LOCK-ORDER: <name> [< <parent>]… [leaf]`
 //!    annotation; the declared order must form a DAG and every lexically
 //!    nested acquisition must follow it (see [`locks`]).
-//! 6. **guard-across-io** — no lock guard may be live across a
+//! 4. **guard-across-io** — no lock guard may be live across a
 //!    `read_page`/`write_page`/`flush`/`sync` call; the pool comment's
 //!    promise, enforced.
-//! 7. **hot-path-hygiene** — functions annotated `// HOT-PATH: <name>`
+//! 5. **hot-path-hygiene** — functions annotated `// HOT-PATH: <name>`
 //!    must not, transitively through the workspace [`callgraph`],
-//!    allocate, acquire a lock, or touch raw page I/O outside the
-//!    accounting seam; `// HOT-PATH-BOUNDARY:` stops traversal at
-//!    reviewed dispatch points, and justified sites live in
-//!    `allow/hotpath.allow` (see [`lints::hot_path`]).
-//! 8. **panic-reachability** — every `pub` API entry point of `core` /
-//!    `pagestore` / `service` that can transitively reach a panic
-//!    (unwrap/expect, `panic!` family, indexing) is reported with its
-//!    witness chain; justified sinks live in `allow/panic_reach.allow`
-//!    (see [`effects`]).
-//! 9. **blocking-in-worker** — nothing reachable from the
-//!    `service.dispatch` hot-path root past its boundary may carry the
-//!    `BLOCK` effect (condvar waits, `join`/`recv`, `thread::sleep`);
-//!    the worker's own admission wait is the one sanctioned block.
-//! 10. **swallowed-result** — `let _ =` / a bare statement discarding a
-//!     `Result`-returning call in library code is an error, with
-//!     intentional swallows justified in `allow/swallowed.allow`.
-//! 11. **reachability** — never-called non-`pub` fns and unreferenced
-//!     `pub` fns in private modules are reported, keeping the growing
-//!     workspace dead-code-free.
-//! 12. **cost** — every scan entry point carries a machine-readable
-//!     `// COST: <expr> pages` contract, and the loop nesting the
-//!     [`loopnest`] analyzer reconstructs around each page-I/O call site
-//!     must not exceed the contract's polynomial degree; page I/O
-//!     outside every contracted root is an error. `cargo xtask cost`
-//!     dumps the contract matrix, `--check` diffs it against
-//!     `crates/xtask/cost.baseline.json` (see [`lints::cost`]).
-//! 13. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
-//!     still match a real site; dangling suppressions fail the run.
-//!
-//! Hot-path-hygiene, panic-reachability and blocking-in-worker are all
-//! queries against one bottom-up **effect inference** ([`effects`]): per
-//! fn, a set over `{ALLOC, LOCK, RAW_IO, PANIC, BLOCK}` computed by an
-//! SCC fixed point over the call graph, reported with shortest witness
-//! chains. `cargo xtask effects` dumps the public-API effect matrix as
-//! JSON, and `cargo xtask effects --check` diffs it against the
-//! committed `crates/xtask/effects.baseline.json`, failing on any drift.
+//!    allocate, acquire a lock, block the thread, or touch raw page I/O
+//!    outside the accounting seam; `// HOT-PATH-BOUNDARY:` stops
+//!    traversal at reviewed dispatch points, and justified sites live in
+//!    `allow/hotpath.allow`. A query against the bottom-up [`effects`]
+//!    inference over `{ALLOC, LOCK, RAW_IO, BLOCK}`, reported with
+//!    shortest witness chains (see [`lints::hot_path`]).
+//! 6. **cost** — every scan entry point carries a machine-readable
+//!    `// COST: <expr> pages` contract, and the loop nesting the
+//!    [`loopnest`] analyzer reconstructs around each page-I/O call site
+//!    must not exceed the contract's polynomial degree; page I/O
+//!    outside every contracted root is an error. `cargo xtask cost`
+//!    dumps the contract matrix, `--check` diffs it against
+//!    `crates/xtask/cost.baseline.json` (see [`lints::cost`]).
+//! 7. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
+//!    still match a real site; dangling suppressions fail the run.
 //!
 //! The analyzer is deliberately syntactic: it trades soundness-in-general
 //! for zero dependencies and total transparency. Each lint is a small token
@@ -75,8 +52,6 @@
 //! rejects (`cargo xtask analyze --self-test`).
 //!
 //! [`ScanStats`]: https://docs.rs/setsig-core
-
-#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod effects;
@@ -95,83 +70,54 @@ use std::path::Path;
 pub enum Lint {
     /// Raw page I/O outside an accounting wrapper.
     Accounting,
-    /// `unsafe` without a `// SAFETY:` comment, or a missing
-    /// `#![forbid(unsafe_code)]` / `#![deny(unsafe_code)]` crate attribute.
-    UnsafeAudit,
-    /// `unwrap` / `expect` / `panic!`-family in non-test library code.
-    PanicSurface,
-    /// A dependency edge that violates the workspace DAG.
+    /// A dependency edge that violates the workspace DAG, or a member
+    /// outside the workspace lint table.
     Layering,
     /// A lock without a valid `LOCK-ORDER:` annotation, or an acquisition
     /// contradicting the declared order.
     LockOrder,
     /// A lock guard live across a page-I/O call.
     GuardAcrossIo,
-    /// An allocation, lock acquisition, or raw page-I/O call reachable
-    /// from a `// HOT-PATH:` root through the call graph.
+    /// An allocation, lock acquisition, blocking wait, or raw page-I/O
+    /// call reachable from a `// HOT-PATH:` root through the call graph.
     HotPath,
-    /// A panic primitive reachable from a `pub` API entry point of the
-    /// gated crates.
-    PanicReach,
-    /// A blocking primitive reachable from the `service.dispatch` root
-    /// past its own body.
-    BlockingWorker,
-    /// A `Result`-returning call whose value is silently discarded.
-    SwallowedResult,
-    /// A function no workspace code can reach.
-    Reachability,
-    /// An allowlist entry that matched no site this run.
-    StaleAllow,
-    /// The public-API effect matrix drifted from the committed baseline
-    /// (`cargo xtask effects --check`).
-    EffectRegression,
     /// A page-I/O cost-contract violation: a scan entry point without a
     /// `// COST: <expr> pages` contract, an I/O loop nest deeper than the
     /// contract's degree, an I/O site outside every contracted root, or a
     /// malformed contract (see [`lints::cost`] and [`loopnest`]).
     Cost,
+    /// An allowlist entry that matched no site this run.
+    StaleAllow,
 }
 
 impl Lint {
+    /// Every lint, in the order `analyze` runs and reports them.
+    pub const ALL: [Lint; 7] = [
+        Lint::Accounting,
+        Lint::Layering,
+        Lint::LockOrder,
+        Lint::GuardAcrossIo,
+        Lint::HotPath,
+        Lint::Cost,
+        Lint::StaleAllow,
+    ];
+
     /// Stable kebab-case name, used in output and fixture markers.
     pub fn name(self) -> &'static str {
         match self {
             Lint::Accounting => "accounting",
-            Lint::UnsafeAudit => "unsafe-audit",
-            Lint::PanicSurface => "panic-surface",
             Lint::Layering => "layering",
             Lint::LockOrder => "lock-order",
             Lint::GuardAcrossIo => "guard-across-io",
             Lint::HotPath => "hot-path-hygiene",
-            Lint::PanicReach => "panic-reachability",
-            Lint::BlockingWorker => "blocking-in-worker",
-            Lint::SwallowedResult => "swallowed-result",
-            Lint::Reachability => "reachability",
-            Lint::StaleAllow => "stale-allow",
-            Lint::EffectRegression => "effect-regression",
             Lint::Cost => "cost",
+            Lint::StaleAllow => "stale-allow",
         }
     }
 
     /// Parses a fixture-marker name (`//~ ERROR <name>`).
     pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "accounting" => Some(Lint::Accounting),
-            "unsafe-audit" => Some(Lint::UnsafeAudit),
-            "panic-surface" => Some(Lint::PanicSurface),
-            "layering" => Some(Lint::Layering),
-            "lock-order" => Some(Lint::LockOrder),
-            "guard-across-io" => Some(Lint::GuardAcrossIo),
-            "hot-path-hygiene" => Some(Lint::HotPath),
-            "panic-reachability" => Some(Lint::PanicReach),
-            "blocking-in-worker" => Some(Lint::BlockingWorker),
-            "swallowed-result" => Some(Lint::SwallowedResult),
-            "reachability" => Some(Lint::Reachability),
-            "stale-allow" => Some(Lint::StaleAllow),
-            "effect-regression" => Some(Lint::EffectRegression),
-            "cost" => Some(Lint::Cost),
-            _ => None,
-        }
+        Lint::ALL.into_iter().find(|l| l.name() == s)
     }
 }
 
@@ -245,34 +191,20 @@ pub fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
     // Allowlists load once; `permits` marks entries as they match, and the
     // stale-allow pass at the end reports any that never did.
     let allow_accounting = ws.allowlist("accounting.allow")?;
-    let allow_panics = ws.allowlist("panics.allow")?;
     let allow_locks = ws.allowlist("locks.allow")?;
     let allow_hotpath = ws.allowlist("hotpath.allow")?;
-    let allow_panic_reach = ws.allowlist("panic_reach.allow")?;
-    let allow_blocking = ws.allowlist("blocking.allow")?;
-    let allow_swallowed = ws.allowlist("swallowed.allow")?;
     let allow_cost = ws.allowlist("cost.allow")?;
     let mut diags = Vec::new();
     diags.extend(lints::accounting::run(&ws, &allow_accounting));
-    diags.extend(lints::unsafe_audit::run(&ws));
-    diags.extend(lints::panic_surface::run(&ws, &allow_panics));
     diags.extend(lints::layering::run(&ws)?);
     diags.extend(lints::lock_order::run(&ws, &allow_locks));
     diags.extend(lints::guard_across_io::run(&ws, &allow_locks));
     diags.extend(lints::hot_path::run(&ws, &allow_hotpath, &allow_accounting));
-    diags.extend(lints::panic_reach::run(&ws, &allow_panic_reach));
-    diags.extend(lints::blocking_worker::run(&ws, &allow_blocking));
-    diags.extend(lints::swallowed_result::run(&ws, &allow_swallowed));
-    diags.extend(lints::reachability::run(&ws));
     diags.extend(lints::cost::run(&ws, &allow_cost));
     diags.extend(lints::stale_allow::check(&[
         ("crates/xtask/allow/accounting.allow", &allow_accounting),
-        ("crates/xtask/allow/panics.allow", &allow_panics),
         ("crates/xtask/allow/locks.allow", &allow_locks),
         ("crates/xtask/allow/hotpath.allow", &allow_hotpath),
-        ("crates/xtask/allow/panic_reach.allow", &allow_panic_reach),
-        ("crates/xtask/allow/blocking.allow", &allow_blocking),
-        ("crates/xtask/allow/swallowed.allow", &allow_swallowed),
         ("crates/xtask/allow/cost.allow", &allow_cost),
     ]));
     diags.sort_by(|a, b| (&a.file, a.line, a.lint, &a.msg).cmp(&(&b.file, b.line, b.lint, &b.msg)));

@@ -65,7 +65,7 @@ pub const BASELINE_REL: &str = "crates/xtask/cost.baseline.json";
 
 /// Crates whose page-I/O sites must sit under a contracted root. The
 /// harness crates (`experiments`, `workload`, `bench`) measure rather
-/// than serve queries and are exempt, like the panic-reachability gate.
+/// than serve queries and are exempt.
 pub const GATED_CRATES: [&str; 4] = ["core", "nix", "pagestore", "service"];
 
 /// One parsed `// COST:` contract.
@@ -337,7 +337,7 @@ fn nest_of(an: &IoAnalysis, fid: usize) -> String {
 /// One row of the cost matrix: a contracted fn, its bound, and what the
 /// analyzer inferred.
 pub struct CostRow {
-    /// `file::SelfTy::name` (the effect-matrix key format).
+    /// `file::SelfTy::name` (see [`fn_key`]).
     pub key: String,
     /// The contract expression, re-rendered canonically.
     pub expr: String,
@@ -365,6 +365,18 @@ pub struct CostMatrix {
     pub rows: Vec<CostRow>,
 }
 
+/// The baseline key for a fn: `file::SelfTy::name`, or `file::name` for
+/// free fns. Deliberately line-free so moving code within a file never
+/// counts as drift.
+fn fn_key(g: &CallGraph<'_>, fid: usize) -> String {
+    let d = &g.fns[fid];
+    let file = &g.files[d.file].rel;
+    match &d.self_ty {
+        Some(ty) => format!("{file}::{ty}::{}", d.name),
+        None => format!("{file}::{}", d.name),
+    }
+}
+
 /// Builds the matrix over already-collected contracts and analysis.
 pub fn matrix(graph: &CallGraph<'_>, contracts: &Contracts, an: &IoAnalysis) -> CostMatrix {
     let mut rows: Vec<CostRow> = contracts
@@ -373,7 +385,7 @@ pub fn matrix(graph: &CallGraph<'_>, contracts: &Contracts, an: &IoAnalysis) -> 
         .map(|(&fid, c)| {
             let def = &graph.fns[fid];
             CostRow {
-                key: crate::effects::fn_key(graph, fid),
+                key: fn_key(graph, fid),
                 expr: c.expr.to_string(),
                 degree: c.degree,
                 depth: an.io_depth[fid].unwrap_or(0),
@@ -452,10 +464,11 @@ struct BaselineRow {
     line: u32,
 }
 
-/// Parses the baseline. Line-oriented like the effect baseline: the file
-/// is generated by [`CostMatrix::baseline_json`], one
-/// `"key": {"expr": …}` row per line; keys contain `::`, which is how
-/// contract rows are told apart from structural lines.
+/// Parses the baseline. Line-oriented by design — a real JSON parser
+/// would buy nothing but dependencies: the file is generated by
+/// [`CostMatrix::baseline_json`], one `"key": {"expr": …}` row per line;
+/// keys contain `::`, which is how contract rows are told apart from
+/// structural lines.
 fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
     let mut rows = Vec::new();
     let mut version_ok = false;

@@ -1,5 +1,6 @@
-//! hot-path-hygiene: annotated scan kernels must stay allocation-, lock-
-//! and raw-I/O-free, **transitively** through the workspace call graph.
+//! hot-path-hygiene: annotated scan kernels must stay allocation-, lock-,
+//! raw-I/O- and blocking-free, **transitively** through the workspace
+//! call graph.
 //!
 //! # Annotation grammar
 //!
@@ -15,10 +16,14 @@
 //!
 //! `HOT-PATH:` marks the fn as a hot-path **root**. The lint is a query
 //! against the [`crate::effects`] inference: the root's reachable set
-//! (over trusted call edges) must carry neither `ALLOC` nor `LOCK` nor
-//! `RAW_IO` — the primitive tables live in `effects.rs` and include
+//! (over trusted call edges) must carry none of `ALLOC`, `LOCK`, `RAW_IO`
+//! or `BLOCK` — the primitive tables live in `effects.rs` and include
 //! `Vec::with_capacity` and `.collect()`, so pre-sizing *inside* the
-//! kernel now counts and must be hoisted to setup code. Every finding is
+//! kernel counts and must be hoisted to setup code. `BLOCK` (condvar
+//! waits, `join`/`recv`, `thread::sleep`) is what keeps a query-service
+//! worker from parking mid-task: the pool's throughput argument
+//! (DESIGN.md §8) assumes a worker that picked up a task runs it to
+//! completion, so one slow shard cannot stall the pool. Every finding is
 //! reported with its shortest **witness chain**, `root (file:line) → hop
 //! (call file:line) → … → `primitive` (file:line)`.
 //!
@@ -111,8 +116,8 @@ fn valid_path_name(s: &str) -> bool {
 /// The hot-path annotations over a call graph: named roots (in definition
 /// order), boundary fns, and malformed-annotation diagnostics.
 ///
-/// Shared with `blocking-in-worker`, which keys off the root named
-/// `service.dispatch`; only this lint reports the malformed shapes, so
+/// Shared with the `cost` lint, which requires a contract on every root
+/// that reaches page I/O; only this lint reports the malformed shapes, so
 /// they are diagnosed once per run.
 pub struct Annotations {
     /// `(fn id, hot-path name)` per root annotation.
@@ -209,7 +214,7 @@ pub fn collect_annotations(graph: &CallGraph<'_>) -> Annotations {
 }
 
 /// Core: build the effect graph, then query each root's reachable set
-/// for `ALLOC` / `LOCK` / `RAW_IO` findings.
+/// for `ALLOC` / `LOCK` / `RAW_IO` / `BLOCK` findings.
 pub fn check_files(
     files: &[&SourceFile],
     allow: &Allowlist,
@@ -219,7 +224,7 @@ pub fn check_files(
     let ann = collect_annotations(&eg.graph);
     let mut diags = ann.malformed.clone();
 
-    let want = EffectSet::of(&[Effect::Alloc, Effect::Lock, Effect::RawIo]);
+    let want = EffectSet::of(&[Effect::Alloc, Effect::Lock, Effect::RawIo, Effect::Block]);
     let root_ids: HashSet<usize> = ann.roots.iter().map(|(fid, _)| *fid).collect();
     // Site-level dedup: a fn reachable from two roots reports each
     // violation once (under the first root in annotation order).
@@ -232,7 +237,6 @@ pub fn check_files(
         let tr = Traversal {
             boundaries: ann.boundaries.clone(),
             skip,
-            include_root_body: true,
         };
         for finding in effects::reach(&eg, *root_fid, want, &tr) {
             let sink = &eg.graph.fns[finding.fid];
@@ -268,9 +272,16 @@ pub fn check_files(
                      crates/xtask/allow/hotpath.allow",
                     finding.what
                 ),
-                _ => format!(
+                Effect::RawIo => format!(
                     "io-in-hot-path: raw `{}` on hot path `{root_name}` bypasses the \
                      accounting seam: {w}; go through the buffer pool or justify in \
+                     crates/xtask/allow/hotpath.allow",
+                    finding.what
+                ),
+                Effect::Block => format!(
+                    "block-in-hot-path: `{}` parks the thread on hot path `{root_name}`: \
+                     {w}; one slow callee must not stall the kernel (or the worker \
+                     running it) — make the path non-blocking or justify in \
                      crates/xtask/allow/hotpath.allow",
                     finding.what
                 ),

@@ -16,7 +16,11 @@
 //! * **source references** — `setsig_*` identifiers in library/binary code.
 //!
 //! A crate directory missing from [`ALLOWED_DEPS`] is itself a violation:
-//! adding a crate means consciously placing it in the DAG.
+//! adding a crate means consciously placing it in the DAG. So is a member
+//! manifest (the root package included) without `[lints] workspace = true`:
+//! the `unsafe` / panic / discarded-`Result` / dead-code invariants live in
+//! the root `[workspace.lints]` table, and a crate that does not opt in
+//! silently escapes all of them.
 
 use std::fs;
 
@@ -89,10 +93,37 @@ pub fn run(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     Ok(out)
 }
 
-/// Manifest edges vs. the DAG.
+/// The finding for a member manifest outside the workspace lint table.
+fn missing_lints_table(manifest_rel: &str, text: &str) -> Option<Diagnostic> {
+    let mut in_lints = false;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return None;
+        }
+    }
+    Some(Diagnostic {
+        file: manifest_rel.to_string(),
+        line: 1,
+        lint: Lint::Layering,
+        msg: "member does not opt into the workspace lint table; add `[lints]` / \
+              `workspace = true` to its manifest so the compiler-held invariants \
+              (unsafe_code, unused_must_use, dead_code, the clippy panic lints) apply"
+            .to_string(),
+    })
+}
+
+/// Manifest edges vs. the DAG, and every member inside the lint table.
 pub fn check_manifests(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     let crates_dir = ws.root.join("crates");
     let mut out = Vec::new();
+    // The root manifest is a member too when it declares a package.
+    if let Ok(text) = fs::read_to_string(ws.root.join("Cargo.toml")) {
+        if text.lines().any(|l| l.trim() == "[package]") {
+            out.extend(missing_lints_table("Cargo.toml", &text));
+        }
+    }
     let Ok(entries) = fs::read_dir(&crates_dir) else {
         return Ok(out);
     };
@@ -108,6 +139,7 @@ pub fn check_manifests(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
         let manifest_rel = format!("crates/{name}/Cargo.toml");
         let text = fs::read_to_string(dir.join("Cargo.toml"))
             .map_err(|e| format!("reading {manifest_rel}: {e}"))?;
+        out.extend(missing_lints_table(&manifest_rel, &text));
         let Some(allowed) = allowed_for(&name) else {
             out.push(Diagnostic {
                 file: manifest_rel,

@@ -4,15 +4,9 @@
 //! others, over the allowlists they consulted.
 
 pub mod accounting;
-pub mod blocking_worker;
 pub mod cost;
 pub mod guard_across_io;
 pub mod hot_path;
 pub mod layering;
 pub mod lock_order;
-pub mod panic_reach;
-pub mod panic_surface;
-pub mod reachability;
 pub mod stale_allow;
-pub mod swallowed_result;
-pub mod unsafe_audit;

@@ -45,8 +45,7 @@ use crate::workspace::SourceFile;
 /// The comment marker introducing a lock annotation.
 pub const ANNOTATION: &str = "LOCK-ORDER:";
 
-/// How many lines above a declaration the annotation may sit (mirrors the
-/// unsafe-audit `SAFETY:` window).
+/// How many lines above a declaration the annotation may sit.
 pub const ANNOTATION_WINDOW: u32 = 3;
 
 /// Which primitive a declaration uses.

@@ -1,4 +1,4 @@
-//! `cargo xtask` — project task runner: `analyze`, `effects` and `cost`.
+//! `cargo xtask` — project task runner: `analyze` and `cost`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -14,20 +14,14 @@ Commands:
                             verify the lints against the fixture corpus;
                             optionally write per-lint wall times as a
                             bench-summary JSON
-  effects [--root <path>]   print the public-API effect matrix as JSON
-  effects --check           diff the matrix against the committed
-                            baseline (crates/xtask/effects.baseline.json);
-                            any drift fails with witness chains
-  effects --update          rewrite the baseline from the current matrix
   cost [--root <path>]      print the page-I/O cost-contract matrix
                             (contracts + resolver coverage) as JSON
   cost --check              diff the contracts against the committed
                             baseline (crates/xtask/cost.baseline.json)
   cost --update             rewrite the cost baseline from the source
 
-Lints: accounting, unsafe-audit, panic-surface, layering, lock-order,
-guard-across-io, hot-path-hygiene, panic-reachability,
-blocking-in-worker, swallowed-result, reachability, cost, stale-allow.
+Lints: accounting, layering, lock-order, guard-across-io,
+hot-path-hygiene, cost, stale-allow.
 See DESIGN.md \"Static analysis & invariants\" for what each enforces.";
 
 /// Output format for analyze findings.
@@ -52,7 +46,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("analyze") => {}
-        Some("effects") => return run_effects(it.as_slice()),
         Some("cost") => return run_cost(it.as_slice()),
         Some("--help" | "-h") | None => {
             println!("{USAGE}");
@@ -158,11 +151,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         });
     }
     if diags.is_empty() {
-        println!(
-            "xtask analyze: workspace clean (accounting, unsafe-audit, panic-surface, \
-             layering, lock-order, guard-across-io, hot-path-hygiene, panic-reachability, \
-             blocking-in-worker, swallowed-result, reachability, cost, stale-allow)"
-        );
+        let names = xtask::Lint::ALL.map(xtask::Lint::name).join(", ");
+        println!("xtask analyze: workspace clean ({names})");
         return Ok(ExitCode::SUCCESS);
     }
     for d in &diags {
@@ -170,95 +160,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     eprintln!("xtask analyze: {} violation(s)", diags.len());
     Ok(ExitCode::FAILURE)
-}
-
-/// What `cargo xtask effects` should do with the matrix.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EffectsMode {
-    Print,
-    Check,
-    Update,
-}
-
-/// The `effects` subcommand: build the effect matrix and print, check or
-/// update the committed baseline.
-fn run_effects(args: &[String]) -> Result<ExitCode, String> {
-    use xtask::effects::{self, BASELINE_REL};
-    use xtask::workspace::{FileClass, SourceFile, Workspace};
-
-    let mut root: Option<PathBuf> = None;
-    let mut mode = EffectsMode::Print;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let p = it.next().ok_or_else(|| "--root needs a path".to_string())?;
-                root = Some(PathBuf::from(p));
-            }
-            "--check" => mode = EffectsMode::Check,
-            "--update" => mode = EffectsMode::Update,
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => default_root()?,
-    };
-
-    let ws = Workspace::load(&root)?;
-    let files: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|f| f.class != FileClass::Test)
-        .collect();
-    let eg = effects::EffectGraph::build(&files);
-    let ann = xtask::lints::hot_path::collect_annotations(&eg.graph);
-    let roots: Vec<usize> = ann.roots.iter().map(|(fid, _)| *fid).collect();
-    let m = effects::matrix(&eg, &xtask::lints::panic_reach::GATED_CRATES, &roots);
-    let json = m.to_json();
-
-    match mode {
-        EffectsMode::Print => {
-            print!("{json}");
-            Ok(ExitCode::SUCCESS)
-        }
-        EffectsMode::Update => {
-            let path = root.join(BASELINE_REL);
-            std::fs::write(&path, &json)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!(
-                "xtask effects --update: wrote {} function(s) to {BASELINE_REL}",
-                m.rows.len()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        EffectsMode::Check => {
-            let path = root.join(BASELINE_REL);
-            let text = std::fs::read_to_string(&path).map_err(|e| {
-                format!(
-                    "cannot read {}: {e} — bootstrap the baseline with \
-                     `cargo xtask effects --update`",
-                    path.display()
-                )
-            })?;
-            let diags = effects::check_baseline(&eg, &m, &text)?;
-            if diags.is_empty() {
-                println!(
-                    "xtask effects --check: {} function(s) match {BASELINE_REL}",
-                    m.rows.len()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            for d in &diags {
-                println!("{d}");
-            }
-            eprintln!(
-                "xtask effects --check: {} drift(s) from {BASELINE_REL}",
-                diags.len()
-            );
-            Ok(ExitCode::FAILURE)
-        }
-    }
 }
 
 /// What `cargo xtask cost` should do with the contract matrix.

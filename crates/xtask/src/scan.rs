@@ -60,15 +60,6 @@ pub struct Scanned {
     pub comments: Vec<(u32, String)>,
 }
 
-impl Scanned {
-    /// True if a comment starting on a line in `[from, to]` contains `needle`.
-    pub fn comment_in_range_contains(&self, from: u32, to: u32, needle: &str) -> bool {
-        self.comments
-            .iter()
-            .any(|(l, text)| *l >= from && *l <= to && text.contains(needle))
-    }
-}
-
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }

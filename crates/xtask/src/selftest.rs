@@ -65,62 +65,6 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     )?;
     lap("accounting", &mut timings, &mut timer);
 
-    // panic-surface.
-    check_file_fixture(
-        &fixtures.join("panic_surface/fail.rs"),
-        |f| lints::panic_surface::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    let allow_panics = Allowlist::parse(
-        "# self-test: justified panic site\n\
-         crates/experiments/src/fixture.rs::justified\n",
-    );
-    check_file_fixture(
-        &fixtures.join("panic_surface/pass.rs"),
-        |f| lints::panic_surface::check_file(f, &allow_panics),
-        &mut failures,
-    )?;
-    lap("panic-surface", &mut timings, &mut timer);
-
-    // unsafe-audit: SAFETY comments…
-    check_file_fixture(
-        &fixtures.join("unsafe_audit/fail.rs"),
-        lints::unsafe_audit::check_file,
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("unsafe_audit/pass.rs"),
-        lints::unsafe_audit::check_file,
-        &mut failures,
-    )?;
-    // …and the crate-level fence. A lib.rs without any fence must produce
-    // exactly one diagnostic; one with `forbid` must be clean.
-    let fence_fail = load_fixture(&fixtures.join("unsafe_audit/missing_fence_lib.rs"))?;
-    let got = lints::unsafe_audit::check_crate_attr(&fence_fail, "somecrate");
-    if got.len() != 1 {
-        failures.push(format!(
-            "unsafe_audit/missing_fence_lib.rs: expected exactly 1 missing-fence \
-             diagnostic, got {}",
-            got.len()
-        ));
-    }
-    let fence_pass = load_fixture(&fixtures.join("unsafe_audit/fenced_lib.rs"))?;
-    let got = lints::unsafe_audit::check_crate_attr(&fence_pass, "somecrate");
-    if !got.is_empty() {
-        failures.push(format!(
-            "unsafe_audit/fenced_lib.rs: expected clean, got {got:?}"
-        ));
-    }
-    // pagestore/core may fence with `deny` instead of `forbid`.
-    let denied = load_fixture(&fixtures.join("unsafe_audit/denied_lib.rs"))?;
-    if !lints::unsafe_audit::check_crate_attr(&denied, "pagestore").is_empty() {
-        failures.push("unsafe_audit/denied_lib.rs: deny must satisfy pagestore".to_string());
-    }
-    if lints::unsafe_audit::check_crate_attr(&denied, "somecrate").len() != 1 {
-        failures.push("unsafe_audit/denied_lib.rs: deny must NOT satisfy other crates".to_string());
-    }
-    lap("unsafe-audit", &mut timings, &mut timer);
-
     // layering: a bad mini-workspace (manifest edge + source reference) and
     // a good one.
     check_tree_fixture(&fixtures.join("layering/bad"), &mut failures)?;
@@ -173,9 +117,10 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     lap("guard-across-io", &mut timings, &mut timer);
 
     // hot-path-hygiene: annotated roots trip on transitive allocation /
-    // lock / raw-I/O findings plus every malformed-annotation shape; the
-    // pass fixture shows clean traversal, the boundary annotation, the
-    // accounting seam, and an allowlisted site staying quiet.
+    // lock / raw-I/O / blocking findings plus every malformed-annotation
+    // shape; the pass fixture shows clean traversal, the boundary
+    // annotation (a block behind it is not followed), the accounting
+    // seam, and an allowlisted site staying quiet.
     check_file_fixture(
         &fixtures.join("hotpath/fail.rs"),
         |f| lints::hot_path::check_file(f, &Allowlist::default(), &Allowlist::default()),
@@ -195,76 +140,6 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
         &mut failures,
     )?;
     lap("hot-path-hygiene", &mut timings, &mut timer);
-
-    // panic-reachability: the cycle fixture pins the SCC fixed point —
-    // sinks inside (and past) a mutually-recursive component reach the
-    // pub entries, reported once each with the first entry's witness.
-    check_file_fixture(
-        &fixtures.join("effects/cycle.rs"),
-        |f| lints::panic_reach::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    lap("panic-reachability", &mut timings, &mut timer);
-
-    // blocking-in-worker, run together with panic-reachability over the
-    // shared fixtures: the fail fixture's dispatch root blocks
-    // transitively (root body and beyond-boundary blocks exempt), the
-    // pass fixture pins the str-join non-flag and an allowlisted sink.
-    let allow_sinks = Allowlist::parse(
-        "# self-test: the fixture's justified panic sink\n\
-         crates/experiments/src/fixture.rs::checked_math\n",
-    );
-    check_file_fixture(
-        &fixtures.join("effects/fail.rs"),
-        |f| {
-            let mut d = lints::panic_reach::check_file(f, &Allowlist::default());
-            d.extend(lints::blocking_worker::check_file(f, &Allowlist::default()));
-            d
-        },
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("effects/pass.rs"),
-        |f| {
-            let mut d = lints::panic_reach::check_file(f, &allow_sinks);
-            d.extend(lints::blocking_worker::check_file(f, &Allowlist::default()));
-            d
-        },
-        &mut failures,
-    )?;
-    lap("blocking-in-worker", &mut timings, &mut timer);
-
-    // swallowed-result: both discard shapes trip; propagation, handling,
-    // unit-returning calls and an allowlisted site stay quiet.
-    check_file_fixture(
-        &fixtures.join("swallowed_result/fail.rs"),
-        |f| lints::swallowed_result::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    let allow_swallowed = Allowlist::parse(
-        "# self-test: the fixture's intentional swallow\n\
-         crates/experiments/src/fixture.rs::allowlisted_site\n",
-    );
-    check_file_fixture(
-        &fixtures.join("swallowed_result/pass.rs"),
-        |f| lints::swallowed_result::check_file(f, &allow_swallowed),
-        &mut failures,
-    )?;
-    lap("swallowed-result", &mut timings, &mut timer);
-
-    // reachability: dead private fns and unreferenced pub-in-private fns
-    // trip; called fns, trait machinery and public API stay quiet.
-    check_file_fixture(
-        &fixtures.join("reachability/fail.rs"),
-        lints::reachability::check_file,
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("reachability/pass.rs"),
-        lints::reachability::check_file,
-        &mut failures,
-    )?;
-    lap("reachability", &mut timings, &mut timer);
 
     // cost: the fail fixture trips every contract error class (malformed
     // shapes, a hot-path root with no contract, a nest deeper than the
@@ -289,18 +164,20 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
 
     // stale-allow: a consulted entry stays quiet, an unmatched one is
     // reported with its own file/line.
-    let stale = Allowlist::parse("crates/experiments/src/fixture.rs::used\nnever/matched.rs\n");
+    let path = fixtures.join("stale_allow/fail.allow");
+    let text = fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let entries: Vec<&str> = text
+        .lines()
+        .map(|l| l.split("#~").next().unwrap_or(l))
+        .collect();
+    let stale = Allowlist::parse(&entries.join("\n"));
     stale.permits("crates/experiments/src/fixture.rs", Some("used"));
-    let got = lints::stale_allow::check(&[("test.allow", &stale)]);
-    if got.len() != 1
-        || got[0].line != 2
-        || got[0].lint != Lint::StaleAllow
-        || !got[0].msg.contains("never/matched.rs")
-    {
-        failures.push(format!(
-            "stale-allow: expected exactly the `never/matched.rs` entry at line 2, got {got:?}"
-        ));
-    }
+    compare(
+        "stale_allow/fail.allow",
+        expected_markers(&text),
+        lints::stale_allow::check(&[("stale_allow/fail.allow", &stale)]),
+        &mut failures,
+    );
     lap("stale-allow", &mut timings, &mut timer);
 
     // Resolver coverage over the *real* workspace (not the fixtures):
@@ -335,7 +212,7 @@ fn load_fixture(path: &Path) -> Result<SourceFile, String> {
 
 /// One expected finding: line, lint, and an optional required message
 /// substring (`//~ ERROR <lint>[: <substring>]`).
-type Marker = (u32, Lint, Option<String>);
+pub type Marker = (u32, Lint, Option<String>);
 
 /// Every `~ ERROR <name>[: <substring>]` marker in `text`.
 fn expected_markers(text: &str) -> Vec<Marker> {
@@ -387,7 +264,8 @@ fn check_tree_fixture(tree: &Path, failures: &mut Vec<String>) -> Result<(), Str
     Ok(())
 }
 
-fn collect_tree_markers(dir: &Path, out: &mut Vec<Marker>) -> Result<(), String> {
+/// Every marker in every file under `dir`, recursively.
+pub fn collect_tree_markers(dir: &Path, out: &mut Vec<Marker>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     paths.sort();

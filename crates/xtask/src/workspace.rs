@@ -10,12 +10,12 @@ use crate::scan::{self, Scanned};
 /// The role a source file plays, which decides which lints apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code (`crates/<c>/src/**`, root `src/**`): all lints.
+    /// Library and binary code (`crates/<c>/src/**`, root `src/**`): all
+    /// lints.
     Lib,
-    /// Binary code (`src/bin/**`, the xtask tool): accounting + unsafe +
-    /// layering, but the panic surface is the binary's own business.
-    Bin,
-    /// Integration tests / benches / examples: unsafe audit only.
+    /// Integration tests / benches / examples: exempt from every lint —
+    /// asserting on raw counters and allocating freely is what they are
+    /// for.
     Test,
 }
 
@@ -89,33 +89,16 @@ impl Workspace {
                     Some(n) => n.to_string(),
                     None => continue,
                 };
-                collect_dir(root, &dir.join("src"), &mut files, |rel| {
-                    let class = if rel.contains("/src/bin/") {
-                        FileClass::Bin
-                    } else {
-                        FileClass::Lib
-                    };
-                    (class, Some(name.clone()))
-                })?;
+                let krate = Some(name);
+                collect_dir(root, &dir.join("src"), &mut files, FileClass::Lib, &krate)?;
                 for sub in ["tests", "benches"] {
-                    collect_dir(root, &dir.join(sub), &mut files, |_| {
-                        (FileClass::Test, Some(name.clone()))
-                    })?;
+                    collect_dir(root, &dir.join(sub), &mut files, FileClass::Test, &krate)?;
                 }
             }
         }
-        collect_dir(root, &root.join("src"), &mut files, |rel| {
-            let class = if rel.contains("src/bin/") {
-                FileClass::Bin
-            } else {
-                FileClass::Lib
-            };
-            (class, None)
-        })?;
+        collect_dir(root, &root.join("src"), &mut files, FileClass::Lib, &None)?;
         for sub in ["tests", "examples", "benches"] {
-            collect_dir(root, &root.join(sub), &mut files, |_| {
-                (FileClass::Test, None)
-            })?;
+            collect_dir(root, &root.join(sub), &mut files, FileClass::Test, &None)?;
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
         Ok(Workspace {
@@ -141,7 +124,8 @@ fn collect_dir(
     root: &Path,
     dir: &Path,
     out: &mut Vec<SourceFile>,
-    classify: impl Fn(&str) -> (FileClass, Option<String>) + Copy,
+    class: FileClass,
+    crate_dir: &Option<String>,
 ) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
@@ -155,13 +139,12 @@ fn collect_dir(
             if path.file_name().and_then(|n| n.to_str()) == Some("fixtures") {
                 continue;
             }
-            collect_dir(root, &path, out, classify)?;
+            collect_dir(root, &path, out, class, crate_dir)?;
         } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
             let rel = rel_path(root, &path)?;
-            let (class, crate_dir) = classify(&rel);
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            out.push(SourceFile::new(rel, class, crate_dir, &text));
+            out.push(SourceFile::new(rel, class, crate_dir.clone(), &text));
         }
     }
     Ok(())

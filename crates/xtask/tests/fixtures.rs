@@ -1,6 +1,8 @@
 //! The analyzer's fixture self-test, as a regular `cargo test` target so
 //! a drifted lint fails CI even if nobody runs `xtask analyze --self-test`.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
+
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {

@@ -10,6 +10,8 @@
 //! cargo run --release --example persistence
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use std::sync::Arc;

@@ -11,6 +11,8 @@
 //! cargo run --release --example planner
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use std::sync::Arc;

@@ -10,6 +10,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::prelude::*;
 use std::sync::Arc;
 

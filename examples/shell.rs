@@ -13,6 +13,8 @@
 //! When stdin is not a terminal (e.g. CI), a scripted demo session runs
 //! instead.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::prelude::*;
 use setsig::workload::university_hobbies;
 use std::io::{BufRead, IsTerminal, Write};

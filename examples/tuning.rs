@@ -11,6 +11,8 @@
 //! cargo run --release --example tuning
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::costmodel::{advise, m_opt, WorkloadProfile};
 use setsig::prelude::*;
 use std::sync::Arc;

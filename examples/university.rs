@@ -10,6 +10,8 @@
 //! cargo run --release --example university
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example code
+
 use setsig::prelude::*;
 use setsig::workload::university_hobbies;
 use std::sync::Arc;

@@ -55,8 +55,6 @@
 //! assert_eq!(result.actual, vec![jeff]);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use setsig_core as core;
 pub use setsig_costmodel as costmodel;
 pub use setsig_nix as nix;

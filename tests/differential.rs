@@ -2,6 +2,8 @@
 //! filtering stage is checked against ground truth computed directly from
 //! the sets, and the sharded router is checked against the flat facility.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
+
 use proptest::prelude::*;
 use setsig::nix::Nix;
 use setsig::prelude::*;

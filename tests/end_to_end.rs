@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full OODB + all four facilities through
 //! inserts, queries, deletes, and every predicate.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
+
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use std::sync::Arc;

@@ -1,6 +1,8 @@
 //! Failure injection: every facility propagates disk errors as `Err`,
 //! never panics, and recovers once the fault clears.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
+
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use std::sync::Arc;
