@@ -163,23 +163,20 @@ impl Bitmap {
 
     /// Iterates the positions of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(wi as u32 * 64 + bit)
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| kernel::word_ones(wi, w))
     }
 
-    /// Iterates the positions of clear bits in ascending order.
+    /// Iterates the positions of clear bits in ascending order, word at a
+    /// time: the set bits of each complemented word, up to the width (the
+    /// complemented padding comes last, so the walk just stops there).
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        let zeros = self.words.iter().enumerate();
+        zeros
+            .flat_map(|(wi, &w)| kernel::word_ones(wi, !w))
+            .take_while(|&p| p < self.nbits)
     }
 
     /// Serializes to `ceil(nbits/8)` bytes, LSB-first within each byte.
@@ -212,6 +209,14 @@ impl Bitmap {
         &self.words
     }
 
+    /// The backing words, mutably — for the BSSF scans, which fold slice
+    /// pages into word ranges with the [`kernel`] functions. The caller keeps
+    /// the bitmap canonical (no bit set at a position `>= len()`).
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     fn assert_byte_width(&self, bytes: &[u8]) -> usize {
         let nbytes = (self.nbits as usize).div_ceil(8);
         assert!(
@@ -220,38 +225,6 @@ impl Bitmap {
             self.nbits
         );
         nbytes
-    }
-
-    /// `self &= bytes` — word-at-a-time AND straight from the serialized
-    /// (LSB-first) form, the BSSF slice-combining kernel: no intermediate
-    /// `Bitmap` is materialized for the incoming slice.
-    pub fn and_assign_bytes(&mut self, bytes: &[u8]) {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::and_assign(&mut self.words, &bytes[..nbytes]);
-    }
-
-    /// Like [`and_assign_bytes`](Bitmap::and_assign_bytes) but also reports
-    /// whether any bit survived — the fused liveness check the BSSF AND loop
-    /// uses to early-exit without a second pass over the words.
-    pub fn and_assign_bytes_alive(&mut self, bytes: &[u8]) -> bool {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::and_assign(&mut self.words, &bytes[..nbytes]) != 0
-    }
-
-    /// `self |= bytes` — the OR counterpart of
-    /// [`and_assign_bytes`](Bitmap::and_assign_bytes), used by the `T ⊆ Q`
-    /// slice scan.
-    pub fn or_assign_bytes(&mut self, bytes: &[u8]) {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::or_assign(&mut self.words, &bytes[..nbytes], self.nbits);
-    }
-
-    /// True if every set bit of `self` is also set in the serialized bitmap
-    /// `bytes` — the `T ⊇ Q` row-match rule with `self` as the query
-    /// signature and `bytes` a stored row, evaluated word-at-a-time.
-    pub fn is_covered_by_bytes(&self, bytes: &[u8]) -> bool {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::is_covered_by(&self.words, &bytes[..nbytes])
     }
 
     /// True if every set bit of the serialized bitmap `bytes` is also set in
@@ -408,6 +381,16 @@ mod tests {
         let bm = Bitmap::from_positions(10, &[2, 5]);
         let zeros: Vec<u32> = bm.iter_zeros().collect();
         assert_eq!(zeros, vec![0, 1, 3, 4, 6, 7, 8, 9]);
+        // Word-level walk: every width's zeros are exactly the positions
+        // `get` reports clear — none past the width, none dropped at a word
+        // boundary.
+        for nbits in [0u32, 1, 63, 64, 65, 128, 130, 500] {
+            let set: Vec<u32> = (0..nbits).filter(|p| p % 3 == 0 || p % 64 == 63).collect();
+            let bm = Bitmap::from_positions(nbits, &set);
+            let expect: Vec<u32> = (0..nbits).filter(|&p| !bm.get(p)).collect();
+            assert_eq!(bm.iter_zeros().collect::<Vec<_>>(), expect, "width {nbits}");
+        }
+        assert_eq!(Bitmap::ones(70).iter_zeros().count(), 0);
     }
 
     #[test]
@@ -441,16 +424,22 @@ mod tests {
             let mut and_ref = a.clone();
             and_ref.and_assign(&b);
             let mut and_k = a.clone();
-            and_k.and_assign_bytes(&bb);
+            let alive = kernel::and_assign(and_k.words_mut(), &bb);
             assert_eq!(and_k, and_ref, "AND width {nbits}");
+            assert_eq!(alive != 0, !and_ref.is_zero(), "AND liveness width {nbits}");
 
             let mut or_ref = a.clone();
             or_ref.or_assign(&b);
             let mut or_k = a.clone();
-            or_k.or_assign_bytes(&bb);
+            kernel::or_assign(or_k.words_mut(), &bb, nbits);
             assert_eq!(or_k, or_ref, "OR width {nbits}");
 
-            assert_eq!(a.is_covered_by_bytes(&bb), b.covers(&a), "⊇ width {nbits}");
+            let a_words = kernel::nonzero_words(a.words());
+            assert_eq!(
+                kernel::is_covered_by(&a_words, &bb),
+                b.covers(&a),
+                "⊇ width {nbits}"
+            );
             assert_eq!(a.covers_bytes(&bb), a.covers(&b), "⊆ width {nbits}");
             assert_eq!(a.eq_bytes(&bb), a == b, "eq width {nbits}");
             assert_eq!(
@@ -472,7 +461,7 @@ mod tests {
         assert!(q.eq_bytes(&[0b1111_0110]));
         assert_eq!(q.intersection_count_bytes(&[0b1111_1110]), 2);
         let mut o = Bitmap::zeroed(4);
-        o.or_assign_bytes(&[0xff]);
+        kernel::or_assign(o.words_mut(), &[0xff], 4);
         assert_eq!(o.count_ones(), 4);
     }
 

@@ -40,10 +40,20 @@ use crate::signature::Signature;
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
 
+/// Words of a row accumulator one slice page covers.
+const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
+
+/// One slice file and its materialized length (sparse inserts leave slices
+/// of different lengths), so no scan or insert asks the I/O layer for it.
+struct Slice {
+    file: PagedFile,
+    pages: u32,
+}
+
 /// A bit-sliced signature file with its companion OID file.
 pub struct Bssf {
     cfg: SignatureConfig,
-    slices: Vec<PagedFile>,
+    slices: Vec<Slice>,
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Bssf::sync_meta`].
     meta_file: Option<PagedFile>,
@@ -59,7 +69,10 @@ impl Bssf {
     /// from memory on re-query; the caller keeps the pool's `Arc`.
     pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
         let slices = (0..cfg.f_bits())
-            .map(|j| PagedFile::create(Arc::clone(&io), &format!("{name}.s{j}")))
+            .map(|j| Slice {
+                file: PagedFile::create(Arc::clone(&io), &format!("{name}.s{j}")),
+                pages: 0,
+            })
             .collect();
         Ok(Bssf {
             cfg,
@@ -103,7 +116,7 @@ impl Bssf {
         self.check_width(sig)?;
         let pos = self.oid_file.len();
         let (page_no, bit) = Self::row_page(pos);
-        for (j, slice) in self.slices.iter().enumerate() {
+        for (j, slice) in self.slices.iter_mut().enumerate() {
             let set = sig.bitmap().get(j as u32);
             Self::write_row_bits(slice, page_no, &[(bit, set)])?;
         }
@@ -115,24 +128,23 @@ impl Bssf {
     /// Applies `(bit, value)` updates to one slice page with exactly one
     /// write when the page exists; otherwise zero-fills the gap and
     /// appends a staged page (one write plus any gap pages).
-    fn write_row_bits(slice: &PagedFile, page_no: u32, bits: &[(usize, bool)]) -> Result<()> {
-        if slice.len()? > page_no {
-            slice.update(page_no, |page| {
-                for &(b, v) in bits {
-                    page.set_bit(b, v);
-                }
-            })?;
-            Ok(())
-        } else {
-            slice.extend_to(page_no)?;
-            let mut page = Page::zeroed();
+    fn write_row_bits(slice: &mut Slice, page_no: u32, bits: &[(usize, bool)]) -> Result<()> {
+        let set = |page: &mut Page| {
             for &(b, v) in bits {
                 page.set_bit(b, v);
             }
-            let appended = slice.append(&page)?;
+        };
+        if page_no < slice.pages {
+            slice.file.update(page_no, set)?;
+        } else {
+            slice.file.extend_to(page_no)?;
+            let mut page = Page::zeroed();
+            set(&mut page);
+            let appended = slice.file.append(&page)?;
             debug_assert_eq!(appended, page_no);
-            Ok(())
+            slice.pages = page_no + 1;
         }
+        Ok(())
     }
 
     /// Indexes `sig` touching only the slices whose bit is `1` — about
@@ -145,7 +157,7 @@ impl Bssf {
         let pos = self.oid_file.len();
         let (page_no, bit) = Self::row_page(pos);
         for j in sig.bitmap().iter_ones() {
-            Self::write_row_bits(&self.slices[j as usize], page_no, &[(bit, true)])?;
+            Self::write_row_bits(&mut self.slices[j as usize], page_no, &[(bit, true)])?;
         }
         let opos = self.oid_file.append(oid)?;
         debug_assert_eq!(opos, pos);
@@ -177,10 +189,11 @@ impl Bssf {
             }
             oids.push(*oid);
         }
-        for (j, pages) in staged.into_iter().enumerate() {
-            for page in &pages {
-                self.slices[j].append(page)?;
+        for (slice, pages) in self.slices.iter_mut().zip(&staged) {
+            for page in pages {
+                slice.file.append(page)?;
             }
+            slice.pages = npages;
         }
         self.oid_file.bulk_append(&oids)?;
         Ok(())
@@ -196,55 +209,45 @@ impl Bssf {
         Ok(())
     }
 
-    /// Reads slice `j`'s rows into `buf`, resized (reusing its capacity)
-    /// to the packed length `⌈n/8⌉`, charging one read per materialized
-    /// page, and returns the page count. Pages past the end of a sparsely
-    /// built slice are known-zero from file metadata and cost nothing.
-    ///
-    /// The scan loops call this with one hoisted buffer so the AND/OR
-    /// kernels run allocation-free after the first slice.
-    // COST: pages_per_slice pages
-    fn read_slice_into(&self, j: u32, buf: &mut Vec<u8>) -> Result<u64> {
-        let n = self.oid_file.len();
+    /// Reads row page `p` of slice `j`, charging one page — or `None`, for
+    /// free, for a page a sparsely built slice never materialized (all zero).
+    // COST: 1 pages
+    fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanCounters) -> Result<Option<Page>> {
         let slice = &self.slices[j as usize];
-        let have = slice.len()?;
-        let nbytes = (n as usize).div_ceil(8);
-        // The buffer is reused across slices of different materialized
-        // lengths: clear it and append page bytes in order, then resize to
-        // the packed length so the sparse tail is zero-filled and a shorter
-        // read can never expose stale bytes from a longer predecessor.
-        buf.clear();
-        let npages = (n.div_ceil(ROWS_PER_PAGE) as u32).min(have);
-        for p in 0..npages {
-            // A slice page holds PAGE_SIZE·8 rows, so page p's bits start
-            // at byte p·PAGE_SIZE of the row buffer — a straight copy.
-            let start = p as usize * PAGE_SIZE;
-            let take = (nbytes - start).min(PAGE_SIZE);
-            slice.read(p).map(|page| {
-                buf.extend_from_slice(&page.as_bytes()[..take]);
-            })?;
+        if p >= slice.pages as usize {
+            return Ok(None);
         }
-        debug_assert!(buf.len() <= nbytes);
-        buf.resize(nbytes, 0);
-        Ok(npages as u64)
+        let page = slice.file.read(p as u32)?;
+        ctr.pages += 1;
+        Ok(Some(page))
     }
 
-    /// Reads slice `j` as a row bitmap of length `n` (the current entry
-    /// count).
-    fn read_slice_rows(&self, j: u32) -> Result<Bitmap> {
+    /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
+    /// count), a row page at a time, straight off the page snapshots.
+    // COST: slices * pages_per_slice pages
+    fn or_slices(&self, slices: &[u32], ctr: &mut ScanCounters) -> Result<Bitmap> {
         let n = self.oid_file.len();
-        let mut buf = Vec::new();
-        self.read_slice_into(j, &mut buf)?;
-        Ok(Bitmap::from_bytes(n as u32, &buf))
+        let mut acc = Bitmap::zeroed(n as u32);
+        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
+            let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
+            for &j in slices {
+                if let Some(page) = self.slice_page(j, p, ctr)? {
+                    kernel::or_assign(words, page.as_bytes(), rows);
+                }
+            }
+        }
+        Ok(acc)
     }
 
     /// `T ⊇ Q` scan (§4.2): AND of the slices at the query signature's
     /// 1-positions, optionally restricted to the first `max_slices` of them
     /// (the smart strategy caps this via a reduced query signature).
     ///
-    /// The AND runs word-at-a-time straight off the page bytes
-    /// ([`Bitmap::and_assign_bytes`]), and stops as soon as the running
-    /// candidate bitmap is empty — no later slice can revive a row.
+    /// Page-major: each row page's slice pages are ANDed straight off the
+    /// page snapshots ([`kernel::and_assign`]) into that page's word range of
+    /// the accumulator, and a row page stops once its range is empty — no
+    /// later slice can revive a row. Never reads more pages than ANDing whole
+    /// slices until the whole accumulator empties.
     // HOT-PATH: bssf.and_loop
     // COST: slices * pages_per_slice pages
     fn superset_positions(
@@ -258,21 +261,27 @@ impl Bssf {
             // Empty query set: everything is a superset.
             return Ok((0..n).collect());
         }
-        let mut bytes = Vec::new();
-        ctr.pages += self.read_slice_into(ones[0], &mut bytes)?;
-        ctr.slices += 1;
-        let mut acc = Bitmap::from_bytes(n as u32, &bytes);
-        // The AND kernel reports liveness as it combines, so each following
-        // iteration needs no separate emptiness pass over the words.
-        let mut alive = !acc.is_zero();
-        for &j in &ones[1..] {
-            if !alive {
-                ctr.early_exit = true;
-                break;
+        let mut acc = Bitmap::ones(n as u32);
+        // Slices consumed by the longest-lived row page: the count at which
+        // the whole accumulator is empty, i.e. what a slice-major scan reads.
+        let mut deepest = 0;
+        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
+            let mut consumed = 0;
+            for &j in &ones {
+                consumed += 1;
+                // A never-materialized page is all zeros: ANDing no bytes
+                // clears the range. The kernel reports liveness as it goes.
+                let page = self.slice_page(j, p, ctr)?;
+                let bytes = page.as_ref().map_or(&[][..], |page| page.as_bytes());
+                if kernel::and_assign(words, bytes) == 0 {
+                    break;
+                }
             }
-            ctr.pages += self.read_slice_into(j, &mut bytes)?;
-            ctr.slices += 1;
-            alive = acc.and_assign_bytes_alive(&bytes);
+            deepest = deepest.max(consumed);
+        }
+        ctr.slices += deepest as u64;
+        if deepest < ones.len() {
+            ctr.early_exit = true;
         }
         Ok(acc.iter_ones().map(u64::from).collect())
     }
@@ -291,22 +300,15 @@ impl Bssf {
         slice_cap: Option<usize>,
         ctr: &mut ScanCounters,
     ) -> Result<Vec<u64>> {
-        let n = self.oid_file.len();
         let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
         let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
         if take < zeros.len() {
             // The smart cap stops the scan before all F − m_q zero-slices.
             ctr.early_exit = true;
         }
-        let zeros = &zeros[..take];
-        ctr.slices += zeros.len() as u64;
-        let mut acc = Bitmap::zeroed(n as u32);
-        let mut bytes = Vec::new();
-        for &j in zeros {
-            ctr.pages += self.read_slice_into(j, &mut bytes)?;
-            acc.or_assign_bytes(&bytes);
-        }
-        Ok((0..n).filter(|&p| !acc.get(p as u32)).collect())
+        ctr.slices += take as u64;
+        let acc = self.or_slices(&zeros[..take], ctr)?;
+        Ok(acc.iter_zeros().map(u64::from).collect())
     }
 
     /// Set-equality scan: rows where every 1-slice is set and every 0-slice
@@ -332,10 +334,12 @@ impl Bssf {
         // truncated the threshold) for high-weight signatures — see
         // `overlap_filter_survives_u16_boundary`.
         let mut counts = vec![0u32; n];
-        let mut bytes = Vec::new();
-        for &j in &ones {
-            ctr.pages += self.read_slice_into(j, &mut bytes)?;
-            kernel::accumulate_ones(&mut counts, &bytes);
+        for (p, rows) in counts.chunks_mut(ROWS_PER_PAGE as usize).enumerate() {
+            for &j in &ones {
+                if let Some(page) = self.slice_page(j, p, ctr)? {
+                    kernel::accumulate_ones(rows, page.as_bytes());
+                }
+            }
         }
         Ok(Self::overlap_filter(&counts, self.cfg.m_weight()))
     }
@@ -496,7 +500,7 @@ impl SetAccessFacility for Bssf {
     fn storage_pages(&self) -> Result<u64> {
         let mut total = self.oid_file.storage_pages()? as u64;
         for s in &self.slices {
-            total += s.len()? as u64;
+            total += s.file.len()? as u64;
         }
         Ok(total)
     }
@@ -815,39 +819,72 @@ mod tests {
         assert_eq!(Bssf::overlap_filter(&counts, u32::MAX), Vec::<u64>::new());
     }
 
+    /// The page-major scans against a row-by-row reference on a file with
+    /// more than one row page per slice, `F ∤ 64` (and `∤ 8`), and slices of
+    /// different materialized lengths (sparse inserts): identical positions,
+    /// and never more pages than a slice-major scan — every consumed slice
+    /// read whole — would have charged. A short or empty slice contributes
+    /// zeros for its unwritten tail, whatever was read before it.
     #[test]
-    fn read_slice_into_reuse_leaves_no_stale_tail() {
-        // Sparse inserts materialize only the 1-slices, so slice files in
-        // one BSSF have different lengths. Reading a short (or empty) slice
-        // into a buffer that previously held a fully materialized one must
-        // yield exactly the packed length with a zero tail — never stale
-        // bytes from the longer predecessor.
-        let (_d, mut b) = bssf(64, 2);
-        for i in 0..100u64 {
-            let sig = Signature::for_set(b.config(), &[ElementKey::from(i)]);
-            b.insert_signature_sparse(Oid::new(i), &sig).unwrap();
+    fn page_major_scans_match_the_row_reference_on_multi_page_sparse_slices() {
+        let (_d, mut b) = bssf(100, 2);
+        let n = ROWS_PER_PAGE + 3_000;
+        // Row page 0 draws on 40 elements, row page 1 on 6 of them, so most
+        // slices end after one page and some were never written at all.
+        let set_of = |i: u64| -> Vec<ElementKey> {
+            let domain = if i < ROWS_PER_PAGE { 40 } else { 6 };
+            (0..1 + i % 3)
+                .map(|k| ElementKey::from((i * 7 + k * 11) % domain))
+                .collect()
+        };
+        let items: Vec<(Oid, Vec<ElementKey>)> = (0..n).map(|i| (Oid::new(i), set_of(i))).collect();
+        for chunk in items.chunks(5_000) {
+            b.insert_batch(chunk).unwrap();
         }
-        let nbytes = 100usize.div_ceil(8);
-        let long = (0..64)
-            .find(|&j| b.slices[j as usize].len().unwrap() > 0)
-            .expect("some slice is materialized");
-        let empty = (0..64)
-            .find(|&j| b.slices[j as usize].len().unwrap() == 0)
-            .expect("some slice is empty");
-        let mut buf = Vec::new();
-        // Alternate long → empty → long; each read must stand alone.
-        let np = b.read_slice_into(long, &mut buf).unwrap();
-        assert_eq!((np, buf.len()), (1, nbytes));
-        let populated = buf.clone();
-        assert!(populated.iter().any(|&x| x != 0));
-        let np = b.read_slice_into(empty, &mut buf).unwrap();
-        assert_eq!((np, buf.len()), (0, nbytes));
-        assert!(
-            buf.iter().all(|&x| x == 0),
-            "empty slice read must not expose stale bytes"
-        );
-        b.read_slice_into(long, &mut buf).unwrap();
-        assert_eq!(buf, populated);
+        let lens: Vec<u32> = b.slices.iter().map(|s| s.pages).collect();
+        assert!(lens.contains(&0) && lens.contains(&1) && lens.contains(&2));
+        for (s, &pages) in b.slices.iter().zip(&lens) {
+            assert_eq!(s.file.len().unwrap(), pages, "tracked length is the file's");
+        }
+        let sigs: Vec<Signature> = items
+            .iter()
+            .map(|(_, set)| Signature::for_set(b.config(), set))
+            .collect();
+        let elems = |v: &[u64]| v.iter().map(|&e| ElementKey::from(e)).collect::<Vec<_>>();
+        let queries = [
+            SetQuery::has_subset(elems(&[3])),
+            SetQuery::has_subset(elems(&[1, 4])),
+            SetQuery::has_subset(elems(&[30, 31])), // dies on row page 1 first
+            SetQuery::has_subset(elems(&[77_777, 88_888])), // may touch empty slices
+            SetQuery::in_subset(elems(&[0, 1, 2, 3, 4, 5])),
+            SetQuery::in_subset((0..40).map(ElementKey::from).collect()),
+            SetQuery::overlaps(elems(&[2, 33])),
+        ];
+        for q in &queries {
+            let qsig = q.signature(b.config());
+            let expect: Vec<u64> = (0..n)
+                .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
+                .collect();
+            let mut ctr = ScanCounters::default();
+            let got = b.positions_for(q, &qsig, &mut ctr).unwrap();
+            assert_eq!(got, expect, "{:?}", q.predicate);
+            // Slice-major: the first `ctr.slices` selected slices, each
+            // read to its materialized end.
+            let selected: Vec<u32> = match q.predicate {
+                SetPredicate::InSubset => qsig.bitmap().iter_zeros().collect(),
+                _ => qsig.bitmap().iter_ones().collect(),
+            };
+            let slice_major: u64 = selected[..ctr.slices as usize]
+                .iter()
+                .map(|&j| lens[j as usize] as u64)
+                .sum();
+            assert!(
+                ctr.pages <= slice_major,
+                "{:?}: {} pages > slice-major {slice_major}",
+                q.predicate,
+                ctr.pages
+            );
+        }
     }
 }
 
@@ -929,7 +966,7 @@ impl Bssf {
         w.u64(len);
         w.u64(live);
         for slice in &self.slices {
-            w.u32(slice.id().raw());
+            w.u32(slice.file.id().raw());
         }
         let io = Arc::clone(self.oid_file.file().io());
         crate::meta::checkpoint(&io, &mut self.meta_file, "bssf", &w.finish())
@@ -946,10 +983,10 @@ impl Bssf {
         let live = r.u64()?;
         let slices = (0..cfg.f_bits())
             .map(|_| {
-                Ok(PagedFile::open(
-                    Arc::clone(&io),
-                    setsig_pagestore::FileId::from_raw(r.u32()?),
-                ))
+                let id = setsig_pagestore::FileId::from_raw(r.u32()?);
+                let file = PagedFile::open(Arc::clone(&io), id);
+                let pages = file.len()?;
+                Ok(Slice { file, pages })
             })
             .collect::<Result<Vec<_>>>()?;
         r.done()?;
@@ -1049,7 +1086,7 @@ impl Bssf {
         }
         for ((j, page_no), bits) in updates {
             let staged: Vec<(usize, bool)> = bits.into_iter().map(|b| (b, true)).collect();
-            Self::write_row_bits(&self.slices[j as usize], page_no, &staged)?;
+            Self::write_row_bits(&mut self.slices[j as usize], page_no, &staged)?;
         }
         self.oid_file.bulk_append(&oids)?;
         Ok(())
@@ -1154,16 +1191,11 @@ impl Bssf {
         let n = self.oid_file.len();
         // Row bitmaps per slice, read once each.
         let io = Arc::clone(self.oid_file.file().io());
-        let mut new_slices: Vec<PagedFile> = Vec::with_capacity(self.slices.len());
-        let rows_per_page = ROWS_PER_PAGE;
+        let mut new_slices: Vec<Slice> = Vec::with_capacity(self.slices.len());
         let new_len = live.len() as u64;
-        let npages = new_len.div_ceil(rows_per_page) as u32;
-        for (j, old) in self.slices.iter().enumerate() {
-            let rows = {
-                // Borrow of self via read_slice_rows needs j only.
-                let _ = old;
-                self.read_slice_rows(j as u32)?
-            };
+        let npages = new_len.div_ceil(ROWS_PER_PAGE) as u32;
+        for j in 0..self.slices.len() {
+            let rows = self.or_slices(&[j as u32], &mut ScanCounters::default())?;
             let mut staged: Vec<Page> = (0..npages).map(|_| Page::zeroed()).collect();
             for (new_pos, &(old_pos, _)) in live.iter().enumerate() {
                 debug_assert!(old_pos < n);
@@ -1176,7 +1208,10 @@ impl Bssf {
             for page in &staged {
                 file.append(page)?;
             }
-            new_slices.push(file);
+            new_slices.push(Slice {
+                file,
+                pages: npages,
+            });
         }
         let mut new_oid = OidFile::create(io, "compacted.oid");
         new_oid.bulk_append(&live.iter().map(|&(_, oid)| oid).collect::<Vec<_>>())?;

@@ -164,35 +164,21 @@ pub fn fill(acc: &mut [u64], bytes: &[u8], nbits: u32) {
     mask_tail(acc, nbits);
 }
 
-/// True when every set bit of the canonical `query` words is also set in
-/// the serialized `row` — the `T ⊇ Q` row-match rule (`query & !row == 0`
-/// per word). Query words beyond the row bytes compare against zero.
+/// The non-zero words of a canonical query as `(word index, word)` pairs —
+/// hoisted once per query so the `T ⊇ Q` row match visits only these (at
+/// most `m·D_q` of them, however wide the signature).
+pub fn nonzero_words(query: &[u64]) -> Vec<(usize, u64)> {
+    let words = query.iter().copied().enumerate();
+    words.filter(|&(_, w)| w != 0).collect()
+}
+
+/// True when every set bit of the query — given as its
+/// [`nonzero_words`] — is also set in the serialized `row`: the `T ⊇ Q`
+/// row-match rule (`query & !row == 0` per word). Words past the row bytes
+/// compare against zero; an all-zero query (no pairs) matches every row.
 // HOT-PATH: kernel.is_covered_by
-pub fn is_covered_by(query: &[u64], row: &[u8]) -> bool {
-    let (words, tail) = full_words(row);
-    let mut q = query.iter();
-    for w in words {
-        match q.next() {
-            Some(&qw) => {
-                if qw & !w != 0 {
-                    return false;
-                }
-            }
-            None => return true,
-        }
-    }
-    if let Some(w) = tail {
-        match q.next() {
-            Some(&qw) => {
-                if qw & !w != 0 {
-                    return false;
-                }
-            }
-            None => return true,
-        }
-    }
-    // Any remaining query words face all-zero row bytes.
-    q.all(|&qw| qw == 0)
+pub fn is_covered_by(query: &[(usize, u64)], row: &[u8]) -> bool {
+    query.iter().all(|&(wi, qw)| qw & !le_word(row, wi) == 0)
 }
 
 /// True when every set bit of the serialized `row` (padding masked) is
@@ -250,6 +236,21 @@ fn masked_words(row: &[u8], nbits: u32) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
+/// The set-bit positions of word `wi` (bit `b` is position `64·wi + b`),
+/// ascending — the one bit-walk behind every position iterator.
+#[inline]
+pub fn word_ones(wi: usize, mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            None
+        } else {
+            let bit = w.trailing_zeros();
+            w &= w - 1;
+            Some(wi as u32 * 64 + bit)
+        }
+    })
+}
+
 /// Iterates the set-bit positions of an LSB-first serialized bitmap of
 /// width `nbits`, ascending, word at a time. The last word is tail-masked
 /// up front, so the per-bit loop needs no range check.
@@ -263,15 +264,7 @@ pub fn iter_ones(nbits: u32, bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         if wi + 1 == nwords {
             w &= tail_mask(nbits);
         }
-        std::iter::from_fn(move || {
-            if w == 0 {
-                None
-            } else {
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                Some(wi as u32 * 64 + bit)
-            }
-        })
+        word_ones(wi, w)
     })
 }
 
@@ -476,7 +469,7 @@ mod tests {
                 // same way `to_words` does before comparing.
                 let qm = to_bytes(&qw, nbits);
                 assert_eq!(
-                    is_covered_by(&qw, &r),
+                    is_covered_by(&nonzero_words(&qw), &r),
                     reference::is_covered_by(&qm, &r, nbits),
                     "⊇ width {nbits} salt {salt}"
                 );
@@ -509,8 +502,11 @@ mod tests {
         // An SSF row buffer is exactly sig_bytes long; a query word past it
         // must compare against zeros, not panic.
         let q = to_words(&[0b1, 0, 0, 0, 0, 0, 0, 0, 0b1], 65);
-        assert!(!is_covered_by(&q, &[0b1]));
-        assert!(is_covered_by(&to_words(&[0b1], 65), &[0b1]));
+        assert_eq!(nonzero_words(&q), vec![(0, 1), (1, 1)]);
+        assert!(!is_covered_by(&nonzero_words(&q), &[0b1]));
+        assert!(is_covered_by(&nonzero_words(&to_words(&[0b1], 65)), &[0b1]));
+        // The all-zero query has no words to test and matches every row.
+        assert!(is_covered_by(&nonzero_words(&[0, 0]), &[]));
         assert!(covers(&q, &[0b1], 65));
         assert_eq!(intersection_count(&q, &[0b1]), 1);
     }

@@ -11,7 +11,7 @@
 //! Locating the entry for an OID requires a sequential scan — expected
 //! `SC_OID/2` page reads, the paper's `UC_D`.
 
-use setsig_pagestore::{PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -86,7 +86,7 @@ impl OidFile {
         let page_no = Self::page_of(pos);
         let off = Self::offset_of(pos);
         if pos.is_multiple_of(OIDS_PER_PAGE) {
-            let mut page = setsig_pagestore::Page::zeroed();
+            let mut page = Page::zeroed();
             page.write_u64(off, oid.raw());
             let appended = self.file.append(&page)?;
             debug_assert_eq!(appended, page_no);
@@ -195,7 +195,7 @@ impl OidFile {
     pub fn delete_by_oid(&mut self, oid: Oid) -> Result<u64> {
         let npages = self.file.len()?;
         for page_no in 0..npages {
-            let page = self.file.read(page_no)?;
+            let mut page = self.file.read(page_no)?;
             let base = page_no as u64 * OIDS_PER_PAGE;
             let slots = (self.len - base).min(OIDS_PER_PAGE) as usize;
             for s in 0..slots {
@@ -205,9 +205,8 @@ impl OidFile {
                     // One write to set the flag; the page is already in
                     // hand so a real system would not re-read it, but we
                     // route through write() to charge exactly one write.
-                    let mut p = page.clone();
-                    p.write_u64(s * OID_ENTRY_BYTES, raw | TOMBSTONE_BIT);
-                    self.file.write(page_no, &p)?;
+                    page.write_u64(s * OID_ENTRY_BYTES, raw | TOMBSTONE_BIT);
+                    self.file.write(page_no, &page)?;
                     self.live -= 1;
                     return Ok(pos);
                 }
@@ -257,18 +256,20 @@ impl OidFile {
             let start_slot = (pos % OIDS_PER_PAGE) as usize;
             let take = ((OIDS_PER_PAGE as usize) - start_slot).min(oids.len() - i);
             let chunk = &oids[i..i + take];
-            if start_slot == 0 {
-                let mut page = setsig_pagestore::Page::zeroed();
-                for (s, oid) in chunk.iter().enumerate() {
-                    page.write_u64(s * OID_ENTRY_BYTES, oid.raw());
+            // One mutable borrow per page (see `Page::as_bytes_mut`).
+            let fill = |page: &mut Page| {
+                let first = start_slot * OID_ENTRY_BYTES;
+                let slots = &mut page.as_bytes_mut()[first..first + take * OID_ENTRY_BYTES];
+                for (dst, oid) in slots.chunks_exact_mut(OID_ENTRY_BYTES).zip(chunk) {
+                    dst.copy_from_slice(&oid.raw().to_le_bytes());
                 }
+            };
+            if start_slot == 0 {
+                let mut page = Page::zeroed();
+                fill(&mut page);
                 self.file.append(&page)?;
             } else {
-                self.file.update(page_no, |page| {
-                    for (s, oid) in chunk.iter().enumerate() {
-                        page.write_u64((start_slot + s) * OID_ENTRY_BYTES, oid.raw());
-                    }
-                })?;
+                self.file.update(page_no, fill)?;
             }
             self.len += take as u64;
             self.live += take as u64;

@@ -160,9 +160,12 @@ impl Ssf {
         let query_sig = query.signature(&self.cfg);
         let total = self.oid_file.len();
         let npages = self.sig_file.len()?;
+        // Hoisted once per query: the ⊇ row match tests only the query's
+        // non-zero words.
+        let probe = kernel::nonzero_words(query_sig.bitmap().words());
         let mut positions = Vec::new();
         for page_no in 0..npages {
-            self.scan_page(query, &query_sig, total, page_no, &mut positions)?;
+            self.scan_page(query, &query_sig, &probe, total, page_no, &mut positions)?;
             ctr.pages += 1;
         }
         Ok(positions)
@@ -175,6 +178,7 @@ impl Ssf {
         &self,
         query: &SetQuery,
         query_sig: &Signature,
+        probe: &[(usize, u64)],
         total: u64,
         page_no: u32,
         out: &mut Vec<u64>,
@@ -190,7 +194,9 @@ impl Ssf {
         for s in 0..slots {
             let row = page.read_slice(s * self.sig_bytes, self.sig_bytes);
             let hit = match query.predicate {
-                SetPredicate::HasSubset | SetPredicate::Contains => kernel::is_covered_by(qw, row),
+                SetPredicate::HasSubset | SetPredicate::Contains => {
+                    kernel::is_covered_by(probe, row)
+                }
                 SetPredicate::InSubset => kernel::covers(qw, row, nbits),
                 SetPredicate::Equals => kernel::eq(qw, row, nbits),
                 SetPredicate::Overlaps => kernel::intersection_count(qw, row) >= m,

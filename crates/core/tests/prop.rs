@@ -71,7 +71,7 @@ proptest! {
     }
 
     /// Garbage bits past `nbits` in a serialized buffer never leak into the
-    /// bitmap: `from_bytes` and `or_assign_bytes` mask the tail, so widths
+    /// bitmap: `from_bytes` and `kernel::or_assign` mask the tail, so widths
     /// with `nbits % 8 != 0` behave exactly like byte-aligned ones.
     #[test]
     fn bitmap_bytes_mask_garbage_tail(
@@ -94,10 +94,10 @@ proptest! {
         prop_assert_eq!(back.count_ones(), positions.iter().collect::<std::collections::BTreeSet<_>>().len() as u32);
         // OR-ing dirty bytes into a clean bitmap must not leak tail bits
         // either (is_zero and count_ones read raw words).
-        let mut acc = Bitmap::zeroed(nbits);
-        acc.or_assign_bytes(&bytes);
-        prop_assert_eq!(&acc, &bm);
-        prop_assert_eq!(acc.is_zero(), positions.is_empty());
+        let mut acc = vec![0u64; kernel::words_for(nbits)];
+        kernel::or_assign(&mut acc, &bytes, nbits);
+        prop_assert_eq!(&acc[..], bm.words());
+        prop_assert_eq!(acc.iter().all(|&w| w == 0), positions.is_empty());
     }
 
     /// Superimposed coding is sound: if T ⊇ Q as sets then the signatures
@@ -299,9 +299,12 @@ proptest! {
         }
 
         prop_assert_eq!(
-            kernel::is_covered_by(&query, &row),
+            kernel::is_covered_by(&kernel::nonzero_words(&query), &row),
             kernel::reference::is_covered_by(&q_clean, &row, nbits)
         );
+        // The all-zero query hoists to no words at all and matches any row.
+        let empty = kernel::nonzero_words(&vec![0; kernel::words_for(nbits)]);
+        prop_assert!(empty.is_empty() && kernel::is_covered_by(&empty, &row));
         prop_assert_eq!(
             kernel::covers(&query, &row, nbits),
             kernel::reference::covers(&q_clean, &row, nbits)

@@ -50,6 +50,12 @@ const OVERFLOW_FLAG: u16 = 1 << 15;
 /// OIDs per overflow page.
 pub(crate) const OVERFLOW_CAPACITY: usize = (PAGE_SIZE - 8) / 8;
 
+/// Writes `v` as a little-endian `u16` at `off` of an already-borrowed page
+/// buffer (one `as_bytes_mut()` per mutation, not one per field).
+fn put_u16(bytes: &mut [u8], off: usize, v: usize) {
+    bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
+}
+
 /// A parsed leaf entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum LeafEntry {
@@ -94,8 +100,10 @@ impl LeafEntry {
                 assert!(oids.len() <= MAX_INLINE_OIDS);
                 page.write_u64(off, *key);
                 page.write_u16(off + 8, oids.len() as u16);
-                for (i, oid) in oids.iter().enumerate() {
-                    page.write_u64(off + 10 + i * 8, *oid);
+                // One mutable borrow for the list (see `Page::as_bytes_mut`).
+                let body = &mut page.as_bytes_mut()[off + 10..off + 10 + oids.len() * 8];
+                for (dst, oid) in body.chunks_exact_mut(8).zip(oids) {
+                    dst.copy_from_slice(&oid.to_le_bytes());
                 }
             }
             LeafEntry::Overflow {
@@ -135,7 +143,7 @@ pub(crate) struct Leaf;
 impl Leaf {
     /// Initializes `page` as an empty leaf.
     pub(crate) fn init(page: &mut Page) {
-        page.fill(0, PAGE_SIZE, 0);
+        *page = Page::zeroed();
         page.write_u8(0, TYPE_LEAF);
         page.write_u16(4, LEAF_HEADER as u16);
     }
@@ -209,19 +217,16 @@ impl Leaf {
         let off = page.read_u16(4) as usize;
         entry.write(page, off);
         let count = Self::count(page);
+        let bytes = page.as_bytes_mut();
         // Shift slots [pos, count) one position outward (toward lower
-        // addresses, since slots grow downward).
-        for i in (pos..count).rev() {
-            let (o, l) = Self::slot(page, i);
-            let dst = Self::slot_off(i + 1);
-            page.write_u16(dst, o as u16);
-            page.write_u16(dst + 2, l as u16);
-        }
+        // addresses, since slots grow downward) as one block move.
+        let lo = Self::slot_off(count) + SLOT;
+        bytes.copy_within(lo..Self::slot_off(pos) + SLOT, lo - SLOT);
         let s = Self::slot_off(pos);
-        page.write_u16(s, off as u16);
-        page.write_u16(s + 2, len as u16);
-        page.write_u16(2, (count + 1) as u16);
-        page.write_u16(4, (off + len) as u16);
+        put_u16(bytes, s, off);
+        put_u16(bytes, s + 2, len);
+        put_u16(bytes, 2, count + 1);
+        put_u16(bytes, 4, off + len);
     }
 
     /// Replaces the entry in slot `i`.
@@ -256,14 +261,13 @@ impl Leaf {
     pub(crate) fn remove_entry(page: &mut Page, i: usize) {
         let count = Self::count(page);
         let (_, len) = Self::slot(page, i);
-        for j in i + 1..count {
-            let (o, l) = Self::slot(page, j);
-            let dst = Self::slot_off(j - 1);
-            page.write_u16(dst, o as u16);
-            page.write_u16(dst + 2, l as u16);
-        }
-        page.write_u16(2, (count - 1) as u16);
-        page.write_u16(6, (Self::frag(page) + len) as u16);
+        let frag = Self::frag(page);
+        let bytes = page.as_bytes_mut();
+        // Shift slots (i, count) one position inward as one block move.
+        let lo = Self::slot_off(count) + SLOT;
+        bytes.copy_within(lo..Self::slot_off(i), lo + SLOT);
+        put_u16(bytes, 2, count - 1);
+        put_u16(bytes, 6, frag + len);
     }
 
     /// Rebuilds the page from `entries` (sorted by key), dropping all
@@ -284,7 +288,7 @@ const CHILDREN_BASE: usize = 8 + MAX_INTERNAL_KEYS * 8;
 impl Internal {
     /// Initializes `page` as an internal node with a single child.
     pub(crate) fn init(page: &mut Page, first_child: u32) {
-        page.fill(0, PAGE_SIZE, 0);
+        *page = Page::zeroed();
         page.write_u8(0, TYPE_INTERNAL);
         page.write_u32(CHILDREN_BASE, first_child);
     }
@@ -326,17 +330,15 @@ impl Internal {
     pub(crate) fn insert_at(page: &mut Page, pos: usize, key: u64, child: u32) {
         let count = Self::count(page);
         debug_assert!(count < MAX_INTERNAL_KEYS);
-        for i in (pos..count).rev() {
-            let k = Self::key(page, i);
-            page.write_u64(8 + (i + 1) * 8, k);
-        }
-        for i in (pos + 1..=count).rev() {
-            let c = Self::child(page, i);
-            page.write_u32(CHILDREN_BASE + (i + 1) * 4, c);
-        }
-        page.write_u64(8 + pos * 8, key);
-        page.write_u32(CHILDREN_BASE + (pos + 1) * 4, child);
-        page.write_u16(2, (count + 1) as u16);
+        let bytes = page.as_bytes_mut();
+        // Open the gap with two block moves: keys [pos, count) and children
+        // (pos, count] each shift up one place.
+        let (k, c) = (8 + pos * 8, CHILDREN_BASE + (pos + 1) * 4);
+        bytes.copy_within(k..8 + count * 8, k + 8);
+        bytes.copy_within(c..CHILDREN_BASE + (count + 1) * 4, c + 4);
+        bytes[k..k + 8].copy_from_slice(&key.to_le_bytes());
+        bytes[c..c + 4].copy_from_slice(&child.to_le_bytes());
+        put_u16(bytes, 2, count + 1);
     }
 
     /// Splits a full node: keeps the left half here, returns the median key
@@ -372,7 +374,7 @@ pub(crate) struct Overflow;
 impl Overflow {
     /// Initializes `page` as an empty overflow link pointing at `next`.
     pub(crate) fn init(page: &mut Page, next: u32) {
-        page.fill(0, PAGE_SIZE, 0);
+        *page = Page::zeroed();
         page.write_u8(0, TYPE_OVERFLOW);
         page.write_u32(4, next);
     }

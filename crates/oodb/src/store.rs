@@ -141,10 +141,10 @@ impl ObjectStore {
     /// spanning records cost `⌈len/P⌉` reads.
     pub fn get(&self, oid: Oid) -> Result<Object> {
         let loc = *self.directory.get(&oid).ok_or(Error::NoSuchObject(oid))?;
-        let bytes = match loc {
+        let object = match loc {
+            // Decoded straight from the page snapshot: no record copy.
             Location::Slot { page, slot } => {
-                let p = self.file.read(page)?;
-                read_slot(&p, slot)?
+                Object::decode(read_slot(&self.file.read(page)?, slot)?)?
             }
             Location::Spanning { first_page, len } => {
                 let mut bytes = Vec::with_capacity(len as usize);
@@ -154,10 +154,9 @@ impl ObjectStore {
                     let take = (len as usize - bytes.len()).min(PAGE_SIZE);
                     bytes.extend_from_slice(&p.as_bytes()[..take]);
                 }
-                bytes
+                Object::decode(&bytes)?
             }
         };
-        let object = Object::decode(&bytes)?;
         if object.oid != oid {
             return Err(Error::CorruptObject(format!(
                 "directory points {oid} at record for {}",
@@ -194,15 +193,19 @@ impl ObjectStore {
 fn write_slot(page: &mut Page, record: &[u8]) {
     let nslots = page.read_u16(0) as usize;
     let free_off = page.read_u16(2) as usize;
-    page.write_slice(free_off, record);
     let slot_off = PAGE_SIZE - (nslots + 1) * SLOT;
-    page.write_u16(slot_off, free_off as u16);
-    page.write_u16(slot_off + 2, record.len() as u16);
-    page.write_u16(0, (nslots + 1) as u16);
-    page.write_u16(2, (free_off + record.len()) as u16);
+    // One mutable borrow for all five fields (see `Page::as_bytes_mut`).
+    let bytes = page.as_bytes_mut();
+    let mut put_u16 =
+        |off: usize, v: usize| bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
+    put_u16(slot_off, free_off);
+    put_u16(slot_off + 2, record.len());
+    put_u16(0, nslots + 1);
+    put_u16(2, free_off + record.len());
+    bytes[free_off..free_off + record.len()].copy_from_slice(record);
 }
 
-fn read_slot(page: &Page, slot: u16) -> Result<Vec<u8>> {
+fn read_slot(page: &Page, slot: u16) -> Result<&[u8]> {
     let nslots = page.read_u16(0);
     if slot >= nslots {
         return Err(Error::CorruptObject(format!("slot {slot} of {nslots}")));
@@ -213,7 +216,7 @@ fn read_slot(page: &Page, slot: u16) -> Result<Vec<u8>> {
     if len == 0 {
         return Err(Error::CorruptObject(format!("slot {slot} is dead")));
     }
-    Ok(page.read_slice(off, len).to_vec())
+    Ok(page.read_slice(off, len))
 }
 
 #[cfg(test)]

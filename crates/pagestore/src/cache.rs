@@ -135,6 +135,11 @@ impl PoolInner {
 /// Write-through keeps the underlying [`Disk`] contents authoritative at all
 /// times, so experiments can mix cached readers with uncached ones, and the
 /// disk's *write* counters stay exact; only read traffic is absorbed.
+///
+/// Frames and pinned entries hold [`Page`] snapshots, not copies: a miss
+/// keeps the buffer the disk handed out, a hit hands it on, a write-through
+/// stores the caller's buffer in both. Only [`PageIo::update_page`] copies:
+/// its closure's first write to the snapshot the disk and the frame share.
 pub struct BufferPool {
     disk: Arc<Disk>,
     capacity: usize,

@@ -114,6 +114,7 @@ impl Disk {
         Ok(())
     }
 
+    /// Runs `f` on a live file as one **page access**: spends fault budget.
     fn with_file<R>(
         &self,
         id: FileId,
@@ -135,6 +136,14 @@ impl Disk {
         f(data, &mut inner.total)
     }
 
+    /// Reads a live file's catalog metadata: not a page access, so injected
+    /// faults neither fail it nor count it.
+    fn with_meta<R>(&self, id: FileId, f: impl FnOnce(&FileData) -> R) -> Result<R> {
+        let g = self.inner.lock();
+        let data = g.files.get(id.0 as usize).and_then(|s| s.as_ref());
+        data.map(f).ok_or(Error::FileNotFound(id))
+    }
+
     /// Fault injection for failure testing: after `ops` more page
     /// accesses, every subsequent access fails with an I/O error until
     /// [`Disk::clear_fault`] is called. Metadata operations (page counts,
@@ -148,14 +157,10 @@ impl Disk {
         self.inner.lock().fail_after = None;
     }
 
-    /// Reads page `n` of `id`, charging one page read.
+    /// Reads page `n` of `id`, charging one page read. The returned
+    /// [`Page`] shares the stored buffer (a reference-count bump under the
+    /// lock, no copy); later writes to the file never change it.
     pub fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
-        self.with_page(id, n, std::clone::Clone::clone)
-    }
-
-    /// Runs `f` against page `n` of `id` without copying it out, charging
-    /// one page read.
-    pub fn with_page<R>(&self, id: FileId, n: u32, f: impl FnOnce(&Page) -> R) -> Result<R> {
         self.with_file(id, |data, total| {
             let len = data.pages.len() as u32;
             let page = data.pages.get(n as usize).ok_or(Error::PageOutOfBounds {
@@ -170,7 +175,7 @@ impl Disk {
             }
             data.last_access = Some(n);
             total.reads += 1;
-            Ok(f(page))
+            Ok(page.clone())
         })
     }
 
@@ -181,10 +186,11 @@ impl Disk {
 
     /// Mutates page `n` of `id` in place, charging one page write.
     ///
-    /// The paper's read-modify-write sequences (e.g. setting a BSSF slice
-    /// bit) are expressed as `with_page` + `update_page`, charging one read
-    /// and one write, or as a single `update_page` when the old contents are
-    /// irrelevant.
+    /// The paper's read-modify-write sequences (e.g. tombstoning an OID
+    /// entry) are `read_page` + `write_page`, one read and one write; a
+    /// single `update_page` serves when the new contents do not depend on
+    /// the old (e.g. setting a BSSF slice bit). A snapshot a reader still
+    /// holds is untouched: `f`'s first write then takes a private copy.
     pub fn update_page(&self, id: FileId, n: u32, f: impl FnOnce(&mut Page)) -> Result<()> {
         self.with_file(id, |data, total| {
             let len = data.pages.len() as u32;
@@ -240,7 +246,7 @@ impl Disk {
 
     /// Length of `id` in pages. Free: catalog metadata, not a page access.
     pub fn page_count(&self, id: FileId) -> Result<u32> {
-        self.with_file(id, |data, _| Ok(data.pages.len() as u32))
+        self.with_meta(id, |data| data.pages.len() as u32)
     }
 
     /// Disk-wide cumulative counters.
@@ -250,18 +256,16 @@ impl Disk {
 
     /// Cumulative counters for one file.
     pub fn file_stats(&self, id: FileId) -> Result<FileStats> {
-        self.with_file(id, |data, _| Ok(data.stats))
+        self.with_meta(id, |data| data.stats)
     }
 
     /// Metadata for one file.
     pub fn file_info(&self, id: FileId) -> Result<FileInfo> {
-        self.with_file(id, |data, _| {
-            Ok(FileInfo {
-                id,
-                name: data.name.clone(),
-                pages: data.pages.len() as u32,
-                stats: data.stats,
-            })
+        self.with_meta(id, |data| FileInfo {
+            id,
+            name: data.name.clone(),
+            pages: data.pages.len() as u32,
+            stats: data.stats,
         })
     }
 
@@ -541,16 +545,25 @@ mod tests {
     }
 
     #[test]
-    fn with_page_avoids_copy_and_charges_once() {
+    fn metadata_calls_spend_no_fault_budget() {
         let disk = Disk::new();
         let f = disk.create_file("t");
-        let mut p = Page::zeroed();
-        p.write_u64(8, 99);
-        disk.append_page(f, &p).unwrap();
-        let before = disk.snapshot();
-        let v = disk.with_page(f, 0, |p| p.read_u64(8)).unwrap();
-        assert_eq!(v, 99);
-        assert_eq!(disk.snapshot().since(before).reads, 1);
+        disk.extend_to(f, 2).unwrap();
+        disk.inject_fault_after(1);
+        // Any number of metadata calls leaves the one remaining access...
+        for _ in 0..3 {
+            assert_eq!(disk.page_count(f).unwrap(), 2);
+            assert_eq!(disk.file_stats(f).unwrap().writes, 2);
+            assert_eq!(disk.file_info(f).unwrap().pages, 2);
+            assert_eq!(disk.list_files().len(), 1);
+        }
+        disk.read_page(f, 0).unwrap();
+        // ...and keeps answering once page accesses fail.
+        assert!(disk.read_page(f, 1).is_err());
+        assert_eq!(disk.page_count(f).unwrap(), 2);
+        assert_eq!(disk.file_info(f).unwrap().name, "t");
+        disk.clear_fault();
+        disk.read_page(f, 1).unwrap();
     }
 
     #[test]

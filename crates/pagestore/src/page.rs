@@ -1,36 +1,43 @@
 //! Fixed-size disk pages.
 
+use std::sync::{Arc, OnceLock};
+
 /// Size of a disk page in bytes — the paper's constant `P = 4096` (Table 2).
 pub const PAGE_SIZE: usize = 4096;
 
-/// A single disk page.
+/// A single disk page: a copy-on-write snapshot of `PAGE_SIZE` bytes.
 ///
-/// Pages are heap-allocated fixed-size byte arrays with helpers for reading
-/// and writing little-endian scalars and byte ranges at arbitrary offsets.
+/// `clone` is a reference-count bump, so the disk, the buffer pool and every
+/// reader hold the *same* 4 KiB and a handed-out `Page` never changes under
+/// its holder. The first mutation of a page whose buffer is shared takes a
+/// private copy ([`Page::as_bytes_mut`]); a sole holder mutates in place.
+/// Every `write_*` helper re-checks uniqueness (an atomic operation), so code
+/// writing many fields of one page takes **one** `as_bytes_mut()` borrow.
+///
 /// All accessors panic on out-of-bounds offsets: page layouts are computed by
 /// the storage structures themselves, so an out-of-range offset is a logic
 /// error, not a recoverable condition.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    bytes: Arc<[u8; PAGE_SIZE]>,
 }
 
+/// The one all-zero buffer every [`Page::zeroed`] starts out sharing.
+static ZERO_PAGE: OnceLock<Page> = OnceLock::new();
+
 impl Page {
-    /// Creates a page filled with zero bytes.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
+    /// Creates a page filled with zero bytes: a reference to the shared zero
+    /// snapshot; the first write pays the allocation a fresh page always did.
     pub fn zeroed() -> Self {
-        Page {
-            bytes: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
-        }
+        ZERO_PAGE
+            .get_or_init(|| Page::from_bytes([0; PAGE_SIZE]))
+            .clone()
     }
 
     /// Creates a page from an exact `PAGE_SIZE`-byte buffer.
     pub fn from_bytes(bytes: [u8; PAGE_SIZE]) -> Self {
         Page {
-            bytes: Box::new(bytes),
+            bytes: Arc::new(bytes),
         }
     }
 
@@ -40,10 +47,11 @@ impl Page {
         &self.bytes
     }
 
-    /// The raw page contents, mutably.
+    /// The raw page contents, mutably — the copy-on-write point: copies the
+    /// buffer first if any other `Page` still shares it.
     #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.bytes
+        Arc::make_mut(&mut self.bytes)
     }
 
     /// Reads one byte at `off`.
@@ -55,7 +63,7 @@ impl Page {
     /// Writes one byte at `off`.
     #[inline]
     pub fn write_u8(&mut self, off: usize, v: u8) {
-        self.bytes[off] = v;
+        self.as_bytes_mut()[off] = v;
     }
 
     /// Reads a little-endian `u16` at `off`.
@@ -71,7 +79,7 @@ impl Page {
     /// Writes a little-endian `u16` at `off`.
     #[inline]
     pub fn write_u16(&mut self, off: usize, v: u16) {
-        self.bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
+        self.as_bytes_mut()[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Reads a little-endian `u32` at `off`.
@@ -87,7 +95,7 @@ impl Page {
     /// Writes a little-endian `u32` at `off`.
     #[inline]
     pub fn write_u32(&mut self, off: usize, v: u32) {
-        self.bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        self.as_bytes_mut()[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Reads a little-endian `u64` at `off`.
@@ -103,7 +111,7 @@ impl Page {
     /// Writes a little-endian `u64` at `off`.
     #[inline]
     pub fn write_u64(&mut self, off: usize, v: u64) {
-        self.bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        self.as_bytes_mut()[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Returns the `len` bytes starting at `off`.
@@ -115,13 +123,13 @@ impl Page {
     /// Copies `src` into the page starting at `off`.
     #[inline]
     pub fn write_slice(&mut self, off: usize, src: &[u8]) {
-        self.bytes[off..off + src.len()].copy_from_slice(src);
+        self.as_bytes_mut()[off..off + src.len()].copy_from_slice(src);
     }
 
     /// Fills `len` bytes starting at `off` with `v`.
     #[inline]
     pub fn fill(&mut self, off: usize, len: usize, v: u8) {
-        self.bytes[off..off + len].fill(v);
+        self.as_bytes_mut()[off..off + len].fill(v);
     }
 
     /// Tests a single bit; bit `i` lives in byte `i / 8`, LSB-first.
@@ -133,15 +141,13 @@ impl Page {
         (self.bytes[i / 8] >> (i % 8)) & 1 == 1
     }
 
-    /// Sets (`true`) or clears (`false`) a single bit, LSB-first.
+    /// Sets (`true`) or clears (`false`) a single bit, LSB-first. A bit that
+    /// already has the value is left alone, so a no-op write never takes
+    /// the private copy of a shared page.
     #[inline]
     pub fn set_bit(&mut self, i: usize, v: bool) {
-        let byte = &mut self.bytes[i / 8];
-        let mask = 1u8 << (i % 8);
-        if v {
-            *byte |= mask;
-        } else {
-            *byte &= !mask;
+        if self.get_bit(i) != v {
+            self.as_bytes_mut()[i / 8] ^= 1 << (i % 8);
         }
     }
 
@@ -174,6 +180,26 @@ mod tests {
         assert!(p.is_zeroed());
         assert_eq!(p.read_u64(0), 0);
         assert_eq!(p.read_u64(PAGE_SIZE - 8), 0);
+    }
+
+    #[test]
+    fn clone_is_a_snapshot_and_mutation_copies_on_write() {
+        let mut a = Page::zeroed();
+        a.write_u32(0, 7);
+        let snapshot = a.clone();
+        assert!(std::ptr::eq(a.as_bytes(), snapshot.as_bytes()), "no copy");
+        a.write_u32(0, 8);
+        assert_eq!((a.read_u32(0), snapshot.read_u32(0)), (8, 7));
+        assert!(!std::ptr::eq(a.as_bytes(), snapshot.as_bytes()));
+        // A write that changes nothing leaves a shared page shared.
+        let mut b = snapshot.clone();
+        b.set_bit(3, false);
+        assert!(std::ptr::eq(b.as_bytes(), snapshot.as_bytes()));
+        // Zeroed pages share one buffer until first written.
+        let (z1, mut z2) = (Page::zeroed(), Page::zeroed());
+        assert!(std::ptr::eq(z1.as_bytes(), z2.as_bytes()));
+        z2.write_u8(9, 1);
+        assert!(z1.is_zeroed() && Page::zeroed().is_zeroed());
     }
 
     #[test]

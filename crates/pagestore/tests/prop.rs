@@ -1,7 +1,8 @@
 //! Property-based tests for the paged disk simulator.
 
 use proptest::prelude::*;
-use setsig_pagestore::{Disk, Page, PAGE_SIZE};
+use setsig_pagestore::{BufferPool, CacheStats, Disk, IoSnapshot, Page, PageIo, PAGE_SIZE};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Operations applied to a disk model.
@@ -24,7 +25,211 @@ fn op_strategy(nfiles: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One step of the snapshot-semantics model check, against a single file.
+#[derive(Debug, Clone)]
+enum IoOp {
+    Read(u32),
+    Write(u32, u8),
+    /// Sets one byte; the rest of the page must survive the copy-on-write.
+    Update(u32, usize, u8),
+    Append(u8),
+    Extend(u32),
+}
+
+fn io_op() -> impl Strategy<Value = IoOp> {
+    let page = || 0u32..10;
+    prop_oneof![
+        4 => page().prop_map(IoOp::Read),
+        2 => (page(), any::<u8>()).prop_map(|(n, b)| IoOp::Write(n, b)),
+        3 => (page(), 0..PAGE_SIZE, any::<u8>()).prop_map(|(n, off, b)| IoOp::Update(n, off, b)),
+        1 => any::<u8>().prop_map(IoOp::Append),
+        1 => (0u32..10).prop_map(IoOp::Extend),
+    ]
+}
+
+/// What `BufferPool`'s counters must read after a sequence: an LRU list, a
+/// pinned set admitted on the second read while the tier has room, and
+/// write-through installs — the accounting of the pool before pages became
+/// shared snapshots, restated from its documentation.
+#[derive(Default)]
+struct PoolModel {
+    capacity: usize,
+    pinned_capacity: usize,
+    /// Most recently used first.
+    lru: Vec<u32>,
+    pinned: HashSet<u32>,
+    heat: HashMap<u32, u32>,
+    stats: CacheStats,
+}
+
+impl PoolModel {
+    fn note_heat(&mut self, n: u32) {
+        if self.pinned.len() >= self.pinned_capacity {
+            return;
+        }
+        let heat = self.heat.entry(n).or_insert(0);
+        *heat += 1;
+        if *heat >= 2 {
+            self.heat.remove(&n);
+            self.pinned.insert(n);
+        }
+    }
+
+    fn install(&mut self, n: u32) {
+        if self.pinned.contains(&n) {
+            return;
+        }
+        if let Some(at) = self.lru.iter().position(|&k| k == n) {
+            self.lru.remove(at);
+        } else if self.lru.len() == self.capacity {
+            self.lru.pop();
+            self.stats.evictions += 1;
+        }
+        self.lru.insert(0, n);
+    }
+
+    /// A read of page `n` of a file `len` pages long; returns whether it
+    /// reached the disk (and was in bounds there).
+    fn read(&mut self, n: u32, len: usize) -> bool {
+        if self.pinned.contains(&n) {
+            self.stats.pinned_hits += 1;
+            return false;
+        }
+        if self.lru.contains(&n) {
+            self.stats.hits += 1;
+            self.install(n);
+            self.note_heat(n);
+            return false;
+        }
+        self.stats.misses += 1;
+        if (n as usize) < len {
+            self.note_heat(n);
+            self.install(n);
+        }
+        true
+    }
+}
+
+fn filled(b: u8) -> Page {
+    Page::from_bytes([b; PAGE_SIZE])
+}
+
 proptest! {
+    /// Snapshot semantics, model-checked on `Disk`, `BufferPool::new` and
+    /// `BufferPool::with_pinned` against a `Vec<[u8; PAGE_SIZE]>`: a page
+    /// handed out earlier never changes, scribbling on a clone never reaches
+    /// its source (or the frame and disk page sharing its buffer), the raw
+    /// disk agrees with the model after every op, and the disk and cache
+    /// counters are exactly what the copying implementation charged.
+    #[test]
+    fn page_snapshots_match_a_copying_model(
+        backend in 0usize..3,
+        capacity in 1usize..5,
+        pinned_capacity in 1usize..4,
+        ops in proptest::collection::vec(io_op(), 1..80),
+    ) {
+        let disk = Arc::new(Disk::new());
+        let pool = match backend {
+            0 => None,
+            1 => Some(Arc::new(BufferPool::new(Arc::clone(&disk), capacity))),
+            _ => Some(Arc::new(BufferPool::with_pinned(Arc::clone(&disk), capacity, pinned_capacity))),
+        };
+        let io: Arc<dyn PageIo> = match &pool {
+            Some(pool) => Arc::clone(pool) as Arc<dyn PageIo>,
+            None => Arc::clone(&disk) as Arc<dyn PageIo>,
+        };
+        let f = io.create_file("t");
+        let mut model: Vec<[u8; PAGE_SIZE]> = Vec::new();
+        let mut cache = PoolModel {
+            capacity,
+            pinned_capacity: if backend == 2 { pinned_capacity } else { 0 },
+            ..PoolModel::default()
+        };
+        let mut expect = IoSnapshot::default();
+        // Every page ever handed out, with the bytes it had at that moment.
+        let mut held: Vec<(Page, [u8; PAGE_SIZE])> = Vec::new();
+
+        for op in ops {
+            let touched = match op {
+                IoOp::Read(n) => {
+                    let reaches_disk = pool.is_none() || cache.read(n, model.len());
+                    let got = io.read_page(f, n);
+                    prop_assert_eq!(got.is_ok(), (n as usize) < model.len());
+                    if let Ok(page) = got {
+                        expect.reads += u64::from(reaches_disk);
+                        prop_assert_eq!(page.as_bytes(), &model[n as usize]);
+                        let mut scribble = page.clone();
+                        scribble.as_bytes_mut().fill(0xEE);
+                        prop_assert_eq!(page.as_bytes(), &model[n as usize]);
+                        held.push((page, model[n as usize]));
+                    }
+                    n
+                }
+                IoOp::Write(n, b) => {
+                    let res = io.write_page(f, n, &filled(b));
+                    prop_assert_eq!(res.is_ok(), (n as usize) < model.len());
+                    if res.is_ok() {
+                        model[n as usize] = [b; PAGE_SIZE];
+                        expect.writes += 1;
+                        cache.install(n);
+                    }
+                    n
+                }
+                IoOp::Update(n, off, b) => {
+                    // A pool reads (cached) then writes through; the raw
+                    // disk blind-writes.
+                    let in_bounds = (n as usize) < model.len();
+                    if pool.is_some() && cache.read(n, model.len()) && in_bounds {
+                        expect.reads += 1;
+                    }
+                    let res = io.update_page(f, n, &mut |p| p.write_u8(off, b));
+                    prop_assert_eq!(res.is_ok(), in_bounds);
+                    if in_bounds {
+                        model[n as usize][off] = b;
+                        expect.writes += 1;
+                        cache.install(n);
+                    }
+                    n
+                }
+                IoOp::Append(b) => {
+                    let n = io.append_page(f, &filled(b)).unwrap();
+                    prop_assert_eq!(n as usize, model.len());
+                    model.push([b; PAGE_SIZE]);
+                    expect.writes += 1;
+                    cache.install(n);
+                    n
+                }
+                IoOp::Extend(pages) => {
+                    io.extend_to(f, pages).unwrap();
+                    while model.len() < pages as usize {
+                        model.push([0; PAGE_SIZE]);
+                        expect.writes += 1;
+                    }
+                    pages.saturating_sub(1)
+                }
+            };
+            // The raw disk agrees with the model (and so with the pool,
+            // whose reads are checked against the same model above).
+            if let Some(bytes) = model.get(touched as usize) {
+                let raw = disk.read_page(f, touched).unwrap();
+                expect.reads += 1;
+                prop_assert_eq!(raw.as_bytes(), bytes);
+                held.push((raw, *bytes));
+            }
+            prop_assert_eq!(io.page_count(f).unwrap() as usize, model.len());
+            prop_assert_eq!(io.snapshot(), expect);
+            prop_assert_eq!(io.cache_stats(), pool.as_ref().map(|_| cache.stats));
+        }
+
+        for (n, bytes) in model.iter().enumerate() {
+            prop_assert_eq!(io.read_page(f, n as u32).unwrap(), Page::from_bytes(*bytes));
+            prop_assert_eq!(disk.read_page(f, n as u32).unwrap(), Page::from_bytes(*bytes));
+        }
+        for (page, bytes) in &held {
+            prop_assert_eq!(page.as_bytes(), bytes);
+        }
+    }
+
     /// The disk behaves exactly like a Vec<Vec<u64>> model: same contents,
     /// same out-of-bounds behaviour, and counters equal the number of
     /// successful accesses.
@@ -97,7 +302,6 @@ proptest! {
         writes in proptest::collection::vec((0u32..8, any::<u64>()), 1..40),
         cap in 1usize..6,
     ) {
-        use setsig_pagestore::{BufferPool, PageIo};
         let disk = Arc::new(Disk::new());
         let f = disk.create_file("t");
         disk.extend_to(f, 8).unwrap();
