@@ -1,7 +1,10 @@
 //! Figure 7 workload: smart `T ⊇ Q` retrieval at D_t = 100 (BSSF m = 3).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // bench code
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_bench::{bench_db, superset_query};
+use setsig_core::SetAccessFacility;
 
 fn fig7(c: &mut Criterion) {
     let sim = bench_db(100);
@@ -12,12 +15,15 @@ fn fig7(c: &mut Criterion) {
     group.sample_size(10);
     for d_q in [2u32, 10, 50] {
         let q = superset_query(&sim, d_q, 70 + d_q as u64);
-        group.bench_with_input(BenchmarkId::new("bssf_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(q, || bssf.candidates_superset_smart(q, 3)));
-        });
-        group.bench_with_input(BenchmarkId::new("nix_smart", d_q), &q, |b, q| {
-            b.iter(|| sim.measure_smart(q, || nix.candidates_superset_smart(q, 2)));
-        });
+        for (name, facility, cap) in [
+            ("bssf_smart", &bssf as &dyn SetAccessFacility, 3),
+            ("nix_smart", &nix as &dyn SetAccessFacility, 2),
+        ] {
+            let smart = q.clone().with_cap(cap).unwrap();
+            group.bench_with_input(BenchmarkId::new(name, d_q), &smart, |b, q| {
+                b.iter(|| sim.measure_facility(facility, q));
+            });
+        }
     }
     group.finish();
 }

@@ -4,11 +4,11 @@ use crate::kernel;
 
 /// A fixed-width bit vector backed by 64-bit words.
 ///
-/// `Bitmap` is the in-memory representation of signatures ([`Signature`]
-/// wraps one) and of combined BSSF slice results. The byte serialization is
-/// LSB-first within each byte, matching the bit layout of
-/// [`Page::get_bit`](setsig_pagestore::Page::get_bit), so signatures move
-/// between memory and disk pages without reshuffling.
+/// `Bitmap` is the in-memory representation of signatures
+/// ([`Signature`](crate::Signature) wraps one) and of combined BSSF slice
+/// results. The byte serialization is LSB-first within each byte, matching
+/// the bit layout of [`Page::get_bit`](setsig_pagestore::Page::get_bit), so
+/// signatures move between memory and disk pages without reshuffling.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitmap {
     nbits: u32,

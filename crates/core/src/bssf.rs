@@ -14,8 +14,8 @@
 //!
 //! That asymmetry — cost `∝ m_q` for ⊇, `∝ F − m_q` for ⊆ — is the engine
 //! behind every BSSF result in the paper, including the advantage of a
-//! small `m` and the "smart" strategies of §5.1.3/§5.2.2, both implemented
-//! here ([`Bssf::candidates_superset_smart`], [`Bssf::candidates_subset_smart`]).
+//! small `m` and the "smart" strategies of §5.1.3/§5.2.2, which a query
+//! asks for by carrying a cap ([`SetQuery::with_cap`]).
 //!
 //! Insertion is BSSF's weakness: the paper charges the worst case `F + 1`
 //! accesses (every slice file plus the OID file). [`Bssf::insert`] does
@@ -33,7 +33,7 @@ use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
 use crate::kernel;
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::{QueryObs, QueryOutcome};
+use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::signature::Signature;
 
@@ -240,8 +240,7 @@ impl Bssf {
     }
 
     /// `T ⊇ Q` scan (§4.2): AND of the slices at the query signature's
-    /// 1-positions, optionally restricted to the first `max_slices` of them
-    /// (the smart strategy caps this via a reduced query signature).
+    /// 1-positions (the smart strategy passes a reduced query signature).
     ///
     /// Page-major: each row page's slice pages are ANDed straight off the
     /// page snapshots ([`kernel::and_assign`]) into that page's word range of
@@ -356,107 +355,27 @@ impl Bssf {
             .collect()
     }
 
-    fn positions_for(
-        &self,
-        query: &SetQuery,
-        query_sig: &Signature,
-        ctr: &mut ScanCounters,
-    ) -> Result<Vec<u64>> {
+    /// Which positions match `query`, honouring its smart cap: for `T ⊇ Q`
+    /// (§5.1.3) the scanned signature is formed from at most `cap` query
+    /// elements — we take the first — bounding the slice reads at
+    /// `≈ cap · m`; for `T ⊆ Q` (§5.2.2) at most `cap` of the query
+    /// signature's 0-slices are read (Appendix C's `D_q^opt` gives the cap
+    /// minimizing total cost; `setsig-costmodel` computes it). Drop
+    /// resolution still verifies the full predicate.
+    fn positions_for(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
-                self.superset_positions(query_sig, ctr)
+                let d_q = query.elements.len();
+                let take = d_q.min(query.cap().unwrap_or(d_q));
+                ctr.early_exit = take < d_q;
+                let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
+                self.superset_positions(&reduced, ctr)
             }
-            SetPredicate::InSubset => self.subset_positions(query_sig, None, ctr),
-            SetPredicate::Equals => self.equals_positions(query_sig, ctr),
-            SetPredicate::Overlaps => self.overlap_positions(query_sig, ctr),
-        }
-    }
-
-    // COST: oid_pages pages
-    fn resolve(&self, positions: Vec<u64>, ctr: &mut ScanCounters) -> Result<CandidateSet> {
-        // The OID look-up is part of the filtering stage's protocol charge
-        // (the paper's LC_OID).
-        ctr.pages += OidFile::pages_touched(&positions);
-        let resolved = self.oid_file.lookup_positions(&positions)?;
-        Ok(CandidateSet::new(
-            resolved.into_iter().map(|(_, oid)| oid).collect(),
-            false,
-        ))
-    }
-
-    /// The §5.1.3 smart strategy for `T ⊇ Q`: form the query signature from
-    /// at most `max_elems` (arbitrary — we take the first) elements of the
-    /// query set, bounding the slice reads at `≈ max_elems · m` while the
-    /// final qualification still uses the full predicate at drop-resolution
-    /// time.
-    pub fn candidates_superset_smart(
-        &self,
-        query: &SetQuery,
-        max_elems: usize,
-    ) -> Result<(CandidateSet, ScanStats)> {
-        if query.predicate != SetPredicate::HasSubset {
-            return Err(Error::BadQuery(
-                "smart superset strategy requires T ⊇ Q".into(),
-            ));
-        }
-        let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let mut ctr = ScanCounters::default();
-        let take = query.elements.len().min(max_elems.max(1));
-        if take < query.elements.len() {
-            ctr.early_exit = true;
-        }
-        let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
-        let positions = self.superset_positions(&reduced, &mut ctr)?;
-        let set = self.resolve(positions, &mut ctr)?;
-        let stats = ctr.stats();
-        if let Some(o) = obs {
-            o.finish(query, self.outcome(Some("smart"), &ctr, &set));
-        }
-        Ok((set, stats))
-    }
-
-    /// The §5.2.2 smart strategy for `T ⊆ Q`: read only `max_slices` of the
-    /// query signature's 0-slices (chosen arbitrarily — we take the lowest
-    /// positions). Appendix C's `D_q^opt` determines the cap that minimizes
-    /// total cost; `setsig-costmodel` computes it.
-    pub fn candidates_subset_smart(
-        &self,
-        query: &SetQuery,
-        max_slices: usize,
-    ) -> Result<(CandidateSet, ScanStats)> {
-        if query.predicate != SetPredicate::InSubset {
-            return Err(Error::BadQuery(
-                "smart subset strategy requires T ⊆ Q".into(),
-            ));
-        }
-        let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let mut ctr = ScanCounters::default();
-        let query_sig = query.signature(&self.cfg);
-        let positions = self.subset_positions(&query_sig, Some(max_slices), &mut ctr)?;
-        let set = self.resolve(positions, &mut ctr)?;
-        let stats = ctr.stats();
-        if let Some(o) = obs {
-            o.finish(query, self.outcome(Some("smart"), &ctr, &set));
-        }
-        Ok((set, stats))
-    }
-
-    /// Assembles the trace fields only the facility knows, for
-    /// [`QueryObs::finish`].
-    fn outcome<'a>(
-        &self,
-        strategy: Option<&'static str>,
-        ctr: &'a ScanCounters,
-        set: &'a CandidateSet,
-    ) -> QueryOutcome<'a> {
-        QueryOutcome {
-            facility: "bssf",
-            strategy,
-            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-            ctr,
-            track_slices: true,
-            set,
-            cache_after: self.cache_stats(),
+            SetPredicate::InSubset => {
+                self.subset_positions(&query.signature(&self.cfg), query.cap(), ctr)
+            }
+            SetPredicate::Equals => self.equals_positions(&query.signature(&self.cfg), ctr),
+            SetPredicate::Overlaps => self.overlap_positions(&query.signature(&self.cfg), ctr),
         }
     }
 }
@@ -481,16 +400,14 @@ impl SetAccessFacility for Bssf {
 
     // COST: slices * pages_per_slice + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let mut ctr = ScanCounters::default();
-        let query_sig = query.signature(&self.cfg);
-        let positions = self.positions_for(query, &query_sig, &mut ctr)?;
-        let set = self.resolve(positions, &mut ctr)?;
-        let stats = ctr.stats();
-        if let Some(o) = obs {
-            o.finish(query, self.outcome(None, &ctr, &set));
-        }
-        Ok((set, Some(stats)))
+        let stage = FilterStage {
+            facility: "bssf",
+            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
+            track_slices: true,
+            recorder: self.obs.as_ref(),
+            io: self.oid_file.file().io().as_ref(),
+        };
+        stage.run_positions(query, &self.oid_file, |ctr| self.positions_for(query, ctr))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -718,11 +635,11 @@ mod tests {
         // Query with 5 elements, smart cap at 2: at most 2·m slices read.
         let q = SetQuery::has_subset((0..5).map(|j| ElementKey::from(7u64 * 11 + j)).collect());
         disk.reset_stats();
-        let (c, stats) = b.candidates_superset_smart(&q, 2).unwrap();
+        let (c, stats) = b.candidates_with_stats(&q.with_cap(2).unwrap()).unwrap();
         assert!(c.oids.contains(&Oid::new(7)));
         let s = disk.snapshot();
         assert!(s.reads <= 2 * 2 + 1, "smart read {} pages", s.reads);
-        assert_eq!(s.reads, stats.pages);
+        assert_eq!(s.reads, stats.unwrap().pages);
     }
 
     #[test]
@@ -733,21 +650,39 @@ mod tests {
         }
         let q = SetQuery::in_subset(vec![ElementKey::from(3u64)]);
         disk.reset_stats();
-        let (c, stats) = b.candidates_subset_smart(&q, 10).unwrap();
+        let (c, stats) = b.candidates_with_stats(&q.with_cap(10).unwrap()).unwrap();
         // Sound: the true match is still a drop.
         assert!(c.oids.contains(&Oid::new(3)));
         let s = disk.snapshot();
         assert!(s.reads <= 10 + 1, "smart read {} pages", s.reads);
-        assert_eq!(s.reads, stats.pages);
+        assert_eq!(s.reads, stats.unwrap().pages);
     }
 
     #[test]
-    fn smart_strategies_reject_wrong_predicate() {
-        let (_d, b) = bssf(64, 2);
-        let q_sub = SetQuery::in_subset(keys(&["a"]));
-        let q_sup = SetQuery::has_subset(keys(&["a"]));
-        assert!(b.candidates_superset_smart(&q_sub, 2).is_err());
-        assert!(b.candidates_subset_smart(&q_sup, 2).is_err());
+    fn cap_at_or_above_the_query_equals_the_plain_query() {
+        let (_d, mut b) = bssf(64, 2);
+        for i in 0..20u64 {
+            let set: Vec<ElementKey> = (0..3).map(|j| ElementKey::from(i * 5 + j)).collect();
+            b.insert(Oid::new(i), &set).unwrap();
+        }
+        let elems: Vec<ElementKey> = (0..3).map(|j| ElementKey::from(4u64 * 5 + j)).collect();
+        // ⊇: cap ≥ D_q; ⊆: cap ≥ F ≥ F − m_q.
+        for (plain, cap) in [
+            (SetQuery::has_subset(elems.clone()), 3),
+            (SetQuery::has_subset(elems.clone()), 99),
+            (SetQuery::in_subset(elems.clone()), 64),
+        ] {
+            let capped = plain.clone().with_cap(cap).unwrap();
+            assert_eq!(
+                b.candidates_with_stats(&capped).unwrap(),
+                b.candidates_with_stats(&plain).unwrap(),
+                "{} cap {cap}",
+                plain.predicate
+            );
+        }
+        // D_q = 0 with a cap: everything is a superset, as without one.
+        let all = SetQuery::has_subset(vec![]).with_cap(2).unwrap();
+        assert_eq!(b.candidates(&all).unwrap().len(), 20);
     }
 
     #[test]
@@ -866,7 +801,7 @@ mod tests {
                 .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
                 .collect();
             let mut ctr = ScanCounters::default();
-            let got = b.positions_for(q, &qsig, &mut ctr).unwrap();
+            let got = b.positions_for(q, &mut ctr).unwrap();
             assert_eq!(got, expect, "{:?}", q.predicate);
             // Slice-major: the first `ctr.slices` selected slices, each
             // read to its materialized end.

@@ -19,30 +19,24 @@ pub struct ScanStats {
     pub pages: u64,
 }
 
-/// The per-call tallies behind [`ScanStats`], shared by the SSF, BSSF and
-/// FSSF scan loops.
+/// The per-call tallies behind [`ScanStats`], shared by every facility's
+/// scan.
 ///
-/// A fresh instance is created on the stack of **each** `candidates*` call
-/// and passed down the scan path by `&mut`, so every query owns its counters
-/// outright and concurrent queries on one facility cannot see each other's.
-/// Besides the page count the counters carry two trace facts — slices (or
-/// frames) touched and whether the scan exited early — that the
-/// observability layer turns into [`QueryTrace`](setsig_obs::QueryTrace)
-/// fields.
+/// [`FilterStage::run`](crate::FilterStage::run) creates a fresh instance on
+/// the stack of **each** `candidates*` call and passes it to the scan by
+/// `&mut`, so every query owns its counters outright and concurrent queries
+/// on one facility cannot see each other's. Besides the page count the
+/// counters carry two trace facts — slices (or frames) touched and whether
+/// the scan exited early — that become
+/// [`QueryTrace`](setsig_obs::QueryTrace) fields.
 #[derive(Debug, Default)]
-pub(crate) struct ScanCounters {
+pub struct ScanCounters {
     /// Pages read so far.
-    pub(crate) pages: u64,
+    pub pages: u64,
     /// Slices/frames touched (trace-only fact).
-    pub(crate) slices: u64,
+    pub slices: u64,
     /// Whether the scan stopped before its slice/page budget.
-    pub(crate) early_exit: bool,
-}
-
-impl ScanCounters {
-    pub(crate) fn stats(&self) -> ScanStats {
-        ScanStats { pages: self.pages }
-    }
+    pub early_exit: bool,
 }
 
 impl std::ops::Add for ScanStats {
@@ -141,9 +135,13 @@ pub trait SetAccessFacility {
     ///
     /// The [`ScanStats`] belong to this call alone — the counters live on
     /// the query's own stack frame, so concurrent queries on one shared
-    /// facility each observe exactly their own counts. Facilities whose
-    /// scan engine does not track page accounting (the nested index, whose
-    /// cost is the B-tree look-ups) return `None`.
+    /// facility each observe exactly their own counts. Every facility in
+    /// this workspace reports `Some`; `None` is for an implementor with no
+    /// page accounting at all.
+    ///
+    /// A query carrying a smart cap ([`SetQuery::with_cap`]) bounds what the
+    /// filter inspects where the facility has such a strategy; the drops are
+    /// then a superset of the plain filter's.
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)>;
 
     /// Runs the filtering stage for `query`, returning just the drops.

@@ -32,7 +32,7 @@ use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
 use crate::hash::{element_hash, ElementHasher};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::{QueryObs, QueryOutcome};
+use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 
 /// Design parameters of a frame-sliced signature file.
@@ -318,18 +318,6 @@ impl Fssf {
         }
         Ok(acc.iter_ones().map(u64::from).collect())
     }
-
-    // COST: oid_pages pages
-    fn resolve(&self, positions: Vec<u64>, ctr: &mut ScanCounters) -> Result<CandidateSet> {
-        // The OID look-up is part of the filtering stage's protocol charge
-        // (the paper's LC_OID).
-        ctr.pages += OidFile::pages_touched(&positions);
-        let resolved = self.oid_file.lookup_positions(&positions)?;
-        Ok(CandidateSet::new(
-            resolved.into_iter().map(|(_, oid)| oid).collect(),
-            false,
-        ))
-    }
 }
 
 impl SetAccessFacility for Fssf {
@@ -341,7 +329,7 @@ impl SetAccessFacility for Fssf {
     /// *distinct frame* the set's elements hash to, plus the OID file.
     ///
     /// Every frame file — not just the ones this set's elements hash to —
-    /// is kept long enough for the new row, so [`Fssf::scan_frame`] can
+    /// is kept long enough for the new row, so `Fssf::scan_frame` can
     /// treat a short frame as corruption rather than guessing its tail is
     /// zeros. The extension writes happen only when a row crosses a page
     /// boundary (once per `rows_per_page` inserts), so the amortized cost
@@ -373,33 +361,20 @@ impl SetAccessFacility for Fssf {
 
     // COST: frames * frame_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let mut ctr = ScanCounters::default();
-        let positions = match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => {
-                self.superset_positions(query, &mut ctr)?
-            }
-            SetPredicate::InSubset => self.subset_positions(query, &mut ctr)?,
-            SetPredicate::Equals => self.equals_positions(query, &mut ctr)?,
-            SetPredicate::Overlaps => self.overlap_positions(query, &mut ctr)?,
+        // No smart strategy: a capped query runs the plain frame scan.
+        let stage = FilterStage {
+            facility: "fssf",
+            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
+            track_slices: true,
+            recorder: self.obs.as_ref(),
+            io: self.oid_file.file().io().as_ref(),
         };
-        let set = self.resolve(positions, &mut ctr)?;
-        let stats = ctr.stats();
-        if let Some(o) = obs {
-            o.finish(
-                query,
-                QueryOutcome {
-                    facility: "fssf",
-                    strategy: None,
-                    geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-                    ctr: &ctr,
-                    track_slices: true,
-                    set: &set,
-                    cache_after: self.cache_stats(),
-                },
-            );
-        }
-        Ok((set, Some(stats)))
+        stage.run_positions(query, &self.oid_file, |ctr| match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => self.superset_positions(query, ctr),
+            SetPredicate::InSubset => self.subset_positions(query, ctr),
+            SetPredicate::Equals => self.equals_positions(query, ctr),
+            SetPredicate::Overlaps => self.overlap_positions(query, ctr),
+        })
     }
 
     fn indexed_count(&self) -> u64 {
@@ -412,6 +387,10 @@ impl SetAccessFacility for Fssf {
             total += f.len()? as u64;
         }
         Ok(total)
+    }
+
+    fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
+        self.oid_file.file().io().cache_stats()
     }
 }
 
@@ -539,6 +518,56 @@ mod tests {
         // The per-query stats charge exactly the disk traffic.
         let stats = stats.unwrap();
         assert_eq!(stats.pages, 2);
+    }
+
+    #[test]
+    fn cache_stats_come_from_the_io_handle() {
+        let disk = Arc::new(Disk::new());
+        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
+        let cfg = FssfConfig::new(500, 50, 3).unwrap();
+        let mut f = Fssf::create(Arc::clone(&pool) as Arc<dyn PageIo>, "c", cfg).unwrap();
+        for i in 0..100u64 {
+            f.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
+        }
+        let ring = Arc::new(setsig_obs::RingSink::new(4));
+        let rec = setsig_obs::Recorder::new()
+            .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>);
+        f.set_recorder(Some(Arc::new(rec)));
+        let q = SetQuery::has_subset(vec![ElementKey::from(42u64)]);
+        disk.reset_stats();
+        let (_, stats) = f.candidates_with_stats(&q).unwrap();
+        assert_eq!(disk.snapshot().reads, 0, "write-through left it resident");
+        let cache = f.cache_stats().expect("pooled facility reports pool stats");
+        assert_eq!(
+            cache,
+            pool.stats(),
+            "the caller's pool is the one reporting"
+        );
+        // The trace carries the counters the driver asked the handle for.
+        let ev = &ring.snapshot()[0];
+        assert_eq!(ev.cache_hits, stats.map(|s| s.pages));
+        assert_eq!(ev.cache_misses, Some(0));
+        assert!(fssf(500, 50, 3).1.cache_stats().is_none());
+    }
+
+    #[test]
+    fn capped_query_runs_the_plain_filter() {
+        let (_d, mut f) = fssf(500, 50, 3);
+        for i in 0..100u64 {
+            f.insert(Oid::new(i), &[ElementKey::from(i), ElementKey::from(i + 1)])
+                .unwrap();
+        }
+        let elems = vec![ElementKey::from(42u64), ElementKey::from(43u64)];
+        for plain in [
+            SetQuery::has_subset(elems.clone()),
+            SetQuery::in_subset(elems),
+        ] {
+            let capped = plain.clone().with_cap(1).unwrap();
+            assert_eq!(
+                f.candidates_with_stats(&capped).unwrap(),
+                f.candidates_with_stats(&plain).unwrap()
+            );
+        }
     }
 
     #[test]

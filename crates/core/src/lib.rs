@@ -30,10 +30,13 @@
 //!   overlap, ∈) with their signature match rules,
 //! * [`Ssf`] — the *sequential signature file* organization,
 //! * [`Bssf`] — the *bit-sliced signature file* organization, including the
-//!   paper's "smart object retrieval" strategies (§5.1.3, §5.2.2),
+//!   paper's "smart object retrieval" strategies (§5.1.3, §5.2.2), which a
+//!   query asks for by carrying a cap ([`SetQuery::with_cap`]),
 //! * [`OidFile`] — the positional OID file shared by both organizations,
 //! * [`SetAccessFacility`] — the common interface also implemented by the
-//!   nested index in `setsig-nix`,
+//!   nested index in `setsig-nix`, and [`FilterStage`] — the one driver
+//!   (observability, per-call [`ScanCounters`], stats, trace) every
+//!   implementation's `candidates_with_stats` runs its scan through,
 //! * [`resolve_drops`] — false-drop resolution against any
 //!   [`TargetSetSource`] (e.g. the object store in `setsig-oodb`).
 //!
@@ -84,11 +87,12 @@ pub use config::SignatureConfig;
 pub use drops::{resolve_drops, verify_predicate, DropReport, ElementSet, TargetSetSource};
 pub use element::ElementKey;
 pub use error::{Error, Result};
-pub use facility::{CandidateSet, ScanStats, SetAccessFacility};
+pub use facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
 pub use fssf::{Fssf, FssfConfig};
 pub use hash::{element_hash, ElementHasher};
 pub use oid::{Oid, OidAllocator};
 pub use oidfile::{OidFile, OIDS_PER_PAGE, OID_ENTRY_BYTES};
+pub use qtrace::FilterStage;
 pub use query::{SetPredicate, SetQuery};
 pub use signature::Signature;
 pub use ssf::Ssf;

@@ -1,91 +1,99 @@
-//! Glue between the facilities and the `setsig-obs` recorder.
+//! The one filter-stage driver every facility's `candidates_with_stats`
+//! goes through.
 //!
-//! A facility holds an `Option<Arc<Recorder>>` (default `None`). At each
-//! `candidates*` entry it calls [`QueryObs::start`]; with no recorder
-//! attached that returns `None` without reading the clock or the cache
-//! counters, so disabled observability adds nothing to the query path.
+//! A facility describes itself in a [`FilterStage`] and hands
+//! [`FilterStage::run`] its scan. The driver arms observability (only when a
+//! recorder is attached — otherwise it reads neither the clock nor the cache
+//! counters), gives the scan a fresh [`ScanCounters`] on this call's stack,
+//! turns the counters into the call's [`ScanStats`], and emits the
+//! [`QueryTrace`]. The signature files add the OID-file look-up between scan
+//! and stats through `run_positions`.
 
-use crate::facility::{CandidateSet, ScanCounters};
+use crate::error::Result;
+use crate::facility::{CandidateSet, ScanCounters, ScanStats};
+use crate::oidfile::OidFile;
 use crate::query::SetQuery;
 use setsig_obs::{QueryTrace, Recorder};
-use setsig_pagestore::CacheStats;
+use setsig_pagestore::{CacheStats, PageIo};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything the trace event needs that only the facility knows.
-pub(crate) struct QueryOutcome<'a> {
-    /// Facility short name, lowercase (`"ssf"`, `"bssf"`, …).
+/// What the filter-stage driver needs to know about the facility it runs.
+pub struct FilterStage<'a> {
+    /// Facility short name, lowercase (`"ssf"`, `"bssf"`, …), as traces and
+    /// metrics spell it.
     pub facility: &'static str,
-    /// Strategy suffix for the predicate field (`Some("smart")`), if any.
-    pub strategy: Option<&'static str>,
     /// Signature geometry `(F, m)`, for facilities that have one.
     pub geometry: Option<(u32, u32)>,
-    /// The query's own counters.
-    pub ctr: &'a ScanCounters,
-    /// Whether the slices/frames-touched counter is meaningful for this
-    /// facility (BSSF slices, FSSF frames; false for SSF row scans).
+    /// Whether [`ScanCounters::slices`] means something for this facility
+    /// (BSSF slices, FSSF frames; not SSF row scans or B-tree probes).
     pub track_slices: bool,
-    /// The drops the filter returned.
-    pub set: &'a CandidateSet,
-    /// Buffer-pool counters after the query, when a pool is attached.
-    pub cache_after: Option<CacheStats>,
+    /// The attached recorder, if any.
+    pub recorder: Option<&'a Arc<Recorder>>,
+    /// The facility's I/O handle, asked for its cache counters.
+    pub io: &'a dyn PageIo,
 }
 
-/// Armed observability context for one query: holds the recorder, the
-/// entry timestamp and the entry cache counters.
-pub(crate) struct QueryObs {
-    rec: Arc<Recorder>,
-    start: Instant,
-    cache_before: Option<CacheStats>,
-}
-
-impl QueryObs {
-    /// Arms observability for one query, or returns `None` (doing no work
-    /// at all) when no recorder is attached. `cache` is only invoked when
-    /// a recorder is present.
-    pub(crate) fn start(
-        rec: &Option<Arc<Recorder>>,
-        cache: impl FnOnce() -> Option<CacheStats>,
-    ) -> Option<QueryObs> {
-        rec.as_ref().map(|r| QueryObs {
-            rec: Arc::clone(r),
-            start: Instant::now(),
-            cache_before: cache(),
-        })
+impl FilterStage<'_> {
+    /// Runs `scan` as the filter stage of `query`: the drops it returns,
+    /// with the pages it charged to its counters as this call's stats.
+    pub fn run(
+        self,
+        query: &SetQuery,
+        scan: impl FnOnce(&mut ScanCounters) -> Result<CandidateSet>,
+    ) -> Result<(CandidateSet, Option<ScanStats>)> {
+        let armed = self
+            .recorder
+            .map(|rec| (rec, Instant::now(), self.io.cache_stats()));
+        let mut ctr = ScanCounters::default();
+        let set = scan(&mut ctr)?;
+        if let Some((rec, start, before)) = armed {
+            let cache = before.zip(self.io.cache_stats());
+            let delta = |f: fn(&CacheStats) -> u64| {
+                cache.map(|(before, after)| f(&after).saturating_sub(f(&before)))
+            };
+            rec.record_query(&QueryTrace {
+                facility: self.facility.to_owned(),
+                predicate: match query.cap() {
+                    Some(_) => format!("{:?}:smart", query.predicate),
+                    None => format!("{:?}", query.predicate),
+                },
+                d_q: query.elements.len() as u64,
+                f_bits: self.geometry.map(|(f, _)| f),
+                m_weight: self.geometry.map(|(_, m)| m),
+                slices_touched: self.track_slices.then_some(ctr.slices),
+                early_exit: ctr.early_exit,
+                pages: Some(ctr.pages),
+                candidates: set.len() as u64,
+                exact: set.exact,
+                false_drops: None,
+                cache_hits: delta(|c| c.hits),
+                cache_misses: delta(|c| c.misses),
+                cache_pinned_hits: delta(|c| c.pinned_hits),
+                latency_ns: start.elapsed().as_nanos() as u64,
+            });
+        }
+        Ok((set, Some(ScanStats { pages: ctr.pages })))
     }
 
-    /// Builds the [`QueryTrace`] for a completed query and hands it to the
-    /// recorder (metrics + sinks).
-    pub(crate) fn finish(self, query: &SetQuery, out: QueryOutcome<'_>) {
-        let predicate = match out.strategy {
-            Some(s) => format!("{:?}:{s}", query.predicate),
-            None => format!("{:?}", query.predicate),
-        };
-        let (cache_hits, cache_misses, cache_pinned_hits) =
-            match (self.cache_before, out.cache_after) {
-                (Some(before), Some(after)) => (
-                    Some(after.hits.saturating_sub(before.hits)),
-                    Some(after.misses.saturating_sub(before.misses)),
-                    Some(after.pinned_hits.saturating_sub(before.pinned_hits)),
-                ),
-                _ => (None, None, None),
-            };
-        self.rec.record_query(&QueryTrace {
-            facility: out.facility.to_owned(),
-            predicate,
-            d_q: query.elements.len() as u64,
-            f_bits: out.geometry.map(|(f, _)| f),
-            m_weight: out.geometry.map(|(_, m)| m),
-            slices_touched: out.track_slices.then_some(out.ctr.slices),
-            early_exit: out.ctr.early_exit,
-            pages: Some(out.ctr.pages),
-            candidates: out.set.len() as u64,
-            exact: out.set.exact,
-            false_drops: None,
-            cache_hits,
-            cache_misses,
-            cache_pinned_hits,
-            latency_ns: self.start.elapsed().as_nanos() as u64,
-        });
+    /// [`run`](Self::run) for a signature file: `scan` says which positions
+    /// match, and the OID-file look-up that maps them to drops is charged
+    /// (the paper's `LC_OID`) and performed here.
+    // COST: oid_pages pages
+    pub(crate) fn run_positions(
+        self,
+        query: &SetQuery,
+        oid_file: &OidFile,
+        scan: impl FnOnce(&mut ScanCounters) -> Result<Vec<u64>>,
+    ) -> Result<(CandidateSet, Option<ScanStats>)> {
+        self.run(query, |ctr| {
+            let positions = scan(ctr)?;
+            ctr.pages += OidFile::pages_touched(&positions);
+            let resolved = oid_file.lookup_positions(&positions)?;
+            Ok(CandidateSet::new(
+                resolved.into_iter().map(|(_, oid)| oid).collect(),
+                false,
+            ))
+        })
     }
 }

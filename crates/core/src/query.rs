@@ -2,6 +2,7 @@
 
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
+use crate::error::{Error, Result};
 use crate::signature::Signature;
 
 /// The set comparison operators of §2.
@@ -54,6 +55,9 @@ pub struct SetQuery {
     pub predicate: SetPredicate,
     /// The query set `Q`, deduplicated, in canonical order.
     pub elements: Vec<ElementKey>,
+    /// The smart-strategy budget on the filter stage; see
+    /// [`with_cap`](SetQuery::with_cap).
+    cap: Option<usize>,
 }
 
 impl SetQuery {
@@ -64,7 +68,38 @@ impl SetQuery {
         SetQuery {
             predicate,
             elements,
+            cap: None,
         }
+    }
+
+    /// Bounds what the filter stage inspects — the paper's "smart"
+    /// strategies (§5.1.3, §5.2.2). For `T ⊇ Q` the filter uses at most
+    /// `cap` query elements (the first, in canonical order); for `T ⊆ Q`
+    /// BSSF reads at most `cap` of the query signature's zero-slices (the
+    /// lowest). Either way the filter only admits *more* drops, and drop
+    /// resolution verifies the full `elements`, so the answer is unchanged.
+    /// A facility with no smart strategy for the predicate runs its plain
+    /// filter.
+    ///
+    /// Only `HasSubset` and `InSubset` take a cap, and it must be ≥ 1.
+    pub fn with_cap(mut self, cap: usize) -> Result<Self> {
+        let capped = matches!(
+            self.predicate,
+            SetPredicate::HasSubset | SetPredicate::InSubset
+        );
+        if !capped || cap == 0 {
+            return Err(Error::BadQuery(format!(
+                "a smart cap needs T ⊇ Q or T ⊆ Q and cap ≥ 1, got {} with cap {cap}",
+                self.predicate
+            )));
+        }
+        self.cap = Some(cap);
+        Ok(self)
+    }
+
+    /// The smart-strategy cap, if the query carries one.
+    pub fn cap(&self) -> Option<usize> {
+        self.cap
     }
 
     /// `T ⊇ Q` — "find objects whose set includes all of `elements`".
@@ -151,6 +186,30 @@ mod tests {
         let c = SetQuery::contains(ElementKey::from("x"));
         assert_eq!(c.predicate, SetPredicate::Contains);
         assert_eq!(c.d_q(), 1);
+    }
+
+    #[test]
+    fn cap_is_validated_where_the_query_is_built() {
+        let e = || keys(&["a", "b"]);
+        assert_eq!(SetQuery::has_subset(e()).cap(), None);
+        assert_eq!(
+            SetQuery::has_subset(e()).with_cap(1).unwrap().cap(),
+            Some(1)
+        );
+        assert_eq!(
+            SetQuery::in_subset(e()).with_cap(40).unwrap().cap(),
+            Some(40)
+        );
+        for q in [
+            SetQuery::equals(e()),
+            SetQuery::overlaps(e()),
+            SetQuery::contains(ElementKey::from("a")),
+        ] {
+            assert!(matches!(q.with_cap(2), Err(Error::BadQuery(_))));
+        }
+        for q in [SetQuery::has_subset(e()), SetQuery::in_subset(e())] {
+            assert!(matches!(q.with_cap(0), Err(Error::BadQuery(_))));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
 use crate::kernel;
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::{QueryObs, QueryOutcome};
+use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::signature::Signature;
 
@@ -286,30 +286,17 @@ impl SetAccessFacility for Ssf {
 
     // COST: sig_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let obs = QueryObs::start(&self.obs, || self.cache_stats());
-        let mut ctr = ScanCounters::default();
-        let positions = self.scan_matching_positions_counted(query, &mut ctr)?;
-        // The OID look-up is part of the filtering stage's protocol charge
-        // (the paper's LC_OID).
-        ctr.pages += OidFile::pages_touched(&positions);
-        let resolved = self.oid_file.lookup_positions(&positions)?;
-        let set = CandidateSet::new(resolved.into_iter().map(|(_, oid)| oid).collect(), false);
-        let stats = ctr.stats();
-        if let Some(o) = obs {
-            o.finish(
-                query,
-                QueryOutcome {
-                    facility: "ssf",
-                    strategy: None,
-                    geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-                    ctr: &ctr,
-                    track_slices: false,
-                    set: &set,
-                    cache_after: self.cache_stats(),
-                },
-            );
-        }
-        Ok((set, Some(stats)))
+        // No smart strategy: a capped query runs the plain full scan.
+        let stage = FilterStage {
+            facility: "ssf",
+            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
+            track_slices: false,
+            recorder: self.obs.as_ref(),
+            io: self.sig_file.io().as_ref(),
+        };
+        stage.run_positions(query, &self.oid_file, |ctr| {
+            self.scan_matching_positions_counted(query, ctr)
+        })
     }
 
     fn indexed_count(&self) -> u64 {
@@ -600,6 +587,22 @@ mod engine_tests {
 
         let (_d, bare) = populated(64, 2, 5);
         assert!(bare.cache_stats().is_none());
+    }
+
+    #[test]
+    fn capped_query_runs_the_plain_filter() {
+        let (_d, s) = populated(128, 2, 50);
+        let elems = vec![ElementKey::from(0u64), ElementKey::from(1u64)];
+        for plain in [
+            SetQuery::has_subset(elems.clone()),
+            SetQuery::in_subset(elems),
+        ] {
+            let capped = plain.clone().with_cap(1).unwrap();
+            assert_eq!(
+                s.candidates_with_stats(&capped).unwrap(),
+                s.candidates_with_stats(&plain).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -216,13 +216,13 @@ proptest! {
         let qelems = keys(&query_raw.iter().copied().collect::<Vec<_>>());
         let q_sup = SetQuery::has_subset(qelems.clone());
         let plain = bssf.candidates(&q_sup).unwrap();
-        let (smart, _) = bssf.candidates_superset_smart(&q_sup, cap).unwrap();
+        let smart = bssf.candidates(&q_sup.with_cap(cap).unwrap()).unwrap();
         for oid in &plain.oids {
             prop_assert!(smart.oids.contains(oid));
         }
         let q_sub = SetQuery::in_subset(qelems);
         let plain = bssf.candidates(&q_sub).unwrap();
-        let (smart, _) = bssf.candidates_subset_smart(&q_sub, cap * 8).unwrap();
+        let smart = bssf.candidates(&q_sub.with_cap(cap * 8).unwrap()).unwrap();
         for oid in &plain.oids {
             prop_assert!(smart.oids.contains(oid));
         }

@@ -111,15 +111,11 @@ fn smart_subset_exhibit(
         row.push(Exhibit::fmt(nix.rc_subset(d_q)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
             let mut qg = sim.query_gen(d_q as u64 * 13 + 3);
-            let mut total = 0u64;
-            for _ in 0..opts.trials {
-                let q =
-                    SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect());
-                total += sim
-                    .measure_smart(&q, || bssf.candidates_subset_smart(&q, slice_cap))
-                    .total_pages();
-            }
-            row.push(Exhibit::fmt(total as f64 / opts.trials as f64));
+            row.push(Exhibit::fmt(sim.measure_avg(bssf, opts.trials, |_| {
+                SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
+                    .with_cap(slice_cap)
+                    .expect("T ⊆ Q takes a cap ≥ 1")
+            })));
             let mut qg = sim.query_gen(d_q as u64 * 13 + 3);
             row.push(Exhibit::fmt(sim.measure_avg(nixi, opts.trials, |_| {
                 SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())

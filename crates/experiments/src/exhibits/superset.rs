@@ -1,6 +1,6 @@
 //! Figures 4–7: retrieval cost for `T ⊇ Q`.
 
-use setsig_core::{ElementKey, SetQuery};
+use setsig_core::{ElementKey, SetAccessFacility, SetQuery};
 use setsig_costmodel::{BssfModel, NixModel, SsfModel};
 
 use super::Options;
@@ -162,30 +162,17 @@ fn smart_superset_exhibit(
         }
         row.push(Exhibit::fmt(nix.rc_superset_smart(d_q, nix_cap)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
-            let cap = caps[1] as usize;
-            let mut qg = sim.query_gen(d_q as u64 * 7 + 1);
-            let mut total = 0u64;
-            for _ in 0..opts.trials {
-                let q = SetQuery::has_subset(
-                    qg.random(d_q).into_iter().map(ElementKey::from).collect(),
-                );
-                total += sim
-                    .measure_smart(&q, || bssf.candidates_superset_smart(&q, cap))
-                    .total_pages();
+            for (facility, cap) in [
+                (bssf as &dyn SetAccessFacility, caps[1]),
+                (nixi as &dyn SetAccessFacility, nix_cap),
+            ] {
+                let mut qg = sim.query_gen(d_q as u64 * 7 + 1);
+                row.push(Exhibit::fmt(sim.measure_avg(facility, opts.trials, |_| {
+                    SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
+                        .with_cap(cap as usize)
+                        .expect("T ⊇ Q takes a cap ≥ 1")
+                })));
             }
-            row.push(Exhibit::fmt(total as f64 / opts.trials as f64));
-
-            let mut qg = sim.query_gen(d_q as u64 * 7 + 1);
-            let mut total = 0u64;
-            for _ in 0..opts.trials {
-                let q = SetQuery::has_subset(
-                    qg.random(d_q).into_iter().map(ElementKey::from).collect(),
-                );
-                total += sim
-                    .measure_smart(&q, || nixi.candidates_superset_smart(&q, nix_cap as usize))
-                    .total_pages();
-            }
-            row.push(Exhibit::fmt(total as f64 / opts.trials as f64));
         }
         ex.push_row(row);
     }

@@ -6,8 +6,8 @@
 //! actual page accesses.
 
 use setsig_core::{
-    resolve_drops, Bssf, CandidateSet, ElementKey, Fssf, FssfConfig, Oid, Result as CoreResult,
-    ScanStats, SetAccessFacility, SetQuery, SignatureConfig, Ssf,
+    resolve_drops, Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, SetQuery,
+    SignatureConfig, Ssf,
 };
 use setsig_nix::Nix;
 use setsig_obs::{Recorder, RingSink, TraceSink};
@@ -16,36 +16,6 @@ use setsig_pagestore::{BufferPool, PageIo};
 use setsig_service::{shard_of, QueryService, ServiceConfig};
 use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
 use std::sync::Arc;
-
-/// What a filter-stage closure hands back to the measurement harness: the
-/// drops, plus the scan's own [`ScanStats`] when the facility tracks them.
-///
-/// Implemented for every shape the `candidates*` family returns, so
-/// `measure_smart` accepts `Bssf::candidates_superset_smart` (which returns
-/// `(CandidateSet, ScanStats)`), `Nix::candidates_superset_smart` (a bare
-/// `CandidateSet`), and `candidates_with_stats` alike.
-pub trait FilterOutcome {
-    /// Splits into candidates and optional per-query scan stats.
-    fn into_parts(self) -> (CandidateSet, Option<ScanStats>);
-}
-
-impl FilterOutcome for CandidateSet {
-    fn into_parts(self) -> (CandidateSet, Option<ScanStats>) {
-        (self, None)
-    }
-}
-
-impl FilterOutcome for (CandidateSet, ScanStats) {
-    fn into_parts(self) -> (CandidateSet, Option<ScanStats>) {
-        (self.0, Some(self.1))
-    }
-}
-
-impl FilterOutcome for (CandidateSet, Option<ScanStats>) {
-    fn into_parts(self) -> (CandidateSet, Option<ScanStats>) {
-        self
-    }
-}
 
 /// Measured cost breakdown of one query through one facility.
 #[derive(Debug, Clone, Copy, Default)]
@@ -326,9 +296,9 @@ impl SimDb {
     /// Builds a sharded BSSF query service over the instance, with engine
     /// knobs (shard count, queue depth, pool pages) from the
     /// environment. With `SETSIG_SHARDS` unset this is a 1-shard service
-    /// whose answers and page charges are identical to [`build_bssf`]
-    /// (see [`Self::build_bssf`]) — which is what lets the drift gates run
-    /// through the service without loosening a tolerance.
+    /// whose answers and page charges are identical to
+    /// [`build_bssf`](Self::build_bssf) — which is what lets the drift gates
+    /// run through the service without loosening a tolerance.
     pub fn build_bssf_service(&self, f: u32, m: u32) -> QueryService<Bssf> {
         self.build_bssf_service_with(f, m, EngineConfig::from_env())
     }
@@ -395,47 +365,29 @@ impl SimDb {
         nix
     }
 
-    /// Measures a plain facility query. The filter stage is charged the
-    /// [`ScanStats`] returned by *this very call* — exact even when other
-    /// queries run concurrently on the same facility.
+    /// Measures one query — plain, or smart when it carries a cap
+    /// ([`SetQuery::with_cap`]) — through `facility`, then fetches and
+    /// verifies each candidate against the object store. The filter stage is
+    /// charged the `ScanStats` returned by *this very call*: the protocol's
+    /// page count, exact whether or not a pool served the reads and even
+    /// when other queries run concurrently on the same facility.
     pub fn measure_facility(
         &self,
         facility: &dyn SetAccessFacility,
         query: &SetQuery,
     ) -> MeasuredQuery {
-        self.measure_smart(query, || facility.candidates_with_stats(query))
-    }
-
-    /// Measures a smart-strategy query: `filter` calls one of the
-    /// facility's `candidates_*_smart` methods, then drop resolution
-    /// fetches and verifies each candidate against the object store. Like
-    /// [`SimDb::measure_facility`], the filter stage is charged the scan
-    /// pages the call returns; a `filter` returning a bare
-    /// [`CandidateSet`] (NIX) is charged the raw disk delta, which is only
-    /// cache-independent for unbuffered facilities.
-    pub fn measure_smart<R: FilterOutcome>(
-        &self,
-        query: &SetQuery,
-        filter: impl FnOnce() -> CoreResult<R>,
-    ) -> MeasuredQuery {
-        let disk = self.db.disk();
-        let start = disk.snapshot();
-        let (candidates, stats) = filter().expect("filter stage").into_parts();
-        let after_filter = disk.snapshot();
-        // The paper's RC charges the protocol's page accesses. A call that
-        // returns its own scan stats reports exactly that count whether or
-        // not a pool served the reads; calls without stats (NIX) run
-        // unbuffered, where the disk delta is the same number.
-        let filter_pages = stats.map_or_else(|| after_filter.since(start).accesses(), |s| s.pages);
+        let (candidates, stats) = facility.candidates_with_stats(query).expect("filter stage");
+        let filter_pages = stats.expect("the facility reports its filter pages").pages;
         let source = self
             .db
             .target_source(self.class, "elems")
             .expect("class has elems");
+        let disk = self.db.disk();
+        let before = disk.snapshot();
         let report = resolve_drops(query, &candidates, &source).expect("resolution");
-        let end = disk.snapshot();
         MeasuredQuery {
             filter_pages,
-            object_pages: end.since(after_filter).accesses(),
+            object_pages: disk.snapshot().since(before).accesses(),
             candidates: report.candidates,
             false_drops: report.false_drops,
             actual: report.actual.len() as u64,

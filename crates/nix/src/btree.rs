@@ -13,7 +13,7 @@ use crate::node::{
 /// structure of the nested index.
 ///
 /// Structure-modifying operations split leaves and internal nodes upward;
-/// postings larger than [`MAX_INLINE_OIDS`] move to overflow chains.
+/// postings larger than `MAX_INLINE_OIDS` move to overflow chains.
 /// Deletion removes OIDs (and empty entries) but never merges pages — the
 /// paper's update model likewise ignores structural shrinkage.
 pub struct BTree {
@@ -333,11 +333,14 @@ impl BTree {
     }
 
     /// The posting list of `key` (empty when absent). Costs
-    /// `height + 1 (+ chain length)` page reads — the paper's `rc`.
+    /// `height + 1 (+ chain length)` page reads — the paper's `rc` — and
+    /// adds them to `pages`, the calling query's counter (`&mut 0` when
+    /// nobody is counting).
     // HOT-PATH: nix.probe
     // COST: height + chain pages
-    pub fn lookup(&self, key: u64) -> Result<Vec<u64>> {
+    pub fn lookup(&self, key: u64, pages: &mut u64) -> Result<Vec<u64>> {
         let (_, _leaf_no, page) = self.descend(key)?;
+        *pages += u64::from(self.rc_lookup());
         match Leaf::search(&page, key) {
             Err(_) => Ok(Vec::new()),
             Ok(slot) => match Leaf::entry_at(&page, slot) {
@@ -349,6 +352,7 @@ impl BTree {
                     let mut link = chain_head;
                     while link != NO_PAGE {
                         let page = self.file.read(link)?;
+                        *pages += 1;
                         for i in 0..Overflow::count(&page) {
                             oids.push(Overflow::oid(&page, i));
                         }
@@ -560,8 +564,8 @@ mod tests {
         let (_d, mut t) = tree();
         t.insert(42, 100).unwrap();
         t.insert(42, 200).unwrap();
-        assert_eq!(t.lookup(42).unwrap(), vec![100, 200]);
-        assert_eq!(t.lookup(43).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.lookup(42, &mut 0).unwrap(), vec![100, 200]);
+        assert_eq!(t.lookup(43, &mut 0).unwrap(), Vec::<u64>::new());
         assert_eq!(t.key_count(), 1);
         assert_eq!(t.posting_count(), 2);
         t.check_integrity().unwrap();
@@ -580,7 +584,7 @@ mod tests {
         assert_eq!(t.key_count(), 2000);
         assert_eq!(t.posting_count(), 6000);
         for k in [0u64, 700, 6993, 13993] {
-            let oids = t.lookup(k).unwrap();
+            let oids = t.lookup(k, &mut 0).unwrap();
             assert_eq!(oids.len(), 3, "key {k}");
         }
         t.check_integrity().unwrap();
@@ -598,7 +602,10 @@ mod tests {
             rev.insert(k, k + 1).unwrap();
         }
         for &k in &keys {
-            assert_eq!(fwd.lookup(k).unwrap(), rev.lookup(k).unwrap());
+            assert_eq!(
+                fwd.lookup(k, &mut 0).unwrap(),
+                rev.lookup(k, &mut 0).unwrap()
+            );
         }
         fwd.check_integrity().unwrap();
         rev.check_integrity().unwrap();
@@ -611,7 +618,7 @@ mod tests {
         for i in 0..n {
             t.insert(5, i).unwrap();
         }
-        let mut oids = t.lookup(5).unwrap();
+        let mut oids = t.lookup(5, &mut 0).unwrap();
         oids.sort_unstable();
         assert_eq!(oids, (0..n).collect::<Vec<_>>());
         t.check_integrity().unwrap();
@@ -623,10 +630,10 @@ mod tests {
         t.insert(1, 10).unwrap();
         t.insert(1, 20).unwrap();
         assert!(t.remove(1, 10).unwrap());
-        assert_eq!(t.lookup(1).unwrap(), vec![20]);
+        assert_eq!(t.lookup(1, &mut 0).unwrap(), vec![20]);
         assert!(!t.remove(1, 10).unwrap(), "already gone");
         assert!(t.remove(1, 20).unwrap());
-        assert_eq!(t.lookup(1).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.lookup(1, &mut 0).unwrap(), Vec::<u64>::new());
         assert_eq!(t.key_count(), 0);
 
         // Chain removal.
@@ -636,7 +643,7 @@ mod tests {
         }
         assert!(t.remove(9, 3).unwrap());
         assert!(!t.remove(9, n + 5).unwrap());
-        let oids = t.lookup(9).unwrap();
+        let oids = t.lookup(9, &mut 0).unwrap();
         assert_eq!(oids.len() as u64, n - 1);
         assert!(!oids.contains(&3));
         t.check_integrity().unwrap();
@@ -658,8 +665,14 @@ mod tests {
         }
         assert!(t.height() >= 1);
         disk.reset_stats();
-        let _ = t.lookup(2500).unwrap();
+        let mut pages = 0;
+        let _ = t.lookup(2500, &mut pages).unwrap();
         assert_eq!(disk.snapshot().reads as u32, t.rc_lookup());
+        assert_eq!(
+            pages as u32,
+            t.rc_lookup(),
+            "the look-up counts its own reads"
+        );
     }
 
     #[test]

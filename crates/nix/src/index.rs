@@ -1,13 +1,12 @@
 //! The nested index as a set access facility.
 
 use setsig_core::{
-    CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility, SetPredicate,
-    SetQuery,
+    CandidateSet, ElementKey, Error, FilterStage, Oid, Result, ScanCounters, ScanStats,
+    SetAccessFacility, SetPredicate, SetQuery,
 };
 use setsig_pagestore::{Disk, PageIo};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::btree::BTree;
 
@@ -49,46 +48,6 @@ impl Nix {
         self.obs = rec;
     }
 
-    /// Emits the trace event for one completed query, when a recorder is
-    /// attached. NIX tracks no page accounting (its cost is the B-tree
-    /// look-ups), so the page and slice fields stay `null`.
-    fn trace_query(
-        &self,
-        armed: Option<(Arc<setsig_obs::Recorder>, Instant)>,
-        query: &SetQuery,
-        strategy: Option<&str>,
-        set: &CandidateSet,
-    ) {
-        let Some((rec, t0)) = armed else { return };
-        let predicate = match strategy {
-            Some(s) => format!("{:?}:{s}", query.predicate),
-            None => format!("{:?}", query.predicate),
-        };
-        rec.record_query(&setsig_obs::QueryTrace {
-            facility: "nix".to_owned(),
-            predicate,
-            d_q: query.elements.len() as u64,
-            f_bits: None,
-            m_weight: None,
-            slices_touched: None,
-            early_exit: false,
-            pages: None,
-            candidates: set.len() as u64,
-            exact: set.exact,
-            false_drops: None,
-            cache_hits: None,
-            cache_misses: None,
-            cache_pinned_hits: None,
-            latency_ns: t0.elapsed().as_nanos() as u64,
-        });
-    }
-
-    /// Arms the trace context iff a recorder is attached (no clock read
-    /// otherwise).
-    fn arm_obs(&self) -> Option<(Arc<setsig_obs::Recorder>, Instant)> {
-        self.obs.as_ref().map(|r| (Arc::clone(r), Instant::now()))
-    }
-
     /// The underlying B-tree (stats, integrity checks).
     pub fn tree(&self) -> &BTree {
         &self.tree
@@ -100,7 +59,7 @@ impl Nix {
     pub fn lookup_element(&self, element: &ElementKey) -> Result<Vec<Oid>> {
         Ok(self
             .tree
-            .lookup(element.digest8())?
+            .lookup(element.digest8(), &mut 0)?
             .into_iter()
             .map(Oid::new)
             .collect())
@@ -109,10 +68,24 @@ impl Nix {
     /// The §4.3 retrieval for `T ⊇ Q`: look up every query element and
     /// intersect the OID lists. Exact — an object containing every query
     /// element satisfies the predicate by definition.
-    fn superset_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
+    ///
+    /// Under a smart cap (§5.1.3) only the first `cap` elements' posting
+    /// lists are intersected; the rest are verified at drop resolution, so
+    /// a truncated answer is *not* exact.
+    fn superset_candidates(
+        &self,
+        query: &SetQuery,
+        ctr: &mut ScanCounters,
+    ) -> Result<CandidateSet> {
+        let d_q = query.elements.len();
+        let take = d_q.min(query.cap().unwrap_or(d_q));
         let mut acc: Option<BTreeSet<u64>> = None;
-        for e in &query.elements {
-            let list: BTreeSet<u64> = self.tree.lookup(e.digest8())?.into_iter().collect();
+        for e in &query.elements[..take] {
+            let list: BTreeSet<u64> = self
+                .tree
+                .lookup(e.digest8(), &mut ctr.pages)?
+                .into_iter()
+                .collect();
             acc = Some(match acc {
                 None => list,
                 Some(prev) => prev.intersection(&list).copied().collect(),
@@ -124,61 +97,23 @@ impl Nix {
         let oids = acc
             .map(|s| s.into_iter().map(Oid::new).collect())
             .unwrap_or_default();
-        Ok(CandidateSet::new(oids, true))
-    }
-
-    /// The §5.1.3 smart strategy: intersect only the first `j_cap` query
-    /// elements' posting lists; the remaining elements are verified at drop
-    /// resolution (so the result is *not* exact when truncated).
-    // COST: probes * (height + chain) pages
-    pub fn candidates_superset_smart(
-        &self,
-        query: &SetQuery,
-        j_cap: usize,
-    ) -> Result<CandidateSet> {
-        if query.predicate != SetPredicate::HasSubset {
-            return Err(Error::BadQuery(
-                "smart superset strategy requires T ⊇ Q".into(),
-            ));
-        }
-        let armed = self.arm_obs();
-        let take = query.elements.len().min(j_cap.max(1));
-        let truncated = SetQuery::has_subset(query.elements[..take].to_vec());
-        let mut cands = self.superset_candidates(&truncated)?;
-        cands.exact = take == query.elements.len();
-        self.trace_query(armed, query, Some("smart"), &cands);
-        Ok(cands)
+        Ok(CandidateSet::new(oids, take == d_q))
     }
 
     /// The §4.3 retrieval for `T ⊆ Q`: union the posting lists of all query
     /// elements. Not exact — an object sharing one element may still hold
     /// elements outside `Q` — so drop resolution fetches every candidate,
-    /// which is precisely why the paper finds NIX weak on this query.
-    fn subset_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
+    /// which is precisely why the paper finds NIX weak on this query. (No
+    /// smart strategy: every list may hold a qualifying object.)
+    fn subset_candidates(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<CandidateSet> {
         let mut acc: BTreeSet<u64> = BTreeSet::new();
         for e in &query.elements {
-            acc.extend(self.tree.lookup(e.digest8())?);
+            acc.extend(self.tree.lookup(e.digest8(), &mut ctr.pages)?);
         }
         Ok(CandidateSet::new(
             acc.into_iter().map(Oid::new).collect(),
             false,
         ))
-    }
-
-    /// Set equality via the index: `T = Q` implies `T ⊇ Q`, so intersect
-    /// and verify cardinality at resolution.
-    fn equals_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
-        let mut cands = self.superset_candidates(query)?;
-        cands.exact = false; // a strict superset of Q would be a false drop
-        Ok(cands)
-    }
-
-    /// Overlap via the index: any object listed under any query element
-    /// shares that element — exact.
-    fn overlap_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
-        let mut cands = self.subset_candidates(query)?;
-        cands.exact = true;
-        Ok(cands)
     }
 }
 
@@ -215,17 +150,32 @@ impl SetAccessFacility for Nix {
 
     // COST: probes * (height + chain) pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let armed = self.arm_obs();
-        let set = match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => self.superset_candidates(query)?,
-            SetPredicate::InSubset => self.subset_candidates(query)?,
-            SetPredicate::Equals => self.equals_candidates(query)?,
-            SetPredicate::Overlaps => self.overlap_candidates(query)?,
+        let stage = FilterStage {
+            facility: "nix",
+            geometry: None,
+            track_slices: false,
+            recorder: self.obs.as_ref(),
+            io: self.tree.file_io().as_ref(),
         };
-        self.trace_query(armed, query, None, &set);
-        // NIX has no scan engine: its cost model is rc·D_q B-tree reads,
-        // measured at the disk, not per-query counters.
-        Ok((set, None))
+        stage.run(query, |ctr| {
+            Ok(match query.predicate {
+                SetPredicate::HasSubset | SetPredicate::Contains => {
+                    self.superset_candidates(query, ctr)?
+                }
+                SetPredicate::InSubset => self.subset_candidates(query, ctr)?,
+                // `T = Q` implies `T ⊇ Q`, but a strict superset of Q is a
+                // false drop: intersect, verify cardinality at resolution.
+                SetPredicate::Equals => CandidateSet {
+                    exact: false,
+                    ..self.superset_candidates(query, ctr)?
+                },
+                // Any object listed under any query element shares it.
+                SetPredicate::Overlaps => CandidateSet {
+                    exact: true,
+                    ..self.subset_candidates(query, ctr)?
+                },
+            })
+        })
     }
 
     fn indexed_count(&self) -> u64 {
@@ -234,6 +184,10 @@ impl SetAccessFacility for Nix {
 
     fn storage_pages(&self) -> Result<u64> {
         self.tree.storage_pages()
+    }
+
+    fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
+        self.tree.file_io().cache_stats()
     }
 }
 
@@ -323,22 +277,32 @@ mod tests {
         }
         let q = SetQuery::has_subset((0..5).map(|j| ElementKey::from(11u64 * 17 + j)).collect());
         disk.reset_stats();
-        let c = n.candidates_superset_smart(&q, 2).unwrap();
+        let c = n.candidates(&q.clone().with_cap(2).unwrap()).unwrap();
         assert!(c.oids.contains(&Oid::new(11)));
         assert!(!c.exact, "truncated strategy must flag for verification");
         // 2 look-ups × rc reads.
         let reads = disk.snapshot().reads;
         assert_eq!(reads as u32, 2 * n.tree().rc_lookup());
-        // Un-truncated (cap ≥ D_q) stays exact.
-        let c = n.candidates_superset_smart(&q, 5).unwrap();
-        assert!(c.exact);
+        // Un-truncated (cap ≥ D_q) is the plain query: same answer, exact.
+        let plain = n.candidates_with_stats(&q).unwrap();
+        assert!(plain.0.exact);
+        assert_eq!(
+            n.candidates_with_stats(&q.with_cap(5).unwrap()).unwrap(),
+            plain
+        );
     }
 
     #[test]
-    fn smart_rejects_wrong_predicate() {
-        let (_d, n) = nix();
-        let q = SetQuery::in_subset(keys(&["a"]));
-        assert!(n.candidates_superset_smart(&q, 2).is_err());
+    fn subset_has_no_smart_strategy_and_runs_plain() {
+        let (_d, mut n) = nix();
+        n.insert(Oid::new(1), &keys(&["a"])).unwrap();
+        n.insert(Oid::new(2), &keys(&["b", "z"])).unwrap();
+        let q = SetQuery::in_subset(keys(&["a", "b", "c"]));
+        assert_eq!(
+            n.candidates_with_stats(&q.clone().with_cap(1).unwrap())
+                .unwrap(),
+            n.candidates_with_stats(&q).unwrap()
+        );
     }
 
     #[test]
@@ -366,24 +330,118 @@ mod tests {
         assert_eq!(c.oids, vec![Oid::new(1)]);
     }
 
-    #[test]
-    fn lookup_cost_matches_rc_times_d_q() {
-        let (disk, mut n) = nix();
-        // Enough keys for a height ≥ 1 tree; object i holds {3i, 3i+1,
-        // 3i+2} so the probe elements co-occur and no early exit fires.
+    /// Object `i` holds `{3i, 3i+1, 3i+2}` — enough keys for a height ≥ 1
+    /// tree, and the probe elements co-occur so no early exit fires.
+    fn thousand_triples(n: &mut Nix) -> [SetQuery; 3] {
         for i in 0..1000u64 {
             let set: Vec<ElementKey> = (0..3).map(|j| ElementKey::from(3 * i + j)).collect();
             n.insert(Oid::new(i), &set).unwrap();
         }
-        let q = SetQuery::has_subset(vec![
-            ElementKey::from(1500u64),
-            ElementKey::from(1501u64),
-            ElementKey::from(1502u64),
-        ]);
+        let elems: Vec<ElementKey> = (1500..1503u64).map(ElementKey::from).collect();
+        [
+            SetQuery::has_subset(elems.clone()),
+            SetQuery::in_subset(elems.clone()),
+            SetQuery::has_subset(elems).with_cap(2).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn lookup_cost_matches_rc_times_d_q() {
+        let (disk, mut n) = nix();
+        let queries = thousand_triples(&mut n);
+        let rc = n.tree().rc_lookup() as u64;
+        // ⊇ and ⊆ probe all three elements, smart-⊇ the first two; the
+        // pages the call reports are exactly its disk reads.
+        for (q, probes) in queries.iter().zip([3, 3, 2]) {
+            disk.reset_stats();
+            let (_, stats) = n.candidates_with_stats(q).unwrap();
+            assert_eq!(disk.snapshot().reads, probes * rc, "rc·D_q of §4.3");
+            assert_eq!(stats.unwrap().pages, probes * rc);
+        }
+    }
+
+    #[test]
+    fn overflow_chain_links_are_counted() {
+        let (disk, mut n) = nix();
+        for i in 0..2000u64 {
+            n.insert(Oid::new(i), &keys(&["hot"])).unwrap();
+        }
         disk.reset_stats();
-        let _ = n.candidates(&q).unwrap();
+        let (set, stats) = n
+            .candidates_with_stats(&SetQuery::contains(ElementKey::from("hot")))
+            .unwrap();
+        assert_eq!(set.len(), 2000);
         let reads = disk.snapshot().reads;
-        assert_eq!(reads as u32, 3 * n.tree().rc_lookup(), "rc·D_q of §4.3");
+        assert!(reads > n.tree().rc_lookup() as u64, "posting spans a chain");
+        assert_eq!(stats.unwrap().pages, reads);
+    }
+
+    #[test]
+    fn reported_pages_are_the_protocol_charge_under_a_pool() {
+        let disk = Arc::new(Disk::new());
+        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
+        let mut n = Nix::on_io(Arc::clone(&pool) as Arc<dyn PageIo>, "p");
+        let queries = thousand_triples(&mut n);
+        let rc = n.tree().rc_lookup() as u64;
+        pool.clear();
+        for (q, probes) in queries.iter().zip([3, 3, 2]) {
+            let (cold_set, cold) = n.candidates_with_stats(q).unwrap();
+            disk.reset_stats();
+            let (hot_set, hot) = n.candidates_with_stats(q).unwrap();
+            assert_eq!(cold_set, hot_set);
+            assert_eq!(cold.unwrap().pages, probes * rc);
+            assert_eq!(hot, cold, "the page charge is cache-independent");
+            assert_eq!(disk.snapshot().reads, 0, "the repeat is pool-resident");
+        }
+    }
+
+    #[test]
+    fn cache_stats_come_from_the_io_handle() {
+        let disk = Arc::new(Disk::new());
+        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 64));
+        let mut n = Nix::on_io(Arc::clone(&pool) as Arc<dyn PageIo>, "c");
+        n.insert(Oid::new(1), &keys(&["a", "b"])).unwrap();
+        let _ = n
+            .candidates(&SetQuery::contains(ElementKey::from("a")))
+            .unwrap();
+        let cache = n.cache_stats().expect("pooled facility reports pool stats");
+        assert!(cache.hits > 0);
+        assert_eq!(
+            cache,
+            pool.stats(),
+            "the caller's pool is the one reporting"
+        );
+        assert!(nix().1.cache_stats().is_none());
+    }
+
+    #[test]
+    fn attached_recorder_traces_pages_and_cache_counters() {
+        let disk = Arc::new(Disk::new());
+        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
+        let mut n = Nix::on_io(Arc::clone(&pool) as Arc<dyn PageIo>, "t");
+        let [plain, _, smart] = thousand_triples(&mut n);
+        let ring = Arc::new(setsig_obs::RingSink::new(8));
+        let rec = Arc::new(
+            setsig_obs::Recorder::new()
+                .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>),
+        );
+        n.set_recorder(Some(rec));
+        let (_, plain_stats) = n.candidates_with_stats(&plain).unwrap();
+        let (smart_set, smart_stats) = n.candidates_with_stats(&smart).unwrap();
+        let events = ring.snapshot();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].facility, "nix");
+        assert_eq!(events[0].predicate, "HasSubset");
+        assert_eq!(events[0].pages, plain_stats.map(|s| s.pages));
+        assert_eq!(events[1].predicate, "HasSubset:smart");
+        assert_eq!(events[1].pages, smart_stats.map(|s| s.pages));
+        assert_eq!(events[1].candidates, smart_set.len() as u64);
+        assert!(!events[1].exact);
+        for ev in &events {
+            assert_eq!((ev.f_bits, ev.slices_touched), (None, None));
+            let served = ev.cache_hits.unwrap() + ev.cache_misses.unwrap();
+            assert_eq!(Some(served), ev.pages, "every page came through the pool");
+        }
     }
 }
 

@@ -16,8 +16,9 @@
 //!   wrapper implementing the paper's retrieval schemes: OID-list
 //!   **intersection** for `T ⊇ Q` (exact, no false drops) and **union** for
 //!   `T ⊆ Q` (candidates that must be verified), plus the §5.1.3 smart
-//!   strategy (intersect only `j` arbitrary elements, verify the rest at
-//!   drop-resolution time).
+//!   strategy for a `T ⊇ Q` query carrying a cap `j`
+//!   ([`SetQuery::with_cap`](setsig_core::SetQuery::with_cap)): intersect
+//!   only the first `j` elements, verify the rest at drop-resolution time.
 //!
 //! Keys are the [`ElementKey::digest8`](setsig_core::ElementKey::digest8)
 //! of set elements — 8 bytes, the paper's `kl` — so integer/OID domains

@@ -56,7 +56,7 @@ proptest! {
                     }
                 }
                 Op::Lookup { key } => {
-                    let mut got = tree.lookup(key).unwrap();
+                    let mut got = tree.lookup(key, &mut 0).unwrap();
                     got.sort_unstable();
                     let mut expected = model.get(&key).cloned().unwrap_or_default();
                     expected.sort_unstable();
@@ -74,7 +74,7 @@ proptest! {
 
         // Final sweep: every key answers exactly.
         for (key, expected) in &model {
-            let mut got = tree.lookup(*key).unwrap();
+            let mut got = tree.lookup(*key, &mut 0).unwrap();
             got.sort_unstable();
             let mut want = expected.clone();
             want.sort_unstable();
@@ -109,8 +109,8 @@ proptest! {
         let shuffled = build(&pairs);
         prop_assert_eq!(fwd.key_count(), shuffled.key_count());
         for &(k, _) in &pairs {
-            let mut a = fwd.lookup(k).unwrap();
-            let mut b = shuffled.lookup(k).unwrap();
+            let mut a = fwd.lookup(k, &mut 0).unwrap();
+            let mut b = shuffled.lookup(k, &mut 0).unwrap();
             a.sort_unstable();
             b.sort_unstable();
             prop_assert_eq!(a, b);

@@ -7,9 +7,9 @@ use std::io::Write;
 /// One completed `candidates*` call, as seen by the facility that ran it.
 ///
 /// Fields that do not apply to a facility are `None` (e.g. NIX has no
-/// signature geometry and reports no page stats of its own; SSF touches no
-/// slices). The JSONL rendering of this struct is the stable trace schema
-/// documented in DESIGN.md §7.
+/// signature geometry; neither it nor SSF touches slices). The JSONL
+/// rendering of this struct is the stable trace schema documented in
+/// DESIGN.md §7.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
     /// Facility short name, lowercase (`ssf`, `bssf`, `fssf`, `nix`).
@@ -28,7 +28,8 @@ pub struct QueryTrace {
     /// True when the scan stopped before its slice/page budget because the
     /// candidate accumulator emptied.
     pub early_exit: bool,
-    /// Page accesses the scan charged (filter stage incl. OID look-up).
+    /// Page accesses the scan charged (filter stage incl. OID look-up);
+    /// every facility in the workspace reports it.
     pub pages: Option<u64>,
     /// Candidates (drops) returned by the filter.
     pub candidates: u64,

@@ -2,8 +2,8 @@
 //! two-phase query executor.
 
 use setsig_core::{
-    resolve_drops, CandidateSet, DropReport, ElementKey, ElementSet, Oid, OidAllocator,
-    SetAccessFacility, SetQuery, TargetSetSource,
+    resolve_drops, DropReport, ElementKey, ElementSet, Oid, OidAllocator, SetAccessFacility,
+    SetQuery, TargetSetSource,
 };
 use setsig_pagestore::{Disk, IoDelta, PageIo};
 use std::sync::Arc;
@@ -220,7 +220,10 @@ impl Database {
 
     /// Executes `query` over `class.attr` through the registered facility
     /// `facility_index`, running the paper's two-phase scheme: facility
-    /// filter, then false-drop resolution against the object store.
+    /// filter, then false-drop resolution against the object store. A
+    /// query carrying a smart cap ([`SetQuery::with_cap`]) runs the
+    /// facility's smart strategy; resolution verifies the full predicate
+    /// either way.
     pub fn execute_set_query(
         &self,
         facility_index: usize,
@@ -232,33 +235,6 @@ impl Database {
             .ok_or_else(|| Error::NoSuchAttribute(format!("facility #{facility_index}")))?;
         let before = self.disk.snapshot();
         let candidates = reg.facility.candidates(query)?;
-        self.finish_execution(reg, query, candidates, before)
-    }
-
-    /// Like [`execute_set_query`](Self::execute_set_query), but with a
-    /// caller-supplied candidate set (for the smart BSSF strategies, which
-    /// are methods on `Bssf` rather than on the trait).
-    pub fn resolve_candidates(
-        &self,
-        facility_index: usize,
-        query: &SetQuery,
-        candidates: CandidateSet,
-        filter_start: setsig_pagestore::IoSnapshot,
-    ) -> Result<QueryExecution> {
-        let reg = self
-            .facilities
-            .get(facility_index)
-            .ok_or_else(|| Error::NoSuchAttribute(format!("facility #{facility_index}")))?;
-        self.finish_execution(reg, query, candidates, filter_start)
-    }
-
-    fn finish_execution(
-        &self,
-        reg: &RegisteredFacility,
-        query: &SetQuery,
-        candidates: CandidateSet,
-        before: setsig_pagestore::IoSnapshot,
-    ) -> Result<QueryExecution> {
         let source = StoreSource {
             store: &self.store,
             source: reg.source.clone(),
@@ -275,7 +251,7 @@ impl Database {
     /// A [`TargetSetSource`] over `class.attr` backed by the object store —
     /// fetching through it charges the paper's per-object page accesses.
     /// Lets callers resolve drops for facilities they manage outside the
-    /// database (e.g. smart-strategy experiments).
+    /// database (the measurement harness does).
     pub fn target_source(
         &self,
         class: ClassId,
@@ -464,6 +440,38 @@ mod tests {
         assert_eq!(r.actual, vec![jeff, bob]);
         // Scan fetched every object.
         assert_eq!(r.report.candidates, 3);
+    }
+
+    #[test]
+    fn capped_query_runs_the_smart_strategy_and_agrees_with_scan() {
+        let (mut db, student) = hobbies_db();
+        for i in 0..300u32 {
+            let (a, b) = (format!("h{}", i % 40), format!("h{}", i % 7));
+            add_student(&mut db, student, &format!("s{i}"), &[&a, &b, "Common"]);
+        }
+        let io: Arc<dyn PageIo> = Arc::clone(db.disk()) as Arc<dyn PageIo>;
+        let cfg = SignatureConfig::new(128, 2).unwrap();
+        let bssf = setsig_core::Bssf::create(io, "hobbies", cfg).unwrap();
+        let fidx = db
+            .register_facility(student, "hobbies", Box::new(bssf))
+            .unwrap();
+        let elems = |names: &[&str]| names.iter().map(ElementKey::from).collect::<Vec<_>>();
+        for (plain, cap) in [
+            (SetQuery::has_subset(elems(&["Common", "h3", "h33"])), 1),
+            (
+                SetQuery::in_subset(elems(&["Common", "h3", "h5", "h33"])),
+                20,
+            ),
+        ] {
+            let capped = plain.clone().with_cap(cap).unwrap();
+            let smart = db.execute_set_query(fidx, &capped).unwrap();
+            let scan = db.scan_set_query(student, "hobbies", &plain).unwrap();
+            assert_eq!(smart.actual, scan.actual, "{}", plain.predicate);
+            assert!(!smart.actual.is_empty());
+            // The cap only ever admits more drops for resolution to reject.
+            let full = db.execute_set_query(fidx, &plain).unwrap();
+            assert!(smart.report.candidates >= full.report.candidates);
+        }
     }
 
     #[test]

@@ -71,9 +71,11 @@ struct Shard<F> {
 /// Implements [`SetAccessFacility`] itself — a sharded store is a set
 /// access facility whose filtering stage happens to run per-partition —
 /// so the measurement harness (`SimDb::measure_facility`) and the
-/// exhibits drive it unmodified. The trait's `candidates_with_stats`
-/// runs the shards serially in-caller; the concurrent path is the
-/// worker pool in [`QueryService`](crate::QueryService).
+/// exhibits drive it unmodified, the smart exhibits included: the cap
+/// rides in the `SetQuery` each shard receives. The trait's
+/// `candidates_with_stats` runs the shards serially in-caller; the
+/// concurrent path is the worker pool in
+/// [`QueryService`](crate::QueryService).
 pub struct ShardRouter<F> {
     shards: Vec<Shard<F>>,
     name: &'static str,

@@ -337,7 +337,7 @@ fn nest_of(an: &IoAnalysis, fid: usize) -> String {
 /// One row of the cost matrix: a contracted fn, its bound, and what the
 /// analyzer inferred.
 pub struct CostRow {
-    /// `file::SelfTy::name` (see [`fn_key`]).
+    /// `file::SelfTy::name` (see `fn_key`).
     pub key: String,
     /// The contract expression, re-rendered canonically.
     pub expr: String,

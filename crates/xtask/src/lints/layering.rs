@@ -15,7 +15,7 @@
 //!   (dev-dependencies are test-only and exempt), and
 //! * **source references** — `setsig_*` identifiers in library/binary code.
 //!
-//! A crate directory missing from [`ALLOWED_DEPS`] is itself a violation:
+//! A crate directory missing from `ALLOWED_DEPS` is itself a violation:
 //! adding a crate means consciously placing it in the DAG. So is a member
 //! manifest (the root package included) without `[lints] workspace = true`:
 //! the `unsafe` / panic / discarded-`Result` / dead-code invariants live in

@@ -108,16 +108,13 @@ fn main() {
     for q in &workload {
         let (plan, predicted) = choose(p, f, m, d_t, q);
         let before = disk.snapshot();
+        // A smart plan is the same query carrying the plan's cap.
+        let smart = |cap: u32| q.clone().with_cap(cap as usize).unwrap();
         let candidates = match plan {
             Plan::BssfPlain => bssf.candidates(q).unwrap(),
-            Plan::BssfSmart { cap } => match q.predicate {
-                SetPredicate::HasSubset => {
-                    bssf.candidates_superset_smart(q, cap as usize).unwrap().0
-                }
-                _ => bssf.candidates_subset_smart(q, cap as usize).unwrap().0,
-            },
+            Plan::BssfSmart { cap } => bssf.candidates(&smart(cap)).unwrap(),
             Plan::NixPlain => nix.candidates(q).unwrap(),
-            Plan::NixSmart { cap } => nix.candidates_superset_smart(q, cap as usize).unwrap(),
+            Plan::NixSmart { cap } => nix.candidates(&smart(cap)).unwrap(),
         };
         let filter_pages = disk.snapshot().since(before).accesses();
         // Count the resolution fetches (1 page per candidate here).

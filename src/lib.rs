@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`pagestore`] | `setsig-pagestore` | paged disk simulator with page-access accounting, buffer pool, fault injection, disk images |
-//! | [`core`] | `setsig-core` | signatures, SSF, BSSF, FSSF, smart strategies, catalog checkpoints, drop resolution |
+//! | [`core`] | `setsig-core` | signatures, SSF, BSSF, FSSF, smart strategies (`SetQuery::with_cap`), catalog checkpoints, drop resolution |
 //! | [`oodb`] | `setsig-oodb` | values, schema, slotted-page object store, path indexes, the §2 query language, query executor |
 //! | [`nix`] | `setsig-nix` | B-tree nested index baseline |
 //! | [`costmodel`] | `setsig-costmodel` | every equation of the paper, plus the design advisor |
@@ -53,6 +53,11 @@
 //! ]);
 //! let result = db.execute_set_query(idx, &q).unwrap();
 //! assert_eq!(result.actual, vec![jeff]);
+//!
+//! // The §5.1.3 smart strategy is the same query carrying a cap: the filter
+//! // uses at most one query element, drop resolution verifies the rest.
+//! let smart = db.execute_set_query(idx, &q.with_cap(1).unwrap()).unwrap();
+//! assert_eq!(smart.actual, vec![jeff]);
 //! ```
 
 pub use setsig_core as core;

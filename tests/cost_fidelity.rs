@@ -157,7 +157,10 @@ fn smart_strategies_cap_reads_and_stay_sound() {
     let target_keys: Vec<ElementKey> = sets[55].iter().map(|&e| ElementKey::from(e)).collect();
     let q_sup = SetQuery::has_subset(target_keys.clone());
     disk.reset_stats();
-    let (c, scan) = bssf.candidates_superset_smart(&q_sup, 2).unwrap();
+    let (c, scan) = bssf
+        .candidates_with_stats(&q_sup.clone().with_cap(2).unwrap())
+        .unwrap();
+    let scan = scan.unwrap();
     assert!(
         c.oids.contains(&Oid::new(55)),
         "smart ⊇ must keep the true match"
@@ -176,7 +179,10 @@ fn smart_strategies_cap_reads_and_stay_sound() {
     // Subset smart: cap the 0-slice reads at 40 of the ~480.
     let q_sub = SetQuery::in_subset(target_keys);
     disk.reset_stats();
-    let (c, scan) = bssf.candidates_subset_smart(&q_sub, 40).unwrap();
+    let (c, scan) = bssf
+        .candidates_with_stats(&q_sub.clone().with_cap(40).unwrap())
+        .unwrap();
+    let scan = scan.unwrap();
     assert!(
         c.oids.contains(&Oid::new(55)),
         "smart ⊆ must keep the true match"

@@ -5,9 +5,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
 use proptest::prelude::*;
+use setsig::core::ElementSet;
 use setsig::nix::Nix;
 use setsig::prelude::*;
-use setsig::service::{shard_of, ShardRouter};
+use setsig::service::{shard_of, QueryService, ServiceConfig, ShardRouter};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -200,8 +201,111 @@ fn run_sharded_workload(
     Ok(())
 }
 
+/// The smart strategies through the paths that could not run them while
+/// they were inherent methods: a capped query through `ShardRouter<Bssf>`,
+/// `QueryService<Bssf>` and `ShardRouter<Nix>` returns a superset of the
+/// plain candidates, resolves to exactly the brute-force answer, and at one
+/// shard charges the flat facility's pages.
+fn run_capped_sharded_workload(
+    sets: &[Vec<u64>],
+    elems: &[u64],
+    cap: usize,
+) -> Result<(), TestCaseError> {
+    let cfg = || SignatureConfig::new(64, 2).unwrap();
+    let items: Vec<(Oid, Vec<ElementKey>)> = sets
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (Oid::new(i as u64), keys(s)))
+        .collect();
+    let source = |oid: Oid| -> setsig::core::Result<ElementSet> {
+        Ok(keys(&sets[oid.raw() as usize]).into_iter().collect())
+    };
+    let io = || Arc::new(Disk::new()) as Arc<dyn PageIo>;
+    let mut flat_bssf = Bssf::create(io(), "flat", cfg()).unwrap();
+    flat_bssf.bulk_load(&items).unwrap();
+    let mut flat_nix = Nix::on_io(io(), "flat");
+    for (oid, set) in &items {
+        flat_nix.insert(*oid, set).unwrap();
+    }
+
+    let sup = SetQuery::has_subset(keys(elems));
+    let sub = SetQuery::in_subset(keys(elems));
+    // ⊆ caps count zero-slices, of which there are up to F = 64.
+    let cases = [
+        (&sup, cap, truth_superset(sets, elems)),
+        (&sub, cap * 12, truth_subset(sets, elems)),
+    ];
+    for shards in [1usize, 4] {
+        let mut bssf_parts: Vec<Vec<(Oid, Vec<ElementKey>)>> = vec![Vec::new(); shards];
+        let mut nix_shards: Vec<Nix> = (0..shards)
+            .map(|i| Nix::on_io(io(), &format!("n{i}")))
+            .collect();
+        for (oid, set) in &items {
+            let s = shard_of(*oid, shards);
+            bssf_parts[s].push((*oid, set.clone()));
+            nix_shards[s].insert(*oid, set).unwrap();
+        }
+        let bssf_shards = || -> Vec<Bssf> {
+            bssf_parts
+                .iter()
+                .enumerate()
+                .map(|(i, part)| {
+                    let mut b = Bssf::create(io(), &format!("b{i}"), cfg()).unwrap();
+                    b.bulk_load(part).unwrap();
+                    b
+                })
+                .collect()
+        };
+        let router = ShardRouter::new(bssf_shards()).unwrap();
+        let service = QueryService::new(bssf_shards(), ServiceConfig::new(shards)).unwrap();
+        let nix_router = ShardRouter::new(nix_shards).unwrap();
+
+        for (plain, cap, truth) in &cases {
+            let capped = (*plain).clone().with_cap(*cap).unwrap();
+            let mut paths: Vec<(&str, &dyn SetAccessFacility, &dyn SetAccessFacility)> = vec![
+                ("router<bssf>", &router, &flat_bssf),
+                ("service<bssf>", &service, &flat_bssf),
+            ];
+            if plain.predicate == SetPredicate::HasSubset {
+                paths.push(("router<nix>", &nix_router, &flat_nix));
+            }
+            for (name, sharded, flat) in paths {
+                let (smart, smart_stats) = sharded.candidates_with_stats(&capped).unwrap();
+                let plain_set = oid_set(&sharded.candidates(plain).unwrap());
+                prop_assert!(
+                    plain_set.is_subset(&oid_set(&smart)),
+                    "{name}: the cap lost a plain candidate at {shards} shards"
+                );
+                let report = resolve_drops(&capped, &smart, &source).unwrap();
+                let resolved: BTreeSet<u64> = report.actual.iter().map(|o| o.raw()).collect();
+                prop_assert_eq!(&resolved, truth, "{} at {} shards", name, shards);
+                if shards == 1 {
+                    let (flat_set, flat_stats) = flat.candidates_with_stats(&capped).unwrap();
+                    prop_assert_eq!(&smart, &flat_set, "{}", name);
+                    prop_assert_eq!(smart_stats, flat_stats, "{}", name);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn capped_queries_run_through_router_and_service(
+        sets in proptest::collection::vec(
+            proptest::collection::btree_set(0u64..30, 1..6)
+                .prop_map(|s| s.into_iter().collect::<Vec<u64>>()),
+            1..40,
+        ),
+        elems in proptest::collection::btree_set(0u64..30, 1..8)
+            .prop_map(|s| s.into_iter().collect::<Vec<u64>>()),
+        cap in 1usize..5,
+    ) {
+        run_capped_sharded_workload(&sets, &elems, cap)?;
+    }
 
     #[test]
     fn facilities_agree_on_random_workloads(
