@@ -211,7 +211,6 @@ impl Bssf {
 
     /// Reads row page `p` of slice `j`, charging one page — or `None`, for
     /// free, for a page a sparsely built slice never materialized (all zero).
-    // COST: 1 pages
     fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanCounters) -> Result<Option<Page>> {
         let slice = &self.slices[j as usize];
         if p >= slice.pages as usize {
@@ -224,7 +223,6 @@ impl Bssf {
 
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
     /// count), a row page at a time, straight off the page snapshots.
-    // COST: slices * pages_per_slice pages
     fn or_slices(&self, slices: &[u32], ctr: &mut ScanCounters) -> Result<Bitmap> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
@@ -248,7 +246,6 @@ impl Bssf {
     /// later slice can revive a row. Never reads more pages than ANDing whole
     /// slices until the whole accumulator empties.
     // HOT-PATH: bssf.and_loop
-    // COST: slices * pages_per_slice pages
     fn superset_positions(
         &self,
         query_sig: &Signature,
@@ -292,7 +289,6 @@ impl Bssf {
     ///
     /// There is no early exit (a row cleared now can only stay clear):
     /// every selected slice is read exactly once.
-    // COST: slices * pages_per_slice pages
     fn subset_positions(
         &self,
         query_sig: &Signature,
@@ -323,7 +319,6 @@ impl Bssf {
 
     /// Overlap scan: rows sharing at least `m` set bits with the query
     /// signature. Reads the `m_q` 1-slices and counts per row.
-    // COST: slices * pages_per_slice pages
     fn overlap_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
         let n = self.oid_file.len() as usize;
         let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
@@ -398,7 +393,6 @@ impl SetAccessFacility for Bssf {
         Ok(())
     }
 
-    // COST: slices * pages_per_slice + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let stage = FilterStage {
             facility: "bssf",

@@ -187,7 +187,6 @@ impl Fssf {
     /// file was truncated or the catalog is stale. The scan refuses to run
     /// — treating missing pages as zeros would silently drop qualifying
     /// rows, violating the facility's no-false-negatives contract.
-    // COST: frame_pages pages
     fn scan_frame(
         &self,
         j: u32,
@@ -359,7 +358,6 @@ impl SetAccessFacility for Fssf {
         Ok(())
     }
 
-    // COST: frames * frame_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         // No smart strategy: a capped query runs the plain frame scan.
         let stage = FilterStage {

@@ -136,7 +136,6 @@ impl OidFile {
     /// This is the paper's OID-file look-up step; its measured cost is
     /// `LC_OID` (one read per OID-file page containing at least one
     /// candidate, capped at `SC_OID`).
-    // COST: oid_pages pages
     pub fn lookup_positions(&self, positions: &[u64]) -> Result<Vec<(u64, Oid)>> {
         debug_assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
@@ -167,7 +166,6 @@ impl OidFile {
     }
 
     /// Sets the delete flag at `pos`. Costs one page read + one page write.
-    // COST: 1 pages
     pub fn mark_deleted_at(&mut self, pos: u64) -> Result<()> {
         if pos >= self.len {
             return Err(Error::NoSuchEntry(pos));
@@ -191,7 +189,6 @@ impl OidFile {
     /// Measured cost: the scan reads pages until the entry is found
     /// (expected `SC_OID/2`, the paper's `UC_D`), plus one write for the
     /// flag.
-    // COST: oid_pages pages
     pub fn delete_by_oid(&mut self, oid: Oid) -> Result<u64> {
         let npages = self.file.len()?;
         for page_no in 0..npages {
@@ -217,7 +214,6 @@ impl OidFile {
 
     /// Iterates `(position, oid)` for all live entries, reading each page
     /// once. Used by compaction and integrity checks.
-    // COST: oid_pages pages
     pub fn scan_live(&self) -> Result<Vec<(u64, Oid)>> {
         let npages = self.file.len()?;
         let mut out = Vec::with_capacity(self.live as usize);

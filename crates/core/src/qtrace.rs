@@ -79,7 +79,6 @@ impl FilterStage<'_> {
     /// [`run`](Self::run) for a signature file: `scan` says which positions
     /// match, and the OID-file look-up that maps them to drops is charged
     /// (the paper's `LC_OID`) and performed here.
-    // COST: oid_pages pages
     pub(crate) fn run_positions(
         self,
         query: &SetQuery,

@@ -125,7 +125,6 @@ impl Ssf {
     }
 
     /// Reads the stored signature at `pos` (one page read).
-    // COST: 1 pages
     pub fn signature_at(&self, pos: u64) -> Result<Signature> {
         if pos >= self.oid_file.len() {
             return Err(Error::NoSuchEntry(pos));
@@ -151,7 +150,6 @@ impl Ssf {
 
     /// [`Ssf::scan_matching_positions`] charging its page accounting to
     /// `ctr` — the query-owned counters of the calling `candidates*` frame.
-    // COST: sig_pages pages
     fn scan_matching_positions_counted(
         &self,
         query: &SetQuery,
@@ -173,7 +171,6 @@ impl Ssf {
 
     /// Matches one signature page's rows in place, appending hits to `out`.
     // HOT-PATH: ssf.row_scan
-    // COST: 1 pages
     fn scan_page(
         &self,
         query: &SetQuery,
@@ -284,7 +281,6 @@ impl SetAccessFacility for Ssf {
         Ok(())
     }
 
-    // COST: sig_pages + oid_pages pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         // No smart strategy: a capped query runs the plain full scan.
         let stage = FilterStage {

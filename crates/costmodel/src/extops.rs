@@ -8,13 +8,24 @@ use crate::nix::NixModel;
 use crate::{lc_oid, object_access_cost};
 
 impl BssfModel {
-    /// Expected false-drop probability of the overlap filter: a disjoint
-    /// target passes iff it covers at least one query element's signature,
-    /// `F_d ≈ 1 − (1 − p)^{D_q}` with `p = (1 − e^{−m·D_t/F})^m` the
-    /// per-element coverage probability (Eq. 2 with `D_q = 1`).
+    /// False-drop probability of the overlap filter, which admits a row
+    /// sharing at least `m` one-bits with the query signature (the weight
+    /// of one element's signature): a disjoint target passes iff at least
+    /// `m` of the query's `m·D_q` bit draws land on its ones, each with the
+    /// ones-fraction `φ = 1 − e^{−m·D_t/F}` of Eq. (2) —
+    /// `F_d = P(Bin(m·D_q, φ) ≥ m)`.
     pub fn fd_overlap(&self, d_q: u32) -> f64 {
-        let p = crate::falsedrop::fd_superset(self.f, self.m, self.d_t, 1);
-        1.0 - (1.0 - p).powi(d_q as i32)
+        let phi = 1.0 - (-f64::from(self.m) * f64::from(self.d_t) / f64::from(self.f)).exp();
+        let draws = u64::from(self.m) * u64::from(d_q);
+        let below: f64 = (0..u64::from(self.m).min(draws + 1))
+            .map(|i| {
+                (ln_binomial(draws, i)
+                    + i as f64 * phi.ln()
+                    + (draws - i) as f64 * (1.0 - phi).ln())
+                .exp()
+            })
+            .sum();
+        (1.0 - below).max(0.0)
     }
 
     /// Expected number of targets truly overlapping a `D_q`-element query:
@@ -93,13 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn overlap_cost_dominated_by_answers() {
+    fn overlap_cost_dominated_by_drops() {
         let m = bssf();
         // Overlap pays its answers plus the false drops and OID look-up:
-        // RC ≈ m_s + LC_OID + A + F_d·N ≈ 6 + 63 + 74 + 147 ≈ 290.
+        // RC ≈ m_s + LC_OID + A + F_d·N ≈ 6 + 63 + 74 + 653 ≈ 796.
         let rc = m.rc_overlap(3);
         let a = m.actual_overlaps(3);
-        assert!(rc > a && rc < a + 250.0, "rc = {rc}, a = {a}");
+        assert!(rc > a + 600.0 && rc < a + 800.0, "rc = {rc}, a = {a}");
         // NIX pays rc·D_q + A — cheaper filter, same answers.
         let nix = NixModel::new(Params::paper(), 10);
         assert!(nix.rc_overlap(3) < rc);
@@ -122,7 +133,10 @@ mod tests {
         let m = bssf();
         let f1 = m.fd_overlap(1);
         let f10 = m.fd_overlap(10);
-        assert!(f1 > 0.0 && f1 < 1.0);
-        assert!(f10 > f1 && f10 < 10.0 * f1 + 1e-12);
+        // One element: both of its m = 2 bits must be covered — Eq. (2).
+        let eq2 = crate::falsedrop::fd_superset(500, 2, 10, 1);
+        assert!((f1 - eq2).abs() < 1e-12, "f1 = {f1}, Eq. 2 = {eq2}");
+        // Ten elements: any 2 of the 20 draws, at most C(20, 2) ways.
+        assert!(f10 > f1 && f10 < 190.0 * f1 && f10 < 1.0);
     }
 }

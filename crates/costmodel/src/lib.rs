@@ -31,7 +31,6 @@
 mod actual;
 mod advisor;
 mod bssf;
-mod contract;
 mod extops;
 mod falsedrop;
 mod fssf;
@@ -46,7 +45,6 @@ pub use actual::{
 };
 pub use advisor::{advise, Organization, Recommendation, WorkloadProfile};
 pub use bssf::BssfModel;
-pub use contract::{BoundExpr, Env};
 pub use falsedrop::{
     expected_query_weight, expected_target_weight, fd_subset, fd_superset, fd_superset_mixture,
     fd_superset_uniform_range, m_opt,

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use setsig_costmodel::{
     actual_drops_subset, actual_drops_superset, expected_query_weight, fd_subset, fd_superset,
-    lc_oid, ln_binomial, BoundExpr, BssfModel, Env, NixModel, Params, SsfModel,
+    ln_binomial, BssfModel, NixModel, Params, SsfModel,
 };
 
 fn exact_binomial(n: u64, k: u64) -> f64 {
@@ -131,110 +131,6 @@ proptest! {
             prop_assert!(sc >= p.sc_oid());
             let ssf_sc = SsfModel::new(p, f, m, d_t).sc();
             prop_assert!(ssf_sc >= p.sc_oid());
-        }
-    }
-}
-
-proptest! {
-    /// The committed BSSF contract `slices * pages_per_slice` prices
-    /// exactly the slice-read term of Eq. (8) when bound to the model's
-    /// own quantities — the static bound and the analytical model are
-    /// the same formula in two notations.
-    #[test]
-    fn bssf_contract_matches_slice_read_term(
-        f_exp in 5u32..12,
-        m in 1u32..8,
-        d_t in 1u32..200,
-        d_q in 1u32..50,
-    ) {
-        let p = Params::paper();
-        let model = BssfModel::new(p, 1 << f_exp, m, d_t);
-        let e = BoundExpr::parse("slices * pages_per_slice").unwrap();
-        prop_assert_eq!(e.degree(), 2);
-        let env = Env::new()
-            .bind("slices", model.m_s(d_q))
-            .bind("pages_per_slice", model.slice_pages() as f64);
-        let got = e.eval(&env).unwrap();
-        let want = model.slice_pages() as f64 * model.m_s(d_q);
-        prop_assert!((got - want).abs() < 1e-9, "contract {got} vs model {want}");
-    }
-
-    /// The full contract `slices * pages_per_slice + oid_pages` bound
-    /// with `oid_pages = SC_OID` dominates the filter + OID-resolution
-    /// part of `rc_superset` for every drop population: `LC_OID`
-    /// saturates at a full OID-file scan, which is exactly what the
-    /// contract charges.
-    #[test]
-    fn bssf_contract_bounds_filter_and_resolution(
-        f_exp in 5u32..12,
-        m in 1u32..8,
-        d_t in 1u32..120,
-        d_q in 1u32..40,
-    ) {
-        let p = Params::paper();
-        let model = BssfModel::new(p, 1 << f_exp, m, d_t);
-        let fd = fd_superset(model.f, model.m, d_t, d_q);
-        let a = actual_drops_superset(&p, d_t, d_q);
-        let model_pages =
-            model.slice_pages() as f64 * model.m_s(d_q) + lc_oid(&p, fd, a);
-        let e = BoundExpr::parse("slices * pages_per_slice + oid_pages").unwrap();
-        let env = Env::new()
-            .bind("slices", model.m_s(d_q))
-            .bind("pages_per_slice", model.slice_pages() as f64)
-            .bind("oid_pages", p.sc_oid() as f64);
-        prop_assert!(e.eval(&env).unwrap() + 1e-9 >= model_pages);
-    }
-
-    /// Same agreement for SSF: `sig_pages + oid_pages` bound to
-    /// `SC_SIG` / `SC_OID` dominates the sequential-scan + resolution
-    /// part of the SSF `rc_superset` (the scan term is exact).
-    #[test]
-    fn ssf_contract_bounds_scan_and_resolution(
-        f in prop_oneof![Just(125u32), Just(250), Just(500), Just(1000)],
-        m in 1u32..8,
-        d_t in 1u32..120,
-        d_q in 1u32..40,
-    ) {
-        let p = Params::paper();
-        let model = SsfModel::new(p, f, m, d_t);
-        let fd = fd_superset(f, m, d_t, d_q);
-        let a = actual_drops_superset(&p, d_t, d_q);
-        let model_pages = model.sc_sig() as f64 + lc_oid(&p, fd, a);
-        let e = BoundExpr::parse("sig_pages + oid_pages").unwrap();
-        let env = Env::new()
-            .bind("sig_pages", model.sc_sig() as f64)
-            .bind("oid_pages", p.sc_oid() as f64);
-        prop_assert!(e.eval(&env).unwrap() + 1e-9 >= model_pages);
-    }
-
-    /// Symbolic degree agrees with a numeric probe: scaling every symbol
-    /// by `t` scales the evaluation by at most `t^degree` (and at least
-    /// `t^degree` in the leading term), for the contracts the workspace
-    /// actually commits.
-    #[test]
-    fn degree_is_the_scaling_exponent(t_int in 2u32..16) {
-        let t = f64::from(t_int);
-        for src in [
-            "1",
-            "sig_pages",
-            "sig_pages + oid_pages",
-            "slices * pages_per_slice",
-            "slices * pages_per_slice + oid_pages",
-            "shards * (slices * pages_per_slice + oid_pages)",
-            "probes * (height + chain)",
-        ] {
-            let e = BoundExpr::parse(src).unwrap();
-            let base = Env::new;
-            let mut env1 = base();
-            let mut envt = base();
-            for s in e.symbols() {
-                env1 = env1.bind(s, 3.0);
-                envt = envt.bind(s, 3.0 * t);
-            }
-            let v1 = e.eval(&env1).unwrap();
-            let vt = e.eval(&envt).unwrap();
-            let cap = t.powi(e.degree() as i32);
-            prop_assert!(vt <= v1 * cap + 1e-9, "{src}: {vt} > {v1} * {cap}");
         }
     }
 }

@@ -23,12 +23,11 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    reason = "the paper's measurement harness, not a reusable library: a build/measure step (or a \
-              committed cost contract that is missing, unparsable or unbound) must abort the run \
-              loudly, so no exhibit or gate is silently computed from a half-built facility"
+    reason = "the paper's measurement harness, not a reusable library: a failed build/measure \
+              step must abort the run loudly, so no exhibit or gate is silently computed from a \
+              half-built facility"
 )]
 
-pub mod contracts;
 pub mod drift;
 pub mod exhibits;
 mod report;

@@ -6,8 +6,8 @@
 //! actual page accesses.
 
 use setsig_core::{
-    resolve_drops, Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, SetQuery,
-    SignatureConfig, Ssf,
+    resolve_drops, Bssf, CandidateSet, DropReport, ElementKey, Fssf, FssfConfig, Oid,
+    SetAccessFacility, SetQuery, SignatureConfig, Ssf,
 };
 use setsig_nix::Nix;
 use setsig_obs::{Recorder, RingSink, TraceSink};
@@ -378,20 +378,27 @@ impl SimDb {
     ) -> MeasuredQuery {
         let (candidates, stats) = facility.candidates_with_stats(query).expect("filter stage");
         let filter_pages = stats.expect("the facility reports its filter pages").pages;
+        let (report, object_pages) = self.resolve(query, &candidates);
+        MeasuredQuery {
+            filter_pages,
+            object_pages,
+            candidates: report.candidates,
+            false_drops: report.false_drops,
+            actual: report.actual.len() as u64,
+        }
+    }
+
+    /// The resolve stage: fetches and verifies every candidate against the
+    /// object store, returning the report and the object pages it read.
+    pub fn resolve(&self, query: &SetQuery, candidates: &CandidateSet) -> (DropReport, u64) {
         let source = self
             .db
             .target_source(self.class, "elems")
             .expect("class has elems");
         let disk = self.db.disk();
         let before = disk.snapshot();
-        let report = resolve_drops(query, &candidates, &source).expect("resolution");
-        MeasuredQuery {
-            filter_pages,
-            object_pages: disk.snapshot().since(before).accesses(),
-            candidates: report.candidates,
-            false_drops: report.false_drops,
-            actual: report.actual.len() as u64,
-        }
+        let report = resolve_drops(query, candidates, &source).expect("resolution");
+        (report, disk.snapshot().since(before).accesses())
     }
 
     /// Averages `trials` measured queries produced by `make_query`.

@@ -125,6 +125,18 @@ impl BTree {
         self.height + 1
     }
 
+    /// Overflow-chain links behind a posting list of `postings` OIDs that
+    /// only ever grew: none while the list fits its leaf entry, then one
+    /// link per `OVERFLOW_CAPACITY` OIDs. A look-up reads each link once,
+    /// on top of [`rc_lookup`](Self::rc_lookup).
+    pub fn chain_links(postings: u64) -> u64 {
+        if postings <= MAX_INLINE_OIDS as u64 {
+            0
+        } else {
+            postings.div_ceil(crate::node::OVERFLOW_CAPACITY as u64)
+        }
+    }
+
     /// Walks from the root to the leaf responsible for `key`, returning the
     /// internal path (for split propagation), the leaf page number, and the
     /// leaf page itself (so callers don't pay a second read).
@@ -337,7 +349,6 @@ impl BTree {
     /// adds them to `pages`, the calling query's counter (`&mut 0` when
     /// nobody is counting).
     // HOT-PATH: nix.probe
-    // COST: height + chain pages
     pub fn lookup(&self, key: u64, pages: &mut u64) -> Result<Vec<u64>> {
         let (_, _leaf_no, page) = self.descend(key)?;
         *pages += u64::from(self.rc_lookup());
@@ -613,10 +624,21 @@ mod tests {
 
     #[test]
     fn long_posting_migrates_to_overflow_chain() {
-        let (_d, mut t) = tree();
+        let (disk, mut t) = tree();
         let n = (MAX_INLINE_OIDS + 700) as u64; // spans ≥ 2 chain links
         for i in 0..n {
             t.insert(5, i).unwrap();
+            // The geometry accessor predicts every look-up on the way up.
+            if [1, 400, 401, 511, 512, 1022, 1023, n].contains(&(i + 1)) {
+                let before = disk.snapshot();
+                t.lookup(5, &mut 0).unwrap();
+                assert_eq!(
+                    disk.snapshot().since(before).reads,
+                    u64::from(t.rc_lookup()) + BTree::chain_links(i + 1),
+                    "{} postings",
+                    i + 1
+                );
+            }
         }
         let mut oids = t.lookup(5, &mut 0).unwrap();
         oids.sort_unstable();

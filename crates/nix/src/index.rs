@@ -55,7 +55,6 @@ impl Nix {
 
     /// Posting list of one element: the OIDs of every object whose indexed
     /// set contains it. Costs `rc = height + 1` page reads (+ chain links).
-    // COST: height + chain pages
     pub fn lookup_element(&self, element: &ElementKey) -> Result<Vec<Oid>> {
         Ok(self
             .tree
@@ -148,7 +147,6 @@ impl SetAccessFacility for Nix {
         Ok(())
     }
 
-    // COST: probes * (height + chain) pages
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let stage = FilterStage {
             facility: "nix",

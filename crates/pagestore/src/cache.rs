@@ -274,7 +274,6 @@ impl BufferPool {
 
 impl PageIo for BufferPool {
     // HOT-PATH: pagestore.read
-    // COST: 1 pages
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         let key = (id, n);
         {
@@ -307,7 +306,6 @@ impl PageIo for BufferPool {
         Ok(())
     }
 
-    // COST: 1 pages
     fn update_page(&self, id: FileId, n: u32, f: &mut dyn FnMut(&mut Page)) -> Result<()> {
         // The pool cannot blind-update the underlying disk without losing
         // its frame coherence; a cached read (free on hit) plus a

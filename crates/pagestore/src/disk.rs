@@ -386,7 +386,6 @@ pub trait PageIo: Send + Sync {
 }
 
 impl PageIo for Disk {
-    // COST: 1 pages
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         Disk::read_page(self, id, n)
     }

@@ -41,7 +41,6 @@ impl PagedFile {
     }
 
     /// Reads page `n`.
-    // COST: 1 pages
     pub fn read(&self, n: u32) -> Result<Page> {
         self.io.read_page(self.id, n)
     }
@@ -53,7 +52,6 @@ impl PagedFile {
 
     /// Reads page `n`, applies `f`, writes it back. Charges one read and one
     /// write — the cost the paper assigns to an in-place page update.
-    // COST: 1 pages
     pub fn modify(&self, n: u32, f: impl FnOnce(&mut Page)) -> Result<()> {
         let mut page = self.read(n)?;
         f(&mut page);
@@ -107,7 +105,6 @@ impl PagedFile {
     }
 
     /// Reads back a blob written by [`write_blob`](Self::write_blob).
-    // COST: blob_pages pages
     pub fn read_blob(&self) -> Result<Vec<u8>> {
         let first = self.read(0)?;
         let len = first.read_u32(0) as usize;

@@ -335,7 +335,6 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
     reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
 )]
 // HOT-PATH: service.dispatch
-// COST: tasks * (slices * pages_per_slice + oid_pages) pages
 fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
     loop {
         let task = {

@@ -132,7 +132,6 @@ impl<F: SetAccessFacility> ShardRouter<F> {
     /// concurrently.
     // HOT-PATH-BOUNDARY: fans out through SetAccessFacility dispatch; the
     // facility scan kernels carry their own HOT-PATH roots
-    // COST: slices * pages_per_slice + oid_pages pages
     pub fn query_shard(&self, shard: usize, query: &SetQuery) -> Result<QueryAnswer> {
         let Some(s) = self.shards.get(shard) else {
             return Err(Error::BadQuery(format!(
@@ -147,7 +146,6 @@ impl<F: SetAccessFacility> ShardRouter<F> {
     /// Runs `query` on every shard serially (in the caller's thread) and
     /// merges — the oracle twin of the pooled path, and what the
     /// [`SetAccessFacility`] impl uses.
-    // COST: shards * (slices * pages_per_slice + oid_pages) pages
     pub fn query_serial(&self, query: &SetQuery) -> Result<QueryAnswer> {
         let mut parts = Vec::with_capacity(self.shards.len());
         for shard in 0..self.shards.len() {

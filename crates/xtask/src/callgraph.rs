@@ -67,8 +67,6 @@ pub struct CallSite {
     pub file: usize,
     /// The innermost enclosing function definition, if any.
     pub caller: Option<usize>,
-    /// Token index of the callee name.
-    pub tok: usize,
     /// 1-based source line.
     pub line: u32,
     /// The callee name as written.
@@ -158,9 +156,9 @@ impl<'a> CallGraph<'a> {
 
     /// Resolver coverage per crate: `(crate, resolved, unresolved)`
     /// non-test call-site counts, sorted by crate name (`(root)` for the
-    /// facade package). Surfaced by `--self-test` and the cost-matrix
-    /// JSON so a resolver regression — which silently weakens every
-    /// graph-based lint — shows up as a number, not as missing findings.
+    /// facade package). Surfaced by `--self-test` so a resolver
+    /// regression — which silently weakens every graph-based lint — shows
+    /// up as a number, not as missing findings.
     pub fn resolution_coverage(&self) -> Vec<(String, u64, u64)> {
         let mut by_crate: HashMap<String, (u64, u64)> = HashMap::new();
         for call in &self.calls {
@@ -362,7 +360,6 @@ impl<'a> CallGraph<'a> {
                 self.calls.push(CallSite {
                     file: fi,
                     caller: innermost_fn(&stack),
-                    tok: i,
                     line: t.line,
                     name: t.text.clone(),
                     kind,

@@ -1,12 +1,12 @@
 //! # xtask — project-specific static analysis for the setsig workspace
 //!
-//! `cargo xtask analyze` runs seven offline, hand-rolled lints over the
+//! `cargo xtask analyze` runs six offline, hand-rolled lints over the
 //! workspace source (token-level scanner, no network, no rustc plumbing).
 //! They are the invariants only this project can state — page accounting,
-//! the crate DAG, the lock hierarchy, the scan loops' effect and page-cost
-//! budgets; everything rustc or clippy can check on the real AST
-//! (`unsafe`, panics, discarded `Result`s, dead code) lives in the
-//! `[workspace.lints]` table of the root `Cargo.toml` instead:
+//! the crate DAG, the lock hierarchy, the scan loops' effect budget;
+//! everything rustc or clippy can check on the real AST (`unsafe`, panics,
+//! discarded `Result`s, dead code) lives in the `[workspace.lints]` table
+//! of the root `Cargo.toml` instead:
 //!
 //! 1. **accounting** — raw page I/O (`read_page` / `write_page`) may only be
 //!    called from the allowlisted accounting wrappers inside
@@ -35,14 +35,7 @@
 //!    `allow/hotpath.allow`. A query against the bottom-up [`effects`]
 //!    inference over `{ALLOC, LOCK, RAW_IO, BLOCK}`, reported with
 //!    shortest witness chains (see [`lints::hot_path`]).
-//! 6. **cost** — every scan entry point carries a machine-readable
-//!    `// COST: <expr> pages` contract, and the loop nesting the
-//!    [`loopnest`] analyzer reconstructs around each page-I/O call site
-//!    must not exceed the contract's polynomial degree; page I/O
-//!    outside every contracted root is an error. `cargo xtask cost`
-//!    dumps the contract matrix, `--check` diffs it against
-//!    `crates/xtask/cost.baseline.json` (see [`lints::cost`]).
-//! 7. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
+//! 6. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
 //!    still match a real site; dangling suppressions fail the run.
 //!
 //! The analyzer is deliberately syntactic: it trades soundness-in-general
@@ -57,7 +50,6 @@ pub mod callgraph;
 pub mod effects;
 pub mod lints;
 pub mod locks;
-pub mod loopnest;
 pub mod scan;
 pub mod selftest;
 pub mod workspace;
@@ -81,24 +73,18 @@ pub enum Lint {
     /// An allocation, lock acquisition, blocking wait, or raw page-I/O
     /// call reachable from a `// HOT-PATH:` root through the call graph.
     HotPath,
-    /// A page-I/O cost-contract violation: a scan entry point without a
-    /// `// COST: <expr> pages` contract, an I/O loop nest deeper than the
-    /// contract's degree, an I/O site outside every contracted root, or a
-    /// malformed contract (see [`lints::cost`] and [`loopnest`]).
-    Cost,
     /// An allowlist entry that matched no site this run.
     StaleAllow,
 }
 
 impl Lint {
     /// Every lint, in the order `analyze` runs and reports them.
-    pub const ALL: [Lint; 7] = [
+    pub const ALL: [Lint; 6] = [
         Lint::Accounting,
         Lint::Layering,
         Lint::LockOrder,
         Lint::GuardAcrossIo,
         Lint::HotPath,
-        Lint::Cost,
         Lint::StaleAllow,
     ];
 
@@ -110,7 +96,6 @@ impl Lint {
             Lint::LockOrder => "lock-order",
             Lint::GuardAcrossIo => "guard-across-io",
             Lint::HotPath => "hot-path-hygiene",
-            Lint::Cost => "cost",
             Lint::StaleAllow => "stale-allow",
         }
     }
@@ -193,19 +178,16 @@ pub fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let allow_accounting = ws.allowlist("accounting.allow")?;
     let allow_locks = ws.allowlist("locks.allow")?;
     let allow_hotpath = ws.allowlist("hotpath.allow")?;
-    let allow_cost = ws.allowlist("cost.allow")?;
     let mut diags = Vec::new();
     diags.extend(lints::accounting::run(&ws, &allow_accounting));
     diags.extend(lints::layering::run(&ws)?);
     diags.extend(lints::lock_order::run(&ws, &allow_locks));
     diags.extend(lints::guard_across_io::run(&ws, &allow_locks));
     diags.extend(lints::hot_path::run(&ws, &allow_hotpath, &allow_accounting));
-    diags.extend(lints::cost::run(&ws, &allow_cost));
     diags.extend(lints::stale_allow::check(&[
         ("crates/xtask/allow/accounting.allow", &allow_accounting),
         ("crates/xtask/allow/locks.allow", &allow_locks),
         ("crates/xtask/allow/hotpath.allow", &allow_hotpath),
-        ("crates/xtask/allow/cost.allow", &allow_cost),
     ]));
     diags.sort_by(|a, b| (&a.file, a.line, a.lint, &a.msg).cmp(&(&b.file, b.line, b.lint, &b.msg)));
     Ok(diags)

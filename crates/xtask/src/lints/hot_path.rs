@@ -115,10 +115,6 @@ fn valid_path_name(s: &str) -> bool {
 
 /// The hot-path annotations over a call graph: named roots (in definition
 /// order), boundary fns, and malformed-annotation diagnostics.
-///
-/// Shared with the `cost` lint, which requires a contract on every root
-/// that reaches page I/O; only this lint reports the malformed shapes, so
-/// they are diagnosed once per run.
 pub struct Annotations {
     /// `(fn id, hot-path name)` per root annotation.
     pub roots: Vec<(usize, String)>,

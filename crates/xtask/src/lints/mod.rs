@@ -4,7 +4,6 @@
 //! others, over the allowlists they consulted.
 
 pub mod accounting;
-pub mod cost;
 pub mod guard_across_io;
 pub mod hot_path;
 pub mod layering;

@@ -1,4 +1,4 @@
-//! `cargo xtask` — project task runner: `analyze` and `cost`.
+//! `cargo xtask` — project task runner: `analyze`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -14,14 +14,9 @@ Commands:
                             verify the lints against the fixture corpus;
                             optionally write per-lint wall times as a
                             bench-summary JSON
-  cost [--root <path>]      print the page-I/O cost-contract matrix
-                            (contracts + resolver coverage) as JSON
-  cost --check              diff the contracts against the committed
-                            baseline (crates/xtask/cost.baseline.json)
-  cost --update             rewrite the cost baseline from the source
 
 Lints: accounting, layering, lock-order, guard-across-io,
-hot-path-hygiene, cost, stale-allow.
+hot-path-hygiene, stale-allow.
 See DESIGN.md \"Static analysis & invariants\" for what each enforces.";
 
 /// Output format for analyze findings.
@@ -46,7 +41,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         Some("analyze") => {}
-        Some("cost") => return run_cost(it.as_slice()),
         Some("--help" | "-h") | None => {
             println!("{USAGE}");
             return Ok(ExitCode::SUCCESS);
@@ -160,100 +154,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     eprintln!("xtask analyze: {} violation(s)", diags.len());
     Ok(ExitCode::FAILURE)
-}
-
-/// What `cargo xtask cost` should do with the contract matrix.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CostMode {
-    Print,
-    Check,
-    Update,
-}
-
-/// The `cost` subcommand: collect the `// COST:` contracts, run the
-/// loop-nest analysis, and print, check or update the committed baseline.
-fn run_cost(args: &[String]) -> Result<ExitCode, String> {
-    use xtask::callgraph::CallGraph;
-    use xtask::lints::cost::{self, BASELINE_REL};
-    use xtask::workspace::{FileClass, SourceFile, Workspace};
-
-    let mut root: Option<PathBuf> = None;
-    let mut mode = CostMode::Print;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let p = it.next().ok_or_else(|| "--root needs a path".to_string())?;
-                root = Some(PathBuf::from(p));
-            }
-            "--check" => mode = CostMode::Check,
-            "--update" => mode = CostMode::Update,
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => default_root()?,
-    };
-
-    let ws = Workspace::load(&root)?;
-    let files: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|f| f.class != FileClass::Test)
-        .collect();
-    let graph = CallGraph::build(&files);
-    let contracts = cost::collect_contracts(&graph);
-    let degrees: std::collections::HashMap<usize, u32> = contracts
-        .by_fn
-        .iter()
-        .map(|(fid, c)| (*fid, c.degree))
-        .collect();
-    let an = xtask::loopnest::analyze(&graph, &degrees);
-    let m = cost::matrix(&graph, &contracts, &an);
-
-    match mode {
-        CostMode::Print => {
-            print!("{}", m.to_json());
-            Ok(ExitCode::SUCCESS)
-        }
-        CostMode::Update => {
-            let path = root.join(BASELINE_REL);
-            std::fs::write(&path, m.baseline_json())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!(
-                "xtask cost --update: wrote {} contract(s) to {BASELINE_REL}",
-                m.rows.len()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        CostMode::Check => {
-            let path = root.join(BASELINE_REL);
-            let text = std::fs::read_to_string(&path).map_err(|e| {
-                format!(
-                    "cannot read {}: {e} — bootstrap the baseline with \
-                     `cargo xtask cost --update`",
-                    path.display()
-                )
-            })?;
-            let diags = cost::check_baseline(&m, &text)?;
-            if diags.is_empty() {
-                println!(
-                    "xtask cost --check: {} contract(s) match {BASELINE_REL}",
-                    m.rows.len()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            for d in &diags {
-                println!("{d}");
-            }
-            eprintln!(
-                "xtask cost --check: {} drift(s) from {BASELINE_REL}",
-                diags.len()
-            );
-            Ok(ExitCode::FAILURE)
-        }
-    }
 }
 
 /// The workspace root: two levels above this crate's manifest, independent

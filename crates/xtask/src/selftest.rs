@@ -141,27 +141,6 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     )?;
     lap("hot-path-hygiene", &mut timings, &mut timer);
 
-    // cost: the fail fixture trips every contract error class (malformed
-    // shapes, a hot-path root with no contract, a nest deeper than the
-    // declared degree, page I/O outside every contracted root); the pass
-    // fixture shows composing contracts, a degree-2 pipeline, and an
-    // allowlisted maintenance read staying quiet.
-    check_file_fixture(
-        &fixtures.join("cost/fail.rs"),
-        |f| lints::cost::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    let allow_cost = Allowlist::parse(
-        "# self-test: the fixture's justified maintenance read\n\
-         crates/experiments/src/fixture.rs::compact\n",
-    );
-    check_file_fixture(
-        &fixtures.join("cost/pass.rs"),
-        |f| lints::cost::check_file(f, &allow_cost),
-        &mut failures,
-    )?;
-    lap("cost", &mut timings, &mut timer);
-
     // stale-allow: a consulted entry stays quiet, an unmatched one is
     // reported with its own file/line.
     let path = fixtures.join("stale_allow/fail.allow");

@@ -1,8 +1,11 @@
 //! Measured page-access costs versus the paper's closed forms, at the
 //! paper's exact parameters where cheap and at reduced scale elsewhere.
 
+use setsig::core::OidFile;
+use setsig::costmodel::{actual_drops_superset, fd_superset};
 use setsig::nix::Nix;
 use setsig::prelude::*;
+use setsig_experiments::drift::{and_scan_pages, drops, group_size, occupancy, Banded};
 use std::sync::Arc;
 
 fn build_sets(n: u64, v: u64, d_t: u32, seed: u64) -> Vec<Vec<u64>> {
@@ -26,6 +29,29 @@ fn as_items(sets: &[Vec<u64>]) -> Vec<(Oid, Vec<ElementKey>)> {
             )
         })
         .collect()
+}
+
+/// Ground-truth signature of every indexed set, in position order.
+fn target_signatures(bssf: &Bssf, items: &[(Oid, Vec<ElementKey>)]) -> Vec<Signature> {
+    items
+        .iter()
+        .map(|(_, set)| Signature::for_set(bssf.config(), set))
+        .collect()
+}
+
+/// OID-file positions of the drops: OID `i` was indexed at position `i`.
+fn positions(c: &CandidateSet) -> Vec<u64> {
+    c.oids.iter().map(|o| o.raw()).collect()
+}
+
+/// The gate's band on `T ⊇ Q` drops of BSSF `F = 500, m = 2, D_t = 10`.
+fn drops_band(p: &Params, d_q: u32) -> Banded {
+    drops(
+        p.n,
+        fd_superset(500, 2, 10, d_q),
+        actual_drops_superset(p, 10, d_q),
+        group_size(p, 10),
+    )
 }
 
 #[test]
@@ -98,26 +124,36 @@ fn ssf_scan_cost_is_sc_sig_at_paper_scale() {
 
 #[test]
 fn bssf_superset_reads_m_q_slices_at_paper_scale() {
-    let sets = build_sets(32_000, 13_000, 10, 4);
+    let p = Params::paper();
+    let items = as_items(&build_sets(p.n, p.v, 10, 4));
     let disk = Arc::new(Disk::new());
     let io = Arc::clone(&disk) as Arc<dyn PageIo>;
     let mut bssf = Bssf::create(io, "b", SignatureConfig::new(500, 2).unwrap()).unwrap();
-    bssf.bulk_load(&as_items(&sets)).unwrap();
+    bssf.bulk_load(&items).unwrap();
+    let sigs = target_signatures(&bssf, &items);
 
     let q = SetQuery::has_subset(vec![ElementKey::from(7u64), ElementKey::from(9_999u64)]);
-    let m_q = q.signature(bssf.config()).weight() as u64; // ≤ 4
+    let ones: Vec<u32> = q.signature(bssf.config()).bitmap().iter_ones().collect();
     disk.reset_stats();
     let c = bssf.candidates(&q).unwrap();
-    let reads = disk.snapshot().reads;
-    // m_q slice pages (1 page each at N = 32,000) + OID pages for drops.
-    let oid_pages = reads - m_q.min(reads);
-    assert!(
-        oid_pages <= 63,
-        "OID look-up bounded by SC_OID (reads {reads}, m_q {m_q})"
+    // Exactly the slices at the query signature's m_q one-bits (1 page each
+    // at N = 32,000; fewer only if the AND empties first) plus the OID
+    // pages holding a drop.
+    assert_eq!(bssf.pages_per_slice(), 1);
+    let slice_pages = and_scan_pages(&sigs, &ones, p.rows_per_slice_page() as usize);
+    assert!(slice_pages <= ones.len() as u64);
+    assert!(c.is_empty() || slice_pages == ones.len() as u64);
+    assert_eq!(
+        disk.snapshot().reads,
+        slice_pages + OidFile::pages_touched(&positions(&c))
     );
-    // Candidates are the paper's expected drops: A ≈ 0.017 + false drops
-    // F_d·N ≈ 0.0035·32000 ≈ 110 for m=2,D_q=2... loose sanity bound:
-    assert!(c.len() < 1200, "drops {}", c.len());
+    // Drops within the band around F_d·(N − A) + A.
+    let band = drops_band(&p, 2);
+    assert!(
+        band.admits(c.len() as f64, 1),
+        "{} drops vs {band:?}",
+        c.len()
+    );
 }
 
 #[test]
@@ -259,33 +295,50 @@ fn cached_engine_serves_hot_slices_without_disk_reads() {
 
 #[test]
 fn measured_superset_rc_tracks_model_at_reduced_scale() {
-    // Whole-pipeline fidelity: measured RC within 2× of the model's
-    // prediction across D_q (model and instance at the same 1/8 scale).
+    // Whole-pipeline fidelity on the drift gate's comparator (model and
+    // instance at the same 1/8 scale): every query reads exactly the
+    // predicted pages, and the two stochastic quantities of Eq. (8) — the
+    // query weight behind the slice term, the drops behind LC_OID and the
+    // object fetches — average within their bands.
     let p = Params::scaled(4000, 1625);
-    let sets = build_sets(p.n, p.v, 10, 6);
+    let items = as_items(&build_sets(p.n, p.v, 10, 6));
     let disk = Arc::new(Disk::new());
     let io = Arc::clone(&disk) as Arc<dyn PageIo>;
     let mut bssf = Bssf::create(io, "b", SignatureConfig::new(500, 2).unwrap()).unwrap();
-    bssf.bulk_load(&as_items(&sets)).unwrap();
-    let model = BssfModel::new(p, 500, 2, 10);
+    bssf.bulk_load(&items).unwrap();
+    let sigs = target_signatures(&bssf, &items);
 
     let mut qg = QueryGen::new(p.v, 77);
     for d_q in [1u32, 2, 4, 8] {
         let trials = 8;
-        let mut measured = 0u64;
+        let (mut weight, mut drops) = (0u64, 0u64);
         for _ in 0..trials {
             let q =
                 SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect());
+            let ones: Vec<u32> = q.signature(bssf.config()).bitmap().iter_ones().collect();
             disk.reset_stats();
             let c = bssf.candidates(&q).unwrap();
-            // + one object fetch per candidate (P_p = P_s = 1).
-            measured += disk.snapshot().accesses() + c.len() as u64;
+            assert_eq!(
+                disk.snapshot().reads,
+                and_scan_pages(&sigs, &ones, p.rows_per_slice_page() as usize)
+                    + OidFile::pages_touched(&positions(&c)),
+                "D_q = {d_q}"
+            );
+            weight += ones.len() as u64;
+            drops += c.len() as u64;
         }
-        let measured = measured as f64 / trials as f64;
-        let predicted = model.rc_superset(d_q);
+        let avg = |total: u64| total as f64 / trials as f64;
+        let m_s = occupancy(500, 2, d_q);
         assert!(
-            measured < predicted * 2.0 + 12.0 && predicted < measured * 2.0 + 12.0,
-            "D_q = {d_q}: measured {measured:.1} vs model {predicted:.1}"
+            m_s.admits(avg(weight), trials),
+            "D_q = {d_q}: weight {} vs {m_s:?}",
+            avg(weight)
+        );
+        let band = drops_band(&p, d_q);
+        assert!(
+            band.admits(avg(drops), trials),
+            "D_q = {d_q}: drops {} vs {band:?}",
+            avg(drops)
         );
     }
 }
