@@ -36,6 +36,7 @@ use crate::oidfile::OidFile;
 use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::signature::Signature;
+use crate::sorted;
 
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
@@ -309,12 +310,10 @@ impl Bssf {
     /// Set-equality scan: rows where every 1-slice is set and every 0-slice
     /// is clear. Reads all `F` slices.
     fn equals_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+        // Both scans list their rows in ascending order.
         let sup = self.superset_positions(query_sig, ctr)?;
-        let sub: std::collections::BTreeSet<u64> = self
-            .subset_positions(query_sig, None, ctr)?
-            .into_iter()
-            .collect();
-        Ok(sup.into_iter().filter(|p| sub.contains(p)).collect())
+        let sub = self.subset_positions(query_sig, None, ctr)?;
+        Ok(sorted::intersect(&sup, &sub))
     }
 
     /// Overlap scan: rows sharing at least `m` set bits with the query

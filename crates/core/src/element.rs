@@ -26,9 +26,29 @@ impl ElementKey {
     /// Builds a key from raw bytes.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         let mut v = Vec::with_capacity(bytes.len() + 1);
-        v.push(TAG_BYTES);
-        v.extend_from_slice(bytes);
+        ElementKey::write_raw_bytes(bytes, &mut v);
         ElementKey(v)
+    }
+
+    /// The canonical bytes of the integer element `v` — what
+    /// `ElementKey::from(v).as_bytes()` holds — on the stack, for callers
+    /// that compare a stored element without building its key.
+    pub fn int_bytes(v: u64) -> [u8; 9] {
+        fixed_bytes(TAG_INT, v)
+    }
+
+    /// The canonical bytes of the OID element `oid`, on the stack.
+    pub fn oid_bytes(oid: Oid) -> [u8; 9] {
+        fixed_bytes(TAG_OID, oid.raw())
+    }
+
+    /// Overwrites `buf` with the canonical bytes of the string / raw-bytes
+    /// element `bytes` (what [`from_bytes`](ElementKey::from_bytes) would
+    /// hold), reusing `buf`'s capacity.
+    pub fn write_raw_bytes(bytes: &[u8], buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.push(TAG_BYTES);
+        buf.extend_from_slice(bytes);
     }
 
     /// The canonical bytes, including the type tag. This is what gets
@@ -73,21 +93,22 @@ impl From<String> for ElementKey {
     }
 }
 
+/// `tag ‖ v` little-endian: the fixed-width key form of integers and OIDs.
+fn fixed_bytes(tag: u8, v: u64) -> [u8; 9] {
+    let mut key = [tag; 9];
+    key[1..].copy_from_slice(&v.to_le_bytes());
+    key
+}
+
 impl From<u64> for ElementKey {
     fn from(v: u64) -> Self {
-        let mut bytes = Vec::with_capacity(9);
-        bytes.push(TAG_INT);
-        bytes.extend_from_slice(&v.to_le_bytes());
-        ElementKey(bytes)
+        ElementKey(ElementKey::int_bytes(v).to_vec())
     }
 }
 
 impl From<Oid> for ElementKey {
     fn from(oid: Oid) -> Self {
-        let mut bytes = Vec::with_capacity(9);
-        bytes.push(TAG_OID);
-        bytes.extend_from_slice(&oid.raw().to_le_bytes());
-        ElementKey(bytes)
+        ElementKey(ElementKey::oid_bytes(oid).to_vec())
     }
 }
 
@@ -125,6 +146,18 @@ mod tests {
         assert_ne!(s, i);
         assert_ne!(i, o);
         assert_ne!(s, o);
+    }
+
+    #[test]
+    fn stack_key_bytes_are_the_heap_keys_bytes() {
+        for v in [0u64, 1, 255, 256, u64::MAX] {
+            assert_eq!(ElementKey::int_bytes(v), ElementKey::from(v).as_bytes());
+        }
+        let oid = Oid::new(Oid::MAX_VALUE);
+        assert_eq!(ElementKey::oid_bytes(oid), ElementKey::from(oid).as_bytes());
+        let mut buf = vec![9, 9, 9];
+        ElementKey::write_raw_bytes(b"Golf", &mut buf);
+        assert_eq!(buf, ElementKey::from("Golf").as_bytes());
     }
 
     #[test]

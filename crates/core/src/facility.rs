@@ -4,6 +4,7 @@ use crate::element::ElementKey;
 use crate::error::Result;
 use crate::oid::Oid;
 use crate::query::SetQuery;
+use crate::sorted;
 use setsig_pagestore::CacheStats;
 
 /// Page-access accounting for the filtering stage of one signature-file
@@ -77,8 +78,7 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// Creates a candidate set, sorting and deduplicating the OIDs.
     pub fn new(mut oids: Vec<Oid>, exact: bool) -> Self {
-        oids.sort_unstable();
-        oids.dedup();
+        sorted::sort_dedup(&mut oids);
         CandidateSet { oids, exact }
     }
 

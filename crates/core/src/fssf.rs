@@ -34,6 +34,7 @@ use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
+use crate::sorted;
 
 /// Design parameters of a frame-sliced signature file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,13 +285,10 @@ impl Fssf {
 
     /// Equality: covers in both directions in every frame.
     fn equals_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
-        let sup: std::collections::BTreeSet<u64> =
-            self.superset_positions(query, ctr)?.into_iter().collect();
-        Ok(self
-            .subset_positions(query, ctr)?
-            .into_iter()
-            .filter(|p| sup.contains(p))
-            .collect())
+        // Both scans list their rows in ascending order.
+        let sup = self.superset_positions(query, ctr)?;
+        let sub = self.subset_positions(query, ctr)?;
+        Ok(sorted::intersect(&sup, &sub))
     }
 
     /// Overlap: some query element's frame signature is covered by the row.

@@ -79,6 +79,7 @@ mod oidfile;
 mod qtrace;
 mod query;
 mod signature;
+pub mod sorted;
 mod ssf;
 
 pub use bitmap::{iter_ones_bytes, Bitmap};

@@ -4,6 +4,7 @@ use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
 use crate::signature::Signature;
+use crate::sorted;
 
 /// The set comparison operators of §2.
 ///
@@ -63,8 +64,7 @@ pub struct SetQuery {
 impl SetQuery {
     /// Creates a query, deduplicating and sorting the elements.
     pub fn new(predicate: SetPredicate, mut elements: Vec<ElementKey>) -> Self {
-        elements.sort_unstable();
-        elements.dedup();
+        sorted::sort_dedup(&mut elements);
         SetQuery {
             predicate,
             elements,

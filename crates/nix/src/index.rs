@@ -1,11 +1,10 @@
 //! The nested index as a set access facility.
 
 use setsig_core::{
-    CandidateSet, ElementKey, Error, FilterStage, Oid, Result, ScanCounters, ScanStats,
+    sorted, CandidateSet, ElementKey, Error, FilterStage, Oid, Result, ScanCounters, ScanStats,
     SetAccessFacility, SetPredicate, SetQuery,
 };
 use setsig_pagestore::{Disk, PageIo};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::btree::BTree;
@@ -78,18 +77,17 @@ impl Nix {
     ) -> Result<CandidateSet> {
         let d_q = query.elements.len();
         let take = d_q.min(query.cap().unwrap_or(d_q));
-        let mut acc: Option<BTreeSet<u64>> = None;
+        // Posting lists come in insertion order; each is put in ascending
+        // order once, then every intersection is a two-pointer pass.
+        let mut acc: Option<Vec<u64>> = None;
         for e in &query.elements[..take] {
-            let list: BTreeSet<u64> = self
-                .tree
-                .lookup(e.digest8(), &mut ctr.pages)?
-                .into_iter()
-                .collect();
-            acc = Some(match acc {
+            let mut list = self.tree.lookup(e.digest8(), &mut ctr.pages)?;
+            sorted::sort_dedup(&mut list);
+            let met = match &acc {
                 None => list,
-                Some(prev) => prev.intersection(&list).copied().collect(),
-            });
-            if acc.as_ref().is_some_and(BTreeSet::is_empty) {
+                Some(prev) => sorted::intersect(prev, &list),
+            };
+            if acc.insert(met).is_empty() {
                 break;
             }
         }
@@ -105,15 +103,33 @@ impl Nix {
     /// which is precisely why the paper finds NIX weak on this query. (No
     /// smart strategy: every list may hold a qualifying object.)
     fn subset_candidates(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<CandidateSet> {
-        let mut acc: BTreeSet<u64> = BTreeSet::new();
+        // The union: pool the lists, and `CandidateSet::new` sorts and
+        // deduplicates them.
+        let mut pooled = Vec::new();
         for e in &query.elements {
-            acc.extend(self.tree.lookup(e.digest8(), &mut ctr.pages)?);
+            pooled.extend(
+                self.tree
+                    .lookup(e.digest8(), &mut ctr.pages)?
+                    .into_iter()
+                    .map(Oid::new),
+            );
         }
-        Ok(CandidateSet::new(
-            acc.into_iter().map(Oid::new).collect(),
-            false,
-        ))
+        Ok(CandidateSet::new(pooled, false))
     }
+}
+
+/// The distinct key digests of `set`, in the order `set` first shows each:
+/// the B-tree is written in the order the caller listed the elements.
+fn distinct_digests(set: &[ElementKey]) -> impl Iterator<Item = u64> {
+    let mut by_digest: Vec<(u64, usize)> = set
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.digest8(), i))
+        .collect();
+    by_digest.sort_unstable();
+    by_digest.dedup_by_key(|&mut (digest, _)| digest);
+    by_digest.sort_unstable_by_key(|&(_, i)| i);
+    by_digest.into_iter().map(|(digest, _)| digest)
 }
 
 impl SetAccessFacility for Nix {
@@ -122,23 +138,17 @@ impl SetAccessFacility for Nix {
     }
 
     fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let mut seen = BTreeSet::new();
-        for e in set {
-            if seen.insert(e.digest8()) {
-                self.tree.insert(e.digest8(), oid.raw())?;
-            }
+        for digest in distinct_digests(set) {
+            self.tree.insert(digest, oid.raw())?;
         }
         self.indexed += 1;
         Ok(())
     }
 
     fn delete(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let mut seen = BTreeSet::new();
         let mut removed_any = false;
-        for e in set {
-            if seen.insert(e.digest8()) && self.tree.remove(e.digest8(), oid.raw())? {
-                removed_any = true;
-            }
+        for digest in distinct_digests(set) {
+            removed_any |= self.tree.remove(digest, oid.raw())?;
         }
         if !removed_any && !set.is_empty() {
             return Err(Error::OidNotFound(oid));
@@ -326,6 +336,41 @@ mod tests {
             .candidates(&SetQuery::contains(ElementKey::from("a")))
             .unwrap();
         assert_eq!(c.oids, vec![Oid::new(1)]);
+    }
+
+    #[test]
+    fn updates_write_the_tree_in_the_order_the_set_lists_its_elements() {
+        // Not in digest order, and each repeat dropped where it recurs.
+        let listed: Vec<ElementKey> = [7u64, 3, 7, 900, 3, 1, 900].map(ElementKey::from).to_vec();
+        assert_eq!(
+            distinct_digests(&listed).collect::<Vec<_>>(),
+            [7, 3, 900, 1]
+        );
+        assert_eq!(distinct_digests(&[]).count(), 0);
+
+        // So a set with repeats drives the B-tree through the very page
+        // accesses its distinct elements would, splits included.
+        let (with_repeats, mut a) = nix();
+        let (distinct, mut b) = nix();
+        let sets = |i: u64| {
+            let set = [i % 37, 1000 - i, i % 37, i, 1000 - i].map(ElementKey::from);
+            let once: Vec<ElementKey> = distinct_digests(&set).map(ElementKey::from).collect();
+            (set, once)
+        };
+        for i in 0..400u64 {
+            let (set, once) = sets(i);
+            a.insert(Oid::new(i), &set).unwrap();
+            b.insert(Oid::new(i), &once).unwrap();
+            assert_eq!(with_repeats.snapshot(), distinct.snapshot(), "insert {i}");
+        }
+        for i in (0..400u64).step_by(3) {
+            let (set, once) = sets(i);
+            a.delete(Oid::new(i), &set).unwrap();
+            b.delete(Oid::new(i), &once).unwrap();
+            assert_eq!(with_repeats.snapshot(), distinct.snapshot(), "delete {i}");
+        }
+        assert_eq!(a.tree().key_count(), b.tree().key_count());
+        a.tree().check_integrity().unwrap();
     }
 
     /// Object `i` holds `{3i, 3i+1, 3i+2}` — enough keys for a height ≥ 1

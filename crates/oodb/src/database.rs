@@ -6,6 +6,7 @@ use setsig_core::{
     SetQuery, TargetSetSource,
 };
 use setsig_pagestore::{Disk, IoDelta, PageIo};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -13,7 +14,7 @@ use crate::object::Object;
 use crate::path::PathSpec;
 use crate::schema::{ClassDef, ClassId};
 use crate::store::ObjectStore;
-use crate::value::Value;
+use crate::value::{AttrShape, Prim, Value};
 
 /// What a facility indexes: a set attribute directly, or a set derived by
 /// following references (§1's `Student.courses.category` path).
@@ -235,10 +236,7 @@ impl Database {
             .ok_or_else(|| Error::NoSuchAttribute(format!("facility #{facility_index}")))?;
         let before = self.disk.snapshot();
         let candidates = reg.facility.candidates(query)?;
-        let source = StoreSource {
-            store: &self.store,
-            source: reg.source.clone(),
-        };
+        let source = StoreSource::new(&self.store, reg.source.clone());
         let mut report = resolve_drops(query, &candidates, &source).map_err(Error::Facility)?;
         let io = self.disk.snapshot().since(before);
         Ok(QueryExecution {
@@ -258,10 +256,7 @@ impl Database {
         attr_name: &str,
     ) -> Result<impl TargetSetSource + '_> {
         let attr = self.class(class)?.attr_index(attr_name)?;
-        Ok(StoreSource {
-            store: &self.store,
-            source: IndexedSource::Direct(attr),
-        })
+        Ok(StoreSource::new(&self.store, IndexedSource::Direct(attr)))
     }
 
     /// Full-scan baseline: evaluates the predicate against **every** object
@@ -334,42 +329,105 @@ fn source_set(
                         spec.ref_attr
                     )));
                 };
-                let target = store.get(*oid)?;
-                let key = target
-                    .value(spec.target_attr)
-                    .and_then(Value::to_element_key)
-                    .ok_or_else(|| {
-                        Error::NoSuchAttribute(format!(
-                            "target attribute #{} of {oid} is not a primitive",
-                            spec.target_attr
-                        ))
-                    })?;
-                out.push(key);
+                visit_path_target(store, *oid, spec.target_attr, &mut |p| {
+                    out.push(p.to_element_key());
+                })?;
             }
-            out.sort_unstable();
-            out.dedup();
+            setsig_core::sorted::sort_dedup(&mut out);
             Ok(out)
         }
     }
 }
 
+/// Reads the attribute a path index derives its elements from off one
+/// referenced object, in place (the object's page reads, no [`Object`]).
+fn visit_path_target(
+    store: &ObjectStore,
+    target: Oid,
+    target_attr: usize,
+    visit: &mut dyn FnMut(Prim<'_>),
+) -> Result<()> {
+    match store.walk_attr(target, target_attr, visit)? {
+        AttrShape::Prim => Ok(()),
+        _ => Err(Error::NoSuchAttribute(format!(
+            "target attribute #{target_attr} of {target} is not a primitive"
+        ))),
+    }
+}
+
 /// Adapter: the object store as a [`TargetSetSource`] for drop resolution.
-/// Owns its (two-word) source so `target_source` can hand one out.
+/// Reads every set where it lies in the page snapshot; owns its (two-word)
+/// source so `target_source` can hand one out.
 struct StoreSource<'a> {
     store: &'a ObjectStore,
     source: IndexedSource,
+    /// Where a string element's key bytes are put together; its capacity
+    /// outlives the candidate.
+    key_buf: RefCell<Vec<u8>>,
+}
+
+impl<'a> StoreSource<'a> {
+    fn new(store: &'a ObjectStore, source: IndexedSource) -> Self {
+        StoreSource {
+            store,
+            source,
+            key_buf: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Hands every element of `oid`'s indexed set to `visit`, in stored
+    /// order, repeats included: the attribute's own elements, or for a
+    /// path the indexed attribute of each referenced object (one more
+    /// record read per reference).
+    fn visit_elements(&self, oid: Oid, visit: &mut dyn FnMut(Prim<'_>)) -> Result<()> {
+        let (attr, shape, targets) = match &self.source {
+            IndexedSource::Direct(attr) => {
+                (*attr, self.store.walk_attr(oid, *attr, visit)?, Ok(()))
+            }
+            IndexedSource::Path(spec) => {
+                // The walk cannot stop at a failed reference: the first
+                // failure is kept and later references are left unread.
+                let mut targets = Ok(());
+                let shape = self.store.walk_attr(oid, spec.ref_attr, &mut |elem| {
+                    if targets.is_ok() {
+                        targets = match elem {
+                            Prim::Ref(target) => {
+                                visit_path_target(self.store, target, spec.target_attr, visit)
+                            }
+                            _ => Err(Error::NotASetAttribute(format!(
+                                "attribute #{} holds non-reference elements",
+                                spec.ref_attr
+                            ))),
+                        };
+                    }
+                })?;
+                (spec.ref_attr, shape, targets)
+            }
+        };
+        if shape != AttrShape::PrimSet {
+            return Err(Error::NotASetAttribute(format!("attribute #{attr}")));
+        }
+        targets
+    }
 }
 
 impl TargetSetSource for StoreSource<'_> {
     fn fetch_set(&self, oid: Oid) -> setsig_core::Result<ElementSet> {
-        let object = self
-            .store
-            .get(oid)
-            .map_err(|e| setsig_core::Error::BadQuery(format!("fetch {oid}: {e}")))?;
-        let set = source_set(self.store, &object, &self.source)
-            .map_err(|e| setsig_core::Error::BadQuery(format!("{oid}: {e}")))?;
-        Ok(set.into_iter().collect())
+        let mut keys = Vec::new();
+        self.visit_elements(oid, &mut |elem| keys.push(elem.to_element_key()))
+            .map_err(|e| fetch_error(oid, &e))?;
+        Ok(keys.into_iter().collect())
     }
+
+    fn visit_set(&self, oid: Oid, visit: &mut dyn FnMut(&[u8])) -> setsig_core::Result<()> {
+        let mut buf = self.key_buf.borrow_mut();
+        self.visit_elements(oid, &mut |elem| elem.with_key_bytes(&mut buf, visit))
+            .map_err(|e| fetch_error(oid, &e))
+    }
+}
+
+fn fetch_error(oid: Oid, e: &Error) -> setsig_core::Error {
+    setsig_core::Error::BadQuery(format!("fetch {oid}: {e}"))
 }
 
 #[cfg(test)]
@@ -551,6 +609,118 @@ mod tests {
         assert!(db.get_object(jeff).is_err());
         let q = SetQuery::has_subset(vec![ElementKey::from("Baseball")]);
         assert_eq!(db.execute_set_query(fidx, &q).unwrap().actual, vec![bob]);
+    }
+
+    /// What `visit_set` hands over for `oid`, as owned keys, and the object
+    /// pages it read doing so.
+    fn visited(db: &Database, source: &StoreSource<'_>, oid: Oid) -> (Vec<Vec<u8>>, u64) {
+        let before = db.disk().snapshot();
+        let mut keys = Vec::new();
+        source
+            .visit_set(oid, &mut |k| keys.push(k.to_vec()))
+            .unwrap();
+        (keys, db.disk().snapshot().since(before).reads)
+    }
+
+    #[test]
+    fn store_source_visits_the_stored_elements_and_fetches_their_set() {
+        let (mut db, student) = hobbies_db();
+        // Stored as given: repeats, and "c" before "bb".
+        let raw = vec![Value::str("c"), Value::str("bb"), Value::str("c")];
+        let oid = db
+            .insert_object(student, vec![Value::str("Jeff"), Value::Set(raw)])
+            .unwrap();
+        let source = StoreSource::new(&db.store, IndexedSource::Direct(1));
+        let key = |s: &str| ElementKey::from(s);
+        let (keys, reads) = visited(&db, &source, oid);
+        let stored: Vec<_> = ["c", "bb", "c"].iter().map(|&s| key(s)).collect();
+        assert_eq!(
+            keys,
+            stored.iter().map(ElementKey::as_bytes).collect::<Vec<_>>()
+        );
+        assert_eq!(reads, 1);
+        assert_eq!(&*source.fetch_set(oid).unwrap(), [key("bb"), key("c")]);
+        // `name` is not a set; attribute 2 does not exist; OID 99 neither.
+        for (attr, oid) in [(0, oid), (2, oid), (1, Oid::new(99))] {
+            let source = StoreSource::new(&db.store, IndexedSource::Direct(attr));
+            assert!(source.fetch_set(oid).is_err());
+            assert!(source.visit_set(oid, &mut |_| {}).is_err());
+        }
+    }
+
+    #[test]
+    fn path_source_reads_each_referenced_object_once_per_reference() {
+        let mut db = Database::in_memory();
+        let course = db
+            .define_class(ClassDef::new(
+                "Course",
+                vec![("name", AttrType::Str), ("category", AttrType::Str)],
+            ))
+            .unwrap();
+        let student = db
+            .define_class(ClassDef::new(
+                "Student",
+                vec![
+                    ("name", AttrType::Str),
+                    ("courses", AttrType::set_of(AttrType::Ref)),
+                ],
+            ))
+            .unwrap();
+        let c: Vec<Oid> = [("Theory", "DB"), ("Systems", "DB"), ("Algorithms", "CS")]
+            .iter()
+            .map(|(n, cat)| {
+                db.insert_object(course, vec![Value::str(n), Value::str(cat)])
+                    .unwrap()
+            })
+            .collect();
+        let refs = |oids: &[Oid]| Value::Set(oids.iter().map(|&o| Value::Ref(o)).collect());
+        // Two references share a category, and one is listed twice.
+        let jeff = db
+            .insert_object(
+                student,
+                vec![Value::str("Jeff"), refs(&[c[2], c[0], c[1], c[0]])],
+            )
+            .unwrap();
+        let spec = PathSpec {
+            ref_attr: 1,
+            target_attr: 1,
+        };
+        let source = StoreSource::new(&db.store, IndexedSource::Path(spec.clone()));
+        let key = |s: &str| ElementKey::from(s);
+        let (keys, reads) = visited(&db, &source, jeff);
+        let derived: Vec<_> = ["CS", "DB", "DB", "DB"].iter().map(|&s| key(s)).collect();
+        assert_eq!(
+            keys,
+            derived.iter().map(ElementKey::as_bytes).collect::<Vec<_>>()
+        );
+        assert_eq!(reads, 1 + 4, "the host, then a page per reference");
+        let before = db.disk().snapshot();
+        assert_eq!(&*source.fetch_set(jeff).unwrap(), [key("CS"), key("DB")]);
+        assert_eq!(db.disk().snapshot().since(before).reads, 1 + 4);
+        // The same derivation the facility was fed at insert.
+        let host = db.get_object(jeff).unwrap();
+        assert_eq!(
+            source_set(&db.store, &host, &IndexedSource::Path(spec.clone())).unwrap(),
+            [key("CS"), key("DB")]
+        );
+
+        // A dangling reference, a non-primitive target attribute and a
+        // non-reference host set are errors, not empty sets.
+        let ann = db
+            .insert_object(student, vec![Value::str("Ann"), refs(&[c[0]])])
+            .unwrap();
+        db.delete_object(c[1]).unwrap();
+        for (ref_attr, target_attr, oid) in [(1, 1, jeff), (1, 5, ann), (0, 1, ann)] {
+            let spec = PathSpec {
+                ref_attr,
+                target_attr,
+            };
+            let source = StoreSource::new(&db.store, IndexedSource::Path(spec));
+            assert!(source.visit_set(oid, &mut |_| {}).is_err());
+            assert!(source.fetch_set(oid).is_err());
+        }
+        let source = StoreSource::new(&db.store, IndexedSource::Path(spec));
+        assert_eq!(&*source.fetch_set(ann).unwrap(), [key("DB")]);
     }
 
     #[test]

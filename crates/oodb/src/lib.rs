@@ -59,4 +59,4 @@ pub use path::PathSpec;
 pub use schema::{AttrDef, AttrType, ClassDef, ClassId};
 pub use sql::{parse_query, ParsedQuery};
 pub use store::ObjectStore;
-pub use value::Value;
+pub use value::{AttrShape, Prim, Value};

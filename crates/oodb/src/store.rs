@@ -19,6 +19,7 @@ use setsig_core::Oid;
 
 use crate::error::{Error, Result};
 use crate::object::Object;
+use crate::value::{AttrShape, Prim};
 
 /// Page header: slot count (u16) + free offset (u16).
 const HEADER: usize = 4;
@@ -137,33 +138,50 @@ impl ObjectStore {
         })
     }
 
+    /// Hands the stored record of `oid` to `read` — the one way a record is
+    /// read. An inline record is the slot's bytes in the page snapshot (one
+    /// page read, no copy); a spanning record is assembled from its
+    /// `⌈len/P⌉` pages first.
+    fn with_record<R>(&self, oid: Oid, read: impl FnOnce(&[u8]) -> Result<R>) -> Result<R> {
+        match *self.directory.get(&oid).ok_or(Error::NoSuchObject(oid))? {
+            Location::Slot { page, slot } => read(read_slot(&self.file.read(page)?, slot)?),
+            Location::Spanning { first_page, len } => {
+                let len = len as usize;
+                let mut bytes = Vec::with_capacity(len);
+                for i in 0..len.div_ceil(PAGE_SIZE) as u32 {
+                    let p = self.file.read(first_page + i)?;
+                    let take = (len - bytes.len()).min(PAGE_SIZE);
+                    bytes.extend_from_slice(&p.as_bytes()[..take]);
+                }
+                read(&bytes)
+            }
+        }
+    }
+
     /// Fetches the object `oid`. Inline records cost one page read;
     /// spanning records cost `⌈len/P⌉` reads.
     pub fn get(&self, oid: Oid) -> Result<Object> {
-        let loc = *self.directory.get(&oid).ok_or(Error::NoSuchObject(oid))?;
-        let object = match loc {
-            // Decoded straight from the page snapshot: no record copy.
-            Location::Slot { page, slot } => {
-                Object::decode(read_slot(&self.file.read(page)?, slot)?)?
-            }
-            Location::Spanning { first_page, len } => {
-                let mut bytes = Vec::with_capacity(len as usize);
-                let npages = (len as usize).div_ceil(PAGE_SIZE) as u32;
-                for i in 0..npages {
-                    let p = self.file.read(first_page + i)?;
-                    let take = (len as usize - bytes.len()).min(PAGE_SIZE);
-                    bytes.extend_from_slice(&p.as_bytes()[..take]);
-                }
-                Object::decode(&bytes)?
-            }
-        };
-        if object.oid != oid {
-            return Err(Error::CorruptObject(format!(
-                "directory points {oid} at record for {}",
-                object.oid
-            )));
-        }
-        Ok(object)
+        self.with_record(oid, |bytes| {
+            let object = Object::decode(bytes)?;
+            check_oid(oid, object.oid)?;
+            Ok(object)
+        })
+    }
+
+    /// Reads attribute `attr` of object `oid` where it lies
+    /// ([`Object::walk_attr`]): the page reads and the errors of
+    /// [`get`](ObjectStore::get), no [`Object`].
+    pub fn walk_attr(
+        &self,
+        oid: Oid,
+        attr: usize,
+        visit: &mut dyn FnMut(Prim<'_>),
+    ) -> Result<AttrShape> {
+        self.with_record(oid, |bytes| {
+            let (found, shape) = Object::walk_attr(bytes, attr, visit)?;
+            check_oid(oid, found)?;
+            Ok(shape)
+        })
     }
 
     /// Deletes `oid`: tombstones its slot (one read + one write for inline
@@ -178,14 +196,20 @@ impl ObjectStore {
                 let slot_off = PAGE_SIZE - (slot as usize + 1) * SLOT;
                 p.write_u16(slot_off + 2, 0); // len = 0 marks the slot dead
             })?;
-            if self.tail.map(|(t, _, _)| t) == Some(page) {
-                // Freed space inside the tail page is not reused (records
-                // are never compacted in place); keep accounting simple.
-            }
         }
         self.count -= 1;
         Ok(())
     }
+}
+
+/// The record the directory led to must be the one asked for.
+fn check_oid(asked: Oid, found: Oid) -> Result<()> {
+    if found != asked {
+        return Err(Error::CorruptObject(format!(
+            "directory points {asked} at record for {found}"
+        )));
+    }
+    Ok(())
 }
 
 /// Appends `record` to the page, claiming the next slot. Caller guarantees
@@ -289,6 +313,75 @@ mod tests {
         disk.reset_stats();
         assert_eq!(s.get(Oid::new(7)).unwrap(), big);
         assert!(disk.snapshot().reads >= 3, "spanning read costs ⌈len/P⌉");
+    }
+
+    /// `walk_attr` of attribute 0, as the integers it visited.
+    fn walked(s: &ObjectStore, oid: u64) -> Result<Vec<i64>> {
+        let mut seen = Vec::new();
+        let shape = s.walk_attr(Oid::new(oid), 0, &mut |p| match p {
+            Prim::Int(v) => seen.push(v),
+            other => panic!("an int set holds {other:?}"),
+        })?;
+        assert_eq!(shape, AttrShape::PrimSet);
+        Ok(seen)
+    }
+
+    #[test]
+    fn walking_a_record_reads_the_pages_getting_it_reads() {
+        let (disk, mut s) = store();
+        for i in 0..50 {
+            s.put(&obj(i, 4)).unwrap();
+        }
+        // 9 bytes an element: 2 full pages and a part.
+        let big = obj(77, 1000);
+        let pages = big.encode().len().div_ceil(PAGE_SIZE) as u64;
+        assert_eq!(pages, 3);
+        s.put(&big).unwrap();
+        for (oid, reads) in [(25, 1), (77, pages)] {
+            disk.reset_stats();
+            let got = s.get(Oid::new(oid)).unwrap();
+            assert_eq!(disk.snapshot().reads, reads);
+            disk.reset_stats();
+            let seen = walked(&s, oid).unwrap();
+            assert_eq!(disk.snapshot().reads, reads, "the same ⌈len/P⌉");
+            assert_eq!(
+                Value::Set(seen.into_iter().map(Value::Int).collect()),
+                got.values[0]
+            );
+        }
+    }
+
+    #[test]
+    fn both_readers_refuse_a_dead_slot_and_a_record_of_another_oid() {
+        let (_d, mut s) = store();
+        s.put(&obj(1, 3)).unwrap();
+        s.put(&obj(2, 3)).unwrap();
+        let Location::Slot { page, slot } = s.directory[&Oid::new(1)] else {
+            panic!("small records are inline");
+        };
+        let slot_off = PAGE_SIZE - (slot as usize + 1) * SLOT;
+        let record_off = s.file.read(page).unwrap().read_u16(slot_off) as usize;
+        // The record's OID field now says 2; the directory still says 1.
+        s.file
+            .modify(page, |p| p.write_slice(record_off, &2u64.to_le_bytes()))
+            .unwrap();
+        for err in [s.get(Oid::new(1)).err(), walked(&s, 1).err()] {
+            let Some(Error::CorruptObject(msg)) = err else {
+                panic!("expected a corrupt-object error, got {err:?}");
+            };
+            assert!(msg.contains("directory points"), "{msg}");
+        }
+        // Tombstone the slot behind the directory's back.
+        s.file
+            .modify(page, |p| p.write_u16(slot_off + 2, 0))
+            .unwrap();
+        for err in [s.get(Oid::new(1)).err(), walked(&s, 1).err()] {
+            let Some(Error::CorruptObject(msg)) = err else {
+                panic!("expected a corrupt-object error, got {err:?}");
+            };
+            assert!(msg.contains("is dead"), "{msg}");
+        }
+        assert_eq!(walked(&s, 2).unwrap(), [200, 201, 202]);
     }
 
     #[test]

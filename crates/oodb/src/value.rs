@@ -57,15 +57,20 @@ impl Value {
         }
     }
 
+    /// The value as a borrowed primitive; `None` for sets and tuples.
+    fn as_prim(&self) -> Option<Prim<'_>> {
+        match self {
+            Value::Int(v) => Some(Prim::Int(*v)),
+            Value::Str(s) => Some(Prim::Str(s)),
+            Value::Ref(oid) => Some(Prim::Ref(*oid)),
+            Value::Set(_) | Value::Tuple(_) => None,
+        }
+    }
+
     /// Converts a primitive value into the canonical element form used by
     /// the signature and index layers. Sets and tuples are not elements.
     pub fn to_element_key(&self) -> Option<ElementKey> {
-        match self {
-            Value::Int(v) => Some(ElementKey::from(*v as u64)),
-            Value::Str(s) => Some(ElementKey::from(s.as_str())),
-            Value::Ref(oid) => Some(ElementKey::from(*oid)),
-            Value::Set(_) | Value::Tuple(_) => None,
-        }
+        self.as_prim().map(|p| p.to_element_key())
     }
 
     /// If this is a set of primitives, its elements in canonical form.
@@ -116,73 +121,200 @@ impl Value {
     }
 
     /// Deserializes one value from `bytes` starting at `*pos`, advancing it.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Value> {
-        let corrupt = |msg: &str| Error::CorruptObject(msg.to_owned());
-        let tag = *bytes.get(*pos).ok_or_else(|| corrupt("truncated tag"))?;
-        *pos += 1;
-        match tag {
-            TAG_INT => {
-                let raw = bytes
-                    .get(*pos..*pos + 8)
-                    .ok_or_else(|| corrupt("truncated int"))?;
-                *pos += 8;
-                Ok(Value::Int(i64::from_le_bytes(raw.try_into().unwrap())))
+        Ok(match next_token(bytes, pos)? {
+            Token::Prim(Prim::Int(v)) => Value::Int(v),
+            Token::Prim(Prim::Str(s)) => Value::Str(s.to_owned()),
+            Token::Prim(Prim::Ref(oid)) => Value::Ref(oid),
+            Token::Set(len) => Value::Set(decode_many(bytes, pos, len)?),
+            Token::Tuple(len) => Value::Tuple(decode_many(bytes, pos, len)?),
+        })
+    }
+}
+
+fn decode_many(bytes: &[u8], pos: &mut usize, len: usize) -> Result<Vec<Value>> {
+    let mut elems = Vec::with_capacity(len);
+    for _ in 0..len {
+        elems.push(Value::decode(bytes, pos)?);
+    }
+    Ok(elems)
+}
+
+/// A primitive value read in place from a stored record: a set element, or
+/// the attribute a path index reads off a referenced object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prim<'a> {
+    /// A 64-bit integer.
+    Int(i64),
+    /// A UTF-8 string, borrowed from the record.
+    Str(&'a str),
+    /// A reference to another object.
+    Ref(Oid),
+}
+
+impl Prim<'_> {
+    /// The canonical element form — [`Value::to_element_key`] of the value
+    /// this was read from.
+    pub fn to_element_key(&self) -> ElementKey {
+        match *self {
+            Prim::Int(v) => ElementKey::from(v as u64),
+            Prim::Str(s) => ElementKey::from(s),
+            Prim::Ref(oid) => ElementKey::from(oid),
+        }
+    }
+
+    /// Hands `f` the bytes `self.to_element_key().as_bytes()` would hold
+    /// without building the key: integers and references on the stack,
+    /// strings in `buf` (overwritten; its capacity is what is reused).
+    pub fn with_key_bytes(&self, buf: &mut Vec<u8>, f: &mut dyn FnMut(&[u8])) {
+        match *self {
+            Prim::Int(v) => f(&ElementKey::int_bytes(v as u64)),
+            Prim::Ref(oid) => f(&ElementKey::oid_bytes(oid)),
+            Prim::Str(s) => {
+                ElementKey::write_raw_bytes(s.as_bytes(), buf);
+                f(buf);
             }
-            TAG_STR => {
-                let len = read_u32(bytes, pos)? as usize;
-                let raw = bytes
-                    .get(*pos..*pos + len)
-                    .ok_or_else(|| corrupt("truncated string"))?;
-                *pos += len;
-                Ok(Value::Str(
-                    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("string not utf-8"))?,
-                ))
-            }
-            TAG_REF => {
-                let raw = bytes
-                    .get(*pos..*pos + 8)
-                    .ok_or_else(|| corrupt("truncated ref"))?;
-                *pos += 8;
-                let v = u64::from_le_bytes(raw.try_into().unwrap());
-                if v > Oid::MAX_VALUE {
-                    return Err(corrupt("ref exceeds the 63-bit OID space"));
-                }
-                Ok(Value::Ref(Oid::new(v)))
-            }
-            TAG_SET | TAG_TUPLE => {
-                let len = read_u32(bytes, pos)? as usize;
-                if len > bytes.len() {
-                    return Err(corrupt("collection length exceeds record"));
-                }
-                let mut elems = Vec::with_capacity(len);
-                for _ in 0..len {
-                    elems.push(Value::decode(bytes, pos)?);
-                }
-                Ok(if tag == TAG_SET {
-                    Value::Set(elems)
-                } else {
-                    Value::Tuple(elems)
-                })
-            }
-            other => Err(Error::CorruptObject(format!("unknown value tag {other}"))),
         }
     }
 }
 
-#[expect(
-    clippy::unwrap_used,
-    reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-)]
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let raw = bytes
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| Error::CorruptObject("truncated length".into()))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(raw.try_into().unwrap()))
+/// What one attribute of a stored record turned out to hold, as
+/// [`Object::walk_attr`](crate::Object::walk_attr) found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttrShape {
+    /// The record has no attribute at that index.
+    Missing,
+    /// One primitive, which was visited.
+    Prim,
+    /// A set of primitives, each of which was visited.
+    PrimSet,
+    /// A tuple, or a set holding a set or a tuple; whatever primitives a
+    /// set held directly were visited, and the caller discards them.
+    Other,
+}
+
+/// One step of the tagged encoding: a whole primitive, or the header of a
+/// collection whose `len` values follow.
+pub(crate) enum Token<'a> {
+    Prim(Prim<'a>),
+    Set(usize),
+    Tuple(usize),
+}
+
+/// Reads the token at `*pos`, advancing past it. Every check the encoding
+/// admits is made here, so [`Value::decode`] and the in-place walk accept
+/// exactly the same bytes.
+pub(crate) fn next_token<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Token<'a>> {
+    let tag = take::<1>(bytes, pos, "truncated tag")?[0];
+    match tag {
+        TAG_INT => {
+            let raw = take::<8>(bytes, pos, "truncated int")?;
+            Ok(Token::Prim(Prim::Int(i64::from_le_bytes(raw))))
+        }
+        TAG_STR => {
+            let len = u32::from_le_bytes(take::<4>(bytes, pos, "truncated length")?) as usize;
+            let raw = take_slice(bytes, pos, len, "truncated string")?;
+            let s = std::str::from_utf8(raw).map_err(|_| corrupt("string not utf-8"))?;
+            Ok(Token::Prim(Prim::Str(s)))
+        }
+        TAG_REF => {
+            let v = u64::from_le_bytes(take::<8>(bytes, pos, "truncated ref")?);
+            if v > Oid::MAX_VALUE {
+                return Err(corrupt("ref exceeds the 63-bit OID space"));
+            }
+            Ok(Token::Prim(Prim::Ref(Oid::new(v))))
+        }
+        TAG_SET | TAG_TUPLE => {
+            let len = u32::from_le_bytes(take::<4>(bytes, pos, "truncated length")?) as usize;
+            if len > bytes.len() {
+                return Err(corrupt("collection length exceeds record"));
+            }
+            Ok(if tag == TAG_SET {
+                Token::Set(len)
+            } else {
+                Token::Tuple(len)
+            })
+        }
+        other => Err(unknown_tag(other)),
+    }
+}
+
+/// The `len` bytes at `*pos`, advancing past them; `Err(what)` if the
+/// record ends first. A caller's `*pos` past the end fails here at the
+/// tag, so every later `*pos` is within `bytes`.
+fn take_slice<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    len: usize,
+    what: &'static str,
+) -> Result<&'a [u8]> {
+    if len > bytes.len().saturating_sub(*pos) {
+        return Err(corrupt(what));
+    }
+    let raw = &bytes[*pos..*pos + len];
+    *pos += len;
+    Ok(raw)
+}
+
+/// [`take_slice`] for a field of fixed width.
+fn take<const N: usize>(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<[u8; N]> {
+    let mut field = [0u8; N];
+    field.copy_from_slice(take_slice(bytes, pos, N, what)?);
+    Ok(field)
+}
+
+fn corrupt(msg: &str) -> Error {
+    Error::CorruptObject(msg.to_owned())
+}
+
+fn unknown_tag(tag: u8) -> Error {
+    Error::CorruptObject(format!("unknown value tag {tag}"))
+}
+
+/// Walks the value at `*pos` as the attribute a caller asked for: visits it
+/// if it is a primitive, its elements if it is a set, and reports which.
+pub(crate) fn walk_value(
+    bytes: &[u8],
+    pos: &mut usize,
+    visit: &mut dyn FnMut(Prim<'_>),
+) -> Result<AttrShape> {
+    match next_token(bytes, pos)? {
+        Token::Prim(p) => {
+            visit(p);
+            Ok(AttrShape::Prim)
+        }
+        Token::Tuple(len) => {
+            skip_values(bytes, pos, len)?;
+            Ok(AttrShape::Other)
+        }
+        Token::Set(len) => {
+            let mut shape = AttrShape::PrimSet;
+            for _ in 0..len {
+                match next_token(bytes, pos)? {
+                    Token::Prim(p) => visit(p),
+                    Token::Set(inner) | Token::Tuple(inner) => {
+                        shape = AttrShape::Other;
+                        skip_values(bytes, pos, inner)?;
+                    }
+                }
+            }
+            Ok(shape)
+        }
+    }
+}
+
+/// Advances past `count` values, checking each as [`Value::decode`] would
+/// and building nothing; nesting is a count of values still owed, not a
+/// call stack.
+pub(crate) fn skip_values(bytes: &[u8], pos: &mut usize, count: usize) -> Result<()> {
+    let mut owed = count;
+    while owed > 0 {
+        owed -= 1;
+        if let Token::Set(len) | Token::Tuple(len) = next_token(bytes, pos)? {
+            owed = owed.saturating_add(len);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -264,6 +396,8 @@ mod tests {
             let mut pos = 0;
             assert!(Value::decode(&bytes, &mut pos).is_err(), "bytes {bytes:?}");
         }
+        // A start past the end is the caller's mistake, and an error too.
+        assert!(Value::decode(&[TAG_INT], &mut 5).is_err());
     }
 }
 

@@ -139,6 +139,24 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
         |f| lints::hot_path::check_file(f, &allow_hot, &accounting_seam),
         &mut failures,
     )?;
+    // The per-candidate path of false-drop resolution (`oodb.walk_set`,
+    // `drops.verify`): a heap key per element or an owned set per
+    // candidate trips; stack keys, a bitmap sized at setup and an
+    // allowlisted error constructor stay quiet.
+    check_file_fixture(
+        &fixtures.join("hotpath/resolve_fail.rs"),
+        |f| lints::hot_path::check_file(f, &Allowlist::default(), &Allowlist::default()),
+        &mut failures,
+    )?;
+    let allow_resolve = Allowlist::parse(
+        "# self-test: the walker's corrupt-record error constructor\n\
+         crates/experiments/src/fixture.rs::unknown_tag\n",
+    );
+    check_file_fixture(
+        &fixtures.join("hotpath/resolve_pass.rs"),
+        |f| lints::hot_path::check_file(f, &allow_resolve, &Allowlist::default()),
+        &mut failures,
+    )?;
     lap("hot-path-hygiene", &mut timings, &mut timer);
 
     // stale-allow: a consulted entry stays quiet, an unmatched one is

@@ -80,3 +80,27 @@ fn cli_names_the_retained_set_and_has_no_other_subcommand() {
         );
     }
 }
+
+/// The engine's set algebra is ascending `Vec`s (`setsig_core::sorted`) and
+/// the per-candidate verifier's bitmap; a tree set on a query or update
+/// path is a node allocation per element come back.
+#[test]
+fn engine_crates_name_no_btreeset_outside_test_code() {
+    let ws = xtask::workspace::Workspace::load(&repo_root()).expect("workspace readable");
+    let mut offenders = Vec::new();
+    for file in &ws.files {
+        let engine = matches!(file.crate_dir.as_deref(), Some("core" | "nix" | "oodb"));
+        if !engine || file.class != xtask::workspace::FileClass::Lib {
+            continue;
+        }
+        for (tok, &in_test) in file.scanned.toks.iter().zip(&file.test_mask) {
+            if !in_test && tok.is_ident("BTreeSet") {
+                offenders.push(format!("{}:{}", file.rel, tok.line));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "BTreeSet in non-test code of crates/{{core,nix,oodb}}/src: {offenders:?}"
+    );
+}
