@@ -1,6 +1,7 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! * BSSF insert paths: paper worst-case (F+1) vs sparse (~m_t+1) vs bulk,
+//! * insert paths: the BSSF writer one row at a time (m_t + 1 writes),
+//!   batched and bulk, next to FSSF's frames-per-insert,
 //! * buffer pool on/off under an SSF scan and a NIX look-up storm,
 //! * signature width F sweep for the ⊇ filter.
 
@@ -8,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_bench::{bench_db, superset_query};
-use setsig_core::{
-    Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, Signature, SignatureConfig,
-};
+use setsig_core::{Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, SignatureConfig};
 use setsig_pagestore::{BufferPool, Disk, PageIo};
 use std::sync::Arc;
 
@@ -20,26 +19,12 @@ fn insert_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bssf_insert_paths");
     group.sample_size(10);
 
-    let mut dense = sim.build_bssf(500, 2);
+    let mut bssf = sim.build_bssf(500, 2);
     let mut next = sim.sets.len() as u64;
-    group.bench_function("dense_f_plus_1", |b| {
+    group.bench_function("bssf_m_t_plus_1", |b| {
         b.iter(|| {
             next += 1;
-            dense.insert(Oid::new(next), &set).unwrap();
-        });
-    });
-
-    let disk = Arc::new(Disk::new());
-    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut sparse = Bssf::create(io, "sparse", SignatureConfig::new(500, 2).unwrap()).unwrap();
-    let sig = Signature::for_set(sparse.config(), &set);
-    let mut next = 0u64;
-    group.bench_function("sparse_m_plus_1", |b| {
-        b.iter(|| {
-            next += 1;
-            sparse
-                .insert_signature_sparse(Oid::new(next), &sig)
-                .unwrap();
+            bssf.insert(Oid::new(next), &set).unwrap();
         });
     });
 

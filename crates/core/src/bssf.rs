@@ -17,10 +17,20 @@
 //! small `m` and the "smart" strategies of §5.1.3/§5.2.2, which a query
 //! asks for by carrying a cap ([`SetQuery::with_cap`]).
 //!
-//! Insertion is BSSF's weakness: the paper charges the worst case `F + 1`
-//! accesses (every slice file plus the OID file). [`Bssf::insert`] does
-//! exactly that; [`Bssf::insert_sparse`] and [`Bssf::bulk_load`] implement
-//! the improvements §6 anticipates.
+//! Insertion is BSSF's weakness in the paper, which charges the worst case
+//! `F + 1` accesses (every slice file plus the OID file) and anticipates
+//! (§6) writing only the slices whose bit is `1`. That is what the one
+//! writer here does: rows are append-only and slice pages start zeroed, so
+//! a row's `0` bits are never written and an insert costs `m_t + 1` page
+//! writes (≈ 20.6 at `D_t = 10, m = 2`). [`SetAccessFacility::insert`],
+//! [`Bssf::insert_batch`], [`Bssf::bulk_load`] and [`Bssf::compact`] all
+//! stage their rows through it; a batch pays one write per touched slice
+//! page however many rows it holds.
+//!
+//! The OID-file append is the **commit point**: a call that fails before it
+//! has indexed nothing, and the slice bits it had already written are
+//! cleared before the row is written again (the torn-row rule — see
+//! `rowfile.rs`), so the next object at that position does not inherit them.
 
 use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
@@ -35,6 +45,7 @@ use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
+use crate::rowfile::{RowBit, RowFiles};
 use crate::signature::Signature;
 use crate::sorted;
 
@@ -44,17 +55,16 @@ const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
 /// Words of a row accumulator one slice page covers.
 const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
 
-/// One slice file and its materialized length (sparse inserts leave slices
-/// of different lengths), so no scan or insert asks the I/O layer for it.
-struct Slice {
-    file: PagedFile,
-    pages: u32,
-}
-
 /// A bit-sliced signature file with its companion OID file.
+///
+/// One writer serves every way of adding rows: it sets only the `1` bits of
+/// the new rows (one page write per touched slice page) and commits with
+/// the OID-file append, so `insert` costs `m_t + 1` writes. A failed call
+/// indexes nothing; the bits it had written are cleared before that row is
+/// written again.
 pub struct Bssf {
     cfg: SignatureConfig,
-    slices: Vec<Slice>,
+    slices: RowFiles,
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Bssf::sync_meta`].
     meta_file: Option<PagedFile>,
@@ -69,12 +79,7 @@ impl Bssf {
     /// [`BufferPool`](setsig_pagestore::BufferPool) to serve hot slice pages
     /// from memory on re-query; the caller keeps the pool's `Arc`.
     pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
-        let slices = (0..cfg.f_bits())
-            .map(|j| Slice {
-                file: PagedFile::create(Arc::clone(&io), &format!("{name}.s{j}")),
-                pages: 0,
-            })
-            .collect();
+        let slices = RowFiles::create(&io, (0..cfg.f_bits()).map(|j| format!("{name}.s{j}")));
         Ok(Bssf {
             cfg,
             slices,
@@ -107,66 +112,32 @@ impl Bssf {
         self.oid_file.len().div_ceil(ROWS_PER_PAGE)
     }
 
-    fn row_page(pos: u64) -> (u32, usize) {
-        ((pos / ROWS_PER_PAGE) as u32, (pos % ROWS_PER_PAGE) as usize)
+    fn row_page(pos: u64) -> (u32, u32) {
+        ((pos / ROWS_PER_PAGE) as u32, (pos % ROWS_PER_PAGE) as u32)
     }
 
-    /// Indexes `sig` for `oid` the paper's way: touches **every** slice
-    /// file plus the OID file — `F + 1` page writes (`UC_I = F + 1`).
-    pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
-        self.check_width(sig)?;
-        let pos = self.oid_file.len();
-        let (page_no, bit) = Self::row_page(pos);
-        for (j, slice) in self.slices.iter_mut().enumerate() {
-            let set = sig.bitmap().get(j as u32);
-            Self::write_row_bits(slice, page_no, &[(bit, set)])?;
+    /// The one writer: stages the set bits of `sigs` as the rows after the
+    /// last entry — one page write per touched slice page — and commits
+    /// with the OID-file append.
+    fn append_rows(&mut self, oids: &[Oid], sigs: impl Iterator<Item = Signature>) -> Result<()> {
+        let start = self.oid_file.len();
+        let mut staged: Vec<RowBit> = Vec::new();
+        for (pos, sig) in (start..).zip(sigs) {
+            let (page_no, bit) = Self::row_page(pos);
+            staged.extend(sig.bitmap().iter_ones().map(|j| (j, page_no, bit)));
         }
-        let opos = self.oid_file.append(oid)?;
-        debug_assert_eq!(opos, pos);
-        Ok(pos)
+        self.append_staged(oids, staged)
     }
 
-    /// Applies `(bit, value)` updates to one slice page with exactly one
-    /// write when the page exists; otherwise zero-fills the gap and
-    /// appends a staged page (one write plus any gap pages).
-    fn write_row_bits(slice: &mut Slice, page_no: u32, bits: &[(usize, bool)]) -> Result<()> {
-        let set = |page: &mut Page| {
-            for &(b, v) in bits {
-                page.set_bit(b, v);
-            }
-        };
-        if page_no < slice.pages {
-            slice.file.update(page_no, set)?;
-        } else {
-            slice.file.extend_to(page_no)?;
-            let mut page = Page::zeroed();
-            set(&mut page);
-            let appended = slice.file.append(&page)?;
-            debug_assert_eq!(appended, page_no);
-            slice.pages = page_no + 1;
-        }
-        Ok(())
+    fn append_staged(&mut self, oids: &[Oid], staged: Vec<RowBit>) -> Result<()> {
+        let oid_file = &mut self.oid_file;
+        self.slices
+            .append(staged, || oid_file.bulk_append(oids).map(drop))
     }
 
-    /// Indexes `sig` touching only the slices whose bit is `1` — about
-    /// `m_t + 1` writes instead of `F + 1` (the improvement §6 anticipates).
-    ///
-    /// Slice files are extended lazily; a query reading a slice page that
-    /// was never written treats it as zeros without charging an access.
-    pub fn insert_signature_sparse(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
-        self.check_width(sig)?;
-        let pos = self.oid_file.len();
-        let (page_no, bit) = Self::row_page(pos);
-        for j in sig.bitmap().iter_ones() {
-            Self::write_row_bits(&mut self.slices[j as usize], page_no, &[(bit, true)])?;
-        }
-        let opos = self.oid_file.append(oid)?;
-        debug_assert_eq!(opos, pos);
-        Ok(pos)
-    }
-
-    /// Builds the BSSF from scratch in one pass, writing every slice page
-    /// and OID page exactly once: `F·⌈n/(P·b)⌉ + ⌈n/O_p⌉` writes total.
+    /// Builds the BSSF from scratch in one pass, writing every touched
+    /// slice page and OID page exactly once: at most
+    /// `F·⌈n/(P·b)⌉ + ⌈n/O_p⌉` writes total.
     ///
     /// Fails if the file already contains entries (bulk load is a
     /// build-time operation).
@@ -174,46 +145,30 @@ impl Bssf {
         if !self.oid_file.is_empty() {
             return Err(Error::BadConfig("bulk_load requires an empty BSSF".into()));
         }
-        let n = items.len() as u64;
-        let npages = n.div_ceil(ROWS_PER_PAGE) as u32;
-        let f = self.cfg.f_bits() as usize;
-        // Stage all slice pages in memory: F × npages × 4 KiB.
-        let mut staged: Vec<Vec<Page>> = (0..f)
-            .map(|_| (0..npages).map(|_| Page::zeroed()).collect())
-            .collect();
-        let mut oids = Vec::with_capacity(items.len());
-        for (i, (oid, set)) in items.iter().enumerate() {
-            let sig = Signature::for_set(&self.cfg, set);
-            let (page_no, bit) = Self::row_page(i as u64);
-            for j in sig.bitmap().iter_ones() {
-                staged[j as usize][page_no as usize].set_bit(bit, true);
-            }
-            oids.push(*oid);
-        }
-        for (slice, pages) in self.slices.iter_mut().zip(&staged) {
-            for page in pages {
-                slice.file.append(page)?;
-            }
-            slice.pages = npages;
-        }
-        self.oid_file.bulk_append(&oids)?;
-        Ok(())
+        self.insert_batch(items)
     }
 
-    fn check_width(&self, sig: &Signature) -> Result<()> {
-        if sig.f_bits() != self.cfg.f_bits() {
-            return Err(Error::WidthMismatch {
-                expected: self.cfg.f_bits(),
-                got: sig.f_bits(),
-            });
-        }
-        Ok(())
+    /// Appends a batch of entries, touching each slice page **once per
+    /// batch** instead of once per entry: the write-behind buffering a
+    /// production system would use to amortize BSSF's insertion cost (§6's
+    /// open problem).
+    ///
+    /// Cost: one write per *distinct (slice, page)* pair the batch's set
+    /// bits land on (≤ `Σ m_t`, and ≤ `F` per spanned slice page), plus
+    /// `⌈B/O_p⌉` OID-file writes. All or nothing: a failed batch indexes
+    /// none of its entries.
+    pub fn insert_batch(&mut self, items: &[(Oid, Vec<ElementKey>)]) -> Result<()> {
+        let oids: Vec<Oid> = items.iter().map(|(oid, _)| *oid).collect();
+        let cfg = self.cfg;
+        let sigs = items.iter().map(|(_, set)| Signature::for_set(&cfg, set));
+        self.append_rows(&oids, sigs)
     }
 
     /// Reads row page `p` of slice `j`, charging one page — or `None`, for
-    /// free, for a page a sparsely built slice never materialized (all zero).
+    /// free, for a page no row ever set a bit on (never materialized: all
+    /// zero).
     fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanCounters) -> Result<Option<Page>> {
-        let slice = &self.slices[j as usize];
+        let slice = &self.slices.files()[j as usize];
         if p >= slice.pages as usize {
             return Ok(None);
         }
@@ -381,8 +336,7 @@ impl SetAccessFacility for Bssf {
 
     fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
         let sig = Signature::for_set(&self.cfg, set);
-        self.insert_signature(oid, &sig)?;
-        Ok(())
+        self.append_rows(&[oid], std::iter::once(sig))
     }
 
     fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
@@ -408,11 +362,7 @@ impl SetAccessFacility for Bssf {
     }
 
     fn storage_pages(&self) -> Result<u64> {
-        let mut total = self.oid_file.storage_pages()? as u64;
-        for s in &self.slices {
-            total += s.file.len()? as u64;
-        }
-        Ok(total)
+        Ok(self.oid_file.storage_pages()? as u64 + self.slices.storage_pages())
     }
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
@@ -479,58 +429,219 @@ mod tests {
     }
 
     #[test]
-    fn insert_touches_every_slice_plus_oid_file() {
+    fn insert_writes_only_the_set_slices_plus_the_oid_file() {
         let (disk, mut b) = bssf(64, 2);
-        b.insert(Oid::new(1), &keys(&["a"])).unwrap();
+        b.insert(Oid::new(1), &keys(&["a", "b"])).unwrap();
+        // On materialized slice pages and on never-touched ones alike:
+        // one write per 1 bit and one for the OID, no reads.
+        for (oid, set) in [(2, keys(&["a", "b"])), (3, keys(&["c", "d", "e"]))] {
+            let weight = Signature::for_set(b.config(), &set).weight() as u64;
+            disk.reset_stats();
+            b.insert(Oid::new(oid), &set).unwrap();
+            let s = disk.snapshot();
+            assert_eq!((s.reads, s.writes), (0, weight + 1), "UC_I = m_t + 1");
+        }
+        // Weight 0: the OID write alone.
         disk.reset_stats();
-        b.insert(Oid::new(2), &keys(&["b"])).unwrap();
-        let s = disk.snapshot();
-        // The paper's worst case: F slice writes + 1 OID write.
-        assert_eq!((s.reads, s.writes), (0, 65));
+        b.insert(Oid::new(4), &[]).unwrap();
+        assert_eq!(disk.snapshot().accesses(), 1);
     }
 
-    #[test]
-    fn sparse_insert_touches_only_set_slices() {
-        let (disk, mut b) = bssf(64, 2);
-        let sig = Signature::for_set(b.config(), &keys(&["a"]));
-        let weight = sig.weight() as u64;
-        b.insert_signature_sparse(Oid::new(1), &sig).unwrap();
-        // First insert extends the touched slices (1 extend-write + 1
-        // update each) + 1 OID write.
-        disk.reset_stats();
-        let sig2 = Signature::for_set(b.config(), &keys(&["a2"]));
-        let w2 = sig2.weight() as u64;
-        b.insert_signature_sparse(Oid::new(2), &sig2).unwrap();
-        let s = disk.snapshot();
-        assert!(
-            s.writes <= 2 * w2 + 1,
-            "sparse insert wrote {} pages for weight {w2}",
-            s.writes
-        );
-        let _ = weight;
+    /// Test-only dense reference: a BSSF built from scratch out of `rows`
+    /// `(oid, set, live)` that assigns **every** bit of every slice
+    /// explicitly — set or clear — and writes every slice page, so nothing
+    /// an earlier call left behind could show through.
+    fn dense_reference(cfg: SignatureConfig, rows: &[(Oid, Vec<ElementKey>, bool)]) -> Bssf {
+        let io: Arc<dyn PageIo> = Arc::new(Disk::new());
+        let mut b = Bssf::create(io, "dense", cfg).unwrap();
+        let sigs: Vec<Signature> = rows
+            .iter()
+            .map(|(_, set, _)| Signature::for_set(&cfg, set))
+            .collect();
+        for (j, slice) in b.slices.files_mut().iter_mut().enumerate() {
+            for chunk in sigs.chunks(ROWS_PER_PAGE as usize) {
+                let mut page = Page::zeroed();
+                for (bit, sig) in chunk.iter().enumerate() {
+                    page.set_bit(bit, sig.bitmap().get(j as u32));
+                }
+                slice.file.append(&page).unwrap();
+                slice.pages += 1;
+            }
+        }
+        let oids: Vec<Oid> = rows.iter().map(|(oid, _, _)| *oid).collect();
+        b.oid_file.bulk_append(&oids).unwrap();
+        for (oid, _, _) in rows.iter().filter(|(_, _, live)| !live) {
+            b.oid_file.delete_by_oid(*oid).unwrap();
+        }
+        b
+    }
+
+    /// Queries under all five predicates built from the rows' own sets
+    /// (plus the empty and an absent one): both files must answer alike.
+    fn assert_answers_alike(staged: &Bssf, dense: &Bssf, rows: &[(Oid, Vec<ElementKey>, bool)]) {
+        let (empty, absent) = (Vec::new(), vec![ElementKey::from(987_654u64)]);
+        let sets = rows.iter().map(|(_, set, _)| set).chain([&empty, &absent]);
+        for set in sets.rev().take(12) {
+            let mut wider = set.clone();
+            wider.push(ElementKey::from(3u64));
+            let mut queries = vec![
+                SetQuery::has_subset(set[..set.len().min(2)].to_vec()),
+                SetQuery::in_subset(set.clone()),
+                SetQuery::in_subset(wider),
+                SetQuery::equals(set.clone()),
+                SetQuery::overlaps(set.clone()),
+            ];
+            queries.extend(set.first().cloned().map(SetQuery::contains));
+            for q in queries {
+                let (got, want) = (
+                    staged.candidates(&q).unwrap(),
+                    dense.candidates(&q).unwrap(),
+                );
+                let only = |a: &CandidateSet, b: &CandidateSet| -> Vec<Oid> {
+                    (a.oids.iter().copied())
+                        .filter(|o| !b.oids.contains(o))
+                        .collect()
+                };
+                assert!(
+                    got == want,
+                    "{} {:?}: the staged file misses {:?} and adds {:?}",
+                    q.predicate,
+                    q.elements,
+                    only(&want, &got),
+                    only(&got, &want)
+                );
+            }
+        }
     }
 
     #[test]
     fn sparse_and_dense_inserts_answer_identically() {
-        let (_d1, mut dense) = bssf(64, 2);
-        let (_d2, mut sparse) = bssf(64, 2);
-        let sets: Vec<Vec<ElementKey>> = (0..50u64)
-            .map(|i| (0..4).map(|j| ElementKey::from(i * 13 + j)).collect())
+        let (_d, mut sparse) = bssf(64, 2);
+        let rows: Vec<(Oid, Vec<ElementKey>, bool)> = (0..50u64)
+            .map(|i| {
+                let set = (0..4).map(|j| ElementKey::from(i * 13 + j)).collect();
+                (Oid::new(i), set, true)
+            })
             .collect();
-        for (i, set) in sets.iter().enumerate() {
-            let sig = Signature::for_set(dense.config(), set);
-            dense.insert_signature(Oid::new(i as u64), &sig).unwrap();
-            sparse
-                .insert_signature_sparse(Oid::new(i as u64), &sig)
-                .unwrap();
+        for (oid, set, _) in &rows {
+            sparse.insert(*oid, set).unwrap();
         }
-        for probe in [0u64, 7, 23, 49] {
-            let q = SetQuery::has_subset(vec![ElementKey::from(probe * 13)]);
-            assert_eq!(
-                dense.candidates(&q).unwrap(),
-                sparse.candidates(&q).unwrap(),
-                "probe {probe}"
-            );
+        assert_answers_alike(&sparse, &dense_reference(*sparse.config(), &rows), &rows);
+    }
+
+    /// One step of the differential sequence below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Vec<u64>),
+        Batch(Vec<Vec<u64>>),
+        /// An insert with a fault injected after this many page accesses:
+        /// fails (and must leave no trace) unless the budget covers it.
+        Torn(Vec<u64>, u64),
+        /// Deletes the live row at this index modulo the live count.
+        Delete(usize),
+        Compact,
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        // A small domain, so sets share elements and signatures collide;
+        // empty sets (weight 0) included.
+        let set = || proptest::collection::vec(0u64..40, 0..6);
+        prop_oneof![
+            4 => set().prop_map(Op::Insert),
+            3 => proptest::collection::vec(set(), 0..5).prop_map(Op::Batch),
+            3 => (set(), 0u64..8).prop_map(|(s, n)| Op::Torn(s, n)),
+            2 => (0usize..64).prop_map(Op::Delete),
+            1 => Just(Op::Compact),
+        ]
+    }
+
+    /// Feeds `ops` to the staged writer on a file already holding `start`
+    /// empty-set rows and checks it, at the end, against the dense
+    /// reference built from the rows that were acknowledged.
+    fn run_differential(f_bits: u32, start: u64, ops: &[Op]) {
+        let (disk, mut b) = bssf(f_bits, 2);
+        let mut rows: Vec<(Oid, Vec<ElementKey>, bool)> = (0..start)
+            .map(|i| (Oid::new(i), Vec::new(), true))
+            .collect();
+        let prefix: Vec<(Oid, Vec<ElementKey>)> = rows
+            .iter()
+            .map(|(oid, set, _)| (*oid, set.clone()))
+            .collect();
+        b.insert_batch(&prefix).unwrap();
+        let mut next = start;
+        let mut fresh = |set: &[u64]| {
+            next += 1;
+            (
+                Oid::new(next),
+                set.iter().map(|&e| ElementKey::from(e)).collect::<Vec<_>>(),
+            )
+        };
+        for op in ops {
+            match op {
+                Op::Insert(set) => {
+                    let (oid, set) = fresh(set);
+                    b.insert(oid, &set).unwrap();
+                    rows.push((oid, set, true));
+                }
+                Op::Batch(sets) => {
+                    let items: Vec<_> = sets.iter().map(|s| fresh(s)).collect();
+                    b.insert_batch(&items).unwrap();
+                    rows.extend(items.into_iter().map(|(oid, set)| (oid, set, true)));
+                }
+                Op::Torn(set, budget) => {
+                    let (oid, set) = fresh(set);
+                    disk.inject_fault_after(*budget);
+                    let outcome = b.insert(oid, &set);
+                    disk.clear_fault();
+                    if outcome.is_ok() {
+                        rows.push((oid, set, true));
+                    }
+                }
+                Op::Delete(i) => {
+                    let live: Vec<usize> = (0..rows.len()).filter(|&r| rows[r].2).collect();
+                    if let Some(&r) = live.get(i % live.len().max(1)) {
+                        b.delete(rows[r].0, &[]).unwrap();
+                        rows[r].2 = false;
+                    }
+                }
+                Op::Compact => {
+                    rows.retain(|(_, _, live)| *live);
+                    assert_eq!(b.compact().unwrap(), rows.len() as u64);
+                }
+            }
+            assert_eq!(b.oid_file().len(), rows.len() as u64);
+        }
+        assert_answers_alike(&b, &dense_reference(*b.config(), &rows), &rows);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Single inserts, batches, torn inserts, deletes and compactions
+        /// through the one writer answer like the dense reference, at a
+        /// narrow and at the paper's width (where most slices of a small
+        /// file are never materialized at all).
+        #[test]
+        fn staged_writer_matches_the_dense_reference(
+            wide in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(op(), 1..14),
+        ) {
+            run_differential(if wide { 500 } else { 64 }, 0, &ops);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// The same with rows crossing 32,768: the sequence starts three
+        /// rows short of the second row page, which only the slices it sets
+        /// a bit on there ever materialize.
+        #[test]
+        fn staged_writer_matches_the_dense_reference_across_a_row_page(
+            ops in proptest::collection::vec(op(), 4..12),
+        ) {
+            run_differential(64, ROWS_PER_PAGE - 3, &ops);
         }
     }
 
@@ -586,9 +697,12 @@ mod tests {
     #[test]
     fn subset_scan_reads_f_minus_m_q_slices() {
         let (disk, mut b) = bssf(64, 2);
-        for i in 0..10u64 {
+        // These sets between them set a bit on every slice, so each of the
+        // F − m_q zero-slices has its page to read.
+        for i in 0..400u64 {
             b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
+        assert!(b.slices.files().iter().all(|s| s.pages == 1));
         let q = SetQuery::in_subset(vec![ElementKey::from(3u64), ElementKey::from(4u64)]);
         let qsig = q.signature(b.config());
         disk.reset_stats();
@@ -598,6 +712,24 @@ mod tests {
         let s = disk.snapshot();
         let zero_slices = 64 - qsig.weight() as u64;
         assert_eq!(s.reads, zero_slices + 1);
+    }
+
+    #[test]
+    fn a_slice_no_row_set_a_bit_on_costs_a_scan_nothing() {
+        let (disk, mut b) = bssf(64, 2);
+        let set = [ElementKey::from(1u64)];
+        b.insert(Oid::new(1), &set).unwrap();
+        let weight = Signature::for_set(b.config(), &set).weight() as u64;
+        // Only the set's own slices exist; T ⊆ Q against a disjoint query
+        // reads those and the OID page is never reached (no drop).
+        assert_eq!(b.storage_pages().unwrap(), weight + 1);
+        let q = SetQuery::in_subset(vec![ElementKey::from(2u64)]);
+        let zero_and_written = (Signature::for_set(b.config(), &set).bitmap().iter_ones())
+            .filter(|&j| !q.signature(b.config()).bitmap().get(j))
+            .count() as u64;
+        disk.reset_stats();
+        assert!(b.candidates(&q).unwrap().is_empty());
+        assert_eq!(disk.snapshot().reads, zero_and_written);
     }
 
     #[test]
@@ -726,7 +858,7 @@ mod tests {
     #[test]
     fn storage_pages_counts_slices_and_oids() {
         let (_d, mut b) = bssf(64, 2);
-        for i in 0..10u64 {
+        for i in 0..400u64 {
             b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
         // 64 slices × 1 page + 1 OID page.
@@ -769,9 +901,9 @@ mod tests {
         for chunk in items.chunks(5_000) {
             b.insert_batch(chunk).unwrap();
         }
-        let lens: Vec<u32> = b.slices.iter().map(|s| s.pages).collect();
+        let lens: Vec<u32> = b.slices.files().iter().map(|s| s.pages).collect();
         assert!(lens.contains(&0) && lens.contains(&1) && lens.contains(&2));
-        for (s, &pages) in b.slices.iter().zip(&lens) {
+        for (s, &pages) in b.slices.files().iter().zip(&lens) {
             assert_eq!(s.file.len().unwrap(), pages, "tracked length is the file's");
         }
         let sigs: Vec<Signature> = items
@@ -883,8 +1015,11 @@ impl Bssf {
     /// Checkpoints the BSSF's catalog state — design parameters, the OID
     /// file binding and counters, and all `F` slice file bindings — into
     /// its meta file (created on first use). Returns the meta file id to
-    /// hand to [`Bssf::open`].
+    /// hand to [`Bssf::open`]. Bits a failed insert left behind are cleared
+    /// first (they are remembered in memory only), so an image saved after
+    /// the checkpoint reopens clean.
     pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
+        self.slices.clear_torn()?;
         let mut w = crate::meta::MetaWriter::new(b"BSF1");
         w.u32(self.cfg.f_bits());
         w.u32(self.cfg.m_weight());
@@ -893,7 +1028,7 @@ impl Bssf {
         let (len, live) = self.oid_file.state();
         w.u64(len);
         w.u64(live);
-        for slice in &self.slices {
+        for slice in self.slices.files() {
             w.u32(slice.file.id().raw());
         }
         let io = Arc::clone(self.oid_file.file().io());
@@ -909,19 +1044,13 @@ impl Bssf {
         let oid_id = setsig_pagestore::FileId::from_raw(r.u32()?);
         let len = r.u64()?;
         let live = r.u64()?;
-        let slices = (0..cfg.f_bits())
-            .map(|_| {
-                let id = setsig_pagestore::FileId::from_raw(r.u32()?);
-                let file = PagedFile::open(Arc::clone(&io), id);
-                let pages = file.len()?;
-                Ok(Slice { file, pages })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let ids = (0..cfg.f_bits()).map(|_| Ok(setsig_pagestore::FileId::from_raw(r.u32()?)));
+        let slices = RowFiles::open(&io, ids)?;
         r.done()?;
         Ok(Bssf {
             cfg,
             slices,
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live),
+            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
             meta_file: Some(meta_file),
             obs: None,
         })
@@ -974,6 +1103,27 @@ mod meta_tests {
     }
 
     #[test]
+    fn a_checkpoint_after_a_torn_insert_reopens_clean() {
+        let disk = Arc::new(Disk::new());
+        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
+        let mut bssf = Bssf::create(io, "t", SignatureConfig::new(64, 2).unwrap()).unwrap();
+        bssf.insert(Oid::new(1), &keys(&["Tennis"])).unwrap();
+        disk.inject_fault_after(3);
+        assert!(bssf
+            .insert(Oid::new(2), &keys(&["Golf", "Chess", "Go"]))
+            .is_err());
+        disk.clear_fault();
+        let meta = bssf.sync_meta().unwrap();
+
+        // What reopens knows nothing of the failed call, and need not.
+        let io: Arc<dyn PageIo> = disk as Arc<dyn PageIo>;
+        let mut reopened = Bssf::open(io, meta).unwrap();
+        reopened.insert(Oid::new(3), &keys(&["Baseball"])).unwrap();
+        let q = SetQuery::in_subset(keys(&["Baseball", "Fishing"]));
+        assert_eq!(reopened.candidates(&q).unwrap().oids, vec![Oid::new(3)]);
+    }
+
+    #[test]
     fn open_rejects_foreign_meta() {
         let disk = Arc::new(Disk::new());
         let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
@@ -984,40 +1134,6 @@ mod meta_tests {
             Bssf::open(io, ssf_meta).is_err(),
             "magic mismatch must fail"
         );
-    }
-}
-
-impl Bssf {
-    /// Appends a batch of entries, touching each slice page **once per
-    /// batch** instead of once per entry: the write-behind buffering a
-    /// production system would use to amortize BSSF's `F + 1` insertion
-    /// cost (§6's open problem).
-    ///
-    /// Cost: one write per *distinct (slice, page)* pair the batch's set
-    /// bits land on (≤ `Σ m_t`, and ≤ `F` per spanned slice page), plus
-    /// `⌈B/O_p⌉` OID-file writes. Equivalent to repeated
-    /// [`insert_signature_sparse`](Self::insert_signature_sparse) in
-    /// contents, far cheaper in page accesses.
-    pub fn insert_batch(&mut self, items: &[(Oid, Vec<ElementKey>)]) -> Result<()> {
-        use std::collections::BTreeMap;
-        let start = self.oid_file.len();
-        // (slice, page) → bits to set within that page.
-        let mut updates: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        let mut oids = Vec::with_capacity(items.len());
-        for (i, (oid, set)) in items.iter().enumerate() {
-            let sig = Signature::for_set(&self.cfg, set);
-            let (page_no, bit) = Self::row_page(start + i as u64);
-            for j in sig.bitmap().iter_ones() {
-                updates.entry((j, page_no)).or_default().push(bit);
-            }
-            oids.push(*oid);
-        }
-        for ((j, page_no), bits) in updates {
-            let staged: Vec<(usize, bool)> = bits.into_iter().map(|b| (b, true)).collect();
-            Self::write_row_bits(&mut self.slices[j as usize], page_no, &staged)?;
-        }
-        self.oid_file.bulk_append(&oids)?;
-        Ok(())
     }
 }
 
@@ -1075,9 +1191,12 @@ mod batch_tests {
         bat.insert_batch(&all).unwrap();
         let inc_writes = d1.snapshot().writes;
         let bat_writes = d2.snapshot().writes;
-        // Incremental: 200·(F+1) = 25,800. Batched: ≤ F slice pages + 1
-        // OID page = 129.
-        assert_eq!(inc_writes, 200 * 129);
+        // Incremental: Σ (m_t + 1). Batched: ≤ F slice pages + 1 OID page.
+        let weights: u64 = all
+            .iter()
+            .map(|(_, set)| Signature::for_set(inc.config(), set).weight() as u64)
+            .sum();
+        assert_eq!(inc_writes, weights + 200);
         assert!(bat_writes <= 129, "batched writes {bat_writes}");
         // And both answer queries identically (spot check).
         let q = SetQuery::has_subset(vec![ElementKey::from(55u64)]);
@@ -1116,36 +1235,25 @@ impl Bssf {
     /// object store is needed. Returns the number of live entries kept.
     pub fn compact(&mut self) -> Result<u64> {
         let live = self.oid_file.scan_live()?;
-        let n = self.oid_file.len();
-        // Row bitmaps per slice, read once each.
-        let io = Arc::clone(self.oid_file.file().io());
-        let mut new_slices: Vec<Slice> = Vec::with_capacity(self.slices.len());
-        let new_len = live.len() as u64;
-        let npages = new_len.div_ceil(ROWS_PER_PAGE) as u32;
-        for j in 0..self.slices.len() {
-            let rows = self.or_slices(&[j as u32], &mut ScanCounters::default())?;
-            let mut staged: Vec<Page> = (0..npages).map(|_| Page::zeroed()).collect();
-            for (new_pos, &(old_pos, _)) in live.iter().enumerate() {
-                debug_assert!(old_pos < n);
+        // Row bitmaps per slice, read once each; the survivors' bits are
+        // staged at their new positions, already in writer order.
+        let mut staged: Vec<RowBit> = Vec::new();
+        for j in 0..self.cfg.f_bits() {
+            let rows = self.or_slices(&[j], &mut ScanCounters::default())?;
+            for (new_pos, &(old_pos, _)) in (0u64..).zip(&live) {
                 if rows.get(old_pos as u32) {
-                    let (page_no, bit) = Self::row_page(new_pos as u64);
-                    staged[page_no as usize].set_bit(bit, true);
+                    let (page_no, bit) = Self::row_page(new_pos);
+                    staged.push((j, page_no, bit));
                 }
             }
-            let file = PagedFile::create(Arc::clone(&io), &format!("compacted.s{j}"));
-            for page in &staged {
-                file.append(page)?;
-            }
-            new_slices.push(Slice {
-                file,
-                pages: npages,
-            });
         }
-        let mut new_oid = OidFile::create(io, "compacted.oid");
-        new_oid.bulk_append(&live.iter().map(|&(_, oid)| oid).collect::<Vec<_>>())?;
-        self.slices = new_slices;
-        self.oid_file = new_oid;
-        Ok(new_len)
+        let oids: Vec<Oid> = live.iter().map(|&(_, oid)| oid).collect();
+        let io = Arc::clone(self.oid_file.file().io());
+        let mut fresh = Bssf::create(io, "compacted", self.cfg)?;
+        fresh.append_staged(&oids, staged)?;
+        self.slices = fresh.slices;
+        self.oid_file = fresh.oid_file;
+        Ok(oids.len() as u64)
     }
 }
 

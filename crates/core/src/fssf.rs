@@ -11,7 +11,10 @@
 //!
 //! * **Insert** touches only the frames used by the set's elements —
 //!   expected `k·(1 − (1 − 1/k)^{D_t}) + 1` page writes, ≈ `D_t + 1` for
-//!   `D_t ≪ k`, instead of `F + 1`.
+//!   `D_t ≪ k`, instead of `F + 1`. The OID-file append is the commit
+//!   point, and the writer is the one BSSF uses (`rowfile.rs`): bits a
+//!   failed insert had already written are cleared before that row is
+//!   written again.
 //! * **`T ⊇ Q`** reads the distinct frames of the query's elements:
 //!   ≈ `D_q` frames of `⌈N/⌊P·b/s⌋⌉` pages each — more than BSSF's `m_q`
 //!   single-slice pages, but far less than SSF's full scan.
@@ -34,6 +37,7 @@ use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
+use crate::rowfile::{RowBit, RowFiles};
 use crate::sorted;
 
 /// Design parameters of a frame-sliced signature file.
@@ -114,9 +118,13 @@ impl FssfConfig {
 }
 
 /// A frame-sliced signature file with its companion OID file.
+///
+/// Inserts go through the row writer BSSF uses: one page write per distinct
+/// frame, then the OID-file append as the commit point; a failed insert
+/// indexes nothing and its stray bits are cleared before the row is reused.
 pub struct Fssf {
     cfg: FssfConfig,
-    frames: Vec<PagedFile>,
+    frames: RowFiles,
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Fssf::sync_meta`].
     meta_file: Option<PagedFile>,
@@ -128,9 +136,7 @@ pub struct Fssf {
 impl Fssf {
     /// Creates an empty FSSF named `name` on `io`.
     pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: FssfConfig) -> Result<Self> {
-        let frames = (0..cfg.frames())
-            .map(|j| PagedFile::create(Arc::clone(&io), &format!("{name}.fr{j}")))
-            .collect();
+        let frames = RowFiles::create(&io, (0..cfg.frames()).map(|j| format!("{name}.fr{j}")));
         Ok(Fssf {
             cfg,
             frames,
@@ -158,11 +164,11 @@ impl Fssf {
         &self.oid_file
     }
 
-    fn row_location(&self, pos: u64) -> (u32, usize) {
+    fn row_location(&self, pos: u64) -> (u32, u32) {
         let rpp = self.cfg.rows_per_page();
         (
             (pos / rpp) as u32,
-            (pos % rpp) as usize * self.cfg.frame_bits() as usize,
+            (pos % rpp) as u32 * self.cfg.frame_bits(),
         )
     }
 
@@ -197,7 +203,7 @@ impl Fssf {
         let n = self.oid_file.len();
         let s = self.cfg.frame_bits() as usize;
         let rpp = self.cfg.rows_per_page();
-        let file = &self.frames[j as usize];
+        let file = &self.frames.files()[j as usize].file;
         let have = file.len()?;
         let expected = n.div_ceil(rpp) as u32;
         if have < expected {
@@ -332,23 +338,16 @@ impl SetAccessFacility for Fssf {
     /// boundary (once per `rows_per_page` inserts), so the amortized cost
     /// stays ≈ `D_t + 1`.
     fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let pos = self.oid_file.len();
-        let (page_no, bit_base) = self.row_location(pos);
-        for file in &self.frames {
-            if file.len()? <= page_no {
-                file.extend_to(page_no + 1)?;
-            }
-        }
-        for (j, bits) in self.frame_signatures(set) {
-            self.frames[j as usize].update(page_no, |page| {
-                for b in bits.iter_ones() {
-                    page.set_bit(bit_base + b as usize, true);
-                }
-            })?;
-        }
-        let opos = self.oid_file.append(oid)?;
-        debug_assert_eq!(opos, pos);
-        Ok(())
+        let (page_no, bit_base) = self.row_location(self.oid_file.len());
+        self.frames.extend_all(page_no + 1)?;
+        let staged: Vec<RowBit> = self
+            .frame_signatures(set)
+            .iter()
+            .flat_map(|(&j, bits)| bits.iter_ones().map(move |b| (j, page_no, bit_base + b)))
+            .collect();
+        let oid_file = &mut self.oid_file;
+        self.frames
+            .append(staged, || oid_file.append(oid).map(drop))
     }
 
     fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
@@ -378,11 +377,7 @@ impl SetAccessFacility for Fssf {
     }
 
     fn storage_pages(&self) -> Result<u64> {
-        let mut total = self.oid_file.storage_pages()? as u64;
-        for f in &self.frames {
-            total += f.len()? as u64;
-        }
-        Ok(total)
+        Ok(self.oid_file.storage_pages()? as u64 + self.frames.storage_pages())
     }
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
@@ -597,9 +592,9 @@ mod tests {
         }
         let rpp = f.config().rows_per_page();
         let expected = 10u64.div_ceil(rpp) as u32;
-        for (j, file) in f.frames.iter().enumerate() {
+        for (j, frame) in f.frames.files().iter().enumerate() {
             assert!(
-                file.len().unwrap() >= expected,
+                frame.file.len().unwrap() >= expected,
                 "frame {j} shorter than the indexed row count requires"
             );
         }
@@ -691,9 +686,11 @@ mod tests {
 impl Fssf {
     /// Checkpoints the FSSF's catalog state (config, frame and OID file
     /// bindings, counters) into its meta file, like
-    /// [`Bssf::sync_meta`](crate::Bssf::sync_meta). Returns the meta file
-    /// id for [`Fssf::open`].
+    /// [`Bssf::sync_meta`](crate::Bssf::sync_meta) — clearing first, like it,
+    /// the bits a failed insert left behind. Returns the meta file id for
+    /// [`Fssf::open`].
     pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
+        self.frames.clear_torn()?;
         let mut w = crate::meta::MetaWriter::new(b"FSF1");
         w.u32(self.cfg.f_bits());
         w.u32(self.cfg.frames());
@@ -703,8 +700,8 @@ impl Fssf {
         let (len, live) = self.oid_file.state();
         w.u64(len);
         w.u64(live);
-        for frame in &self.frames {
-            w.u32(frame.id().raw());
+        for frame in self.frames.files() {
+            w.u32(frame.file.id().raw());
         }
         let io = Arc::clone(self.oid_file.file().io());
         crate::meta::checkpoint(&io, &mut self.meta_file, "fssf", &w.finish())
@@ -719,19 +716,13 @@ impl Fssf {
         let oid_id = setsig_pagestore::FileId::from_raw(r.u32()?);
         let len = r.u64()?;
         let live = r.u64()?;
-        let frames = (0..cfg.frames())
-            .map(|_| {
-                Ok(PagedFile::open(
-                    Arc::clone(&io),
-                    setsig_pagestore::FileId::from_raw(r.u32()?),
-                ))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let ids = (0..cfg.frames()).map(|_| Ok(setsig_pagestore::FileId::from_raw(r.u32()?)));
+        let frames = RowFiles::open(&io, ids)?;
         r.done()?;
         Ok(Fssf {
             cfg,
             frames,
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live),
+            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
             meta_file: Some(meta_file),
             obs: None,
         })

@@ -78,6 +78,7 @@ mod oid;
 mod oidfile;
 mod qtrace;
 mod query;
+mod rowfile;
 mod signature;
 pub mod sorted;
 mod ssf;

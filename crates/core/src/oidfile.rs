@@ -30,6 +30,9 @@ pub struct OidFile {
     file: PagedFile,
     len: u64,
     live: u64,
+    /// Pages in `file`. An append that failed part-way leaves pages past
+    /// `⌈len/O_p⌉`; the next append writes over them.
+    pages: u32,
 }
 
 impl OidFile {
@@ -39,6 +42,7 @@ impl OidFile {
             file: PagedFile::create(io, name),
             len: 0,
             live: 0,
+            pages: 0,
         }
     }
 
@@ -82,22 +86,7 @@ impl OidFile {
     /// one is full, otherwise an in-place update of the tail page — the OID
     /// file half of the paper's `UC_I = 2` for SSF.
     pub fn append(&mut self, oid: Oid) -> Result<u64> {
-        let pos = self.len;
-        let page_no = Self::page_of(pos);
-        let off = Self::offset_of(pos);
-        if pos.is_multiple_of(OIDS_PER_PAGE) {
-            let mut page = Page::zeroed();
-            page.write_u64(off, oid.raw());
-            let appended = self.file.append(&page)?;
-            debug_assert_eq!(appended, page_no);
-        } else {
-            // Blind in-place update of the known tail slot: one write.
-            self.file
-                .update(page_no, |page| page.write_u64(off, oid.raw()))?;
-        }
-        self.len += 1;
-        self.live += 1;
-        Ok(pos)
+        self.bulk_append(&[oid])
     }
 
     /// Reads the entry at `pos`: `Ok(Some(oid))` when live, `Ok(None)` when
@@ -190,7 +179,7 @@ impl OidFile {
     /// (expected `SC_OID/2`, the paper's `UC_D`), plus one write for the
     /// flag.
     pub fn delete_by_oid(&mut self, oid: Oid) -> Result<u64> {
-        let npages = self.file.len()?;
+        let npages = self.len.div_ceil(OIDS_PER_PAGE) as u32;
         for page_no in 0..npages {
             let mut page = self.file.read(page_no)?;
             let base = page_no as u64 * OIDS_PER_PAGE;
@@ -215,7 +204,7 @@ impl OidFile {
     /// Iterates `(position, oid)` for all live entries, reading each page
     /// once. Used by compaction and integrity checks.
     pub fn scan_live(&self) -> Result<Vec<(u64, Oid)>> {
-        let npages = self.file.len()?;
+        let npages = self.len.div_ceil(OIDS_PER_PAGE) as u32;
         let mut out = Vec::with_capacity(self.live as usize);
         for page_no in 0..npages {
             let page = self.file.read(page_no)?;
@@ -239,19 +228,20 @@ impl std::fmt::Debug for OidFile {
 }
 
 impl OidFile {
-    /// Appends many OIDs at once, writing each touched page exactly once.
+    /// Appends many OIDs at once, writing each touched page exactly once
+    /// (`⌈n/O_p⌉` page writes for a bulk load), and returns the position of
+    /// the first.
     ///
-    /// This is the bulk-load path used when building a database: `⌈n/O_p⌉`
-    /// page writes instead of one write per OID.
+    /// All or nothing: the entries count only once every page is written,
+    /// so a failed call appends none of them and the next append starts at
+    /// the same position.
     pub fn bulk_append(&mut self, oids: &[Oid]) -> Result<u64> {
-        let first_pos = self.len;
-        let mut i = 0usize;
-        while i < oids.len() {
-            let pos = self.len;
-            let page_no = Self::page_of(pos);
+        let mut done = 0usize;
+        while done < oids.len() {
+            let pos = self.len + done as u64;
             let start_slot = (pos % OIDS_PER_PAGE) as usize;
-            let take = ((OIDS_PER_PAGE as usize) - start_slot).min(oids.len() - i);
-            let chunk = &oids[i..i + take];
+            let take = ((OIDS_PER_PAGE as usize) - start_slot).min(oids.len() - done);
+            let chunk = &oids[done..done + take];
             // One mutable borrow per page (see `Page::as_bytes_mut`).
             let fill = |page: &mut Page| {
                 let first = start_slot * OID_ENTRY_BYTES;
@@ -260,17 +250,22 @@ impl OidFile {
                     dst.copy_from_slice(&oid.raw().to_le_bytes());
                 }
             };
-            if start_slot == 0 {
+            let page_no = Self::page_of(pos);
+            if page_no < self.pages {
+                // Blind in-place update of known slots: one write.
+                self.file.update(page_no, fill)?;
+            } else {
                 let mut page = Page::zeroed();
                 fill(&mut page);
-                self.file.append(&page)?;
-            } else {
-                self.file.update(page_no, fill)?;
+                let appended = self.file.append(&page)?;
+                debug_assert_eq!(appended, page_no);
+                self.pages += 1;
             }
-            self.len += take as u64;
-            self.live += take as u64;
-            i += take;
+            done += take;
         }
+        let first_pos = self.len;
+        self.len += oids.len() as u64;
+        self.live += oids.len() as u64;
         Ok(first_pos)
     }
 }
@@ -278,8 +273,14 @@ impl OidFile {
 impl OidFile {
     /// Reconstructs an OID file from its backing file and checkpointed
     /// counters (see the facility `sync_meta`/`open` pairs).
-    pub fn reopen(file: PagedFile, len: u64, live: u64) -> Self {
-        OidFile { file, len, live }
+    pub fn reopen(file: PagedFile, len: u64, live: u64) -> Result<Self> {
+        let pages = file.len()?;
+        Ok(OidFile {
+            file,
+            len,
+            live,
+            pages,
+        })
     }
 
     /// The counters a catalog checkpoint must persist.
@@ -388,6 +389,39 @@ mod tests {
             f.delete_by_oid(Oid::new(999_999)),
             Err(Error::OidNotFound(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_bulk_append_appends_nothing_and_is_written_over() {
+        let (disk, mut f) = oidfile();
+        for i in 0..10u64 {
+            f.append(Oid::new(i)).unwrap();
+        }
+        // Three pages' worth: the tail page's update and one new page go
+        // through, the second new page fails.
+        let batch: Vec<Oid> = (100..100 + 2 * OIDS_PER_PAGE).map(Oid::new).collect();
+        disk.inject_fault_after(2);
+        assert!(f.bulk_append(&batch).is_err());
+        disk.clear_fault();
+        assert_eq!((f.len(), f.live_count()), (10, 10));
+        assert_eq!(f.storage_pages().unwrap(), 2, "the page it left behind");
+        // Scans stop at the last entry, not at the last page.
+        assert_eq!(f.scan_live().unwrap().len(), 10);
+        assert!(matches!(
+            f.delete_by_oid(Oid::new(100)),
+            Err(Error::OidNotFound(_))
+        ));
+
+        // The next appends take the same positions, over what was left.
+        assert_eq!(f.append(Oid::new(10)).unwrap(), 10);
+        let more: Vec<Oid> = (11..2 * OIDS_PER_PAGE).map(Oid::new).collect();
+        let before = disk.snapshot().writes;
+        assert_eq!(f.bulk_append(&more).unwrap(), 11);
+        assert_eq!(disk.snapshot().writes - before, 2, "one write per page");
+        assert_eq!(f.storage_pages().unwrap(), 2);
+        for pos in [9, 10, 11, OIDS_PER_PAGE, 2 * OIDS_PER_PAGE - 1] {
+            assert_eq!(f.get(pos).unwrap(), Some(Oid::new(pos)), "position {pos}");
+        }
     }
 
     #[test]

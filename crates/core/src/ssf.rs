@@ -671,7 +671,7 @@ impl Ssf {
         Ok(Ssf {
             cfg,
             sig_file: PagedFile::open(Arc::clone(&io), sig_id),
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live),
+            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
             sig_bytes,
             per_page,
             meta_file: Some(meta_file),

@@ -106,14 +106,16 @@ impl BssfModel {
         self.slice_pages() * self.f as u64 + self.params.sc_oid()
     }
 
-    /// Insertion cost `UC_I = F + 1` (worst case: every slice file plus the
-    /// OID file).
+    /// Insertion cost `UC_I = F + 1` — the paper's worst case (Table 7):
+    /// every slice file plus the OID file. The engine runs
+    /// [`uc_insert_sparse`](Self::uc_insert_sparse).
     pub fn uc_insert(&self) -> f64 {
         self.f as f64 + 1.0
     }
 
-    /// Insertion cost of the sparse variant (`insert_signature_sparse`):
-    /// about `m_t + 1` writes — the improvement §6 anticipates.
+    /// Insertion cost of the engine's writer, which touches only the slices
+    /// whose bit is 1 (the improvement §6 anticipates): `m_t + 1` writes in
+    /// expectation, `weight(signature) + 1` for one given set.
     pub fn uc_insert_sparse(&self) -> f64 {
         crate::falsedrop::expected_target_weight(self.f, self.m, self.d_t) + 1.0
     }

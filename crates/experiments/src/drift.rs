@@ -12,11 +12,22 @@
 //! the facility's public geometry and the instance's ground-truth sets
 //! (never from the engines' counters, which would be circular):
 //! [`Ssf::signature_pages`](setsig_core::Ssf::signature_pages); BSSF slices
-//! by [`and_scan_pages`] / `min(cap, F − weight) · pages_per_slice`; FSSF
+//! by [`and_scan_pages`] / the first `min(cap, F − weight)` zero-slices,
+//! each as long as its last `1` makes it ([`slice_pages`]); FSSF
 //! frames consumed × pages per frame; per NIX probe [`BTree::rc_lookup`] +
 //! [`BTree::chain_links`]; each plus [`OidFile::pages_touched`] over the
 //! drops (`LC_OID`). Object pages must equal `P_s·actual + P_p·false` drops,
 //! and the facility's pages per filter unit the closed form's.
+//!
+//! **Updates are held the same way.** After the queries, every facility
+//! takes one insert and one delete of a probe object per trial (Table 7's
+//! `UC_I`, `UC_D`): the `Disk` reads + writes of each call must equal what
+//! the probe's own facts predict — SSF 1 signature page + 1 OID page; BSSF
+//! `weight(signature) + 1` (only the 1-slices are written); FSSF distinct
+//! frames + 1; NIX `rc + 1` per distinct element, plus `3` per page a split
+//! added (`− 4` when the root grew), printed as its own term; a delete the
+//! OID pages up to the entry's + 1 write. The closed forms beside them are
+//! the paper's, with `m_t + 1` for BSSF.
 //!
 //! **Banded, where the closed form is an expectation.** The filter units
 //! (query weight vs `m_s`, distinct query frames) with their exact occupancy
@@ -29,15 +40,15 @@
 use std::collections::BTreeMap;
 
 use setsig_core::{
-    Bitmap, CandidateSet, ElementKey, FssfConfig, OidFile, SetAccessFacility, SetPredicate,
-    SetQuery, Signature, SignatureConfig,
+    Bitmap, Bssf, CandidateSet, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility,
+    SetPredicate, SetQuery, Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
 };
 use setsig_costmodel::{
     actual_drops_subset, actual_drops_superset, expected_subset_union_accesses, fd_subset,
     fd_superset, lc_oid, ln_binomial, object_access_cost, objects_sharing_all_of, BssfModel,
     FssfModel, NixModel, Params, SsfModel,
 };
-use setsig_nix::BTree;
+use setsig_nix::{BTree, Nix};
 
 use crate::exhibits::Options;
 use crate::report::Exhibit;
@@ -162,8 +173,9 @@ pub struct Trial {
     /// `ScanStats.pages` of the call; `None` for an entry point that
     /// reports none ([`Nix::lookup_element`](setsig_nix::Nix::lookup_element)).
     pub reported: Option<u64>,
-    /// `Disk` reads over the call.
-    pub disk_reads: u64,
+    /// `Disk` pages over the call: reads of a query, reads + writes of an
+    /// update.
+    pub disk_pages: u64,
     /// Predicted slice / signature / frame / probe pages.
     pub filter: u64,
     /// Predicted `LC_OID`: OID-file pages holding a drop.
@@ -176,6 +188,8 @@ pub struct Trial {
     pub actual: u64,
     /// Drops that did not.
     pub false_drops: u64,
+    /// Of `filter`, the pages B-tree splits cost a NIX insert.
+    pub split_pages: u64,
 }
 
 impl Trial {
@@ -186,10 +200,10 @@ impl Trial {
         let shape = format!("filter {} + LC_OID {}", self.filter, self.lc_oid);
         match self.reported {
             Some(reported) => {
-                if reported != self.disk_reads {
+                if reported != self.disk_pages {
                     out.push(format!(
                         "pages≠disk: reported {reported}, disk read {}",
-                        self.disk_reads
+                        self.disk_pages
                     ));
                 }
                 if reported != predicted {
@@ -198,9 +212,9 @@ impl Trial {
                     ));
                 }
             }
-            None if self.disk_reads != predicted => out.push(format!(
-                "disk≠predicted: disk read {}, predicted {predicted} ({shape})",
-                self.disk_reads
+            None if self.disk_pages != predicted => out.push(format!(
+                "disk≠predicted: disk moved {} pages, predicted {predicted} ({shape})",
+                self.disk_pages
             )),
             None => {}
         }
@@ -351,8 +365,12 @@ impl DriftReport {
             row.push(if p.ok() { "ok" } else { "DRIFT" }.to_owned());
             ex.push_row(row);
             let t = p.trials.len();
+            let splits = match p.avg(|t| t.split_pages) {
+                0.0 => String::new(),
+                pages => format!("; of the filter pages, splits {pages:.1}"),
+            };
             ex.note(format!(
-                "{} {} D_q={}: units {}; drops {}",
+                "{} {} D_q={}: units {}; drops {}{splits}",
                 p.exhibit,
                 p.series,
                 p.d_q,
@@ -366,6 +384,12 @@ impl DriftReport {
              split of those pages",
         );
         ex.note(
+            "table7 rows: one insert and one delete of a probe object of D_q = D_t elements per \
+             trial; exact = disk reads + writes of the call = predicted (filter = the facility's \
+             own files, LC_OID = the OID file); the closed forms are the paper's UC_I / UC_D, with \
+             m_t + 1 for BSSF, whose writer touches only the 1-slices",
+        );
+        ex.note(
             "every facility is built with EngineConfig::serial() (no pool, one shard): SETSIG_* \
              in the environment does not reach this gate",
         );
@@ -374,15 +398,27 @@ impl DriftReport {
     }
 }
 
+/// Pages of slice `j` the writer materialized for the rows `sigs`: up to
+/// the last row page holding a `1` — none for a slice no row set a bit on.
+/// A scan reads only these; what lies past them is zeros, for free.
+pub fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
+    let last = sigs.iter().rposition(|s| s.bitmap().get(j));
+    last.map_or(0, |row| (row / rows_per_page + 1) as u64)
+}
+
 /// Pages a page-major AND over the slices `ones` reads: per row page
-/// (`rows_per_page` target signatures), one page per slice until no
-/// signature of that row page has every bit so far.
+/// (`rows_per_page` target signatures), one page per slice — if the slice
+/// reaches that far ([`slice_pages`]) — until no signature of that row page
+/// has every bit so far.
 pub fn and_scan_pages(sigs: &[Signature], ones: &[u32], rows_per_page: usize) -> u64 {
+    let lengths: Vec<u64> = (ones.iter())
+        .map(|&j| slice_pages(sigs, j, rows_per_page))
+        .collect();
     let mut pages = 0;
-    for rows in sigs.chunks(rows_per_page) {
+    for (p, rows) in sigs.chunks(rows_per_page).enumerate() {
         let mut alive: Vec<&Signature> = rows.iter().collect();
-        for &j in ones {
-            pages += 1;
+        for (&j, &length) in ones.iter().zip(&lengths) {
+            pages += u64::from((p as u64) < length);
             alive.retain(|s| s.bitmap().get(j));
             if alive.is_empty() {
                 break;
@@ -403,7 +439,6 @@ fn capped_elements(q: &SetQuery) -> &[ElementKey] {
 fn bssf_filter(
     sigs: &[Signature],
     cfg: &SignatureConfig,
-    pages_per_slice: u64,
     rows_per_page: usize,
     q: &SetQuery,
 ) -> (u64, u64) {
@@ -411,25 +446,30 @@ fn bssf_filter(
         let ones: Vec<u32> = sig.bitmap().iter_ones().collect();
         and_scan_pages(sigs, &ones, rows_per_page)
     };
-    let f = u64::from(cfg.f_bits());
-    let weight = || u64::from(q.signature(cfg).weight());
+    // An OR or a count reads every selected slice to its end.
+    let whole = |slices: &mut dyn Iterator<Item = u32>| -> (u64, u64) {
+        slices.fold((0, 0), |(pages, n), j| {
+            (pages + slice_pages(sigs, j, rows_per_page), n + 1)
+        })
+    };
+    let sig = q.signature(cfg);
     match q.predicate {
         SetPredicate::HasSubset | SetPredicate::Contains => {
             let reduced = Signature::for_set(cfg, capped_elements(q));
             (and_pages(&reduced), u64::from(reduced.weight()))
         }
-        SetPredicate::InSubset => {
-            let slices = (f - weight()).min(q.cap().map_or(f, |c| c as u64));
-            (slices * pages_per_slice, slices)
-        }
-        SetPredicate::Equals => (
-            and_pages(&q.signature(cfg)) + (f - weight()) * pages_per_slice,
-            f,
+        // The first `cap` zero-slices, in slice order.
+        SetPredicate::InSubset => whole(
+            &mut sig
+                .bitmap()
+                .iter_zeros()
+                .take(q.cap().unwrap_or(usize::MAX)),
         ),
-        SetPredicate::Overlaps => {
-            let weight = weight();
-            (weight * pages_per_slice, weight)
-        }
+        SetPredicate::Equals => (
+            and_pages(&sig) + whole(&mut sig.bitmap().iter_zeros()).0,
+            u64::from(cfg.f_bits()),
+        ),
+        SetPredicate::Overlaps => whole(&mut sig.bitmap().iter_ones()),
     }
 }
 
@@ -543,13 +583,13 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
             let q = query(qg.random(d_q).into_iter().map(ElementKey::from).collect());
             let before = disk.snapshot();
             let (drops, reported) = (subject.filter)(&q);
-            let disk_reads = disk.snapshot().since(before).reads;
+            let disk_pages = disk.snapshot().since(before).reads;
             let (filter, units) = (subject.predict)(&q);
             let positions: Vec<u64> = drops.oids.iter().map(|o| o.raw()).collect();
             let (report, object_pages) = sim.resolve(&q, &drops);
             Trial {
                 reported,
-                disk_reads,
+                disk_pages,
                 filter,
                 lc_oid: if subject.oid_file {
                     OidFile::pages_touched(&positions)
@@ -560,6 +600,7 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
                 object_pages,
                 actual: report.actual.len() as u64,
                 false_drops: report.false_drops,
+                split_pages: 0,
             }
         })
         .collect();
@@ -587,6 +628,134 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
     }
 }
 
+/// The update checkpoints (Table 7): per trial, one probe object of `D_t`
+/// random elements is inserted into and deleted from each facility, and the
+/// `Disk` reads + writes of each call are held to what the probe's own
+/// facts predict. Run after the queries: a deleted probe leaves a tombstone
+/// (and, in the signature files, its bits) behind.
+fn measure_updates(
+    sim: &SimDb,
+    p: Params,
+    trials: u32,
+    (ssf, bssf, fssf, nix): (&mut Ssf, &mut Bssf, &mut Fssf, &mut Nix),
+) -> Vec<DriftPoint> {
+    let disk = sim.db.disk();
+    let (cfg, fcfg) = (*bssf.config(), *fssf.config());
+    let n = sim.sets.len() as u64;
+    let rc = u64::from(nix.tree().rc_lookup());
+    let mut qg = sim.query_gen(701);
+    // Per facility, its insert and its delete trials.
+    let mut measured: [[Vec<Trial>; 2]; 4] = Default::default();
+    for t in 0..u64::from(trials) {
+        let set: Vec<ElementKey> = qg.random(D_T).into_iter().map(ElementKey::from).collect();
+        let oid = Oid::new(n + 1000 + t);
+        // Every OID file holds the instance and the earlier probes'
+        // tombstones: a delete scans up to the new entry's page and flags it.
+        let pos = n + t;
+        let oid_scan = pos / OIDS_PER_PAGE + 1 + 1;
+        let weight = u64::from(Signature::for_set(&cfg, &set).weight());
+        let frames = frame_row(&fcfg, &set).len() as u64;
+        // A row that starts a frame page extends every frame first.
+        let extension = if pos.is_multiple_of(fcfg.rows_per_page()) {
+            u64::from(fcfg.frames())
+        } else {
+            0
+        };
+        let elements = set.len() as u64;
+        let descents = elements * (u64::from(nix.tree().rc_lookup()) + 1);
+        let tree_pages = nix.tree().storage_pages().expect("tree pages");
+        let height = nix.tree().height();
+
+        let facilities: [&mut dyn SetAccessFacility; 4] = [ssf, bssf, fssf, nix];
+        let moved = facilities.map(|facility| {
+            let before = disk.snapshot();
+            facility.insert(oid, &set).expect("probe insert");
+            let between = disk.snapshot();
+            facility.delete(oid, &set).expect("probe delete");
+            let after = disk.snapshot();
+            [
+                between.since(before).accesses(),
+                after.since(between).accesses(),
+            ]
+        });
+
+        // Deletes never shrink the tree.
+        let grown = nix.tree().storage_pages().expect("tree pages") - tree_pages;
+        let splits = split_pages(grown, nix.tree().height() > height);
+        let redescents = elements * (u64::from(nix.tree().rc_lookup()) + 1);
+        // (filter, LC_OID, units, split pages) of the insert and the delete.
+        let predicted = [
+            [(1, 1, 1, 0), (0, oid_scan, 0, 0)],
+            [(weight, 1, weight, 0), (0, oid_scan, 0, 0)],
+            [(frames + extension, 1, frames, 0), (0, oid_scan, 0, 0)],
+            [
+                (descents + splits, 0, elements, splits),
+                (redescents, 0, elements, 0),
+            ],
+        ];
+        for (facility, ops) in predicted.into_iter().enumerate() {
+            for (op, (filter, lc_oid, units, split_pages)) in ops.into_iter().enumerate() {
+                measured[facility][op].push(Trial {
+                    reported: None,
+                    disk_pages: moved[facility][op],
+                    filter,
+                    lc_oid,
+                    units,
+                    object_pages: 0,
+                    actual: 0,
+                    false_drops: 0,
+                    split_pages,
+                });
+            }
+        }
+    }
+
+    // The paper's closed forms (Table 7), `m_t + 1` for the BSSF insert.
+    let terms = |unit_pages, units, lc_oid| ModelTerms {
+        unit_pages,
+        units,
+        drops: Banded::exact(0.0),
+        lc_oid,
+        object: 0.0,
+    };
+    let none = Banded::exact(0.0);
+    let scan = p.sc_oid() as f64 / 2.0;
+    let probes = Banded::exact(f64::from(D_T));
+    let model_rc = NixModel::new(p, D_T).rc_lookup() as u64;
+    let weight = occupancy(cfg.f_bits(), cfg.m_weight(), D_T);
+    let frames = occupancy(fcfg.frames(), 1, D_T);
+    let rows = [
+        ("ssf insert", 1, terms(1, Banded::exact(1.0), 1.0)),
+        ("ssf delete", 1, terms(1, none, scan)),
+        ("bssf insert", 1, terms(1, weight, 1.0)),
+        ("bssf delete", 1, terms(1, none, scan)),
+        ("fssf insert", 1, terms(1, frames, 1.0)),
+        ("fssf delete", 1, terms(1, none, scan)),
+        ("nix insert", rc, terms(model_rc, probes, 0.0)),
+        ("nix delete", rc, terms(model_rc, probes, 0.0)),
+    ];
+    let trials = measured.into_iter().flatten();
+    (rows.into_iter().zip(trials))
+        .map(|((series, unit_pages, model), trials)| DriftPoint {
+            exhibit: "table7",
+            series,
+            d_q: D_T,
+            params: p,
+            model,
+            unit_pages,
+            trials,
+        })
+        .collect()
+}
+
+/// Page accesses B-tree splits add to an insert that grew the tree by
+/// `grown` pages: each split appends its new page, then reads and rewrites
+/// the parent — except that a new root (`grew`) is appended alone, with no
+/// parent to read, rewrite or split.
+pub fn split_pages(grown: u64, grew: bool) -> u64 {
+    3 * grown - if grew { 4 } else { 0 }
+}
+
 /// Target set cardinality of every checkpoint: the paper's `D_t = 10`.
 const D_T: u32 = 10;
 
@@ -594,7 +763,8 @@ const D_T: u32 = 10;
 /// paper's `D_t = 10` workload: SSF and BSSF at `F = 500, m = 2` (BSSF flat,
 /// behind the 1-shard `QueryService` pool and through its serial router),
 /// FSSF at `F = 500, k = 50, m = 3`, and NIX — every predicate and smart
-/// strategy each of them has a scan for.
+/// strategy each of them has a scan for, then one insert and one delete of
+/// a probe object per facility and trial.
 pub fn run(scale: u64, trials: u32) -> DriftReport {
     let opts = Options {
         simulate: true,
@@ -607,12 +777,12 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let serial = EngineConfig::serial();
 
     let (f, m) = (500u32, 2u32);
-    let ssf = sim.build_ssf_with(f, m, serial);
-    let bssf = sim.build_bssf_with(f, m, serial);
+    let mut ssf = sim.build_ssf_with(f, m, serial);
+    let mut bssf = sim.build_bssf_with(f, m, serial);
     let service = sim.build_bssf_service_with(f, m, serial);
     let (ff, fk, fm) = (500u32, 50u32, 3u32);
-    let fssf = sim.build_fssf(ff, fk, fm);
-    let nix = sim.build_nix();
+    let mut fssf = sim.build_fssf(ff, fk, fm);
+    let mut nix = sim.build_nix();
 
     // Ground truth the predictions are made from.
     let targets: Vec<Vec<ElementKey>> = (0..sim.sets.len() as u64)
@@ -641,7 +811,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let rc = u64::from(nix.tree().rc_lookup());
     let bssf_model = BssfModel::new(p, f, m, d_t);
     let ssf_predict = |_: &SetQuery| (sig_pages, 1);
-    let bssf_predict = |q: &SetQuery| bssf_filter(&sigs, &cfg, pages_per_slice, rows_per_page, q);
+    let bssf_predict = |q: &SetQuery| bssf_filter(&sigs, &cfg, rows_per_page, q);
     let fssf_predict = |q: &SetQuery| fssf_filter(&frame_rows, &fcfg, frame_pages, q);
     let nix_predict = |q: &SetQuery| nix_filter(&postings, rc, q);
 
@@ -754,10 +924,12 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         ("extops", "nix ∋", 1, 201, &member, &index, probes(1), 0.0, a_sup(1)),
         ("extops", "nix ∋ (lookup_element)", 1, 201, &member, &lookup, probes(1), 0.0, a_sup(1)),
     ];
-    let points = table
+    let mut points: Vec<DriftPoint> = table
         .into_iter()
         .map(|checkpoint| measure(checkpoint, &sim, p, opts.trials))
         .collect();
+    let updated = (&mut ssf, &mut bssf, &mut fssf, &mut nix);
+    points.extend(measure_updates(&sim, p, opts.trials, updated));
 
     // The run's own metrics snapshot and query trace, as `drift.*` files.
     let mut carrier = Exhibit::new("drift", "", Vec::new());
@@ -791,7 +963,7 @@ mod tests {
     #[test]
     fn every_checkpoint_conforms_on_every_trial_at_ci_scale() {
         let report = report();
-        assert_eq!(report.points.len(), 21);
+        assert_eq!(report.points.len(), 29);
         for p in &report.points {
             assert!(
                 p.ok(),
@@ -803,7 +975,7 @@ mod tests {
             );
             assert_eq!(p.exact_trials(), p.trials.len());
         }
-        assert_eq!(report.trial_count(), 42);
+        assert_eq!(report.trial_count(), 58);
     }
 
     /// The gate has no page of tolerance: one page more or less on any
@@ -816,7 +988,7 @@ mod tests {
             ("filter / probe", |t| &mut t.filter),
             ("LC_OID", |t| &mut t.lc_oid),
             ("object fetch", |t| &mut t.object_pages),
-            ("disk reads", |t| &mut t.disk_reads),
+            ("disk reads", |t| &mut t.disk_pages),
             ("reported pages", |t| t.reported.as_mut().expect("reports")),
         ];
         for base in [point("bssf ⊇", 1), point("nix ⊇", 1)] {
@@ -843,11 +1015,62 @@ mod tests {
             off.unit_pages += 1;
             assert!(!off.ok(), "{}: unit geometry +1", base.series);
         }
-        // The entry point that reports nothing still answers to the disk.
-        let mut probe = point("nix ∋ (lookup_element)", 1).clone();
-        assert!(probe.ok() && probe.trials[0].reported.is_none());
-        probe.trials[0].disk_reads += 1;
-        assert!(!probe.ok());
+        // The entry points that report nothing still answer to the disk:
+        // the bare probe, and every insert and delete.
+        for (series, d_q) in [
+            ("nix ∋ (lookup_element)", 1),
+            ("bssf insert", 10),
+            ("fssf insert", 10),
+            ("ssf delete", 10),
+            ("nix delete", 10),
+        ] {
+            let probe = point(series, d_q);
+            assert!(probe.ok() && probe.trials[0].reported.is_none());
+            // Predicted filter, predicted LC_OID, and what the disk moved.
+            for term in [terms[0].1, terms[1].1, terms[3].1] {
+                let mut off = probe.clone();
+                *term(&mut off.trials[0]) += 1;
+                assert!(!off.ok(), "{series}: one page more went unnoticed");
+            }
+        }
+    }
+
+    /// A BSSF insert is held to the weight of the probe's own signature, not
+    /// to `F`; the model beside it is `m_t + 1`.
+    #[test]
+    fn bssf_insert_costs_the_probe_signatures_weight_plus_one() {
+        let insert = point("bssf insert", 10);
+        for t in &insert.trials {
+            assert_eq!(t.disk_pages, t.units + 1);
+            assert!((10..=20).contains(&t.units), "weight {}", t.units);
+        }
+        let model = BssfModel::new(insert.params, 500, 2, 10).uc_insert_sparse();
+        assert!((insert.model.rc() - model).abs() < 1e-9);
+    }
+
+    /// The split term on real splits: one key per insert, so that `rc` is
+    /// the same from descent to split, through leaf splits and a new root.
+    #[test]
+    fn split_pages_account_for_every_page_a_split_touches() {
+        use setsig_core::{Oid, SetAccessFacility};
+        let disk = std::sync::Arc::new(setsig_pagestore::Disk::new());
+        let mut nix = setsig_nix::Nix::create(std::sync::Arc::clone(&disk), "t");
+        let (mut leaf_splits, mut new_roots) = (0, 0);
+        for i in 0..3_000u64 {
+            let tree = nix.tree();
+            let (pages, height) = (tree.storage_pages().unwrap(), tree.height());
+            let rc = u64::from(tree.rc_lookup());
+            let before = disk.snapshot();
+            let key = ElementKey::from(i * 7_919 % 100_003);
+            nix.insert(Oid::new(i), &[key]).unwrap();
+            let moved = disk.snapshot().since(before).accesses();
+            let grown = nix.tree().storage_pages().unwrap() - pages;
+            let grew = nix.tree().height() > height;
+            assert_eq!(moved, rc + 1 + split_pages(grown, grew), "insert {i}");
+            leaf_splits += u64::from(grown > 0 && !grew);
+            new_roots += u64::from(grew);
+        }
+        assert!(leaf_splits > 5 && new_roots == 1);
     }
 
     #[test]
@@ -874,6 +1097,18 @@ mod tests {
             ("nix ⊇", 3, nix.rc_superset(3)),
             ("nix ⊇ smart", 3, nix.rc_superset_smart(3, 2)),
             ("nix ⊆", d_sub, nix.rc_subset(d_sub)),
+            // Table 7, with the writer's m_t + 1 for the BSSF insert.
+            ("ssf insert", 10, SsfModel::new(p, 500, 2, 10).uc_insert()),
+            ("ssf delete", 10, SsfModel::new(p, 500, 2, 10).uc_delete()),
+            ("bssf insert", 10, bssf.uc_insert_sparse()),
+            ("bssf delete", 10, bssf.uc_delete()),
+            (
+                "fssf insert",
+                10,
+                FssfModel::new(p, 500, 50, 3, 10).uc_insert(),
+            ),
+            ("nix insert", 10, nix.uc_insert()),
+            ("nix delete", 10, nix.uc_delete()),
         ] {
             let terms = point(series, d_q).model;
             assert!(
@@ -917,10 +1152,15 @@ mod tests {
             |bits: &[u32]| Signature::from_bytes(64, &Bitmap::from_positions(64, bits).to_bytes());
         // Row page 0 holds a row with bits 1 and 2; row page 1 only bit 1.
         let sigs = [sig(&[1, 2, 9]), sig(&[1]), sig(&[1, 3]), sig(&[4])];
-        // Page 0 survives all three slices; page 1 dies at the second.
-        assert_eq!(and_scan_pages(&sigs, &[1, 2, 9], 2), 3 + 2);
-        // Nobody has bit 5: one slice per row page and out.
-        assert_eq!(and_scan_pages(&sigs, &[5, 1], 2), 2);
+        // Page 0 survives all three slices; page 1 dies at the second, which
+        // ends on page 0 (its last 1 is row 0) and so costs nothing there.
+        assert_eq!(and_scan_pages(&sigs, &[1, 2, 9], 2), 3 + 1);
+        // Slice 3 does reach page 1: the same scan over it pays for both.
+        assert_eq!(and_scan_pages(&sigs, &[1, 3], 2), 2 + 2);
+        // Nobody has bit 5: the slice was never written, each row page dies
+        // on it for free.
+        assert_eq!(and_scan_pages(&sigs, &[5, 1], 2), 0);
         assert_eq!(and_scan_pages(&sigs, &[], 2), 0);
+        assert_eq!([1, 2, 4, 5].map(|j| slice_pages(&sigs, j, 2)), [2, 1, 2, 0]);
     }
 }

@@ -84,11 +84,19 @@ fn bssf_storage_and_update_costs_match_model_at_paper_scale() {
     assert_eq!(bssf.storage_pages().unwrap(), 313);
     assert_eq!(BssfModel::new(Params::paper(), 250, 2, 10).sc(), 313);
 
-    // UC_I = F + 1 = 251, exactly.
+    // UC_I = weight(sig) + 1 writes, exactly: only the slices whose bit is 1
+    // (§6's anticipated improvement), not the paper's worst case F + 1 = 251.
     let set: Vec<ElementKey> = sets[0].iter().map(|&e| ElementKey::from(e)).collect();
+    let weight = u64::from(Signature::for_set(bssf.config(), &set).weight());
     disk.reset_stats();
     bssf.insert(Oid::new(40_000), &set).unwrap();
-    assert_eq!(disk.snapshot().accesses(), 251);
+    let d = disk.snapshot();
+    assert_eq!((d.reads, d.writes), (0, weight + 1));
+    let expected = BssfModel::new(Params::paper(), 250, 2, 10).uc_insert_sparse();
+    assert!(
+        (weight as f64 + 1.0 - expected).abs() < 3.0,
+        "m_t + 1 ≈ {expected}"
+    );
 
     // UC_D: expected SC_OID/2 reads + 1 write; for the entry just appended
     // (worst case end-of-file) the scan reads all 63 pages + writes 1.
