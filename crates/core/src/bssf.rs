@@ -201,7 +201,6 @@ impl Bssf {
     /// the accumulator, and a row page stops once its range is empty — no
     /// later slice can revive a row. Never reads more pages than ANDing whole
     /// slices until the whole accumulator empties.
-    // HOT-PATH: bssf.and_loop
     fn superset_positions(
         &self,
         query_sig: &Signature,

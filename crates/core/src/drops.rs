@@ -120,7 +120,6 @@ impl<'q> Verifier<'q> {
     }
 
     /// Takes one element of the current target, as canonical key bytes.
-    // HOT-PATH: drops.verify
     fn observe(&mut self, key: &[u8]) {
         if self.settled() {
             return;

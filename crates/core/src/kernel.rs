@@ -25,8 +25,7 @@
 //! The loops run on `chunks_exact(8)` so the compiler sees fixed-size,
 //! branch-free bodies it can autovectorize; only the final partial word
 //! takes the padded [`le_word`] path. The `reference` submodule keeps the
-//! pre-kernel byte/bit-granular loops as the differential-testing oracle
-//! and the benchmark baseline.
+//! pre-kernel byte/bit-granular loops as the differential-testing oracle.
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -106,7 +105,6 @@ fn full_words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, Option<u64>) {
 /// no corresponding bytes are cleared. No tail mask is needed: padding in
 /// `bytes` can only clear padding bits, and a canonical accumulator has
 /// none set.
-// HOT-PATH: kernel.and
 pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
     let (words, tail) = full_words(bytes);
     let mut alive = 0u64;
@@ -130,7 +128,6 @@ pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
 /// `acc |= bytes`, word at a time, with the tail mask applied so padding
 /// bits in the final byte never leak into the accumulator (`nbits` is the
 /// accumulator's width; `acc.len()` must be [`words_for`]`(nbits)`).
-// HOT-PATH: kernel.or
 pub fn or_assign(acc: &mut [u64], bytes: &[u8], nbits: u32) {
     let (words, tail) = full_words(bytes);
     let mut covered = 0usize;
@@ -176,7 +173,6 @@ pub fn nonzero_words(query: &[u64]) -> Vec<(usize, u64)> {
 /// [`nonzero_words`] — is also set in the serialized `row`: the `T ⊇ Q`
 /// row-match rule (`query & !row == 0` per word). Words past the row bytes
 /// compare against zero; an all-zero query (no pairs) matches every row.
-// HOT-PATH: kernel.is_covered_by
 pub fn is_covered_by(query: &[(usize, u64)], row: &[u8]) -> bool {
     query.iter().all(|&(wi, qw)| qw & !le_word(row, wi) == 0)
 }
@@ -184,7 +180,6 @@ pub fn is_covered_by(query: &[(usize, u64)], row: &[u8]) -> bool {
 /// True when every set bit of the serialized `row` (padding masked) is
 /// also set in the canonical `query` words — the `T ⊆ Q` row-match rule
 /// (`row & !query == 0` per word, after tail masking the row).
-// HOT-PATH: kernel.covers
 pub fn covers(query: &[u64], row: &[u8], nbits: u32) -> bool {
     masked_words(row, nbits)
         .enumerate()
@@ -193,7 +188,6 @@ pub fn covers(query: &[u64], row: &[u8], nbits: u32) -> bool {
 
 /// True when the serialized `row` equals the canonical `query` words
 /// bit-for-bit over the width (`nbits`), padding ignored.
-// HOT-PATH: kernel.eq
 pub fn eq(query: &[u64], row: &[u8], nbits: u32) -> bool {
     masked_words(row, nbits)
         .enumerate()
@@ -203,7 +197,6 @@ pub fn eq(query: &[u64], row: &[u8], nbits: u32) -> bool {
 /// Popcount of `query & row` — the overlap row-match kernel. The query
 /// words are canonical, so row padding ANDs against zero and needs no
 /// mask.
-// HOT-PATH: kernel.popcount_and
 pub fn intersection_count(query: &[u64], row: &[u8]) -> u32 {
     let (words, tail) = full_words(row);
     let mut q = query.iter();
@@ -254,7 +247,6 @@ pub fn word_ones(wi: usize, mut w: u64) -> impl Iterator<Item = u32> {
 /// Iterates the set-bit positions of an LSB-first serialized bitmap of
 /// width `nbits`, ascending, word at a time. The last word is tail-masked
 /// up front, so the per-bit loop needs no range check.
-// HOT-PATH: kernel.iter_ones
 pub fn iter_ones(nbits: u32, bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     let nbytes = (nbits as usize).div_ceil(8);
     let bytes = &bytes[..nbytes.min(bytes.len())];
@@ -273,7 +265,6 @@ pub fn iter_ones(nbits: u32, bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
 /// `u32`: per-row overlap counts are bounded by the slice count `F`
 /// (itself a `u32`), so unlike a `u16` they can never wrap for any legal
 /// signature geometry.
-// HOT-PATH: kernel.count_ones
 pub fn accumulate_ones(counts: &mut [u32], bytes: &[u8]) {
     let nbits = counts.len() as u32;
     let nwords = words_for(nbits);
@@ -293,12 +284,12 @@ pub fn accumulate_ones(counts: &mut [u32], bytes: &[u8]) {
 }
 
 /// The pre-kernel byte/bit-granular loops, kept verbatim in spirit as the
-/// differential-testing oracle and the benchmark baseline. Each function
-/// mirrors one word kernel above and must stay bit-identical to it.
+/// differential-testing oracle. Each function mirrors one word kernel above
+/// and must stay bit-identical to it.
 ///
-/// Compiled only under `cfg(test)` and the `bench` feature: production
-/// binaries ship the word kernels alone, so a scan can never silently
-/// fall back to the byte loops.
+/// Compiled only under `cfg(test)` and the `bench` feature (which the
+/// crate's integration tests turn on): production binaries ship the word
+/// kernels alone, so a scan can never silently fall back to the byte loops.
 #[cfg(any(test, feature = "bench"))]
 pub mod reference {
     /// Byte-loop `acc &= bytes` over serialized buffers; `acc` bytes past

@@ -99,7 +99,10 @@ impl Ssf {
 
     /// Appends `sig` for `oid`, returning the entry position.
     ///
-    /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`).
+    /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`). The
+    /// OID-file append is the commit point: a call that fails before it has
+    /// indexed nothing, and what it wrote of the signature file is written
+    /// over by the next insert at that position.
     pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
         if sig.f_bits() != self.cfg.f_bits() {
             return Err(Error::WidthMismatch {
@@ -113,8 +116,15 @@ impl Ssf {
         if pos.is_multiple_of(self.per_page) {
             let mut page = Page::zeroed();
             page.write_slice(off, &bytes);
-            let appended = self.sig_file.append(&page)?;
-            debug_assert_eq!(appended, page_no);
+            // A call that failed between this write and the OID append left
+            // its page behind: write over it, or the row would sit one page
+            // past where `slot_of` reads it.
+            if page_no < self.sig_file.len()? {
+                self.sig_file.write(page_no, &page)?;
+            } else {
+                let appended = self.sig_file.append(&page)?;
+                debug_assert_eq!(appended, page_no);
+            }
         } else {
             self.sig_file
                 .update(page_no, |page| page.write_slice(off, &bytes))?;
@@ -170,7 +180,6 @@ impl Ssf {
     }
 
     /// Matches one signature page's rows in place, appending hits to `out`.
-    // HOT-PATH: ssf.row_scan
     fn scan_page(
         &self,
         query: &SetQuery,

@@ -49,6 +49,7 @@ use setsig_costmodel::{
     FssfModel, NixModel, Params, SsfModel,
 };
 use setsig_nix::{BTree, Nix};
+use setsig_service::{QueryService, ServiceConfig};
 
 use crate::exhibits::Options;
 use crate::report::Exhibit;
@@ -779,7 +780,12 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let (f, m) = (500u32, 2u32);
     let mut ssf = sim.build_ssf_with(f, m, serial);
     let mut bssf = sim.build_bssf_with(f, m, serial);
-    let service = sim.build_bssf_service_with(f, m, serial);
+    let service = QueryService::with_recorder(
+        vec![sim.build_bssf_with(f, m, serial)],
+        ServiceConfig::new(1),
+        sim.recorder().cloned(),
+    )
+    .expect("valid service config");
     let (ff, fk, fm) = (500u32, 50u32, 3u32);
     let mut fssf = sim.build_fssf(ff, fk, fm);
     let mut nix = sim.build_nix();

@@ -13,7 +13,6 @@ use setsig_nix::Nix;
 use setsig_obs::{Recorder, RingSink, TraceSink};
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
 use setsig_pagestore::{BufferPool, PageIo};
-use setsig_service::{shard_of, QueryService, ServiceConfig};
 use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
 use std::sync::Arc;
 
@@ -41,54 +40,36 @@ impl MeasuredQuery {
 }
 
 /// Knobs for the measured facilities: whether reads are routed through a
-/// buffer pool, and how the query service is laid out.
+/// buffer pool.
 ///
-/// The default — no pool, one shard — is the paper's protocol, and every
-/// published number is measured that way. The knobs exist so each exhibit
-/// can be re-run with a hot cache (the candidate sets and page charges are
-/// identical by construction) or through the sharded service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default — no pool — is the paper's protocol, and every published
+/// number is measured that way. The knobs exist so each exhibit can be
+/// re-run with a hot cache (the candidate sets and page charges are
+/// identical by construction).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Buffer-pool capacity in frames; `None` leaves reads uncached.
     pub pool_pages: Option<usize>,
     /// Pinned in-RAM tier above the pool, in pages; requires `pool_pages`.
     /// `None` disables the tier.
     pub pinned_pages: Option<usize>,
-    /// OID-hash shards for the query service (`1` = unsharded; answers
-    /// and page charges are then identical to the flat facility).
-    pub shards: usize,
-    /// Admission-queue depth of the query service, in shard-tasks.
-    pub queue_depth: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            pool_pages: None,
-            pinned_pages: None,
-            shards: 1,
-            queue_depth: ServiceConfig::DEFAULT_QUEUE_DEPTH,
-        }
-    }
 }
 
 impl EngineConfig {
-    /// The paper's uncached, unsharded protocol.
+    /// The paper's uncached protocol.
     pub fn serial() -> Self {
         Self::default()
     }
 
-    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none),
+    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none) and
     /// `SETSIG_PINNED_PAGES` (pinned tier above the pool, default none;
-    /// requires `SETSIG_POOL_PAGES`), `SETSIG_SHARDS` (query-service
-    /// shards, default 1), and `SETSIG_QUEUE_DEPTH` (service admission
-    /// queue, default 64) so any exhibit binary can flip engines without a
-    /// rebuild.
+    /// requires `SETSIG_POOL_PAGES`) so any exhibit binary can flip engines
+    /// without a rebuild.
     ///
     /// Panics on an invalid value. A knob that silently fell back to the
-    /// default would let a typo masquerade as a pooled or sharded
-    /// measurement, which is exactly the kind of quiet corruption the
-    /// harness must fail loudly on instead.
+    /// default would let a typo masquerade as a pooled measurement, which
+    /// is exactly the kind of quiet corruption the harness must fail loudly
+    /// on instead.
     pub fn from_env() -> Self {
         match Self::from_lookup(|k| std::env::var(k).ok()) {
             Ok(cfg) => cfg,
@@ -132,17 +113,7 @@ impl EngineConfig {
         Ok(EngineConfig {
             pool_pages,
             pinned_pages,
-            shards: knob("SETSIG_SHARDS", get("SETSIG_SHARDS"))?.unwrap_or(1),
-            queue_depth: knob("SETSIG_QUEUE_DEPTH", get("SETSIG_QUEUE_DEPTH"))?
-                .unwrap_or(ServiceConfig::DEFAULT_QUEUE_DEPTH),
         })
-    }
-
-    /// The service-layer sizing these knobs spell: `shards` partitions,
-    /// the configured queue depth, workers tracking shards (capped in
-    /// [`ServiceConfig::new`]).
-    pub fn service_config(&self) -> ServiceConfig {
-        ServiceConfig::new(self.shards).with_queue_depth(self.queue_depth)
     }
 }
 
@@ -293,52 +264,6 @@ impl SimDb {
         bssf
     }
 
-    /// Builds a sharded BSSF query service over the instance, with engine
-    /// knobs (shard count, queue depth, pool pages) from the
-    /// environment. With `SETSIG_SHARDS` unset this is a 1-shard service
-    /// whose answers and page charges are identical to
-    /// [`build_bssf`](Self::build_bssf) — which is what lets the drift gates
-    /// run through the service without loosening a tolerance.
-    pub fn build_bssf_service(&self, f: u32, m: u32) -> QueryService<Bssf> {
-        self.build_bssf_service_with(f, m, EngineConfig::from_env())
-    }
-
-    /// Builds a sharded BSSF query service with explicit engine knobs:
-    /// the instance's objects are partitioned by [`shard_of`], each
-    /// shard bulk-loads its slice into its own BSSF (named
-    /// `bssf-f{f}-m{m}-s{shard}` on the shared accounting disk), and the
-    /// shards are wired into a [`QueryService`] worker pool sharing this
-    /// instance's recorder.
-    pub fn build_bssf_service_with(
-        &self,
-        f: u32,
-        m: u32,
-        engine: EngineConfig,
-    ) -> QueryService<Bssf> {
-        let cfg = SignatureConfig::new(f, m).expect("valid signature config");
-        let service_cfg = engine.service_config();
-        let mut partitions: Vec<Vec<(Oid, Vec<ElementKey>)>> = vec![Vec::new(); engine.shards];
-        for (i, set) in self.sets.iter().enumerate() {
-            let oid = Oid::new(i as u64);
-            partitions[shard_of(oid, engine.shards)]
-                .push((oid, set.iter().map(|&e| ElementKey::from(e)).collect()));
-        }
-        let facilities: Vec<Bssf> = partitions
-            .iter()
-            .enumerate()
-            .map(|(shard, items)| {
-                let name = format!("bssf-f{f}-m{m}-s{shard}");
-                let mut bssf = Bssf::create(self.engine_io(engine), &name, cfg).expect("create");
-                bssf.set_recorder(self.recorder.clone());
-                bssf.bulk_load(items).expect("bulk load");
-                bssf
-            })
-            .collect();
-        self.db.disk().reset_stats();
-        QueryService::with_recorder(facilities, service_cfg, self.recorder.clone())
-            .expect("valid service config")
-    }
-
     /// Builds a frame-sliced signature file over the instance.
     pub fn build_fssf(&self, f: u32, k: u32, m: u32) -> Fssf {
         let cfg = FssfConfig::new(f, k, m).expect("valid FSSF config");
@@ -438,58 +363,26 @@ mod tests {
             EngineConfig::serial()
         );
         assert_eq!(
-            EngineConfig::from_lookup(lookup(&[
-                ("SETSIG_SHARDS", ""),
-                ("SETSIG_POOL_PAGES", "   "),
-            ]))
-            .unwrap(),
+            EngineConfig::from_lookup(lookup(&[("SETSIG_POOL_PAGES", "   ")])).unwrap(),
             EngineConfig::serial()
         );
     }
 
     #[test]
     fn engine_env_parses_valid_values_with_whitespace() {
-        let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_SHARDS", " 8 "),
-            ("SETSIG_POOL_PAGES", "256"),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.shards, 8);
+        let cfg = EngineConfig::from_lookup(lookup(&[("SETSIG_POOL_PAGES", " 256 ")])).unwrap();
         assert_eq!(cfg.pool_pages, Some(256));
-    }
-
-    #[test]
-    fn engine_env_spells_the_service_layout() {
-        let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_SHARDS", "4"),
-            ("SETSIG_QUEUE_DEPTH", " 16 "),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.queue_depth, 16);
-        let svc = cfg.service_config();
-        assert_eq!(svc.shards, 4);
-        assert_eq!(svc.queue_depth, 16);
-        assert!(svc.validate().is_ok());
-        // Unset shards means the unsharded, drift-identical layout.
-        let default = EngineConfig::from_lookup(lookup(&[])).unwrap();
-        assert_eq!(default.shards, 1);
-        assert_eq!(default.queue_depth, ServiceConfig::DEFAULT_QUEUE_DEPTH);
-        let err = EngineConfig::from_lookup(lookup(&[("SETSIG_SHARDS", "0")])).unwrap_err();
-        assert!(err.contains("SETSIG_SHARDS"), "{err}");
     }
 
     #[test]
     fn engine_env_rejects_zero_negative_and_garbage() {
         for bad in ["0", "-3", "eight", "2.5", "1e3"] {
-            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_SHARDS", bad)])).unwrap_err();
+            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_POOL_PAGES", bad)])).unwrap_err();
             assert!(
-                err.contains("SETSIG_SHARDS") && err.contains(bad),
+                err.contains("SETSIG_POOL_PAGES") && err.contains(bad),
                 "error must name the variable and value: {err}"
             );
         }
-        let err = EngineConfig::from_lookup(lookup(&[("SETSIG_POOL_PAGES", "0")])).unwrap_err();
-        assert!(err.contains("SETSIG_POOL_PAGES"), "{err}");
     }
 
     #[test]
@@ -627,7 +520,6 @@ mod tests {
             EngineConfig {
                 pool_pages: Some(64),
                 pinned_pages: Some(16),
-                ..EngineConfig::serial()
             },
         );
         let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);

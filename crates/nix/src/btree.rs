@@ -137,20 +137,20 @@ impl BTree {
         }
     }
 
-    /// Walks from the root to the leaf responsible for `key`, returning the
-    /// internal path (for split propagation), the leaf page number, and the
-    /// leaf page itself (so callers don't pay a second read).
-    fn descend(&self, key: u64) -> Result<(Vec<u32>, u32, Page)> {
-        let mut path = Vec::with_capacity(self.height as usize);
+    /// Walks from the root to the leaf responsible for `key`, handing each
+    /// internal page number on the way to `on_internal` (split propagation
+    /// keeps them as its path; a look-up keeps nothing), and returns the leaf
+    /// page number and the leaf page itself (so callers don't pay a second
+    /// read).
+    fn descend(&self, key: u64, mut on_internal: impl FnMut(u32)) -> Result<(u32, Page)> {
         let mut page_no = self.root;
         loop {
             let page = self.file.read(page_no)?;
             match page_type(&page) {
-                TYPE_LEAF => return Ok((path, page_no, page)),
+                TYPE_LEAF => return Ok((page_no, page)),
                 TYPE_INTERNAL => {
-                    path.push(page_no);
-                    let child = Internal::child(&page, Internal::child_for(&page, key));
-                    page_no = child;
+                    on_internal(page_no);
+                    page_no = Internal::child(&page, Internal::child_for(&page, key));
                 }
                 other => {
                     return Err(Error::BadConfig(format!(
@@ -163,7 +163,8 @@ impl BTree {
 
     /// Adds `oid` to the posting list of `key`.
     pub fn insert(&mut self, key: u64, oid: u64) -> Result<()> {
-        let (path, leaf_no, page) = self.descend(key)?;
+        let mut path = Vec::with_capacity(self.height as usize);
+        let (leaf_no, page) = self.descend(key, |node_no| path.push(node_no))?;
         if let Some((sep, new_page)) = self.insert_into_leaf(leaf_no, page, key, oid)? {
             self.propagate_split(path, sep, new_page)?;
         }
@@ -348,9 +349,8 @@ impl BTree {
     /// `height + 1 (+ chain length)` page reads — the paper's `rc` — and
     /// adds them to `pages`, the calling query's counter (`&mut 0` when
     /// nobody is counting).
-    // HOT-PATH: nix.probe
     pub fn lookup(&self, key: u64, pages: &mut u64) -> Result<Vec<u64>> {
-        let (_, _leaf_no, page) = self.descend(key)?;
+        let (_, page) = self.descend(key, |_| {})?;
         *pages += u64::from(self.rc_lookup());
         match Leaf::search(&page, key) {
             Err(_) => Ok(Vec::new()),
@@ -378,7 +378,7 @@ impl BTree {
     /// Removes `oid` from `key`'s posting list. Returns whether it was
     /// present. Empty entries are removed; pages are never merged.
     pub fn remove(&mut self, key: u64, oid: u64) -> Result<bool> {
-        let (_, leaf_no, mut page) = self.descend(key)?;
+        let (leaf_no, mut page) = self.descend(key, |_| {})?;
         let Ok(slot) = Leaf::search(&page, key) else {
             return Ok(false);
         };

@@ -50,7 +50,6 @@ impl Object {
     /// [`decode`](Object::decode) checks it, to its last byte and whatever
     /// `attr` holds, so the two accept the same records; on `Err`, `visit`
     /// may already have been called.
-    // HOT-PATH: oodb.walk_set
     pub fn walk_attr(
         bytes: &[u8],
         attr: usize,

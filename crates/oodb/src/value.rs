@@ -240,19 +240,16 @@ pub(crate) fn next_token<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Token<'
 }
 
 /// The `len` bytes at `*pos`, advancing past them; `Err(what)` if the
-/// record ends first. A caller's `*pos` past the end fails here at the
-/// tag, so every later `*pos` is within `bytes`.
+/// record ends first (or `*pos` is already past its end).
 fn take_slice<'a>(
     bytes: &'a [u8],
     pos: &mut usize,
     len: usize,
     what: &'static str,
 ) -> Result<&'a [u8]> {
-    if len > bytes.len().saturating_sub(*pos) {
-        return Err(corrupt(what));
-    }
-    let raw = &bytes[*pos..*pos + len];
-    *pos += len;
+    let end = pos.checked_add(len).ok_or_else(|| corrupt(what))?;
+    let raw = bytes.get(*pos..end).ok_or_else(|| corrupt(what))?;
+    *pos = end;
     Ok(raw)
 }
 

@@ -273,7 +273,6 @@ impl BufferPool {
 }
 
 impl PageIo for BufferPool {
-    // HOT-PATH: pagestore.read
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         let key = (id, n);
         {

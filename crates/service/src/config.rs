@@ -4,12 +4,8 @@ use setsig_core::{Error, Result};
 
 /// How a [`QueryService`](crate::QueryService) is laid out: how many
 /// shards the store is hash-partitioned into, how deep the bounded
-/// admission queue is, and how many worker threads drain it.
-///
-/// The environment spelling is `SETSIG_SHARDS` / `SETSIG_QUEUE_DEPTH`
-/// (parsed by the experiments crate's `EngineConfig`, which fails loudly
-/// on malformed values rather than defaulting); this struct is the
-/// programmatic equivalent.
+/// admission queue is, and how many worker threads drain it. Set by the
+/// program that builds the service; no environment variable spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of hash partitions (≥ 1). One facility instance per shard.

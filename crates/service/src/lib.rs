@@ -15,9 +15,9 @@
 //! Both [`ShardRouter`] and [`QueryService`] implement
 //! [`SetAccessFacility`](setsig_core::SetAccessFacility) themselves, so
 //! the measurement harness and exhibit pipeline drive a sharded store
-//! exactly like a flat one. With one shard (the default —
-//! `SETSIG_SHARDS=1`) the service is answer- and page-identical to the
-//! facility it wraps, which is what keeps the drift gates meaningful.
+//! exactly like a flat one. With one shard
+//! ([`ServiceConfig::new`]`(1)`) the service is answer- and page-identical
+//! to the facility it wraps, which is what keeps the drift gates meaningful.
 //!
 //! Correctness story (exercised by the repo-level differential tests):
 //! a sharded, concurrently-updated service must agree with a serial,

@@ -334,7 +334,6 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
     clippy::unwrap_used,
     reason = "fails only on a poisoned lock (a worker panicked mid-update): re-raise, never serve torn state"
 )]
-// HOT-PATH: service.dispatch
 fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
     loop {
         let task = {

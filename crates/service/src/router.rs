@@ -130,8 +130,6 @@ impl<F: SetAccessFacility> ShardRouter<F> {
     /// Runs `query`'s filtering stage on one shard, under its read
     /// guard. This is the unit of work the pool's workers execute
     /// concurrently.
-    // HOT-PATH-BOUNDARY: fans out through SetAccessFacility dispatch; the
-    // facility scan kernels carry their own HOT-PATH roots
     pub fn query_shard(&self, shard: usize, query: &SetQuery) -> Result<QueryAnswer> {
         let Some(s) = self.shards.get(shard) else {
             return Err(Error::BadQuery(format!(

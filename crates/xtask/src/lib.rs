@@ -1,12 +1,14 @@
 //! # xtask — project-specific static analysis for the setsig workspace
 //!
-//! `cargo xtask analyze` runs six offline, hand-rolled lints over the
+//! `cargo xtask analyze` runs five offline, hand-rolled lints over the
 //! workspace source (token-level scanner, no network, no rustc plumbing).
 //! They are the invariants only this project can state — page accounting,
-//! the crate DAG, the lock hierarchy, the scan loops' effect budget;
-//! everything rustc or clippy can check on the real AST (`unsafe`, panics,
-//! discarded `Result`s, dead code) lives in the `[workspace.lints]` table
-//! of the root `Cargo.toml` instead:
+//! the crate DAG, the lock hierarchy. Everything rustc or clippy can check
+//! on the real AST (`unsafe`, panics, discarded `Result`s, dead code) lives
+//! in the `[workspace.lints]` table of the root `Cargo.toml` instead, and
+//! what a running program can count — allocations per page and per
+//! candidate on the scan, probe and resolve paths — is counted, in the root
+//! package's `tests/hot_path.rs`:
 //!
 //! 1. **accounting** — raw page I/O (`read_page` / `write_page`) may only be
 //!    called from the allowlisted accounting wrappers inside
@@ -16,7 +18,7 @@
 //! 2. **layering** — crate dependencies (manifest edges *and* `setsig_*`
 //!    source references) must follow the workspace DAG: the storage layers
 //!    (`pagestore`, `core`) can never reach up into the harness layers
-//!    (`experiments`, `workload`, `bench`), and pure-math crates
+//!    (`experiments`, `workload`), and pure-math crates
 //!    (`costmodel`, `workload`) stay dependency-free. Every member must
 //!    also opt into the workspace lint table, so no crate escapes the
 //!    compiler-held invariants.
@@ -27,15 +29,7 @@
 //! 4. **guard-across-io** — no lock guard may be live across a
 //!    `read_page`/`write_page`/`flush`/`sync` call; the pool comment's
 //!    promise, enforced.
-//! 5. **hot-path-hygiene** — functions annotated `// HOT-PATH: <name>`
-//!    must not, transitively through the workspace [`callgraph`],
-//!    allocate, acquire a lock, block the thread, or touch raw page I/O
-//!    outside the accounting seam; `// HOT-PATH-BOUNDARY:` stops
-//!    traversal at reviewed dispatch points, and justified sites live in
-//!    `allow/hotpath.allow`. A query against the bottom-up [`effects`]
-//!    inference over `{ALLOC, LOCK, RAW_IO, BLOCK}`, reported with
-//!    shortest witness chains (see [`lints::hot_path`]).
-//! 6. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
+//! 5. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
 //!    still match a real site; dangling suppressions fail the run.
 //!
 //! The analyzer is deliberately syntactic: it trades soundness-in-general
@@ -46,8 +40,6 @@
 //!
 //! [`ScanStats`]: https://docs.rs/setsig-core
 
-pub mod callgraph;
-pub mod effects;
 pub mod lints;
 pub mod locks;
 pub mod scan;
@@ -70,21 +62,17 @@ pub enum Lint {
     LockOrder,
     /// A lock guard live across a page-I/O call.
     GuardAcrossIo,
-    /// An allocation, lock acquisition, blocking wait, or raw page-I/O
-    /// call reachable from a `// HOT-PATH:` root through the call graph.
-    HotPath,
     /// An allowlist entry that matched no site this run.
     StaleAllow,
 }
 
 impl Lint {
     /// Every lint, in the order `analyze` runs and reports them.
-    pub const ALL: [Lint; 6] = [
+    pub const ALL: [Lint; 5] = [
         Lint::Accounting,
         Lint::Layering,
         Lint::LockOrder,
         Lint::GuardAcrossIo,
-        Lint::HotPath,
         Lint::StaleAllow,
     ];
 
@@ -95,7 +83,6 @@ impl Lint {
             Lint::Layering => "layering",
             Lint::LockOrder => "lock-order",
             Lint::GuardAcrossIo => "guard-across-io",
-            Lint::HotPath => "hot-path-hygiene",
             Lint::StaleAllow => "stale-allow",
         }
     }
@@ -177,17 +164,14 @@ pub fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
     // stale-allow pass at the end reports any that never did.
     let allow_accounting = ws.allowlist("accounting.allow")?;
     let allow_locks = ws.allowlist("locks.allow")?;
-    let allow_hotpath = ws.allowlist("hotpath.allow")?;
     let mut diags = Vec::new();
     diags.extend(lints::accounting::run(&ws, &allow_accounting));
     diags.extend(lints::layering::run(&ws)?);
     diags.extend(lints::lock_order::run(&ws, &allow_locks));
     diags.extend(lints::guard_across_io::run(&ws, &allow_locks));
-    diags.extend(lints::hot_path::run(&ws, &allow_hotpath, &allow_accounting));
     diags.extend(lints::stale_allow::check(&[
         ("crates/xtask/allow/accounting.allow", &allow_accounting),
         ("crates/xtask/allow/locks.allow", &allow_locks),
-        ("crates/xtask/allow/hotpath.allow", &allow_hotpath),
     ]));
     diags.sort_by(|a, b| (&a.file, a.line, a.lint, &a.msg).cmp(&(&b.file, b.line, b.lint, &b.msg)));
     Ok(diags)

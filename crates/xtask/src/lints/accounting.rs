@@ -9,7 +9,7 @@
 //! `crates/pagestore` (the `Disk` itself, the `BufferPool` cache, and the
 //! `PagedFile` handle everything else is built on).
 //!
-//! Test modules, integration tests and benches are exempt — asserting on
+//! Test modules and integration tests are exempt — asserting on
 //! raw counters is exactly what they are for.
 
 use crate::workspace::{Allowlist, FileClass, SourceFile, Workspace};

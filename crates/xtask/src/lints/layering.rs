@@ -2,7 +2,7 @@
 //!
 //! The storage substrate (`pagestore`) and the access facilities (`core`,
 //! `nix`) must never reach up into the measurement harness (`experiments`,
-//! `workload`, `bench`): if they could, build or query code could consult
+//! `workload`): if they could, build or query code could consult
 //! workload knowledge and quietly break the paper's protocol. Likewise the
 //! analytic crates (`costmodel`, `workload`) stay free of storage
 //! dependencies, so the model and the measurement cannot contaminate each
@@ -30,7 +30,7 @@ use crate::{Diagnostic, Lint};
 /// The workspace DAG: crate dir → setsig crates it may depend on.
 ///
 /// Order follows the build layering, bottom to top.
-const ALLOWED_DEPS: [(&str, &[&str]); 11] = [
+const ALLOWED_DEPS: [(&str, &[&str]); 10] = [
     ("pagestore", &[]),
     ("obs", &[]),
     ("core", &["pagestore", "obs"]),
@@ -50,20 +50,6 @@ const ALLOWED_DEPS: [(&str, &[&str]); 11] = [
             "costmodel",
             "workload",
             "service",
-        ],
-    ),
-    (
-        "bench",
-        &[
-            "pagestore",
-            "obs",
-            "core",
-            "nix",
-            "oodb",
-            "costmodel",
-            "workload",
-            "service",
-            "experiments",
         ],
     ),
     ("xtask", &[]),

@@ -5,7 +5,6 @@
 
 pub mod accounting;
 pub mod guard_across_io;
-pub mod hot_path;
 pub mod layering;
 pub mod lock_order;
 pub mod stale_allow;

@@ -15,8 +15,7 @@ Commands:
                             optionally write per-lint wall times as a
                             bench-summary JSON
 
-Lints: accounting, layering, lock-order, guard-across-io,
-hot-path-hygiene, stale-allow.
+Lints: accounting, layering, lock-order, guard-across-io, stale-allow.
 See DESIGN.md \"Static analysis & invariants\" for what each enforces.";
 
 /// Output format for analyze findings.
@@ -90,12 +89,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // workspace grows.
         for (lint, ms) in &report.timings {
             println!("  {lint:<18} {ms:8.1} ms");
-        }
-        // Resolver coverage over the real workspace: a drop in the
-        // resolved share silently weakens every graph-based lint, so the
-        // counts print next to the fixture verdict.
-        for (krate, resolved, unresolved) in &report.coverage {
-            println!("  resolver {krate:<11} {resolved:>5} resolved / {unresolved:>4} unresolved");
         }
         if let Some(path) = &bench_json {
             // The bench-summary shape the perf-trajectory CI job archives

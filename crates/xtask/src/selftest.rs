@@ -14,7 +14,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::callgraph::CallGraph;
 use crate::lints;
 use crate::workspace::{Allowlist, FileClass, SourceFile, Workspace};
 use crate::{Diagnostic, Lint};
@@ -26,11 +25,6 @@ pub struct SelfTestReport {
     pub failures: Vec<String>,
     /// `(lint name, milliseconds)` per fixture section, in run order.
     pub timings: Vec<(&'static str, f64)>,
-    /// Resolver coverage over the real workspace: per-crate `(crate,
-    /// resolved, unresolved)` non-test call-site counts. A shrinking
-    /// resolved share weakens every graph-based lint silently — so it is
-    /// printed, not buried.
-    pub coverage: Vec<(String, u64, u64)>,
 }
 
 /// Runs the whole fixture corpus.
@@ -116,49 +110,6 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     )?;
     lap("guard-across-io", &mut timings, &mut timer);
 
-    // hot-path-hygiene: annotated roots trip on transitive allocation /
-    // lock / raw-I/O / blocking findings plus every malformed-annotation
-    // shape; the pass fixture shows clean traversal, the boundary
-    // annotation (a block behind it is not followed), the accounting
-    // seam, and an allowlisted site staying quiet.
-    check_file_fixture(
-        &fixtures.join("hotpath/fail.rs"),
-        |f| lints::hot_path::check_file(f, &Allowlist::default(), &Allowlist::default()),
-        &mut failures,
-    )?;
-    let allow_hot = Allowlist::parse(
-        "# self-test: the fixture's justified hot-path site\n\
-         crates/experiments/src/fixture.rs::justified_helper\n",
-    );
-    let accounting_seam = Allowlist::parse(
-        "# self-test: the fixture's accounting seam\n\
-         crates/experiments/src/fixture.rs::seam_read\n",
-    );
-    check_file_fixture(
-        &fixtures.join("hotpath/pass.rs"),
-        |f| lints::hot_path::check_file(f, &allow_hot, &accounting_seam),
-        &mut failures,
-    )?;
-    // The per-candidate path of false-drop resolution (`oodb.walk_set`,
-    // `drops.verify`): a heap key per element or an owned set per
-    // candidate trips; stack keys, a bitmap sized at setup and an
-    // allowlisted error constructor stay quiet.
-    check_file_fixture(
-        &fixtures.join("hotpath/resolve_fail.rs"),
-        |f| lints::hot_path::check_file(f, &Allowlist::default(), &Allowlist::default()),
-        &mut failures,
-    )?;
-    let allow_resolve = Allowlist::parse(
-        "# self-test: the walker's corrupt-record error constructor\n\
-         crates/experiments/src/fixture.rs::unknown_tag\n",
-    );
-    check_file_fixture(
-        &fixtures.join("hotpath/resolve_pass.rs"),
-        |f| lints::hot_path::check_file(f, &allow_resolve, &Allowlist::default()),
-        &mut failures,
-    )?;
-    lap("hot-path-hygiene", &mut timings, &mut timer);
-
     // stale-allow: a consulted entry stays quiet, an unmatched one is
     // reported with its own file/line.
     let path = fixtures.join("stale_allow/fail.allow");
@@ -177,23 +128,7 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     );
     lap("stale-allow", &mut timings, &mut timer);
 
-    // Resolver coverage over the *real* workspace (not the fixtures):
-    // the per-crate resolved/unresolved call-site counts every
-    // graph-based lint stands on.
-    let ws = Workspace::load(root)?;
-    let lib_files: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|f| f.class != FileClass::Test)
-        .collect();
-    let coverage = CallGraph::build(&lib_files).resolution_coverage();
-    lap("resolver-coverage", &mut timings, &mut timer);
-
-    Ok(SelfTestReport {
-        failures,
-        timings,
-        coverage,
-    })
+    Ok(SelfTestReport { failures, timings })
 }
 
 /// Loads a fixture file as library code of a pretend `experiments` crate.

@@ -13,7 +13,7 @@ pub enum FileClass {
     /// Library and binary code (`crates/<c>/src/**`, root `src/**`): all
     /// lints.
     Lib,
-    /// Integration tests / benches / examples: exempt from every lint —
+    /// Integration tests / examples: exempt from every lint —
     /// asserting on raw counters and allocating freely is what they are
     /// for.
     Test,
@@ -71,7 +71,7 @@ pub struct Workspace {
 impl Workspace {
     /// Walks and scans the workspace rooted at `root`.
     ///
-    /// Covered: `crates/*/{src,tests,benches}`, root `src/`, `tests/`,
+    /// Covered: `crates/*/{src,tests}`, root `src/`, `tests/`,
     /// `examples/`. Excluded: `target/`, `vendor/` (offline stand-ins for
     /// crates.io dependencies) and `crates/xtask/fixtures/` (the lint
     /// corpus, which *must* contain violations).
@@ -90,14 +90,13 @@ impl Workspace {
                     None => continue,
                 };
                 let krate = Some(name);
-                collect_dir(root, &dir.join("src"), &mut files, FileClass::Lib, &krate)?;
-                for sub in ["tests", "benches"] {
-                    collect_dir(root, &dir.join(sub), &mut files, FileClass::Test, &krate)?;
-                }
+                let (src, tests) = (dir.join("src"), dir.join("tests"));
+                collect_dir(root, &src, &mut files, FileClass::Lib, &krate)?;
+                collect_dir(root, &tests, &mut files, FileClass::Test, &krate)?;
             }
         }
         collect_dir(root, &root.join("src"), &mut files, FileClass::Lib, &None)?;
-        for sub in ["tests", "examples", "benches"] {
+        for sub in ["tests", "examples"] {
             collect_dir(root, &root.join(sub), &mut files, FileClass::Test, &None)?;
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));

@@ -109,7 +109,7 @@ fn persistence_load_failures_are_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ---- Fault sweep of the row writers (BSSF slices, FSSF frames) ----------
+// ---- Fault sweep of the row writers (SSF rows, BSSF slices, FSSF frames) --
 //
 // An insert sets its row's bits and then appends the OID, the commit point.
 // A fault at any page access before that must leave the row as if the call
@@ -124,6 +124,15 @@ trait RowFacility: SetAccessFacility {
     fn oids(&self) -> &OidFile;
     /// Disk writes an insert of `set` makes when nothing failed before it.
     fn own_writes(&self, set: &[ElementKey]) -> u64;
+}
+
+impl RowFacility for Ssf {
+    fn oids(&self) -> &OidFile {
+        self.oid_file()
+    }
+    fn own_writes(&self, _set: &[ElementKey]) -> u64 {
+        2
+    }
 }
 
 impl RowFacility for Bssf {
@@ -281,6 +290,34 @@ fn populated<F: RowFacility>(fac: &mut F, n: u64) -> Vec<Entry> {
         fac.insert(*oid, set).unwrap();
     }
     entries
+}
+
+#[test]
+fn ssf_insert_survives_a_fault_at_every_page_access() {
+    let build = |rows: u64| {
+        let disk = Arc::new(Disk::new());
+        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
+        let mut ssf = Ssf::create(io, "s", SignatureConfig::new(64, 2).unwrap()).unwrap();
+        let acknowledged = populated(&mut ssf, rows);
+        (disk, ssf, acknowledged)
+    };
+    // Mid-page: the signature page's write, then the OID page's.
+    let (disk, mut ssf, mut acknowledged) = build(200);
+    assert_eq!(sweep_inserts(&disk, &mut ssf, &mut acknowledged), 2);
+
+    // And where the row starts a signature page: the page a failed call
+    // appended is written over, not followed by a second one.
+    let per_page = ssf.signatures_per_page();
+    let points = sweep_at(
+        || {
+            let (disk, ssf, mut acknowledged) = build(per_page);
+            let recent = acknowledged.split_off(acknowledged.len() - 20);
+            (disk, ssf, recent)
+        },
+        &[(Oid::new(900_000), elems(910_000..910_006))],
+        |f, entries| f.insert(entries[0].0, &entries[0].1),
+    );
+    assert_eq!(points, 2);
 }
 
 #[test]

@@ -1,0 +1,464 @@
+//! Hot-path budgets, counted.
+//!
+//! The engine's claim — nothing is allocated per page scanned, per slice
+//! combined or per candidate resolved — is held here by a number: this
+//! binary installs a counting global allocator and runs each path on real
+//! instances. A word kernel, a buffer-pool hit and the record walk of an
+//! inline candidate must allocate nothing; a `BTree::lookup` at most the
+//! `Vec` it returns, whatever the height and the chain; and a filter scan
+//! what its query and its answer need, not what it read: the same query
+//! over [`SMALL`] objects and over an instance of the same objects plus
+//! sixteen times as many that do not match must return the same candidates
+//! from several times the pages with no allocation more. Each path also has
+//! a shape that reads ten times more pages than its whole budget, so that
+//! one allocation a page could not pass for noise.
+//!
+//! `cargo test --test hot_path -- --nocapture` prints the table. To see it
+//! bite, collect a page's rows into a `Vec` in `Ssf::scan_page`, `.to_vec()`
+//! the page in `Bssf::slice_page` or the key in `Verifier::observe`, or
+//! `collect()` a node's keys in `BTree::descend`.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
+
+use counting_alloc::{count, CountingAlloc};
+use setsig::core::{kernel, Bitmap};
+use setsig::nix::BTree;
+use setsig::oodb::ClassId;
+use setsig::pagestore::{Page, PagedFile, PAGE_SIZE};
+use setsig::prelude::*;
+use setsig::workload::{Cardinality, Distribution};
+use setsig_experiments::{EngineConfig, SimDb};
+use std::hint::black_box;
+use std::sync::Arc;
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Signature width of every facility built here.
+const F: u32 = 500;
+/// `F·ln 2 / D_t` at `D_t = 10`: the classic weight the paper sets its small
+/// `m` against. One query element is 35 slices, so a `T ⊇ Q` scan reads
+/// several times more pages than hashing its query allocates.
+const M: u32 = 35;
+/// Objects of the small instance; OID `TARGET` is the one the queries hit.
+const SMALL: u64 = 4_096;
+const TARGET: usize = 1_234;
+/// Rows a BSSF slice page holds: the large instance spans three.
+const ROW_PAGE: u64 = (PAGE_SIZE * 8) as u64;
+const LARGE: u64 = 2 * ROW_PAGE + SMALL;
+
+struct Row {
+    path: &'static str,
+    shape: String,
+    pages: u64,
+    allocations: u64,
+    budget: u64,
+}
+
+impl Row {
+    fn name(&self) -> String {
+        format!("{} [{}]", self.path, self.shape)
+    }
+}
+
+fn print(rows: &[Row]) {
+    let width = rows.iter().map(|r| r.name().chars().count()).max();
+    let width = width.unwrap_or(0);
+    println!(
+        "{:<width$} | {:>6} | {:>11} | {:>6}",
+        "path", "pages", "allocations", "budget"
+    );
+    for r in rows {
+        println!(
+            "{:<width$} | {:>6} | {:>11} | {:>6}",
+            r.name(),
+            r.pages,
+            r.allocations,
+            r.budget
+        );
+    }
+}
+
+/// Every row over its budget, and every path none of whose shapes reads ten
+/// times more pages than it may allocate.
+fn violations(rows: &[Row]) -> Vec<String> {
+    let over = rows.iter().filter(|r| r.allocations > r.budget);
+    let mut out: Vec<String> = over
+        .map(|r| {
+            format!(
+                "{}: {} allocations over {} pages, budget {}",
+                r.name(),
+                r.allocations,
+                r.pages,
+                r.budget
+            )
+        })
+        .collect();
+    let mut paths: Vec<&str> = rows.iter().map(|r| r.path).collect();
+    paths.dedup();
+    for path in paths {
+        let shapes = || rows.iter().filter(|r| r.path == path);
+        if shapes().any(|r| r.pages >= 10 * r.budget) {
+            continue;
+        }
+        let widest = shapes().max_by_key(|r| r.pages).unwrap();
+        out.push(format!(
+            "{}: {} pages against a budget of {} allocations — no shape of this path reads \
+             10× its budget, so an allocation per page could hide",
+            widest.name(),
+            widest.pages,
+            widest.budget
+        ));
+    }
+    out
+}
+
+/// What a `Vec` asks of the allocator to take `n` pushes: the part of a
+/// budget that is the answer's.
+fn vec_growth(n: usize) -> u64 {
+    count(|| {
+        let mut v = Vec::new();
+        (0..n as u64).for_each(|i| v.push(Oid::new(i)));
+        black_box(v);
+    })
+    .0
+}
+
+fn keys(elements: &[u64]) -> Vec<ElementKey> {
+    elements.iter().map(|&e| ElementKey::from(e)).collect()
+}
+
+/// The four scan queries with their signatures, and the set of the rows
+/// that keep a `T ⊇ Q` scan reading.
+struct Probes {
+    cfg: SignatureConfig,
+    /// `T ⊇ Q`, `T ⊆ Q`, `T = Q`, `T ≬ Q`, in that order.
+    queries: [(SetQuery, Signature); 4],
+    /// Has every bit of the `T ⊇ Q` signature but the highest: a row page
+    /// holding this set stays alive to the scan's last slice and yields no
+    /// drop.
+    near_miss: Vec<u64>,
+}
+
+impl Probes {
+    fn new(sim: &SimDb) -> Self {
+        let cfg = SignatureConfig::new(F, M).unwrap();
+        let element_signature = |e: u64| Signature::for_set(&cfg, &keys(&[e]));
+        let target = &sim.sets[TARGET];
+        let superset = SetQuery::has_subset(keys(&target[..2]));
+        let wanted = superset.signature(&cfg);
+        let last = wanted.bitmap().iter_ones().last().unwrap();
+        let mut covered = Bitmap::zeroed(F);
+        let near_miss: Vec<u64> = (2_000_000u64..)
+            .filter(|&e| !element_signature(e).bitmap().get(last))
+            .take_while(|&e| {
+                let short = wanted.weight() - covered.intersection_count(wanted.bitmap());
+                covered.or_assign(element_signature(e).bitmap());
+                short > 1
+            })
+            .collect();
+        // One absent element sharing that highest bit: `T ≬ Q` asks for all
+        // 35 of its bits, and the near-miss rows lack one.
+        let absent = (3_000_000u64..)
+            .find(|&e| element_signature(e).bitmap().get(last))
+            .unwrap();
+        let mut wider = target.clone();
+        wider.extend_from_slice(&sim.sets[TARGET + 1][..2]);
+        let queries = [
+            superset,
+            SetQuery::in_subset(keys(&wider)),
+            SetQuery::equals(keys(target)),
+            SetQuery::overlaps(keys(&[absent])),
+        ];
+        Probes {
+            cfg,
+            queries: queries.map(|q| {
+                let sig = q.signature(&cfg);
+                (q, sig)
+            }),
+            near_miss,
+        }
+    }
+
+    /// Whether a row holding `set` would be a drop of one of the queries.
+    fn drops(&self, set: &[u64]) -> bool {
+        let row = Signature::for_set(&self.cfg, &keys(set));
+        let matches = |(q, sig): &(SetQuery, Signature)| q.signature_matches(&self.cfg, &row, sig);
+        self.queries.iter().any(matches)
+    }
+}
+
+fn small_instance() -> SimDb {
+    SimDb::build(WorkloadConfig {
+        n_objects: SMALL,
+        domain: 2_000,
+        cardinality: Cardinality::Fixed(10),
+        distribution: Distribution::Uniform,
+        seed: 1993,
+    })
+}
+
+/// The small instance plus rows that are no query's drop, to three row
+/// pages: one near-miss row at the head of each new row page, and otherwise
+/// one-element sets over elements of their own, which between them set every
+/// slice. (The element hasher's positions are an arithmetic progression, so
+/// a few dozen of 65,000 such sets would be `T ⊆ Q` false drops: skipped.)
+fn large_instance(probes: &Probes) -> SimDb {
+    let mut sim = small_instance();
+    let mut fillers = (1_000_000u64..)
+        .map(|e| vec![e])
+        .filter(|set| !probes.drops(set));
+    for row in SMALL..LARGE {
+        let set = if row % ROW_PAGE == 0 {
+            probes.near_miss.clone()
+        } else {
+            fillers.next().unwrap()
+        };
+        let value = Value::Set(set.iter().map(|&e| Value::Int(e as i64)).collect());
+        sim.db.insert_object(sim.class, vec![value]).unwrap();
+        sim.sets.push(set);
+    }
+    sim
+}
+
+/// One filter-stage call: its allocations, its pages, its drops.
+fn filter(facility: &dyn SetAccessFacility, query: &SetQuery) -> (u64, u64, CandidateSet) {
+    let (allocations, (drops, stats)) = count(|| facility.candidates_with_stats(query).unwrap());
+    (allocations, stats.unwrap().pages, drops)
+}
+
+/// The scans: what the query costs on the small instance is the budget on
+/// the large one.
+fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
+    let serial = EngineConfig::serial();
+    let ssf = [small, large].map(|sim| sim.build_ssf_with(F, M, serial));
+    let bssf = [small, large].map(|sim| sim.build_bssf_with(F, M, serial));
+    let ssf: [&dyn SetAccessFacility; 2] = [&ssf[0], &ssf[1]];
+    let bssf: [&dyn SetAccessFacility; 2] = [&bssf[0], &bssf[1]];
+    let [superset, subset, equals, overlaps] = &probes.queries;
+    for (path, [on_small, on_large], (query, _)) in [
+        ("core.ssf.scan_page", ssf, superset),
+        ("core.ssf.scan_page", ssf, subset),
+        ("core.ssf.scan_page", ssf, equals),
+        ("core.ssf.scan_page", ssf, overlaps),
+        ("core.bssf.superset_positions", bssf, superset),
+        ("core.bssf.or_slices", bssf, subset),
+        ("core.bssf.equals_positions", bssf, equals),
+        ("core.bssf.overlap_positions", bssf, overlaps),
+    ] {
+        let (budget, pages_small, want) = filter(on_small, query);
+        let (allocations, pages, got) = filter(on_large, query);
+        let shape = format!(
+            "{} D_q {}, N {LARGE}; budget from N {SMALL}, {pages_small} pages",
+            query.predicate,
+            query.d_q()
+        );
+        assert_eq!(got, want, "{path} [{shape}]: the rows added must not match");
+        assert!(
+            pages >= 2 * pages_small,
+            "{path} [{shape}]: {pages} pages — the larger instance must cost the scan more"
+        );
+        rows.push(Row {
+            path,
+            shape,
+            pages,
+            allocations,
+            budget,
+        });
+    }
+}
+
+/// False-drop resolution of inline records: the verifier's bitmap, the
+/// answer, and nothing per candidate.
+fn resolution(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
+    const PATH: &str = "core.resolve_drops → walk_attr → observe";
+    let mut resolve = |what: &str, db: &Database, class: ClassId, attr: &str, query: &SetQuery| {
+        let source = db.target_source(class, attr).unwrap();
+        let drops = CandidateSet::new((0..1_024).map(Oid::new).collect(), false);
+        let before = db.disk().snapshot();
+        let (allocations, report) = count(|| resolve_drops(query, &drops, &source).unwrap());
+        let pages = db.disk().snapshot().since(before).reads;
+        assert_eq!(pages, 1_024, "{what}: one page per inline candidate");
+        rows.push(Row {
+            path: PATH,
+            shape: format!(
+                "{what}, {} D_q {}, 1024 candidates, {} actual",
+                query.predicate,
+                query.d_q(),
+                report.actual.len()
+            ),
+            pages,
+            allocations,
+            budget: 1 + vec_growth(report.actual.len()),
+        });
+    };
+    // Every candidate a false drop, then every candidate a hit.
+    resolve(
+        "Int sets",
+        &sim.db,
+        sim.class,
+        "elems",
+        &probes.queries[0].0,
+    );
+    let domain: Vec<u64> = (0..sim.cfg.domain).collect();
+    let all = SetQuery::in_subset(keys(&domain));
+    resolve("Int sets", &sim.db, sim.class, "elems", &all);
+
+    let mut db = Database::in_memory();
+    let class = db
+        .define_class(ClassDef::new(
+            "Course",
+            vec![("students", AttrType::set_of(AttrType::Ref))],
+        ))
+        .unwrap();
+    for i in 0..1_024u64 {
+        let students = (0..10).map(|j| Value::Ref(Oid::new(i * 3 + j))).collect();
+        let oid = db.insert_object(class, vec![Value::set(students)]).unwrap();
+        assert_eq!(oid, Oid::new(i));
+    }
+    let enrolled = SetQuery::has_subset(vec![
+        ElementKey::from(Oid::new(300)),
+        ElementKey::from(Oid::new(303)),
+    ]);
+    resolve("Ref sets", &db, class, "students", &enrolled);
+}
+
+/// The word kernels, each over 64 pages' worth of bytes.
+fn kernels(rows: &mut Vec<Row>) {
+    const PAGES: u64 = 64;
+    let nbits = (PAGE_SIZE * 8) as u32;
+    let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
+    let query = vec![0x0f0f_0f0f_0f0f_0f0fu64; PAGE_SIZE / 8];
+    let probe = kernel::nonzero_words(&query);
+    let mut acc = vec![!0u64; PAGE_SIZE / 8];
+    let mut counts = vec![0u32; PAGE_SIZE * 8];
+    let mut run = |path: &'static str, kernel: &mut dyn FnMut()| {
+        let (allocations, ()) = count(|| (0..PAGES).for_each(|_| kernel()));
+        rows.push(Row {
+            path,
+            shape: format!("{PAGES} × 4 KiB"),
+            pages: PAGES,
+            allocations,
+            budget: 0,
+        });
+    };
+    run("core.kernel.and_assign", &mut || {
+        black_box(kernel::and_assign(&mut acc, &page));
+    });
+    run("core.kernel.or_assign", &mut || {
+        kernel::or_assign(&mut acc, &page, nbits);
+    });
+    run("core.kernel.is_covered_by", &mut || {
+        black_box(kernel::is_covered_by(&probe, &page));
+    });
+    run("core.kernel.covers", &mut || {
+        black_box(kernel::covers(&query, &page, nbits));
+    });
+    run("core.kernel.eq", &mut || {
+        black_box(kernel::eq(&query, &page, nbits));
+    });
+    run("core.kernel.intersection_count", &mut || {
+        black_box(kernel::intersection_count(&query, &page));
+    });
+    run("core.kernel.iter_ones", &mut || {
+        black_box(kernel::iter_ones(nbits, &page).count());
+    });
+    run("core.kernel.accumulate_ones", &mut || {
+        kernel::accumulate_ones(&mut counts, &page);
+    });
+}
+
+/// `BTree::lookup`: at most the posting list it returns.
+fn btree_lookup(rows: &mut Vec<Row>) {
+    let disk = Arc::new(Disk::new());
+    let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
+    let mut low = BTree::create(io(), "low");
+    let mut tall = BTree::create(io(), "tall");
+    for key in 0..50 {
+        low.insert(key, key).unwrap();
+    }
+    for key in 0..80_000 {
+        tall.insert(key, key).unwrap();
+    }
+    for oid in 0..6_000 {
+        tall.insert(40_000, 100_000 + oid).unwrap();
+    }
+    assert_eq!((low.height(), tall.height()), (0, 2));
+    for (tree, key) in [(&low, 7), (&tall, 7), (&tall, 40_000), (&tall, 999_999)] {
+        let mut pages = 0;
+        let (allocations, postings) = count(|| tree.lookup(key, &mut pages).unwrap());
+        rows.push(Row {
+            path: "nix.btree.lookup",
+            shape: format!("height {}, {} postings", tree.height(), postings.len()),
+            pages,
+            allocations,
+            budget: u64::from(!postings.is_empty()),
+        });
+    }
+}
+
+/// A buffer-pool hit hands out the frame's snapshot.
+fn pool_hit(rows: &mut Vec<Row>) {
+    const FRAMES: u32 = 64;
+    let pool = Arc::new(BufferPool::new(Arc::new(Disk::new()), FRAMES as usize));
+    let file = PagedFile::create(Arc::clone(&pool) as Arc<dyn PageIo>, "hot");
+    for _ in 0..FRAMES {
+        file.append(&Page::zeroed()).unwrap();
+    }
+    let before = pool.stats().hits;
+    let (allocations, ()) = count(|| {
+        (0..FRAMES).for_each(|n| {
+            black_box(file.read(n).unwrap());
+        });
+    });
+    assert_eq!(pool.stats().hits - before, u64::from(FRAMES));
+    rows.push(Row {
+        path: "pagestore.BufferPool::read_page",
+        shape: format!("{FRAMES} hits"),
+        pages: u64::from(FRAMES),
+        allocations,
+        budget: 0,
+    });
+}
+
+#[test]
+fn the_allocator_counts_each_thread_apart() {
+    // Each thread allocates once while the other is inside its counted
+    // region: both count one.
+    let gate = std::sync::Barrier::new(2);
+    let one_alloc = || {
+        count(|| {
+            gate.wait();
+            black_box(vec![0u8; 64]);
+            gate.wait();
+        })
+        .0
+    };
+    std::thread::scope(|s| {
+        let there = s.spawn(one_alloc);
+        assert_eq!(one_alloc(), 1);
+        assert_eq!(there.join().unwrap(), 1);
+    });
+}
+
+#[test]
+fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
+    let small = small_instance();
+    let probes = Probes::new(&small);
+    let large = large_instance(&probes);
+
+    let mut rows = Vec::new();
+    kernels(&mut rows);
+    pool_hit(&mut rows);
+    resolution(&mut rows, &small, &probes);
+    btree_lookup(&mut rows);
+    scans(&mut rows, &small, &large, &probes);
+
+    print(&rows);
+    let violations = violations(&rows);
+    assert!(
+        violations.is_empty(),
+        "hot-path budgets exceeded:\n{}",
+        violations.join("\n")
+    );
+}
