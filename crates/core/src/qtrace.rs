@@ -69,7 +69,6 @@ impl FilterStage<'_> {
                 false_drops: None,
                 cache_hits: delta(|c| c.hits),
                 cache_misses: delta(|c| c.misses),
-                cache_pinned_hits: delta(|c| c.pinned_hits),
                 latency_ns: start.elapsed().as_nanos() as u64,
             });
         }

@@ -39,20 +39,17 @@ impl MeasuredQuery {
     }
 }
 
-/// Knobs for the measured facilities: whether reads are routed through a
+/// The knob of the measured facilities: whether reads are routed through a
 /// buffer pool.
 ///
 /// The default — no pool — is the paper's protocol, and every published
-/// number is measured that way. The knobs exist so each exhibit can be
+/// number is measured that way. The knob exists so each exhibit can be
 /// re-run with a hot cache (the candidate sets and page charges are
 /// identical by construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Buffer-pool capacity in frames; `None` leaves reads uncached.
     pub pool_pages: Option<usize>,
-    /// Pinned in-RAM tier above the pool, in pages; requires `pool_pages`.
-    /// `None` disables the tier.
-    pub pinned_pages: Option<usize>,
 }
 
 impl EngineConfig {
@@ -61,10 +58,8 @@ impl EngineConfig {
         Self::default()
     }
 
-    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none) and
-    /// `SETSIG_PINNED_PAGES` (pinned tier above the pool, default none;
-    /// requires `SETSIG_POOL_PAGES`) so any exhibit binary can flip engines
-    /// without a rebuild.
+    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none) so any
+    /// exhibit binary can flip engines without a rebuild.
     ///
     /// Panics on an invalid value. A knob that silently fell back to the
     /// default would let a typo masquerade as a pooled measurement, which
@@ -86,34 +81,18 @@ impl EngineConfig {
     /// spelled by unsetting the variable). Surrounding whitespace is
     /// tolerated.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        fn knob(name: &str, val: Option<String>) -> Result<Option<usize>, String> {
-            let Some(v) = val.filter(|v| !v.trim().is_empty()) else {
-                return Ok(None);
-            };
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(Some(n)),
-                _ => Err(format!(
-                    "{name} must be an integer >= 1, got {v:?} \
-                     (unset it for the default)"
-                )),
-            }
+        let Some(v) = get("SETSIG_POOL_PAGES").filter(|v| !v.trim().is_empty()) else {
+            return Ok(Self::serial());
+        };
+        match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(EngineConfig {
+                pool_pages: Some(n),
+            }),
+            _ => Err(format!(
+                "SETSIG_POOL_PAGES must be an integer >= 1, got {v:?} \
+                 (unset it for the default)"
+            )),
         }
-        let pool_pages = knob("SETSIG_POOL_PAGES", get("SETSIG_POOL_PAGES"))?;
-        let pinned_pages = knob("SETSIG_PINNED_PAGES", get("SETSIG_PINNED_PAGES"))?;
-        if pinned_pages.is_some() && pool_pages.is_none() {
-            // The pinned tier sits above the LRU pool; without a pool there
-            // is nothing to tier. A silent fallback would report pinned-hit
-            // numbers from an engine that cannot produce them.
-            return Err(
-                "SETSIG_PINNED_PAGES requires SETSIG_POOL_PAGES (the pinned tier \
-                 sits above the buffer pool; unset it for uncached reads)"
-                    .into(),
-            );
-        }
-        Ok(EngineConfig {
-            pool_pages,
-            pinned_pages,
-        })
     }
 }
 
@@ -203,15 +182,10 @@ impl SimDb {
     }
 
     /// The I/O handle one facility is built on under `engine`: the bare
-    /// accounting disk, or a fresh [`BufferPool`] (with its pinned tier)
-    /// over it.
+    /// accounting disk, or a fresh [`BufferPool`] over it.
     fn engine_io(&self, engine: EngineConfig) -> Arc<dyn PageIo> {
         match engine.pool_pages {
-            Some(pages) => Arc::new(BufferPool::with_pinned(
-                Arc::clone(self.db.disk()),
-                pages,
-                engine.pinned_pages.unwrap_or(0),
-            )),
+            Some(pages) => Arc::new(BufferPool::new(Arc::clone(self.db.disk()), pages)),
             None => self.io(),
         }
     }
@@ -385,41 +359,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_env_parses_pinned_tier_above_the_pool() {
-        let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_POOL_PAGES", "256"),
-            ("SETSIG_PINNED_PAGES", " 32 "),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.pool_pages, Some(256));
-        assert_eq!(cfg.pinned_pages, Some(32));
-        // Blank means default (no tier), same as the other knobs.
-        let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_POOL_PAGES", "256"),
-            ("SETSIG_PINNED_PAGES", "  "),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.pinned_pages, None);
-        for bad in ["0", "-1", "many"] {
-            let err = EngineConfig::from_lookup(lookup(&[
-                ("SETSIG_POOL_PAGES", "256"),
-                ("SETSIG_PINNED_PAGES", bad),
-            ]))
-            .unwrap_err();
-            assert!(err.contains("SETSIG_PINNED_PAGES"), "{err}");
-        }
-    }
-
-    #[test]
-    fn engine_env_pinned_tier_requires_a_pool() {
-        let err = EngineConfig::from_lookup(lookup(&[("SETSIG_PINNED_PAGES", "8")])).unwrap_err();
-        assert!(
-            err.contains("SETSIG_PINNED_PAGES") && err.contains("SETSIG_POOL_PAGES"),
-            "error must name both knobs: {err}"
-        );
-    }
-
     fn small_cfg() -> WorkloadConfig {
         WorkloadConfig {
             n_objects: 500,
@@ -491,7 +430,6 @@ mod tests {
             2,
             EngineConfig {
                 pool_pages: Some(64),
-                ..EngineConfig::serial()
             },
         );
         let plain = sim.build_ssf_with(128, 2, EngineConfig::serial());
@@ -508,41 +446,6 @@ mod tests {
         assert_eq!(mp.filter_pages, mc.filter_pages);
         assert!(cached.cache_stats().is_some());
         assert!(plain.cache_stats().is_none());
-    }
-
-    #[test]
-    fn pinned_tier_engine_answers_identically_and_reports_pinned_hits() {
-        let sim = SimDb::build(small_cfg());
-        let serial = sim.build_bssf_with(128, 2, EngineConfig::serial());
-        let tiered = sim.build_bssf_with(
-            128,
-            2,
-            EngineConfig {
-                pool_pages: Some(64),
-                pinned_pages: Some(16),
-            },
-        );
-        let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
-        // Repeat the query: pass 1 misses, pass 2 promotes the slice pages
-        // into the pinned tier, pass 3 must hit it.
-        for pass in 0..3 {
-            assert_eq!(
-                serial.candidates(&q).unwrap(),
-                tiered.candidates(&q).unwrap(),
-                "pass {pass}"
-            );
-            // Page charges are cache-independent (drift gate).
-            let ms = sim.measure_facility(&serial, &q);
-            let mt = sim.measure_facility(&tiered, &q);
-            assert_eq!(ms.filter_pages, mt.filter_pages, "pass {pass}");
-            assert_eq!(ms.total_pages(), mt.total_pages(), "pass {pass}");
-        }
-        let stats = tiered.cache_stats().expect("tiered engine reports stats");
-        assert!(
-            stats.pinned_hits > 0,
-            "repeated scans must land in the pinned tier: {stats:?}"
-        );
-        assert!(stats.misses > 0, "first pass read from disk: {stats:?}");
     }
 
     #[test]

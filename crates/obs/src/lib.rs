@@ -85,11 +85,6 @@ impl Recorder {
         if let Some(m) = ev.cache_misses {
             self.registry.counter(&format!("{f}.cache_misses")).add(m);
         }
-        if let Some(p) = ev.cache_pinned_hits {
-            self.registry
-                .counter(&format!("{f}.cache_pinned_hits"))
-                .add(p);
-        }
         if ev.early_exit {
             self.registry.counter(&format!("{f}.early_exits")).inc();
         }
@@ -130,7 +125,6 @@ mod tests {
             false_drops: Some(1),
             cache_hits: Some(2),
             cache_misses: Some(3),
-            cache_pinned_hits: Some(5),
             latency_ns: latency,
         }
     }
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(snap.get_counter("bssf.candidates"), Some(6));
         assert_eq!(snap.get_counter("bssf.false_drops"), Some(2));
         assert_eq!(snap.get_counter("bssf.cache_hits"), Some(4));
-        assert_eq!(snap.get_counter("bssf.cache_pinned_hits"), Some(10));
         let h = snap.get_histogram("bssf.latency_ns").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 4000);

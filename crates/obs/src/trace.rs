@@ -38,13 +38,10 @@ pub struct QueryTrace {
     /// False drops eliminated by verification; `None` until a resolution
     /// stage has run (the facility alone cannot know).
     pub false_drops: Option<u64>,
-    /// Buffer-pool (LRU) hits during this query, when a pool is attached.
+    /// Buffer-pool hits during this query, when a pool is attached.
     pub cache_hits: Option<u64>,
     /// Buffer-pool misses during this query, when a pool is attached.
     pub cache_misses: Option<u64>,
-    /// Pinned-tier hits during this query, when a pool with a pinned tier
-    /// is attached.
-    pub cache_pinned_hits: Option<u64>,
     /// Wall-clock latency of the call in nanoseconds.
     pub latency_ns: u64,
 }
@@ -91,7 +88,6 @@ impl QueryTrace {
         push_opt_u64(&mut out, "false_drops", self.false_drops);
         push_opt_u64(&mut out, "cache_hits", self.cache_hits);
         push_opt_u64(&mut out, "cache_misses", self.cache_misses);
-        push_opt_u64(&mut out, "cache_pinned_hits", self.cache_pinned_hits);
         out.push_str(&format!(",\"latency_ns\":{}}}", self.latency_ns));
         out
     }
@@ -223,7 +219,6 @@ mod tests {
             false_drops: None,
             cache_hits: None,
             cache_misses: None,
-            cache_pinned_hits: None,
             latency_ns: 5150,
         }
     }
@@ -238,7 +233,7 @@ mod tests {
              \"early_exit\":true,\"pages\":41,\
              \"candidates\":7,\"exact\":false,\"false_drops\":null,\
              \"cache_hits\":null,\"cache_misses\":null,\
-             \"cache_pinned_hits\":null,\"latency_ns\":5150}"
+             \"latency_ns\":5150}"
         );
     }
 

@@ -1,4 +1,4 @@
-//! An LRU buffer pool layered over a [`Disk`].
+//! A fixed-size buffer pool with random replacement, layered over a [`Disk`].
 //!
 //! The paper's cost model assumes **no buffering** — every page touched is a
 //! page access. The buffer pool exists for the ablation experiments and for
@@ -17,14 +17,14 @@ use crate::error::Result;
 use crate::page::Page;
 use crate::stats::IoSnapshot;
 
-/// Hit/miss counters for a [`BufferPool`], split by tier: a read is served
-/// by the pinned tier, the LRU pool, or the disk — exactly one of
-/// `pinned_hits`, `hits`, `misses` counts it.
+/// Hit/miss counters for a [`BufferPool`]: a read is served by the pool or
+/// by the disk — exactly one of `hits`, `misses` counts it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Read requests satisfied from the pinned in-RAM tier.
+    /// Always 0: the pinned tier is gone, and the field outlives it only
+    /// because `benchmark/src/layers.rs` builds this struct by literal.
     pub pinned_hits: u64,
-    /// Read requests satisfied from the LRU pool.
+    /// Read requests satisfied from the pool.
     pub hits: u64,
     /// Read requests that had to go to disk.
     pub misses: u64,
@@ -33,15 +33,13 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of reads served from memory (pinned tier or pool), or 0
-    /// when idle.
+    /// Fraction of reads served from the pool, or 0 when idle.
     pub fn hit_rate(&self) -> f64 {
-        let served = self.pinned_hits + self.hits;
-        let total = served + self.misses;
+        let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
-            served as f64 / total as f64
+            self.hits as f64 / total as f64
         }
     }
 }
@@ -65,86 +63,79 @@ impl std::ops::AddAssign for CacheStats {
     }
 }
 
-/// Sentinel for "no neighbour" in the intrusive LRU list.
-const NIL: usize = usize::MAX;
+/// Initial state of every pool's victim generator (any nonzero value
+/// works; a constant makes eviction counts repeat run to run).
+const VICTIM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 struct Frame {
     key: (FileId, u32),
     page: Page,
-    /// Towards the MRU end.
-    prev: usize,
-    /// Towards the LRU end.
-    next: usize,
 }
 
 struct PoolInner {
+    capacity: usize,
     frames: Vec<Frame>,
     map: HashMap<(FileId, u32), usize>,
-    /// Most recently used frame, or [`NIL`] when empty.
-    head: usize,
-    /// Least recently used frame (the eviction victim), or [`NIL`].
-    tail: usize,
-    /// The pinned tier: pages admitted here are never evicted, served
-    /// before the LRU list, and refreshed write-through like any frame.
-    pinned: HashMap<(FileId, u32), Page>,
-    /// Access counts driving pinned admission; tracked only while the
-    /// pinned tier has room, cleared once it fills.
-    heat: HashMap<(FileId, u32), u32>,
+    /// xorshift64 state, stepped once per eviction.
+    victim: u64,
+    /// Bumped by every write-through install; a read miss that sees it
+    /// change across its disk read may hold a page older than the frame's
+    /// and does not install it.
+    write_epoch: u64,
     stats: CacheStats,
 }
 
 impl PoolInner {
-    fn unlink(&mut self, slot: usize) {
-        let (p, n) = (self.frames[slot].prev, self.frames[slot].next);
-        if p != NIL {
-            self.frames[p].next = n;
-        } else {
-            self.head = n;
+    /// Installs `page` under `key`, evicting a random frame when full.
+    fn install(&mut self, key: (FileId, u32), page: Page) {
+        if let Some(&slot) = self.map.get(&key) {
+            self.frames[slot].page = page;
+            return;
         }
-        if n != NIL {
-            self.frames[n].prev = p;
-        } else {
-            self.tail = p;
+        if self.frames.len() < self.capacity {
+            self.map.insert(key, self.frames.len());
+            self.frames.push(Frame { key, page });
+            return;
         }
-        self.frames[slot].prev = NIL;
-        self.frames[slot].next = NIL;
-    }
-
-    fn push_front(&mut self, slot: usize) {
-        self.frames[slot].prev = NIL;
-        self.frames[slot].next = self.head;
-        if self.head != NIL {
-            self.frames[self.head].prev = slot;
-        } else {
-            self.tail = slot;
-        }
-        self.head = slot;
-    }
-
-    fn touch(&mut self, slot: usize) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
+        self.victim ^= self.victim << 13;
+        self.victim ^= self.victim >> 7;
+        self.victim ^= self.victim << 17;
+        let slot = (self.victim % self.frames.len() as u64) as usize;
+        let old = std::mem::replace(&mut self.frames[slot], Frame { key, page });
+        self.map.remove(&old.key);
+        self.map.insert(key, slot);
+        self.stats.evictions += 1;
     }
 }
 
-/// A fixed-capacity page cache with true LRU replacement (an intrusive
-/// recency list, O(1) per access) and a write-through policy.
+/// A fixed-capacity page cache with random replacement and a write-through
+/// policy.
+///
+/// The victim of an eviction is frame `x % capacity` for the next `x` of a
+/// xorshift64 (shifts 13, 7, 17) seeded with `0x9E37_79B9_7F4A_7C15` in
+/// every pool, one draw per eviction. A hit is a map probe and
+/// a refcount bump and keeps no recency state. Unlike LRU, whose hit rate
+/// on a cyclic scan longer than the pool is zero (each page is evicted just
+/// before it comes round again — SSF's signature scan and BSSF's `T ⊆ Q`
+/// slice loop are such scans), a random victim keeps a share of any loop
+/// resident, and the fixed seed keeps every counter a function of the
+/// access sequence alone.
 ///
 /// Write-through keeps the underlying [`Disk`] contents authoritative at all
 /// times, so experiments can mix cached readers with uncached ones, and the
 /// disk's *write* counters stay exact; only read traffic is absorbed.
 ///
-/// Frames and pinned entries hold [`Page`] snapshots, not copies: a miss
-/// keeps the buffer the disk handed out, a hit hands it on, a write-through
-/// stores the caller's buffer in both. Only [`PageIo::update_page`] copies:
-/// its closure's first write to the snapshot the disk and the frame share.
+/// Frames hold [`Page`] snapshots, not copies: a miss keeps the buffer the
+/// disk handed out, a hit hands it on, a write-through stores the caller's
+/// buffer in both. Only [`PageIo::update_page`] copies: its closure's first
+/// write to the snapshot the disk and the frame share.
+///
+/// Readers may race a writer of the same page: a read miss never installs
+/// a page older than the one a concurrent write installed. Two *writers* of
+/// one page still need the caller's exclusion (the disk and the frame could
+/// otherwise keep different winners); every facility already provides it.
 pub struct BufferPool {
     disk: Arc<Disk>,
-    capacity: usize,
-    /// Maximum pages in the pinned tier; `0` disables it entirely.
-    pinned_capacity: usize,
     // The pool lock is NEVER held across a `self.disk` call (enforced by
     // the guard-across-io lint): `read_page` drops its guard before a
     // miss goes to disk; `write_page`/`append_page` take it only after
@@ -156,46 +147,20 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `capacity` frames (must be nonzero) over `disk`,
-    /// with no pinned tier.
+    /// Creates a pool of `capacity` frames (must be nonzero) over `disk`.
     pub fn new(disk: Arc<Disk>, capacity: usize) -> Self {
-        Self::with_pinned(disk, capacity, 0)
-    }
-
-    /// Creates a pool of `capacity` LRU frames plus a pinned tier of up to
-    /// `pinned_capacity` pages above it.
-    ///
-    /// Admission is by heat: a page's second read while the tier has room
-    /// pins it permanently (a single read is not evidence of reuse, and the
-    /// hottest pages — BSSF slice pages re-read by every query — reach two
-    /// first). Pinned pages are served before the LRU list, never evicted,
-    /// and kept coherent by the same write-through as the frames.
-    pub fn with_pinned(disk: Arc<Disk>, capacity: usize, pinned_capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             disk,
-            capacity,
-            pinned_capacity,
             inner: Mutex::new(PoolInner {
+                capacity,
                 frames: Vec::with_capacity(capacity),
                 map: HashMap::new(),
-                head: NIL,
-                tail: NIL,
-                pinned: HashMap::new(),
-                heat: HashMap::new(),
+                victim: VICTIM_SEED,
+                write_epoch: 0,
                 stats: CacheStats::default(),
             }),
         }
-    }
-
-    /// Maximum pages the pinned tier may hold (`0` = tier disabled).
-    pub fn pinned_capacity(&self) -> usize {
-        self.pinned_capacity
-    }
-
-    /// Pages currently held by the pinned tier.
-    pub fn pinned_len(&self) -> usize {
-        self.inner.lock().pinned.len()
     }
 
     /// Hit/miss counters.
@@ -208,100 +173,47 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Drops all cached frames and pinned pages (counters are kept).
+    /// Drops all cached frames (counters are kept).
     pub fn clear(&self) {
         let mut g = self.inner.lock();
         g.frames.clear();
         g.map.clear();
-        g.head = NIL;
-        g.tail = NIL;
-        g.pinned.clear();
-        g.heat.clear();
     }
 
-    /// Counts a read of `key` towards pinned admission, pinning `page` on
-    /// its second access while the tier has room. Heat stops accumulating
-    /// once the tier fills, so the map's size is bounded by the reads made
-    /// while it still had room.
-    fn note_heat(&self, g: &mut PoolInner, key: (FileId, u32), page: &Page) {
-        if self.pinned_capacity == 0 || g.pinned.len() >= self.pinned_capacity {
-            return;
-        }
-        let heat = g.heat.entry(key).or_insert(0);
-        *heat += 1;
-        if *heat >= 2 {
-            g.heat.remove(&key);
-            g.pinned.insert(key, page.clone());
-        }
-    }
-
-    fn install(&self, g: &mut PoolInner, key: (FileId, u32), page: Page) {
-        if let Some(pinned) = g.pinned.get_mut(&key) {
-            // Keep the pinned copy coherent; a pinned page takes no LRU
-            // frame — the tier alone serves it.
-            *pinned = page;
-            return;
-        }
-        if let Some(&slot) = g.map.get(&key) {
-            g.frames[slot].page = page;
-            g.touch(slot);
-            return;
-        }
-        if g.frames.len() < self.capacity {
-            let slot = g.frames.len();
-            g.frames.push(Frame {
-                key,
-                page,
-                prev: NIL,
-                next: NIL,
-            });
-            g.map.insert(key, slot);
-            g.push_front(slot);
-            return;
-        }
-        // Evict the least recently used frame and reuse its slot.
-        let slot = g.tail;
-        g.unlink(slot);
-        let old = g.frames[slot].key;
-        g.map.remove(&old);
-        g.frames[slot].key = key;
-        g.frames[slot].page = page;
-        g.map.insert(key, slot);
-        g.push_front(slot);
-        g.stats.evictions += 1;
+    /// The pool half of a write-through, after the disk write returned.
+    fn install_written(&self, key: (FileId, u32), page: &Page) {
+        let mut g = self.inner.lock();
+        g.write_epoch += 1;
+        g.install(key, page.clone());
     }
 }
 
 impl PageIo for BufferPool {
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         let key = (id, n);
-        {
+        let epoch = {
             let mut g = self.inner.lock();
-            if let Some(page) = g.pinned.get(&key) {
-                let page = page.clone();
-                g.stats.pinned_hits += 1;
-                return Ok(page);
-            }
             if let Some(&slot) = g.map.get(&key) {
-                g.touch(slot);
                 g.stats.hits += 1;
-                let page = g.frames[slot].page.clone();
-                self.note_heat(&mut g, key, &page);
-                return Ok(page);
+                return Ok(g.frames[slot].page.clone());
             }
             g.stats.misses += 1;
-        }
+            g.write_epoch
+        };
         let page = self.disk.read_page(id, n)?;
         let mut g = self.inner.lock();
-        self.note_heat(&mut g, key, &page);
-        self.install(&mut g, key, page.clone());
+        // A write that landed since the miss may have installed newer
+        // bytes than this read saw: the caller gets its page, the pool
+        // keeps what it has.
+        if g.write_epoch == epoch {
+            g.install(key, page.clone());
+        }
         Ok(page)
     }
 
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
         self.disk.write_page(id, n, page)?;
-        let mut g = self.inner.lock();
-        self.install(&mut g, (id, n), page.clone());
+        self.install_written((id, n), page);
         Ok(())
     }
 
@@ -316,8 +228,7 @@ impl PageIo for BufferPool {
 
     fn append_page(&self, id: FileId, page: &Page) -> Result<u32> {
         let n = self.disk.append_page(id, page)?;
-        let mut g = self.inner.lock();
-        self.install(&mut g, (id, n), page.clone());
+        self.install_written((id, n), page);
         Ok(n)
     }
 
@@ -355,33 +266,32 @@ mod tests {
     #[test]
     fn cache_stats_sum_componentwise() {
         let a = CacheStats {
-            pinned_hits: 1,
             hits: 2,
             misses: 3,
             evictions: 1,
+            ..CacheStats::default()
         };
         let b = CacheStats {
-            pinned_hits: 6,
             hits: 5,
             misses: 0,
             evictions: 4,
+            ..CacheStats::default()
         };
         let s = a + b;
         assert_eq!(
             s,
             CacheStats {
-                pinned_hits: 7,
                 hits: 7,
                 misses: 3,
-                evictions: 5
+                evictions: 5,
+                ..CacheStats::default()
             }
         );
         let mut acc = CacheStats::default();
         acc += a;
         acc += b;
         assert_eq!(acc, s);
-        // Pinned hits are memory hits: 14 served / 17 total.
-        assert!((s.hit_rate() - 14.0 / 17.0).abs() < 1e-9);
+        assert!((s.hit_rate() - 0.7).abs() < 1e-9);
     }
 
     #[test]
@@ -457,24 +367,56 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        // A recency-respecting victim choice: after re-touching page 0, the
-        // coldest page (1) is the one a new page displaces.
-        let (disk, pool) = pool(3);
+    fn a_cyclic_scan_longer_than_the_pool_still_hits() {
+        // The loop LRU cannot serve: 1.4 x capacity pages read round and
+        // round evict each page just before it is wanted again, hit rate 0.
+        // A random victim leaves a share of the loop resident.
+        let (disk, pool) = pool(50);
         let f = disk.create_file("t");
-        disk.extend_to(f, 5).unwrap();
-        for n in 0..3 {
-            let _ = pool.read_page(f, n).unwrap();
+        disk.extend_to(f, 70).unwrap();
+        for n in 0..70 {
+            let _ = pool.read_page(f, n).unwrap(); // warm-up lap
         }
-        let _ = pool.read_page(f, 0).unwrap(); // 0 becomes MRU
-        let _ = pool.read_page(f, 3).unwrap(); // must evict 1, not 0
+        let warm = pool.stats();
         disk.reset_stats();
-        for n in [0, 2, 3] {
-            let _ = pool.read_page(f, n).unwrap();
+        for _ in 0..20 {
+            for n in 0..70 {
+                let _ = pool.read_page(f, n).unwrap();
+            }
         }
-        assert_eq!(disk.snapshot().reads, 0, "0/2/3 are resident");
-        let _ = pool.read_page(f, 1).unwrap();
-        assert_eq!(disk.snapshot().reads, 1, "1 was the LRU victim");
+        let s = pool.stats();
+        let (hits, misses) = (s.hits - warm.hits, s.misses - warm.misses);
+        assert_eq!(hits + misses, 20 * 70);
+        assert_eq!(disk.snapshot().reads, misses);
+        let rate = hits as f64 / (hits + misses) as f64;
+        assert!(rate >= 0.4, "hit rate {rate} on a 1.4 x capacity loop");
+    }
+
+    #[test]
+    fn victims_are_a_function_of_the_access_sequence() {
+        // Two fresh pools fed the same reads, writes and appends agree on
+        // every counter: the victim generator's seed is a constant.
+        let run = || {
+            let (disk, pool) = pool(8);
+            let f = disk.create_file("t");
+            disk.extend_to(f, 24).unwrap();
+            disk.reset_stats();
+            let mut x = 12345u32;
+            for i in 0..2000u32 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let n = (x >> 16) % 24;
+                match i % 7 {
+                    0 => pool.write_page(f, n, &Page::zeroed()).unwrap(),
+                    3 => drop(pool.append_page(f, &Page::zeroed()).unwrap()),
+                    _ => drop(pool.read_page(f, n).unwrap()),
+                }
+            }
+            (pool.stats(), disk.snapshot())
+        };
+        let (stats, io) = run();
+        assert!(stats.evictions > 0 && stats.hits > 0);
+        assert_eq!(io.reads, stats.misses);
+        assert_eq!(run(), (stats, io));
     }
 
     #[test]
@@ -493,108 +435,5 @@ mod tests {
     fn zero_capacity_rejected() {
         let disk = Arc::new(Disk::new());
         let _ = BufferPool::new(disk, 0);
-    }
-
-    fn pinned_pool(cap: usize, pinned: usize) -> (Arc<Disk>, BufferPool) {
-        let disk = Arc::new(Disk::new());
-        let pool = BufferPool::with_pinned(Arc::clone(&disk), cap, pinned);
-        (disk, pool)
-    }
-
-    #[test]
-    fn second_access_pins_and_pinned_pages_never_evict() {
-        let (disk, pool) = pinned_pool(2, 1);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 4).unwrap();
-        // Two reads of page 0: miss (heat 1), LRU hit (heat 2 → pinned).
-        let _ = pool.read_page(f, 0).unwrap();
-        let _ = pool.read_page(f, 0).unwrap();
-        assert_eq!(pool.pinned_len(), 1);
-        // Thrash the tiny LRU far past page 0's recency.
-        for _ in 0..3 {
-            for n in 1..4 {
-                let _ = pool.read_page(f, n).unwrap();
-            }
-        }
-        disk.reset_stats();
-        let _ = pool.read_page(f, 0).unwrap();
-        assert_eq!(disk.snapshot().reads, 0, "pinned page survived the thrash");
-        let s = pool.stats();
-        assert_eq!(s.pinned_hits, 1);
-    }
-
-    #[test]
-    fn pinned_tier_respects_capacity() {
-        let (disk, pool) = pinned_pool(2, 2);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 5).unwrap();
-        // Heat up pages 0..4 twice each; only the first two to reach heat 2
-        // fit the tier.
-        for n in 0..5 {
-            let _ = pool.read_page(f, n).unwrap();
-            let _ = pool.read_page(f, n).unwrap();
-        }
-        assert_eq!(pool.pinned_len(), 2);
-        assert_eq!(pool.pinned_capacity(), 2);
-    }
-
-    #[test]
-    fn stats_split_pinned_pool_disk() {
-        let (disk, pool) = pinned_pool(4, 1);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 2).unwrap();
-        let _ = pool.read_page(f, 0).unwrap(); // miss
-        let _ = pool.read_page(f, 0).unwrap(); // pool hit, pins
-        let _ = pool.read_page(f, 0).unwrap(); // pinned hit
-        let _ = pool.read_page(f, 1).unwrap(); // miss
-        let s = pool.stats();
-        assert_eq!((s.pinned_hits, s.hits, s.misses), (1, 1, 2));
-    }
-
-    #[test]
-    fn writes_keep_pinned_copy_coherent() {
-        let (disk, pool) = pinned_pool(2, 1);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 1).unwrap();
-        let _ = pool.read_page(f, 0).unwrap();
-        let _ = pool.read_page(f, 0).unwrap();
-        assert_eq!(pool.pinned_len(), 1);
-        let mut p = Page::zeroed();
-        p.write_u8(0, 42);
-        pool.write_page(f, 0, &p).unwrap();
-        // The pinned tier serves the written contents, not a stale copy.
-        assert_eq!(pool.read_page(f, 0).unwrap().read_u8(0), 42);
-        pool.update_page(f, 0, &mut |page| page.write_u8(0, 43))
-            .unwrap();
-        assert_eq!(pool.read_page(f, 0).unwrap().read_u8(0), 43);
-        // All of those post-pin reads came from RAM.
-        assert_eq!(disk.snapshot().reads, 1);
-    }
-
-    #[test]
-    fn clear_drops_pinned_pages() {
-        let (disk, pool) = pinned_pool(2, 1);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 1).unwrap();
-        let _ = pool.read_page(f, 0).unwrap();
-        let _ = pool.read_page(f, 0).unwrap();
-        assert_eq!(pool.pinned_len(), 1);
-        pool.clear();
-        assert_eq!(pool.pinned_len(), 0);
-        disk.reset_stats();
-        let _ = pool.read_page(f, 0).unwrap();
-        assert_eq!(disk.snapshot().reads, 1);
-    }
-
-    #[test]
-    fn plain_pool_never_pins() {
-        let (disk, pool) = pool(2);
-        let f = disk.create_file("t");
-        disk.extend_to(f, 1).unwrap();
-        for _ in 0..5 {
-            let _ = pool.read_page(f, 0).unwrap();
-        }
-        assert_eq!(pool.pinned_len(), 0);
-        assert_eq!(pool.stats().pinned_hits, 0);
     }
 }

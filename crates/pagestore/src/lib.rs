@@ -13,9 +13,9 @@
 //!   per-file read/write counters and sequential-vs-random access
 //!   classification,
 //! * [`PagedFile`] — a cheap handle binding a [`FileId`] to its [`Disk`],
-//! * [`BufferPool`] — an optional LRU page cache used by the ablation
-//!   experiments and the cached query engines (the paper assumes no
-//!   buffering),
+//! * [`BufferPool`] — an optional random-replacement page cache used by
+//!   the ablation experiments and the cached query engines (the paper
+//!   assumes no buffering),
 //! * [`IoSnapshot`] / [`IoDelta`] — counter snapshots for measuring the cost
 //!   of a single operation,
 //! * binary serialization of a whole disk image ([`Disk::save_to`] /

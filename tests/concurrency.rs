@@ -214,6 +214,43 @@ fn concurrent_io_accounting_is_exact() {
     assert_eq!(disk.snapshot().reads, threads * reads_each);
 }
 
+/// A read miss drops the pool lock for its disk read; a write of the same
+/// page that lands meanwhile must not be overwritten in the frame by the
+/// older bytes the miss brings back. One thread writes a counter into the
+/// four pages of a 2-frame pool and reads each write back through the
+/// pool; one thread reads the same pages, missing most of the time.
+#[test]
+fn a_read_miss_never_installs_a_page_older_than_a_concurrent_write() {
+    use setsig::pagestore::Page;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let pool = BufferPool::new(Arc::new(Disk::new()), 2);
+    let f = pool.create_file("t");
+    pool.extend_to(f, 4).unwrap();
+    // Without the epoch check: 19-41 stale read-backs per run (2 vCPUs).
+    let writes: u64 = if cfg!(miri) { 2_000 } else { 300_000 };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut n = 0u32;
+            while !done.load(Ordering::Relaxed) {
+                let _ = pool.read_page(f, n % 4).unwrap();
+                n = n.wrapping_add(1);
+            }
+        });
+        let mut stale = 0u64;
+        for i in 1..=writes {
+            let n = (i % 4) as u32;
+            let mut page = Page::zeroed();
+            page.write_u64(0, i);
+            pool.write_page(f, n, &page).unwrap();
+            stale += u64::from(pool.read_page(f, n).unwrap().read_u64(0) != i);
+        }
+        done.store(true, Ordering::Relaxed);
+        assert_eq!(stale, 0, "stale read-backs in {writes} writes");
+    });
+}
+
 /// A trace op with its victims pre-resolved, so the sharded service and
 /// the serial oracle replay *the same* concrete operations.
 enum ResolvedOp {
