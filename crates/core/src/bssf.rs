@@ -39,11 +39,10 @@ use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
+use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::kernel;
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::signature::Signature;
@@ -68,9 +67,6 @@ pub struct Bssf {
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Bssf::sync_meta`].
     meta_file: Option<PagedFile>,
-    /// Observability recorder; `None` (the default) keeps the query path
-    /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
 }
 
 impl Bssf {
@@ -85,16 +81,7 @@ impl Bssf {
             slices,
             oid_file: OidFile::create(io, &format!("{name}.oid")),
             meta_file: None,
-            obs: None,
         })
-    }
-
-    /// Attaches (or with `None`, detaches) an observability recorder.
-    /// Attached, every `candidates*` call emits a
-    /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `bssf.*`
-    /// metrics; detached, the query path does no observability work at all.
-    pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
     }
 
     /// The signature design parameters.
@@ -167,7 +154,7 @@ impl Bssf {
     /// Reads row page `p` of slice `j`, charging one page — or `None`, for
     /// free, for a page no row ever set a bit on (never materialized: all
     /// zero).
-    fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanCounters) -> Result<Option<Page>> {
+    fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanStats) -> Result<Option<Page>> {
         let slice = &self.slices.files()[j as usize];
         if p >= slice.pages as usize {
             return Ok(None);
@@ -179,7 +166,7 @@ impl Bssf {
 
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
     /// count), a row page at a time, straight off the page snapshots.
-    fn or_slices(&self, slices: &[u32], ctr: &mut ScanCounters) -> Result<Bitmap> {
+    fn or_slices(&self, slices: &[u32], ctr: &mut ScanStats) -> Result<Bitmap> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
@@ -201,11 +188,7 @@ impl Bssf {
     /// the accumulator, and a row page stops once its range is empty — no
     /// later slice can revive a row. Never reads more pages than ANDing whole
     /// slices until the whole accumulator empties.
-    fn superset_positions(
-        &self,
-        query_sig: &Signature,
-        ctr: &mut ScanCounters,
-    ) -> Result<Vec<u64>> {
+    fn superset_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
         if ones.is_empty() {
@@ -248,7 +231,7 @@ impl Bssf {
         &self,
         query_sig: &Signature,
         slice_cap: Option<usize>,
-        ctr: &mut ScanCounters,
+        ctr: &mut ScanStats,
     ) -> Result<Vec<u64>> {
         let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
         let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
@@ -263,7 +246,7 @@ impl Bssf {
 
     /// Set-equality scan: rows where every 1-slice is set and every 0-slice
     /// is clear. Reads all `F` slices.
-    fn equals_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn equals_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         // Both scans list their rows in ascending order.
         let sup = self.superset_positions(query_sig, ctr)?;
         let sub = self.subset_positions(query_sig, None, ctr)?;
@@ -272,7 +255,7 @@ impl Bssf {
 
     /// Overlap scan: rows sharing at least `m` set bits with the query
     /// signature. Reads the `m_q` 1-slices and counts per row.
-    fn overlap_positions(&self, query_sig: &Signature, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn overlap_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         let n = self.oid_file.len() as usize;
         let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
         ctr.slices += ones.len() as u64;
@@ -310,7 +293,7 @@ impl Bssf {
     /// signature's 0-slices are read (Appendix C's `D_q^opt` gives the cap
     /// minimizing total cost; `setsig-costmodel` computes it). Drop
     /// resolution still verifies the full predicate.
-    fn positions_for(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn positions_for(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
                 let d_q = query.elements.len();
@@ -346,14 +329,10 @@ impl SetAccessFacility for Bssf {
     }
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let stage = FilterStage {
-            facility: "bssf",
-            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-            track_slices: true,
-            recorder: self.obs.as_ref(),
-            io: self.oid_file.file().io().as_ref(),
-        };
-        stage.run_positions(query, &self.oid_file, |ctr| self.positions_for(query, ctr))
+        let mut stats = ScanStats::default();
+        let positions = self.positions_for(query, &mut stats)?;
+        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
+        Ok((drops, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -366,6 +345,10 @@ impl SetAccessFacility for Bssf {
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
         self.oid_file.file().io().cache_stats()
+    }
+
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
+        Some((self.cfg.f_bits(), self.cfg.m_weight()))
     }
 }
 
@@ -924,7 +907,7 @@ mod tests {
             let expect: Vec<u64> = (0..n)
                 .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
                 .collect();
-            let mut ctr = ScanCounters::default();
+            let mut ctr = ScanStats::default();
             let got = b.positions_for(q, &mut ctr).unwrap();
             assert_eq!(got, expect, "{:?}", q.predicate);
             // Slice-major: the first `ctr.slices` selected slices, each
@@ -1051,7 +1034,6 @@ impl Bssf {
             slices,
             oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
             meta_file: Some(meta_file),
-            obs: None,
         })
     }
 }
@@ -1238,7 +1220,7 @@ impl Bssf {
         // staged at their new positions, already in writer order.
         let mut staged: Vec<RowBit> = Vec::new();
         for j in 0..self.cfg.f_bits() {
-            let rows = self.or_slices(&[j], &mut ScanCounters::default())?;
+            let rows = self.or_slices(&[j], &mut ScanStats::default())?;
             for (new_pos, &(old_pos, _)) in (0u64..).zip(&live) {
                 if rows.get(old_pos as u32) {
                     let (page_no, bit) = Self::row_page(new_pos);

@@ -7,52 +7,38 @@ use crate::query::SetQuery;
 use crate::sorted;
 use setsig_pagestore::CacheStats;
 
-/// Page-access accounting for the filtering stage of one signature-file
-/// scan, including the OID-file look-up that maps matching signature
-/// positions to candidate OIDs (the paper's `LC_OID`).
+/// What one filter-stage call did: its page-access accounting plus the two
+/// scan facts a trace line carries.
 ///
-/// The count is the pages the scan requested from its I/O handle — what the
-/// paper's serial protocol charges. It does not depend on whether a buffer
-/// pool under the handle served a read from memory or from disk.
+/// `pages` is what the scan requested from its I/O handle, including the
+/// OID-file look-up that maps matching signature positions to candidate
+/// OIDs (the paper's `LC_OID`) — what the paper's serial protocol charges,
+/// whether a buffer pool under the handle served a read from memory or from
+/// disk. Every `candidates*` call fills a fresh instance on its own stack
+/// and returns it, so concurrent queries on one facility each observe
+/// exactly their own counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Slice/signature/OID pages the scan read.
     pub pages: u64,
-}
-
-/// The per-call tallies behind [`ScanStats`], shared by every facility's
-/// scan.
-///
-/// [`FilterStage::run`](crate::FilterStage::run) creates a fresh instance on
-/// the stack of **each** `candidates*` call and passes it to the scan by
-/// `&mut`, so every query owns its counters outright and concurrent queries
-/// on one facility cannot see each other's. Besides the page count the
-/// counters carry two trace facts — slices (or frames) touched and whether
-/// the scan exited early — that become
-/// [`QueryTrace`](setsig_obs::QueryTrace) fields.
-#[derive(Debug, Default)]
-pub struct ScanCounters {
-    /// Pages read so far.
-    pub pages: u64,
-    /// Slices/frames touched (trace-only fact).
+    /// Bit slices (BSSF) or frames (FSSF) touched; SSF row scans and B-tree
+    /// probes have none.
     pub slices: u64,
     /// Whether the scan stopped before its slice/page budget.
     pub early_exit: bool,
 }
 
+/// Pools the parts of one query run over disjoint partitions: pages and
+/// slices add up, and the query exited early if any part did.
 impl std::ops::Add for ScanStats {
     type Output = ScanStats;
 
     fn add(self, rhs: ScanStats) -> ScanStats {
         ScanStats {
             pages: self.pages + rhs.pages,
+            slices: self.slices + rhs.slices,
+            early_exit: self.early_exit | rhs.early_exit,
         }
-    }
-}
-
-impl std::ops::AddAssign for ScanStats {
-    fn add_assign(&mut self, rhs: ScanStats) {
-        self.pages += rhs.pages;
     }
 }
 
@@ -133,11 +119,9 @@ pub trait SetAccessFacility {
     /// Runs the filtering stage for `query`, returning the drops together
     /// with that call's page accounting.
     ///
-    /// The [`ScanStats`] belong to this call alone — the counters live on
-    /// the query's own stack frame, so concurrent queries on one shared
-    /// facility each observe exactly their own counts. Every facility in
-    /// this workspace reports `Some`; `None` is for an implementor with no
-    /// page accounting at all.
+    /// The [`ScanStats`] belong to this call alone. Every facility in this
+    /// workspace reports `Some`; `None` is for an implementor with no page
+    /// accounting at all.
     ///
     /// A query carrying a smart cap ([`SetQuery::with_cap`]) bounds what the
     /// filter inspects where the facility has such a strategy; the drops are
@@ -160,6 +144,12 @@ pub trait SetAccessFacility {
     /// routed through one ([`BufferPool`](setsig_pagestore::BufferPool));
     /// `None` for uncached facilities.
     fn cache_stats(&self) -> Option<CacheStats> {
+        None
+    }
+
+    /// Signature geometry `(F, m)`, for the facilities that have one — what
+    /// a trace line reports as `f_bits` / `m_weight`.
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
         None
     }
 }
@@ -186,12 +176,24 @@ mod tests {
 
     #[test]
     fn scan_stats_sum() {
-        let a = ScanStats { pages: 3 };
-        let b = ScanStats { pages: 2 };
-        assert_eq!(a + b, ScanStats { pages: 5 });
-        let mut c = a;
-        c += b;
-        assert_eq!(c, a + b);
+        let a = ScanStats {
+            pages: 3,
+            slices: 2,
+            early_exit: false,
+        };
+        let b = ScanStats {
+            pages: 2,
+            slices: 1,
+            early_exit: true,
+        };
+        let sum = ScanStats {
+            pages: 5,
+            slices: 3,
+            early_exit: true,
+        };
+        assert_eq!(a + b, sum);
+        assert_eq!(b + a, sum);
+        assert!(!(a + a).early_exit);
         assert_eq!([a, b].into_iter().sum::<ScanStats>(), a + b);
         assert_eq!(
             std::iter::empty::<ScanStats>().sum::<ScanStats>(),

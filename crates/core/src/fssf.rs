@@ -31,11 +31,10 @@ use std::sync::Arc;
 use crate::bitmap::Bitmap;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
+use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::hash::{element_hash, ElementHasher};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::sorted;
@@ -128,9 +127,6 @@ pub struct Fssf {
     oid_file: OidFile,
     /// Catalog checkpoint file; created lazily by [`Fssf::sync_meta`].
     meta_file: Option<PagedFile>,
-    /// Observability recorder; `None` (the default) keeps the query path
-    /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
 }
 
 impl Fssf {
@@ -142,16 +138,7 @@ impl Fssf {
             frames,
             oid_file: OidFile::create(io, &format!("{name}.oid")),
             meta_file: None,
-            obs: None,
         })
-    }
-
-    /// Attaches (or with `None`, detaches) an observability recorder.
-    /// Attached, every `candidates*` call emits a
-    /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `fssf.*`
-    /// metrics; detached, the query path does no observability work at all.
-    pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
     }
 
     /// The design parameters.
@@ -197,7 +184,7 @@ impl Fssf {
     fn scan_frame(
         &self,
         j: u32,
-        ctr: &mut ScanCounters,
+        ctr: &mut ScanStats,
         mut visit: impl FnMut(u64, &Bitmap),
     ) -> Result<()> {
         let n = self.oid_file.len();
@@ -236,7 +223,7 @@ impl Fssf {
 
     /// `T ⊇ Q`: read each distinct query frame once; a row survives iff in
     /// every such frame it covers the query's frame signature.
-    fn superset_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn superset_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let by_frame = self.frame_signatures(&query.elements);
         if by_frame.is_empty() {
@@ -264,7 +251,7 @@ impl Fssf {
 
     /// `T ⊆ Q`: every frame must be read; a row survives iff each frame's
     /// row bits are covered by the query's bits in that frame.
-    fn subset_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn subset_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let by_frame = self.frame_signatures(&query.elements);
         let s = self.cfg.frame_bits();
@@ -290,7 +277,7 @@ impl Fssf {
     }
 
     /// Equality: covers in both directions in every frame.
-    fn equals_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn equals_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         // Both scans list their rows in ascending order.
         let sup = self.superset_positions(query, ctr)?;
         let sub = self.subset_positions(query, ctr)?;
@@ -298,7 +285,7 @@ impl Fssf {
     }
 
     /// Overlap: some query element's frame signature is covered by the row.
-    fn overlap_positions(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<Vec<u64>> {
+    fn overlap_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
         // Per element (not per frame): overlap needs one *element* fully
@@ -357,19 +344,16 @@ impl SetAccessFacility for Fssf {
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         // No smart strategy: a capped query runs the plain frame scan.
-        let stage = FilterStage {
-            facility: "fssf",
-            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-            track_slices: true,
-            recorder: self.obs.as_ref(),
-            io: self.oid_file.file().io().as_ref(),
-        };
-        stage.run_positions(query, &self.oid_file, |ctr| match query.predicate {
+        let mut stats = ScanStats::default();
+        let ctr = &mut stats;
+        let positions = match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => self.superset_positions(query, ctr),
             SetPredicate::InSubset => self.subset_positions(query, ctr),
             SetPredicate::Equals => self.equals_positions(query, ctr),
             SetPredicate::Overlaps => self.overlap_positions(query, ctr),
-        })
+        }?;
+        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
+        Ok((drops, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -382,6 +366,10 @@ impl SetAccessFacility for Fssf {
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
         self.oid_file.file().io().cache_stats()
+    }
+
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
+        Some((self.cfg.f_bits(), self.cfg.m_weight()))
     }
 }
 
@@ -520,12 +508,9 @@ mod tests {
         for i in 0..100u64 {
             f.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
-        let ring = Arc::new(setsig_obs::RingSink::new(4));
-        let rec = setsig_obs::Recorder::new()
-            .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>);
-        f.set_recorder(Some(Arc::new(rec)));
         let q = SetQuery::has_subset(vec![ElementKey::from(42u64)]);
         disk.reset_stats();
+        let before = pool.stats();
         let (_, stats) = f.candidates_with_stats(&q).unwrap();
         assert_eq!(disk.snapshot().reads, 0, "write-through left it resident");
         let cache = f.cache_stats().expect("pooled facility reports pool stats");
@@ -534,10 +519,9 @@ mod tests {
             pool.stats(),
             "the caller's pool is the one reporting"
         );
-        // The trace carries the counters the driver asked the handle for.
-        let ev = &ring.snapshot()[0];
-        assert_eq!(ev.cache_hits, stats.map(|s| s.pages));
-        assert_eq!(ev.cache_misses, Some(0));
+        // Every page the scan charged was a pool hit.
+        assert_eq!(Some(cache.hits - before.hits), stats.map(|s| s.pages));
+        assert_eq!(cache.misses, before.misses);
         assert!(fssf(500, 50, 3).1.cache_stats().is_none());
     }
 
@@ -724,7 +708,6 @@ impl Fssf {
             frames,
             oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
             meta_file: Some(meta_file),
-            obs: None,
         })
     }
 }

@@ -34,9 +34,8 @@
 //!   query asks for by carrying a cap ([`SetQuery::with_cap`]),
 //! * [`OidFile`] — the positional OID file shared by both organizations,
 //! * [`SetAccessFacility`] — the common interface also implemented by the
-//!   nested index in `setsig-nix`, and [`FilterStage`] — the one driver
-//!   (observability, per-call [`ScanCounters`], stats, trace) every
-//!   implementation's `candidates_with_stats` runs its scan through,
+//!   nested index in `setsig-nix`; a filter call returns its drops with
+//!   the [`ScanStats`] of that call,
 //! * [`resolve_drops`] — false-drop resolution against any
 //!   [`TargetSetSource`] (e.g. the object store in `setsig-oodb`).
 //!
@@ -76,7 +75,6 @@ pub mod kernel;
 mod meta;
 mod oid;
 mod oidfile;
-mod qtrace;
 mod query;
 mod rowfile;
 mod signature;
@@ -89,12 +87,11 @@ pub use config::SignatureConfig;
 pub use drops::{resolve_drops, verify_predicate, DropReport, ElementSet, TargetSetSource};
 pub use element::ElementKey;
 pub use error::{Error, Result};
-pub use facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
+pub use facility::{CandidateSet, ScanStats, SetAccessFacility};
 pub use fssf::{Fssf, FssfConfig};
 pub use hash::{element_hash, ElementHasher};
 pub use oid::{Oid, OidAllocator};
 pub use oidfile::{OidFile, OIDS_PER_PAGE, OID_ENTRY_BYTES};
-pub use qtrace::FilterStage;
 pub use query::{SetPredicate, SetQuery};
 pub use signature::Signature;
 pub use ssf::Ssf;

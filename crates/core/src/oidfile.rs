@@ -15,6 +15,7 @@ use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::facility::{CandidateSet, ScanStats};
 use crate::oid::Oid;
 
 /// Bytes per OID entry (the paper's `oid = 8`).
@@ -117,6 +118,22 @@ impl OidFile {
             }
         }
         pages
+    }
+
+    /// The last step of a signature file's filter stage: maps the matching
+    /// `positions` (sorted) to their drops and charges the look-up — the
+    /// paper's `LC_OID` — to `stats`.
+    pub(crate) fn drops_at(
+        &self,
+        positions: &[u64],
+        stats: &mut ScanStats,
+    ) -> Result<CandidateSet> {
+        stats.pages += Self::pages_touched(positions);
+        let resolved = self.lookup_positions(positions)?;
+        Ok(CandidateSet::new(
+            resolved.into_iter().map(|(_, oid)| oid).collect(),
+            false,
+        ))
     }
 
     /// Resolves a **sorted** list of positions to live OIDs, skipping

@@ -17,11 +17,10 @@ use std::sync::Arc;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanCounters, ScanStats, SetAccessFacility};
+use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::kernel;
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
-use crate::qtrace::FilterStage;
 use crate::query::{SetPredicate, SetQuery};
 use crate::signature::Signature;
 
@@ -34,9 +33,6 @@ pub struct Ssf {
     per_page: u64,
     /// Catalog checkpoint file; created lazily by [`Ssf::sync_meta`].
     meta_file: Option<PagedFile>,
-    /// Optional observability recorder; `None` (the default) disables all
-    /// tracing/metrics work on the query path.
-    obs: Option<Arc<setsig_obs::Recorder>>,
 }
 
 impl Ssf {
@@ -58,16 +54,7 @@ impl Ssf {
             sig_bytes,
             per_page,
             meta_file: None,
-            obs: None,
         })
-    }
-
-    /// Attaches (or with `None` detaches) an observability recorder. With
-    /// a recorder attached, every `candidates*` call emits a
-    /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the recorder's
-    /// metrics; without one, the query path does no observability work.
-    pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
     }
 
     /// The signature design parameters.
@@ -155,15 +142,15 @@ impl Ssf {
     /// matched **in place** with the word-at-a-time byte kernels of
     /// [`Bitmap`](crate::Bitmap) — no per-row signature is materialized.
     pub fn scan_matching_positions(&self, query: &SetQuery) -> Result<Vec<u64>> {
-        self.scan_matching_positions_counted(query, &mut ScanCounters::default())
+        self.scan_matching_positions_counted(query, &mut ScanStats::default())
     }
 
     /// [`Ssf::scan_matching_positions`] charging its page accounting to
-    /// `ctr` — the query-owned counters of the calling `candidates*` frame.
+    /// `ctr` — the stats of the calling `candidates*` frame.
     fn scan_matching_positions_counted(
         &self,
         query: &SetQuery,
-        ctr: &mut ScanCounters,
+        ctr: &mut ScanStats,
     ) -> Result<Vec<u64>> {
         let query_sig = query.signature(&self.cfg);
         let total = self.oid_file.len();
@@ -292,16 +279,10 @@ impl SetAccessFacility for Ssf {
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         // No smart strategy: a capped query runs the plain full scan.
-        let stage = FilterStage {
-            facility: "ssf",
-            geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
-            track_slices: false,
-            recorder: self.obs.as_ref(),
-            io: self.sig_file.io().as_ref(),
-        };
-        stage.run_positions(query, &self.oid_file, |ctr| {
-            self.scan_matching_positions_counted(query, ctr)
-        })
+        let mut stats = ScanStats::default();
+        let positions = self.scan_matching_positions_counted(query, &mut stats)?;
+        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
+        Ok((drops, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -314,6 +295,10 @@ impl SetAccessFacility for Ssf {
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
         self.sig_file.io().cache_stats()
+    }
+
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
+        Some((self.cfg.f_bits(), self.cfg.m_weight()))
     }
 }
 
@@ -609,37 +594,6 @@ mod engine_tests {
             );
         }
     }
-
-    #[test]
-    fn attached_recorder_traces_each_query() {
-        let (_d, mut s) = populated(128, 2, 50);
-        let ring = Arc::new(setsig_obs::RingSink::new(16));
-        let rec = Arc::new(
-            setsig_obs::Recorder::new()
-                .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>),
-        );
-        s.set_recorder(Some(Arc::clone(&rec)));
-        let q = SetQuery::has_subset(vec![ElementKey::from(0u64), ElementKey::from(1u64)]);
-        let (set, stats) = s.candidates_with_stats(&q).unwrap();
-        let stats = stats.unwrap();
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 1);
-        let ev = &events[0];
-        assert_eq!(ev.facility, "ssf");
-        assert_eq!(ev.predicate, "HasSubset");
-        assert_eq!(ev.d_q, 2);
-        assert_eq!(ev.f_bits, Some(128));
-        assert_eq!(ev.pages, Some(stats.pages));
-        assert_eq!(ev.candidates, set.len() as u64);
-        assert_eq!(ev.slices_touched, None, "SSF row scans touch no slices");
-        let snap = rec.registry().snapshot();
-        assert_eq!(snap.get_counter("ssf.queries"), Some(1));
-        // Detached again: no further events, identical answers.
-        s.set_recorder(None);
-        let again = s.candidates(&q).unwrap();
-        assert_eq!(again, set);
-        assert_eq!(ring.len(), 1);
-    }
 }
 
 impl Ssf {
@@ -684,7 +638,6 @@ impl Ssf {
             sig_bytes,
             per_page,
             meta_file: Some(meta_file),
-            obs: None,
         })
     }
 }

@@ -38,6 +38,7 @@
 //! variance of zero means equality.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use setsig_core::{
     Bitmap, Bssf, CandidateSet, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility,
@@ -53,7 +54,7 @@ use setsig_service::{QueryService, ServiceConfig};
 
 use crate::exhibits::Options;
 use crate::report::Exhibit;
-use crate::sim::{EngineConfig, SimDb};
+use crate::sim::{EngineConfig, MeasuredQuery, SimDb};
 
 /// The `z` of every banded comparison: how many standard deviations the
 /// average of a checkpoint's trials may sit from the closed form. By
@@ -547,8 +548,8 @@ fn nix_filter(postings: &BTreeMap<ElementKey, Vec<u64>>, rc: u64, q: &SetQuery) 
 /// A facility entry point under test: how to run its filter stage, what
 /// that should cost, and the geometry the closed form must share with it.
 struct Subject<'a> {
-    /// Runs the filter stage: the drops and the pages the call reported.
-    filter: &'a dyn Fn(&SetQuery) -> (CandidateSet, Option<u64>),
+    /// Drives a query through this entry point and the resolve stage.
+    run: &'a dyn Fn(&SetQuery) -> MeasuredQuery,
     /// Predicted `(filter pages, filter units)` of a query.
     predict: &'a dyn Fn(&SetQuery) -> (u64, u64),
     /// Whether drops are looked up in an OID file (position = OID here:
@@ -577,20 +578,16 @@ type Checkpoint<'a> = (
 
 fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> DriftPoint {
     let (exhibit, series, d_q, seed, query, subject, units, fd, actual) = checkpoint;
-    let disk = sim.db.disk();
     let mut qg = sim.query_gen(seed);
     let trials = (0..trials)
         .map(|_| {
             let q = query(qg.random(d_q).into_iter().map(ElementKey::from).collect());
-            let before = disk.snapshot();
-            let (drops, reported) = (subject.filter)(&q);
-            let disk_pages = disk.snapshot().since(before).reads;
+            let run = (subject.run)(&q);
             let (filter, units) = (subject.predict)(&q);
-            let positions: Vec<u64> = drops.oids.iter().map(|o| o.raw()).collect();
-            let (report, object_pages) = sim.resolve(&q, &drops);
+            let positions: Vec<u64> = run.drops.oids.iter().map(|o| o.raw()).collect();
             Trial {
-                reported,
-                disk_pages,
+                reported: run.stats.map(|s| s.pages),
+                disk_pages: run.filter_reads,
                 filter,
                 lc_oid: if subject.oid_file {
                     OidFile::pages_touched(&positions)
@@ -598,9 +595,9 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
                     0
                 },
                 units,
-                object_pages,
-                actual: report.actual.len() as u64,
-                false_drops: report.false_drops,
+                object_pages: run.object_pages,
+                actual: run.report.actual.len() as u64,
+                false_drops: run.report.false_drops,
                 split_pages: 0,
             }
         })
@@ -774,7 +771,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     };
     let d_t = D_T;
     let p = opts.params();
-    let sim = crate::exhibits::obs_sim(&opts, d_t);
+    let sim = opts.sim(d_t);
     let serial = EngineConfig::serial();
 
     let (f, m) = (500u32, 2u32);
@@ -783,7 +780,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let service = QueryService::with_recorder(
         vec![sim.build_bssf_with(f, m, serial)],
         ServiceConfig::new(1),
-        sim.recorder().cloned(),
+        Some(Arc::clone(&sim.recorder)),
     )
     .expect("valid service config");
     let (ff, fk, fm) = (500u32, 50u32, 3u32);
@@ -821,32 +818,29 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let fssf_predict = |q: &SetQuery| fssf_filter(&frame_rows, &fcfg, frame_pages, q);
     let nix_predict = |q: &SetQuery| nix_filter(&postings, rc, q);
 
-    fn through(facility: &dyn SetAccessFacility, q: &SetQuery) -> (CandidateSet, Option<u64>) {
-        let (drops, stats) = facility.candidates_with_stats(q).expect("filter stage");
-        let stats = stats.expect("the facility reports its pages");
-        (drops, Some(stats.pages))
-    }
-    let via_ssf = |q: &SetQuery| through(&ssf, q);
-    let via_bssf = |q: &SetQuery| through(&bssf, q);
-    let via_service = |q: &SetQuery| through(&service, q);
-    let via_router = |q: &SetQuery| through(service.router(), q);
-    let via_fssf = |q: &SetQuery| through(&fssf, q);
-    let via_nix = |q: &SetQuery| through(&nix, q);
+    let via_ssf = |q: &SetQuery| sim.measure_facility(&ssf, q);
+    let via_bssf = |q: &SetQuery| sim.measure_facility(&bssf, q);
+    let via_service = |q: &SetQuery| sim.measure_facility(&service, q);
+    let via_router = |q: &SetQuery| sim.measure_facility(service.router(), q);
+    let via_fssf = |q: &SetQuery| sim.measure_facility(&fssf, q);
+    let via_nix = |q: &SetQuery| sim.measure_facility(&nix, q);
     // The one probe entry point beside `candidates_with_stats`; it reports
     // no pages, so its disk reads meet the prediction directly.
     let via_lookup = |q: &SetQuery| {
-        let oids = nix.lookup_element(&q.elements[0]).expect("probe");
-        (CandidateSet::new(oids, true), None)
+        sim.measure_via(&nix, q, |q| {
+            let oids = nix.lookup_element(&q.elements[0]).expect("probe");
+            (CandidateSet::new(oids, true), None)
+        })
     };
     let ssf_subject = Subject {
-        filter: &via_ssf,
+        run: &via_ssf,
         predict: &ssf_predict,
         oid_file: true,
         unit_pages: sig_pages,
         model_unit_pages: SsfModel::new(p, f, m, d_t).sc_sig(),
     };
-    let bssf_subject = |filter| Subject {
-        filter,
+    let bssf_subject = |run| Subject {
+        run,
         predict: &bssf_predict,
         oid_file: true,
         unit_pages: pages_per_slice,
@@ -858,14 +852,14 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         bssf_subject(&via_router),
     );
     let fssf_subject = Subject {
-        filter: &via_fssf,
+        run: &via_fssf,
         predict: &fssf_predict,
         oid_file: true,
         unit_pages: frame_pages,
         model_unit_pages: FssfModel::new(p, ff, fk, fm, d_t).frame_pages(),
     };
-    let nix_subject = |filter| Subject {
-        filter,
+    let nix_subject = |run| Subject {
+        run,
         predict: &nix_predict,
         oid_file: false,
         unit_pages: rc,

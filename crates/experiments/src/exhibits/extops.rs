@@ -21,7 +21,7 @@ pub fn extops(opts: &Options) -> Exhibit {
         trials: opts.trials.max(3),
     };
     let d_t = 10;
-    let sim = super::obs_sim(&run, d_t);
+    let sim = run.sim(d_t);
     let ssf = sim.build_ssf(500, 2);
     let bssf = sim.build_bssf(500, 2);
     let fssf = sim.build_fssf(500, 50, 3);
@@ -60,7 +60,7 @@ pub fn extops(opts: &Options) -> Exhibit {
                 let m = sim.measure_facility(*fac, &q);
                 totals[i] += m.total_pages();
                 if i == 0 {
-                    answers += m.actual;
+                    answers += m.report.actual.len() as u64;
                 }
             }
         }

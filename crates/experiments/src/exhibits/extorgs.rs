@@ -96,7 +96,7 @@ pub fn extorgs(opts: &Options) -> Exhibit {
     .collect();
 
     let measured: Option<(Vec<[f64; 4]>, SimDb)> = opts.simulate.then(|| {
-        let sim = super::obs_sim(opts, d_t);
+        let sim = opts.sim(d_t);
         // This exhibit also measures update costs, which are defined on
         // the paper's serial, unbuffered protocol — pin that engine.
         let mut ssf_i = sim.build_ssf_with(f, m, EngineConfig::serial());
@@ -206,7 +206,7 @@ mod tests {
         // Measured insert costs: FSSF ≤ D_t + 2, BSSF = weight(probe) + 1.
         let fssf_ins: f64 = ex.rows[3][7].parse().unwrap();
         assert!(fssf_ins <= 12.0, "fssf insert {fssf_ins}");
-        let sim = crate::exhibits::obs_sim(&opts, 10);
+        let sim = opts.sim(10);
         let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
         let cfg = setsig_core::SignatureConfig::new(500, 2).unwrap();
         let weight = setsig_core::Signature::for_set(&cfg, &probe).weight();

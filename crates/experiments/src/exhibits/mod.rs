@@ -19,23 +19,10 @@ use crate::sim::SimDb;
 use setsig_costmodel::Params;
 use setsig_workload::{Cardinality, Distribution, WorkloadConfig};
 
-/// Trace events kept per measured exhibit; old events are evicted first,
-/// so the tail of a long run survives.
-const OBS_RING_CAP: usize = 4096;
-
-/// Builds the simulated database for a measured exhibit with the
-/// observability recorder attached: every facility the exhibit builds from
-/// it traces its queries and feeds the shared metrics registry.
-pub(crate) fn obs_sim(opts: &Options, d_t: u32) -> SimDb {
-    let mut sim = SimDb::build(opts.workload(d_t));
-    sim.enable_observability(OBS_RING_CAP);
-    sim
-}
-
 /// Attaches the metrics snapshot (`<id>.metrics.txt`) and the JSONL query
 /// trace (`<id>.trace.jsonl`) gathered by `sims` to the exhibit. Exhibits
 /// spanning several simulated databases pass them all; their registries
-/// are rendered in sequence and their rings concatenated.
+/// are rendered in sequence and their traces concatenated.
 pub(crate) fn attach_observability<'a>(
     ex: &mut Exhibit,
     sims: impl IntoIterator<Item = &'a SimDb>,
@@ -43,14 +30,10 @@ pub(crate) fn attach_observability<'a>(
     let mut metrics = String::new();
     let mut trace = String::new();
     for sim in sims {
-        if let Some(rec) = sim.recorder() {
-            metrics.push_str(&rec.registry().snapshot().render_text());
-        }
-        if let Some(ring) = sim.trace_ring() {
-            for ev in ring.drain() {
-                trace.push_str(&ev.to_json());
-                trace.push('\n');
-            }
+        metrics.push_str(&sim.recorder.registry().snapshot().render_text());
+        for ev in sim.trace.take() {
+            trace.push_str(&ev.to_json());
+            trace.push('\n');
         }
     }
     if !metrics.is_empty() {
@@ -106,6 +89,11 @@ impl Options {
             distribution: Distribution::Uniform,
             seed: 0x1993_5160 + d_t as u64,
         }
+    }
+
+    /// The simulated database of [`Options::workload`] for cardinality `d_t`.
+    pub(crate) fn sim(&self, d_t: u32) -> SimDb {
+        SimDb::build(self.workload(d_t))
     }
 
     /// Scale note appended to exhibits when not at paper scale.

@@ -16,7 +16,7 @@ pub fn fig8(opts: &Options) -> Exhibit {
     let d_q_points = [10u32, 20, 30, 50, 70, 100, 150, 200, 300, 500, 700, 1000];
 
     let mut headers: Vec<String> = vec!["D_q".into(), "SSF".into(), "BSSF".into(), "NIX".into()];
-    let sim = opts.simulate.then(|| super::obs_sim(opts, d_t));
+    let sim = opts.simulate.then(|| opts.sim(d_t));
     let meas = sim
         .as_ref()
         .map(|s| (s.build_ssf(f, m), s.build_bssf(f, m), s.build_nix()));
@@ -76,7 +76,7 @@ fn smart_subset_exhibit(
     }
     headers.push("NIX".into());
 
-    let sim = opts.simulate.then(|| super::obs_sim(opts, d_t));
+    let sim = opts.simulate.then(|| opts.sim(d_t));
     let meas = sim
         .as_ref()
         .map(|s| (s.build_bssf(f_values[1], m), s.build_nix()));

@@ -20,7 +20,7 @@ pub fn fig4(opts: &Options) -> Exhibit {
     }
     headers.push("NIX".into());
 
-    let sim = opts.simulate.then(|| super::obs_sim(opts, d_t));
+    let sim = opts.simulate.then(|| opts.sim(d_t));
     let mut measured_cols: Vec<String> = Vec::new();
     if opts.simulate {
         measured_cols.push("meas BSSF F=500".into());
@@ -76,7 +76,7 @@ pub fn fig5(opts: &Options) -> Exhibit {
     }
     headers.push("NIX".into());
 
-    let sim = opts.simulate.then(|| super::obs_sim(opts, d_t));
+    let sim = opts.simulate.then(|| opts.sim(d_t));
     let meas = sim.as_ref().map(|s| (s.build_bssf(f, 2), s.build_nix()));
     if opts.simulate {
         headers.push("meas BSSF m=2".into());
@@ -131,7 +131,7 @@ fn smart_superset_exhibit(
     }
     headers.push("NIX smart".into());
 
-    let sim = opts.simulate.then(|| super::obs_sim(opts, d_t));
+    let sim = opts.simulate.then(|| opts.sim(d_t));
     let meas = sim
         .as_ref()
         .map(|s| (s.build_bssf(f_values[1], m), s.build_nix()));

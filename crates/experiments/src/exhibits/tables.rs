@@ -82,7 +82,7 @@ pub fn table6(opts: &Options) -> Exhibit {
             nix.sc().to_string(),
         ];
         if opts.simulate {
-            let sim = sims.entry(d_t).or_insert_with(|| super::obs_sim(opts, d_t));
+            let sim = sims.entry(d_t).or_insert_with(|| opts.sim(d_t));
             let ssf_i = sim.build_ssf(f, m);
             let bssf_i = sim.build_bssf(f, m);
             let nix_i = sim.build_nix();
@@ -139,7 +139,7 @@ pub fn table7(opts: &Options) -> Exhibit {
             ),
         ];
         let measured: Option<Vec<(f64, f64)>> = opts.simulate.then(|| {
-            let sim = sims.entry(d_t).or_insert_with(|| super::obs_sim(opts, d_t));
+            let sim = sims.entry(d_t).or_insert_with(|| opts.sim(d_t));
             let mut out = Vec::new();
             let disk = sim.db.disk();
             let probe_oid = Oid::new(sim.sets.len() as u64 + 7);
@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(t7.rows[0][6], "2");
         // Measured BSSF insert = weight(probe signature) + 1, the m_t + 1
         // the sparse column predicts — not the paper's F + 1.
-        let sim = crate::exhibits::obs_sim(&opts, 10);
+        let sim = opts.sim(10);
         let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
         let cfg = setsig_core::SignatureConfig::new(250, 2).unwrap();
         let weight = setsig_core::Signature::for_set(&cfg, &probe).weight();

@@ -31,7 +31,7 @@ fn measured_fd(
             SetQuery::in_subset(elems)
         };
         let m = sim.measure_facility(facility, &q);
-        total += m.false_drops as f64 / (n - m.actual as f64);
+        total += m.report.false_drops as f64 / (n - m.report.actual.len() as f64);
     }
     total / trials as f64
 }
@@ -61,7 +61,7 @@ pub fn validate_fd(opts: &Options) -> Exhibit {
         ],
     );
     let d_t = 10;
-    let sim = super::obs_sim(&run_opts, d_t);
+    let sim = run_opts.sim(d_t);
 
     // Superset: small m admits measurable false drops (m_opt would round
     // everything to zero and validate nothing).
@@ -188,8 +188,7 @@ pub fn varcard(opts: &Options) -> Exhibit {
             distribution: setsig_workload::Distribution::Uniform,
             seed: 0xcafe + d_t as u64,
         };
-        let mut sim = SimDb::build(cfg);
-        sim.enable_observability(super::OBS_RING_CAP);
+        let sim = SimDb::build(cfg);
         let bssf = sim.build_bssf(f, m);
         for d_q in [1u32, 2] {
             let model = fd_superset(f, m, d_t, d_q);

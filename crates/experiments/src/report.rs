@@ -173,6 +173,46 @@ mod tests {
         assert_eq!(lines[1].len(), lines[3].len());
     }
 
+    /// The strip cuts a trace line at `latency_ns`: every other key sits
+    /// before it and survives, the `*_ns` histograms go, counters stay.
+    #[test]
+    fn without_wall_clock_cuts_only_the_clock() {
+        let trace =
+            "{\"facility\":\"bssf\",\"false_drops\":3,\"cache_misses\":null,\"latency_ns\":5150}\n";
+        assert_eq!(
+            without_wall_clock(trace),
+            "{\"facility\":\"bssf\",\"false_drops\":3,\"cache_misses\":null}\n"
+        );
+        let metrics = "bssf.false_drops 64\nbssf.latency_ns count=2 sum=9\nbssf.pages count=2\n";
+        assert_eq!(
+            without_wall_clock(metrics),
+            "bssf.false_drops 64\nbssf.pages count=2\n"
+        );
+        // The last key of the real schema is the clock.
+        let ev = setsig_obs::QueryTrace {
+            facility: "nix".to_owned(),
+            predicate: "InSubset".to_owned(),
+            d_q: 1,
+            f_bits: None,
+            m_weight: None,
+            slices_touched: None,
+            early_exit: false,
+            pages: Some(2),
+            candidates: 1,
+            exact: false,
+            false_drops: Some(1),
+            cache_hits: None,
+            cache_misses: None,
+            latency_ns: 77,
+        };
+        let stripped = without_wall_clock(&ev.to_json());
+        assert!(
+            stripped.ends_with(",\"cache_misses\":null}\n"),
+            "{stripped}"
+        );
+        assert!(stripped.contains("\"false_drops\":1") && !stripped.contains("latency_ns"));
+    }
+
     #[test]
     fn fmt_rules() {
         assert_eq!(Exhibit::fmt(3.0), "3");

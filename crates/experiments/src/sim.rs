@@ -6,36 +6,43 @@
 //! actual page accesses.
 
 use setsig_core::{
-    resolve_drops, Bssf, CandidateSet, DropReport, ElementKey, Fssf, FssfConfig, Oid,
+    resolve_drops, Bssf, CandidateSet, DropReport, ElementKey, Fssf, FssfConfig, Oid, ScanStats,
     SetAccessFacility, SetQuery, SignatureConfig, Ssf,
 };
 use setsig_nix::Nix;
-use setsig_obs::{Recorder, RingSink, TraceSink};
+use setsig_obs::{QueryTrace, Recorder};
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
 use setsig_pagestore::{BufferPool, PageIo};
 use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
+use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Measured cost breakdown of one query through one facility.
-#[derive(Debug, Clone, Copy, Default)]
+/// Everything one measured query did, stage by stage: what
+/// [`SimDb::measure_facility`] returns and builds the query's
+/// [`QueryTrace`] from.
+#[derive(Debug, Clone)]
 pub struct MeasuredQuery {
-    /// Pages touched by the filtering stage (signature scan / slice reads /
-    /// index look-ups, including the OID file).
-    pub filter_pages: u64,
+    /// The filter stage's drops.
+    pub drops: CandidateSet,
+    /// The filter call's own accounting; `None` for an entry point that
+    /// reports none.
+    pub stats: Option<ScanStats>,
+    /// `Disk` reads over the filter call.
+    pub filter_reads: u64,
+    /// The resolve stage's verdict on the drops.
+    pub report: DropReport,
     /// Pages touched fetching candidate objects during drop resolution.
     pub object_pages: u64,
-    /// Candidates produced by the filter (drops).
-    pub candidates: u64,
-    /// Candidates that failed verification (false drops).
-    pub false_drops: u64,
-    /// Qualifying objects.
-    pub actual: u64,
 }
 
 impl MeasuredQuery {
-    /// Total measured retrieval cost — the counterpart of the paper's `RC`.
+    /// Total measured retrieval cost — the counterpart of the paper's `RC`:
+    /// the pages the filter call charged (the protocol's count, exact
+    /// whether or not a pool served the reads) plus the object pages.
     pub fn total_pages(&self) -> u64 {
-        self.filter_pages + self.object_pages
+        let stats = self.stats.expect("the facility reports its filter pages");
+        stats.pages + self.object_pages
     }
 }
 
@@ -107,12 +114,12 @@ pub struct SimDb {
     pub sets: Vec<Vec<u64>>,
     /// The workload that generated the instance.
     pub cfg: WorkloadConfig,
-    /// Recorder attached to facilities built after
-    /// [`SimDb::enable_observability`]; `None` (the default) builds
-    /// facilities with observability off.
-    recorder: Option<Arc<Recorder>>,
-    /// The ring sink behind `recorder`, for draining trace events.
-    ring: Option<Arc<RingSink>>,
+    /// The metrics every measured query feeds (and a query service built
+    /// over this instance may share).
+    pub recorder: Arc<Recorder>,
+    /// The trace event of every measured query, oldest first, until an
+    /// exhibit takes them.
+    pub trace: RefCell<Vec<QueryTrace>>,
 }
 
 impl SimDb {
@@ -138,30 +145,9 @@ impl SimDb {
             class,
             sets,
             cfg,
-            recorder: None,
-            ring: None,
+            recorder: Arc::default(),
+            trace: RefCell::default(),
         }
-    }
-
-    /// Turns observability on: facilities built *after* this call share one
-    /// fresh [`Recorder`] (metrics registry + a ring sink holding the last
-    /// `ring_cap` trace events). Returns the recorder for snapshots.
-    pub fn enable_observability(&mut self, ring_cap: usize) -> Arc<Recorder> {
-        let ring = Arc::new(RingSink::new(ring_cap));
-        let rec = Arc::new(Recorder::new().with_sink(Arc::clone(&ring) as Arc<dyn TraceSink>));
-        self.ring = Some(ring);
-        self.recorder = Some(Arc::clone(&rec));
-        rec
-    }
-
-    /// The recorder facilities are built with, when observability is on.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The trace ring behind the recorder, when observability is on.
-    pub fn trace_ring(&self) -> Option<&Arc<RingSink>> {
-        self.ring.as_ref()
     }
 
     /// Elements of target `oid` as query keys.
@@ -201,7 +187,6 @@ impl SimDb {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
         let name = format!("ssf-f{f}-m{m}");
         let mut ssf = Ssf::create(self.engine_io(engine), &name, cfg).expect("fits page");
-        ssf.set_recorder(self.recorder.clone());
         for (i, set) in self.sets.iter().enumerate() {
             let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
             ssf.insert(Oid::new(i as u64), &keys).expect("insert");
@@ -221,7 +206,6 @@ impl SimDb {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
         let name = format!("bssf-f{f}-m{m}");
         let mut bssf = Bssf::create(self.engine_io(engine), &name, cfg).expect("create");
-        bssf.set_recorder(self.recorder.clone());
         let items: Vec<(Oid, Vec<ElementKey>)> = self
             .sets
             .iter()
@@ -243,7 +227,6 @@ impl SimDb {
         let cfg = FssfConfig::new(f, k, m).expect("valid FSSF config");
         let mut fssf =
             Fssf::create(self.io(), &format!("fssf-f{f}-k{k}-m{m}"), cfg).expect("create");
-        fssf.set_recorder(self.recorder.clone());
         for (i, set) in self.sets.iter().enumerate() {
             let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
             fssf.insert(Oid::new(i as u64), &keys).expect("insert");
@@ -255,7 +238,6 @@ impl SimDb {
     /// Builds a NIX over the instance.
     pub fn build_nix(&self) -> Nix {
         let mut nix = Nix::on_io(self.io(), "nix");
-        nix.set_recorder(self.recorder.clone());
         for (i, set) in self.sets.iter().enumerate() {
             let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
             nix.insert(Oid::new(i as u64), &keys).expect("insert");
@@ -265,39 +247,74 @@ impl SimDb {
     }
 
     /// Measures one query — plain, or smart when it carries a cap
-    /// ([`SetQuery::with_cap`]) — through `facility`, then fetches and
-    /// verifies each candidate against the object store. The filter stage is
-    /// charged the `ScanStats` returned by *this very call*: the protocol's
-    /// page count, exact whether or not a pool served the reads and even
-    /// when other queries run concurrently on the same facility.
+    /// ([`SetQuery::with_cap`]) — through both phases (§3.2): `facility`'s
+    /// filter stage, then a fetch and verification of each drop against the
+    /// object store. This is the one place the harness composes the two, so
+    /// it is also where the query's [`QueryTrace`] is built and kept, with
+    /// nothing left unknown.
     pub fn measure_facility(
         &self,
         facility: &dyn SetAccessFacility,
         query: &SetQuery,
     ) -> MeasuredQuery {
-        let (candidates, stats) = facility.candidates_with_stats(query).expect("filter stage");
-        let filter_pages = stats.expect("the facility reports its filter pages").pages;
-        let (report, object_pages) = self.resolve(query, &candidates);
-        MeasuredQuery {
-            filter_pages,
-            object_pages,
-            candidates: report.candidates,
-            false_drops: report.false_drops,
-            actual: report.actual.len() as u64,
-        }
+        self.measure_via(facility, query, |q| {
+            facility.candidates_with_stats(q).expect("filter stage")
+        })
     }
 
-    /// The resolve stage: fetches and verifies every candidate against the
-    /// object store, returning the report and the object pages it read.
-    pub fn resolve(&self, query: &SetQuery, candidates: &CandidateSet) -> (DropReport, u64) {
+    /// [`SimDb::measure_facility`] with `filter` standing in for
+    /// `facility`'s `candidates_with_stats`. A filter that reports no stats
+    /// leaves no trace event.
+    pub(crate) fn measure_via(
+        &self,
+        facility: &dyn SetAccessFacility,
+        query: &SetQuery,
+        filter: impl FnOnce(&SetQuery) -> (CandidateSet, Option<ScanStats>),
+    ) -> MeasuredQuery {
+        let disk = self.db.disk();
         let source = self
             .db
             .target_source(self.class, "elems")
             .expect("class has elems");
-        let disk = self.db.disk();
-        let before = disk.snapshot();
-        let report = resolve_drops(query, candidates, &source).expect("resolution");
-        (report, disk.snapshot().since(before).accesses())
+        let cache_before = facility.cache_stats();
+        let (start, before) = (Instant::now(), disk.snapshot());
+        let (drops, stats) = filter(query);
+        let (latency_ns, filtered) = (start.elapsed().as_nanos() as u64, disk.snapshot());
+        let report = resolve_drops(query, &drops, &source).expect("resolution");
+        let object_pages = disk.snapshot().since(filtered).accesses();
+        if let Some(stats) = stats {
+            let cache = cache_before.zip(facility.cache_stats());
+            let name = facility.name().to_lowercase();
+            let (f_bits, m_weight) = facility.signature_geometry().unzip();
+            let smart = query.cap().map_or("", |_| ":smart");
+            let ev = QueryTrace {
+                predicate: format!("{:?}{smart}", query.predicate),
+                d_q: query.elements.len() as u64,
+                f_bits,
+                m_weight,
+                // BSSF slices, FSSF frames; row scans and B-tree probes
+                // touch none.
+                slices_touched: matches!(&*name, "bssf" | "fssf").then_some(stats.slices),
+                early_exit: stats.early_exit,
+                pages: Some(stats.pages),
+                candidates: report.candidates,
+                exact: drops.exact,
+                false_drops: Some(report.false_drops),
+                cache_hits: cache.map(|(before, after)| after.hits - before.hits),
+                cache_misses: cache.map(|(before, after)| after.misses - before.misses),
+                latency_ns,
+                facility: name,
+            };
+            self.recorder.record_query(&ev);
+            self.trace.borrow_mut().push(ev);
+        }
+        MeasuredQuery {
+            drops,
+            stats,
+            filter_reads: filtered.since(before).reads,
+            report,
+            object_pages,
+        }
     }
 
     /// Averages `trials` measured queries produced by `make_query`.
@@ -404,10 +421,10 @@ mod tests {
             let a = sim.measure_facility(&ssf, &q);
             let b = sim.measure_facility(&bssf, &q);
             let c = sim.measure_facility(&nix, &q);
-            assert_eq!(a.actual, b.actual, "trial {trial}");
-            assert_eq!(b.actual, c.actual, "trial {trial}");
-            assert!(a.actual >= 1, "forced hit must match");
-            assert_eq!(c.false_drops, 0, "NIX ⊇ is exact");
+            assert_eq!(a.report.actual, b.report.actual, "trial {trial}");
+            assert_eq!(b.report.actual, c.report.actual, "trial {trial}");
+            assert!(!a.report.actual.is_empty(), "forced hit must match");
+            assert_eq!(c.report.false_drops, 0, "NIX ⊇ is exact");
         }
     }
 
@@ -417,9 +434,102 @@ mod tests {
         let bssf = sim.build_bssf(128, 2);
         let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
         let m = sim.measure_facility(&bssf, &q);
-        assert!(m.filter_pages > 0);
-        assert!(m.actual + m.false_drops == m.candidates);
-        assert_eq!(m.total_pages(), m.filter_pages + m.object_pages);
+        assert!(m.stats.unwrap().pages > 0);
+        let report = &m.report;
+        assert!(report.actual.len() as u64 + report.false_drops == report.candidates);
+        assert_eq!(m.total_pages(), m.stats.unwrap().pages + m.object_pages);
+    }
+
+    /// The trace line is built where the drops are resolved, so it agrees
+    /// with the filter call's own `ScanStats` and with the `DropReport`, and
+    /// leaves nothing unknown — for every facility, ⊇ and ⊆, plain and smart.
+    #[test]
+    fn every_trace_line_agrees_with_its_querys_stats_and_drop_report() {
+        let sim = SimDb::build(small_cfg());
+        let serial = EngineConfig::serial();
+        let ssf = sim.build_ssf_with(128, 2, serial);
+        let bssf = sim.build_bssf_with(128, 2, serial);
+        let (fssf, nix) = (sim.build_fssf(128, 8, 2), sim.build_nix());
+        let target = sim.target_keys(42);
+        let wider: Vec<ElementKey> = target.iter().cloned().chain(sim.target_keys(43)).collect();
+        let queries = [
+            SetQuery::has_subset(target[..3].to_vec()),
+            SetQuery::in_subset(wider.clone()),
+            SetQuery::has_subset(target[..3].to_vec())
+                .with_cap(1)
+                .unwrap(),
+            SetQuery::in_subset(wider).with_cap(40).unwrap(),
+        ];
+        let sliced = |name: &str| matches!(name, "bssf" | "fssf");
+        let check = |facility: &dyn SetAccessFacility, q: &SetQuery| {
+            let run = sim.measure_facility(facility, q);
+            let stats = run.stats.expect("every facility reports stats");
+            let mut lines = sim.trace.take();
+            let ev = lines.pop().expect("the query left its line");
+            assert!(lines.is_empty(), "one line per query");
+            assert_eq!(ev.facility, facility.name().to_lowercase());
+            assert_eq!(ev.predicate.ends_with(":smart"), q.cap().is_some());
+            assert_eq!(ev.pages, Some(stats.pages));
+            match ev.cache_hits.zip(ev.cache_misses) {
+                None => assert_eq!(ev.pages, Some(run.filter_reads), "no pool"),
+                Some((hits, misses)) => {
+                    assert_eq!(ev.pages, Some(hits + misses), "all through the pool");
+                    assert_eq!(misses, run.filter_reads);
+                }
+            }
+            assert_eq!(ev.early_exit, stats.early_exit);
+            assert_eq!(
+                ev.slices_touched,
+                sliced(&ev.facility).then_some(stats.slices)
+            );
+            assert_eq!(ev.f_bits.zip(ev.m_weight), facility.signature_geometry());
+            let false_drops = ev.false_drops.expect("resolved before the line is built");
+            assert_eq!(false_drops, run.report.false_drops);
+            assert_eq!(ev.candidates, run.report.actual.len() as u64 + false_drops);
+            assert!(!ev.exact || false_drops == 0, "exact drops are never false");
+            (stats, ev)
+        };
+        let facilities: [&dyn SetAccessFacility; 4] = [&ssf, &bssf, &fssf, &nix];
+        let mut false_drops = [0; 4];
+        for (facility, total) in facilities.into_iter().zip(&mut false_drops) {
+            for q in &queries {
+                *total += check(facility, q).1.false_drops.unwrap_or(0);
+            }
+        }
+        assert!(false_drops[3] > 0, "NIX ⊆ fetches objects it must reject");
+        let snap = sim.recorder.registry().snapshot();
+        for (facility, total) in ["ssf", "bssf", "fssf", "nix"].into_iter().zip(false_drops) {
+            assert_eq!(snap.get_counter(&format!("{facility}.queries")), Some(4));
+            let counted = snap.get_counter(&format!("{facility}.false_drops"));
+            assert_eq!(counted, Some(total));
+        }
+
+        let pooled = EngineConfig {
+            pool_pages: Some(64),
+        };
+        let (_, ev) = check(&sim.build_bssf_with(128, 2, pooled), &queries[0]);
+        assert!(ev.cache_hits.is_some(), "a pooled facility's line says so");
+
+        // Two shards: the merged stats the line is built from are the
+        // shards' pages and slices summed and their early exits ORed.
+        let cfg = SignatureConfig::new(128, 2).unwrap();
+        let shards = (0..2).map(|i| Bssf::create(sim.io(), &format!("shard{i}"), cfg).unwrap());
+        let router = setsig_service::ShardRouter::new(shards.collect()).unwrap();
+        for oid in 0..sim.sets.len() as u64 {
+            router.insert(Oid::new(oid), &sim.target_keys(oid)).unwrap();
+        }
+        for q in &queries {
+            let (merged, ev) = check(&router, q);
+            let parts = [0, 1].map(|shard| router.query_shard(shard, q).unwrap().1.unwrap());
+            assert!(parts.iter().all(|part| part.slices > 0));
+            assert_eq!(merged.pages, parts[0].pages + parts[1].pages);
+            assert_eq!(merged.slices, parts[0].slices + parts[1].slices);
+            assert_eq!(
+                merged.early_exit,
+                parts[0].early_exit || parts[1].early_exit
+            );
+            assert_eq!(ev.f_bits, Some(128), "geometry survives the router");
+        }
     }
 
     #[test]
@@ -443,7 +553,7 @@ mod tests {
         // (cache-dependent) disk delta.
         let mp = sim.measure_facility(&plain, &q);
         let mc = sim.measure_facility(&cached, &q);
-        assert_eq!(mp.filter_pages, mc.filter_pages);
+        assert_eq!(mp.stats, mc.stats);
         assert!(cached.cache_stats().is_some());
         assert!(plain.cache_stats().is_none());
     }

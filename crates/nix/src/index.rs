@@ -1,8 +1,8 @@
 //! The nested index as a set access facility.
 
 use setsig_core::{
-    sorted, CandidateSet, ElementKey, Error, FilterStage, Oid, Result, ScanCounters, ScanStats,
-    SetAccessFacility, SetPredicate, SetQuery,
+    sorted, CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility,
+    SetPredicate, SetQuery,
 };
 use setsig_pagestore::{Disk, PageIo};
 use std::sync::Arc;
@@ -17,9 +17,6 @@ pub struct Nix {
     indexed: u64,
     /// Catalog checkpoint file; created lazily by [`Nix::sync_meta`].
     meta_file: Option<setsig_pagestore::PagedFile>,
-    /// Observability recorder; `None` (the default) keeps the query path
-    /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
 }
 
 impl Nix {
@@ -35,16 +32,7 @@ impl Nix {
             tree: BTree::create(io, &format!("{name}.nix")),
             indexed: 0,
             meta_file: None,
-            obs: None,
         }
-    }
-
-    /// Attaches (or with `None`, detaches) an observability recorder.
-    /// Attached, every `candidates*` call emits a
-    /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `nix.*`
-    /// metrics; detached, the query path does no observability work at all.
-    pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
     }
 
     /// The underlying B-tree (stats, integrity checks).
@@ -70,11 +58,7 @@ impl Nix {
     /// Under a smart cap (§5.1.3) only the first `cap` elements' posting
     /// lists are intersected; the rest are verified at drop resolution, so
     /// a truncated answer is *not* exact.
-    fn superset_candidates(
-        &self,
-        query: &SetQuery,
-        ctr: &mut ScanCounters,
-    ) -> Result<CandidateSet> {
+    fn superset_candidates(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<CandidateSet> {
         let d_q = query.elements.len();
         let take = d_q.min(query.cap().unwrap_or(d_q));
         // Posting lists come in insertion order; each is put in ascending
@@ -102,7 +86,7 @@ impl Nix {
     /// elements outside `Q` — so drop resolution fetches every candidate,
     /// which is precisely why the paper finds NIX weak on this query. (No
     /// smart strategy: every list may hold a qualifying object.)
-    fn subset_candidates(&self, query: &SetQuery, ctr: &mut ScanCounters) -> Result<CandidateSet> {
+    fn subset_candidates(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<CandidateSet> {
         // The union: pool the lists, and `CandidateSet::new` sorts and
         // deduplicates them.
         let mut pooled = Vec::new();
@@ -158,32 +142,26 @@ impl SetAccessFacility for Nix {
     }
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let stage = FilterStage {
-            facility: "nix",
-            geometry: None,
-            track_slices: false,
-            recorder: self.obs.as_ref(),
-            io: self.tree.file_io().as_ref(),
+        let mut stats = ScanStats::default();
+        let ctr = &mut stats;
+        let drops = match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => {
+                self.superset_candidates(query, ctr)?
+            }
+            SetPredicate::InSubset => self.subset_candidates(query, ctr)?,
+            // `T = Q` implies `T ⊇ Q`, but a strict superset of Q is a
+            // false drop: intersect, verify cardinality at resolution.
+            SetPredicate::Equals => CandidateSet {
+                exact: false,
+                ..self.superset_candidates(query, ctr)?
+            },
+            // Any object listed under any query element shares it.
+            SetPredicate::Overlaps => CandidateSet {
+                exact: true,
+                ..self.subset_candidates(query, ctr)?
+            },
         };
-        stage.run(query, |ctr| {
-            Ok(match query.predicate {
-                SetPredicate::HasSubset | SetPredicate::Contains => {
-                    self.superset_candidates(query, ctr)?
-                }
-                SetPredicate::InSubset => self.subset_candidates(query, ctr)?,
-                // `T = Q` implies `T ⊇ Q`, but a strict superset of Q is a
-                // false drop: intersect, verify cardinality at resolution.
-                SetPredicate::Equals => CandidateSet {
-                    exact: false,
-                    ..self.superset_candidates(query, ctr)?
-                },
-                // Any object listed under any query element shares it.
-                SetPredicate::Overlaps => CandidateSet {
-                    exact: true,
-                    ..self.subset_candidates(query, ctr)?
-                },
-            })
-        })
+        Ok((drops, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -456,36 +434,6 @@ mod tests {
         );
         assert!(nix().1.cache_stats().is_none());
     }
-
-    #[test]
-    fn attached_recorder_traces_pages_and_cache_counters() {
-        let disk = Arc::new(Disk::new());
-        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
-        let mut n = Nix::on_io(Arc::clone(&pool) as Arc<dyn PageIo>, "t");
-        let [plain, _, smart] = thousand_triples(&mut n);
-        let ring = Arc::new(setsig_obs::RingSink::new(8));
-        let rec = Arc::new(
-            setsig_obs::Recorder::new()
-                .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>),
-        );
-        n.set_recorder(Some(rec));
-        let (_, plain_stats) = n.candidates_with_stats(&plain).unwrap();
-        let (smart_set, smart_stats) = n.candidates_with_stats(&smart).unwrap();
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].facility, "nix");
-        assert_eq!(events[0].predicate, "HasSubset");
-        assert_eq!(events[0].pages, plain_stats.map(|s| s.pages));
-        assert_eq!(events[1].predicate, "HasSubset:smart");
-        assert_eq!(events[1].pages, smart_stats.map(|s| s.pages));
-        assert_eq!(events[1].candidates, smart_set.len() as u64);
-        assert!(!events[1].exact);
-        for ev in &events {
-            assert_eq!((ev.f_bits, ev.slices_touched), (None, None));
-            let served = ev.cache_hits.unwrap() + ev.cache_misses.unwrap();
-            assert_eq!(Some(served), ev.pages, "every page came through the pool");
-        }
-    }
 }
 
 impl Nix {
@@ -532,7 +480,6 @@ impl Nix {
             tree,
             indexed,
             meta_file: Some(meta_file),
-            obs: None,
         })
     }
 }

@@ -8,13 +8,12 @@
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log2-bucket
 //!   [`Histogram`]s, lock-free on the update path,
-//! * [`QueryTrace`] — one structured event per `candidates*` call (query
-//!   shape, pages, slices, early exit, cache traffic, latency), emitted
-//!   through pluggable [`TraceSink`]s ([`RingSink`], [`JsonlSink`]),
-//! * [`Recorder`] — the bundle a facility holds (as an
-//!   `Option<Arc<Recorder>>`): when absent, the facilities skip all clock
-//!   reads and event construction, so disabled observability costs
-//!   nothing.
+//! * [`QueryTrace`] — one structured event per query (query shape, pages,
+//!   slices, early exit, drops and false drops, cache traffic, latency).
+//!   The facilities do not build it: a filter call returns its facts, and
+//!   the driver that also resolves the drops builds the event,
+//! * [`Recorder`] — a registry plus the standard per-facility metrics a
+//!   [`QueryTrace`] feeds; the query service registers its own under it.
 //!
 //! The crate sits at the bottom of the workspace DAG (it may not see the
 //! facilities or the harness) and uses no external dependencies beyond the
@@ -28,32 +27,18 @@ mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use trace::{JsonlSink, QueryTrace, RingSink, TraceSink};
+pub use trace::QueryTrace;
 
-use std::sync::Arc;
-
-/// The per-facility observability bundle: a metrics registry plus zero or
-/// more trace sinks. Facilities hold `Option<Arc<Recorder>>` — `None` (the
-/// default) means no clocks are read and no events are built.
+/// A metrics registry with the standard per-facility query metrics on top.
+#[derive(Debug, Default)]
 pub struct Recorder {
     registry: MetricsRegistry,
-    sinks: Vec<Arc<dyn TraceSink>>,
 }
 
 impl Recorder {
-    /// A recorder with a fresh registry and no sinks.
+    /// A recorder with a fresh registry.
     pub fn new() -> Self {
-        Recorder {
-            registry: MetricsRegistry::new(),
-            sinks: Vec::new(),
-        }
-    }
-
-    /// Adds a trace sink (builder style).
-    #[must_use]
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sinks.push(sink);
-        self
+        Recorder::default()
     }
 
     /// The metrics registry fed by [`Recorder::record_query`].
@@ -62,8 +47,7 @@ impl Recorder {
     }
 
     /// Records one completed query: updates the standard per-facility
-    /// metrics (see DESIGN.md §7 for the name schema) and forwards the
-    /// event to every sink.
+    /// metrics (see DESIGN.md §7 for the name schema).
     pub fn record_query(&self, ev: &QueryTrace) {
         let f = &ev.facility;
         self.registry.counter(&format!("{f}.queries")).inc();
@@ -88,21 +72,6 @@ impl Recorder {
         if ev.early_exit {
             self.registry.counter(&format!("{f}.early_exits")).inc();
         }
-        for sink in &self.sinks {
-            sink.record(ev);
-        }
-    }
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
-impl std::fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Recorder {{ sinks: {} }}", self.sinks.len())
     }
 }
 
@@ -142,17 +111,5 @@ mod tests {
         let h = snap.get_histogram("bssf.latency_ns").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 4000);
-    }
-
-    #[test]
-    fn recorder_forwards_to_sinks() {
-        let ring = Arc::new(RingSink::new(8));
-        let rec = Recorder::new().with_sink(Arc::clone(&ring) as Arc<dyn TraceSink>);
-        rec.record_query(&trace("ssf", 10));
-        rec.record_query(&trace("nix", 20));
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].facility, "ssf");
-        assert_eq!(events[1].facility, "nix");
     }
 }

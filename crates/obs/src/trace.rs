@@ -1,10 +1,7 @@
-//! Structured per-query trace events and the sinks that receive them.
+//! The structured per-query trace event.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::io::Write;
-
-/// One completed `candidates*` call, as seen by the facility that ran it.
+/// One completed query — filter stage, then false-drop resolution — as the
+/// driver that composed the two saw it.
 ///
 /// Fields that do not apply to a facility are `None` (e.g. NIX has no
 /// signature geometry; neither it nor SSF touches slices). The JSONL
@@ -35,14 +32,14 @@ pub struct QueryTrace {
     pub candidates: u64,
     /// True when the candidate set is exact (no verification needed).
     pub exact: bool,
-    /// False drops eliminated by verification; `None` until a resolution
-    /// stage has run (the facility alone cannot know).
+    /// False drops eliminated by verification; `None` only for an event
+    /// built before a resolution stage ran.
     pub false_drops: Option<u64>,
     /// Buffer-pool hits during this query, when a pool is attached.
     pub cache_hits: Option<u64>,
     /// Buffer-pool misses during this query, when a pool is attached.
     pub cache_misses: Option<u64>,
-    /// Wall-clock latency of the call in nanoseconds.
+    /// Wall-clock latency of the filter call in nanoseconds.
     pub latency_ns: u64,
 }
 
@@ -93,116 +90,9 @@ impl QueryTrace {
     }
 }
 
-/// A destination for [`QueryTrace`] events. Implementations must be cheap
-/// and infallible — a sink failure may not take the query path down.
-pub trait TraceSink: Send + Sync {
-    /// Receives one completed query event.
-    fn record(&self, ev: &QueryTrace);
-}
-
-/// A bounded in-memory ring of the most recent events.
-pub struct RingSink {
-    // LOCK-ORDER: obs.trace_ring leaf
-    buf: Mutex<VecDeque<QueryTrace>>,
-    cap: usize,
-}
-
-impl RingSink {
-    /// A ring keeping the most recent `cap` events (`cap ≥ 1`).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            buf: Mutex::new(VecDeque::new()),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Copies out the buffered events, oldest first.
-    pub fn snapshot(&self) -> Vec<QueryTrace> {
-        self.buf.lock().iter().cloned().collect()
-    }
-
-    /// Copies out and clears the buffered events, oldest first.
-    pub fn drain(&self) -> Vec<QueryTrace> {
-        self.buf.lock().drain(..).collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, ev: &QueryTrace) {
-        let mut buf = self.buf.lock();
-        if buf.len() == self.cap {
-            buf.pop_front();
-        }
-        buf.push_back(ev.clone());
-    }
-}
-
-impl std::fmt::Debug for RingSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RingSink {{ cap: {}, len: {} }}", self.cap, self.len())
-    }
-}
-
-/// Writes one JSON object per event to any `Write` (a file, a `Vec<u8>`
-/// for tests). Write errors are swallowed: tracing must never fail the
-/// query.
-pub struct JsonlSink {
-    // The mutex IS this sink's serialization point: `flush` necessarily
-    // flushes the writer under it (allowlisted in locks.allow).
-    // LOCK-ORDER: obs.trace_jsonl leaf
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonlSink {
-    /// A sink writing JSONL to `out`.
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonlSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Flushes the underlying writer.
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "best-effort trace sink: a full disk or closed pipe must never take the query path down"
-    )]
-    pub fn flush(&self) {
-        let _ = self.out.lock().flush();
-    }
-}
-
-impl TraceSink for JsonlSink {
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "best-effort trace sink: a full disk or closed pipe must never take the query path down"
-    )]
-    fn record(&self, ev: &QueryTrace) {
-        let mut line = ev.to_json();
-        line.push('\n');
-        let _ = self.out.lock().write_all(line.as_bytes());
-    }
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JsonlSink")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn ev(tag: &str) -> QueryTrace {
         QueryTrace {
@@ -243,45 +133,5 @@ mod tests {
         e.predicate = "a\"b\\c\nd".to_owned();
         let json = e.to_json();
         assert!(json.contains("a\\\"b\\\\c\\nd"));
-    }
-
-    #[test]
-    fn ring_sink_drops_oldest_beyond_capacity() {
-        let ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.record(&ev(&format!("f{i}")));
-        }
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].facility, "f2");
-        assert_eq!(events[2].facility, "f4");
-        assert_eq!(ring.drain().len(), 3);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        // Shared byte buffer so the written output is observable.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf::default();
-        let sink = JsonlSink::new(Box::new(buf.clone()));
-        sink.record(&ev("a"));
-        sink.record(&ev("b"));
-        sink.flush();
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"facility\":\"a\""));
-        assert!(lines[1].ends_with("}"));
     }
 }

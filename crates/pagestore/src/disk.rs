@@ -43,8 +43,6 @@ struct FileData {
     name: String,
     pages: Vec<Page>,
     stats: FileStats,
-    /// Page number of the most recent access, for sequential detection.
-    last_access: Option<u32>,
 }
 
 struct DiskInner {
@@ -94,7 +92,6 @@ impl Disk {
             name: name.to_owned(),
             pages: Vec::new(),
             stats: FileStats::default(),
-            last_access: None,
         }));
         id
     }
@@ -168,12 +165,7 @@ impl Disk {
                 page: n,
                 len,
             })?;
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
             data.stats.reads += 1;
-            if seq {
-                data.stats.seq_reads += 1;
-            }
-            data.last_access = Some(n);
             total.reads += 1;
             Ok(page.clone())
         })
@@ -202,12 +194,7 @@ impl Disk {
                     page: n,
                     len,
                 })?;
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
             data.stats.writes += 1;
-            if seq {
-                data.stats.seq_writes += 1;
-            }
-            data.last_access = Some(n);
             total.writes += 1;
             f(page);
             Ok(())
@@ -220,12 +207,7 @@ impl Disk {
         self.with_file(id, |data, total| {
             let n = data.pages.len() as u32;
             data.pages.push(page.clone());
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
             data.stats.writes += 1;
-            if seq {
-                data.stats.seq_writes += 1;
-            }
-            data.last_access = Some(n);
             total.writes += 1;
             Ok(n)
         })
@@ -293,7 +275,6 @@ impl Disk {
         g.total = IoSnapshot::default();
         for slot in g.files.iter_mut().flatten() {
             slot.stats = FileStats::default();
-            slot.last_access = None;
         }
     }
 
@@ -328,7 +309,6 @@ impl Disk {
                 name,
                 pages,
                 stats: FileStats::default(),
-                last_access: None,
             }));
         }
     }
@@ -444,23 +424,6 @@ mod tests {
         let fs = disk.file_stats(f).unwrap();
         assert_eq!(fs.reads, 2);
         assert_eq!(fs.writes, 3);
-    }
-
-    #[test]
-    fn sequential_detection() {
-        let disk = Disk::new();
-        let f = disk.create_file("t");
-        for _ in 0..4 {
-            disk.append_page(f, &Page::zeroed()).unwrap();
-        }
-        // Appends 1..3 are sequential continuations of 0..2.
-        assert_eq!(disk.file_stats(f).unwrap().seq_writes, 3);
-        disk.read_page(f, 0).unwrap();
-        disk.read_page(f, 1).unwrap(); // seq
-        disk.read_page(f, 2).unwrap(); // seq
-        disk.read_page(f, 0).unwrap(); // random
-        disk.read_page(f, 3).unwrap(); // random
-        assert_eq!(disk.file_stats(f).unwrap().seq_reads, 2);
     }
 
     #[test]

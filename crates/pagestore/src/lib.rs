@@ -10,8 +10,7 @@
 //! * [`Page`] — a fixed-size (4096-byte, the paper's `P`) disk page with
 //!   little-endian scalar accessors,
 //! * [`Disk`] — an in-memory simulated disk holding named paged files, with
-//!   per-file read/write counters and sequential-vs-random access
-//!   classification,
+//!   per-file read/write counters,
 //! * [`PagedFile`] — a cheap handle binding a [`FileId`] to its [`Disk`],
 //! * [`BufferPool`] — an optional random-replacement page cache used by
 //!   the ablation experiments and the cached query engines (the paper
@@ -57,4 +56,4 @@ pub use disk::{Disk, FileId, FileInfo, PageIo};
 pub use error::{Error, Result};
 pub use file::PagedFile;
 pub use page::{Page, PAGE_SIZE};
-pub use stats::{AccessKind, FileStats, IoDelta, IoSnapshot};
+pub use stats::{FileStats, IoDelta, IoSnapshot};

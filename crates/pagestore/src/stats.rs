@@ -5,20 +5,6 @@
 //! and experiments take [`IoSnapshot`]s around an operation to obtain its
 //! exact cost as an [`IoDelta`].
 
-/// Whether a page access hit the page following the previous access to the
-/// same file (sequential) or any other page (random).
-///
-/// The paper's model treats both identically (cost = 1 page), but the
-/// distinction lets ablation benchmarks reason about scan-friendly layouts
-/// such as SSF versus the scattered accesses of NIX.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Page `n + 1` immediately after page `n` of the same file.
-    Sequential,
-    /// Anything else, including the first access to a file.
-    Random,
-}
-
 /// Cumulative counters for one file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FileStats {
@@ -26,10 +12,6 @@ pub struct FileStats {
     pub reads: u64,
     /// Pages written (including appends).
     pub writes: u64,
-    /// Reads that were sequential continuations.
-    pub seq_reads: u64,
-    /// Writes that were sequential continuations.
-    pub seq_writes: u64,
 }
 
 impl FileStats {
@@ -154,8 +136,6 @@ mod tests {
         let fs = FileStats {
             reads: 7,
             writes: 3,
-            seq_reads: 2,
-            seq_writes: 1,
         };
         assert_eq!(fs.accesses(), 10);
     }

@@ -399,6 +399,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> SetAccessFacility for QuerySe
     fn cache_stats(&self) -> Option<CacheStats> {
         self.inner.router.total_cache_stats()
     }
+
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
+        self.inner.router.signature_geometry()
+    }
 }
 
 impl<F: SetAccessFacility + Send + Sync + 'static> Drop for QueryService<F> {

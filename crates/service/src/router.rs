@@ -41,7 +41,8 @@ pub fn shard_of(oid: Oid, shards: usize) -> usize {
 
 /// Merges per-shard `(candidates, stats)` parts into one answer: the
 /// candidate union (shards hold disjoint OIDs, so this never collapses
-/// duplicates in practice) and the *sum* of per-shard scan stats.
+/// duplicates in practice) and the *sum* of per-shard scan stats
+/// (`ScanStats`'s `Add`: pages and slices add up, `early_exit` is an OR).
 ///
 /// The page total is conserved — the merged charge is exactly what the
 /// shards charged individually, no page counted twice or dropped. The
@@ -79,6 +80,7 @@ struct Shard<F> {
 pub struct ShardRouter<F> {
     shards: Vec<Shard<F>>,
     name: &'static str,
+    geometry: Option<(u32, u32)>,
 }
 
 impl<F: SetAccessFacility> ShardRouter<F> {
@@ -91,7 +93,7 @@ impl<F: SetAccessFacility> ShardRouter<F> {
                 "shard router needs at least one facility".to_string(),
             ));
         };
-        let name = first.name();
+        let (name, geometry) = (first.name(), first.signature_geometry());
         Ok(ShardRouter {
             shards: facilities
                 .into_iter()
@@ -100,6 +102,7 @@ impl<F: SetAccessFacility> ShardRouter<F> {
                 })
                 .collect(),
             name,
+            geometry,
         })
     }
 
@@ -154,7 +157,7 @@ impl<F: SetAccessFacility> ShardRouter<F> {
 
     /// Runs `f` with exclusive access to one shard's facility — the seam
     /// for concrete-type operations the trait does not carry (a per-shard
-    /// `bulk_load`, attaching a recorder).
+    /// `bulk_load`).
     pub fn with_shard_mut<R>(&self, shard: usize, f: impl FnOnce(&mut F) -> R) -> R {
         let mut guard = self.shards[shard].facility.write();
         f(&mut guard)
@@ -217,6 +220,10 @@ impl<F: SetAccessFacility> SetAccessFacility for ShardRouter<F> {
     fn cache_stats(&self) -> Option<CacheStats> {
         self.total_cache_stats()
     }
+
+    fn signature_geometry(&self) -> Option<(u32, u32)> {
+        self.geometry
+    }
 }
 
 #[cfg(test)]
@@ -254,16 +261,29 @@ mod tests {
         let parts = vec![
             (
                 CandidateSet::new(vec![Oid::new(4), Oid::new(1)], false),
-                Some(ScanStats { pages: 3 }),
+                Some(ScanStats {
+                    pages: 3,
+                    slices: 2,
+                    early_exit: true,
+                }),
             ),
             (
                 CandidateSet::new(vec![Oid::new(2)], false),
-                Some(ScanStats { pages: 5 }),
+                Some(ScanStats {
+                    pages: 5,
+                    slices: 4,
+                    early_exit: false,
+                }),
             ),
         ];
         let (set, stats) = merge_parts(parts);
         assert_eq!(set.oids, vec![Oid::new(1), Oid::new(2), Oid::new(4)]);
-        assert_eq!(stats, Some(ScanStats { pages: 8 }));
+        let merged = ScanStats {
+            pages: 8,
+            slices: 6,
+            early_exit: true,
+        };
+        assert_eq!(stats, Some(merged));
     }
 
     #[test]

@@ -58,7 +58,11 @@ impl SetAccessFacility for MockFacility {
             .filter(|(_, target)| verify_predicate(query.predicate, target, &query.elements))
             .map(|(&oid, _)| oid)
             .collect();
-        Ok((CandidateSet::new(oids, true), Some(ScanStats { pages: 1 })))
+        let stats = ScanStats {
+            pages: 1,
+            ..ScanStats::default()
+        };
+        Ok((CandidateSet::new(oids, true), Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {

@@ -6,9 +6,10 @@
 //! workload knowledge and quietly break the paper's protocol. Likewise the
 //! analytic crates (`costmodel`, `workload`) stay free of storage
 //! dependencies, so the model and the measurement cannot contaminate each
-//! other. The observability crate (`obs`) sits below the facilities — it
-//! may be *used* by them but depends on nothing, so attaching a recorder
-//! can never alter what a scan reads.
+//! other. The observability crate (`obs`) depends on nothing, and the
+//! facilities (`core`, `nix`) do not see it: a filter call returns its
+//! facts, and the trace is built by the harness that also resolves the
+//! drops, so tracing can never alter what a scan reads.
 //!
 //! Enforced on both levels:
 //! * **manifest edges** — `[dependencies]` in each `crates/*/Cargo.toml`
@@ -33,8 +34,8 @@ use crate::{Diagnostic, Lint};
 const ALLOWED_DEPS: [(&str, &[&str]); 10] = [
     ("pagestore", &[]),
     ("obs", &[]),
-    ("core", &["pagestore", "obs"]),
-    ("nix", &["pagestore", "obs", "core"]),
+    ("core", &["pagestore"]),
+    ("nix", &["pagestore", "core"]),
     ("oodb", &["pagestore", "core"]),
     ("costmodel", &[]),
     ("workload", &[]),

@@ -104,7 +104,8 @@ fn run_workload(sets: &[Vec<u64>], queries: &[(bool, Vec<u64>)]) -> Result<(), T
 /// workload and every shard count, (1) each OID lands on exactly one
 /// shard, (2) the merged candidate set is *identical* to the flat BSSF's
 /// (no OID duplicated or dropped across the shard boundary), and (3) the
-/// merged [`ScanStats`] are the exact sum of the per-shard charges — with
+/// merged [`ScanStats`] are the exact sum of the per-shard charges (the
+/// early exits ORed) — with
 /// one shard, byte-identical to the flat facility's stats.
 fn run_sharded_workload(
     sets: &[Vec<u64>],
@@ -173,6 +174,8 @@ fn run_sharded_workload(
                 let (_, part_stats) = router.query_shard(shard, q).unwrap();
                 let part_stats = part_stats.expect("bssf reports stats");
                 by_hand.pages += part_stats.pages;
+                by_hand.slices += part_stats.slices;
+                by_hand.early_exit |= part_stats.early_exit;
             }
             let (merged, merged_stats) = router.query_serial(q).unwrap();
             // (2) Candidate identity: a BSSF match depends only on the
