@@ -38,7 +38,6 @@
 //! variance of zero means equality.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use setsig_core::{
     Bitmap, Bssf, CandidateSet, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility,
@@ -758,8 +757,8 @@ pub fn split_pages(grown: u64, grew: bool) -> u64 {
 const D_T: u32 = 10;
 
 /// Runs every checkpoint at the given scale and trial count, all on the
-/// paper's `D_t = 10` workload: SSF and BSSF at `F = 500, m = 2` (BSSF flat,
-/// behind the 1-shard `QueryService` pool and through its serial router),
+/// paper's `D_t = 10` workload: SSF and BSSF at `F = 500, m = 2` (BSSF flat
+/// and behind a 1-shard `QueryService`),
 /// FSSF at `F = 500, k = 50, m = 3`, and NIX — every predicate and smart
 /// strategy each of them has a scan for, then one insert and one delete of
 /// a probe object per facility and trial.
@@ -777,10 +776,9 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let (f, m) = (500u32, 2u32);
     let mut ssf = sim.build_ssf_with(f, m, serial);
     let mut bssf = sim.build_bssf_with(f, m, serial);
-    let service = QueryService::with_recorder(
+    let service = QueryService::new(
         vec![sim.build_bssf_with(f, m, serial)],
         ServiceConfig::new(1),
-        Some(Arc::clone(&sim.recorder)),
     )
     .expect("valid service config");
     let (ff, fk, fm) = (500u32, 50u32, 3u32);
@@ -821,7 +819,6 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let via_ssf = |q: &SetQuery| sim.measure_facility(&ssf, q);
     let via_bssf = |q: &SetQuery| sim.measure_facility(&bssf, q);
     let via_service = |q: &SetQuery| sim.measure_facility(&service, q);
-    let via_router = |q: &SetQuery| sim.measure_facility(service.router(), q);
     let via_fssf = |q: &SetQuery| sim.measure_facility(&fssf, q);
     let via_nix = |q: &SetQuery| sim.measure_facility(&nix, q);
     // The one probe entry point beside `candidates_with_stats`; it reports
@@ -846,11 +843,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         unit_pages: pages_per_slice,
         model_unit_pages: bssf_model.slice_pages(),
     };
-    let (flat, pooled, router) = (
-        bssf_subject(&via_bssf),
-        bssf_subject(&via_service),
-        bssf_subject(&via_router),
-    );
+    let (flat, sharded) = (bssf_subject(&via_bssf), bssf_subject(&via_service));
     let fssf_subject = Subject {
         run: &via_fssf,
         predict: &fssf_predict,
@@ -899,7 +892,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let a_equal = p.n as f64 * (-ln_binomial(p.v, u64::from(d_t))).exp();
 
     #[rustfmt::skip]
-    let table: [Checkpoint; 21] = [
+    let table: [Checkpoint; 20] = [
         ("fig5", "ssf ⊇", 1, 101, &superset, &ssf_subject, one, fd_sup(1), a_sup(1)),
         ("fig8", "ssf ⊆", d_sub, 850, &subset, &ssf_subject, one, fd_sub(d_sub), a_sub(d_sub)),
         ("fig5", "bssf ⊇", 1, 101, &superset, &flat, m_s(1), fd_sup(1), a_sup(1)),
@@ -911,10 +904,9 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         ("fig9", "bssf ⊆ smart", 10, 133, &smart_subset, &flat, Banded::exact(sub_cap as f64), fd_sub(d_q_opt), a_sub(10)),
         ("extops", "bssf =", 10, 210, &SetQuery::equals, &flat, Banded::exact(f64::from(f)), fd_sup(10).min(fd_sub(10)), a_equal),
         ("extops", "bssf ≬", 3, 203, &SetQuery::overlaps, &flat, m_s(3), bssf_model.fd_overlap(3), bssf_model.actual_overlaps(3)),
-        ("fig5", "bssf ⊇ (service)", 1, 101, &superset, &pooled, m_s(1), fd_sup(1), a_sup(1)),
-        ("fig5", "bssf ⊇ (service)", 3, 103, &superset, &pooled, m_s(3), fd_sup(3), a_sup(3)),
-        ("fig8", "bssf ⊆ (service)", d_sub, 850, &subset, &pooled, zero_slices, fd_sub(d_sub), a_sub(d_sub)),
-        ("fig5", "bssf ⊇ (router)", 3, 103, &superset, &router, m_s(3), fd_sup(3), a_sup(3)),
+        ("fig5", "bssf ⊇ (service)", 1, 101, &superset, &sharded, m_s(1), fd_sup(1), a_sup(1)),
+        ("fig5", "bssf ⊇ (service)", 3, 103, &superset, &sharded, m_s(3), fd_sup(3), a_sup(3)),
+        ("fig8", "bssf ⊆ (service)", d_sub, 850, &subset, &sharded, zero_slices, fd_sub(d_sub), a_sub(d_sub)),
         ("extorgs", "fssf ⊇", 3, 31, &superset, &fssf_subject, occupancy(fk, 1, 3), fd_superset(ff, fm, d_t, 3), a_sup(3)),
         ("extorgs", "fssf ⊆", d_sub, 850, &subset, &fssf_subject, probes(fk), fd_subset(ff, fm, d_t, d_sub), a_sub(d_sub)),
         ("fig5", "nix ⊇", 1, 101, &superset, &index, probes(1), 0.0, a_sup(1)),
@@ -963,7 +955,7 @@ mod tests {
     #[test]
     fn every_checkpoint_conforms_on_every_trial_at_ci_scale() {
         let report = report();
-        assert_eq!(report.points.len(), 29);
+        assert_eq!(report.points.len(), 28);
         for p in &report.points {
             assert!(
                 p.ok(),
@@ -975,7 +967,7 @@ mod tests {
             );
             assert_eq!(p.exact_trials(), p.trials.len());
         }
-        assert_eq!(report.trial_count(), 58);
+        assert_eq!(report.trial_count(), 56);
     }
 
     /// The gate has no page of tolerance: one page more or less on any

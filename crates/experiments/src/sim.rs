@@ -514,13 +514,16 @@ mod tests {
         // shards' pages and slices summed and their early exits ORed.
         let cfg = SignatureConfig::new(128, 2).unwrap();
         let shards = (0..2).map(|i| Bssf::create(sim.io(), &format!("shard{i}"), cfg).unwrap());
-        let router = setsig_service::ShardRouter::new(shards.collect()).unwrap();
+        let config = setsig_service::ServiceConfig::new(2);
+        let service = setsig_service::QueryService::new(shards.collect(), config).unwrap();
         for oid in 0..sim.sets.len() as u64 {
-            router.insert(Oid::new(oid), &sim.target_keys(oid)).unwrap();
+            service
+                .insert(Oid::new(oid), &sim.target_keys(oid))
+                .unwrap();
         }
         for q in &queries {
-            let (merged, ev) = check(&router, q);
-            let parts = [0, 1].map(|shard| router.query_shard(shard, q).unwrap().1.unwrap());
+            let (merged, ev) = check(&service, q);
+            let parts = [0, 1].map(|shard| service.query_shard(shard, q).unwrap().1.unwrap());
             assert!(parts.iter().all(|part| part.slices > 0));
             assert_eq!(merged.pages, parts[0].pages + parts[1].pages);
             assert_eq!(merged.slices, parts[0].slices + parts[1].slices);
@@ -528,7 +531,7 @@ mod tests {
                 merged.early_exit,
                 parts[0].early_exit || parts[1].early_exit
             );
-            assert_eq!(ev.f_bits, Some(128), "geometry survives the router");
+            assert_eq!(ev.f_bits, Some(128), "geometry survives the service");
         }
     }
 

@@ -6,14 +6,14 @@
 //! analytic cost model. This crate provides the three pieces the rest of
 //! the workspace threads through:
 //!
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log2-bucket
+//! * [`MetricsRegistry`] — named [`Counter`]s and log2-bucket
 //!   [`Histogram`]s, lock-free on the update path,
 //! * [`QueryTrace`] — one structured event per query (query shape, pages,
 //!   slices, early exit, drops and false drops, cache traffic, latency).
 //!   The facilities do not build it: a filter call returns its facts, and
 //!   the driver that also resolves the drops builds the event,
 //! * [`Recorder`] — a registry plus the standard per-facility metrics a
-//!   [`QueryTrace`] feeds; the query service registers its own under it.
+//!   [`QueryTrace`] feeds.
 //!
 //! The crate sits at the bottom of the workspace DAG (it may not see the
 //! facilities or the harness) and uses no external dependencies beyond the
@@ -25,7 +25,7 @@ mod metrics;
 mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
+    Counter, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use trace::QueryTrace;
 

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges and log2-bucket histograms.
+//! The metrics registry: counters and log2-bucket histograms.
 //!
 //! Updates are lock-free (`AtomicU64`); only name→metric resolution takes
 //! the registry lock, and callers that care hold the returned `Arc` so the
@@ -7,7 +7,7 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotonically increasing counter.
@@ -29,41 +29,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         // ATOMIC: Relaxed — monitoring read; a stale count is acceptable.
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        // ATOMIC: Relaxed — last-write-wins level; no cross-cell ordering.
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by `delta` (negative to decrement) — the shape a
-    /// level gauge (queue depth, in-flight work) wants, where concurrent
-    /// increments and decrements must not lose updates the way
-    /// read-modify-`set` would.
-    pub fn add(&self, delta: i64) {
-        // ATOMIC: Relaxed — the RMW already makes the adjustment lossless.
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` exceeds the current value — a
-    /// high-water mark (peak queue depth), race-free under concurrent
-    /// observers.
-    pub fn set_max(&self, v: i64) {
-        // ATOMIC: Relaxed — fetch_max is race-free on its own cell.
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        // ATOMIC: Relaxed — monitoring read; a stale level is acceptable.
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -175,8 +140,6 @@ impl HistogramSnapshot {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram state (boxed: the bucket array dwarfs the other variants).
     Histogram(Box<HistogramSnapshot>),
 }
@@ -193,14 +156,6 @@ impl MetricsSnapshot {
     pub fn get_counter(&self, name: &str) -> Option<u64> {
         match self.values.get(name) {
             Some(MetricValue::Counter(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Gauge value by name, if present and a gauge.
-    pub fn get_gauge(&self, name: &str) -> Option<i64> {
-        match self.values.get(name) {
-            Some(MetricValue::Gauge(v)) => Some(*v),
             _ => None,
         }
     }
@@ -235,7 +190,6 @@ impl MetricsSnapshot {
         for (name, value) in &self.values {
             match value {
                 MetricValue::Counter(v) => out.push_str(&format!("{name} {v}\n")),
-                MetricValue::Gauge(v) => out.push_str(&format!("{name} {v}\n")),
                 MetricValue::Histogram(h) => out.push_str(&format!(
                     "{name} count={} sum={} mean={:.1} p99<={}\n",
                     h.count,
@@ -251,13 +205,12 @@ impl MetricsSnapshot {
 
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
 /// A named collection of metrics. Lookups get-or-create; a name keeps the
-/// kind of its first registration (a counter name asked for as a gauge
-/// yields a detached gauge rather than panicking — observability must
+/// kind of its first registration (a counter name asked for as a histogram
+/// yields a detached histogram rather than panicking — observability must
 /// never take the query path down).
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -285,18 +238,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock();
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => Arc::new(Gauge::default()),
-        }
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut m = self.metrics.lock();
@@ -317,7 +258,6 @@ impl MetricsRegistry {
             .map(|(k, v)| {
                 let value = match v {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                 };
                 (k.clone(), value)
@@ -352,51 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_are_last_write_wins() {
-        let r = MetricsRegistry::new();
-        let g = r.gauge("pool.pages");
-        g.set(42);
-        g.set(-3);
-        assert_eq!(r.snapshot().get_gauge("pool.pages"), Some(-3));
-    }
-
-    #[test]
-    fn gauge_add_and_high_water_mark() {
-        let r = MetricsRegistry::new();
-        let g = r.gauge("q.depth");
-        g.add(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        let peak = r.gauge("q.peak");
-        peak.set_max(3);
-        peak.set_max(1); // lower value must not regress the mark
-        assert_eq!(peak.get(), 3);
-        peak.set_max(9);
-        assert_eq!(peak.get(), 9);
-    }
-
-    #[test]
-    fn concurrent_gauge_adds_balance_to_zero() {
-        let r = Arc::new(MetricsRegistry::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    let g = r.gauge("level");
-                    for _ in 0..500 {
-                        g.add(1);
-                        g.add(-1);
-                    }
-                })
-            })
-            .collect();
-        for t in handles {
-            t.join().unwrap();
-        }
-        assert_eq!(r.snapshot().get_gauge("level"), Some(0));
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -427,8 +322,8 @@ mod tests {
     fn kind_mismatch_yields_detached_metric_not_panic() {
         let r = MetricsRegistry::new();
         r.counter("x").inc();
-        // Asking for the same name as a gauge must not panic or clobber.
-        r.gauge("x").set(7);
+        // Asking for the same name as a histogram must not panic or clobber.
+        r.histogram("x").record(7);
         assert_eq!(r.snapshot().get_counter("x"), Some(1));
     }
 
@@ -461,14 +356,12 @@ mod tests {
     #[test]
     fn render_text_is_deterministic_and_sorted() {
         let r = MetricsRegistry::new();
-        r.counter("b.count").add(2);
-        r.gauge("a.gauge").set(1);
         r.histogram("c.hist").record(8);
+        r.counter("b.count").add(2);
         let text = r.snapshot().render_text();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("a.gauge 1"));
-        assert!(lines[1].starts_with("b.count 2"));
-        assert!(lines[2].contains("count=1 sum=8"));
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("b.count 2"));
+        assert!(lines[1].contains("count=1 sum=8"));
     }
 }

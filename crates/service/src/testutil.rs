@@ -1,5 +1,5 @@
 //! Test-only facility: an exact, in-memory [`SetAccessFacility`] with a
-//! deterministic one-page scan charge per query. Lets router/pool tests
+//! deterministic one-page scan charge per query. Lets the service tests
 //! assert merged candidate sets and conserved stats without paging real
 //! signature files.
 
@@ -23,11 +23,6 @@ impl MockFacility {
         MockFacility {
             sets: BTreeMap::new(),
         }
-    }
-
-    /// Whether this instance indexes `oid` — shard-placement assertions.
-    pub(crate) fn contains(&self, oid: Oid) -> bool {
-        self.sets.contains_key(&oid)
     }
 }
 

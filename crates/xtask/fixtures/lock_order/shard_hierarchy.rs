@@ -1,9 +1,9 @@
-//! lock-order fixture for the query-service shard hierarchy: the
-//! admission queue ranks above the per-shard facility locks (a worker
-//! may touch a shard after queue bookkeeping, and the lexical ranges of
-//! the two guards may overlap), with the per-query pending latch as the
-//! leaf. Clean worker/writer paths pass; inverting either edge is an
-//! order violation.
+//! lock-order fixture for a three-level hierarchy, shaped like a worker
+//! pool over sharded facilities (the workspace's query service has no
+//! such pool; this only exercises the lint): an admission queue ranks
+//! above per-shard locks (the lexical ranges of the two guards may
+//! overlap), with a per-query pending latch as the leaf. Clean
+//! worker/writer paths pass; inverting either edge is an order violation.
 
 use std::sync::{Mutex, RwLock};
 

@@ -39,7 +39,7 @@ const ALLOWED_DEPS: [(&str, &[&str]); 10] = [
     ("oodb", &["pagestore", "core"]),
     ("costmodel", &[]),
     ("workload", &[]),
-    ("service", &["pagestore", "obs", "core"]),
+    ("service", &["pagestore", "core"]),
     (
         "experiments",
         &[

@@ -87,8 +87,8 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
         |f| lints::lock_order::check_file(f, &allow_locks),
         &mut failures,
     )?;
-    // The query-service shard hierarchy: admission queue over shard
-    // locks over the pending leaf, plus both inverted acquisitions.
+    // A three-level hierarchy (root over middle over a leaf) with both
+    // inverted acquisitions.
     check_file_fixture(
         &fixtures.join("lock_order/shard_hierarchy.rs"),
         |f| lints::lock_order::check_file(f, &Allowlist::default()),

@@ -123,29 +123,29 @@ fn engine_crates_name_no_btreeset_outside_test_code() {
 /// "No lock and no parking on a scan, a probe or a resolve" needs no call
 /// graph while the engine crates declare no lock at all: every lock a page
 /// access takes is `pagestore`'s (one per access, never across I/O — the
-/// guard-across-io lint), and the only threads that park are the service
-/// pool's, in its two designed idle states (a worker with an empty queue, a
-/// client awaiting its result). What the allocation side of the claim needs
-/// is counted in `tests/hot_path.rs`.
+/// guard-across-io lint), and nothing parks: the service runs a query's
+/// shards on the caller's thread, so `crates/service` spawns no thread and
+/// waits on nothing but its shard `RwLock`s. What the allocation side of the
+/// claim needs is counted in `tests/hot_path.rs`.
 #[test]
-fn engine_crates_name_no_lock_and_the_service_parks_in_its_pool_alone() {
+fn engine_crates_name_no_lock_and_the_service_never_parks() {
     const LOCKS: [&str; 6] = ["Mutex", "RwLock", "Condvar", "mpsc", "sleep", "parking_lot"];
-    const PARKING: [&str; 3] = ["Condvar", "mpsc", "sleep"];
+    const PARKING: [&str; 4] = ["Condvar", "mpsc", "sleep", "spawn"];
     let ws = Workspace::load(&repo_root()).expect("workspace readable");
     let sites = named(in_crates(&ws, &ENGINE), &LOCKS);
     assert!(
         sites.is_empty(),
         "a lock or a blocking wait in non-test code of crates/{{core,nix,oodb}}/src: {sites:?}"
     );
-    let beside_the_pool = in_crates(&ws, &["service"]).filter(|f| !f.rel.ends_with("/pool.rs"));
-    let sites = named(beside_the_pool, &PARKING);
+    let sites = named(in_crates(&ws, &["service"]), &PARKING);
     assert!(
         sites.is_empty(),
-        "crates/service parks a thread outside pool.rs: {sites:?}"
+        "crates/service parks or spawns a thread: {sites:?}"
     );
 
     // The check can fail: a lock in `core` is reported, line by line, and
-    // one inside a test module is not.
+    // one inside a test module is not; so is a parking primitive anywhere
+    // in the service's non-test code.
     let scratch = SourceFile::new(
         "crates/core/src/scratch.rs".to_string(),
         FileClass::Lib,
@@ -159,5 +159,16 @@ fn engine_crates_name_no_lock_and_the_service_parks_in_its_pool_alone() {
             "crates/core/src/scratch.rs:1",
             "crates/core/src/scratch.rs:2"
         ]
+    );
+    let scratch = SourceFile::new(
+        "crates/service/src/scratch.rs".to_string(),
+        FileClass::Lib,
+        Some("service".to_string()),
+        "use parking_lot::RwLock;\nuse std::sync::Condvar;\n\
+         #[cfg(test)]\nmod tests {\n    fn go() { std::thread::spawn(|| ()); }\n}\n",
+    );
+    assert_eq!(
+        named([&scratch], &PARKING),
+        ["crates/service/src/scratch.rs:2"]
     );
 }

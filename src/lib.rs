@@ -19,7 +19,7 @@
 //! | [`costmodel`] | `setsig-costmodel` | every equation of the paper, plus the design advisor |
 //! | [`workload`] | `setsig-workload` | synthetic data, query generators, mixed-operation traces |
 //! | [`obs`] | `setsig-obs` | per-query tracing, metrics registry, recorders |
-//! | [`service`] | `setsig-service` | sharded concurrent query service: OID-hash partitioning, worker-pool admission, live updates |
+//! | [`service`] | `setsig-service` | sharded query service: OID-hash partitioning, per-shard reader/writer locks, a query's shards run on the caller's thread, live updates |
 //!
 //! ## Quickstart
 //!
@@ -79,6 +79,6 @@ pub mod prelude {
     pub use setsig_nix::Nix;
     pub use setsig_oodb::{AttrType, ClassDef, Database, Value};
     pub use setsig_pagestore::{BufferPool, CacheStats, Disk, PageIo};
-    pub use setsig_service::{shard_of, QueryService, ServiceConfig, ShardRouter};
+    pub use setsig_service::{shard_of, QueryService, ServiceConfig};
     pub use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
 }

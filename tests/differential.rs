@@ -1,6 +1,6 @@
 //! Differential test harness: on random workloads, every facility's
 //! filtering stage is checked against ground truth computed directly from
-//! the sets, and the sharded router is checked against the flat facility.
+//! the sets, and the sharded service is checked against the flat facility.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use setsig::core::ElementSet;
 use setsig::nix::Nix;
 use setsig::prelude::*;
-use setsig::service::{shard_of, QueryService, ServiceConfig, ShardRouter};
+use setsig::service::{shard_of, QueryService, ServiceConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -165,19 +165,19 @@ fn run_sharded_workload(
                 b
             })
             .collect();
-        let router = ShardRouter::new(facilities).unwrap();
+        let service = QueryService::new(facilities, ServiceConfig::new(shards)).unwrap();
 
         for (q, (flat_set, flat_stats)) in built_queries.iter().zip(&flat_answers) {
             // Per-shard parts, summed by hand — the conservation oracle.
             let mut by_hand = ScanStats::default();
             for shard in 0..shards {
-                let (_, part_stats) = router.query_shard(shard, q).unwrap();
+                let (_, part_stats) = service.query_shard(shard, q).unwrap();
                 let part_stats = part_stats.expect("bssf reports stats");
                 by_hand.pages += part_stats.pages;
                 by_hand.slices += part_stats.slices;
                 by_hand.early_exit |= part_stats.early_exit;
             }
-            let (merged, merged_stats) = router.query_serial(q).unwrap();
+            let (merged, merged_stats) = service.candidates_with_stats(q).unwrap();
             // (2) Candidate identity: a BSSF match depends only on the
             // object's signature, never on which file holds it.
             prop_assert_eq!(
@@ -204,9 +204,9 @@ fn run_sharded_workload(
     Ok(())
 }
 
-/// The smart strategies through the paths that could not run them while
-/// they were inherent methods: a capped query through `ShardRouter<Bssf>`,
-/// `QueryService<Bssf>` and `ShardRouter<Nix>` returns a superset of the
+/// The smart strategies through the path that could not run them while
+/// they were inherent methods: a capped query through `QueryService<Bssf>`
+/// and `QueryService<Nix>` returns a superset of the
 /// plain candidates, resolves to exactly the brute-force answer, and at one
 /// shard charges the flat facility's pages.
 fn run_capped_sharded_workload(
@@ -248,29 +248,24 @@ fn run_capped_sharded_workload(
             bssf_parts[s].push((*oid, set.clone()));
             nix_shards[s].insert(*oid, set).unwrap();
         }
-        let bssf_shards = || -> Vec<Bssf> {
-            bssf_parts
-                .iter()
-                .enumerate()
-                .map(|(i, part)| {
-                    let mut b = Bssf::create(io(), &format!("b{i}"), cfg()).unwrap();
-                    b.bulk_load(part).unwrap();
-                    b
-                })
-                .collect()
-        };
-        let router = ShardRouter::new(bssf_shards()).unwrap();
-        let service = QueryService::new(bssf_shards(), ServiceConfig::new(shards)).unwrap();
-        let nix_router = ShardRouter::new(nix_shards).unwrap();
+        let bssf_shards: Vec<Bssf> = bssf_parts
+            .iter()
+            .enumerate()
+            .map(|(i, part)| {
+                let mut b = Bssf::create(io(), &format!("b{i}"), cfg()).unwrap();
+                b.bulk_load(part).unwrap();
+                b
+            })
+            .collect();
+        let service = QueryService::new(bssf_shards, ServiceConfig::new(shards)).unwrap();
+        let nix_service = QueryService::new(nix_shards, ServiceConfig::new(shards)).unwrap();
 
         for (plain, cap, truth) in &cases {
             let capped = (*plain).clone().with_cap(*cap).unwrap();
-            let mut paths: Vec<(&str, &dyn SetAccessFacility, &dyn SetAccessFacility)> = vec![
-                ("router<bssf>", &router, &flat_bssf),
-                ("service<bssf>", &service, &flat_bssf),
-            ];
+            let mut paths: Vec<(&str, &dyn SetAccessFacility, &dyn SetAccessFacility)> =
+                vec![("service<bssf>", &service, &flat_bssf)];
             if plain.predicate == SetPredicate::HasSubset {
-                paths.push(("router<nix>", &nix_router, &flat_nix));
+                paths.push(("service<nix>", &nix_service, &flat_nix));
             }
             for (name, sharded, flat) in paths {
                 let (smart, smart_stats) = sharded.candidates_with_stats(&capped).unwrap();
@@ -297,7 +292,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn capped_queries_run_through_router_and_service(
+    fn capped_queries_run_through_the_service(
         sets in proptest::collection::vec(
             proptest::collection::btree_set(0u64..30, 1..6)
                 .prop_map(|s| s.into_iter().collect::<Vec<u64>>()),

@@ -114,20 +114,20 @@ fn facilities_survive_a_long_mixed_trace() {
     assert_eq!(nix.indexed_count(), model.len() as u64);
 }
 
-/// Bursty admission soak: the service sits idle, takes a spike of
-/// queries far deeper than the worker pool, drains it, and repeats.
-/// Every query in every burst must be answered exactly once and
-/// correctly; the queue-depth gauge must peak during the spike and read
-/// zero once drained; per-shard counters must account for every task.
+/// Burst soak: the service sits idle, then 40 callers query it at once
+/// while a writer inserts into the same shards, and that repeats five
+/// times. Every answer must hold every object committed before its burst,
+/// be sorted with no candidate duplicated across shards, and carry the
+/// merged scan stats.
 #[test]
-fn service_survives_bursty_admission_and_drains_its_queue() {
-    use setsig::obs::Recorder;
+fn service_survives_bursts_of_concurrent_callers_and_a_writer() {
     use setsig::service::{QueryService, ServiceConfig};
+    use std::sync::Barrier;
 
     let shards = 4usize;
     let disk = Arc::new(Disk::new());
     let sig = SignatureConfig::new(64, 2).unwrap();
-    let mut facilities: Vec<Bssf> = (0..shards)
+    let facilities: Vec<Bssf> = (0..shards)
         .map(|i| {
             Bssf::create(
                 Arc::clone(&disk) as Arc<dyn PageIo>,
@@ -137,27 +137,18 @@ fn service_survives_bursty_admission_and_drains_its_queue() {
             .unwrap()
         })
         .collect();
-    // Pre-seed each facility empty; inserts go through the service so
-    // placement follows the hash.
-    let rec = Arc::new(Recorder::new());
-    let svc = Arc::new(
-        QueryService::with_recorder(
-            std::mem::take(&mut facilities),
-            ServiceConfig::new(shards)
-                .with_queue_depth(8)
-                .with_workers(3),
-            Some(Arc::clone(&rec)),
-        )
-        .unwrap(),
-    );
-    for i in 0..300u64 {
-        let keys: Vec<ElementKey> = (0..4).map(|j| ElementKey::from(i % 40 + j)).collect();
-        svc.insert(Oid::new(i), &keys).unwrap();
+    // Inserts go through the service so placement follows the hash.
+    let svc = QueryService::new(facilities, ServiceConfig::new(shards)).unwrap();
+    let keys =
+        |i: u64| -> Vec<ElementKey> { (0..4).map(|j| ElementKey::from(i % 40 + j)).collect() };
+    let seeded = 300u64;
+    for i in 0..seeded {
+        svc.insert(Oid::new(i), &keys(i)).unwrap();
     }
 
-    // Ground truth per probe element, computed once.
-    let expected = |e: u64| -> Vec<Oid> {
-        (0..300u64)
+    // Ground truth per probe element over the objects committed so far.
+    let expected = |e: u64, committed: u64| -> Vec<Oid> {
+        (0..committed)
             .filter(|i| {
                 let lo = i % 40;
                 e >= lo && e < lo + 4
@@ -166,72 +157,52 @@ fn service_survives_bursty_admission_and_drains_its_queue() {
             .collect()
     };
 
-    let bursts = 5usize;
-    let burst_size = 40usize;
+    let bursts = 5u64;
+    let burst_size = 40u64;
+    let per_burst_writes = 20u64;
     for burst in 0..bursts {
-        // Idle gap: the pool has nothing in flight between bursts.
-        let snap = rec.registry().snapshot();
-        assert_eq!(
-            snap.get_gauge("service.queue_depth"),
-            Some(0),
-            "queue not drained before burst {burst}"
-        );
-
-        // Spike: many callers submit at once, 5× deeper than the queue.
-        let handles: Vec<_> = (0..burst_size)
-            .map(|i| {
-                let svc = Arc::clone(&svc);
-                std::thread::spawn(move || {
-                    let e = (i % 20) as u64;
-                    let q = SetQuery::has_subset(vec![ElementKey::from(e)]);
-                    let (set, stats) = svc.query(&q).unwrap();
-                    (e, set, stats)
+        let committed = seeded + burst * per_burst_writes;
+        // Every caller and the writer start together.
+        let start = Barrier::new(burst_size as usize + 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for oid in committed..committed + per_burst_writes {
+                    svc.insert(Oid::new(oid), &keys(oid)).unwrap();
+                }
+            });
+            let callers: Vec<_> = (0..burst_size)
+                .map(|i| {
+                    let (svc, start) = (&svc, &start);
+                    s.spawn(move || {
+                        let e = i % 20;
+                        let q = SetQuery::has_subset(vec![ElementKey::from(e)]);
+                        start.wait();
+                        let (set, stats) = svc.candidates_with_stats(&q).unwrap();
+                        (e, set, stats)
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            let (e, set, stats) = h.join().expect("burst caller");
-            // The signature filter never loses a true answer, and the
-            // merge never duplicates a candidate across shards.
-            for oid in expected(e) {
-                assert!(
-                    set.oids.contains(&oid),
-                    "burst {burst} dropped true answer {oid} for {e}"
-                );
+                .collect();
+            for caller in callers {
+                let (e, set, stats) = caller.join().expect("burst caller");
+                // The signature filter never loses a committed answer, and
+                // the merge never duplicates a candidate across shards.
+                for oid in expected(e, committed) {
+                    assert!(
+                        set.oids.contains(&oid),
+                        "burst {burst} dropped true answer {oid} for {e}"
+                    );
+                }
+                for w in set.oids.windows(2) {
+                    assert!(w[0] < w[1], "burst {burst} duplicated candidate {}", w[0]);
+                }
+                assert!(stats.is_some(), "burst {burst} lost merged stats");
             }
-            for w in set.oids.windows(2) {
-                assert!(w[0] < w[1], "burst {burst} duplicated candidate {}", w[0]);
-            }
-            assert!(stats.is_some(), "burst {burst} lost merged stats");
-        }
+        });
     }
-
-    let snap = rec.registry().snapshot();
-    // No query lost or answered twice: shard counters account for every
-    // task exactly once — (bursts × burst_size) queries × shards tasks.
-    let total_tasks: u64 = (0..shards)
-        .map(|i| {
-            snap.get_counter(&format!("service.shard{i}.queries"))
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(total_tasks, (bursts * burst_size * shards) as u64);
-    let adm = snap
-        .get_histogram("service.admission_ns")
-        .expect("admission histogram");
-    assert_eq!(adm.count, (bursts * burst_size * shards) as u64);
-    // The spike was visible (queue backed up beyond a single batch) and
-    // fully drained (depth back to zero, nothing in flight).
-    assert!(
-        snap.get_gauge("service.queue_depth_peak").unwrap_or(0) > shards as i64,
-        "burst never backed up the queue"
+    assert_eq!(
+        svc.indexed_count(),
+        seeded + bursts * per_burst_writes,
+        "every write landed exactly once"
     );
-    assert_eq!(snap.get_gauge("service.queue_depth"), Some(0));
-    for i in 0..shards {
-        assert_eq!(
-            snap.get_gauge(&format!("service.shard{i}.inflight")),
-            Some(0),
-            "shard {i} left work in flight"
-        );
-    }
 }
