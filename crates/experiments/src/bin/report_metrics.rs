@@ -7,8 +7,8 @@
 //!
 //! Exits nonzero when any checkpoint does not conform (see
 //! `setsig_experiments::drift`) or an output file cannot be written, so CI
-//! can gate on it. The drift table, the metrics snapshot and the JSONL
-//! query trace of the run land in `--out` (default `results/`).
+//! can gate on it. The drift table, the JSONL query trace and its metrics
+//! fold land in `--out` (default `results/`).
 
 use setsig_experiments::drift;
 use std::path::PathBuf;

@@ -315,8 +315,8 @@ fn describe_band(band: Banded, avg: f64, trials: usize) -> String {
 pub struct DriftReport {
     /// All checkpoints, in exhibit order.
     pub points: Vec<DriftPoint>,
-    /// Observability artifacts of the run itself: the metrics snapshot and
-    /// the JSONL query trace, as `(file name, content)`.
+    /// Observability artifacts of the run itself: the JSONL query trace and
+    /// its metrics fold, as `(file name, content)`.
     pub artifacts: Vec<(String, String)>,
 }
 
@@ -923,7 +923,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let updated = (&mut ssf, &mut bssf, &mut fssf, &mut nix);
     points.extend(measure_updates(&sim, p, opts.trials, updated));
 
-    // The run's own metrics snapshot and query trace, as `drift.*` files.
+    // The run's own query trace and its metrics fold, as `drift.*` files.
     let mut carrier = Exhibit::new("drift", "", Vec::new());
     crate::exhibits::attach_observability(&mut carrier, [&sim]);
     DriftReport {

@@ -19,10 +19,11 @@ use crate::sim::SimDb;
 use setsig_costmodel::Params;
 use setsig_workload::{Cardinality, Distribution, WorkloadConfig};
 
-/// Attaches the metrics snapshot (`<id>.metrics.txt`) and the JSONL query
-/// trace (`<id>.trace.jsonl`) gathered by `sims` to the exhibit. Exhibits
-/// spanning several simulated databases pass them all; their registries
-/// are rendered in sequence and their traces concatenated.
+/// Attaches the JSONL query trace (`<id>.trace.jsonl`) gathered by `sims`
+/// to the exhibit, and its fold (`<id>.metrics.txt`, see
+/// [`metrics_text`](crate::metrics_text)). Exhibits spanning several
+/// simulated databases pass them all; each one's trace is folded and
+/// written in sequence.
 pub(crate) fn attach_observability<'a>(
     ex: &mut Exhibit,
     sims: impl IntoIterator<Item = &'a SimDb>,
@@ -30,8 +31,9 @@ pub(crate) fn attach_observability<'a>(
     let mut metrics = String::new();
     let mut trace = String::new();
     for sim in sims {
-        metrics.push_str(&sim.recorder.registry().snapshot().render_text());
-        for ev in sim.trace.take() {
+        let events = sim.trace.take();
+        metrics.push_str(&crate::metrics_text(&events));
+        for ev in events {
             trace.push_str(&ev.to_json());
             trace.push('\n');
         }

@@ -32,6 +32,8 @@ pub mod drift;
 pub mod exhibits;
 mod report;
 mod sim;
+mod trace;
 
 pub use report::Exhibit;
 pub use sim::{EngineConfig, MeasuredQuery, SimDb};
+pub use trace::{metrics_text, QueryTrace};

@@ -21,8 +21,8 @@ pub struct Exhibit {
     /// Free-form notes printed under the table (assumptions, deviations).
     pub notes: Vec<String>,
     /// Side-channel files written next to the CSV: `(file name, content)`.
-    /// Measured exhibits attach their metrics snapshot and JSONL query
-    /// trace here.
+    /// Measured exhibits attach their JSONL query trace and its metrics
+    /// fold here.
     pub artifacts: Vec<(String, String)>,
 }
 
@@ -124,7 +124,7 @@ impl Exhibit {
 
     /// Writes every attached artifact into `dir` under its own file name,
     /// minus wall-clock: these files are committed, so a diff in them must
-    /// mean behaviour changed. Live sinks keep `latency_ns`.
+    /// mean behaviour changed. A `QueryTrace` read live keeps `latency_ns`.
     pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
         if self.artifacts.is_empty() {
             return Ok(());
@@ -137,16 +137,14 @@ impl Exhibit {
     }
 }
 
-/// Drops the trailing `latency_ns` key from trace lines and the `*_ns`
-/// histograms from metrics lines.
+/// Drops the trailing `latency_ns` key from trace lines; the metrics file
+/// carries no clock to drop.
 fn without_wall_clock(content: &str) -> String {
     let mut out = String::with_capacity(content.len());
     for line in content.lines() {
         if let Some(cut) = line.find(",\"latency_ns\":") {
             out.push_str(&line[..cut]);
             out.push('}');
-        } else if line.split(' ').next().is_some_and(|n| n.ends_with("_ns")) {
-            continue;
         } else {
             out.push_str(line);
         }
@@ -174,7 +172,7 @@ mod tests {
     }
 
     /// The strip cuts a trace line at `latency_ns`: every other key sits
-    /// before it and survives, the `*_ns` histograms go, counters stay.
+    /// before it and survives, and metrics lines pass untouched.
     #[test]
     fn without_wall_clock_cuts_only_the_clock() {
         let trace =
@@ -183,13 +181,10 @@ mod tests {
             without_wall_clock(trace),
             "{\"facility\":\"bssf\",\"false_drops\":3,\"cache_misses\":null}\n"
         );
-        let metrics = "bssf.false_drops 64\nbssf.latency_ns count=2 sum=9\nbssf.pages count=2\n";
-        assert_eq!(
-            without_wall_clock(metrics),
-            "bssf.false_drops 64\nbssf.pages count=2\n"
-        );
+        let metrics = "bssf.false_drops 64\nbssf.pages count=2\n";
+        assert_eq!(without_wall_clock(metrics), metrics);
         // The last key of the real schema is the clock.
-        let ev = setsig_obs::QueryTrace {
+        let ev = crate::QueryTrace {
             facility: "nix".to_owned(),
             predicate: "InSubset".to_owned(),
             d_q: 1,
@@ -197,10 +192,10 @@ mod tests {
             m_weight: None,
             slices_touched: None,
             early_exit: false,
-            pages: Some(2),
+            pages: 2,
             candidates: 1,
             exact: false,
-            false_drops: Some(1),
+            false_drops: 1,
             cache_hits: None,
             cache_misses: None,
             latency_ns: 77,
@@ -250,20 +245,15 @@ mod tests {
                 "x.trace.jsonl".into(),
                 format!("{{\"facility\":\"ssf\",\"pages\":8,\"latency_ns\":{ns}}}\n"),
             ));
-            e.artifacts.push((
-                "x.metrics.txt".into(),
-                format!("ssf.latency_ns count=1 sum={ns} mean={ns}.0 p99<={ns}\nssf.queries 1\n"),
-            ));
             e
         };
         let dir = std::env::temp_dir().join(format!("setsig-art-{}", std::process::id()));
         let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
         run(5150).write_artifacts(&dir).unwrap();
-        let first = (read("x.trace.jsonl"), read("x.metrics.txt"));
+        let first = read("x.trace.jsonl");
         run(777).write_artifacts(&dir).unwrap();
-        assert_eq!((read("x.trace.jsonl"), read("x.metrics.txt")), first);
-        assert_eq!(first.0, "{\"facility\":\"ssf\",\"pages\":8}\n");
-        assert_eq!(first.1, "ssf.queries 1\n");
+        assert_eq!(read("x.trace.jsonl"), first);
+        assert_eq!(first, "{\"facility\":\"ssf\",\"pages\":8}\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,13 +10,14 @@ use setsig_core::{
     SetAccessFacility, SetQuery, SignatureConfig, Ssf,
 };
 use setsig_nix::Nix;
-use setsig_obs::{QueryTrace, Recorder};
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
 use setsig_pagestore::{BufferPool, PageIo};
 use setsig_workload::{QueryGen, SetGenerator, WorkloadConfig};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::trace::QueryTrace;
 
 /// Everything one measured query did, stage by stage: what
 /// [`SimDb::measure_facility`] returns and builds the query's
@@ -114,9 +115,6 @@ pub struct SimDb {
     pub sets: Vec<Vec<u64>>,
     /// The workload that generated the instance.
     pub cfg: WorkloadConfig,
-    /// The metrics every measured query feeds (and a query service built
-    /// over this instance may share).
-    pub recorder: Arc<Recorder>,
     /// The trace event of every measured query, oldest first, until an
     /// exhibit takes them.
     pub trace: RefCell<Vec<QueryTrace>>,
@@ -145,7 +143,6 @@ impl SimDb {
             class,
             sets,
             cfg,
-            recorder: Arc::default(),
             trace: RefCell::default(),
         }
     }
@@ -296,16 +293,15 @@ impl SimDb {
                 // touch none.
                 slices_touched: matches!(&*name, "bssf" | "fssf").then_some(stats.slices),
                 early_exit: stats.early_exit,
-                pages: Some(stats.pages),
+                pages: stats.pages,
                 candidates: report.candidates,
                 exact: drops.exact,
-                false_drops: Some(report.false_drops),
+                false_drops: report.false_drops,
                 cache_hits: cache.map(|(before, after)| after.hits - before.hits),
                 cache_misses: cache.map(|(before, after)| after.misses - before.misses),
                 latency_ns,
                 facility: name,
             };
-            self.recorder.record_query(&ev);
             self.trace.borrow_mut().push(ev);
         }
         MeasuredQuery {
@@ -469,11 +465,11 @@ mod tests {
             assert!(lines.is_empty(), "one line per query");
             assert_eq!(ev.facility, facility.name().to_lowercase());
             assert_eq!(ev.predicate.ends_with(":smart"), q.cap().is_some());
-            assert_eq!(ev.pages, Some(stats.pages));
+            assert_eq!(ev.pages, stats.pages);
             match ev.cache_hits.zip(ev.cache_misses) {
-                None => assert_eq!(ev.pages, Some(run.filter_reads), "no pool"),
+                None => assert_eq!(ev.pages, run.filter_reads, "no pool"),
                 Some((hits, misses)) => {
-                    assert_eq!(ev.pages, Some(hits + misses), "all through the pool");
+                    assert_eq!(ev.pages, hits + misses, "all through the pool");
                     assert_eq!(misses, run.filter_reads);
                 }
             }
@@ -483,25 +479,35 @@ mod tests {
                 sliced(&ev.facility).then_some(stats.slices)
             );
             assert_eq!(ev.f_bits.zip(ev.m_weight), facility.signature_geometry());
-            let false_drops = ev.false_drops.expect("resolved before the line is built");
-            assert_eq!(false_drops, run.report.false_drops);
-            assert_eq!(ev.candidates, run.report.actual.len() as u64 + false_drops);
-            assert!(!ev.exact || false_drops == 0, "exact drops are never false");
+            assert_eq!(ev.false_drops, run.report.false_drops);
+            assert_eq!(
+                ev.candidates,
+                run.report.actual.len() as u64 + ev.false_drops
+            );
+            assert!(
+                !ev.exact || ev.false_drops == 0,
+                "exact drops are never false"
+            );
             (stats, ev)
         };
         let facilities: [&dyn SetAccessFacility; 4] = [&ssf, &bssf, &fssf, &nix];
-        let mut false_drops = [0; 4];
+        let (mut events, mut false_drops) = (Vec::new(), [0; 4]);
         for (facility, total) in facilities.into_iter().zip(&mut false_drops) {
             for q in &queries {
-                *total += check(facility, q).1.false_drops.unwrap_or(0);
+                let ev = check(facility, q).1;
+                *total += ev.false_drops;
+                events.push(ev);
             }
         }
         assert!(false_drops[3] > 0, "NIX ⊆ fetches objects it must reject");
-        let snap = sim.recorder.registry().snapshot();
+        let metrics = crate::metrics_text(&events);
         for (facility, total) in ["ssf", "bssf", "fssf", "nix"].into_iter().zip(false_drops) {
-            assert_eq!(snap.get_counter(&format!("{facility}.queries")), Some(4));
-            let counted = snap.get_counter(&format!("{facility}.false_drops"));
-            assert_eq!(counted, Some(total));
+            for line in [
+                format!("{facility}.queries 4"),
+                format!("{facility}.false_drops {total}"),
+            ] {
+                assert!(metrics.lines().any(|l| l == line), "{line} in\n{metrics}");
+            }
         }
 
         let pooled = EngineConfig {

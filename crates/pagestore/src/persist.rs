@@ -11,8 +11,12 @@
 //!   namelen u32, name bytes
 //!   npages  u32, npages * PAGE_SIZE bytes
 //! ```
+//!
+//! A damaged image is an `Err`, never an abort: nothing is sized from a
+//! count the rest of the file could not hold.
 
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, Write};
 use std::path::Path;
 
 use crate::disk::Disk;
@@ -20,6 +24,13 @@ use crate::error::{Error, Result};
 use crate::page::{Page, PAGE_SIZE};
 
 const MAGIC: &[u8; 8] = b"SSIMG1\n\0";
+
+/// Bytes of a file record before its name and pages: slot, namelen, npages.
+const RECORD_HEADER: u64 = 12;
+
+/// Largest slot an image may name. Loading re-creates every slot below it
+/// (gaps as deleted files), so the bound caps what a bad slot can allocate.
+const MAX_SLOT: u32 = 1 << 20;
 
 impl Disk {
     /// Serializes the disk (file names and page contents; counters are not
@@ -45,16 +56,21 @@ impl Disk {
     /// Loads a disk image previously written by [`Disk::save_to`]. All
     /// counters start from zero.
     pub fn load_from(path: &Path) -> Result<Disk> {
-        let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut input = BufReader::new(file);
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(Error::CorruptImage("bad magic".into()));
         }
-        let nfiles = read_u32(&mut input)?;
-        let mut files = Vec::with_capacity(nfiles as usize);
+        let nfiles = read_count(&mut input, len, RECORD_HEADER)?;
+        let mut files = Vec::with_capacity(nfiles);
         for _ in 0..nfiles {
             let slot = read_u32(&mut input)?;
+            if slot > MAX_SLOT {
+                return Err(Error::CorruptImage("file slot too large".into()));
+            }
             let namelen = read_u32(&mut input)? as usize;
             if namelen > 1 << 20 {
                 return Err(Error::CorruptImage("file name too long".into()));
@@ -63,8 +79,8 @@ impl Disk {
             input.read_exact(&mut name)?;
             let name = String::from_utf8(name)
                 .map_err(|_| Error::CorruptImage("file name not utf-8".into()))?;
-            let npages = read_u32(&mut input)?;
-            let mut pages = Vec::with_capacity(npages as usize);
+            let npages = read_count(&mut input, len, PAGE_SIZE as u64)?;
+            let mut pages = Vec::with_capacity(npages);
             for _ in 0..npages {
                 let mut buf = [0u8; PAGE_SIZE];
                 input.read_exact(&mut buf)?;
@@ -89,6 +105,16 @@ fn read_u32(r: &mut impl Read) -> Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
+}
+
+/// Reads a count of records of at least `size` bytes each, refused if the
+/// rest of the `len`-byte image cannot hold them.
+fn read_count(input: &mut BufReader<File>, len: u64, size: u64) -> Result<usize> {
+    let n = read_u32(input)?;
+    if u64::from(n) * size > len.saturating_sub(input.stream_position()?) {
+        return Err(Error::CorruptImage("count exceeds the image".into()));
+    }
+    Ok(n as usize)
 }
 
 #[cfg(test)]
@@ -141,6 +167,49 @@ mod tests {
             Err(Error::CorruptImage(_)) | Err(Error::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A 1-page image with the `u32` at `offset` overwritten by `value`.
+    fn load_damaged(tag: &str, offset: usize, value: u32) -> Result<Disk> {
+        let dir = std::env::temp_dir().join(format!("setsig-persist-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("damaged.bin");
+        let disk = Disk::new();
+        let f = disk.create_file("t");
+        disk.append_page(f, &Page::zeroed()).unwrap();
+        disk.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = Disk::load_from(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        loaded
+    }
+
+    // Offsets in the 1-page image: magic 0..8, nfiles 8, slot 12,
+    // namelen 16, name "t" 20, npages 21.
+    #[test]
+    fn a_file_count_past_the_image_is_corrupt() {
+        assert!(matches!(
+            load_damaged("nfiles", 8, u32::MAX),
+            Err(Error::CorruptImage(_))
+        ));
+    }
+
+    #[test]
+    fn a_page_count_past_the_image_is_corrupt() {
+        assert!(matches!(
+            load_damaged("npages", 21, u32::MAX),
+            Err(Error::CorruptImage(_))
+        ));
+    }
+
+    #[test]
+    fn a_slot_past_the_bound_is_corrupt() {
+        assert!(matches!(
+            load_damaged("slot", 12, 1 << 30),
+            Err(Error::CorruptImage(_))
+        ));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! workload knowledge and quietly break the paper's protocol. Likewise the
 //! analytic crates (`costmodel`, `workload`) stay free of storage
 //! dependencies, so the model and the measurement cannot contaminate each
-//! other. The observability crate (`obs`) depends on nothing, and the
-//! facilities (`core`, `nix`) do not see it: a filter call returns its
-//! facts, and the trace is built by the harness that also resolves the
-//! drops, so tracing can never alter what a scan reads.
+//! other. The facilities (`core`, `nix`) know nothing of tracing: a filter
+//! call returns its facts, and the trace is built by the harness that also
+//! resolves the drops, so tracing can never alter what a scan reads.
 //!
 //! Enforced on both levels:
 //! * **manifest edges** — `[dependencies]` in each `crates/*/Cargo.toml`
@@ -31,9 +30,8 @@ use crate::{Diagnostic, Lint};
 /// The workspace DAG: crate dir → setsig crates it may depend on.
 ///
 /// Order follows the build layering, bottom to top.
-const ALLOWED_DEPS: [(&str, &[&str]); 10] = [
+const ALLOWED_DEPS: [(&str, &[&str]); 9] = [
     ("pagestore", &[]),
-    ("obs", &[]),
     ("core", &["pagestore"]),
     ("nix", &["pagestore", "core"]),
     ("oodb", &["pagestore", "core"]),
@@ -44,7 +42,6 @@ const ALLOWED_DEPS: [(&str, &[&str]); 10] = [
         "experiments",
         &[
             "pagestore",
-            "obs",
             "core",
             "nix",
             "oodb",

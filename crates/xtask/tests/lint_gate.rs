@@ -4,7 +4,8 @@
 //! stale-allowlist check) without needing the separate CI step. The
 //! retained lint set is pinned too: growing it back is a deliberate act.
 //! Two claims about the engine crates are held by the tokens alone — no
-//! tree set, no lock — and by nothing else in the analyzer.
+//! tree set, no lock — and by nothing else in the analyzer; so is the
+//! workspace's lock inventory of three files.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -105,6 +106,21 @@ fn in_crates<'a>(ws: &'a Workspace, crates: &'a [&str]) -> impl Iterator<Item = 
     ws.files.iter().filter(member)
 }
 
+/// The files whose library code names a lock type, outside `xtask` (whose
+/// source names lock types as tokens).
+fn lock_files<'a>(files: impl IntoIterator<Item = &'a SourceFile>) -> Vec<String> {
+    let files = files
+        .into_iter()
+        .filter(|f| f.crate_dir.as_deref() != Some("xtask"));
+    let mut rels: Vec<String> = named(files, &["Mutex", "RwLock"])
+        .into_iter()
+        .map(|site| site[..site.rfind(':').unwrap()].to_owned())
+        .collect();
+    rels.sort();
+    rels.dedup();
+    rels
+}
+
 const ENGINE: [&str; 3] = ["core", "nix", "oodb"];
 
 /// The engine's set algebra is ascending `Vec`s (`setsig_core::sorted`) and
@@ -126,12 +142,23 @@ fn engine_crates_name_no_btreeset_outside_test_code() {
 /// guard-across-io lint), and nothing parks: the service runs a query's
 /// shards on the caller's thread, so `crates/service` spawns no thread and
 /// waits on nothing but its shard `RwLock`s. What the allocation side of the
-/// claim needs is counted in `tests/hot_path.rs`.
+/// claim needs is counted in `tests/hot_path.rs`. The whole lock inventory
+/// is three files: the disk, the pool and the service's shards.
 #[test]
 fn engine_crates_name_no_lock_and_the_service_never_parks() {
     const LOCKS: [&str; 6] = ["Mutex", "RwLock", "Condvar", "mpsc", "sleep", "parking_lot"];
     const PARKING: [&str; 4] = ["Condvar", "mpsc", "sleep", "spawn"];
+    const LOCK_FILES: [&str; 3] = [
+        "crates/pagestore/src/cache.rs",
+        "crates/pagestore/src/disk.rs",
+        "crates/service/src/lib.rs",
+    ];
     let ws = Workspace::load(&repo_root()).expect("workspace readable");
+    assert_eq!(
+        lock_files(&ws.files),
+        LOCK_FILES,
+        "non-test library code names a lock outside the inventory"
+    );
     let sites = named(in_crates(&ws, &ENGINE), &LOCKS);
     assert!(
         sites.is_empty(),
@@ -170,5 +197,20 @@ fn engine_crates_name_no_lock_and_the_service_never_parks() {
     assert_eq!(
         named([&scratch], &PARKING),
         ["crates/service/src/scratch.rs:2"]
+    );
+    // A lock anywhere else — here the registry `crates/obs` used to hold —
+    // joins the inventory, so the assertion above fails.
+    let scratch = SourceFile::new(
+        "crates/obs/src/metrics.rs".to_string(),
+        FileClass::Lib,
+        Some("obs".to_string()),
+        "pub struct Registry {\n    metrics: parking_lot::Mutex<u64>,\n}\n",
+    );
+    assert_eq!(
+        lock_files(ws.files.iter().chain([&scratch])),
+        ["crates/obs/src/metrics.rs"]
+            .into_iter()
+            .chain(LOCK_FILES)
+            .collect::<Vec<_>>()
     );
 }

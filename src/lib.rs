@@ -18,7 +18,6 @@
 //! | [`nix`] | `setsig-nix` | B-tree nested index baseline |
 //! | [`costmodel`] | `setsig-costmodel` | every equation of the paper, plus the design advisor |
 //! | [`workload`] | `setsig-workload` | synthetic data, query generators, mixed-operation traces |
-//! | [`obs`] | `setsig-obs` | per-query tracing, metrics registry, recorders |
 //! | [`service`] | `setsig-service` | sharded query service: OID-hash partitioning, per-shard reader/writer locks, a query's shards run on the caller's thread, live updates |
 //!
 //! ## Quickstart
@@ -63,7 +62,6 @@
 pub use setsig_core as core;
 pub use setsig_costmodel as costmodel;
 pub use setsig_nix as nix;
-pub use setsig_obs as obs;
 pub use setsig_oodb as oodb;
 pub use setsig_pagestore as pagestore;
 pub use setsig_service as service;
