@@ -184,10 +184,11 @@ pub fn verify_predicate(
 /// not depend on the data, and a corrupt record is an error, never a
 /// silently dropped candidate.
 ///
-/// Exact candidate sets (e.g. NIX on `T ⊇ Q`) are fetched too — the paper's
-/// query model returns *objects*, so qualifying objects cost `P_s` each —
-/// and re-verified, which costs nothing extra once the object is in hand
-/// and catches 64-bit key-digest collisions in the nested index.
+/// Exact candidate sets (e.g. NIX on `T ⊇ Q`, `T ⊆ Q` and `T = Q`) are
+/// fetched too — the paper's query model returns *objects*, so qualifying
+/// objects cost `P_s` each — and re-verified, which costs nothing extra once
+/// the object is in hand and catches 64-bit key-digest collisions in the
+/// nested index.
 pub fn resolve_drops(
     query: &SetQuery,
     candidates: &CandidateSet,

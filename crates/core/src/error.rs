@@ -20,6 +20,9 @@ pub enum Error {
     NoSuchEntry(u64),
     /// The OID was not found (e.g. deleting a value that was never inserted).
     OidNotFound(crate::Oid),
+    /// The OID is wider than the structure storing it can hold (the nested
+    /// index packs an OID into 47 bits of its posting word).
+    OidOutOfRange(crate::Oid),
     /// An on-disk structure is inconsistent with the catalog state (e.g. a
     /// frame file shorter than the indexed row count requires). Scans must
     /// refuse to run rather than silently return a partial answer.
@@ -41,6 +44,7 @@ impl std::fmt::Display for Error {
             }
             Error::NoSuchEntry(pos) => write!(f, "no entry at position {pos}"),
             Error::OidNotFound(oid) => write!(f, "oid {oid:?} not found"),
+            Error::OidOutOfRange(oid) => write!(f, "oid {oid:?} is out of the structure's range"),
             Error::Corrupted(msg) => write!(f, "corrupted structure: {msg}"),
             Error::Storage(e) => write!(f, "storage error: {e}"),
         }

@@ -57,7 +57,9 @@ pub struct CandidateSet {
     /// Whether the candidates are *exact* (already known to satisfy the
     /// predicate, no resolution needed). Signature files always return
     /// `false`; the nested index returns `true` for `T ⊇ Q` (an OID-list
-    /// intersection proves the predicate) and `false` for `T ⊆ Q`.
+    /// intersection proves the predicate) and for `T ⊆ Q` / `T = Q` (each
+    /// posting carries `|T|`, so the lists' union counts the proof), and
+    /// `false` for a smart-capped `T ⊇ Q` or a set past `|T| = 0xFFFF`.
     pub exact: bool,
 }
 

@@ -8,6 +8,11 @@
 //! returns the configuration minimizing expected page accesses per
 //! operation. The `tuning` example drives it; tests pin the paper's own
 //! conclusions.
+//!
+//! NIX is costed with the paper's §4.3 `T ⊆ Q` union
+//! ([`NixModel::rc_subset`]), not with the counting retrieval the engine
+//! runs ([`NixModel::rc_subset_counting`]): the advisor mechanizes the
+//! paper's verdict.
 
 use crate::bssf::BssfModel;
 use crate::fssf::FssfModel;

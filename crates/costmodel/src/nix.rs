@@ -108,6 +108,18 @@ impl NixModel {
         self.rc_lookup() * d_q as f64 + self.params.p_p * fail + self.params.p_s * a
     }
 
+    /// Retrieval cost for `T ⊆ Q` when each posting carries `|T|` (the
+    /// engine's NIX): the same `D_q` look-ups and union, but an object is a
+    /// candidate only when the union meets it `|T|` times, so only the `A`
+    /// answers are fetched: `RC = rc·D_q + P_s·A`. [`rc_subset`] is the
+    /// paper's form.
+    ///
+    /// [`rc_subset`]: NixModel::rc_subset
+    pub fn rc_subset_counting(&self, d_q: u32) -> f64 {
+        let a = actual_drops_subset(&self.params, self.d_t, d_q);
+        self.rc_lookup() * d_q as f64 + self.params.p_s * a
+    }
+
     /// The §5.1.3 smart strategy for `T ⊇ Q`: for `D_q > j_cap`, look up
     /// only `j_cap` elements, intersect, and resolve the candidates against
     /// the full predicate:
@@ -203,6 +215,21 @@ mod tests {
         // overlapping object (≈ N·(1−(1−D_q/V)^{D_t}) objects).
         assert!(rc100 > 2000.0, "rc100 = {rc100}");
         assert!(rc1000 > 17000.0, "rc1000 = {rc1000}");
+    }
+
+    #[test]
+    fn counting_subset_cost_is_the_lookups_plus_the_answers() {
+        let m = NixModel::new(Params::paper(), 10);
+        // A ≈ 10^-18 at D_q = 100: the look-ups are the whole cost.
+        assert!((m.rc_subset_counting(100) - 300.0).abs() < 1e-6);
+        for d_q in [10, 100, 1000, 5000] {
+            let fetched = m.rc_subset(d_q) - m.rc_subset_counting(d_q);
+            let fails = m.params.p_p * expected_subset_union_accesses(&m.params, 10, d_q);
+            assert!(
+                (fetched - fails).abs() < 1e-6 * fails.max(1.0),
+                "D_q = {d_q}"
+            );
+        }
     }
 
     #[test]

@@ -345,34 +345,45 @@ impl BTree {
         Ok(head)
     }
 
-    /// The posting list of `key` (empty when absent). Costs
-    /// `height + 1 (+ chain length)` page reads — the paper's `rc` — and
-    /// adds them to `pages`, the calling query's counter (`&mut 0` when
-    /// nobody is counting).
+    /// The posting list of `key` (empty when absent): [`lookup_into`]
+    /// a fresh `Vec`.
+    ///
+    /// [`lookup_into`]: BTree::lookup_into
     pub fn lookup(&self, key: u64, pages: &mut u64) -> Result<Vec<u64>> {
+        let mut oids = Vec::new();
+        self.lookup_into(key, &mut oids, pages)?;
+        Ok(oids)
+    }
+
+    /// Appends the posting list of `key` to `out` (nothing when absent),
+    /// growing it at most once. Costs `height + 1 (+ chain length)` page
+    /// reads — the paper's `rc` — and adds them to `pages`, the calling
+    /// query's counter (`&mut 0` when nobody is counting).
+    pub fn lookup_into(&self, key: u64, out: &mut Vec<u64>, pages: &mut u64) -> Result<()> {
         let (_, page) = self.descend(key, |_| {})?;
         *pages += u64::from(self.rc_lookup());
-        match Leaf::search(&page, key) {
-            Err(_) => Ok(Vec::new()),
-            Ok(slot) => match Leaf::entry_at(&page, slot) {
-                LeafEntry::Inline { oids, .. } => Ok(oids),
-                LeafEntry::Overflow {
-                    chain_head, total, ..
-                } => {
-                    let mut oids = Vec::with_capacity(total as usize);
-                    let mut link = chain_head;
-                    while link != NO_PAGE {
-                        let page = self.file.read(link)?;
-                        *pages += 1;
-                        for i in 0..Overflow::count(&page) {
-                            oids.push(Overflow::oid(&page, i));
-                        }
-                        link = Overflow::next(&page);
-                    }
-                    Ok(oids)
-                }
-            },
+        let Ok(slot) = Leaf::search(&page, key) else {
+            return Ok(());
+        };
+        let Some((head, total)) = Leaf::read_postings(&page, slot, out) else {
+            return Ok(());
+        };
+        out.reserve(total as usize);
+        *pages += self.read_chain(head, out)?;
+        Ok(())
+    }
+
+    /// Appends the OIDs of the overflow chain starting at `link` to `out`,
+    /// returning the links read.
+    fn read_chain(&self, mut link: u32, out: &mut Vec<u64>) -> Result<u64> {
+        let mut links = 0;
+        while link != NO_PAGE {
+            let page = self.file.read(link)?;
+            links += 1;
+            out.extend((0..Overflow::count(&page)).map(|i| Overflow::oid(&page, i)));
+            link = Overflow::next(&page);
         }
+        Ok(links)
     }
 
     /// Removes `oid` from `key`'s posting list. Returns whether it was
@@ -437,9 +448,15 @@ impl BTree {
     /// consistent separators, posting counts). Test/debug helper; reads
     /// every page.
     pub fn check_integrity(&self) -> Result<()> {
-        let mut keys = 0u64;
-        let mut postings = 0u64;
-        self.check_node(self.root, None, None, self.height, &mut keys, &mut postings)?;
+        self.check_and_visit(&mut |_, _| {})
+    }
+
+    /// [`check_integrity`](BTree::check_integrity), handing every
+    /// `(key, posting)` to `visit` on the way, keys ascending.
+    pub fn check_and_visit(&self, visit: &mut dyn FnMut(u64, u64)) -> Result<()> {
+        let mut counted = (0u64, 0u64);
+        self.check_node(self.root, (None, None), self.height, &mut counted, visit)?;
+        let (keys, postings) = counted;
         if keys != self.key_count {
             return Err(Error::BadConfig(format!(
                 "key count drift: counted {keys}, tracked {}",
@@ -455,14 +472,15 @@ impl BTree {
         Ok(())
     }
 
+    /// Checks the subtree at `page_no`, whose keys must lie in
+    /// `[lower, upper)`, adding its `(keys, postings)` to `counted`.
     fn check_node(
         &self,
         page_no: u32,
-        lower: Option<u64>,
-        upper: Option<u64>,
+        (lower, upper): (Option<u64>, Option<u64>),
         depth_left: u32,
-        keys: &mut u64,
-        postings: &mut u64,
+        counted: &mut (u64, u64),
+        visit: &mut dyn FnMut(u64, u64),
     ) -> Result<()> {
         let bad = |msg: String| Err(Error::BadConfig(msg));
         let page = self.file.read(page_no)?;
@@ -472,6 +490,7 @@ impl BTree {
                     return bad(format!("leaf {page_no} at nonzero depth {depth_left}"));
                 }
                 let mut prev: Option<u64> = None;
+                let mut list = Vec::new();
                 for i in 0..Leaf::count(&page) {
                     let k = Leaf::key_at(&page, i);
                     if let Some(p) = prev {
@@ -483,27 +502,19 @@ impl BTree {
                         return bad(format!("leaf {page_no} key {k} outside separators"));
                     }
                     prev = Some(k);
-                    *keys += 1;
-                    match Leaf::entry_at(&page, i) {
-                        LeafEntry::Inline { oids, .. } => *postings += oids.len() as u64,
-                        LeafEntry::Overflow {
-                            chain_head, total, ..
-                        } => {
-                            let mut seen = 0u64;
-                            let mut link = chain_head;
-                            while link != NO_PAGE {
-                                let lp = self.file.read(link)?;
-                                seen += Overflow::count(&lp) as u64;
-                                link = Overflow::next(&lp);
-                            }
-                            if seen != total as u64 {
-                                return bad(format!(
-                                    "chain of key {k}: stub says {total}, chain has {seen}"
-                                ));
-                            }
-                            *postings += seen;
+                    list.clear();
+                    if let Some((head, total)) = Leaf::read_postings(&page, i, &mut list) {
+                        self.read_chain(head, &mut list)?;
+                        if list.len() != total as usize {
+                            return bad(format!(
+                                "chain of key {k}: stub says {total}, chain has {}",
+                                list.len()
+                            ));
                         }
                     }
+                    counted.0 += 1;
+                    counted.1 += list.len() as u64;
+                    list.iter().for_each(|&posting| visit(k, posting));
                 }
                 Ok(())
             }
@@ -533,14 +544,8 @@ impl BTree {
                     } else {
                         Some(Internal::key(&page, i))
                     };
-                    self.check_node(
-                        Internal::child(&page, i),
-                        lo,
-                        hi,
-                        depth_left - 1,
-                        keys,
-                        postings,
-                    )?;
+                    let child = Internal::child(&page, i);
+                    self.check_node(child, (lo, hi), depth_left - 1, counted, visit)?;
                 }
                 Ok(())
             }

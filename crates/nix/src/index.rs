@@ -9,12 +9,48 @@ use std::sync::Arc;
 
 use crate::btree::BTree;
 
+/// Bits of a posting word below its OID: they hold the object's `|T|`, the
+/// number of distinct element digests it was indexed under.
+const CARD_BITS: u32 = 16;
+/// The largest `|T|` a posting word holds; a larger set reads as this, and a
+/// count against it is no longer exact.
+const SATURATED: u64 = (1 << CARD_BITS) - 1;
+/// OID bits a posting word holds: 47, so a word stays below `2^63`.
+const OID_BITS: u32 = 47;
+/// The key an object with an empty set is posted under, with `|T| = 0`. An
+/// element may digest to it too; its postings carry `|T| ≥ 1`.
+const EMPTY_SET_KEY: u64 = u64::MAX;
+
+/// The posting word of `oid` for a set of `card` distinct digests:
+/// `oid << 16 | min(card, 0xFFFF)`.
+fn posting(oid: Oid, card: usize) -> Result<u64> {
+    if oid.raw() >> OID_BITS != 0 {
+        return Err(Error::OidOutOfRange(oid));
+    }
+    Ok(oid.raw() << CARD_BITS | (card as u64).min(SATURATED))
+}
+
+fn oid_of(word: u64) -> Oid {
+    Oid::new(word >> CARD_BITS)
+}
+
+fn card_of(word: u64) -> u64 {
+    word & SATURATED
+}
+
 /// The nested index (NIX): a [`BTree`] keyed by set elements whose posting
 /// lists are the OIDs of the objects containing that element, plus the
 /// paper's retrieval schemes (§4.3).
+///
+/// Each posting word also carries the object's `|T|`, so the union of the
+/// query's lists answers `T ⊆ Q` by counting: an object's word recurs once
+/// per list holding it, `|T ∩ Q|` times, and `T ⊆ Q ⇔ |T ∩ Q| = |T|`.
+/// Objects with an empty set are posted under one reserved key.
 pub struct Nix {
     tree: BTree,
     indexed: u64,
+    /// Indexed objects whose set is empty.
+    empties: u64,
     /// Catalog checkpoint file; created lazily by [`Nix::sync_meta`].
     meta_file: Option<setsig_pagestore::PagedFile>,
 }
@@ -31,6 +67,7 @@ impl Nix {
         Nix {
             tree: BTree::create(io, &format!("{name}.nix")),
             indexed: 0,
+            empties: 0,
             meta_file: None,
         }
     }
@@ -43,29 +80,56 @@ impl Nix {
     /// Posting list of one element: the OIDs of every object whose indexed
     /// set contains it. Costs `rc = height + 1` page reads (+ chain links).
     pub fn lookup_element(&self, element: &ElementKey) -> Result<Vec<Oid>> {
-        Ok(self
-            .tree
-            .lookup(element.digest8(), &mut 0)?
-            .into_iter()
-            .map(Oid::new)
-            .collect())
+        let mut words = Vec::new();
+        self.postings_into(element.digest8(), &mut words, &mut 0)?;
+        Ok(words.into_iter().map(oid_of).collect())
+    }
+
+    /// Appends to `out` the posting words of the element digest `key` —
+    /// never those of empty sets, should the element share their key.
+    fn postings_into(&self, key: u64, out: &mut Vec<u64>, pages: &mut u64) -> Result<()> {
+        let from = out.len();
+        self.tree.lookup_into(key, out, pages)?;
+        if key == EMPTY_SET_KEY && self.empties > 0 {
+            let mut at = 0;
+            out.retain(|&word| {
+                at += 1;
+                at <= from || card_of(word) != 0
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends the objects whose set is empty to `oids`. Probes nothing
+    /// while there are none, so no other query's page charge moves.
+    fn empty_sets_into(&self, oids: &mut Vec<Oid>, pages: &mut u64) -> Result<()> {
+        if self.empties > 0 {
+            let words = self.tree.lookup(EMPTY_SET_KEY, pages)?;
+            oids.extend(words.into_iter().filter(|&w| card_of(w) == 0).map(oid_of));
+        }
+        Ok(())
     }
 
     /// The §4.3 retrieval for `T ⊇ Q`: look up every query element and
-    /// intersect the OID lists. Exact — an object containing every query
-    /// element satisfies the predicate by definition.
+    /// intersect the lists. Returns the posting words common to them,
+    /// ascending, and whether every element was looked up — an object
+    /// listed under every query element satisfies the predicate by
+    /// definition.
     ///
     /// Under a smart cap (§5.1.3) only the first `cap` elements' posting
     /// lists are intersected; the rest are verified at drop resolution, so
     /// a truncated answer is *not* exact.
-    fn superset_candidates(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<CandidateSet> {
+    fn intersection(&self, query: &SetQuery, pages: &mut u64) -> Result<(Vec<u64>, bool)> {
         let d_q = query.elements.len();
         let take = d_q.min(query.cap().unwrap_or(d_q));
         // Posting lists come in insertion order; each is put in ascending
-        // order once, then every intersection is a two-pointer pass.
+        // order once, then every intersection is a two-pointer pass. An
+        // object's word is the same in every list, so words intersect as
+        // OIDs do.
         let mut acc: Option<Vec<u64>> = None;
         for e in &query.elements[..take] {
-            let mut list = self.tree.lookup(e.digest8(), &mut ctr.pages)?;
+            let mut list = Vec::new();
+            self.postings_into(e.digest8(), &mut list, pages)?;
             sorted::sort_dedup(&mut list);
             let met = match &acc {
                 None => list,
@@ -75,36 +139,117 @@ impl Nix {
                 break;
             }
         }
-        let oids = acc
-            .map(|s| s.into_iter().map(Oid::new).collect())
-            .unwrap_or_default();
-        Ok(CandidateSet::new(oids, take == d_q))
+        Ok((acc.unwrap_or_default(), take == d_q))
     }
 
-    /// The §4.3 retrieval for `T ⊆ Q`: union the posting lists of all query
-    /// elements. Not exact — an object sharing one element may still hold
-    /// elements outside `Q` — so drop resolution fetches every candidate,
-    /// which is precisely why the paper finds NIX weak on this query. (No
-    /// smart strategy: every list may hold a qualifying object.)
-    fn subset_candidates(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<CandidateSet> {
-        // The union: pool the lists, and `CandidateSet::new` sorts and
-        // deduplicates them.
+    /// The §4.3 union: the posting words of the query's distinct digests,
+    /// pooled and sorted, so that an object's word recurs once per list
+    /// holding it — `|T ∩ Q|` times.
+    fn union(&self, query: &SetQuery, pages: &mut u64) -> Result<Vec<u64>> {
         let mut pooled = Vec::new();
-        for e in &query.elements {
-            pooled.extend(
-                self.tree
-                    .lookup(e.digest8(), &mut ctr.pages)?
-                    .into_iter()
-                    .map(Oid::new),
-            );
+        for digest in query_digests(query) {
+            self.postings_into(digest, &mut pooled, pages)?;
         }
-        Ok(CandidateSet::new(pooled, false))
+        pooled.sort_unstable();
+        Ok(pooled)
+    }
+
+    /// `T ⊆ Q` by counting: an object qualifies when its word's run in the
+    /// union reaches its `|T|`, and every object with an empty set
+    /// qualifies. Exact, unless a kept `|T|` is saturated. (No smart
+    /// strategy: the probes are the union's, whatever the cap.)
+    fn subset_candidates(&self, query: &SetQuery, pages: &mut u64) -> Result<CandidateSet> {
+        let pooled = self.union(query, pages)?;
+        let (mut oids, mut exact) = (Vec::new(), true);
+        for run in pooled.chunk_by(|a, b| a == b) {
+            // A run never exceeds an unsaturated |T|.
+            let card = card_of(run[0]);
+            if run.len() as u64 >= card {
+                exact &= card != SATURATED;
+                oids.push(oid_of(run[0]));
+            }
+        }
+        self.empty_sets_into(&mut oids, pages)?;
+        Ok(CandidateSet::new(oids, exact))
+    }
+
+    /// `T = Q`: the `T ⊇ Q` intersection, kept where `|T| = |Q|`; for
+    /// `Q = ∅`, the objects with an empty set.
+    fn equal_candidates(&self, query: &SetQuery, pages: &mut u64) -> Result<CandidateSet> {
+        if query.elements.is_empty() {
+            let mut oids = Vec::new();
+            self.empty_sets_into(&mut oids, pages)?;
+            return Ok(CandidateSet::new(oids, true));
+        }
+        let (words, _) = self.intersection(query, pages)?;
+        let card = (query_digests(query).len() as u64).min(SATURATED);
+        let kept = words.into_iter().filter(|&w| card_of(w) == card);
+        Ok(CandidateSet {
+            oids: kept.map(oid_of).collect(),
+            exact: card != SATURATED,
+        })
+    }
+
+    /// Checks the index against itself: the B-tree's structure
+    /// ([`BTree::check_integrity`]), and the invariant `T ⊆ Q` counting
+    /// rests on — every object is posted with one `|T|`, in exactly `|T|`
+    /// lists (in at least `0xFFFF` when saturated; an empty set in the one
+    /// list of its reserved key), and the counts of objects and of empty
+    /// sets are the ones kept.
+    pub fn verify(&self) -> Result<()> {
+        let mut words = Vec::new();
+        let mut misplaced = None;
+        self.tree.check_and_visit(&mut |key, word| {
+            if card_of(word) == 0 && key != EMPTY_SET_KEY {
+                misplaced = Some((key, word));
+            }
+            words.push(word);
+        })?;
+        let bad = |msg: String| Err(Error::Corrupted(format!("nested index: {msg}")));
+        if let Some((key, word)) = misplaced {
+            return bad(format!(
+                "{} posted with |T| = 0 under key {key}",
+                oid_of(word)
+            ));
+        }
+        words.sort_unstable();
+        let (mut objects, mut empties, mut last) = (0u64, 0u64, None);
+        for run in words.chunk_by(|a, b| a == b) {
+            let (oid, card, lists) = (oid_of(run[0]), card_of(run[0]), run.len() as u64);
+            if last == Some(oid) {
+                return bad(format!("{oid} posted with two cardinalities"));
+            }
+            let held = match card {
+                0 => lists == 1,
+                SATURATED => lists >= SATURATED,
+                _ => lists == card,
+            };
+            if !held {
+                return bad(format!("{oid} packs |T| = {card} but is in {lists} lists"));
+            }
+            (objects, empties, last) = (objects + 1, empties + u64::from(card == 0), Some(oid));
+        }
+        if (objects, empties) != (self.indexed, self.empties) {
+            return bad(format!(
+                "{objects} objects ({empties} empty) posted, {} ({} empty) counted",
+                self.indexed, self.empties
+            ));
+        }
+        Ok(())
     }
 }
 
+/// The distinct key digests of `query`, ascending.
+fn query_digests(query: &SetQuery) -> Vec<u64> {
+    let mut digests: Vec<u64> = query.elements.iter().map(ElementKey::digest8).collect();
+    sorted::sort_dedup(&mut digests);
+    digests
+}
+
 /// The distinct key digests of `set`, in the order `set` first shows each:
-/// the B-tree is written in the order the caller listed the elements.
-fn distinct_digests(set: &[ElementKey]) -> impl Iterator<Item = u64> {
+/// the B-tree is written in the order the caller listed the elements. Their
+/// count is the set's `|T|`.
+fn distinct_digests(set: &[ElementKey]) -> impl ExactSizeIterator<Item = u64> {
     let mut by_digest: Vec<(u64, usize)> = set
         .iter()
         .enumerate()
@@ -122,20 +267,33 @@ impl SetAccessFacility for Nix {
     }
 
     fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        for digest in distinct_digests(set) {
-            self.tree.insert(digest, oid.raw())?;
+        let digests = distinct_digests(set);
+        let card = digests.len();
+        let word = posting(oid, card)?;
+        if card == 0 {
+            self.tree.insert(EMPTY_SET_KEY, word)?;
+            self.empties += 1;
+        }
+        for digest in digests {
+            self.tree.insert(digest, word)?;
         }
         self.indexed += 1;
         Ok(())
     }
 
     fn delete(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let mut removed_any = false;
-        for digest in distinct_digests(set) {
-            removed_any |= self.tree.remove(digest, oid.raw())?;
+        let digests = distinct_digests(set);
+        let card = digests.len();
+        let word = posting(oid, card)?;
+        let mut removed_any = card == 0 && self.tree.remove(EMPTY_SET_KEY, word)?;
+        for digest in digests {
+            removed_any |= self.tree.remove(digest, word)?;
         }
-        if !removed_any && !set.is_empty() {
+        if !removed_any {
             return Err(Error::OidNotFound(oid));
+        }
+        if card == 0 {
+            self.empties -= 1;
         }
         self.indexed = self.indexed.saturating_sub(1);
         Ok(())
@@ -143,23 +301,32 @@ impl SetAccessFacility for Nix {
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let mut stats = ScanStats::default();
-        let ctr = &mut stats;
+        let pages = &mut stats.pages;
         let drops = match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
-                self.superset_candidates(query, ctr)?
+                if query.elements.is_empty() {
+                    return Err(Error::BadQuery(
+                        "the nested index cannot enumerate T ⊇ ∅: no posting list holds every object"
+                            .into(),
+                    ));
+                }
+                let (words, whole) = self.intersection(query, pages)?;
+                CandidateSet {
+                    oids: words.into_iter().map(oid_of).collect(),
+                    exact: whole,
+                }
             }
-            SetPredicate::InSubset => self.subset_candidates(query, ctr)?,
-            // `T = Q` implies `T ⊇ Q`, but a strict superset of Q is a
-            // false drop: intersect, verify cardinality at resolution.
-            SetPredicate::Equals => CandidateSet {
-                exact: false,
-                ..self.superset_candidates(query, ctr)?
-            },
+            SetPredicate::InSubset => self.subset_candidates(query, pages)?,
+            SetPredicate::Equals => self.equal_candidates(query, pages)?,
             // Any object listed under any query element shares it.
-            SetPredicate::Overlaps => CandidateSet {
-                exact: true,
-                ..self.subset_candidates(query, ctr)?
-            },
+            SetPredicate::Overlaps => {
+                let mut words = self.union(query, pages)?;
+                words.dedup();
+                CandidateSet {
+                    oids: words.into_iter().map(oid_of).collect(),
+                    exact: true,
+                }
+            }
         };
         Ok((drops, Some(stats)))
     }
@@ -213,17 +380,19 @@ mod tests {
     }
 
     #[test]
-    fn subset_union_needs_verification() {
+    fn subset_union_counts_to_an_exact_answer() {
         let (_d, mut n) = nix();
         n.insert(Oid::new(1), &keys(&["Baseball"])).unwrap();
         n.insert(Oid::new(2), &keys(&["Baseball", "Skiing"]))
             .unwrap();
-        let q = SetQuery::in_subset(keys(&["Baseball", "Fishing"]));
+        n.insert(Oid::new(3), &keys(&["Fishing", "Baseball"]))
+            .unwrap();
+        let q = SetQuery::in_subset(keys(&["Baseball", "Fishing", "Golf"]));
         let c = n.candidates(&q).unwrap();
-        // Both objects share "Baseball", but object 2 is not a subset:
-        // union returns both, marked inexact.
-        assert_eq!(c.oids, vec![Oid::new(1), Oid::new(2)]);
-        assert!(!c.exact);
+        // All three share "Baseball", but object 2 is met once of its
+        // |T| = 2: the union keeps objects 1 and 3 only, exactly.
+        assert_eq!(c.oids, vec![Oid::new(1), Oid::new(3)]);
+        assert!(c.exact);
     }
 
     #[test]
@@ -244,14 +413,127 @@ mod tests {
     }
 
     #[test]
-    fn equals_intersects_but_verifies() {
+    fn equals_intersects_and_keeps_the_query_cardinality() {
         let (_d, mut n) = nix();
         n.insert(Oid::new(1), &keys(&["a", "b"])).unwrap();
         n.insert(Oid::new(2), &keys(&["a", "b", "c"])).unwrap();
+        n.insert(Oid::new(3), &keys(&["b", "a", "a"])).unwrap();
         let c = n.candidates(&SetQuery::equals(keys(&["a", "b"]))).unwrap();
-        // Object 2 is a superset — a candidate the resolver must reject.
-        assert_eq!(c.oids, vec![Oid::new(1), Oid::new(2)]);
-        assert!(!c.exact);
+        // Object 2 holds both elements but |T| = 3: not a candidate.
+        assert_eq!(c.oids, vec![Oid::new(1), Oid::new(3)]);
+        assert!(c.exact);
+    }
+
+    #[test]
+    fn empty_sets_answer_subset_and_equality_and_superset_of_nothing_errs() {
+        let (disk, mut n) = nix();
+        n.insert(Oid::new(1), &[]).unwrap();
+        n.insert(Oid::new(2), &keys(&["a"])).unwrap();
+        n.insert(Oid::new(3), &keys(&["a", "z"])).unwrap();
+        let ids = |n: &Nix, q: SetQuery| {
+            let c = n.candidates(&q).unwrap();
+            assert!(c.exact, "{}", q.predicate);
+            c.oids.iter().map(|o| o.raw()).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&n, SetQuery::in_subset(keys(&["a", "b"]))), [1, 2]);
+        assert_eq!(ids(&n, SetQuery::in_subset(vec![])), [1]);
+        assert_eq!(ids(&n, SetQuery::equals(vec![])), [1]);
+        assert_eq!(ids(&n, SetQuery::overlaps(keys(&["a"]))), [2, 3]);
+        assert_eq!(ids(&n, SetQuery::contains(ElementKey::from("a"))), [2, 3]);
+        // Every object holds ∅, and no list enumerates them all.
+        for q in [
+            SetQuery::has_subset(vec![]),
+            SetQuery::has_subset(vec![]).with_cap(1).unwrap(),
+        ] {
+            assert!(matches!(n.candidates(&q), Err(Error::BadQuery(_))));
+        }
+        // The one extra probe is the empty sets' key.
+        let rc = u64::from(n.tree().rc_lookup());
+        disk.reset_stats();
+        let (_, stats) = n
+            .candidates_with_stats(&SetQuery::in_subset(keys(&["a"])))
+            .unwrap();
+        assert_eq!(stats.unwrap().pages, 2 * rc);
+        n.verify().unwrap();
+
+        n.delete(Oid::new(1), &[]).unwrap();
+        assert!(n.delete(Oid::new(1), &[]).is_err(), "double delete");
+        assert_eq!(ids(&n, SetQuery::in_subset(vec![])), [] as [u64; 0]);
+        assert_eq!(n.indexed_count(), 2);
+        n.verify().unwrap();
+    }
+
+    #[test]
+    fn an_element_sharing_the_empty_sets_key_keeps_its_own_postings() {
+        let (_d, mut n) = nix();
+        let shared = ElementKey::from(EMPTY_SET_KEY);
+        n.insert(Oid::new(1), &[]).unwrap();
+        n.insert(Oid::new(2), std::slice::from_ref(&shared))
+            .unwrap();
+        n.insert(Oid::new(3), &[shared.clone(), ElementKey::from(4u64)])
+            .unwrap();
+        let ids = |q: SetQuery| {
+            let c = n.candidates(&q).unwrap();
+            c.oids.iter().map(|o| o.raw()).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(SetQuery::contains(shared.clone())), [2, 3]);
+        assert_eq!(n.lookup_element(&shared).unwrap(), [2, 3].map(Oid::new));
+        assert_eq!(ids(SetQuery::in_subset(vec![shared.clone()])), [1, 2]);
+        assert_eq!(ids(SetQuery::equals(vec![shared])), [2]);
+        assert_eq!(ids(SetQuery::equals(vec![])), [1]);
+        n.verify().unwrap();
+    }
+
+    #[test]
+    fn an_oid_past_the_posting_words_47_bits_is_refused() {
+        let (disk, mut n) = nix();
+        let wide = Oid::new(1 << 47);
+        let before = disk.snapshot();
+        let set = keys(&["a"]);
+        assert_eq!(n.insert(wide, &set), Err(Error::OidOutOfRange(wide)));
+        assert_eq!(n.insert(wide, &[]), Err(Error::OidOutOfRange(wide)));
+        assert_eq!(disk.snapshot().since(before).writes, 0, "nothing written");
+        assert_eq!(n.indexed_count(), 0);
+        let widest = Oid::new((1 << 47) - 1);
+        n.insert(widest, &set).unwrap();
+        let c = n.candidates(&SetQuery::in_subset(set)).unwrap();
+        assert_eq!(c.oids, [widest]);
+        n.verify().unwrap();
+    }
+
+    #[test]
+    fn a_saturated_cardinality_keeps_its_candidate_and_makes_the_answer_inexact() {
+        let (_d, mut n) = nix();
+        let big: Vec<ElementKey> = (0..70_000u64).map(ElementKey::from).collect();
+        n.insert(Oid::new(1), &big).unwrap();
+        n.insert(Oid::new(2), &[ElementKey::from(3u64)]).unwrap();
+        n.verify().unwrap();
+
+        let c = n.candidates(&SetQuery::in_subset(big.clone())).unwrap();
+        assert_eq!(c.oids, [1, 2].map(Oid::new));
+        assert!(!c.exact, "|T| = 0xFFFF only bounds the set");
+        let c = n.candidates(&SetQuery::equals(big.clone())).unwrap();
+        assert_eq!((c.oids, c.exact), (vec![Oid::new(1)], false));
+        // A query too small to hold it does not list it, and stays exact.
+        let c = n
+            .candidates(&SetQuery::in_subset(big[..100].to_vec()))
+            .unwrap();
+        assert_eq!((c.oids, c.exact), (vec![Oid::new(2)], true));
+    }
+
+    #[test]
+    fn verify_names_a_posting_that_breaks_the_count() {
+        let (_d, mut n) = nix();
+        n.insert(Oid::new(1), &keys(&["a", "b"])).unwrap();
+        n.insert(Oid::new(2), &keys(&["b"])).unwrap();
+        n.verify().unwrap();
+        // Object 1 listed under a third element, its word unchanged.
+        let word = posting(Oid::new(1), 2).unwrap();
+        n.tree
+            .insert(ElementKey::from("c").digest8(), word)
+            .unwrap();
+        let err = n.verify().unwrap_err().to_string();
+        assert!(err.contains("oid:1") && err.contains("3 lists"), "{err}");
     }
 
     #[test]
@@ -436,10 +718,14 @@ mod tests {
     }
 }
 
+/// The tag of a [`Nix::sync_meta`] blob. Its postings are `oid << 16 | |T|`
+/// words; an image tagged `NIXW` holds bare OIDs and is refused.
+const META_TAG: &[u8; 4] = b"NIXC";
+
 impl Nix {
     /// Checkpoints the index's catalog state: the B-tree checkpoint plus
-    /// the indexed-object count, in a meta file of its own. Returns the
-    /// meta file id to hand to [`Nix::open`].
+    /// the indexed-object and empty-set counts, in a meta file of its own.
+    /// Returns the meta file id to hand to [`Nix::open`].
     pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
         let tree_meta = self.tree.sync_meta()?;
         let meta = match &self.meta_file {
@@ -453,10 +739,11 @@ impl Nix {
                 f
             }
         };
-        let mut blob = Vec::with_capacity(16);
-        blob.extend_from_slice(b"NIXW");
+        let mut blob = Vec::with_capacity(24);
+        blob.extend_from_slice(META_TAG);
         blob.extend_from_slice(&tree_meta.raw().to_le_bytes());
         blob.extend_from_slice(&self.indexed.to_le_bytes());
+        blob.extend_from_slice(&self.empties.to_le_bytes());
         meta.write_blob(&blob)?;
         Ok(meta.id())
     }
@@ -469,16 +756,18 @@ impl Nix {
     pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
         let meta_file = setsig_pagestore::PagedFile::open(Arc::clone(&io), meta);
         let blob = meta_file.read_blob()?;
-        if blob.len() != 16 || &blob[..4] != b"NIXW" {
-            return Err(Error::BadConfig("not a nested-index meta blob".into()));
+        if blob.len() != 24 || &blob[..4] != META_TAG {
+            return Err(Error::BadConfig(
+                "not a nested-index meta blob with |T| in its postings".into(),
+            ));
         }
+        let rd_u64 = |o: usize| u64::from_le_bytes(blob[o..o + 8].try_into().unwrap());
         let tree_meta =
             setsig_pagestore::FileId::from_raw(u32::from_le_bytes(blob[4..8].try_into().unwrap()));
-        let indexed = u64::from_le_bytes(blob[8..16].try_into().unwrap());
-        let tree = BTree::open(io, tree_meta)?;
         Ok(Nix {
-            tree,
-            indexed,
+            tree: BTree::open(io, tree_meta)?,
+            indexed: rd_u64(8),
+            empties: rd_u64(16),
             meta_file: Some(meta_file),
         })
     }
@@ -504,28 +793,59 @@ mod meta_tests {
             )
             .unwrap();
         }
+        nix.insert(Oid::new(5000), &[]).unwrap();
         let meta = nix.sync_meta().unwrap();
         disk.save_to(&path).unwrap();
 
         let loaded = Arc::new(Disk::load_from(&path).unwrap());
         let io: Arc<dyn PageIo> = Arc::clone(&loaded) as Arc<dyn PageIo>;
         let mut reopened = Nix::open(io, meta).unwrap();
-        assert_eq!(reopened.indexed_count(), 2000);
+        assert_eq!(reopened.indexed_count(), 2001);
         assert_eq!(reopened.tree().key_count(), nix.tree().key_count());
-        let q = SetQuery::contains(ElementKey::from(42u64));
-        let mut expected = nix.candidates(&q).unwrap();
-        let got = reopened.candidates(&q).unwrap();
-        expected.oids.sort_unstable();
-        assert_eq!(got, expected);
-        reopened.tree().check_integrity().unwrap();
+        for q in [
+            SetQuery::contains(ElementKey::from(42u64)),
+            SetQuery::in_subset(vec![ElementKey::from(7u64), ElementKey::from(207u64)]),
+            SetQuery::equals(vec![]),
+        ] {
+            assert_eq!(
+                reopened.candidates(&q).unwrap(),
+                nix.candidates(&q).unwrap()
+            );
+        }
+        // The empty-set count came back with the image.
+        let empty = reopened.candidates(&SetQuery::in_subset(vec![])).unwrap();
+        assert_eq!(empty.oids, [Oid::new(5000)]);
+        reopened.verify().unwrap();
         // Further inserts keep working (splits included).
         for i in 2000..2300u64 {
             reopened
                 .insert(Oid::new(i), &[ElementKey::from(i)])
                 .unwrap();
         }
-        reopened.tree().check_integrity().unwrap();
+        reopened.verify().unwrap();
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_image_of_bare_oid_postings_is_refused() {
+        // What `sync_meta` wrote while a posting word was the bare OID.
+        let disk = Arc::new(Disk::new());
+        let mut nix = Nix::create(Arc::clone(&disk), "old");
+        nix.insert(Oid::new(1), &[ElementKey::from(3u64)]).unwrap();
+        let tree_meta = nix.tree.sync_meta().unwrap();
+        let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
+        let old = setsig_pagestore::PagedFile::create(io(), "nix.meta");
+        let mut blob = b"NIXW".to_vec();
+        blob.extend_from_slice(&tree_meta.raw().to_le_bytes());
+        blob.extend_from_slice(&1u64.to_le_bytes());
+        old.write_blob(&blob).unwrap();
+        assert!(matches!(
+            Nix::open(io(), old.id()),
+            Err(Error::BadConfig(_))
+        ));
+        // The current tag opens.
+        let meta = nix.sync_meta().unwrap();
+        assert_eq!(Nix::open(io(), meta).unwrap().indexed_count(), 1);
     }
 }

@@ -15,10 +15,13 @@
 //! * [`Nix`] — the [`SetAccessFacility`](setsig_core::SetAccessFacility)
 //!   wrapper implementing the paper's retrieval schemes: OID-list
 //!   **intersection** for `T ⊇ Q` (exact, no false drops) and **union** for
-//!   `T ⊆ Q` (candidates that must be verified), plus the §5.1.3 smart
-//!   strategy for a `T ⊇ Q` query carrying a cap `j`
-//!   ([`SetQuery::with_cap`](setsig_core::SetQuery::with_cap)): intersect
-//!   only the first `j` elements, verify the rest at drop-resolution time.
+//!   `T ⊆ Q`, plus the §5.1.3 smart strategy for a `T ⊇ Q` query carrying a
+//!   cap `j` ([`SetQuery::with_cap`](setsig_core::SetQuery::with_cap)):
+//!   intersect only the first `j` elements, verify the rest at
+//!   drop-resolution time. Each posting word is `oid << 16 | |T|`, so the
+//!   union answers `T ⊆ Q` exactly by counting (an object met `|T|` times
+//!   qualifies), and `T = Q` keeps the intersection's `|T| = |Q|` — where
+//!   the paper's union fetched and rejected every object sharing an element.
 //!
 //! Keys are the [`ElementKey::digest8`](setsig_core::ElementKey::digest8)
 //! of set elements — 8 bytes, the paper's `kl` — so integer/OID domains
@@ -39,6 +42,12 @@
 //! let c = nix.candidates(&q).unwrap();
 //! assert_eq!(c.oids, vec![Oid::new(1)]);
 //! assert!(c.exact, "intersection proves T ⊇ Q — no false drops");
+//!
+//! // Each object shares an element with Q, but object 1 also holds "Fishing".
+//! let q = SetQuery::in_subset(vec![ElementKey::from("Baseball"), ElementKey::from("Tennis")]);
+//! let c = nix.candidates(&q).unwrap();
+//! assert_eq!(c.oids, vec![Oid::new(2)]);
+//! assert!(c.exact, "counting proves T ⊆ Q too");
 //! ```
 
 #![warn(missing_docs)]

@@ -187,6 +187,19 @@ impl Leaf {
         LeafEntry::read(page, off)
     }
 
+    /// Appends slot `i`'s inline OIDs to `out` in place, parsing no entry;
+    /// for an overflow stub, leaves `out` alone and returns the chain's head
+    /// and total.
+    pub(crate) fn read_postings(page: &Page, i: usize, out: &mut Vec<u64>) -> Option<(u32, u32)> {
+        let (off, _) = Self::slot(page, i);
+        let flags = page.read_u16(off + 8);
+        if flags & OVERFLOW_FLAG != 0 {
+            return Some((page.read_u32(off + 10), page.read_u32(off + 14)));
+        }
+        out.extend((0..flags as usize).map(|j| page.read_u64(off + 10 + j * 8)));
+        None
+    }
+
     /// All entries, in key order.
     pub(crate) fn entries(page: &Page) -> Vec<LeafEntry> {
         (0..Self::count(page))

@@ -7,6 +7,10 @@
 //! the chosen plan and compare against what the other plans would have
 //! cost.
 //!
+//! NIX `T ⊆ Q` is planned with the paper's union cost
+//! (`NixModel::rc_subset`), not the counting retrieval the engine runs
+//! (`NixModel::rc_subset_counting`), so the plan chosen is the paper's.
+//!
 //! ```text
 //! cargo run --release --example planner
 //! ```

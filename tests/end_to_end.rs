@@ -67,6 +67,7 @@ fn all_predicates_agree_across_facilities_and_scan() {
         ("Carol", &["Baseball"]),
         ("Dan", &["Fishing", "Golf", "Chess"]),
         ("Eve", &["Tennis", "Baseball"]),
+        ("Finn", &[]),
     ];
     for (name, hobbies) in data {
         insert_student(&mut db, student, name, hobbies);
@@ -89,8 +90,9 @@ fn all_predicates_agree_across_facilities_and_scan() {
         ]),
         SetQuery::overlaps(vec![ElementKey::from("Golf"), ElementKey::from("Tennis")]),
         SetQuery::contains(ElementKey::from("Fishing")),
-        // Degenerate: empty ⊆ query matches only empty sets (none here).
+        // Degenerate: empty ⊆ and = queries match only the empty set (Finn's).
         SetQuery::in_subset(vec![]),
+        SetQuery::equals(vec![]),
     ];
     for q in &queries {
         let scan = db.scan_set_query(student, "hobbies", q).unwrap();
@@ -128,9 +130,9 @@ fn deletes_propagate_everywhere() {
 
 #[test]
 fn facility_costs_scale_as_the_paper_predicts() {
-    // A mid-sized instance; checks cost *ordering*, not absolutes:
-    // ⊆ queries must be far cheaper on BSSF than on NIX, and every
-    // facility must beat the full scan on ⊇.
+    // A mid-sized instance; checks cost *ordering*, not absolutes: every
+    // facility must beat the full scan on ⊇, and on ⊆ the paper's model
+    // ranks BSSF above its NIX while the engine's NIX fetches no false drop.
     let (mut db, student) = hobby_db();
     let facilities = register_all(&mut db, student);
     let hobby = |i: u64| format!("hobby-{}", i % 40);
@@ -162,12 +164,21 @@ fn facility_costs_scale_as_the_paper_predicts() {
     let bssf = db.execute_set_query(facilities[1], &q_sub).unwrap();
     let nix = db.execute_set_query(facilities[3], &q_sub).unwrap();
     assert_eq!(bssf.actual, nix.actual);
-    assert!(
-        bssf.io.accesses() < nix.io.accesses(),
-        "BSSF {:?} should beat NIX {:?} on T ⊆ Q",
-        bssf.io,
-        nix.io
-    );
+    assert!(!nix.actual.is_empty());
+    // The paper's ordering on T ⊆ Q is its model's: the §4.3 union fetches
+    // every object sharing an element with Q, while BSSF reads slices.
+    let p = Params::paper();
+    let (bssf_model, nix_model) = (BssfModel::new(p, 500, 2, 10), NixModel::new(p, 10));
+    for d_q in [20, 50, 100, 200, 500] {
+        assert!(
+            bssf_model.rc_subset(d_q) < nix_model.rc_subset(d_q),
+            "D_q = {d_q}: the paper has BSSF beat NIX on T ⊆ Q"
+        );
+    }
+    // The engine's NIX counts each object's |T| in the union: it fetches
+    // only its answers.
+    assert_eq!(nix.report.false_drops, 0, "{:?}", nix.report);
+    assert_eq!(nix.report.candidates, nix.actual.len() as u64);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! instances. A word kernel, a buffer-pool hit and the record walk of an
 //! inline candidate must allocate nothing; a `BTree::lookup` at most the
 //! `Vec` it returns, whatever the height and the chain; and a filter scan
-//! what its query and its answer need, not what it read: the same query
+//! what its query and its answer need, not what it read — NIX's `T ⊆ Q`
+//! union its query's digests, its pooled postings and its answer; the same query
 //! over [`SMALL`] objects and over an instance of the same objects plus
 //! sixteen times as many that do not match must return the same candidates
 //! from several times the pages with no allocation more. Each path also has
@@ -397,6 +398,37 @@ fn btree_lookup(rows: &mut Vec<Row>) {
     }
 }
 
+/// NIX's `T ⊆ Q` union counts each object's `|T|` in one pooled, sorted
+/// `Vec`: the query's digests, the pooled postings and the answer — no `Vec`
+/// per posting list, nothing per candidate.
+fn nix_subset(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
+    let nix = sim.build_nix();
+    let wide: Vec<u64> = (sim.sets[TARGET].iter().copied())
+        .chain((0..sim.cfg.domain).step_by(7))
+        .collect();
+    for query in [&probes.queries[1].0, &SetQuery::in_subset(keys(&wide))] {
+        let lists = query
+            .elements
+            .iter()
+            .map(|e| nix.lookup_element(e).unwrap());
+        let pooled: usize = lists.map(|list| list.len()).sum();
+        let (allocations, pages, drops) = filter(&nix, query);
+        assert!(drops.exact && drops.oids.contains(&Oid::new(TARGET as u64)));
+        rows.push(Row {
+            path: "nix.candidates",
+            shape: format!(
+                "{} D_q {}, {pooled} postings, {} answers",
+                query.predicate,
+                query.d_q(),
+                drops.len()
+            ),
+            pages,
+            allocations,
+            budget: 1 + vec_growth(pooled) + vec_growth(drops.len()),
+        });
+    }
+}
+
 /// A buffer-pool hit hands out the frame's snapshot.
 fn pool_hit(rows: &mut Vec<Row>) {
     const FRAMES: u32 = 64;
@@ -452,6 +484,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     pool_hit(&mut rows);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
+    nix_subset(&mut rows, &small, &probes);
     scans(&mut rows, &small, &large, &probes);
 
     print(&rows);

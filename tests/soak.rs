@@ -102,12 +102,18 @@ fn facilities_survive_a_long_mixed_trace() {
                             "step {step}: {name} returned deleted oid {oid}"
                         );
                     }
+                    // NIX is exact on both: intersection, and counting |T|.
+                    if name == "NIX" {
+                        let got: Vec<u64> = candidates.oids.iter().map(|o| o.raw()).collect();
+                        assert_eq!(got, expected, "step {step}: NIX on {}", q.predicate);
+                        assert!(candidates.exact);
+                    }
                 }
             }
         }
     }
-    // Structural invariants held to the end.
-    nix.tree().check_integrity().unwrap();
+    // Structural invariants held to the end, and every posting's |T|.
+    nix.verify().unwrap();
     assert_eq!(ssf.indexed_count(), model.len() as u64);
     assert_eq!(bssf.indexed_count(), model.len() as u64);
     assert_eq!(fssf.indexed_count(), model.len() as u64);
