@@ -216,38 +216,6 @@ impl Bitmap {
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
-
-    fn assert_byte_width(&self, bytes: &[u8]) -> usize {
-        let nbytes = (self.nbits as usize).div_ceil(8);
-        assert!(
-            bytes.len() >= nbytes,
-            "need {nbytes} bytes for {} bits",
-            self.nbits
-        );
-        nbytes
-    }
-
-    /// True if every set bit of the serialized bitmap `bytes` is also set in
-    /// `self` — the `T ⊆ Q` row-match rule with `self` as the query
-    /// signature.
-    pub fn covers_bytes(&self, bytes: &[u8]) -> bool {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::covers(&self.words, &bytes[..nbytes], self.nbits)
-    }
-
-    /// True if the serialized bitmap `bytes` equals `self` bit-for-bit
-    /// (padding bits beyond the width ignored).
-    pub fn eq_bytes(&self, bytes: &[u8]) -> bool {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::eq(&self.words, &bytes[..nbytes], self.nbits)
-    }
-
-    /// Popcount of the intersection with the serialized bitmap `bytes` —
-    /// the overlap row-match kernel.
-    pub fn intersection_count_bytes(&self, bytes: &[u8]) -> u32 {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::intersection_count(&self.words, &bytes[..nbytes])
-    }
 }
 
 /// Iterates the set-bit positions of an LSB-first serialized bitmap of
@@ -412,6 +380,13 @@ mod tests {
         assert_eq!(back.count_ones(), 4);
     }
 
+    /// Whether the one-row page `row` passes `test`.
+    fn passes(test: &kernel::RowTest, row: &[u8]) -> bool {
+        let mut out = Vec::new();
+        kernel::match_rows(test, row, row.len(), 1, 0, &mut out);
+        !out.is_empty()
+    }
+
     #[test]
     fn byte_kernels_agree_with_bitmap_ops() {
         // The word-at-a-time byte kernels must agree with the reference
@@ -434,20 +409,19 @@ mod tests {
             kernel::or_assign(or_k.words_mut(), &bb, nbits);
             assert_eq!(or_k, or_ref, "OR width {nbits}");
 
-            let a_words = kernel::nonzero_words(a.words());
+            let (aw, bw) = (a.words(), b.words());
+            let superset = kernel::RowTest::superset(aw, nbits);
+            assert_eq!(passes(&superset, &bb), b.covers(&a), "⊇ width {nbits}");
+            let subset = kernel::RowTest::subset(aw, nbits);
+            assert_eq!(passes(&subset, &bb), a.covers(&b), "⊆ width {nbits}");
+            let equals = kernel::RowTest::equals(aw, nbits);
+            assert_eq!(passes(&equals, &bb), a == b, "eq width {nbits}");
             assert_eq!(
-                kernel::is_covered_by(&a_words, &bb),
-                b.covers(&a),
-                "⊇ width {nbits}"
-            );
-            assert_eq!(a.covers_bytes(&bb), a.covers(&b), "⊆ width {nbits}");
-            assert_eq!(a.eq_bytes(&bb), a == b, "eq width {nbits}");
-            assert_eq!(
-                a.intersection_count_bytes(&bb),
+                kernel::intersection_count(aw, &bb),
                 a.intersection_count(&b),
                 "popcount width {nbits}"
             );
-            assert!(b.eq_bytes(&bb));
+            assert!(passes(&kernel::RowTest::equals(bw, nbits), &bb));
         }
     }
 
@@ -456,10 +430,12 @@ mod tests {
         // Garbage bits beyond the width in the final byte must not affect
         // any kernel (stored pages can carry neighbouring rows there).
         let q = Bitmap::from_positions(4, &[1, 2]);
-        assert!(q.covers_bytes(&[0b1111_0110])); // high nibble is padding
-        assert!(!q.eq_bytes(&[0b1111_0111]));
-        assert!(q.eq_bytes(&[0b1111_0110]));
-        assert_eq!(q.intersection_count_bytes(&[0b1111_1110]), 2);
+        let qw = q.words();
+        // The high nibble is padding.
+        assert!(passes(&kernel::RowTest::subset(qw, 4), &[0b1111_0110]));
+        assert!(!passes(&kernel::RowTest::equals(qw, 4), &[0b1111_0111]));
+        assert!(passes(&kernel::RowTest::equals(qw, 4), &[0b1111_0110]));
+        assert_eq!(kernel::intersection_count(qw, &[0b1111_1110]), 2);
         let mut o = Bitmap::zeroed(4);
         kernel::or_assign(o.words_mut(), &[0xff], 4);
         assert_eq!(o.count_ones(), 4);

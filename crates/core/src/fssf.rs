@@ -201,17 +201,16 @@ impl Fssf {
         ctr.slices += 1;
         let mut page_no = 0u32;
         let mut row = 0u64;
+        // One buffer for the whole scan: every row overwrites all its bits.
+        let mut bits = Bitmap::zeroed(s as u32);
         while row < n {
             let page = file.read(page_no)?;
             ctr.pages += 1;
             let rows_here = (n - row).min(rpp);
             for r in 0..rows_here {
                 let base = r as usize * s;
-                let mut bits = Bitmap::zeroed(s as u32);
                 for b in 0..s {
-                    if page.get_bit(base + b) {
-                        bits.set(b as u32, true);
-                    }
+                    bits.set(b as u32, page.get_bit(base + b));
                 }
                 visit(row + r, &bits);
             }
@@ -232,13 +231,11 @@ impl Fssf {
         let total = by_frame.len();
         let mut acc = Bitmap::ones(n as u32);
         for (consumed, (j, want)) in by_frame.into_iter().enumerate() {
-            let mut frame_match = Bitmap::zeroed(n as u32);
             self.scan_frame(j, ctr, |row, bits| {
-                if bits.covers(&want) {
-                    frame_match.set(row as u32, true);
+                if !bits.covers(&want) {
+                    acc.set(row as u32, false);
                 }
             })?;
-            acc.and_assign(&frame_match);
             if acc.is_zero() {
                 if consumed + 1 < total {
                     ctr.early_exit = true;
@@ -259,13 +256,11 @@ impl Fssf {
         let mut acc = Bitmap::ones(n as u32);
         for j in 0..self.cfg.frames() {
             let allowed = by_frame.get(&j).unwrap_or(&empty);
-            let mut frame_match = Bitmap::zeroed(n as u32);
             self.scan_frame(j, ctr, |row, bits| {
-                if allowed.covers(bits) {
-                    frame_match.set(row as u32, true);
+                if !allowed.covers(bits) {
+                    acc.set(row as u32, false);
                 }
             })?;
-            acc.and_assign(&frame_match);
             if acc.is_zero() {
                 if j + 1 < self.cfg.frames() {
                     ctr.early_exit = true;

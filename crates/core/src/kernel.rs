@@ -1,11 +1,11 @@
 //! Word-level slice kernels: the one place bytes become `u64` words.
 //!
 //! Every signature-scan hot path — the BSSF slice AND/OR loops, the SSF
-//! row scan, the overlap counters, and [`Bitmap`](crate::Bitmap)'s
-//! byte-bridge methods — combines serialized (LSB-first) signature bytes
-//! with in-memory `u64` words. This module is the single implementation of
-//! that bridge, so the layout and tail-masking rules live in exactly one
-//! place:
+//! row match ([`RowTest`] + [`match_rows`]), the overlap counters, and
+//! [`Bitmap::from_bytes`](crate::Bitmap::from_bytes) — combines serialized
+//! (LSB-first) signature bytes with in-memory `u64` words. This module is
+//! the single implementation of that bridge, so the layout and
+//! tail-masking rules live in exactly one place:
 //!
 //! * **Word layout.** Word `wi` of a byte buffer covers bytes
 //!   `8·wi .. 8·wi + 8`, little-endian, zero-padded past the end of the
@@ -20,12 +20,15 @@
 //!   zero) so `count_ones`/`is_zero`-style folds need no re-masking.
 //!   `AND` is the one exception that needs no mask: padding in the
 //!   incoming bytes can only clear accumulator bits that are already
-//!   zero in a canonical accumulator.
+//!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
+//!   either: its masks select no bit at or past the width.
 //!
-//! The loops run on `chunks_exact(8)` so the compiler sees fixed-size,
-//! branch-free bodies it can autovectorize; only the final partial word
-//! takes the padded [`le_word`] path. The `reference` submodule keeps the
-//! pre-kernel byte/bit-granular loops as the differential-testing oracle.
+//! The slice loops run on `chunks_exact(8)` so the compiler sees
+//! fixed-size, branch-free bodies it can autovectorize, and [`match_rows`]
+//! reads its row words in place; only a word that runs past the end of its
+//! buffer takes the padded [`le_word`] path. The `reference` submodule
+//! keeps the pre-kernel byte/bit-granular loops as the differential-testing
+//! oracle.
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -55,8 +58,9 @@ pub fn mask_tail(words: &mut [u64], nbits: u32) {
 
 /// Word `wi` of an LSB-first byte buffer, zero-padded past the end.
 ///
-/// This is the *tail* path: the chunked loops below use it only for the
-/// final partial word (and out-of-range words, which read as zero).
+/// The chunked loops below use it only for the final partial word (and
+/// out-of-range words, which read as zero); [`match_rows`] for every row
+/// word, where its full-word branch is the in-place read.
 #[inline]
 #[expect(
     clippy::expect_used,
@@ -161,37 +165,85 @@ pub fn fill(acc: &mut [u64], bytes: &[u8], nbits: u32) {
     mask_tail(acc, nbits);
 }
 
-/// The non-zero words of a canonical query as `(word index, word)` pairs —
-/// hoisted once per query so the `T ⊇ Q` row match visits only these (at
-/// most `m·D_q` of them, however wide the signature).
-pub fn nonzero_words(query: &[u64]) -> Vec<(usize, u64)> {
-    let words = query.iter().copied().enumerate();
-    words.filter(|&(_, w)| w != 0).collect()
+/// A row predicate compiled once per query: a row matches when
+/// `word(wi) & mask == want` holds for every `(wi, mask, want)` term, where
+/// `word(wi)` is word `wi` of the serialized row ([`le_word`] layout). No
+/// mask selects a bit at or past the width, so neither the row's padding
+/// nor the next row's bytes, which an in-place word read runs into, can
+/// change the outcome. A test with no terms matches every row.
+#[derive(Clone, Debug)]
+pub struct RowTest {
+    terms: Vec<(usize, u64, u64)>,
 }
 
-/// True when every set bit of the query — given as its
-/// [`nonzero_words`] — is also set in the serialized `row`: the `T ⊇ Q`
-/// row-match rule (`query & !row == 0` per word). Words past the row bytes
-/// compare against zero; an all-zero query (no pairs) matches every row.
-pub fn is_covered_by(query: &[(usize, u64)], row: &[u8]) -> bool {
-    query.iter().all(|&(wi, qw)| qw & !le_word(row, wi) == 0)
+impl RowTest {
+    /// `T ⊇ Q`, every query bit set in the row: `(wi, q, q)` for each
+    /// non-zero word `q` of the canonical `nbits`-wide query.
+    pub fn superset(query: &[u64], nbits: u32) -> Self {
+        Self::compile(query, nbits, |q, _| (q, q))
+    }
+
+    /// `T ⊆ Q`, no row bit outside the query: `(wi, !q & valid, 0)` for
+    /// each word where that mask is non-zero.
+    pub fn subset(query: &[u64], nbits: u32) -> Self {
+        Self::compile(query, nbits, |q, valid| (!q & valid, 0))
+    }
+
+    /// `T = Q` over the width: `(wi, valid, q)` for every word.
+    pub fn equals(query: &[u64], nbits: u32) -> Self {
+        Self::compile(query, nbits, |q, valid| (valid, q))
+    }
+
+    /// One term per query word from the word and its valid bits (all ones
+    /// but on the last word, [`tail_mask`]); a zero mask tests nothing.
+    fn compile(query: &[u64], nbits: u32, term: impl Fn(u64, u64) -> (u64, u64)) -> Self {
+        let last = query.len().saturating_sub(1);
+        let terms = query.iter().enumerate().map(|(wi, &q)| {
+            let valid = if wi == last { tail_mask(nbits) } else { !0 };
+            let (mask, want) = term(q, valid);
+            (wi, mask, want)
+        });
+        let terms = terms.filter(|&(_, mask, _)| mask != 0).collect();
+        RowTest { terms }
+    }
 }
 
-/// True when every set bit of the serialized `row` (padding masked) is
-/// also set in the canonical `query` words — the `T ⊆ Q` row-match rule
-/// (`row & !query == 0` per word, after tail masking the row).
-pub fn covers(query: &[u64], row: &[u8], nbits: u32) -> bool {
-    masked_words(row, nbits)
-        .enumerate()
-        .all(|(wi, w)| w & !query.get(wi).copied().unwrap_or(0) == 0)
-}
-
-/// True when the serialized `row` equals the canonical `query` words
-/// bit-for-bit over the width (`nbits`), padding ignored.
-pub fn eq(query: &[u64], row: &[u8], nbits: u32) -> bool {
-    masked_words(row, nbits)
-        .enumerate()
-        .all(|(wi, w)| w == query.get(wi).copied().unwrap_or(0))
+/// Appends `base + s` to `out` for each row `s < rows` of `page` that
+/// passes `test`, row `s` starting at byte `s·stride`.
+///
+/// Word `wi` of row `s` is read in place at `s·stride + 8·wi`; only a word
+/// that runs past the end of `page` takes the zero-padded [`le_word`]
+/// path. Rows go 64 at a time: the first term is evaluated branch-free into
+/// a live mask, and the other terms only for the rows still live.
+pub fn match_rows(
+    test: &RowTest,
+    page: &[u8],
+    stride: usize,
+    rows: usize,
+    base: u64,
+    out: &mut Vec<u64>,
+) {
+    let Some((&(wi, mask, want), rest)) = test.terms.split_first() else {
+        out.extend(base..base + rows as u64);
+        return;
+    };
+    let word = |s: usize, wi: usize| le_word(page.get(s * stride + 8 * wi..).unwrap_or(&[]), 0);
+    for run in (0..rows).step_by(64) {
+        let mut live = 0u64;
+        for i in 0..(rows - run).min(64) {
+            live |= u64::from(word(run + i, wi) & mask == want) << i;
+        }
+        while live != 0 {
+            let s = run + live.trailing_zeros() as usize;
+            live &= live - 1;
+            if rest
+                .iter()
+                .all(|&(wi, mask, want)| word(s, wi) & mask == want)
+            {
+                out.push(base + s as u64);
+            }
+        }
+    }
 }
 
 /// Popcount of `query & row` — the overlap row-match kernel. The query
@@ -211,22 +263,6 @@ pub fn intersection_count(query: &[u64], row: &[u8]) -> u32 {
         n += (qw & w).count_ones();
     }
     n
-}
-
-/// The first [`words_for`]`(nbits)` words of `row`, with the tail mask
-/// applied to the last — the canonicalizing read used by the match
-/// kernels whose result set bits in `row` could otherwise influence.
-#[inline]
-fn masked_words(row: &[u8], nbits: u32) -> impl Iterator<Item = u64> + '_ {
-    let nwords = words_for(nbits);
-    (0..nwords).map(move |wi| {
-        let w = le_word(row, wi);
-        if wi + 1 == nwords {
-            w & tail_mask(nbits)
-        } else {
-            w
-        }
-    })
 }
 
 /// The set-bit positions of word `wi` (bit `b` is position `64·wi + b`),
@@ -460,17 +496,17 @@ mod tests {
                 // same way `to_words` does before comparing.
                 let qm = to_bytes(&qw, nbits);
                 assert_eq!(
-                    is_covered_by(&nonzero_words(&qw), &r),
+                    passes(&RowTest::superset(&qw, nbits), &r),
                     reference::is_covered_by(&qm, &r, nbits),
                     "⊇ width {nbits} salt {salt}"
                 );
                 assert_eq!(
-                    covers(&qw, &r, nbits),
+                    passes(&RowTest::subset(&qw, nbits), &r),
                     reference::covers(&qm, &r, nbits),
                     "⊆ width {nbits} salt {salt}"
                 );
                 assert_eq!(
-                    eq(&qw, &r, nbits),
+                    passes(&RowTest::equals(&qw, nbits), &r),
                     reference::eq(&qm, &r, nbits),
                     "eq width {nbits} salt {salt}"
                 );
@@ -493,13 +529,88 @@ mod tests {
         // An SSF row buffer is exactly sig_bytes long; a query word past it
         // must compare against zeros, not panic.
         let q = to_words(&[0b1, 0, 0, 0, 0, 0, 0, 0, 0b1], 65);
-        assert_eq!(nonzero_words(&q), vec![(0, 1), (1, 1)]);
-        assert!(!is_covered_by(&nonzero_words(&q), &[0b1]));
-        assert!(is_covered_by(&nonzero_words(&to_words(&[0b1], 65)), &[0b1]));
+        assert_eq!(RowTest::superset(&q, 65).terms, vec![(0, 1, 1), (1, 1, 1)]);
+        assert!(!passes(&RowTest::superset(&q, 65), &[0b1]));
+        assert!(passes(
+            &RowTest::superset(&to_words(&[0b1], 65), 65),
+            &[0b1]
+        ));
         // The all-zero query has no words to test and matches every row.
-        assert!(is_covered_by(&nonzero_words(&[0, 0]), &[]));
-        assert!(covers(&q, &[0b1], 65));
+        assert!(RowTest::superset(&[0, 0], 65).terms.is_empty());
+        assert!(passes(&RowTest::superset(&[0, 0], 65), &[]));
+        assert!(passes(&RowTest::subset(&q, 65), &[0b1]));
+        assert!(!passes(&RowTest::equals(&q, 65), &[0b1]));
         assert_eq!(intersection_count(&q, &[0b1]), 1);
+    }
+
+    /// Whether the one-row page `row` passes `test`.
+    fn passes(test: &RowTest, row: &[u8]) -> bool {
+        let mut out = Vec::new();
+        match_rows(test, row, row.len(), 1, 7, &mut out);
+        assert!(out.is_empty() || out == [7], "{out:?}");
+        !out.is_empty()
+    }
+
+    #[test]
+    fn full_pages_match_like_the_bit_loops_up_to_the_last_byte() {
+        const PAGE: usize = 4096;
+        type Compile = fn(&[u64], u32) -> RowTest;
+        type Oracle = fn(&[u8], &[u8], u32) -> bool;
+        for nbits in [8u32, 72, 100, 500] {
+            let stride = (nbits as usize).div_ceil(8);
+            let rows = PAGE / stride;
+            // The last row's final word runs past the page at these widths
+            // (4095..4103, 4094..4102, 4090..4098) and ends on it at 500.
+            let last_word_end = (rows - 1) * stride + 8 * words_for(nbits);
+            assert_eq!(last_word_end > PAGE, nbits != 500, "width {nbits}");
+            // Slack bytes past the last row and every row's padding bits
+            // are ones: only the masks keep them out.
+            let mut page = vec![0xffu8; PAGE];
+            for (s, row) in page.chunks_exact_mut(stride).enumerate() {
+                row.copy_from_slice(&pattern(nbits, s as u64 * 37 + 11));
+                if nbits % 8 != 0 {
+                    *row.last_mut().unwrap() |= 0xff << (nbits % 8);
+                }
+            }
+            let row = |s: usize| &page[s * stride..(s + 1) * stride];
+            let last = row(rows - 1);
+            // Fewer and more bits than the last row: the top bit of each
+            // run of ones, and each run grown by one.
+            let thin: Vec<u8> = last.iter().map(|r| r & !(r >> 1)).collect();
+            let wide: Vec<u8> = last.iter().map(|r| r | r << 1).collect();
+            let cases: [(&str, Compile, Oracle, &[u8]); 5] = [
+                ("⊇", RowTest::superset, reference::is_covered_by, &thin),
+                ("⊆", RowTest::subset, reference::covers, &wide),
+                ("=", RowTest::equals, reference::eq, last),
+                ("⊇ ∅", RowTest::superset, reference::is_covered_by, &[]),
+                (
+                    "⊆ all F bits",
+                    RowTest::subset,
+                    reference::covers,
+                    &[0xff; 63],
+                ),
+            ];
+            for (i, (what, compile, oracle, query)) in cases.into_iter().enumerate() {
+                let words = to_words(query, nbits);
+                let test = compile(&words, nbits);
+                // The last two compile to the empty test.
+                assert_eq!(test.terms.is_empty(), i >= 3, "{what} width {nbits}");
+                let query = to_bytes(&words, nbits);
+                let want: Vec<u64> = (0..rows)
+                    .filter(|&s| oracle(&query, row(s), nbits))
+                    .map(|s| 1_000 + s as u64)
+                    .collect();
+                let mut got = Vec::new();
+                match_rows(&test, &page, stride, rows, 1_000, &mut got);
+                assert_eq!(got, want, "{what} width {nbits}");
+                // The query came from the last row, so it is a hit.
+                assert_eq!(
+                    got.last(),
+                    Some(&(999 + rows as u64)),
+                    "{what} width {nbits}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
 use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
-use crate::kernel;
+use crate::kernel::{self, RowTest};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
@@ -138,9 +138,9 @@ impl Ssf {
     /// signatures match `query` (§4.1 step 2). Reads every signature page
     /// exactly once.
     ///
-    /// This is the batched row-scan path: each fetched page's rows are
-    /// matched **in place** with the word-at-a-time byte kernels of
-    /// [`Bitmap`](crate::Bitmap) — no per-row signature is materialized.
+    /// This is the batched row-scan path: the query compiles once to a
+    /// [`RowTest`], and each fetched page's rows are matched **in place**
+    /// by [`kernel::match_rows`] — no per-row signature is materialized.
     pub fn scan_matching_positions(&self, query: &SetQuery) -> Result<Vec<u64>> {
         self.scan_matching_positions_counted(query, &mut ScanStats::default())
     }
@@ -155,23 +155,29 @@ impl Ssf {
         let query_sig = query.signature(&self.cfg);
         let total = self.oid_file.len();
         let npages = self.sig_file.len()?;
-        // Hoisted once per query: the ⊇ row match tests only the query's
-        // non-zero words.
-        let probe = kernel::nonzero_words(query_sig.bitmap().words());
+        let (qw, nbits) = (query_sig.bitmap().words(), self.cfg.f_bits());
+        // `T ≬ Q` counts bits, which is not a masked compare.
+        let test = match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => Some(RowTest::superset(qw, nbits)),
+            SetPredicate::InSubset => Some(RowTest::subset(qw, nbits)),
+            SetPredicate::Equals => Some(RowTest::equals(qw, nbits)),
+            SetPredicate::Overlaps => None,
+        };
         let mut positions = Vec::new();
         for page_no in 0..npages {
-            self.scan_page(query, &query_sig, &probe, total, page_no, &mut positions)?;
+            self.scan_page(test.as_ref(), qw, total, page_no, &mut positions)?;
             ctr.pages += 1;
         }
         Ok(positions)
     }
 
-    /// Matches one signature page's rows in place, appending hits to `out`.
+    /// Matches one signature page's rows in place, appending hits to `out`:
+    /// through the compiled `test`, or, with none, by the overlap count of
+    /// the query words `qw` against `m`.
     fn scan_page(
         &self,
-        query: &SetQuery,
-        query_sig: &Signature,
-        probe: &[(usize, u64)],
+        test: Option<&RowTest>,
+        qw: &[u64],
         total: u64,
         page_no: u32,
         out: &mut Vec<u64>,
@@ -179,22 +185,13 @@ impl Ssf {
         let page = self.sig_file.read(page_no)?;
         let base = page_no as u64 * self.per_page;
         let slots = (total - base).min(self.per_page) as usize;
-        // Hoist the query's words and width once; the per-row loop then
-        // calls the word kernels directly with no per-row width re-checks.
-        let qw = query_sig.bitmap().words();
-        let nbits = self.cfg.f_bits();
-        let m = self.cfg.m_weight();
+        if let Some(test) = test {
+            kernel::match_rows(test, page.as_bytes(), self.sig_bytes, slots, base, out);
+            return Ok(());
+        }
         for s in 0..slots {
             let row = page.read_slice(s * self.sig_bytes, self.sig_bytes);
-            let hit = match query.predicate {
-                SetPredicate::HasSubset | SetPredicate::Contains => {
-                    kernel::is_covered_by(probe, row)
-                }
-                SetPredicate::InSubset => kernel::covers(qw, row, nbits),
-                SetPredicate::Equals => kernel::eq(qw, row, nbits),
-                SetPredicate::Overlaps => kernel::intersection_count(qw, row) >= m,
-            };
-            if hit {
+            if kernel::intersection_count(qw, row) >= self.cfg.m_weight() {
                 out.push(base + s as u64);
             }
         }
@@ -531,6 +528,52 @@ mod engine_tests {
                 "batched scan diverged ({:?})",
                 q.predicate
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Over two or more signature pages at widths ∤ 64 — and at 500,
+        /// whose last row word ends on the page's last byte — the batched
+        /// scan answers like the reference on all four predicates, for a
+        /// stored row's own set and for a random one. Row sets come from
+        /// `seed`, so a case is a few numbers and not thousands of vectors.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn batched_scan_agrees_with_reference_scan_at_any_width(
+            width in 0usize..4,
+            extra in 1u64..300,
+            seed in proptest::prelude::any::<u64>(),
+            pick in proptest::prelude::any::<u64>(),
+            random in proptest::collection::vec(0u64..64, 0..5),
+        ) {
+            let f_bits = [8, 72, 100, 500][width];
+            let cfg = SignatureConfig::new(f_bits, 2).unwrap();
+            let mut s = Ssf::create(Arc::new(Disk::new()), "p", cfg).unwrap();
+            let rows = s.signatures_per_page() + extra;
+            let set = |i: u64| -> Vec<ElementKey> {
+                let mix = |j: u64| (seed ^ (i * 4 + j)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58;
+                (0..1 + (i ^ seed) % 3).map(|j| ElementKey::from(mix(j))).collect()
+            };
+            for i in 0..rows {
+                s.insert(Oid::new(i), &set(i)).unwrap();
+            }
+            let random: Vec<ElementKey> = random.into_iter().map(ElementKey::from).collect();
+            for elements in [set(pick % rows), random] {
+                for q in [
+                    SetQuery::has_subset(elements.clone()),
+                    SetQuery::in_subset(elements.clone()),
+                    SetQuery::equals(elements.clone()),
+                    SetQuery::overlaps(elements.clone()),
+                ] {
+                    proptest::prop_assert_eq!(
+                        s.scan_matching_positions(&q).unwrap(),
+                        s.scan_matching_positions_reference(&q).unwrap(),
+                        "{:?} at F = {}", q.predicate, f_bits
+                    );
+                }
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property-based tests on the signature layer and the two organizations.
 
 use proptest::prelude::*;
+use setsig_core::kernel::{self, RowTest};
 use setsig_core::{
-    kernel, Bitmap, Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, Signature, SignatureConfig,
-    Ssf,
+    Bitmap, Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, Signature, SignatureConfig, Ssf,
 };
 use setsig_pagestore::{Disk, PageIo};
 use std::sync::Arc;
@@ -32,6 +32,13 @@ fn words_to_bytes(words: &[u64], nbits: u32) -> Vec<u8> {
     (0..(nbits as usize).div_ceil(8))
         .map(|i| (words[i / 8] >> (8 * (i % 8))) as u8)
         .collect()
+}
+
+/// Whether the one-row page `row` passes `test`.
+fn passes(test: &RowTest, row: &[u8]) -> bool {
+    let mut out = Vec::new();
+    kernel::match_rows(test, row, row.len(), 1, 0, &mut out);
+    !out.is_empty()
 }
 
 /// Smears garbage over the final byte's bits at positions `>= nbits`, so
@@ -299,18 +306,18 @@ proptest! {
         }
 
         prop_assert_eq!(
-            kernel::is_covered_by(&kernel::nonzero_words(&query), &row),
+            passes(&RowTest::superset(&query, nbits), &row),
             kernel::reference::is_covered_by(&q_clean, &row, nbits)
         );
-        // The all-zero query hoists to no words at all and matches any row.
-        let empty = kernel::nonzero_words(&vec![0; kernel::words_for(nbits)]);
-        prop_assert!(empty.is_empty() && kernel::is_covered_by(&empty, &row));
+        // The all-zero query compiles to no terms and matches any row.
+        let empty = vec![0; kernel::words_for(nbits)];
+        prop_assert!(passes(&RowTest::superset(&empty, nbits), &row));
         prop_assert_eq!(
-            kernel::covers(&query, &row, nbits),
+            passes(&RowTest::subset(&query, nbits), &row),
             kernel::reference::covers(&q_clean, &row, nbits)
         );
         prop_assert_eq!(
-            kernel::eq(&query, &row, nbits),
+            passes(&RowTest::equals(&query, nbits), &row),
             kernel::reference::eq(&q_clean, &row, nbits)
         );
         prop_assert_eq!(

@@ -15,14 +15,15 @@
 //! one allocation a page could not pass for noise.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
-//! bite, collect a page's rows into a `Vec` in `Ssf::scan_page`, `.to_vec()`
-//! the page in `Bssf::slice_page` or the key in `Verifier::observe`, or
-//! `collect()` a node's keys in `BTree::descend`.
+//! bite, compile the `RowTest` per page in `Ssf::scan_page`, allocate the
+//! row `Bitmap` per row in `Fssf::scan_frame`, `.to_vec()` the page in
+//! `Bssf::slice_page` or the key in `Verifier::observe`, or `collect()` a
+//! node's keys in `BTree::descend`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
 use counting_alloc::{count, CountingAlloc};
-use setsig::core::{kernel, Bitmap};
+use setsig::core::{kernel, Bitmap, FssfConfig};
 use setsig::nix::BTree;
 use setsig::oodb::ClassId;
 use setsig::pagestore::{Page, PagedFile, PAGE_SIZE};
@@ -41,6 +42,10 @@ const F: u32 = 500;
 /// `m` against. One query element is 35 slices, so a `T ⊇ Q` scan reads
 /// several times more pages than hashing its query allocates.
 const M: u32 = 35;
+/// FSSF's frames and their per-element weight: 50 frames of 10 bits, so a
+/// frame page holds 3,276 rows.
+const FRAMES: u32 = 50;
+const FRAME_M: u32 = 3;
 /// Objects of the small instance; OID `TARGET` is the one the queries hit.
 const SMALL: u64 = 4_096;
 const TARGET: usize = 1_234;
@@ -139,6 +144,9 @@ struct Probes {
     /// holding this set stays alive to the scan's last slice and yields no
     /// drop.
     near_miss: Vec<u64>,
+    /// The FSSF frames the `T ⊆ Q` query's elements hash to (the `T ⊇ Q`
+    /// query's are among them).
+    frames: Vec<u32>,
 }
 
 impl Probes {
@@ -171,8 +179,10 @@ impl Probes {
             SetQuery::equals(keys(target)),
             SetQuery::overlaps(keys(&[absent])),
         ];
+        let frames = queries[1].elements.iter().map(|e| fssf().frame_of(e));
         Probes {
             cfg,
+            frames: frames.collect(),
             queries: queries.map(|q| {
                 let sig = q.signature(&cfg);
                 (q, sig)
@@ -181,12 +191,20 @@ impl Probes {
         }
     }
 
-    /// Whether a row holding `set` would be a drop of one of the queries.
+    /// Whether a row holding `set` would be a drop of one of the queries —
+    /// for FSSF, conservatively: whether one of its elements hashes to a
+    /// query frame. (A row with bits outside the query's frames is no
+    /// `T ⊆ Q` drop, and one with bits only there no `T ⊇ Q` drop.)
     fn drops(&self, set: &[u64]) -> bool {
         let row = Signature::for_set(&self.cfg, &keys(set));
         let matches = |(q, sig): &(SetQuery, Signature)| q.signature_matches(&self.cfg, &row, sig);
-        self.queries.iter().any(matches)
+        let framed = |e: &ElementKey| self.frames.contains(&fssf().frame_of(e));
+        self.queries.iter().any(matches) || keys(set).iter().any(framed)
     }
+}
+
+fn fssf() -> FssfConfig {
+    FssfConfig::new(F, FRAMES, FRAME_M).unwrap()
 }
 
 fn small_instance() -> SimDb {
@@ -234,8 +252,10 @@ fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
     let serial = EngineConfig::serial();
     let ssf = [small, large].map(|sim| sim.build_ssf_with(F, M, serial));
     let bssf = [small, large].map(|sim| sim.build_bssf_with(F, M, serial));
+    let fssf = [small, large].map(|sim| sim.build_fssf(F, FRAMES, FRAME_M));
     let ssf: [&dyn SetAccessFacility; 2] = [&ssf[0], &ssf[1]];
     let bssf: [&dyn SetAccessFacility; 2] = [&bssf[0], &bssf[1]];
+    let fssf: [&dyn SetAccessFacility; 2] = [&fssf[0], &fssf[1]];
     let [superset, subset, equals, overlaps] = &probes.queries;
     for (path, [on_small, on_large], (query, _)) in [
         ("core.ssf.scan_page", ssf, superset),
@@ -246,6 +266,8 @@ fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
         ("core.bssf.or_slices", bssf, subset),
         ("core.bssf.equals_positions", bssf, equals),
         ("core.bssf.overlap_positions", bssf, overlaps),
+        ("core.fssf.scan_frame", fssf, superset),
+        ("core.fssf.scan_frame", fssf, subset),
     ] {
         let (budget, pages_small, want) = filter(on_small, query);
         let (allocations, pages, got) = filter(on_large, query);
@@ -330,41 +352,47 @@ fn kernels(rows: &mut Vec<Row>) {
     let nbits = (PAGE_SIZE * 8) as u32;
     let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
     let query = vec![0x0f0f_0f0f_0f0f_0f0fu64; PAGE_SIZE / 8];
-    let probe = kernel::nonzero_words(&query);
     let mut acc = vec![!0u64; PAGE_SIZE / 8];
     let mut counts = vec![0u32; PAGE_SIZE * 8];
-    let mut run = |path: &'static str, kernel: &mut dyn FnMut()| {
+    // A page of SSF rows at width `F`, matched against the query's first
+    // `F` bits into a buffer that holds a page's hits.
+    let stride = F.div_ceil(8) as usize;
+    let per_page = PAGE_SIZE / stride;
+    let signature = &query[..F.div_ceil(64) as usize];
+    let mut hits = Vec::with_capacity(per_page);
+    let mut run = |path: &'static str, what: &str, kernel: &mut dyn FnMut()| {
         let (allocations, ()) = count(|| (0..PAGES).for_each(|_| kernel()));
         rows.push(Row {
             path,
-            shape: format!("{PAGES} × 4 KiB"),
+            shape: format!("{what}{PAGES} × 4 KiB"),
             pages: PAGES,
             allocations,
             budget: 0,
         });
     };
-    run("core.kernel.and_assign", &mut || {
+    run("core.kernel.and_assign", "", &mut || {
         black_box(kernel::and_assign(&mut acc, &page));
     });
-    run("core.kernel.or_assign", &mut || {
+    run("core.kernel.or_assign", "", &mut || {
         kernel::or_assign(&mut acc, &page, nbits);
     });
-    run("core.kernel.is_covered_by", &mut || {
-        black_box(kernel::is_covered_by(&probe, &page));
-    });
-    run("core.kernel.covers", &mut || {
-        black_box(kernel::covers(&query, &page, nbits));
-    });
-    run("core.kernel.eq", &mut || {
-        black_box(kernel::eq(&query, &page, nbits));
-    });
-    run("core.kernel.intersection_count", &mut || {
+    for (what, test) in [
+        ("T ⊇ Q, ", kernel::RowTest::superset(signature, F)),
+        ("T ⊆ Q, ", kernel::RowTest::subset(signature, F)),
+        ("T = Q, ", kernel::RowTest::equals(signature, F)),
+    ] {
+        run("core.kernel.match_rows", what, &mut || {
+            hits.clear();
+            kernel::match_rows(&test, &page, stride, per_page, 0, &mut hits);
+        });
+    }
+    run("core.kernel.intersection_count", "", &mut || {
         black_box(kernel::intersection_count(&query, &page));
     });
-    run("core.kernel.iter_ones", &mut || {
+    run("core.kernel.iter_ones", "", &mut || {
         black_box(kernel::iter_ones(nbits, &page).count());
     });
-    run("core.kernel.accumulate_ones", &mut || {
+    run("core.kernel.accumulate_ones", "", &mut || {
         kernel::accumulate_ones(&mut counts, &page);
     });
 }
