@@ -142,7 +142,6 @@ pub struct BufferPool {
     // the disk write returns. The pool and disk mutexes are therefore
     // never nested, and either can be taken while a caller holds an
     // engine-level lock.
-    // LOCK-ORDER: pagestore.pool leaf
     inner: Mutex<PoolInner>,
 }
 

@@ -68,7 +68,6 @@ pub struct Disk {
     // This is the LEAF lock of the whole system: no method calls out of
     // the crate (or into BufferPool) while holding it, so it can be taken
     // from under any other lock without deadlock risk.
-    // LOCK-ORDER: pagestore.disk leaf
     inner: Mutex<DiskInner>,
 }
 

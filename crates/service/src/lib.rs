@@ -99,7 +99,6 @@ fn merge(parts: Vec<(CandidateSet, Option<ScanStats>)>) -> (CandidateSet, Option
 /// One shard: a facility instance behind its reader/writer lock. No code
 /// path holds two shard guards at once.
 struct Shard<F> {
-    // LOCK-ORDER: service.shard leaf
     facility: RwLock<F>,
 }
 

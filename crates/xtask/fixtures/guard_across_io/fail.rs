@@ -6,7 +6,6 @@ use std::sync::{Mutex, RwLock};
 struct Disk;
 
 struct Pool {
-    // LOCK-ORDER: gfix.pool leaf
     inner: Mutex<u32>,
     disk: Disk,
 }
@@ -30,7 +29,6 @@ impl Pool {
 }
 
 struct Catalog {
-    // LOCK-ORDER: gfix.catalog
     map: RwLock<u32>,
     disk: Disk,
 }

@@ -1,14 +1,13 @@
 //! guard-across-io pass fixture: the same shapes done right — the guard
-//! dies (block scope or explicit `drop`) before the I/O call, or the
-//! site is justified via the self-test allowlist
-//! (`…::allowlisted_site`).
+//! dies (block scope or explicit `drop`) before the I/O call — and an
+//! `io::Read::read` into a buffer, which is no acquisition.
 
+use std::io::Read;
 use std::sync::Mutex;
 
 struct Disk;
 
 struct Pool {
-    // LOCK-ORDER: gpass.pool leaf
     inner: Mutex<u32>,
     disk: Disk,
 }
@@ -28,10 +27,8 @@ impl Pool {
         self.disk.write_page(0, &[]);
     }
 
-    fn allowlisted_site(&self) {
-        // The mutex is this sink's serialization point — justified.
-        let g = self.inner.lock();
-        self.disk.flush();
-        let _ = g;
+    fn stream_read_then_write(&self, src: &mut impl Read, buf: &mut [u8]) {
+        let n = src.read(buf);
+        self.disk.write_page(0, &buf[..n]);
     }
 }

@@ -1,14 +1,14 @@
 //! # xtask — project-specific static analysis for the setsig workspace
 //!
-//! `cargo xtask analyze` runs five offline, hand-rolled lints over the
+//! `cargo xtask analyze` runs four offline, hand-rolled lints over the
 //! workspace source (token-level scanner, no network, no rustc plumbing).
 //! They are the invariants only this project can state — page accounting,
-//! the crate DAG, the lock hierarchy. Everything rustc or clippy can check
-//! on the real AST (`unsafe`, panics, discarded `Result`s, dead code) lives
-//! in the `[workspace.lints]` table of the root `Cargo.toml` instead, and
-//! what a running program can count — allocations per page and per
-//! candidate on the scan, probe and resolve paths — is counted, in the root
-//! package's `tests/hot_path.rs`:
+//! the crate DAG, no lock held across page I/O. Everything rustc or clippy
+//! can check on the real AST (`unsafe`, panics, discarded `Result`s, dead
+//! code) lives in the `[workspace.lints]` table of the root `Cargo.toml`
+//! instead, and what a running program can count — allocations per page
+//! and per candidate on the scan, probe and resolve paths — is counted, in
+//! the root package's `tests/hot_path.rs`:
 //!
 //! 1. **accounting** — raw page I/O (`read_page` / `write_page`) may only be
 //!    called from the allowlisted accounting wrappers inside
@@ -22,26 +22,21 @@
 //!    (`costmodel`, `workload`) stay dependency-free. Every member must
 //!    also opt into the workspace lint table, so no crate escapes the
 //!    compiler-held invariants.
-//! 3. **lock-order** — every `Mutex`/`RwLock` declaration carries a
-//!    machine-readable `// LOCK-ORDER: <name> [< <parent>]… [leaf]`
-//!    annotation; the declared order must form a DAG and every lexically
-//!    nested acquisition must follow it (see [`locks`]).
-//! 4. **guard-across-io** — no lock guard may be live across a
+//! 3. **guard-across-io** — no lock guard may be live across a
 //!    `read_page`/`write_page`/`flush`/`sync` call; the pool comment's
 //!    promise, enforced.
-//! 5. **stale-allow** — every `crates/xtask/allow/*.allow` entry must
-//!    still match a real site; dangling suppressions fail the run.
+//! 4. **stale-allow** — every `crates/xtask/allow/accounting.allow` entry
+//!    must still match a real site; dangling suppressions fail the run.
 //!
 //! The analyzer is deliberately syntactic: it trades soundness-in-general
 //! for zero dependencies and total transparency. Each lint is a small token
-//! pattern plus an explicit allowlist, and the fixture corpus under
-//! `crates/xtask/fixtures/` pins down exactly what each one accepts and
-//! rejects (`cargo xtask analyze --self-test`).
+//! pattern (accounting's with an explicit allowlist), and the fixture
+//! corpus under `crates/xtask/fixtures/` pins down exactly what each one
+//! accepts and rejects (`cargo xtask analyze --self-test`).
 //!
 //! [`ScanStats`]: https://docs.rs/setsig-core
 
 pub mod lints;
-pub mod locks;
 pub mod scan;
 pub mod selftest;
 pub mod workspace;
@@ -57,9 +52,6 @@ pub enum Lint {
     /// A dependency edge that violates the workspace DAG, or a member
     /// outside the workspace lint table.
     Layering,
-    /// A lock without a valid `LOCK-ORDER:` annotation, or an acquisition
-    /// contradicting the declared order.
-    LockOrder,
     /// A lock guard live across a page-I/O call.
     GuardAcrossIo,
     /// An allowlist entry that matched no site this run.
@@ -68,10 +60,9 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in the order `analyze` runs and reports them.
-    pub const ALL: [Lint; 5] = [
+    pub const ALL: [Lint; 4] = [
         Lint::Accounting,
         Lint::Layering,
-        Lint::LockOrder,
         Lint::GuardAcrossIo,
         Lint::StaleAllow,
     ];
@@ -81,7 +72,6 @@ impl Lint {
         match self {
             Lint::Accounting => "accounting",
             Lint::Layering => "layering",
-            Lint::LockOrder => "lock-order",
             Lint::GuardAcrossIo => "guard-across-io",
             Lint::StaleAllow => "stale-allow",
         }
@@ -160,19 +150,17 @@ impl fmt::Display for Diagnostic {
 /// findings sorted by file, line, lint.
 pub fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let ws = workspace::Workspace::load(root)?;
-    // Allowlists load once; `permits` marks entries as they match, and the
-    // stale-allow pass at the end reports any that never did.
+    // The allowlist loads once; `permits` marks entries as they match, and
+    // the stale-allow pass at the end reports any that never did.
     let allow_accounting = ws.allowlist("accounting.allow")?;
-    let allow_locks = ws.allowlist("locks.allow")?;
     let mut diags = Vec::new();
     diags.extend(lints::accounting::run(&ws, &allow_accounting));
     diags.extend(lints::layering::run(&ws)?);
-    diags.extend(lints::lock_order::run(&ws, &allow_locks));
-    diags.extend(lints::guard_across_io::run(&ws, &allow_locks));
-    diags.extend(lints::stale_allow::check(&[
-        ("crates/xtask/allow/accounting.allow", &allow_accounting),
-        ("crates/xtask/allow/locks.allow", &allow_locks),
-    ]));
+    diags.extend(lints::guard_across_io::run(&ws));
+    diags.extend(lints::stale_allow::check(
+        "crates/xtask/allow/accounting.allow",
+        &allow_accounting,
+    ));
     diags.sort_by(|a, b| (&a.file, a.line, a.lint, &a.msg).cmp(&(&b.file, b.line, b.lint, &b.msg)));
     Ok(diags)
 }

@@ -1,10 +1,9 @@
 //! The project lints. Each exposes a `run(&Workspace, …)` entry point
 //! plus a file-granular `check_*` entry point the fixture self-tests
 //! drive directly. `stale_allow` is different: it runs *after* the
-//! others, over the allowlists they consulted.
+//! others, over the allowlist `accounting` consulted.
 
 pub mod accounting;
 pub mod guard_across_io;
 pub mod layering;
-pub mod lock_order;
 pub mod stale_allow;

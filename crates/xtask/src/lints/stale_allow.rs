@@ -1,8 +1,8 @@
 //! **stale-allow** — allowlist entries must still match a real site.
 //!
-//! Every lint calls [`crate::workspace::Allowlist::permits`] for the
-//! sites it would otherwise report (or, for the always-on lints, for
-//! every candidate site), and `permits` marks the entries it matches.
+//! The accounting lint calls [`crate::workspace::Allowlist::permits`]
+//! for the sites it would otherwise report, and `permits` marks the
+//! entries it matches.
 //! After all lints have run, any entry still unused is a dangling
 //! suppression: the code it was written for moved or was fixed, and the
 //! entry would now silently excuse a *future* violation at that path.
@@ -12,25 +12,23 @@
 use crate::workspace::Allowlist;
 use crate::{Diagnostic, Lint};
 
-/// Reports every unused entry across the named allowlists. Must run
-/// after every other lint, since earlier lints set the usage flags.
-pub fn check(lists: &[(&str, &Allowlist)]) -> Vec<Diagnostic> {
+/// Reports every unused entry of the allowlist at `path`. Must run after
+/// every other lint, since earlier lints set the usage flags.
+pub fn check(path: &str, list: &Allowlist) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (path, list) in lists {
-        for e in list.entries() {
-            if !e.is_used() {
-                out.push(Diagnostic {
-                    file: (*path).to_string(),
-                    line: e.line,
-                    lint: Lint::StaleAllow,
-                    msg: format!(
-                        "stale allowlist entry `{}` matched no site this run; \
-                         delete it (suppressions must not outlive the code they \
-                         excuse)",
-                        e.display()
-                    ),
-                });
-            }
+    for e in list.entries() {
+        if !e.is_used() {
+            out.push(Diagnostic {
+                file: path.to_string(),
+                line: e.line,
+                lint: Lint::StaleAllow,
+                msg: format!(
+                    "stale allowlist entry `{}` matched no site this run; \
+                     delete it (suppressions must not outlive the code they \
+                     excuse)",
+                    e.display()
+                ),
+            });
         }
     }
     out

@@ -15,7 +15,7 @@ Commands:
                             optionally write per-lint wall times as a
                             bench-summary JSON
 
-Lints: accounting, layering, lock-order, guard-across-io, stale-allow.
+Four lints: accounting, layering, guard-across-io, stale-allow.
 See DESIGN.md \"Static analysis & invariants\" for what each enforces.";
 
 /// Output format for analyze findings.

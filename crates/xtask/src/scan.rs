@@ -1,9 +1,8 @@
 //! A minimal token-level scanner for Rust source.
 //!
 //! Not a full lexer: it distinguishes identifiers, punctuation and literals,
-//! skips comments and string/char literals (recording comments so the unsafe
-//! audit can look for `// SAFETY:`), and tracks line numbers. That is
-//! exactly enough for the project lints, which match short token patterns
+//! skips comments and string/char literals, and tracks line numbers. That
+//! is exactly enough for the project lints, which match short token patterns
 //! like `. read_page (` — and it means doc-comment examples, strings and
 //! `#[cfg(test)]` modules can never produce false positives.
 
@@ -50,14 +49,11 @@ impl Tok {
     }
 }
 
-/// Scanner output: the significant tokens plus every comment (keyed by the
-/// line its first character is on).
+/// Scanner output: the significant tokens.
 #[derive(Debug, Default)]
 pub struct Scanned {
     /// Significant tokens in source order.
     pub toks: Vec<Tok>,
-    /// `(start_line, full_text)` for each `//` and `/* */` comment.
-    pub comments: Vec<(u32, String)>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -68,7 +64,7 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Scans `src` into tokens and comments.
+/// Scans `src` into tokens.
 pub fn scan(src: &str) -> Scanned {
     let chars: Vec<char> = src.chars().collect();
     let n = chars.len();
@@ -88,16 +84,13 @@ pub fn scan(src: &str) -> Scanned {
         }
         // Line comment (including `///` and `//!` doc comments).
         if c == '/' && i + 1 < n && chars[i + 1] == '/' {
-            let start = i;
             while i < n && chars[i] != '\n' {
                 i += 1;
             }
-            out.comments.push((line, chars[start..i].iter().collect()));
             continue;
         }
         // Block comment, possibly nested.
         if c == '/' && i + 1 < n && chars[i + 1] == '*' {
-            let (start, start_line) = (i, line);
             i += 2;
             let mut depth = 1u32;
             while i < n && depth > 0 {
@@ -114,8 +107,6 @@ pub fn scan(src: &str) -> Scanned {
                     i += 1;
                 }
             }
-            out.comments
-                .push((start_line, chars[start..i.min(n)].iter().collect()));
             continue;
         }
         // Identifier or keyword — with raw/byte string-literal prefixes
@@ -401,7 +392,6 @@ let y = r#".write_page("#;
         );
         assert!(!s.toks.iter().any(|t| t.is_ident("read_page")));
         assert!(!s.toks.iter().any(|t| t.is_ident("write_page")));
-        assert_eq!(s.comments.len(), 3);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! (`#~ ERROR <lint-name>` in TOML); the harness requires the produced
 //! diagnostics to match the markers *exactly* — same file, same line, same
 //! lint — so a lint that drifts quiet or noisy fails the suite either way.
-//! A marker may pin the message too: `//~ ERROR lock-order: cycle`
-//! additionally requires the diagnostic's message to contain `cycle`,
-//! which is how the corpus distinguishes a lint's error codes.
+//! A marker may pin the message too:
+//! `//~ ERROR guard-across-io: io-under-lock` additionally requires the
+//! diagnostic's message to contain `io-under-lock`, which is how the
+//! corpus distinguishes a lint's error codes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,47 +66,17 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     check_tree_fixture(&fixtures.join("layering/good"), &mut failures)?;
     lap("layering", &mut timings, &mut timer);
 
-    // lock-order: one fixture per concern — every per-declaration and
-    // per-acquisition error code, the declared-order cycle, and a clean
-    // hierarchy whose one violation is allowlisted.
-    let allow_locks = Allowlist::parse(
-        "# self-test: the fixtures' justified lock-discipline sites\n\
-         crates/experiments/src/fixture.rs::allowlisted_site\n",
-    );
-    check_file_fixture(
-        &fixtures.join("lock_order/fail.rs"),
-        |f| lints::lock_order::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("lock_order/cycle.rs"),
-        |f| lints::lock_order::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("lock_order/pass.rs"),
-        |f| lints::lock_order::check_file(f, &allow_locks),
-        &mut failures,
-    )?;
-    // A three-level hierarchy (root over middle over a leaf) with both
-    // inverted acquisitions.
-    check_file_fixture(
-        &fixtures.join("lock_order/shard_hierarchy.rs"),
-        |f| lints::lock_order::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    lap("lock-order", &mut timings, &mut timer);
-
     // guard-across-io: guards live across page I/O trip; guards dropped
-    // (block scope or explicit drop) before I/O, or allowlisted, do not.
+    // (block scope or explicit drop) before I/O, and `io::Read::read` calls
+    // (which take a buffer), do not.
     check_file_fixture(
         &fixtures.join("guard_across_io/fail.rs"),
-        |f| lints::guard_across_io::check_file(f, &Allowlist::default()),
+        lints::guard_across_io::check_file,
         &mut failures,
     )?;
     check_file_fixture(
         &fixtures.join("guard_across_io/pass.rs"),
-        |f| lints::guard_across_io::check_file(f, &allow_locks),
+        lints::guard_across_io::check_file,
         &mut failures,
     )?;
     lap("guard-across-io", &mut timings, &mut timer);
@@ -123,7 +94,7 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     compare(
         "stale_allow/fail.allow",
         expected_markers(&text),
-        lints::stale_allow::check(&[("stale_allow/fail.allow", &stale)]),
+        lints::stale_allow::check("stale_allow/fail.allow", &stale),
         &mut failures,
     );
     lap("stale-allow", &mut timings, &mut timer);

@@ -1,11 +1,11 @@
 //! The live workspace must satisfy its own invariants: `xtask analyze`
 //! runs here as a test, so `cargo test --workspace` alone gates every
-//! project lint (including lock-order, guard-across-io and the
-//! stale-allowlist check) without needing the separate CI step. The
-//! retained lint set is pinned too: growing it back is a deliberate act.
-//! Two claims about the engine crates are held by the tokens alone — no
-//! tree set, no lock — and by nothing else in the analyzer; so is the
-//! workspace's lock inventory of three files.
+//! project lint (including guard-across-io and the stale-allowlist check)
+//! without needing the separate CI step. The retained lint set is pinned
+//! too: growing it back is a deliberate act. Two claims about the engine
+//! crates are held by the tokens alone — no tree set, no lock — and by
+//! nothing else in the analyzer; so is the workspace's lock inventory:
+//! one lock declared in each of three files.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -17,13 +17,7 @@ use xtask::Lint;
 
 /// The invariants only the project analyzer can hold; everything else is
 /// rustc's and clippy's job (root `Cargo.toml`, `[workspace.lints]`).
-const RETAINED: [&str; 5] = [
-    "accounting",
-    "layering",
-    "lock-order",
-    "guard-across-io",
-    "stale-allow",
-];
+const RETAINED: [&str; 4] = ["accounting", "layering", "guard-across-io", "stale-allow"];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,19 +100,29 @@ fn in_crates<'a>(ws: &'a Workspace, crates: &'a [&str]) -> impl Iterator<Item = 
     ws.files.iter().filter(member)
 }
 
-/// The files whose library code names a lock type, outside `xtask` (whose
-/// source names lock types as tokens).
-fn lock_files<'a>(files: impl IntoIterator<Item = &'a SourceFile>) -> Vec<String> {
-    let files = files
-        .into_iter()
-        .filter(|f| f.crate_dir.as_deref() != Some("xtask"));
-    let mut rels: Vec<String> = named(files, &["Mutex", "RwLock"])
-        .into_iter()
-        .map(|site| site[..site.rfind(':').unwrap()].to_owned())
-        .collect();
-    rels.sort();
-    rels.dedup();
-    rels
+/// `(file, n)` for every file whose library code names a lock type,
+/// outside `xtask` (whose source names lock types as tokens): `n` counts
+/// the type-position names (`Mutex<`, `RwLock<`), one per declared lock.
+fn lock_inventory<'a>(files: impl IntoIterator<Item = &'a SourceFile>) -> Vec<(&'a str, usize)> {
+    let mut inventory = Vec::new();
+    for file in files {
+        if file.class != FileClass::Lib || file.crate_dir.as_deref() == Some("xtask") {
+            continue;
+        }
+        let toks = &file.scanned.toks;
+        let mut names = None;
+        for (i, tok) in toks.iter().enumerate() {
+            if !file.test_mask[i] && (tok.is_ident("Mutex") || tok.is_ident("RwLock")) {
+                let in_type = toks.get(i + 1).is_some_and(|t| t.is_punct('<'));
+                *names.get_or_insert(0) += usize::from(in_type);
+            }
+        }
+        if let Some(n) = names {
+            inventory.push((file.rel.as_str(), n));
+        }
+    }
+    inventory.sort();
+    inventory
 }
 
 const ENGINE: [&str; 3] = ["core", "nix", "oodb"];
@@ -143,21 +147,22 @@ fn engine_crates_name_no_btreeset_outside_test_code() {
 /// shards on the caller's thread, so `crates/service` spawns no thread and
 /// waits on nothing but its shard `RwLock`s. What the allocation side of the
 /// claim needs is counted in `tests/hot_path.rs`. The whole lock inventory
-/// is three files: the disk, the pool and the service's shards.
+/// is three locks, one per file: the disk's, the pool's and a shard's. All
+/// three are leaves: no code path holds two of them at once.
 #[test]
 fn engine_crates_name_no_lock_and_the_service_never_parks() {
     const LOCKS: [&str; 6] = ["Mutex", "RwLock", "Condvar", "mpsc", "sleep", "parking_lot"];
     const PARKING: [&str; 4] = ["Condvar", "mpsc", "sleep", "spawn"];
-    const LOCK_FILES: [&str; 3] = [
-        "crates/pagestore/src/cache.rs",
-        "crates/pagestore/src/disk.rs",
-        "crates/service/src/lib.rs",
+    const LOCK_DECLS: [(&str, usize); 3] = [
+        ("crates/pagestore/src/cache.rs", 1),
+        ("crates/pagestore/src/disk.rs", 1),
+        ("crates/service/src/lib.rs", 1),
     ];
     let ws = Workspace::load(&repo_root()).expect("workspace readable");
     assert_eq!(
-        lock_files(&ws.files),
-        LOCK_FILES,
-        "non-test library code names a lock outside the inventory"
+        lock_inventory(&ws.files),
+        LOCK_DECLS,
+        "non-test library code declares a lock outside the inventory"
     );
     let sites = named(in_crates(&ws, &ENGINE), &LOCKS);
     assert!(
@@ -207,10 +212,25 @@ fn engine_crates_name_no_lock_and_the_service_never_parks() {
         "pub struct Registry {\n    metrics: parking_lot::Mutex<u64>,\n}\n",
     );
     assert_eq!(
-        lock_files(ws.files.iter().chain([&scratch])),
-        ["crates/obs/src/metrics.rs"]
+        lock_inventory(ws.files.iter().chain([&scratch])),
+        [("crates/obs/src/metrics.rs", 1)]
             .into_iter()
-            .chain(LOCK_FILES)
+            .chain(LOCK_DECLS)
             .collect::<Vec<_>>()
     );
+    // So does a second lock in a file that already holds one: a `Disk` with
+    // a second field counts 2.
+    let scratch = SourceFile::new(
+        "crates/pagestore/src/disk.rs".to_string(),
+        FileClass::Lib,
+        Some("pagestore".to_string()),
+        "use std::sync::Mutex;\n\
+         pub struct Disk {\n    inner: Mutex<DiskInner>,\n    reads: Mutex<u64>,\n}\n\
+         impl Disk {\n    pub fn new() -> Self {\n        \
+         Disk { inner: Mutex::new(DiskInner), reads: Mutex::new(0) }\n    }\n}\n",
+    );
+    let files = ws.files.iter().filter(|f| f.rel != scratch.rel);
+    let mut want = LOCK_DECLS;
+    want[1].1 = 2;
+    assert_eq!(lock_inventory(files.chain([&scratch])), want);
 }
