@@ -12,6 +12,13 @@
 //! * `T ⊆ Q` — read the `F − m_q` slices where the query signature has `0`,
 //!   OR them; rows still clear are drops.
 //!
+//! Both run a row page at a time. Under ⊇ a row page stops reading once
+//! its rows are all clear, since an AND cannot set them again. Under ⊆ a
+//! row page carries a `u64` live mask, one bit per 512-row block, and a
+//! slice page is ORed only into the blocks that still have a clear row
+//! ([`kernel::or_blocks`]). Every selected page is still read and
+//! charged: the mask saves CPU work, never a page.
+//!
 //! That asymmetry — cost `∝ m_q` for ⊇, `∝ F − m_q` for ⊆ — is the engine
 //! behind every BSSF result in the paper, including the advantage of a
 //! small `m` and the "smart" strategies of §5.1.3/§5.2.2, which a query
@@ -51,8 +58,9 @@ use crate::sorted;
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
 
-/// Words of a row accumulator one slice page covers.
-const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
+/// Words of a row accumulator one slice page covers: the 64 blocks of one
+/// `⊆` live mask.
+const WORDS_PER_PAGE: usize = kernel::MASK_WORDS;
 
 /// A bit-sliced signature file with its companion OID file.
 ///
@@ -166,14 +174,19 @@ impl Bssf {
 
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
     /// count), a row page at a time, straight off the page snapshots.
+    ///
+    /// Every selected page is read and charged. The OR skips the 512-row
+    /// blocks whose rows are all set ([`kernel::or_blocks`]): no later slice
+    /// can change them, so that saves CPU work and no page.
     fn or_slices(&self, slices: &[u32], ctr: &mut ScanStats) -> Result<Bitmap> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
             let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
+            let mut live = !0;
             for &j in slices {
                 if let Some(page) = self.slice_page(j, p, ctr)? {
-                    kernel::or_assign(words, page.as_bytes(), rows);
+                    live = kernel::or_blocks(words, page.as_bytes(), rows, live);
                 }
             }
         }
@@ -225,8 +238,13 @@ impl Bssf {
     /// many zero-slices are read (`F − m_s` of them under the §5.2.2 smart
     /// strategy); `None` reads all `F − m_q`.
     ///
-    /// There is no early exit (a row cleared now can only stay clear):
-    /// every selected slice is read exactly once.
+    /// OR only sets bits, so once every row of a row page is set no later
+    /// slice can change its answer. The scan still reads every selected
+    /// slice page exactly once, because the page charge is the paper's
+    /// `F − m_q`, which the drift gate (`exact`) and
+    /// `subset_scan_reads_f_minus_m_q_slices` pin. The live mask of
+    /// [`kernel::or_blocks`] skips only CPU work: a `⊆` early exit would
+    /// change pages and the cost model.
     fn subset_positions(
         &self,
         query_sig: &Signature,
@@ -866,11 +884,25 @@ mod tests {
     /// different materialized lengths (sparse inserts): identical positions,
     /// and never more pages than a slice-major scan — every consumed slice
     /// read whole — would have charged. A short or empty slice contributes
-    /// zeros for its unwritten tail, whatever was read before it.
+    /// zeros for its unwritten tail, whatever was read before it. The pages
+    /// are exactly those of the plain page-major scan, which reads a row
+    /// page's slices until its `⊇` range empties and every `⊆` slice page:
+    /// the `⊆` live mask skips CPU work, never a page.
     #[test]
     fn page_major_scans_match_the_row_reference_on_multi_page_sparse_slices() {
+        page_major_scans_match_the_row_reference(ROWS_PER_PAGE + 3_000);
+    }
+
+    /// The same where the last row page ends mid-block and mid-word
+    /// (700 = 512 + 188 = 64·10 + 60 rows).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn page_major_scans_match_the_row_reference_on_a_last_page_ending_mid_block() {
+        page_major_scans_match_the_row_reference(ROWS_PER_PAGE + 700);
+    }
+
+    fn page_major_scans_match_the_row_reference(n: u64) {
         let (_d, mut b) = bssf(100, 2);
-        let n = ROWS_PER_PAGE + 3_000;
         // Row page 0 draws on 40 elements, row page 1 on 6 of them, so most
         // slices end after one page and some were never written at all.
         let set_of = |i: u64| -> Vec<ElementKey> {
@@ -892,6 +924,26 @@ mod tests {
             .iter()
             .map(|(_, set)| Signature::for_set(b.config(), set))
             .collect();
+        // The plain scan's `⊇` charge: per row page, a page of each slice
+        // that has one until no row of the page has every slice so far.
+        let superset_pages = |ones: &[u32]| -> u64 {
+            let row_pages = sigs.chunks(ROWS_PER_PAGE as usize);
+            let per_page = row_pages.enumerate().map(|(p, rows)| {
+                let mut rows: Vec<&Signature> = rows.iter().collect();
+                let mut pages = 0;
+                for &j in ones {
+                    if rows.is_empty() {
+                        break;
+                    }
+                    pages += u64::from(lens[j as usize] as usize > p);
+                    rows.retain(|sig| sig.bitmap().get(j));
+                }
+                pages
+            });
+            per_page.sum()
+        };
+        // And its `⊆` charge: every page of every zero-slice.
+        let subset_pages = |zeros: &[u32]| zeros.iter().map(|&j| lens[j as usize] as u64).sum();
         let elems = |v: &[u64]| v.iter().map(|&e| ElementKey::from(e)).collect::<Vec<_>>();
         let queries = [
             SetQuery::has_subset(elems(&[3])),
@@ -900,6 +952,8 @@ mod tests {
             SetQuery::has_subset(elems(&[77_777, 88_888])), // may touch empty slices
             SetQuery::in_subset(elems(&[0, 1, 2, 3, 4, 5])),
             SetQuery::in_subset((0..40).map(ElementKey::from).collect()),
+            SetQuery::equals(set_of(n - 1)), // the last row's own set
+            SetQuery::equals(elems(&[3, 10])),
             SetQuery::overlaps(elems(&[2, 33])),
         ];
         for q in &queries {
@@ -909,12 +963,22 @@ mod tests {
                 .collect();
             let mut ctr = ScanStats::default();
             let got = b.positions_for(q, &mut ctr).unwrap();
-            assert_eq!(got, expect, "{:?}", q.predicate);
+            assert_eq!(got, expect, "{:?} N {n}", q.predicate);
+            let ones: Vec<u32> = qsig.bitmap().iter_ones().collect();
+            let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
+            let plain = match q.predicate {
+                SetPredicate::InSubset => subset_pages(&zeros),
+                SetPredicate::Equals => superset_pages(&ones) + subset_pages(&zeros),
+                SetPredicate::Overlaps => subset_pages(&ones),
+                _ => superset_pages(&ones),
+            };
+            assert_eq!(ctr.pages, plain, "{:?} N {n}", q.predicate);
             // Slice-major: the first `ctr.slices` selected slices, each
             // read to its materialized end.
-            let selected: Vec<u32> = match q.predicate {
-                SetPredicate::InSubset => qsig.bitmap().iter_zeros().collect(),
-                _ => qsig.bitmap().iter_ones().collect(),
+            let selected = match q.predicate {
+                SetPredicate::InSubset => &zeros,
+                SetPredicate::Equals => continue,
+                _ => &ones,
             };
             let slice_major: u64 = selected[..ctr.slices as usize]
                 .iter()

@@ -21,14 +21,25 @@
 //!   `AND` is the one exception that needs no mask: padding in the
 //!   incoming bytes can only clear accumulator bits that are already
 //!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
-//!   either: its masks select no bit at or past the width.
+//!   either: its masks select no bit at or past the width. The `T ⊆ Q`
+//!   fullness test of [`or_blocks`] counts padding as set.
+//! * **Blocks.** The BSSF `T ⊆ Q` slice loop ([`or_blocks`]) folds a slice
+//!   page into a row page's accumulator (at most [`MASK_WORDS`] = 512
+//!   words) only where a `u64` live mask says a row is still clear: bit
+//!   `b` covers block `b`, the [`BLOCK_WORDS`] = 8 words of one cache line
+//!   (512 rows). It returns the new mask; [`or_assign`] is the all-live
+//!   case. The `T ⊇ Q` loop needs no mask: [`and_assign`]'s fused OR-fold
+//!   already ends a row page once it empties.
 //!
-//! The slice loops run on `chunks_exact(8)` so the compiler sees
-//! fixed-size, branch-free bodies it can autovectorize, and [`match_rows`]
+//! The AND loop runs on `chunks_exact(8)` and the OR loop on fixed-size
+//! 8-word blocks, so the compiler sees short, branch-free bodies it can
+//! unroll, and [`match_rows`]
 //! reads its row words in place; only a word that runs past the end of its
 //! buffer takes the padded [`le_word`] path. The `reference` submodule
 //! keeps the pre-kernel byte/bit-granular loops as the differential-testing
 //! oracle.
+
+use setsig_pagestore::PAGE_SIZE;
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -101,6 +112,108 @@ fn full_words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, Option<u64>) {
     (words, tail_word)
 }
 
+/// Words of a block: one 64-byte cache line, 512 rows of a row page.
+pub const BLOCK_WORDS: usize = 8;
+
+/// Words one live mask covers: a slice page's 4 KiB, one block per bit.
+pub const MASK_WORDS: usize = PAGE_SIZE / 8;
+const _: () = assert!(MASK_WORDS == 64 * BLOCK_WORDS, "one mask bit per block");
+
+/// One block of words.
+type Block = [u64; BLOCK_WORDS];
+
+/// Block `b` of `bytes` as words: bytes `64·b .. 64·b + 64`, zero-padded
+/// past the end ([`le_word`] layout). Inlined into the block loop, so the
+/// words go from the page straight into registers.
+#[inline(always)]
+fn block_words(bytes: &[u8], b: usize) -> Block {
+    let start = b * BLOCK_WORDS * 8;
+    match bytes.get(start..start + BLOCK_WORDS * 8) {
+        Some(line) => line_words(line),
+        None => short_block_words(bytes.get(start..).unwrap_or(&[])),
+    }
+}
+
+/// [`block_words`] of the last, short piece of a buffer.
+#[cold]
+fn short_block_words(rest: &[u8]) -> Block {
+    let mut line = [0u8; BLOCK_WORDS * 8];
+    line[..rest.len()].copy_from_slice(rest);
+    line_words(&line)
+}
+
+/// The little-endian words of a 64-byte line.
+#[inline(always)]
+#[expect(
+    clippy::expect_used,
+    reason = "slice-to-array conversion of an 8-byte exact chunk; cannot fail"
+)]
+fn line_words(line: &[u8]) -> Block {
+    let mut words = [0u64; BLOCK_WORDS];
+    for (w, c) in words.iter_mut().zip(line.chunks_exact(8)) {
+        *w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    }
+    words
+}
+
+/// `acc |= bytes` on the blocks live in `live`, returning the live blocks
+/// that still have a clear row: the `T ⊆ Q` slice loop, where a block
+/// whose rows are all set can never change again. A block that is not
+/// live is neither read nor written, and no bit past `acc`'s last block
+/// comes back.
+///
+/// `nbits` is the accumulator's width (`acc.len()` must be
+/// [`words_for`]`(nbits)`, at most [`MASK_WORDS`]). The last word's tail
+/// mask keeps padding bits in the bytes out of the accumulator, and the
+/// fullness test counts that padding as set.
+pub fn or_blocks(acc: &mut [u64], bytes: &[u8], nbits: u32, live: u64) -> u64 {
+    const ALL: Block = [!0; BLOCK_WORDS];
+    let len = acc.len();
+    debug_assert!(len <= MASK_WORDS, "{len} words");
+    let blocks = len.div_ceil(BLOCK_WORDS);
+    // `valid` marks the bits of a block that are rows: all of them but in
+    // the last block, which runs on a copy padded with zero words, whose
+    // padding words are not valid and whose last word is valid at the
+    // tail mask.
+    let (body, last) = acc.split_at_mut(blocks.saturating_sub(1) * BLOCK_WORDS);
+    let mut last_valid = [0; BLOCK_WORDS];
+    last_valid[..last.len()].fill(!0);
+    if let Some(v) = last_valid[..last.len()].last_mut() {
+        *v = tail_mask(nbits);
+    }
+    let or_block = |block: &mut Block, src: &Block, valid: &Block| {
+        let mut full = !0u64;
+        for ((a, w), v) in block.iter_mut().zip(src).zip(valid) {
+            *a |= w & v;
+            full &= *a | !v;
+        }
+        full != !0
+    };
+    let mut todo = live & u64::MAX.checked_shr(64 - blocks as u32).unwrap_or(0);
+    let mut out = todo;
+    while todo != 0 {
+        let b = todo.trailing_zeros() as usize;
+        todo &= todo - 1;
+        let src = block_words(bytes, b);
+        let block = body.get_mut(b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS);
+        let block = block.and_then(|block| <&mut Block>::try_from(block).ok());
+        let open = match block {
+            Some(block) => or_block(block, &src, &ALL),
+            None => {
+                let mut block = [0; BLOCK_WORDS];
+                block[..last.len()].copy_from_slice(last);
+                let open = or_block(&mut block, &src, &last_valid);
+                last.copy_from_slice(&block[..last.len()]);
+                open
+            }
+        };
+        if !open {
+            out &= !(1 << b);
+        }
+    }
+    out
+}
+
 /// `acc &= bytes`, word at a time, returning the OR-fold of the result —
 /// zero exactly when the accumulator emptied. The fused fold is what lets
 /// the BSSF AND loop early-exit without a second pass over the words.
@@ -129,20 +242,16 @@ pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
     alive
 }
 
-/// `acc |= bytes`, word at a time, with the tail mask applied so padding
-/// bits in the final byte never leak into the accumulator (`nbits` is the
-/// accumulator's width; `acc.len()` must be [`words_for`]`(nbits)`).
+/// `acc |= bytes` on every word: [`or_blocks`] with every block live, a
+/// slice page at a time, so padding bits past `nbits` (the accumulator's
+/// width; `acc.len()` must be [`words_for`]`(nbits)`) never leak in.
 pub fn or_assign(acc: &mut [u64], bytes: &[u8], nbits: u32) {
-    let (words, tail) = full_words(bytes);
-    let mut covered = 0usize;
-    for (a, w) in acc.iter_mut().zip(words) {
-        *a |= w;
-        covered += 1;
+    const PAGE_BITS: u32 = (MASK_WORDS * 64) as u32;
+    for (p, words) in (0u32..).zip(acc.chunks_mut(MASK_WORDS)) {
+        let width = nbits.saturating_sub(p * PAGE_BITS).min(PAGE_BITS);
+        let page = bytes.get(p as usize * PAGE_SIZE..).unwrap_or(&[]);
+        or_blocks(words, page, width, !0);
     }
-    if let (Some(a), Some(w)) = (acc.get_mut(covered), tail) {
-        *a |= w;
-    }
-    mask_tail(acc, nbits);
 }
 
 /// Fills `acc` from `bytes` (the deserialization kernel behind
@@ -469,6 +578,88 @@ mod tests {
             or_assign(&mut acc, &all, nbits);
             let ones: u32 = acc.iter().map(|w| w.count_ones()).sum();
             assert_eq!(ones, nbits, "width {nbits}");
+        }
+    }
+
+    /// Row-page widths whose last block and last word are whole, partial
+    /// or both: one row, one word, one block, a block and a word, 700 rows
+    /// (11 words, the last with 60 rows), a full page and one row short.
+    const ROW_PAGES: [u32; 9] = [1, 64, 512, 576, 700, 4_000, 32_705, 32_767, 32_768];
+
+    /// The mask of every block an `nbits`-wide accumulator has.
+    fn all_blocks(nbits: u32) -> u64 {
+        match words_for(nbits).div_ceil(BLOCK_WORDS) {
+            64 => !0,
+            blocks => (1 << blocks) - 1,
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn or_assign_spans_slice_pages() {
+        // `or_assign` takes any width: a slice page at a time, the last one
+        // short, and bytes that stop in the middle one.
+        let nbits = 2 * (PAGE_SIZE as u32 * 8) + 700;
+        let (a, b) = (pattern(nbits, 3), pattern(nbits, 5));
+        for bytes in [&b[..], &b[..PAGE_SIZE + 100]] {
+            let mut acc = to_words(&a, nbits);
+            or_assign(&mut acc, bytes, nbits);
+            let mut rf = a.clone();
+            reference::or_assign(&mut rf, bytes, nbits);
+            assert_eq!(to_bytes(&acc, nbits), rf, "{} bytes", bytes.len());
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn an_all_ones_page_leaves_no_block_live() {
+        let ones = vec![0xffu8; PAGE_SIZE];
+        let zeros = vec![0u8; PAGE_SIZE];
+        for nbits in ROW_PAGES {
+            // An all-zero page leaves every block open and no bit past the
+            // last one; an all-ones page sets every row, padding counts as
+            // set, and the stray bits past `nbits` stay out.
+            let mut acc = vec![0u64; words_for(nbits)];
+            let open = all_blocks(nbits);
+            assert_eq!(or_blocks(&mut acc, &zeros, nbits, !0), open, "{nbits}");
+            assert_eq!(or_blocks(&mut acc, &ones, nbits, !0), 0, "{nbits}");
+            let set: u32 = acc.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(set, nbits, "{nbits}");
+        }
+    }
+
+    #[test]
+    fn one_clear_row_keeps_its_block_live() {
+        // 700 rows: block 1 is words 8..11, its last word holds rows
+        // 640..700. Every row but 699 is set, and every bit past row 699
+        // of the page is a stray one.
+        let mut page = vec![0xffu8; 100];
+        page[699 / 8] &= !(1 << (699 % 8));
+        let mut acc = vec![0u64; words_for(700)];
+        assert_eq!(or_blocks(&mut acc, &page, 700, !0), 0b10);
+        assert_eq!(acc[10], tail_mask(700) & !(1 << (699 % 64)));
+        assert_eq!(or_blocks(&mut acc, &[0xff; 88], 700, 0b10), 0);
+        assert_eq!(acc[10], tail_mask(700));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn dead_blocks_are_neither_read_nor_written() {
+        let ones = vec![0xffu8; PAGE_SIZE];
+        let half = 0x5555_5555_5555_5555u64;
+        for nbits in ROW_PAGES {
+            let mut start: Vec<u64> = (0..words_for(nbits) as u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1)
+                .collect();
+            mask_tail(&mut start, nbits);
+            // The bytes would fill every block.
+            let mut acc = start.clone();
+            assert_eq!(or_blocks(&mut acc, &ones, nbits, half), 0, "{nbits}");
+            for (wi, (a, s)) in acc.iter().zip(&start).enumerate() {
+                if half >> (wi / BLOCK_WORDS) & 1 == 0 {
+                    assert_eq!(a, s, "{nbits}: word {wi} of a dead block");
+                }
+            }
         }
     }
 

@@ -278,6 +278,58 @@ proptest! {
         prop_assert_eq!(&words, &recanon);
     }
 
+    /// The `⊆` block kernel ORs bytes into exactly the live blocks, as the
+    /// byte loop would, and reports exactly the blocks still open: those
+    /// with a clear row below the width. Widths span row pages of 1 to 64
+    /// blocks, never a whole word; the bytes may be shorter than the
+    /// accumulator, or run on past the width with stray bits as a torn row
+    /// leaves them; and words of a block the starting mask has dead stay as
+    /// they were.
+    #[test]
+    fn or_blocks_matches_the_byte_reference(
+        nbits in (1u32..32_768).prop_map(|n| if n % 64 == 0 { n + 1 } else { n }),
+        acc_seed in proptest::collection::vec(0u8..=255, 1..70),
+        row_seed in proptest::collection::vec(0u8..=255, 1..70),
+        garbage in 0u8..=255,
+        short in any::<bool>(),
+        cut in 1usize..600,
+        full in 0usize..=4096,
+        live in any::<u64>(),
+    ) {
+        let nbytes = (nbits as usize).div_ceil(8);
+        let acc_bytes: Vec<u8> = acc_seed.into_iter().cycle().take(nbytes).collect();
+        let start = canonical_words(nbits, &acc_bytes);
+        // A whole slice page whose rows past the width carry stray bits, or
+        // a buffer that ends before the accumulator does. Its first `full`
+        // bytes are all ones, so there are blocks to retire: the last block
+        // fills in about a quarter of the cases.
+        let mut row: Vec<u8> = row_seed.into_iter().cycle().take(4096).collect();
+        row[..full].fill(0xff);
+        if short {
+            row.truncate(nbytes.saturating_sub(cut));
+        } else {
+            smear_tail(&mut row[..nbytes], nbits, garbage);
+        }
+        let blocks = kernel::words_for(nbits).div_ceil(kernel::BLOCK_WORDS);
+        let live_at = |b: usize| live >> b & 1 == 1;
+
+        // Live blocks take the byte loop's OR, dead ones keep theirs; a
+        // block is open while a row below the width is clear.
+        let mut ref_bytes = words_to_bytes(&start, nbits);
+        kernel::reference::or_assign(&mut ref_bytes, &row, nbits);
+        let ored = canonical_words(nbits, &ref_bytes);
+        let mut words = start.clone();
+        let mask = kernel::or_blocks(&mut words, &row, nbits, live);
+        for (wi, w) in words.iter().enumerate() {
+            let want = if live_at(wi / kernel::BLOCK_WORDS) { ored[wi] } else { start[wi] };
+            prop_assert_eq!(*w, want, "⊆ word {}", wi);
+        }
+        let clear = |i: u32| ored[i as usize / 64] >> (i % 64) & 1 == 0;
+        let open = |b: usize| (b as u32 * 512..nbits.min((b as u32 + 1) * 512)).any(clear);
+        let want: u64 = (0..blocks).filter(|&b| live_at(b) && open(b)).map(|b| 1 << b).sum();
+        prop_assert_eq!(mask, want, "⊆ mask");
+    }
+
     /// Word-level row predicates (⊇, ⊆, =, overlap popcount) agree with the
     /// bit-loop references on every width, including rows shorter than the
     /// width (sparse zero-padded tails) and rows with garbage tail bits.
