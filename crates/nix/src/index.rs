@@ -142,33 +142,35 @@ impl Nix {
         Ok((acc.unwrap_or_default(), take == d_q))
     }
 
-    /// The §4.3 union: the posting words of the query's distinct digests,
-    /// pooled and sorted, so that an object's word recurs once per list
-    /// holding it — `|T ∩ Q|` times.
-    fn union(&self, query: &SetQuery, pages: &mut u64) -> Result<Vec<u64>> {
+    /// The §4.3 union, counted: pools the posting words of the query's
+    /// distinct digests, in which an object's word recurs once per list
+    /// holding it — `|T ∩ Q|` times — and hands each word to `reached` once,
+    /// when its count reaches `at(word)` ([`tally`]).
+    fn union(
+        &self,
+        query: &SetQuery,
+        pages: &mut u64,
+        at: impl Fn(u64) -> u64,
+        reached: impl FnMut(u64),
+    ) -> Result<()> {
         let mut pooled = Vec::new();
         for digest in query_digests(query) {
             self.postings_into(digest, &mut pooled, pages)?;
         }
-        pooled.sort_unstable();
-        Ok(pooled)
+        tally(&pooled, at, reached);
+        Ok(())
     }
 
-    /// `T ⊆ Q` by counting: an object qualifies when its word's run in the
-    /// union reaches its `|T|`, and every object with an empty set
+    /// `T ⊆ Q` by counting: an object qualifies when its word's count in
+    /// the union reaches its `|T|`, and every object with an empty set
     /// qualifies. Exact, unless a kept `|T|` is saturated. (No smart
     /// strategy: the probes are the union's, whatever the cap.)
     fn subset_candidates(&self, query: &SetQuery, pages: &mut u64) -> Result<CandidateSet> {
-        let pooled = self.union(query, pages)?;
         let (mut oids, mut exact) = (Vec::new(), true);
-        for run in pooled.chunk_by(|a, b| a == b) {
-            // A run never exceeds an unsaturated |T|.
-            let card = card_of(run[0]);
-            if run.len() as u64 >= card {
-                exact &= card != SATURATED;
-                oids.push(oid_of(run[0]));
-            }
-        }
+        self.union(query, pages, card_of, |word| {
+            exact &= card_of(word) != SATURATED;
+            oids.push(oid_of(word));
+        })?;
         self.empty_sets_into(&mut oids, pages)?;
         Ok(CandidateSet::new(oids, exact))
     }
@@ -246,6 +248,48 @@ fn query_digests(query: &SetQuery) -> Vec<u64> {
     digests
 }
 
+/// The empty slot of [`tally`]'s table. No posting word is `u64::MAX`: a
+/// word is below `2^63` ([`OID_BITS`] + [`CARD_BITS`] = 63).
+const VACANT: u64 = u64::MAX;
+
+/// The home slot of `word` in a table of `2^(64 - shift)` slots: the top bits
+/// of a Fibonacci hash, which mix the OID bits into every slot bit.
+fn slot(word: u64, shift: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// Counts the words of `pooled` in one linear-probing table of
+/// `(word, count)` slots and hands `reached` each word the moment its count
+/// reaches `at(word)` — once, however often the word recurs. The table has
+/// the next power of two ≥ `2·pooled` slots, allocated once, so it is at most
+/// half full and every probe ends at the word or at a vacant slot. An empty
+/// pool builds no table (a one-slot table would have no slot bits to hash).
+fn tally(pooled: &[u64], at: impl Fn(u64) -> u64, mut reached: impl FnMut(u64)) {
+    if pooled.is_empty() {
+        return;
+    }
+    let slots = (2 * pooled.len()).next_power_of_two();
+    let shift = u64::BITS - slots.trailing_zeros();
+    let mut table = vec![(VACANT, 0u64); slots];
+    for &word in pooled {
+        let mut i = slot(word, shift);
+        let count = loop {
+            let (held, count) = &mut table[i];
+            if *held == VACANT {
+                *held = word;
+            } else if *held != word {
+                i = (i + 1) & (slots - 1);
+                continue;
+            }
+            *count += 1;
+            break *count;
+        };
+        if count == at(word) {
+            reached(word);
+        }
+    }
+}
+
 /// The distinct key digests of `set`, in the order `set` first shows each:
 /// the B-tree is written in the order the caller listed the elements. Their
 /// count is the set's `|T|`.
@@ -320,12 +364,9 @@ impl SetAccessFacility for Nix {
             SetPredicate::Equals => self.equal_candidates(query, pages)?,
             // Any object listed under any query element shares it.
             SetPredicate::Overlaps => {
-                let mut words = self.union(query, pages)?;
-                words.dedup();
-                CandidateSet {
-                    oids: words.into_iter().map(oid_of).collect(),
-                    exact: true,
-                }
+                let mut oids = Vec::new();
+                self.union(query, pages, |_| 1, |word| oids.push(oid_of(word)))?;
+                CandidateSet::new(oids, true)
             }
         };
         Ok((drops, Some(stats)))
@@ -534,6 +575,68 @@ mod tests {
             .unwrap();
         let err = n.verify().unwrap_err().to_string();
         assert!(err.contains("oid:1") && err.contains("3 lists"), "{err}");
+    }
+
+    #[test]
+    fn a_word_in_more_lists_than_its_cardinality_is_kept_once() {
+        let (_d, mut n) = nix();
+        n.insert(Oid::new(1), &keys(&["a", "b"])).unwrap();
+        n.insert(Oid::new(2), &keys(&["b"])).unwrap();
+        // Object 1 listed under a third element, its word unchanged.
+        let word = posting(Oid::new(1), 2).unwrap();
+        n.tree
+            .insert(ElementKey::from("c").digest8(), word)
+            .unwrap();
+        let elements = keys(&["a", "b", "c"]);
+        let subset: fn(u64) -> u64 = card_of;
+        for (query, at) in [
+            (SetQuery::in_subset(elements.clone()), subset),
+            (SetQuery::overlaps(elements), |_| 1),
+        ] {
+            let mut kept = Vec::new();
+            n.union(&query, &mut 0, at, |w| kept.push(w)).unwrap();
+            kept.sort_unstable();
+            assert_eq!(kept, [word, posting(Oid::new(2), 1).unwrap()]);
+            assert_eq!(n.candidates(&query).unwrap().oids, [1, 2].map(Oid::new));
+        }
+    }
+
+    #[test]
+    fn a_query_whose_every_list_is_empty_answers_nothing_exactly() {
+        let (_d, mut n) = nix();
+        n.insert(Oid::new(1), &keys(&["a"])).unwrap();
+        let rc = u64::from(n.tree().rc_lookup());
+        let absent = keys(&["x", "y", "z"]);
+        for q in [
+            SetQuery::in_subset(absent.clone()),
+            SetQuery::overlaps(absent),
+        ] {
+            let (c, stats) = n.candidates_with_stats(&q).unwrap();
+            assert!(c.is_empty() && c.exact, "{}", q.predicate);
+            assert_eq!(stats.unwrap().pages, 3 * rc, "every list is still probed");
+        }
+        let mut reached = 0;
+        tally(&[], |_| 1, |_| reached += 1);
+        assert_eq!(reached, 0);
+    }
+
+    #[test]
+    fn probing_wraps_from_the_last_slot_to_the_first() {
+        // Four pooled words: a table of 8 slots, so `shift` is 64 − 3.
+        let mut last = (0..)
+            .map(|oid| posting(Oid::new(oid), 2).unwrap())
+            .filter(|&w| slot(w, 61) == 7);
+        let (a, b) = (last.next().unwrap(), last.next().unwrap());
+        let kept = |at: u64| {
+            let mut kept = Vec::new();
+            tally(&[a, b, b, a], |_| at, |w| kept.push(w));
+            kept
+        };
+        // `a` takes the last slot and `b` wraps to slot 0, where each of
+        // its recurrences finds it.
+        assert_eq!(kept(1), [a, b]);
+        assert_eq!(kept(2), [b, a]);
+        assert!(kept(3).is_empty());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests: the page-oriented B-tree behaves exactly like a
 //! `BTreeMap<u64, Vec<u64>>` under arbitrary interleavings of inserts,
-//! removals and look-ups, and its structural invariants survive.
+//! removals and look-ups, and its structural invariants survive; the nested
+//! index answers every predicate as a brute-force scan of the sets does.
 
 use proptest::prelude::*;
-use setsig_nix::BTree;
+use setsig_core::{ElementKey, Error, Oid, SetAccessFacility, SetPredicate, SetQuery};
+use setsig_nix::{BTree, Nix};
 use setsig_pagestore::{Disk, PageIo};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -24,6 +26,46 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (key.clone(), 0u64..1000).prop_map(|(key, oid)| Op::Remove { key, oid }),
         1 => key.prop_map(|key| Op::Lookup { key }),
     ]
+}
+
+/// Objects as (set, deleted again): 0–12 elements of a 40-element domain,
+/// repeats included, so posting lists overlap and run long.
+fn objects() -> impl Strategy<Value = Vec<(Vec<u64>, bool)>> {
+    let set = proptest::collection::vec(0u64..40, 0..=12);
+    let deleted = prop_oneof![4 => Just(false), 1 => Just(true)];
+    proptest::collection::vec((set, deleted), 0..=300)
+}
+
+/// Queries as (predicate, elements): up to 150 elements drawn from the
+/// domain, or from a wider range most of which no object holds.
+fn queries() -> impl Strategy<Value = Vec<(usize, Vec<u64>)>> {
+    let elements = prop_oneof![
+        proptest::collection::vec(0u64..44, 0..=150),
+        proptest::collection::vec(0u64..400, 0..=150),
+    ];
+    proptest::collection::vec((0usize..5, elements), 1..=8)
+}
+
+const PREDICATES: [SetPredicate; 5] = [
+    SetPredicate::HasSubset,
+    SetPredicate::InSubset,
+    SetPredicate::Equals,
+    SetPredicate::Overlaps,
+    SetPredicate::Contains,
+];
+
+/// Whether a set `t` satisfies `predicate` against `q`.
+fn holds(predicate: SetPredicate, t: &BTreeSet<u64>, q: &BTreeSet<u64>) -> bool {
+    match predicate {
+        SetPredicate::HasSubset | SetPredicate::Contains => q.is_subset(t),
+        SetPredicate::InSubset => t.is_subset(q),
+        SetPredicate::Equals => t == q,
+        SetPredicate::Overlaps => !t.is_disjoint(q),
+    }
+}
+
+fn element_keys(elements: &[u64]) -> Vec<ElementKey> {
+    elements.iter().map(|&e| ElementKey::from(e)).collect()
 }
 
 proptest! {
@@ -117,5 +159,50 @@ proptest! {
         }
         fwd.check_integrity().unwrap();
         shuffled.check_integrity().unwrap();
+    }
+
+    /// Every predicate, on instances whose `T ⊆ Q` and `T ≬ Q` unions pool
+    /// from none to thousands of posting words, answers exactly what a scan
+    /// of the live sets does.
+    #[test]
+    fn nix_answers_match_brute_force(objects in objects(), queries in queries()) {
+        let mut nix = Nix::create(Arc::new(Disk::new()), "p");
+        for (i, (set, _)) in objects.iter().enumerate() {
+            nix.insert(Oid::new(i as u64), &element_keys(set)).unwrap();
+        }
+        for (i, (set, deleted)) in objects.iter().enumerate() {
+            if *deleted {
+                nix.delete(Oid::new(i as u64), &element_keys(set)).unwrap();
+            }
+        }
+        nix.verify().unwrap();
+        let live: Vec<(u64, BTreeSet<u64>)> = objects
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, deleted))| !deleted)
+            .map(|(i, (set, _))| (i as u64, set.iter().copied().collect()))
+            .collect();
+
+        for (predicate, mut elements) in queries {
+            let predicate = PREDICATES[predicate];
+            if predicate == SetPredicate::Contains {
+                elements = vec![elements.first().copied().unwrap_or(0)];
+            }
+            let query = SetQuery::new(predicate, element_keys(&elements));
+            let q: BTreeSet<u64> = elements.into_iter().collect();
+            let got = nix.candidates(&query);
+            if predicate == SetPredicate::HasSubset && q.is_empty() {
+                prop_assert!(matches!(got, Err(Error::BadQuery(_))), "T ⊇ ∅: {:?}", got);
+                continue;
+            }
+            let got = got.unwrap();
+            let want: Vec<Oid> = live
+                .iter()
+                .filter(|(_, t)| holds(predicate, t, &q))
+                .map(|&(oid, _)| Oid::new(oid))
+                .collect();
+            prop_assert!(got.exact, "{} D_q {}", predicate, q.len());
+            prop_assert_eq!(got.oids, want, "{} D_q {}", predicate, q.len());
+        }
     }
 }

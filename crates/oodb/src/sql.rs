@@ -14,6 +14,8 @@
 //! full-scan baseline otherwise.
 
 use setsig_core::{ElementKey, Oid, SetQuery};
+use std::iter::Peekable;
+use std::str::CharIndices;
 
 use crate::database::{Database, QueryExecution};
 use crate::error::{Error, Result};
@@ -40,69 +42,37 @@ enum Token {
 
 fn lex(input: &str) -> Result<Vec<Token>> {
     let mut out = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut chars = input.char_indices().peekable();
+    // Consumes the characters `keep` accepts and returns the byte offset
+    // after them: a token is a slice of `input`.
+    let end_of = |chars: &mut Peekable<CharIndices>, keep: fn(char) -> bool| {
+        while chars.next_if(|&(_, c)| keep(c)).is_some() {}
+        chars.peek().map_or(input.len(), |&(at, _)| at)
+    };
+    while let Some((start, c)) = chars.next() {
         match c {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '(' => {
-                chars.next();
-                out.push(Token::LParen);
-            }
-            ')' => {
-                chars.next();
-                out.push(Token::RParen);
-            }
-            ',' => {
-                chars.next();
-                out.push(Token::Comma);
-            }
+            c if c.is_whitespace() => {}
+            '(' => out.push(Token::LParen),
+            ')' => out.push(Token::RParen),
+            ',' => out.push(Token::Comma),
             '"' | '\'' => {
-                let quote = c;
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some(c) if c == quote => break,
-                        Some(c) => s.push(c),
-                        None => {
-                            return Err(Error::CorruptObject(format!(
-                                "unterminated string literal in query: {input:?}"
-                            )))
-                        }
-                    }
-                }
-                out.push(Token::Str(s));
+                let Some((end, _)) = chars.find(|&(_, d)| d == c) else {
+                    return Err(Error::CorruptObject(format!(
+                        "unterminated string literal in query: {input:?}"
+                    )));
+                };
+                out.push(Token::Str(input[start + 1..end].to_owned()));
             }
             c if c.is_ascii_digit() || c == '-' => {
-                let mut s = String::new();
-                s.push(c);
-                chars.next();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
+                let s = &input[start..end_of(&mut chars, |d| d.is_ascii_digit())];
                 let v: i64 = s
                     .parse()
                     .map_err(|_| Error::CorruptObject(format!("bad integer literal {s:?}")))?;
                 out.push(Token::Int(v));
             }
-            c if c.is_alphanumeric() || c == '_' || c == '-' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '-' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Token::Ident(s));
+            c if c.is_alphanumeric() || c == '_' => {
+                let end = end_of(&mut chars, |d| d.is_alphanumeric() || d == '_' || d == '-');
+                out.push(Token::Ident(input[start..end].to_owned()));
             }
             other => {
                 return Err(Error::CorruptObject(format!(
@@ -286,6 +256,21 @@ mod tests {
     }
 
     #[test]
+    fn literals_keep_their_values() {
+        let p = parse_query(r#"select C where xs-1 has-subset (-5, 9223372036854775807, "a b")"#)
+            .unwrap();
+        let (attr, query) = p.condition.unwrap();
+        assert_eq!(attr, "xs-1");
+        let mut want = vec![
+            ElementKey::from(-5i64 as u64),
+            ElementKey::from(i64::MAX as u64),
+            ElementKey::from("a b"),
+        ];
+        want.sort();
+        assert_eq!(query.elements, want);
+    }
+
+    #[test]
     fn rejects_malformed_queries() {
         for text in [
             "",
@@ -299,8 +284,26 @@ mod tests {
             "select S where xs has-subset (1,)",
             "select S where xs has-subset (1) trailing",
             "select S where xs has-subset (1 2)",
+            "select S where xs has-subset (9223372036854775808)",
+            "select S where xs has-subset (1, -)",
         ] {
             assert!(parse_query(text).is_err(), "{text:?} should fail");
+        }
+        // The lexer's errors name what it could not read.
+        for (text, names) in [
+            (
+                "select S where xs contains 9223372036854775808",
+                r#""9223372036854775808""#,
+            ),
+            ("select S where xs contains -", r#"bad integer literal "-""#),
+            (
+                "select S where xs contains 'open",
+                "unterminated string literal",
+            ),
+            ("select S where xs contains #", "unexpected character '#'"),
+        ] {
+            let err = parse_query(text).unwrap_err().to_string();
+            assert!(err.contains(names), "{text:?}: {err}");
         }
     }
 

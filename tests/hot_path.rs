@@ -6,13 +6,14 @@
 //! instances. A word kernel, a buffer-pool hit and the record walk of an
 //! inline candidate must allocate nothing; a `BTree::lookup` at most the
 //! `Vec` it returns, whatever the height and the chain; and a filter scan
-//! what its query and its answer need, not what it read — NIX's `T ⊆ Q`
-//! union its query's digests, its pooled postings and its answer; the same query
-//! over [`SMALL`] objects and over an instance of the same objects plus
-//! sixteen times as many that do not match must return the same candidates
-//! from several times the pages with no allocation more. Each path also has
-//! a shape that reads ten times more pages than its whole budget, so that
-//! one allocation a page could not pass for noise.
+//! what its query and its answer need, not what it read — NIX's `T ⊆ Q` and
+//! `T ≬ Q` unions their query's digests, their pooled postings, one tally
+//! table and their answer; the same query over [`SMALL`] objects and over
+//! an instance of the same objects plus sixteen times as many that do not
+//! match must return the same candidates from several times the pages with
+//! no allocation more. Each path also has a shape that reads ten times more
+//! pages than its whole budget, so that one allocation a page could not pass
+//! for noise.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Ssf::scan_page`, allocate the
@@ -434,15 +435,20 @@ fn btree_lookup(rows: &mut Vec<Row>) {
     }
 }
 
-/// NIX's `T ⊆ Q` union counts each object's `|T|` in one pooled, sorted
-/// `Vec`: the query's digests, the pooled postings and the answer — no `Vec`
-/// per posting list, nothing per candidate.
-fn nix_subset(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
+/// NIX's `T ⊆ Q` and `T ≬ Q` unions pool their postings in one `Vec` and
+/// count them in one hashed tally: the query's digests, the pooled postings'
+/// growth, the tally's table at its final size and the answer — no `Vec` per
+/// posting list, nothing per candidate.
+fn nix_union(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
     let nix = sim.build_nix();
     let wide: Vec<u64> = (sim.sets[TARGET].iter().copied())
         .chain((0..sim.cfg.domain).step_by(7))
         .collect();
-    for query in [&probes.queries[1].0, &SetQuery::in_subset(keys(&wide))] {
+    for query in [
+        &probes.queries[1].0,
+        &SetQuery::in_subset(keys(&wide)),
+        &SetQuery::overlaps(keys(&sim.sets[TARGET])),
+    ] {
         let lists = query
             .elements
             .iter()
@@ -460,7 +466,7 @@ fn nix_subset(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
             ),
             pages,
             allocations,
-            budget: 1 + vec_growth(pooled) + vec_growth(drops.len()),
+            budget: 1 + vec_growth(pooled) + 1 + vec_growth(drops.len()),
         });
     }
 }
@@ -520,7 +526,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     pool_hit(&mut rows);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
-    nix_subset(&mut rows, &small, &probes);
+    nix_union(&mut rows, &small, &probes);
     scans(&mut rows, &small, &large, &probes);
 
     print(&rows);
