@@ -4,13 +4,13 @@
 //! runs it through the `report-metrics` binary. DESIGN.md §7 has the long
 //! form.
 //!
-//! **Equal, on every trial.** Every facility is built with
-//! [`EngineConfig::serial`] — no pool, one shard, whatever `SETSIG_*` says —
-//! so a page the protocol charges is a page the disk reads, and three
-//! numbers are one: the `ScanStats.pages` the call reported, the `Disk` read
-//! delta over the call, and the pages predicted from the query's own facts,
-//! the facility's public geometry and the instance's ground-truth sets
-//! (never from the engines' counters, which would be circular):
+//! **Equal, on every trial.** Every facility is built on the bare disk — no
+//! pool, one shard — so a page the protocol charges is a page the disk
+//! reads, and three numbers are one: the `ScanStats.pages` the call
+//! reported, the `Disk` read delta over the call, and the pages predicted
+//! from the query's own facts, the facility's public geometry and the
+//! instance's ground-truth sets (never from the engines' counters, which
+//! would be circular):
 //! [`Ssf::signature_pages`](setsig_core::Ssf::signature_pages); BSSF slices
 //! by [`and_scan_pages`] / the first `min(cap, F − weight)` zero-slices,
 //! each as long as its last `1` makes it ([`slice_pages`]); FSSF
@@ -40,19 +40,20 @@
 use std::collections::BTreeMap;
 
 use setsig_core::{
-    Bitmap, Bssf, CandidateSet, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility,
-    SetPredicate, SetQuery, Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
+    Bitmap, Bssf, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SetPredicate,
+    SetQuery, Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
 };
 use setsig_costmodel::{
     actual_drops_subset, actual_drops_superset, fd_subset, fd_superset, lc_oid, ln_binomial,
     object_access_cost, objects_sharing_all_of, BssfModel, FssfModel, NixModel, Params, SsfModel,
 };
 use setsig_nix::{BTree, Nix};
+use setsig_oodb::QueryExecution;
 use setsig_service::{QueryService, ServiceConfig};
 
 use crate::exhibits::Options;
 use crate::report::Exhibit;
-use crate::sim::{EngineConfig, MeasuredQuery, SimDb};
+use crate::sim::SimDb;
 
 /// The `z` of every banded comparison: how many standard deviations the
 /// average of a checkpoint's trials may sit from the closed form. By
@@ -170,8 +171,8 @@ impl ModelTerms {
 /// The page facts of one measured query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trial {
-    /// `ScanStats.pages` of the call; `None` for an entry point that
-    /// reports none ([`Nix::lookup_element`](setsig_nix::Nix::lookup_element)).
+    /// `ScanStats.pages` of the call; `None` for an update, which reports
+    /// none.
     pub reported: Option<u64>,
     /// `Disk` pages over the call: reads of a query, reads + writes of an
     /// update.
@@ -390,8 +391,8 @@ impl DriftReport {
              m_t + 1 for BSSF, whose writer touches only the 1-slices",
         );
         ex.note(
-            "every facility is built with EngineConfig::serial() (no pool, one shard): SETSIG_* \
-             in the environment does not reach this gate",
+            "every facility is built on the bare disk (no pool, one shard): a page the protocol \
+             charges is a page the disk reads",
         );
         ex.artifacts = self.artifacts.clone();
         ex
@@ -547,7 +548,7 @@ fn nix_filter(postings: &BTreeMap<ElementKey, Vec<u64>>, rc: u64, q: &SetQuery) 
 /// that should cost, and the geometry the closed form must share with it.
 struct Subject<'a> {
     /// Drives a query through this entry point and the resolve stage.
-    run: &'a dyn Fn(&SetQuery) -> MeasuredQuery,
+    run: &'a dyn Fn(&SetQuery) -> QueryExecution,
     /// Predicted `(filter pages, filter units)` of a query.
     predict: &'a dyn Fn(&SetQuery) -> (u64, u64),
     /// Whether drops are looked up in an OID file (position = OID here:
@@ -585,7 +586,7 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
             let positions: Vec<u64> = run.drops.oids.iter().map(|o| o.raw()).collect();
             Trial {
                 reported: run.stats.map(|s| s.pages),
-                disk_pages: run.filter_reads,
+                disk_pages: run.filter_io.reads,
                 filter,
                 lc_oid: if subject.oid_file {
                     OidFile::pages_touched(&positions)
@@ -593,8 +594,8 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
                     0
                 },
                 units,
-                object_pages: run.object_pages,
-                actual: run.report.actual.len() as u64,
+                object_pages: run.resolve_io.accesses(),
+                actual: run.actual.len() as u64,
                 false_drops: run.report.false_drops,
                 split_pages: 0,
             }
@@ -770,16 +771,12 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let d_t = D_T;
     let p = opts.params();
     let sim = opts.sim(d_t);
-    let serial = EngineConfig::serial();
 
     let (f, m) = (500u32, 2u32);
-    let mut ssf = sim.build_ssf_with(f, m, serial);
-    let mut bssf = sim.build_bssf_with(f, m, serial);
-    let service = QueryService::new(
-        vec![sim.build_bssf_with(f, m, serial)],
-        ServiceConfig::new(1),
-    )
-    .expect("valid service config");
+    let mut ssf = sim.build_ssf(f, m);
+    let mut bssf = sim.build_bssf(f, m);
+    let service = QueryService::new(vec![sim.build_bssf(f, m)], ServiceConfig::new(1))
+        .expect("valid service config");
     let (ff, fk, fm) = (500u32, 50u32, 3u32);
     let mut fssf = sim.build_fssf(ff, fk, fm);
     let mut nix = sim.build_nix();
@@ -820,14 +817,6 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let via_service = |q: &SetQuery| sim.measure_facility(&service, q);
     let via_fssf = |q: &SetQuery| sim.measure_facility(&fssf, q);
     let via_nix = |q: &SetQuery| sim.measure_facility(&nix, q);
-    // The one probe entry point beside `candidates_with_stats`; it reports
-    // no pages, so its disk reads meet the prediction directly.
-    let via_lookup = |q: &SetQuery| {
-        sim.measure_via(&nix, q, |q| {
-            let oids = nix.lookup_element(&q.elements[0]).expect("probe");
-            (CandidateSet::new(oids, true), None)
-        })
-    };
     let ssf_subject = Subject {
         run: &via_ssf,
         predict: &ssf_predict,
@@ -850,14 +839,13 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         unit_pages: frame_pages,
         model_unit_pages: FssfModel::new(p, ff, fk, fm, d_t).frame_pages(),
     };
-    let nix_subject = |run| Subject {
-        run,
+    let index = Subject {
+        run: &via_nix,
         predict: &nix_predict,
         oid_file: false,
         unit_pages: rc,
         model_unit_pages: NixModel::new(p, d_t).rc_lookup() as u64,
     };
-    let (index, lookup) = (nix_subject(&via_nix), nix_subject(&via_lookup));
 
     // §5.1.3: two query elements; §5.2.2 / Appendix C: the zero-slice
     // budget of `D_q^opt`, as the fig9 exhibit sets it.
@@ -891,7 +879,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let a_equal = p.n as f64 * (-ln_binomial(p.v, u64::from(d_t))).exp();
 
     #[rustfmt::skip]
-    let table: [Checkpoint; 20] = [
+    let table: [Checkpoint; 19] = [
         ("fig5", "ssf ⊇", 1, 101, &superset, &ssf_subject, one, fd_sup(1), a_sup(1)),
         ("fig8", "ssf ⊆", d_sub, 850, &subset, &ssf_subject, one, fd_sub(d_sub), a_sub(d_sub)),
         ("fig5", "bssf ⊇", 1, 101, &superset, &flat, m_s(1), fd_sup(1), a_sup(1)),
@@ -914,7 +902,6 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         // Counting: the union fetches only the objects it meets |T| times.
         ("fig8", "nix ⊆", d_sub, 850, &subset, &index, probes(d_sub), 0.0, a_sub(d_sub)),
         ("extops", "nix ∋", 1, 201, &member, &index, probes(1), 0.0, a_sup(1)),
-        ("extops", "nix ∋ (lookup_element)", 1, 201, &member, &lookup, probes(1), 0.0, a_sup(1)),
     ];
     let mut points: Vec<DriftPoint> = table
         .into_iter()
@@ -955,7 +942,7 @@ mod tests {
     #[test]
     fn every_checkpoint_conforms_on_every_trial_at_ci_scale() {
         let report = report();
-        assert_eq!(report.points.len(), 28);
+        assert_eq!(report.points.len(), 27);
         for p in &report.points {
             assert!(
                 p.ok(),
@@ -967,7 +954,7 @@ mod tests {
             );
             assert_eq!(p.exact_trials(), p.trials.len());
         }
-        assert_eq!(report.trial_count(), 56);
+        assert_eq!(report.trial_count(), 54);
     }
 
     /// The gate has no page of tolerance: one page more or less on any
@@ -1007,10 +994,8 @@ mod tests {
             off.unit_pages += 1;
             assert!(!off.ok(), "{}: unit geometry +1", base.series);
         }
-        // The entry points that report nothing still answer to the disk:
-        // the bare probe, and every insert and delete.
+        // The updates report nothing and still answer to the disk.
         for (series, d_q) in [
-            ("nix ∋ (lookup_element)", 1),
             ("bssf insert", 10),
             ("fssf insert", 10),
             ("ssf delete", 10),

@@ -58,9 +58,9 @@ pub fn extops(opts: &Options) -> Exhibit {
             let facilities: [&dyn SetAccessFacility; 4] = [&ssf, &bssf, &fssf, &nix];
             for (i, fac) in facilities.iter().enumerate() {
                 let m = sim.measure_facility(*fac, &q);
-                totals[i] += m.total_pages();
+                totals[i] += m.io.accesses();
                 if i == 0 {
-                    answers += m.report.actual.len() as u64;
+                    answers += m.actual.len() as u64;
                 }
             }
         }

@@ -9,7 +9,7 @@ use setsig_costmodel::{BssfModel, FssfModel, NixModel, SsfModel};
 
 use super::Options;
 use crate::report::Exhibit;
-use crate::sim::{EngineConfig, SimDb};
+use crate::sim::SimDb;
 
 /// `extorgs`: one row per cost axis, one column per organization
 /// (analytic; measured columns with `--simulate`).
@@ -105,10 +105,8 @@ pub fn extorgs(opts: &Options) -> Exhibit {
 
     let measured: Option<(Vec<[f64; 4]>, SimDb)> = opts.simulate.then(|| {
         let sim = opts.sim(d_t);
-        // This exhibit also measures update costs, which are defined on
-        // the paper's serial, unbuffered protocol — pin that engine.
-        let mut ssf_i = sim.build_ssf_with(f, m, EngineConfig::serial());
-        let mut bssf_i = sim.build_bssf_with(f, m, EngineConfig::serial());
+        let mut ssf_i = sim.build_ssf(f, m);
+        let mut bssf_i = sim.build_bssf(f, m);
         let mut fssf_i = sim.build_fssf(f, k, 3);
         let mut nix_i = sim.build_nix();
         let disk = sim.db.disk();

@@ -5,7 +5,7 @@ use setsig_costmodel::{BssfModel, NixModel, Params, SsfModel};
 
 use super::Options;
 use crate::report::Exhibit;
-use crate::sim::{EngineConfig, SimDb};
+use crate::sim::SimDb;
 
 /// Table 2: the constant parameters, with the derived values the paper
 /// lists.
@@ -146,9 +146,7 @@ pub fn table7(opts: &Options) -> Exhibit {
             let probe_set: Vec<ElementKey> =
                 sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
 
-            // Updates measure the paper's serial, unbuffered protocol;
-            // the engine knobs only select how *queries* run.
-            let mut ssf_i = sim.build_ssf_with(f, m, EngineConfig::serial());
+            let mut ssf_i = sim.build_ssf(f, m);
             let s0 = disk.snapshot();
             ssf_i.insert(probe_oid, &probe_set).unwrap();
             let s1 = disk.snapshot();
@@ -159,7 +157,7 @@ pub fn table7(opts: &Options) -> Exhibit {
                 s2.since(s1).accesses() as f64,
             ));
 
-            let mut bssf_i = sim.build_bssf_with(f, m, EngineConfig::serial());
+            let mut bssf_i = sim.build_bssf(f, m);
             let s0 = disk.snapshot();
             bssf_i.insert(probe_oid, &probe_set).unwrap();
             let s1 = disk.snapshot();

@@ -35,5 +35,5 @@ mod sim;
 mod trace;
 
 pub use report::Exhibit;
-pub use sim::{EngineConfig, MeasuredQuery, SimDb};
+pub use sim::SimDb;
 pub use trace::{metrics_text, QueryTrace};

@@ -122,35 +122,19 @@ impl Exhibit {
         f.flush()
     }
 
-    /// Writes every attached artifact into `dir` under its own file name,
-    /// minus wall-clock: these files are committed, so a diff in them must
-    /// mean behaviour changed. A `QueryTrace` read live keeps `latency_ns`.
+    /// Writes every attached artifact into `dir` under its own file name.
+    /// Nothing in them is a wall-clock reading: these files are committed,
+    /// so a diff in them must mean behaviour changed.
     pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
         if self.artifacts.is_empty() {
             return Ok(());
         }
         std::fs::create_dir_all(dir)?;
         for (name, content) in &self.artifacts {
-            std::fs::write(dir.join(name), without_wall_clock(content))?;
+            std::fs::write(dir.join(name), content)?;
         }
         Ok(())
     }
-}
-
-/// Drops the trailing `latency_ns` key from trace lines; the metrics file
-/// carries no clock to drop.
-fn without_wall_clock(content: &str) -> String {
-    let mut out = String::with_capacity(content.len());
-    for line in content.lines() {
-        if let Some(cut) = line.find(",\"latency_ns\":") {
-            out.push_str(&line[..cut]);
-            out.push('}');
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -169,43 +153,6 @@ mod tests {
         // Right-aligned: the 1 lines up under the q of D_q.
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1].len(), lines[3].len());
-    }
-
-    /// The strip cuts a trace line at `latency_ns`: every other key sits
-    /// before it and survives, and metrics lines pass untouched.
-    #[test]
-    fn without_wall_clock_cuts_only_the_clock() {
-        let trace =
-            "{\"facility\":\"bssf\",\"false_drops\":3,\"cache_misses\":null,\"latency_ns\":5150}\n";
-        assert_eq!(
-            without_wall_clock(trace),
-            "{\"facility\":\"bssf\",\"false_drops\":3,\"cache_misses\":null}\n"
-        );
-        let metrics = "bssf.false_drops 64\nbssf.pages count=2\n";
-        assert_eq!(without_wall_clock(metrics), metrics);
-        // The last key of the real schema is the clock.
-        let ev = crate::QueryTrace {
-            facility: "nix".to_owned(),
-            predicate: "InSubset".to_owned(),
-            d_q: 1,
-            f_bits: None,
-            m_weight: None,
-            slices_touched: None,
-            early_exit: false,
-            pages: 2,
-            candidates: 1,
-            exact: false,
-            false_drops: 1,
-            cache_hits: None,
-            cache_misses: None,
-            latency_ns: 77,
-        };
-        let stripped = without_wall_clock(&ev.to_json());
-        assert!(
-            stripped.ends_with(",\"cache_misses\":null}\n"),
-            "{stripped}"
-        );
-        assert!(stripped.contains("\"false_drops\":1") && !stripped.contains("latency_ns"));
     }
 
     #[test]
@@ -232,28 +179,6 @@ mod tests {
         e.write_csv(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("sample.csv")).unwrap();
         assert_eq!(text, "x,y\n1,2\n");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn written_artifacts_carry_no_wall_clock() {
-        // The same run timed twice differs only in its nanoseconds; what
-        // lands on disk must not.
-        let run = |ns: u64| {
-            let mut e = Exhibit::new("x", "test", vec!["a"]);
-            e.artifacts.push((
-                "x.trace.jsonl".into(),
-                format!("{{\"facility\":\"ssf\",\"pages\":8,\"latency_ns\":{ns}}}\n"),
-            ));
-            e
-        };
-        let dir = std::env::temp_dir().join(format!("setsig-art-{}", std::process::id()));
-        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
-        run(5150).write_artifacts(&dir).unwrap();
-        let first = read("x.trace.jsonl");
-        run(777).write_artifacts(&dir).unwrap();
-        assert_eq!(read("x.trace.jsonl"), first);
-        assert_eq!(first, "{\"facility\":\"ssf\",\"pages\":8}\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -39,8 +39,6 @@ pub struct QueryTrace {
     pub cache_hits: Option<u64>,
     /// Buffer-pool misses during this query, when a pool is attached.
     pub cache_misses: Option<u64>,
-    /// Wall-clock latency of the filter call in nanoseconds.
-    pub latency_ns: u64,
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
@@ -85,7 +83,7 @@ impl QueryTrace {
         out.push_str(&format!(",\"false_drops\":{}", self.false_drops));
         push_opt_u64(&mut out, "cache_hits", self.cache_hits);
         push_opt_u64(&mut out, "cache_misses", self.cache_misses);
-        out.push_str(&format!(",\"latency_ns\":{}}}", self.latency_ns));
+        out.push('}');
         out
     }
 }
@@ -184,7 +182,6 @@ mod tests {
             false_drops: 1,
             cache_hits: None,
             cache_misses: None,
-            latency_ns: 5150,
         }
     }
 
@@ -207,8 +204,7 @@ mod tests {
              \"f_bits\":500,\"m_weight\":2,\"slices_touched\":null,\
              \"early_exit\":true,\"pages\":41,\
              \"candidates\":7,\"exact\":false,\"false_drops\":3,\
-             \"cache_hits\":null,\"cache_misses\":null,\
-             \"latency_ns\":5150}"
+             \"cache_hits\":null,\"cache_misses\":null}"
         );
     }
 

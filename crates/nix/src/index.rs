@@ -77,14 +77,6 @@ impl Nix {
         &self.tree
     }
 
-    /// Posting list of one element: the OIDs of every object whose indexed
-    /// set contains it. Costs `rc = height + 1` page reads (+ chain links).
-    pub fn lookup_element(&self, element: &ElementKey) -> Result<Vec<Oid>> {
-        let mut words = Vec::new();
-        self.postings_into(element.digest8(), &mut words, &mut 0)?;
-        Ok(words.into_iter().map(oid_of).collect())
-    }
-
     /// Appends to `out` the posting words of the element digest `key` —
     /// never those of empty sets, should the element share their key.
     fn postings_into(&self, key: u64, out: &mut Vec<u64>, pages: &mut u64) -> Result<()> {
@@ -518,7 +510,6 @@ mod tests {
             c.oids.iter().map(|o| o.raw()).collect::<Vec<_>>()
         };
         assert_eq!(ids(SetQuery::contains(shared.clone())), [2, 3]);
-        assert_eq!(n.lookup_element(&shared).unwrap(), [2, 3].map(Oid::new));
         assert_eq!(ids(SetQuery::in_subset(vec![shared.clone()])), [1, 2]);
         assert_eq!(ids(SetQuery::equals(vec![shared])), [2]);
         assert_eq!(ids(SetQuery::equals(vec![])), [1]);

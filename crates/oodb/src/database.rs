@@ -2,8 +2,8 @@
 //! two-phase query executor.
 
 use setsig_core::{
-    resolve_drops, DropReport, ElementKey, ElementSet, Oid, OidAllocator, SetAccessFacility,
-    SetQuery, TargetSetSource,
+    resolve_drops, CandidateSet, DropReport, ElementKey, ElementSet, Oid, OidAllocator, ScanStats,
+    SetAccessFacility, SetQuery, TargetSetSource,
 };
 use setsig_pagestore::{Disk, IoDelta, PageIo};
 use std::cell::RefCell;
@@ -34,7 +34,8 @@ struct RegisteredFacility {
     facility: Box<dyn SetAccessFacility>,
 }
 
-/// The result of executing one set query through a facility.
+/// The result of executing one set query: through a facility (filter,
+/// then resolve) or as a full scan.
 #[derive(Debug, Clone)]
 pub struct QueryExecution {
     /// Qualifying objects after false-drop resolution.
@@ -47,6 +48,17 @@ pub struct QueryExecution {
     /// Page accesses consumed by the whole query (filter + OID look-up +
     /// object fetches) — directly comparable to the paper's `RC`.
     pub io: IoDelta,
+    /// The drops the filter stage handed to resolution; for a full scan,
+    /// every object of the class it examined.
+    pub drops: CandidateSet,
+    /// The filter call's own accounting; `None` for a full scan, or for a
+    /// facility that reports none.
+    pub stats: Option<ScanStats>,
+    /// `Disk` accesses over the filter call (zero for a full scan).
+    pub filter_io: IoDelta,
+    /// `Disk` accesses over false-drop resolution: `io` is `filter_io`
+    /// plus this.
+    pub resolve_io: IoDelta,
 }
 
 /// A minimal OODB: classes, one object store, and any number of set access
@@ -219,12 +231,39 @@ impl Database {
         self.facilities.get(index).map(|r| r.facility.as_ref())
     }
 
-    /// Executes `query` over `class.attr` through the registered facility
-    /// `facility_index`, running the paper's two-phase scheme: facility
-    /// filter, then false-drop resolution against the object store. A
-    /// query carrying a smart cap ([`SetQuery::with_cap`]) runs the
-    /// facility's smart strategy; resolution verifies the full predicate
-    /// either way.
+    /// Executes `query` through `facility`, running the paper's two-phase
+    /// scheme (§3.2): the facility's filter, then false-drop resolution of
+    /// every drop against `source`. A query carrying a smart cap
+    /// ([`SetQuery::with_cap`]) runs the facility's smart strategy;
+    /// resolution verifies the full predicate either way.
+    ///
+    /// `facility` need not be registered here; the page split is taken on
+    /// this database's disk, so it counts what `facility` and `source` read
+    /// there.
+    pub fn execute(
+        &self,
+        facility: &dyn SetAccessFacility,
+        source: &dyn TargetSetSource,
+        query: &SetQuery,
+    ) -> Result<QueryExecution> {
+        let before = self.disk.snapshot();
+        let (drops, stats) = facility.candidates_with_stats(query)?;
+        let filtered = self.disk.snapshot();
+        let mut report = resolve_drops(query, &drops, source).map_err(Error::Facility)?;
+        let after = self.disk.snapshot();
+        Ok(QueryExecution {
+            actual: std::mem::take(&mut report.actual),
+            report,
+            io: after.since(before),
+            drops,
+            stats,
+            filter_io: filtered.since(before),
+            resolve_io: after.since(filtered),
+        })
+    }
+
+    /// [`Database::execute`] through the registered facility
+    /// `facility_index`, resolving against the attribute or path it indexes.
     pub fn execute_set_query(
         &self,
         facility_index: usize,
@@ -234,22 +273,16 @@ impl Database {
             .facilities
             .get(facility_index)
             .ok_or_else(|| Error::NoSuchAttribute(format!("facility #{facility_index}")))?;
-        let before = self.disk.snapshot();
-        let candidates = reg.facility.candidates(query)?;
         let source = StoreSource::new(&self.store, reg.source.clone());
-        let mut report = resolve_drops(query, &candidates, &source).map_err(Error::Facility)?;
-        let io = self.disk.snapshot().since(before);
-        Ok(QueryExecution {
-            actual: std::mem::take(&mut report.actual),
-            report,
-            io,
-        })
+        self.execute(reg.facility.as_ref(), &source, query)
     }
 
     /// A [`TargetSetSource`] over `class.attr` backed by the object store —
     /// fetching through it charges the paper's per-object page accesses.
-    /// Lets callers resolve drops for facilities they manage outside the
-    /// database (the measurement harness does).
+    /// It is what [`Database::execute`] resolves against for a facility
+    /// kept outside the database, and what a caller timing the two phases
+    /// apart hands to `resolve_drops` itself (the repository's benchmark
+    /// does).
     pub fn target_source(
         &self,
         class: ClassId,
@@ -268,35 +301,54 @@ impl Database {
         attr_name: &str,
         query: &SetQuery,
     ) -> Result<QueryExecution> {
-        let def = self.class(class)?;
-        let attr = def.attr_index(attr_name)?;
+        let attr = self.class(class)?.attr_index(attr_name)?;
+        self.full_scan(class, Some((attr, query)))
+    }
+
+    /// Fetches every object of `class` in OID order, keeping those whose
+    /// attribute `attr` satisfies `query` — all of them when there is no
+    /// predicate (`select Class`).
+    pub(crate) fn full_scan(
+        &self,
+        class: ClassId,
+        predicate: Option<(usize, &SetQuery)>,
+    ) -> Result<QueryExecution> {
         let before = self.disk.snapshot();
         let mut oids: Vec<Oid> = self.store.oids().collect();
         oids.sort_unstable();
-        let mut actual = Vec::new();
-        let mut examined = 0u64;
+        let (mut examined, mut actual) = (Vec::new(), Vec::new());
         for oid in oids {
             let object = self.store.get(oid)?;
             if object.class != class {
                 continue;
             }
-            examined += 1;
-            let set = source_set(&self.store, &object, &IndexedSource::Direct(attr))?;
-            let elem_set: ElementSet = set.into_iter().collect();
-            if setsig_core::verify_predicate(query.predicate, &elem_set, &query.elements) {
+            examined.push(oid);
+            let hit = match predicate {
+                None => true,
+                Some((attr, query)) => {
+                    let set = source_set(&self.store, &object, &IndexedSource::Direct(attr))?;
+                    let elem_set: ElementSet = set.into_iter().collect();
+                    setsig_core::verify_predicate(query.predicate, &elem_set, &query.elements)
+                }
+            };
+            if hit {
                 actual.push(oid);
             }
         }
         let io = self.disk.snapshot().since(before);
-        let hits = actual.len() as u64;
+        let (candidates, hits) = (examined.len() as u64, actual.len() as u64);
         Ok(QueryExecution {
             actual,
             report: DropReport {
                 actual: Vec::new(),
-                false_drops: examined - hits,
-                candidates: examined,
+                false_drops: candidates - hits,
+                candidates,
             },
             io,
+            drops: CandidateSet::new(examined, predicate.is_none()),
+            stats: None,
+            filter_io: IoDelta::default(),
+            resolve_io: io,
         })
     }
 }
@@ -434,7 +486,9 @@ fn fetch_error(oid: Oid, e: &Error) -> setsig_core::Error {
 mod tests {
     use super::*;
     use crate::schema::AttrType;
-    use setsig_core::{SignatureConfig, Ssf};
+    use crate::sql::parse_query;
+    use setsig_core::{Bssf, SignatureConfig, Ssf};
+    use setsig_pagestore::BufferPool;
 
     fn hobbies_db() -> (Database, ClassId) {
         let mut db = Database::in_memory();
@@ -532,13 +586,89 @@ mod tests {
         }
     }
 
-    #[test]
-    fn facility_query_agrees_with_scan_and_costs_less() {
+    /// 300 students, each with `hobby{i % 50}` and `Common`.
+    fn hobby_club() -> (Database, ClassId) {
         let (mut db, student) = hobbies_db();
         for i in 0..300u32 {
             let hobby = format!("hobby{}", i % 50);
             add_student(&mut db, student, &format!("s{i}"), &[&hobby, "Common"]);
         }
+        (db, student)
+    }
+
+    /// On the bare disk the filter reads exactly the pages its `ScanStats`
+    /// charge, resolution one page per inline drop, and the two make up
+    /// the whole query — which the text surface runs through the same
+    /// executor.
+    #[test]
+    fn execution_splits_filter_and_resolve_pages() {
+        type Make = fn(Arc<dyn PageIo>, SignatureConfig) -> Box<dyn SetAccessFacility>;
+        let cfg = SignatureConfig::new(256, 2).unwrap();
+        let facilities: [(&str, Make); 3] = [
+            ("ssf", |io, cfg| {
+                Box::new(Ssf::create(io, "h", cfg).unwrap())
+            }),
+            ("bssf", |io, cfg| {
+                Box::new(Bssf::create(io, "h", cfg).unwrap())
+            }),
+            ("nix", |io, _| Box::new(setsig_nix::Nix::on_io(io, "h"))),
+        ];
+        let texts = [
+            r#"select Student where hobbies has-subset ("hobby7", "Common")"#,
+            r#"select Student where hobbies in-subset ("hobby7", "hobby9", "Common")"#,
+        ];
+        for (name, make) in facilities {
+            let (mut db, student) = hobby_club();
+            let io = Arc::clone(db.disk()) as Arc<dyn PageIo>;
+            let fidx = db
+                .register_facility(student, "hobbies", make(io, cfg))
+                .unwrap();
+            for text in texts {
+                let query = parse_query(text).unwrap().condition.unwrap().1;
+                let exec = db.execute_set_query(fidx, &query).unwrap();
+                let stats = exec.stats.expect("every facility reports its pages");
+                let what = format!("{name}: {text}");
+                assert!(!exec.actual.is_empty(), "{what}");
+                assert_eq!(exec.filter_io.reads, stats.pages, "{what}");
+                assert_eq!(exec.filter_io.writes, 0, "{what}");
+                assert_eq!(
+                    exec.resolve_io.accesses(),
+                    exec.drops.len() as u64,
+                    "{what}"
+                );
+                assert_eq!(exec.filter_io + exec.resolve_io, exec.io, "{what}");
+                let via_text = db.run_query(text).unwrap();
+                assert_eq!((via_text.actual, via_text.io), (exec.actual, exec.io));
+            }
+        }
+
+        // Behind a warm pool the same filter finds the same drops and
+        // charges the same pages, reading fewer of them from disk.
+        let (mut db, student) = hobby_club();
+        let disk: Arc<dyn PageIo> = Arc::clone(db.disk()) as Arc<dyn PageIo>;
+        let pool: Arc<dyn PageIo> = Arc::new(BufferPool::new(Arc::clone(db.disk()), 512));
+        let [plain, pooled] = [(disk, "plain"), (pool, "pooled")].map(|(io, name)| {
+            let bssf = Bssf::create(io, name, cfg).unwrap();
+            db.register_facility(student, "hobbies", Box::new(bssf))
+                .unwrap()
+        });
+        let query = SetQuery::has_subset(vec![ElementKey::from("hobby7")]);
+        let run = |fidx| db.execute_set_query(fidx, &query).unwrap();
+        let plain = run(plain);
+        run(pooled);
+        let pooled = run(pooled);
+        assert_eq!((&pooled.drops, pooled.stats), (&plain.drops, plain.stats));
+        assert!(
+            pooled.filter_io.reads < plain.filter_io.reads,
+            "pooled {:?} vs plain {:?}",
+            pooled.filter_io,
+            plain.filter_io
+        );
+    }
+
+    #[test]
+    fn facility_query_agrees_with_scan_and_costs_less() {
+        let (mut db, student) = hobby_club();
         let cfg = SignatureConfig::new(256, 3).unwrap();
         let io: Arc<dyn PageIo> = Arc::clone(db.disk()) as Arc<dyn PageIo>;
         let ssf = Ssf::create(io, "hobbies", cfg).unwrap();

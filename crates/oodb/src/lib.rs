@@ -12,9 +12,10 @@
 //! * [`ObjectStore`] — a slotted-page object file on `setsig-pagestore`
 //!   with overflow chaining for oversized objects,
 //! * [`Database`] — classes + object store + registered set access
-//!   facilities, with a query executor that runs the paper's two-phase
-//!   scheme (facility filter → false-drop resolution) and reports measured
-//!   page accesses and drop counts,
+//!   facilities, with one query executor ([`Database::execute`]) that runs
+//!   the paper's two-phase scheme (facility filter → false-drop
+//!   resolution) and reports measured page accesses, split by phase, and
+//!   drop counts,
 //! * a full-scan baseline ([`Database::scan_set_query`]) for verifying
 //!   every facility's answers.
 //!

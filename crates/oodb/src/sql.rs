@@ -13,7 +13,7 @@
 //! access facility when one covers the attribute, falling back to the
 //! full-scan baseline otherwise.
 
-use setsig_core::{ElementKey, Oid, SetQuery};
+use setsig_core::{ElementKey, SetQuery};
 use std::iter::Peekable;
 use std::str::CharIndices;
 
@@ -178,29 +178,7 @@ impl Database {
             .class_by_name(&parsed.class_name)
             .ok_or_else(|| Error::NoSuchClassName(parsed.class_name.clone()))?;
         match parsed.condition {
-            None => {
-                // `select Class`: fetch every object of the class.
-                let before = self.disk().snapshot();
-                let mut oids: Vec<Oid> = Vec::new();
-                let mut all: Vec<Oid> = self.store().oids().collect();
-                all.sort_unstable();
-                for oid in all {
-                    if self.get_object(oid)?.class == class {
-                        oids.push(oid);
-                    }
-                }
-                let io = self.disk().snapshot().since(before);
-                let n = oids.len() as u64;
-                Ok(QueryExecution {
-                    actual: oids,
-                    report: setsig_core::DropReport {
-                        actual: Vec::new(),
-                        false_drops: 0,
-                        candidates: n,
-                    },
-                    io,
-                })
-            }
+            None => self.full_scan(class, None),
             Some((attr, query)) => match self.facility_for(class, &attr) {
                 Some(idx) => self.execute_set_query(idx, &query),
                 None => self.scan_set_query(class, &attr, &query),

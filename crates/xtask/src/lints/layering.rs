@@ -13,7 +13,9 @@
 //! Enforced on both levels:
 //! * **manifest edges** — `[dependencies]` in each `crates/*/Cargo.toml`
 //!   (dev-dependencies are test-only and exempt), and
-//! * **source references** — `setsig_*` identifiers in library/binary code.
+//! * **source references** — `setsig_*` identifiers in library/binary code,
+//!   outside `#[cfg(test)]` items (which, like dev-dependencies, are
+//!   test-only).
 //!
 //! A crate directory missing from `ALLOWED_DEPS` is itself a violation:
 //! adding a crate means consciously placing it in the DAG. So is a member
@@ -186,7 +188,7 @@ pub fn check_source(file: &SourceFile, crate_dir: &str) -> Vec<Diagnostic> {
         return Vec::new(); // The manifest check reports unknown crates once.
     };
     let mut out = Vec::new();
-    for t in &file.scanned.toks {
+    for (t, _) in (file.scanned.toks.iter().zip(&file.test_mask)).filter(|(_, &test)| !test) {
         let Some(short) = t.text.strip_prefix("setsig_") else {
             continue;
         };

@@ -30,7 +30,7 @@ use setsig::oodb::ClassId;
 use setsig::pagestore::{Page, PagedFile, PAGE_SIZE};
 use setsig::prelude::*;
 use setsig::workload::{Cardinality, Distribution};
-use setsig_experiments::{EngineConfig, SimDb};
+use setsig_experiments::SimDb;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -250,9 +250,8 @@ fn filter(facility: &dyn SetAccessFacility, query: &SetQuery) -> (u64, u64, Cand
 /// The scans: what the query costs on the small instance is the budget on
 /// the large one.
 fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
-    let serial = EngineConfig::serial();
-    let ssf = [small, large].map(|sim| sim.build_ssf_with(F, M, serial));
-    let bssf = [small, large].map(|sim| sim.build_bssf_with(F, M, serial));
+    let ssf = [small, large].map(|sim| sim.build_ssf(F, M));
+    let bssf = [small, large].map(|sim| sim.build_bssf(F, M));
     let fssf = [small, large].map(|sim| sim.build_fssf(F, FRAMES, FRAME_M));
     let ssf: [&dyn SetAccessFacility; 2] = [&ssf[0], &ssf[1]];
     let bssf: [&dyn SetAccessFacility; 2] = [&bssf[0], &bssf[1]];
@@ -449,11 +448,13 @@ fn nix_union(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
         &SetQuery::in_subset(keys(&wide)),
         &SetQuery::overlaps(keys(&sim.sets[TARGET])),
     ] {
-        let lists = query
-            .elements
-            .iter()
-            .map(|e| nix.lookup_element(e).unwrap());
-        let pooled: usize = lists.map(|list| list.len()).sum();
+        let pooled: usize = (query.elements.iter())
+            .map(|e| {
+                nix.candidates(&SetQuery::contains(e.clone()))
+                    .unwrap()
+                    .len()
+            })
+            .sum();
         let (allocations, pages, drops) = filter(&nix, query);
         assert!(drops.exact && drops.oids.contains(&Oid::new(TARGET as u64)));
         rows.push(Row {
