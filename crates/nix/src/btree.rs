@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::node::{
     page_type, Internal, Leaf, LeafEntry, Overflow, MAX_INLINE_OIDS, MAX_INTERNAL_KEYS, NO_PAGE,
-    TYPE_INTERNAL, TYPE_LEAF,
+    OID_BYTES, SLOT, TYPE_INTERNAL, TYPE_LEAF,
 };
 
 /// A B-tree whose leaf entries are `(key, OID list)` postings — the storage
@@ -15,7 +15,9 @@ use crate::node::{
 /// Structure-modifying operations split leaves and internal nodes upward;
 /// postings larger than `MAX_INLINE_OIDS` move to overflow chains.
 /// Deletion removes OIDs (and empty entries) but never merges pages — the
-/// paper's update model likewise ignores structural shrinkage.
+/// paper's update model likewise ignores structural shrinkage. Updates edit
+/// a leaf's bytes in place (`node::Leaf::append_oid` / `remove_oid` /
+/// `compact`); only a split parses and rebuilds one.
 pub struct BTree {
     file: PagedFile,
     root: u32,
@@ -172,6 +174,8 @@ impl BTree {
         Ok(())
     }
 
+    /// Adds `oid` to `key`'s posting in `page`, editing the leaf's bytes in
+    /// place; parses and rebuilds the leaf only when it splits.
     fn insert_into_leaf(
         &mut self,
         leaf_no: u32,
@@ -180,87 +184,68 @@ impl BTree {
         oid: u64,
     ) -> Result<Option<(u64, u32)>> {
         match Leaf::search(&page, key) {
-            Ok(slot) => match Leaf::entry_at(&page, slot) {
-                LeafEntry::Overflow {
-                    key,
-                    chain_head,
-                    total,
-                } => {
-                    let new_head = self.push_overflow(chain_head, oid)?;
+            Ok(slot) => {
+                if let Some((head, total)) = Leaf::stub(&page, slot) {
+                    let head = self.push_overflow(head, oid)?;
+                    Leaf::set_stub(&mut page, slot, head, total + 1);
+                } else if Leaf::inline_len(&page, slot) == MAX_INLINE_OIDS {
+                    // Migrate the posting to an overflow chain.
+                    let mut oids = Vec::with_capacity(MAX_INLINE_OIDS + 1);
+                    Leaf::read_postings(&page, slot, &mut oids);
+                    oids.push(oid);
                     let stub = LeafEntry::Overflow {
                         key,
-                        chain_head: new_head,
-                        total: total + 1,
+                        chain_head: self.build_chain(&oids)?,
+                        total: oids.len() as u32,
                     };
-                    // Stub is fixed-size: always fits in place.
-                    assert!(Leaf::replace_entry(&mut page, slot, &stub));
-                    self.file.write(leaf_no, &page)?;
-                    Ok(None)
-                }
-                LeafEntry::Inline { key, mut oids } => {
-                    if oids.len() + 1 > MAX_INLINE_OIDS {
-                        // Migrate the posting to an overflow chain.
-                        oids.push(oid);
-                        let total = oids.len() as u32;
-                        let chain_head = self.build_chain(&oids)?;
-                        let stub = LeafEntry::Overflow {
-                            key,
-                            chain_head,
-                            total,
-                        };
-                        assert!(Leaf::replace_entry(&mut page, slot, &stub));
-                        self.file.write(leaf_no, &page)?;
-                        return Ok(None);
+                    Leaf::shrink_entry(&mut page, slot, &stub);
+                } else if !Leaf::append_oid(&mut page, slot, oid) {
+                    if !Leaf::fits(&page, OID_BYTES) {
+                        let mut entries = Leaf::entries(&page);
+                        if let LeafEntry::Inline { oids, .. } = &mut entries[slot] {
+                            oids.push(oid);
+                        }
+                        return self.split_leaf(leaf_no, page, entries);
                     }
-                    oids.push(oid);
-                    let entry = LeafEntry::Inline { key, oids };
-                    if Leaf::replace_entry(&mut page, slot, &entry) {
-                        self.file.write(leaf_no, &page)?;
-                        return Ok(None);
-                    }
-                    // No heap room: compact, then retry or split.
-                    let mut entries = Leaf::entries(&page);
-                    entries[slot] = entry;
-                    self.place_or_split(leaf_no, page, entries)
+                    Leaf::compact(&mut page, Some(slot));
+                    assert!(Leaf::append_oid(&mut page, slot, oid));
                 }
-            },
+            }
             Err(pos) => {
                 self.key_count += 1;
                 let entry = LeafEntry::Inline {
                     key,
                     oids: vec![oid],
                 };
-                if Leaf::free_space(&page) >= entry.encoded_len() + 4 {
-                    Leaf::insert_entry(&mut page, pos, &entry);
-                    self.file.write(leaf_no, &page)?;
-                    return Ok(None);
+                let need = entry.encoded_len() + SLOT;
+                if Leaf::free_space(&page) < need {
+                    if !Leaf::fits(&page, need) {
+                        let mut entries = Leaf::entries(&page);
+                        entries.insert(pos, entry);
+                        return self.split_leaf(leaf_no, page, entries);
+                    }
+                    Leaf::compact(&mut page, None);
                 }
-                let mut entries = Leaf::entries(&page);
-                entries.insert(pos, entry);
-                self.place_or_split(leaf_no, page, entries)
+                Leaf::insert_entry(&mut page, pos, &entry);
             }
         }
+        self.file.write(leaf_no, &page)?;
+        Ok(None)
     }
 
-    /// Rebuilds `entries` into the leaf if they fit, otherwise splits them
+    /// Splits `entries`, which do not fit one leaf, at their byte midpoint
     /// across the leaf and a new right sibling.
-    fn place_or_split(
+    fn split_leaf(
         &mut self,
         leaf_no: u32,
         mut page: Page,
         entries: Vec<LeafEntry>,
     ) -> Result<Option<(u64, u32)>> {
-        let total: usize = entries.iter().map(|e| e.encoded_len() + 4).sum();
-        if total <= setsig_pagestore::PAGE_SIZE - 8 {
-            Leaf::rebuild(&mut page, &entries);
-            self.file.write(leaf_no, &page)?;
-            return Ok(None);
-        }
-        // Split at the byte midpoint.
+        let total: usize = entries.iter().map(|e| e.encoded_len() + SLOT).sum();
         let mut acc = 0usize;
         let mut cut = entries.len() - 1;
         for (i, e) in entries.iter().enumerate() {
-            acc += e.encoded_len() + 4;
+            acc += e.encoded_len() + SLOT;
             if acc > total / 2 {
                 cut = (i + 1).min(entries.len() - 1).max(1);
                 break;
@@ -387,61 +372,48 @@ impl BTree {
     }
 
     /// Removes `oid` from `key`'s posting list. Returns whether it was
-    /// present. Empty entries are removed; pages are never merged.
+    /// present. An entry left empty, inline or an overflow stub whose chain
+    /// emptied, is removed in the same leaf write; pages are never merged.
     pub fn remove(&mut self, key: u64, oid: u64) -> Result<bool> {
         let (leaf_no, mut page) = self.descend(key, |_| {})?;
         let Ok(slot) = Leaf::search(&page, key) else {
             return Ok(false);
         };
-        match Leaf::entry_at(&page, slot) {
-            LeafEntry::Inline { key, mut oids } => {
-                let Some(pos) = oids.iter().position(|&o| o == oid) else {
+        let left = match Leaf::stub(&page, slot) {
+            None => match Leaf::remove_oid(&mut page, slot, oid) {
+                Some(left) => left,
+                None => return Ok(false),
+            },
+            Some((head, total)) => {
+                if !self.remove_from_chain(head, oid)? {
                     return Ok(false);
-                };
-                oids.remove(pos);
-                if oids.is_empty() {
-                    Leaf::remove_entry(&mut page, slot);
-                    self.key_count -= 1;
-                } else {
-                    // Shrinking always fits in place.
-                    assert!(Leaf::replace_entry(
-                        &mut page,
-                        slot,
-                        &LeafEntry::Inline { key, oids }
-                    ));
                 }
-                self.file.write(leaf_no, &page)?;
-                self.posting_count -= 1;
-                Ok(true)
+                Leaf::set_stub(&mut page, slot, head, total - 1);
+                total as usize - 1
             }
-            LeafEntry::Overflow {
-                key,
-                chain_head,
-                total,
-            } => {
-                let mut link = chain_head;
-                while link != NO_PAGE {
-                    let mut lp = self.file.read(link)?;
-                    if let Some(i) =
-                        (0..Overflow::count(&lp)).find(|&i| Overflow::oid(&lp, i) == oid)
-                    {
-                        Overflow::swap_remove(&mut lp, i);
-                        self.file.write(link, &lp)?;
-                        let stub = LeafEntry::Overflow {
-                            key,
-                            chain_head,
-                            total: total - 1,
-                        };
-                        assert!(Leaf::replace_entry(&mut page, slot, &stub));
-                        self.file.write(leaf_no, &page)?;
-                        self.posting_count -= 1;
-                        return Ok(true);
-                    }
-                    link = Overflow::next(&lp);
-                }
-                Ok(false)
-            }
+        };
+        if left == 0 {
+            Leaf::remove_entry(&mut page, slot);
+            self.key_count -= 1;
         }
+        self.file.write(leaf_no, &page)?;
+        self.posting_count -= 1;
+        Ok(true)
+    }
+
+    /// Removes `oid` from the overflow chain starting at `link`, writing the
+    /// link that held it. Returns whether it was there.
+    fn remove_from_chain(&mut self, mut link: u32, oid: u64) -> Result<bool> {
+        while link != NO_PAGE {
+            let mut page = self.file.read(link)?;
+            if let Some(i) = (0..Overflow::count(&page)).find(|&i| Overflow::oid(&page, i) == oid) {
+                Overflow::swap_remove(&mut page, i);
+                self.file.write(link, &page)?;
+                return Ok(true);
+            }
+            link = Overflow::next(&page);
+        }
+        Ok(false)
     }
 
     /// Walks the whole tree validating structural invariants (sorted keys,
@@ -673,6 +645,81 @@ mod tests {
         let oids = t.lookup(9, &mut 0).unwrap();
         assert_eq!(oids.len() as u64, n - 1);
         assert!(!oids.contains(&3));
+        t.check_integrity().unwrap();
+    }
+
+    /// Disk reads and writes of `op`.
+    fn io_of<T>(disk: &Disk, op: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let before = disk.snapshot();
+        let out = op();
+        let d = disk.snapshot().since(before);
+        (out, (d.reads, d.writes))
+    }
+
+    #[test]
+    fn a_leaf_compacts_at_exactly_a_page_and_splits_past_it() {
+        let (disk, mut t) = tree();
+        // Four keys appended one after another leave no fragmentation; the
+        // last ends the heap. Entries are 14 + 8n bytes, so 503 OIDs make
+        // Σ(record + slot) = 4,080 and the free space 8.
+        for (key, n) in [(1u64, 100u64), (2, 100), (3, 100), (4, 203)] {
+            (0..n).for_each(|oid| t.insert(key, oid).unwrap());
+        }
+        let leaf = |t: &BTree| t.file.read(t.root).unwrap();
+        let page = leaf(&t);
+        assert_eq!((Leaf::free_space(&page), Leaf::frag(&page)), (8, 0));
+        // Key 1's record is not the heap's last and has no room to move, but
+        // the logical size after the append is exactly PAGE_SIZE − 8: the
+        // leaf compacts, with key 1 last, and takes it in one read and one
+        // write.
+        let ((), io) = io_of(&disk, || t.insert(1, 100).unwrap());
+        assert_eq!(io, (1, 1));
+        assert_eq!(t.storage_pages().unwrap(), 1, "compacted, not split");
+        let page = leaf(&t);
+        assert_eq!((Leaf::free_space(&page), Leaf::frag(&page)), (0, 0));
+        let (off, len) = Leaf::slot(&page, 0);
+        assert_eq!(off + len, page.read_u16(4) as usize);
+        // Eight bytes more do not fit: the next append splits the leaf.
+        let ((), io) = io_of(&disk, || t.insert(1, 101).unwrap());
+        assert_eq!((t.height(), t.storage_pages().unwrap()), (1, 3));
+        assert_eq!(io, (1, 3), "leaf + right sibling + new root");
+        assert_eq!(t.lookup(1, &mut 0).unwrap(), (0..102).collect::<Vec<_>>());
+        t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn emptying_an_overflow_chain_drops_its_stub() {
+        let (disk, mut t) = tree();
+        t.insert(1, 0).unwrap();
+        let n = (MAX_INLINE_OIDS + 600) as u64;
+        (0..n).for_each(|oid| t.insert(5, oid).unwrap());
+        assert_eq!(t.key_count(), 2);
+        // The link holding each OID, counted from the chain's head.
+        let (_, page) = t.descend(5, |_| {}).unwrap();
+        let (head, total) = Leaf::stub(&page, Leaf::search(&page, 5).unwrap()).unwrap();
+        assert_eq!(u64::from(total), n);
+        let mut link_of = Vec::new();
+        let (mut link, mut at) = (head, 0u64);
+        while link != NO_PAGE {
+            let lp = t.file.read(link).unwrap();
+            at += 1;
+            link_of.extend((0..Overflow::count(&lp)).map(|i| (Overflow::oid(&lp, i), at)));
+            link = Overflow::next(&lp);
+        }
+        for (oid, at) in link_of {
+            // Descent, the links up to the one holding it; that link and
+            // the leaf written — the last remove included, whose stub goes.
+            let (found, io) = io_of(&disk, || t.remove(5, oid).unwrap());
+            assert!(found);
+            assert_eq!(io, (u64::from(t.rc_lookup()) + at, 2), "oid {oid}");
+        }
+        assert_eq!((t.key_count(), t.posting_count()), (1, 1));
+        assert_eq!(t.lookup(5, &mut 0).unwrap(), Vec::<u64>::new());
+        assert!(!t.remove(5, 0).unwrap());
+        t.check_integrity().unwrap();
+        // The key comes back inline.
+        t.insert(5, 7).unwrap();
+        assert_eq!(t.lookup(5, &mut 0).unwrap(), vec![7]);
         t.check_integrity().unwrap();
     }
 

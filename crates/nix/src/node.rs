@@ -12,6 +12,14 @@
 //!   flags bit 15 clear: inline posting, low bits = OID count, payload = OIDs
 //!   flags bit 15 set:   overflow stub, payload = chain_head u32 | total u32
 //! ```
+//! An update edits the leaf's bytes and parses no entry:
+//! [`Leaf::append_oid`] grows a record that ends the heap in place and
+//! otherwise moves it to the heap's end (the old bytes become `frag`),
+//! [`Leaf::remove_oid`] shifts a record's tail down 8 bytes, and
+//! [`Leaf::compact`] packs the live records to the front when the free space
+//! is short but [`Leaf::fits`] — `Σ(record + slot) + growth ≤ PAGE_SIZE − 8`
+//! — still holds. A leaf that does not fit splits; a split is the only
+//! parse ([`Leaf::entries`]) and rebuild ([`Leaf::rebuild`]).
 //!
 //! **Internal** — fixed arrays (keys then children), the paper's non-leaf
 //! format:
@@ -43,17 +51,26 @@ pub(crate) const NO_PAGE: u32 = u32::MAX;
 pub(crate) const MAX_INTERNAL_KEYS: usize = 300;
 
 const LEAF_HEADER: usize = 8;
-const SLOT: usize = 4;
+/// Bytes of one leaf slot.
+pub(crate) const SLOT: usize = 4;
 /// OID count limit encodable in the 15 flag bits of an inline entry.
 pub(crate) const MAX_INLINE_OIDS: usize = 400;
 const OVERFLOW_FLAG: u16 = 1 << 15;
 /// OIDs per overflow page.
 pub(crate) const OVERFLOW_CAPACITY: usize = (PAGE_SIZE - 8) / 8;
 
+/// Bytes one OID adds to an inline record.
+pub(crate) const OID_BYTES: usize = 8;
+
 /// Writes `v` as a little-endian `u16` at `off` of an already-borrowed page
 /// buffer (one `as_bytes_mut()` per mutation, not one per field).
 fn put_u16(bytes: &mut [u8], off: usize, v: usize) {
     bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
+}
+
+/// Reads the little-endian `u16` at `off` of a borrowed page buffer.
+fn get_u16(bytes: &[u8], off: usize) -> usize {
+    usize::from(u16::from_le_bytes([bytes[off], bytes[off + 1]]))
 }
 
 /// A parsed leaf entry.
@@ -187,6 +204,28 @@ impl Leaf {
         LeafEntry::read(page, off)
     }
 
+    /// Slot `i`'s overflow stub as `(chain_head, total)`; `None` for an
+    /// inline posting.
+    pub(crate) fn stub(page: &Page, i: usize) -> Option<(u32, u32)> {
+        let (off, _) = Self::slot(page, i);
+        (page.read_u16(off + 8) & OVERFLOW_FLAG != 0)
+            .then(|| (page.read_u32(off + 10), page.read_u32(off + 14)))
+    }
+
+    /// OIDs in slot `i`'s inline posting.
+    pub(crate) fn inline_len(page: &Page, i: usize) -> usize {
+        let (off, _) = Self::slot(page, i);
+        usize::from(page.read_u16(off + 8))
+    }
+
+    /// Rewrites slot `i`'s overflow stub in place.
+    pub(crate) fn set_stub(page: &mut Page, i: usize, chain_head: u32, total: u32) {
+        let (off, _) = Self::slot(page, i);
+        let bytes = page.as_bytes_mut();
+        bytes[off + 10..off + 14].copy_from_slice(&chain_head.to_le_bytes());
+        bytes[off + 14..off + 18].copy_from_slice(&total.to_le_bytes());
+    }
+
     /// Appends slot `i`'s inline OIDs to `out` in place, parsing no entry;
     /// for an overflow stub, leaves `out` alone and returns the chain's head
     /// and total.
@@ -198,6 +237,99 @@ impl Leaf {
         }
         out.extend((0..flags as usize).map(|j| page.read_u64(off + 10 + j * 8)));
         None
+    }
+
+    /// Bytes the live entries take, records plus slots: what the leaf keeps
+    /// once compacted, header aside.
+    pub(crate) fn live_bytes(page: &Page) -> usize {
+        let heap = page.read_u16(4) as usize - LEAF_HEADER;
+        heap - Self::frag(page) + Self::count(page) * SLOT
+    }
+
+    /// Whether the live entries plus `growth` bytes fit one leaf:
+    /// `Σ(record + slot) + growth ≤ PAGE_SIZE − 8`. This logical test alone
+    /// decides between compacting and splitting, so where fragmentation
+    /// sits never moves a split.
+    pub(crate) fn fits(page: &Page, growth: usize) -> bool {
+        Self::live_bytes(page) + growth <= PAGE_SIZE - LEAF_HEADER
+    }
+
+    /// Appends `oid` to slot `i`'s inline posting, parsing nothing: the
+    /// record grows in place when it ends the heap, else its bytes move to
+    /// the heap's end with one `copy_within` and the old ones become
+    /// fragmentation. Returns `false`, the page untouched, when the free
+    /// space lacks room for that — the caller compacts or splits.
+    pub(crate) fn append_oid(page: &mut Page, i: usize, oid: u64) -> bool {
+        let (off, len) = Self::slot(page, i);
+        let free_off = page.read_u16(4) as usize;
+        let free = Self::free_space(page);
+        let at = if off + len == free_off && free >= OID_BYTES {
+            off
+        } else if free >= len + OID_BYTES {
+            free_off
+        } else {
+            return false;
+        };
+        let n = Self::inline_len(page, i);
+        debug_assert!(n < MAX_INLINE_OIDS);
+        let frag = Self::frag(page);
+        let bytes = page.as_bytes_mut();
+        if at != off {
+            bytes.copy_within(off..off + len, at);
+            put_u16(bytes, 6, frag + len);
+        }
+        let end = at + len + OID_BYTES;
+        bytes[at + len..end].copy_from_slice(&oid.to_le_bytes());
+        put_u16(bytes, at + 8, n + 1);
+        let s = Self::slot_off(i);
+        put_u16(bytes, s, at);
+        put_u16(bytes, s + 2, len + OID_BYTES);
+        put_u16(bytes, 4, end);
+        true
+    }
+
+    /// Removes the first `oid` of slot `i`'s inline posting by shifting the
+    /// record's tail down 8 bytes, so the other OIDs keep their order.
+    /// Returns the OIDs left, or `None` (the page untouched) when `oid` is
+    /// absent. The freed 8 bytes go back to the free space when the record
+    /// ends the heap and become fragmentation otherwise.
+    pub(crate) fn remove_oid(page: &mut Page, i: usize, oid: u64) -> Option<usize> {
+        let (off, len) = Self::slot(page, i);
+        let n = Self::inline_len(page, i);
+        let pos = (0..n).find(|&j| page.read_u64(off + 10 + j * OID_BYTES) == oid)?;
+        let free_off = page.read_u16(4) as usize;
+        let frag = Self::frag(page);
+        let bytes = page.as_bytes_mut();
+        let at = off + 10 + pos * OID_BYTES;
+        bytes.copy_within(at + OID_BYTES..off + len, at);
+        put_u16(bytes, off + 8, n - 1);
+        put_u16(bytes, Self::slot_off(i) + 2, len - OID_BYTES);
+        if off + len == free_off {
+            put_u16(bytes, 4, free_off - OID_BYTES);
+        } else {
+            put_u16(bytes, 6, frag + OID_BYTES);
+        }
+        Some(n - 1)
+    }
+
+    /// Moves the live records to the front of the heap in slot order and
+    /// drops all fragmentation, copying bytes from one stack copy of the
+    /// page and parsing no entry. Slot `last`'s record, if given, goes after
+    /// all the others, so that it ends the heap and can grow in place.
+    pub(crate) fn compact(page: &mut Page, last: Option<usize>) {
+        let src = *page.as_bytes();
+        let count = Self::count(page);
+        let bytes = page.as_bytes_mut();
+        let mut at = LEAF_HEADER;
+        for i in (0..count).filter(|&i| Some(i) != last).chain(last) {
+            let s = Self::slot_off(i);
+            let (off, len) = (get_u16(&src, s), get_u16(&src, s + 2));
+            bytes[at..at + len].copy_from_slice(&src[off..off + len]);
+            put_u16(bytes, s, at);
+            at += len;
+        }
+        put_u16(bytes, 4, at);
+        put_u16(bytes, 6, 0);
     }
 
     /// All entries, in key order.
@@ -242,32 +374,18 @@ impl Leaf {
         put_u16(bytes, 4, off + len);
     }
 
-    /// Replaces the entry in slot `i`.
-    ///
-    /// Same-or-smaller records are rewritten in place; larger ones are
-    /// appended to the heap (the old record becomes fragmentation). Returns
-    /// `false` when the heap lacks room — caller compacts or splits.
-    pub(crate) fn replace_entry(page: &mut Page, i: usize, entry: &LeafEntry) -> bool {
-        let (old_off, old_len) = Self::slot(page, i);
+    /// Rewrites slot `i` in place with `entry`, no larger than the record it
+    /// replaces (an inline posting becoming its overflow stub); the bytes it
+    /// frees become fragmentation.
+    pub(crate) fn shrink_entry(page: &mut Page, i: usize, entry: &LeafEntry) {
+        let (off, old_len) = Self::slot(page, i);
         let new_len = entry.encoded_len();
-        if new_len <= old_len {
-            entry.write(page, old_off);
-            let s = Self::slot_off(i);
-            page.write_u16(s + 2, new_len as u16);
-            page.write_u16(6, (Self::frag(page) + old_len - new_len) as u16);
-            return true;
-        }
-        if Self::free_space(page) < new_len {
-            return false;
-        }
-        let off = page.read_u16(4) as usize;
+        debug_assert!(new_len <= old_len);
         entry.write(page, off);
-        let s = Self::slot_off(i);
-        page.write_u16(s, off as u16);
-        page.write_u16(s + 2, new_len as u16);
-        page.write_u16(4, (off + new_len) as u16);
-        page.write_u16(6, (Self::frag(page) + old_len) as u16);
-        true
+        let frag = Self::frag(page);
+        let bytes = page.as_bytes_mut();
+        put_u16(bytes, Self::slot_off(i) + 2, new_len);
+        put_u16(bytes, 6, frag + old_len - new_len);
     }
 
     /// Removes slot `i`, leaving its record as fragmentation.
@@ -479,42 +597,142 @@ mod tests {
         assert_eq!(Leaf::search(&page, 35), Err(3));
     }
 
-    #[test]
-    fn leaf_replace_in_place_and_grow() {
+    /// A leaf holding `postings[i]` under key `i + 1`, records in slot order.
+    fn leaf_of(postings: &[&[u64]]) -> Page {
         let mut page = Page::zeroed();
         Leaf::init(&mut page);
-        Leaf::insert_entry(
-            &mut page,
-            0,
-            &LeafEntry::Inline {
-                key: 1,
-                oids: vec![10, 20],
-            },
-        );
-        // Shrink: in place, no fragmentation change beyond diff.
-        assert!(Leaf::replace_entry(
-            &mut page,
-            0,
-            &LeafEntry::Inline {
-                key: 1,
-                oids: vec![10]
-            }
-        ));
+        for (i, oids) in postings.iter().enumerate() {
+            let entry = LeafEntry::Inline {
+                key: i as u64 + 1,
+                oids: oids.to_vec(),
+            };
+            Leaf::insert_entry(&mut page, i, &entry);
+        }
+        page
+    }
+
+    fn oids_at(page: &Page, i: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        assert_eq!(Leaf::read_postings(page, i, &mut out), None);
+        out
+    }
+
+    #[test]
+    fn append_grows_the_heap_end_in_place_and_relocates_elsewhere() {
+        let mut page = leaf_of(&[&[10], &[20]]);
+        let free_off = |p: &Page| p.read_u16(4) as usize;
+        // Slot 1's record ends the heap: it grows where it is.
+        let (off, len) = Leaf::slot(&page, 1);
+        assert_eq!(off + len, free_off(&page));
+        assert!(Leaf::append_oid(&mut page, 1, 21));
+        assert_eq!(Leaf::slot(&page, 1), (off, len + OID_BYTES));
         assert_eq!(
-            Leaf::entry_at(&page, 0),
-            LeafEntry::Inline {
-                key: 1,
-                oids: vec![10]
-            }
+            (Leaf::frag(&page), free_off(&page)),
+            (0, off + len + OID_BYTES)
         );
-        // Grow: appended to heap, old record becomes frag.
-        let grown = LeafEntry::Inline {
-            key: 1,
-            oids: vec![10, 20, 30],
-        };
-        assert!(Leaf::replace_entry(&mut page, 0, &grown));
-        assert_eq!(Leaf::entry_at(&page, 0), grown);
+        // Slot 0's does not: it moves to the heap's end, its old bytes dead.
+        let (_, len) = Leaf::slot(&page, 0);
+        let end = free_off(&page);
+        assert!(Leaf::append_oid(&mut page, 0, 11));
+        assert_eq!(Leaf::slot(&page, 0), (end, len + OID_BYTES));
+        assert_eq!(Leaf::frag(&page), len);
+        assert_eq!(
+            (oids_at(&page, 0), oids_at(&page, 1)),
+            (vec![10, 11], vec![20, 21])
+        );
+        assert_eq!(Leaf::live_bytes(&page), 2 * (10 + 2 * OID_BYTES + SLOT));
+    }
+
+    #[test]
+    fn append_without_room_leaves_the_page_untouched() {
+        // 22 + 3,214 + 846 bytes of entries leave 6 free: no room to grow
+        // the heap's last record or to move another.
+        let oids: Vec<u64> = (0..MAX_INLINE_OIDS as u64).collect();
+        let mut page = leaf_of(&[&[1], &oids, &oids[..104]]);
+        let before = page.clone();
+        assert_eq!(Leaf::free_space(&page), 6);
+        assert!(!Leaf::append_oid(&mut page, 0, 2));
+        assert!(!Leaf::append_oid(&mut page, 2, 2));
+        assert_eq!(page, before);
+    }
+
+    #[test]
+    fn compact_keeps_the_entries_and_drops_the_fragmentation() {
+        let mut page = leaf_of(&[&[1, 2], &[3], &[4, 5, 6], &[7]]);
+        for (i, oid) in [(0, 8), (2, 9), (1, 10), (0, 11)] {
+            assert!(Leaf::append_oid(&mut page, i, oid));
+        }
+        assert_eq!(Leaf::remove_oid(&mut page, 2, 5), Some(3));
+        Leaf::remove_entry(&mut page, 3);
         assert!(Leaf::frag(&page) > 0);
+        let entries = Leaf::entries(&page);
+        let live = Leaf::live_bytes(&page);
+        for last in [None, Some(0), Some(1), Some(2)] {
+            let mut packed = page.clone();
+            Leaf::compact(&mut packed, last);
+            assert_eq!(Leaf::entries(&packed), entries, "last {last:?}");
+            assert_eq!(Leaf::frag(&packed), 0);
+            assert_eq!(Leaf::live_bytes(&packed), live);
+            assert_eq!(Leaf::free_space(&packed), PAGE_SIZE - LEAF_HEADER - live);
+            if let Some(i) = last {
+                let (off, len) = Leaf::slot(&packed, i);
+                assert_eq!(
+                    off + len,
+                    packed.read_u16(4) as usize,
+                    "slot {i} ends the heap"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remove_oid_keeps_the_order() {
+        let mut page = leaf_of(&[&[1, 2, 3, 4, 5], &[6, 7, 8]]);
+        assert_eq!(Leaf::remove_oid(&mut page, 0, 3), Some(4));
+        assert_eq!(oids_at(&page, 0), vec![1, 2, 4, 5]);
+        assert_eq!(
+            Leaf::frag(&page),
+            OID_BYTES,
+            "mid-heap: the tail byte is dead"
+        );
+        assert_eq!(Leaf::remove_oid(&mut page, 0, 9), None);
+        assert_eq!(Leaf::remove_oid(&mut page, 0, 1), Some(3));
+        assert_eq!(Leaf::remove_oid(&mut page, 0, 5), Some(2));
+        assert_eq!(oids_at(&page, 0), vec![2, 4]);
+        // Slot 1 ends the heap: its freed bytes go back to the free space.
+        let free = Leaf::free_space(&page);
+        assert_eq!(Leaf::remove_oid(&mut page, 1, 6), Some(2));
+        assert_eq!(Leaf::free_space(&page), free + OID_BYTES);
+        assert_eq!(oids_at(&page, 1), vec![7, 8]);
+        assert_eq!(Leaf::frag(&page), 3 * OID_BYTES);
+    }
+
+    #[test]
+    fn stubs_are_read_and_rewritten_in_place() {
+        let mut page = leaf_of(&[&[1, 2]]);
+        assert_eq!(Leaf::stub(&page, 0), None);
+        assert_eq!(Leaf::inline_len(&page, 0), 2);
+        let stub = LeafEntry::Overflow {
+            key: 1,
+            chain_head: 7,
+            total: 401,
+        };
+        Leaf::shrink_entry(&mut page, 0, &stub);
+        assert_eq!(Leaf::entry_at(&page, 0), stub);
+        assert_eq!(Leaf::frag(&page), 26 - 18);
+        Leaf::set_stub(&mut page, 0, 9, 400);
+        assert_eq!(Leaf::stub(&page, 0), Some((9, 400)));
+    }
+
+    #[test]
+    fn fits_is_the_logical_size_test() {
+        // Four entries of 14 + 8n bytes, 504 OIDs between them: the logical
+        // size is exactly PAGE_SIZE − 8.
+        let a: Vec<u64> = (0..126).collect();
+        let page = leaf_of(&[&a, &a, &a, &a[..125]]);
+        assert_eq!(Leaf::live_bytes(&page) + OID_BYTES, PAGE_SIZE - LEAF_HEADER);
+        assert!(Leaf::fits(&page, OID_BYTES));
+        assert!(!Leaf::fits(&page, OID_BYTES + 1));
     }
 
     #[test]

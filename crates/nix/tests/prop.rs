@@ -28,6 +28,37 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Runs of updates on ~30 keys, two of them hot enough that their postings
+/// cross `MAX_INLINE_OIDS` (400) and move to a chain, and drain again.
+#[derive(Debug, Clone)]
+enum Run {
+    /// `n` fresh OIDs appended to `key`'s posting, one insert each.
+    Insert {
+        key: u64,
+        n: usize,
+    },
+    /// `n` removes from `key`'s posting, each at a position `from` picks;
+    /// one past the end names an OID the posting does not hold.
+    Remove {
+        key: u64,
+        n: usize,
+        from: usize,
+    },
+    Lookup {
+        key: u64,
+    },
+}
+
+fn run_strategy() -> impl Strategy<Value = Run> {
+    let key = prop_oneof![0u64..2, 0u64..30];
+    prop_oneof![
+        5 => (key.clone(), 1usize..60).prop_map(|(key, n)| Run::Insert { key, n }),
+        2 => (key.clone(), prop_oneof![3 => 1usize..80, 1 => 300usize..900], any::<usize>())
+            .prop_map(|(key, n, from)| Run::Remove { key, n, from }),
+        1 => key.prop_map(|key| Run::Lookup { key }),
+    ]
+}
+
 /// Objects as (set, deleted again): 0–12 elements of a 40-element domain,
 /// repeats included, so posting lists overlap and run long.
 fn objects() -> impl Strategy<Value = Vec<(Vec<u64>, bool)>> {
@@ -121,6 +152,92 @@ proptest! {
             let mut want = expected.clone();
             want.sort_unstable();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Against a `BTreeMap<u64, Vec<u64>>` model, with leaves compacting and
+    /// splitting and postings migrating to chains: every look-up returns the
+    /// model's OIDs — in order while the posting is inline —, the counters
+    /// agree after every update, and an update that neither grows the file
+    /// nor touches a chain costs `height + 1` reads and one write (none when
+    /// the remove finds nothing).
+    #[test]
+    fn updates_match_the_model_and_cost_one_descent_and_one_write(
+        runs in proptest::collection::vec(run_strategy(), 1..200)
+    ) {
+        let disk = Arc::new(Disk::new());
+        let mut tree = BTree::create(Arc::clone(&disk) as Arc<dyn PageIo>, "t");
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        // Keys whose posting lives in an overflow chain.
+        let mut chained = BTreeSet::new();
+        let mut next_oid = 0u64;
+        let check = |tree: &BTree, model: &BTreeMap<u64, Vec<u64>>, chained: &BTreeSet<u64>, key: u64| {
+            let got = tree.lookup(key, &mut 0).unwrap();
+            let mut want = model.get(&key).cloned().unwrap_or_default();
+            if chained.contains(&key) {
+                let mut got = got;
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "chained key {}", key);
+            } else {
+                prop_assert_eq!(got, want, "inline key {}", key);
+            }
+            Ok(())
+        };
+        for run in runs {
+            let (key, n) = match run {
+                Run::Insert { key, n } | Run::Remove { key, n, .. } => (key, n),
+                Run::Lookup { key } => {
+                    check(&tree, &model, &chained, key)?;
+                    continue;
+                }
+            };
+            for j in 0..n {
+                let list = model.entry(key).or_default();
+                let (pages, height, was_chained) =
+                    (tree.storage_pages().unwrap(), tree.height(), chained.contains(&key));
+                let before = disk.snapshot();
+                let wrote = if let Run::Remove { from, .. } = run {
+                    let at = from.wrapping_add(j * 7) % (list.len() + 1);
+                    let oid = list.get(at).copied().unwrap_or(u64::MAX >> 16);
+                    let found = tree.remove(key, oid).unwrap();
+                    prop_assert_eq!(found, at < list.len(), "remove({}, {})", key, oid);
+                    if found {
+                        list.remove(at);
+                    }
+                    u64::from(found)
+                } else {
+                    tree.insert(key, next_oid).unwrap();
+                    list.push(next_oid);
+                    next_oid += 1;
+                    if list.len() > 400 {
+                        chained.insert(key);
+                    }
+                    1
+                };
+                let io = disk.snapshot().since(before);
+                if list.is_empty() {
+                    model.remove(&key);
+                    chained.remove(&key);
+                }
+                let grew = tree.storage_pages().unwrap() != pages;
+                if !grew && !was_chained && !chained.contains(&key) {
+                    prop_assert_eq!(
+                        (io.reads, io.writes),
+                        (u64::from(height) + 1, wrote),
+                        "{:?} #{}", run, j
+                    );
+                }
+                prop_assert_eq!(tree.key_count(), model.len() as u64);
+                prop_assert_eq!(
+                    tree.posting_count(),
+                    model.values().map(|v| v.len() as u64).sum::<u64>()
+                );
+            }
+        }
+        tree.check_integrity().unwrap();
+        for key in 0..30 {
+            check(&tree, &model, &chained, key)?;
         }
     }
 

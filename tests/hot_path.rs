@@ -15,11 +15,18 @@
 //! pages than its whole budget, so that one allocation a page could not pass
 //! for noise.
 //!
+//! A NIX update has a test of its own, since it reads `height + 1` pages
+//! and no shape could read ten times its budget: an insert into an inline
+//! posting allocates the leaf's copy-on-write copy and the descent path, a
+//! remove the copy, however many entries the leaf holds and whether the
+//! leaf compacts first.
+//!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Ssf::scan_page`, allocate the
 //! row `Bitmap` per row in `Fssf::scan_frame`, `.to_vec()` the page in
-//! `Bssf::slice_page` or the key in `Verifier::observe`, or `collect()` a
-//! node's keys in `BTree::descend`.
+//! `Bssf::slice_page` or the key in `Verifier::observe`, `collect()` a
+//! node's keys in `BTree::descend`, or parse the leaf (`Leaf::entries`)
+//! before `Leaf::compact` in `BTree::insert_into_leaf`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -494,6 +501,58 @@ fn pool_hit(rows: &mut Vec<Row>) {
         allocations,
         budget: 0,
     });
+}
+
+/// A tree whose first leaf holds `keys` postings of `oids` OIDs each, keys
+/// `0..keys` filled one after another (so the last ends the leaf's heap),
+/// plus `tail` single-OID keys after them that grow it to a taller tree.
+fn nix_tree(keys: u64, oids: u64, tail: u64) -> BTree {
+    let mut tree = BTree::create(Arc::new(Disk::new()), "nix");
+    for key in 0..keys {
+        (0..oids).for_each(|oid| tree.insert(key, oid).unwrap());
+    }
+    (0..tail).for_each(|key| tree.insert(1_000 + key, key).unwrap());
+    tree
+}
+
+/// A NIX update edits its leaf in place: an insert into an inline posting
+/// allocates the leaf's copy-on-write copy and the descent path, a remove
+/// the copy — whether the leaf holds one entry or nineteen, whether the
+/// record grows where it is, moves, or the leaf compacts first. Nothing is
+/// parsed, so nothing is allocated per entry. (Its own test: an update reads
+/// `height + 1` pages, so no shape reads ten times its budget.)
+#[test]
+fn nix_updates_allocate_the_leaf_copy_not_its_entries() {
+    // 19 × (10 + 8·25 + 4) = 4,066 of the leaf's 4,088 bytes: 22 free, so
+    // key 0's 210-byte record can neither grow nor move — the leaf compacts.
+    // At 20 OIDs a key, 782 are free and the record moves; a lone key's
+    // record ends the heap and grows in place.
+    let shapes = [
+        ("1 entry, grows in place", nix_tree(1, 25, 0), 0),
+        (
+            "19 entries, heap end, grows in place",
+            nix_tree(19, 20, 0),
+            18,
+        ),
+        ("19 entries, moves to the heap end", nix_tree(19, 20, 0), 0),
+        ("19 entries, compacts", nix_tree(19, 25, 0), 0),
+        ("height 1, 1,000 keys", nix_tree(1, 25, 1_000), 0),
+    ];
+    for (shape, mut tree, key) in shapes {
+        let (pages, height) = (tree.storage_pages().unwrap(), tree.height());
+        let (inserted, ()) = count(|| tree.insert(key, 99).unwrap());
+        let (removed, found) = count(|| tree.remove(key, 3).unwrap());
+        assert!(found);
+        assert_eq!(tree.storage_pages().unwrap(), pages, "{shape}: no split");
+        println!("nix.btree.insert / remove [{shape}, height {height}]: {inserted} / {removed}");
+        assert_eq!(
+            inserted,
+            1 + u64::from(height > 0),
+            "{shape}: an insert allocates the leaf copy and the descent path"
+        );
+        assert_eq!(removed, 1, "{shape}: a remove allocates the leaf copy");
+        tree.check_integrity().unwrap();
+    }
 }
 
 #[test]
