@@ -1031,8 +1031,13 @@ mod engine_tests {
         let disk = Arc::new(Disk::new());
         let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 256));
         let b = populated(Arc::clone(&pool) as Arc<dyn PageIo>, 40);
+        // The write-through load installed every page; start from a cold pool.
+        pool.clear();
+        let before = pool.stats();
         let q = SetQuery::has_subset(vec![ElementKey::from(7 * 17)]);
         let (first, first_stats) = b.candidates_with_stats(&q).unwrap();
+        let cold = pool.stats();
+        assert!(cold.misses > before.misses, "cold scan must reach the disk");
         disk.reset_stats();
         let (second, second_stats) = b.candidates_with_stats(&q).unwrap();
         assert_eq!(first, second);
@@ -1045,7 +1050,7 @@ mod engine_tests {
             "repeat query must be pool-resident"
         );
         let cache = b.cache_stats().expect("pooled facility reports pool stats");
-        assert!(cache.hits > 0);
+        assert!(cache.hits > cold.hits, "repeat query must hit the pool");
         assert_eq!(
             cache,
             pool.stats(),

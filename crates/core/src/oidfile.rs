@@ -401,6 +401,11 @@ mod tests {
         let d = disk.snapshot();
         assert_eq!((d.reads, d.writes), (2, 1));
         assert_eq!(f.get(pos).unwrap(), None);
+        // Entry on the first page: the scan stops there.
+        disk.reset_stats();
+        f.delete_by_oid(Oid::new(5)).unwrap();
+        let d = disk.snapshot();
+        assert_eq!((d.reads, d.writes), (1, 1));
         // Deleting an absent OID reports OidNotFound.
         assert!(matches!(
             f.delete_by_oid(Oid::new(999_999)),

@@ -600,8 +600,13 @@ mod engine_tests {
         for i in 0..200u64 {
             s.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
+        // The write-through inserts installed every page; start from a cold pool.
+        pool.clear();
+        let before = pool.stats();
         let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
         let first = s.candidates(&q).unwrap();
+        let cold = pool.stats();
+        assert!(cold.misses > before.misses, "cold scan must reach the disk");
         disk.reset_stats();
         let second = s.candidates(&q).unwrap();
         assert_eq!(first, second);
@@ -611,7 +616,7 @@ mod engine_tests {
             "repeat scan must be pool-resident"
         );
         let cache = s.cache_stats().expect("pooled facility reports pool stats");
-        assert!(cache.hits > 0);
+        assert!(cache.hits > cold.hits, "repeat scan must hit the pool");
         assert_eq!(
             cache,
             pool.stats(),

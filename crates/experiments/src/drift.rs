@@ -12,12 +12,18 @@
 //! instance's ground-truth sets (never from the engines' counters, which
 //! would be circular):
 //! [`Ssf::signature_pages`](setsig_core::Ssf::signature_pages); BSSF slices
-//! by [`and_scan_pages`] / the first `min(cap, F − weight)` zero-slices,
-//! each as long as its last `1` makes it ([`slice_pages`]); FSSF
+//! by `and_scan_pages` / the first `min(cap, F − weight)` zero-slices,
+//! each as long as its last `1` makes it (`slice_pages`); FSSF
 //! frames consumed × pages per frame; per NIX probe [`BTree::rc_lookup`] +
 //! [`BTree::chain_links`]; each plus [`OidFile::pages_touched`] over the
 //! drops (`LC_OID`). Object pages must equal `P_s·actual + P_p·false` drops,
 //! and the facility's pages per filter unit the closed form's.
+//!
+//! **Storage is held the same way.** Once per run, before the updates, each
+//! signature file's `storage_pages()` (Table 6's `SC`) must equal the files
+//! the instance predicts plus `SC_OID`: SSF its signature pages, BSSF every
+//! slice as long as its last `1` makes it, FSSF `k` frames of pages per
+//! frame.
 //!
 //! **Updates are held the same way.** After the queries, every facility
 //! takes one insert and one delete of a probe object per trial (Table 7's
@@ -30,10 +36,11 @@
 //! the paper's, with `m_t + 1` for BSSF.
 //!
 //! **Banded, where the closed form is an expectation.** The filter units
-//! (query weight vs `m_s`, distinct query frames) with their exact occupancy
-//! variance ([`occupancy`]), and the drops vs `F_d·(N − A) + A` with the
+//! (query weight vs `m_s`, distinct query frames, the slices the instance's
+//! distinct elements set) with their exact occupancy variance
+//! (`occupancy`), and the drops vs `F_d·(N − A) + A` with the
 //! variance of the model's own Bernoulli reading, false drops grouped by
-//! posting list for the signature files ([`drops`]). The average over `T`
+//! posting list for the signature files (`drops`). The average over `T`
 //! trials must lie within [`Banded::half_width`] of the expectation; a
 //! variance of zero means equality.
 
@@ -100,14 +107,15 @@ impl Banded {
 
 /// Distinct positions set when `items` elements each set `per_item`
 /// distinct, uniformly placed positions out of `bins` — the query
-/// signature weight (`bins = F`, `per_item = m`, mean `m_s`) and the
-/// distinct query frames of FSSF (`bins = k`, `per_item = 1`).
+/// signature weight (`bins = F`, `per_item = m`, mean `m_s`), the
+/// distinct query frames of FSSF (`bins = k`, `per_item = 1`) and the BSSF
+/// slices the instance materializes (`items` = its distinct elements).
 ///
 /// With `q₁ = (1 − m/F)^n` the probability one position stays clear and
 /// `q₂ = ((F−m)(F−m−1) / (F(F−1)))^n` that two do, the clear count `U` has
 /// `E[U] = F·q₁` and `E[U(U−1)] = F(F−1)·q₂`, so
 /// `σ² = F(F−1)·q₂ + F·q₁ − (F·q₁)²`.
-pub fn occupancy(bins: u32, per_item: u32, items: u32) -> Banded {
+fn occupancy(bins: u32, per_item: u32, items: u32) -> Banded {
     let (b, k, n) = (f64::from(bins), f64::from(per_item), items as i32);
     let q1 = (1.0 - k / b).powi(n);
     let q2 = ((b - k) * (b - k - 1.0) / (b * (b - 1.0))).powi(n);
@@ -123,7 +131,7 @@ pub fn occupancy(bins: u32, per_item: u32, items: u32) -> Banded {
 /// `F_d·(N − A) + A`. Qualification is independent across objects; false
 /// drops arrive `group` objects at a time (see the module docs), which
 /// multiplies their variance: `σ² = group·F_d(1 − F_d)(N − A) + A(1 − A/N)`.
-pub fn drops(n: u64, fd: f64, actual: f64, group: f64) -> Banded {
+fn drops(n: u64, fd: f64, actual: f64, group: f64) -> Banded {
     let n = n as f64;
     let false_drops = fd * (n - actual);
     Banded {
@@ -135,7 +143,7 @@ pub fn drops(n: u64, fd: f64, actual: f64, group: f64) -> Banded {
 /// Objects a signature file's false drops arrive together in: the
 /// `d = D_t·N/V` objects holding one element (the paper's posting-list
 /// length, §4.3).
-pub fn group_size(p: &Params, d_t: u32) -> f64 {
+fn group_size(p: &Params, d_t: u32) -> f64 {
     f64::from(d_t) * p.n as f64 / p.v as f64
 }
 
@@ -171,11 +179,11 @@ impl ModelTerms {
 /// The page facts of one measured query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trial {
-    /// `ScanStats.pages` of the call; `None` for an update, which reports
-    /// none.
+    /// `ScanStats.pages` of the call; `None` for an update or a storage
+    /// count, which report none.
     pub reported: Option<u64>,
     /// `Disk` pages over the call: reads of a query, reads + writes of an
-    /// update.
+    /// update; for storage, the pages the facility's files hold.
     pub disk_pages: u64,
     /// Predicted slice / signature / frame / probe pages.
     pub filter: u64,
@@ -385,6 +393,12 @@ impl DriftReport {
              split of those pages",
         );
         ex.note(
+            "table6 rows: each signature file's storage pages, once per run, before the updates; \
+             exact = the pages its files hold = predicted (filter = signature / slice / frame \
+             pages, LC_OID = SC_OID); the closed form is the paper's SC, its BSSF slices those \
+             the instance's distinct elements set",
+        );
+        ex.note(
             "table7 rows: one insert and one delete of a probe object of D_q = D_t elements per \
              trial; exact = disk reads + writes of the call = predicted (filter = the facility's \
              own files, LC_OID = the OID file); the closed forms are the paper's UC_I / UC_D, with \
@@ -402,7 +416,7 @@ impl DriftReport {
 /// Pages of slice `j` the writer materialized for the rows `sigs`: up to
 /// the last row page holding a `1` — none for a slice no row set a bit on.
 /// A scan reads only these; what lies past them is zeros, for free.
-pub fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
+fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
     let last = sigs.iter().rposition(|s| s.bitmap().get(j));
     last.map_or(0, |row| (row / rows_per_page + 1) as u64)
 }
@@ -411,7 +425,7 @@ pub fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
 /// (`rows_per_page` target signatures), one page per slice — if the slice
 /// reaches that far ([`slice_pages`]) — until no signature of that row page
 /// has every bit so far.
-pub fn and_scan_pages(sigs: &[Signature], ones: &[u32], rows_per_page: usize) -> u64 {
+fn and_scan_pages(sigs: &[Signature], ones: &[u32], rows_per_page: usize) -> u64 {
     let lengths: Vec<u64> = (ones.iter())
         .map(|&j| slice_pages(sigs, j, rows_per_page))
         .collect();
@@ -573,6 +587,17 @@ type Checkpoint<'a> = (
     Banded,
     f64,
     f64,
+);
+
+/// One storage checkpoint: series, the facility, the query subject whose
+/// pages per filter unit it shares, its predicted `(filter pages, filter
+/// units)` and the closed form's filter units.
+type StorageRow<'a> = (
+    &'static str,
+    &'a dyn SetAccessFacility,
+    &'a Subject<'a>,
+    (u64, u64),
+    Banded,
 );
 
 fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> DriftPoint {
@@ -749,7 +774,7 @@ fn measure_updates(
 /// `grown` pages: each split appends its new page, then reads and rewrites
 /// the parent — except that a new root (`grew`) is appended alone, with no
 /// parent to read, rewrite or split.
-pub fn split_pages(grown: u64, grew: bool) -> u64 {
+fn split_pages(grown: u64, grew: bool) -> u64 {
     3 * grown - if grew { 4 } else { 0 }
 }
 
@@ -760,8 +785,9 @@ const D_T: u32 = 10;
 /// paper's `D_t = 10` workload: SSF and BSSF at `F = 500, m = 2` (BSSF flat
 /// and behind a 1-shard `QueryService`),
 /// FSSF at `F = 500, k = 50, m = 3`, and NIX — every predicate and smart
-/// strategy each of them has a scan for, then one insert and one delete of
-/// a probe object per facility and trial.
+/// strategy each of them has a scan for, then each signature file's
+/// storage, then one insert and one delete of a probe object per facility
+/// and trial.
 pub fn run(scale: u64, trials: u32) -> DriftReport {
     let opts = Options {
         simulate: true,
@@ -907,6 +933,49 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         .into_iter()
         .map(|checkpoint| measure(checkpoint, &sim, p, opts.trials))
         .collect();
+
+    // Table 6, before the updates add their probes: the files each signature
+    // file holds, with the query subjects' pages per filter unit.
+    let slices: Vec<u64> = (0..f)
+        .map(|j| slice_pages(&sigs, j, rows_per_page))
+        .collect();
+    let materialized = slices.iter().filter(|&&pages| pages > 0).count() as u64;
+    let frames = u64::from(fk);
+    #[rustfmt::skip]
+    let storage: [StorageRow; 3] = [
+        ("ssf sc", &ssf, &ssf_subject, (sig_pages, 1), one),
+        ("bssf sc", &bssf, &flat, (slices.iter().sum(), materialized), occupancy(f, m, postings.len() as u32)),
+        ("fssf sc", &fssf, &fssf_subject, (frames * frame_pages, frames), probes(fk)),
+    ];
+    let sc_oid = (sim.sets.len() as u64).div_ceil(OIDS_PER_PAGE);
+    points.extend(storage.into_iter().map(
+        |(series, facility, subject, (filter, units), model_units)| DriftPoint {
+            exhibit: "table6",
+            series,
+            d_q: d_t,
+            params: p,
+            model: ModelTerms {
+                unit_pages: subject.model_unit_pages,
+                units: model_units,
+                drops: Banded::exact(0.0),
+                lc_oid: p.sc_oid() as f64,
+                object: 0.0,
+            },
+            unit_pages: subject.unit_pages,
+            trials: vec![Trial {
+                reported: None,
+                disk_pages: facility.storage_pages().expect("storage pages"),
+                filter,
+                lc_oid: sc_oid,
+                units,
+                object_pages: 0,
+                actual: 0,
+                false_drops: 0,
+                split_pages: 0,
+            }],
+        },
+    ));
+
     let updated = (&mut ssf, &mut bssf, &mut fssf, &mut nix);
     points.extend(measure_updates(&sim, p, opts.trials, updated));
 
@@ -942,7 +1011,7 @@ mod tests {
     #[test]
     fn every_checkpoint_conforms_on_every_trial_at_ci_scale() {
         let report = report();
-        assert_eq!(report.points.len(), 27);
+        assert_eq!(report.points.len(), 30);
         for p in &report.points {
             assert!(
                 p.ok(),
@@ -954,7 +1023,8 @@ mod tests {
             );
             assert_eq!(p.exact_trials(), p.trials.len());
         }
-        assert_eq!(report.trial_count(), 54);
+        // Two per query and update checkpoint, one per storage checkpoint.
+        assert_eq!(report.trial_count(), 57);
     }
 
     /// The gate has no page of tolerance: one page more or less on any
@@ -994,8 +1064,9 @@ mod tests {
             off.unit_pages += 1;
             assert!(!off.ok(), "{}: unit geometry +1", base.series);
         }
-        // The updates report nothing and still answer to the disk.
+        // Updates and storage report nothing and still answer to the disk.
         for (series, d_q) in [
+            ("bssf sc", 10),
             ("bssf insert", 10),
             ("fssf insert", 10),
             ("ssf delete", 10),
@@ -1074,6 +1145,10 @@ mod tests {
             ("nix ⊇", 3, nix.rc_superset(3)),
             ("nix ⊇ smart", 3, nix.rc_superset_smart(3, 2)),
             ("nix ⊆", d_sub, nix.rc_subset_counting(d_sub)),
+            // Table 6. BSSF's slice units are those the instance's distinct
+            // elements set, `F` only once they set every slice.
+            ("ssf sc", 10, SsfModel::new(p, 500, 2, 10).sc() as f64),
+            ("fssf sc", 10, FssfModel::new(p, 500, 50, 3, 10).sc() as f64),
             // Table 7, with the writer's m_t + 1 for the BSSF insert.
             ("ssf insert", 10, SsfModel::new(p, 500, 2, 10).uc_insert()),
             ("ssf delete", 10, SsfModel::new(p, 500, 2, 10).uc_delete()),

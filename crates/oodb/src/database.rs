@@ -487,7 +487,7 @@ mod tests {
     use super::*;
     use crate::schema::AttrType;
     use crate::sql::parse_query;
-    use setsig_core::{Bssf, SignatureConfig, Ssf};
+    use setsig_core::{Bssf, SetPredicate, SignatureConfig, Ssf};
     use setsig_pagestore::BufferPool;
 
     fn hobbies_db() -> (Database, ClassId) {
@@ -875,5 +875,54 @@ mod tests {
         ]);
         let r = db.execute_set_query(fidx, &q).unwrap();
         assert_eq!(r.actual, vec![a, b]);
+    }
+
+    #[test]
+    fn resolution_charges_one_page_per_inline_candidate_and_the_span_of_a_spanning_one() {
+        const PAGE: usize = 4096;
+        let mut db = Database::in_memory();
+        let class = db
+            .define_class(ClassDef::new(
+                "Synthetic",
+                vec![("elems", AttrType::set_of(AttrType::Int))],
+            ))
+            .unwrap();
+        let ints = |r: std::ops::Range<i64>| Value::set(r.map(Value::Int).collect());
+        let k = 40u64;
+        let mut oids: Vec<Oid> = (0..k as i64)
+            .map(|i| db.insert_object(class, vec![ints(i..i + 10)]).unwrap())
+            .collect();
+        let big = db.insert_object(class, vec![ints(0..1000)]).unwrap();
+        oids.push(big);
+        let span = db.get_object(big).unwrap().encode().len().div_ceil(PAGE) as u64;
+        assert_eq!(span, 3, "9 bytes an element");
+
+        let source = db.target_source(class, "elems").unwrap();
+        let candidates = CandidateSet::new(oids, false);
+        let keys = |r: std::ops::Range<u64>| r.map(ElementKey::from).collect::<Vec<_>>();
+        // Every stored set starts below 40 and ends at 9 or above. Against
+        // {5000..5003} each verdict but ⊇'s is fixed by the first element read
+        // (a miss, and no hit can follow); against {0..2000} ⊆ and = need the
+        // last one. The charge is the same: the record is read to its end.
+        for elements in [keys(5000..5003), keys(0..2000), keys(5..6), vec![]] {
+            for predicate in [
+                SetPredicate::HasSubset,
+                SetPredicate::InSubset,
+                SetPredicate::Equals,
+                SetPredicate::Overlaps,
+            ] {
+                let query = SetQuery::new(predicate, elements.clone());
+                let before = db.disk().snapshot();
+                let report = resolve_drops(&query, &candidates, &source).unwrap();
+                let io = db.disk().snapshot().since(before);
+                assert_eq!(
+                    (io.reads, io.writes),
+                    (k + span, 0),
+                    "{predicate} against {} elements",
+                    elements.len()
+                );
+                assert_eq!(report.candidates, k + 1);
+            }
+        }
     }
 }
