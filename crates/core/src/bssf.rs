@@ -39,7 +39,7 @@
 //! cleared before the row is written again (the torn-row rule — see
 //! `rowfile.rs`), so the next object at that position does not inherit them.
 
-use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{count_reads, Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
@@ -159,17 +159,14 @@ impl Bssf {
         self.append_rows(&oids, sigs)
     }
 
-    /// Reads row page `p` of slice `j`, charging one page — or `None`, for
-    /// free, for a page no row ever set a bit on (never materialized: all
-    /// zero).
-    fn slice_page(&self, j: u32, p: usize, ctr: &mut ScanStats) -> Result<Option<Page>> {
+    /// Reads row page `p` of slice `j` — or `None`, for free, for a page no
+    /// row ever set a bit on (never materialized: all zero).
+    fn slice_page(&self, j: u32, p: usize) -> Result<Option<Page>> {
         let slice = &self.slices.files()[j as usize];
         if p >= slice.pages as usize {
             return Ok(None);
         }
-        let page = slice.file.read(p as u32)?;
-        ctr.pages += 1;
-        Ok(Some(page))
+        Ok(Some(slice.file.read(p as u32)?))
     }
 
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
@@ -178,14 +175,14 @@ impl Bssf {
     /// Every selected page is read and charged. The OR skips the 512-row
     /// blocks whose rows are all set ([`kernel::or_blocks`]): no later slice
     /// can change them, so that saves CPU work and no page.
-    fn or_slices(&self, slices: &[u32], ctr: &mut ScanStats) -> Result<Bitmap> {
+    fn or_slices(&self, slices: &[u32]) -> Result<Bitmap> {
         let n = self.oid_file.len();
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
             let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
             let mut live = !0;
             for &j in slices {
-                if let Some(page) = self.slice_page(j, p, ctr)? {
+                if let Some(page) = self.slice_page(j, p)? {
                     live = kernel::or_blocks(words, page.as_bytes(), rows, live);
                 }
             }
@@ -218,7 +215,7 @@ impl Bssf {
                 consumed += 1;
                 // A never-materialized page is all zeros: ANDing no bytes
                 // clears the range. The kernel reports liveness as it goes.
-                let page = self.slice_page(j, p, ctr)?;
+                let page = self.slice_page(j, p)?;
                 let bytes = page.as_ref().map_or(&[][..], |page| page.as_bytes());
                 if kernel::and_assign(words, bytes) == 0 {
                     break;
@@ -258,7 +255,7 @@ impl Bssf {
             ctr.early_exit = true;
         }
         ctr.slices += take as u64;
-        let acc = self.or_slices(&zeros[..take], ctr)?;
+        let acc = self.or_slices(&zeros[..take])?;
         Ok(acc.iter_zeros().map(u64::from).collect())
     }
 
@@ -284,7 +281,7 @@ impl Bssf {
         let mut counts = vec![0u32; n];
         for (p, rows) in counts.chunks_mut(ROWS_PER_PAGE as usize).enumerate() {
             for &j in &ones {
-                if let Some(page) = self.slice_page(j, p, ctr)? {
+                if let Some(page) = self.slice_page(j, p)? {
                     kernel::accumulate_ones(rows, page.as_bytes());
                 }
             }
@@ -348,9 +345,12 @@ impl SetAccessFacility for Bssf {
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         let mut stats = ScanStats::default();
-        let positions = self.positions_for(query, &mut stats)?;
-        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
-        Ok((drops, Some(stats)))
+        let (drops, pages) = count_reads(|| {
+            let positions = self.positions_for(query, &mut stats)?;
+            self.oid_file.drops_at(&positions)
+        });
+        stats.pages = pages;
+        Ok((drops?, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -962,7 +962,7 @@ mod tests {
                 .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
                 .collect();
             let mut ctr = ScanStats::default();
-            let got = b.positions_for(q, &mut ctr).unwrap();
+            let (got, pages) = count_reads(|| b.positions_for(q, &mut ctr).unwrap());
             assert_eq!(got, expect, "{:?} N {n}", q.predicate);
             let ones: Vec<u32> = qsig.bitmap().iter_ones().collect();
             let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
@@ -972,7 +972,7 @@ mod tests {
                 SetPredicate::Overlaps => subset_pages(&ones),
                 _ => superset_pages(&ones),
             };
-            assert_eq!(ctr.pages, plain, "{:?} N {n}", q.predicate);
+            assert_eq!(pages, plain, "{:?} N {n}", q.predicate);
             // Slice-major: the first `ctr.slices` selected slices, each
             // read to its materialized end.
             let selected = match q.predicate {
@@ -985,10 +985,9 @@ mod tests {
                 .map(|&j| lens[j as usize] as u64)
                 .sum();
             assert!(
-                ctr.pages <= slice_major,
-                "{:?}: {} pages > slice-major {slice_major}",
-                q.predicate,
-                ctr.pages
+                pages <= slice_major,
+                "{:?}: {pages} pages > slice-major {slice_major}",
+                q.predicate
             );
         }
     }
@@ -1289,7 +1288,7 @@ impl Bssf {
         // staged at their new positions, already in writer order.
         let mut staged: Vec<RowBit> = Vec::new();
         for j in 0..self.cfg.f_bits() {
-            let rows = self.or_slices(&[j], &mut ScanStats::default())?;
+            let rows = self.or_slices(&[j])?;
             for (new_pos, &(old_pos, _)) in (0u64..).zip(&live) {
                 if rows.get(old_pos as u32) {
                     let (page_no, bit) = Self::row_page(new_pos);

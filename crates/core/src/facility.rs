@@ -14,9 +14,12 @@ use setsig_pagestore::CacheStats;
 /// OID-file look-up that maps matching signature positions to candidate
 /// OIDs (the paper's `LC_OID`) — what the paper's serial protocol charges,
 /// whether a buffer pool under the handle served a read from memory or from
-/// disk. Every `candidates*` call fills a fresh instance on its own stack
-/// and returns it, so concurrent queries on one facility each observe
-/// exactly their own counts.
+/// disk. No scan counts its own pages: each facility's
+/// `candidates_with_stats` runs its filter inside
+/// [`count_reads`](setsig_pagestore::count_reads), the per-thread tally
+/// every [`PagedFile::read`](setsig_pagestore::PagedFile::read) bumps, so a
+/// read cannot go uncharged. A query runs on one thread, so concurrent
+/// queries on one facility each observe exactly their own counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Slice/signature/OID pages the scan read.

@@ -24,7 +24,7 @@
 //! * The false drop probability matches BSSF's Eq. (2): within a frame the
 //!   ones-fraction is `1 − (1 − m/s)^{D_t/k} ≈ 1 − e^{−m·D_t/F}`.
 
-use setsig_pagestore::{PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{count_reads, PageIo, PagedFile, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -174,7 +174,7 @@ impl Fssf {
     }
 
     /// Reads frame `j` and invokes `visit(row, row_bits)` for every stored
-    /// row, charging one read per frame page to `ctr`.
+    /// row, counting the frame in `ctr`.
     ///
     /// [`Fssf::insert`] keeps every frame file long enough for the indexed
     /// row count, so a frame shorter than `⌈n/rpp⌉` pages can only mean the
@@ -205,7 +205,6 @@ impl Fssf {
         let mut bits = Bitmap::zeroed(s as u32);
         while row < n {
             let page = file.read(page_no)?;
-            ctr.pages += 1;
             let rows_here = (n - row).min(rpp);
             for r in 0..rows_here {
                 let base = r as usize * s;
@@ -341,14 +340,19 @@ impl SetAccessFacility for Fssf {
         // No smart strategy: a capped query runs the plain frame scan.
         let mut stats = ScanStats::default();
         let ctr = &mut stats;
-        let positions = match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => self.superset_positions(query, ctr),
-            SetPredicate::InSubset => self.subset_positions(query, ctr),
-            SetPredicate::Equals => self.equals_positions(query, ctr),
-            SetPredicate::Overlaps => self.overlap_positions(query, ctr),
-        }?;
-        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
-        Ok((drops, Some(stats)))
+        let (drops, pages) = count_reads(|| {
+            let positions = match query.predicate {
+                SetPredicate::HasSubset | SetPredicate::Contains => {
+                    self.superset_positions(query, ctr)
+                }
+                SetPredicate::InSubset => self.subset_positions(query, ctr),
+                SetPredicate::Equals => self.equals_positions(query, ctr),
+                SetPredicate::Overlaps => self.overlap_positions(query, ctr),
+            }?;
+            self.oid_file.drops_at(&positions)
+        });
+        stats.pages = pages;
+        Ok((drops?, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {

@@ -37,7 +37,9 @@
 //!   nested index in `setsig-nix`; a filter call returns its drops with
 //!   the [`ScanStats`] of that call,
 //! * [`resolve_drops`] — false-drop resolution against any
-//!   [`TargetSetSource`] (e.g. the object store in `setsig-oodb`).
+//!   [`TargetSetSource`] (e.g. the object store in `setsig-oodb`),
+//! * [`meta`] — the catalog checkpoint blobs every facility (the nested
+//!   index included) writes with `sync_meta` and reads back with `open`.
 //!
 //! Everything runs on the accounting disk of `setsig-pagestore`, so each
 //! query's cost in *page accesses* — the paper's metric — is measurable.
@@ -72,7 +74,7 @@ mod facility;
 mod fssf;
 mod hash;
 pub mod kernel;
-mod meta;
+pub mod meta;
 mod oid;
 mod oidfile;
 mod query;

@@ -12,39 +12,46 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 
-/// A little-endian byte writer for metadata blobs.
-pub(crate) struct MetaWriter {
+/// A little-endian byte writer for metadata blobs: a 4-byte magic tag, then
+/// the fields in the order they are written.
+pub struct MetaWriter {
     buf: Vec<u8>,
 }
 
 impl MetaWriter {
-    pub(crate) fn new(magic: &[u8; 4]) -> Self {
+    /// Starts a blob tagged `magic`.
+    pub fn new(magic: &[u8; 4]) -> Self {
         MetaWriter {
             buf: magic.to_vec(),
         }
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// Appends a `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Appends a `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(self) -> Vec<u8> {
+    /// The finished blob.
+    pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
-/// The matching reader; all methods fail with a catalog error on underrun.
-pub(crate) struct MetaReader<'a> {
+/// The matching reader; all methods fail with a catalog error
+/// ([`Error::BadConfig`]) on a wrong tag, an underrun or trailing bytes.
+pub struct MetaReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> MetaReader<'a> {
-    pub(crate) fn new(buf: &'a [u8], magic: &[u8; 4]) -> Result<Self> {
+    /// Opens `buf`, which must start with `magic`.
+    pub fn new(buf: &'a [u8], magic: &[u8; 4]) -> Result<Self> {
         if buf.len() < 4 || &buf[..4] != magic {
             return Err(Error::BadConfig(format!(
                 "meta blob has wrong magic (expected {:?})",
@@ -54,33 +61,26 @@ impl<'a> MetaReader<'a> {
         Ok(MetaReader { buf, pos: 4 })
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos + n;
-        let slice = self
-            .buf
-            .get(self.pos..end)
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = (self.buf.get(self.pos..self.pos + N))
+            .and_then(|slice| slice.try_into().ok())
             .ok_or_else(|| Error::BadConfig("truncated meta blob".into()))?;
-        self.pos = end;
-        Ok(slice)
+        self.pos += N;
+        Ok(bytes)
     }
 
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Reads the next `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Reads the next `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
-    pub(crate) fn done(&self) -> Result<()> {
+    /// Fails unless every byte was read.
+    pub fn done(&self) -> Result<()> {
         if self.pos != self.buf.len() {
             return Err(Error::BadConfig("trailing bytes in meta blob".into()));
         }
@@ -88,22 +88,16 @@ impl<'a> MetaReader<'a> {
     }
 }
 
-/// Writes a meta blob into `meta` (creating the file when `meta` is
-/// `None`), returning the meta file.
-pub(crate) fn checkpoint(
+/// Writes a meta blob into `meta` (creating `<name>.meta` on `io` when `meta`
+/// is `None`), returning the meta file's id.
+pub fn checkpoint(
     io: &Arc<dyn PageIo>,
     meta: &mut Option<PagedFile>,
     name: &str,
     blob: &[u8],
 ) -> Result<FileId> {
-    let file = match meta {
-        Some(f) => f.clone(),
-        None => {
-            let f = PagedFile::create(Arc::clone(io), &format!("{name}.meta"));
-            *meta = Some(f.clone());
-            f
-        }
-    };
+    let file =
+        meta.get_or_insert_with(|| PagedFile::create(Arc::clone(io), &format!("{name}.meta")));
     file.write_blob(blob)?;
     Ok(file.id())
 }

@@ -11,7 +11,7 @@
 //! file (`UC_I = 2`), deletion tombstones the OID file entry (`UC_D =
 //! SC_OID/2`).
 
-use setsig_pagestore::{Page, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{count_reads, Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::config::SignatureConfig;
@@ -142,16 +142,6 @@ impl Ssf {
     /// [`RowTest`], and each fetched page's rows are matched **in place**
     /// by [`kernel::match_rows`] — no per-row signature is materialized.
     pub fn scan_matching_positions(&self, query: &SetQuery) -> Result<Vec<u64>> {
-        self.scan_matching_positions_counted(query, &mut ScanStats::default())
-    }
-
-    /// [`Ssf::scan_matching_positions`] charging its page accounting to
-    /// `ctr` — the stats of the calling `candidates*` frame.
-    fn scan_matching_positions_counted(
-        &self,
-        query: &SetQuery,
-        ctr: &mut ScanStats,
-    ) -> Result<Vec<u64>> {
         let query_sig = query.signature(&self.cfg);
         let total = self.oid_file.len();
         let npages = self.sig_file.len()?;
@@ -166,7 +156,6 @@ impl Ssf {
         let mut positions = Vec::new();
         for page_no in 0..npages {
             self.scan_page(test.as_ref(), qw, total, page_no, &mut positions)?;
-            ctr.pages += 1;
         }
         Ok(positions)
     }
@@ -276,10 +265,15 @@ impl SetAccessFacility for Ssf {
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         // No smart strategy: a capped query runs the plain full scan.
-        let mut stats = ScanStats::default();
-        let positions = self.scan_matching_positions_counted(query, &mut stats)?;
-        let drops = self.oid_file.drops_at(&positions, &mut stats)?;
-        Ok((drops, Some(stats)))
+        let (drops, pages) = count_reads(|| {
+            let positions = self.scan_matching_positions(query)?;
+            self.oid_file.drops_at(&positions)
+        });
+        let stats = ScanStats {
+            pages,
+            ..ScanStats::default()
+        };
+        Ok((drops?, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {

@@ -17,7 +17,7 @@ pub use validate::{appendix_c, validate_fd, varcard};
 use crate::report::Exhibit;
 use crate::sim::SimDb;
 use setsig_costmodel::Params;
-use setsig_workload::{Cardinality, Distribution, WorkloadConfig};
+use setsig_workload::{Cardinality, WorkloadConfig};
 
 /// Attaches the JSONL query trace (`<id>.trace.jsonl`) gathered by `sims`
 /// to the exhibit, and its fold (`<id>.metrics.txt`, see
@@ -88,7 +88,6 @@ impl Options {
             n_objects: p.n,
             domain: p.v,
             cardinality: Cardinality::Fixed(d_t),
-            distribution: Distribution::Uniform,
             seed: 0x1993_5160 + d_t as u64,
         }
     }

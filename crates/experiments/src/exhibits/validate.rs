@@ -185,7 +185,6 @@ pub fn varcard(opts: &Options) -> Exhibit {
             n_objects: p.n,
             domain: p.v,
             cardinality,
-            distribution: setsig_workload::Distribution::Uniform,
             seed: 0xcafe + d_t as u64,
         };
         let sim = SimDb::build(cfg);

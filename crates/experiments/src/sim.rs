@@ -204,14 +204,13 @@ impl SimDb {
 mod tests {
     use super::*;
     use setsig_pagestore::BufferPool;
-    use setsig_workload::{Cardinality, Distribution};
+    use setsig_workload::Cardinality;
 
     fn small_cfg() -> WorkloadConfig {
         WorkloadConfig {
             n_objects: 500,
             domain: 200,
             cardinality: Cardinality::Fixed(10),
-            distribution: Distribution::Uniform,
             seed: 17,
         }
     }

@@ -1,7 +1,8 @@
 //! A page-oriented B-tree mapping 8-byte keys to posting lists of OIDs.
 
+use setsig_core::meta::{checkpoint, MetaReader, MetaWriter};
 use setsig_core::{Error, Result};
-use setsig_pagestore::{Page, PageIo, PagedFile};
+use setsig_pagestore::{FileId, Page, PageIo, PagedFile};
 use std::sync::Arc;
 
 use crate::node::{
@@ -53,47 +54,31 @@ impl BTree {
     /// Checkpoints the tree's catalog state (root, height, counters, file
     /// binding) into its meta file, creating it on first use. Returns the
     /// meta file id to hand to [`BTree::open`].
-    pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
-        let meta = match &self.meta_file {
-            Some(f) => f.clone(),
-            None => {
-                let f = PagedFile::create(Arc::clone(self.file.io()), "btree.meta");
-                self.meta_file = Some(f.clone());
-                f
-            }
-        };
-        let mut blob = Vec::with_capacity(4 + 4 + 4 + 4 + 8 + 8);
-        blob.extend_from_slice(b"NIX1");
-        blob.extend_from_slice(&self.file.id().raw().to_le_bytes());
-        blob.extend_from_slice(&self.root.to_le_bytes());
-        blob.extend_from_slice(&self.height.to_le_bytes());
-        blob.extend_from_slice(&self.key_count.to_le_bytes());
-        blob.extend_from_slice(&self.posting_count.to_le_bytes());
-        meta.write_blob(&blob)?;
-        Ok(meta.id())
+    pub fn sync_meta(&mut self) -> Result<FileId> {
+        let mut w = MetaWriter::new(b"NIX1");
+        w.u32(self.file.id().raw());
+        w.u32(self.root);
+        w.u32(self.height);
+        w.u64(self.key_count);
+        w.u64(self.posting_count);
+        checkpoint(self.file.io(), &mut self.meta_file, "btree", &w.finish())
     }
 
     /// Reopens a tree from the meta file written by [`BTree::sync_meta`].
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
-    pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
+    pub fn open(io: Arc<dyn PageIo>, meta: FileId) -> Result<Self> {
         let meta_file = PagedFile::open(Arc::clone(&io), meta);
         let blob = meta_file.read_blob()?;
-        if blob.len() != 32 || &blob[..4] != b"NIX1" {
-            return Err(Error::BadConfig("not a B-tree meta blob".into()));
-        }
-        let rd_u32 = |o: usize| u32::from_le_bytes(blob[o..o + 4].try_into().unwrap());
-        let rd_u64 = |o: usize| u64::from_le_bytes(blob[o..o + 8].try_into().unwrap());
-        Ok(BTree {
-            file: PagedFile::open(io, setsig_pagestore::FileId::from_raw(rd_u32(4))),
-            root: rd_u32(8),
-            height: rd_u32(12),
-            key_count: rd_u64(16),
-            posting_count: rd_u64(24),
+        let mut r = MetaReader::new(&blob, b"NIX1")?;
+        let tree = BTree {
+            file: PagedFile::open(io, FileId::from_raw(r.u32()?)),
+            root: r.u32()?,
+            height: r.u32()?,
+            key_count: r.u64()?,
+            posting_count: r.u64()?,
             meta_file: Some(meta_file),
-        })
+        };
+        r.done()?;
+        Ok(tree)
     }
 
     /// The page I/O backend the tree lives on.
@@ -334,19 +319,17 @@ impl BTree {
     /// a fresh `Vec`.
     ///
     /// [`lookup_into`]: BTree::lookup_into
-    pub fn lookup(&self, key: u64, pages: &mut u64) -> Result<Vec<u64>> {
+    pub fn lookup(&self, key: u64) -> Result<Vec<u64>> {
         let mut oids = Vec::new();
-        self.lookup_into(key, &mut oids, pages)?;
+        self.lookup_into(key, &mut oids)?;
         Ok(oids)
     }
 
     /// Appends the posting list of `key` to `out` (nothing when absent),
     /// growing it at most once. Costs `height + 1 (+ chain length)` page
-    /// reads — the paper's `rc` — and adds them to `pages`, the calling
-    /// query's counter (`&mut 0` when nobody is counting).
-    pub fn lookup_into(&self, key: u64, out: &mut Vec<u64>, pages: &mut u64) -> Result<()> {
+    /// reads — the paper's `rc`.
+    pub fn lookup_into(&self, key: u64, out: &mut Vec<u64>) -> Result<()> {
         let (_, page) = self.descend(key, |_| {})?;
-        *pages += u64::from(self.rc_lookup());
         let Ok(slot) = Leaf::search(&page, key) else {
             return Ok(());
         };
@@ -354,21 +337,17 @@ impl BTree {
             return Ok(());
         };
         out.reserve(total as usize);
-        *pages += self.read_chain(head, out)?;
-        Ok(())
+        self.read_chain(head, out)
     }
 
-    /// Appends the OIDs of the overflow chain starting at `link` to `out`,
-    /// returning the links read.
-    fn read_chain(&self, mut link: u32, out: &mut Vec<u64>) -> Result<u64> {
-        let mut links = 0;
+    /// Appends the OIDs of the overflow chain starting at `link` to `out`.
+    fn read_chain(&self, mut link: u32, out: &mut Vec<u64>) -> Result<()> {
         while link != NO_PAGE {
             let page = self.file.read(link)?;
-            links += 1;
             out.extend((0..Overflow::count(&page)).map(|i| Overflow::oid(&page, i)));
             link = Overflow::next(&page);
         }
-        Ok(links)
+        Ok(())
     }
 
     /// Removes `oid` from `key`'s posting list. Returns whether it was
@@ -539,7 +518,7 @@ impl std::fmt::Debug for BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setsig_pagestore::Disk;
+    use setsig_pagestore::{count_reads, Disk};
 
     fn tree() -> (Arc<Disk>, BTree) {
         let disk = Arc::new(Disk::new());
@@ -552,8 +531,8 @@ mod tests {
         let (_d, mut t) = tree();
         t.insert(42, 100).unwrap();
         t.insert(42, 200).unwrap();
-        assert_eq!(t.lookup(42, &mut 0).unwrap(), vec![100, 200]);
-        assert_eq!(t.lookup(43, &mut 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.lookup(42).unwrap(), vec![100, 200]);
+        assert_eq!(t.lookup(43).unwrap(), Vec::<u64>::new());
         assert_eq!(t.key_count(), 1);
         assert_eq!(t.posting_count(), 2);
         t.check_integrity().unwrap();
@@ -572,7 +551,7 @@ mod tests {
         assert_eq!(t.key_count(), 2000);
         assert_eq!(t.posting_count(), 6000);
         for k in [0u64, 700, 6993, 13993] {
-            let oids = t.lookup(k, &mut 0).unwrap();
+            let oids = t.lookup(k).unwrap();
             assert_eq!(oids.len(), 3, "key {k}");
         }
         t.check_integrity().unwrap();
@@ -590,10 +569,7 @@ mod tests {
             rev.insert(k, k + 1).unwrap();
         }
         for &k in &keys {
-            assert_eq!(
-                fwd.lookup(k, &mut 0).unwrap(),
-                rev.lookup(k, &mut 0).unwrap()
-            );
+            assert_eq!(fwd.lookup(k).unwrap(), rev.lookup(k).unwrap());
         }
         fwd.check_integrity().unwrap();
         rev.check_integrity().unwrap();
@@ -608,7 +584,7 @@ mod tests {
             // The geometry accessor predicts every look-up on the way up.
             if [1, 400, 401, 511, 512, 1022, 1023, n].contains(&(i + 1)) {
                 let before = disk.snapshot();
-                t.lookup(5, &mut 0).unwrap();
+                t.lookup(5).unwrap();
                 assert_eq!(
                     disk.snapshot().since(before).reads,
                     u64::from(t.rc_lookup()) + BTree::chain_links(i + 1),
@@ -617,7 +593,7 @@ mod tests {
                 );
             }
         }
-        let mut oids = t.lookup(5, &mut 0).unwrap();
+        let mut oids = t.lookup(5).unwrap();
         oids.sort_unstable();
         assert_eq!(oids, (0..n).collect::<Vec<_>>());
         t.check_integrity().unwrap();
@@ -629,10 +605,10 @@ mod tests {
         t.insert(1, 10).unwrap();
         t.insert(1, 20).unwrap();
         assert!(t.remove(1, 10).unwrap());
-        assert_eq!(t.lookup(1, &mut 0).unwrap(), vec![20]);
+        assert_eq!(t.lookup(1).unwrap(), vec![20]);
         assert!(!t.remove(1, 10).unwrap(), "already gone");
         assert!(t.remove(1, 20).unwrap());
-        assert_eq!(t.lookup(1, &mut 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.lookup(1).unwrap(), Vec::<u64>::new());
         assert_eq!(t.key_count(), 0);
 
         // Chain removal.
@@ -642,7 +618,7 @@ mod tests {
         }
         assert!(t.remove(9, 3).unwrap());
         assert!(!t.remove(9, n + 5).unwrap());
-        let oids = t.lookup(9, &mut 0).unwrap();
+        let oids = t.lookup(9).unwrap();
         assert_eq!(oids.len() as u64, n - 1);
         assert!(!oids.contains(&3));
         t.check_integrity().unwrap();
@@ -683,7 +659,7 @@ mod tests {
         let ((), io) = io_of(&disk, || t.insert(1, 101).unwrap());
         assert_eq!((t.height(), t.storage_pages().unwrap()), (1, 3));
         assert_eq!(io, (1, 3), "leaf + right sibling + new root");
-        assert_eq!(t.lookup(1, &mut 0).unwrap(), (0..102).collect::<Vec<_>>());
+        assert_eq!(t.lookup(1).unwrap(), (0..102).collect::<Vec<_>>());
         t.check_integrity().unwrap();
     }
 
@@ -714,12 +690,12 @@ mod tests {
             assert_eq!(io, (u64::from(t.rc_lookup()) + at, 2), "oid {oid}");
         }
         assert_eq!((t.key_count(), t.posting_count()), (1, 1));
-        assert_eq!(t.lookup(5, &mut 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.lookup(5).unwrap(), Vec::<u64>::new());
         assert!(!t.remove(5, 0).unwrap());
         t.check_integrity().unwrap();
         // The key comes back inline.
         t.insert(5, 7).unwrap();
-        assert_eq!(t.lookup(5, &mut 0).unwrap(), vec![7]);
+        assert_eq!(t.lookup(5).unwrap(), vec![7]);
         t.check_integrity().unwrap();
     }
 
@@ -739,14 +715,9 @@ mod tests {
         }
         assert!(t.height() >= 1);
         disk.reset_stats();
-        let mut pages = 0;
-        let _ = t.lookup(2500, &mut pages).unwrap();
+        let (_, pages) = count_reads(|| t.lookup(2500).unwrap());
         assert_eq!(disk.snapshot().reads as u32, t.rc_lookup());
-        assert_eq!(
-            pages as u32,
-            t.rc_lookup(),
-            "the look-up counts its own reads"
-        );
+        assert_eq!(pages as u32, t.rc_lookup(), "the tally counts its reads");
     }
 
     #[test]

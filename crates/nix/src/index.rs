@@ -1,10 +1,11 @@
 //! The nested index as a set access facility.
 
+use setsig_core::meta::{checkpoint, MetaReader, MetaWriter};
 use setsig_core::{
     sorted, CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility,
     SetPredicate, SetQuery,
 };
-use setsig_pagestore::{Disk, PageIo};
+use setsig_pagestore::{count_reads, Disk, FileId, PageIo, PagedFile};
 use std::sync::Arc;
 
 use crate::btree::BTree;
@@ -52,7 +53,7 @@ pub struct Nix {
     /// Indexed objects whose set is empty.
     empties: u64,
     /// Catalog checkpoint file; created lazily by [`Nix::sync_meta`].
-    meta_file: Option<setsig_pagestore::PagedFile>,
+    meta_file: Option<PagedFile>,
 }
 
 impl Nix {
@@ -79,9 +80,9 @@ impl Nix {
 
     /// Appends to `out` the posting words of the element digest `key` —
     /// never those of empty sets, should the element share their key.
-    fn postings_into(&self, key: u64, out: &mut Vec<u64>, pages: &mut u64) -> Result<()> {
+    fn postings_into(&self, key: u64, out: &mut Vec<u64>) -> Result<()> {
         let from = out.len();
-        self.tree.lookup_into(key, out, pages)?;
+        self.tree.lookup_into(key, out)?;
         if key == EMPTY_SET_KEY && self.empties > 0 {
             let mut at = 0;
             out.retain(|&word| {
@@ -94,9 +95,9 @@ impl Nix {
 
     /// Appends the objects whose set is empty to `oids`. Probes nothing
     /// while there are none, so no other query's page charge moves.
-    fn empty_sets_into(&self, oids: &mut Vec<Oid>, pages: &mut u64) -> Result<()> {
+    fn empty_sets_into(&self, oids: &mut Vec<Oid>) -> Result<()> {
         if self.empties > 0 {
-            let words = self.tree.lookup(EMPTY_SET_KEY, pages)?;
+            let words = self.tree.lookup(EMPTY_SET_KEY)?;
             oids.extend(words.into_iter().filter(|&w| card_of(w) == 0).map(oid_of));
         }
         Ok(())
@@ -111,7 +112,7 @@ impl Nix {
     /// Under a smart cap (§5.1.3) only the first `cap` elements' posting
     /// lists are intersected; the rest are verified at drop resolution, so
     /// a truncated answer is *not* exact.
-    fn intersection(&self, query: &SetQuery, pages: &mut u64) -> Result<(Vec<u64>, bool)> {
+    fn intersection(&self, query: &SetQuery) -> Result<(Vec<u64>, bool)> {
         let d_q = query.elements.len();
         let take = d_q.min(query.cap().unwrap_or(d_q));
         // Posting lists come in insertion order; each is put in ascending
@@ -121,7 +122,7 @@ impl Nix {
         let mut acc: Option<Vec<u64>> = None;
         for e in &query.elements[..take] {
             let mut list = Vec::new();
-            self.postings_into(e.digest8(), &mut list, pages)?;
+            self.postings_into(e.digest8(), &mut list)?;
             sorted::sort_dedup(&mut list);
             let met = match &acc {
                 None => list,
@@ -141,13 +142,12 @@ impl Nix {
     fn union(
         &self,
         query: &SetQuery,
-        pages: &mut u64,
         at: impl Fn(u64) -> u64,
         reached: impl FnMut(u64),
     ) -> Result<()> {
         let mut pooled = Vec::new();
         for digest in query_digests(query) {
-            self.postings_into(digest, &mut pooled, pages)?;
+            self.postings_into(digest, &mut pooled)?;
         }
         tally(&pooled, at, reached);
         Ok(())
@@ -157,25 +157,25 @@ impl Nix {
     /// the union reaches its `|T|`, and every object with an empty set
     /// qualifies. Exact, unless a kept `|T|` is saturated. (No smart
     /// strategy: the probes are the union's, whatever the cap.)
-    fn subset_candidates(&self, query: &SetQuery, pages: &mut u64) -> Result<CandidateSet> {
+    fn subset_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
         let (mut oids, mut exact) = (Vec::new(), true);
-        self.union(query, pages, card_of, |word| {
+        self.union(query, card_of, |word| {
             exact &= card_of(word) != SATURATED;
             oids.push(oid_of(word));
         })?;
-        self.empty_sets_into(&mut oids, pages)?;
+        self.empty_sets_into(&mut oids)?;
         Ok(CandidateSet::new(oids, exact))
     }
 
     /// `T = Q`: the `T ⊇ Q` intersection, kept where `|T| = |Q|`; for
     /// `Q = ∅`, the objects with an empty set.
-    fn equal_candidates(&self, query: &SetQuery, pages: &mut u64) -> Result<CandidateSet> {
+    fn equal_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
         if query.elements.is_empty() {
             let mut oids = Vec::new();
-            self.empty_sets_into(&mut oids, pages)?;
+            self.empty_sets_into(&mut oids)?;
             return Ok(CandidateSet::new(oids, true));
         }
-        let (words, _) = self.intersection(query, pages)?;
+        let (words, _) = self.intersection(query)?;
         let card = (query_digests(query).len() as u64).min(SATURATED);
         let kept = words.into_iter().filter(|&w| card_of(w) == card);
         Ok(CandidateSet {
@@ -336,9 +336,7 @@ impl SetAccessFacility for Nix {
     }
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let mut stats = ScanStats::default();
-        let pages = &mut stats.pages;
-        let drops = match query.predicate {
+        let (drops, pages) = count_reads(|| match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => {
                 if query.elements.is_empty() {
                     return Err(Error::BadQuery(
@@ -346,22 +344,26 @@ impl SetAccessFacility for Nix {
                             .into(),
                     ));
                 }
-                let (words, whole) = self.intersection(query, pages)?;
-                CandidateSet {
+                let (words, whole) = self.intersection(query)?;
+                Ok(CandidateSet {
                     oids: words.into_iter().map(oid_of).collect(),
                     exact: whole,
-                }
+                })
             }
-            SetPredicate::InSubset => self.subset_candidates(query, pages)?,
-            SetPredicate::Equals => self.equal_candidates(query, pages)?,
+            SetPredicate::InSubset => self.subset_candidates(query),
+            SetPredicate::Equals => self.equal_candidates(query),
             // Any object listed under any query element shares it.
             SetPredicate::Overlaps => {
                 let mut oids = Vec::new();
-                self.union(query, pages, |_| 1, |word| oids.push(oid_of(word)))?;
-                CandidateSet::new(oids, true)
+                self.union(query, |_| 1, |word| oids.push(oid_of(word)))?;
+                Ok(CandidateSet::new(oids, true))
             }
+        });
+        let stats = ScanStats {
+            pages,
+            ..ScanStats::default()
         };
-        Ok((drops, Some(stats)))
+        Ok((drops?, Some(stats)))
     }
 
     fn indexed_count(&self) -> u64 {
@@ -585,7 +587,7 @@ mod tests {
             (SetQuery::overlaps(elements), |_| 1),
         ] {
             let mut kept = Vec::new();
-            n.union(&query, &mut 0, at, |w| kept.push(w)).unwrap();
+            n.union(&query, at, |w| kept.push(w)).unwrap();
             kept.sort_unstable();
             assert_eq!(kept, [word, posting(Oid::new(2), 1).unwrap()]);
             assert_eq!(n.candidates(&query).unwrap().oids, [1, 2].map(Oid::new));
@@ -758,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_chain_links_are_counted() {
+    fn overflow_chain_links_are_charged() {
         let (disk, mut n) = nix();
         for i in 0..2000u64 {
             n.insert(Oid::new(i), &keys(&["hot"])).unwrap();
@@ -820,48 +822,26 @@ impl Nix {
     /// Checkpoints the index's catalog state: the B-tree checkpoint plus
     /// the indexed-object and empty-set counts, in a meta file of its own.
     /// Returns the meta file id to hand to [`Nix::open`].
-    pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
-        let tree_meta = self.tree.sync_meta()?;
-        let meta = match &self.meta_file {
-            Some(f) => f.clone(),
-            None => {
-                let f = setsig_pagestore::PagedFile::create(
-                    Arc::clone(self.tree.file_io()),
-                    "nix.meta",
-                );
-                self.meta_file = Some(f.clone());
-                f
-            }
-        };
-        let mut blob = Vec::with_capacity(24);
-        blob.extend_from_slice(META_TAG);
-        blob.extend_from_slice(&tree_meta.raw().to_le_bytes());
-        blob.extend_from_slice(&self.indexed.to_le_bytes());
-        blob.extend_from_slice(&self.empties.to_le_bytes());
-        meta.write_blob(&blob)?;
-        Ok(meta.id())
+    pub fn sync_meta(&mut self) -> Result<FileId> {
+        let mut w = MetaWriter::new(META_TAG);
+        w.u32(self.tree.sync_meta()?.raw());
+        w.u64(self.indexed);
+        w.u64(self.empties);
+        checkpoint(self.tree.file_io(), &mut self.meta_file, "nix", &w.finish())
     }
 
     /// Reopens a nested index from a [`Nix::sync_meta`] checkpoint.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "slice-to-array conversion of a subslice whose length the index expression fixes; cannot fail"
-    )]
-    pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
-        let meta_file = setsig_pagestore::PagedFile::open(Arc::clone(&io), meta);
+    pub fn open(io: Arc<dyn PageIo>, meta: FileId) -> Result<Self> {
+        let meta_file = PagedFile::open(Arc::clone(&io), meta);
         let blob = meta_file.read_blob()?;
-        if blob.len() != 24 || &blob[..4] != META_TAG {
-            return Err(Error::BadConfig(
-                "not a nested-index meta blob with |T| in its postings".into(),
-            ));
-        }
-        let rd_u64 = |o: usize| u64::from_le_bytes(blob[o..o + 8].try_into().unwrap());
-        let tree_meta =
-            setsig_pagestore::FileId::from_raw(u32::from_le_bytes(blob[4..8].try_into().unwrap()));
+        let mut r = MetaReader::new(&blob, META_TAG)?;
+        let tree_meta = FileId::from_raw(r.u32()?);
+        let (indexed, empties) = (r.u64()?, r.u64()?);
+        r.done()?;
         Ok(Nix {
             tree: BTree::open(io, tree_meta)?,
-            indexed: rd_u64(8),
-            empties: rd_u64(16),
+            indexed,
+            empties,
             meta_file: Some(meta_file),
         })
     }
@@ -929,7 +909,7 @@ mod meta_tests {
         nix.insert(Oid::new(1), &[ElementKey::from(3u64)]).unwrap();
         let tree_meta = nix.tree.sync_meta().unwrap();
         let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
-        let old = setsig_pagestore::PagedFile::create(io(), "nix.meta");
+        let old = PagedFile::create(io(), "nix.meta");
         let mut blob = b"NIXW".to_vec();
         blob.extend_from_slice(&tree_meta.raw().to_le_bytes());
         blob.extend_from_slice(&1u64.to_le_bytes());

@@ -129,7 +129,7 @@ proptest! {
                     }
                 }
                 Op::Lookup { key } => {
-                    let mut got = tree.lookup(key, &mut 0).unwrap();
+                    let mut got = tree.lookup(key).unwrap();
                     got.sort_unstable();
                     let mut expected = model.get(&key).cloned().unwrap_or_default();
                     expected.sort_unstable();
@@ -147,7 +147,7 @@ proptest! {
 
         // Final sweep: every key answers exactly.
         for (key, expected) in &model {
-            let mut got = tree.lookup(*key, &mut 0).unwrap();
+            let mut got = tree.lookup(*key).unwrap();
             got.sort_unstable();
             let mut want = expected.clone();
             want.sort_unstable();
@@ -172,7 +172,7 @@ proptest! {
         let mut chained = BTreeSet::new();
         let mut next_oid = 0u64;
         let check = |tree: &BTree, model: &BTreeMap<u64, Vec<u64>>, chained: &BTreeSet<u64>, key: u64| {
-            let got = tree.lookup(key, &mut 0).unwrap();
+            let got = tree.lookup(key).unwrap();
             let mut want = model.get(&key).cloned().unwrap_or_default();
             if chained.contains(&key) {
                 let mut got = got;
@@ -268,8 +268,8 @@ proptest! {
         let shuffled = build(&pairs);
         prop_assert_eq!(fwd.key_count(), shuffled.key_count());
         for &(k, _) in &pairs {
-            let mut a = fwd.lookup(k, &mut 0).unwrap();
-            let mut b = shuffled.lookup(k, &mut 0).unwrap();
+            let mut a = fwd.lookup(k).unwrap();
+            let mut b = shuffled.lookup(k).unwrap();
             a.sort_unstable();
             b.sort_unstable();
             prop_assert_eq!(a, b);

@@ -5,8 +5,9 @@
 //! facilities built over it: hot BSSF slice pages and SSF signature pages
 //! are served from the pool on re-query. Reads served from the pool do not
 //! reach the underlying disk and therefore do not appear in its counters;
-//! the scans' own page accounting ([`ScanStats`] in `setsig-core`) counts
-//! requests to the I/O handle and stays cache-independent.
+//! a query's page charge (the per-thread tally of
+//! [`PagedFile::read`](crate::PagedFile::read), [`count_reads`](crate::count_reads))
+//! counts requests to the I/O handle and stays cache-independent.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

@@ -1,10 +1,27 @@
-//! A convenience handle binding a [`FileId`] to the [`PageIo`] it lives on.
+//! A convenience handle binding a [`FileId`] to the [`PageIo`] it lives on,
+//! and the per-thread tally of the pages read through it.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::disk::{FileId, PageIo};
 use crate::error::Result;
 use crate::page::Page;
+
+thread_local! {
+    /// Pages this thread has read through [`PagedFile::read`].
+    static READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f` and returns its result with the pages it read through
+/// [`PagedFile::read`] on this thread — the filter-stage charge of the
+/// paper's serial protocol, whether a buffer pool served a read from memory
+/// or from disk. Reads of a nested call count for the outer call too.
+pub fn count_reads<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = READS.with(Cell::get);
+    let out = f();
+    (out, READS.with(Cell::get) - before)
+}
 
 /// A paged file: a [`FileId`] paired with the [`PageIo`] backing it.
 ///
@@ -40,8 +57,11 @@ impl PagedFile {
         &self.io
     }
 
-    /// Reads page `n`.
+    /// Reads page `n` and counts it in this thread's tally ([`count_reads`]).
+    /// The only page read facility code makes (the `accounting` lint), so a
+    /// filter call's page charge is exactly the reads made here.
     pub fn read(&self, n: u32) -> Result<Page> {
+        READS.with(|reads| reads.set(reads.get() + 1));
         self.io.read_page(self.id, n)
     }
 
@@ -181,6 +201,46 @@ mod tests {
         f.write_blob(&vec![9u8; 2 * PAGE_SIZE]).unwrap();
         f.write_blob(b"tiny").unwrap();
         assert_eq!(f.read_blob().unwrap(), b"tiny");
+    }
+
+    #[test]
+    fn the_tally_counts_this_threads_reads_and_only_reads() {
+        let (_disk, f) = file();
+        f.append(&Page::zeroed()).unwrap();
+        let ((), outer) = count_reads(|| {
+            f.read(0).unwrap();
+            let ((), inner) = count_reads(|| {
+                f.read(0).unwrap();
+                f.read(0).unwrap();
+            });
+            assert_eq!(inner, 2);
+            // Another thread's reads are its own.
+            let g = f.clone();
+            std::thread::spawn(move || assert_eq!(count_reads(|| g.read(0).unwrap()).1, 1))
+                .join()
+                .unwrap();
+        });
+        assert_eq!(outer, 3, "the nested call's reads are the outer call's too");
+        let ((), none) = count_reads(|| {
+            f.write(0, &Page::zeroed()).unwrap();
+            f.append(&Page::zeroed()).unwrap();
+            f.update(1, |p| p.write_u8(0, 1)).unwrap();
+            f.len().unwrap();
+        });
+        assert_eq!(none, 0, "write, append, update and len read nothing");
+    }
+
+    #[test]
+    fn a_pool_hit_counts_like_a_miss() {
+        let disk = Arc::new(Disk::new());
+        let pool = Arc::new(crate::BufferPool::new(Arc::clone(&disk), 4));
+        let f = PagedFile::create(pool.clone(), "t");
+        f.append(&Page::zeroed()).unwrap();
+        pool.clear();
+        let (_, miss) = count_reads(|| f.read(0).unwrap());
+        let (_, hit) = count_reads(|| f.read(0).unwrap());
+        assert_eq!((miss, hit), (1, 1));
+        assert_eq!((pool.stats().misses, pool.stats().hits), (1, 1));
     }
 
     #[test]

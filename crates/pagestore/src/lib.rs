@@ -12,6 +12,8 @@
 //! * [`Disk`] — an in-memory simulated disk holding named paged files, with
 //!   per-file read/write counters,
 //! * [`PagedFile`] — a cheap handle binding a [`FileId`] to its [`Disk`],
+//!   whose every read counts in a per-thread tally ([`count_reads`]) — the
+//!   page charge a facility's filter call reports,
 //! * [`BufferPool`] — an optional random-replacement page cache used by
 //!   the ablation experiments and the cached query engines (the paper
 //!   assumes no buffering),
@@ -54,6 +56,6 @@ mod stats;
 pub use cache::{BufferPool, CacheStats};
 pub use disk::{Disk, FileId, FileInfo, PageIo};
 pub use error::{Error, Result};
-pub use file::PagedFile;
+pub use file::{count_reads, PagedFile};
 pub use page::{Page, PAGE_SIZE};
 pub use stats::{FileStats, IoDelta, IoSnapshot};

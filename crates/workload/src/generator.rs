@@ -4,8 +4,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-use crate::zipf::Zipf;
-
 /// How target-set cardinalities are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cardinality {
@@ -33,17 +31,9 @@ impl Cardinality {
     }
 }
 
-/// How elements are drawn from the domain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Distribution {
-    /// Uniform over `0..V` — the paper's assumption.
-    Uniform,
-    /// Zipf-skewed with the given exponent (extension experiments).
-    Zipf(f64),
-}
-
-/// The data half of a workload: `N` objects over a `V`-element domain.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The data half of a workload: `N` objects over a `V`-element domain,
+/// elements drawn uniformly — the paper's assumption.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadConfig {
     /// Number of objects `N`.
     pub n_objects: u64,
@@ -51,8 +41,6 @@ pub struct WorkloadConfig {
     pub domain: u64,
     /// Target set cardinality policy.
     pub cardinality: Cardinality,
-    /// Element popularity distribution.
-    pub distribution: Distribution,
     /// RNG seed; equal configs generate equal workloads.
     pub seed: u64,
 }
@@ -64,7 +52,6 @@ impl WorkloadConfig {
             n_objects: 32_000,
             domain: 13_000,
             cardinality: Cardinality::Fixed(d_t),
-            distribution: Distribution::Uniform,
             seed: 0x1993_5160,
         }
     }
@@ -83,33 +70,20 @@ impl WorkloadConfig {
 pub struct SetGenerator {
     cfg: WorkloadConfig,
     rng: StdRng,
-    zipf: Option<Zipf>,
 }
 
 impl SetGenerator {
     /// Creates the generator.
     pub fn new(cfg: WorkloadConfig) -> Self {
-        let zipf = match cfg.distribution {
-            Distribution::Uniform => None,
-            Distribution::Zipf(theta) => Some(Zipf::new(cfg.domain as usize, theta)),
-        };
         SetGenerator {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
-            zipf,
         }
     }
 
     /// The config in force.
     pub fn config(&self) -> &WorkloadConfig {
         &self.cfg
-    }
-
-    fn draw_element(&mut self) -> u64 {
-        match &self.zipf {
-            None => self.rng.gen_range(0..self.cfg.domain),
-            Some(z) => z.sample(&mut self.rng) as u64,
-        }
     }
 
     /// Draws one target set: distinct elements, ascending order.
@@ -121,8 +95,7 @@ impl SetGenerator {
             .min(self.cfg.domain as u32);
         let mut set = BTreeSet::new();
         while (set.len() as u32) < d {
-            let e = self.draw_element();
-            set.insert(e);
+            set.insert(self.rng.gen_range(0..self.cfg.domain));
         }
         set.into_iter().collect()
     }
@@ -243,7 +216,6 @@ mod tests {
             n_objects: 2000,
             domain: 100,
             cardinality: Cardinality::Fixed(5),
-            distribution: Distribution::Uniform,
             seed: 5,
         };
         let sets = SetGenerator::new(cfg).generate_all();
@@ -260,27 +232,6 @@ mod tests {
                 "element {e}: {c} vs {expect}"
             );
         }
-    }
-
-    #[test]
-    fn zipf_workload_is_skewed() {
-        let cfg = WorkloadConfig {
-            n_objects: 2000,
-            domain: 1000,
-            cardinality: Cardinality::Fixed(5),
-            distribution: Distribution::Zipf(1.0),
-            seed: 5,
-        };
-        let sets = SetGenerator::new(cfg).generate_all();
-        let mut counts = vec![0u32; 1000];
-        for s in &sets {
-            for &e in s {
-                counts[e as usize] += 1;
-            }
-        }
-        let head: u32 = counts[..10].iter().sum();
-        let tail: u32 = counts[990..].iter().sum();
-        assert!(head > 10 * tail, "head {head} vs tail {tail}");
     }
 
     #[test]

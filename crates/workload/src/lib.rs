@@ -10,8 +10,8 @@
 //!   hypergeometrics),
 //! * *hit* queries derived from a stored target set, forcing actual drops
 //!   (subset-of-target for `T ⊇ Q`, superset-of-target for `T ⊆ Q`),
-//! * variable target cardinality and Zipf-skewed domains for the
-//!   extension experiments §6 lists as further work,
+//! * variable target cardinality for the extension experiments §6 lists
+//!   as further work,
 //! * the university scenario (Students × hobbies/courses) from §1, used by
 //!   the examples.
 //!
@@ -22,9 +22,7 @@
 mod generator;
 mod scenario;
 mod trace;
-mod zipf;
 
-pub use generator::{Cardinality, Distribution, QueryGen, SetGenerator, WorkloadConfig};
+pub use generator::{Cardinality, QueryGen, SetGenerator, WorkloadConfig};
 pub use scenario::{university_hobbies, UniversityScenario, HOBBY_NAMES};
 pub use trace::{generate_trace, TraceConfig, TraceOp};
-pub use zipf::Zipf;

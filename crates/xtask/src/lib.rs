@@ -12,16 +12,17 @@
 //!
 //! 1. **accounting** — raw page I/O (`read_page` / `write_page`) may only be
 //!    called from the allowlisted accounting wrappers inside
-//!    `crates/pagestore`, so no code path can bypass the disk counters or
-//!    the engines' [`ScanStats`] discipline and silently corrupt the
-//!    reproduced page-access numbers.
-//! 2. **layering** — crate dependencies (manifest edges *and* `setsig_*`
-//!    source references) must follow the workspace DAG: the storage layers
-//!    (`pagestore`, `core`) can never reach up into the harness layers
-//!    (`experiments`, `workload`), and pure-math crates
-//!    (`costmodel`, `workload`) stay dependency-free. Every member must
-//!    also opt into the workspace lint table, so no crate escapes the
-//!    compiler-held invariants.
+//!    `crates/pagestore`, so every page a facility reads goes through
+//!    `PagedFile::read` — the per-thread tally its [`ScanStats`] pages
+//!    come from — and no code path can bypass the disk counters or that
+//!    tally and silently corrupt the reproduced page-access numbers.
+//! 2. **layering** — crate dependencies (the manifests' `[dependencies]`
+//!    edges; cargo then refuses any `setsig_*` reference without one) must
+//!    follow the workspace DAG: the storage layers (`pagestore`, `core`)
+//!    can never reach up into the harness layers (`experiments`,
+//!    `workload`), and pure-math crates (`costmodel`, `workload`) stay
+//!    dependency-free. Every member must also opt into the workspace lint
+//!    table, so no crate escapes the compiler-held invariants.
 //! 3. **guard-across-io** — no lock guard may be live across a
 //!    `read_page`/`write_page`/`flush`/`sync` call; the pool comment's
 //!    promise, enforced.

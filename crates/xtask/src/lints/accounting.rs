@@ -1,13 +1,14 @@
 //! **accounting** — raw page I/O only inside accounting wrappers.
 //!
-//! The reproduced numbers of the paper are page-access counts: scans
-//! charge the pages they request through `ScanStats` while the disk
-//! records what actually reached it (fewer, under a buffer pool). Both
-//! only stay trustworthy if every page actually moves through the
-//! accounting substrate. This lint therefore forbids calling
-//! `read_page` / `write_page` anywhere except the allowlisted wrappers in
-//! `crates/pagestore` (the `Disk` itself, the `BufferPool` cache, and the
-//! `PagedFile` handle everything else is built on).
+//! The reproduced numbers of the paper are page-access counts: a filter
+//! call's `ScanStats.pages` is the per-thread tally `PagedFile::read` bumps
+//! (`setsig_pagestore::count_reads`), while the disk records what actually
+//! reached it (fewer, under a buffer pool). Both only stay trustworthy if
+//! every page moves through the accounting substrate — a read that skipped
+//! `PagedFile::read` would go uncharged. This lint therefore forbids
+//! calling `read_page` / `write_page` anywhere except the allowlisted
+//! wrappers in `crates/pagestore` (the `Disk` itself, the `BufferPool`
+//! cache, and the `PagedFile` handle everything else is built on).
 //!
 //! Test modules and integration tests are exempt — asserting on
 //! raw counters is exactly what they are for.
@@ -54,8 +55,8 @@ pub fn check_file(file: &SourceFile, allow: &Allowlist) -> Vec<Diagnostic> {
             lint: Lint::Accounting,
             msg: format!(
                 "raw page I/O `{}` outside an accounting wrapper; route it \
-                 through `PagedFile`/`BufferPool` so disk counters and \
-                 ScanStats stay exact, or justify the site in \
+                 through `PagedFile` so disk counters and the page \
+                 tally stay exact, or justify the site in \
                  crates/xtask/allow/accounting.allow",
                 t.text
             ),

@@ -10,12 +10,10 @@
 //! call returns its facts, and the trace is built by the harness that also
 //! resolves the drops, so tracing can never alter what a scan reads.
 //!
-//! Enforced on both levels:
-//! * **manifest edges** — `[dependencies]` in each `crates/*/Cargo.toml`
-//!   (dev-dependencies are test-only and exempt), and
-//! * **source references** — `setsig_*` identifiers in library/binary code,
-//!   outside `#[cfg(test)]` items (which, like dev-dependencies, are
-//!   test-only).
+//! Enforced on the manifest edges — `[dependencies]` in each
+//! `crates/*/Cargo.toml` (dev-dependencies are test-only and exempt). A
+//! `setsig_*` reference in non-test code needs such an edge, or the crate
+//! does not compile, so cargo holds the source half.
 //!
 //! A crate directory missing from `ALLOWED_DEPS` is itself a violation:
 //! adding a crate means consciously placing it in the DAG. So is a member
@@ -26,7 +24,7 @@
 
 use std::fs;
 
-use crate::workspace::{FileClass, SourceFile, Workspace};
+use crate::workspace::Workspace;
 use crate::{Diagnostic, Lint};
 
 /// The workspace DAG: crate dir → setsig crates it may depend on.
@@ -62,21 +60,9 @@ fn allowed_for(crate_dir: &str) -> Option<&'static [&'static str]> {
         .map(|(_, deps)| *deps)
 }
 
-/// Runs both the manifest and the source check.
+/// Runs the manifest check.
 pub fn run(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
-    let mut out = Vec::new();
-    out.extend(check_manifests(ws)?);
-    for file in &ws.files {
-        if file.class == FileClass::Test {
-            continue;
-        }
-        // The root facade re-exports everything by design.
-        let Some(crate_dir) = file.crate_dir.as_deref() else {
-            continue;
-        };
-        out.extend(check_source(file, crate_dir));
-    }
-    Ok(out)
+    check_manifests(ws)
 }
 
 /// The finding for a member manifest outside the workspace lint table.
@@ -178,35 +164,6 @@ fn manifest_deps(manifest: &str) -> Vec<(u32, String)> {
         if let Some(short) = name.strip_prefix("setsig-") {
             out.push((idx as u32 + 1, short.to_string()));
         }
-    }
-    out
-}
-
-/// `setsig_*` identifier references vs. the DAG.
-pub fn check_source(file: &SourceFile, crate_dir: &str) -> Vec<Diagnostic> {
-    let Some(allowed) = allowed_for(crate_dir) else {
-        return Vec::new(); // The manifest check reports unknown crates once.
-    };
-    let mut out = Vec::new();
-    for (t, _) in (file.scanned.toks.iter().zip(&file.test_mask)).filter(|(_, &test)| !test) {
-        let Some(short) = t.text.strip_prefix("setsig_") else {
-            continue;
-        };
-        if t.kind != crate::scan::TokKind::Ident {
-            continue;
-        }
-        if short == crate_dir || allowed.contains(&short) {
-            continue;
-        }
-        out.push(Diagnostic {
-            file: file.rel.clone(),
-            line: t.line,
-            lint: Lint::Layering,
-            msg: format!(
-                "`{crate_dir}` references `setsig_{short}` but may only use \
-                 {allowed:?}; this reference breaks the workspace layering"
-            ),
-        });
     }
     out
 }

@@ -60,8 +60,8 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
     )?;
     lap("accounting", &mut timings, &mut timer);
 
-    // layering: a bad mini-workspace (manifest edge + source reference) and
-    // a good one.
+    // layering: a bad mini-workspace (an upward manifest edge, a member
+    // outside the lint table, an unregistered crate) and a good one.
     check_tree_fixture(&fixtures.join("layering/bad"), &mut failures)?;
     check_tree_fixture(&fixtures.join("layering/good"), &mut failures)?;
     lap("layering", &mut timings, &mut timer);

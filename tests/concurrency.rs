@@ -2,6 +2,8 @@
 //! is internally synchronized, so many threads can query the same
 //! structures simultaneously and must all see consistent answers.
 
+#![allow(clippy::unwrap_used)] // test code
+
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use setsig::workload::{generate_trace, TraceConfig, TraceOp};
@@ -124,8 +126,9 @@ fn scan_stats_equal_filter_stage_disk_reads_on_every_predicate() {
 fn concurrent_queries_each_observe_their_own_scan_stats() {
     // Regression for the shared-counter race: two queries with very
     // different page footprints run simultaneously on one facility, many
-    // times over. Every call must report exactly the stats of its own
-    // scan — equal to a serial baseline — never a blend of both.
+    // times over — on every facility, and on a 2-shard service, all on one
+    // disk. Every call must report exactly the stats of its own scan —
+    // equal to a serial baseline — never a blend of both.
     let items: Vec<(Oid, Vec<ElementKey>)> = (0..3000u64)
         .map(|i| {
             (
@@ -135,10 +138,21 @@ fn concurrent_queries_each_observe_their_own_scan_stats() {
         })
         .collect();
     let disk = Arc::new(Disk::new());
-    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut b = Bssf::create(io, "r", SignatureConfig::new(256, 3).unwrap()).unwrap();
-    b.bulk_load(&items).unwrap();
-    let bssf = Arc::new(b);
+    let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
+    let sig = SignatureConfig::new(256, 3).unwrap();
+    let mut bssf = Bssf::create(io(), "r", sig).unwrap();
+    bssf.bulk_load(&items).unwrap();
+    let mut ssf = Ssf::create(io(), "s", sig).unwrap();
+    let mut fssf = Fssf::create(io(), "f", FssfConfig::new(256, 16, 3).unwrap()).unwrap();
+    let mut nix = Nix::on_io(io(), "n");
+    let shards = (0..2).map(|i| Bssf::create(io(), &format!("q{i}"), sig).unwrap());
+    let service = QueryService::new(shards.collect(), ServiceConfig::new(2)).unwrap();
+    for (oid, set) in &items {
+        ssf.insert(*oid, set).unwrap();
+        fssf.insert(*oid, set).unwrap();
+        nix.insert(*oid, set).unwrap();
+        service.insert(*oid, set).unwrap();
+    }
 
     // A cheap query (superset, early exit on a miss) and an expensive
     // one (subset reads every zero slice of the query signature).
@@ -148,44 +162,37 @@ fn concurrent_queries_each_observe_their_own_scan_stats() {
             .collect::<Vec<ElementKey>>(),
     );
     let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
-    let baselines: Vec<_> = [&q_cheap, &q_costly]
-        .iter()
-        .map(|q| {
-            let (set, stats) = bssf.candidates_with_stats(q).unwrap();
-            (set, stats.expect("bssf reports per-query stats"))
-        })
-        .collect();
-    assert_ne!(
-        baselines[0].1.pages, baselines[1].1.pages,
-        "queries must differ in cost for the race to be observable"
-    );
+    let queries = [&q_cheap, &q_costly];
+    race(&bssf, queries);
+    race(&ssf, queries);
+    race(&fssf, queries);
+    race(&nix, queries);
+    race(&service, queries);
+}
 
-    let handles: Vec<_> = [q_cheap, q_costly]
-        .into_iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let b = Arc::clone(&bssf);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
+/// Runs `queries` on two threads at once, 25 times each, and checks that
+/// every call returns the candidates and stats a serial call did.
+fn race(facility: &(impl SetAccessFacility + Sync), queries: [&SetQuery; 2]) {
+    let name = facility.name();
+    let serial = queries.map(|q| facility.candidates_with_stats(q).unwrap());
+    let pages = serial.each_ref().map(|(_, stats)| stats.unwrap().pages);
+    assert_ne!(
+        pages[0], pages[1],
+        "{name}: queries must differ in cost for the race to be observable"
+    );
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for (i, (q, want)) in queries.into_iter().zip(&serial).enumerate() {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
                 for _ in 0..25 {
-                    let (set, stats) = b.candidates_with_stats(&q).unwrap();
-                    out.push((set, stats.expect("bssf reports per-query stats")));
+                    let got = facility.candidates_with_stats(q).unwrap();
+                    assert_eq!(&got, want, "{name}: query {i} blended with the other query");
                 }
-                (i, out)
-            })
-        })
-        .collect();
-    for h in handles {
-        let (i, runs) = h.join().expect("no panics under concurrency");
-        let (want_set, want_stats) = &baselines[i];
-        for (set, stats) in runs {
-            assert_eq!(&set, want_set, "query {i} candidates diverged");
-            assert_eq!(
-                stats.pages, want_stats.pages,
-                "query {i} pages blended with the other query"
-            );
+            });
         }
-    }
+    });
 }
 
 #[test]

@@ -34,9 +34,9 @@ use counting_alloc::{count, CountingAlloc};
 use setsig::core::{kernel, Bitmap, FssfConfig};
 use setsig::nix::BTree;
 use setsig::oodb::ClassId;
-use setsig::pagestore::{Page, PagedFile, PAGE_SIZE};
+use setsig::pagestore::{count_reads, Page, PagedFile, PAGE_SIZE};
 use setsig::prelude::*;
-use setsig::workload::{Cardinality, Distribution};
+use setsig::workload::Cardinality;
 use setsig_experiments::SimDb;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -220,7 +220,6 @@ fn small_instance() -> SimDb {
         n_objects: SMALL,
         domain: 2_000,
         cardinality: Cardinality::Fixed(10),
-        distribution: Distribution::Uniform,
         seed: 1993,
     })
 }
@@ -429,8 +428,7 @@ fn btree_lookup(rows: &mut Vec<Row>) {
     }
     assert_eq!((low.height(), tall.height()), (0, 2));
     for (tree, key) in [(&low, 7), (&tall, 7), (&tall, 40_000), (&tall, 999_999)] {
-        let mut pages = 0;
-        let (allocations, postings) = count(|| tree.lookup(key, &mut pages).unwrap());
+        let ((allocations, postings), pages) = count_reads(|| count(|| tree.lookup(key).unwrap()));
         rows.push(Row {
             path: "nix.btree.lookup",
             shape: format!("height {}, {} postings", tree.height(), postings.len()),
