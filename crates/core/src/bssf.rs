@@ -34,26 +34,27 @@
 //! stage their rows through it; a batch pays one write per touched slice
 //! page however many rows it holds.
 //!
-//! The OID-file append is the **commit point**: a call that fails before it
-//! has indexed nothing, and the slice bits it had already written are
-//! cleared before the row is written again (the torn-row rule — see
-//! `rowfile.rs`), so the next object at that position does not inherit them.
+//! The OID-file append of [`SignatureFile`] is the **commit point**: a call
+//! that fails before it has indexed nothing, and the slice bits it had
+//! already written are cleared before the row is written again (the
+//! torn-row rule — see `rowfile.rs`), so the next object at that position
+//! does not inherit them.
 
-use setsig_pagestore::{count_reads, Page, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{FileId, Page, PageIo, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::kernel;
+use crate::meta::{MetaReader, MetaWriter};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
+use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
 use crate::signature::Signature;
-use crate::sorted;
 
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
@@ -69,65 +70,256 @@ const WORDS_PER_PAGE: usize = kernel::MASK_WORDS;
 /// the OID-file append, so `insert` costs `m_t + 1` writes. A failed call
 /// indexes nothing; the bits it had written are cleared before that row is
 /// written again.
-pub struct Bssf {
+pub type Bssf = SignatureFile<Slices>;
+
+/// The BSSF layout: `F` slice files `<name>.s<j>`, one per bit position.
+pub struct Slices {
     cfg: SignatureConfig,
     slices: RowFiles,
-    oid_file: OidFile,
-    /// Catalog checkpoint file; created lazily by [`Bssf::sync_meta`].
-    meta_file: Option<PagedFile>,
 }
 
-impl Bssf {
-    /// Creates an empty BSSF named `name` (slice files `<name>.s<j>`, OID
-    /// file `<name>.oid`) on `io`. Hand it a
-    /// [`BufferPool`](setsig_pagestore::BufferPool) to serve hot slice pages
-    /// from memory on re-query; the caller keeps the pool's `Arc`.
-    pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
-        let slices = RowFiles::create(&io, (0..cfg.f_bits()).map(|j| format!("{name}.s{j}")));
-        Ok(Bssf {
-            cfg,
-            slices,
-            oid_file: OidFile::create(io, &format!("{name}.oid")),
-            meta_file: None,
+impl Slices {
+    /// Reads row page `p` of slice `j` — or `None`, for free, for a page no
+    /// row ever set a bit on (never materialized: all zero).
+    fn slice_page(&self, j: u32, p: usize) -> Result<Option<Page>> {
+        let slice = &self.slices.files()[j as usize];
+        if p >= slice.pages as usize {
+            return Ok(None);
+        }
+        Ok(Some(slice.file.read(p as u32)?))
+    }
+
+    /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
+    /// count), a row page at a time, straight off the page snapshots.
+    ///
+    /// Every selected page is read and charged. The OR skips the 512-row
+    /// blocks whose rows are all set ([`kernel::or_blocks`]): no later slice
+    /// can change them, so that saves CPU work and no page.
+    fn or_slices(&self, slices: &[u32], n: u64) -> Result<Bitmap> {
+        let mut acc = Bitmap::zeroed(n as u32);
+        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
+            let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
+            let mut live = !0;
+            for &j in slices {
+                if let Some(page) = self.slice_page(j, p)? {
+                    live = kernel::or_blocks(words, page.as_bytes(), rows, live);
+                }
+            }
+        }
+        Ok(acc)
+    }
+
+    /// `T ⊇ Q` scan (§4.2) over `n` rows: AND of the slices at the query
+    /// signature's 1-positions (the smart strategy passes a reduced query
+    /// signature).
+    ///
+    /// Page-major: each row page's slice pages are ANDed straight off the
+    /// page snapshots ([`kernel::and_assign`]) into that page's word range of
+    /// the accumulator, and a row page stops once its range is empty — no
+    /// later slice can revive a row. Never reads more pages than ANDing whole
+    /// slices until the whole accumulator empties.
+    fn superset_positions(&self, query_sig: &Signature, n: u64) -> Result<Matches> {
+        // An empty query set reads nothing: everything is a superset.
+        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
+        let mut acc = Bitmap::ones(n as u32);
+        // Slices consumed by the longest-lived row page: the count at which
+        // the whole accumulator is empty, i.e. what a slice-major scan reads.
+        let mut deepest = 0;
+        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
+            let mut consumed = 0;
+            for &j in &ones {
+                consumed += 1;
+                // A never-materialized page is all zeros: ANDing no bytes
+                // clears the range. The kernel reports liveness as it goes.
+                let page = self.slice_page(j, p)?;
+                let bytes = page.as_ref().map_or(&[][..], |page| page.as_bytes());
+                if kernel::and_assign(words, bytes) == 0 {
+                    break;
+                }
+            }
+            deepest = deepest.max(consumed);
+        }
+        Ok(Matches {
+            positions: acc.iter_ones().map(u64::from).collect(),
+            slices: deepest as u64,
+            early_exit: deepest < ones.len(),
         })
     }
 
-    /// The signature design parameters.
-    pub fn config(&self) -> &SignatureConfig {
+    /// `T ⊆ Q` scan (§4.2) over `n` rows: OR of the slices at the query
+    /// signature's 0-positions; drops are the rows left clear. `slice_cap`
+    /// limits how many zero-slices are read (`F − m_s` of them under the
+    /// §5.2.2 smart strategy); `None` reads all `F − m_q`.
+    ///
+    /// OR only sets bits, so once every row of a row page is set no later
+    /// slice can change its answer. The scan still reads every selected
+    /// slice page exactly once, because the page charge is the paper's
+    /// `F − m_q`, which the drift gate (`exact`) and
+    /// `subset_scan_reads_f_minus_m_q_slices` pin. The live mask of
+    /// [`kernel::or_blocks`] skips only CPU work: a `⊆` early exit would
+    /// change pages and the cost model.
+    fn subset_positions(
+        &self,
+        query_sig: &Signature,
+        slice_cap: Option<usize>,
+        n: u64,
+    ) -> Result<Matches> {
+        let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
+        let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
+        let acc = self.or_slices(&zeros[..take], n)?;
+        Ok(Matches {
+            positions: acc.iter_zeros().map(u64::from).collect(),
+            slices: take as u64,
+            // The smart cap stops the scan before all F − m_q zero-slices.
+            early_exit: take < zeros.len(),
+        })
+    }
+
+    /// Overlap scan: rows sharing at least `m` set bits with the query
+    /// signature. Reads the `m_q` 1-slices and counts per row.
+    fn overlap_positions(&self, query_sig: &Signature, n: u64) -> Result<Matches> {
+        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
+        // Counts are u32, not u16: a row can match up to m_q ≤ F slices and
+        // F is a u32, so u16 counts wrapped (and `m_weight() as u16`
+        // truncated the threshold) for high-weight signatures — see
+        // `overlap_filter_survives_u16_boundary`.
+        let mut counts = vec![0u32; n as usize];
+        for (p, rows) in counts.chunks_mut(ROWS_PER_PAGE as usize).enumerate() {
+            for &j in &ones {
+                if let Some(page) = self.slice_page(j, p)? {
+                    kernel::accumulate_ones(rows, page.as_bytes());
+                }
+            }
+        }
+        Ok(Matches {
+            positions: Self::overlap_filter(&counts, self.cfg.m_weight()),
+            slices: ones.len() as u64,
+            early_exit: false,
+        })
+    }
+
+    /// Rows whose overlap count reaches the threshold `m`, ascending. The
+    /// threshold stays `u32` end-to-end — the old `m as u16` truncation made
+    /// a threshold of e.g. 70,000 admit rows with only 4,464 overlaps.
+    fn overlap_filter(counts: &[u32], m: u32) -> Vec<u64> {
+        counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c >= m)
+            .map(|(p, _)| p as u64)
+            .collect()
+    }
+}
+
+impl sealed::Sealed for Slices {}
+
+impl Layout for Slices {
+    type Config = SignatureConfig;
+    /// The row's 1-positions: the slices an insert writes a bit on.
+    type Row = Vec<u32>;
+    const NAME: &'static str = "BSSF";
+    const MAGIC: &'static [u8; 4] = b"BSF1";
+
+    fn create(io: &Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
+        let slices = RowFiles::create(io, (0..cfg.f_bits()).map(|j| format!("{name}.s{j}")));
+        Ok(Slices { cfg, slices })
+    }
+
+    fn config(&self) -> &SignatureConfig {
         &self.cfg
     }
 
-    /// The companion OID file.
-    pub fn oid_file(&self) -> &OidFile {
-        &self.oid_file
+    fn geometry(&self) -> (u32, u32) {
+        (self.cfg.f_bits(), self.cfg.m_weight())
     }
 
+    fn row(cfg: &SignatureConfig, set: &[ElementKey]) -> Vec<u32> {
+        Signature::for_set(cfg, set).bitmap().iter_ones().collect()
+    }
+
+    /// The one writer: stages the rows' set bits — one page write per
+    /// touched slice page — and commits.
+    fn append(
+        &mut self,
+        start: u64,
+        rows: impl Iterator<Item = Vec<u32>>,
+        commit: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let mut staged: Vec<RowBit> = Vec::new();
+        for (pos, ones) in (start..).zip(rows) {
+            let (page_no, bit) = ((pos / ROWS_PER_PAGE) as u32, (pos % ROWS_PER_PAGE) as u32);
+            staged.extend(ones.into_iter().map(|j| (j, page_no, bit)));
+        }
+        self.slices.append(staged, commit)
+    }
+
+    /// Which positions match `query`, honouring its smart cap: for `T ⊇ Q`
+    /// (§5.1.3) the scanned signature is formed from at most `cap` query
+    /// elements — we take the first — bounding the slice reads at
+    /// `≈ cap · m`; for `T ⊆ Q` (§5.2.2) at most `cap` of the query
+    /// signature's 0-slices are read (Appendix C's `D_q^opt` gives the cap
+    /// minimizing total cost; `setsig-costmodel` computes it). Drop
+    /// resolution still verifies the full predicate.
+    fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => {
+                let d_q = query.elements.len();
+                let take = d_q.min(query.cap().unwrap_or(d_q));
+                let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
+                let mut found = self.superset_positions(&reduced, n)?;
+                found.early_exit |= take < d_q;
+                Ok(found)
+            }
+            SetPredicate::InSubset => {
+                self.subset_positions(&query.signature(&self.cfg), query.cap(), n)
+            }
+            // Rows where every 1-slice is set and every 0-slice is clear:
+            // reads all `F` slices.
+            SetPredicate::Equals => {
+                let query_sig = query.signature(&self.cfg);
+                let sup = self.superset_positions(&query_sig, n)?;
+                Ok(sup.intersect(self.subset_positions(&query_sig, None, n)?))
+            }
+            SetPredicate::Overlaps => self.overlap_positions(&query.signature(&self.cfg), n),
+        }
+    }
+
+    fn storage_pages(&self) -> Result<u64> {
+        Ok(self.slices.storage_pages())
+    }
+
+    fn clear_torn(&mut self) -> Result<()> {
+        self.slices.clear_torn()
+    }
+
+    /// `BSF1`: `F`, `m`, seed, the OID file's fields, then the `F` slices.
+    fn write_meta(&self, w: &mut MetaWriter, oid_file: impl FnOnce(&mut MetaWriter)) {
+        w.u32(self.cfg.f_bits());
+        w.u32(self.cfg.m_weight());
+        w.u64(self.cfg.seed());
+        oid_file(w);
+        for slice in self.slices.files() {
+            w.u32(slice.file.id().raw());
+        }
+    }
+
+    fn open(
+        io: &Arc<dyn PageIo>,
+        r: &mut MetaReader<'_>,
+        oid_file: impl FnOnce(&mut MetaReader<'_>) -> Result<OidFile>,
+    ) -> Result<(Self, OidFile)> {
+        let cfg = SignatureConfig::with_seed(r.u32()?, r.u32()?, r.u64()?)?;
+        let oids = oid_file(r)?;
+        let ids = (0..cfg.f_bits()).map(|_| Ok(FileId::from_raw(r.u32()?)));
+        let slices = RowFiles::open(io, ids)?;
+        Ok((Slices { cfg, slices }, oids))
+    }
+}
+
+impl Bssf {
     /// Pages per slice file: `⌈n/(P·b)⌉` for `n` entries.
     pub fn pages_per_slice(&self) -> u64 {
         self.oid_file.len().div_ceil(ROWS_PER_PAGE)
-    }
-
-    fn row_page(pos: u64) -> (u32, u32) {
-        ((pos / ROWS_PER_PAGE) as u32, (pos % ROWS_PER_PAGE) as u32)
-    }
-
-    /// The one writer: stages the set bits of `sigs` as the rows after the
-    /// last entry — one page write per touched slice page — and commits
-    /// with the OID-file append.
-    fn append_rows(&mut self, oids: &[Oid], sigs: impl Iterator<Item = Signature>) -> Result<()> {
-        let start = self.oid_file.len();
-        let mut staged: Vec<RowBit> = Vec::new();
-        for (pos, sig) in (start..).zip(sigs) {
-            let (page_no, bit) = Self::row_page(pos);
-            staged.extend(sig.bitmap().iter_ones().map(|j| (j, page_no, bit)));
-        }
-        self.append_staged(oids, staged)
-    }
-
-    fn append_staged(&mut self, oids: &[Oid], staged: Vec<RowBit>) -> Result<()> {
-        let oid_file = &mut self.oid_file;
-        self.slices
-            .append(staged, || oid_file.bulk_append(oids).map(drop))
     }
 
     /// Builds the BSSF from scratch in one pass, writing every touched
@@ -154,238 +346,42 @@ impl Bssf {
     /// none of its entries.
     pub fn insert_batch(&mut self, items: &[(Oid, Vec<ElementKey>)]) -> Result<()> {
         let oids: Vec<Oid> = items.iter().map(|(oid, _)| *oid).collect();
-        let cfg = self.cfg;
-        let sigs = items.iter().map(|(_, set)| Signature::for_set(&cfg, set));
-        self.append_rows(&oids, sigs)
+        let cfg = self.layout.cfg;
+        let rows = items.iter().map(|(_, set)| Slices::row(&cfg, set));
+        self.append_rows(&oids, rows).map(drop)
     }
 
-    /// Reads row page `p` of slice `j` — or `None`, for free, for a page no
-    /// row ever set a bit on (never materialized: all zero).
-    fn slice_page(&self, j: u32, p: usize) -> Result<Option<Page>> {
-        let slice = &self.slices.files()[j as usize];
-        if p >= slice.pages as usize {
-            return Ok(None);
-        }
-        Ok(Some(slice.file.read(p as u32)?))
-    }
-
-    /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
-    /// count), a row page at a time, straight off the page snapshots.
+    /// Rebuilds the BSSF without tombstoned entries, reclaiming both OID
+    /// slots and the stale slice bits deletions leave behind (an extension;
+    /// §4.2 keeps tombstones forever).
     ///
-    /// Every selected page is read and charged. The OR skips the 512-row
-    /// blocks whose rows are all set ([`kernel::or_blocks`]): no later slice
-    /// can change them, so that saves CPU work and no page.
-    fn or_slices(&self, slices: &[u32]) -> Result<Bitmap> {
+    /// Signatures of the survivors are reconstructed from the slice files
+    /// themselves — one pass over all `F` slices — so no access to the
+    /// object store is needed. Returns the number of live entries kept.
+    pub fn compact(&mut self) -> Result<u64> {
+        let live = self.oid_file.scan_live()?;
         let n = self.oid_file.len();
-        let mut acc = Bitmap::zeroed(n as u32);
-        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
-            let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
-            let mut live = !0;
-            for &j in slices {
-                if let Some(page) = self.slice_page(j, p)? {
-                    live = kernel::or_blocks(words, page.as_bytes(), rows, live);
+        // Each slice is read once; a survivor's row collects its 1-slices
+        // in slice order.
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); live.len()];
+        for j in 0..self.layout.cfg.f_bits() {
+            let bits = self.layout.or_slices(&[j], n)?;
+            for (row, &(old_pos, _)) in rows.iter_mut().zip(&live) {
+                if bits.get(old_pos as u32) {
+                    row.push(j);
                 }
             }
         }
-        Ok(acc)
-    }
-
-    /// `T ⊇ Q` scan (§4.2): AND of the slices at the query signature's
-    /// 1-positions (the smart strategy passes a reduced query signature).
-    ///
-    /// Page-major: each row page's slice pages are ANDed straight off the
-    /// page snapshots ([`kernel::and_assign`]) into that page's word range of
-    /// the accumulator, and a row page stops once its range is empty — no
-    /// later slice can revive a row. Never reads more pages than ANDing whole
-    /// slices until the whole accumulator empties.
-    fn superset_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        let n = self.oid_file.len();
-        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
-        if ones.is_empty() {
-            // Empty query set: everything is a superset.
-            return Ok((0..n).collect());
-        }
-        let mut acc = Bitmap::ones(n as u32);
-        // Slices consumed by the longest-lived row page: the count at which
-        // the whole accumulator is empty, i.e. what a slice-major scan reads.
-        let mut deepest = 0;
-        for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
-            let mut consumed = 0;
-            for &j in &ones {
-                consumed += 1;
-                // A never-materialized page is all zeros: ANDing no bytes
-                // clears the range. The kernel reports liveness as it goes.
-                let page = self.slice_page(j, p)?;
-                let bytes = page.as_ref().map_or(&[][..], |page| page.as_bytes());
-                if kernel::and_assign(words, bytes) == 0 {
-                    break;
-                }
-            }
-            deepest = deepest.max(consumed);
-        }
-        ctr.slices += deepest as u64;
-        if deepest < ones.len() {
-            ctr.early_exit = true;
-        }
-        Ok(acc.iter_ones().map(u64::from).collect())
-    }
-
-    /// `T ⊆ Q` scan (§4.2): OR of the slices at the query signature's
-    /// 0-positions; drops are the rows left clear. `slice_cap` limits how
-    /// many zero-slices are read (`F − m_s` of them under the §5.2.2 smart
-    /// strategy); `None` reads all `F − m_q`.
-    ///
-    /// OR only sets bits, so once every row of a row page is set no later
-    /// slice can change its answer. The scan still reads every selected
-    /// slice page exactly once, because the page charge is the paper's
-    /// `F − m_q`, which the drift gate (`exact`) and
-    /// `subset_scan_reads_f_minus_m_q_slices` pin. The live mask of
-    /// [`kernel::or_blocks`] skips only CPU work: a `⊆` early exit would
-    /// change pages and the cost model.
-    fn subset_positions(
-        &self,
-        query_sig: &Signature,
-        slice_cap: Option<usize>,
-        ctr: &mut ScanStats,
-    ) -> Result<Vec<u64>> {
-        let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
-        let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
-        if take < zeros.len() {
-            // The smart cap stops the scan before all F − m_q zero-slices.
-            ctr.early_exit = true;
-        }
-        ctr.slices += take as u64;
-        let acc = self.or_slices(&zeros[..take])?;
-        Ok(acc.iter_zeros().map(u64::from).collect())
-    }
-
-    /// Set-equality scan: rows where every 1-slice is set and every 0-slice
-    /// is clear. Reads all `F` slices.
-    fn equals_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        // Both scans list their rows in ascending order.
-        let sup = self.superset_positions(query_sig, ctr)?;
-        let sub = self.subset_positions(query_sig, None, ctr)?;
-        Ok(sorted::intersect(&sup, &sub))
-    }
-
-    /// Overlap scan: rows sharing at least `m` set bits with the query
-    /// signature. Reads the `m_q` 1-slices and counts per row.
-    fn overlap_positions(&self, query_sig: &Signature, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        let n = self.oid_file.len() as usize;
-        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
-        ctr.slices += ones.len() as u64;
-        // Counts are u32, not u16: a row can match up to m_q ≤ F slices and
-        // F is a u32, so u16 counts wrapped (and `m_weight() as u16`
-        // truncated the threshold) for high-weight signatures — see
-        // `overlap_filter_survives_u16_boundary`.
-        let mut counts = vec![0u32; n];
-        for (p, rows) in counts.chunks_mut(ROWS_PER_PAGE as usize).enumerate() {
-            for &j in &ones {
-                if let Some(page) = self.slice_page(j, p)? {
-                    kernel::accumulate_ones(rows, page.as_bytes());
-                }
-            }
-        }
-        Ok(Self::overlap_filter(&counts, self.cfg.m_weight()))
-    }
-
-    /// Rows whose overlap count reaches the threshold `m`, ascending. The
-    /// threshold stays `u32` end-to-end — the old `m as u16` truncation made
-    /// a threshold of e.g. 70,000 admit rows with only 4,464 overlaps.
-    fn overlap_filter(counts: &[u32], m: u32) -> Vec<u64> {
-        counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c >= m)
-            .map(|(p, _)| p as u64)
-            .collect()
-    }
-
-    /// Which positions match `query`, honouring its smart cap: for `T ⊇ Q`
-    /// (§5.1.3) the scanned signature is formed from at most `cap` query
-    /// elements — we take the first — bounding the slice reads at
-    /// `≈ cap · m`; for `T ⊆ Q` (§5.2.2) at most `cap` of the query
-    /// signature's 0-slices are read (Appendix C's `D_q^opt` gives the cap
-    /// minimizing total cost; `setsig-costmodel` computes it). Drop
-    /// resolution still verifies the full predicate.
-    fn positions_for(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => {
-                let d_q = query.elements.len();
-                let take = d_q.min(query.cap().unwrap_or(d_q));
-                ctr.early_exit = take < d_q;
-                let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
-                self.superset_positions(&reduced, ctr)
-            }
-            SetPredicate::InSubset => {
-                self.subset_positions(&query.signature(&self.cfg), query.cap(), ctr)
-            }
-            SetPredicate::Equals => self.equals_positions(&query.signature(&self.cfg), ctr),
-            SetPredicate::Overlaps => self.overlap_positions(&query.signature(&self.cfg), ctr),
-        }
-    }
-}
-
-impl SetAccessFacility for Bssf {
-    fn name(&self) -> &'static str {
-        "BSSF"
-    }
-
-    fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let sig = Signature::for_set(&self.cfg, set);
-        self.append_rows(&[oid], std::iter::once(sig))
-    }
-
-    fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
-        // Like SSF: tombstone in the OID file only (§4.2); stale slice bits
-        // are filtered at OID look-up time.
-        self.oid_file.delete_by_oid(oid)?;
-        Ok(())
-    }
-
-    fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        let mut stats = ScanStats::default();
-        let (drops, pages) = count_reads(|| {
-            let positions = self.positions_for(query, &mut stats)?;
-            self.oid_file.drops_at(&positions)
-        });
-        stats.pages = pages;
-        Ok((drops?, Some(stats)))
-    }
-
-    fn indexed_count(&self) -> u64 {
-        self.oid_file.live_count()
-    }
-
-    fn storage_pages(&self) -> Result<u64> {
-        Ok(self.oid_file.storage_pages()? as u64 + self.slices.storage_pages())
-    }
-
-    fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
-        self.oid_file.file().io().cache_stats()
-    }
-
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        Some((self.cfg.f_bits(), self.cfg.m_weight()))
-    }
-}
-
-impl std::fmt::Debug for Bssf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Bssf {{ F: {}, m: {}, entries: {} }}",
-            self.cfg.f_bits(),
-            self.cfg.m_weight(),
-            self.oid_file.len()
-        )
+        self.rebuild(&live, rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setsig_pagestore::Disk;
+    use crate::facility::CandidateSet;
+    use crate::SetAccessFacility;
+    use setsig_pagestore::{count_reads, Disk};
 
     fn bssf(f_bits: u32, m: u32) -> (Arc<Disk>, Bssf) {
         let disk = Arc::new(Disk::new());
@@ -458,7 +454,7 @@ mod tests {
             .iter()
             .map(|(_, set, _)| Signature::for_set(&cfg, set))
             .collect();
-        for (j, slice) in b.slices.files_mut().iter_mut().enumerate() {
+        for (j, slice) in b.layout.slices.files_mut().iter_mut().enumerate() {
             for chunk in sigs.chunks(ROWS_PER_PAGE as usize) {
                 let mut page = Page::zeroed();
                 for (bit, sig) in chunk.iter().enumerate() {
@@ -702,7 +698,7 @@ mod tests {
         for i in 0..400u64 {
             b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
-        assert!(b.slices.files().iter().all(|s| s.pages == 1));
+        assert!(b.layout.slices.files().iter().all(|s| s.pages == 1));
         let q = SetQuery::in_subset(vec![ElementKey::from(3u64), ElementKey::from(4u64)]);
         let qsig = q.signature(b.config());
         disk.reset_stats();
@@ -811,19 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn deleted_entries_filtered() {
-        let (_d, mut b) = bssf(64, 2);
-        let set = keys(&["Baseball"]);
-        b.insert(Oid::new(1), &set).unwrap();
-        b.insert(Oid::new(2), &set).unwrap();
-        b.delete(Oid::new(1), &set).unwrap();
-        let q = SetQuery::has_subset(set);
-        let c = b.candidates(&q).unwrap();
-        assert!(!c.oids.contains(&Oid::new(1)));
-        assert!(c.oids.contains(&Oid::new(2)));
-    }
-
-    #[test]
     fn empty_superset_query_matches_everything() {
         let (_d, mut b) = bssf(64, 2);
         for i in 0..5u64 {
@@ -856,27 +839,17 @@ mod tests {
     }
 
     #[test]
-    fn storage_pages_counts_slices_and_oids() {
-        let (_d, mut b) = bssf(64, 2);
-        for i in 0..400u64 {
-            b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
-        }
-        // 64 slices × 1 page + 1 OID page.
-        assert_eq!(b.storage_pages().unwrap(), 65);
-    }
-
-    #[test]
     fn overlap_filter_survives_u16_boundary() {
         // Regression for the overlap-count truncation: the old code cast
         // the threshold with `m_weight() as u16` and kept counts in u16, so
         // m = 70,000 truncated to 4,464 and a count of 70,000 wrapped to
         // 4,464 — admitting row 1 below. The u32 path must admit row 0 only.
         let counts = [70_000u32, 4_464, 65_536];
-        assert_eq!(Bssf::overlap_filter(&counts, 70_000), vec![0]);
+        assert_eq!(Slices::overlap_filter(&counts, 70_000), vec![0]);
         // Exactly at the old wrap point: 65,536 ≡ 0 (mod 2^16) used to
         // compare below any nonzero threshold.
-        assert_eq!(Bssf::overlap_filter(&counts, 65_536), vec![0, 2]);
-        assert_eq!(Bssf::overlap_filter(&counts, u32::MAX), Vec::<u64>::new());
+        assert_eq!(Slices::overlap_filter(&counts, 65_536), vec![0, 2]);
+        assert_eq!(Slices::overlap_filter(&counts, u32::MAX), Vec::<u64>::new());
     }
 
     /// The page-major scans against a row-by-row reference on a file with
@@ -915,9 +888,9 @@ mod tests {
         for chunk in items.chunks(5_000) {
             b.insert_batch(chunk).unwrap();
         }
-        let lens: Vec<u32> = b.slices.files().iter().map(|s| s.pages).collect();
+        let lens: Vec<u32> = b.layout.slices.files().iter().map(|s| s.pages).collect();
         assert!(lens.contains(&0) && lens.contains(&1) && lens.contains(&2));
-        for (s, &pages) in b.slices.files().iter().zip(&lens) {
+        for (s, &pages) in b.layout.slices.files().iter().zip(&lens) {
             assert_eq!(s.file.len().unwrap(), pages, "tracked length is the file's");
         }
         let sigs: Vec<Signature> = items
@@ -961,9 +934,8 @@ mod tests {
             let expect: Vec<u64> = (0..n)
                 .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
                 .collect();
-            let mut ctr = ScanStats::default();
-            let (got, pages) = count_reads(|| b.positions_for(q, &mut ctr).unwrap());
-            assert_eq!(got, expect, "{:?} N {n}", q.predicate);
+            let (found, pages) = count_reads(|| b.layout.positions(q, n).unwrap());
+            assert_eq!(found.positions, expect, "{:?} N {n}", q.predicate);
             let ones: Vec<u32> = qsig.bitmap().iter_ones().collect();
             let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
             let plain = match q.predicate {
@@ -973,14 +945,14 @@ mod tests {
                 _ => superset_pages(&ones),
             };
             assert_eq!(pages, plain, "{:?} N {n}", q.predicate);
-            // Slice-major: the first `ctr.slices` selected slices, each
+            // Slice-major: the first `found.slices` selected slices, each
             // read to its materialized end.
             let selected = match q.predicate {
                 SetPredicate::InSubset => &zeros,
                 SetPredicate::Equals => continue,
                 _ => &ones,
             };
-            let slice_major: u64 = selected[..ctr.slices as usize]
+            let slice_major: u64 = selected[..found.slices as usize]
                 .iter()
                 .map(|&j| lens[j as usize] as u64)
                 .sum();
@@ -994,161 +966,13 @@ mod tests {
 }
 
 #[cfg(test)]
-mod engine_tests {
-    use super::*;
-    use setsig_pagestore::{BufferPool, Disk};
-
-    fn populated(io: Arc<dyn PageIo>, n: u64) -> Bssf {
-        let cfg = SignatureConfig::new(128, 3).unwrap();
-        let mut b = Bssf::create(io, "e", cfg).unwrap();
-        let items: Vec<(Oid, Vec<ElementKey>)> = (0..n)
-            .map(|i| {
-                (
-                    Oid::new(i),
-                    (0..4).map(|j| ElementKey::from(i * 17 + j)).collect(),
-                )
-            })
-            .collect();
-        b.bulk_load(&items).unwrap();
-        b
-    }
-
-    #[test]
-    fn scan_stats_match_disk_reads() {
-        let disk = Arc::new(Disk::new());
-        let b = populated(Arc::clone(&disk) as Arc<dyn PageIo>, 120);
-        let q = SetQuery::has_subset(vec![ElementKey::from(3 * 17), ElementKey::from(3 * 17 + 1)]);
-        disk.reset_stats();
-        let (_, stats) = b.candidates_with_stats(&q).unwrap();
-        // The filtering stage's charge is exactly its disk traffic: slice
-        // pages plus the OID-file look-up page.
-        assert_eq!(disk.snapshot().reads, stats.unwrap().pages);
-    }
-
-    #[test]
-    fn cache_stats_come_from_the_io_handle() {
-        let disk = Arc::new(Disk::new());
-        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 256));
-        let b = populated(Arc::clone(&pool) as Arc<dyn PageIo>, 40);
-        // The write-through load installed every page; start from a cold pool.
-        pool.clear();
-        let before = pool.stats();
-        let q = SetQuery::has_subset(vec![ElementKey::from(7 * 17)]);
-        let (first, first_stats) = b.candidates_with_stats(&q).unwrap();
-        let cold = pool.stats();
-        assert!(cold.misses > before.misses, "cold scan must reach the disk");
-        disk.reset_stats();
-        let (second, second_stats) = b.candidates_with_stats(&q).unwrap();
-        assert_eq!(first, second);
-        // The page charge is cache-independent...
-        assert_eq!(first_stats, second_stats);
-        // ...but the hot slices never reach the disk.
-        assert_eq!(
-            disk.snapshot().reads,
-            0,
-            "repeat query must be pool-resident"
-        );
-        let cache = b.cache_stats().expect("pooled facility reports pool stats");
-        assert!(cache.hits > cold.hits, "repeat query must hit the pool");
-        assert_eq!(
-            cache,
-            pool.stats(),
-            "the caller's pool is the one reporting"
-        );
-
-        let bare = populated(disk as Arc<dyn PageIo>, 10);
-        assert!(bare.cache_stats().is_none());
-    }
-}
-
-impl Bssf {
-    /// Checkpoints the BSSF's catalog state — design parameters, the OID
-    /// file binding and counters, and all `F` slice file bindings — into
-    /// its meta file (created on first use). Returns the meta file id to
-    /// hand to [`Bssf::open`]. Bits a failed insert left behind are cleared
-    /// first (they are remembered in memory only), so an image saved after
-    /// the checkpoint reopens clean.
-    pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
-        self.slices.clear_torn()?;
-        let mut w = crate::meta::MetaWriter::new(b"BSF1");
-        w.u32(self.cfg.f_bits());
-        w.u32(self.cfg.m_weight());
-        w.u64(self.cfg.seed());
-        w.u32(self.oid_file.file().id().raw());
-        let (len, live) = self.oid_file.state();
-        w.u64(len);
-        w.u64(live);
-        for slice in self.slices.files() {
-            w.u32(slice.file.id().raw());
-        }
-        let io = Arc::clone(self.oid_file.file().io());
-        crate::meta::checkpoint(&io, &mut self.meta_file, "bssf", &w.finish())
-    }
-
-    /// Reopens a BSSF from the meta file written by [`Bssf::sync_meta`].
-    pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
-        let meta_file = PagedFile::open(Arc::clone(&io), meta);
-        let blob = meta_file.read_blob()?;
-        let mut r = crate::meta::MetaReader::new(&blob, b"BSF1")?;
-        let cfg = SignatureConfig::with_seed(r.u32()?, r.u32()?, r.u64()?)?;
-        let oid_id = setsig_pagestore::FileId::from_raw(r.u32()?);
-        let len = r.u64()?;
-        let live = r.u64()?;
-        let ids = (0..cfg.f_bits()).map(|_| Ok(setsig_pagestore::FileId::from_raw(r.u32()?)));
-        let slices = RowFiles::open(&io, ids)?;
-        r.done()?;
-        Ok(Bssf {
-            cfg,
-            slices,
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
-            meta_file: Some(meta_file),
-        })
-    }
-}
-
-#[cfg(test)]
 mod meta_tests {
     use super::*;
+    use crate::SetAccessFacility;
     use setsig_pagestore::Disk;
 
     fn keys(elems: &[&str]) -> Vec<ElementKey> {
         elems.iter().map(ElementKey::from).collect()
-    }
-
-    #[test]
-    fn bssf_reopens_from_saved_image() {
-        let dir = std::env::temp_dir().join(format!("setsig-bssf-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.img");
-
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let cfg = SignatureConfig::new(64, 2).unwrap();
-        let mut bssf = Bssf::create(io, "h", cfg).unwrap();
-        bssf.insert(Oid::new(1), &keys(&["Baseball", "Fishing"]))
-            .unwrap();
-        bssf.insert(Oid::new(2), &keys(&["Tennis"])).unwrap();
-        bssf.delete(Oid::new(2), &keys(&["Tennis"])).unwrap();
-        let meta = bssf.sync_meta().unwrap();
-        disk.save_to(&path).unwrap();
-
-        let loaded = Arc::new(Disk::load_from(&path).unwrap());
-        let io: Arc<dyn PageIo> = Arc::clone(&loaded) as Arc<dyn PageIo>;
-        let reopened = Bssf::open(io, meta).unwrap();
-        assert_eq!(reopened.indexed_count(), 1);
-        let q = SetQuery::has_subset(keys(&["Baseball"]));
-        assert_eq!(
-            reopened.candidates(&q).unwrap().oids,
-            vec![Oid::new(1)],
-            "reopened BSSF answers like the original"
-        );
-        // And it accepts further inserts at the right position.
-        let mut reopened = reopened;
-        reopened.insert(Oid::new(3), &keys(&["Baseball"])).unwrap();
-        let c = reopened.candidates(&q).unwrap();
-        assert_eq!(c.oids, vec![Oid::new(1), Oid::new(3)]);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1189,6 +1013,7 @@ mod meta_tests {
 #[cfg(test)]
 mod batch_tests {
     use super::*;
+    use crate::SetAccessFacility;
     use setsig_pagestore::Disk;
 
     fn items(n: u64) -> Vec<(Oid, Vec<ElementKey>)> {
@@ -1274,41 +1099,10 @@ mod batch_tests {
     }
 }
 
-impl Bssf {
-    /// Rebuilds the BSSF without tombstoned entries, reclaiming both OID
-    /// slots and the stale slice bits deletions leave behind (an extension;
-    /// §4.2 keeps tombstones forever).
-    ///
-    /// Signatures of the survivors are reconstructed from the slice files
-    /// themselves — one pass over all `F` slices — so no access to the
-    /// object store is needed. Returns the number of live entries kept.
-    pub fn compact(&mut self) -> Result<u64> {
-        let live = self.oid_file.scan_live()?;
-        // Row bitmaps per slice, read once each; the survivors' bits are
-        // staged at their new positions, already in writer order.
-        let mut staged: Vec<RowBit> = Vec::new();
-        for j in 0..self.cfg.f_bits() {
-            let rows = self.or_slices(&[j])?;
-            for (new_pos, &(old_pos, _)) in (0u64..).zip(&live) {
-                if rows.get(old_pos as u32) {
-                    let (page_no, bit) = Self::row_page(new_pos);
-                    staged.push((j, page_no, bit));
-                }
-            }
-        }
-        let oids: Vec<Oid> = live.iter().map(|&(_, oid)| oid).collect();
-        let io = Arc::clone(self.oid_file.file().io());
-        let mut fresh = Bssf::create(io, "compacted", self.cfg)?;
-        fresh.append_staged(&oids, staged)?;
-        self.slices = fresh.slices;
-        self.oid_file = fresh.oid_file;
-        Ok(oids.len() as u64)
-    }
-}
-
 #[cfg(test)]
 mod compact_tests {
     use super::*;
+    use crate::SetAccessFacility;
     use setsig_pagestore::Disk;
 
     #[test]

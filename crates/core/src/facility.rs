@@ -14,8 +14,9 @@ use setsig_pagestore::CacheStats;
 /// OID-file look-up that maps matching signature positions to candidate
 /// OIDs (the paper's `LC_OID`) — what the paper's serial protocol charges,
 /// whether a buffer pool under the handle served a read from memory or from
-/// disk. No scan counts its own pages: each facility's
-/// `candidates_with_stats` runs its filter inside
+/// disk. No scan counts its own pages: each `candidates_with_stats` (one
+/// for the three signature file layouts, one for the nested index) runs its
+/// filter inside
 /// [`count_reads`](setsig_pagestore::count_reads), the per-thread tally
 /// every [`PagedFile::read`](setsig_pagestore::PagedFile::read) bumps, so a
 /// read cannot go uncharged. A query runs on one thread, so concurrent

@@ -11,10 +11,10 @@
 //!
 //! * **Insert** touches only the frames used by the set's elements —
 //!   expected `k·(1 − (1 − 1/k)^{D_t}) + 1` page writes, ≈ `D_t + 1` for
-//!   `D_t ≪ k`, instead of `F + 1`. The OID-file append is the commit
-//!   point, and the writer is the one BSSF uses (`rowfile.rs`): bits a
-//!   failed insert had already written are cleared before that row is
-//!   written again.
+//!   `D_t ≪ k`, instead of `F + 1`. The OID-file append of
+//!   [`SignatureFile`] is the commit point, and the writer is the one BSSF
+//!   uses (`rowfile.rs`): bits a failed insert had already written are
+//!   cleared before that row is written again.
 //! * **`T ⊇ Q`** reads the distinct frames of the query's elements:
 //!   ≈ `D_q` frames of `⌈N/⌊P·b/s⌋⌉` pages each — more than BSSF's `m_q`
 //!   single-slice pages, but far less than SSF's full scan.
@@ -24,20 +24,19 @@
 //! * The false drop probability matches BSSF's Eq. (2): within a frame the
 //!   ones-fraction is `1 − (1 − m/s)^{D_t/k} ≈ 1 − e^{−m·D_t/F}`.
 
-use setsig_pagestore::{count_reads, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{FileId, PageIo, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::hash::{element_hash, ElementHasher};
-use crate::oid::Oid;
+use crate::meta::{MetaReader, MetaWriter};
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
-use crate::sorted;
+use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
 
 /// Design parameters of a frame-sliced signature file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,73 +120,26 @@ impl FssfConfig {
 /// Inserts go through the row writer BSSF uses: one page write per distinct
 /// frame, then the OID-file append as the commit point; a failed insert
 /// indexes nothing and its stray bits are cleared before the row is reused.
-pub struct Fssf {
+pub type Fssf = SignatureFile<Frames>;
+
+/// The FSSF layout: `k` frame files `<name>.fr<j>`, rows packed
+/// `⌊P·b/s⌋` to a page.
+pub struct Frames {
     cfg: FssfConfig,
     frames: RowFiles,
-    oid_file: OidFile,
-    /// Catalog checkpoint file; created lazily by [`Fssf::sync_meta`].
-    meta_file: Option<PagedFile>,
 }
 
-impl Fssf {
-    /// Creates an empty FSSF named `name` on `io`.
-    pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: FssfConfig) -> Result<Self> {
-        let frames = RowFiles::create(&io, (0..cfg.frames()).map(|j| format!("{name}.fr{j}")));
-        Ok(Fssf {
-            cfg,
-            frames,
-            oid_file: OidFile::create(io, &format!("{name}.oid")),
-            meta_file: None,
-        })
-    }
-
-    /// The design parameters.
-    pub fn config(&self) -> &FssfConfig {
-        &self.cfg
-    }
-
-    /// The companion OID file.
-    pub fn oid_file(&self) -> &OidFile {
-        &self.oid_file
-    }
-
-    fn row_location(&self, pos: u64) -> (u32, u32) {
-        let rpp = self.cfg.rows_per_page();
-        (
-            (pos / rpp) as u32,
-            (pos % rpp) as u32 * self.cfg.frame_bits(),
-        )
-    }
-
-    /// Groups a set's elements by frame, OR-ing their frame signatures.
-    fn frame_signatures(&self, set: &[ElementKey]) -> BTreeMap<u32, Bitmap> {
-        let s = self.cfg.frame_bits();
-        let mut by_frame: BTreeMap<u32, Bitmap> = BTreeMap::new();
-        for e in set {
-            let frame = self.cfg.frame_of(e);
-            let bits = by_frame.entry(frame).or_insert_with(|| Bitmap::zeroed(s));
-            for p in self.cfg.frame_positions(e) {
-                bits.set(p, true);
-            }
-        }
-        by_frame
-    }
-
-    /// Reads frame `j` and invokes `visit(row, row_bits)` for every stored
-    /// row, counting the frame in `ctr`.
+impl Frames {
+    /// Reads frame `j` and invokes `visit(row, row_bits)` for each of the
+    /// first `n` rows.
     ///
-    /// [`Fssf::insert`] keeps every frame file long enough for the indexed
-    /// row count, so a frame shorter than `⌈n/rpp⌉` pages can only mean the
-    /// file was truncated or the catalog is stale. The scan refuses to run
-    /// — treating missing pages as zeros would silently drop qualifying
-    /// rows, violating the facility's no-false-negatives contract.
-    fn scan_frame(
-        &self,
-        j: u32,
-        ctr: &mut ScanStats,
-        mut visit: impl FnMut(u64, &Bitmap),
-    ) -> Result<()> {
-        let n = self.oid_file.len();
+    /// [`Frames::append`] keeps every frame file long enough for the
+    /// indexed row count, so a frame shorter than `⌈n/rpp⌉` pages can only
+    /// mean the file was truncated or the catalog is stale. The scan refuses
+    /// to run — treating missing pages as zeros would silently drop
+    /// qualifying rows, violating the facility's no-false-negatives
+    /// contract.
+    fn scan_frame(&self, j: u32, n: u64, mut visit: impl FnMut(u64, &Bitmap)) -> Result<()> {
         let s = self.cfg.frame_bits() as usize;
         let rpp = self.cfg.rows_per_page();
         let file = &self.frames.files()[j as usize].file;
@@ -198,7 +150,6 @@ impl Fssf {
                 "frame {j} has {have} pages but {n} indexed rows require {expected}"
             )));
         }
-        ctr.slices += 1;
         let mut page_no = 0u32;
         let mut row = 0u64;
         // One buffer for the whole scan: every row overwrites all its bits.
@@ -219,176 +170,195 @@ impl Fssf {
         Ok(())
     }
 
-    /// `T ⊇ Q`: read each distinct query frame once; a row survives iff in
-    /// every such frame it covers the query's frame signature.
-    fn superset_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        let n = self.oid_file.len();
-        let by_frame = self.frame_signatures(&query.elements);
-        if by_frame.is_empty() {
-            return Ok((0..n).collect());
-        }
-        let total = by_frame.len();
+    /// Reads the listed frames in turn: a row survives while `keep(row
+    /// bits, listed bits)` holds in every frame read, and the scan stops
+    /// once no row does.
+    fn and_frames<'a>(
+        &self,
+        n: u64,
+        frames: impl ExactSizeIterator<Item = (u32, &'a Bitmap)>,
+        keep: fn(&Bitmap, &Bitmap) -> bool,
+    ) -> Result<Matches> {
+        let total = frames.len() as u64;
         let mut acc = Bitmap::ones(n as u32);
-        for (consumed, (j, want)) in by_frame.into_iter().enumerate() {
-            self.scan_frame(j, ctr, |row, bits| {
-                if !bits.covers(&want) {
+        let mut slices = 0;
+        for (j, listed) in frames {
+            self.scan_frame(j, n, |row, bits| {
+                if !keep(bits, listed) {
                     acc.set(row as u32, false);
                 }
             })?;
+            slices += 1;
             if acc.is_zero() {
-                if consumed + 1 < total {
-                    ctr.early_exit = true;
-                }
                 break;
             }
         }
-        Ok(acc.iter_ones().map(u64::from).collect())
+        Ok(Matches {
+            positions: acc.iter_ones().map(u64::from).collect(),
+            slices,
+            early_exit: slices < total,
+        })
+    }
+
+    /// `T ⊇ Q`: read each distinct query frame once; a row survives iff in
+    /// every such frame it covers the query's frame signature.
+    fn superset_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        let by_frame = Frames::row(&self.cfg, &query.elements);
+        let frames = by_frame.iter().map(|(&j, want)| (j, want));
+        self.and_frames(n, frames, Bitmap::covers)
     }
 
     /// `T ⊆ Q`: every frame must be read; a row survives iff each frame's
     /// row bits are covered by the query's bits in that frame.
-    fn subset_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        let n = self.oid_file.len();
-        let by_frame = self.frame_signatures(&query.elements);
-        let s = self.cfg.frame_bits();
-        let empty = Bitmap::zeroed(s);
-        let mut acc = Bitmap::ones(n as u32);
-        for j in 0..self.cfg.frames() {
-            let allowed = by_frame.get(&j).unwrap_or(&empty);
-            self.scan_frame(j, ctr, |row, bits| {
-                if !allowed.covers(bits) {
-                    acc.set(row as u32, false);
-                }
-            })?;
-            if acc.is_zero() {
-                if j + 1 < self.cfg.frames() {
-                    ctr.early_exit = true;
-                }
-                break;
-            }
-        }
-        Ok(acc.iter_ones().map(u64::from).collect())
-    }
-
-    /// Equality: covers in both directions in every frame.
-    fn equals_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        // Both scans list their rows in ascending order.
-        let sup = self.superset_positions(query, ctr)?;
-        let sub = self.subset_positions(query, ctr)?;
-        Ok(sorted::intersect(&sup, &sub))
+    fn subset_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        let by_frame = Frames::row(&self.cfg, &query.elements);
+        let empty = Bitmap::zeroed(self.cfg.frame_bits());
+        let frames = (0..self.cfg.frames()).map(|j| (j, by_frame.get(&j).unwrap_or(&empty)));
+        self.and_frames(n, frames, |row, allowed| allowed.covers(row))
     }
 
     /// Overlap: some query element's frame signature is covered by the row.
-    fn overlap_positions(&self, query: &SetQuery, ctr: &mut ScanStats) -> Result<Vec<u64>> {
-        let n = self.oid_file.len();
+    fn overlap_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
         let mut acc = Bitmap::zeroed(n as u32);
         // Per element (not per frame): overlap needs one *element* fully
         // present, so elements sharing a frame are tested separately.
         let mut by_frame: BTreeMap<u32, Vec<Bitmap>> = BTreeMap::new();
-        let s = self.cfg.frame_bits();
         for e in &query.elements {
-            let mut bits = Bitmap::zeroed(s);
-            for p in self.cfg.frame_positions(e) {
-                bits.set(p, true);
-            }
+            let bits = Bitmap::from_positions(self.cfg.frame_bits(), &self.cfg.frame_positions(e));
             by_frame.entry(self.cfg.frame_of(e)).or_default().push(bits);
         }
+        let slices = by_frame.len() as u64;
         for (j, sigs) in by_frame {
-            self.scan_frame(j, ctr, |row, bits| {
+            self.scan_frame(j, n, |row, bits| {
                 if sigs.iter().any(|sig| bits.covers(sig)) {
                     acc.set(row as u32, true);
                 }
             })?;
         }
-        Ok(acc.iter_ones().map(u64::from).collect())
+        Ok(Matches {
+            positions: acc.iter_ones().map(u64::from).collect(),
+            slices,
+            early_exit: false,
+        })
     }
 }
 
-impl SetAccessFacility for Fssf {
-    fn name(&self) -> &'static str {
-        "FSSF"
+impl sealed::Sealed for Frames {}
+
+impl Layout for Frames {
+    type Config = FssfConfig;
+    /// The set's frame signatures, by frame.
+    type Row = BTreeMap<u32, Bitmap>;
+    const NAME: &'static str = "FSSF";
+    const MAGIC: &'static [u8; 4] = b"FSF1";
+
+    fn create(io: &Arc<dyn PageIo>, name: &str, cfg: FssfConfig) -> Result<Self> {
+        let frames = RowFiles::create(io, (0..cfg.frames()).map(|j| format!("{name}.fr{j}")));
+        Ok(Frames { cfg, frames })
+    }
+
+    fn config(&self) -> &FssfConfig {
+        &self.cfg
+    }
+
+    fn geometry(&self) -> (u32, u32) {
+        (self.cfg.f_bits(), self.cfg.m_weight())
+    }
+
+    /// Groups a set's elements by frame, OR-ing their frame signatures.
+    fn row(cfg: &FssfConfig, set: &[ElementKey]) -> BTreeMap<u32, Bitmap> {
+        let mut by_frame: BTreeMap<u32, Bitmap> = BTreeMap::new();
+        for e in set {
+            let bits = (by_frame.entry(cfg.frame_of(e)))
+                .or_insert_with(|| Bitmap::zeroed(cfg.frame_bits()));
+            for p in cfg.frame_positions(e) {
+                bits.set(p, true);
+            }
+        }
+        by_frame
     }
 
     /// Insertion — the organization's raison d'être: one page write per
-    /// *distinct frame* the set's elements hash to, plus the OID file.
+    /// *distinct frame* the set's elements hash to, then the commit.
     ///
     /// Every frame file — not just the ones this set's elements hash to —
-    /// is kept long enough for the new row, so `Fssf::scan_frame` can
+    /// is kept long enough for the new row, so `Frames::scan_frame` can
     /// treat a short frame as corruption rather than guessing its tail is
     /// zeros. The extension writes happen only when a row crosses a page
     /// boundary (once per `rows_per_page` inserts), so the amortized cost
     /// stays ≈ `D_t + 1`.
-    fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let (page_no, bit_base) = self.row_location(self.oid_file.len());
-        self.frames.extend_all(page_no + 1)?;
-        let staged: Vec<RowBit> = self
-            .frame_signatures(set)
-            .iter()
-            .flat_map(|(&j, bits)| bits.iter_ones().map(move |b| (j, page_no, bit_base + b)))
-            .collect();
-        let oid_file = &mut self.oid_file;
-        self.frames
-            .append(staged, || oid_file.append(oid).map(drop))
+    fn append(
+        &mut self,
+        start: u64,
+        rows: impl Iterator<Item = BTreeMap<u32, Bitmap>>,
+        commit: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let (rpp, s) = (self.cfg.rows_per_page(), self.cfg.frame_bits());
+        let mut staged: Vec<RowBit> = Vec::new();
+        for (pos, by_frame) in (start..).zip(rows) {
+            let (page_no, bit_base) = ((pos / rpp) as u32, (pos % rpp) as u32 * s);
+            self.frames.extend_all(page_no + 1)?;
+            staged.extend(
+                by_frame.iter().flat_map(|(&j, bits)| {
+                    bits.iter_ones().map(move |b| (j, page_no, bit_base + b))
+                }),
+            );
+        }
+        self.frames.append(staged, commit)
     }
 
-    fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
-        self.oid_file.delete_by_oid(oid)?;
-        Ok(())
-    }
-
-    fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        // No smart strategy: a capped query runs the plain frame scan.
-        let mut stats = ScanStats::default();
-        let ctr = &mut stats;
-        let (drops, pages) = count_reads(|| {
-            let positions = match query.predicate {
-                SetPredicate::HasSubset | SetPredicate::Contains => {
-                    self.superset_positions(query, ctr)
-                }
-                SetPredicate::InSubset => self.subset_positions(query, ctr),
-                SetPredicate::Equals => self.equals_positions(query, ctr),
-                SetPredicate::Overlaps => self.overlap_positions(query, ctr),
-            }?;
-            self.oid_file.drops_at(&positions)
-        });
-        stats.pages = pages;
-        Ok((drops?, Some(stats)))
-    }
-
-    fn indexed_count(&self) -> u64 {
-        self.oid_file.live_count()
+    /// No smart strategy: a capped query runs the plain frame scan.
+    fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => self.superset_positions(query, n),
+            SetPredicate::InSubset => self.subset_positions(query, n),
+            // Covers in both directions in every frame.
+            SetPredicate::Equals => {
+                let sup = self.superset_positions(query, n)?;
+                Ok(sup.intersect(self.subset_positions(query, n)?))
+            }
+            SetPredicate::Overlaps => self.overlap_positions(query, n),
+        }
     }
 
     fn storage_pages(&self) -> Result<u64> {
-        Ok(self.oid_file.storage_pages()? as u64 + self.frames.storage_pages())
+        Ok(self.frames.storage_pages())
     }
 
-    fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
-        self.oid_file.file().io().cache_stats()
+    fn clear_torn(&mut self) -> Result<()> {
+        self.frames.clear_torn()
     }
 
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        Some((self.cfg.f_bits(), self.cfg.m_weight()))
+    /// `FSF1`: `F`, `k`, `m`, seed, the OID file's fields, then the `k`
+    /// frames.
+    fn write_meta(&self, w: &mut MetaWriter, oid_file: impl FnOnce(&mut MetaWriter)) {
+        w.u32(self.cfg.f_bits());
+        w.u32(self.cfg.frames());
+        w.u32(self.cfg.m_weight());
+        w.u64(self.cfg.seed);
+        oid_file(w);
+        for frame in self.frames.files() {
+            w.u32(frame.file.id().raw());
+        }
     }
-}
 
-impl std::fmt::Debug for Fssf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Fssf {{ F: {}, k: {}, m: {}, entries: {} }}",
-            self.cfg.f_bits(),
-            self.cfg.frames(),
-            self.cfg.m_weight(),
-            self.oid_file.len()
-        )
+    fn open(
+        io: &Arc<dyn PageIo>,
+        r: &mut MetaReader<'_>,
+        oid_file: impl FnOnce(&mut MetaReader<'_>) -> Result<OidFile>,
+    ) -> Result<(Self, OidFile)> {
+        let cfg = FssfConfig::with_seed(r.u32()?, r.u32()?, r.u32()?, r.u64()?)?;
+        let oids = oid_file(r)?;
+        let ids = (0..cfg.frames()).map(|_| Ok(FileId::from_raw(r.u32()?)));
+        let frames = RowFiles::open(io, ids)?;
+        Ok((Frames { cfg, frames }, oids))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignatureConfig;
+    use crate::{Oid, SetAccessFacility, SignatureConfig};
     use setsig_pagestore::Disk;
 
     fn fssf(f: u32, k: u32, m: u32) -> (Arc<Disk>, Fssf) {
@@ -499,52 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_come_from_the_io_handle() {
-        let disk = Arc::new(Disk::new());
-        let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
-        let cfg = FssfConfig::new(500, 50, 3).unwrap();
-        let mut f = Fssf::create(Arc::clone(&pool) as Arc<dyn PageIo>, "c", cfg).unwrap();
-        for i in 0..100u64 {
-            f.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
-        }
-        let q = SetQuery::has_subset(vec![ElementKey::from(42u64)]);
-        disk.reset_stats();
-        let before = pool.stats();
-        let (_, stats) = f.candidates_with_stats(&q).unwrap();
-        assert_eq!(disk.snapshot().reads, 0, "write-through left it resident");
-        let cache = f.cache_stats().expect("pooled facility reports pool stats");
-        assert_eq!(
-            cache,
-            pool.stats(),
-            "the caller's pool is the one reporting"
-        );
-        // Every page the scan charged was a pool hit.
-        assert_eq!(Some(cache.hits - before.hits), stats.map(|s| s.pages));
-        assert_eq!(cache.misses, before.misses);
-        assert!(fssf(500, 50, 3).1.cache_stats().is_none());
-    }
-
-    #[test]
-    fn capped_query_runs_the_plain_filter() {
-        let (_d, mut f) = fssf(500, 50, 3);
-        for i in 0..100u64 {
-            f.insert(Oid::new(i), &[ElementKey::from(i), ElementKey::from(i + 1)])
-                .unwrap();
-        }
-        let elems = vec![ElementKey::from(42u64), ElementKey::from(43u64)];
-        for plain in [
-            SetQuery::has_subset(elems.clone()),
-            SetQuery::in_subset(elems),
-        ] {
-            let capped = plain.clone().with_cap(1).unwrap();
-            assert_eq!(
-                f.candidates_with_stats(&capped).unwrap(),
-                f.candidates_with_stats(&plain).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn short_frame_file_is_reported_as_corruption() {
         // k = 1, s = 160 → 204 rows per frame page. Grow the OID file past
         // one page's worth of rows WITHOUT extending the frame (as a
@@ -575,7 +499,7 @@ mod tests {
         }
         let rpp = f.config().rows_per_page();
         let expected = 10u64.div_ceil(rpp) as u32;
-        for (j, frame) in f.frames.files().iter().enumerate() {
+        for (j, frame) in f.layout.frames.files().iter().enumerate() {
             assert!(
                 frame.file.len().unwrap() >= expected,
                 "frame {j} shorter than the indexed row count requires"
@@ -627,18 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn deleted_entries_filtered() {
-        let (_d, mut f) = fssf(160, 16, 2);
-        let set = keys(&["Baseball"]);
-        f.insert(Oid::new(1), &set).unwrap();
-        f.insert(Oid::new(2), &set).unwrap();
-        f.delete(Oid::new(1), &set).unwrap();
-        let c = f.candidates(&SetQuery::has_subset(set)).unwrap();
-        assert_eq!(c.oids, vec![Oid::new(2)]);
-        assert_eq!(f.indexed_count(), 1);
-    }
-
-    #[test]
     fn rows_cross_page_boundaries() {
         // s = 160/16... choose s so rpp is small: F=160, k=1 gives s=160,
         // rpp = 204; insert past one page.
@@ -652,101 +564,5 @@ mod tests {
         // Row 255 (on the second page) has element 255 % 7 == 3.
         assert!(c.oids.contains(&Oid::new(255)));
         assert!(c.oids.contains(&Oid::new(3)));
-    }
-
-    #[test]
-    fn storage_counts_frames_and_oids() {
-        let (_d, mut f) = fssf(500, 50, 3);
-        for i in 0..10u64 {
-            f.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
-        }
-        // Only touched frames have pages (sparse) + 1 OID page.
-        let pages = f.storage_pages().unwrap();
-        assert!((2..=51).contains(&pages), "pages {pages}");
-    }
-}
-
-impl Fssf {
-    /// Checkpoints the FSSF's catalog state (config, frame and OID file
-    /// bindings, counters) into its meta file, like
-    /// [`Bssf::sync_meta`](crate::Bssf::sync_meta) — clearing first, like it,
-    /// the bits a failed insert left behind. Returns the meta file id for
-    /// [`Fssf::open`].
-    pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
-        self.frames.clear_torn()?;
-        let mut w = crate::meta::MetaWriter::new(b"FSF1");
-        w.u32(self.cfg.f_bits());
-        w.u32(self.cfg.frames());
-        w.u32(self.cfg.m_weight());
-        w.u64(self.cfg.seed);
-        w.u32(self.oid_file.file().id().raw());
-        let (len, live) = self.oid_file.state();
-        w.u64(len);
-        w.u64(live);
-        for frame in self.frames.files() {
-            w.u32(frame.file.id().raw());
-        }
-        let io = Arc::clone(self.oid_file.file().io());
-        crate::meta::checkpoint(&io, &mut self.meta_file, "fssf", &w.finish())
-    }
-
-    /// Reopens an FSSF from a [`Fssf::sync_meta`] checkpoint.
-    pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
-        let meta_file = PagedFile::open(Arc::clone(&io), meta);
-        let blob = meta_file.read_blob()?;
-        let mut r = crate::meta::MetaReader::new(&blob, b"FSF1")?;
-        let cfg = FssfConfig::with_seed(r.u32()?, r.u32()?, r.u32()?, r.u64()?)?;
-        let oid_id = setsig_pagestore::FileId::from_raw(r.u32()?);
-        let len = r.u64()?;
-        let live = r.u64()?;
-        let ids = (0..cfg.frames()).map(|_| Ok(setsig_pagestore::FileId::from_raw(r.u32()?)));
-        let frames = RowFiles::open(&io, ids)?;
-        r.done()?;
-        Ok(Fssf {
-            cfg,
-            frames,
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
-            meta_file: Some(meta_file),
-        })
-    }
-}
-
-#[cfg(test)]
-mod meta_tests {
-    use super::*;
-    use setsig_pagestore::Disk;
-
-    #[test]
-    fn fssf_reopens_from_saved_image() {
-        let dir = std::env::temp_dir().join(format!("setsig-fssf-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.img");
-
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let cfg = FssfConfig::new(160, 16, 2).unwrap();
-        let mut f = Fssf::create(io, "h", cfg).unwrap();
-        f.insert(Oid::new(1), &[ElementKey::from("Baseball")])
-            .unwrap();
-        f.insert(Oid::new(2), &[ElementKey::from("Tennis")])
-            .unwrap();
-        let meta = f.sync_meta().unwrap();
-        disk.save_to(&path).unwrap();
-
-        let loaded = Arc::new(Disk::load_from(&path).unwrap());
-        let io: Arc<dyn PageIo> = Arc::clone(&loaded) as Arc<dyn PageIo>;
-        let mut reopened = Fssf::open(io, meta).unwrap();
-        assert_eq!(reopened.indexed_count(), 2);
-        let q = SetQuery::contains(ElementKey::from("Baseball"));
-        assert_eq!(reopened.candidates(&q).unwrap().oids, vec![Oid::new(1)]);
-        reopened
-            .insert(Oid::new(3), &[ElementKey::from("Baseball")])
-            .unwrap();
-        assert_eq!(
-            reopened.candidates(&q).unwrap().oids,
-            vec![Oid::new(1), Oid::new(3)]
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,11 +28,18 @@
 //! * [`Bitmap`], [`Signature`], [`SignatureConfig`] — the coding layer,
 //! * [`SetQuery`] / [`SetPredicate`] — the five set operators (⊇, ⊆, =,
 //!   overlap, ∈) with their signature match rules,
-//! * [`Ssf`] — the *sequential signature file* organization,
-//! * [`Bssf`] — the *bit-sliced signature file* organization, including the
-//!   paper's "smart object retrieval" strategies (§5.1.3, §5.2.2), which a
-//!   query asks for by carrying a cap ([`SetQuery::with_cap`]),
-//! * [`OidFile`] — the positional OID file shared by both organizations,
+//! * [`SignatureFile`] — one signature file over one of three physical
+//!   layouts ([`Layout`], sealed): it owns the [`OidFile`], the commit
+//!   point, the tombstone delete, the filter's page charge and the catalog
+//!   checkpoint, and is the one [`SetAccessFacility`] impl of all three,
+//! * [`Ssf`] — the *sequential signature file*, rows ([`Rows`]),
+//! * [`Bssf`] — the *bit-sliced signature file*, slices ([`Slices`]),
+//!   including the paper's "smart object retrieval" strategies (§5.1.3,
+//!   §5.2.2), which a query asks for by carrying a cap
+//!   ([`SetQuery::with_cap`]),
+//! * [`Fssf`] — the *frame-sliced signature file* extension, frames
+//!   ([`Frames`]),
+//! * [`OidFile`] — the positional OID file every layout shares,
 //! * [`SetAccessFacility`] — the common interface also implemented by the
 //!   nested index in `setsig-nix`; a filter call returns its drops with
 //!   the [`ScanStats`] of that call,
@@ -79,21 +86,23 @@ mod oid;
 mod oidfile;
 mod query;
 mod rowfile;
+mod sigfile;
 mod signature;
 pub mod sorted;
 mod ssf;
 
 pub use bitmap::{iter_ones_bytes, Bitmap};
-pub use bssf::Bssf;
+pub use bssf::{Bssf, Slices};
 pub use config::SignatureConfig;
 pub use drops::{resolve_drops, verify_predicate, DropReport, ElementSet, TargetSetSource};
 pub use element::ElementKey;
 pub use error::{Error, Result};
 pub use facility::{CandidateSet, ScanStats, SetAccessFacility};
-pub use fssf::{Fssf, FssfConfig};
+pub use fssf::{Frames, Fssf, FssfConfig};
 pub use hash::{element_hash, ElementHasher};
 pub use oid::{Oid, OidAllocator};
 pub use oidfile::{OidFile, OIDS_PER_PAGE, OID_ENTRY_BYTES};
 pub use query::{SetPredicate, SetQuery};
+pub use sigfile::{Layout, SignatureFile};
 pub use signature::Signature;
-pub use ssf::Ssf;
+pub use ssf::{Rows, Ssf};

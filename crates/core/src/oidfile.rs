@@ -1,6 +1,6 @@
-//! The OID file: position → OID mapping shared by SSF and BSSF.
+//! The OID file: position → OID mapping shared by SSF, BSSF and FSSF.
 //!
-//! Both signature file organizations identify a matching entry by its
+//! Every signature file layout identifies a matching entry by its
 //! *position* (row number). The OID file translates positions to object
 //! identifiers: entry `p` lives at page `p / O_p`, offset `(p mod O_p) · 8`,
 //! with `O_p = ⌊P/oid⌋ = 512` entries per page — exactly the paper's layout,
@@ -178,9 +178,16 @@ impl OidFile {
             page.write_u64(off, raw | TOMBSTONE_BIT);
         })?;
         if was_live {
-            self.live -= 1;
+            self.live = self.one_less_live()?;
         }
         Ok(())
+    }
+
+    /// The live count after one more tombstone — [`Error::Corrupted`] if
+    /// it was 0, which only a damaged checkpoint's `live` can cause.
+    fn one_less_live(&self) -> Result<u64> {
+        let short = || Error::Corrupted(format!("{} live of {} entries", self.live, self.len));
+        self.live.checked_sub(1).ok_or_else(short)
     }
 
     /// Finds the live entry holding `oid` by sequential scan and tombstones
@@ -199,12 +206,13 @@ impl OidFile {
                 let raw = page.read_u64(s * OID_ENTRY_BYTES);
                 if raw == oid.raw() {
                     let pos = base + s as u64;
+                    let live = self.one_less_live()?;
                     // One write to set the flag; the page is already in
                     // hand so a real system would not re-read it, but we
                     // route through write() to charge exactly one write.
                     page.write_u64(s * OID_ENTRY_BYTES, raw | TOMBSTONE_BIT);
                     self.file.write(page_no, &page)?;
-                    self.live -= 1;
+                    self.live = live;
                     return Ok(pos);
                 }
             }
@@ -283,7 +291,7 @@ impl OidFile {
 
 impl OidFile {
     /// Reconstructs an OID file from its backing file and checkpointed
-    /// counters (see the facility `sync_meta`/`open` pairs).
+    /// counters (see `SignatureFile::sync_meta` / `open`).
     pub fn reopen(file: PagedFile, len: u64, live: u64) -> Result<Self> {
         let pages = file.len()?;
         Ok(OidFile {
@@ -292,11 +300,6 @@ impl OidFile {
             live,
             pages,
         })
-    }
-
-    /// The counters a catalog checkpoint must persist.
-    pub fn state(&self) -> (u64, u64) {
-        (self.len, self.live)
     }
 }
 

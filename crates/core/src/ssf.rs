@@ -4,42 +4,43 @@
 //! stored row-wise, fixed-width, packed `⌊P/⌈F/8⌉⌋` to a page. Retrieval
 //! scans **every** signature page — which is why the paper finds SSF's
 //! retrieval cost dominated by its own storage cost `SC_SIG` (Eq. 7) — then
-//! looks up candidate positions in the [`OidFile`].
+//! looks up candidate positions in the [`OidFile`](crate::OidFile).
 //!
 //! Updates are cheap, the organization's one strength: insertion blind-
 //! writes the tail page of the signature file and the tail page of the OID
 //! file (`UC_I = 2`), deletion tombstones the OID file entry (`UC_D =
-//! SC_OID/2`).
+//! SC_OID/2`). Both are the shared protocol of
+//! [`SignatureFile`](crate::SignatureFile); this module is the row layout.
 
-use setsig_pagestore::{count_reads, Page, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{FileId, Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
 use crate::kernel::{self, RowTest};
+use crate::meta::{MetaReader, MetaWriter};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
+use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
 use crate::signature::Signature;
 
 /// A sequential signature file with its companion OID file.
-pub struct Ssf {
+pub type Ssf = SignatureFile<Rows>;
+
+/// The SSF layout: one signature file of fixed-width rows (`<name>.ssf`).
+pub struct Rows {
     cfg: SignatureConfig,
     sig_file: PagedFile,
-    oid_file: OidFile,
     sig_bytes: usize,
     per_page: u64,
-    /// Catalog checkpoint file; created lazily by [`Ssf::sync_meta`].
-    meta_file: Option<PagedFile>,
 }
 
-impl Ssf {
-    /// Creates an empty SSF named `name` (files `<name>.ssf` / `<name>.oid`)
-    /// on `io`. Hand it a [`BufferPool`](setsig_pagestore::BufferPool) to
-    /// cache signature and OID reads; the caller keeps the pool's `Arc`.
-    pub fn create(io: Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
+impl Rows {
+    /// The one constructor, for a new file and a reopened one alike:
+    /// refuses a signature wider than a page before `sig_file` is made.
+    fn new(cfg: SignatureConfig, sig_file: impl FnOnce() -> PagedFile) -> Result<Self> {
         let sig_bytes = cfg.signature_bytes();
         let per_page = (PAGE_SIZE / sig_bytes) as u64;
         if per_page == 0 {
@@ -47,34 +48,12 @@ impl Ssf {
                 "signature of {sig_bytes} bytes does not fit a {PAGE_SIZE}-byte page"
             )));
         }
-        Ok(Ssf {
+        Ok(Rows {
             cfg,
-            sig_file: PagedFile::create(Arc::clone(&io), &format!("{name}.ssf")),
-            oid_file: OidFile::create(io, &format!("{name}.oid")),
+            sig_file: sig_file(),
             sig_bytes,
             per_page,
-            meta_file: None,
         })
-    }
-
-    /// The signature design parameters.
-    pub fn config(&self) -> &SignatureConfig {
-        &self.cfg
-    }
-
-    /// Signatures stored per page: `⌊P/⌈F/8⌉⌋`.
-    pub fn signatures_per_page(&self) -> u64 {
-        self.per_page
-    }
-
-    /// The companion OID file.
-    pub fn oid_file(&self) -> &OidFile {
-        &self.oid_file
-    }
-
-    /// Pages in the signature file alone — the paper's `SC_SIG`.
-    pub fn signature_pages(&self) -> Result<u64> {
-        Ok(self.sig_file.len()? as u64)
     }
 
     fn slot_of(&self, pos: u64) -> (u32, usize) {
@@ -84,20 +63,8 @@ impl Ssf {
         )
     }
 
-    /// Appends `sig` for `oid`, returning the entry position.
-    ///
-    /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`). The
-    /// OID-file append is the commit point: a call that fails before it has
-    /// indexed nothing, and what it wrote of the signature file is written
-    /// over by the next insert at that position.
-    pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
-        if sig.f_bits() != self.cfg.f_bits() {
-            return Err(Error::WidthMismatch {
-                expected: self.cfg.f_bits(),
-                got: sig.f_bits(),
-            });
-        }
-        let pos = self.oid_file.len();
+    /// Writes `sig` as row `pos` with one page write.
+    fn write_row(&self, pos: u64, sig: &Signature) -> Result<()> {
         let (page_no, off) = self.slot_of(pos);
         let bytes = sig.to_bytes();
         if pos.is_multiple_of(self.per_page) {
@@ -116,48 +83,7 @@ impl Ssf {
             self.sig_file
                 .update(page_no, |page| page.write_slice(off, &bytes))?;
         }
-        let opos = self.oid_file.append(oid)?;
-        debug_assert_eq!(opos, pos);
-        Ok(pos)
-    }
-
-    /// Reads the stored signature at `pos` (one page read).
-    pub fn signature_at(&self, pos: u64) -> Result<Signature> {
-        if pos >= self.oid_file.len() {
-            return Err(Error::NoSuchEntry(pos));
-        }
-        let (page_no, off) = self.slot_of(pos);
-        let page = self.sig_file.read(page_no)?;
-        Ok(Signature::from_bytes(
-            self.cfg.f_bits(),
-            page.read_slice(off, self.sig_bytes),
-        ))
-    }
-
-    /// Full scan of the signature file, returning the positions whose
-    /// signatures match `query` (§4.1 step 2). Reads every signature page
-    /// exactly once.
-    ///
-    /// This is the batched row-scan path: the query compiles once to a
-    /// [`RowTest`], and each fetched page's rows are matched **in place**
-    /// by [`kernel::match_rows`] — no per-row signature is materialized.
-    pub fn scan_matching_positions(&self, query: &SetQuery) -> Result<Vec<u64>> {
-        let query_sig = query.signature(&self.cfg);
-        let total = self.oid_file.len();
-        let npages = self.sig_file.len()?;
-        let (qw, nbits) = (query_sig.bitmap().words(), self.cfg.f_bits());
-        // `T ≬ Q` counts bits, which is not a masked compare.
-        let test = match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => Some(RowTest::superset(qw, nbits)),
-            SetPredicate::InSubset => Some(RowTest::subset(qw, nbits)),
-            SetPredicate::Equals => Some(RowTest::equals(qw, nbits)),
-            SetPredicate::Overlaps => None,
-        };
-        let mut positions = Vec::new();
-        for page_no in 0..npages {
-            self.scan_page(test.as_ref(), qw, total, page_no, &mut positions)?;
-        }
-        Ok(positions)
+        Ok(())
     }
 
     /// Matches one signature page's rows in place, appending hits to `out`:
@@ -191,9 +117,8 @@ impl Ssf {
     /// and matches through [`SetQuery::signature_matches`]. Kept as the
     /// oracle the batched path is differentially tested against.
     #[cfg(test)]
-    fn scan_matching_positions_reference(&self, query: &SetQuery) -> Result<Vec<u64>> {
+    fn scan_matching_positions_reference(&self, query: &SetQuery, total: u64) -> Result<Vec<u64>> {
         let query_sig = query.signature(&self.cfg);
-        let total = self.oid_file.len();
         let npages = self.sig_file.len()?;
         let mut positions = Vec::new();
         for page_no in 0..npages {
@@ -212,6 +137,146 @@ impl Ssf {
         }
         Ok(positions)
     }
+}
+
+impl sealed::Sealed for Rows {}
+
+impl Layout for Rows {
+    type Config = SignatureConfig;
+    type Row = Signature;
+    const NAME: &'static str = "SSF";
+    const MAGIC: &'static [u8; 4] = b"SSF1";
+
+    fn create(io: &Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
+        Rows::new(cfg, || {
+            PagedFile::create(Arc::clone(io), &format!("{name}.ssf"))
+        })
+    }
+
+    fn config(&self) -> &SignatureConfig {
+        &self.cfg
+    }
+
+    fn geometry(&self) -> (u32, u32) {
+        (self.cfg.f_bits(), self.cfg.m_weight())
+    }
+
+    fn row(cfg: &SignatureConfig, set: &[ElementKey]) -> Signature {
+        Signature::for_set(cfg, set)
+    }
+
+    /// One page write per row: a blind update of the tail page, or a fresh
+    /// page where a row starts one. A row a failed call wrote is written
+    /// over by the next append at its position.
+    fn append(
+        &mut self,
+        start: u64,
+        rows: impl Iterator<Item = Signature>,
+        commit: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        for (pos, sig) in (start..).zip(rows) {
+            self.write_row(pos, &sig)?;
+        }
+        commit()
+    }
+
+    /// Full scan of the signature file, matching the first `n` rows
+    /// (§4.1 step 2): reads every signature page exactly once. No smart
+    /// strategy: a capped query runs the plain full scan.
+    ///
+    /// This is the batched row-scan path: the query compiles once to a
+    /// [`RowTest`], and each fetched page's rows are matched **in place**
+    /// by [`kernel::match_rows`] — no per-row signature is materialized.
+    fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        let query_sig = query.signature(&self.cfg);
+        let npages = self.sig_file.len()?;
+        let (qw, nbits) = (query_sig.bitmap().words(), self.cfg.f_bits());
+        // `T ≬ Q` counts bits, which is not a masked compare.
+        let test = match query.predicate {
+            SetPredicate::HasSubset | SetPredicate::Contains => Some(RowTest::superset(qw, nbits)),
+            SetPredicate::InSubset => Some(RowTest::subset(qw, nbits)),
+            SetPredicate::Equals => Some(RowTest::equals(qw, nbits)),
+            SetPredicate::Overlaps => None,
+        };
+        let mut positions = Vec::new();
+        for page_no in 0..npages {
+            self.scan_page(test.as_ref(), qw, n, page_no, &mut positions)?;
+        }
+        Ok(Matches {
+            positions,
+            slices: 0,
+            early_exit: false,
+        })
+    }
+
+    fn storage_pages(&self) -> Result<u64> {
+        Ok(u64::from(self.sig_file.len()?))
+    }
+
+    /// `SSF1`: `F`, `m`, seed, the signature file, then the OID file's.
+    fn write_meta(&self, w: &mut MetaWriter, oid_file: impl FnOnce(&mut MetaWriter)) {
+        w.u32(self.cfg.f_bits());
+        w.u32(self.cfg.m_weight());
+        w.u64(self.cfg.seed());
+        w.u32(self.sig_file.id().raw());
+        oid_file(w);
+    }
+
+    fn open(
+        io: &Arc<dyn PageIo>,
+        r: &mut MetaReader<'_>,
+        oid_file: impl FnOnce(&mut MetaReader<'_>) -> Result<OidFile>,
+    ) -> Result<(Self, OidFile)> {
+        let cfg = SignatureConfig::with_seed(r.u32()?, r.u32()?, r.u64()?)?;
+        let sig_id = FileId::from_raw(r.u32()?);
+        let oids = oid_file(r)?;
+        Ok((
+            Rows::new(cfg, || PagedFile::open(Arc::clone(io), sig_id))?,
+            oids,
+        ))
+    }
+}
+
+impl Ssf {
+    /// Signatures stored per page: `⌊P/⌈F/8⌉⌋`.
+    pub fn signatures_per_page(&self) -> u64 {
+        self.layout.per_page
+    }
+
+    /// Pages in the signature file alone — the paper's `SC_SIG`.
+    pub fn signature_pages(&self) -> Result<u64> {
+        self.layout.storage_pages()
+    }
+
+    /// Appends `sig` for `oid`, returning the entry position.
+    ///
+    /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`). The
+    /// OID-file append is the commit point: a call that fails before it has
+    /// indexed nothing, and what it wrote of the signature file is written
+    /// over by the next insert at that position.
+    pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
+        if sig.f_bits() != self.layout.cfg.f_bits() {
+            return Err(Error::WidthMismatch {
+                expected: self.layout.cfg.f_bits(),
+                got: sig.f_bits(),
+            });
+        }
+        self.append_rows(&[oid], std::iter::once(sig.clone()))
+    }
+
+    /// Reads the stored signature at `pos` (one page read).
+    pub fn signature_at(&self, pos: u64) -> Result<Signature> {
+        if pos >= self.oid_file.len() {
+            return Err(Error::NoSuchEntry(pos));
+        }
+        let rows = &self.layout;
+        let (page_no, off) = rows.slot_of(pos);
+        let page = rows.sig_file.read(page_no)?;
+        Ok(Signature::from_bytes(
+            rows.cfg.f_bits(),
+            page.read_slice(off, rows.sig_bytes),
+        ))
+    }
 
     /// Rebuilds the SSF without tombstoned entries, reclaiming the space of
     /// deleted objects (an extension; the paper leaves tombstones forever).
@@ -219,95 +284,16 @@ impl Ssf {
     /// Returns the number of live entries carried over.
     pub fn compact(&mut self) -> Result<u64> {
         let live = self.oid_file.scan_live()?;
-        let io = Arc::clone(self.sig_file.io());
-        let new_sig = PagedFile::create(Arc::clone(&io), "compacted.ssf");
-        let mut new_oid = OidFile::create(io, "compacted.oid");
-        let mut tail = Page::zeroed();
-        let mut next: u64 = 0;
-        for &(pos, oid) in &live {
-            let (page_no, off) = self.slot_of(pos);
-            let page = self.sig_file.read(page_no)?;
-            let noff = (next % self.per_page) as usize * self.sig_bytes;
-            tail.write_slice(noff, page.read_slice(off, self.sig_bytes));
-            next += 1;
-            if next.is_multiple_of(self.per_page) {
-                new_sig.append(&tail)?;
-                tail = Page::zeroed();
-            }
-            new_oid.append(oid)?;
-        }
-        if !next.is_multiple_of(self.per_page) {
-            new_sig.append(&tail)?;
-        }
-        self.sig_file = new_sig;
-        self.oid_file = new_oid;
-        Ok(next)
-    }
-}
-
-impl SetAccessFacility for Ssf {
-    fn name(&self) -> &'static str {
-        "SSF"
-    }
-
-    fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
-        let sig = Signature::for_set(&self.cfg, set);
-        self.insert_signature(oid, &sig)?;
-        Ok(())
-    }
-
-    fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
-        // §4.1: deletion only flags the OID file entry; the stale signature
-        // stays and is filtered at OID look-up time.
-        self.oid_file.delete_by_oid(oid)?;
-        Ok(())
-    }
-
-    fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
-        // No smart strategy: a capped query runs the plain full scan.
-        let (drops, pages) = count_reads(|| {
-            let positions = self.scan_matching_positions(query)?;
-            self.oid_file.drops_at(&positions)
-        });
-        let stats = ScanStats {
-            pages,
-            ..ScanStats::default()
-        };
-        Ok((drops?, Some(stats)))
-    }
-
-    fn indexed_count(&self) -> u64 {
-        self.oid_file.live_count()
-    }
-
-    fn storage_pages(&self) -> Result<u64> {
-        Ok(self.sig_file.len()? as u64 + self.oid_file.storage_pages()? as u64)
-    }
-
-    fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
-        self.sig_file.io().cache_stats()
-    }
-
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        Some((self.cfg.f_bits(), self.cfg.m_weight()))
-    }
-}
-
-impl std::fmt::Debug for Ssf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Ssf {{ F: {}, m: {}, entries: {} }}",
-            self.cfg.f_bits(),
-            self.cfg.m_weight(),
-            self.oid_file.len()
-        )
+        let rows = live.iter().map(|&(pos, _)| self.signature_at(pos));
+        let rows = rows.collect::<Result<Vec<_>>>()?;
+        self.rebuild(&live, rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetAccessFacility;
     use setsig_pagestore::Disk;
 
     fn ssf(f_bits: u32, m: u32) -> (Arc<Disk>, Ssf) {
@@ -382,22 +368,8 @@ mod tests {
         let _ = ssf.candidates(&q).unwrap();
         // Full scan: exactly the 4 signature pages; with (almost surely) no
         // drops, the OID file is untouched.
-        let fs = disk.file_stats(ssf.sig_file.id()).unwrap();
+        let fs = disk.file_stats(ssf.layout.sig_file.id()).unwrap();
         assert_eq!(fs.reads, 4);
-    }
-
-    #[test]
-    fn deleted_objects_disappear_from_results() {
-        let (_d, mut ssf) = ssf(128, 3);
-        let set = keys(&["Baseball", "Fishing"]);
-        ssf.insert(Oid::new(1), &set).unwrap();
-        ssf.insert(Oid::new(2), &set).unwrap();
-        ssf.delete(Oid::new(1), &set).unwrap();
-        let q = SetQuery::has_subset(keys(&["Baseball"]));
-        let c = ssf.candidates(&q).unwrap();
-        assert!(!c.oids.contains(&Oid::new(1)));
-        assert!(c.oids.contains(&Oid::new(2)));
-        assert_eq!(ssf.indexed_count(), 1);
     }
 
     #[test]
@@ -477,7 +449,8 @@ mod tests {
 #[cfg(test)]
 mod engine_tests {
     use super::*;
-    use setsig_pagestore::{BufferPool, Disk};
+    use crate::SetAccessFacility;
+    use setsig_pagestore::Disk;
 
     fn populated(f_bits: u32, m: u32, n: u64) -> (Arc<Disk>, Ssf) {
         let disk = Arc::new(Disk::new());
@@ -489,6 +462,16 @@ mod engine_tests {
             s.insert(Oid::new(i), &set).unwrap();
         }
         (disk, s)
+    }
+
+    fn scan(s: &Ssf, q: &SetQuery) -> Vec<u64> {
+        s.layout.positions(q, s.oid_file.len()).unwrap().positions
+    }
+
+    fn reference(s: &Ssf, q: &SetQuery) -> Vec<u64> {
+        (s.layout)
+            .scan_matching_positions_reference(q, s.oid_file.len())
+            .unwrap()
     }
 
     fn probes() -> Vec<SetQuery> {
@@ -517,8 +500,8 @@ mod engine_tests {
         let (_d, s) = populated(500, 4, 300);
         for q in probes() {
             assert_eq!(
-                s.scan_matching_positions(&q).unwrap(),
-                s.scan_matching_positions_reference(&q).unwrap(),
+                scan(&s, &q),
+                reference(&s, &q),
                 "batched scan diverged ({:?})",
                 q.predicate
             );
@@ -562,8 +545,8 @@ mod engine_tests {
                     SetQuery::overlaps(elements.clone()),
                 ] {
                     proptest::prop_assert_eq!(
-                        s.scan_matching_positions(&q).unwrap(),
-                        s.scan_matching_positions_reference(&q).unwrap(),
+                        scan(&s, &q),
+                        reference(&s, &q),
                         "{:?} at F = {}", q.predicate, f_bits
                     );
                 }
@@ -583,145 +566,5 @@ mod engine_tests {
         assert!(stats.pages >= sig && stats.pages <= sig + 1);
         // The filtering stage's charge is exactly its disk traffic.
         assert_eq!(disk.snapshot().reads, stats.pages);
-    }
-
-    #[test]
-    fn cache_stats_come_from_the_io_handle() {
-        let disk = Arc::new(Disk::new());
-        let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 64));
-        let cfg = SignatureConfig::new(128, 2).unwrap();
-        let mut s = Ssf::create(Arc::clone(&pool) as Arc<dyn PageIo>, "c", cfg).unwrap();
-        for i in 0..200u64 {
-            s.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
-        }
-        // The write-through inserts installed every page; start from a cold pool.
-        pool.clear();
-        let before = pool.stats();
-        let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
-        let first = s.candidates(&q).unwrap();
-        let cold = pool.stats();
-        assert!(cold.misses > before.misses, "cold scan must reach the disk");
-        disk.reset_stats();
-        let second = s.candidates(&q).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            disk.snapshot().reads,
-            0,
-            "repeat scan must be pool-resident"
-        );
-        let cache = s.cache_stats().expect("pooled facility reports pool stats");
-        assert!(cache.hits > cold.hits, "repeat scan must hit the pool");
-        assert_eq!(
-            cache,
-            pool.stats(),
-            "the caller's pool is the one reporting"
-        );
-
-        let (_d, bare) = populated(64, 2, 5);
-        assert!(bare.cache_stats().is_none());
-    }
-
-    #[test]
-    fn capped_query_runs_the_plain_filter() {
-        let (_d, s) = populated(128, 2, 50);
-        let elems = vec![ElementKey::from(0u64), ElementKey::from(1u64)];
-        for plain in [
-            SetQuery::has_subset(elems.clone()),
-            SetQuery::in_subset(elems),
-        ] {
-            let capped = plain.clone().with_cap(1).unwrap();
-            assert_eq!(
-                s.candidates_with_stats(&capped).unwrap(),
-                s.candidates_with_stats(&plain).unwrap()
-            );
-        }
-    }
-}
-
-impl Ssf {
-    /// Checkpoints the SSF's catalog state (design parameters, file
-    /// bindings, entry counters) into its meta file, creating the file on
-    /// first use. Returns the meta file id to hand to [`Ssf::open`].
-    ///
-    /// Checkpoints are explicit so per-operation costs keep the paper's
-    /// values; call after bulk loading or before shutdown.
-    pub fn sync_meta(&mut self) -> Result<setsig_pagestore::FileId> {
-        let mut w = crate::meta::MetaWriter::new(b"SSF1");
-        w.u32(self.cfg.f_bits());
-        w.u32(self.cfg.m_weight());
-        w.u64(self.cfg.seed());
-        w.u32(self.sig_file.id().raw());
-        w.u32(self.oid_file.file().id().raw());
-        let (len, live) = self.oid_file.state();
-        w.u64(len);
-        w.u64(live);
-        let io = Arc::clone(self.sig_file.io());
-        crate::meta::checkpoint(&io, &mut self.meta_file, "ssf", &w.finish())
-    }
-
-    /// Reopens an SSF from the meta file written by
-    /// [`Ssf::sync_meta`] — e.g. after [`setsig_pagestore::Disk::load_from`].
-    pub fn open(io: Arc<dyn PageIo>, meta: setsig_pagestore::FileId) -> Result<Self> {
-        let meta_file = PagedFile::open(Arc::clone(&io), meta);
-        let blob = meta_file.read_blob()?;
-        let mut r = crate::meta::MetaReader::new(&blob, b"SSF1")?;
-        let cfg = SignatureConfig::with_seed(r.u32()?, r.u32()?, r.u64()?)?;
-        let sig_id = setsig_pagestore::FileId::from_raw(r.u32()?);
-        let oid_id = setsig_pagestore::FileId::from_raw(r.u32()?);
-        let len = r.u64()?;
-        let live = r.u64()?;
-        r.done()?;
-        let sig_bytes = cfg.signature_bytes();
-        let per_page = (PAGE_SIZE / sig_bytes) as u64;
-        Ok(Ssf {
-            cfg,
-            sig_file: PagedFile::open(Arc::clone(&io), sig_id),
-            oid_file: OidFile::reopen(PagedFile::open(io, oid_id), len, live)?,
-            sig_bytes,
-            per_page,
-            meta_file: Some(meta_file),
-        })
-    }
-}
-
-#[cfg(test)]
-mod meta_tests {
-    use super::*;
-    use setsig_pagestore::Disk;
-
-    fn keys(elems: &[&str]) -> Vec<ElementKey> {
-        elems.iter().map(ElementKey::from).collect()
-    }
-
-    #[test]
-    fn ssf_reopens_from_saved_image() {
-        let dir = std::env::temp_dir().join(format!("setsig-ssf-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.img");
-
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut ssf = Ssf::create(io, "h", SignatureConfig::new(128, 2).unwrap()).unwrap();
-        ssf.insert(Oid::new(1), &keys(&["Baseball", "Fishing"]))
-            .unwrap();
-        ssf.insert(Oid::new(2), &keys(&["Tennis"])).unwrap();
-        let meta = ssf.sync_meta().unwrap();
-        disk.save_to(&path).unwrap();
-
-        let loaded = Arc::new(Disk::load_from(&path).unwrap());
-        let io: Arc<dyn PageIo> = Arc::clone(&loaded) as Arc<dyn PageIo>;
-        let mut reopened = Ssf::open(io, meta).unwrap();
-        assert_eq!(reopened.indexed_count(), 2);
-        assert_eq!(reopened.config(), &SignatureConfig::new(128, 2).unwrap());
-        let q = SetQuery::has_subset(keys(&["Baseball"]));
-        assert_eq!(reopened.candidates(&q).unwrap().oids, vec![Oid::new(1)]);
-        // Appends continue at the correct position.
-        reopened.insert(Oid::new(3), &keys(&["Baseball"])).unwrap();
-        assert_eq!(
-            reopened.candidates(&q).unwrap().oids,
-            vec![Oid::new(1), Oid::new(3)]
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

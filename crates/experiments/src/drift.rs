@@ -1102,7 +1102,7 @@ mod tests {
     fn split_pages_account_for_every_page_a_split_touches() {
         use setsig_core::{Oid, SetAccessFacility};
         let disk = std::sync::Arc::new(setsig_pagestore::Disk::new());
-        let mut nix = setsig_nix::Nix::create(std::sync::Arc::clone(&disk), "t");
+        let mut nix = setsig_nix::Nix::on_io(std::sync::Arc::clone(&disk) as _, "t");
         let (mut leaf_splits, mut new_roots) = (0, 0);
         for i in 0..3_000u64 {
             let tree = nix.tree();

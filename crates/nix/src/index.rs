@@ -5,7 +5,7 @@ use setsig_core::{
     sorted, CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility,
     SetPredicate, SetQuery,
 };
-use setsig_pagestore::{count_reads, Disk, FileId, PageIo, PagedFile};
+use setsig_pagestore::{count_reads, FileId, PageIo, PagedFile};
 use std::sync::Arc;
 
 use crate::btree::BTree;
@@ -57,13 +57,8 @@ pub struct Nix {
 }
 
 impl Nix {
-    /// Creates an empty nested index named `name` on `disk`.
-    pub fn create(disk: Arc<Disk>, name: &str) -> Self {
-        let io: Arc<dyn PageIo> = disk as Arc<dyn PageIo>;
-        Nix::on_io(io, name)
-    }
-
-    /// Creates an empty nested index on any page I/O backend.
+    /// Creates an empty nested index named `name` on `io` — the bare
+    /// accounting [`Disk`](setsig_pagestore::Disk) or a buffer pool over it.
     pub fn on_io(io: Arc<dyn PageIo>, name: &str) -> Self {
         Nix {
             tree: BTree::create(io, &format!("{name}.nix")),
@@ -388,6 +383,7 @@ impl std::fmt::Debug for Nix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setsig_pagestore::Disk;
 
     fn keys(elems: &[&str]) -> Vec<ElementKey> {
         elems.iter().map(ElementKey::from).collect()
@@ -395,7 +391,7 @@ mod tests {
 
     fn nix() -> (Arc<Disk>, Nix) {
         let disk = Arc::new(Disk::new());
-        (Arc::clone(&disk), Nix::create(disk, "test"))
+        (Arc::clone(&disk), Nix::on_io(disk, "test"))
     }
 
     #[test]
@@ -850,6 +846,7 @@ impl Nix {
 #[cfg(test)]
 mod meta_tests {
     use super::*;
+    use setsig_pagestore::Disk;
 
     #[test]
     fn nix_reopens_from_saved_image() {
@@ -858,7 +855,7 @@ mod meta_tests {
         let path = dir.join("db.img");
 
         let disk = Arc::new(Disk::new());
-        let mut nix = Nix::create(Arc::clone(&disk), "h");
+        let mut nix = Nix::on_io(Arc::clone(&disk) as Arc<dyn PageIo>, "h");
         // Enough keys to force splits, so root/height survive reopen.
         for i in 0..2000u64 {
             nix.insert(
@@ -905,7 +902,7 @@ mod meta_tests {
     fn an_image_of_bare_oid_postings_is_refused() {
         // What `sync_meta` wrote while a posting word was the bare OID.
         let disk = Arc::new(Disk::new());
-        let mut nix = Nix::create(Arc::clone(&disk), "old");
+        let mut nix = Nix::on_io(Arc::clone(&disk) as Arc<dyn PageIo>, "old");
         nix.insert(Oid::new(1), &[ElementKey::from(3u64)]).unwrap();
         let tree_meta = nix.tree.sync_meta().unwrap();
         let io = || Arc::clone(&disk) as Arc<dyn PageIo>;

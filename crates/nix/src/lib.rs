@@ -34,7 +34,7 @@
 //! use std::sync::Arc;
 //!
 //! let disk = Arc::new(Disk::new());
-//! let mut nix = Nix::create(disk, "hobbies");
+//! let mut nix = Nix::on_io(disk, "hobbies");
 //! nix.insert(Oid::new(1), &[ElementKey::from("Baseball"), ElementKey::from("Fishing")]).unwrap();
 //! nix.insert(Oid::new(2), &[ElementKey::from("Tennis")]).unwrap();
 //!

@@ -283,7 +283,7 @@ proptest! {
     /// of the live sets does.
     #[test]
     fn nix_answers_match_brute_force(objects in objects(), queries in queries()) {
-        let mut nix = Nix::create(Arc::new(Disk::new()), "p");
+        let mut nix = Nix::on_io(Arc::new(Disk::new()), "p");
         for (i, (set, _)) in objects.iter().enumerate() {
             nix.insert(Oid::new(i as u64), &element_keys(set)).unwrap();
         }

@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
-use setsig::core::{OidFile, Result};
+use setsig::core::{Layout, Result, SignatureFile};
 use setsig::nix::Nix;
 use setsig::prelude::*;
 use std::sync::Arc;
@@ -119,35 +119,25 @@ fn persistence_load_failures_are_errors() {
 
 type Entry = (Oid, Vec<ElementKey>);
 
-/// What the sweep needs from a row-organized facility.
+/// What the sweep needs to know of a layout beyond the signature file.
 trait RowFacility: SetAccessFacility {
-    fn oids(&self) -> &OidFile;
     /// Disk writes an insert of `set` makes when nothing failed before it.
     fn own_writes(&self, set: &[ElementKey]) -> u64;
 }
 
 impl RowFacility for Ssf {
-    fn oids(&self) -> &OidFile {
-        self.oid_file()
-    }
     fn own_writes(&self, _set: &[ElementKey]) -> u64 {
         2
     }
 }
 
 impl RowFacility for Bssf {
-    fn oids(&self) -> &OidFile {
-        self.oid_file()
-    }
     fn own_writes(&self, set: &[ElementKey]) -> u64 {
         u64::from(Signature::for_set(self.config(), set).weight()) + 1
     }
 }
 
 impl RowFacility for Fssf {
-    fn oids(&self) -> &OidFile {
-        self.oid_file()
-    }
     fn own_writes(&self, set: &[ElementKey]) -> u64 {
         let cfg = self.config();
         let mut frames: Vec<u32> = set.iter().map(|e| cfg.frame_of(e)).collect();
@@ -197,14 +187,17 @@ fn assert_all_found(fac: &dyn SetAccessFacility, acknowledged: &[Entry], when: &
 /// it fails, a different object is inserted and must take the position the
 /// failed call was writing, at no more than its own writes plus the failed
 /// call's, with no acknowledged object lost. Returns whether `op` failed.
-fn torn_round<F: RowFacility>(
+fn torn_round<L: Layout>(
     disk: &Disk,
-    fac: &mut F,
+    fac: &mut SignatureFile<L>,
     acknowledged: &mut Vec<Entry>,
     n: u64,
-    op: impl FnOnce(&mut F) -> Result<()>,
-) -> bool {
-    let pos = fac.oids().len();
+    op: impl FnOnce(&mut SignatureFile<L>) -> Result<()>,
+) -> bool
+where
+    SignatureFile<L>: RowFacility,
+{
+    let pos = fac.oid_file().len();
     let before = disk.snapshot().writes;
     disk.inject_fault_after(n);
     let outcome = op(fac);
@@ -215,7 +208,7 @@ fn torn_round<F: RowFacility>(
     }
     let when = format!("after a fault at access {n} of a write at position {pos}");
     assert_eq!(
-        fac.oids().len(),
+        fac.oid_file().len(),
         pos,
         "{when}: a failed call commits nothing"
     );
@@ -229,7 +222,7 @@ fn torn_round<F: RowFacility>(
     let before = disk.snapshot().writes;
     fac.insert(recovery.0, &recovery.1).unwrap();
     let writes = disk.snapshot().writes - before;
-    assert_eq!(fac.oids().get(pos).unwrap(), Some(recovery.0), "{when}");
+    assert_eq!(fac.oid_file().get(pos).unwrap(), Some(recovery.0), "{when}");
     assert!(
         writes <= own + failed_writes,
         "{} {when}: recovery wrote {writes} pages, its own {own} + the failed call's {failed_writes}",
@@ -242,7 +235,14 @@ fn torn_round<F: RowFacility>(
 
 /// Sweeps every injection point of a single insert, one after the other on
 /// the same facility; returns how many there were (`io_count(insert)`).
-fn sweep_inserts<F: RowFacility>(disk: &Disk, fac: &mut F, acknowledged: &mut Vec<Entry>) -> u64 {
+fn sweep_inserts<L: Layout>(
+    disk: &Disk,
+    fac: &mut SignatureFile<L>,
+    acknowledged: &mut Vec<Entry>,
+) -> u64
+where
+    SignatureFile<L>: RowFacility,
+{
     let mut n = 0;
     while torn_round(disk, fac, acknowledged, n, |f| {
         f.insert(
@@ -258,11 +258,14 @@ fn sweep_inserts<F: RowFacility>(disk: &Disk, fac: &mut F, acknowledged: &mut Ve
 /// Sweeps every injection point of writing `entries` at one fixed position:
 /// the facility is rebuilt for each, and after the recovery insert the
 /// failed write itself is retried and must go through whole.
-fn sweep_at<F: RowFacility>(
-    build: impl Fn() -> (Arc<Disk>, F, Vec<Entry>),
+fn sweep_at<L: Layout>(
+    build: impl Fn() -> (Arc<Disk>, SignatureFile<L>, Vec<Entry>),
     entries: &[Entry],
-    write: fn(&mut F, &[Entry]) -> Result<()>,
-) -> u64 {
+    write: fn(&mut SignatureFile<L>, &[Entry]) -> Result<()>,
+) -> u64
+where
+    SignatureFile<L>: RowFacility,
+{
     let mut n = 0;
     loop {
         let (disk, mut fac, mut acknowledged) = build();
@@ -284,7 +287,7 @@ fn entry(i: u64) -> Entry {
     (Oid::new(i), elems(i * 7..i * 7 + 4))
 }
 
-fn populated<F: RowFacility>(fac: &mut F, n: u64) -> Vec<Entry> {
+fn populated(fac: &mut dyn SetAccessFacility, n: u64) -> Vec<Entry> {
     let entries: Vec<Entry> = (0..n).map(entry).collect();
     for (oid, set) in &entries {
         fac.insert(*oid, set).unwrap();

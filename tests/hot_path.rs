@@ -22,9 +22,9 @@
 //! leaf compacts first.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
-//! bite, compile the `RowTest` per page in `Ssf::scan_page`, allocate the
-//! row `Bitmap` per row in `Fssf::scan_frame`, `.to_vec()` the page in
-//! `Bssf::slice_page` or the key in `Verifier::observe`, `collect()` a
+//! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate the
+//! row `Bitmap` per row in `Frames::scan_frame`, `.to_vec()` the page in
+//! `Slices::slice_page` or the key in `Verifier::observe`, `collect()` a
 //! node's keys in `BTree::descend`, or parse the leaf (`Leaf::entries`)
 //! before `Leaf::compact` in `BTree::insert_into_leaf`.
 
