@@ -108,10 +108,14 @@ impl FssfConfig {
         (element_hash(element.as_bytes(), self.seed ^ 0x00f7_a3e5) % self.frames as u64) as u32
     }
 
-    /// The element's `m` bit positions *within its frame*.
-    pub fn frame_positions(&self, element: &ElementKey) -> Vec<u32> {
-        ElementHasher::new(self.frame_bits(), self.seed)
-            .positions(element.as_bytes(), self.m_weight)
+    /// Writes the element's `m` bit positions *within its frame* into `out`
+    /// (cleared first), in ascending order.
+    pub fn frame_positions(&self, element: &ElementKey, out: &mut Vec<u32>) {
+        ElementHasher::new(self.frame_bits(), self.seed).positions_into(
+            element.as_bytes(),
+            self.m_weight,
+            out,
+        );
     }
 }
 
@@ -223,8 +227,10 @@ impl Frames {
         // Per element (not per frame): overlap needs one *element* fully
         // present, so elements sharing a frame are tested separately.
         let mut by_frame: BTreeMap<u32, Vec<Bitmap>> = BTreeMap::new();
+        let mut positions = Vec::new();
         for e in &query.elements {
-            let bits = Bitmap::from_positions(self.cfg.frame_bits(), &self.cfg.frame_positions(e));
+            self.cfg.frame_positions(e, &mut positions);
+            let bits = Bitmap::from_positions(self.cfg.frame_bits(), &positions);
             by_frame.entry(self.cfg.frame_of(e)).or_default().push(bits);
         }
         let slices = by_frame.len() as u64;
@@ -268,12 +274,12 @@ impl Layout for Frames {
     /// Groups a set's elements by frame, OR-ing their frame signatures.
     fn row(cfg: &FssfConfig, set: &[ElementKey]) -> BTreeMap<u32, Bitmap> {
         let mut by_frame: BTreeMap<u32, Bitmap> = BTreeMap::new();
+        let mut positions = Vec::with_capacity(cfg.m_weight() as usize);
         for e in set {
             let bits = (by_frame.entry(cfg.frame_of(e)))
                 .or_insert_with(|| Bitmap::zeroed(cfg.frame_bits()));
-            for p in cfg.frame_positions(e) {
-                bits.set(p, true);
-            }
+            cfg.frame_positions(e, &mut positions);
+            positions.iter().for_each(|&p| bits.set(p, true));
         }
         by_frame
     }

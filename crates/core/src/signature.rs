@@ -27,11 +27,7 @@ impl Signature {
 
     /// The element signature of `element`: `m` distinct bits out of `F`.
     pub fn for_element(cfg: &SignatureConfig, element: &ElementKey) -> Self {
-        let hasher = ElementHasher::new(cfg.f_bits(), cfg.seed());
-        let positions = hasher.positions(element.as_bytes(), cfg.m_weight());
-        Signature {
-            bits: Bitmap::from_positions(cfg.f_bits(), &positions),
-        }
+        Signature::for_set(cfg, [element])
     }
 
     /// The set signature of `elements`: OR of the element signatures.
@@ -44,10 +40,10 @@ impl Signature {
     ) -> Self {
         let hasher = ElementHasher::new(cfg.f_bits(), cfg.seed());
         let mut bits = Bitmap::zeroed(cfg.f_bits());
+        let mut positions = Vec::with_capacity(cfg.m_weight() as usize);
         for e in elements {
-            for p in hasher.positions(e.as_bytes(), cfg.m_weight()) {
-                bits.set(p, true);
-            }
+            hasher.positions_into(e.as_bytes(), cfg.m_weight(), &mut positions);
+            positions.iter().for_each(|&p| bits.set(p, true));
         }
         Signature { bits }
     }

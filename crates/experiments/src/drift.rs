@@ -493,13 +493,13 @@ type FrameRow = BTreeMap<u32, Bitmap>;
 
 fn frame_row(cfg: &FssfConfig, set: &[ElementKey]) -> FrameRow {
     let mut row = FrameRow::new();
+    let mut positions = Vec::new();
     for e in set {
         let bits = row
             .entry(cfg.frame_of(e))
             .or_insert_with(|| Bitmap::zeroed(cfg.frame_bits()));
-        for p in cfg.frame_positions(e) {
-            bits.set(p, true);
-        }
+        cfg.frame_positions(e, &mut positions);
+        positions.iter().for_each(|&p| bits.set(p, true));
     }
     row
 }

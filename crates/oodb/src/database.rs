@@ -130,7 +130,9 @@ impl Database {
     /// every registered facility on the class.
     pub fn insert_object(&mut self, class: ClassId, values: Vec<Value>) -> Result<Oid> {
         self.class(class)?.check_values(&values)?;
-        let oid = self.allocator.allocate();
+        // The OID is taken only once the object is stored, so a rejected
+        // insert leaves no gap for the next one.
+        let oid = Oid::new(self.allocator.peek());
         let object = Object { oid, class, values };
         // Derive before storing so a dangling path reference fails the
         // whole insert instead of leaving a half-indexed object.
@@ -141,6 +143,7 @@ impl Database {
             }
         }
         self.store.put(&object)?;
+        self.allocator.allocate();
         for (i, set) in derived {
             self.facilities[i].facility.insert(oid, &set)?;
         }

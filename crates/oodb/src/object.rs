@@ -21,12 +21,13 @@ impl Object {
     /// Serializes the object to its record form:
     /// `oid u64 | class u32 | nvalues u32 | value…`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let len = HEADER + self.values.iter().map(Value::encoded_len).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&self.oid.raw().to_le_bytes());
         out.extend_from_slice(&self.class.raw().to_le_bytes());
         out.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
         for v in &self.values {
-            out.extend_from_slice(&v.encode());
+            v.encode_into(&mut out);
         }
         out
     }
@@ -131,6 +132,35 @@ mod tests {
         let obj = sample();
         let back = Object::decode(&obj.encode()).unwrap();
         assert_eq!(back, obj);
+    }
+
+    #[test]
+    fn a_record_encodes_to_pinned_bytes() {
+        // Disk images and `results/` depend on these bytes, the set's
+        // element order included: the tag first, Int(256) before Int(-1)
+        // (little-endian bytes), "b" before "aa" (length first).
+        let obj = Object {
+            oid: Oid::new(7),
+            class: ClassId(2),
+            values: vec![Value::set(vec![
+                Value::set(vec![Value::Int(1)]),
+                Value::str("aa"),
+                Value::Ref(Oid::new(5)),
+                Value::Int(-1),
+                Value::str("b"),
+                Value::Int(256),
+                Value::str("b"),
+            ])],
+        };
+        let mut want = vec![7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0];
+        want.extend([3, 6, 0, 0, 0]); // a set of 6
+        want.extend([0, 0, 1, 0, 0, 0, 0, 0, 0]); // Int(256)
+        want.extend([0, 255, 255, 255, 255, 255, 255, 255, 255]); // Int(-1)
+        want.extend([1, 1, 0, 0, 0, b'b']); // "b"
+        want.extend([1, 2, 0, 0, 0, b'a', b'a']); // "aa"
+        want.extend([2, 5, 0, 0, 0, 0, 0, 0, 0]); // Ref(5)
+        want.extend([3, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]); // {Int(1)}
+        assert_eq!(obj.encode(), want);
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn dangling_reference_surfaces_as_error() {
-        let (mut db, student, _c, course) = sample();
+        let (mut db, student, c, course) = sample();
         let fac = facility(&db);
         db.register_path_facility(student, "courses", course, "category", fac)
             .unwrap();
@@ -255,5 +255,11 @@ mod tests {
             ],
         );
         assert!(matches!(err, Err(Error::NoSuchObject(_))));
+        // The rejected insert took no OID: the next one gets the OID after
+        // the last course's.
+        let ok = db
+            .insert_object(student, vec![Value::str("Y"), Value::set(vec![])])
+            .unwrap();
+        assert_eq!(ok, Oid::new(c[3].raw() + 1));
     }
 }

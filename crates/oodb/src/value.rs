@@ -1,5 +1,7 @@
 //! The complex-object value model and its binary encoding.
 
+use std::cmp::Ordering;
+
 use setsig_core::{ElementKey, Oid};
 
 use crate::error::{Error, Result};
@@ -33,17 +35,52 @@ impl Value {
         Value::Str(s.to_owned())
     }
 
-    /// Convenience constructor for sets, normalizing (sort + dedup) the
-    /// elements so two equal sets have equal representations.
+    /// Convenience constructor for sets, normalizing the elements so two
+    /// equal sets have equal representations: sorted in the byte order of
+    /// their [`encode`](Value::encode) output — computed by
+    /// [`cmp_encoded`](Value::cmp_encoded), without encoding anything — and
+    /// deduplicated. Stored records and every signature hashed from them
+    /// depend on this order.
     pub fn set(mut elems: Vec<Value>) -> Value {
-        elems.sort_by_key(Value::sort_key);
+        elems.sort_unstable_by(Value::cmp_encoded);
         elems.dedup();
         Value::Set(elems)
     }
 
-    /// A total order key used only for set normalization.
-    fn sort_key(&self) -> Vec<u8> {
-        self.encode()
+    /// Orders two values exactly as `self.encode().cmp(&other.encode())`
+    /// would, allocating nothing: the tag first, then integers and
+    /// references by their little-endian bytes, strings by their
+    /// little-endian `u32` length bytes and then their bytes, and sets and
+    /// tuples by their length bytes and then element by element. The
+    /// encoding is prefix-free, so the first unequal element decides the
+    /// byte order of the concatenation.
+    pub fn cmp_encoded(&self, other: &Value) -> Ordering {
+        let len_bytes = |n: usize| (n as u32).to_le_bytes();
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a.to_le_bytes().cmp(&b.to_le_bytes()),
+            (Value::Ref(a), Value::Ref(b)) => a.raw().to_le_bytes().cmp(&b.raw().to_le_bytes()),
+            (Value::Str(a), Value::Str(b)) => (len_bytes(a.len()).cmp(&len_bytes(b.len())))
+                .then_with(|| a.as_bytes().cmp(b.as_bytes())),
+            (Value::Set(a), Value::Set(b)) | (Value::Tuple(a), Value::Tuple(b)) => {
+                (len_bytes(a.len()).cmp(&len_bytes(b.len()))).then_with(|| {
+                    (a.iter().zip(b).map(|(x, y)| x.cmp_encoded(y)))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                })
+            }
+            _ => self.tag().cmp(&other.tag()),
+        }
+    }
+
+    /// The first byte of the value's encoding.
+    fn tag(&self) -> u8 {
+        match self {
+            Value::Int(_) => TAG_INT,
+            Value::Str(_) => TAG_STR,
+            Value::Ref(_) => TAG_REF,
+            Value::Set(_) => TAG_SET,
+            Value::Tuple(_) => TAG_TUPLE,
+        }
     }
 
     /// The name of the value's shape, for error messages.
@@ -83,35 +120,33 @@ impl Value {
 
     /// Serializes to the tagged binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// The length of [`encode`](Value::encode)'s output.
+    pub(crate) fn encoded_len(&self) -> usize {
         match self {
-            Value::Int(v) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&v.to_le_bytes());
+            Value::Int(_) | Value::Ref(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+            Value::Set(elems) | Value::Tuple(elems) => {
+                5 + elems.iter().map(Value::encoded_len).sum::<usize>()
             }
+        }
+    }
+
+    /// Appends [`encode`](Value::encode)'s output to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        match self {
+            Value::Int(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Value::Ref(oid) => out.extend_from_slice(&oid.raw().to_le_bytes()),
             Value::Str(s) => {
-                out.push(TAG_STR);
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
-            Value::Ref(oid) => {
-                out.push(TAG_REF);
-                out.extend_from_slice(&oid.raw().to_le_bytes());
-            }
-            Value::Set(elems) => {
-                out.push(TAG_SET);
-                out.extend_from_slice(&(elems.len() as u32).to_le_bytes());
-                for e in elems {
-                    e.encode_into(out);
-                }
-            }
-            Value::Tuple(elems) => {
-                out.push(TAG_TUPLE);
+            Value::Set(elems) | Value::Tuple(elems) => {
                 out.extend_from_slice(&(elems.len() as u32).to_le_bytes());
                 for e in elems {
                     e.encode_into(out);

@@ -15,11 +15,19 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A recursive strategy for arbitrary values (bounded depth and fanout).
+/// Beside values drawn from wide ranges it draws from narrow ones, so a set
+/// holds repeats and near neighbours: integers of both signs around the
+/// byte boundaries (256 encodes before -1), empty and multi-byte strings
+/// (one to four bytes a char, so equal byte lengths come from different
+/// char counts), and a handful of references.
 fn value_strategy() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         any::<i64>().prop_map(Value::Int),
+        (-300i64..300).prop_map(Value::Int),
         "[a-zA-Z0-9 ]{0,12}".prop_map(Value::Str),
+        "[abé€😀]{0,3}".prop_map(Value::Str),
         (0u64..1_000_000).prop_map(|v| Value::Ref(Oid::new(v))),
+        (0u64..4).prop_map(|v| Value::Ref(Oid::new(v))),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
@@ -217,6 +225,25 @@ proptest! {
         let back = Value::decode(&bytes, &mut pos).unwrap();
         prop_assert_eq!(pos, bytes.len());
         prop_assert_eq!(back, v);
+    }
+
+    /// `Value::set` orders its elements by their encoding without encoding
+    /// them: its record is byte-identical to the normalisation it replaced
+    /// (sort by `encode()`, dedup), and `cmp_encoded` is the byte order of
+    /// the two encodings for every pair of elements.
+    #[test]
+    fn set_order_is_the_encoding_byte_order(
+        elems in proptest::collection::vec(value_strategy(), 0..12),
+    ) {
+        let mut oracle = elems.clone();
+        oracle.sort_by_key(Value::encode);
+        oracle.dedup();
+        prop_assert_eq!(Value::set(elems.clone()).encode(), Value::Set(oracle).encode());
+        for a in &elems {
+            for b in &elems {
+                prop_assert_eq!(a.cmp_encoded(b), a.encode().cmp(&b.encode()), "{:?} vs {:?}", a, b);
+            }
+        }
     }
 
     /// The decoder never panics on arbitrary garbage — it returns errors.

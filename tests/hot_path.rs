@@ -21,12 +21,18 @@
 //! remove the copy, however many entries the leaf holds and whether the
 //! leaf compacts first.
 //!
+//! Loading an object reads no page, so its two paths count elements where
+//! the others count pages: `Value::set` allocates nothing however large the
+//! set, and `Signature::for_set` over 1,000 elements what it does over 10.
+//!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate the
 //! row `Bitmap` per row in `Frames::scan_frame`, `.to_vec()` the page in
 //! `Slices::slice_page` or the key in `Verifier::observe`, `collect()` a
-//! node's keys in `BTree::descend`, or parse the leaf (`Leaf::entries`)
-//! before `Leaf::compact` in `BTree::insert_into_leaf`.
+//! node's keys in `BTree::descend`, parse the leaf (`Leaf::entries`)
+//! before `Leaf::compact` in `BTree::insert_into_leaf`, sort `Value::set`
+//! by `sort_by_key(Value::encode)`, or have `ElementHasher::positions_into`
+//! fill a fresh `Vec` per element.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -64,7 +70,9 @@ const LARGE: u64 = 2 * ROW_PAGE + SMALL;
 struct Row {
     path: &'static str,
     shape: String,
-    pages: u64,
+    /// Pages read — or, on the two load paths, which read none, the set
+    /// elements ordered or hashed.
+    work: u64,
     allocations: u64,
     budget: u64,
 }
@@ -79,14 +87,14 @@ fn print(rows: &[Row]) {
     let width = rows.iter().map(|r| r.name().chars().count()).max();
     let width = width.unwrap_or(0);
     println!(
-        "{:<width$} | {:>6} | {:>11} | {:>6}",
-        "path", "pages", "allocations", "budget"
+        "{:<width$} | {:>14} | {:>11} | {:>6}",
+        "path", "pages|elements", "allocations", "budget"
     );
     for r in rows {
         println!(
-            "{:<width$} | {:>6} | {:>11} | {:>6}",
+            "{:<width$} | {:>14} | {:>11} | {:>6}",
             r.name(),
-            r.pages,
+            r.work,
             r.allocations,
             r.budget
         );
@@ -100,10 +108,10 @@ fn violations(rows: &[Row]) -> Vec<String> {
     let mut out: Vec<String> = over
         .map(|r| {
             format!(
-                "{}: {} allocations over {} pages, budget {}",
+                "{}: {} allocations over {} pages|elements, budget {}",
                 r.name(),
                 r.allocations,
-                r.pages,
+                r.work,
                 r.budget
             )
         })
@@ -112,15 +120,15 @@ fn violations(rows: &[Row]) -> Vec<String> {
     paths.dedup();
     for path in paths {
         let shapes = || rows.iter().filter(|r| r.path == path);
-        if shapes().any(|r| r.pages >= 10 * r.budget) {
+        if shapes().any(|r| r.work >= 10 * r.budget) {
             continue;
         }
-        let widest = shapes().max_by_key(|r| r.pages).unwrap();
+        let widest = shapes().max_by_key(|r| r.work).unwrap();
         out.push(format!(
-            "{}: {} pages against a budget of {} allocations — no shape of this path reads \
-             10× its budget, so an allocation per page could hide",
+            "{}: {} pages|elements against a budget of {} allocations — no shape of this path \
+             reads 10× its budget, so an allocation per page or element could hide",
             widest.name(),
-            widest.pages,
+            widest.work,
             widest.budget
         ));
     }
@@ -290,7 +298,7 @@ fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
         rows.push(Row {
             path,
             shape,
-            pages,
+            work: pages,
             allocations,
             budget,
         });
@@ -316,7 +324,7 @@ fn resolution(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
                 query.d_q(),
                 report.actual.len()
             ),
-            pages,
+            work: pages,
             allocations,
             budget: 1 + vec_growth(report.actual.len()),
         });
@@ -371,7 +379,7 @@ fn kernels(rows: &mut Vec<Row>) {
         rows.push(Row {
             path,
             shape: format!("{what}{PAGES} × 4 KiB"),
-            pages: PAGES,
+            work: PAGES,
             allocations,
             budget: 0,
         });
@@ -432,7 +440,7 @@ fn btree_lookup(rows: &mut Vec<Row>) {
         rows.push(Row {
             path: "nix.btree.lookup",
             shape: format!("height {}, {} postings", tree.height(), postings.len()),
-            pages,
+            work: pages,
             allocations,
             budget: u64::from(!postings.is_empty()),
         });
@@ -470,9 +478,42 @@ fn nix_union(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
                 query.d_q(),
                 drops.len()
             ),
-            pages,
+            work: pages,
             allocations,
             budget: 1 + vec_growth(pooled) + 1 + vec_growth(drops.len()),
+        });
+    }
+}
+
+/// Loading an object: `Value::set` orders its elements in place, by a
+/// comparison that encodes nothing, and a set signature hashes every element
+/// into one positions buffer — no allocation per element or comparison.
+fn load(rows: &mut Vec<Row>) {
+    let cfg = SignatureConfig::new(F, M).unwrap();
+    let mut ten = None;
+    for n in [10u64, 1_000] {
+        // Scrambled, with repeats and both signs, so the sort and the
+        // dedup have work to do.
+        let ints = (0..n).map(|i| (i * 7_919 % (n * 9 / 10)) as i64 - n as i64 / 2);
+        let elems: Vec<Value> = ints.map(Value::Int).collect();
+        let (allocations, set) = count(|| Value::set(elems));
+        black_box(set);
+        rows.push(Row {
+            path: "oodb.value_set",
+            shape: format!("{n} Int elements"),
+            work: n,
+            allocations,
+            budget: 0,
+        });
+        let set = keys(&(0..n).collect::<Vec<_>>());
+        let (allocations, signature) = count(|| Signature::for_set(&cfg, &set));
+        black_box(signature);
+        rows.push(Row {
+            path: "core.signature.for_set",
+            shape: format!("{n} elements; budget from 10"),
+            work: n,
+            allocations,
+            budget: *ten.get_or_insert(allocations),
         });
     }
 }
@@ -495,7 +536,7 @@ fn pool_hit(rows: &mut Vec<Row>) {
     rows.push(Row {
         path: "pagestore.BufferPool::read_page",
         shape: format!("{FRAMES} hits"),
-        pages: u64::from(FRAMES),
+        work: u64::from(FRAMES),
         allocations,
         budget: 0,
     });
@@ -582,6 +623,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     let mut rows = Vec::new();
     kernels(&mut rows);
     pool_hit(&mut rows);
+    load(&mut rows);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
     nix_union(&mut rows, &small, &probes);
