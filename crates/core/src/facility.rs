@@ -17,10 +17,11 @@ use setsig_pagestore::CacheStats;
 /// disk. No scan counts its own pages: each `candidates_with_stats` (one
 /// for the three signature file layouts, one for the nested index) runs its
 /// filter inside
-/// [`count_reads`](setsig_pagestore::count_reads), the per-thread tally
-/// every [`PagedFile::read`](setsig_pagestore::PagedFile::read) bumps, so a
-/// read cannot go uncharged. A query runs on one thread, so concurrent
-/// queries on one facility each observe exactly their own counts.
+/// [`count_reads`](setsig_pagestore::count_reads), the per-thread tally of
+/// the pages the store serves — each `Disk` read and each buffer-pool hit
+/// counts one — so a read cannot go uncharged, whatever handle made it. A
+/// query runs on one thread, so concurrent queries on one facility each
+/// observe exactly their own counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Slice/signature/OID pages the scan read.

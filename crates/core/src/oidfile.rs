@@ -291,9 +291,16 @@ impl OidFile {
 
 impl OidFile {
     /// Reconstructs an OID file from its backing file and checkpointed
-    /// counters (see `SignatureFile::sync_meta` / `open`).
+    /// counters (see `SignatureFile::sync_meta` / `open`). Counters the
+    /// file cannot hold — more live entries than entries, or entries past
+    /// its last page — are [`Error::Corrupted`].
     pub fn reopen(file: PagedFile, len: u64, live: u64) -> Result<Self> {
         let pages = file.len()?;
+        if live > len || len > u64::from(pages) * OIDS_PER_PAGE {
+            return Err(Error::Corrupted(format!(
+                "{live} live of {len} entries in {pages} OID pages"
+            )));
+        }
         Ok(OidFile {
             file,
             len,

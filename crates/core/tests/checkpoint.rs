@@ -5,9 +5,9 @@
 
 use setsig_core::{
     Bssf, ElementKey, Error, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SignatureConfig,
-    Ssf,
+    Ssf, OIDS_PER_PAGE,
 };
-use setsig_pagestore::{Disk, FileId, PageIo, PagedFile, PAGE_SIZE};
+use setsig_pagestore::{Disk, Error as StorageError, FileId, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
 fn hex(bytes: &[u8]) -> String {
@@ -140,4 +140,57 @@ fn a_short_live_count_fails_the_delete_as_corrupted() {
     let oid_file = reopened.oid_file().file().id();
     let mut oids = OidFile::reopen(PagedFile::open(io, oid_file), 1, 0).unwrap();
     assert!(matches!(oids.mark_deleted_at(0), Err(Error::Corrupted(_))));
+}
+
+/// A checkpoint whose counters the OID file cannot hold is refused on
+/// open: `live > len` would report objects that do not exist, and a `len`
+/// past the file's last page would fail every query.
+#[test]
+fn oid_counters_past_the_oid_file_are_corrupted_on_open() {
+    let io: Arc<dyn PageIo> = Arc::new(Disk::new());
+    let mut bssf =
+        Bssf::create(Arc::clone(&io), "b", SignatureConfig::new(64, 2).unwrap()).unwrap();
+    bssf.insert(Oid::new(1), &[ElementKey::from(1u64)]).unwrap();
+    let meta = bssf.sync_meta().unwrap();
+    let oid_file = bssf.oid_file().file().id();
+    let pristine = blob(&io, meta);
+    // "BSF1", F, m, seed, OID file id: `len` starts at byte 24, `live` at 32.
+    for (at, value) in [(32, 2u64), (24, OIDS_PER_PAGE + 1)] {
+        rewrite(&io, meta, at, &value.to_le_bytes());
+        assert!(
+            matches!(Bssf::open(Arc::clone(&io), meta), Err(Error::Corrupted(_))),
+            "byte {at} = {value}"
+        );
+        PagedFile::open(Arc::clone(&io), meta)
+            .write_blob(&pristine)
+            .unwrap();
+    }
+    assert_eq!(
+        Bssf::open(Arc::clone(&io), meta).unwrap().indexed_count(),
+        1
+    );
+
+    let reopen = |len, live| OidFile::reopen(PagedFile::open(Arc::clone(&io), oid_file), len, live);
+    assert!(matches!(reopen(1, 2), Err(Error::Corrupted(_))));
+    assert!(matches!(
+        reopen(OIDS_PER_PAGE + 1, 1),
+        Err(Error::Corrupted(_))
+    ));
+    assert_eq!(reopen(OIDS_PER_PAGE, 1).unwrap().len(), OIDS_PER_PAGE);
+}
+
+/// A meta file whose blob length runs past its pages is an error on open,
+/// not an allocation of the length it claims.
+#[test]
+fn a_meta_blob_longer_than_its_file_fails_the_open() {
+    let io: Arc<dyn PageIo> = Arc::new(Disk::new());
+    let mut ssf = Ssf::create(Arc::clone(&io), "s", SignatureConfig::new(64, 2).unwrap()).unwrap();
+    let meta = ssf.sync_meta().unwrap();
+    PagedFile::open(Arc::clone(&io), meta)
+        .modify(0, |page| page.write_u32(0, u32::MAX))
+        .unwrap();
+    assert!(matches!(
+        Ssf::open(io, meta),
+        Err(Error::Storage(StorageError::CorruptImage(_)))
+    ));
 }

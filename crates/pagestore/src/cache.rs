@@ -5,9 +5,9 @@
 //! facilities built over it: hot BSSF slice pages and SSF signature pages
 //! are served from the pool on re-query. Reads served from the pool do not
 //! reach the underlying disk and therefore do not appear in its counters;
-//! a query's page charge (the per-thread tally of
-//! [`PagedFile::read`](crate::PagedFile::read), [`count_reads`](crate::count_reads))
-//! counts requests to the I/O handle and stays cache-independent.
+//! a query's page charge (the per-thread tally of [`count_reads`](crate::count_reads),
+//! bumped by a pool hit here and by the disk read of a miss) counts every
+//! page served and stays cache-independent.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -109,6 +109,55 @@ impl PoolInner {
     }
 }
 
+/// A hit's page, or the write epoch a miss saw (for [`Frames::install_read`]).
+enum Lookup {
+    Hit(Page),
+    Miss(u64),
+}
+
+/// The pool's lock and all it guards. It holds no disk, and each method
+/// returns its guard: no guard spans a disk call or nests with the disk's.
+struct Frames(Mutex<PoolInner>);
+
+impl Frames {
+    /// Counts a hit (stats and tally) and returns its page, or counts a miss.
+    fn lookup(&self, key: (FileId, u32)) -> Lookup {
+        let mut g = self.0.lock();
+        if let Some(&slot) = g.map.get(&key) {
+            g.stats.hits += 1;
+            crate::file::count_read();
+            return Lookup::Hit(g.frames[slot].page.clone());
+        }
+        g.stats.misses += 1;
+        Lookup::Miss(g.write_epoch)
+    }
+
+    /// Installs the page a miss at `epoch` read, unless a write landed since.
+    fn install_read(&self, key: (FileId, u32), page: Page, epoch: u64) {
+        let mut g = self.0.lock();
+        if g.write_epoch == epoch {
+            g.install(key, page);
+        }
+    }
+
+    /// The pool half of a write-through, after the disk write returned.
+    fn install_written(&self, key: (FileId, u32), page: Page) {
+        let mut g = self.0.lock();
+        g.write_epoch += 1;
+        g.install(key, page);
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.0.lock().stats
+    }
+
+    fn clear(&self) {
+        let mut g = self.0.lock();
+        g.frames.clear();
+        g.map.clear();
+    }
+}
+
 /// A fixed-capacity page cache with random replacement and a write-through
 /// policy.
 ///
@@ -137,13 +186,7 @@ impl PoolInner {
 /// otherwise keep different winners); every facility already provides it.
 pub struct BufferPool {
     disk: Arc<Disk>,
-    // The pool lock is NEVER held across a `self.disk` call (enforced by
-    // the guard-across-io lint): `read_page` drops its guard before a
-    // miss goes to disk; `write_page`/`append_page` take it only after
-    // the disk write returns. The pool and disk mutexes are therefore
-    // never nested, and either can be taken while a caller holds an
-    // engine-level lock.
-    inner: Mutex<PoolInner>,
+    frames: Frames,
 }
 
 impl BufferPool {
@@ -152,20 +195,20 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             disk,
-            inner: Mutex::new(PoolInner {
+            frames: Frames(Mutex::new(PoolInner {
                 capacity,
                 frames: Vec::with_capacity(capacity),
                 map: HashMap::new(),
                 victim: VICTIM_SEED,
                 write_epoch: 0,
                 stats: CacheStats::default(),
-            }),
+            })),
         }
     }
 
     /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        self.frames.stats()
     }
 
     /// The disk underneath the pool.
@@ -175,52 +218,32 @@ impl BufferPool {
 
     /// Drops all cached frames (counters are kept).
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.frames.clear();
-        g.map.clear();
-    }
-
-    /// The pool half of a write-through, after the disk write returned.
-    fn install_written(&self, key: (FileId, u32), page: &Page) {
-        let mut g = self.inner.lock();
-        g.write_epoch += 1;
-        g.install(key, page.clone());
+        self.frames.clear();
     }
 }
 
 impl PageIo for BufferPool {
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         let key = (id, n);
-        let epoch = {
-            let mut g = self.inner.lock();
-            if let Some(&slot) = g.map.get(&key) {
-                g.stats.hits += 1;
-                return Ok(g.frames[slot].page.clone());
-            }
-            g.stats.misses += 1;
-            g.write_epoch
+        let epoch = match self.frames.lookup(key) {
+            Lookup::Hit(page) => return Ok(page),
+            Lookup::Miss(epoch) => epoch,
         };
         let page = self.disk.read_page(id, n)?;
-        let mut g = self.inner.lock();
-        // A write that landed since the miss may have installed newer
-        // bytes than this read saw: the caller gets its page, the pool
-        // keeps what it has.
-        if g.write_epoch == epoch {
-            g.install(key, page.clone());
-        }
+        self.frames.install_read(key, page.clone(), epoch);
         Ok(page)
     }
 
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
         self.disk.write_page(id, n, page)?;
-        self.install_written((id, n), page);
+        self.frames.install_written((id, n), page.clone());
         Ok(())
     }
 
     fn update_page(&self, id: FileId, n: u32, f: &mut dyn FnMut(&mut Page)) -> Result<()> {
         // The pool cannot blind-update the underlying disk without losing
-        // its frame coherence; a cached read (free on hit) plus a
-        // write-through gives the same result with at most one extra read.
+        // its frame coherence; a cached read (one tallied page, a disk read
+        // only on a miss) plus a write-through gives the same result.
         let mut page = PageIo::read_page(self, id, n)?;
         f(&mut page);
         PageIo::write_page(self, id, n, &page)
@@ -228,7 +251,7 @@ impl PageIo for BufferPool {
 
     fn append_page(&self, id: FileId, page: &Page) -> Result<u32> {
         let n = self.disk.append_page(id, page)?;
-        self.install_written((id, n), page);
+        self.frames.install_written((id, n), page.clone());
         Ok(n)
     }
 
@@ -428,6 +451,30 @@ mod tests {
             let _ = pool.read_page(f, n).unwrap();
         }
         assert_eq!(pool.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_stale_miss_never_replaces_a_newer_write() {
+        // A reader misses, a writer installs `new`, then the reader's disk
+        // read (`old`, from before the write) comes back: the frame keeps
+        // `new`.
+        let (_disk, pool) = pool(4);
+        let frames = &pool.frames;
+        let key = (FileId(0), 0);
+        let (mut old, mut new) = (Page::zeroed(), Page::zeroed());
+        old.write_u8(0, 1);
+        new.write_u8(0, 2);
+        let Lookup::Miss(epoch) = frames.lookup(key) else {
+            panic!("an empty pool hit");
+        };
+        frames.install_written(key, new.clone());
+        frames.install_read(key, old, epoch);
+        let s = frames.stats();
+        assert_eq!((s.hits, s.misses), (0, 1));
+        match frames.lookup(key) {
+            Lookup::Hit(page) => assert_eq!(page, new),
+            Lookup::Miss(_) => panic!("the write's frame is gone"),
+        }
     }
 
     #[test]

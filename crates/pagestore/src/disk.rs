@@ -153,9 +153,9 @@ impl Disk {
         self.inner.lock().fail_after = None;
     }
 
-    /// Reads page `n` of `id`, charging one page read. The returned
-    /// [`Page`] shares the stored buffer (a reference-count bump under the
-    /// lock, no copy); later writes to the file never change it.
+    /// Reads page `n` of `id`, charging one page read, here and in this
+    /// thread's [`count_reads`](crate::count_reads). The returned [`Page`] shares the
+    /// stored buffer (a refcount bump, no copy); later writes never change it.
     pub fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         self.with_file(id, |data, total| {
             let len = data.pages.len() as u32;
@@ -166,6 +166,7 @@ impl Disk {
             })?;
             data.stats.reads += 1;
             total.reads += 1;
+            crate::file::count_read();
             Ok(page.clone())
         })
     }

@@ -1,22 +1,26 @@
 //! A convenience handle binding a [`FileId`] to the [`PageIo`] it lives on,
-//! and the per-thread tally of the pages read through it.
+//! and the per-thread tally of the pages served to this thread.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::disk::{FileId, PageIo};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::page::Page;
 
 thread_local! {
-    /// Pages this thread has read through [`PagedFile::read`].
+    /// Pages served to this thread (see [`count_read`]).
     static READS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Runs `f` and returns its result with the pages it read through
-/// [`PagedFile::read`] on this thread — the filter-stage charge of the
-/// paper's serial protocol, whether a buffer pool served a read from memory
-/// or from disk. Reads of a nested call count for the outer call too.
+/// Counts one page served to this thread: by a `Disk` read or a pool hit.
+pub(crate) fn count_read() {
+    READS.with(|reads| reads.set(reads.get() + 1));
+}
+
+/// Runs `f` and returns its result with the pages served to it on this
+/// thread — the filter-stage charge of the paper's serial protocol, whether
+/// a pool hit or the disk served each. Nested calls count for the outer too.
 pub fn count_reads<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = READS.with(Cell::get);
     let out = f();
@@ -57,11 +61,9 @@ impl PagedFile {
         &self.io
     }
 
-    /// Reads page `n` and counts it in this thread's tally ([`count_reads`]).
-    /// The only page read facility code makes (the `accounting` lint), so a
-    /// filter call's page charge is exactly the reads made here.
+    /// Reads page `n`; the store that serves it counts it in this thread's
+    /// tally ([`count_reads`]).
     pub fn read(&self, n: u32) -> Result<Page> {
-        READS.with(|reads| reads.set(reads.get() + 1));
         self.io.read_page(self.id, n)
     }
 
@@ -124,15 +126,19 @@ impl PagedFile {
         Ok(())
     }
 
-    /// Reads back a blob written by [`write_blob`](Self::write_blob).
+    /// Reads back a blob written by [`write_blob`](Self::write_blob); a
+    /// length past the file's end is [`Error::CorruptImage`].
     pub fn read_blob(&self) -> Result<Vec<u8>> {
         let first = self.read(0)?;
         let len = first.read_u32(0) as usize;
         let total = 4 + len;
+        let npages = total.div_ceil(crate::PAGE_SIZE);
+        if npages > self.len()? as usize {
+            return Err(Error::CorruptImage(format!("{len}-byte blob past end")));
+        }
         let mut buf = Vec::with_capacity(total);
         buf.extend_from_slice(first.read_slice(0, total.min(crate::PAGE_SIZE)));
-        let npages = total.div_ceil(crate::PAGE_SIZE) as u32;
-        for i in 1..npages {
+        for i in 1..npages as u32 {
             let page = self.read(i)?;
             let take = (total - buf.len()).min(crate::PAGE_SIZE);
             buf.extend_from_slice(page.read_slice(0, take));
@@ -205,7 +211,7 @@ mod tests {
 
     #[test]
     fn the_tally_counts_this_threads_reads_and_only_reads() {
-        let (_disk, f) = file();
+        let (disk, f) = file();
         f.append(&Page::zeroed()).unwrap();
         let ((), outer) = count_reads(|| {
             f.read(0).unwrap();
@@ -221,13 +227,23 @@ mod tests {
                 .unwrap();
         });
         assert_eq!(outer, 3, "the nested call's reads are the outer call's too");
+        // The disk counts what it serves, so a read that skips `PagedFile`
+        // is charged all the same.
+        let (_, raw) = count_reads(|| disk.read_page(f.id(), 0).unwrap());
+        assert_eq!(raw, 1, "a raw Disk::read_page is counted");
         let ((), none) = count_reads(|| {
             f.write(0, &Page::zeroed()).unwrap();
             f.append(&Page::zeroed()).unwrap();
             f.update(1, |p| p.write_u8(0, 1)).unwrap();
             f.len().unwrap();
+            disk.write_page(f.id(), 0, &Page::zeroed()).unwrap();
+            disk.append_page(f.id(), &Page::zeroed()).unwrap();
+            disk.update_page(f.id(), 2, |p| p.write_u8(0, 2)).unwrap();
         });
         assert_eq!(none, 0, "write, append, update and len read nothing");
+        let (out_of_bounds, failed) = count_reads(|| disk.read_page(f.id(), 9));
+        assert!(out_of_bounds.is_err());
+        assert_eq!(failed, 0, "a read that fails serves no page");
     }
 
     #[test]
@@ -236,11 +252,39 @@ mod tests {
         let pool = Arc::new(crate::BufferPool::new(Arc::clone(&disk), 4));
         let f = PagedFile::create(pool.clone(), "t");
         f.append(&Page::zeroed()).unwrap();
+        f.append(&Page::zeroed()).unwrap();
         pool.clear();
         let (_, miss) = count_reads(|| f.read(0).unwrap());
         let (_, hit) = count_reads(|| f.read(0).unwrap());
         assert_eq!((miss, hit), (1, 1));
         assert_eq!((pool.stats().misses, pool.stats().hits), (1, 1));
+        // A raw pool read: a miss is counted once, by the disk it goes to,
+        // not once more by the pool; a hit is counted by the pool.
+        let (_, miss) = count_reads(|| pool.read_page(f.id(), 1).unwrap());
+        let (_, hit) = count_reads(|| pool.read_page(f.id(), 1).unwrap());
+        assert_eq!((miss, hit), (1, 1));
+        assert_eq!((pool.stats().misses, pool.stats().hits), (2, 2));
+        let ((), none) = count_reads(|| {
+            pool.write_page(f.id(), 0, &Page::zeroed()).unwrap();
+            pool.append_page(f.id(), &Page::zeroed()).unwrap();
+        });
+        assert_eq!(none, 0, "a pool write and append read nothing");
+    }
+
+    #[test]
+    fn a_blob_longer_than_its_file_is_a_corrupt_image() {
+        let (_disk, f) = file();
+        f.write_blob(&[7u8; PAGE_SIZE]).unwrap();
+        assert_eq!(f.len().unwrap(), 2);
+        for len in [PAGE_SIZE as u32 * 2, u32::MAX] {
+            let mut first = f.read(0).unwrap();
+            first.write_u32(0, len);
+            f.write(0, &first).unwrap();
+            assert!(
+                matches!(f.read_blob(), Err(Error::CorruptImage(_))),
+                "length {len}"
+            );
+        }
     }
 
     #[test]

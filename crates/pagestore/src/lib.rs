@@ -11,9 +11,9 @@
 //!   little-endian scalar accessors,
 //! * [`Disk`] — an in-memory simulated disk holding named paged files, with
 //!   per-file read/write counters,
-//! * [`PagedFile`] — a cheap handle binding a [`FileId`] to its [`Disk`],
-//!   whose every read counts in a per-thread tally ([`count_reads`]) — the
-//!   page charge a facility's filter call reports,
+//! * [`PagedFile`] — a cheap handle binding a [`FileId`] to its [`Disk`];
+//!   each page a `Disk` read or a pool hit serves counts in a per-thread
+//!   tally ([`count_reads`]) — the page charge a filter call reports,
 //! * [`BufferPool`] — an optional random-replacement page cache used by
 //!   the ablation experiments and the cached query engines (the paper
 //!   assumes no buffering),

@@ -9,14 +9,15 @@ Usage: cargo xtask <command>
 
 Commands:
   analyze [--root <path>] [--format text|json]
-                            run the project lints over the workspace
+                            run the project lint over the workspace
   analyze --self-test [--bench-json <path>]
-                            verify the lints against the fixture corpus;
+                            verify the lint against the fixture corpus;
                             optionally write per-lint wall times as a
                             bench-summary JSON
 
-Four lints: accounting, layering, guard-across-io, stale-allow.
-See DESIGN.md \"Static analysis & invariants\" for what each enforces.";
+One lint: layering (the crate DAG over the manifests, and every member
+in the workspace lint table). See DESIGN.md \"Static analysis &
+invariants\" for what it enforces and what holds the rest.";
 
 /// Output format for analyze findings.
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -2,11 +2,12 @@
 //!
 //! Not a full lexer: it distinguishes identifiers, punctuation and literals,
 //! skips comments and string/char literals, and tracks line numbers. That
-//! is exactly enough for the project lints, which match short token patterns
-//! like `. read_page (` — and it means doc-comment examples, strings and
-//! `#[cfg(test)]` modules can never produce false positives.
+//! is exactly enough for the project's token tests, which match single
+//! identifiers like `Mutex` or `BTreeSet` — and it means doc-comment
+//! examples, strings and `#[cfg(test)]` modules can never produce false
+//! positives.
 
-/// Token classes the lints care about.
+/// Token classes the token tests care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// An identifier or keyword.
@@ -337,45 +338,6 @@ fn matching_bracket(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// For every token, the name of the innermost enclosing named `fn`, if any —
-/// the granularity the allowlists use (`path::function`).
-pub fn fn_context(toks: &[Tok]) -> Vec<Option<String>> {
-    let mut ctx: Vec<Option<String>> = vec![None; toks.len()];
-    // Stack of (fn name, brace depth of its body).
-    let mut stack: Vec<(String, i64)> = Vec::new();
-    let mut pending: Option<String> = None;
-    let mut depth = 0i64;
-    let mut bracket_depth = 0i64;
-    for (k, t) in toks.iter().enumerate() {
-        if t.is_ident("fn") {
-            if let Some(name) = toks.get(k + 1).filter(|t| t.kind == TokKind::Ident) {
-                pending = Some(name.text.clone());
-            }
-        } else if t.is_punct('{') {
-            depth += 1;
-            if let Some(name) = pending.take() {
-                stack.push((name, depth));
-            }
-        } else if t.is_punct('}') {
-            depth -= 1;
-            while stack.last().is_some_and(|(_, d)| *d > depth) {
-                stack.pop();
-            }
-        } else if t.is_punct('[') {
-            bracket_depth += 1;
-        } else if t.is_punct(']') {
-            bracket_depth -= 1;
-        } else if t.is_punct(';') && bracket_depth == 0 {
-            // Bodiless declaration (`fn f();` in a trait): cancel. The
-            // bracket guard keeps array types in signatures (`[u8; 4]`)
-            // from cancelling a real pending body.
-            pending = None;
-        }
-        ctx[k] = stack.last().map(|(name, _)| name.clone());
-    }
-    ctx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,24 +384,6 @@ let y = r#".write_page("#;
             .map(|(_, m)| *m)
             .collect();
         assert_eq!(unwraps, vec![false, true]);
-    }
-
-    #[test]
-    fn fn_context_tracks_innermost() {
-        let src = "fn outer() { fn inner() { a.unwrap(); } b.unwrap(); }";
-        let s = scan(src);
-        let ctx = fn_context(&s.toks);
-        let got: Vec<Option<String>> = s
-            .toks
-            .iter()
-            .zip(&ctx)
-            .filter(|(t, _)| t.is_ident("unwrap"))
-            .map(|(_, c)| c.clone())
-            .collect();
-        assert_eq!(
-            got,
-            vec![Some("inner".to_string()), Some("outer".to_string())]
-        );
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Fixture self-test: proves each lint still rejects what it must reject
 //! and accepts what it must accept.
 //!
-//! Fixtures live in `crates/xtask/fixtures/<lint>/`. `fail` fixtures mark
-//! every expected finding with a trailing `//~ ERROR <lint-name>` comment
-//! (`#~ ERROR <lint-name>` in TOML); the harness requires the produced
-//! diagnostics to match the markers *exactly* — same file, same line, same
-//! lint — so a lint that drifts quiet or noisy fails the suite either way.
-//! A marker may pin the message too:
-//! `//~ ERROR guard-across-io: io-under-lock` additionally requires the
-//! diagnostic's message to contain `io-under-lock`, which is how the
-//! corpus distinguishes a lint's error codes.
+//! Fixtures live in `crates/xtask/fixtures/<lint>/`, as mini-workspaces.
+//! Every expected finding carries a trailing `#~ ERROR <lint-name>`
+//! comment on its manifest line; the harness requires the produced
+//! diagnostics to match the markers *exactly* — same line, same lint — so
+//! a lint that drifts quiet or noisy fails the suite either way. A marker
+//! may pin the message too: `#~ ERROR layering: does not opt into the
+//! workspace lint table` additionally requires the diagnostic's message to
+//! contain that text.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::lints;
-use crate::workspace::{Allowlist, FileClass, SourceFile, Workspace};
+use crate::workspace::Workspace;
 use crate::{Diagnostic, Lint};
 
 /// Self-test outcome: what failed, and how long each lint's fixture
@@ -42,79 +41,17 @@ pub fn self_test(root: &Path) -> Result<SelfTestReport, String> {
         *timer = Instant::now();
     };
 
-    // accounting: fail fixture trips, pass fixture (which routes through
-    // wrappers and uses an allowlisted site) stays clean.
-    let allow = Allowlist::parse(
-        "# self-test: the fixture's justified site\n\
-         crates/experiments/src/fixture.rs::allowlisted_site\n",
-    );
-    check_file_fixture(
-        &fixtures.join("accounting/fail.rs"),
-        |f| lints::accounting::check_file(f, &Allowlist::default()),
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("accounting/pass.rs"),
-        |f| lints::accounting::check_file(f, &allow),
-        &mut failures,
-    )?;
-    lap("accounting", &mut timings, &mut timer);
-
     // layering: a bad mini-workspace (an upward manifest edge, a member
     // outside the lint table, an unregistered crate) and a good one.
     check_tree_fixture(&fixtures.join("layering/bad"), &mut failures)?;
     check_tree_fixture(&fixtures.join("layering/good"), &mut failures)?;
     lap("layering", &mut timings, &mut timer);
 
-    // guard-across-io: guards live across page I/O trip; guards dropped
-    // (block scope or explicit drop) before I/O, and `io::Read::read` calls
-    // (which take a buffer), do not.
-    check_file_fixture(
-        &fixtures.join("guard_across_io/fail.rs"),
-        lints::guard_across_io::check_file,
-        &mut failures,
-    )?;
-    check_file_fixture(
-        &fixtures.join("guard_across_io/pass.rs"),
-        lints::guard_across_io::check_file,
-        &mut failures,
-    )?;
-    lap("guard-across-io", &mut timings, &mut timer);
-
-    // stale-allow: a consulted entry stays quiet, an unmatched one is
-    // reported with its own file/line.
-    let path = fixtures.join("stale_allow/fail.allow");
-    let text = fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let entries: Vec<&str> = text
-        .lines()
-        .map(|l| l.split("#~").next().unwrap_or(l))
-        .collect();
-    let stale = Allowlist::parse(&entries.join("\n"));
-    stale.permits("crates/experiments/src/fixture.rs", Some("used"));
-    compare(
-        "stale_allow/fail.allow",
-        expected_markers(&text),
-        lints::stale_allow::check("stale_allow/fail.allow", &stale),
-        &mut failures,
-    );
-    lap("stale-allow", &mut timings, &mut timer);
-
     Ok(SelfTestReport { failures, timings })
 }
 
-/// Loads a fixture file as library code of a pretend `experiments` crate.
-fn load_fixture(path: &Path) -> Result<SourceFile, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    Ok(SourceFile::new(
-        "crates/experiments/src/fixture.rs".to_string(),
-        FileClass::Lib,
-        Some("experiments".to_string()),
-        &text,
-    ))
-}
-
 /// One expected finding: line, lint, and an optional required message
-/// substring (`//~ ERROR <lint>[: <substring>]`).
+/// substring (`#~ ERROR <lint>[: <substring>]`).
 pub type Marker = (u32, Lint, Option<String>);
 
 /// Every `~ ERROR <name>[: <substring>]` marker in `text`.
@@ -134,22 +71,6 @@ fn expected_markers(text: &str) -> Vec<Marker> {
         }
     }
     out
-}
-
-/// Runs `check` on one fixture file and compares against its markers.
-fn check_file_fixture(
-    path: &Path,
-    check: impl Fn(&SourceFile) -> Vec<Diagnostic>,
-    failures: &mut Vec<String>,
-) -> Result<(), String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let file = load_fixture(path)?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    compare(&name, expected_markers(&text), check(&file), failures);
-    Ok(())
 }
 
 /// Runs the layering lint over a mini-workspace fixture tree and compares

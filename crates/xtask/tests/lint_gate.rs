@@ -1,11 +1,10 @@
 //! The live workspace must satisfy its own invariants: `xtask analyze`
-//! runs here as a test, so `cargo test --workspace` alone gates every
-//! project lint (including guard-across-io and the stale-allowlist check)
-//! without needing the separate CI step. The retained lint set is pinned
-//! too: growing it back is a deliberate act. Two claims about the engine
-//! crates are held by the tokens alone — no tree set, no lock — and by
-//! nothing else in the analyzer; so is the workspace's lock inventory:
-//! one lock declared in each of three files.
+//! runs here as a test, so `cargo test --workspace` alone gates the
+//! project lint without needing the separate CI step. The retained lint
+//! set is pinned too: growing it back is a deliberate act. Two claims
+//! about the engine crates are held by the tokens alone — no tree set, no
+//! lock — and by nothing else in the analyzer; so is the workspace's lock
+//! inventory: one lock declared in each of three files.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -17,7 +16,7 @@ use xtask::Lint;
 
 /// The invariants only the project analyzer can hold; everything else is
 /// rustc's and clippy's job (root `Cargo.toml`, `[workspace.lints]`).
-const RETAINED: [&str; 4] = ["accounting", "layering", "guard-across-io", "stale-allow"];
+const RETAINED: [&str; 1] = ["layering"];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -50,7 +49,7 @@ fn every_lint_has_a_failing_fixture() {
     for lint in Lint::ALL {
         assert!(
             markers.iter().any(|(_, l, _)| *l == lint),
-            "no `//~ ERROR {lint}` marker anywhere under crates/xtask/fixtures/: \
+            "no `~ ERROR {lint}` marker anywhere under crates/xtask/fixtures/: \
              a lint nothing proves can fail is not a gate"
         );
     }
@@ -142,10 +141,11 @@ fn engine_crates_name_no_btreeset_outside_test_code() {
 
 /// "No lock and no parking on a scan, a probe or a resolve" needs no call
 /// graph while the engine crates declare no lock at all: every lock a page
-/// access takes is `pagestore`'s (one per access, never across I/O — the
-/// guard-across-io lint), and nothing parks: the service runs a query's
-/// shards on the caller's thread, so `crates/service` spawns no thread and
-/// waits on nothing but its shard `RwLock`s. What the allocation side of the
+/// access takes is `pagestore`'s (one per access, never across I/O: the
+/// pool's lock lives in a frame table that holds no disk), and nothing
+/// parks: the service runs a query's shards on the caller's thread, so
+/// `crates/service` spawns no thread and waits on nothing but its shard
+/// `RwLock`s. What the allocation side of the
 /// claim needs is counted in `tests/hot_path.rs`. The whole lock inventory
 /// is three locks, one per file: the disk's, the pool's and a shard's. All
 /// three are leaves: no code path holds two of them at once.
