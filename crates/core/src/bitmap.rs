@@ -218,14 +218,6 @@ impl Bitmap {
     }
 }
 
-/// Iterates the set-bit positions of an LSB-first serialized bitmap of
-/// width `nbits`, ascending, without materializing a [`Bitmap`] — the
-/// overlap scan's per-slice counting kernel. Padding bits beyond `nbits`
-/// in the final byte are ignored.
-pub fn iter_ones_bytes(nbits: u32, bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    kernel::iter_ones(nbits, bytes)
-}
-
 impl std::fmt::Debug for Bitmap {
     /// Renders as a bit string, most significant position last — e.g. the
     /// paper's Figure 1 signature `01000100` is `Bitmap(00100010)` reversed;
@@ -439,20 +431,6 @@ mod tests {
         let mut o = Bitmap::zeroed(4);
         kernel::or_assign(o.words_mut(), &[0xff], 4);
         assert_eq!(o.count_ones(), 4);
-    }
-
-    #[test]
-    fn iter_ones_bytes_agrees_with_bitmap() {
-        for nbits in [4u32, 7, 64, 70, 128, 200] {
-            let bm = Bitmap::from_positions(nbits, &[0, nbits / 3, nbits - 1]);
-            let bytes = bm.to_bytes();
-            let direct: Vec<u32> = iter_ones_bytes(nbits, &bytes).collect();
-            let reference: Vec<u32> = bm.iter_ones().collect();
-            assert_eq!(direct, reference, "width {nbits}");
-        }
-        // Padding garbage in the final byte must be ignored.
-        let padded: Vec<u32> = iter_ones_bytes(4, &[0b1111_0110]).collect();
-        assert_eq!(padded, vec![1, 2]);
     }
 
     #[test]

@@ -713,6 +713,8 @@ mod tests {
                 );
             }
         }
+        // Padding bits past `nbits` in the last byte are not positions.
+        assert_eq!(iter_ones(4, &[0b1111_0110]).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]

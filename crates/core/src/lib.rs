@@ -91,7 +91,7 @@ mod signature;
 pub mod sorted;
 mod ssf;
 
-pub use bitmap::{iter_ones_bytes, Bitmap};
+pub use bitmap::Bitmap;
 pub use bssf::{Bssf, Slices};
 pub use config::SignatureConfig;
 pub use drops::{resolve_drops, verify_predicate, DropReport, ElementSet, TargetSetSource};
