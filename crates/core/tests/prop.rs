@@ -6,10 +6,32 @@ use setsig_core::{
     Bitmap, Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, Signature, SignatureConfig, Ssf,
 };
 use setsig_pagestore::{Disk, PageIo};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 fn keys(v: &[u64]) -> Vec<ElementKey> {
     v.iter().map(|&e| ElementKey::from(e)).collect()
+}
+
+/// Keys of every kind, drawn so that order has ties and near-ties to break:
+/// integers and OIDs (their 9 bytes inline), strings on both sides of the
+/// inline bound over a 4-letter alphabet, and strings whose bytes are an
+/// integer's — as long as an integer key, or starting with one's bytes.
+fn mixed_key() -> impl Strategy<Value = ElementKey> {
+    use proptest::collection::vec;
+    prop_oneof![
+        (0u64..4).prop_map(ElementKey::from),
+        any::<u64>().prop_map(ElementKey::from),
+        (0u64..4).prop_map(|v| ElementKey::from(Oid::new(v))),
+        vec(0u8..4, 0..8).prop_map(|b| ElementKey::from_bytes(&b)),
+        vec(0u8..4, 18..26).prop_map(|b| ElementKey::from_bytes(&b)),
+        (0u64..4).prop_map(|v| ElementKey::from_bytes(&v.to_le_bytes())),
+        (any::<u64>(), vec(0u8..4, 0..16)).prop_map(|(v, tail)| {
+            let mut bytes = ElementKey::int_bytes(v).to_vec();
+            bytes.extend(tail);
+            ElementKey::from_bytes(&bytes)
+        }),
+    ]
 }
 
 /// Widths that are never a multiple of 8 (hence never of 64): the word
@@ -405,6 +427,37 @@ proptest! {
         kernel::accumulate_ones(&mut counts, &row);
         for (p, &c) in counts.iter().enumerate() {
             prop_assert_eq!(c, u32::from(expect.contains(&(p as u32))), "position {}", p);
+        }
+    }
+
+    /// A key's order, equality and hash are its canonical bytes', however
+    /// it is held — and so a query's element order is its bytes' sort.
+    #[test]
+    fn key_order_is_the_byte_order(
+        keys in proptest::collection::vec(mixed_key(), 0..12),
+        ints in proptest::collection::vec(0u64..1_000, 0..40),
+        strings in proptest::collection::vec(any::<u64>(), 0..12),
+    ) {
+        let hashed = std::hash::RandomState::new();
+        for a in &keys {
+            for b in &keys {
+                prop_assert_eq!(a.cmp(b), a.as_bytes().cmp(b.as_bytes()), "{:?} vs {:?}", a, b);
+                prop_assert_eq!(a == b, a.as_bytes() == b.as_bytes(), "{:?} vs {:?}", a, b);
+                if a == b {
+                    prop_assert_eq!(hashed.hash_one(a), hashed.hash_one(b));
+                }
+            }
+        }
+        // Mixed keys, and 9-byte keys of one tag (all integers, all 8-byte
+        // strings), which `Ord` compares as `(tag, word)` pairs.
+        let strings = strings.iter().map(|v| ElementKey::from_bytes(&v.to_le_bytes()));
+        for keys in [keys, self::keys(&ints), strings.collect()] {
+            let mut bytes: Vec<Vec<u8>> = keys.iter().map(|k| k.as_bytes().to_vec()).collect();
+            bytes.sort();
+            bytes.dedup();
+            let query = SetQuery::in_subset(keys);
+            let ordered: Vec<&[u8]> = query.elements.iter().map(ElementKey::as_bytes).collect();
+            prop_assert_eq!(ordered, bytes);
         }
     }
 }

@@ -235,44 +235,40 @@ fn query_digests(query: &SetQuery) -> Vec<u64> {
     digests
 }
 
-/// The empty slot of [`tally`]'s table. No posting word is `u64::MAX`: a
-/// word is below `2^63` ([`OID_BITS`] + [`CARD_BITS`] = 63).
-const VACANT: u64 = u64::MAX;
-
 /// The home slot of `word` in a table of `2^(64 - shift)` slots: the top bits
 /// of a Fibonacci hash, which mix the OID bits into every slot bit.
 fn slot(word: u64, shift: u32) -> usize {
     (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
 }
 
-/// Counts the words of `pooled` in one linear-probing table of
-/// `(word, count)` slots and hands `reached` each word the moment its count
-/// reaches `at(word)` — once, however often the word recurs. The table has
-/// the next power of two ≥ `2·pooled` slots, allocated once, so it is at most
-/// half full and every probe ends at the word or at a vacant slot. An empty
-/// pool builds no table (a one-slot table would have no slot bits to hash).
+/// Counts the words of `pooled` in one linear-probing table of 8-byte slots,
+/// each `oid << 16 | count` (`0` is vacant: a held slot counts at least 1),
+/// and hands `reached` each word the moment its count reaches `at(word)` —
+/// once, however often the word recurs. An object's word is the same in
+/// every list, so a slot keys on the OID alone; the count saturates at
+/// `0xFFFF`, which `at` never exceeds. The table has the next power of two
+/// ≥ `2·pooled` slots, allocated once, so it is at most half full and every
+/// probe ends at the word or at a vacant slot. An empty pool builds no table
+/// (a one-slot table would have no slot bits to hash).
 fn tally(pooled: &[u64], at: impl Fn(u64) -> u64, mut reached: impl FnMut(u64)) {
     if pooled.is_empty() {
         return;
     }
     let slots = (2 * pooled.len()).next_power_of_two();
     let shift = u64::BITS - slots.trailing_zeros();
-    let mut table = vec![(VACANT, 0u64); slots];
+    let mut table = vec![0u64; slots];
     for &word in pooled {
+        let key = word & !SATURATED; // `oid << 16`: the word's slot at count 0
         let mut i = slot(word, shift);
-        let count = loop {
-            let (held, count) = &mut table[i];
-            if *held == VACANT {
-                *held = word;
-            } else if *held != word {
-                i = (i + 1) & (slots - 1);
-                continue;
+        while table[i] != 0 && table[i] & !SATURATED != key {
+            i = (i + 1) & (slots - 1);
+        }
+        let held = table[i] | key;
+        if held & SATURATED != SATURATED {
+            table[i] = held + 1;
+            if (held + 1) & SATURATED == at(word) {
+                reached(word);
             }
-            *count += 1;
-            break *count;
-        };
-        if count == at(word) {
-            reached(word);
         }
     }
 }
@@ -626,6 +622,33 @@ mod tests {
         assert_eq!(kept(1), [a, b]);
         assert_eq!(kept(2), [b, a]);
         assert!(kept(3).is_empty());
+    }
+
+    #[test]
+    fn a_saturated_count_is_reached_once_and_a_colliding_oid_counts_apart() {
+        // 0x1_0003 + 3 pooled words: a table of 2^18 slots.
+        let pooled = 0x1_0003 + 3;
+        let shift = u64::BITS - (2 * pooled as usize).next_power_of_two().trailing_zeros();
+        let a = posting(Oid::new(1), 70_000).unwrap();
+        assert_eq!(card_of(a), SATURATED);
+        let b = (2..)
+            .map(|oid| posting(Oid::new(oid), 3).unwrap())
+            .find(|&w| slot(w, shift) == slot(a, shift))
+            .unwrap();
+        let mut words = vec![b, b];
+        words.resize(2 + 0x1_0003, a);
+        words.push(b);
+        assert_eq!(words.len(), pooled as usize);
+        let kept = |at: &dyn Fn(u64) -> u64| {
+            let mut kept = Vec::new();
+            tally(&words, at, |w| kept.push(w));
+            kept
+        };
+        // `a` past `0xFFFF` stays saturated and is not handed out again; `b`,
+        // probing past `a`'s slot, counts its own three.
+        assert_eq!(kept(&card_of), [a, b]);
+        assert_eq!(kept(&|_| 1), [b, a]);
+        assert_eq!(kept(&|w| if w == b { 4 } else { 2 }), [a]);
     }
 
     #[test]

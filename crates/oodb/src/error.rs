@@ -29,6 +29,8 @@ pub enum Error {
     NoSuchObject(Oid),
     /// A stored record could not be decoded.
     CorruptObject(String),
+    /// A query text could not be lexed or parsed.
+    BadQuery(String),
     /// An error from the signature/facility layer.
     Facility(setsig_core::Error),
     /// An error from the page store.
@@ -54,6 +56,7 @@ impl std::fmt::Display for Error {
             }
             Error::NoSuchObject(oid) => write!(f, "no such object: {oid}"),
             Error::CorruptObject(msg) => write!(f, "corrupt object record: {msg}"),
+            Error::BadQuery(msg) => write!(f, "bad query: {msg}"),
             Error::Facility(e) => write!(f, "facility error: {e}"),
             Error::Storage(e) => write!(f, "storage error: {e}"),
         }

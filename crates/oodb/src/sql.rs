@@ -13,9 +13,7 @@
 //! access facility when one covers the attribute, falling back to the
 //! full-scan baseline otherwise.
 
-use setsig_core::{ElementKey, SetQuery};
-use std::iter::Peekable;
-use std::str::CharIndices;
+use setsig_core::{ElementKey, SetPredicate, SetQuery};
 
 use crate::database::{Database, QueryExecution};
 use crate::error::{Error, Result};
@@ -30,58 +28,75 @@ pub struct ParsedQuery {
     pub condition: Option<(String, SetQuery)>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
+/// A token: words and string literals are slices of the query text.
+enum Token<'a> {
+    Ident(&'a str),
+    Str(&'a str),
     Int(i64),
     LParen,
     RParen,
     Comma,
 }
 
-fn lex(input: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    // Consumes the characters `keep` accepts and returns the byte offset
-    // after them: a token is a slice of `input`.
-    let end_of = |chars: &mut Peekable<CharIndices>, keep: fn(char) -> bool| {
-        while chars.next_if(|&(_, c)| keep(c)).is_some() {}
-        chars.peek().map_or(input.len(), |&(at, _)| at)
-    };
-    while let Some((start, c)) = chars.next() {
-        match c {
-            c if c.is_whitespace() => {}
-            '(' => out.push(Token::LParen),
-            ')' => out.push(Token::RParen),
-            ',' => out.push(Token::Comma),
+/// The tokens of a query text, lexed one at a time as the parser asks.
+struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the text not yet lexed.
+    at: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// The next token, or `None` at the end of the text.
+    fn next(&mut self) -> Result<Option<Token<'a>>> {
+        let rest = self.input[self.at..].trim_start();
+        self.at = self.input.len() - rest.len();
+        let Some(c) = rest.chars().next() else {
+            return Ok(None);
+        };
+        let (token, len) = match c {
+            '(' => (Token::LParen, 1),
+            ')' => (Token::RParen, 1),
+            ',' => (Token::Comma, 1),
             '"' | '\'' => {
-                let Some((end, _)) = chars.find(|&(_, d)| d == c) else {
-                    return Err(Error::CorruptObject(format!(
-                        "unterminated string literal in query: {input:?}"
+                let Some(end) = rest[1..].find(c) else {
+                    return Err(Error::BadQuery(format!(
+                        "unterminated string literal in {:?}",
+                        self.input
                     )));
                 };
-                out.push(Token::Str(input[start + 1..end].to_owned()));
+                (Token::Str(&rest[1..=end]), end + 2)
             }
             c if c.is_ascii_digit() || c == '-' => {
-                let s = &input[start..end_of(&mut chars, |d| d.is_ascii_digit())];
-                let v: i64 = s
+                let digits = rest.bytes().skip(1).take_while(u8::is_ascii_digit).count();
+                let s = &rest[..1 + digits];
+                let v = s
                     .parse()
-                    .map_err(|_| Error::CorruptObject(format!("bad integer literal {s:?}")))?;
-                out.push(Token::Int(v));
+                    .map_err(|_| Error::BadQuery(format!("bad integer literal {s:?}")))?;
+                (Token::Int(v), s.len())
             }
             c if c.is_alphanumeric() || c == '_' => {
-                let end = end_of(&mut chars, |d| d.is_alphanumeric() || d == '_' || d == '-');
-                out.push(Token::Ident(input[start..end].to_owned()));
+                let word = |d: char| d.is_alphanumeric() || d == '_' || d == '-';
+                let len = rest.find(|d| !word(d)).unwrap_or(rest.len());
+                (Token::Ident(&rest[..len]), len)
             }
-            other => {
-                return Err(Error::CorruptObject(format!(
-                    "unexpected character {other:?} in query"
-                )))
-            }
-        }
+            other => return Err(Error::BadQuery(format!("unexpected character {other:?}"))),
+        };
+        self.at += len;
+        Ok(Some(token))
     }
-    Ok(out)
+}
+
+/// The predicate an operator word names, in any letter case.
+fn predicate(op: &str) -> Option<SetPredicate> {
+    [
+        ("has-subset", SetPredicate::HasSubset),
+        ("in-subset", SetPredicate::InSubset),
+        ("equals", SetPredicate::Equals),
+        ("overlaps", SetPredicate::Overlaps),
+        ("contains", SetPredicate::Contains),
+    ]
+    .into_iter()
+    .find_map(|(word, p)| op.eq_ignore_ascii_case(word).then_some(p))
 }
 
 /// Parses one query in the paper's surface syntax.
@@ -89,74 +104,82 @@ fn lex(input: &str) -> Result<Vec<Token>> {
 /// Operators: `has-subset` (⊇), `in-subset` (⊆), `equals` (=), `overlaps`
 /// (∩ ≠ ∅), `contains` (∈). Set literals are parenthesized lists of string
 /// or integer literals; `contains` also accepts a single bare literal.
+///
+/// The text is lexed as it is parsed. For a set of integer and short string
+/// literals, however many, it allocates the class and attribute names and
+/// one element `Vec` (and [`SetQuery::new`], for a set of integers only, the
+/// words it sorts).
 pub fn parse_query(input: &str) -> Result<ParsedQuery> {
-    let bad = |msg: &str| Error::CorruptObject(format!("query syntax: {msg}"));
-    let tokens = lex(input)?;
-    let mut it = tokens.into_iter().peekable();
+    let bad = |msg: &str| Error::BadQuery(msg.to_owned());
+    let mut lexer = Lexer { input, at: 0 };
 
-    match it.next() {
+    match lexer.next()? {
         Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("select") => {}
         _ => return Err(bad("expected `select`")),
     }
-    let Some(Token::Ident(class_name)) = it.next() else {
+    let Some(Token::Ident(class_name)) = lexer.next()? else {
         return Err(bad("expected a class name after `select`"));
     };
-    if it.peek().is_none() {
-        return Ok(ParsedQuery {
-            class_name,
-            condition: None,
-        });
-    }
-    match it.next() {
+    let class_name = class_name.to_owned();
+    match lexer.next()? {
+        None => {
+            return Ok(ParsedQuery {
+                class_name,
+                condition: None,
+            })
+        }
         Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("where") => {}
         _ => return Err(bad("expected `where` or end of query")),
     }
-    let Some(Token::Ident(attr)) = it.next() else {
+    let Some(Token::Ident(attr)) = lexer.next()? else {
         return Err(bad("expected an attribute name after `where`"));
     };
-    let op = match it.next() {
-        Some(Token::Ident(op)) => op.to_ascii_lowercase(),
-        _ => return Err(bad("expected a set operator")),
+    let attr = attr.to_owned();
+    let Some(Token::Ident(op)) = lexer.next()? else {
+        return Err(bad("expected a set operator"));
     };
+    let predicate =
+        predicate(op).ok_or_else(|| Error::BadQuery(format!("unknown operator {op:?}")))?;
 
-    // Set literal: parenthesized list, or one bare literal.
-    let mut elements = Vec::new();
-    match it.next() {
-        Some(Token::LParen) => loop {
-            match it.next() {
-                Some(Token::Str(s)) => elements.push(ElementKey::from(s)),
-                Some(Token::Int(v)) => elements.push(ElementKey::from(v as u64)),
-                Some(Token::RParen) if elements.is_empty() => break,
-                _ => return Err(bad("expected a literal in the set")),
+    // Set literal: parenthesized list, or one bare literal. A list holds at
+    // most one element more than the commas left in the text.
+    let literal = |token| match token {
+        Some(Token::Str(s)) => Some(ElementKey::from(s)),
+        Some(Token::Int(v)) => Some(ElementKey::from(v as u64)),
+        _ => None,
+    };
+    let elements = match lexer.next()? {
+        Some(Token::LParen) => {
+            let commas = input[lexer.at..].bytes().filter(|&b| b == b',').count();
+            let mut elements = Vec::with_capacity(commas + 1);
+            loop {
+                match lexer.next()? {
+                    Some(Token::RParen) if elements.is_empty() => break,
+                    token => {
+                        let element =
+                            literal(token).ok_or_else(|| bad("expected a literal in the set"))?;
+                        elements.push(element);
+                    }
+                }
+                match lexer.next()? {
+                    Some(Token::Comma) => {}
+                    Some(Token::RParen) => break,
+                    _ => return Err(bad("expected `,` or `)` in the set")),
+                }
             }
-            match it.next() {
-                Some(Token::Comma) => {}
-                Some(Token::RParen) => break,
-                _ => return Err(bad("expected `,` or `)` in the set")),
-            }
-        },
-        Some(Token::Str(s)) => elements.push(ElementKey::from(s)),
-        Some(Token::Int(v)) => elements.push(ElementKey::from(v as u64)),
-        _ => return Err(bad("expected a set literal")),
-    }
-    if it.next().is_some() {
+            elements
+        }
+        token => vec![literal(token).ok_or_else(|| bad("expected a set literal"))?],
+    };
+    if lexer.next()?.is_some() {
         return Err(bad("trailing tokens after the set literal"));
     }
-
-    let query = match op.as_str() {
-        "has-subset" => SetQuery::has_subset(elements),
-        "in-subset" => SetQuery::in_subset(elements),
-        "equals" => SetQuery::equals(elements),
-        "overlaps" => SetQuery::overlaps(elements),
-        "contains" => match (elements.pop(), elements.is_empty()) {
-            (Some(element), true) => SetQuery::contains(element),
-            _ => return Err(bad("`contains` takes exactly one element")),
-        },
-        other => return Err(bad(&format!("unknown operator {other:?}"))),
-    };
+    if predicate == SetPredicate::Contains && elements.len() != 1 {
+        return Err(bad("`contains` takes exactly one element"));
+    }
     Ok(ParsedQuery {
         class_name,
-        condition: Some((attr, query)),
+        condition: Some((attr, SetQuery::new(predicate, elements))),
     })
 }
 
@@ -235,14 +258,17 @@ mod tests {
 
     #[test]
     fn literals_keep_their_values() {
-        let p = parse_query(r#"select C where xs-1 has-subset (-5, 9223372036854775807, "a b")"#)
-            .unwrap();
+        let long = "a string longer than a key holds inline";
+        let text =
+            format!(r#"SELECT C WHERE xs-1 HAS-Subset (-5, 9223372036854775807, "a b", '{long}')"#);
+        let p = parse_query(&text).unwrap();
         let (attr, query) = p.condition.unwrap();
         assert_eq!(attr, "xs-1");
         let mut want = vec![
             ElementKey::from(-5i64 as u64),
             ElementKey::from(i64::MAX as u64),
             ElementKey::from("a b"),
+            ElementKey::from(long),
         ];
         want.sort();
         assert_eq!(query.elements, want);
@@ -264,8 +290,17 @@ mod tests {
             "select S where xs has-subset (1 2)",
             "select S where xs has-subset (9223372036854775808)",
             "select S where xs has-subset (1, -)",
+            "select S where xs has-subset",
+            "select S where xs has-subset (1",
+            "select S where xs contains ()",
+            "select S where (1)",
         ] {
-            assert!(parse_query(text).is_err(), "{text:?} should fail");
+            let err = parse_query(text).unwrap_err();
+            assert!(matches!(err, Error::BadQuery(_)), "{text:?}: {err:?}");
+            assert!(
+                err.to_string().starts_with("bad query: "),
+                "{text:?}: {err}"
+            );
         }
         // The lexer's errors name what it could not read.
         for (text, names) in [
@@ -279,8 +314,11 @@ mod tests {
                 "unterminated string literal",
             ),
             ("select S where xs contains #", "unexpected character '#'"),
+            ("select", "bad query: expected a class name after `select`"),
         ] {
-            let err = parse_query(text).unwrap_err().to_string();
+            let err = parse_query(text).unwrap_err();
+            assert!(matches!(err, Error::BadQuery(_)), "{text:?}: {err:?}");
+            let err = err.to_string();
             assert!(err.contains(names), "{text:?}: {err}");
         }
     }

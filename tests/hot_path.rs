@@ -21,9 +21,10 @@
 //! remove the copy, however many entries the leaf holds and whether the
 //! leaf compacts first.
 //!
-//! Loading an object reads no page, so its two paths count elements where
-//! the others count pages: `Value::set` allocates nothing however large the
-//! set, and `Signature::for_set` over 1,000 elements what it does over 10.
+//! Loading an object or parsing a query reads no page, so those three paths
+//! count elements where the others count pages: `Value::set` allocates
+//! nothing however large the set, and `Signature::for_set` and
+//! `parse_query` over 1,000 elements what they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate the
@@ -31,15 +32,16 @@
 //! `Slices::slice_page` or the key in `Verifier::observe`, `collect()` a
 //! node's keys in `BTree::descend`, parse the leaf (`Leaf::entries`)
 //! before `Leaf::compact` in `BTree::insert_into_leaf`, sort `Value::set`
-//! by `sort_by_key(Value::encode)`, or have `ElementHasher::positions_into`
-//! fill a fresh `Vec` per element.
+//! by `sort_by_key(Value::encode)`, have `ElementHasher::positions_into`
+//! fill a fresh `Vec` per element, or have `parse_query` collect its tokens
+//! into a `Vec` or give each string literal a `String`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
 use counting_alloc::{count, CountingAlloc};
 use setsig::core::{kernel, Bitmap, FssfConfig};
 use setsig::nix::BTree;
-use setsig::oodb::ClassId;
+use setsig::oodb::{parse_query, ClassId};
 use setsig::pagestore::{count_reads, Page, PagedFile, PAGE_SIZE};
 use setsig::prelude::*;
 use setsig::workload::Cardinality;
@@ -518,6 +520,36 @@ fn load(rows: &mut Vec<Row>) {
     }
 }
 
+/// Parsing a query lexes as it goes: the class and attribute names and one
+/// element `Vec` sized up front, whatever the set's size — integer and short
+/// string literals are keys held inline.
+fn parse(rows: &mut Vec<Row>) {
+    let int = |i: u64| format!("{}", i * 7_919 % 1_000);
+    let mixed = |i: u64| match i % 2 {
+        0 => int(i),
+        _ => format!("\"e{i}\""),
+    };
+    for (kind, literal) in [("Int", &int as &dyn Fn(u64) -> String), ("Int|Str", &mixed)] {
+        let mut ten = None;
+        for n in [10u64, 1_000] {
+            let literals: Vec<String> = (0..n).map(literal).collect();
+            let text = format!(
+                "select Student where hobbies in-subset ({})",
+                literals.join(", ")
+            );
+            let (allocations, parsed) = count(|| parse_query(&text).unwrap());
+            assert_eq!(parsed.condition.unwrap().1.d_q(), n as usize);
+            rows.push(Row {
+                path: "oodb.parse_query",
+                shape: format!("{n} {kind} elements; budget from 10"),
+                work: n,
+                allocations,
+                budget: *ten.get_or_insert(allocations),
+            });
+        }
+    }
+}
+
 /// A buffer-pool hit hands out the frame's snapshot.
 fn pool_hit(rows: &mut Vec<Row>) {
     const FRAMES: u32 = 64;
@@ -624,6 +656,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     kernels(&mut rows);
     pool_hit(&mut rows);
     load(&mut rows);
+    parse(&mut rows);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
     nix_union(&mut rows, &small, &probes);

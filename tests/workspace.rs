@@ -33,18 +33,14 @@ nix: BTreeSet Mutex RwLock Condvar mpsc sleep parking_lot
 oodb: BTreeSet Mutex RwLock Condvar mpsc sleep parking_lot
 service: Condvar mpsc sleep spawn";
 
+/// `Cargo.toml` and every file under `src/`, at the root and in `crates/*`:
 /// `(path from the root, text)` pairs.
-type Files = Vec<(String, String)>;
-
-/// `Cargo.toml` and every file under `src/`, at the root and in `crates/*`.
-fn tree() -> Files {
+fn tree() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut todo = vec![root.join("Cargo.toml"), root.join("src")];
-    for krate in fs::read_dir(root.join("crates")).unwrap() {
-        let krate = krate.unwrap().path();
-        todo.extend([krate.join("Cargo.toml"), krate.join("src")]);
-    }
-    let mut files = Files::new();
+    let crates = fs::read_dir(root.join("crates")).unwrap();
+    let dirs = crates.map(|k| k.unwrap().path()).chain([root.into()]);
+    let mut todo = Vec::from_iter(dirs.flat_map(|d| [d.join("Cargo.toml"), d.join("src")]));
+    let mut files = Vec::new();
     while let Some(path) = todo.pop() {
         let entries = fs::read_dir(&path).into_iter().flatten();
         todo.extend(entries.map(|e| e.unwrap().path()));
@@ -57,7 +53,7 @@ fn tree() -> Files {
 }
 
 /// A scratch tree written as `== <path>` lines, each followed by its file.
-fn scratch(tree: &str) -> Files {
+fn scratch(tree: &str) -> Vec<(String, String)> {
     let files = tree.split("\n== ").filter_map(|f| f.split_once('\n'));
     files.map(|(rel, text)| (rel.into(), text.into())).collect()
 }
@@ -70,7 +66,8 @@ fn row(table: &'static str, key: &str) -> Option<&'static str> {
 
 /// `file:line: problem` for a member without `[lints] workspace = true`, a
 /// crate not in the DAG, and a normal dependency outside it: in `[dependencies]`,
-/// `[target.*.dependencies]` or a `[dependencies.setsig-*]` table.
+/// `[target.*.dependencies]` or a `[dependencies.*]` table, named by its key
+/// or, renamed, by its `package`.
 fn manifest_findings(files: &[(String, String)]) -> Vec<String> {
     let mut out = Vec::new();
     for (rel, text) in files.iter().filter(|f| f.0.ends_with("Cargo.toml")) {
@@ -85,23 +82,24 @@ fn manifest_findings(files: &[(String, String)]) -> Vec<String> {
             out.extend((!name.is_empty()).then(|| format!("{rel}:1: `{name}` is not in the DAG")));
             continue;
         };
-        let mut in_deps = false;
+        // After `dependencies` in the header, any target's: `""` a list, `.x` a table.
+        let mut tail = None;
         for (n, line) in (1..).zip(lines) {
+            let mut fields = line.split(['{', ',', '=']).map(str::trim);
+            let package = fields.find(|f| *f == "package").and_then(|_| fields.next());
             let key = match line.strip_prefix('[') {
                 Some(header) => {
                     let table = header.split(']').next().unwrap_or_default();
-                    // What follows `dependencies`, for this or any target.
-                    let tail = match table.strip_prefix("target.") {
+                    tail = match table.strip_prefix("target.") {
                         Some(target) => target.split_once(".dependencies").map(|(_, t)| t),
                         None => table.strip_prefix("dependencies"),
                     };
-                    in_deps = tail == Some("");
                     tail.and_then(|t| t.strip_prefix('.'))
                 }
-                None if in_deps => line.split(['=', '.', ' ']).next(),
-                None => None,
+                None if tail == Some("") => package.or(line.split(['=', '.', ' ']).next()),
+                None => package.filter(|_| tail.is_some()),
             };
-            let dep = key.and_then(|k| k.trim_matches('"').strip_prefix("setsig-"));
+            let dep = key.and_then(|k| k.trim_matches(['"', ' ', '}']).strip_prefix("setsig-"));
             if let Some(dep) = dep.filter(|d| !allowed.split_whitespace().any(|a| a == *d)) {
                 out.push(format!("{rel}:{n}: `{name}` → `setsig-{dep}`"));
             }
@@ -195,8 +193,7 @@ fn non_test(src: &str) -> String {
 fn findings(files: &[(String, String)]) -> String {
     let mut out = manifest_findings(files);
     let inventory = files.iter().filter(|f| LOCKS.contains(&f.0.as_str()));
-    let mut locks: BTreeMap<_, (Vec<String>, usize)> =
-        inventory.map(|f| (&*f.0, <_>::default())).collect();
+    let mut locks = BTreeMap::from_iter(inventory.map(|f| (&*f.0, (Vec::new(), 0))));
     for (rel, text) in files.iter().filter(|f| f.0.ends_with(".rs")) {
         let krate = rel.split('/').nth(1).filter(|_| rel.starts_with("crates/"));
         let banned = krate.and_then(|k| row(NAME_RULES, k)).unwrap_or_default();
@@ -233,6 +230,7 @@ const BAD: &str = r##"
 [dependencies]
 setsig-pagestore.workspace = true
 setsig-experiments.workspace = true
+nix = { path = "../nix", package = "setsig-nix" }
 [dev-dependencies]
 setsig-workload.workspace = true
 == crates/mystery/Cargo.toml
@@ -244,7 +242,10 @@ workspace = true
 workspace = true
 [target.'cfg(unix)'.dependencies]
 setsig-oodb = { path = "../oodb" }
+[dependencies.harness]
+package = "setsig-experiments"
 [dev-dependencies.setsig-workload]
+package = "setsig-service"
 [target.'cfg(unix)'.dev-dependencies]
 setsig-experiments = { path = "../experiments" }
 == crates/core/src/scratch.rs
@@ -278,13 +279,14 @@ fn run(shard: &RwLock<u8>) { std::thread::spawn(|| ()); }
 #[test]
 fn the_workspace_holds_its_dag_lock_inventory_and_name_rules() {
     assert_eq!(findings(&tree()), "");
-
     let want = "Cargo.toml:1: no `[lints] workspace = true`
 crates/core/Cargo.toml:1: no `[lints] workspace = true`
 crates/core/Cargo.toml:4: `core` → `setsig-experiments`
+crates/core/Cargo.toml:5: `core` → `setsig-nix`
 crates/mystery/Cargo.toml:1: `mystery` is not in the DAG
 crates/nix/Cargo.toml:1: `nix` → `setsig-experiments`
 crates/nix/Cargo.toml:4: `nix` → `setsig-oodb`
+crates/nix/Cargo.toml:6: `nix` → `setsig-experiments`
 crates/core/src/scratch.rs:1: `Mutex` in non-test code
 crates/core/src/scratch.rs:2: `Mutex` in non-test code
 crates/core/src/scratch.rs:13: `RwLock` in non-test code
