@@ -55,6 +55,7 @@ use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
 use crate::signature::Signature;
+use crate::sorted;
 
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
@@ -348,7 +349,9 @@ impl Bssf {
         let oids: Vec<Oid> = items.iter().map(|(oid, _)| *oid).collect();
         let cfg = self.layout.cfg;
         let rows = items.iter().map(|(_, set)| Slices::row(&cfg, set));
-        self.append_rows(&oids, rows).map(drop)
+        let elements = items.iter().map(|(_, set)| sorted::distinct_count(set));
+        let elements = elements.sum::<usize>() as u64;
+        self.append_rows(&oids, rows, elements).map(drop)
     }
 
     /// Rebuilds the BSSF without tombstoned entries, reclaiming both OID
@@ -663,6 +666,9 @@ mod tests {
             let q = SetQuery::has_subset(vec![ElementKey::from(probe * 7 + 1)]);
             assert_eq!(inc.candidates(&q).unwrap(), bulk.candidates(&q).unwrap());
         }
+        // A batch counts its sets' elements as their inserts do.
+        assert_eq!(bulk.indexed_elements(), Some(600));
+        assert_eq!(bulk.indexed_elements(), inc.indexed_elements());
     }
 
     #[test]
@@ -1114,7 +1120,8 @@ mod compact_tests {
             b.insert(Oid::new(i), &[ElementKey::from(i % 10)]).unwrap();
         }
         for i in 0..10u64 {
-            b.delete(Oid::new(i * 3), &[]).unwrap();
+            b.delete(Oid::new(i * 3), &[ElementKey::from(i * 3 % 10)])
+                .unwrap();
         }
         // Ground truth before compaction.
         let q = SetQuery::has_subset(vec![ElementKey::from(4u64)]);
@@ -1124,6 +1131,7 @@ mod compact_tests {
         assert_eq!(b.indexed_count(), 20);
         let after = b.candidates(&q).unwrap();
         assert_eq!(before, after, "answers must survive compaction");
+        assert_eq!(b.indexed_elements(), Some(20), "Σ|T| of the survivors");
         // The compacted OID file is denser.
         assert_eq!(b.oid_file().len(), 20);
     }

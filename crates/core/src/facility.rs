@@ -143,6 +143,15 @@ pub trait SetAccessFacility {
     /// Number of objects currently indexed.
     fn indexed_count(&self) -> u64;
 
+    /// `Σ|T|`, the distinct elements of the indexed sets summed — with
+    /// [`indexed_count`](Self::indexed_count), the mean target cardinality
+    /// `D_t` a planner prices a query with. `None` for a facility that does
+    /// not keep it. A signature inserted without its set
+    /// ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) counts none.
+    fn indexed_elements(&self) -> Option<u64> {
+        None
+    }
+
     /// Pages occupied by the facility — the measured counterpart of the
     /// paper's storage cost `SC`.
     fn storage_pages(&self) -> Result<u64>;

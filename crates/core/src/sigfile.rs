@@ -98,13 +98,18 @@ pub trait Layout: sealed::Sealed + Sized {
 /// * the layout writes its rows, then the OID-file append **commits**: a
 ///   call that fails before it has indexed nothing;
 /// * a delete only tombstones the OID-file entry (`UC_D = SC_OID/2`);
+/// * `Σ|T|` over the live entries is kept beside their count: a commit adds
+///   its sets' distinct elements, a delete subtracts them;
 /// * the filter's page charge is [`count_reads`] around the layout's scan
 ///   and the OID look-up ([`ScanStats::pages`]);
 /// * the checkpoint is the layout's fields around the OID file's id /
-///   `len` / `live`.
+///   `len` / `live` and `Σ|T|`.
 pub struct SignatureFile<L> {
     pub(crate) layout: L,
     pub(crate) oid_file: OidFile,
+    /// `Σ|T|` over the live entries
+    /// ([`indexed_elements`](SetAccessFacility::indexed_elements)).
+    elements: u64,
     /// Catalog checkpoint file; created lazily by
     /// [`sync_meta`](SignatureFile::sync_meta).
     meta_file: Option<PagedFile>,
@@ -119,6 +124,7 @@ impl<L: Layout> SignatureFile<L> {
         Ok(SignatureFile {
             layout: L::create(&io, name, cfg)?,
             oid_file: OidFile::create(io, &format!("{name}.oid")),
+            elements: 0,
             meta_file: None,
         })
     }
@@ -134,16 +140,19 @@ impl<L: Layout> SignatureFile<L> {
     }
 
     /// Appends `rows` for `oids` after the last entry and commits with the
-    /// OID-file append; returns the first row's position.
+    /// OID-file append; returns the first row's position. `elements`, the
+    /// rows' `Σ|T|`, counts once the commit has.
     pub(crate) fn append_rows(
         &mut self,
         oids: &[Oid],
         rows: impl Iterator<Item = L::Row>,
+        elements: u64,
     ) -> Result<u64> {
         let start = self.oid_file.len();
         let oid_file = &mut self.oid_file;
         self.layout
             .append(start, rows, || oid_file.bulk_append(oids).map(drop))?;
+        self.elements += elements;
         Ok(start)
     }
 
@@ -153,7 +162,7 @@ impl<L: Layout> SignatureFile<L> {
         let oids: Vec<Oid> = live.iter().map(|&(_, oid)| oid).collect();
         let io = Arc::clone(self.oid_file.file().io());
         let mut fresh = Self::create(io, "compacted", *self.config())?;
-        fresh.append_rows(&oids, rows.into_iter())?;
+        fresh.append_rows(&oids, rows.into_iter(), 0)?;
         (self.layout, self.oid_file) = (fresh.layout, fresh.oid_file);
         Ok(oids.len() as u64)
     }
@@ -173,6 +182,7 @@ impl<L: Layout> SignatureFile<L> {
             w.u32(self.oid_file.file().id().raw());
             w.u64(self.oid_file.len());
             w.u64(self.oid_file.live_count());
+            w.u64(self.elements);
         });
         let io = Arc::clone(self.oid_file.file().io());
         let name = L::NAME.to_ascii_lowercase();
@@ -187,14 +197,18 @@ impl<L: Layout> SignatureFile<L> {
         let meta_file = PagedFile::open(Arc::clone(&io), meta);
         let blob = meta_file.read_blob()?;
         let mut r = MetaReader::new(&blob, L::MAGIC)?;
+        let mut elements = 0;
         let (layout, oid_file) = L::open(&io, &mut r, |r| {
             let file = PagedFile::open(Arc::clone(&io), FileId::from_raw(r.u32()?));
-            OidFile::reopen(file, r.u64()?, r.u64()?)
+            let oid_file = OidFile::reopen(file, r.u64()?, r.u64()?)?;
+            elements = r.u64()?;
+            Ok(oid_file)
         })?;
         r.done()?;
         Ok(SignatureFile {
             layout,
             oid_file,
+            elements,
             meta_file: Some(meta_file),
         })
     }
@@ -207,13 +221,18 @@ impl<L: Layout> SetAccessFacility for SignatureFile<L> {
 
     fn insert(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
         let row = L::row(self.config(), set);
-        self.append_rows(&[oid], std::iter::once(row)).map(drop)
+        let elements = sorted::distinct_count(set) as u64;
+        self.append_rows(&[oid], std::iter::once(row), elements)
+            .map(drop)
     }
 
-    fn delete(&mut self, oid: Oid, _set: &[ElementKey]) -> Result<()> {
+    fn delete(&mut self, oid: Oid, set: &[ElementKey]) -> Result<()> {
         // §4.1/§4.2: deletion only flags the OID-file entry; the stale row
         // stays and is filtered at OID look-up time.
-        self.oid_file.delete_by_oid(oid).map(drop)
+        self.oid_file.delete_by_oid(oid)?;
+        let elements = sorted::distinct_count(set) as u64;
+        self.elements = self.elements.saturating_sub(elements);
+        Ok(())
     }
 
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
@@ -232,6 +251,10 @@ impl<L: Layout> SetAccessFacility for SignatureFile<L> {
 
     fn indexed_count(&self) -> u64 {
         self.oid_file.live_count()
+    }
+
+    fn indexed_elements(&self) -> Option<u64> {
+        Some(self.elements)
     }
 
     fn storage_pages(&self) -> Result<u64> {
@@ -383,6 +406,32 @@ mod tests {
             let c = f.candidates(&SetQuery::has_subset(set)).unwrap();
             assert_eq!(c.oids, vec![Oid::new(2)], "{}", f.name());
             assert_eq!(f.indexed_count(), 1, "{}", f.name());
+        }
+        every_layout!(check);
+    }
+
+    #[test]
+    fn the_sum_of_the_set_sizes_moves_with_the_commit_and_the_delete() {
+        fn check<L: Fixture>() {
+            let (disk, mut f) = on_disk::<L>(0);
+            let name = f.name();
+            // Repeats and order do not count.
+            f.insert(Oid::new(1), &keys(&["b", "a", "b"])).unwrap();
+            f.insert(Oid::new(2), &keys(&["c", "d", "e"])).unwrap();
+            assert_eq!(f.indexed_elements(), Some(5), "{name}");
+            // A failed insert indexes nothing and counts nothing, nor does a
+            // delete of an object the file does not hold.
+            disk.inject_fault_after(0);
+            assert!(f.insert(Oid::new(3), &keys(&["x"])).is_err(), "{name}");
+            disk.clear_fault();
+            assert!(f.delete(Oid::new(9), &keys(&["c"])).is_err(), "{name}");
+            assert_eq!(f.indexed_elements(), Some(5), "{name}");
+            f.delete(Oid::new(1), &keys(&["a", "b"])).unwrap();
+            assert_eq!(f.indexed_elements(), Some(3), "{name}");
+            // The checkpoint carries it.
+            let meta = f.sync_meta().unwrap();
+            let reopened = SignatureFile::<L>::open(disk, meta).unwrap();
+            assert_eq!(reopened.indexed_elements(), Some(3), "{name}");
         }
         every_layout!(check);
     }

@@ -9,6 +9,17 @@ pub fn sort_dedup<T: Ord>(v: &mut Vec<T>) {
     v.dedup();
 }
 
+/// How many distinct items `items` holds, in any order: one allocation of
+/// references, none for a strictly ascending list.
+pub fn distinct_count<T: Ord>(items: &[T]) -> usize {
+    if items.windows(2).all(|w| w[0] < w[1]) {
+        return items.len();
+    }
+    let mut refs: Vec<&T> = items.iter().collect();
+    sort_dedup(&mut refs);
+    refs.len()
+}
+
 /// The elements common to `a` and `b`, both ascending and duplicate-free,
 /// in ascending order.
 pub fn intersect<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
@@ -41,6 +52,14 @@ mod tests {
         let mut empty: Vec<u64> = Vec::new();
         sort_dedup(&mut empty);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn distinct_count_ignores_order_and_repeats() {
+        assert_eq!(distinct_count(&[1u64, 2, 5]), 3);
+        assert_eq!(distinct_count(&[5u64, 1, 5, 2, 1]), 3);
+        assert_eq!(distinct_count(&[7u64, 7]), 1);
+        assert_eq!(distinct_count::<u64>(&[]), 0);
     }
 
     #[test]

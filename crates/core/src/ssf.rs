@@ -253,7 +253,9 @@ impl Ssf {
     /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`). The
     /// OID-file append is the commit point: a call that fails before it has
     /// indexed nothing, and what it wrote of the signature file is written
-    /// over by the next insert at that position.
+    /// over by the next insert at that position. No set comes with it, so
+    /// [`indexed_elements`](crate::SetAccessFacility::indexed_elements)
+    /// does not count it.
     pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
         if sig.f_bits() != self.layout.cfg.f_bits() {
             return Err(Error::WidthMismatch {
@@ -261,7 +263,7 @@ impl Ssf {
                 got: sig.f_bits(),
             });
         }
-        self.append_rows(&[oid], std::iter::once(sig.clone()))
+        self.append_rows(&[oid], std::iter::once(sig.clone()), 0)
     }
 
     /// Reads the stored signature at `pos` (one page read).

@@ -26,18 +26,23 @@ fn rewrite(io: &Arc<dyn PageIo>, meta: FileId, at: usize, field: &[u8]) {
         .unwrap();
 }
 
-/// Objects 1..=3 with small sets, object 2 deleted: `len` 3, `live` 2.
+/// Objects 1..=3 with sets of 1..=3 elements, object 2 deleted: `len` 3,
+/// `live` 2, `Σ|T|` 1 + 3 = 4.
 fn fill(f: &mut dyn SetAccessFacility) {
+    let set = |i: u64| {
+        (0..i)
+            .map(|j| ElementKey::from(i * 10 + j))
+            .collect::<Vec<_>>()
+    };
     for i in 1..=3u64 {
-        let set: Vec<ElementKey> = (0..i).map(|j| ElementKey::from(i * 10 + j)).collect();
-        f.insert(Oid::new(i), &set).unwrap();
+        f.insert(Oid::new(i), &set(i)).unwrap();
     }
-    f.delete(Oid::new(2), &[]).unwrap();
+    f.delete(Oid::new(2), &set(2)).unwrap();
 }
 
-/// The layout's head fields, then the OID file's id / `len` / `live`, then
-/// the layout's tail fields — byte for byte, so that a field order both
-/// `sync_meta` and `open` change together still fails here.
+/// The layout's head fields, then the OID file's id / `len` / `live` and
+/// `Σ|T|`, then the layout's tail fields — byte for byte, so that a field
+/// order both `sync_meta` and `open` change together still fails here.
 #[test]
 fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
     let io: Arc<dyn PageIo> = Arc::new(Disk::new());
@@ -56,6 +61,7 @@ fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
             "01000000",         // OID file
             "0300000000000000", // len
             "0200000000000000", // live
+            "0400000000000000", // Σ|T|
         )
     );
 
@@ -72,6 +78,7 @@ fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
             "0b000000",                         // OID file
             "0300000000000000",                 // len
             "0200000000000000",                 // live
+            "0400000000000000",                 // Σ|T|
             "03000000040000000500000006000000", // slices 0..4
             "0700000008000000090000000a000000", // slices 4..8
         )
@@ -91,6 +98,7 @@ fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
             "0f000000",         // OID file
             "0300000000000000", // len
             "0200000000000000", // live
+            "0400000000000000", // Σ|T|
             "0d0000000e000000", // frames
         )
     );

@@ -75,29 +75,60 @@ impl BssfModel {
             .unwrap_or(1)
     }
 
-    /// Appendix C: the query cardinality `D_q^opt` minimizing `rc_subset`.
+    /// Appendix C: the query cardinality `D_q^opt` minimizing `rc_subset`,
+    /// or `None` where the instance has no interior optimum.
     ///
     /// Approximating `RC ≈ S·(F − m_s) + F_d·(SC_OID·O_p + P_p·N)` with
     /// `x = 1 − e^{−m·D_q/F}` (the ones-fraction), setting `dRC/dD_q = 0`
     /// gives `x* = (S·F / (C·m·D_t))^{1/(m·D_t − 1)}` and
-    /// `D_q^opt = −(F/m)·ln(1 − x*)`.
-    pub fn d_q_opt(&self) -> f64 {
+    /// `D_q^opt = −(F/m)·ln(1 − x*)`. That needs `m·D_t > 1` and
+    /// `x* ∈ [0, 1)`: an empty instance (`N = 0`), `m·D_t ≤ 1`, or one whose
+    /// slice reads outweigh its false drops (`S·F > C·m·D_t`, e.g. `N = 1`,
+    /// `F = 4096`, `m = 1`, `D_t = 2`) has none.
+    pub fn d_q_opt(&self) -> Option<f64> {
         let s = self.slice_pages() as f64;
         let c = (self.params.sc_oid() * self.params.o_p()) as f64
             + self.params.p_p * self.params.n as f64;
         let m = self.m as f64;
         let f = self.f as f64;
-        let exponent = 1.0 / (m * self.d_t as f64 - 1.0);
-        let x = (s * f / (c * m * self.d_t as f64)).powf(exponent);
-        debug_assert!((0.0..1.0).contains(&x), "x* = {x} out of range");
-        -(f / m) * (1.0 - x).ln()
+        let m_d_t = m * self.d_t as f64;
+        if m_d_t <= 1.0 {
+            return None;
+        }
+        let x = (s * f / (c * m_d_t)).powf(1.0 / (m_d_t - 1.0));
+        (0.0..1.0).contains(&x).then(|| -(f / m) * (1.0 - x).ln())
+    }
+
+    /// The §5.2.2 slice budget: `(D_q^opt, F − m_s(D_q^opt))`, with
+    /// `D_q^opt` rounded to a query cardinality ≥ 1 and the budget to a
+    /// slice count in `[1, F]`; `None` where [`d_q_opt`](Self::d_q_opt) is
+    /// none, or for a geometry no signature file has (`F = 0`, `m > F`).
+    pub fn subset_budget(&self) -> Option<(u32, u32)> {
+        if self.f == 0 || self.m > self.f {
+            return None;
+        }
+        // `m_s` raises to an `i32` power; past that the budget is 1 anyway.
+        let opt = self.d_q_opt()?.round().clamp(1.0, f64::from(i32::MAX)) as u32;
+        let budget = (f64::from(self.f) - self.m_s(opt)).round().max(1.0) as u32;
+        Some((opt, budget))
+    }
+
+    /// The §5.2.2 plan for a `T ⊆ Q` query of cardinality `d_q`: read at
+    /// most the slice budget of [`subset_budget`](Self::subset_budget) of
+    /// its zero-slices when `d_q < D_q^opt`; `None` — read all `F − m_q` —
+    /// otherwise, or where the instance has no budget. Any cap is in
+    /// `[1, F]`.
+    pub fn subset_cap(&self, d_q: u32) -> Option<u32> {
+        let (opt, budget) = self.subset_budget()?;
+        (d_q < opt).then_some(budget)
     }
 
     /// The §5.2.2 smart strategy for `T ⊆ Q`: for `D_q ≤ D_q^opt`, read
     /// only the `F − m_s(D_q^opt)` most useful zero-slices, making the cost
-    /// the constant `rc_subset(D_q^opt)`; beyond `D_q^opt` behave normally.
+    /// the constant `rc_subset(D_q^opt)`; beyond `D_q^opt`, or without one,
+    /// behave normally.
     pub fn rc_subset_smart(&self, d_q: u32) -> f64 {
-        let opt = self.d_q_opt().round().max(1.0) as u32;
+        let opt = self.subset_budget().map_or(0, |(opt, _)| opt);
         self.rc_subset(d_q.max(opt))
     }
 
@@ -207,7 +238,7 @@ mod tests {
         // §5.2.2: RC(D_q) for T ⊆ Q first falls (fewer zero-slices) then
         // rises (false drops), with the minimum near D_q^opt ≈ 300.
         let m = model(500, 2, 10);
-        let opt = m.d_q_opt();
+        let opt = m.d_q_opt().unwrap();
         assert!(opt > 150.0 && opt < 450.0, "d_q_opt = {opt}");
         let rc_small = m.rc_subset(20);
         let rc_opt = m.rc_subset(opt.round() as u32);
@@ -227,7 +258,7 @@ mod tests {
     #[test]
     fn smart_subset_is_constant_below_opt_and_never_worse() {
         let m = model(500, 2, 10);
-        let opt = m.d_q_opt().round() as u32;
+        let opt = m.d_q_opt().unwrap().round() as u32;
         let floor = m.rc_subset(opt);
         for d_q in [10u32, 50, 100, 200] {
             if d_q <= opt {
@@ -237,6 +268,38 @@ mod tests {
         }
         // Above the optimum the plain cost applies.
         assert_eq!(m.rc_subset_smart(opt + 500), m.rc_subset(opt + 500));
+    }
+
+    #[test]
+    fn the_subset_cap_is_appendix_cs_budget_below_d_q_opt() {
+        let m = model(500, 2, 10);
+        let (opt, budget) = m.subset_budget().unwrap();
+        assert_eq!((opt, budget), (271, 169));
+        for d_q in [0, 1, 50, 270] {
+            assert_eq!(m.subset_cap(d_q), Some(169), "d_q = {d_q}");
+        }
+        for d_q in [271, 1000] {
+            assert_eq!(m.subset_cap(d_q), None, "d_q = {d_q}");
+        }
+    }
+
+    #[test]
+    fn an_instance_without_an_optimum_plans_nothing() {
+        let at =
+            |n: u64, f: u32, m: u32, d_t: u32| BssfModel::new(Params::scaled(n, 13_000), f, m, d_t);
+        for (what, model) in [
+            ("N = 0", at(0, 500, 2, 10)),
+            ("D_t = 0", at(32_000, 500, 2, 0)),
+            ("m·D_t = 1", at(32_000, 500, 1, 1)),
+            ("S·F > C·m·D_t", at(1, 4096, 1, 2)),
+            ("F = 0", at(32_000, 0, 2, 10)),
+            ("m > F", at(32_000, 4, 8, 10)),
+        ] {
+            assert_eq!(model.subset_budget(), None, "{what}");
+            assert_eq!(model.subset_cap(1), None, "{what}");
+            let plain = model.rc_subset(5).to_bits();
+            assert_eq!(model.rc_subset_smart(5).to_bits(), plain, "{what}");
+        }
     }
 
     #[test]

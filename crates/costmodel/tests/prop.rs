@@ -80,6 +80,29 @@ proptest! {
         prop_assert!((0.0..=p.n as f64).contains(&a_sub));
     }
 
+    /// The `T ⊆ Q` planner is total: any instance — empty, tiny, with
+    /// `m·D_t ≤ 1` or `m > F`, or with no interior optimum — plans a cap in
+    /// `[1, F]` or none, and never panics; a cap comes only below
+    /// `D_q^opt`, and is the instance's slice budget.
+    #[test]
+    fn the_subset_cap_is_total_and_within_f(
+        n in 0u64..1_000_000,
+        f in 1u32..8_192,
+        m in 0u32..80,
+        d_t in 0u32..400,
+        d_q in 0u32..u32::MAX,
+    ) {
+        let bssf = BssfModel::new(Params { n, ..Params::paper() }, f, m, d_t);
+        let budget = bssf.subset_budget();
+        match bssf.subset_cap(d_q) {
+            Some(cap) => {
+                prop_assert!((1..=f).contains(&cap), "cap = {cap}");
+                prop_assert!(matches!(budget, Some((opt, b)) if d_q < opt && b == cap));
+            }
+            None => prop_assert!(!matches!(budget, Some((opt, _)) if d_q < opt)),
+        }
+    }
+
     /// Retrieval costs are finite, positive, and smart variants never
     /// exceed their plain counterparts.
     #[test]
@@ -132,5 +155,15 @@ proptest! {
             let ssf_sc = SsfModel::new(p, f, m, d_t).sc();
             prop_assert!(ssf_sc >= p.sc_oid());
         }
+    }
+}
+
+/// The paper's instance (Table 2, `F = 500`, `m = 2`, `D_t = 10`) reads
+/// Appendix C's 169 zero-slices for every `T ⊆ Q` query below `D_q^opt`.
+#[test]
+fn the_papers_instance_caps_a_subset_scan_at_169_slices() {
+    let bssf = BssfModel::new(Params::paper(), 500, 2, 10);
+    for d_q in [1, 20, 50, 100, 200] {
+        assert_eq!(bssf.subset_cap(d_q), Some(169), "D_q = {d_q}");
     }
 }

@@ -876,8 +876,10 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     // §5.1.3: two query elements; §5.2.2 / Appendix C: the zero-slice
     // budget of `D_q^opt`, as the fig9 exhibit sets it.
     let sup_cap = 2u32;
-    let d_q_opt = bssf_model.d_q_opt().round().max(1.0) as u32;
-    let sub_cap = (f64::from(f) - bssf_model.m_s(d_q_opt)).round().max(1.0) as usize;
+    let (d_q_opt, sub_cap) = bssf_model
+        .subset_budget()
+        .expect("the drift instance has a D_q^opt");
+    let sub_cap = sub_cap as usize;
     let d_sub = 50u32.min(p.v as u32);
 
     let superset = SetQuery::has_subset;

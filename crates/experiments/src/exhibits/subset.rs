@@ -106,13 +106,10 @@ fn smart_subset_exhibit(
 
     // The measured smart strategy reads only the slice budget implied by
     // D_q^opt: F − m_s(D_q^opt) zero-slices.
-    let slice_cap = {
-        let b = &bssf_models[1];
-        let opt = b.d_q_opt();
-        (b.f as f64 - b.m_s(opt.round().max(1.0) as u32))
-            .round()
-            .max(1.0) as usize
-    };
+    let (_, slice_cap) = bssf_models[1]
+        .subset_budget()
+        .expect("the paper's instances have a D_q^opt");
+    let slice_cap = slice_cap as usize;
 
     for &d_q in d_q_points {
         let d_q = d_q.min(p.v as u32);
@@ -136,7 +133,9 @@ fn smart_subset_exhibit(
         }
         ex.push_row(row);
     }
-    let opt = bssf_models[1].d_q_opt();
+    let opt = bssf_models[1]
+        .d_q_opt()
+        .expect("the paper's instances have a D_q^opt");
     ex.note(format!(
         "Appendix C: D_q^opt ≈ {:.0} for F = {}, m = {m} — below it the smart strategy reads only {} zero-slices, making the cost constant",
         opt, f_values[1], slice_cap

@@ -133,7 +133,7 @@ pub fn appendix_c() -> Exhibit {
         (2500, 3, 100),
     ] {
         let model = BssfModel::new(p, f, m, d_t);
-        let formula = model.d_q_opt();
+        let formula = model.d_q_opt().expect("Table 2's instances have a D_q^opt");
         let grid = (1..=600)
             .map(|i| i * 10)
             .min_by(|&a, &b| model.rc_subset(a).partial_cmp(&model.rc_subset(b)).unwrap())

@@ -3,8 +3,9 @@
 
 use setsig_core::{
     resolve_drops, CandidateSet, DropReport, ElementKey, ElementSet, Oid, OidAllocator, ScanStats,
-    SetAccessFacility, SetQuery, TargetSetSource,
+    SetAccessFacility, SetPredicate, SetQuery, TargetSetSource,
 };
+use setsig_costmodel::{BssfModel, Params};
 use setsig_pagestore::{Disk, IoDelta, PageIo};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -238,7 +239,9 @@ impl Database {
     /// scheme (§3.2): the facility's filter, then false-drop resolution of
     /// every drop against `source`. A query carrying a smart cap
     /// ([`SetQuery::with_cap`]) runs the facility's smart strategy;
-    /// resolution verifies the full predicate either way.
+    /// resolution verifies the full predicate either way. The query runs as
+    /// given: only [`run_query`](Database::run_query) plans
+    /// ([`Database::plan`]).
     ///
     /// `facility` need not be registered here; the page split is taken on
     /// this database's disk, so it counts what `facility` and `source` read
@@ -252,7 +255,7 @@ impl Database {
         let before = self.disk.snapshot();
         let (drops, stats) = facility.candidates_with_stats(query)?;
         let filtered = self.disk.snapshot();
-        let mut report = resolve_drops(query, &drops, source).map_err(Error::Facility)?;
+        let mut report = resolve_drops(query, &drops, source)?;
         let after = self.disk.snapshot();
         Ok(QueryExecution {
             actual: std::mem::take(&mut report.actual),
@@ -278,6 +281,51 @@ impl Database {
             .ok_or_else(|| Error::NoSuchAttribute(format!("facility #{facility_index}")))?;
         let source = StoreSource::new(&self.store, reg.source.clone());
         self.execute(reg.facility.as_ref(), &source, query)
+    }
+
+    /// Plans `query` for the registered facility `facility_index`, as
+    /// [`run_query`](Database::run_query) does before it executes.
+    ///
+    /// A `T ⊆ Q` query below `D_q^opt` gets Appendix C's slice cap
+    /// `F − m_s(D_q^opt)` (§5.2.2, [`BssfModel::subset_cap`]), priced on the
+    /// facility's own instance: `N` its indexed count, `F` and `m` its
+    /// signature geometry, `D_t` its mean set size. BSSF then reads that
+    /// many zero-slices instead of `F − m_q`; SSF and FSSF, which have no
+    /// smart strategy, run their plain filter under it. The query is kept
+    /// as it is for every other predicate, a query that already carries a
+    /// cap, a facility that reports no geometry or no `Σ|T|` (NIX), and an
+    /// instance with no `D_q^opt`. The §5.1.3 `T ⊇ Q` cap is not planned:
+    /// the AND scan already stops once its rows are clear, about two
+    /// elements in, so the cap only adds false drops.
+    #[expect(
+        clippy::expect_used,
+        reason = "a T ⊆ Q query takes any cap ≥ 1, and subset_cap is ≥ 1"
+    )]
+    pub fn plan(&self, facility_index: usize, query: SetQuery) -> SetQuery {
+        if query.predicate != SetPredicate::InSubset || query.cap().is_some() {
+            return query;
+        }
+        let Some(facility) = self.facility(facility_index) else {
+            return query;
+        };
+        let (Some((f, m)), Some(elements)) =
+            (facility.signature_geometry(), facility.indexed_elements())
+        else {
+            return query;
+        };
+        let n = facility.indexed_count();
+        // The float casts saturate: an empty facility has `D_t = 0`, and
+        // the model no `D_q^opt` for it.
+        let d_t = (elements as f64 / n as f64).round() as u32;
+        let params = Params {
+            n,
+            ..Params::paper()
+        };
+        let model = BssfModel::new(params, f, m, d_t);
+        match model.subset_cap(u32::try_from(query.d_q()).unwrap_or(u32::MAX)) {
+            Some(cap) => query.with_cap(cap as usize).expect("T ⊆ Q with cap ≥ 1"),
+            None => query,
+        }
     }
 
     /// A [`TargetSetSource`] over `class.attr` backed by the object store —
@@ -470,19 +518,25 @@ impl TargetSetSource for StoreSource<'_> {
     fn fetch_set(&self, oid: Oid) -> setsig_core::Result<ElementSet> {
         let mut keys = Vec::new();
         self.visit_elements(oid, &mut |elem| keys.push(elem.to_element_key()))
-            .map_err(|e| fetch_error(oid, &e))?;
+            .map_err(|e| fetch_error(oid, e))?;
         Ok(keys.into_iter().collect())
     }
 
     fn visit_set(&self, oid: Oid, visit: &mut dyn FnMut(&[u8])) -> setsig_core::Result<()> {
         let mut buf = self.key_buf.borrow_mut();
         self.visit_elements(oid, &mut |elem| elem.with_key_bytes(&mut buf, visit))
-            .map_err(|e| fetch_error(oid, &e))
+            .map_err(|e| fetch_error(oid, e))
     }
 }
 
-fn fetch_error(oid: Oid, e: &Error) -> setsig_core::Error {
-    setsig_core::Error::BadQuery(format!("fetch {oid}: {e}"))
+/// A drop resolution could not read: a page-store fault stays a storage
+/// error; a missing, undecodable or mistyped object means the store no
+/// longer holds what the facility indexed.
+fn fetch_error(oid: Oid, e: Error) -> setsig_core::Error {
+    match e {
+        Error::Storage(e) => setsig_core::Error::Storage(e),
+        e => setsig_core::Error::Corrupted(format!("fetch {oid}: {e}")),
+    }
 }
 
 #[cfg(test)]
@@ -601,8 +655,8 @@ mod tests {
 
     /// On the bare disk the filter reads exactly the pages its `ScanStats`
     /// charge, resolution one page per inline drop, and the two make up
-    /// the whole query — which the text surface runs through the same
-    /// executor.
+    /// the whole query — which the text surface plans, then runs through
+    /// the same executor.
     #[test]
     fn execution_splits_filter_and_resolve_pages() {
         type Make = fn(Arc<dyn PageIo>, SignatureConfig) -> Box<dyn SetAccessFacility>;
@@ -628,7 +682,7 @@ mod tests {
                 .unwrap();
             for text in texts {
                 let query = parse_query(text).unwrap().condition.unwrap().1;
-                let exec = db.execute_set_query(fidx, &query).unwrap();
+                let exec = db.execute_set_query(fidx, &db.plan(fidx, query)).unwrap();
                 let stats = exec.stats.expect("every facility reports its pages");
                 let what = format!("{name}: {text}");
                 assert!(!exec.actual.is_empty(), "{what}");
@@ -641,7 +695,11 @@ mod tests {
                 );
                 assert_eq!(exec.filter_io + exec.resolve_io, exec.io, "{what}");
                 let via_text = db.run_query(text).unwrap();
-                assert_eq!((via_text.actual, via_text.io), (exec.actual, exec.io));
+                assert_eq!(
+                    (via_text.actual, via_text.io, via_text.stats),
+                    (exec.actual, exec.io, exec.stats),
+                    "{what}"
+                );
             }
         }
 
@@ -854,6 +912,65 @@ mod tests {
         }
         let source = StoreSource::new(&db.store, IndexedSource::Path(spec));
         assert_eq!(&*source.fetch_set(ann).unwrap(), [key("DB")]);
+    }
+
+    /// A fetch that fails in resolution keeps its cause: a disk fault is a
+    /// storage error, an object the store no longer holds a corrupted
+    /// facility — neither is the caller's bad query.
+    #[test]
+    fn a_failed_fetch_reports_its_cause_not_a_bad_query() {
+        let (mut db, student) = hobby_club();
+        let io: Arc<dyn PageIo> = Arc::clone(db.disk()) as Arc<dyn PageIo>;
+        let ssf = Ssf::create(io, "h", SignatureConfig::new(128, 2).unwrap()).unwrap();
+        let fidx = db
+            .register_facility(student, "hobbies", Box::new(ssf))
+            .unwrap();
+        let q = SetQuery::has_subset(vec![ElementKey::from("hobby7")]);
+        let filter_pages = db.execute_set_query(fidx, &q).unwrap().filter_io.reads;
+
+        db.disk().inject_fault_after(filter_pages);
+        let err = db.execute_set_query(fidx, &q).unwrap_err();
+        db.disk().clear_fault();
+        assert!(
+            matches!(err, Error::Facility(setsig_core::Error::Storage(_))),
+            "{err:?}"
+        );
+
+        // Object 7 gone from the store, not from the facility.
+        db.store.delete(Oid::new(7)).unwrap();
+        let err = db.execute_set_query(fidx, &q).unwrap_err();
+        assert!(
+            matches!(&err, Error::Facility(setsig_core::Error::Corrupted(msg)) if msg.contains("fetch")),
+            "{err:?}"
+        );
+    }
+
+    /// One "bad query" at this API, whichever layer refuses the query: a
+    /// cap on `T = Q`, and a `T ⊇ ∅` the nested index cannot enumerate.
+    #[test]
+    fn a_query_the_facility_layer_refuses_is_a_bad_query() {
+        fn capped(query: SetQuery) -> Result<SetQuery> {
+            Ok(query.with_cap(2)?)
+        }
+        let err = capped(SetQuery::equals(vec![ElementKey::from("a")])).unwrap_err();
+        assert!(matches!(err, Error::BadQuery(_)), "{err:?}");
+        assert!(
+            err.to_string().starts_with("bad query: a smart cap"),
+            "{err}"
+        );
+
+        let (mut db, student) = hobby_club();
+        let io: Arc<dyn PageIo> = Arc::clone(db.disk()) as Arc<dyn PageIo>;
+        db.register_facility(
+            student,
+            "hobbies",
+            Box::new(setsig_nix::Nix::on_io(io, "h")),
+        )
+        .unwrap();
+        let err = db
+            .run_query("select Student where hobbies has-subset ()")
+            .unwrap_err();
+        assert!(matches!(err, Error::BadQuery(_)), "{err:?}");
     }
 
     #[test]

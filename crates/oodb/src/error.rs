@@ -29,9 +29,11 @@ pub enum Error {
     NoSuchObject(Oid),
     /// A stored record could not be decoded.
     CorruptObject(String),
-    /// A query text could not be lexed or parsed.
+    /// A query text could not be lexed or parsed, or a facility refused the
+    /// query (the facility layer's [`BadQuery`](setsig_core::Error::BadQuery)
+    /// arrives here, not as [`Facility`](Error::Facility)).
     BadQuery(String),
-    /// An error from the signature/facility layer.
+    /// Any other error from the signature/facility layer.
     Facility(setsig_core::Error),
     /// An error from the page store.
     Storage(setsig_pagestore::Error),
@@ -65,9 +67,13 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// One "bad query" at this API: the facility layer's is mapped to ours.
 impl From<setsig_core::Error> for Error {
     fn from(e: setsig_core::Error) -> Self {
-        Error::Facility(e)
+        match e {
+            setsig_core::Error::BadQuery(msg) => Error::BadQuery(msg),
+            e => Error::Facility(e),
+        }
     }
 }
 

@@ -192,9 +192,9 @@ impl Database {
 
     /// Parses and executes one query in the paper's SQL-like syntax.
     ///
-    /// Uses a registered facility over the attribute when available, the
-    /// full-scan baseline otherwise; a bare `select <Class>` returns every
-    /// object of the class.
+    /// Uses a registered facility over the attribute when available, with
+    /// the query [planned](Database::plan) for it, the full-scan baseline
+    /// otherwise; a bare `select <Class>` returns every object of the class.
     pub fn run_query(&self, text: &str) -> Result<QueryExecution> {
         let parsed = parse_query(text)?;
         let class = self
@@ -203,7 +203,7 @@ impl Database {
         match parsed.condition {
             None => self.full_scan(class, None),
             Some((attr, query)) => match self.facility_for(class, &attr) {
-                Some(idx) => self.execute_set_query(idx, &query),
+                Some(idx) => self.execute_set_query(idx, &self.plan(idx, query)),
                 None => self.scan_set_query(class, &attr, &query),
             },
         }

@@ -5,7 +5,9 @@
 //! choose between BSSF (plain or smart) and NIX — including the smart
 //! parameter (`j` element cap for ⊇, slice budget for ⊆) — then execute
 //! the chosen plan and compare against what the other plans would have
-//! cost.
+//! cost. The `T ⊆ Q` slice budget is `BssfModel::subset_cap`, the function
+//! `Database::run_query` plans with; each BSSF `T ⊆ Q` plan chosen here is
+//! checked to measure no more pages than the plain scan.
 //!
 //! NIX `T ⊆ Q` is planned with the paper's union cost
 //! (`NixModel::rc_subset`), not the counting retrieval the engine runs
@@ -46,13 +48,8 @@ fn choose(p: Params, f: u32, m: u32, d_t: u32, q: &SetQuery) -> (Plan, f64) {
         }
         SetPredicate::InSubset => {
             plans.push((Plan::BssfPlain, bssf.rc_subset(d_q)));
-            let opt = bssf.d_q_opt().round().max(1.0) as u32;
-            if d_q < opt {
-                let slice_cap = (f as f64 - bssf.m_s(opt)).round().max(1.0) as u32;
-                plans.push((
-                    Plan::BssfSmart { cap: slice_cap },
-                    bssf.rc_subset_smart(d_q),
-                ));
+            if let Some(cap) = bssf.subset_cap(d_q) {
+                plans.push((Plan::BssfSmart { cap }, bssf.rc_subset_smart(d_q)));
             }
             plans.push((Plan::NixPlain, nix.rc_subset(d_q)));
         }
@@ -109,25 +106,35 @@ fn main() {
         "planner: F = {f}, m = {m}, D_t = {d_t}, N = {}, V = {}\n",
         p.n, p.v
     );
+    // Filter pages plus one page per candidate fetched for resolution.
+    let measure = |facility: &dyn SetAccessFacility, q: &SetQuery| {
+        let before = disk.snapshot();
+        let candidates = facility.candidates(q).unwrap();
+        let pages = disk.snapshot().since(before).accesses() + candidates.len() as u64;
+        (pages, candidates.len())
+    };
     for q in &workload {
         let (plan, predicted) = choose(p, f, m, d_t, q);
-        let before = disk.snapshot();
         // A smart plan is the same query carrying the plan's cap.
         let smart = |cap: u32| q.clone().with_cap(cap as usize).unwrap();
-        let candidates = match plan {
-            Plan::BssfPlain => bssf.candidates(q).unwrap(),
-            Plan::BssfSmart { cap } => bssf.candidates(&smart(cap)).unwrap(),
-            Plan::NixPlain => nix.candidates(q).unwrap(),
-            Plan::NixSmart { cap } => nix.candidates(&smart(cap)).unwrap(),
+        let (total, candidates) = match plan {
+            Plan::BssfPlain => measure(&bssf, q),
+            Plan::BssfSmart { cap } => measure(&bssf, &smart(cap)),
+            Plan::NixPlain => measure(&nix, q),
+            Plan::NixSmart { cap } => measure(&nix, &smart(cap)),
         };
-        let filter_pages = disk.snapshot().since(before).accesses();
-        // Count the resolution fetches (1 page per candidate here).
-        let total = filter_pages + candidates.len() as u64;
         println!("{} (D_q = {:>4}) → {:?}", q.predicate, q.d_q(), plan);
         println!(
-            "    predicted {predicted:>8.1} pages   measured {total:>6} pages   {} candidates",
-            candidates.len()
+            "    predicted {predicted:>8.1} pages   measured {total:>6} pages   {candidates} candidates"
         );
+        if let (SetPredicate::InSubset, Plan::BssfSmart { .. }) = (q.predicate, plan) {
+            let (plain, _) = measure(&bssf, q);
+            println!("    plain BSSF scan: {plain} pages");
+            assert!(
+                total <= plain,
+                "the slice cap cost {total} pages, the plain scan {plain}"
+            );
+        }
     }
     println!("\nok.");
 }

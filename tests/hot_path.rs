@@ -21,10 +21,11 @@
 //! remove the copy, however many entries the leaf holds and whether the
 //! leaf compacts first.
 //!
-//! Loading an object or parsing a query reads no page, so those three paths
-//! count elements where the others count pages: `Value::set` allocates
-//! nothing however large the set, and `Signature::for_set` and
-//! `parse_query` over 1,000 elements what they do over 10.
+//! Loading an object, parsing a query or planning it reads no page, so
+//! those four paths count elements where the others count pages:
+//! `Value::set` and `Database::plan` allocate nothing however large the
+//! set, and `Signature::for_set` and `parse_query` over 1,000 elements what
+//! they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate the
@@ -550,6 +551,38 @@ fn parse(rows: &mut Vec<Row>) {
     }
 }
 
+/// Planning a parsed `T ⊆ Q` query is arithmetic on the facility's counts:
+/// the query moves in and out with its cap, and nothing is allocated.
+fn plan(rows: &mut Vec<Row>, sim: &SimDb) {
+    let mut db = Database::in_memory();
+    let class = db
+        .define_class(ClassDef::new(
+            "Student",
+            vec![("hobbies", AttrType::set_of(AttrType::Int))],
+        ))
+        .unwrap();
+    // The paper's small `m`; the store is empty, so nothing is back-filled.
+    let bssf = sim.build_bssf(F, 2);
+    let fidx = db
+        .register_facility(class, "hobbies", Box::new(bssf))
+        .unwrap();
+    let literals: Vec<String> = (0..50u64).map(|i| (i * 37).to_string()).collect();
+    let text = format!(
+        "select Student where hobbies in-subset ({})",
+        literals.join(", ")
+    );
+    let query = parse_query(&text).unwrap().condition.unwrap().1;
+    let (allocations, planned) = count(|| db.plan(fidx, query));
+    assert!(planned.cap().is_some(), "D_q 50 is below D_q^opt");
+    rows.push(Row {
+        path: "oodb.Database::plan",
+        shape: format!("{} D_q {}, BSSF m = 2", planned.predicate, planned.d_q()),
+        work: planned.d_q() as u64,
+        allocations,
+        budget: 0,
+    });
+}
+
 /// A buffer-pool hit hands out the frame's snapshot.
 fn pool_hit(rows: &mut Vec<Row>) {
     const FRAMES: u32 = 64;
@@ -657,6 +690,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     pool_hit(&mut rows);
     load(&mut rows);
     parse(&mut rows);
+    plan(&mut rows, &small);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
     nix_union(&mut rows, &small, &probes);

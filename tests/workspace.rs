@@ -11,7 +11,7 @@ use std::{collections::BTreeMap, fs, path::Path};
 const ALLOWED_DEPS: &str = "pagestore:
 core: pagestore
 nix: pagestore core
-oodb: pagestore core
+oodb: pagestore core costmodel
 costmodel:
 workload:
 service: pagestore core
