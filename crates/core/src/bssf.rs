@@ -14,10 +14,14 @@
 //!
 //! Both run a row page at a time. Under ⊇ a row page stops reading once
 //! its rows are all clear, since an AND cannot set them again. Under ⊆ a
-//! row page carries a `u64` live mask, one bit per 512-row block, and a
-//! slice page is ORed only into the blocks that still have a clear row
-//! ([`kernel::or_blocks`]). Every selected page is still read and
-//! charged: the mask saves CPU work, never a page.
+//! row page carries a `u64` live mask, one bit per 512-row block: a slice
+//! page streams into the live blocks with no per-block test
+//! ([`kernel::or_live`]), and every [`kernel::REFRESH_SLICES`] slices a
+//! fold retires the blocks whose rows are all set
+//! ([`kernel::open_blocks`]). The OR has no test of its own because the
+//! §5.2.2 cap ends most ⊆ scans while their blocks are still live. Every
+//! selected page is still read and charged: the mask saves CPU work,
+//! never a page.
 //!
 //! That asymmetry — cost `∝ m_q` for ⊇, `∝ F − m_q` for ⊆ — is the engine
 //! behind every BSSF result in the paper, including the advantage of a
@@ -93,19 +97,26 @@ impl Slices {
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
     /// count), a row page at a time, straight off the page snapshots.
     ///
-    /// Every selected page is read and charged. The OR skips the 512-row
-    /// blocks whose rows are all set ([`kernel::or_blocks`]): no later slice
-    /// can change them, so that saves CPU work and no page.
+    /// Every selected page is read and charged. The OR streams into the
+    /// 512-row blocks its live mask has open ([`kernel::or_live`]); every
+    /// [`kernel::REFRESH_SLICES`] slices a fold ([`kernel::open_blocks`])
+    /// retires the blocks whose rows are all set, which no later slice can
+    /// change. That saves CPU work and no page. The tail is masked once,
+    /// when the row page is done.
     fn or_slices(&self, slices: &[u32], n: u64) -> Result<Bitmap> {
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
             let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
             let mut live = !0;
-            for &j in slices {
+            for (i, &j) in slices.iter().enumerate() {
+                if i % kernel::REFRESH_SLICES == 0 && i > 0 {
+                    live = kernel::open_blocks(words, rows, live);
+                }
                 if let Some(page) = self.slice_page(j, p)? {
-                    live = kernel::or_blocks(words, page.as_bytes(), rows, live);
+                    kernel::or_live(words, page.as_bytes(), live);
                 }
             }
+            kernel::mask_tail(words, rows);
         }
         Ok(acc)
     }
@@ -157,7 +168,7 @@ impl Slices {
     /// slice page exactly once, because the page charge is the paper's
     /// `F − m_q`, which the drift gate (`exact`) and
     /// `subset_scan_reads_f_minus_m_q_slices` pin. The live mask of
-    /// [`kernel::or_blocks`] skips only CPU work: a `⊆` early exit would
+    /// `or_slices` skips only CPU work: a `⊆` early exit would
     /// change pages and the cost model.
     fn subset_positions(
         &self,
@@ -384,7 +395,7 @@ mod tests {
     use super::*;
     use crate::facility::CandidateSet;
     use crate::SetAccessFacility;
-    use setsig_pagestore::{count_reads, Disk};
+    use setsig_pagestore::{count_reads, BufferPool, Disk};
 
     fn bssf(f_bits: u32, m: u32) -> (Arc<Disk>, Bssf) {
         let disk = Arc::new(Disk::new());
@@ -967,6 +978,122 @@ mod tests {
                 "{:?}: {pages} pages > slice-major {slice_major}",
                 q.predicate
             );
+        }
+    }
+
+    #[test]
+    fn a_torn_rows_bits_stay_out_of_the_subset_accumulator() {
+        let (disk, mut b) = bssf(64, 2);
+        for i in 0..5u64 {
+            b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
+        }
+        // The failed insert leaves its first slice bits at row 5, past the
+        // last entry, until the next insert clears them.
+        disk.inject_fault_after(3);
+        let torn = (10..20u64).map(ElementKey::from).collect::<Vec<_>>();
+        assert!(b.insert(Oid::new(5), &torn).is_err());
+        disk.clear_fault();
+        let acc = b.layout.or_slices(&(0..64).collect::<Vec<_>>(), 5).unwrap();
+        assert_eq!(acc.words(), [0b1_1111], "canonical: no bit at row 5");
+    }
+
+    /// The `⊆` OR retires a row page's filled blocks only at a refresh,
+    /// every [`kernel::REFRESH_SLICES`] slices: capped and uncapped `⊆` and
+    /// `=` at N = 32,768 + 700 (the last row page ends mid-block), with caps
+    /// on and off the refresh period, through the bare disk and through a
+    /// pool smaller than the file. Positions are the row reference's, and
+    /// the charge is the plain scan's: `cap` (or `F − m_q`) zero-slices, a
+    /// page each on both row pages, plus the drops' OID pages.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn subset_scans_match_the_row_reference_across_refreshes() {
+        const F: u32 = 100;
+        let n = ROWS_PER_PAGE + 700;
+        // Ten elements a row from a domain of 1,000 that misses the query,
+        // so a row has ~18 bits set and its block fills after a few dozen
+        // zero-slices; every 2,003rd row and the last hold a subset of the
+        // query, so their blocks never fill.
+        let query: Vec<ElementKey> = (0..5u64).map(ElementKey::from).collect();
+        let set_of = |i: u64| -> Vec<ElementKey> {
+            if i.is_multiple_of(2_003) || i == n - 1 {
+                return query[..1 + (i % 5) as usize].to_vec();
+            }
+            (0..10)
+                .map(|k| {
+                    ElementKey::from(
+                        5 + ((i * 10 + k).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 1_000,
+                    )
+                })
+                .collect()
+        };
+        let items: Vec<(Oid, Vec<ElementKey>)> = (0..n).map(|i| (Oid::new(i), set_of(i))).collect();
+        let cfg = SignatureConfig::new(F, 2).unwrap();
+        let sigs: Vec<Signature> = items
+            .iter()
+            .map(|(_, set)| Signature::for_set(&cfg, set))
+            .collect();
+        let qsig = SetQuery::in_subset(query.clone()).signature(&cfg);
+        let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
+        // Per 512-row block, the zero-slices after which none of its rows
+        // is clear; `None` for a block holding a subset of the query.
+        let fills: Vec<Option<usize>> = sigs
+            .chunks(512)
+            .map(|rows| {
+                let first_hit = |sig: &Signature| zeros.iter().position(|&j| sig.bitmap().get(j));
+                rows.iter()
+                    .map(first_hit)
+                    .try_fold(0, |k, hit| Some(k.max(hit? + 1)))
+            })
+            .collect();
+        let mut cases = vec![(SetQuery::in_subset(query.clone()), zeros.len())];
+        for cap in [16, 40, 48, 63, F as usize] {
+            let capped = SetQuery::in_subset(query.clone()).with_cap(cap).unwrap();
+            cases.push((capped, cap.min(zeros.len())));
+        }
+        cases.push((SetQuery::equals(query.clone()), zeros.len()));
+        for (_, take) in &cases {
+            // Blocks are retired at a refresh before the scan ends, except
+            // where the cap ends it by the first refresh.
+            let at_refresh = |&&k: &&usize| k.next_multiple_of(kernel::REFRESH_SLICES) < *take;
+            let retired = fills.iter().flatten().filter(at_refresh).count();
+            assert_eq!(retired > 0, *take > kernel::REFRESH_SLICES, "cap {take}");
+        }
+        for pooled in [false, true] {
+            let disk = Arc::new(Disk::new());
+            let io: Arc<dyn PageIo> = if pooled {
+                Arc::new(BufferPool::new(Arc::clone(&disk), 64))
+            } else {
+                disk
+            };
+            let mut b = Bssf::create(io, "t", cfg).unwrap();
+            b.insert_batch(&items).unwrap();
+            assert!(b.layout.slices.files().iter().all(|s| s.pages == 2));
+            // The `⊇` half of `=` is the AND scan, which has no mask.
+            let superset = SetQuery::has_subset(query.clone());
+            let (sup, sup_pages) = count_reads(|| b.layout.positions(&superset, n).unwrap());
+            for (q, take) in &cases {
+                let equals = q.predicate == SetPredicate::Equals;
+                let want: Vec<u64> = (0..n)
+                    .filter(|&i| {
+                        let row = &sigs[i as usize];
+                        let clear = zeros[..*take].iter().all(|&j| !row.bitmap().get(j));
+                        clear && (!equals || q.signature_matches(&cfg, row, &qsig))
+                    })
+                    .collect();
+                let (c, stats) = b.candidates_with_stats(q).unwrap();
+                let stats = stats.unwrap();
+                let got: Vec<u64> = c.oids.iter().map(|oid| oid.raw()).collect();
+                let what = format!("{:?} cap {:?} pooled {pooled}", q.predicate, q.cap());
+                assert_eq!(got, want, "{what}");
+                let (slices, pages) = if equals {
+                    (sup.slices, sup_pages)
+                } else {
+                    (0, 0)
+                };
+                assert_eq!(stats.slices, slices + *take as u64, "{what}");
+                let oid_pages = OidFile::pages_touched(&want);
+                assert_eq!(stats.pages, pages + 2 * *take as u64 + oid_pages, "{what}");
+            }
         }
     }
 }

@@ -21,19 +21,25 @@
 //!   `AND` is the one exception that needs no mask: padding in the
 //!   incoming bytes can only clear accumulator bits that are already
 //!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
-//!   either: its masks select no bit at or past the width. The `T ⊆ Q`
-//!   fullness test of [`or_blocks`] counts padding as set.
-//! * **Blocks.** The BSSF `T ⊆ Q` slice loop ([`or_blocks`]) folds a slice
-//!   page into a row page's accumulator (at most [`MASK_WORDS`] = 512
-//!   words) only where a `u64` live mask says a row is still clear: bit
-//!   `b` covers block `b`, the [`BLOCK_WORDS`] = 8 words of one cache line
-//!   (512 rows). It returns the new mask; [`or_assign`] is the all-live
-//!   case. The `T ⊇ Q` loop needs no mask: [`and_assign`]'s fused OR-fold
-//!   already ends a row page once it empties.
+//!   either: its masks select no bit at or past the width. The one
+//!   deferred mask is the `T ⊆ Q` slice loop's: [`or_live`] lets stray
+//!   bits in, the scan masks the tail once per row page, and
+//!   [`open_blocks`] counts padding as set, so stray bits cannot matter.
+//! * **Blocks.** The BSSF `T ⊆ Q` slice loop ORs slice pages into a row
+//!   page's accumulator (at most [`MASK_WORDS`] = 512 words) under a `u64`
+//!   live mask: bit `b` covers block `b`, the [`BLOCK_WORDS`] = 8 words of
+//!   one cache line (512 rows). [`or_live`] is one straight word loop over
+//!   each run of live blocks, with no per-block test, and [`open_blocks`]
+//!   is a separate fold that retires the blocks whose rows are all set,
+//!   once every [`REFRESH_SLICES`] slices. The two are split because the
+//!   §5.2.2 cap ends most `⊆` scans while their blocks are still live: a
+//!   fullness test on every slice page costs there and buys nothing.
+//!   [`or_assign`] is the same loop over the whole accumulator. The
+//!   `T ⊇ Q` loop needs no mask: [`and_assign`]'s fused OR-fold already
+//!   ends a row page once it empties.
 //!
-//! The AND loop runs on `chunks_exact(8)` and the OR loop on fixed-size
-//! 8-word blocks, so the compiler sees short, branch-free bodies it can
-//! unroll, and [`match_rows`]
+//! The AND and OR loops run on `chunks_exact(8)`, so the compiler sees
+//! short, branch-free bodies it can unroll, and [`match_rows`]
 //! reads its row words in place; only a word that runs past the end of its
 //! buffer takes the padded [`le_word`] path. The `reference` submodule
 //! keeps the pre-kernel byte/bit-granular loops as the differential-testing
@@ -115,103 +121,75 @@ fn full_words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, Option<u64>) {
 /// Words of a block: one 64-byte cache line, 512 rows of a row page.
 pub const BLOCK_WORDS: usize = 8;
 
+/// Slices a `T ⊆ Q` row page ORs ([`or_live`]) between two refreshes of
+/// its live mask ([`open_blocks`]). The refresh reads the accumulator once,
+/// about a sixteenth of a slice page's work, and a block whose rows have
+/// all filled is ORed into at most 15 slices late.
+pub const REFRESH_SLICES: usize = 16;
+
 /// Words one live mask covers: a slice page's 4 KiB, one block per bit.
 pub const MASK_WORDS: usize = PAGE_SIZE / 8;
 const _: () = assert!(MASK_WORDS == 64 * BLOCK_WORDS, "one mask bit per block");
 
-/// One block of words.
-type Block = [u64; BLOCK_WORDS];
-
-/// Block `b` of `bytes` as words: bytes `64·b .. 64·b + 64`, zero-padded
-/// past the end ([`le_word`] layout). Inlined into the block loop, so the
-/// words go from the page straight into registers.
+/// `acc |= bytes` word at a time: the one OR loop. Bytes past the end of
+/// `bytes` read as zero, and bytes past `acc` are not read.
 #[inline(always)]
-fn block_words(bytes: &[u8], b: usize) -> Block {
-    let start = b * BLOCK_WORDS * 8;
-    match bytes.get(start..start + BLOCK_WORDS * 8) {
-        Some(line) => line_words(line),
-        None => short_block_words(bytes.get(start..).unwrap_or(&[])),
+fn or_words(acc: &mut [u64], bytes: &[u8]) {
+    let (words, tail) = full_words(bytes);
+    for (a, w) in acc.iter_mut().zip(words) {
+        *a |= w;
+    }
+    if let (Some(a), Some(w)) = (acc.get_mut(bytes.len() / 8), tail) {
+        *a |= w;
     }
 }
 
-/// [`block_words`] of the last, short piece of a buffer.
-#[cold]
-fn short_block_words(rest: &[u8]) -> Block {
-    let mut line = [0u8; BLOCK_WORDS * 8];
-    line[..rest.len()].copy_from_slice(rest);
-    line_words(&line)
-}
-
-/// The little-endian words of a 64-byte line.
-#[inline(always)]
-#[expect(
-    clippy::expect_used,
-    reason = "slice-to-array conversion of an 8-byte exact chunk; cannot fail"
-)]
-fn line_words(line: &[u8]) -> Block {
-    let mut words = [0u64; BLOCK_WORDS];
-    for (w, c) in words.iter_mut().zip(line.chunks_exact(8)) {
-        *w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-    }
-    words
-}
-
-/// `acc |= bytes` on the blocks live in `live`, returning the live blocks
-/// that still have a clear row: the `T ⊆ Q` slice loop, where a block
-/// whose rows are all set can never change again. A block that is not
-/// live is neither read nor written, and no bit past `acc`'s last block
-/// comes back.
+/// `acc |= bytes` on the blocks live in `live`: the `T ⊆ Q` slice loop.
+/// Each run of adjacent live blocks is one straight word loop, with no
+/// test of whether a block has filled ([`open_blocks`] does that, every
+/// [`REFRESH_SLICES`] slices). A block that is not live is neither read
+/// nor written, and mask bits past `acc`'s last block are ignored; `acc`
+/// is at most [`MASK_WORDS`] words.
 ///
-/// `nbits` is the accumulator's width (`acc.len()` must be
-/// [`words_for`]`(nbits)`, at most [`MASK_WORDS`]). The last word's tail
-/// mask keeps padding bits in the bytes out of the accumulator, and the
-/// fullness test counts that padding as set.
-pub fn or_blocks(acc: &mut [u64], bytes: &[u8], nbits: u32, live: u64) -> u64 {
-    const ALL: Block = [!0; BLOCK_WORDS];
-    let len = acc.len();
-    debug_assert!(len <= MASK_WORDS, "{len} words");
-    let blocks = len.div_ceil(BLOCK_WORDS);
-    // `valid` marks the bits of a block that are rows: all of them but in
-    // the last block, which runs on a copy padded with zero words, whose
-    // padding words are not valid and whose last word is valid at the
-    // tail mask.
-    let (body, last) = acc.split_at_mut(blocks.saturating_sub(1) * BLOCK_WORDS);
-    let mut last_valid = [0; BLOCK_WORDS];
-    last_valid[..last.len()].fill(!0);
-    if let Some(v) = last_valid[..last.len()].last_mut() {
-        *v = tail_mask(nbits);
-    }
-    let or_block = |block: &mut Block, src: &Block, valid: &Block| {
-        let mut full = !0u64;
-        for ((a, w), v) in block.iter_mut().zip(src).zip(valid) {
-            *a |= w & v;
-            full &= *a | !v;
-        }
-        full != !0
-    };
-    let mut todo = live & u64::MAX.checked_shr(64 - blocks as u32).unwrap_or(0);
-    let mut out = todo;
+/// Bits of `bytes` past the accumulator's width are ORed in as they come;
+/// the caller masks the tail ([`mask_tail`]) once the row page is done.
+pub fn or_live(acc: &mut [u64], bytes: &[u8], live: u64) {
+    debug_assert!(acc.len() <= MASK_WORDS, "{} words", acc.len());
+    let blocks = acc.len().div_ceil(BLOCK_WORDS) as u32;
+    let every = u64::MAX
+        .checked_shr(64u32.saturating_sub(blocks))
+        .unwrap_or(0);
+    let mut todo = live & every;
     while todo != 0 {
-        let b = todo.trailing_zeros() as usize;
-        todo &= todo - 1;
-        let src = block_words(bytes, b);
-        let block = body.get_mut(b * BLOCK_WORDS..(b + 1) * BLOCK_WORDS);
-        let block = block.and_then(|block| <&mut Block>::try_from(block).ok());
-        let open = match block {
-            Some(block) => or_block(block, &src, &ALL),
-            None => {
-                let mut block = [0; BLOCK_WORDS];
-                block[..last.len()].copy_from_slice(last);
-                let open = or_block(&mut block, &src, &last_valid);
-                last.copy_from_slice(&block[..last.len()]);
-                open
-            }
-        };
-        if !open {
-            out &= !(1 << b);
-        }
+        let first = todo.trailing_zeros();
+        let end = first + (todo >> first).trailing_ones();
+        let lo = first as usize * BLOCK_WORDS;
+        let hi = (end as usize * BLOCK_WORDS).min(acc.len());
+        or_words(&mut acc[lo..hi], bytes.get(lo * 8..).unwrap_or(&[]));
+        todo &= u64::MAX.checked_shl(end).unwrap_or(0);
     }
-    out
+}
+
+/// The blocks of `live` that still have a clear row: a straight fold over
+/// the accumulator, one `AND` a word. `nbits` is its width (`acc.len()`
+/// must be [`words_for`]`(nbits)`, at most [`MASK_WORDS`]); padding past it
+/// counts as set, so a block whose rows are all set is full even where
+/// `nbits` ends mid-word, set padding bits or not.
+pub fn open_blocks(acc: &[u64], nbits: u32, live: u64) -> u64 {
+    debug_assert!(acc.len() <= MASK_WORDS, "{} words", acc.len());
+    let Some((&last, body)) = acc.split_last() else {
+        return 0;
+    };
+    let blocks = body.chunks_exact(BLOCK_WORDS);
+    let head = blocks.remainder();
+    let mut open = 0u64;
+    for (b, block) in blocks.enumerate() {
+        let full = block.iter().fold(!0, |f, &w| f & w);
+        open |= u64::from(full != !0) << b;
+    }
+    let full = head.iter().fold(last | !tail_mask(nbits), |f, &w| f & w);
+    open |= u64::from(full != !0) << (body.len() / BLOCK_WORDS);
+    live & open
 }
 
 /// `acc &= bytes`, word at a time, returning the OR-fold of the result —
@@ -242,16 +220,13 @@ pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
     alive
 }
 
-/// `acc |= bytes` on every word: [`or_blocks`] with every block live, a
-/// slice page at a time, so padding bits past `nbits` (the accumulator's
-/// width; `acc.len()` must be [`words_for`]`(nbits)`) never leak in.
+/// `acc |= bytes` on every word: the word loop of [`or_live`] over the
+/// whole accumulator, of any width, then the tail mask, so padding bits
+/// past `nbits` (the accumulator's width; `acc.len()` must be
+/// [`words_for`]`(nbits)`) never leak in.
 pub fn or_assign(acc: &mut [u64], bytes: &[u8], nbits: u32) {
-    const PAGE_BITS: u32 = (MASK_WORDS * 64) as u32;
-    for (p, words) in (0u32..).zip(acc.chunks_mut(MASK_WORDS)) {
-        let width = nbits.saturating_sub(p * PAGE_BITS).min(PAGE_BITS);
-        let page = bytes.get(p as usize * PAGE_SIZE..).unwrap_or(&[]);
-        or_blocks(words, page, width, !0);
-    }
+    or_words(acc, bytes);
+    mask_tail(acc, nbits);
 }
 
 /// Fills `acc` from `bytes` (the deserialization kernel behind
@@ -617,12 +592,17 @@ mod tests {
         let zeros = vec![0u8; PAGE_SIZE];
         for nbits in ROW_PAGES {
             // An all-zero page leaves every block open and no bit past the
-            // last one; an all-ones page sets every row, padding counts as
-            // set, and the stray bits past `nbits` stay out.
+            // last one; an all-ones page sets every row and the stray bits
+            // past `nbits`. Padding counts as set, so no block stays open,
+            // before the tail mask clears the stray bits or after.
             let mut acc = vec![0u64; words_for(nbits)];
             let open = all_blocks(nbits);
-            assert_eq!(or_blocks(&mut acc, &zeros, nbits, !0), open, "{nbits}");
-            assert_eq!(or_blocks(&mut acc, &ones, nbits, !0), 0, "{nbits}");
+            or_live(&mut acc, &zeros, !0);
+            assert_eq!(open_blocks(&acc, nbits, !0), open, "{nbits}");
+            or_live(&mut acc, &ones, !0);
+            assert_eq!(open_blocks(&acc, nbits, !0), 0, "{nbits}");
+            mask_tail(&mut acc, nbits);
+            assert_eq!(open_blocks(&acc, nbits, !0), 0, "{nbits}");
             let set: u32 = acc.iter().map(|w| w.count_ones()).sum();
             assert_eq!(set, nbits, "{nbits}");
         }
@@ -636,27 +616,35 @@ mod tests {
         let mut page = vec![0xffu8; 100];
         page[699 / 8] &= !(1 << (699 % 8));
         let mut acc = vec![0u64; words_for(700)];
-        assert_eq!(or_blocks(&mut acc, &page, 700, !0), 0b10);
+        or_live(&mut acc, &page, !0);
+        mask_tail(&mut acc, 700);
+        assert_eq!(open_blocks(&acc, 700, !0), 0b10);
         assert_eq!(acc[10], tail_mask(700) & !(1 << (699 % 64)));
-        assert_eq!(or_blocks(&mut acc, &[0xff; 88], 700, 0b10), 0);
+        or_live(&mut acc, &[0xff; 88], 0b10);
+        mask_tail(&mut acc, 700);
         assert_eq!(acc[10], tail_mask(700));
+        assert_eq!(open_blocks(&acc, 700, 0b10), 0);
     }
 
     #[test]
     #[cfg_attr(miri, ignore)]
     fn dead_blocks_are_neither_read_nor_written() {
         let ones = vec![0xffu8; PAGE_SIZE];
-        let half = 0x5555_5555_5555_5555u64;
-        for nbits in ROW_PAGES {
+        // Every other block; runs of three and four blocks, the last one
+        // ending at block 63; and every block there could be.
+        let masks = [0x5555_5555_5555_5555u64, 0xe3c7_8f1e_3c78_f1e3, !0];
+        for (nbits, live) in ROW_PAGES.into_iter().flat_map(|n| masks.map(|m| (n, m))) {
             let mut start: Vec<u64> = (0..words_for(nbits) as u64)
                 .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1)
                 .collect();
             mask_tail(&mut start, nbits);
-            // The bytes would fill every block.
+            // The bytes fill every live block.
             let mut acc = start.clone();
-            assert_eq!(or_blocks(&mut acc, &ones, nbits, half), 0, "{nbits}");
+            or_live(&mut acc, &ones, live);
+            mask_tail(&mut acc, nbits);
+            assert_eq!(open_blocks(&acc, nbits, live), 0, "{nbits} {live:x}");
             for (wi, (a, s)) in acc.iter().zip(&start).enumerate() {
-                if half >> (wi / BLOCK_WORDS) & 1 == 0 {
+                if live >> (wi / BLOCK_WORDS) & 1 == 0 {
                     assert_eq!(a, s, "{nbits}: word {wi} of a dead block");
                 }
             }

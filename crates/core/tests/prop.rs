@@ -300,15 +300,17 @@ proptest! {
         prop_assert_eq!(&words, &recanon);
     }
 
-    /// The `⊆` block kernel ORs bytes into exactly the live blocks, as the
-    /// byte loop would, and reports exactly the blocks still open: those
-    /// with a clear row below the width. Widths span row pages of 1 to 64
-    /// blocks, never a whole word; the bytes may be shorter than the
-    /// accumulator, or run on past the width with stray bits as a torn row
-    /// leaves them; and words of a block the starting mask has dead stay as
-    /// they were.
+    /// The `⊆` pair: `or_live` ORs bytes into exactly the live blocks, as
+    /// the byte loop would once the tail is masked, and `open_blocks`
+    /// reports exactly the live blocks still open: those with a clear row
+    /// below the width, padding counted as set, whether or not stray bits
+    /// past the width are still in the accumulator. Widths span row pages
+    /// of 1 to 64 blocks, never a whole word; the bytes may be shorter than
+    /// the accumulator, or run on past the width with stray bits as a torn
+    /// row leaves them; and words of a block the starting mask has dead
+    /// stay as they were.
     #[test]
-    fn or_blocks_matches_the_byte_reference(
+    fn or_live_and_open_blocks_match_the_byte_reference(
         nbits in (1u32..32_768).prop_map(|n| if n % 64 == 0 { n + 1 } else { n }),
         acc_seed in proptest::collection::vec(0u8..=255, 1..70),
         row_seed in proptest::collection::vec(0u8..=255, 1..70),
@@ -340,16 +342,19 @@ proptest! {
         let mut ref_bytes = words_to_bytes(&start, nbits);
         kernel::reference::or_assign(&mut ref_bytes, &row, nbits);
         let ored = canonical_words(nbits, &ref_bytes);
+        let clear = |i: u32| ored[i as usize / 64] >> (i % 64) & 1 == 0;
+        let open = |b: usize| (b as u32 * 512..nbits.min((b as u32 + 1) * 512)).any(clear);
+        let want: u64 = (0..blocks).filter(|&b| live_at(b) && open(b)).map(|b| 1 << b).sum();
+
         let mut words = start.clone();
-        let mask = kernel::or_blocks(&mut words, &row, nbits, live);
+        kernel::or_live(&mut words, &row, live);
+        prop_assert_eq!(kernel::open_blocks(&words, nbits, live), want, "⊆ mask, stray bits in");
+        kernel::mask_tail(&mut words, nbits);
+        prop_assert_eq!(kernel::open_blocks(&words, nbits, live), want, "⊆ mask, tail masked");
         for (wi, w) in words.iter().enumerate() {
             let want = if live_at(wi / kernel::BLOCK_WORDS) { ored[wi] } else { start[wi] };
             prop_assert_eq!(*w, want, "⊆ word {}", wi);
         }
-        let clear = |i: u32| ored[i as usize / 64] >> (i % 64) & 1 == 0;
-        let open = |b: usize| (b as u32 * 512..nbits.min((b as u32 + 1) * 512)).any(clear);
-        let want: u64 = (0..blocks).filter(|&b| live_at(b) && open(b)).map(|b| 1 << b).sum();
-        prop_assert_eq!(mask, want, "⊆ mask");
     }
 
     /// Word-level row predicates (⊇, ⊆, =, overlap popcount) agree with the

@@ -46,8 +46,14 @@ pub struct QueryExecution {
     /// [`QueryExecution::actual`] only: `report.actual` is moved out, not
     /// duplicated, and is always empty here.
     pub report: DropReport,
-    /// Page accesses consumed by the whole query (filter + OID look-up +
-    /// object fetches) — directly comparable to the paper's `RC`.
+    /// This database's `Disk` accesses over the whole query (filter + OID
+    /// look-up + object fetches), a delta of two `Disk` snapshots. On the
+    /// bare disk that is every page access, the paper's `RC`; under a
+    /// `BufferPool` it leaves out every pool hit and counts only the
+    /// misses. The charge that does not depend on the cache is the
+    /// filter stage's page tally, `stats.pages` ([`ScanStats::pages`]: its
+    /// signature or slice pages and OID pages, pool hits counted), which
+    /// leaves out the object fetches.
     pub io: IoDelta,
     /// The drops the filter stage handed to resolution; for a full scan,
     /// every object of the class it examined.

@@ -394,13 +394,12 @@ fn kernels(rows: &mut Vec<Row>) {
         kernel::or_assign(&mut acc, &page, nbits);
     });
     let half_dead = 0x5555_5555_5555_5555;
-    run(
-        "core.kernel.or_blocks",
-        "half the blocks dead, ",
-        &mut || {
-            black_box(kernel::or_blocks(&mut acc, &page, nbits, half_dead));
-        },
-    );
+    run("core.kernel.or_live", "half the blocks dead, ", &mut || {
+        kernel::or_live(&mut acc, &page, half_dead);
+    });
+    run("core.kernel.open_blocks", "", &mut || {
+        black_box(kernel::open_blocks(&acc, nbits, half_dead));
+    });
     for (what, test) in [
         ("T ⊇ Q, ", kernel::RowTest::superset(signature, F)),
         ("T ⊆ Q, ", kernel::RowTest::subset(signature, F)),
