@@ -22,11 +22,11 @@
 //! ([`ServiceConfig::new`]`(1)`) the service is answer- and page-identical
 //! to the facility it wraps, which is what keeps the drift gate meaningful.
 //!
-//! Correctness story (exercised by the repo-level differential tests):
-//! a sharded, concurrently-updated service must agree with a serial,
-//! single-shard oracle at every quiescent point — same candidates, no
-//! OID duplicated or dropped across the shard boundary, page totals
-//! conserved under the merge.
+//! Correctness story (exercised by the repository's `tests/history.rs`
+//! and `tests/concurrency.rs`): a sharded, concurrently-updated service
+//! must agree with a serial, single-shard oracle at every quiescent point
+//! — same candidates, no OID duplicated or dropped across the shard
+//! boundary, page totals conserved under the merge.
 
 #![warn(missing_docs)]
 
@@ -44,8 +44,8 @@ use setsig_pagestore::CacheStats;
 /// A [SplitMix64](https://prng.di.unimi.it/splitmix64.c) finalizer over
 /// the raw OID: sequential OIDs (the common allocation pattern) spread
 /// uniformly instead of striping, and the assignment is a pure function
-/// of `(oid, shards)` — stable across runs, which the differential
-/// oracle tests rely on.
+/// of `(oid, shards)` — stable across runs, which the model-checked
+/// history (`tests/history.rs`) relies on.
 pub fn shard_of(oid: Oid, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard_of needs at least one shard");
     let mut z = oid.raw().wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -207,6 +207,16 @@ impl<F: SetAccessFacility> SetAccessFacility for QueryService<F> {
         self.shards
             .iter()
             .map(|s| s.facility.read().indexed_count())
+            .sum()
+    }
+
+    /// The shards' `Σ|T|` summed, so `Database::plan` prices a sharded
+    /// store as the flat facility it partitions; `None` if any shard keeps
+    /// none.
+    fn indexed_elements(&self) -> Option<u64> {
+        self.shards
+            .iter()
+            .map(|s| s.facility.read().indexed_elements())
             .sum()
     }
 

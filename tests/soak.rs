@@ -1,124 +1,9 @@
-//! Soak test: replay a long mixed trace (inserts, deletes, queries)
-//! against all four facilities simultaneously and check they agree with an
-//! in-memory model after every query.
+//! Soak test: bursts of concurrent callers and a writer against the
+//! sharded service. The serial model check of every facility is
+//! `tests/history.rs`.
 
-use setsig::nix::Nix;
 use setsig::prelude::*;
-use setsig::workload::{generate_trace, TraceConfig, TraceOp};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-fn element_keys(set: &[u64]) -> Vec<ElementKey> {
-    set.iter().map(|&e| ElementKey::from(e)).collect()
-}
-
-#[test]
-fn facilities_survive_a_long_mixed_trace() {
-    let cfg = TraceConfig {
-        domain: 120,
-        d_t: 6,
-        d_q_superset: 2,
-        d_q_subset: 12,
-        weights: [30, 10, 30, 30],
-        length: 600,
-        seed: 0x50a6,
-    };
-    let trace = generate_trace(&cfg);
-
-    let disk = Arc::new(Disk::new());
-    let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut ssf = Ssf::create(io(), "s", SignatureConfig::new(64, 2).unwrap()).unwrap();
-    let mut bssf = Bssf::create(io(), "b", SignatureConfig::new(64, 2).unwrap()).unwrap();
-    let mut fssf = Fssf::create(io(), "f", FssfConfig::new(64, 8, 2).unwrap()).unwrap();
-    let mut nix = Nix::on_io(io(), "n");
-
-    // In-memory ground truth: oid → set.
-    let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut next = 0u64;
-
-    for (step, op) in trace.iter().enumerate() {
-        match op {
-            TraceOp::Insert { set } => {
-                let oid = Oid::new(next);
-                next += 1;
-                let keys = element_keys(set);
-                ssf.insert(oid, &keys).unwrap();
-                bssf.insert(oid, &keys).unwrap();
-                fssf.insert(oid, &keys).unwrap();
-                nix.insert(oid, &keys).unwrap();
-                model.insert(oid.raw(), set.clone());
-            }
-            TraceOp::Delete { victim } => {
-                if model.is_empty() {
-                    continue;
-                }
-                let idx = (*victim as usize) % model.len();
-                let (&raw, set) = model.iter().nth(idx).map(|(k, v)| (k, v.clone())).unwrap();
-                let keys = element_keys(&set);
-                let oid = Oid::new(raw);
-                ssf.delete(oid, &keys).unwrap();
-                bssf.delete(oid, &keys).unwrap();
-                fssf.delete(oid, &keys).unwrap();
-                nix.delete(oid, &keys).unwrap();
-                model.remove(&raw);
-            }
-            TraceOp::SupersetQuery { query } | TraceOp::SubsetQuery { query } => {
-                let superset = matches!(op, TraceOp::SupersetQuery { .. });
-                let q = if superset {
-                    SetQuery::has_subset(element_keys(query))
-                } else {
-                    SetQuery::in_subset(element_keys(query))
-                };
-                // The true answers from the model.
-                let expected: Vec<u64> = model
-                    .iter()
-                    .filter(|(_, set)| {
-                        if superset {
-                            query.iter().all(|e| set.contains(e))
-                        } else {
-                            set.iter().all(|e| query.contains(e))
-                        }
-                    })
-                    .map(|(&oid, _)| oid)
-                    .collect();
-                for (name, candidates) in [
-                    ("SSF", ssf.candidates(&q).unwrap()),
-                    ("BSSF", bssf.candidates(&q).unwrap()),
-                    ("FSSF", fssf.candidates(&q).unwrap()),
-                    ("NIX", nix.candidates(&q).unwrap()),
-                ] {
-                    // One-sided filter: every true answer is a candidate.
-                    for e in &expected {
-                        assert!(
-                            candidates.oids.contains(&Oid::new(*e)),
-                            "step {step}: {name} missed oid {e} on {}",
-                            q.predicate
-                        );
-                    }
-                    // And no candidate is a deleted object.
-                    for oid in &candidates.oids {
-                        assert!(
-                            model.contains_key(&oid.raw()),
-                            "step {step}: {name} returned deleted oid {oid}"
-                        );
-                    }
-                    // NIX is exact on both: intersection, and counting |T|.
-                    if name == "NIX" {
-                        let got: Vec<u64> = candidates.oids.iter().map(|o| o.raw()).collect();
-                        assert_eq!(got, expected, "step {step}: NIX on {}", q.predicate);
-                        assert!(candidates.exact);
-                    }
-                }
-            }
-        }
-    }
-    // Structural invariants held to the end, and every posting's |T|.
-    nix.verify().unwrap();
-    assert_eq!(ssf.indexed_count(), model.len() as u64);
-    assert_eq!(bssf.indexed_count(), model.len() as u64);
-    assert_eq!(fssf.indexed_count(), model.len() as u64);
-    assert_eq!(nix.indexed_count(), model.len() as u64);
-}
+use std::sync::{Arc, Barrier};
 
 /// Burst soak: the service sits idle, then 40 callers query it at once
 /// while a writer inserts into the same shards, and that repeats five
@@ -127,9 +12,6 @@ fn facilities_survive_a_long_mixed_trace() {
 /// merged scan stats.
 #[test]
 fn service_survives_bursts_of_concurrent_callers_and_a_writer() {
-    use setsig::service::{QueryService, ServiceConfig};
-    use std::sync::Barrier;
-
     let shards = 4usize;
     let disk = Arc::new(Disk::new());
     let sig = SignatureConfig::new(64, 2).unwrap();
