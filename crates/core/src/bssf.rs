@@ -13,15 +13,12 @@
 //!   OR them; rows still clear are drops.
 //!
 //! Both run a row page at a time. Under ⊇ a row page stops reading once
-//! its rows are all clear, since an AND cannot set them again. Under ⊆ a
-//! row page carries a `u64` live mask, one bit per 512-row block: a slice
-//! page streams into the live blocks with no per-block test
-//! ([`kernel::or_live`]), and every [`kernel::REFRESH_SLICES`] slices a
-//! fold retires the blocks whose rows are all set
-//! ([`kernel::open_blocks`]). The OR has no test of its own because the
-//! §5.2.2 cap ends most ⊆ scans while their blocks are still live. Every
-//! selected page is still read and charged: the mask saves CPU work,
-//! never a page.
+//! its rows are all clear, since an AND cannot set them again. Under ⊆
+//! every selected slice page is ORed into its row page whole
+//! ([`kernel::or_assign`]). Skipping the rows that are already all set
+//! would save CPU work only in the last few slices of a scan the §5.2.2
+//! cap ends (`Database::plan` caps every ⊆ below `D_q^opt`), and never a
+//! page.
 //!
 //! That asymmetry — cost `∝ m_q` for ⊇, `∝ F − m_q` for ⊆ — is the engine
 //! behind every BSSF result in the paper, including the advantage of a
@@ -64,9 +61,8 @@ use crate::sorted;
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
 
-/// Words of a row accumulator one slice page covers: the 64 blocks of one
-/// `⊆` live mask.
-const WORDS_PER_PAGE: usize = kernel::MASK_WORDS;
+/// Words of a row accumulator one slice page covers.
+const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
 
 /// A bit-sliced signature file with its companion OID file.
 ///
@@ -95,28 +91,18 @@ impl Slices {
     }
 
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
-    /// count), a row page at a time, straight off the page snapshots.
-    ///
-    /// Every selected page is read and charged. The OR streams into the
-    /// 512-row blocks its live mask has open ([`kernel::or_live`]); every
-    /// [`kernel::REFRESH_SLICES`] slices a fold ([`kernel::open_blocks`])
-    /// retires the blocks whose rows are all set, which no later slice can
-    /// change. That saves CPU work and no page. The tail is masked once,
-    /// when the row page is done.
+    /// count), a row page at a time, straight off the page snapshots: each
+    /// materialized slice page is read, charged and ORed once, in `slices`
+    /// order ([`kernel::or_assign`], which masks the row page's tail).
     fn or_slices(&self, slices: &[u32], n: u64) -> Result<Bitmap> {
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
             let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
-            let mut live = !0;
-            for (i, &j) in slices.iter().enumerate() {
-                if i % kernel::REFRESH_SLICES == 0 && i > 0 {
-                    live = kernel::open_blocks(words, rows, live);
-                }
+            for &j in slices {
                 if let Some(page) = self.slice_page(j, p)? {
-                    kernel::or_live(words, page.as_bytes(), live);
+                    kernel::or_assign(words, page.as_bytes(), rows);
                 }
             }
-            kernel::mask_tail(words, rows);
         }
         Ok(acc)
     }
@@ -167,8 +153,7 @@ impl Slices {
     /// slice can change its answer. The scan still reads every selected
     /// slice page exactly once, because the page charge is the paper's
     /// `F − m_q`, which the drift gate (`exact`) and
-    /// `subset_scan_reads_f_minus_m_q_slices` pin. The live mask of
-    /// `or_slices` skips only CPU work: a `⊆` early exit would
+    /// `subset_scan_reads_f_minus_m_q_slices` pin: a `⊆` early exit would
     /// change pages and the cost model.
     fn subset_positions(
         &self,
@@ -876,18 +861,17 @@ mod tests {
     /// read whole — would have charged. A short or empty slice contributes
     /// zeros for its unwritten tail, whatever was read before it. The pages
     /// are exactly those of the plain page-major scan, which reads a row
-    /// page's slices until its `⊇` range empties and every `⊆` slice page:
-    /// the `⊆` live mask skips CPU work, never a page.
+    /// page's slices until its `⊇` range empties and every `⊆` slice page.
     #[test]
     fn page_major_scans_match_the_row_reference_on_multi_page_sparse_slices() {
         page_major_scans_match_the_row_reference(ROWS_PER_PAGE + 3_000);
     }
 
-    /// The same where the last row page ends mid-block and mid-word
-    /// (700 = 512 + 188 = 64·10 + 60 rows).
+    /// The same where the last row page ends mid-word (700 = 64·10 + 60
+    /// rows).
     #[test]
     #[cfg_attr(miri, ignore)]
-    fn page_major_scans_match_the_row_reference_on_a_last_page_ending_mid_block() {
+    fn page_major_scans_match_the_row_reference_on_a_last_page_ending_mid_word() {
         page_major_scans_match_the_row_reference(ROWS_PER_PAGE + 700);
     }
 
@@ -997,22 +981,21 @@ mod tests {
         assert_eq!(acc.words(), [0b1_1111], "canonical: no bit at row 5");
     }
 
-    /// The `⊆` OR retires a row page's filled blocks only at a refresh,
-    /// every [`kernel::REFRESH_SLICES`] slices: capped and uncapped `⊆` and
-    /// `=` at N = 32,768 + 700 (the last row page ends mid-block), with caps
-    /// on and off the refresh period, through the bare disk and through a
-    /// pool smaller than the file. Positions are the row reference's, and
-    /// the charge is the plain scan's: `cap` (or `F − m_q`) zero-slices, a
-    /// page each on both row pages, plus the drops' OID pages.
+    /// The `⊆` OR over two row pages: capped and uncapped `⊆` and `=` at
+    /// N = 32,768 + 700 (the last row page ends mid-word), through the
+    /// bare disk and through a pool smaller than the file. Positions are
+    /// the row reference's, and the charge is the plain scan's: `cap` (or
+    /// `F − m_q`) zero-slices, a page each on both row pages, plus the
+    /// drops' OID pages.
     #[test]
     #[cfg_attr(miri, ignore)]
-    fn subset_scans_match_the_row_reference_across_refreshes() {
+    fn subset_scans_match_the_row_reference_across_row_pages() {
         const F: u32 = 100;
         let n = ROWS_PER_PAGE + 700;
         // Ten elements a row from a domain of 1,000 that misses the query,
-        // so a row has ~18 bits set and its block fills after a few dozen
+        // so a row has ~18 bits set and is set after a few dozen
         // zero-slices; every 2,003rd row and the last hold a subset of the
-        // query, so their blocks never fill.
+        // query, so they stay clear.
         let query: Vec<ElementKey> = (0..5u64).map(ElementKey::from).collect();
         let set_of = |i: u64| -> Vec<ElementKey> {
             if i.is_multiple_of(2_003) || i == n - 1 {
@@ -1034,30 +1017,12 @@ mod tests {
             .collect();
         let qsig = SetQuery::in_subset(query.clone()).signature(&cfg);
         let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
-        // Per 512-row block, the zero-slices after which none of its rows
-        // is clear; `None` for a block holding a subset of the query.
-        let fills: Vec<Option<usize>> = sigs
-            .chunks(512)
-            .map(|rows| {
-                let first_hit = |sig: &Signature| zeros.iter().position(|&j| sig.bitmap().get(j));
-                rows.iter()
-                    .map(first_hit)
-                    .try_fold(0, |k, hit| Some(k.max(hit? + 1)))
-            })
-            .collect();
         let mut cases = vec![(SetQuery::in_subset(query.clone()), zeros.len())];
         for cap in [16, 40, 48, 63, F as usize] {
             let capped = SetQuery::in_subset(query.clone()).with_cap(cap).unwrap();
             cases.push((capped, cap.min(zeros.len())));
         }
         cases.push((SetQuery::equals(query.clone()), zeros.len()));
-        for (_, take) in &cases {
-            // Blocks are retired at a refresh before the scan ends, except
-            // where the cap ends it by the first refresh.
-            let at_refresh = |&&k: &&usize| k.next_multiple_of(kernel::REFRESH_SLICES) < *take;
-            let retired = fills.iter().flatten().filter(at_refresh).count();
-            assert_eq!(retired > 0, *take > kernel::REFRESH_SLICES, "cap {take}");
-        }
         for pooled in [false, true] {
             let disk = Arc::new(Disk::new());
             let io: Arc<dyn PageIo> = if pooled {
@@ -1068,7 +1033,7 @@ mod tests {
             let mut b = Bssf::create(io, "t", cfg).unwrap();
             b.insert_batch(&items).unwrap();
             assert!(b.layout.slices.files().iter().all(|s| s.pages == 2));
-            // The `⊇` half of `=` is the AND scan, which has no mask.
+            // The `⊇` half of `=` is the AND scan.
             let superset = SetQuery::has_subset(query.clone());
             let (sup, sup_pages) = count_reads(|| b.layout.positions(&superset, n).unwrap());
             for (q, take) in &cases {

@@ -21,22 +21,7 @@
 //!   `AND` is the one exception that needs no mask: padding in the
 //!   incoming bytes can only clear accumulator bits that are already
 //!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
-//!   either: its masks select no bit at or past the width. The one
-//!   deferred mask is the `T ⊆ Q` slice loop's: [`or_live`] lets stray
-//!   bits in, the scan masks the tail once per row page, and
-//!   [`open_blocks`] counts padding as set, so stray bits cannot matter.
-//! * **Blocks.** The BSSF `T ⊆ Q` slice loop ORs slice pages into a row
-//!   page's accumulator (at most [`MASK_WORDS`] = 512 words) under a `u64`
-//!   live mask: bit `b` covers block `b`, the [`BLOCK_WORDS`] = 8 words of
-//!   one cache line (512 rows). [`or_live`] is one straight word loop over
-//!   each run of live blocks, with no per-block test, and [`open_blocks`]
-//!   is a separate fold that retires the blocks whose rows are all set,
-//!   once every [`REFRESH_SLICES`] slices. The two are split because the
-//!   §5.2.2 cap ends most `⊆` scans while their blocks are still live: a
-//!   fullness test on every slice page costs there and buys nothing.
-//!   [`or_assign`] is the same loop over the whole accumulator. The
-//!   `T ⊇ Q` loop needs no mask: [`and_assign`]'s fused OR-fold already
-//!   ends a row page once it empties.
+//!   either: its masks select no bit at or past the width.
 //!
 //! The AND and OR loops run on `chunks_exact(8)`, so the compiler sees
 //! short, branch-free bodies it can unroll, and [`match_rows`]
@@ -44,8 +29,6 @@
 //! buffer takes the padded [`le_word`] path. The `reference` submodule
 //! keeps the pre-kernel byte/bit-granular loops as the differential-testing
 //! oracle.
-
-use setsig_pagestore::PAGE_SIZE;
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -118,80 +101,6 @@ fn full_words(bytes: &[u8]) -> (impl Iterator<Item = u64> + '_, Option<u64>) {
     (words, tail_word)
 }
 
-/// Words of a block: one 64-byte cache line, 512 rows of a row page.
-pub const BLOCK_WORDS: usize = 8;
-
-/// Slices a `T ⊆ Q` row page ORs ([`or_live`]) between two refreshes of
-/// its live mask ([`open_blocks`]). The refresh reads the accumulator once,
-/// about a sixteenth of a slice page's work, and a block whose rows have
-/// all filled is ORed into at most 15 slices late.
-pub const REFRESH_SLICES: usize = 16;
-
-/// Words one live mask covers: a slice page's 4 KiB, one block per bit.
-pub const MASK_WORDS: usize = PAGE_SIZE / 8;
-const _: () = assert!(MASK_WORDS == 64 * BLOCK_WORDS, "one mask bit per block");
-
-/// `acc |= bytes` word at a time: the one OR loop. Bytes past the end of
-/// `bytes` read as zero, and bytes past `acc` are not read.
-#[inline(always)]
-fn or_words(acc: &mut [u64], bytes: &[u8]) {
-    let (words, tail) = full_words(bytes);
-    for (a, w) in acc.iter_mut().zip(words) {
-        *a |= w;
-    }
-    if let (Some(a), Some(w)) = (acc.get_mut(bytes.len() / 8), tail) {
-        *a |= w;
-    }
-}
-
-/// `acc |= bytes` on the blocks live in `live`: the `T ⊆ Q` slice loop.
-/// Each run of adjacent live blocks is one straight word loop, with no
-/// test of whether a block has filled ([`open_blocks`] does that, every
-/// [`REFRESH_SLICES`] slices). A block that is not live is neither read
-/// nor written, and mask bits past `acc`'s last block are ignored; `acc`
-/// is at most [`MASK_WORDS`] words.
-///
-/// Bits of `bytes` past the accumulator's width are ORed in as they come;
-/// the caller masks the tail ([`mask_tail`]) once the row page is done.
-pub fn or_live(acc: &mut [u64], bytes: &[u8], live: u64) {
-    debug_assert!(acc.len() <= MASK_WORDS, "{} words", acc.len());
-    let blocks = acc.len().div_ceil(BLOCK_WORDS) as u32;
-    let every = u64::MAX
-        .checked_shr(64u32.saturating_sub(blocks))
-        .unwrap_or(0);
-    let mut todo = live & every;
-    while todo != 0 {
-        let first = todo.trailing_zeros();
-        let end = first + (todo >> first).trailing_ones();
-        let lo = first as usize * BLOCK_WORDS;
-        let hi = (end as usize * BLOCK_WORDS).min(acc.len());
-        or_words(&mut acc[lo..hi], bytes.get(lo * 8..).unwrap_or(&[]));
-        todo &= u64::MAX.checked_shl(end).unwrap_or(0);
-    }
-}
-
-/// The blocks of `live` that still have a clear row: a straight fold over
-/// the accumulator, one `AND` a word. `nbits` is its width (`acc.len()`
-/// must be [`words_for`]`(nbits)`, at most [`MASK_WORDS`]); padding past it
-/// counts as set, so a block whose rows are all set is full even where
-/// `nbits` ends mid-word, set padding bits or not.
-pub fn open_blocks(acc: &[u64], nbits: u32, live: u64) -> u64 {
-    debug_assert!(acc.len() <= MASK_WORDS, "{} words", acc.len());
-    let Some((&last, body)) = acc.split_last() else {
-        return 0;
-    };
-    let blocks = body.chunks_exact(BLOCK_WORDS);
-    let head = blocks.remainder();
-    let mut open = 0u64;
-    for (b, block) in blocks.enumerate() {
-        let full = block.iter().fold(!0, |f, &w| f & w);
-        open |= u64::from(full != !0) << b;
-    }
-    let full = head.iter().fold(last | !tail_mask(nbits), |f, &w| f & w);
-    open |= u64::from(full != !0) << (body.len() / BLOCK_WORDS);
-    live & open
-}
-
 /// `acc &= bytes`, word at a time, returning the OR-fold of the result —
 /// zero exactly when the accumulator emptied. The fused fold is what lets
 /// the BSSF AND loop early-exit without a second pass over the words.
@@ -220,12 +129,19 @@ pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
     alive
 }
 
-/// `acc |= bytes` on every word: the word loop of [`or_live`] over the
-/// whole accumulator, of any width, then the tail mask, so padding bits
+/// `acc |= bytes`, word at a time, then the tail mask, so padding bits
 /// past `nbits` (the accumulator's width; `acc.len()` must be
-/// [`words_for`]`(nbits)`) never leak in.
+/// [`words_for`]`(nbits)`) never leak in. Bytes past the end of `bytes`
+/// read as zero, and bytes past `acc` are not read: the BSSF `T ⊆ Q` scan
+/// hands it a whole slice page for a row page of any width.
 pub fn or_assign(acc: &mut [u64], bytes: &[u8], nbits: u32) {
-    or_words(acc, bytes);
+    let (words, tail) = full_words(bytes);
+    for (a, w) in acc.iter_mut().zip(words) {
+        *a |= w;
+    }
+    if let (Some(a), Some(w)) = (acc.get_mut(bytes.len() / 8), tail) {
+        *a |= w;
+    }
     mask_tail(acc, nbits);
 }
 
@@ -483,6 +399,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setsig_pagestore::PAGE_SIZE;
 
     /// Widths chosen to straddle every alignment case: sub-byte, sub-word,
     /// exact word, word+byte, word+bit, multi-word.
@@ -547,25 +464,20 @@ mod tests {
 
     #[test]
     fn or_masks_padding_garbage() {
-        for &nbits in &WIDTHS {
-            let mut acc = vec![0u64; words_for(nbits)];
-            let all = vec![0xffu8; (nbits as usize).div_ceil(8)];
-            or_assign(&mut acc, &all, nbits);
-            let ones: u32 = acc.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(ones, nbits, "width {nbits}");
-        }
-    }
-
-    /// Row-page widths whose last block and last word are whole, partial
-    /// or both: one row, one word, one block, a block and a word, 700 rows
-    /// (11 words, the last with 60 rows), a full page and one row short.
-    const ROW_PAGES: [u32; 9] = [1, 64, 512, 576, 700, 4_000, 32_705, 32_767, 32_768];
-
-    /// The mask of every block an `nbits`-wide accumulator has.
-    fn all_blocks(nbits: u32) -> u64 {
-        match words_for(nbits).div_ceil(BLOCK_WORDS) {
-            64 => !0,
-            blocks => (1 << blocks) - 1,
+        // The widths above, then row pages of the `T ⊆ Q` scan, which ORs a
+        // whole 4 KiB slice page into each: 700 rows (the last word holds
+        // 60), 4,000, a full page and one row short. Every bit past the
+        // width is a stray one, and the page's bytes past the accumulator
+        // are not read.
+        let page = vec![0xffu8; PAGE_SIZE];
+        for nbits in WIDTHS.into_iter().chain([700, 4_000, 32_767, 32_768]) {
+            let exact = &page[..(nbits as usize).div_ceil(8)];
+            for all in [exact, &page[..]] {
+                let mut acc = vec![0u64; words_for(nbits)];
+                or_assign(&mut acc, all, nbits);
+                let ones: u32 = acc.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(ones, nbits, "width {nbits}, {} bytes", all.len());
+            }
         }
     }
 
@@ -582,72 +494,6 @@ mod tests {
             let mut rf = a.clone();
             reference::or_assign(&mut rf, bytes, nbits);
             assert_eq!(to_bytes(&acc, nbits), rf, "{} bytes", bytes.len());
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)]
-    fn an_all_ones_page_leaves_no_block_live() {
-        let ones = vec![0xffu8; PAGE_SIZE];
-        let zeros = vec![0u8; PAGE_SIZE];
-        for nbits in ROW_PAGES {
-            // An all-zero page leaves every block open and no bit past the
-            // last one; an all-ones page sets every row and the stray bits
-            // past `nbits`. Padding counts as set, so no block stays open,
-            // before the tail mask clears the stray bits or after.
-            let mut acc = vec![0u64; words_for(nbits)];
-            let open = all_blocks(nbits);
-            or_live(&mut acc, &zeros, !0);
-            assert_eq!(open_blocks(&acc, nbits, !0), open, "{nbits}");
-            or_live(&mut acc, &ones, !0);
-            assert_eq!(open_blocks(&acc, nbits, !0), 0, "{nbits}");
-            mask_tail(&mut acc, nbits);
-            assert_eq!(open_blocks(&acc, nbits, !0), 0, "{nbits}");
-            let set: u32 = acc.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(set, nbits, "{nbits}");
-        }
-    }
-
-    #[test]
-    fn one_clear_row_keeps_its_block_live() {
-        // 700 rows: block 1 is words 8..11, its last word holds rows
-        // 640..700. Every row but 699 is set, and every bit past row 699
-        // of the page is a stray one.
-        let mut page = vec![0xffu8; 100];
-        page[699 / 8] &= !(1 << (699 % 8));
-        let mut acc = vec![0u64; words_for(700)];
-        or_live(&mut acc, &page, !0);
-        mask_tail(&mut acc, 700);
-        assert_eq!(open_blocks(&acc, 700, !0), 0b10);
-        assert_eq!(acc[10], tail_mask(700) & !(1 << (699 % 64)));
-        or_live(&mut acc, &[0xff; 88], 0b10);
-        mask_tail(&mut acc, 700);
-        assert_eq!(acc[10], tail_mask(700));
-        assert_eq!(open_blocks(&acc, 700, 0b10), 0);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)]
-    fn dead_blocks_are_neither_read_nor_written() {
-        let ones = vec![0xffu8; PAGE_SIZE];
-        // Every other block; runs of three and four blocks, the last one
-        // ending at block 63; and every block there could be.
-        let masks = [0x5555_5555_5555_5555u64, 0xe3c7_8f1e_3c78_f1e3, !0];
-        for (nbits, live) in ROW_PAGES.into_iter().flat_map(|n| masks.map(|m| (n, m))) {
-            let mut start: Vec<u64> = (0..words_for(nbits) as u64)
-                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1)
-                .collect();
-            mask_tail(&mut start, nbits);
-            // The bytes fill every live block.
-            let mut acc = start.clone();
-            or_live(&mut acc, &ones, live);
-            mask_tail(&mut acc, nbits);
-            assert_eq!(open_blocks(&acc, nbits, live), 0, "{nbits} {live:x}");
-            for (wi, (a, s)) in acc.iter().zip(&start).enumerate() {
-                if live >> (wi / BLOCK_WORDS) & 1 == 0 {
-                    assert_eq!(a, s, "{nbits}: word {wi} of a dead block");
-                }
-            }
         }
     }
 

@@ -105,8 +105,9 @@ impl OidFile {
         })
     }
 
-    /// Pages a [`OidFile::lookup_positions`] over this **sorted** position
-    /// list will read — the paper's `LC_OID` charge for the look-up step.
+    /// Pages the filter stage's OID-file look-up (`OidFile::drops_at`) over
+    /// this **sorted** position list will read — the paper's `LC_OID`
+    /// charge for the look-up step.
     pub fn pages_touched(positions: &[u64]) -> u64 {
         let mut pages = 0;
         let mut last = None;
@@ -121,48 +122,25 @@ impl OidFile {
     }
 
     /// The last step of a signature file's filter stage: maps the matching
-    /// `positions` (sorted) to their drops — the paper's `LC_OID` look-up.
+    /// `positions` (sorted, unique) to their live OIDs, skipping tombstones
+    /// — the paper's OID-file look-up. Each touched page is read once, so
+    /// its measured cost is `LC_OID` ([`OidFile::pages_touched`], at most
+    /// `SC_OID`).
     pub(crate) fn drops_at(&self, positions: &[u64]) -> Result<CandidateSet> {
-        let resolved = self.lookup_positions(positions)?;
-        Ok(CandidateSet::new(
-            resolved.into_iter().map(|(_, oid)| oid).collect(),
-            false,
-        ))
-    }
-
-    /// Resolves a **sorted** list of positions to live OIDs, skipping
-    /// tombstones, reading each touched page exactly once.
-    ///
-    /// This is the paper's OID-file look-up step; its measured cost is
-    /// `LC_OID` (one read per OID-file page containing at least one
-    /// candidate, capped at `SC_OID`).
-    pub fn lookup_positions(&self, positions: &[u64]) -> Result<Vec<(u64, Oid)>> {
         debug_assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
             "positions must be sorted+unique"
         );
-        let mut out = Vec::with_capacity(positions.len());
-        let mut i = 0;
-        while i < positions.len() {
-            let pos = positions[i];
-            if pos >= self.len {
-                return Err(Error::NoSuchEntry(pos));
-            }
-            let page_no = Self::page_of(pos);
-            let page = self.file.read(page_no)?;
-            while i < positions.len() && Self::page_of(positions[i]) == page_no {
-                let p = positions[i];
-                if p >= self.len {
-                    return Err(Error::NoSuchEntry(p));
-                }
-                let raw = page.read_u64(Self::offset_of(p));
-                if raw & TOMBSTONE_BIT == 0 {
-                    out.push((p, Oid::new(raw)));
-                }
-                i += 1;
-            }
+        if let Some(&pos) = positions.get(positions.partition_point(|&p| p < self.len)) {
+            return Err(Error::NoSuchEntry(pos));
         }
-        Ok(out)
+        let mut oids = Vec::with_capacity(positions.len());
+        for run in positions.chunk_by(|&a, &b| Self::page_of(a) == Self::page_of(b)) {
+            let page = self.file.read(Self::page_of(run[0]))?;
+            let raws = run.iter().map(|&p| page.read_u64(Self::offset_of(p)));
+            oids.extend(raws.filter(|raw| raw & TOMBSTONE_BIT == 0).map(Oid::new));
+        }
+        Ok(CandidateSet::new(oids, false))
     }
 
     /// Sets the delete flag at `pos`. Costs one page read + one page write.
@@ -363,17 +341,25 @@ mod tests {
     }
 
     #[test]
-    fn lookup_positions_batches_page_reads() {
+    fn drops_at_batches_page_reads() {
         let (disk, mut f) = oidfile();
         for i in 0..OIDS_PER_PAGE * 2 {
             f.append(Oid::new(i)).unwrap();
         }
         disk.reset_stats();
         // Four positions on page 0, one on page 1: exactly 2 page reads.
-        let got = f.lookup_positions(&[0, 1, 2, 3, OIDS_PER_PAGE]).unwrap();
-        assert_eq!(got.len(), 5);
+        let positions = [0, 1, 2, 3, OIDS_PER_PAGE];
+        let got = f.drops_at(&positions).unwrap();
+        assert_eq!(got.oids, positions.map(Oid::new));
         assert_eq!(disk.snapshot().reads, 2);
-        assert_eq!(got[4], (OIDS_PER_PAGE, Oid::new(OIDS_PER_PAGE)));
+        assert_eq!(OidFile::pages_touched(&positions), 2);
+        // A position past the last entry is an error, not a page read.
+        disk.reset_stats();
+        assert!(matches!(
+            f.drops_at(&[1, 2 * OIDS_PER_PAGE]),
+            Err(Error::NoSuchEntry(p)) if p == 2 * OIDS_PER_PAGE
+        ));
+        assert_eq!(disk.snapshot().reads, 0);
     }
 
     #[test]
@@ -385,8 +371,9 @@ mod tests {
         f.mark_deleted_at(2).unwrap();
         assert_eq!(f.live_count(), 4);
         assert_eq!(f.get(2).unwrap(), None);
-        let got = f.lookup_positions(&[1, 2, 3]).unwrap();
-        assert_eq!(got, vec![(1, Oid::new(1)), (3, Oid::new(3))]);
+        let got = f.drops_at(&[1, 2, 3]).unwrap();
+        assert_eq!(got.oids, vec![Oid::new(1), Oid::new(3)]);
+        assert!(!got.exact);
         // Double delete is idempotent.
         f.mark_deleted_at(2).unwrap();
         assert_eq!(f.live_count(), 4);

@@ -490,19 +490,24 @@ mod tests {
         fn check<L: Fixture>() {
             let (disk, f) = on_disk::<L>(120);
             let own = set_of(3);
-            for q in [
-                SetQuery::has_subset(own[..2].to_vec()),
-                SetQuery::in_subset(own.clone()),
-                SetQuery::equals(own.clone()),
-                SetQuery::overlaps(own[..1].to_vec()),
+            // A `⊇` no row matches: the AND scans stop early.
+            let miss = (0..6).map(|j| ElementKey::from(10_000_000 + j)).collect();
+            for (q, hit) in [
+                (SetQuery::has_subset(own[..2].to_vec()), true),
+                (SetQuery::in_subset(own.clone()), true),
+                (SetQuery::equals(own.clone()), true),
+                (SetQuery::overlaps(own[..1].to_vec()), true),
+                (SetQuery::has_subset(miss), false),
             ] {
+                let what = format!("{} {}", f.name(), q.predicate);
                 disk.reset_stats();
                 let (c, stats) = f.candidates_with_stats(&q).unwrap();
-                assert!(c.oids.contains(&Oid::new(3)));
+                let stats = stats.unwrap();
+                assert_eq!(c.oids.contains(&Oid::new(3)), hit, "{what}");
+                assert_eq!(stats.early_exit, !hit && L::NAME != "SSF", "{what}");
                 // The filter's charge is exactly its disk traffic: the
                 // layout's pages plus the OID-file look-up.
-                let pages = stats.unwrap().pages;
-                assert_eq!(disk.snapshot().reads, pages, "{} {}", f.name(), q.predicate);
+                assert_eq!(disk.snapshot().reads, stats.pages, "{what}");
             }
         }
         every_layout!(check);

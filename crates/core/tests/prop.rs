@@ -5,7 +5,7 @@ use setsig_core::kernel::{self, RowTest};
 use setsig_core::{
     Bitmap, Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, Signature, SignatureConfig, Ssf,
 };
-use setsig_pagestore::{Disk, PageIo};
+use setsig_pagestore::{Disk, PageIo, PAGE_SIZE};
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
@@ -259,20 +259,26 @@ proptest! {
 
     /// Word AND/OR kernels are bit-identical to the byte-loop references at
     /// unaligned widths, garbage tail bits and all, and the fused AND
-    /// liveness flag equals "result is nonzero".
+    /// liveness flag equals "result is nonzero". The OR gets the shapes the
+    /// `T ⊆ Q` slice scan hands it: a row page of up to 32,767 rows, never
+    /// a whole word, fed a whole 4 KiB slice page whose bits past the width
+    /// are stray ones, or a buffer that ends before the accumulator does.
     #[test]
     fn kernel_and_or_match_byte_references(
         nbits in unaligned_width(),
+        or_nbits in (1u32..32_768).prop_map(|n| if n % 64 == 0 { n + 1 } else { n }),
         acc_seed in proptest::collection::vec(0u8..=255, 0..70),
         row_seed in proptest::collection::vec(0u8..=255, 0..70),
         garbage in 0u8..=255,
+        short in any::<bool>(),
+        cut in 1usize..600,
     ) {
         let nbytes = (nbits as usize).div_ceil(8);
-        let mut acc_bytes: Vec<u8> = acc_seed.into_iter().cycle().take(nbytes).collect();
+        let mut acc_bytes: Vec<u8> = acc_seed.iter().copied().cycle().take(nbytes).collect();
         if acc_bytes.len() < nbytes {
             acc_bytes.resize(nbytes, 0); // empty seed → all-zero accumulator
         }
-        let mut row: Vec<u8> = row_seed.into_iter().cycle().take(nbytes).collect();
+        let mut row: Vec<u8> = row_seed.iter().copied().cycle().take(nbytes).collect();
         row.resize(nbytes, 0);
         smear_tail(&mut row, nbits, garbage);
 
@@ -290,71 +296,24 @@ proptest! {
         let recanon = canonical_words(nbits, &words_to_bytes(&words, nbits));
         prop_assert_eq!(&words, &recanon);
 
-        // OR: same differential, and the result must be canonical too.
+        // OR: same differential on a row page, and the result must be
+        // canonical too. An empty seed makes the page all ones.
+        let nbits = or_nbits;
+        let nbytes = (nbits as usize).div_ceil(8);
+        let acc_bytes: Vec<u8> = acc_seed.into_iter().cycle().take(nbytes).collect();
+        let mut page: Vec<u8> = row_seed.into_iter().cycle().take(PAGE_SIZE).collect();
+        page.resize(PAGE_SIZE, 0xff);
+        smear_tail(&mut page[..nbytes], nbits, garbage);
+        if short {
+            page.truncate(nbytes.saturating_sub(cut));
+        }
         let mut words = canonical_words(nbits, &acc_bytes);
         let mut ref_bytes = words_to_bytes(&words, nbits);
-        kernel::or_assign(&mut words, &row, nbits);
-        kernel::reference::or_assign(&mut ref_bytes, &row, nbits);
+        kernel::or_assign(&mut words, &page, nbits);
+        kernel::reference::or_assign(&mut ref_bytes, &page, nbits);
         prop_assert_eq!(&words_to_bytes(&words, nbits), &ref_bytes);
         let recanon = canonical_words(nbits, &words_to_bytes(&words, nbits));
         prop_assert_eq!(&words, &recanon);
-    }
-
-    /// The `⊆` pair: `or_live` ORs bytes into exactly the live blocks, as
-    /// the byte loop would once the tail is masked, and `open_blocks`
-    /// reports exactly the live blocks still open: those with a clear row
-    /// below the width, padding counted as set, whether or not stray bits
-    /// past the width are still in the accumulator. Widths span row pages
-    /// of 1 to 64 blocks, never a whole word; the bytes may be shorter than
-    /// the accumulator, or run on past the width with stray bits as a torn
-    /// row leaves them; and words of a block the starting mask has dead
-    /// stay as they were.
-    #[test]
-    fn or_live_and_open_blocks_match_the_byte_reference(
-        nbits in (1u32..32_768).prop_map(|n| if n % 64 == 0 { n + 1 } else { n }),
-        acc_seed in proptest::collection::vec(0u8..=255, 1..70),
-        row_seed in proptest::collection::vec(0u8..=255, 1..70),
-        garbage in 0u8..=255,
-        short in any::<bool>(),
-        cut in 1usize..600,
-        full in 0usize..=4096,
-        live in any::<u64>(),
-    ) {
-        let nbytes = (nbits as usize).div_ceil(8);
-        let acc_bytes: Vec<u8> = acc_seed.into_iter().cycle().take(nbytes).collect();
-        let start = canonical_words(nbits, &acc_bytes);
-        // A whole slice page whose rows past the width carry stray bits, or
-        // a buffer that ends before the accumulator does. Its first `full`
-        // bytes are all ones, so there are blocks to retire: the last block
-        // fills in about a quarter of the cases.
-        let mut row: Vec<u8> = row_seed.into_iter().cycle().take(4096).collect();
-        row[..full].fill(0xff);
-        if short {
-            row.truncate(nbytes.saturating_sub(cut));
-        } else {
-            smear_tail(&mut row[..nbytes], nbits, garbage);
-        }
-        let blocks = kernel::words_for(nbits).div_ceil(kernel::BLOCK_WORDS);
-        let live_at = |b: usize| live >> b & 1 == 1;
-
-        // Live blocks take the byte loop's OR, dead ones keep theirs; a
-        // block is open while a row below the width is clear.
-        let mut ref_bytes = words_to_bytes(&start, nbits);
-        kernel::reference::or_assign(&mut ref_bytes, &row, nbits);
-        let ored = canonical_words(nbits, &ref_bytes);
-        let clear = |i: u32| ored[i as usize / 64] >> (i % 64) & 1 == 0;
-        let open = |b: usize| (b as u32 * 512..nbits.min((b as u32 + 1) * 512)).any(clear);
-        let want: u64 = (0..blocks).filter(|&b| live_at(b) && open(b)).map(|b| 1 << b).sum();
-
-        let mut words = start.clone();
-        kernel::or_live(&mut words, &row, live);
-        prop_assert_eq!(kernel::open_blocks(&words, nbits, live), want, "⊆ mask, stray bits in");
-        kernel::mask_tail(&mut words, nbits);
-        prop_assert_eq!(kernel::open_blocks(&words, nbits, live), want, "⊆ mask, tail masked");
-        for (wi, w) in words.iter().enumerate() {
-            let want = if live_at(wi / kernel::BLOCK_WORDS) { ored[wi] } else { start[wi] };
-            prop_assert_eq!(*w, want, "⊆ word {}", wi);
-        }
     }
 
     /// Word-level row predicates (⊇, ⊆, =, overlap popcount) agree with the

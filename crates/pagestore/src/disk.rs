@@ -530,15 +530,20 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
+        // The read counter is the sum of every thread's reads, under
+        // contention for the disk's lock.
+        const THREADS: u64 = 8;
+        const READS_EACH: u64 = 500;
         let disk = Arc::new(Disk::new());
         let f = disk.create_file("t");
-        disk.extend_to(f, 1).unwrap();
-        let handles: Vec<_> = (0..4)
+        disk.extend_to(f, 4).unwrap();
+        disk.reset_stats();
+        let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let d = Arc::clone(&disk);
                 std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        let _ = d.read_page(f, 0).unwrap();
+                    for i in 0..READS_EACH {
+                        let _ = d.read_page(f, (i % 4) as u32).unwrap();
                     }
                 })
             })
@@ -546,6 +551,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(disk.snapshot().reads, 400);
+        assert_eq!(disk.snapshot().reads, THREADS * READS_EACH);
     }
 }

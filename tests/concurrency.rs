@@ -71,58 +71,6 @@ fn parallel_queries_agree_with_serial_answers() {
 }
 
 #[test]
-fn scan_stats_equal_filter_stage_disk_reads_on_every_predicate() {
-    // End to end, on every predicate shape: the page count a query reports
-    // is exactly the disk traffic of its filtering stage (slice pages plus
-    // the OID-file look-up).
-    let items: Vec<(Oid, Vec<ElementKey>)> = (0..2000u64)
-        .map(|i| {
-            (
-                Oid::new(i),
-                (0..6).map(|j| ElementKey::from(i * 5 + j)).collect(),
-            )
-        })
-        .collect();
-    let disk = Arc::new(Disk::new());
-    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut bssf = Bssf::create(io, "p", SignatureConfig::new(256, 3).unwrap()).unwrap();
-    bssf.bulk_load(&items).unwrap();
-
-    let mut queries: Vec<SetQuery> = (0..12u64)
-        .flat_map(|t| {
-            let base = t * 160;
-            vec![
-                SetQuery::has_subset(vec![
-                    ElementKey::from(base * 5),
-                    ElementKey::from(base * 5 + 1),
-                ]),
-                SetQuery::in_subset((0..8).map(|j| ElementKey::from(base * 5 + j)).collect()),
-                SetQuery::equals((0..6).map(|j| ElementKey::from(base * 5 + j)).collect()),
-                SetQuery::overlaps(vec![ElementKey::from(base * 5 + 2)]),
-            ]
-        })
-        .collect();
-    // A miss query so the superset early exit is exercised.
-    queries.push(SetQuery::has_subset(
-        (0..6)
-            .map(|j| ElementKey::from(10_000_000 + j))
-            .collect::<Vec<ElementKey>>(),
-    ));
-
-    for q in &queries {
-        disk.reset_stats();
-        let (_, stats) = bssf.candidates_with_stats(q).unwrap();
-        let stats = stats.expect("bssf reports per-query stats");
-        assert_eq!(
-            disk.snapshot().reads,
-            stats.pages,
-            "page charge diverged from disk reads on {:?}",
-            q.predicate
-        );
-    }
-}
-
-#[test]
 fn concurrent_queries_each_observe_their_own_scan_stats() {
     // Regression for the shared-counter race: two queries with very
     // different page footprints run simultaneously on one facility, many
@@ -193,32 +141,6 @@ fn race(facility: &(impl SetAccessFacility + Sync), queries: [&SetQuery; 2]) {
             });
         }
     });
-}
-
-#[test]
-fn concurrent_io_accounting_is_exact() {
-    // Counter totals must equal the sum of per-thread work even under
-    // contention.
-    let disk = Arc::new(Disk::new());
-    let f = disk.create_file("t");
-    disk.extend_to(f, 4).unwrap();
-    disk.reset_stats();
-    let threads = 8;
-    let reads_each = 500;
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let d = Arc::clone(&disk);
-            std::thread::spawn(move || {
-                for i in 0..reads_each {
-                    let _ = d.read_page(f, (i % 4) as u32).unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(disk.snapshot().reads, threads * reads_each);
 }
 
 /// A read miss drops the pool lock for its disk read; a write of the same

@@ -393,13 +393,6 @@ fn kernels(rows: &mut Vec<Row>) {
     run("core.kernel.or_assign", "", &mut || {
         kernel::or_assign(&mut acc, &page, nbits);
     });
-    let half_dead = 0x5555_5555_5555_5555;
-    run("core.kernel.or_live", "half the blocks dead, ", &mut || {
-        kernel::or_live(&mut acc, &page, half_dead);
-    });
-    run("core.kernel.open_blocks", "", &mut || {
-        black_box(kernel::open_blocks(&acc, nbits, half_dead));
-    });
     for (what, test) in [
         ("T ⊇ Q, ", kernel::RowTest::superset(signature, F)),
         ("T ⊆ Q, ", kernel::RowTest::subset(signature, F)),
