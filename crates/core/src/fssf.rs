@@ -2,12 +2,14 @@
 //!
 //! The paper closes (§6) noting BSSF's one weakness: insertion touches all
 //! `F` slice files. The *frame-sliced* organization (Lin & Faloutsos'
-//! design from the same literature) fixes that by partitioning the `F` bits
-//! into `k` frames of `s = F/k` bits. Each element hashes to **one frame**
-//! and sets its `m` bits inside it; frames are stored as vertical stripes
-//! (one file per frame, rows packed `⌊P·b/s⌋` to a page).
+//! design from the same literature) fixes that by cutting the `F`-bit
+//! signature into `k` frames of `s = F/k` bits. Each element hashes to **one
+//! frame** and sets its `m` bits inside it ([`FssfConfig::signature`]);
+//! frames are stored as vertical stripes (one file per frame, rows packed
+//! `⌊P·b/s⌋` to a page). Bit `j·s + p` of a row's signature is bit `p` of
+//! that row's `s`-bit stripe in frame `j`.
 //!
-//! The trade-offs, all visible in the `extorgs` exhibit and ablation bench:
+//! The trade-offs, all visible in the `extorgs` exhibit:
 //!
 //! * **Insert** touches only the frames used by the set's elements —
 //!   expected `k·(1 − (1 − 1/k)^{D_t}) + 1` page writes, ≈ `D_t + 1` for
@@ -24,8 +26,7 @@
 //! * The false drop probability matches BSSF's Eq. (2): within a frame the
 //!   ones-fraction is `1 − (1 − m/s)^{D_t/k} ≈ 1 − e^{−m·D_t/F}`.
 
-use setsig_pagestore::{FileId, PageIo, PAGE_SIZE};
-use std::collections::BTreeMap;
+use setsig_pagestore::{FileId, Page, PageIo, PAGE_SIZE};
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
@@ -37,6 +38,7 @@ use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
+use crate::signature::Signature;
 
 /// Design parameters of a frame-sliced signature file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +119,22 @@ impl FssfConfig {
             out,
         );
     }
+
+    /// The `F`-bit frame-sliced signature of `elements`: each element sets
+    /// its `m` [frame positions](Self::frame_positions) `p` at bit
+    /// `frame_of(e)·s + p`. What an insert stores and what a query scans
+    /// for.
+    pub fn signature<'a>(&self, elements: impl IntoIterator<Item = &'a ElementKey>) -> Signature {
+        let s = self.frame_bits();
+        let mut bits = Bitmap::zeroed(self.f_bits);
+        let mut positions = Vec::with_capacity(self.m_weight as usize);
+        for e in elements {
+            let base = self.frame_of(e) * s;
+            self.frame_positions(e, &mut positions);
+            positions.iter().for_each(|&p| bits.set(base + p, true));
+        }
+        Signature::from_bitmap(bits)
+    }
 }
 
 /// A frame-sliced signature file with its companion OID file.
@@ -134,8 +152,9 @@ pub struct Frames {
 }
 
 impl Frames {
-    /// Reads frame `j` and invokes `visit(row, row_bits)` for each of the
-    /// first `n` rows.
+    /// Reads frame `j` a page at a time, in order, and calls
+    /// `visit(page, row, bit)` for each of the first `n` rows, `bit` being
+    /// where the row's `s` bits start on `page`.
     ///
     /// [`Frames::append`] keeps every frame file long enough for the
     /// indexed row count, so a frame shorter than `⌈n/rpp⌉` pages can only
@@ -143,7 +162,7 @@ impl Frames {
     /// to run — treating missing pages as zeros would silently drop
     /// qualifying rows, violating the facility's no-false-negatives
     /// contract.
-    fn scan_frame(&self, j: u32, n: u64, mut visit: impl FnMut(u64, &Bitmap)) -> Result<()> {
+    fn read_frame(&self, j: u32, n: u64, mut visit: impl FnMut(&Page, u32, usize)) -> Result<()> {
         let s = self.cfg.frame_bits() as usize;
         let rpp = self.cfg.rows_per_page();
         let file = &self.frames.files()[j as usize].file;
@@ -154,42 +173,32 @@ impl Frames {
                 "frame {j} has {have} pages but {n} indexed rows require {expected}"
             )));
         }
-        let mut page_no = 0u32;
-        let mut row = 0u64;
-        // One buffer for the whole scan: every row overwrites all its bits.
-        let mut bits = Bitmap::zeroed(s as u32);
-        while row < n {
+        for page_no in 0..expected {
             let page = file.read(page_no)?;
-            let rows_here = (n - row).min(rpp);
-            for r in 0..rows_here {
-                let base = r as usize * s;
-                for b in 0..s {
-                    bits.set(b as u32, page.get_bit(base + b));
-                }
-                visit(row + r, &bits);
+            let first = u64::from(page_no) * rpp;
+            for r in 0..(n - first).min(rpp) {
+                visit(&page, (first + r) as u32, r as usize * s);
             }
-            row += rows_here;
-            page_no += 1;
         }
         Ok(())
     }
 
-    /// Reads the listed frames in turn: a row survives while `keep(row
-    /// bits, listed bits)` holds in every frame read, and the scan stops
-    /// once no row does.
-    fn and_frames<'a>(
-        &self,
-        n: u64,
-        frames: impl ExactSizeIterator<Item = (u32, &'a Bitmap)>,
-        keep: fn(&Bitmap, &Bitmap) -> bool,
-    ) -> Result<Matches> {
-        let total = frames.len() as u64;
+    /// The AND scan, as BSSF's per slice: reads `frames` in order, and in
+    /// frame `j` a row survives iff it holds `want` wherever the query
+    /// signature `sig` does — its 1-bits under `T ⊇ Q` (`want` set), its
+    /// 0-bits under `T ⊆ Q`. Stops after the frame that leaves no row.
+    fn match_frames(&self, n: u64, frames: &[u32], sig: &Bitmap, want: bool) -> Result<Matches> {
+        let s = self.cfg.frame_bits();
         let mut acc = Bitmap::ones(n as u32);
+        let mut tested = Vec::with_capacity(s as usize);
         let mut slices = 0;
-        for (j, listed) in frames {
-            self.scan_frame(j, n, |row, bits| {
-                if !keep(bits, listed) {
-                    acc.set(row as u32, false);
+        for &j in frames {
+            tested.clear();
+            tested.extend((0..s).filter(|&p| sig.get(j * s + p) == want));
+            self.read_frame(j, n, |page, row, bit| {
+                let differs = |&p: &u32| page.get_bit(bit + p as usize) != want;
+                if acc.get(row) && tested.iter().any(differs) {
+                    acc.set(row, false);
                 }
             })?;
             slices += 1;
@@ -200,46 +209,30 @@ impl Frames {
         Ok(Matches {
             positions: acc.iter_ones().map(u64::from).collect(),
             slices,
-            early_exit: slices < total,
+            early_exit: slices < frames.len() as u64,
         })
     }
 
-    /// `T ⊇ Q`: read each distinct query frame once; a row survives iff in
-    /// every such frame it covers the query's frame signature.
-    fn superset_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
-        let by_frame = Frames::row(&self.cfg, &query.elements);
-        let frames = by_frame.iter().map(|(&j, want)| (j, want));
-        self.and_frames(n, frames, Bitmap::covers)
-    }
-
-    /// `T ⊆ Q`: every frame must be read; a row survives iff each frame's
-    /// row bits are covered by the query's bits in that frame.
-    fn subset_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
-        let by_frame = Frames::row(&self.cfg, &query.elements);
-        let empty = Bitmap::zeroed(self.cfg.frame_bits());
-        let frames = (0..self.cfg.frames()).map(|j| (j, by_frame.get(&j).unwrap_or(&empty)));
-        self.and_frames(n, frames, |row, allowed| allowed.covers(row))
-    }
-
-    /// Overlap: some query element's frame signature is covered by the row.
+    /// Overlap: some query element's own `m` bits are all set in the row.
+    /// Elements sharing a frame are tested separately, in one read of it.
     fn overlap_positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        let s = self.cfg.frame_bits();
+        // Each element's positions; sorted, one frame's elements are a run.
+        let mut elements: Vec<Vec<u32>> = (query.elements.iter())
+            .map(|e| self.cfg.signature([e]).bitmap().iter_ones().collect())
+            .collect();
+        elements.sort_unstable();
         let mut acc = Bitmap::zeroed(n as u32);
-        // Per element (not per frame): overlap needs one *element* fully
-        // present, so elements sharing a frame are tested separately.
-        let mut by_frame: BTreeMap<u32, Vec<Bitmap>> = BTreeMap::new();
-        let mut positions = Vec::new();
-        for e in &query.elements {
-            self.cfg.frame_positions(e, &mut positions);
-            let bits = Bitmap::from_positions(self.cfg.frame_bits(), &positions);
-            by_frame.entry(self.cfg.frame_of(e)).or_default().push(bits);
-        }
-        let slices = by_frame.len() as u64;
-        for (j, sigs) in by_frame {
-            self.scan_frame(j, n, |row, bits| {
-                if sigs.iter().any(|sig| bits.covers(sig)) {
-                    acc.set(row as u32, true);
+        let mut slices = 0;
+        for run in elements.chunk_by(|a, b| a[0] / s == b[0] / s) {
+            self.read_frame(run[0][0] / s, n, |page, row, bit| {
+                let present =
+                    |ones: &Vec<u32>| (ones.iter()).all(|&p| page.get_bit(bit + (p % s) as usize));
+                if run.iter().any(present) {
+                    acc.set(row, true);
                 }
             })?;
+            slices += 1;
         }
         Ok(Matches {
             positions: acc.iter_ones().map(u64::from).collect(),
@@ -253,8 +246,9 @@ impl sealed::Sealed for Frames {}
 
 impl Layout for Frames {
     type Config = FssfConfig;
-    /// The set's frame signatures, by frame.
-    type Row = BTreeMap<u32, Bitmap>;
+    /// The row's signature's 1-positions, as BSSF's: bit `j·s + p` is bit
+    /// `p` of the row's stripe in frame `j`.
+    type Row = Vec<u32>;
     const NAME: &'static str = "FSSF";
     const MAGIC: &'static [u8; 4] = b"FSF1";
 
@@ -271,24 +265,15 @@ impl Layout for Frames {
         (self.cfg.f_bits(), self.cfg.m_weight())
     }
 
-    /// Groups a set's elements by frame, OR-ing their frame signatures.
-    fn row(cfg: &FssfConfig, set: &[ElementKey]) -> BTreeMap<u32, Bitmap> {
-        let mut by_frame: BTreeMap<u32, Bitmap> = BTreeMap::new();
-        let mut positions = Vec::with_capacity(cfg.m_weight() as usize);
-        for e in set {
-            let bits = (by_frame.entry(cfg.frame_of(e)))
-                .or_insert_with(|| Bitmap::zeroed(cfg.frame_bits()));
-            cfg.frame_positions(e, &mut positions);
-            positions.iter().for_each(|&p| bits.set(p, true));
-        }
-        by_frame
+    fn row(cfg: &FssfConfig, set: &[ElementKey]) -> Vec<u32> {
+        cfg.signature(set).bitmap().iter_ones().collect()
     }
 
     /// Insertion — the organization's raison d'être: one page write per
     /// *distinct frame* the set's elements hash to, then the commit.
     ///
     /// Every frame file — not just the ones this set's elements hash to —
-    /// is kept long enough for the new row, so `Frames::scan_frame` can
+    /// is kept long enough for the new row, so `Frames::read_frame` can
     /// treat a short frame as corruption rather than guessing its tail is
     /// zeros. The extension writes happen only when a row crosses a page
     /// boundary (once per `rows_per_page` inserts), so the amortized cost
@@ -296,33 +281,35 @@ impl Layout for Frames {
     fn append(
         &mut self,
         start: u64,
-        rows: impl Iterator<Item = BTreeMap<u32, Bitmap>>,
+        rows: impl Iterator<Item = Vec<u32>>,
         commit: impl FnOnce() -> Result<()>,
     ) -> Result<()> {
         let (rpp, s) = (self.cfg.rows_per_page(), self.cfg.frame_bits());
         let mut staged: Vec<RowBit> = Vec::new();
-        for (pos, by_frame) in (start..).zip(rows) {
+        for (pos, ones) in (start..).zip(rows) {
             let (page_no, bit_base) = ((pos / rpp) as u32, (pos % rpp) as u32 * s);
             self.frames.extend_all(page_no + 1)?;
-            staged.extend(
-                by_frame.iter().flat_map(|(&j, bits)| {
-                    bits.iter_ones().map(move |b| (j, page_no, bit_base + b))
-                }),
-            );
+            staged.extend(ones.into_iter().map(|b| (b / s, page_no, bit_base + b % s)));
         }
         self.frames.append(staged, commit)
     }
 
-    /// No smart strategy: a capped query runs the plain frame scan.
+    /// No smart strategy: a capped query runs the plain frame scan. `T ⊇ Q`
+    /// reads the frames holding a query 1-bit, `T ⊆ Q` every frame (a
+    /// target element may hash to any), `T = Q` both, overlap the query
+    /// elements' frames.
     fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
+        let sig = self.cfg.signature(&query.elements);
+        let s = self.cfg.frame_bits();
+        let mut ones: Vec<u32> = sig.bitmap().iter_ones().map(|p| p / s).collect();
+        ones.dedup();
+        let every: Vec<u32> = (0..self.cfg.frames()).collect();
+        let superset = || self.match_frames(n, &ones, sig.bitmap(), true);
+        let subset = || self.match_frames(n, &every, sig.bitmap(), false);
         match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => self.superset_positions(query, n),
-            SetPredicate::InSubset => self.subset_positions(query, n),
-            // Covers in both directions in every frame.
-            SetPredicate::Equals => {
-                let sup = self.superset_positions(query, n)?;
-                Ok(sup.intersect(self.subset_positions(query, n)?))
-            }
+            SetPredicate::HasSubset | SetPredicate::Contains => superset(),
+            SetPredicate::InSubset => subset(),
+            SetPredicate::Equals => Ok(superset()?.intersect(subset()?)),
             SetPredicate::Overlaps => self.overlap_positions(query, n),
         }
     }
@@ -365,7 +352,7 @@ impl Layout for Frames {
 mod tests {
     use super::*;
     use crate::{Oid, SetAccessFacility, SignatureConfig};
-    use setsig_pagestore::Disk;
+    use setsig_pagestore::{BufferPool, Disk};
 
     fn fssf(f: u32, k: u32, m: u32) -> (Arc<Disk>, Fssf) {
         let disk = Arc::new(Disk::new());
@@ -570,5 +557,125 @@ mod tests {
         // Row 255 (on the second page) has element 255 % 7 == 3.
         assert!(c.oids.contains(&Oid::new(255)));
         assert!(c.oids.contains(&Oid::new(3)));
+    }
+
+    /// Every predicate's scan, plain and capped, on a bare disk and under a
+    /// 64-frame pool, against a brute force over each row's bits — built
+    /// straight from `frame_of` + `frame_positions`, not through the
+    /// encoder, and stopped frame-major as the scan is: the exact
+    /// candidates, the frames read, the early exit and the pages. The frame
+    /// width, 11, does not divide a byte, and the rows span two full frame
+    /// pages and part of a third.
+    #[test]
+    fn scans_equal_a_signature_level_reference() {
+        let cfg = FssfConfig::new(330, 30, 2).unwrap();
+        let (s, rpp) = (cfg.frame_bits(), cfg.rows_per_page());
+        let n = 2 * rpp + 1_000;
+        // 2–5 scattered elements of 0..1,000.
+        let set_of = |i: u64| -> Vec<ElementKey> {
+            let mix = |x: u64| x.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            (0..2 + i % 4)
+                .map(|j| ElementKey::from(mix(i * 8 + j) % 1_000))
+                .collect()
+        };
+        let bits = |set: &[ElementKey]| {
+            let mut bits = vec![false; cfg.f_bits() as usize];
+            let mut positions = Vec::new();
+            for e in set {
+                cfg.frame_positions(e, &mut positions);
+                for p in &positions {
+                    bits[(cfg.frame_of(e) * s + p) as usize] = true;
+                }
+            }
+            bits
+        };
+        let rows: Vec<Vec<bool>> = (0..n).map(|i| bits(&set_of(i))).collect();
+        // Rows survive while `keep(row, bit)` holds on each bit of each
+        // frame read; the scan stops after the frame that leaves none.
+        let and_scan = |frames: Vec<u32>, keep: &dyn Fn(&[bool], usize) -> bool| {
+            let mut alive: Vec<u64> = (0..n).collect();
+            let mut read = 0;
+            for &j in &frames {
+                read += 1;
+                let frame = (j * s) as usize..((j + 1) * s) as usize;
+                alive.retain(|&r| frame.clone().all(|i| keep(&rows[r as usize], i)));
+                if alive.is_empty() {
+                    break;
+                }
+            }
+            (alive, read, read < frames.len() as u64)
+        };
+        let reference = |q: &SetQuery| {
+            let want = bits(&q.elements);
+            let mut frames: Vec<u32> = q.elements.iter().map(|e| cfg.frame_of(e)).collect();
+            frames.sort_unstable();
+            frames.dedup();
+            let sup = || and_scan(frames.clone(), &|row, i| !want[i] || row[i]);
+            let sub = || and_scan((0..cfg.frames()).collect(), &|row, i| !row[i] || want[i]);
+            match q.predicate {
+                SetPredicate::HasSubset | SetPredicate::Contains => sup(),
+                SetPredicate::InSubset => sub(),
+                SetPredicate::Equals => {
+                    let ((a, a_read, a_exit), (b, b_read, b_exit)) = (sup(), sub());
+                    let both = a.into_iter().filter(|r| b.binary_search(r).is_ok());
+                    (both.collect(), a_read + b_read, a_exit || b_exit)
+                }
+                SetPredicate::Overlaps => {
+                    let mut positions = Vec::new();
+                    let mut has = |row: &[bool], e: &ElementKey| {
+                        cfg.frame_positions(e, &mut positions);
+                        let base = cfg.frame_of(e) * s;
+                        positions.iter().all(|&p| row[(base + p) as usize])
+                    };
+                    let hit =
+                        (0..n).filter(|&r| q.elements.iter().any(|e| has(&rows[r as usize], e)));
+                    (hit.collect(), frames.len() as u64, false)
+                }
+            }
+        };
+        let keys = |elems: &[u64]| elems.iter().map(|&e| ElementKey::from(e)).collect();
+        let queries = [
+            SetQuery::has_subset(set_of(5)[..2].to_vec()),
+            SetQuery::has_subset(keys(&[5_000, 5_001, 5_002])),
+            SetQuery::contains(ElementKey::from(7u64)),
+            SetQuery::in_subset(keys(&(0..120).collect::<Vec<_>>())),
+            SetQuery::in_subset(keys(&[5_000])),
+            SetQuery::equals(set_of(5)),
+            SetQuery::overlaps(keys(&[3, 50, 5_000])),
+        ];
+        let mut exits = Vec::new();
+        for pooled in [false, true] {
+            let disk = Arc::new(Disk::new());
+            let io: Arc<dyn PageIo> = if pooled {
+                Arc::new(BufferPool::new(Arc::clone(&disk), 64))
+            } else {
+                disk
+            };
+            let mut f = Fssf::create(io, "reference", cfg).unwrap();
+            for i in 0..n {
+                f.insert(Oid::new(i), &set_of(i)).unwrap();
+            }
+            for plain in &queries {
+                // A cap is a `⊇` or `⊆` query's; FSSF runs the plain scan.
+                let capped = plain.clone().with_cap(1).ok();
+                for q in std::iter::once(plain.clone()).chain(capped) {
+                    let what = format!("{} {:?} pooled {pooled}", q.predicate, q.cap());
+                    let (positions, slices, early_exit) = reference(&q);
+                    let (c, stats) = f.candidates_with_stats(&q).unwrap();
+                    let stats = stats.unwrap();
+                    let oids: Vec<Oid> = positions.iter().map(|&p| Oid::new(p)).collect();
+                    assert_eq!(c.oids, oids, "{what}");
+                    assert_eq!(
+                        (stats.slices, stats.early_exit),
+                        (slices, early_exit),
+                        "{what}"
+                    );
+                    let pages = slices * n.div_ceil(rpp) + OidFile::pages_touched(&positions);
+                    assert_eq!(stats.pages, pages, "{what}");
+                    exits.push(early_exit);
+                }
+            }
+        }
+        assert!(exits.contains(&true) && exits.contains(&false));
     }
 }

@@ -323,10 +323,9 @@ pub fn accumulate_ones(counts: &mut [u32], bytes: &[u8]) {
 /// differential-testing oracle. Each function mirrors one word kernel above
 /// and must stay bit-identical to it.
 ///
-/// Compiled only under `cfg(test)` and the `bench` feature (which the
-/// crate's integration tests turn on): production binaries ship the word
-/// kernels alone, so a scan can never silently fall back to the byte loops.
-#[cfg(any(test, feature = "bench"))]
+/// Hidden from the docs: no scan calls it; `tests/prop.rs` diffs the word
+/// kernels against it.
+#[doc(hidden)]
 pub mod reference {
     /// Byte-loop `acc &= bytes` over serialized buffers; `acc` bytes past
     /// `bytes` are cleared (matching the word kernel's zero padding).

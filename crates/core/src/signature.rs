@@ -48,6 +48,11 @@ impl Signature {
         Signature { bits }
     }
 
+    /// The signature whose bits are `bits` (FSSF's frame-sliced encoding).
+    pub(crate) fn from_bitmap(bits: Bitmap) -> Self {
+        Signature { bits }
+    }
+
     /// Reconstructs a signature from its serialized bytes.
     pub fn from_bytes(f_bits: u32, bytes: &[u8]) -> Self {
         Signature {

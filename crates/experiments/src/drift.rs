@@ -47,8 +47,8 @@
 use std::collections::BTreeMap;
 
 use setsig_core::{
-    Bitmap, Bssf, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SetPredicate,
-    SetQuery, Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
+    Bssf, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SetPredicate, SetQuery,
+    Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
 };
 use setsig_costmodel::{
     actual_drops_subset, actual_drops_superset, fd_subset, fd_superset, lc_oid, ln_binomial,
@@ -488,42 +488,40 @@ fn bssf_filter(
     }
 }
 
-/// A set's FSSF row: frame → the bits its elements set there.
-type FrameRow = BTreeMap<u32, Bitmap>;
-
-fn frame_row(cfg: &FssfConfig, set: &[ElementKey]) -> FrameRow {
-    let mut row = FrameRow::new();
-    let mut positions = Vec::new();
-    for e in set {
-        let bits = row
-            .entry(cfg.frame_of(e))
-            .or_insert_with(|| Bitmap::zeroed(cfg.frame_bits()));
-        cfg.frame_positions(e, &mut positions);
-        positions.iter().for_each(|&p| bits.set(p, true));
-    }
-    row
+/// The frames a frame-sliced signature has a 1-bit in, ascending.
+fn frames_of(sig: &Signature, cfg: &FssfConfig) -> Vec<u32> {
+    let mut frames: Vec<u32> = (sig.bitmap().iter_ones())
+        .map(|b| b / cfg.frame_bits())
+        .collect();
+    frames.dedup();
+    frames
 }
 
-/// Predicted FSSF frame pages and filter units of `q` over the target rows:
-/// frames are read in ascending order until no row survives.
-fn fssf_filter(rows: &[FrameRow], cfg: &FssfConfig, frame_pages: u64, q: &SetQuery) -> (u64, u64) {
-    let want = frame_row(cfg, &q.elements);
+/// Predicted FSSF frame pages and filter units of `q` over the stored
+/// signatures `sigs` ([`FssfConfig::signature`]): frames are read in
+/// ascending order until no row survives.
+fn fssf_filter(sigs: &[Signature], cfg: &FssfConfig, frame_pages: u64, q: &SetQuery) -> (u64, u64) {
+    let want = cfg.signature(&q.elements);
     // `T ⊇ Q` reads the query's frames, `T ⊆ Q` every frame.
     let (superset, frames): (bool, Vec<u32>) = match q.predicate {
-        SetPredicate::HasSubset | SetPredicate::Contains => (true, want.keys().copied().collect()),
+        SetPredicate::HasSubset | SetPredicate::Contains => (true, frames_of(&want, cfg)),
         SetPredicate::InSubset => (false, (0..cfg.frames()).collect()),
         other => panic!("no FSSF checkpoint for {other}"),
     };
-    let none = Bitmap::zeroed(cfg.frame_bits());
-    let mut alive: Vec<&FrameRow> = rows.iter().collect();
+    let s = cfg.frame_bits();
+    let mut alive: Vec<&Signature> = sigs.iter().collect();
     let mut consumed = 0;
-    for j in &frames {
+    for &j in &frames {
         consumed += 1;
-        let asked = want.get(j).unwrap_or(&none);
-        alive.retain(|row| match row.get(j) {
-            Some(have) if superset => have.covers(asked),
-            Some(have) => asked.covers(have),
-            None => !superset,
+        // In frame `j`, a row keeps every query bit (`T ⊇ Q`), or the query
+        // every row bit (`T ⊆ Q`).
+        alive.retain(|&have| {
+            let (a, b) = if superset {
+                (have, &want)
+            } else {
+                (&want, have)
+            };
+            (j * s..(j + 1) * s).all(|i| !b.bitmap().get(i) || a.bitmap().get(i))
         });
         if alive.is_empty() {
             break;
@@ -676,7 +674,7 @@ fn measure_updates(
         let pos = n + t;
         let oid_scan = pos / OIDS_PER_PAGE + 1 + 1;
         let weight = u64::from(Signature::for_set(&cfg, &set).weight());
-        let frames = frame_row(&fcfg, &set).len() as u64;
+        let frames = frames_of(&fcfg.signature(&set), &fcfg).len() as u64;
         // A row that starts a frame page extends every frame first.
         let extension = if pos.is_multiple_of(fcfg.rows_per_page()) {
             u64::from(fcfg.frames())
@@ -817,7 +815,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         .map(|t| Signature::for_set(&cfg, t))
         .collect();
     let fcfg = *fssf.config();
-    let frame_rows: Vec<FrameRow> = targets.iter().map(|t| frame_row(&fcfg, t)).collect();
+    let frame_sigs: Vec<Signature> = targets.iter().map(|t| fcfg.signature(t)).collect();
     let mut postings: BTreeMap<ElementKey, Vec<u64>> = BTreeMap::new();
     for (oid, target) in targets.iter().enumerate() {
         for e in target {
@@ -835,7 +833,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let bssf_model = BssfModel::new(p, f, m, d_t);
     let ssf_predict = |_: &SetQuery| (sig_pages, 1);
     let bssf_predict = |q: &SetQuery| bssf_filter(&sigs, &cfg, rows_per_page, q);
-    let fssf_predict = |q: &SetQuery| fssf_filter(&frame_rows, &fcfg, frame_pages, q);
+    let fssf_predict = |q: &SetQuery| fssf_filter(&frame_sigs, &fcfg, frame_pages, q);
     let nix_predict = |q: &SetQuery| nix_filter(&postings, rc, q);
 
     let via_ssf = |q: &SetQuery| sim.measure_facility(&ssf, q);
@@ -993,6 +991,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setsig_core::Bitmap;
     use setsig_costmodel::expected_query_weight;
     use std::sync::OnceLock;
 

@@ -28,8 +28,8 @@
 //! they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
-//! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate the
-//! row `Bitmap` per row in `Frames::scan_frame`, `.to_vec()` the page in
+//! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate per
+//! row in the FSSF scan (`Frames::match_frames`), `.to_vec()` the page in
 //! `Slices::slice_page` or the key in `Verifier::observe`, `collect()` a
 //! node's keys in `BTree::descend`, parse the leaf (`Leaf::entries`)
 //! before `Leaf::compact` in `BTree::insert_into_leaf`, sort `Value::set`
@@ -283,8 +283,8 @@ fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
         ("core.bssf.or_slices", bssf, subset),
         ("core.bssf.equals_positions", bssf, equals),
         ("core.bssf.overlap_positions", bssf, overlaps),
-        ("core.fssf.scan_frame", fssf, superset),
-        ("core.fssf.scan_frame", fssf, subset),
+        ("core.fssf.match_frames", fssf, superset),
+        ("core.fssf.match_frames", fssf, subset),
     ] {
         let (budget, pages_small, want) = filter(on_small, query);
         let (allocations, pages, got) = filter(on_large, query);
