@@ -7,13 +7,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use setsig_core::{Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, SignatureConfig, Ssf};
 use setsig_costmodel::{BssfModel, Params};
 use setsig_nix::Nix;
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
 use setsig_pagestore::{Disk, PageIo};
+use setsig_workload::{random_set, superset_of, SplitMix64};
 use std::sync::Arc;
 
 const N: u64 = 4_000;
@@ -42,21 +41,9 @@ fn keys(set: &[u64]) -> Vec<ElementKey> {
     set.iter().map(|&e| ElementKey::from(e)).collect()
 }
 
-/// `d` distinct elements of the domain.
-fn random_set(rng: &mut StdRng, d: usize) -> Vec<u64> {
-    let mut set = Vec::with_capacity(d);
-    while set.len() < d {
-        let e = rng.gen_range(0..DOMAIN);
-        if !set.contains(&e) {
-            set.push(e);
-        }
-    }
-    set
-}
-
 fn sets() -> Vec<Vec<u64>> {
-    let mut rng = StdRng::seed_from_u64(1993);
-    (0..N).map(|_| random_set(&mut rng, D_T)).collect()
+    let mut rng = SplitMix64::new(1993);
+    (0..N).map(|_| random_set(&mut rng, DOMAIN, D_T)).collect()
 }
 
 type Make = fn(Arc<dyn PageIo>) -> Box<dyn SetAccessFacility>;
@@ -77,18 +64,6 @@ fn instance(sets: &[Vec<u64>], make: Make) -> (Database, ClassId) {
     (db, class)
 }
 
-/// `stored` grown with random domain elements to `d_q` elements.
-fn superset_of(rng: &mut StdRng, stored: &[u64], d_q: usize) -> Vec<u64> {
-    let mut q = stored.to_vec();
-    q.extend(
-        random_set(rng, d_q)
-            .into_iter()
-            .filter(|e| !stored.contains(e)),
-    );
-    q.truncate(d_q.max(stored.len()));
-    q
-}
-
 fn text(predicate: &str, elements: &[u64]) -> String {
     let list: Vec<String> = elements.iter().map(u64::to_string).collect();
     format!(
@@ -106,10 +81,10 @@ fn run_query_caps_a_bssf_subset_scan_below_d_q_opt_and_nothing_else() {
     let (opt, budget) = model.subset_budget().unwrap();
     assert!((300..400).contains(&opt), "D_q^opt = {opt}");
 
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = SplitMix64::new(7);
     for (i, d_q) in [20usize, 50, 100, 200, 400, 600].into_iter().enumerate() {
         let target = i * 97;
-        let elements = superset_of(&mut rng, &sets[target], d_q);
+        let elements = superset_of(&mut rng, DOMAIN, &sets[target], d_q);
         let text = text("in-subset", &elements);
         let query = SetQuery::in_subset(keys(&elements));
         let what = format!("D_q = {}", query.d_q());

@@ -1,8 +1,69 @@
-//! Set-value and query-set generators.
+//! The seeded stream and the set draws, and the set-value and query-set
+//! generators built on them.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+/// SplitMix64 (Steele, Lea & Flood): one 64-bit state word, no dependencies.
+/// The benchmark's generator (`benchmark/src/gen.rs`): the same seed draws
+/// the same sets there and here.
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// A generator whose first state word is `seed`.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64(seed)
+    }
+
+    /// The next 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`). The modulo bias is below 2⁻⁴⁹ for
+    /// `n ≤ 32,768`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
+
+/// A sorted set of `d` distinct elements of `0..domain`. Panics if
+/// `d > domain`.
+pub fn random_set(rng: &mut SplitMix64, domain: u64, d: usize) -> Vec<u64> {
+    superset_of(rng, domain, &[], d)
+}
+
+/// `d` distinct elements of `target` (all of it when `d ≥ |target|`).
+pub fn subset_of(rng: &mut SplitMix64, target: &[u64], d: usize) -> Vec<u64> {
+    let mut pool = target.to_vec();
+    let d = d.min(pool.len());
+    for i in 0..d {
+        let j = i + rng.below((pool.len() - i) as u64) as usize;
+        pool.swap(i, j);
+    }
+    pool.truncate(d);
+    pool.sort_unstable();
+    pool
+}
+
+/// `target` (sorted, distinct) padded with random elements of `0..domain` up
+/// to `d` elements. Panics if `d > domain`: the padding could never finish.
+pub fn superset_of(rng: &mut SplitMix64, domain: u64, target: &[u64], d: usize) -> Vec<u64> {
+    assert!(
+        d as u64 <= domain,
+        "cannot draw {d} distinct elements from a {domain}-element domain"
+    );
+    let mut out = target.to_vec();
+    while out.len() < d {
+        while out.len() < d {
+            out.push(rng.below(domain));
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+    out
+}
 
 /// How target-set cardinalities are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,10 +76,13 @@ pub enum Cardinality {
 }
 
 impl Cardinality {
-    fn sample(&self, rng: &mut StdRng) -> u32 {
+    fn sample(&self, rng: &mut SplitMix64) -> u32 {
         match *self {
             Cardinality::Fixed(d) => d,
-            Cardinality::UniformRange(lo, hi) => rng.gen_range(lo..=hi),
+            Cardinality::UniformRange(lo, hi) => {
+                assert!(lo <= hi, "empty cardinality range {lo}..={hi}");
+                lo + rng.below(u64::from(hi - lo) + 1) as u32
+            }
         }
     }
 
@@ -69,14 +133,14 @@ impl WorkloadConfig {
 /// Generates target sets according to a [`WorkloadConfig`].
 pub struct SetGenerator {
     cfg: WorkloadConfig,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl SetGenerator {
     /// Creates the generator.
     pub fn new(cfg: WorkloadConfig) -> Self {
         SetGenerator {
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: SplitMix64::new(cfg.seed),
             cfg,
         }
     }
@@ -93,11 +157,7 @@ impl SetGenerator {
             .cardinality
             .sample(&mut self.rng)
             .min(self.cfg.domain as u32);
-        let mut set = BTreeSet::new();
-        while (set.len() as u32) < d {
-            set.insert(self.rng.gen_range(0..self.cfg.domain));
-        }
-        set.into_iter().collect()
+        random_set(&mut self.rng, self.cfg.domain, d as usize)
     }
 
     /// Generates the whole database: `N` target sets.
@@ -109,7 +169,7 @@ impl SetGenerator {
 /// Generates query sets.
 pub struct QueryGen {
     domain: u64,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 impl QueryGen {
@@ -117,19 +177,15 @@ impl QueryGen {
     pub fn new(domain: u64, seed: u64) -> Self {
         QueryGen {
             domain,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
     /// A uniform random query set of cardinality `d_q` — the paper's
-    /// default (mostly unsuccessful-search) regime.
+    /// default (mostly unsuccessful-search) regime. Panics if
+    /// `d_q > domain`.
     pub fn random(&mut self, d_q: u32) -> Vec<u64> {
-        assert!(d_q as u64 <= self.domain);
-        let mut set = BTreeSet::new();
-        while (set.len() as u32) < d_q {
-            set.insert(self.rng.gen_range(0..self.domain));
-        }
-        set.into_iter().collect()
+        random_set(&mut self.rng, self.domain, d_q as usize)
     }
 
     /// A `T ⊇ Q` query guaranteed to hit `target`: a random `d_q`-subset of
@@ -139,32 +195,70 @@ impl QueryGen {
             d_q as usize <= target.len(),
             "d_q exceeds target cardinality"
         );
-        let mut pool: Vec<u64> = target.to_vec();
-        // Partial Fisher–Yates: the first d_q positions become the sample.
-        for i in 0..d_q as usize {
-            let j = self.rng.gen_range(i..pool.len());
-            pool.swap(i, j);
-        }
-        let mut q: Vec<u64> = pool[..d_q as usize].to_vec();
-        q.sort_unstable();
-        q
+        subset_of(&mut self.rng, target, d_q as usize)
     }
 
-    /// A `T ⊆ Q` query guaranteed to hit `target`: the target set plus
-    /// random padding up to cardinality `d_q`. Panics if `d_q < |target|`.
+    /// A `T ⊆ Q` query guaranteed to hit `target` (sorted, distinct): the
+    /// target set plus random padding up to cardinality `d_q`. Panics if
+    /// `d_q < |target|` or `d_q > domain`.
     pub fn superset_of_target(&mut self, target: &[u64], d_q: u32) -> Vec<u64> {
         assert!(d_q as usize >= target.len(), "d_q below target cardinality");
-        let mut set: BTreeSet<u64> = target.iter().copied().collect();
-        while (set.len() as u32) < d_q {
-            set.insert(self.rng.gen_range(0..self.domain));
-        }
-        set.into_iter().collect()
+        superset_of(&mut self.rng, self.domain, target, d_q as usize)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_matches_the_reference_vector() {
+        // First outputs of the reference implementation for seed 1234567.
+        let mut rng = SplitMix64::new(1_234_567);
+        assert_eq!(rng.next_u64(), 6_457_827_717_110_365_317);
+        assert_eq!(rng.next_u64(), 3_203_168_211_198_807_973);
+    }
+
+    #[test]
+    fn seed_1993_draws_the_benchmarks_sets() {
+        // What `benchmark/src/gen.rs` draws at seed 1993 over its V = 13,000:
+        // three `random_set(·, 10)`, then `subset_of(first, 3)` and
+        // `superset_of(second, 15)`.
+        let mut rng = SplitMix64::new(1993);
+        let sets: Vec<Vec<u64>> = (0..3).map(|_| random_set(&mut rng, 13_000, 10)).collect();
+        assert_eq!(
+            sets,
+            [
+                [2532, 5327, 5556, 6731, 6937, 7404, 9742, 11247, 12580, 12756],
+                [1092, 2381, 3653, 4715, 4971, 5695, 6231, 7998, 10942, 12985],
+                [524, 990, 2269, 2907, 5999, 6591, 6823, 7903, 10576, 12397],
+            ]
+        );
+        assert_eq!(subset_of(&mut rng, &sets[0], 3), [6937, 12580, 12756]);
+        assert_eq!(
+            superset_of(&mut rng, 13_000, &sets[1], 15),
+            [
+                1092, 2381, 3653, 4258, 4715, 4752, 4971, 5321, 5695, 6231, 7655, 7998, 9655,
+                10942, 12985
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot draw 6 distinct elements from a 5-element domain")]
+    fn a_superset_larger_than_the_domain_is_refused() {
+        QueryGen::new(5, 1).superset_of_target(&[1, 3], 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty cardinality range 15..=5")]
+    fn an_empty_cardinality_range_is_refused() {
+        let cfg = WorkloadConfig {
+            cardinality: Cardinality::UniformRange(15, 5),
+            ..WorkloadConfig::paper_scaled(10, 32)
+        };
+        SetGenerator::new(cfg).next_set();
+    }
 
     #[test]
     fn fixed_cardinality_sets_are_exact_and_distinct() {

@@ -15,14 +15,18 @@
 //! * the university scenario (Students × hobbies/courses) from §1, used by
 //!   the examples.
 //!
-//! Everything is deterministic given the seed.
+//! Every draw comes from one seeded [`SplitMix64`] stream through
+//! [`random_set`], [`subset_of`] and [`superset_of`]: the benchmark's
+//! generator (`benchmark/src/gen.rs`), so a seed draws the same sets here
+//! and there. Everything is deterministic given the seed.
 
 #![warn(missing_docs)]
 
 mod generator;
 mod scenario;
-mod trace;
 
-pub use generator::{Cardinality, QueryGen, SetGenerator, WorkloadConfig};
+pub use generator::{
+    random_set, subset_of, superset_of, Cardinality, QueryGen, SetGenerator, SplitMix64,
+    WorkloadConfig,
+};
 pub use scenario::{university_hobbies, UniversityScenario, HOBBY_NAMES};
-pub use trace::{generate_trace, TraceConfig, TraceOp};

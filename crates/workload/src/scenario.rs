@@ -1,8 +1,6 @@
 //! The §1 university scenario: Students with hobby and course sets.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use crate::{random_set, SplitMix64};
 
 /// A pool of hobby names, so example databases read like the paper's
 /// (`"Baseball"`, `"Fishing"`, …) rather than opaque integers.
@@ -80,23 +78,17 @@ pub fn university_hobbies(
 ) -> Vec<UniversityScenario> {
     assert!(max_hobbies >= 1 && max_hobbies <= HOBBY_NAMES.len());
     assert!(max_courses >= 2);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|i| {
-            let nh = rng.gen_range(1..=max_hobbies);
-            let mut hobbies = BTreeSet::new();
-            while hobbies.len() < nh {
-                hobbies.insert(HOBBY_NAMES[rng.gen_range(0..HOBBY_NAMES.len())].to_owned());
-            }
-            let nc = rng.gen_range(2..=max_courses);
-            let mut courses = BTreeSet::new();
-            while courses.len() < nc {
-                courses.insert(rng.gen_range(0..500u64));
-            }
+            let nh = 1 + rng.below(max_hobbies as u64) as usize;
+            let picks = random_set(&mut rng, HOBBY_NAMES.len() as u64, nh);
+            let hobbies = picks.iter().map(|&h| HOBBY_NAMES[h as usize].to_owned());
+            let nc = 2 + rng.below(max_courses as u64 - 1) as usize;
             UniversityScenario {
                 name: format!("Student{i:04}"),
-                hobbies: hobbies.into_iter().collect(),
-                courses: courses.into_iter().collect(),
+                hobbies: hobbies.collect(),
+                courses: random_set(&mut rng, 500, nc),
             }
         })
         .collect()

@@ -6,7 +6,7 @@
 
 use setsig::nix::Nix;
 use setsig::prelude::*;
-use setsig::workload::{generate_trace, TraceConfig, TraceOp};
+use setsig::workload::{random_set, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -201,40 +201,31 @@ enum ResolvedOp {
 fn sharded_service_agrees_with_a_serial_oracle_at_quiescent_points() {
     use setsig::service::{QueryService, ServiceConfig};
 
-    let trace = generate_trace(&TraceConfig {
-        domain: 100,
-        d_t: 5,
-        d_q_superset: 2,
-        d_q_subset: 10,
-        weights: [35, 10, 30, 25],
-        length: 400,
-        seed: 0x0_5ac1e,
-    });
-
-    // Resolve Delete victims against a serial model up front: both sides
-    // then execute byte-identical op-logs.
+    // The op-log over a 100-element domain, drawn with weights 35 / 10 /
+    // 30 / 25 (insert, delete, ⊇ query, ⊆ query). Delete victims are
+    // resolved against a serial model up front: both sides then execute
+    // byte-identical op-logs.
+    let mut rng = SplitMix64::new(0x0_5ac1e);
     let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     let mut next = 0u64;
     let mut ops: Vec<ResolvedOp> = Vec::new();
-    for op in &trace {
-        match op {
-            TraceOp::Insert { set } => {
-                let oid = Oid::new(next);
+    for _ in 0..400 {
+        match rng.below(100) {
+            0..35 => {
+                let set = random_set(&mut rng, 100, 5);
+                model.insert(next, set.clone());
+                ops.push(ResolvedOp::Insert(Oid::new(next), set));
                 next += 1;
-                model.insert(oid.raw(), set.clone());
-                ops.push(ResolvedOp::Insert(oid, set.clone()));
             }
-            TraceOp::Delete { victim } => {
-                if model.is_empty() {
-                    continue;
-                }
-                let idx = (*victim as usize) % model.len();
-                let (&raw, set) = model.iter().nth(idx).map(|(k, v)| (k, v.clone())).unwrap();
-                model.remove(&raw);
+            35..45 if !model.is_empty() => {
+                let idx = rng.below(model.len() as u64) as usize;
+                let raw = *model.keys().nth(idx).unwrap();
+                let set = model.remove(&raw).unwrap();
                 ops.push(ResolvedOp::Delete(Oid::new(raw), set));
             }
-            TraceOp::SupersetQuery { query } => ops.push(ResolvedOp::Superset(query.clone())),
-            TraceOp::SubsetQuery { query } => ops.push(ResolvedOp::Subset(query.clone())),
+            35..45 => {}
+            45..75 => ops.push(ResolvedOp::Superset(random_set(&mut rng, 100, 2))),
+            _ => ops.push(ResolvedOp::Subset(random_set(&mut rng, 100, 10))),
         }
     }
 

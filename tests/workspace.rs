@@ -33,13 +33,15 @@ nix: BTreeSet Mutex RwLock Condvar mpsc sleep parking_lot
 oodb: BTreeSet Mutex RwLock Condvar mpsc sleep parking_lot
 service: Condvar mpsc sleep spawn";
 
-/// `Cargo.toml` and every file under `src/`, at the root and in `crates/*`:
-/// `(path from the root, text)` pairs.
+/// `Cargo.toml` and every file under `src/`, at the root and in `crates/*`,
+/// and each `vendor/*/Cargo.toml`: `(path from the root, text)` pairs.
 fn tree() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let crates = fs::read_dir(root.join("crates")).unwrap();
     let dirs = crates.map(|k| k.unwrap().path()).chain([root.into()]);
     let mut todo = Vec::from_iter(dirs.flat_map(|d| [d.join("Cargo.toml"), d.join("src")]));
+    let vendor = fs::read_dir(root.join("vendor")).unwrap();
+    todo.extend(vendor.map(|k| k.unwrap().path().join("Cargo.toml")));
     let mut files = Vec::new();
     while let Some(path) = todo.pop() {
         let entries = fs::read_dir(&path).into_iter().flatten();
@@ -70,7 +72,8 @@ fn row(table: &'static str, key: &str) -> Option<&'static str> {
 /// or, renamed, by its `package`.
 fn manifest_findings(files: &[(String, String)]) -> Vec<String> {
     let mut out = Vec::new();
-    for (rel, text) in files.iter().filter(|f| f.0.ends_with("Cargo.toml")) {
+    let members = files.iter().filter(|f| !f.0.starts_with("vendor/"));
+    for (rel, text) in members.filter(|f| f.0.ends_with("Cargo.toml")) {
         let lines: Vec<&str> = text.lines().map(str::trim).collect();
         let lints = lines.iter().skip_while(|l| **l != "[lints]").skip(1);
         let mut lints = lints.take_while(|l| !l.starts_with('['));
@@ -103,6 +106,74 @@ fn manifest_findings(files: &[(String, String)]) -> Vec<String> {
             if let Some(dep) = dep.filter(|d| !allowed.split_whitespace().any(|a| a == *d)) {
                 out.push(format!("{rel}:{n}: `{name}` → `setsig-{dep}`"));
             }
+        }
+    }
+    out
+}
+
+/// Every dependency key `text` names outside `[workspace.dependencies]`: a
+/// dependency table's line keys and each `[…dependencies.<key>]` table's.
+fn dependency_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut table = "";
+    for line in text.lines().map(str::trim) {
+        match line.strip_prefix('[') {
+            Some(header) => {
+                table = header.split(']').next().unwrap_or_default();
+                let keyed = table
+                    .rsplit_once('.')
+                    .filter(|t| t.0.ends_with("dependencies"));
+                names.extend(keyed.map(|t| t.1));
+            }
+            None if table.contains("dependencies") && table != "workspace.dependencies" => {
+                names.extend(line.split(['=', '.', ' ']).next());
+            }
+            None => {}
+        }
+    }
+    names
+}
+
+/// `Cargo.toml:line: problem` for a vendored stand-in that outlived its last
+/// user: a root `[workspace.dependencies]` entry with `path = "vendor/<x>"`
+/// that no member manifest names, and a `vendor/<x>` crate with no such entry.
+fn vendor_findings(files: &[(String, String)]) -> Vec<String> {
+    let manifests = files.iter().filter(|f| f.0.ends_with("Cargo.toml"));
+    let (vendored, members): (Vec<_>, Vec<_>) = manifests.partition(|f| f.0.starts_with("vendor/"));
+    let used = Vec::from_iter(members.iter().flat_map(|f| dependency_names(&f.1)));
+    let root = members
+        .iter()
+        .find(|f| f.0 == "Cargo.toml")
+        .map_or("", |f| &f.1);
+    let (mut out, mut entries, mut table, mut at) = (Vec::new(), Vec::new(), "", 1);
+    for (n, line) in (1..).zip(root.lines().map(str::trim)) {
+        if line.starts_with('[') {
+            table = line;
+        }
+        if line == "[workspace.dependencies]" {
+            at = n;
+        }
+        let dir = line
+            .split("\"vendor/")
+            .nth(1)
+            .and_then(|d| d.split('"').next());
+        let Some(dir) = dir.filter(|_| table == "[workspace.dependencies]") else {
+            continue;
+        };
+        let name = line.split(['=', '.', ' ']).next().unwrap_or_default();
+        if !used.contains(&name) {
+            out.push(format!(
+                "Cargo.toml:{n}: `{name}` (vendor/{dir}) is named by no manifest"
+            ));
+        }
+        entries.push(dir);
+    }
+    for (rel, _) in vendored {
+        let dir = rel.split('/').nth(1).unwrap_or_default();
+        if !entries.contains(&dir) {
+            out.push(format!(
+                "Cargo.toml:{at}: `vendor/{dir}` has no [workspace.dependencies] entry"
+            ));
         }
     }
     out
@@ -192,6 +263,7 @@ fn non_test(src: &str) -> String {
 /// name [`NAME_RULES`] bans, lock declarations (`Mutex<`) off [`LOCKS`].
 fn findings(files: &[(String, String)]) -> String {
     let mut out = manifest_findings(files);
+    out.extend(vendor_findings(files));
     let inventory = files.iter().filter(|f| LOCKS.contains(&f.0.as_str()));
     let mut locks = BTreeMap::from_iter(inventory.map(|f| (&*f.0, (Vec::new(), 0))));
     for (rel, text) in files.iter().filter(|f| f.0.ends_with(".rs")) {
@@ -221,10 +293,22 @@ fn findings(files: &[(String, String)]) -> String {
 
 /// Every finding: an edge up the DAG however spelled (dev-dependencies are
 /// exempt however spelled), a member outside the lint table, an unregistered
-/// crate, locks off the inventory, and banned names, but none in test items.
+/// crate, a stand-in without a user or without an entry, locks off the
+/// inventory, and banned names, but none in test items.
 const BAD: &str = r##"
 == Cargo.toml
 [package]
+[workspace.dependencies]
+rand = { path = "vendor/rand" }
+proptest = { path = "vendor/proptest" }
+[dev-dependencies]
+proptest.workspace = true
+== vendor/proptest/Cargo.toml
+[package]
+name = "proptest"
+== vendor/orphan/Cargo.toml
+[package]
+name = "orphan"
 == crates/core/Cargo.toml
 [package]
 [dependencies]
@@ -287,6 +371,8 @@ crates/mystery/Cargo.toml:1: `mystery` is not in the DAG
 crates/nix/Cargo.toml:1: `nix` → `setsig-experiments`
 crates/nix/Cargo.toml:4: `nix` → `setsig-oodb`
 crates/nix/Cargo.toml:6: `nix` → `setsig-experiments`
+Cargo.toml:3: `rand` (vendor/rand) is named by no manifest
+Cargo.toml:2: `vendor/orphan` has no [workspace.dependencies] entry
 crates/core/src/scratch.rs:1: `Mutex` in non-test code
 crates/core/src/scratch.rs:2: `Mutex` in non-test code
 crates/core/src/scratch.rs:13: `RwLock` in non-test code
