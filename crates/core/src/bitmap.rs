@@ -4,11 +4,12 @@ use crate::kernel;
 
 /// A fixed-width bit vector backed by 64-bit words.
 ///
-/// `Bitmap` is the in-memory representation of signatures
-/// ([`Signature`](crate::Signature) wraps one) and of combined BSSF slice
-/// results. The byte serialization is LSB-first within each byte, matching
-/// the bit layout of [`Page::get_bit`](setsig_pagestore::Page::get_bit), so
-/// signatures move between memory and disk pages without reshuffling.
+/// `Bitmap` is the in-memory representation of signatures (a signature
+/// *is* one: [`SignatureConfig::signature`](crate::SignatureConfig::signature)
+/// encodes a set) and of combined BSSF slice results. The byte
+/// serialization is LSB-first within each byte, matching the bit layout of
+/// [`Page::get_bit`](setsig_pagestore::Page::get_bit), so signatures move
+/// between memory and disk pages without reshuffling.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitmap {
     nbits: u32,
@@ -120,20 +121,6 @@ impl Bitmap {
         }
     }
 
-    /// Returns `self | other`.
-    pub fn or(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
-    }
-
-    /// Returns `self & other`.
-    pub fn and(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.and_assign(other);
-        out
-    }
-
     /// True if every set bit of `other` is also set in `self` — the match
     /// rule "for all bit positions set in the query signature, the target
     /// signature has 1" with `self` as target.
@@ -143,12 +130,6 @@ impl Bitmap {
             .iter()
             .zip(&other.words)
             .all(|(a, b)| b & !a == 0)
-    }
-
-    /// True if `self` and `other` share at least one set bit.
-    pub fn intersects(&self, other: &Bitmap) -> bool {
-        self.assert_same_width(other);
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Number of bits set in both.
@@ -311,20 +292,20 @@ mod tests {
     fn or_and_ops() {
         let a = Bitmap::from_positions(128, &[0, 64, 127]);
         let b = Bitmap::from_positions(128, &[1, 64]);
-        let o = a.or(&b);
+        let mut o = a.clone();
+        o.or_assign(&b);
         assert_eq!(o.count_ones(), 4);
-        let i = a.and(&b);
+        let mut i = a.clone();
+        i.and_assign(&b);
         assert_eq!(i.count_ones(), 1);
         assert!(i.get(64));
     }
 
     #[test]
-    fn intersects_and_count() {
+    fn intersection_count_counts_shared_bits() {
         let a = Bitmap::from_positions(32, &[3, 9]);
         let b = Bitmap::from_positions(32, &[9, 10]);
         let c = Bitmap::from_positions(32, &[4]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
         assert_eq!(a.intersection_count(&b), 1);
         assert_eq!(a.intersection_count(&c), 0);
     }

@@ -55,7 +55,6 @@ use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
-use crate::signature::Signature;
 use crate::sorted;
 
 /// Rows (signature positions) per slice page: `P·b` bits.
@@ -116,9 +115,9 @@ impl Slices {
     /// the accumulator, and a row page stops once its range is empty — no
     /// later slice can revive a row. Never reads more pages than ANDing whole
     /// slices until the whole accumulator empties.
-    fn superset_positions(&self, query_sig: &Signature, n: u64) -> Result<Matches> {
+    fn superset_positions(&self, query_sig: &Bitmap, n: u64) -> Result<Matches> {
         // An empty query set reads nothing: everything is a superset.
-        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
+        let ones: Vec<u32> = query_sig.iter_ones().collect();
         let mut acc = Bitmap::ones(n as u32);
         // Slices consumed by the longest-lived row page: the count at which
         // the whole accumulator is empty, i.e. what a slice-major scan reads.
@@ -157,11 +156,11 @@ impl Slices {
     /// change pages and the cost model.
     fn subset_positions(
         &self,
-        query_sig: &Signature,
+        query_sig: &Bitmap,
         slice_cap: Option<usize>,
         n: u64,
     ) -> Result<Matches> {
-        let zeros: Vec<u32> = query_sig.bitmap().iter_zeros().collect();
+        let zeros: Vec<u32> = query_sig.iter_zeros().collect();
         let take = slice_cap.unwrap_or(zeros.len()).min(zeros.len());
         let acc = self.or_slices(&zeros[..take], n)?;
         Ok(Matches {
@@ -174,8 +173,8 @@ impl Slices {
 
     /// Overlap scan: rows sharing at least `m` set bits with the query
     /// signature. Reads the `m_q` 1-slices and counts per row.
-    fn overlap_positions(&self, query_sig: &Signature, n: u64) -> Result<Matches> {
-        let ones: Vec<u32> = query_sig.bitmap().iter_ones().collect();
+    fn overlap_positions(&self, query_sig: &Bitmap, n: u64) -> Result<Matches> {
+        let ones: Vec<u32> = query_sig.iter_ones().collect();
         // Counts are u32, not u16: a row can match up to m_q ≤ F slices and
         // F is a u32, so u16 counts wrapped (and `m_weight() as u16`
         // truncated the threshold) for high-weight signatures — see
@@ -231,7 +230,7 @@ impl Layout for Slices {
     }
 
     fn row(cfg: &SignatureConfig, set: &[ElementKey]) -> Vec<u32> {
-        Signature::for_set(cfg, set).bitmap().iter_ones().collect()
+        cfg.signature(set).iter_ones().collect()
     }
 
     /// The one writer: stages the rows' set bits — one page write per
@@ -262,22 +261,24 @@ impl Layout for Slices {
             SetPredicate::HasSubset | SetPredicate::Contains => {
                 let d_q = query.elements.len();
                 let take = d_q.min(query.cap().unwrap_or(d_q));
-                let reduced = Signature::for_set(&self.cfg, &query.elements[..take]);
+                let reduced = self.cfg.signature(&query.elements[..take]);
                 let mut found = self.superset_positions(&reduced, n)?;
                 found.early_exit |= take < d_q;
                 Ok(found)
             }
             SetPredicate::InSubset => {
-                self.subset_positions(&query.signature(&self.cfg), query.cap(), n)
+                self.subset_positions(&self.cfg.signature(&query.elements), query.cap(), n)
             }
             // Rows where every 1-slice is set and every 0-slice is clear:
             // reads all `F` slices.
             SetPredicate::Equals => {
-                let query_sig = query.signature(&self.cfg);
+                let query_sig = self.cfg.signature(&query.elements);
                 let sup = self.superset_positions(&query_sig, n)?;
                 Ok(sup.intersect(self.subset_positions(&query_sig, None, n)?))
             }
-            SetPredicate::Overlaps => self.overlap_positions(&query.signature(&self.cfg), n),
+            SetPredicate::Overlaps => {
+                self.overlap_positions(&self.cfg.signature(&query.elements), n)
+            }
         }
     }
 
@@ -430,7 +431,7 @@ mod tests {
         // On materialized slice pages and on never-touched ones alike:
         // one write per 1 bit and one for the OID, no reads.
         for (oid, set) in [(2, keys(&["a", "b"])), (3, keys(&["c", "d", "e"]))] {
-            let weight = Signature::for_set(b.config(), &set).weight() as u64;
+            let weight = b.config().signature(&set).count_ones() as u64;
             disk.reset_stats();
             b.insert(Oid::new(oid), &set).unwrap();
             let s = disk.snapshot();
@@ -449,15 +450,12 @@ mod tests {
     fn dense_reference(cfg: SignatureConfig, rows: &[(Oid, Vec<ElementKey>, bool)]) -> Bssf {
         let io: Arc<dyn PageIo> = Arc::new(Disk::new());
         let mut b = Bssf::create(io, "dense", cfg).unwrap();
-        let sigs: Vec<Signature> = rows
-            .iter()
-            .map(|(_, set, _)| Signature::for_set(&cfg, set))
-            .collect();
+        let sigs: Vec<Bitmap> = rows.iter().map(|(_, set, _)| cfg.signature(set)).collect();
         for (j, slice) in b.layout.slices.files_mut().iter_mut().enumerate() {
             for chunk in sigs.chunks(ROWS_PER_PAGE as usize) {
                 let mut page = Page::zeroed();
                 for (bit, sig) in chunk.iter().enumerate() {
-                    page.set_bit(bit, sig.bitmap().get(j as u32));
+                    page.set_bit(bit, sig.get(j as u32));
                 }
                 slice.file.append(&page).unwrap();
                 slice.pages += 1;
@@ -663,8 +661,8 @@ mod tests {
             assert_eq!(inc.candidates(&q).unwrap(), bulk.candidates(&q).unwrap());
         }
         // A batch counts its sets' elements as their inserts do.
-        assert_eq!(bulk.indexed_elements(), Some(600));
-        assert_eq!(bulk.indexed_elements(), inc.indexed_elements());
+        assert_eq!(bulk.signature_profile(), Some((128, 2, 600)));
+        assert_eq!(bulk.signature_profile(), inc.signature_profile());
     }
 
     #[test]
@@ -681,7 +679,7 @@ mod tests {
             b.insert(Oid::new(i), &[ElementKey::from(i)]).unwrap();
         }
         let q = SetQuery::has_subset(vec![ElementKey::from(3u64)]);
-        let qsig = q.signature(b.config());
+        let qsig = b.config().signature(&q.elements);
         disk.reset_stats();
         let c = b.candidates(&q).unwrap();
         assert!(c.oids.contains(&Oid::new(3)));
@@ -689,7 +687,7 @@ mod tests {
         // fewer slices if the accumulator empties, but a match exists so
         // all are read.
         let s = disk.snapshot();
-        assert_eq!(s.reads, qsig.weight() as u64 + 1);
+        assert_eq!(s.reads, qsig.count_ones() as u64 + 1);
     }
 
     #[test]
@@ -702,13 +700,13 @@ mod tests {
         }
         assert!(b.layout.slices.files().iter().all(|s| s.pages == 1));
         let q = SetQuery::in_subset(vec![ElementKey::from(3u64), ElementKey::from(4u64)]);
-        let qsig = q.signature(b.config());
+        let qsig = b.config().signature(&q.elements);
         disk.reset_stats();
         let c = b.candidates(&q).unwrap();
         assert!(c.oids.contains(&Oid::new(3)));
         assert!(c.oids.contains(&Oid::new(4)));
         let s = disk.snapshot();
-        let zero_slices = 64 - qsig.weight() as u64;
+        let zero_slices = 64 - qsig.count_ones() as u64;
         assert_eq!(s.reads, zero_slices + 1);
     }
 
@@ -717,13 +715,13 @@ mod tests {
         let (disk, mut b) = bssf(64, 2);
         let set = [ElementKey::from(1u64)];
         b.insert(Oid::new(1), &set).unwrap();
-        let weight = Signature::for_set(b.config(), &set).weight() as u64;
+        let weight = b.config().signature(&set).count_ones() as u64;
         // Only the set's own slices exist; T ⊆ Q against a disjoint query
         // reads those and the OID page is never reached (no drop).
         assert_eq!(b.storage_pages().unwrap(), weight + 1);
         let q = SetQuery::in_subset(vec![ElementKey::from(2u64)]);
-        let zero_and_written = (Signature::for_set(b.config(), &set).bitmap().iter_ones())
-            .filter(|&j| !q.signature(b.config()).bitmap().get(j))
+        let zero_and_written = (b.config().signature(&set).iter_ones())
+            .filter(|&j| !b.config().signature(&q.elements).get(j))
             .count() as u64;
         disk.reset_stats();
         assert!(b.candidates(&q).unwrap().is_empty());
@@ -894,23 +892,23 @@ mod tests {
         for (s, &pages) in b.layout.slices.files().iter().zip(&lens) {
             assert_eq!(s.file.len().unwrap(), pages, "tracked length is the file's");
         }
-        let sigs: Vec<Signature> = items
+        let sigs: Vec<Bitmap> = items
             .iter()
-            .map(|(_, set)| Signature::for_set(b.config(), set))
+            .map(|(_, set)| b.config().signature(set))
             .collect();
         // The plain scan's `⊇` charge: per row page, a page of each slice
         // that has one until no row of the page has every slice so far.
         let superset_pages = |ones: &[u32]| -> u64 {
             let row_pages = sigs.chunks(ROWS_PER_PAGE as usize);
             let per_page = row_pages.enumerate().map(|(p, rows)| {
-                let mut rows: Vec<&Signature> = rows.iter().collect();
+                let mut rows: Vec<&Bitmap> = rows.iter().collect();
                 let mut pages = 0;
                 for &j in ones {
                     if rows.is_empty() {
                         break;
                     }
                     pages += u64::from(lens[j as usize] as usize > p);
-                    rows.retain(|sig| sig.bitmap().get(j));
+                    rows.retain(|sig| sig.get(j));
                 }
                 pages
             });
@@ -931,14 +929,14 @@ mod tests {
             SetQuery::overlaps(elems(&[2, 33])),
         ];
         for q in &queries {
-            let qsig = q.signature(b.config());
+            let qsig = b.config().signature(&q.elements);
             let expect: Vec<u64> = (0..n)
                 .filter(|&i| q.signature_matches(b.config(), &sigs[i as usize], &qsig))
                 .collect();
             let (found, pages) = count_reads(|| b.layout.positions(q, n).unwrap());
             assert_eq!(found.positions, expect, "{:?} N {n}", q.predicate);
-            let ones: Vec<u32> = qsig.bitmap().iter_ones().collect();
-            let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
+            let ones: Vec<u32> = qsig.iter_ones().collect();
+            let zeros: Vec<u32> = qsig.iter_zeros().collect();
             let plain = match q.predicate {
                 SetPredicate::InSubset => subset_pages(&zeros),
                 SetPredicate::Equals => superset_pages(&ones) + subset_pages(&zeros),
@@ -1011,12 +1009,9 @@ mod tests {
         };
         let items: Vec<(Oid, Vec<ElementKey>)> = (0..n).map(|i| (Oid::new(i), set_of(i))).collect();
         let cfg = SignatureConfig::new(F, 2).unwrap();
-        let sigs: Vec<Signature> = items
-            .iter()
-            .map(|(_, set)| Signature::for_set(&cfg, set))
-            .collect();
-        let qsig = SetQuery::in_subset(query.clone()).signature(&cfg);
-        let zeros: Vec<u32> = qsig.bitmap().iter_zeros().collect();
+        let sigs: Vec<Bitmap> = items.iter().map(|(_, set)| cfg.signature(set)).collect();
+        let qsig = cfg.signature(&SetQuery::in_subset(query.clone()).elements);
+        let zeros: Vec<u32> = qsig.iter_zeros().collect();
         let mut cases = vec![(SetQuery::in_subset(query.clone()), zeros.len())];
         for cap in [16, 40, 48, 63, F as usize] {
             let capped = SetQuery::in_subset(query.clone()).with_cap(cap).unwrap();
@@ -1041,7 +1036,7 @@ mod tests {
                 let want: Vec<u64> = (0..n)
                     .filter(|&i| {
                         let row = &sigs[i as usize];
-                        let clear = zeros[..*take].iter().all(|&j| !row.bitmap().get(j));
+                        let clear = zeros[..*take].iter().all(|&j| !row.get(j));
                         clear && (!equals || q.signature_matches(&cfg, row, &qsig))
                     })
                     .collect();
@@ -1166,7 +1161,7 @@ mod batch_tests {
         // Incremental: Σ (m_t + 1). Batched: ≤ F slice pages + 1 OID page.
         let weights: u64 = all
             .iter()
-            .map(|(_, set)| Signature::for_set(inc.config(), set).weight() as u64)
+            .map(|(_, set)| inc.config().signature(set).count_ones() as u64)
             .sum();
         assert_eq!(inc_writes, weights + 200);
         assert!(bat_writes <= 129, "batched writes {bat_writes}");
@@ -1223,7 +1218,11 @@ mod compact_tests {
         assert_eq!(b.indexed_count(), 20);
         let after = b.candidates(&q).unwrap();
         assert_eq!(before, after, "answers must survive compaction");
-        assert_eq!(b.indexed_elements(), Some(20), "Σ|T| of the survivors");
+        assert_eq!(
+            b.signature_profile(),
+            Some((64, 2, 20)),
+            "Σ|T| of the survivors"
+        );
         // The compacted OID file is denser.
         assert_eq!(b.oid_file().len(), 20);
     }

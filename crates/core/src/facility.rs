@@ -143,15 +143,6 @@ pub trait SetAccessFacility {
     /// Number of objects currently indexed.
     fn indexed_count(&self) -> u64;
 
-    /// `Σ|T|`, the distinct elements of the indexed sets summed — with
-    /// [`indexed_count`](Self::indexed_count), the mean target cardinality
-    /// `D_t` a planner prices a query with. `None` for a facility that does
-    /// not keep it. A signature inserted without its set
-    /// ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) counts none.
-    fn indexed_elements(&self) -> Option<u64> {
-        None
-    }
-
     /// Pages occupied by the facility — the measured counterpart of the
     /// paper's storage cost `SC`.
     fn storage_pages(&self) -> Result<u64>;
@@ -163,9 +154,15 @@ pub trait SetAccessFacility {
         None
     }
 
-    /// Signature geometry `(F, m)`, for the facilities that have one — what
-    /// a trace line reports as `f_bits` / `m_weight`.
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
+    /// `(F, m, Σ|T|)` of a signature file: its geometry, and the distinct
+    /// elements of the indexed sets summed — with
+    /// [`indexed_count`](Self::indexed_count), the mean target cardinality
+    /// `D_t`. What a planner prices a query with, and what a trace line
+    /// reports as `f_bits` / `m_weight`. `None` for a facility that is no
+    /// signature file (the nested index). A signature inserted without its
+    /// set ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) adds
+    /// nothing to `Σ|T|`.
+    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
         None
     }
 }

@@ -38,7 +38,6 @@ use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::rowfile::{RowBit, RowFiles};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
-use crate::signature::Signature;
 
 /// Design parameters of a frame-sliced signature file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +123,7 @@ impl FssfConfig {
     /// its `m` [frame positions](Self::frame_positions) `p` at bit
     /// `frame_of(e)·s + p`. What an insert stores and what a query scans
     /// for.
-    pub fn signature<'a>(&self, elements: impl IntoIterator<Item = &'a ElementKey>) -> Signature {
+    pub fn signature<'a>(&self, elements: impl IntoIterator<Item = &'a ElementKey>) -> Bitmap {
         let s = self.frame_bits();
         let mut bits = Bitmap::zeroed(self.f_bits);
         let mut positions = Vec::with_capacity(self.m_weight as usize);
@@ -133,7 +132,7 @@ impl FssfConfig {
             self.frame_positions(e, &mut positions);
             positions.iter().for_each(|&p| bits.set(base + p, true));
         }
-        Signature::from_bitmap(bits)
+        bits
     }
 }
 
@@ -219,7 +218,7 @@ impl Frames {
         let s = self.cfg.frame_bits();
         // Each element's positions; sorted, one frame's elements are a run.
         let mut elements: Vec<Vec<u32>> = (query.elements.iter())
-            .map(|e| self.cfg.signature([e]).bitmap().iter_ones().collect())
+            .map(|e| self.cfg.signature([e]).iter_ones().collect())
             .collect();
         elements.sort_unstable();
         let mut acc = Bitmap::zeroed(n as u32);
@@ -266,7 +265,7 @@ impl Layout for Frames {
     }
 
     fn row(cfg: &FssfConfig, set: &[ElementKey]) -> Vec<u32> {
-        cfg.signature(set).bitmap().iter_ones().collect()
+        cfg.signature(set).iter_ones().collect()
     }
 
     /// Insertion — the organization's raison d'être: one page write per
@@ -301,11 +300,11 @@ impl Layout for Frames {
     fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
         let sig = self.cfg.signature(&query.elements);
         let s = self.cfg.frame_bits();
-        let mut ones: Vec<u32> = sig.bitmap().iter_ones().map(|p| p / s).collect();
+        let mut ones: Vec<u32> = sig.iter_ones().map(|p| p / s).collect();
         ones.dedup();
         let every: Vec<u32> = (0..self.cfg.frames()).collect();
-        let superset = || self.match_frames(n, &ones, sig.bitmap(), true);
-        let subset = || self.match_frames(n, &every, sig.bitmap(), false);
+        let superset = || self.match_frames(n, &ones, &sig, true);
+        let subset = || self.match_frames(n, &every, &sig, false);
         match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => superset(),
             SetPredicate::InSubset => subset(),

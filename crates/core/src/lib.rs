@@ -25,7 +25,9 @@
 //!
 //! ## What is here
 //!
-//! * [`Bitmap`], [`Signature`], [`SignatureConfig`] — the coding layer,
+//! * [`Bitmap`], [`SignatureConfig`] — the coding layer: a signature is an
+//!   `F`-bit [`Bitmap`], encoded by [`SignatureConfig::signature`] (SSF,
+//!   BSSF) or [`FssfConfig::signature`] (FSSF),
 //! * [`SetQuery`] / [`SetPredicate`] — the five set operators (⊇, ⊆, =,
 //!   overlap, ∈) with their signature match rules,
 //! * [`SignatureFile`] — one signature file over one of three physical
@@ -104,5 +106,4 @@ pub use oid::{Oid, OidAllocator};
 pub use oidfile::{OidFile, OIDS_PER_PAGE, OID_ENTRY_BYTES};
 pub use query::{SetPredicate, SetQuery};
 pub use sigfile::{Layout, SignatureFile};
-pub use signature::Signature;
 pub use ssf::{Rows, Ssf};

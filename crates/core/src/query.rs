@@ -1,9 +1,9 @@
 //! Set predicates and queries.
 
+use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::signature::Signature;
 use crate::sorted;
 
 /// The set comparison operators of §2.
@@ -132,26 +132,25 @@ impl SetQuery {
         self.elements.len()
     }
 
-    /// The query signature under `cfg`.
-    pub fn signature(&self, cfg: &SignatureConfig) -> Signature {
-        Signature::for_set(cfg, &self.elements)
-    }
-
     /// Whether a **target signature** is a drop for this query — the
-    /// signature-level filter of §3.1, extended to all five operators.
+    /// signature-level filter of §3.1, extended to all five operators. Both
+    /// signatures are `cfg`'s ([`SignatureConfig::signature`]).
     pub fn signature_matches(
         &self,
         cfg: &SignatureConfig,
-        target: &Signature,
-        query_sig: &Signature,
+        target: &Bitmap,
+        query_sig: &Bitmap,
     ) -> bool {
         match self.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => {
-                target.matches_superset_of(query_sig)
-            }
-            SetPredicate::InSubset => target.matches_subset_of(query_sig),
-            SetPredicate::Equals => target.matches_equals(query_sig),
-            SetPredicate::Overlaps => target.matches_overlaps(query_sig, cfg.m_weight()),
+            // Every query bit present in the target.
+            SetPredicate::HasSubset | SetPredicate::Contains => target.covers(query_sig),
+            // Every target bit present in the query.
+            SetPredicate::InSubset => query_sig.covers(target),
+            // Equal sets have equal signatures: a one-sided filter.
+            SetPredicate::Equals => target == query_sig,
+            // A shared element sets the same `m` bits in both, so fewer
+            // than `m` common bits refutes overlap.
+            SetPredicate::Overlaps => target.intersection_count(query_sig) >= cfg.m_weight(),
         }
     }
 }
@@ -224,7 +223,7 @@ mod tests {
         // signature-level drop (no false negatives).
         let cfg = SignatureConfig::new(128, 3).unwrap();
         let target_set = keys(&["Baseball", "Fishing"]);
-        let target_sig = Signature::for_set(&cfg, &target_set);
+        let target_sig = cfg.signature(&target_set);
 
         let cases = vec![
             SetQuery::has_subset(keys(&["Baseball"])),
@@ -234,7 +233,7 @@ mod tests {
             SetQuery::contains(ElementKey::from("Fishing")),
         ];
         for q in cases {
-            let qs = q.signature(&cfg);
+            let qs = cfg.signature(&q.elements);
             assert!(
                 q.signature_matches(&cfg, &target_sig, &qs),
                 "predicate {} missed a true match",
@@ -246,9 +245,9 @@ mod tests {
     #[test]
     fn superset_filter_rejects_obvious_nonmatch() {
         let cfg = SignatureConfig::new(256, 3).unwrap();
-        let target = Signature::for_set(&cfg, &keys(&["Swimming"]));
+        let target = cfg.signature(&keys(&["Swimming"]));
         let q = SetQuery::has_subset(keys(&["Chess", "Running", "Skiing"]));
-        let qs = q.signature(&cfg);
+        let qs = cfg.signature(&q.elements);
         assert!(!q.signature_matches(&cfg, &target, &qs));
     }
 }

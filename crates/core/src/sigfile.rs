@@ -108,7 +108,7 @@ pub struct SignatureFile<L> {
     pub(crate) layout: L,
     pub(crate) oid_file: OidFile,
     /// `Σ|T|` over the live entries
-    /// ([`indexed_elements`](SetAccessFacility::indexed_elements)).
+    /// ([`signature_profile`](SetAccessFacility::signature_profile)).
     elements: u64,
     /// Catalog checkpoint file; created lazily by
     /// [`sync_meta`](SignatureFile::sync_meta).
@@ -253,10 +253,6 @@ impl<L: Layout> SetAccessFacility for SignatureFile<L> {
         self.oid_file.live_count()
     }
 
-    fn indexed_elements(&self) -> Option<u64> {
-        Some(self.elements)
-    }
-
     fn storage_pages(&self) -> Result<u64> {
         Ok(self.layout.storage_pages()? + u64::from(self.oid_file.storage_pages()?))
     }
@@ -265,8 +261,9 @@ impl<L: Layout> SetAccessFacility for SignatureFile<L> {
         self.oid_file.file().io().cache_stats()
     }
 
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        Some(self.layout.geometry())
+    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
+        let (f_bits, m_weight) = self.layout.geometry();
+        Some((f_bits, m_weight, self.elements))
     }
 }
 
@@ -418,20 +415,20 @@ mod tests {
             // Repeats and order do not count.
             f.insert(Oid::new(1), &keys(&["b", "a", "b"])).unwrap();
             f.insert(Oid::new(2), &keys(&["c", "d", "e"])).unwrap();
-            assert_eq!(f.indexed_elements(), Some(5), "{name}");
+            assert_eq!(f.signature_profile().map(|p| p.2), Some(5), "{name}");
             // A failed insert indexes nothing and counts nothing, nor does a
             // delete of an object the file does not hold.
             disk.inject_fault_after(0);
             assert!(f.insert(Oid::new(3), &keys(&["x"])).is_err(), "{name}");
             disk.clear_fault();
             assert!(f.delete(Oid::new(9), &keys(&["c"])).is_err(), "{name}");
-            assert_eq!(f.indexed_elements(), Some(5), "{name}");
+            assert_eq!(f.signature_profile().map(|p| p.2), Some(5), "{name}");
             f.delete(Oid::new(1), &keys(&["a", "b"])).unwrap();
-            assert_eq!(f.indexed_elements(), Some(3), "{name}");
+            assert_eq!(f.signature_profile().map(|p| p.2), Some(3), "{name}");
             // The checkpoint carries it.
             let meta = f.sync_meta().unwrap();
             let reopened = SignatureFile::<L>::open(disk, meta).unwrap();
-            assert_eq!(reopened.indexed_elements(), Some(3), "{name}");
+            assert_eq!(reopened.signature_profile().map(|p| p.2), Some(3), "{name}");
         }
         every_layout!(check);
     }

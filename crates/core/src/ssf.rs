@@ -15,6 +15,7 @@
 use setsig_pagestore::{FileId, Page, PageIo, PagedFile, PAGE_SIZE};
 use std::sync::Arc;
 
+use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
@@ -24,7 +25,6 @@ use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
-use crate::signature::Signature;
 
 /// A sequential signature file with its companion OID file.
 pub type Ssf = SignatureFile<Rows>;
@@ -64,7 +64,7 @@ impl Rows {
     }
 
     /// Writes `sig` as row `pos` with one page write.
-    fn write_row(&self, pos: u64, sig: &Signature) -> Result<()> {
+    fn write_row(&self, pos: u64, sig: &Bitmap) -> Result<()> {
         let (page_no, off) = self.slot_of(pos);
         let bytes = sig.to_bytes();
         if pos.is_multiple_of(self.per_page) {
@@ -113,12 +113,12 @@ impl Rows {
         Ok(())
     }
 
-    /// The pre-kernel reference scan: materializes a [`Signature`] per row
+    /// The pre-kernel reference scan: materializes a [`Bitmap`] per row
     /// and matches through [`SetQuery::signature_matches`]. Kept as the
     /// oracle the batched path is differentially tested against.
     #[cfg(test)]
     fn scan_matching_positions_reference(&self, query: &SetQuery, total: u64) -> Result<Vec<u64>> {
-        let query_sig = query.signature(&self.cfg);
+        let query_sig = self.cfg.signature(&query.elements);
         let npages = self.sig_file.len()?;
         let mut positions = Vec::new();
         for page_no in 0..npages {
@@ -126,7 +126,7 @@ impl Rows {
             let base = page_no as u64 * self.per_page;
             let slots = (total - base).min(self.per_page) as usize;
             for s in 0..slots {
-                let sig = Signature::from_bytes(
+                let sig = Bitmap::from_bytes(
                     self.cfg.f_bits(),
                     page.read_slice(s * self.sig_bytes, self.sig_bytes),
                 );
@@ -143,7 +143,7 @@ impl sealed::Sealed for Rows {}
 
 impl Layout for Rows {
     type Config = SignatureConfig;
-    type Row = Signature;
+    type Row = Bitmap;
     const NAME: &'static str = "SSF";
     const MAGIC: &'static [u8; 4] = b"SSF1";
 
@@ -161,8 +161,8 @@ impl Layout for Rows {
         (self.cfg.f_bits(), self.cfg.m_weight())
     }
 
-    fn row(cfg: &SignatureConfig, set: &[ElementKey]) -> Signature {
-        Signature::for_set(cfg, set)
+    fn row(cfg: &SignatureConfig, set: &[ElementKey]) -> Bitmap {
+        cfg.signature(set)
     }
 
     /// One page write per row: a blind update of the tail page, or a fresh
@@ -171,7 +171,7 @@ impl Layout for Rows {
     fn append(
         &mut self,
         start: u64,
-        rows: impl Iterator<Item = Signature>,
+        rows: impl Iterator<Item = Bitmap>,
         commit: impl FnOnce() -> Result<()>,
     ) -> Result<()> {
         for (pos, sig) in (start..).zip(rows) {
@@ -188,9 +188,9 @@ impl Layout for Rows {
     /// [`RowTest`], and each fetched page's rows are matched **in place**
     /// by [`kernel::match_rows`] — no per-row signature is materialized.
     fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
-        let query_sig = query.signature(&self.cfg);
+        let query_sig = self.cfg.signature(&query.elements);
         let npages = self.sig_file.len()?;
-        let (qw, nbits) = (query_sig.bitmap().words(), self.cfg.f_bits());
+        let (qw, nbits) = (query_sig.words(), self.cfg.f_bits());
         // `T ≬ Q` counts bits, which is not a masked compare.
         let test = match query.predicate {
             SetPredicate::HasSubset | SetPredicate::Contains => Some(RowTest::superset(qw, nbits)),
@@ -254,27 +254,28 @@ impl Ssf {
     /// OID-file append is the commit point: a call that fails before it has
     /// indexed nothing, and what it wrote of the signature file is written
     /// over by the next insert at that position. No set comes with it, so
-    /// [`indexed_elements`](crate::SetAccessFacility::indexed_elements)
+    /// the `Σ|T|` of
+    /// [`signature_profile`](crate::SetAccessFacility::signature_profile)
     /// does not count it.
-    pub fn insert_signature(&mut self, oid: Oid, sig: &Signature) -> Result<u64> {
-        if sig.f_bits() != self.layout.cfg.f_bits() {
+    pub fn insert_signature(&mut self, oid: Oid, sig: &Bitmap) -> Result<u64> {
+        if sig.len() != self.layout.cfg.f_bits() {
             return Err(Error::WidthMismatch {
                 expected: self.layout.cfg.f_bits(),
-                got: sig.f_bits(),
+                got: sig.len(),
             });
         }
         self.append_rows(&[oid], std::iter::once(sig.clone()), 0)
     }
 
     /// Reads the stored signature at `pos` (one page read).
-    pub fn signature_at(&self, pos: u64) -> Result<Signature> {
+    pub fn signature_at(&self, pos: u64) -> Result<Bitmap> {
         if pos >= self.oid_file.len() {
             return Err(Error::NoSuchEntry(pos));
         }
         let rows = &self.layout;
         let (page_no, off) = rows.slot_of(pos);
         let page = rows.sig_file.read(page_no)?;
-        Ok(Signature::from_bytes(
+        Ok(Bitmap::from_bytes(
             rows.cfg.f_bits(),
             page.read_slice(off, rows.sig_bytes),
         ))
@@ -379,10 +380,10 @@ mod tests {
         let (_d, mut ssf) = ssf(256, 4);
         let set = keys(&["x", "y", "z"]);
         let pos = ssf
-            .insert_signature(Oid::new(9), &Signature::for_set(ssf.config(), &set))
+            .insert_signature(Oid::new(9), &ssf.config().signature(&set))
             .unwrap();
         let stored = ssf.signature_at(pos).unwrap();
-        assert_eq!(stored, Signature::for_set(ssf.config(), &set));
+        assert_eq!(stored, ssf.config().signature(&set));
         assert!(ssf.signature_at(pos + 1).is_err());
     }
 
@@ -427,16 +428,30 @@ mod tests {
 
     #[test]
     fn width_mismatch_rejected() {
-        let (_d, mut ssf) = ssf(128, 3);
+        let (disk, mut ssf) = ssf(128, 3);
+        ssf.insert(Oid::new(1), &keys(&["a"])).unwrap();
+        let state = |ssf: &Ssf| {
+            (
+                ssf.indexed_count(),
+                ssf.oid_file().len(),
+                disk.snapshot().writes,
+            )
+        };
+        let before = state(&ssf);
         let other = SignatureConfig::new(64, 3).unwrap();
-        let sig = Signature::for_set(&other, &keys(&["a"]));
+        let sig = other.signature(&keys(&["a"]));
         assert!(matches!(
-            ssf.insert_signature(Oid::new(1), &sig),
+            ssf.insert_signature(Oid::new(2), &sig),
             Err(Error::WidthMismatch {
                 expected: 128,
                 got: 64
             })
         ));
+        // Refused before any write: nothing is indexed, and the position a
+        // row would have taken holds no entry.
+        assert_eq!(state(&ssf), before);
+        let len = ssf.oid_file().len();
+        assert!(matches!(ssf.signature_at(len), Err(Error::NoSuchEntry(p)) if p == len));
     }
 
     #[test]

@@ -47,8 +47,8 @@
 use std::collections::BTreeMap;
 
 use setsig_core::{
-    Bssf, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SetPredicate, SetQuery,
-    Signature, SignatureConfig, Ssf, OIDS_PER_PAGE,
+    Bitmap, Bssf, ElementKey, Fssf, FssfConfig, Oid, OidFile, SetAccessFacility, SetPredicate,
+    SetQuery, SignatureConfig, Ssf, OIDS_PER_PAGE,
 };
 use setsig_costmodel::{
     actual_drops_subset, actual_drops_superset, fd_subset, fd_superset, lc_oid, ln_binomial,
@@ -416,8 +416,8 @@ impl DriftReport {
 /// Pages of slice `j` the writer materialized for the rows `sigs`: up to
 /// the last row page holding a `1` — none for a slice no row set a bit on.
 /// A scan reads only these; what lies past them is zeros, for free.
-fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
-    let last = sigs.iter().rposition(|s| s.bitmap().get(j));
+fn slice_pages(sigs: &[Bitmap], j: u32, rows_per_page: usize) -> u64 {
+    let last = sigs.iter().rposition(|s| s.get(j));
     last.map_or(0, |row| (row / rows_per_page + 1) as u64)
 }
 
@@ -425,16 +425,16 @@ fn slice_pages(sigs: &[Signature], j: u32, rows_per_page: usize) -> u64 {
 /// (`rows_per_page` target signatures), one page per slice — if the slice
 /// reaches that far ([`slice_pages`]) — until no signature of that row page
 /// has every bit so far.
-fn and_scan_pages(sigs: &[Signature], ones: &[u32], rows_per_page: usize) -> u64 {
+fn and_scan_pages(sigs: &[Bitmap], ones: &[u32], rows_per_page: usize) -> u64 {
     let lengths: Vec<u64> = (ones.iter())
         .map(|&j| slice_pages(sigs, j, rows_per_page))
         .collect();
     let mut pages = 0;
     for (p, rows) in sigs.chunks(rows_per_page).enumerate() {
-        let mut alive: Vec<&Signature> = rows.iter().collect();
+        let mut alive: Vec<&Bitmap> = rows.iter().collect();
         for (&j, &length) in ones.iter().zip(&lengths) {
             pages += u64::from((p as u64) < length);
-            alive.retain(|s| s.bitmap().get(j));
+            alive.retain(|s| s.get(j));
             if alive.is_empty() {
                 break;
             }
@@ -452,13 +452,13 @@ fn capped_elements(q: &SetQuery) -> &[ElementKey] {
 /// Predicted BSSF slice pages and filter units of `q` over the target
 /// signatures `sigs`.
 fn bssf_filter(
-    sigs: &[Signature],
+    sigs: &[Bitmap],
     cfg: &SignatureConfig,
     rows_per_page: usize,
     q: &SetQuery,
 ) -> (u64, u64) {
-    let and_pages = |sig: &Signature| {
-        let ones: Vec<u32> = sig.bitmap().iter_ones().collect();
+    let and_pages = |sig: &Bitmap| {
+        let ones: Vec<u32> = sig.iter_ones().collect();
         and_scan_pages(sigs, &ones, rows_per_page)
     };
     // An OR or a count reads every selected slice to its end.
@@ -467,32 +467,25 @@ fn bssf_filter(
             (pages + slice_pages(sigs, j, rows_per_page), n + 1)
         })
     };
-    let sig = q.signature(cfg);
+    let sig = cfg.signature(&q.elements);
     match q.predicate {
         SetPredicate::HasSubset | SetPredicate::Contains => {
-            let reduced = Signature::for_set(cfg, capped_elements(q));
-            (and_pages(&reduced), u64::from(reduced.weight()))
+            let reduced = cfg.signature(capped_elements(q));
+            (and_pages(&reduced), u64::from(reduced.count_ones()))
         }
         // The first `cap` zero-slices, in slice order.
-        SetPredicate::InSubset => whole(
-            &mut sig
-                .bitmap()
-                .iter_zeros()
-                .take(q.cap().unwrap_or(usize::MAX)),
-        ),
+        SetPredicate::InSubset => whole(&mut sig.iter_zeros().take(q.cap().unwrap_or(usize::MAX))),
         SetPredicate::Equals => (
-            and_pages(&sig) + whole(&mut sig.bitmap().iter_zeros()).0,
+            and_pages(&sig) + whole(&mut sig.iter_zeros()).0,
             u64::from(cfg.f_bits()),
         ),
-        SetPredicate::Overlaps => whole(&mut sig.bitmap().iter_ones()),
+        SetPredicate::Overlaps => whole(&mut sig.iter_ones()),
     }
 }
 
 /// The frames a frame-sliced signature has a 1-bit in, ascending.
-fn frames_of(sig: &Signature, cfg: &FssfConfig) -> Vec<u32> {
-    let mut frames: Vec<u32> = (sig.bitmap().iter_ones())
-        .map(|b| b / cfg.frame_bits())
-        .collect();
+fn frames_of(sig: &Bitmap, cfg: &FssfConfig) -> Vec<u32> {
+    let mut frames: Vec<u32> = sig.iter_ones().map(|b| b / cfg.frame_bits()).collect();
     frames.dedup();
     frames
 }
@@ -500,7 +493,7 @@ fn frames_of(sig: &Signature, cfg: &FssfConfig) -> Vec<u32> {
 /// Predicted FSSF frame pages and filter units of `q` over the stored
 /// signatures `sigs` ([`FssfConfig::signature`]): frames are read in
 /// ascending order until no row survives.
-fn fssf_filter(sigs: &[Signature], cfg: &FssfConfig, frame_pages: u64, q: &SetQuery) -> (u64, u64) {
+fn fssf_filter(sigs: &[Bitmap], cfg: &FssfConfig, frame_pages: u64, q: &SetQuery) -> (u64, u64) {
     let want = cfg.signature(&q.elements);
     // `T ⊇ Q` reads the query's frames, `T ⊆ Q` every frame.
     let (superset, frames): (bool, Vec<u32>) = match q.predicate {
@@ -509,7 +502,7 @@ fn fssf_filter(sigs: &[Signature], cfg: &FssfConfig, frame_pages: u64, q: &SetQu
         other => panic!("no FSSF checkpoint for {other}"),
     };
     let s = cfg.frame_bits();
-    let mut alive: Vec<&Signature> = sigs.iter().collect();
+    let mut alive: Vec<&Bitmap> = sigs.iter().collect();
     let mut consumed = 0;
     for &j in &frames {
         consumed += 1;
@@ -521,7 +514,7 @@ fn fssf_filter(sigs: &[Signature], cfg: &FssfConfig, frame_pages: u64, q: &SetQu
             } else {
                 (&want, have)
             };
-            (j * s..(j + 1) * s).all(|i| !b.bitmap().get(i) || a.bitmap().get(i))
+            (j * s..(j + 1) * s).all(|i| !b.get(i) || a.get(i))
         });
         if alive.is_empty() {
             break;
@@ -673,7 +666,7 @@ fn measure_updates(
         // tombstones: a delete scans up to the new entry's page and flags it.
         let pos = n + t;
         let oid_scan = pos / OIDS_PER_PAGE + 1 + 1;
-        let weight = u64::from(Signature::for_set(&cfg, &set).weight());
+        let weight = u64::from(cfg.signature(&set).count_ones());
         let frames = frames_of(&fcfg.signature(&set), &fcfg).len() as u64;
         // A row that starts a frame page extends every frame first.
         let extension = if pos.is_multiple_of(fcfg.rows_per_page()) {
@@ -810,12 +803,9 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         .map(|oid| sim.target_keys(oid))
         .collect();
     let cfg = *bssf.config();
-    let sigs: Vec<Signature> = targets
-        .iter()
-        .map(|t| Signature::for_set(&cfg, t))
-        .collect();
+    let sigs: Vec<Bitmap> = targets.iter().map(|t| cfg.signature(t)).collect();
     let fcfg = *fssf.config();
-    let frame_sigs: Vec<Signature> = targets.iter().map(|t| fcfg.signature(t)).collect();
+    let frame_sigs: Vec<Bitmap> = targets.iter().map(|t| fcfg.signature(t)).collect();
     let mut postings: BTreeMap<ElementKey, Vec<u64>> = BTreeMap::new();
     for (oid, target) in targets.iter().enumerate() {
         for e in target {
@@ -991,7 +981,6 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setsig_core::Bitmap;
     use setsig_costmodel::expected_query_weight;
     use std::sync::OnceLock;
 
@@ -1201,8 +1190,7 @@ mod tests {
 
     #[test]
     fn and_scan_stops_each_row_page_when_its_rows_are_gone() {
-        let sig =
-            |bits: &[u32]| Signature::from_bytes(64, &Bitmap::from_positions(64, bits).to_bytes());
+        let sig = |bits: &[u32]| Bitmap::from_positions(64, bits);
         // Row page 0 holds a row with bits 1 and 2; row page 1 only bit 1.
         let sigs = [sig(&[1, 2, 9]), sig(&[1]), sig(&[1, 3]), sig(&[4])];
         // Page 0 survives all three slices; page 1 dies at the second, which

@@ -222,7 +222,7 @@ mod tests {
         let sim = opts.sim(10);
         let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
         let cfg = setsig_core::SignatureConfig::new(500, 2).unwrap();
-        let weight = setsig_core::Signature::for_set(&cfg, &probe).weight();
+        let weight = cfg.signature(&probe).count_ones();
         for row in [3, 4] {
             assert_eq!(ex.rows[row][7], (weight + 1).to_string());
         }

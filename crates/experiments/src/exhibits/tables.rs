@@ -265,7 +265,7 @@ mod tests {
         let sim = opts.sim(10);
         let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
         let cfg = setsig_core::SignatureConfig::new(250, 2).unwrap();
-        let weight = setsig_core::Signature::for_set(&cfg, &probe).weight();
+        let weight = cfg.signature(&probe).count_ones();
         assert_eq!(t7.rows[1][6], (weight + 1).to_string());
         let sparse: f64 = t7.rows[1][5].parse().unwrap();
         assert!(

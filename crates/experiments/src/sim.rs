@@ -159,7 +159,7 @@ impl SimDb {
         if let Some(stats) = exec.stats {
             let cache = cache_before.zip(facility.cache_stats());
             let name = facility.name().to_lowercase();
-            let (f_bits, m_weight) = facility.signature_geometry().unzip();
+            let (f_bits, m_weight) = facility.signature_profile().map(|(f, m, _)| (f, m)).unzip();
             let smart = query.cap().map_or("", |_| ":smart");
             let ev = QueryTrace {
                 predicate: format!("{:?}{smart}", query.predicate),
@@ -314,7 +314,10 @@ mod tests {
                 ev.slices_touched,
                 sliced(&ev.facility).then_some(stats.slices)
             );
-            assert_eq!(ev.f_bits.zip(ev.m_weight), facility.signature_geometry());
+            assert_eq!(
+                ev.f_bits.zip(ev.m_weight),
+                facility.signature_profile().map(|(f, m, _)| (f, m))
+            );
             assert_eq!(ev.false_drops, run.report.false_drops);
             assert_eq!(ev.candidates, run.actual.len() as u64 + ev.false_drops);
             assert!(

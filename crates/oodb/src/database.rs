@@ -299,7 +299,7 @@ impl Database {
     /// many zero-slices instead of `F − m_q`; SSF and FSSF, which have no
     /// smart strategy, run their plain filter under it. The query is kept
     /// as it is for every other predicate, a query that already carries a
-    /// cap, a facility that reports no geometry or no `Σ|T|` (NIX), and an
+    /// cap, a facility that reports no signature profile (NIX), and an
     /// instance with no `D_q^opt`. The §5.1.3 `T ⊇ Q` cap is not planned:
     /// the AND scan already stops once its rows are clear, about two
     /// elements in, so the cap only adds false drops.
@@ -314,9 +314,7 @@ impl Database {
         let Some(facility) = self.facility(facility_index) else {
             return query;
         };
-        let (Some((f, m)), Some(elements)) =
-            (facility.signature_geometry(), facility.indexed_elements())
-        else {
+        let Some((f, m, elements)) = facility.signature_profile() else {
             return query;
         };
         let n = facility.indexed_count();
@@ -699,7 +697,9 @@ mod tests {
                     exec.drops.len() as u64,
                     "{what}"
                 );
-                assert_eq!(exec.filter_io + exec.resolve_io, exec.io, "{what}");
+                let (filter, resolve) = (exec.filter_io, exec.resolve_io);
+                let sum = (filter.reads + resolve.reads, filter.writes + resolve.writes);
+                assert_eq!(sum, (exec.io.reads, exec.io.writes), "{what}");
                 let via_text = db.run_query(text).unwrap();
                 assert_eq!(
                     (via_text.actual, via_text.io, via_text.stats),

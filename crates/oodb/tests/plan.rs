@@ -94,7 +94,7 @@ fn run_query_caps_a_bssf_subset_scan_below_d_q_opt_and_nothing_else() {
         let planned = db.run_query(&text).unwrap();
         assert_eq!(planned.actual, scan.actual, "{what}");
         let slices = planned.stats.unwrap().slices;
-        let zeros = u64::from(F) - u64::from(query.signature(&cfg()).weight());
+        let zeros = u64::from(F) - u64::from(cfg().signature(&query.elements).count_ones());
         match model.subset_cap(query.d_q() as u32) {
             Some(cap) => {
                 assert_eq!(cap, budget, "{what}");
@@ -165,7 +165,7 @@ fn a_bulk_loaded_or_reopened_bssf_plans_the_same_cap() {
     let reopened = Bssf::open(loaded, meta).unwrap();
 
     for bssf in [batched, reopened] {
-        assert_eq!(bssf.indexed_elements(), Some(N * D_T as u64));
+        assert_eq!(bssf.signature_profile(), Some((F, M, N * D_T as u64)));
         // A database with no objects registers the facility as it is.
         let (mut empty, class) = class_db();
         let fidx = empty

@@ -65,23 +65,6 @@ impl IoDelta {
     }
 }
 
-impl std::ops::Add for IoDelta {
-    type Output = IoDelta;
-    fn add(self, rhs: IoDelta) -> IoDelta {
-        IoDelta {
-            reads: self.reads + rhs.reads,
-            writes: self.writes + rhs.writes,
-        }
-    }
-}
-
-impl std::ops::AddAssign for IoDelta {
-    fn add_assign(&mut self, rhs: IoDelta) {
-        self.reads += rhs.reads;
-        self.writes += rhs.writes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,30 +88,6 @@ mod tests {
             }
         );
         assert_eq!(d.accesses(), 20);
-    }
-
-    #[test]
-    fn delta_addition() {
-        let mut d = IoDelta {
-            reads: 1,
-            writes: 2,
-        };
-        d += IoDelta {
-            reads: 3,
-            writes: 4,
-        };
-        assert_eq!(
-            d,
-            IoDelta {
-                reads: 4,
-                writes: 6
-            }
-        );
-        let e = d + IoDelta {
-            reads: 1,
-            writes: 1,
-        };
-        assert_eq!(e.accesses(), 12);
     }
 
     #[test]

@@ -114,7 +114,6 @@ struct Shard<F> {
 pub struct QueryService<F> {
     shards: Vec<Shard<F>>,
     name: &'static str,
-    geometry: Option<(u32, u32)>,
 }
 
 impl<F: SetAccessFacility> QueryService<F> {
@@ -135,7 +134,7 @@ impl<F: SetAccessFacility> QueryService<F> {
                 "service shards must be >= 1, got 0".to_string(),
             ));
         };
-        let (name, geometry) = (first.name(), first.signature_geometry());
+        let name = first.name();
         Ok(QueryService {
             shards: facilities
                 .into_iter()
@@ -144,7 +143,6 @@ impl<F: SetAccessFacility> QueryService<F> {
                 })
                 .collect(),
             name,
-            geometry,
         })
     }
 
@@ -210,16 +208,6 @@ impl<F: SetAccessFacility> SetAccessFacility for QueryService<F> {
             .sum()
     }
 
-    /// The shards' `Σ|T|` summed, so `Database::plan` prices a sharded
-    /// store as the flat facility it partitions; `None` if any shard keeps
-    /// none.
-    fn indexed_elements(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.facility.read().indexed_elements())
-            .sum()
-    }
-
     fn storage_pages(&self) -> Result<u64> {
         let mut total = 0u64;
         for s in &self.shards {
@@ -239,8 +227,16 @@ impl<F: SetAccessFacility> SetAccessFacility for QueryService<F> {
         acc
     }
 
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        self.geometry
+    /// Shard 0's geometry with the shards' `Σ|T|` summed, so
+    /// `Database::plan` prices a sharded store as the flat facility it
+    /// partitions; `None` if any shard has no profile.
+    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
+        let mut profiles = self
+            .shards
+            .iter()
+            .map(|s| s.facility.read().signature_profile());
+        let first = profiles.next()??;
+        profiles.try_fold(first, |(f, m, sum), p| p.map(|(_, _, e)| (f, m, sum + e)))
     }
 }
 

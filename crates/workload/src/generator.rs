@@ -197,14 +197,6 @@ impl QueryGen {
         );
         subset_of(&mut self.rng, target, d_q as usize)
     }
-
-    /// A `T ⊆ Q` query guaranteed to hit `target` (sorted, distinct): the
-    /// target set plus random padding up to cardinality `d_q`. Panics if
-    /// `d_q < |target|` or `d_q > domain`.
-    pub fn superset_of_target(&mut self, target: &[u64], d_q: u32) -> Vec<u64> {
-        assert!(d_q as usize >= target.len(), "d_q below target cardinality");
-        superset_of(&mut self.rng, self.domain, target, d_q as usize)
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot draw 6 distinct elements from a 5-element domain")]
     fn a_superset_larger_than_the_domain_is_refused() {
-        QueryGen::new(5, 1).superset_of_target(&[1, 3], 6);
+        superset_of(&mut SplitMix64::new(1), 5, &[1, 3], 6);
     }
 
     #[test]
@@ -344,9 +336,8 @@ mod tests {
 
     #[test]
     fn superset_query_contains_its_target() {
-        let mut qg = QueryGen::new(1000, 9);
         let target: Vec<u64> = vec![3, 14, 159];
-        let q = qg.superset_of_target(&target, 20);
+        let q = superset_of(&mut SplitMix64::new(9), 1000, &target, 20);
         assert_eq!(q.len(), 20);
         for e in &target {
             assert!(q.contains(e));

@@ -19,45 +19,39 @@ fn main() {
     // ── 1. Signatures by hand (Figure 1 / Figure 2) ────────────────────
     // Tiny parameters so the bit patterns are printable: F = 16, m = 2.
     let cfg = SignatureConfig::new(16, 2).unwrap();
-    let show = |label: &str, sig: &Signature| {
+    let show = |label: &str, sig: &Bitmap| {
         let bits: String = (0..16)
-            .map(|i| if sig.bitmap().get(i) { '1' } else { '0' })
+            .map(|i| if sig.get(i) { '1' } else { '0' })
             .collect();
         println!("  {label:<32} {bits}");
     };
 
     println!("Element signatures (F = 16, m = 2):");
     for name in ["Baseball", "Fishing", "Football", "Tennis"] {
-        show(name, &Signature::for_element(&cfg, &ElementKey::from(name)));
+        show(name, &cfg.signature([&ElementKey::from(name)]));
     }
 
     let query_set = vec![ElementKey::from("Baseball"), ElementKey::from("Fishing")];
-    let query_sig = Signature::for_set(&cfg, &query_set);
+    let query_sig = cfg.signature(&query_set);
     println!("\nQuery signature for {{Baseball, Fishing}} (T ⊇ Q):");
     show("query", &query_sig);
 
-    let actual = Signature::for_set(
-        &cfg,
-        &[
-            ElementKey::from("Baseball"),
-            ElementKey::from("Golf"),
-            ElementKey::from("Fishing"),
-        ],
-    );
+    let actual = cfg.signature(&[
+        ElementKey::from("Baseball"),
+        ElementKey::from("Golf"),
+        ElementKey::from("Fishing"),
+    ]);
     println!("\nTarget {{Baseball, Golf, Fishing}} — a true superset:");
     show("target", &actual);
-    println!(
-        "  matches: {} (actual drop)",
-        actual.matches_superset_of(&query_sig)
-    );
+    println!("  matches: {} (actual drop)", actual.covers(&query_sig));
 
     // Hunt for a false drop: a set that matches the signature test without
     // containing the query elements. With F = 16 they are easy to find.
     let mut false_drop = None;
     for i in 0..10_000u64 {
         let set = vec![ElementKey::from(i), ElementKey::from(i + 13_000)];
-        let sig = Signature::for_set(&cfg, &set);
-        if sig.matches_superset_of(&query_sig) {
+        let sig = cfg.signature(&set);
+        if sig.covers(&query_sig) {
             false_drop = Some((set, sig));
             break;
         }

@@ -70,8 +70,8 @@ pub use setsig_workload as workload;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use setsig_core::{
-        resolve_drops, Bssf, CandidateSet, DropReport, ElementKey, Fssf, FssfConfig, Oid,
-        ScanStats, SetAccessFacility, SetPredicate, SetQuery, Signature, SignatureConfig, Ssf,
+        resolve_drops, Bitmap, Bssf, CandidateSet, DropReport, ElementKey, Fssf, FssfConfig, Oid,
+        ScanStats, SetAccessFacility, SetPredicate, SetQuery, SignatureConfig, Ssf,
     };
     pub use setsig_costmodel::{BssfModel, FssfModel, NixModel, Params, SsfModel};
     pub use setsig_nix::Nix;

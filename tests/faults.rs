@@ -76,7 +76,7 @@ impl RowFacility for Ssf {
 
 impl RowFacility for Bssf {
     fn own_writes(&self, set: &[ElementKey]) -> u64 {
-        u64::from(Signature::for_set(self.config(), set).weight()) + 1
+        u64::from(self.config().signature(set).count_ones()) + 1
     }
 }
 

@@ -131,16 +131,12 @@ impl<T: SetAccessFacility> SetAccessFacility for Shared<T> {
         self.0.borrow().indexed_count()
     }
 
-    fn indexed_elements(&self) -> Option<u64> {
-        self.0.borrow().indexed_elements()
-    }
-
     fn storage_pages(&self) -> FacilityResult<u64> {
         self.0.borrow().storage_pages()
     }
 
-    fn signature_geometry(&self) -> Option<(u32, u32)> {
-        self.0.borrow().signature_geometry()
+    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
+        self.0.borrow().signature_profile()
     }
 }
 

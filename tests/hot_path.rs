@@ -24,8 +24,8 @@
 //! Loading an object, parsing a query or planning it reads no page, so
 //! those four paths count elements where the others count pages:
 //! `Value::set` and `Database::plan` allocate nothing however large the
-//! set, and `Signature::for_set` and `parse_query` over 1,000 elements what
-//! they do over 10.
+//! set, and the set-signature encoder `SignatureConfig::signature` and
+//! `parse_query` over 1,000 elements what they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate per
@@ -40,7 +40,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
 use counting_alloc::{count, CountingAlloc};
-use setsig::core::{kernel, Bitmap, FssfConfig};
+use setsig::core::{kernel, FssfConfig};
 use setsig::nix::BTree;
 use setsig::oodb::{parse_query, ClassId};
 use setsig::pagestore::{count_reads, Page, PagedFile, PAGE_SIZE};
@@ -158,7 +158,7 @@ fn keys(elements: &[u64]) -> Vec<ElementKey> {
 struct Probes {
     cfg: SignatureConfig,
     /// `T ⊇ Q`, `T ⊆ Q`, `T = Q`, `T ≬ Q`, in that order.
-    queries: [(SetQuery, Signature); 4],
+    queries: [(SetQuery, Bitmap); 4],
     /// Has every bit of the `T ⊇ Q` signature but the highest: a row page
     /// holding this set stays alive to the scan's last slice and yields no
     /// drop.
@@ -171,24 +171,24 @@ struct Probes {
 impl Probes {
     fn new(sim: &SimDb) -> Self {
         let cfg = SignatureConfig::new(F, M).unwrap();
-        let element_signature = |e: u64| Signature::for_set(&cfg, &keys(&[e]));
+        let element_signature = |e: u64| cfg.signature(&keys(&[e]));
         let target = &sim.sets[TARGET];
         let superset = SetQuery::has_subset(keys(&target[..2]));
-        let wanted = superset.signature(&cfg);
-        let last = wanted.bitmap().iter_ones().last().unwrap();
+        let wanted = cfg.signature(&superset.elements);
+        let last = wanted.iter_ones().last().unwrap();
         let mut covered = Bitmap::zeroed(F);
         let near_miss: Vec<u64> = (2_000_000u64..)
-            .filter(|&e| !element_signature(e).bitmap().get(last))
+            .filter(|&e| !element_signature(e).get(last))
             .take_while(|&e| {
-                let short = wanted.weight() - covered.intersection_count(wanted.bitmap());
-                covered.or_assign(element_signature(e).bitmap());
+                let short = wanted.count_ones() - covered.intersection_count(&wanted);
+                covered.or_assign(&element_signature(e));
                 short > 1
             })
             .collect();
         // One absent element sharing that highest bit: `T ≬ Q` asks for all
         // 35 of its bits, and the near-miss rows lack one.
         let absent = (3_000_000u64..)
-            .find(|&e| element_signature(e).bitmap().get(last))
+            .find(|&e| element_signature(e).get(last))
             .unwrap();
         let mut wider = target.clone();
         wider.extend_from_slice(&sim.sets[TARGET + 1][..2]);
@@ -203,7 +203,7 @@ impl Probes {
             cfg,
             frames: frames.collect(),
             queries: queries.map(|q| {
-                let sig = q.signature(&cfg);
+                let sig = cfg.signature(&q.elements);
                 (q, sig)
             }),
             near_miss,
@@ -215,8 +215,8 @@ impl Probes {
     /// query frame. (A row with bits outside the query's frames is no
     /// `T ⊆ Q` drop, and one with bits only there no `T ⊇ Q` drop.)
     fn drops(&self, set: &[u64]) -> bool {
-        let row = Signature::for_set(&self.cfg, &keys(set));
-        let matches = |(q, sig): &(SetQuery, Signature)| q.signature_matches(&self.cfg, &row, sig);
+        let row = self.cfg.signature(&keys(set));
+        let matches = |(q, sig): &(SetQuery, Bitmap)| q.signature_matches(&self.cfg, &row, sig);
         let framed = |e: &ElementKey| self.frames.contains(&fssf().frame_of(e));
         self.queries.iter().any(matches) || keys(set).iter().any(framed)
     }
@@ -501,10 +501,10 @@ fn load(rows: &mut Vec<Row>) {
             budget: 0,
         });
         let set = keys(&(0..n).collect::<Vec<_>>());
-        let (allocations, signature) = count(|| Signature::for_set(&cfg, &set));
+        let (allocations, signature) = count(|| cfg.signature(&set));
         black_box(signature);
         rows.push(Row {
-            path: "core.signature.for_set",
+            path: "core.SignatureConfig::signature",
             shape: format!("{n} elements; budget from 10"),
             work: n,
             allocations,
