@@ -60,33 +60,58 @@ impl NixModel {
         self.params.v.div_ceil(self.leaf_entries_per_page())
     }
 
-    /// Number of non-leaf pages: levels of `⌈·/f⌉` until a single root.
-    pub fn nlp(&self) -> u64 {
+    /// Pages of each non-leaf level, the one above the leaves first, the
+    /// root (one page) last: levels of `⌈·/f⌉` until a single root — one
+    /// root page even above a single leaf.
+    fn non_leaf_levels(&self) -> Vec<u64> {
+        let mut levels = vec![];
         let mut level = self.lp();
-        let mut total = 0;
         while level > 1 {
             level = level.div_ceil(self.fanout);
-            total += level;
+            levels.push(level);
         }
-        total.max(1)
+        if levels.is_empty() {
+            levels.push(1);
+        }
+        levels
+    }
+
+    /// Number of non-leaf pages.
+    pub fn nlp(&self) -> u64 {
+        self.non_leaf_levels().iter().sum()
     }
 
     /// Number of non-leaf levels (the height above the leaves).
     pub fn height(&self) -> u32 {
-        let mut level = self.lp();
-        let mut h = 0;
-        while level > 1 {
-            level = level.div_ceil(self.fanout);
-            h += 1;
-        }
-        h.max(1)
+        self.non_leaf_levels().len() as u32
+    }
+
+    /// Leaf pages one entry spans: 1 unless `il > P`.
+    fn leaf_pages_per_entry(&self) -> f64 {
+        (self.il() / self.params.p as f64).ceil().max(1.0)
     }
 
     /// Per-element look-up cost `rc` = non-leaf levels + leaf page(s)
     /// (paper: `rc = 2 + 1 = 3` for both `D_t` values).
     pub fn rc_lookup(&self) -> f64 {
-        let leaf_pages_per_entry = (self.il() / self.params.p as f64).ceil().max(1.0);
-        self.height() as f64 + leaf_pages_per_entry
+        self.height() as f64 + self.leaf_pages_per_entry()
+    }
+
+    /// Pages `k` look-ups of distinct, uniformly drawn keys read when one
+    /// sorted descent serves them all and reads each page once: on every
+    /// level of `b` pages, the `b·(1 − (1 − 1/b)^k)` distinct pages `k`
+    /// uniform picks hit (Cardenas's closed form of Yao's block-access
+    /// estimate), summed over the root, the other non-leaf levels and the
+    /// `lp` leaves. One key costs [`rc_lookup`](NixModel::rc_lookup); `k`
+    /// keys never more than `rc·k`, nor more pages than the index holds.
+    /// The paper prices each look-up alone (`rc·D_q`).
+    pub fn rc_lookup_many(&self, k: u32) -> f64 {
+        let touched = |b: u64| {
+            let b = b as f64;
+            b * (1.0 - (1.0 - 1.0 / b).powf(f64::from(k)))
+        };
+        let non_leaf: f64 = self.non_leaf_levels().into_iter().map(touched).sum();
+        non_leaf + self.leaf_pages_per_entry() * touched(self.lp())
     }
 
     /// Retrieval cost for `T ⊇ Q` (§4.3): `RC = rc·D_q + P_s·A` — the
@@ -108,16 +133,18 @@ impl NixModel {
         self.rc_lookup() * d_q as f64 + self.params.p_p * fail + self.params.p_s * a
     }
 
-    /// Retrieval cost for `T ⊆ Q` when each posting carries `|T|` (the
-    /// engine's NIX): the same `D_q` look-ups and union, but an object is a
-    /// candidate only when the union meets it `|T|` times, so only the `A`
-    /// answers are fetched: `RC = rc·D_q + P_s·A`. [`rc_subset`] is the
-    /// paper's form.
+    /// Retrieval cost for `T ⊆ Q` as the engine's NIX runs it: each posting
+    /// carries `|T|`, so an object is a candidate only when the union meets
+    /// it `|T|` times and only the `A` answers are fetched; and the `D_q`
+    /// look-ups share one sorted descent, which reads each page once:
+    /// `RC = rc_many(D_q) + P_s·A` ([`rc_lookup_many`]). [`rc_subset`] is
+    /// the paper's form.
     ///
+    /// [`rc_lookup_many`]: NixModel::rc_lookup_many
     /// [`rc_subset`]: NixModel::rc_subset
     pub fn rc_subset_counting(&self, d_q: u32) -> f64 {
         let a = actual_drops_subset(&self.params, self.d_t, d_q);
-        self.rc_lookup() * d_q as f64 + self.params.p_s * a
+        self.rc_lookup_many(d_q) + self.params.p_s * a
     }
 
     /// The §5.1.3 smart strategy for `T ⊇ Q`: for `D_q > j_cap`, look up
@@ -218,18 +245,58 @@ mod tests {
     }
 
     #[test]
-    fn counting_subset_cost_is_the_lookups_plus_the_answers() {
+    fn counting_subset_cost_is_the_shared_descent_plus_the_answers() {
         let m = NixModel::new(Params::paper(), 10);
-        // A ≈ 10^-18 at D_q = 100: the look-ups are the whole cost.
-        assert!((m.rc_subset_counting(100) - 300.0).abs() < 1e-6);
+        // A ≈ 10^-18 at D_q = 100: the descent is the whole cost — the root,
+        // all 4 pages of the level below it (`1 − (3/4)^100 ≈ 1`) and 93 of
+        // the 685 leaves, where the paper's separate look-ups read 300.
+        let descent = m.rc_lookup_many(100);
+        assert!((m.rc_subset_counting(100) - descent).abs() < 1e-6);
+        let leaves = 685.0 * (1.0 - (684.0f64 / 685.0).powi(100));
+        assert!((descent - (1.0 + 4.0 + leaves)).abs() < 1e-9, "{descent}");
+        assert!((descent - 98.1).abs() < 0.05, "{descent}");
         for d_q in [10, 100, 1000, 5000] {
-            let fetched = m.rc_subset(d_q) - m.rc_subset_counting(d_q);
+            let saved = m.rc_lookup() * f64::from(d_q) - m.rc_lookup_many(d_q);
+            let fetched = m.rc_subset(d_q) - m.rc_subset_counting(d_q) - saved;
             let fails = m.params.p_p * expected_subset_union_accesses(&m.params, 10, d_q);
             assert!(
                 (fetched - fails).abs() < 1e-6 * fails.max(1.0),
                 "D_q = {d_q}"
             );
         }
+    }
+
+    #[test]
+    fn a_shared_descent_costs_rc_for_one_key_and_never_more_than_the_index() {
+        let p = Params::paper();
+        for d_t in [10, 100] {
+            let m = NixModel::new(p, d_t);
+            assert_eq!(m.rc_lookup_many(0), 0.0);
+            assert!(
+                (m.rc_lookup_many(1) - m.rc_lookup()).abs() < 1e-9,
+                "D_t = {d_t}"
+            );
+            let mut last = 0.0;
+            for k in [1, 2, 5, 10, 50, 100, 1_000, 13_000, 100_000] {
+                let pages = m.rc_lookup_many(k);
+                assert!(pages > last, "D_t = {d_t}: monotone in k, k = {k}");
+                assert!(
+                    pages <= m.rc_lookup() * f64::from(k) + 1e-9,
+                    "≤ rc·k at k = {k}"
+                );
+                assert!(
+                    pages <= m.sc() as f64 + 1e-9,
+                    "≤ the index's pages at k = {k}"
+                );
+                last = pages;
+            }
+            // Past a few keys per leaf, nearly every page is read once.
+            assert!(m.sc() as f64 - last < 1.0, "D_t = {d_t}: {last}");
+        }
+        // A single leaf still has a root above it.
+        let tiny = NixModel::new(Params::scaled(10, 10), 10);
+        assert_eq!((tiny.lp(), tiny.nlp(), tiny.height()), (1, 1, 1));
+        assert!((tiny.rc_lookup_many(5) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! [`Ssf::signature_pages`](setsig_core::Ssf::signature_pages); BSSF slices
 //! by `and_scan_pages` / the first `min(cap, F − weight)` zero-slices,
 //! each as long as its last `1` makes it (`slice_pages`); FSSF
-//! frames consumed × pages per frame; per NIX probe [`BTree::rc_lookup`] +
-//! [`BTree::chain_links`]; each plus [`OidFile::pages_touched`] over the
-//! drops (`LC_OID`). Object pages must equal `P_s·actual + P_p·false` drops,
-//! and the facility's pages per filter unit the closed form's.
+//! frames consumed × pages per frame; per NIX descent the distinct pages on
+//! its keys' paths ([`BTree::path`], read off the tree outside the measured
+//! call) + each key's [`BTree::chain_links`] — one descent per query, over
+//! every key for the `⊆` / `≬` union, up to the list that empties the
+//! intersection for `⊇`; each plus
+//! [`OidFile::pages_touched`] over the drops (`LC_OID`). Object pages must
+//! equal `P_s·actual + P_p·false` drops, and the facility's pages per filter
+//! unit the closed form's.
 //!
 //! **Storage is held the same way.** Once per run, before the updates, each
 //! signature file's `storage_pages()` (Table 6's `SC`) must equal the files
@@ -523,28 +527,52 @@ fn fssf_filter(sigs: &[Bitmap], cfg: &FssfConfig, frame_pages: u64, q: &SetQuery
     (consumed * frame_pages, frames.len() as u64)
 }
 
-/// Predicted NIX probe pages and filter units of `q` over the ground-truth
-/// posting lists (ascending OIDs per element).
-fn nix_filter(postings: &BTreeMap<ElementKey, Vec<u64>>, rc: u64, q: &SetQuery) -> (u64, u64) {
+/// `elements` in the order a B-tree descent reads them: by key digest, one
+/// element per digest.
+fn by_digest<'a>(elements: impl IntoIterator<Item = &'a ElementKey>) -> Vec<&'a ElementKey> {
+    let mut keys: Vec<&ElementKey> = elements.into_iter().collect();
+    keys.sort_by_key(|e| e.digest8());
+    keys.dedup_by_key(|e| e.digest8());
+    keys
+}
+
+/// Predicted NIX filter pages and filter units (probes) of `q`, from the
+/// tree's shape and the ground-truth posting lists (ascending OIDs per
+/// element). A query is one descent over its keys in digest order, which
+/// reads the distinct pages on their paths and each one's chain links: `⊆`
+/// and `≬` over all their keys, `⊇` (and `=`) over its probed ones up to
+/// the first list that empties the intersection.
+fn nix_filter(postings: &BTreeMap<ElementKey, Vec<u64>>, tree: &BTree, q: &SetQuery) -> (u64, u64) {
     let none = Vec::new();
     let list = |e: &ElementKey| postings.get(e).unwrap_or(&none);
-    let probe = |e: &ElementKey| rc + BTree::chain_links(list(e).len() as u64);
+    let descent = |keys: &[&ElementKey]| {
+        let mut pages: Vec<u32> = (keys.iter())
+            .flat_map(|e| tree.path(e.digest8()).expect("B-tree path"))
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let links: u64 = (keys.iter())
+            .map(|e| BTree::chain_links(list(e).len() as u64))
+            .sum();
+        pages.len() as u64 + links
+    };
     match q.predicate {
         SetPredicate::HasSubset | SetPredicate::Contains | SetPredicate::Equals => {
             let probed = capped_elements(q);
-            let mut alive = probed.first().map(|e| list(e).clone()).unwrap_or_default();
-            let mut pages = 0;
-            for e in probed {
-                pages += probe(e);
-                alive.retain(|o| list(e).binary_search(o).is_ok());
-                if alive.is_empty() {
-                    break;
-                }
-            }
-            (pages, probed.len() as u64)
+            let keys = by_digest(probed);
+            let mut alive: Option<Vec<u64>> = None;
+            let read = keys
+                .iter()
+                .position(|e| {
+                    let objects = alive.get_or_insert_with(|| list(e).clone());
+                    objects.retain(|o| list(e).binary_search(o).is_ok());
+                    objects.is_empty()
+                })
+                .map_or(keys.len(), |i| i + 1);
+            (descent(&keys[..read]), probed.len() as u64)
         }
         SetPredicate::InSubset | SetPredicate::Overlaps => {
-            (q.elements.iter().map(probe).sum(), q.elements.len() as u64)
+            (descent(&by_digest(&q.elements)), q.elements.len() as u64)
         }
     }
 }
@@ -824,7 +852,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let ssf_predict = |_: &SetQuery| (sig_pages, 1);
     let bssf_predict = |q: &SetQuery| bssf_filter(&sigs, &cfg, rows_per_page, q);
     let fssf_predict = |q: &SetQuery| fssf_filter(&frame_sigs, &fcfg, frame_pages, q);
-    let nix_predict = |q: &SetQuery| nix_filter(&postings, rc, q);
+    let nix_predict = |q: &SetQuery| nix_filter(&postings, nix.tree(), q);
 
     let via_ssf = |q: &SetQuery| sim.measure_facility(&ssf, q);
     let via_bssf = |q: &SetQuery| sim.measure_facility(&bssf, q);
@@ -895,7 +923,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let a_equal = p.n as f64 * (-ln_binomial(p.v, u64::from(d_t))).exp();
 
     #[rustfmt::skip]
-    let table: [Checkpoint; 19] = [
+    let table: [Checkpoint; 20] = [
         ("fig5", "ssf ⊇", 1, 101, &superset, &ssf_subject, one, fd_sup(1), a_sup(1)),
         ("fig8", "ssf ⊆", d_sub, 850, &subset, &ssf_subject, one, fd_sub(d_sub), a_sub(d_sub)),
         ("fig5", "bssf ⊇", 1, 101, &superset, &flat, m_s(1), fd_sup(1), a_sup(1)),
@@ -914,8 +942,10 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
         ("extorgs", "fssf ⊆", d_sub, 850, &subset, &fssf_subject, probes(fk), fd_subset(ff, fm, d_t, d_sub), a_sub(d_sub)),
         ("fig5", "nix ⊇", 1, 101, &superset, &index, probes(1), 0.0, a_sup(1)),
         ("fig5", "nix ⊇", 3, 103, &superset, &index, probes(3), 0.0, a_sup(3)),
+        ("fig5", "nix ⊇", 5, 105, &superset, &index, probes(5), 0.0, a_sup(5)),
         ("fig6", "nix ⊇ smart", 3, 103, &smart_superset, &index, probes(sup_cap), nix_fd(smart_nix_fails, a_sup(3)), a_sup(3)),
-        // Counting: the union fetches only the objects it meets |T| times.
+        // Counting: the union fetches only the objects it meets |T| times,
+        // its look-ups one descent.
         ("fig8", "nix ⊆", d_sub, 850, &subset, &index, probes(d_sub), 0.0, a_sub(d_sub)),
         ("extops", "nix ∋", 1, 201, &member, &index, probes(1), 0.0, a_sup(1)),
     ];
@@ -1001,7 +1031,7 @@ mod tests {
     #[test]
     fn every_checkpoint_conforms_on_every_trial_at_ci_scale() {
         let report = report();
-        assert_eq!(report.points.len(), 30);
+        assert_eq!(report.points.len(), 31);
         for p in &report.points {
             assert!(
                 p.ok(),
@@ -1014,7 +1044,7 @@ mod tests {
             assert_eq!(p.exact_trials(), p.trials.len());
         }
         // Two per query and update checkpoint, one per storage checkpoint.
-        assert_eq!(report.trial_count(), 57);
+        assert_eq!(report.trial_count(), 59);
     }
 
     /// The gate has no page of tolerance: one page more or less on any
@@ -1134,7 +1164,14 @@ mod tests {
             ),
             ("nix ⊇", 3, nix.rc_superset(3)),
             ("nix ⊇ smart", 3, nix.rc_superset_smart(3, 2)),
-            ("nix ⊆", d_sub, nix.rc_subset_counting(d_sub)),
+            // Drift prices every NIX probe at `rc`, as §4.3 does: the
+            // counting cost with its shared descent priced per look-up.
+            (
+                "nix ⊆",
+                d_sub,
+                nix.rc_subset_counting(d_sub) - nix.rc_lookup_many(d_sub)
+                    + nix.rc_lookup() * f64::from(d_sub),
+            ),
             // Table 6. BSSF's slice units are those the instance's distinct
             // elements set, `F` only once they set every slice.
             ("ssf sc", 10, SsfModel::new(p, 500, 2, 10).sc() as f64),

@@ -7,7 +7,7 @@ use super::Options;
 use crate::report::Exhibit;
 
 /// What the `NIX counting` column is, beside the paper's `NIX`.
-const NIX_COUNTING: &str = "NIX = the paper's §4.3 union, which fetches every object sharing an element with Q; NIX counting = rc·D_q + P_s·A, the engine's retrieval (each posting carries |T|, so an object is a candidate only when the union meets it |T| times) — the measured NIX column is the counting one";
+const NIX_COUNTING: &str = "NIX = the paper's §4.3 union, which fetches every object sharing an element with Q; NIX counting = rc_lookup_many(D_q) + P_s·A, the engine's retrieval (each posting carries |T|, so an object is a candidate only when the union meets it |T| times; and the D_q look-ups share one sorted descent that reads each B-tree page once, b·(1 − (1 − 1/b)^D_q) of each level's b pages by Cardenas's estimate, where the paper prices rc·D_q) — the measured NIX column is the counting one";
 
 /// Figure 8: overall `T ⊆ Q` retrieval cost, `D_t = 10`, `F = 500`,
 /// `m = 2`, `D_q = 10…1000`: SSF vs BSSF vs NIX.

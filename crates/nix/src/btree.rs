@@ -126,9 +126,9 @@ impl BTree {
 
     /// Walks from the root to the leaf responsible for `key`, handing each
     /// internal page number on the way to `on_internal` (split propagation
-    /// keeps them as its path; a look-up keeps nothing), and returns the leaf
-    /// page number and the leaf page itself (so callers don't pay a second
-    /// read).
+    /// and [`path`](BTree::path) keep them; a remove keeps nothing), and
+    /// returns the leaf page number and the leaf page itself (so callers
+    /// don't pay a second read).
     fn descend(&self, key: u64, mut on_internal: impl FnMut(u32)) -> Result<(u32, Page)> {
         let mut page_no = self.root;
         loop {
@@ -315,29 +315,110 @@ impl BTree {
         Ok(head)
     }
 
-    /// The posting list of `key` (empty when absent): [`lookup_into`]
-    /// a fresh `Vec`.
+    /// The posting list of `key` (empty when absent): [`lookup_many`] of
+    /// one key, allocating the list once. Costs `height + 1 (+ chain
+    /// length)` page reads — the paper's `rc`.
     ///
-    /// [`lookup_into`]: BTree::lookup_into
+    /// [`lookup_many`]: BTree::lookup_many
     pub fn lookup(&self, key: u64) -> Result<Vec<u64>> {
         let mut oids = Vec::new();
-        self.lookup_into(key, &mut oids)?;
+        self.lookup_many(&[key], &mut oids, |_, _| true)?;
         Ok(oids)
     }
 
-    /// Appends the posting list of `key` to `out` (nothing when absent),
-    /// growing it at most once. Costs `height + 1 (+ chain length)` page
-    /// reads — the paper's `rc`.
-    pub fn lookup_into(&self, key: u64, out: &mut Vec<u64>) -> Result<()> {
-        let (_, page) = self.descend(key, |_| {})?;
-        let Ok(slot) = Leaf::search(&page, key) else {
-            return Ok(());
-        };
-        let Some((head, total)) = Leaf::read_postings(&page, slot, out) else {
-            return Ok(());
-        };
-        out.reserve(total as usize);
-        self.read_chain(head, out)
+    /// Looks up `keys` — ascending, distinct — in one descent from the
+    /// root: each internal node splits the keys left by its separators and
+    /// hands each child its share, so every node, leaf and overflow chain
+    /// on the keys' paths is read once, however many keys share it. For
+    /// each key in turn, appends its posting list to `out` (nothing when
+    /// absent) and calls `visit(key, out)`, which may consume what `out`
+    /// holds; the first `visit` that returns `false` ends the descent, and
+    /// no page after it is read. Costs `|⋃ path(key)|` plus the chain
+    /// links of the keys visited ([`path`](BTree::path)).
+    pub fn lookup_many(
+        &self,
+        keys: &[u64],
+        out: &mut Vec<u64>,
+        mut visit: impl FnMut(u64, &mut Vec<u64>) -> bool,
+    ) -> Result<()> {
+        if keys.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(Error::BadQuery(
+                "B-tree look-up keys must be ascending and distinct".into(),
+            ));
+        }
+        if !keys.is_empty() {
+            self.lookup_node(self.root, keys, out, &mut visit)?;
+        }
+        Ok(())
+    }
+
+    /// [`lookup_many`](BTree::lookup_many) of the keys under `page_no`,
+    /// `keys` non-empty. Returns whether `visit` asked to go on. Each share
+    /// of the keys but a node's last is looked up by a recursive call; the
+    /// last continues this loop, so one key descends as a plain loop.
+    fn lookup_node(
+        &self,
+        mut page_no: u32,
+        mut keys: &[u64],
+        out: &mut Vec<u64>,
+        visit: &mut dyn FnMut(u64, &mut Vec<u64>) -> bool,
+    ) -> Result<bool> {
+        loop {
+            let page = self.file.read(page_no)?;
+            match page_type(&page) {
+                TYPE_LEAF => {
+                    for &key in keys {
+                        let chain = Leaf::search(&page, key)
+                            .ok()
+                            .and_then(|slot| Leaf::read_postings(&page, slot, out));
+                        if let Some((head, total)) = chain {
+                            out.reserve(total as usize);
+                            self.read_chain(head, out)?;
+                        }
+                        if !visit(key, out) {
+                            return Ok(false);
+                        }
+                    }
+                    return Ok(true);
+                }
+                TYPE_INTERNAL => loop {
+                    // The child holds `[key(child − 1), key(child))`; the
+                    // first key is in it, so its share is never empty.
+                    let child = Internal::child_for(&page, keys[0]);
+                    let share = if child < Internal::count(&page) {
+                        let upper = Internal::key(&page, child);
+                        keys.partition_point(|&k| k < upper)
+                    } else {
+                        keys.len()
+                    };
+                    if share == keys.len() {
+                        page_no = Internal::child(&page, child);
+                        break;
+                    }
+                    let (here, later) = keys.split_at(share);
+                    if !self.lookup_node(Internal::child(&page, child), here, out, visit)? {
+                        return Ok(false);
+                    }
+                    keys = later;
+                },
+                other => {
+                    return Err(Error::BadConfig(format!(
+                        "page {page_no} has unexpected type {other} on descent"
+                    )))
+                }
+            }
+        }
+    }
+
+    /// The pages a look-up of `key` descends through, root first, leaf
+    /// last — `height + 1` of them, its overflow chain not included. The
+    /// pages [`lookup_many`](BTree::lookup_many) reads for a key set are
+    /// the distinct pages on their paths, plus their chains.
+    pub fn path(&self, key: u64) -> Result<Vec<u32>> {
+        let mut path = Vec::with_capacity(self.height as usize + 1);
+        let (leaf, _) = self.descend(key, |node| path.push(node))?;
+        path.push(leaf);
+        Ok(path)
     }
 
     /// Appends the OIDs of the overflow chain starting at `link` to `out`.
@@ -718,6 +799,72 @@ mod tests {
         let (_, pages) = count_reads(|| t.lookup(2500).unwrap());
         assert_eq!(disk.snapshot().reads as u32, t.rc_lookup());
         assert_eq!(pages as u32, t.rc_lookup(), "the tally counts its reads");
+    }
+
+    /// The distinct pages on the paths of `keys`.
+    fn path_union(t: &BTree, keys: &[u64]) -> u64 {
+        let mut pages: Vec<u32> = keys.iter().flat_map(|&k| t.path(k).unwrap()).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages.len() as u64
+    }
+
+    #[test]
+    fn lookup_many_reads_each_page_on_the_keys_paths_once() {
+        let (disk, mut t) = tree();
+        for k in 0..30_000u64 {
+            t.insert(k * 3, k).unwrap();
+        }
+        let chained = 2_400;
+        let n = (MAX_INLINE_OIDS + 700) as u64;
+        (0..n).for_each(|oid| t.insert(chained, 100_000 + oid).unwrap());
+        // Keys split at the root and again below it.
+        assert_eq!(t.height(), 2);
+        let links = BTree::chain_links(n + 1);
+        // Present keys, absent ones (not multiples of 3) and the chained one.
+        let mut keys: Vec<u64> = (0..60).map(|i| i * 1_550).chain([chained]).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut one_by_one = Vec::new();
+        for &k in &keys {
+            one_by_one.extend(t.lookup(k).unwrap());
+        }
+
+        let (mut got, mut visited) = (Vec::new(), Vec::new());
+        let ((), (reads, _)) = io_of(&disk, || {
+            let visit = |k, _: &mut Vec<u64>| {
+                visited.push(k);
+                true
+            };
+            t.lookup_many(&keys, &mut got, visit).unwrap();
+        });
+        assert_eq!((got, &visited), (one_by_one, &keys));
+        assert_eq!(reads, path_union(&t, &keys) + links);
+        assert!(reads < keys.len() as u64 * u64::from(t.rc_lookup()));
+
+        // A visit that says stop ends the descent at its key: the pages read
+        // are those on the paths up to it, the chain only once reached.
+        for stop in [0, 9, 30, keys.len() - 1] {
+            let mut seen = 0;
+            let ((), (reads, _)) = io_of(&disk, || {
+                let visit = |_, out: &mut Vec<u64>| {
+                    out.clear();
+                    seen += 1;
+                    seen <= stop
+                };
+                t.lookup_many(&keys, &mut Vec::new(), visit).unwrap();
+            });
+            let upto = &keys[..=stop];
+            let chain = if upto.contains(&chained) { links } else { 0 };
+            assert_eq!(reads, path_union(&t, upto) + chain, "stop after {stop}");
+        }
+
+        // Keys out of order, or repeated, are refused before any read.
+        for bad in [[6, 3], [3, 3]] {
+            let (refused, (reads, _)) =
+                io_of(&disk, || t.lookup_many(&bad, &mut Vec::new(), |_, _| true));
+            assert!(matches!(refused, Err(Error::BadQuery(_))) && reads == 0);
+        }
     }
 
     #[test]

@@ -73,19 +73,30 @@ impl Nix {
         &self.tree
     }
 
-    /// Appends to `out` the posting words of the element digest `key` —
-    /// never those of empty sets, should the element share their key.
-    fn postings_into(&self, key: u64, out: &mut Vec<u64>) -> Result<()> {
-        let from = out.len();
-        self.tree.lookup_into(key, out)?;
-        if key == EMPTY_SET_KEY && self.empties > 0 {
-            let mut at = 0;
-            out.retain(|&word| {
-                at += 1;
-                at <= from || card_of(word) != 0
-            });
-        }
-        Ok(())
+    /// Looks up the element digests `keys` — ascending, distinct — in one
+    /// descent ([`BTree::lookup_many`]): appends each one's posting words to
+    /// `out` — never those of empty sets, should an element share their key
+    /// — and then calls `visit(out)`, which may consume them; the first
+    /// `false` ends the descent.
+    fn postings(
+        &self,
+        keys: &[u64],
+        out: &mut Vec<u64>,
+        mut visit: impl FnMut(&mut Vec<u64>) -> bool,
+    ) -> Result<()> {
+        let mut from = out.len();
+        self.tree.lookup_many(keys, out, |key, out| {
+            if key == EMPTY_SET_KEY && self.empties > 0 {
+                let mut at = 0;
+                out.retain(|&word| {
+                    at += 1;
+                    at <= from || card_of(word) != 0
+                });
+            }
+            let go_on = visit(out);
+            from = out.len();
+            go_on
+        })
     }
 
     /// Appends the objects whose set is empty to `oids`. Probes nothing
@@ -104,36 +115,27 @@ impl Nix {
     /// listed under every query element satisfies the predicate by
     /// definition.
     ///
+    /// The probed elements' distinct digests are read in one sorted descent,
+    /// which ends at the first list that leaves the intersection empty.
+    ///
     /// Under a smart cap (§5.1.3) only the first `cap` elements' posting
     /// lists are intersected; the rest are verified at drop resolution, so
     /// a truncated answer is *not* exact.
     fn intersection(&self, query: &SetQuery) -> Result<(Vec<u64>, bool)> {
         let d_q = query.elements.len();
-        let take = d_q.min(query.cap().unwrap_or(d_q));
-        // Posting lists come in insertion order; each is put in ascending
-        // order once, then every intersection is a two-pointer pass. An
-        // object's word is the same in every list, so words intersect as
-        // OIDs do.
-        let mut acc: Option<Vec<u64>> = None;
-        for e in &query.elements[..take] {
-            let mut list = Vec::new();
-            self.postings_into(e.digest8(), &mut list)?;
-            sorted::sort_dedup(&mut list);
-            let met = match &acc {
-                None => list,
-                Some(prev) => sorted::intersect(prev, &list),
-            };
-            if acc.insert(met).is_empty() {
-                break;
-            }
-        }
-        Ok((acc.unwrap_or_default(), take == d_q))
+        let probed = &query.elements[..d_q.min(query.cap().unwrap_or(d_q))];
+        let mut acc = None;
+        self.postings(&digests(probed), &mut Vec::new(), |list| {
+            meet(&mut acc, list)
+        })?;
+        Ok((acc.unwrap_or_default(), probed.len() == d_q))
     }
 
     /// The §4.3 union, counted: pools the posting words of the query's
-    /// distinct digests, in which an object's word recurs once per list
-    /// holding it — `|T ∩ Q|` times — and hands each word to `reached` once,
-    /// when its count reaches `at(word)` ([`tally`]).
+    /// distinct digests, read in one sorted descent that reads each B-tree
+    /// page once however many digests share it. An object's word recurs
+    /// once per list holding it — `|T ∩ Q|` times —; each word goes to
+    /// `reached` once, when its count reaches `at(word)` ([`tally`]).
     fn union(
         &self,
         query: &SetQuery,
@@ -141,9 +143,7 @@ impl Nix {
         reached: impl FnMut(u64),
     ) -> Result<()> {
         let mut pooled = Vec::new();
-        for digest in query_digests(query) {
-            self.postings_into(digest, &mut pooled)?;
-        }
+        self.postings(&digests(&query.elements), &mut pooled, |_| true)?;
         tally(&pooled, at, reached);
         Ok(())
     }
@@ -171,7 +171,7 @@ impl Nix {
             return Ok(CandidateSet::new(oids, true));
         }
         let (words, _) = self.intersection(query)?;
-        let card = (query_digests(query).len() as u64).min(SATURATED);
+        let card = (digests(&query.elements).len() as u64).min(SATURATED);
         let kept = words.into_iter().filter(|&w| card_of(w) == card);
         Ok(CandidateSet {
             oids: kept.map(oid_of).collect(),
@@ -228,9 +228,24 @@ impl Nix {
     }
 }
 
-/// The distinct key digests of `query`, ascending.
-fn query_digests(query: &SetQuery) -> Vec<u64> {
-    let mut digests: Vec<u64> = query.elements.iter().map(ElementKey::digest8).collect();
+/// Intersects `acc` with the posting words in `list` — the first list
+/// seeds it — and empties `list`. Returns whether any object is left.
+/// Posting lists come in insertion order; each is put in ascending order
+/// once, then every intersection is a two-pointer pass. An object's word is
+/// the same in every list, so words intersect as OIDs do.
+fn meet(acc: &mut Option<Vec<u64>>, list: &mut Vec<u64>) -> bool {
+    sorted::sort_dedup(list);
+    let met = match acc {
+        None => std::mem::take(list),
+        Some(prev) => sorted::intersect(prev, list),
+    };
+    list.clear();
+    !acc.insert(met).is_empty()
+}
+
+/// The distinct key digests of `elements`, ascending.
+fn digests(elements: &[ElementKey]) -> Vec<u64> {
+    let mut digests: Vec<u64> = elements.iter().map(ElementKey::digest8).collect();
     sorted::sort_dedup(&mut digests);
     digests
 }
@@ -590,7 +605,6 @@ mod tests {
     fn a_query_whose_every_list_is_empty_answers_nothing_exactly() {
         let (_d, mut n) = nix();
         n.insert(Oid::new(1), &keys(&["a"])).unwrap();
-        let rc = u64::from(n.tree().rc_lookup());
         let absent = keys(&["x", "y", "z"]);
         for q in [
             SetQuery::in_subset(absent.clone()),
@@ -598,7 +612,8 @@ mod tests {
         ] {
             let (c, stats) = n.candidates_with_stats(&q).unwrap();
             assert!(c.is_empty() && c.exact, "{}", q.predicate);
-            assert_eq!(stats.unwrap().pages, 3 * rc, "every list is still probed");
+            // The one descent still reaches the leaf of every list.
+            assert_eq!(stats.unwrap().pages, path_union(&n, &digests(&q.elements)));
         }
         let mut reached = 0;
         tally(&[], |_| 1, |_| reached += 1);
@@ -663,9 +678,9 @@ mod tests {
         let c = n.candidates(&q.clone().with_cap(2).unwrap()).unwrap();
         assert!(c.oids.contains(&Oid::new(11)));
         assert!(!c.exact, "truncated strategy must flag for verification");
-        // 2 look-ups × rc reads.
+        // The pages on the first two elements' paths.
         let reads = disk.snapshot().reads;
-        assert_eq!(reads as u32, 2 * n.tree().rc_lookup());
+        assert_eq!(reads, path_union(&n, &digests(&q.elements[..2])));
         // Un-truncated (cap ≥ D_q) is the plain query: same answer, exact.
         let plain = n.candidates_with_stats(&q).unwrap();
         assert!(plain.0.exact);
@@ -763,19 +778,70 @@ mod tests {
         ]
     }
 
+    /// The distinct B-tree pages on the paths of `digests`.
+    fn path_union(n: &Nix, digests: &[u64]) -> u64 {
+        let mut pages: Vec<u32> = (digests.iter())
+            .flat_map(|&digest| n.tree().path(digest).unwrap())
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages.len() as u64
+    }
+
+    /// Pages each of [`thousand_triples`]' queries reads: `⊇` and `⊆` the
+    /// pages on their three paths once each — fewer than §4.3's `rc·D_q` —,
+    /// smart-`⊇` those on its first two.
+    fn triple_pages(n: &Nix, queries: &[SetQuery; 3]) -> [u64; 3] {
+        let rc = u64::from(n.tree().rc_lookup());
+        let union = path_union(n, &digests(&queries[1].elements));
+        assert!(
+            n.tree().height() >= 1 && union < 3 * rc,
+            "the root is shared"
+        );
+        let first_two = path_union(n, &digests(&queries[2].elements[..2]));
+        [union, union, first_two]
+    }
+
     #[test]
-    fn lookup_cost_matches_rc_times_d_q() {
+    fn lookup_cost_is_the_pages_on_the_probed_paths() {
         let (disk, mut n) = nix();
         let queries = thousand_triples(&mut n);
-        let rc = n.tree().rc_lookup() as u64;
-        // ⊇ and ⊆ probe all three elements, smart-⊇ the first two; the
-        // pages the call reports are exactly its disk reads.
-        for (q, probes) in queries.iter().zip([3, 3, 2]) {
+        // The pages the call reports are exactly its disk reads.
+        for (q, pages) in queries.iter().zip(triple_pages(&n, &queries)) {
             disk.reset_stats();
             let (_, stats) = n.candidates_with_stats(q).unwrap();
-            assert_eq!(disk.snapshot().reads, probes * rc, "rc·D_q of §4.3");
-            assert_eq!(stats.unwrap().pages, probes * rc);
+            assert_eq!(disk.snapshot().reads, pages, "{}", q.predicate);
+            assert_eq!(stats.unwrap().pages, pages);
         }
+    }
+
+    #[test]
+    fn a_superset_query_is_one_descent_that_ends_when_the_intersection_empties() {
+        let (disk, mut n) = nix();
+        thousand_triples(&mut n);
+        let rc = u64::from(n.tree().rc_lookup());
+        let reads = |elements: &[u64]| {
+            let q = SetQuery::has_subset(elements.iter().map(|&e| ElementKey::from(e)).collect());
+            disk.reset_stats();
+            let c = n.candidates(&q).unwrap();
+            (c.oids, disk.snapshot().reads)
+        };
+        // Object 500 holds 1500–1502. An integer's digest is its value, so
+        // the descent meets 1500, 1501 and 1502 (object 500 kept), then 1503
+        // (object 501 only: the intersection empties), and never reads 2815.
+        let leaf = |key| n.tree().path(key).unwrap().pop();
+        assert_ne!(leaf(2815), leaf(1503), "2815's leaf is a page of its own");
+        let (oids, pages) = reads(&[2815, 1503, 1502, 1501, 1500]);
+        assert!(oids.is_empty());
+        assert_eq!(pages, path_union(&n, &[1500, 1501, 1502, 1503]));
+        // Kept to the end, the descent reads every path once.
+        let (oids, pages) = reads(&[1502, 1500, 1501]);
+        let all = path_union(&n, &[1500, 1501, 1502]);
+        assert_eq!((oids, pages), (vec![Oid::new(500)], all));
+        // Two lists with no object in common end the query there.
+        let (oids, pages) = reads(&[3, 1500, 1501, 1502]);
+        assert_eq!((oids, pages), (vec![], path_union(&n, &[3, 1500])));
+        assert!(pages <= 2 * rc);
     }
 
     #[test]
@@ -800,14 +866,14 @@ mod tests {
         let pool = Arc::new(setsig_pagestore::BufferPool::new(Arc::clone(&disk), 256));
         let mut n = Nix::on_io(Arc::clone(&pool) as Arc<dyn PageIo>, "p");
         let queries = thousand_triples(&mut n);
-        let rc = n.tree().rc_lookup() as u64;
+        let expected = triple_pages(&n, &queries);
         pool.clear();
-        for (q, probes) in queries.iter().zip([3, 3, 2]) {
+        for (q, pages) in queries.iter().zip(expected) {
             let (cold_set, cold) = n.candidates_with_stats(q).unwrap();
             disk.reset_stats();
             let (hot_set, hot) = n.candidates_with_stats(q).unwrap();
             assert_eq!(cold_set, hot_set);
-            assert_eq!(cold.unwrap().pages, probes * rc);
+            assert_eq!(cold.unwrap().pages, pages);
             assert_eq!(hot, cold, "the page charge is cache-independent");
             assert_eq!(disk.snapshot().reads, 0, "the repeat is pool-resident");
         }

@@ -11,7 +11,10 @@
 //!
 //! * [`BTree`] — a page-oriented B-tree with 8-byte keys, variable-length
 //!   posting lists in slotted leaf pages, page splits, and overflow chains
-//!   for postings too large to share a leaf,
+//!   for postings too large to share a leaf. Every read goes through
+//!   [`BTree::lookup_many`]: one descent over sorted keys that reads each
+//!   node, leaf and chain on their paths once, where the paper prices each
+//!   look-up as a descent of its own (`rc·D_q`),
 //! * [`Nix`] — the [`SetAccessFacility`](setsig_core::SetAccessFacility)
 //!   wrapper implementing the paper's retrieval schemes: OID-list
 //!   **intersection** for `T ⊇ Q` (exact, no false drops) and **union** for
@@ -22,6 +25,8 @@
 //!   union answers `T ⊆ Q` exactly by counting (an object met `|T|` times
 //!   qualifies), and `T = Q` keeps the intersection's `|T| = |Q|` — where
 //!   the paper's union fetched and rejected every object sharing an element.
+//!   A query reads its keys in one descent: the union all of them, the
+//!   intersection up to the first list that empties it.
 //!
 //! Keys are the [`ElementKey::digest8`](setsig_core::ElementKey::digest8)
 //! of set elements — 8 bytes, the paper's `kl` — so integer/OID domains

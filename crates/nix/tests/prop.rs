@@ -12,19 +12,51 @@ use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { key: u64, oid: u64 },
-    Remove { key: u64, oid: u64 },
-    Lookup { key: u64 },
+    Insert {
+        key: u64,
+        oid: u64,
+    },
+    Remove {
+        key: u64,
+        oid: u64,
+    },
+    Lookup {
+        key: u64,
+    },
+    /// Ascending, distinct keys: present, absent, the chained [`HOT`] key,
+    /// the [`SEEDED`] ones and `u64::MAX`.
+    LookupMany {
+        keys: Vec<u64>,
+    },
 }
+
+/// Keys seeded with one posting each before the ops run: enough leaves for
+/// a root that splits a `LookupMany`'s keys between them.
+const SEEDED: std::ops::Range<u64> = 1_000..1_700;
+
+/// The key seeded with a posting past `MAX_INLINE_OIDS` (400): it lives in
+/// an overflow chain. No insert or remove draws it, so its chain only ever
+/// grew and is as long as [`BTree::chain_links`] of its list.
+const HOT: u64 = 600;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // A small key space forces long posting lists and leaf churn; a large
     // one forces splits. Mix both.
     let key = prop_oneof![0u64..8, 0u64..512];
+    let keys = proptest::collection::btree_set(
+        prop_oneof![
+            4 => key.clone(),
+            3 => 900u64..1_800,
+            1 => Just(HOT),
+            1 => Just(u64::MAX),
+        ],
+        0..40,
+    );
     prop_oneof![
         4 => (key.clone(), 0u64..1000).prop_map(|(key, oid)| Op::Insert { key, oid }),
         2 => (key.clone(), 0u64..1000).prop_map(|(key, oid)| Op::Remove { key, oid }),
         1 => key.prop_map(|key| Op::Lookup { key }),
+        1 => keys.prop_map(|keys| Op::LookupMany { keys: keys.into_iter().collect() }),
     ]
 }
 
@@ -105,9 +137,24 @@ proptest! {
     #[test]
     fn btree_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = disk as Arc<dyn PageIo>;
-        let mut tree = BTree::create(io, "t");
+        let mut tree = BTree::create(Arc::clone(&disk) as Arc<dyn PageIo>, "t");
         let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        // A chained hot key, the largest key there is, and a run of keys
+        // that spans several leaves.
+        let seeded = SEEDED.map(|key| (key, 0..1));
+        let hot = [(HOT, 2_000..2_450), (u64::MAX, 2_000..2_003)];
+        for (key, oids) in hot.into_iter().chain(seeded) {
+            for oid in oids {
+                tree.insert(key, oid).unwrap();
+                model.entry(key).or_default().push(oid);
+            }
+        }
+        prop_assert!(tree.height() >= 1);
+        let reads = |op: &mut dyn FnMut()| {
+            let before = disk.snapshot();
+            op();
+            disk.snapshot().since(before).reads
+        };
 
         for op in ops {
             match op {
@@ -134,6 +181,37 @@ proptest! {
                     let mut expected = model.get(&key).cloned().unwrap_or_default();
                     expected.sort_unstable();
                     prop_assert_eq!(got, expected, "lookup({})", key);
+                }
+                Op::LookupMany { keys } => {
+                    let mut visited = Vec::new();
+                    let read = reads(&mut || {
+                        let visit = |key, out: &mut Vec<u64>| {
+                            let mut list = std::mem::take(out);
+                            list.sort_unstable();
+                            visited.push((key, list));
+                            true
+                        };
+                        tree.lookup_many(&keys, &mut Vec::new(), visit).unwrap();
+                    });
+                    let expected: Vec<(u64, Vec<u64>)> = (keys.iter())
+                        .map(|&key| {
+                            let mut list = model.get(&key).cloned().unwrap_or_default();
+                            list.sort_unstable();
+                            (key, list)
+                        })
+                        .collect();
+                    prop_assert_eq!(visited, expected, "lookup_many({:?})", keys);
+                    // Every page on the keys' paths once, and each chain once,
+                    // as long as the model's list makes it.
+                    let mut pages: Vec<u32> =
+                        keys.iter().flat_map(|&key| tree.path(key).unwrap()).collect();
+                    pages.sort_unstable();
+                    pages.dedup();
+                    let chains: u64 = (keys.iter())
+                        .filter_map(|key| model.get(key))
+                        .map(|list| BTree::chain_links(list.len() as u64))
+                        .sum();
+                    prop_assert_eq!(read, pages.len() as u64 + chains, "lookup_many({:?})", keys);
                 }
             }
         }

@@ -103,13 +103,16 @@ fn concurrent_queries_each_observe_their_own_scan_stats() {
     }
 
     // A cheap query (superset, early exit on a miss) and an expensive
-    // one (subset reads every zero slice of the query signature).
+    // one (subset reads every zero slice of the query signature, and the
+    // OID page of object 0's drop; elements far apart besides, so NIX's one
+    // descent reads a leaf for each).
     let q_cheap = SetQuery::has_subset(
         (0..5)
             .map(|j| ElementKey::from(20_000_000 + j))
             .collect::<Vec<ElementKey>>(),
     );
-    let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
+    let spread = (1..9).map(|j| j * 3_001);
+    let q_costly = SetQuery::in_subset((0..9).chain(spread).map(ElementKey::from).collect());
     let queries = [&q_cheap, &q_costly];
     race(&bssf, queries);
     race(&ssf, queries);

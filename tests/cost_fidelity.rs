@@ -141,11 +141,15 @@ fn nix_structure_matches_table4_regime_at_paper_scale() {
             );
         }
     }
-    // T ⊆ Q probes every query element: rc·D_q reads with no overflow
-    // chains at ~24.6 postings a key.
+    // T ⊆ Q probes every query element in one sorted descent: it reads the
+    // distinct pages on the elements' paths — no overflow chains at ~24.6
+    // postings a key — which the root and the level below it make far
+    // fewer than the paper's rc·D_q of separate look-ups.
     let subset = point("nix ⊆");
+    assert_eq!(subset.d_q, 50);
     for t in &subset.trials {
-        assert_eq!(t.disk_pages, 3 * u64::from(subset.d_q), "rc·D_q");
+        assert_eq!(t.disk_pages, t.filter, "the paths' distinct pages");
+        assert!(t.disk_pages < 3 * u64::from(subset.d_q), "below rc·D_q");
     }
 }
 

@@ -5,7 +5,9 @@
 //! binary installs a counting global allocator and runs each path on real
 //! instances. A word kernel, a buffer-pool hit and the record walk of an
 //! inline candidate must allocate nothing; a `BTree::lookup` at most the
-//! `Vec` it returns, whatever the height and the chain; and a filter scan
+//! `Vec` it returns, whatever the height and the chain, and a
+//! `BTree::lookup_many` over hundreds of keys only that `Vec`'s growth;
+//! and a filter scan
 //! what its query and its answer need, not what it read — NIX's `T ⊆ Q` and
 //! `T ≬ Q` unions their query's digests, their pooled postings, one tally
 //! table and their answer; the same query over [`SMALL`] objects and over
@@ -414,7 +416,8 @@ fn kernels(rows: &mut Vec<Row>) {
     });
 }
 
-/// `BTree::lookup`: at most the posting list it returns.
+/// `BTree::lookup`: at most the posting list it returns; `lookup_many`: the
+/// growth of the one `Vec` it appends to.
 fn btree_lookup(rows: &mut Vec<Row>) {
     let disk = Arc::new(Disk::new());
     let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
@@ -440,21 +443,50 @@ fn btree_lookup(rows: &mut Vec<Row>) {
             budget: u64::from(!postings.is_empty()),
         });
     }
+    // One descent over `n` sorted keys, half of them past the tree's last
+    // key, plus the chained one: the output's growth and nothing per key or
+    // per level.
+    for n in [1u64, 50, 500] {
+        let mut keys: Vec<u64> = (1..n).map(|i| i * 160_000 / n + 1).collect();
+        keys.push(40_000);
+        keys.sort_unstable();
+        let ((allocations, postings), pages) = count_reads(|| {
+            count(|| {
+                let mut out = Vec::new();
+                tall.lookup_many(&keys, &mut out, |_, _| true).unwrap();
+                out
+            })
+        });
+        rows.push(Row {
+            path: "nix.btree.lookup_many",
+            shape: format!("height 2, {} keys, {} postings", keys.len(), postings.len()),
+            work: pages,
+            allocations,
+            budget: vec_growth(postings.len()),
+        });
+    }
 }
 
 /// NIX's `T ⊆ Q` and `T ≬ Q` unions pool their postings in one `Vec` and
 /// count them in one hashed tally: the query's digests, the pooled postings'
 /// growth, the tally's table at its final size and the answer — no `Vec` per
-/// posting list, nothing per candidate.
-fn nix_union(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
-    let nix = sim.build_nix();
-    let wide: Vec<u64> = (sim.sets[TARGET].iter().copied())
-        .chain((0..sim.cfg.domain).step_by(7))
+/// posting list, nothing per candidate. One descent reads a page once for
+/// every key on it, so the shape that reads ten times its budget is a query
+/// over a thousand of the large instance's one-object filler elements: a
+/// leaf apiece, and one posting each.
+fn nix_union(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
+    let wide: Vec<u64> = (small.sets[TARGET].iter().copied())
+        .chain((0..small.cfg.domain).step_by(7))
         .collect();
-    for query in [
-        &probes.queries[1].0,
-        &SetQuery::in_subset(keys(&wide)),
-        &SetQuery::overlaps(keys(&sim.sets[TARGET])),
+    let fillers: Vec<u64> = (small.sets[TARGET].iter().copied())
+        .chain((0..1_024).map(|i| 1_000_000 + 64 * i))
+        .collect();
+    let (small_nix, large_nix) = (small.build_nix(), large.build_nix());
+    for (nix, query) in [
+        (&small_nix, &probes.queries[1].0),
+        (&small_nix, &SetQuery::in_subset(keys(&wide))),
+        (&small_nix, &SetQuery::overlaps(keys(&small.sets[TARGET]))),
+        (&large_nix, &SetQuery::in_subset(keys(&fillers))),
     ] {
         let pooled: usize = (query.elements.iter())
             .map(|e| {
@@ -463,14 +495,15 @@ fn nix_union(rows: &mut Vec<Row>, sim: &SimDb, probes: &Probes) {
                     .len()
             })
             .sum();
-        let (allocations, pages, drops) = filter(&nix, query);
+        let (allocations, pages, drops) = filter(nix, query);
         assert!(drops.exact && drops.oids.contains(&Oid::new(TARGET as u64)));
         rows.push(Row {
             path: "nix.candidates",
             shape: format!(
-                "{} D_q {}, {pooled} postings, {} answers",
+                "{} D_q {}, N {}, {pooled} postings, {} answers",
                 query.predicate,
                 query.d_q(),
+                nix.indexed_count(),
                 drops.len()
             ),
             work: pages,
@@ -685,7 +718,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     plan(&mut rows, &small);
     resolution(&mut rows, &small, &probes);
     btree_lookup(&mut rows);
-    nix_union(&mut rows, &small, &probes);
+    nix_union(&mut rows, &small, &large, &probes);
     scans(&mut rows, &small, &large, &probes);
 
     print(&rows);
