@@ -379,8 +379,15 @@ impl Bssf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::facility::CandidateSet;
+    use crate::facility::{CandidateSet, IndexLayout, Profile};
     use crate::SetAccessFacility;
+
+    pub(super) fn profile(f: u32, m: u32, elements: u64) -> Option<Profile> {
+        Some(Profile {
+            layout: IndexLayout::Signature { f, m },
+            elements,
+        })
+    }
     use setsig_pagestore::{count_reads, BufferPool, Disk};
 
     fn bssf(f_bits: u32, m: u32) -> (Arc<Disk>, Bssf) {
@@ -661,8 +668,8 @@ mod tests {
             assert_eq!(inc.candidates(&q).unwrap(), bulk.candidates(&q).unwrap());
         }
         // A batch counts its sets' elements as their inserts do.
-        assert_eq!(bulk.signature_profile(), Some((128, 2, 600)));
-        assert_eq!(bulk.signature_profile(), inc.signature_profile());
+        assert_eq!(bulk.profile(), profile(128, 2, 600));
+        assert_eq!(bulk.profile(), inc.profile());
     }
 
     #[test]
@@ -1194,6 +1201,7 @@ mod batch_tests {
 
 #[cfg(test)]
 mod compact_tests {
+    use super::tests::profile;
     use super::*;
     use crate::SetAccessFacility;
     use setsig_pagestore::Disk;
@@ -1218,11 +1226,7 @@ mod compact_tests {
         assert_eq!(b.indexed_count(), 20);
         let after = b.candidates(&q).unwrap();
         assert_eq!(before, after, "answers must survive compaction");
-        assert_eq!(
-            b.signature_profile(),
-            Some((64, 2, 20)),
-            "Σ|T| of the survivors"
-        );
+        assert_eq!(b.profile(), profile(64, 2, 20), "Σ|T| of the survivors");
         // The compacted OID file is denser.
         assert_eq!(b.oid_file().len(), 20);
     }

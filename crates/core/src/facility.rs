@@ -154,17 +154,42 @@ pub trait SetAccessFacility {
         None
     }
 
-    /// `(F, m, Σ|T|)` of a signature file: its geometry, and the distinct
-    /// elements of the indexed sets summed — with
-    /// [`indexed_count`](Self::indexed_count), the mean target cardinality
-    /// `D_t`. What a planner prices a query with, and what a trace line
-    /// reports as `f_bits` / `m_weight`. `None` for a facility that is no
-    /// signature file (the nested index). A signature inserted without its
-    /// set ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) adds
-    /// nothing to `Σ|T|`.
-    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
+    /// The facility's [`Profile`]: its layout, and the distinct elements of
+    /// the indexed sets summed. What a planner prices a query with, and
+    /// what a trace line reports as `f_bits` / `m_weight`. `None` for a
+    /// facility that keeps no such count.
+    fn profile(&self) -> Option<Profile> {
         None
     }
+}
+
+/// What a facility is, for a planner: how it lays out its index, and
+/// `Σ|T|`, the distinct elements of the indexed sets summed — with
+/// [`indexed_count`](SetAccessFacility::indexed_count), the mean target
+/// cardinality `D_t`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Profile {
+    /// The index's organization.
+    pub layout: IndexLayout,
+    /// `Σ|T|` over the indexed objects. A signature inserted without its
+    /// set ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) adds
+    /// nothing; an empty set adds 0.
+    pub elements: u64,
+}
+
+/// The organization a [`Profile`] names: what a planner's cost model is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexLayout {
+    /// A signature file (SSF, BSSF, FSSF) of `f`-bit signatures, `m` bits
+    /// set per element.
+    Signature {
+        /// Signature width `F`.
+        f: u32,
+        /// Bits set per element `m`.
+        m: u32,
+    },
+    /// A nested index: a B-tree of per-element posting lists.
+    Nested,
 }
 
 #[cfg(test)]

@@ -44,7 +44,8 @@
 //! * [`OidFile`] — the positional OID file every layout shares,
 //! * [`SetAccessFacility`] — the common interface also implemented by the
 //!   nested index in `setsig-nix`; a filter call returns its drops with
-//!   the [`ScanStats`] of that call,
+//!   the [`ScanStats`] of that call, and a facility's [`Profile`] is what
+//!   a planner prices a query with,
 //! * [`resolve_drops`] — false-drop resolution against any
 //!   [`TargetSetSource`] (e.g. the object store in `setsig-oodb`),
 //! * [`meta`] — the catalog checkpoint blobs every facility (the nested
@@ -99,7 +100,7 @@ pub use config::SignatureConfig;
 pub use drops::{resolve_drops, verify_predicate, DropReport, ElementSet, TargetSetSource};
 pub use element::ElementKey;
 pub use error::{Error, Result};
-pub use facility::{CandidateSet, ScanStats, SetAccessFacility};
+pub use facility::{CandidateSet, IndexLayout, Profile, ScanStats, SetAccessFacility};
 pub use fssf::{Frames, Fssf, FssfConfig};
 pub use hash::{element_hash, ElementHasher};
 pub use oid::{Oid, OidAllocator};

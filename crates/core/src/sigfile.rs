@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::element::ElementKey;
 use crate::error::Result;
-use crate::facility::{CandidateSet, ScanStats, SetAccessFacility};
+use crate::facility::{CandidateSet, IndexLayout, Profile, ScanStats, SetAccessFacility};
 use crate::meta::{self, MetaReader, MetaWriter};
 use crate::oid::Oid;
 use crate::oidfile::OidFile;
@@ -108,7 +108,7 @@ pub struct SignatureFile<L> {
     pub(crate) layout: L,
     pub(crate) oid_file: OidFile,
     /// `Σ|T|` over the live entries
-    /// ([`signature_profile`](SetAccessFacility::signature_profile)).
+    /// ([`profile`](SetAccessFacility::profile)).
     elements: u64,
     /// Catalog checkpoint file; created lazily by
     /// [`sync_meta`](SignatureFile::sync_meta).
@@ -261,9 +261,12 @@ impl<L: Layout> SetAccessFacility for SignatureFile<L> {
         self.oid_file.file().io().cache_stats()
     }
 
-    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
-        let (f_bits, m_weight) = self.layout.geometry();
-        Some((f_bits, m_weight, self.elements))
+    fn profile(&self) -> Option<Profile> {
+        let (f, m) = self.layout.geometry();
+        Some(Profile {
+            layout: IndexLayout::Signature { f, m },
+            elements: self.elements,
+        })
     }
 }
 
@@ -415,20 +418,20 @@ mod tests {
             // Repeats and order do not count.
             f.insert(Oid::new(1), &keys(&["b", "a", "b"])).unwrap();
             f.insert(Oid::new(2), &keys(&["c", "d", "e"])).unwrap();
-            assert_eq!(f.signature_profile().map(|p| p.2), Some(5), "{name}");
+            assert_eq!(f.profile().map(|p| p.elements), Some(5), "{name}");
             // A failed insert indexes nothing and counts nothing, nor does a
             // delete of an object the file does not hold.
             disk.inject_fault_after(0);
             assert!(f.insert(Oid::new(3), &keys(&["x"])).is_err(), "{name}");
             disk.clear_fault();
             assert!(f.delete(Oid::new(9), &keys(&["c"])).is_err(), "{name}");
-            assert_eq!(f.signature_profile().map(|p| p.2), Some(5), "{name}");
+            assert_eq!(f.profile().map(|p| p.elements), Some(5), "{name}");
             f.delete(Oid::new(1), &keys(&["a", "b"])).unwrap();
-            assert_eq!(f.signature_profile().map(|p| p.2), Some(3), "{name}");
+            assert_eq!(f.profile().map(|p| p.elements), Some(3), "{name}");
             // The checkpoint carries it.
             let meta = f.sync_meta().unwrap();
             let reopened = SignatureFile::<L>::open(disk, meta).unwrap();
-            assert_eq!(reopened.signature_profile().map(|p| p.2), Some(3), "{name}");
+            assert_eq!(reopened.profile().map(|p| p.elements), Some(3), "{name}");
         }
         every_layout!(check);
     }

@@ -255,7 +255,7 @@ impl Ssf {
     /// indexed nothing, and what it wrote of the signature file is written
     /// over by the next insert at that position. No set comes with it, so
     /// the `Σ|T|` of
-    /// [`signature_profile`](crate::SetAccessFacility::signature_profile)
+    /// [`profile`](crate::SetAccessFacility::profile)
     /// does not count it.
     pub fn insert_signature(&mut self, oid: Oid, sig: &Bitmap) -> Result<u64> {
         if sig.len() != self.layout.cfg.f_bits() {

@@ -167,11 +167,12 @@ pub fn advise(params: Params, profile: &WorkloadProfile) -> Recommendation {
         }
     }
     let nix = NixModel::new(params, d_t);
+    let nix_cap = nix.best_superset_cap(profile.d_q_superset);
     candidates.push((
         Organization::Nix,
         profile_cost(
             profile,
-            nix.rc_superset_smart(profile.d_q_superset, 2),
+            nix.rc_superset_smart(profile.d_q_superset, nix_cap),
             nix.rc_subset(profile.d_q_subset),
             nix.uc_insert(),
         ),

@@ -62,28 +62,25 @@ impl NixModel {
 
     /// Pages of each non-leaf level, the one above the leaves first, the
     /// root (one page) last: levels of `⌈·/f⌉` until a single root — one
-    /// root page even above a single leaf.
-    fn non_leaf_levels(&self) -> Vec<u64> {
-        let mut levels = vec![];
-        let mut level = self.lp();
-        while level > 1 {
-            level = level.div_ceil(self.fanout);
-            levels.push(level);
-        }
-        if levels.is_empty() {
-            levels.push(1);
-        }
-        levels
+    /// root page even above a single leaf. Allocates nothing: a planner
+    /// prices queries with it.
+    fn non_leaf_levels(&self) -> impl Iterator<Item = u64> {
+        let fanout = self.fanout;
+        // Counted from at least two leaves, a single leaf gets its root too.
+        std::iter::successors(Some(self.lp().max(2)), move |&level| {
+            (level > 1).then(|| level.div_ceil(fanout))
+        })
+        .skip(1)
     }
 
     /// Number of non-leaf pages.
     pub fn nlp(&self) -> u64 {
-        self.non_leaf_levels().iter().sum()
+        self.non_leaf_levels().sum()
     }
 
     /// Number of non-leaf levels (the height above the leaves).
     pub fn height(&self) -> u32 {
-        self.non_leaf_levels().len() as u32
+        self.non_leaf_levels().count() as u32
     }
 
     /// Leaf pages one entry spans: 1 unless `il > P`.
@@ -110,7 +107,7 @@ impl NixModel {
             let b = b as f64;
             b * (1.0 - (1.0 - 1.0 / b).powf(f64::from(k)))
         };
-        let non_leaf: f64 = self.non_leaf_levels().into_iter().map(touched).sum();
+        let non_leaf: f64 = self.non_leaf_levels().map(touched).sum();
         non_leaf + self.leaf_pages_per_entry() * touched(self.lp())
     }
 
@@ -161,6 +158,34 @@ impl NixModel {
         self.rc_lookup() * j as f64
             + self.params.p_p * (candidates - a).max(0.0)
             + self.params.p_s * a
+    }
+
+    /// The element cap `j*` minimizing
+    /// [`rc_superset_smart`](Self::rc_superset_smart) for a query of `d_q`
+    /// elements: each look-up past `j*` costs `rc` and saves fewer fetches
+    /// of false candidates than that. The paper's `j = 2` on its instance,
+    /// at `D_t` 10 and 100; never above `d_q` (1 for `d_q ≤ 1`).
+    ///
+    /// A planner calls this per query, so it takes no logarithm. Of
+    /// `rc·j + P_p·(E_j − A) + P_s·A` (`E_{D_q} = A`), only `rc·j + P_p·E_j`
+    /// moves with `j`, where `E_j = N·Π_{i<j} (D_t − i)/(V − i)` is the
+    /// objects holding `j` given elements — one factor more per step. Its
+    /// steps `rc − P_p·E_j·(V − D_t)/(V − j)` never fall, so the first `j`
+    /// the sum stops falling at is the minimum.
+    pub fn best_superset_cap(&self, d_q: u32) -> u32 {
+        let (rc, v, d_t) = (self.rc_lookup(), self.params.v as f64, f64::from(self.d_t));
+        let mut shared = self.params.n as f64;
+        let mut best = (1, f64::INFINITY);
+        for j in 1..=d_q.max(1) {
+            let i = f64::from(j - 1);
+            shared *= ((d_t - i) / (v - i)).max(0.0);
+            let cost = rc * f64::from(j) + self.params.p_p * shared;
+            if cost >= best.1 {
+                break;
+            }
+            best = (j, cost);
+        }
+        best.0
     }
 
     /// Storage cost `SC = lp + nlp` (Table 5).
@@ -229,6 +254,44 @@ mod tests {
         // Below the cap the plain cost applies.
         assert_eq!(m.rc_superset_smart(1, 2), m.rc_superset(1));
         assert_eq!(m.rc_superset_smart(2, 2), m.rc_superset(2));
+    }
+
+    #[test]
+    fn the_best_superset_cap_is_the_papers_two_and_never_above_d_q() {
+        let p = Params::paper();
+        for d_t in [10, 100] {
+            let m = NixModel::new(p, d_t);
+            assert_eq!(m.best_superset_cap(1), 1, "D_t = {d_t}");
+            assert_eq!(m.best_superset_cap(0), 1, "D_t = {d_t}");
+            for d_q in 2..=40 {
+                assert_eq!(m.best_superset_cap(d_q), 2, "D_t = {d_t}, D_q = {d_q}");
+            }
+        }
+        // Where one list is short, one look-up is cheaper than a second.
+        let sparse = NixModel::new(Params::scaled(100, 13_000), 10);
+        assert_eq!(sparse.best_superset_cap(5), 1);
+        // Dense lists want more look-ups; whatever the instance, the cap
+        // is the first minimum of the smart cost over `1..=D_q`.
+        for (n, v, d_t) in [
+            (100, 13_000, 10),
+            (4_000, 13_000, 10),
+            (32_000, 13_000, 100),
+            (32_000, 200, 10),
+            (1_000_000, 50, 20),
+            (50, 40, 60),
+            (10, 10, 0),
+        ] {
+            let m = NixModel::new(Params::scaled(n, v), d_t);
+            for d_q in 1..=12 {
+                let cost = |j| m.rc_superset_smart(d_q, j);
+                let argmin = (1..=d_q)
+                    .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+                    .unwrap();
+                let j = m.best_superset_cap(d_q);
+                assert!((1..=d_q).contains(&j), "N {n}, V {v}, D_t {d_t}, D_q {d_q}");
+                assert_eq!(j, argmin, "N {n}, V {v}, D_t {d_t}, D_q {d_q}");
+            }
+        }
     }
 
     #[test]

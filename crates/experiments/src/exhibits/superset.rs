@@ -143,7 +143,8 @@ fn smart_superset_exhibit(
     let mut ex = Exhibit::new(id, title, headers.iter().map(String::as_str).collect());
 
     // The smart caps: the j minimizing the model cost (the paper fixes
-    // j = 2 for m = 2, which best_superset_cap reproduces).
+    // j = 2, which best_superset_cap reproduces for BSSF at m = 2 and for
+    // NIX).
     let bssf_models: Vec<BssfModel> = f_values
         .iter()
         .map(|&f| BssfModel::new(p, f, m, d_t))
@@ -153,7 +154,7 @@ fn smart_superset_exhibit(
         .map(|b| b.best_superset_cap(10))
         .collect();
     let nix = NixModel::new(p, d_t);
-    let nix_cap = 2; // §5.1.3's rule for NIX
+    let nix_cap = nix.best_superset_cap(d_q_points.iter().copied().max().unwrap_or(1));
 
     for &d_q in d_q_points {
         let mut row = vec![d_q.to_string()];
@@ -177,7 +178,7 @@ fn smart_superset_exhibit(
         ex.push_row(row);
     }
     ex.note(format!(
-        "smart caps: BSSF j* = {:?} (model-minimizing; the paper fixes 2), NIX j = 2",
+        "smart caps: BSSF j* = {:?} (model-minimizing; the paper fixes 2), NIX j = {nix_cap}",
         caps
     ));
     ex.note("paper finding: NIX wins only at D_q = 1; from D_q ≥ 2–3 smart BSSF is equal or cheaper, and both flatten to a constant");

@@ -6,7 +6,8 @@
 //! actual page accesses.
 
 use setsig_core::{
-    Bssf, ElementKey, Fssf, FssfConfig, Oid, SetAccessFacility, SetQuery, SignatureConfig, Ssf,
+    Bssf, ElementKey, Fssf, FssfConfig, IndexLayout, Oid, SetAccessFacility, SetQuery,
+    SignatureConfig, Ssf,
 };
 use setsig_nix::Nix;
 use setsig_oodb::{AttrType, ClassDef, ClassId, Database, QueryExecution, Value};
@@ -159,7 +160,7 @@ impl SimDb {
         if let Some(stats) = exec.stats {
             let cache = cache_before.zip(facility.cache_stats());
             let name = facility.name().to_lowercase();
-            let (f_bits, m_weight) = facility.signature_profile().map(|(f, m, _)| (f, m)).unzip();
+            let (f_bits, m_weight) = geometry(facility).unzip();
             let smart = query.cap().map_or("", |_| ":smart");
             let ev = QueryTrace {
                 predicate: format!("{:?}{smart}", query.predicate),
@@ -197,6 +198,15 @@ impl SimDb {
             total += self.measure_facility(facility, &q).io.accesses();
         }
         total as f64 / trials as f64
+    }
+}
+
+/// `(F, m)` of a signature file, as a trace line reports it; `None` for any
+/// other facility.
+fn geometry(facility: &dyn SetAccessFacility) -> Option<(u32, u32)> {
+    match facility.profile()?.layout {
+        IndexLayout::Signature { f, m } => Some((f, m)),
+        IndexLayout::Nested => None,
     }
 }
 
@@ -314,10 +324,7 @@ mod tests {
                 ev.slices_touched,
                 sliced(&ev.facility).then_some(stats.slices)
             );
-            assert_eq!(
-                ev.f_bits.zip(ev.m_weight),
-                facility.signature_profile().map(|(f, m, _)| (f, m))
-            );
+            assert_eq!(ev.f_bits.zip(ev.m_weight), geometry(facility));
             assert_eq!(ev.false_drops, run.report.false_drops);
             assert_eq!(ev.candidates, run.actual.len() as u64 + ev.false_drops);
             assert!(

@@ -2,8 +2,8 @@
 
 use setsig_core::meta::{checkpoint, MetaReader, MetaWriter};
 use setsig_core::{
-    sorted, CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility,
-    SetPredicate, SetQuery,
+    sorted, CandidateSet, ElementKey, Error, IndexLayout, Oid, Profile, Result, ScanStats,
+    SetAccessFacility, SetPredicate, SetQuery,
 };
 use setsig_pagestore::{count_reads, FileId, PageIo, PagedFile};
 use std::sync::Arc;
@@ -75,13 +75,14 @@ impl Nix {
 
     /// Looks up the element digests `keys` — ascending, distinct — in one
     /// descent ([`BTree::lookup_many`]): appends each one's posting words to
-    /// `out` — never those of empty sets, should an element share their key
-    /// — and then calls `visit(out)`, which may consume them; the first
+    /// `out` — of those under [`EMPTY_SET_KEY`], the ones `keep` takes —
+    /// and then calls `visit(out)`, which may consume them; the first
     /// `false` ends the descent.
     fn postings(
         &self,
         keys: &[u64],
         out: &mut Vec<u64>,
+        keep: impl Fn(u64) -> bool,
         mut visit: impl FnMut(&mut Vec<u64>) -> bool,
     ) -> Result<()> {
         let mut from = out.len();
@@ -90,23 +91,13 @@ impl Nix {
                 let mut at = 0;
                 out.retain(|&word| {
                     at += 1;
-                    at <= from || card_of(word) != 0
+                    at <= from || keep(word)
                 });
             }
             let go_on = visit(out);
             from = out.len();
             go_on
         })
-    }
-
-    /// Appends the objects whose set is empty to `oids`. Probes nothing
-    /// while there are none, so no other query's page charge moves.
-    fn empty_sets_into(&self, oids: &mut Vec<Oid>) -> Result<()> {
-        if self.empties > 0 {
-            let words = self.tree.lookup(EMPTY_SET_KEY)?;
-            oids.extend(words.into_iter().filter(|&w| card_of(w) == 0).map(oid_of));
-        }
-        Ok(())
     }
 
     /// The §4.3 retrieval for `T ⊇ Q`: look up every query element and
@@ -125,25 +116,27 @@ impl Nix {
         let d_q = query.elements.len();
         let probed = &query.elements[..d_q.min(query.cap().unwrap_or(d_q))];
         let mut acc = None;
-        self.postings(&digests(probed), &mut Vec::new(), |list| {
+        self.postings(&digests(probed), &mut Vec::new(), not_empty, |list| {
             meet(&mut acc, list)
         })?;
         Ok((acc.unwrap_or_default(), probed.len() == d_q))
     }
 
-    /// The §4.3 union, counted: pools the posting words of the query's
-    /// distinct digests, read in one sorted descent that reads each B-tree
-    /// page once however many digests share it. An object's word recurs
-    /// once per list holding it — `|T ∩ Q|` times —; each word goes to
-    /// `reached` once, when its count reaches `at(word)` ([`tally`]).
+    /// The §4.3 union, counted: pools the posting words of `keys` (as
+    /// [`postings`](Nix::postings) keeps them), read in one sorted descent
+    /// that reads each B-tree page once however many keys share it. An
+    /// object's word recurs once per list holding it — `|T ∩ Q|` times —;
+    /// each word goes to `reached` once, when its count reaches `at(word)`
+    /// ([`tally`]).
     fn union(
         &self,
-        query: &SetQuery,
+        keys: &[u64],
+        keep: impl Fn(u64) -> bool,
         at: impl Fn(u64) -> u64,
         reached: impl FnMut(u64),
     ) -> Result<()> {
         let mut pooled = Vec::new();
-        self.postings(&digests(&query.elements), &mut pooled, |_| true)?;
+        self.postings(keys, &mut pooled, keep, |_| true)?;
         tally(&pooled, at, reached);
         Ok(())
     }
@@ -152,23 +145,33 @@ impl Nix {
     /// the union reaches its `|T|`, and every object with an empty set
     /// qualifies. Exact, unless a kept `|T|` is saturated. (No smart
     /// strategy: the probes are the union's, whatever the cap.)
+    ///
+    /// While empty sets are indexed, [`EMPTY_SET_KEY`] — the last key —
+    /// ends the same descent: its `|T| = 0` words are the empty sets, each
+    /// met once, and its `|T| ≥ 1` words count only when a query element
+    /// digests to it.
     fn subset_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
+        let mut keys = digests(&query.elements);
+        let asked = keys.last() == Some(&EMPTY_SET_KEY);
+        if self.empties > 0 && !asked {
+            keys.push(EMPTY_SET_KEY);
+        }
         let (mut oids, mut exact) = (Vec::new(), true);
-        self.union(query, card_of, |word| {
+        let keep = |word| asked || card_of(word) == 0;
+        // An empty set's word is met once, in its key's list.
+        let at = |word| card_of(word).max(1);
+        self.union(&keys, keep, at, |word| {
             exact &= card_of(word) != SATURATED;
             oids.push(oid_of(word));
         })?;
-        self.empty_sets_into(&mut oids)?;
         Ok(CandidateSet::new(oids, exact))
     }
 
     /// `T = Q`: the `T ⊇ Q` intersection, kept where `|T| = |Q|`; for
-    /// `Q = ∅`, the objects with an empty set.
+    /// `Q = ∅`, the objects with an empty set — those `T ⊆ ∅` counts.
     fn equal_candidates(&self, query: &SetQuery) -> Result<CandidateSet> {
         if query.elements.is_empty() {
-            let mut oids = Vec::new();
-            self.empty_sets_into(&mut oids)?;
-            return Ok(CandidateSet::new(oids, true));
+            return self.subset_candidates(query);
         }
         let (words, _) = self.intersection(query)?;
         let card = (digests(&query.elements).len() as u64).min(SATURATED);
@@ -241,6 +244,12 @@ fn meet(acc: &mut Option<Vec<u64>>, list: &mut Vec<u64>) -> bool {
     };
     list.clear();
     !acc.insert(met).is_empty()
+}
+
+/// Whether `word` is no empty set's: what every look-up but `T ⊆ Q`'s keeps
+/// of [`EMPTY_SET_KEY`]'s list.
+fn not_empty(word: u64) -> bool {
+    card_of(word) != 0
 }
 
 /// The distinct key digests of `elements`, ascending.
@@ -361,7 +370,8 @@ impl SetAccessFacility for Nix {
             // Any object listed under any query element shares it.
             SetPredicate::Overlaps => {
                 let mut oids = Vec::new();
-                self.union(query, |_| 1, |word| oids.push(oid_of(word)))?;
+                let keys = digests(&query.elements);
+                self.union(&keys, not_empty, |_| 1, |word| oids.push(oid_of(word)))?;
                 Ok(CandidateSet::new(oids, true))
             }
         });
@@ -382,6 +392,16 @@ impl SetAccessFacility for Nix {
 
     fn cache_stats(&self) -> Option<setsig_pagestore::CacheStats> {
         self.tree.file_io().cache_stats()
+    }
+
+    /// [`IndexLayout::Nested`], and `Σ|T|` as the tree's postings count
+    /// it: one per distinct digest of each set, less the one an empty set
+    /// is posted with.
+    fn profile(&self) -> Option<Profile> {
+        Some(Profile {
+            layout: IndexLayout::Nested,
+            elements: self.tree.posting_count() - self.empties,
+        })
     }
 }
 
@@ -489,13 +509,15 @@ mod tests {
         ] {
             assert!(matches!(n.candidates(&q), Err(Error::BadQuery(_))));
         }
-        // The one extra probe is the empty sets' key.
-        let rc = u64::from(n.tree().rc_lookup());
+        // The empty sets' key ends the query's one descent: its path is
+        // read once with the query's, not looked up again.
         disk.reset_stats();
-        let (_, stats) = n
-            .candidates_with_stats(&SetQuery::in_subset(keys(&["a"])))
-            .unwrap();
-        assert_eq!(stats.unwrap().pages, 2 * rc);
+        let query = SetQuery::in_subset(keys(&["a"]));
+        let (_, stats) = n.candidates_with_stats(&query).unwrap();
+        assert_eq!(stats.unwrap().pages, disk.snapshot().reads);
+        let mut probed = digests(&query.elements);
+        probed.push(EMPTY_SET_KEY);
+        assert_eq!(stats.unwrap().pages, path_union(&n, &probed));
         n.verify().unwrap();
 
         n.delete(Oid::new(1), &[]).unwrap();
@@ -520,6 +542,9 @@ mod tests {
         };
         assert_eq!(ids(SetQuery::contains(shared.clone())), [2, 3]);
         assert_eq!(ids(SetQuery::in_subset(vec![shared.clone()])), [1, 2]);
+        // Not asked for, the key's `|T| ≥ 1` words do not count: object 3
+        // is met under 4 alone.
+        assert_eq!(ids(SetQuery::in_subset(vec![ElementKey::from(4u64)])), [1]);
         assert_eq!(ids(SetQuery::equals(vec![shared])), [2]);
         assert_eq!(ids(SetQuery::equals(vec![])), [1]);
         n.verify().unwrap();
@@ -594,7 +619,8 @@ mod tests {
             (SetQuery::overlaps(elements), |_| 1),
         ] {
             let mut kept = Vec::new();
-            n.union(&query, at, |w| kept.push(w)).unwrap();
+            n.union(&digests(&query.elements), not_empty, at, |w| kept.push(w))
+                .unwrap();
             kept.sort_unstable();
             assert_eq!(kept, [word, posting(Oid::new(2), 1).unwrap()]);
             assert_eq!(n.candidates(&query).unwrap().oids, [1, 2].map(Oid::new));
@@ -985,6 +1011,36 @@ mod meta_tests {
         reopened.verify().unwrap();
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_profile_counts_each_sets_distinct_elements_and_survives_a_reopen() {
+        let disk = Arc::new(Disk::new());
+        let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
+        let mut nix = Nix::on_io(io(), "p");
+        let elements = |nix: &Nix| {
+            let profile = nix.profile().unwrap();
+            assert_eq!(profile.layout, IndexLayout::Nested);
+            profile.elements
+        };
+        assert_eq!(elements(&nix), 0);
+        let set = |s: &[u64]| s.iter().map(|&e| ElementKey::from(e)).collect::<Vec<_>>();
+        // Repeats count once; an empty set counts 0.
+        nix.insert(Oid::new(1), &set(&[3, 1, 3])).unwrap();
+        nix.insert(Oid::new(2), &set(&[1, 2, 4])).unwrap();
+        nix.insert(Oid::new(3), &[]).unwrap();
+        assert_eq!(elements(&nix), 5);
+        nix.delete(Oid::new(1), &set(&[1, 3])).unwrap();
+        assert_eq!(elements(&nix), 3);
+        // A refused delete moves nothing.
+        assert!(nix.delete(Oid::new(9), &set(&[7])).is_err());
+        nix.delete(Oid::new(3), &[]).unwrap();
+        nix.insert(Oid::new(4), &[]).unwrap();
+        assert_eq!(elements(&nix), 3);
+        let meta = nix.sync_meta().unwrap();
+        let reopened = Nix::open(io(), meta).unwrap();
+        assert_eq!(reopened.profile(), nix.profile());
+        assert_eq!(elements(&reopened), 3);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! The plan `run_query` runs (§5.2.2, Appendix C): on a 4,000-object
+//! The plan `run_query` runs (§5.1.3, §5.2.2, Appendix C): on a 4,000-object
 //! instance, a BSSF `T ⊆ Q` query below `D_q^opt` reads the instance's
-//! slice budget and one at or above it every zero-slice; every other
-//! query, and every query on SSF or NIX, costs what the unplanned query
-//! costs; answers equal the full scan's; and a BSSF bulk loaded, or saved
-//! and reopened, plans the same cap.
+//! slice budget and one at or above it every zero-slice; a NIX `T ⊇ Q`
+//! query above the model's `j` looks up `j` of its elements; every other
+//! query, and every other query on SSF, BSSF or NIX, costs what the
+//! unplanned query costs; answers equal the full scan's; and a BSSF bulk
+//! loaded, or saved and reopened, plans the same cap.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
-use setsig_core::{Bssf, ElementKey, Oid, SetAccessFacility, SetQuery, SignatureConfig, Ssf};
-use setsig_costmodel::{BssfModel, Params};
+use setsig_core::{
+    Bssf, ElementKey, IndexLayout, Oid, Profile, SetAccessFacility, SetQuery, SignatureConfig, Ssf,
+};
+use setsig_costmodel::{BssfModel, NixModel, Params};
 use setsig_nix::Nix;
-use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Value};
+use setsig_oodb::{AttrType, ClassDef, ClassId, Database, Error, Value};
 use setsig_pagestore::{Disk, PageIo};
 use setsig_workload::{random_set, superset_of, SplitMix64};
 use std::sync::Arc;
@@ -121,19 +124,87 @@ fn run_query_caps_a_bssf_subset_scan_below_d_q_opt_and_nothing_else() {
             );
         }
     }
+}
 
-    // `T ⊇ Q` is not planned, on any facility.
-    for (i, d_q) in [1usize, 2, 3, 5].into_iter().enumerate() {
+#[test]
+fn run_query_caps_a_nix_superset_lookup_above_j_and_nothing_else() {
+    let sets = sets();
+    let (db, class) = instance(&sets, NIX);
+    let others = [instance(&sets, SSF).0, instance(&sets, BSSF).0];
+    // Priced as `plan` prices it: the facility's `N` and `D_t`, the
+    // paper's other constants.
+    let model = NixModel::new(
+        Params {
+            n: N,
+            ..Params::paper()
+        },
+        D_T as u32,
+    );
+    let mut planned_any = false;
+    for (i, d_q) in [1usize, 2, 3, 5, 8].into_iter().enumerate() {
+        // A subset of a stored set: the intersection never empties.
         let elements = sets[i * 13][..d_q].to_vec();
         let text = text("has-subset", &elements);
         let query = SetQuery::has_subset(keys(&elements));
-        assert_eq!(db.plan(0, query.clone()), query);
-        for db in [&db, &others[0], &others[1]] {
-            let plain = db.execute_set_query(0, &query).unwrap();
-            let planned = db.run_query(&text).unwrap();
+        let what = format!("D_q = {d_q}");
+        let scan = db.scan_set_query(class, "elems", &query).unwrap();
+        assert!(!scan.actual.is_empty(), "{what}");
+
+        let j = model.best_superset_cap(d_q as u32);
+        assert_eq!(j as usize, d_q.min(2), "{what}: the paper's j");
+        let plan = db.plan(0, query.clone());
+        let plain = db.execute_set_query(0, &query).unwrap();
+        let planned = db.run_query(&text).unwrap();
+        assert_eq!(planned.actual, scan.actual, "{what}");
+        if d_q > j as usize {
+            planned_any = true;
+            assert_eq!(plan.cap(), Some(j as usize), "{what}");
+            assert!(!planned.drops.exact, "{what}: the rest is verified");
+            assert!(
+                planned.filter_io.reads < plain.filter_io.reads,
+                "{what}: {} ≥ {}",
+                planned.filter_io.reads,
+                plain.filter_io.reads
+            );
+        } else {
+            assert_eq!(plan, query, "{what}: D_q ≤ j");
             assert_eq!((planned.actual, planned.io), (plain.actual, plain.io));
         }
+
+        // SSF and BSSF: the same pages and answer as the unplanned query.
+        for other in &others {
+            assert_eq!(other.plan(0, query.clone()), query, "{what}");
+            let plain = other.execute_set_query(0, &query).unwrap();
+            let planned = other.run_query(&text).unwrap();
+            assert_eq!(
+                (&planned.actual, planned.io),
+                (&scan.actual, plain.io),
+                "{what}"
+            );
+        }
     }
+    assert!(planned_any);
+
+    // A query that already carries a cap keeps it.
+    let capped = SetQuery::has_subset(keys(&sets[0][..5]))
+        .with_cap(4)
+        .unwrap();
+    assert_eq!(db.plan(0, capped.clone()), capped);
+    // `T ⊇ ∅` is not planned, and NIX still refuses it.
+    let nothing = SetQuery::has_subset(vec![]);
+    assert_eq!(db.plan(0, nothing.clone()), nothing);
+    let refused = db.run_query("select Synthetic where elems has-subset ()");
+    assert!(matches!(refused, Err(Error::BadQuery(_))), "{refused:?}");
+    // An empty NIX has no `D_t` to price a cap on.
+    let (empty, _) = instance(&[], NIX);
+    let profile = empty.facility(0).unwrap().profile();
+    let nested = Some(Profile {
+        layout: IndexLayout::Nested,
+        elements: 0,
+    });
+    assert_eq!(profile, nested);
+    let query = SetQuery::has_subset(keys(&sets[0][..5]));
+    assert_eq!(empty.plan(0, query.clone()), query);
 }
 
 #[test]
@@ -165,7 +236,11 @@ fn a_bulk_loaded_or_reopened_bssf_plans_the_same_cap() {
     let reopened = Bssf::open(loaded, meta).unwrap();
 
     for bssf in [batched, reopened] {
-        assert_eq!(bssf.signature_profile(), Some((F, M, N * D_T as u64)));
+        let profile = Profile {
+            layout: IndexLayout::Signature { f: F, m: M },
+            elements: N * D_T as u64,
+        };
+        assert_eq!(bssf.profile(), Some(profile));
         // A database with no objects registers the facility as it is.
         let (mut empty, class) = class_db();
         let fidx = empty

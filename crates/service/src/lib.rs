@@ -35,7 +35,7 @@ mod testutil;
 
 use parking_lot::RwLock;
 use setsig_core::{
-    CandidateSet, ElementKey, Error, Oid, Result, ScanStats, SetAccessFacility, SetQuery,
+    CandidateSet, ElementKey, Error, Oid, Profile, Result, ScanStats, SetAccessFacility, SetQuery,
 };
 use setsig_pagestore::CacheStats;
 
@@ -227,16 +227,18 @@ impl<F: SetAccessFacility> SetAccessFacility for QueryService<F> {
         acc
     }
 
-    /// Shard 0's geometry with the shards' `Σ|T|` summed, so
+    /// Shard 0's layout with the shards' `Σ|T|` summed, so
     /// `Database::plan` prices a sharded store as the flat facility it
     /// partitions; `None` if any shard has no profile.
-    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
-        let mut profiles = self
-            .shards
-            .iter()
-            .map(|s| s.facility.read().signature_profile());
+    fn profile(&self) -> Option<Profile> {
+        let mut profiles = self.shards.iter().map(|s| s.facility.read().profile());
         let first = profiles.next()??;
-        profiles.try_fold(first, |(f, m, sum), p| p.map(|(_, _, e)| (f, m, sum + e)))
+        profiles.try_fold(first, |sum, p| {
+            p.map(|p| Profile {
+                elements: sum.elements + p.elements,
+                ..sum
+            })
+        })
     }
 }
 

@@ -5,9 +5,12 @@
 //! choose between BSSF (plain or smart) and NIX — including the smart
 //! parameter (`j` element cap for ⊇, slice budget for ⊆) — then execute
 //! the chosen plan and compare against what the other plans would have
-//! cost. The `T ⊆ Q` slice budget is `BssfModel::subset_cap`, the function
+//! cost. The `T ⊆ Q` slice budget is `BssfModel::subset_cap` and the NIX
+//! `T ⊇ Q` element cap `NixModel::best_superset_cap`, the two functions
 //! `Database::run_query` plans with; each BSSF `T ⊆ Q` plan chosen here is
-//! checked to measure no more pages than the plain scan.
+//! checked to measure no more pages than the plain scan. A BSSF `T ⊇ Q`
+//! cap is chosen here by pages alone; `run_query` does not plan it, since
+//! the false drops it admits cost more time than the slices it skips.
 //!
 //! NIX `T ⊆ Q` is planned with the paper's union cost
 //! (`NixModel::rc_subset`), not the counting retrieval the engine runs
@@ -44,7 +47,8 @@ fn choose(p: Params, f: u32, m: u32, d_t: u32, q: &SetQuery) -> (Plan, f64) {
             let cap = bssf.best_superset_cap(d_q.max(1));
             plans.push((Plan::BssfSmart { cap }, bssf.rc_superset_smart(d_q, cap)));
             plans.push((Plan::NixPlain, nix.rc_superset(d_q)));
-            plans.push((Plan::NixSmart { cap: 2 }, nix.rc_superset_smart(d_q, 2)));
+            let j = nix.best_superset_cap(d_q);
+            plans.push((Plan::NixSmart { cap: j }, nix.rc_superset_smart(d_q, j)));
         }
         SetPredicate::InSubset => {
             plans.push((Plan::BssfPlain, bssf.rc_subset(d_q)));

@@ -52,7 +52,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
 use proptest::prelude::*;
-use setsig::core::Result as FacilityResult;
+use setsig::core::{Profile, Result as FacilityResult};
 use setsig::oodb::{ClassId, Error as DbError, QueryExecution};
 use setsig::prelude::SetPredicate::{Contains, Equals, HasSubset, InSubset, Overlaps};
 use setsig::prelude::*;
@@ -135,8 +135,8 @@ impl<T: SetAccessFacility> SetAccessFacility for Shared<T> {
         self.0.borrow().storage_pages()
     }
 
-    fn signature_profile(&self) -> Option<(u32, u32, u64)> {
-        self.0.borrow().signature_profile()
+    fn profile(&self) -> Option<Profile> {
+        self.0.borrow().profile()
     }
 }
 
@@ -316,6 +316,10 @@ impl History {
                 forms
             };
             prop_assert_eq!(forms(SERVICE), forms(BSSF), "planned unlike BSSF");
+            // On this instance the model's `j` for NIX `⊇` is 1.
+            let nix_capped = self.db.plan(NIX, query.clone()).cap().is_some();
+            let nix_capping = query.predicate == HasSubset && query.d_q() > 1;
+            prop_assert_eq!(nix_capped, nix_capping && !self.model.is_empty());
             // NIX answers `⊇` by intersection, `⊆` and `=` by counting `|T|`.
             let exact = !matches!(query.predicate, Overlaps | Contains);
             let mut runs = Vec::new();

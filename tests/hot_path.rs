@@ -576,8 +576,9 @@ fn parse(rows: &mut Vec<Row>) {
     }
 }
 
-/// Planning a parsed `T ⊆ Q` query is arithmetic on the facility's counts:
-/// the query moves in and out with its cap, and nothing is allocated.
+/// Planning a parsed query is arithmetic on the facility's counts: the
+/// query moves in and out with its cap, and nothing is allocated — a BSSF
+/// `T ⊆ Q` below `D_q^opt`, a NIX `T ⊇ Q` above `j`.
 fn plan(rows: &mut Vec<Row>, sim: &SimDb) {
     let mut db = Database::in_memory();
     let class = db
@@ -587,25 +588,29 @@ fn plan(rows: &mut Vec<Row>, sim: &SimDb) {
         ))
         .unwrap();
     // The paper's small `m`; the store is empty, so nothing is back-filled.
-    let bssf = sim.build_bssf(F, 2);
-    let fidx = db
-        .register_facility(class, "hobbies", Box::new(bssf))
-        .unwrap();
-    let literals: Vec<String> = (0..50u64).map(|i| (i * 37).to_string()).collect();
-    let text = format!(
-        "select Student where hobbies in-subset ({})",
-        literals.join(", ")
-    );
-    let query = parse_query(&text).unwrap().condition.unwrap().1;
-    let (allocations, planned) = count(|| db.plan(fidx, query));
-    assert!(planned.cap().is_some(), "D_q 50 is below D_q^opt");
-    rows.push(Row {
-        path: "oodb.Database::plan",
-        shape: format!("{} D_q {}, BSSF m = 2", planned.predicate, planned.d_q()),
-        work: planned.d_q() as u64,
-        allocations,
-        budget: 0,
-    });
+    let mut register = |facility| db.register_facility(class, "hobbies", facility).unwrap();
+    let bssf = register(Box::new(sim.build_bssf(F, 2)));
+    let nix = register(Box::new(sim.build_nix()));
+    for (fidx, predicate, d_q, name) in [
+        (bssf, "in-subset", 50, "BSSF m = 2"),
+        (nix, "has-subset", 5, "NIX"),
+    ] {
+        let literals: Vec<String> = (0..d_q).map(|i: u64| (i * 37).to_string()).collect();
+        let text = format!(
+            "select Student where hobbies {predicate} ({})",
+            literals.join(", ")
+        );
+        let query = parse_query(&text).unwrap().condition.unwrap().1;
+        let (allocations, planned) = count(|| db.plan(fidx, query));
+        assert!(planned.cap().is_some(), "{text}: the plan caps it");
+        rows.push(Row {
+            path: "oodb.Database::plan",
+            shape: format!("{} D_q {}, {name}", planned.predicate, planned.d_q()),
+            work: planned.d_q() as u64,
+            allocations,
+            budget: 0,
+        });
+    }
 }
 
 /// A buffer-pool hit hands out the frame's snapshot.
