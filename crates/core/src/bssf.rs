@@ -357,7 +357,9 @@ impl Bssf {
     ///
     /// Signatures of the survivors are reconstructed from the slice files
     /// themselves — one pass over all `F` slices — so no access to the
-    /// object store is needed. Returns the number of live entries kept.
+    /// object store is needed. The old files stay on the disk (no page
+    /// store frees a file): the BSSF's pages fall, the disk's and a saved
+    /// image's grow. Returns the number of live entries kept.
     pub fn compact(&mut self) -> Result<u64> {
         let live = self.oid_file.scan_live()?;
         let n = self.oid_file.len();

@@ -69,20 +69,6 @@ impl SignatureConfig {
     pub fn signature_bytes(&self) -> usize {
         (self.f_bits as usize).div_ceil(8)
     }
-
-    /// The text-retrieval optimum `m_opt = ⌈F·ln2/D_t⌉` (Eq. 3): the weight
-    /// minimizing the false drop probability for target sets of cardinality
-    /// `d_t`. Clamped to at least 1.
-    pub fn m_opt(f_bits: u32, d_t: u32) -> u32 {
-        assert!(d_t > 0, "target cardinality must be positive");
-        (((f_bits as f64) * std::f64::consts::LN_2 / d_t as f64).round() as u32).max(1)
-    }
-
-    /// A configuration using [`m_opt`](Self::m_opt) for the given expected
-    /// target cardinality.
-    pub fn optimal_for(f_bits: u32, d_t: u32) -> Result<Self> {
-        Self::new(f_bits, Self::m_opt(f_bits, d_t).min(f_bits))
-    }
 }
 
 #[cfg(test)]
@@ -102,24 +88,6 @@ mod tests {
         assert!(SignatureConfig::new(4, 1).is_err());
         assert!(SignatureConfig::new(64, 0).is_err());
         assert!(SignatureConfig::new(64, 65).is_err());
-    }
-
-    #[test]
-    fn m_opt_matches_paper_parameters() {
-        // F = 500, D_t = 10 → 500·0.693/10 ≈ 34.7 → 35.
-        assert_eq!(SignatureConfig::m_opt(500, 10), 35);
-        // F = 250, D_t = 10 → ≈ 17.3 → 17.
-        assert_eq!(SignatureConfig::m_opt(250, 10), 17);
-        // F = 2500, D_t = 100 → ≈ 17.3 → 17.
-        assert_eq!(SignatureConfig::m_opt(2500, 100), 17);
-        // Tiny F never rounds to zero.
-        assert_eq!(SignatureConfig::m_opt(8, 1000), 1);
-    }
-
-    #[test]
-    fn optimal_for_builds_valid_config() {
-        let c = SignatureConfig::optimal_for(500, 10).unwrap();
-        assert_eq!(c.m_weight(), 35);
     }
 
     #[test]

@@ -9,13 +9,6 @@ pub enum Error {
     /// A query was malformed for the operation (e.g. an empty query set for
     /// a predicate that requires elements).
     BadQuery(String),
-    /// A signature of the wrong width was supplied.
-    WidthMismatch {
-        /// Width the structure expects.
-        expected: u32,
-        /// Width that was supplied.
-        got: u32,
-    },
     /// The referenced entry position does not exist.
     NoSuchEntry(u64),
     /// The OID was not found (e.g. deleting a value that was never inserted).
@@ -36,12 +29,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::BadConfig(msg) => write!(f, "bad signature configuration: {msg}"),
             Error::BadQuery(msg) => write!(f, "bad query: {msg}"),
-            Error::WidthMismatch { expected, got } => {
-                write!(
-                    f,
-                    "signature width mismatch: expected {expected} bits, got {got}"
-                )
-            }
             Error::NoSuchEntry(pos) => write!(f, "no entry at position {pos}"),
             Error::OidNotFound(oid) => write!(f, "oid {oid:?} not found"),
             Error::OidOutOfRange(oid) => write!(f, "oid {oid:?} is out of the structure's range"),

@@ -171,9 +171,7 @@ pub trait SetAccessFacility {
 pub struct Profile {
     /// The index's organization.
     pub layout: IndexLayout,
-    /// `Σ|T|` over the indexed objects. A signature inserted without its
-    /// set ([`Ssf::insert_signature`](crate::Ssf::insert_signature)) adds
-    /// nothing; an empty set adds 0.
+    /// `Σ|T|` over the indexed objects; an empty set adds 0.
     pub elements: u64,
 }
 
@@ -189,7 +187,11 @@ pub enum IndexLayout {
         m: u32,
     },
     /// A nested index: a B-tree of per-element posting lists.
-    Nested,
+    Nested {
+        /// The distinct elements it holds a posting list for: the domain
+        /// `V` its queries are drawn against.
+        keys: u64,
+    },
 }
 
 #[cfg(test)]

@@ -468,9 +468,8 @@ mod tests {
         // refuse to run rather than treat the missing page as zeros.
         let (_d, mut f) = fssf(160, 1, 2);
         f.insert(Oid::new(0), &[ElementKey::from(0u64)]).unwrap();
-        for i in 1..=210u64 {
-            f.oid_file.append(Oid::new(i)).unwrap();
-        }
+        let oids: Vec<Oid> = (1..=210).map(Oid::new).collect();
+        f.oid_file.bulk_append(&oids).unwrap();
         let q = SetQuery::has_subset(vec![ElementKey::from(0u64)]);
         match f.candidates(&q) {
             Err(Error::Corrupted(msg)) => {

@@ -50,11 +50,6 @@ impl OidAllocator {
         OidAllocator { next: 0 }
     }
 
-    /// Creates an allocator whose first OID is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        OidAllocator { next: start }
-    }
-
     /// Allocates the next OID.
     pub fn allocate(&mut self) -> Oid {
         let oid = Oid::new(self.next);
@@ -98,8 +93,6 @@ mod tests {
         assert_eq!(a.allocate(), Oid::new(0));
         assert_eq!(a.allocate(), Oid::new(1));
         assert_eq!(a.peek(), 2);
-        let mut b = OidAllocator::starting_at(100);
-        assert_eq!(b.allocate(), Oid::new(100));
     }
 
     #[test]

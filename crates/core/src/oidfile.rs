@@ -81,30 +81,6 @@ impl OidFile {
         (pos % OIDS_PER_PAGE) as usize * OID_ENTRY_BYTES
     }
 
-    /// Appends an OID at the end, returning its position.
-    ///
-    /// Costs exactly **one page write**: a new tail page when the previous
-    /// one is full, otherwise an in-place update of the tail page — the OID
-    /// file half of the paper's `UC_I = 2` for SSF.
-    pub fn append(&mut self, oid: Oid) -> Result<u64> {
-        self.bulk_append(&[oid])
-    }
-
-    /// Reads the entry at `pos`: `Ok(Some(oid))` when live, `Ok(None)` when
-    /// tombstoned. Costs one page read.
-    pub fn get(&self, pos: u64) -> Result<Option<Oid>> {
-        if pos >= self.len {
-            return Err(Error::NoSuchEntry(pos));
-        }
-        let page = self.file.read(Self::page_of(pos))?;
-        let raw = page.read_u64(Self::offset_of(pos));
-        Ok(if raw & TOMBSTONE_BIT != 0 {
-            None
-        } else {
-            Some(Oid::new(raw))
-        })
-    }
-
     /// Pages the filter stage's OID-file look-up (`OidFile::drops_at`) over
     /// this **sorted** position list will read — the paper's `LC_OID`
     /// charge for the look-up step.
@@ -141,24 +117,6 @@ impl OidFile {
             oids.extend(raws.filter(|raw| raw & TOMBSTONE_BIT == 0).map(Oid::new));
         }
         Ok(CandidateSet::new(oids, false))
-    }
-
-    /// Sets the delete flag at `pos`. Costs one page read + one page write.
-    pub fn mark_deleted_at(&mut self, pos: u64) -> Result<()> {
-        if pos >= self.len {
-            return Err(Error::NoSuchEntry(pos));
-        }
-        let off = Self::offset_of(pos);
-        let mut was_live = false;
-        self.file.modify(Self::page_of(pos), |page| {
-            let raw = page.read_u64(off);
-            was_live = raw & TOMBSTONE_BIT == 0;
-            page.write_u64(off, raw | TOMBSTONE_BIT);
-        })?;
-        if was_live {
-            self.live = self.one_less_live()?;
-        }
-        Ok(())
     }
 
     /// The live count after one more tombstone — [`Error::Corrupted`] if
@@ -299,16 +257,22 @@ mod tests {
         (disk, OidFile::create(io, "oids"))
     }
 
+    /// The live OID at `pos`, through the filter stage's look-up: `None`
+    /// when tombstoned.
+    fn live_at(f: &OidFile, pos: u64) -> Option<Oid> {
+        f.drops_at(&[pos]).unwrap().oids.first().copied()
+    }
+
     #[test]
-    fn append_and_get() {
+    fn append_and_look_up() {
         let (_d, mut f) = oidfile();
         for i in 0..10u64 {
-            assert_eq!(f.append(Oid::new(i * 7)).unwrap(), i);
+            assert_eq!(f.bulk_append(&[Oid::new(i * 7)]).unwrap(), i);
         }
         assert_eq!(f.len(), 10);
         assert_eq!(f.live_count(), 10);
-        assert_eq!(f.get(3).unwrap(), Some(Oid::new(21)));
-        assert!(f.get(10).is_err());
+        assert_eq!(live_at(&f, 3), Some(Oid::new(21)));
+        assert!(matches!(f.drops_at(&[10]), Err(Error::NoSuchEntry(10))));
     }
 
     #[test]
@@ -316,12 +280,12 @@ mod tests {
         let (disk, mut f) = oidfile();
         // First append creates the page.
         let before = disk.snapshot();
-        f.append(Oid::new(1)).unwrap();
+        f.bulk_append(&[Oid::new(1)]).unwrap();
         let d = disk.snapshot().since(before);
         assert_eq!((d.reads, d.writes), (0, 1));
         // Subsequent appends blind-update the tail page.
         let before = disk.snapshot();
-        f.append(Oid::new(2)).unwrap();
+        f.bulk_append(&[Oid::new(2)]).unwrap();
         let d = disk.snapshot().since(before);
         assert_eq!((d.reads, d.writes), (0, 1));
     }
@@ -330,12 +294,12 @@ mod tests {
     fn page_boundary_allocates_new_page() {
         let (_d, mut f) = oidfile();
         for i in 0..OIDS_PER_PAGE + 1 {
-            f.append(Oid::new(i)).unwrap();
+            f.bulk_append(&[Oid::new(i)]).unwrap();
         }
         assert_eq!(f.storage_pages().unwrap(), 2);
-        assert_eq!(f.get(OIDS_PER_PAGE).unwrap(), Some(Oid::new(OIDS_PER_PAGE)));
+        assert_eq!(live_at(&f, OIDS_PER_PAGE), Some(Oid::new(OIDS_PER_PAGE)));
         assert_eq!(
-            f.get(OIDS_PER_PAGE - 1).unwrap(),
+            live_at(&f, OIDS_PER_PAGE - 1),
             Some(Oid::new(OIDS_PER_PAGE - 1))
         );
     }
@@ -344,7 +308,7 @@ mod tests {
     fn drops_at_batches_page_reads() {
         let (disk, mut f) = oidfile();
         for i in 0..OIDS_PER_PAGE * 2 {
-            f.append(Oid::new(i)).unwrap();
+            f.bulk_append(&[Oid::new(i)]).unwrap();
         }
         disk.reset_stats();
         // Four positions on page 0, one on page 1: exactly 2 page reads.
@@ -366,16 +330,19 @@ mod tests {
     fn tombstones_are_skipped() {
         let (_d, mut f) = oidfile();
         for i in 0..5u64 {
-            f.append(Oid::new(i)).unwrap();
+            f.bulk_append(&[Oid::new(i)]).unwrap();
         }
-        f.mark_deleted_at(2).unwrap();
+        assert_eq!(f.delete_by_oid(Oid::new(2)).unwrap(), 2);
         assert_eq!(f.live_count(), 4);
-        assert_eq!(f.get(2).unwrap(), None);
+        assert_eq!(live_at(&f, 2), None);
         let got = f.drops_at(&[1, 2, 3]).unwrap();
         assert_eq!(got.oids, vec![Oid::new(1), Oid::new(3)]);
         assert!(!got.exact);
-        // Double delete is idempotent.
-        f.mark_deleted_at(2).unwrap();
+        // A second delete finds no live entry and changes nothing.
+        assert!(matches!(
+            f.delete_by_oid(Oid::new(2)),
+            Err(Error::OidNotFound(_))
+        ));
         assert_eq!(f.live_count(), 4);
     }
 
@@ -383,7 +350,7 @@ mod tests {
     fn delete_by_oid_scans_and_flags() {
         let (disk, mut f) = oidfile();
         for i in 0..OIDS_PER_PAGE + 10 {
-            f.append(Oid::new(i)).unwrap();
+            f.bulk_append(&[Oid::new(i)]).unwrap();
         }
         disk.reset_stats();
         // Entry on the second page: scan reads 2 pages, then 1 write.
@@ -391,7 +358,7 @@ mod tests {
         assert_eq!(pos, OIDS_PER_PAGE + 5);
         let d = disk.snapshot();
         assert_eq!((d.reads, d.writes), (2, 1));
-        assert_eq!(f.get(pos).unwrap(), None);
+        assert_eq!(live_at(&f, pos), None);
         // Entry on the first page: the scan stops there.
         disk.reset_stats();
         f.delete_by_oid(Oid::new(5)).unwrap();
@@ -408,7 +375,7 @@ mod tests {
     fn a_failed_bulk_append_appends_nothing_and_is_written_over() {
         let (disk, mut f) = oidfile();
         for i in 0..10u64 {
-            f.append(Oid::new(i)).unwrap();
+            f.bulk_append(&[Oid::new(i)]).unwrap();
         }
         // Three pages' worth: the tail page's update and one new page go
         // through, the second new page fails.
@@ -426,14 +393,14 @@ mod tests {
         ));
 
         // The next appends take the same positions, over what was left.
-        assert_eq!(f.append(Oid::new(10)).unwrap(), 10);
+        assert_eq!(f.bulk_append(&[Oid::new(10)]).unwrap(), 10);
         let more: Vec<Oid> = (11..2 * OIDS_PER_PAGE).map(Oid::new).collect();
         let before = disk.snapshot().writes;
         assert_eq!(f.bulk_append(&more).unwrap(), 11);
         assert_eq!(disk.snapshot().writes - before, 2, "one write per page");
         assert_eq!(f.storage_pages().unwrap(), 2);
         for pos in [9, 10, 11, OIDS_PER_PAGE, 2 * OIDS_PER_PAGE - 1] {
-            assert_eq!(f.get(pos).unwrap(), Some(Oid::new(pos)), "position {pos}");
+            assert_eq!(live_at(&f, pos), Some(Oid::new(pos)), "position {pos}");
         }
     }
 
@@ -441,10 +408,10 @@ mod tests {
     fn scan_live_returns_survivors_in_order() {
         let (_d, mut f) = oidfile();
         for i in 0..6u64 {
-            f.append(Oid::new(i * 10)).unwrap();
+            f.bulk_append(&[Oid::new(i * 10)]).unwrap();
         }
-        f.mark_deleted_at(0).unwrap();
-        f.mark_deleted_at(4).unwrap();
+        f.delete_by_oid(Oid::new(0)).unwrap();
+        f.delete_by_oid(Oid::new(40)).unwrap();
         let live = f.scan_live().unwrap();
         assert_eq!(
             live,

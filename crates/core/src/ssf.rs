@@ -21,7 +21,6 @@ use crate::element::ElementKey;
 use crate::error::{Error, Result};
 use crate::kernel::{self, RowTest};
 use crate::meta::{MetaReader, MetaWriter};
-use crate::oid::Oid;
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
 use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
@@ -248,25 +247,6 @@ impl Ssf {
         self.layout.storage_pages()
     }
 
-    /// Appends `sig` for `oid`, returning the entry position.
-    ///
-    /// Cost on an uncached disk: exactly 2 page writes (`UC_I = 2`). The
-    /// OID-file append is the commit point: a call that fails before it has
-    /// indexed nothing, and what it wrote of the signature file is written
-    /// over by the next insert at that position. No set comes with it, so
-    /// the `Σ|T|` of
-    /// [`profile`](crate::SetAccessFacility::profile)
-    /// does not count it.
-    pub fn insert_signature(&mut self, oid: Oid, sig: &Bitmap) -> Result<u64> {
-        if sig.len() != self.layout.cfg.f_bits() {
-            return Err(Error::WidthMismatch {
-                expected: self.layout.cfg.f_bits(),
-                got: sig.len(),
-            });
-        }
-        self.append_rows(&[oid], std::iter::once(sig.clone()), 0)
-    }
-
     /// Reads the stored signature at `pos` (one page read).
     pub fn signature_at(&self, pos: u64) -> Result<Bitmap> {
         if pos >= self.oid_file.len() {
@@ -284,7 +264,9 @@ impl Ssf {
     /// Rebuilds the SSF without tombstoned entries, reclaiming the space of
     /// deleted objects (an extension; the paper leaves tombstones forever).
     ///
-    /// Returns the number of live entries carried over.
+    /// The old files stay on the disk (no page store frees a file): the
+    /// SSF's pages fall, the disk's and a saved image's grow. Returns the
+    /// number of live entries carried over.
     pub fn compact(&mut self) -> Result<u64> {
         let live = self.oid_file.scan_live()?;
         let rows = live.iter().map(|&(pos, _)| self.signature_at(pos));
@@ -296,7 +278,7 @@ impl Ssf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SetAccessFacility;
+    use crate::{Oid, SetAccessFacility};
     use setsig_pagestore::Disk;
 
     fn ssf(f_bits: u32, m: u32) -> (Arc<Disk>, Ssf) {
@@ -379,12 +361,10 @@ mod tests {
     fn signature_at_roundtrips() {
         let (_d, mut ssf) = ssf(256, 4);
         let set = keys(&["x", "y", "z"]);
-        let pos = ssf
-            .insert_signature(Oid::new(9), &ssf.config().signature(&set))
-            .unwrap();
-        let stored = ssf.signature_at(pos).unwrap();
+        ssf.insert(Oid::new(9), &set).unwrap();
+        let stored = ssf.signature_at(0).unwrap();
         assert_eq!(stored, ssf.config().signature(&set));
-        assert!(ssf.signature_at(pos + 1).is_err());
+        assert!(matches!(ssf.signature_at(1), Err(Error::NoSuchEntry(1))));
     }
 
     #[test]
@@ -427,34 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn width_mismatch_rejected() {
-        let (disk, mut ssf) = ssf(128, 3);
-        ssf.insert(Oid::new(1), &keys(&["a"])).unwrap();
-        let state = |ssf: &Ssf| {
-            (
-                ssf.indexed_count(),
-                ssf.oid_file().len(),
-                disk.snapshot().writes,
-            )
-        };
-        let before = state(&ssf);
-        let other = SignatureConfig::new(64, 3).unwrap();
-        let sig = other.signature(&keys(&["a"]));
-        assert!(matches!(
-            ssf.insert_signature(Oid::new(2), &sig),
-            Err(Error::WidthMismatch {
-                expected: 128,
-                got: 64
-            })
-        ));
-        // Refused before any write: nothing is indexed, and the position a
-        // row would have taken holds no entry.
-        assert_eq!(state(&ssf), before);
-        let len = ssf.oid_file().len();
-        assert!(matches!(ssf.signature_at(len), Err(Error::NoSuchEntry(p)) if p == len));
-    }
-
-    #[test]
     fn oversized_signature_rejected_at_create() {
         let disk = Arc::new(Disk::new());
         let io: Arc<dyn PageIo> = disk as Arc<dyn PageIo>;
@@ -466,7 +418,7 @@ mod tests {
 #[cfg(test)]
 mod engine_tests {
     use super::*;
-    use crate::SetAccessFacility;
+    use crate::{Oid, SetAccessFacility};
     use setsig_pagestore::Disk;
 
     fn populated(f_bits: u32, m: u32, n: u64) -> (Arc<Disk>, Ssf) {

@@ -77,7 +77,9 @@ mod tests {
         // Eq. (4): at m = m_opt, Fd ≈ (1/2)^{m_opt·D_q}.
         let f = 500u32;
         let d_t = 10u32;
-        let m = m_opt(f, d_t).round() as u32; // 35
+        let m = m_opt(f, d_t).round() as u32;
+        // Figure 4's weights: 500·0.693/10 ≈ 34.7 → 35, 250·0.693/10 → 17.
+        assert_eq!((m, m_opt(250, d_t).round()), (35, 17.0));
         let d_q = 2u32;
         let fd = fd_superset(f, m, d_t, d_q);
         let expected = 0.5f64.powf((m * d_q) as f64);

@@ -640,7 +640,7 @@ fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> Drift
                 units,
                 object_pages: run.resolve_io.accesses(),
                 actual: run.actual.len() as u64,
-                false_drops: run.report.false_drops,
+                false_drops: run.false_drops,
                 split_pages: 0,
             }
         })

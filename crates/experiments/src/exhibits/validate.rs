@@ -31,7 +31,7 @@ fn measured_fd(
             SetQuery::in_subset(elems)
         };
         let m = sim.measure_facility(facility, &q);
-        total += m.report.false_drops as f64 / (n - m.actual.len() as f64);
+        total += m.false_drops as f64 / (n - m.actual.len() as f64);
     }
     total / trials as f64
 }

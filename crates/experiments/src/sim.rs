@@ -172,9 +172,9 @@ impl SimDb {
                 slices_touched: matches!(&*name, "bssf" | "fssf").then_some(stats.slices),
                 early_exit: stats.early_exit,
                 pages: stats.pages,
-                candidates: exec.report.candidates,
+                candidates: exec.drops.len() as u64,
                 exact: exec.drops.exact,
-                false_drops: exec.report.false_drops,
+                false_drops: exec.false_drops,
                 cache_hits: cache.map(|(before, after)| after.hits - before.hits),
                 cache_misses: cache.map(|(before, after)| after.misses - before.misses),
                 facility: name,
@@ -206,7 +206,7 @@ impl SimDb {
 fn geometry(facility: &dyn SetAccessFacility) -> Option<(u32, u32)> {
     match facility.profile()?.layout {
         IndexLayout::Signature { f, m } => Some((f, m)),
-        IndexLayout::Nested => None,
+        IndexLayout::Nested { .. } => None,
     }
 }
 
@@ -214,7 +214,7 @@ fn geometry(facility: &dyn SetAccessFacility) -> Option<(u32, u32)> {
 mod tests {
     use super::*;
     use setsig_pagestore::BufferPool;
-    use setsig_workload::Cardinality;
+    use setsig_workload::{subset_of, Cardinality, SplitMix64};
 
     fn small_cfg() -> WorkloadConfig {
         WorkloadConfig {
@@ -247,12 +247,12 @@ mod tests {
         let bssf = sim.build_bssf(128, 2);
         let nix = sim.build_nix();
 
-        let mut qg = sim.query_gen(3);
+        let mut rng = SplitMix64::new(3);
         for trial in 0..5u64 {
             // Force hits by querying subsets of real targets.
             let target = &sim.sets[(trial * 97 % 500) as usize];
             let q = SetQuery::has_subset(
-                qg.subset_of_target(target, 3)
+                subset_of(&mut rng, target, 3)
                     .into_iter()
                     .map(ElementKey::from)
                     .collect(),
@@ -263,7 +263,7 @@ mod tests {
             assert_eq!(a.actual, b.actual, "trial {trial}");
             assert_eq!(b.actual, c.actual, "trial {trial}");
             assert!(!a.actual.is_empty(), "forced hit must match");
-            assert_eq!(c.report.false_drops, 0, "NIX ⊇ is exact");
+            assert_eq!(c.false_drops, 0, "NIX ⊇ is exact");
         }
     }
 
@@ -274,8 +274,7 @@ mod tests {
         let q = SetQuery::has_subset(vec![ElementKey::from(7u64)]);
         let m = sim.measure_facility(&bssf, &q);
         assert!(m.stats.unwrap().pages > 0);
-        let report = &m.report;
-        assert!(m.actual.len() as u64 + report.false_drops == report.candidates);
+        assert_eq!(m.actual.len() as u64 + m.false_drops, m.drops.len() as u64);
         // On the bare disk the whole query's accesses — what `measure_avg`
         // averages — are the filter's charged pages plus the object pages.
         assert_eq!(
@@ -285,7 +284,7 @@ mod tests {
     }
 
     /// The trace line is built where the drops are resolved, so it agrees
-    /// with the filter call's own `ScanStats` and with the `DropReport`, and
+    /// with the filter call's own `ScanStats` and with its false drops, and
     /// leaves nothing unknown — for every facility, ⊇ and ⊆, plain and smart.
     #[test]
     fn every_trace_line_agrees_with_its_querys_stats_and_drop_report() {
@@ -325,7 +324,7 @@ mod tests {
                 sliced(&ev.facility).then_some(stats.slices)
             );
             assert_eq!(ev.f_bits.zip(ev.m_weight), geometry(facility));
-            assert_eq!(ev.false_drops, run.report.false_drops);
+            assert_eq!(ev.false_drops, run.false_drops);
             assert_eq!(ev.candidates, run.actual.len() as u64 + ev.false_drops);
             assert!(
                 !ev.exact || ev.false_drops == 0,

@@ -394,12 +394,14 @@ impl SetAccessFacility for Nix {
         self.tree.file_io().cache_stats()
     }
 
-    /// [`IndexLayout::Nested`], and `Σ|T|` as the tree's postings count
-    /// it: one per distinct digest of each set, less the one an empty set
-    /// is posted with.
+    /// [`IndexLayout::Nested`] over the tree's keys, and `Σ|T|` as its
+    /// postings count it: one per distinct digest of each set. Both leave
+    /// out the key empty sets are posted under, and its postings.
     fn profile(&self) -> Option<Profile> {
         Some(Profile {
-            layout: IndexLayout::Nested,
+            layout: IndexLayout::Nested {
+                keys: self.tree.key_count() - u64::from(self.empties > 0),
+            },
             elements: self.tree.posting_count() - self.empties,
         })
     }
@@ -1018,29 +1020,32 @@ mod meta_tests {
         let disk = Arc::new(Disk::new());
         let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
         let mut nix = Nix::on_io(io(), "p");
+        // `(Σ|T|, keys)`.
         let elements = |nix: &Nix| {
             let profile = nix.profile().unwrap();
-            assert_eq!(profile.layout, IndexLayout::Nested);
-            profile.elements
+            let IndexLayout::Nested { keys } = profile.layout else {
+                panic!("{profile:?}");
+            };
+            (profile.elements, keys)
         };
-        assert_eq!(elements(&nix), 0);
+        assert_eq!(elements(&nix), (0, 0));
         let set = |s: &[u64]| s.iter().map(|&e| ElementKey::from(e)).collect::<Vec<_>>();
         // Repeats count once; an empty set counts 0.
         nix.insert(Oid::new(1), &set(&[3, 1, 3])).unwrap();
         nix.insert(Oid::new(2), &set(&[1, 2, 4])).unwrap();
         nix.insert(Oid::new(3), &[]).unwrap();
-        assert_eq!(elements(&nix), 5);
+        assert_eq!(elements(&nix), (5, 4));
         nix.delete(Oid::new(1), &set(&[1, 3])).unwrap();
-        assert_eq!(elements(&nix), 3);
+        assert_eq!(elements(&nix), (3, 3));
         // A refused delete moves nothing.
         assert!(nix.delete(Oid::new(9), &set(&[7])).is_err());
         nix.delete(Oid::new(3), &[]).unwrap();
         nix.insert(Oid::new(4), &[]).unwrap();
-        assert_eq!(elements(&nix), 3);
+        assert_eq!(elements(&nix), (3, 3));
         let meta = nix.sync_meta().unwrap();
         let reopened = Nix::open(io(), meta).unwrap();
         assert_eq!(reopened.profile(), nix.profile());
-        assert_eq!(elements(&reopened), 3);
+        assert_eq!(elements(&reopened), (3, 3));
     }
 
     #[test]

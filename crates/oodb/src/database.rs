@@ -2,8 +2,8 @@
 //! two-phase query executor.
 
 use setsig_core::{
-    resolve_drops, CandidateSet, DropReport, ElementKey, ElementSet, IndexLayout, Oid,
-    OidAllocator, ScanStats, SetAccessFacility, SetPredicate, SetQuery, TargetSetSource,
+    resolve_drops, CandidateSet, ElementKey, ElementSet, IndexLayout, Oid, OidAllocator, ScanStats,
+    SetAccessFacility, SetPredicate, SetQuery, TargetSetSource,
 };
 use setsig_costmodel::{BssfModel, NixModel, Params};
 use setsig_pagestore::{Disk, IoDelta, PageIo};
@@ -41,11 +41,9 @@ struct RegisteredFacility {
 pub struct QueryExecution {
     /// Qualifying objects after false-drop resolution.
     pub actual: Vec<Oid>,
-    /// Drop classification (counts) from the resolution step. On every
-    /// path — facility, full scan, `select Class` — the answer lives in
-    /// [`QueryExecution::actual`] only: `report.actual` is moved out, not
-    /// duplicated, and is always empty here.
-    pub report: DropReport,
+    /// The drops resolution rejected (*false drops*): `drops` less
+    /// `actual`.
+    pub false_drops: u64,
     /// This database's `Disk` accesses over the whole query (filter + OID
     /// look-up + object fetches), a delta of two `Disk` snapshots. On the
     /// bare disk that is every page access, the paper's `RC`; under a
@@ -261,11 +259,11 @@ impl Database {
         let before = self.disk.snapshot();
         let (drops, stats) = facility.candidates_with_stats(query)?;
         let filtered = self.disk.snapshot();
-        let mut report = resolve_drops(query, &drops, source)?;
+        let report = resolve_drops(query, &drops, source)?;
         let after = self.disk.snapshot();
         Ok(QueryExecution {
-            actual: std::mem::take(&mut report.actual),
-            report,
+            actual: report.actual,
+            false_drops: report.false_drops,
             io: after.since(before),
             drops,
             stats,
@@ -293,8 +291,8 @@ impl Database {
     /// [`run_query`](Database::run_query) does before it executes. The plan
     /// is priced on the facility's own instance, read off its
     /// [`profile`](SetAccessFacility::profile): `N` its indexed count, `D_t`
-    /// its mean set size `Σ|T|/N`, and, for a signature file, its `F` and
-    /// `m`.
+    /// its mean set size `Σ|T|/N`, for a signature file its `F` and `m`,
+    /// and for a nested index its key count as the domain `V`.
     ///
     /// - `T ⊆ Q` on a signature file, below `D_q^opt`: Appendix C's slice
     ///   cap `F − m_s(D_q^opt)` (§5.2.2, [`BssfModel::subset_cap`]). BSSF
@@ -343,8 +341,9 @@ impl Database {
             (SetPredicate::InSubset, IndexLayout::Signature { f, m }) => {
                 BssfModel::new(params, f, m, d_t).subset_cap(d_q)
             }
-            (SetPredicate::HasSubset, IndexLayout::Nested) if n > 0 => {
-                Some(NixModel::new(params, d_t).best_superset_cap(d_q)).filter(|&j| j < d_q)
+            (SetPredicate::HasSubset, IndexLayout::Nested { keys }) if n > 0 && keys > 0 => {
+                let model = NixModel::new(Params { v: keys, ..params }, d_t);
+                Some(model.best_superset_cap(d_q)).filter(|&j| j < d_q)
             }
             _ => None,
         };
@@ -415,14 +414,9 @@ impl Database {
             }
         }
         let io = self.disk.snapshot().since(before);
-        let (candidates, hits) = (examined.len() as u64, actual.len() as u64);
         Ok(QueryExecution {
+            false_drops: (examined.len() - actual.len()) as u64,
             actual,
-            report: DropReport {
-                actual: Vec::new(),
-                false_drops: candidates - hits,
-                candidates,
-            },
             io,
             drops: CandidateSet::new(examined, predicate.is_none()),
             stats: None,
@@ -636,7 +630,7 @@ mod tests {
         let r = db.scan_set_query(student, "hobbies", &q).unwrap();
         assert_eq!(r.actual, vec![jeff, bob]);
         // Scan fetched every object.
-        assert_eq!(r.report.candidates, 3);
+        assert_eq!(r.drops.len(), 3);
     }
 
     #[test]
@@ -667,7 +661,7 @@ mod tests {
             assert!(!smart.actual.is_empty());
             // The cap only ever admits more drops for resolution to reject.
             let full = db.execute_set_query(fidx, &plain).unwrap();
-            assert!(smart.report.candidates >= full.report.candidates);
+            assert!(smart.drops.len() >= full.drops.len());
         }
     }
 
@@ -772,12 +766,12 @@ mod tests {
         let via_scan = db.scan_set_query(student, "hobbies", &q).unwrap();
         assert_eq!(via_facility.actual, via_scan.actual);
         assert_eq!(via_facility.actual.len(), 6);
-        // One copy of the answer on every path: `report.actual` is moved
-        // into `actual`, never duplicated.
+        // On every path a drop is an answer or a false drop.
         let whole_class = db.run_query("select Student").unwrap();
         assert_eq!(whole_class.actual.len(), 300);
         for exec in [&via_facility, &via_scan, &whole_class] {
-            assert!(exec.report.actual.is_empty(), "{:?}", exec.report);
+            let split = exec.actual.len() as u64 + exec.false_drops;
+            assert_eq!(split, exec.drops.len() as u64, "{exec:?}");
         }
         assert!(
             via_facility.io.accesses() < via_scan.io.accesses(),

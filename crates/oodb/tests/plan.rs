@@ -1,10 +1,10 @@
 //! The plan `run_query` runs (§5.1.3, §5.2.2, Appendix C): on a 4,000-object
 //! instance, a BSSF `T ⊆ Q` query below `D_q^opt` reads the instance's
 //! slice budget and one at or above it every zero-slice; a NIX `T ⊇ Q`
-//! query above the model's `j` looks up `j` of its elements; every other
-//! query, and every other query on SSF, BSSF or NIX, costs what the
-//! unplanned query costs; answers equal the full scan's; and a BSSF bulk
-//! loaded, or saved and reopened, plans the same cap.
+//! query above the model's `j`, priced on the index's keys, looks up `j` of
+//! its elements; every other query, and every other query on SSF, BSSF or
+//! NIX, costs what the unplanned query costs; answers equal the full scan's;
+//! and a BSSF bulk loaded, or saved and reopened, plans the same cap.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code
 
@@ -131,15 +131,10 @@ fn run_query_caps_a_nix_superset_lookup_above_j_and_nothing_else() {
     let sets = sets();
     let (db, class) = instance(&sets, NIX);
     let others = [instance(&sets, SSF).0, instance(&sets, BSSF).0];
-    // Priced as `plan` prices it: the facility's `N` and `D_t`, the
-    // paper's other constants.
-    let model = NixModel::new(
-        Params {
-            n: N,
-            ..Params::paper()
-        },
-        D_T as u32,
-    );
+    // Priced as `plan` prices it: the facility's `N`, `D_t` and keys as
+    // `V` (4,000 sets of 10 hold every value), the paper's other constants.
+    assert_eq!(nested_keys(&db), DOMAIN);
+    let model = NixModel::new(Params::scaled(N, DOMAIN), D_T as u32);
     let mut planned_any = false;
     for (i, d_q) in [1usize, 2, 3, 5, 8].into_iter().enumerate() {
         // A subset of a stored set: the intersection never empties.
@@ -199,12 +194,49 @@ fn run_query_caps_a_nix_superset_lookup_above_j_and_nothing_else() {
     let (empty, _) = instance(&[], NIX);
     let profile = empty.facility(0).unwrap().profile();
     let nested = Some(Profile {
-        layout: IndexLayout::Nested,
+        layout: IndexLayout::Nested { keys: 0 },
         elements: 0,
     });
     assert_eq!(profile, nested);
     let query = SetQuery::has_subset(keys(&sets[0][..5]));
     assert_eq!(empty.plan(0, query.clone()), query);
+}
+
+/// The keys of facility 0, a NIX: the domain `plan` prices it on.
+fn nested_keys(db: &Database) -> u64 {
+    match db.facility(0).unwrap().profile().unwrap().layout {
+        IndexLayout::Nested { keys } => keys,
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A NIX `T ⊇ Q` plan is priced on the index's own domain, its keys: on
+/// 2,000 objects over 1,625 values the model's `j` for `D_q = 5` is 2,
+/// where the paper's `V = 13,000` gives 1, whose one posting list leaves
+/// a dozen false drops for resolution to fetch.
+#[test]
+fn a_nix_superset_plan_is_priced_on_the_indexs_keys() {
+    let sets = sets();
+    let (db, _) = instance(&sets[..2_000], NIX);
+    assert_eq!(nested_keys(&db), DOMAIN);
+    let paper = NixModel::new(Params::scaled(2_000, 13_000), D_T as u32);
+    assert_eq!(paper.best_superset_cap(5), 1);
+
+    let query = SetQuery::has_subset(keys(&sets[0][..5]));
+    assert_eq!(db.plan(0, query.clone()).cap(), Some(2));
+    let run = |cap| {
+        let capped = query.clone().with_cap(cap).unwrap();
+        db.execute_set_query(0, &capped).unwrap()
+    };
+    let (planned, one) = (run(2), run(1));
+    assert_eq!(planned.actual, one.actual);
+    assert!(planned.actual.contains(&Oid::new(0)));
+    assert!(
+        one.false_drops >= planned.false_drops + 8,
+        "j = 1: {} false drops, j = 2: {}",
+        one.false_drops,
+        planned.false_drops
+    );
 }
 
 #[test]

@@ -46,8 +46,8 @@ struct FileData {
 }
 
 struct DiskInner {
-    /// `None` marks a deleted file; slots are never reused.
-    files: Vec<Option<FileData>>,
+    /// Indexed by [`FileId`]: files are never removed.
+    files: Vec<FileData>,
     total: IoSnapshot,
     /// Fault injection: `Some(n)` fails every page access after `n` more
     /// successful ones.
@@ -87,30 +87,15 @@ impl Disk {
     pub fn create_file(&self, name: &str) -> FileId {
         let mut g = self.inner.lock();
         let id = FileId(g.files.len() as u32);
-        g.files.push(Some(FileData {
+        g.files.push(FileData {
             name: name.to_owned(),
             pages: Vec::new(),
             stats: FileStats::default(),
-        }));
+        });
         id
     }
 
-    /// Deletes a file, freeing its pages. Subsequent access through the
-    /// handle yields [`Error::FileNotFound`].
-    pub fn delete_file(&self, id: FileId) -> Result<()> {
-        let mut g = self.inner.lock();
-        let slot = g
-            .files
-            .get_mut(id.0 as usize)
-            .ok_or(Error::FileNotFound(id))?;
-        if slot.is_none() {
-            return Err(Error::FileNotFound(id));
-        }
-        *slot = None;
-        Ok(())
-    }
-
-    /// Runs `f` on a live file as one **page access**: spends fault budget.
+    /// Runs `f` on a file as one **page access**: spends fault budget.
     fn with_file<R>(
         &self,
         id: FileId,
@@ -127,16 +112,15 @@ impl Disk {
         let data = inner
             .files
             .get_mut(id.0 as usize)
-            .and_then(|s| s.as_mut())
             .ok_or(Error::FileNotFound(id))?;
         f(data, &mut inner.total)
     }
 
-    /// Reads a live file's catalog metadata: not a page access, so injected
+    /// Reads a file's catalog metadata: not a page access, so injected
     /// faults neither fail it nor count it.
     fn with_meta<R>(&self, id: FileId, f: impl FnOnce(&FileData) -> R) -> Result<R> {
         let g = self.inner.lock();
-        let data = g.files.get(id.0 as usize).and_then(|s| s.as_ref());
+        let data = g.files.get(id.0 as usize);
         data.map(f).ok_or(Error::FileNotFound(id))
     }
 
@@ -251,19 +235,17 @@ impl Disk {
         })
     }
 
-    /// Metadata for every live file, in creation order.
+    /// Metadata for every file, in creation order.
     pub fn list_files(&self) -> Vec<FileInfo> {
         let g = self.inner.lock();
         g.files
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref().map(|data| FileInfo {
-                    id: FileId(i as u32),
-                    name: data.name.clone(),
-                    pages: data.pages.len() as u32,
-                    stats: data.stats,
-                })
+            .map(|(i, data)| FileInfo {
+                id: FileId(i as u32),
+                name: data.name.clone(),
+                pages: data.pages.len() as u32,
+                stats: data.stats,
             })
             .collect()
     }
@@ -273,44 +255,39 @@ impl Disk {
     pub fn reset_stats(&self) {
         let mut g = self.inner.lock();
         g.total = IoSnapshot::default();
-        for slot in g.files.iter_mut().flatten() {
-            slot.stats = FileStats::default();
+        for data in &mut g.files {
+            data.stats = FileStats::default();
         }
     }
 
-    /// Total pages currently allocated across all live files — the
-    /// measured counterpart of the paper's storage cost `SC`.
+    /// Total pages currently allocated across all files — the measured
+    /// counterpart of the paper's storage cost `SC`.
     pub fn total_pages(&self) -> u64 {
         let g = self.inner.lock();
-        g.files.iter().flatten().map(|d| d.pages.len() as u64).sum()
+        g.files.iter().map(|d| d.pages.len() as u64).sum()
     }
 
-    pub(crate) fn dump_files(&self) -> Vec<(u32, String, Vec<Page>)> {
+    /// Every file's name and pages, in [`FileId`] order.
+    pub(crate) fn dump_files(&self) -> Vec<(String, Vec<Page>)> {
         let g = self.inner.lock();
         g.files
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.as_ref()
-                    .map(|d| (i as u32, d.name.clone(), d.pages.clone()))
-            })
+            .map(|d| (d.name.clone(), d.pages.clone()))
             .collect()
     }
 
-    pub(crate) fn restore_files(&self, files: Vec<(u32, String, Vec<Page>)>) {
+    /// Replaces the file table: file `i` of `files` gets [`FileId`] `i`.
+    pub(crate) fn restore_files(&self, files: Vec<(String, Vec<Page>)>) {
         let mut g = self.inner.lock();
-        g.files.clear();
         g.total = IoSnapshot::default();
-        for (idx, name, pages) in files {
-            while g.files.len() < idx as usize {
-                g.files.push(None);
-            }
-            g.files.push(Some(FileData {
+        g.files = files
+            .into_iter()
+            .map(|(name, pages)| FileData {
                 name,
                 pages,
                 stats: FileStats::default(),
-            }));
-        }
+            })
+            .collect();
     }
 }
 
@@ -323,10 +300,10 @@ impl Default for Disk {
 impl std::fmt::Debug for Disk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let g = self.inner.lock();
-        let live = g.files.iter().flatten().count();
+        let files = g.files.len();
         write!(
             f,
-            "Disk {{ files: {live}, reads: {}, writes: {} }}",
+            "Disk {{ files: {files}, reads: {}, writes: {} }}",
             g.total.reads, g.total.writes
         )
     }
@@ -441,24 +418,12 @@ mod tests {
     }
 
     #[test]
-    fn deleted_file_rejects_access() {
+    fn an_unknown_file_is_not_found() {
         let disk = Disk::new();
-        let f = disk.create_file("t");
-        disk.append_page(f, &Page::zeroed()).unwrap();
-        disk.delete_file(f).unwrap();
+        disk.create_file("t");
+        let f = FileId::from_raw(1);
         assert_eq!(disk.read_page(f, 0), Err(Error::FileNotFound(f)));
-        assert_eq!(disk.delete_file(f), Err(Error::FileNotFound(f)));
-    }
-
-    #[test]
-    fn file_ids_are_not_reused() {
-        let disk = Disk::new();
-        let a = disk.create_file("a");
-        disk.delete_file(a).unwrap();
-        let b = disk.create_file("b");
-        assert_ne!(a, b);
-        assert!(disk.read_page(a, 0).is_err());
-        assert_eq!(disk.file_info(b).unwrap().name, "b");
+        assert_eq!(disk.page_count(f), Err(Error::FileNotFound(f)));
     }
 
     #[test]
@@ -486,15 +451,13 @@ mod tests {
     }
 
     #[test]
-    fn total_pages_sums_live_files() {
+    fn total_pages_sums_every_file() {
         let disk = Disk::new();
         let a = disk.create_file("a");
         let b = disk.create_file("b");
         disk.extend_to(a, 3).unwrap();
         disk.extend_to(b, 4).unwrap();
         assert_eq!(disk.total_pages(), 7);
-        disk.delete_file(a).unwrap();
-        assert_eq!(disk.total_pages(), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::disk::FileId;
 /// Errors raised by the paged storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// The file handle does not name a live file (never created, or deleted).
+    /// The file handle names no file of this disk.
     FileNotFound(FileId),
     /// A page index was at or beyond the end of the file.
     PageOutOfBounds {

@@ -7,7 +7,7 @@
 //! magic  "SSIMG1\n\0"              8 bytes
 //! nfiles u32
 //! per file:
-//!   slot    u32     (FileId index; gaps mark deleted files)
+//!   slot    u32     (FileId index: 0, 1, 2, … in order, no gaps)
 //!   namelen u32, name bytes
 //!   npages  u32, npages * PAGE_SIZE bytes
 //! ```
@@ -28,10 +28,6 @@ const MAGIC: &[u8; 8] = b"SSIMG1\n\0";
 /// Bytes of a file record before its name and pages: slot, namelen, npages.
 const RECORD_HEADER: u64 = 12;
 
-/// Largest slot an image may name. Loading re-creates every slot below it
-/// (gaps as deleted files), so the bound caps what a bad slot can allocate.
-const MAX_SLOT: u32 = 1 << 20;
-
 impl Disk {
     /// Serializes the disk (file names and page contents; counters are not
     /// persisted) to `path`.
@@ -40,8 +36,8 @@ impl Disk {
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         out.write_all(MAGIC)?;
         out.write_all(&(files.len() as u32).to_le_bytes())?;
-        for (slot, name, pages) in files {
-            out.write_all(&slot.to_le_bytes())?;
+        for (slot, (name, pages)) in files.into_iter().enumerate() {
+            out.write_all(&(slot as u32).to_le_bytes())?;
             out.write_all(&(name.len() as u32).to_le_bytes())?;
             out.write_all(name.as_bytes())?;
             out.write_all(&(pages.len() as u32).to_le_bytes())?;
@@ -67,9 +63,8 @@ impl Disk {
         let nfiles = read_count(&mut input, len, RECORD_HEADER)?;
         let mut files = Vec::with_capacity(nfiles);
         for _ in 0..nfiles {
-            let slot = read_u32(&mut input)?;
-            if slot > MAX_SLOT {
-                return Err(Error::CorruptImage("file slot too large".into()));
+            if read_u32(&mut input)? as usize != files.len() {
+                return Err(Error::CorruptImage("file slot out of order".into()));
             }
             let namelen = read_u32(&mut input)? as usize;
             if namelen > 1 << 20 {
@@ -86,14 +81,7 @@ impl Disk {
                 input.read_exact(&mut buf)?;
                 pages.push(Page::from_bytes(buf));
             }
-            files.push((slot, name, pages));
-        }
-        // Slots must be strictly increasing for restore_files to rebuild the
-        // id space faithfully.
-        for w in files.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(Error::CorruptImage("file slots out of order".into()));
-            }
+            files.push((name, pages));
         }
         let disk = Disk::new();
         disk.restore_files(files);
@@ -137,21 +125,16 @@ mod tests {
         disk.append_page(b, &p).unwrap();
         p.write_u64(0, 33);
         disk.append_page(b, &p).unwrap();
-        // A deleted file leaves a slot gap that must survive the roundtrip.
         let c = disk.create_file("gamma");
-        disk.delete_file(c).unwrap();
-        let d = disk.create_file("delta");
-        disk.append_page(d, &Page::zeroed()).unwrap();
 
         disk.save_to(&path).unwrap();
         let loaded = Disk::load_from(&path).unwrap();
 
         assert_eq!(loaded.read_page(a, 0).unwrap().read_u64(0), 11);
         assert_eq!(loaded.read_page(b, 1).unwrap().read_u64(0), 33);
-        assert!(loaded.read_page(c, 0).is_err());
-        assert_eq!(loaded.page_count(d).unwrap(), 1);
+        assert_eq!(loaded.page_count(c).unwrap(), 0);
         let names: Vec<_> = loaded.list_files().into_iter().map(|i| i.name).collect();
-        assert_eq!(names, vec!["alpha", "beta", "delta"]);
+        assert_eq!(names, vec!["alpha", "beta", "gamma"]);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -204,12 +187,40 @@ mod tests {
         ));
     }
 
+    /// Slot `i` names file `i`: a gap, a repeat and a slot far past the
+    /// end are all corrupt.
     #[test]
-    fn a_slot_past_the_bound_is_corrupt() {
-        assert!(matches!(
-            load_damaged("slot", 12, 1 << 30),
-            Err(Error::CorruptImage(_))
-        ));
+    fn slots_that_do_not_run_0_1_2_are_corrupt() {
+        for slot in [1, 1 << 30] {
+            assert!(matches!(
+                load_damaged("slot", 12, slot),
+                Err(Error::CorruptImage(_))
+            ));
+        }
+        // A 2-file image; the second record's slot sits after the first's
+        // 8 + 4 + 4 + 4 + 1 + 4 + PAGE_SIZE bytes.
+        let dir = std::env::temp_dir().join(format!("setsig-persist-slot2-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two.bin");
+        let disk = Disk::new();
+        for name in ["a", "b"] {
+            let f = disk.create_file(name);
+            disk.append_page(f, &Page::zeroed()).unwrap();
+        }
+        disk.save_to(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let at = 25 + PAGE_SIZE;
+        assert_eq!(pristine[at..at + 4], 1u32.to_le_bytes());
+        for slot in [0u32, 2] {
+            let mut bytes = pristine.clone();
+            bytes[at..at + 4].copy_from_slice(&slot.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(Disk::load_from(&path), Err(Error::CorruptImage(_))),
+                "second slot {slot}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

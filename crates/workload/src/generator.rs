@@ -119,15 +119,6 @@ impl WorkloadConfig {
             seed: 0x1993_5160,
         }
     }
-
-    /// A proportionally scaled-down instance (for fast simulation):
-    /// divides both `N` and `V` by `factor`, keeping `d = D_t·N/V` intact.
-    pub fn paper_scaled(d_t: u32, factor: u64) -> Self {
-        let mut cfg = Self::paper(d_t);
-        cfg.n_objects /= factor;
-        cfg.domain = (cfg.domain / factor).max(d_t as u64 * 2);
-        cfg
-    }
 }
 
 /// Generates target sets according to a [`WorkloadConfig`].
@@ -187,21 +178,20 @@ impl QueryGen {
     pub fn random(&mut self, d_q: u32) -> Vec<u64> {
         random_set(&mut self.rng, self.domain, d_q as usize)
     }
-
-    /// A `T ⊇ Q` query guaranteed to hit `target`: a random `d_q`-subset of
-    /// the target set. Panics if `d_q > |target|`.
-    pub fn subset_of_target(&mut self, target: &[u64], d_q: u32) -> Vec<u64> {
-        assert!(
-            d_q as usize <= target.len(),
-            "d_q exceeds target cardinality"
-        );
-        subset_of(&mut self.rng, target, d_q as usize)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's `D_t = 10` regime on `n` objects over `domain` elements.
+    fn small(n_objects: u64, domain: u64) -> WorkloadConfig {
+        WorkloadConfig {
+            n_objects,
+            domain,
+            ..WorkloadConfig::paper(10)
+        }
+    }
 
     #[test]
     fn splitmix_matches_the_reference_vector() {
@@ -247,14 +237,14 @@ mod tests {
     fn an_empty_cardinality_range_is_refused() {
         let cfg = WorkloadConfig {
             cardinality: Cardinality::UniformRange(15, 5),
-            ..WorkloadConfig::paper_scaled(10, 32)
+            ..small(1000, 406)
         };
         SetGenerator::new(cfg).next_set();
     }
 
     #[test]
     fn fixed_cardinality_sets_are_exact_and_distinct() {
-        let mut g = SetGenerator::new(WorkloadConfig::paper_scaled(10, 32));
+        let mut g = SetGenerator::new(small(1000, 406));
         for _ in 0..100 {
             let s = g.next_set();
             assert_eq!(s.len(), 10);
@@ -267,10 +257,10 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let a = SetGenerator::new(WorkloadConfig::paper_scaled(10, 64)).generate_all();
-        let b = SetGenerator::new(WorkloadConfig::paper_scaled(10, 64)).generate_all();
+        let a = SetGenerator::new(small(500, 203)).generate_all();
+        let b = SetGenerator::new(small(500, 203)).generate_all();
         assert_eq!(a, b);
-        let mut cfg = WorkloadConfig::paper_scaled(10, 64);
+        let mut cfg = small(500, 203);
         cfg.seed += 1;
         let c = SetGenerator::new(cfg).generate_all();
         assert_ne!(a, c);
@@ -280,7 +270,7 @@ mod tests {
     fn variable_cardinality_stays_in_range() {
         let cfg = WorkloadConfig {
             cardinality: Cardinality::UniformRange(5, 15),
-            ..WorkloadConfig::paper_scaled(10, 32)
+            ..small(1000, 406)
         };
         let mut g = SetGenerator::new(cfg);
         let mut seen_not_ten = false;
@@ -322,11 +312,11 @@ mod tests {
 
     #[test]
     fn subset_query_hits_its_target() {
-        let mut qg = QueryGen::new(1000, 9);
+        let mut rng = SplitMix64::new(9);
         let target: Vec<u64> = (0..10).map(|i| i * 37).collect();
         for d_q in 1..=10 {
-            let q = qg.subset_of_target(&target, d_q);
-            assert_eq!(q.len(), d_q as usize);
+            let q = subset_of(&mut rng, &target, d_q);
+            assert_eq!(q.len(), d_q);
             assert!(q.iter().all(|e| target.contains(e)));
             for w in q.windows(2) {
                 assert!(w[0] < w[1]);

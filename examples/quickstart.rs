@@ -158,8 +158,8 @@ fn main() {
     println!(
         "  cost: {} page accesses, {} candidates, {} false drops",
         r1.io.accesses(),
-        r1.report.candidates,
-        r1.report.false_drops
+        r1.drops.len(),
+        r1.false_drops
     );
 
     // ── 4. Query Q2: hobbies in-subset (Baseball, Fishing, Tennis) ─────

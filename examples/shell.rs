@@ -98,8 +98,8 @@ fn run_one(db: &Database, text: &str) {
                 "  {} matches in {} page accesses ({} candidates, {} false drops)\n",
                 result.actual.len(),
                 result.io.accesses(),
-                result.report.candidates,
-                result.report.false_drops
+                result.drops.len(),
+                result.false_drops
             );
         }
         Err(e) => println!("  error: {e}\n"),

@@ -123,8 +123,8 @@ fn main() {
             println!(
                 "  {name:<9} {:>5} pages  ({} candidates, {} false drops, {} answers)",
                 r.io.accesses(),
-                r.report.candidates,
-                r.report.false_drops,
+                r.drops.len(),
+                r.false_drops,
                 r.actual.len()
             );
             // All facilities must agree with each other and the scan.

@@ -275,6 +275,6 @@ fn facility_costs_scale_as_the_paper_predicts() {
     }
     // The engine's NIX counts each object's |T| in the union: it fetches
     // only its answers.
-    assert_eq!(nix.report.false_drops, 0, "{:?}", nix.report);
-    assert_eq!(nix.report.candidates, nix.actual.len() as u64);
+    assert_eq!(nix.false_drops, 0, "{nix:?}");
+    assert_eq!(nix.drops.len(), nix.actual.len());
 }

@@ -165,7 +165,8 @@ where
     let before = disk.snapshot().writes;
     fac.insert(recovery.0, &recovery.1).unwrap();
     let writes = disk.snapshot().writes - before;
-    assert_eq!(fac.oid_file().get(pos).unwrap(), Some(recovery.0), "{when}");
+    let last = fac.oid_file().scan_live().unwrap().pop();
+    assert_eq!(last, Some((pos, recovery.0)), "{when}");
     assert!(
         writes <= own + failed_writes,
         "{} {when}: recovery wrote {writes} pages, its own {own} + the failed call's {failed_writes}",

@@ -5,12 +5,16 @@
 //! Class `A` indexes `xs` with SSF(64, 2), BSSF(64, 2), FSSF(64, 8, 2), NIX
 //! and a `QueryService<Bssf>` of 1, 2 or 7 shards; class `B` has `xs` and no
 //! facility. A set holds 0–6 of 7 elements, `Int`s or `Str`s (half of them
-//! past `ElementKey`'s 22-byte inline limit). An op inserts into `A` or `B`,
+//! past `ElementKey`'s 22-byte inline limit); a query set holds 0–9 of 9,
+//! so it may name elements no object holds and outnumber the values held,
+//! and a `∋` element is one of the 9. An op inserts into `A` or `B`,
 //! deletes a live or a deleted object, runs a query step, or runs a query
 //! under a disk fault; after each, the database is held to a
 //! `BTreeMap<Oid, set>` model of the live `A` objects. A query step runs the
 //! five predicates on one query set, maybe empty, each as given, capped (`⊇`
-//! cap 1–4, `⊆` cap 1–F) and as `Database::plan` plans it.
+//! cap 1–4, `⊆` cap 1–F) and as `Database::plan` plans it; NIX's `⊇` plan
+//! is checked against the model's `j` priced on the values the live sets
+//! hold.
 //!
 //! It replaces five serial suites. What their tests asserted, and where:
 //!
@@ -63,6 +67,8 @@ use std::sync::Arc;
 
 /// Elements are `0..DOMAIN`; a set holds at most `DOMAIN - 1` of them.
 const DOMAIN: u8 = 7;
+/// Queries draw from `0..QUERY_DOMAIN`, past what any set holds.
+const QUERY_DOMAIN: u8 = DOMAIN + 2;
 /// The signature width of every signature file, and the largest `⊆` cap.
 const F: u32 = 64;
 /// The registered facilities, in registration order: index = facility id.
@@ -91,14 +97,24 @@ fn set() -> impl Strategy<Value = Set> {
     proptest::collection::btree_set(0..DOMAIN, 0..usize::from(DOMAIN))
 }
 
+fn query_set() -> impl Strategy<Value = Set> {
+    proptest::collection::btree_set(0..QUERY_DOMAIN, 0..=usize::from(QUERY_DOMAIN))
+}
+
 /// The one op strategy: mostly inserts, one in five of them into `B`.
 fn op() -> impl Strategy<Value = Op> {
     let caps = (1usize..5, 1..=F as usize).prop_map(|(sup, sub)| [sup, sub]);
-    let fault = (set(), 0..DOMAIN, 0usize..5, 0..NAMES.len(), 0u64..12);
+    let fault = (
+        query_set(),
+        0..QUERY_DOMAIN,
+        0usize..5,
+        0..NAMES.len(),
+        0u64..12,
+    );
     prop_oneof![
         8 => (0u8..5, set()).prop_map(|(class, set)| Op::Insert(class > 0, set)),
         2 => (0usize..1024).prop_map(Op::Delete),
-        2 => (set(), 0..DOMAIN, caps).prop_map(|(q, e, caps)| Op::Query(q, e, caps)),
+        2 => (query_set(), 0..QUERY_DOMAIN, caps).prop_map(|(q, e, caps)| Op::Query(q, e, caps)),
         1 => fault.prop_map(|(q, e, pred, fac, n)| Op::Fault(q, e, pred, fac, n)),
     ]
 }
@@ -316,10 +332,12 @@ impl History {
                 forms
             };
             prop_assert_eq!(forms(SERVICE), forms(BSSF), "planned unlike BSSF");
-            // On this instance the model's `j` for NIX `⊇` is 1.
-            let nix_capped = self.db.plan(NIX, query.clone()).cap().is_some();
-            let nix_capping = query.predicate == HasSubset && query.d_q() > 1;
-            prop_assert_eq!(nix_capped, nix_capping && !self.model.is_empty());
+            let nix_plan = self.db.plan(NIX, query.clone()).cap();
+            let nix_cap = match query.predicate {
+                HasSubset => self.nix_superset_cap(query.d_q()),
+                _ => None,
+            };
+            prop_assert_eq!(nix_plan, nix_cap, "NIX plan of {:?}", query);
             // NIX answers `⊇` by intersection, `⊆` and `=` by counting `|T|`.
             let exact = !matches!(query.predicate, Overlaps | Contains);
             let mut runs = Vec::new();
@@ -347,6 +365,22 @@ impl History {
             self.service_is_the_flat_bssf(&forms(BSSF), &runs)?;
         }
         Ok(())
+    }
+
+    /// NIX's `⊇` cap for `d_q` query elements: the model's `j` priced on
+    /// the live sets' count, mean size and distinct values, when below
+    /// `d_q`.
+    fn nix_superset_cap(&self, d_q: usize) -> Option<usize> {
+        let n = self.model.len() as u64;
+        let held: Set = self.model.values().flatten().copied().collect();
+        let sizes: usize = self.model.values().map(Set::len).sum();
+        if n == 0 || held.is_empty() {
+            return None;
+        }
+        let d_t = (sizes as f64 / n as f64).round() as u32;
+        let params = Params::scaled(n, held.len() as u64);
+        let j = NixModel::new(params, d_t).best_superset_cap(d_q as u32) as usize;
+        Some(j).filter(|&j| j < d_q)
     }
 
     /// The service's runs of `forms` against the flat BSSF's: the same
