@@ -14,8 +14,9 @@
 //!
 //! Both run a row page at a time. Under ⊇ a row page stops reading once
 //! its rows are all clear, since an AND cannot set them again. Under ⊆
-//! every selected slice page is ORed into its row page whole
-//! ([`kernel::or_assign`]). Skipping the rows that are already all set
+//! every selected slice page is read in slice order and ORed into its row
+//! page whole, eight pages to a pass over the row page
+//! ([`kernel::or_pages`]). Skipping the rows that are already all set
 //! would save CPU work only in the last few slices of a scan the §5.2.2
 //! cap ends (`Database::plan` caps every ⊆ below `D_q^opt`), and never a
 //! page.
@@ -31,9 +32,9 @@
 //! writer here does: rows are append-only and slice pages start zeroed, so
 //! a row's `0` bits are never written and an insert costs `m_t + 1` page
 //! writes (≈ 20.6 at `D_t = 10, m = 2`). [`SetAccessFacility::insert`],
-//! [`Bssf::insert_batch`], [`Bssf::bulk_load`] and [`Bssf::compact`] all
-//! stage their rows through it; a batch pays one write per touched slice
-//! page however many rows it holds.
+//! [`Bssf::insert_batch`] and [`Bssf::bulk_load`] all stage their rows
+//! through it; a batch pays one write per touched slice page however many
+//! rows it holds.
 //!
 //! The OID-file append of [`SignatureFile`] is the **commit point**: a call
 //! that fails before it has indexed nothing, and the slice bits it had
@@ -92,16 +93,35 @@ impl Slices {
     /// ORs `slices` into a fresh row bitmap of length `n` (the current entry
     /// count), a row page at a time, straight off the page snapshots: each
     /// materialized slice page is read, charged and ORed once, in `slices`
-    /// order ([`kernel::or_assign`], which masks the row page's tail).
+    /// order. The pages wait in a stack array of [`kernel::OR_GROUP`] and
+    /// each full group, then the last partial one, is ORed into the row
+    /// page in one pass ([`kernel::or_pages`], which masks the row page's
+    /// tail).
     fn or_slices(&self, slices: &[u32], n: u64) -> Result<Bitmap> {
         let mut acc = Bitmap::zeroed(n as u32);
         for (p, words) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
             let rows = (n - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
+            let mut group: [Option<Page>; kernel::OR_GROUP] = Default::default();
+            let mut held = 0;
+            let mut or_group = |group: &[Option<Page>]| {
+                let bytes: [&[u8]; kernel::OR_GROUP] =
+                    std::array::from_fn(|i| match group.get(i) {
+                        Some(Some(page)) => &page.as_bytes()[..],
+                        _ => &[],
+                    });
+                kernel::or_pages(words, &bytes[..group.len()], rows);
+            };
             for &j in slices {
                 if let Some(page) = self.slice_page(j, p)? {
-                    kernel::or_assign(words, page.as_bytes(), rows);
+                    group[held] = Some(page);
+                    held += 1;
+                    if held == kernel::OR_GROUP {
+                        or_group(&group);
+                        held = 0;
+                    }
                 }
             }
+            or_group(&group[..held]);
         }
         Ok(acc)
     }
@@ -350,32 +370,6 @@ impl Bssf {
         let elements = elements.sum::<usize>() as u64;
         self.append_rows(&oids, rows, elements).map(drop)
     }
-
-    /// Rebuilds the BSSF without tombstoned entries, reclaiming both OID
-    /// slots and the stale slice bits deletions leave behind (an extension;
-    /// §4.2 keeps tombstones forever).
-    ///
-    /// Signatures of the survivors are reconstructed from the slice files
-    /// themselves — one pass over all `F` slices — so no access to the
-    /// object store is needed. The old files stay on the disk (no page
-    /// store frees a file): the BSSF's pages fall, the disk's and a saved
-    /// image's grow. Returns the number of live entries kept.
-    pub fn compact(&mut self) -> Result<u64> {
-        let live = self.oid_file.scan_live()?;
-        let n = self.oid_file.len();
-        // Each slice is read once; a survivor's row collects its 1-slices
-        // in slice order.
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); live.len()];
-        for j in 0..self.layout.cfg.f_bits() {
-            let bits = self.layout.or_slices(&[j], n)?;
-            for (row, &(old_pos, _)) in rows.iter_mut().zip(&live) {
-                if bits.get(old_pos as u32) {
-                    row.push(j);
-                }
-            }
-        }
-        self.rebuild(&live, rows)
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +378,7 @@ mod tests {
     use crate::facility::{CandidateSet, IndexLayout, Profile};
     use crate::SetAccessFacility;
 
-    pub(super) fn profile(f: u32, m: u32, elements: u64) -> Option<Profile> {
+    fn profile(f: u32, m: u32, elements: u64) -> Option<Profile> {
         Some(Profile {
             layout: IndexLayout::Signature { f, m },
             elements,
@@ -541,7 +535,6 @@ mod tests {
         Torn(Vec<u64>, u64),
         /// Deletes the live row at this index modulo the live count.
         Delete(usize),
-        Compact,
     }
 
     fn op() -> impl proptest::strategy::Strategy<Value = Op> {
@@ -554,7 +547,6 @@ mod tests {
             3 => proptest::collection::vec(set(), 0..5).prop_map(Op::Batch),
             3 => (set(), 0u64..8).prop_map(|(s, n)| Op::Torn(s, n)),
             2 => (0usize..64).prop_map(Op::Delete),
-            1 => Just(Op::Compact),
         ]
     }
 
@@ -607,10 +599,6 @@ mod tests {
                         rows[r].2 = false;
                     }
                 }
-                Op::Compact => {
-                    rows.retain(|(_, _, live)| *live);
-                    assert_eq!(b.compact().unwrap(), rows.len() as u64);
-                }
             }
             assert_eq!(b.oid_file().len(), rows.len() as u64);
         }
@@ -620,10 +608,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// Single inserts, batches, torn inserts, deletes and compactions
-        /// through the one writer answer like the dense reference, at a
-        /// narrow and at the paper's width (where most slices of a small
-        /// file are never materialized at all).
+        /// Single inserts, batches, torn inserts and deletes through the
+        /// one writer answer like the dense reference, at a narrow and at
+        /// the paper's width (where most slices of a small file are never
+        /// materialized at all).
         #[test]
         fn staged_writer_matches_the_dense_reference(
             wide in proptest::prelude::any::<bool>(),
@@ -1065,6 +1053,64 @@ mod tests {
             }
         }
     }
+
+    /// The grouped `⊆` OR at each group boundary: a capped `⊆` that reads
+    /// `take` ∈ {1, 7, 8, 9, 16, 17} zero-slices over two row pages, the
+    /// second of which has no page on most of those slices, so its groups
+    /// close on later slices than the first page's. Positions are the row
+    /// reference's, and the charge is the `take` slices' materialized pages
+    /// plus the drops' OID pages.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn capped_subset_scans_match_the_row_reference_at_every_group_boundary() {
+        let n = ROWS_PER_PAGE + 700;
+        let (_d, mut b) = bssf(100, 2);
+        // Row page 0 draws on 60 elements, row page 1 on 10 of them; the
+        // query shares none.
+        let set_of = |i: u64| -> Vec<ElementKey> {
+            let domain = if i < ROWS_PER_PAGE { 60 } else { 10 };
+            (0..1 + i % 3)
+                .map(|k| ElementKey::from((i * 7 + k * 11) % domain))
+                .collect()
+        };
+        let items: Vec<(Oid, Vec<ElementKey>)> = (0..n).map(|i| (Oid::new(i), set_of(i))).collect();
+        for chunk in items.chunks(5_000) {
+            b.insert_batch(chunk).unwrap();
+        }
+        let lens: Vec<u32> = b.layout.slices.files().iter().map(|s| s.pages).collect();
+        let sigs: Vec<Bitmap> = items
+            .iter()
+            .map(|(_, set)| b.config().signature(set))
+            .collect();
+        let query: Vec<ElementKey> = (100..103u64).map(ElementKey::from).collect();
+        let zeros: Vec<u32> = b.config().signature(&query).iter_zeros().collect();
+        // Inside each of the first two groups, row page 1 both reads and
+        // skips a slice page.
+        for group in [&zeros[..8], &zeros[8..16]] {
+            let on_page_1: Vec<bool> = group.iter().map(|&j| lens[j as usize] == 2).collect();
+            assert!(
+                on_page_1.contains(&true) && on_page_1.contains(&false),
+                "{group:?}"
+            );
+        }
+        for take in [1, 7, 8, 9, 16, 17] {
+            let q = SetQuery::in_subset(query.clone()).with_cap(take).unwrap();
+            let want: Vec<u64> = (0..n)
+                .filter(|&i| zeros[..take].iter().all(|&j| !sigs[i as usize].get(j)))
+                .collect();
+            let (c, stats) = b.candidates_with_stats(&q).unwrap();
+            let stats = stats.unwrap();
+            let got: Vec<u64> = c.oids.iter().map(|oid| oid.raw()).collect();
+            assert_eq!(got, want, "take {take}");
+            let read: u64 = zeros[..take]
+                .iter()
+                .map(|&j| u64::from(lens[j as usize]))
+                .sum();
+            let oid_pages = OidFile::pages_touched(&want);
+            assert_eq!(stats.slices, take as u64, "take {take}");
+            assert_eq!(stats.pages, read + oid_pages, "take {take}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1198,52 +1244,5 @@ mod batch_tests {
         b.insert_batch(&[]).unwrap();
         assert_eq!(b.indexed_count(), 0);
         assert_eq!(disk.snapshot().writes, 0);
-    }
-}
-
-#[cfg(test)]
-mod compact_tests {
-    use super::tests::profile;
-    use super::*;
-    use crate::SetAccessFacility;
-    use setsig_pagestore::Disk;
-
-    #[test]
-    fn compact_preserves_answers_and_drops_tombstones() {
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "b", SignatureConfig::new(64, 2).unwrap()).unwrap();
-        for i in 0..30u64 {
-            b.insert(Oid::new(i), &[ElementKey::from(i % 10)]).unwrap();
-        }
-        for i in 0..10u64 {
-            b.delete(Oid::new(i * 3), &[ElementKey::from(i * 3 % 10)])
-                .unwrap();
-        }
-        // Ground truth before compaction.
-        let q = SetQuery::has_subset(vec![ElementKey::from(4u64)]);
-        let before = b.candidates(&q).unwrap();
-        let kept = b.compact().unwrap();
-        assert_eq!(kept, 20);
-        assert_eq!(b.indexed_count(), 20);
-        let after = b.candidates(&q).unwrap();
-        assert_eq!(before, after, "answers must survive compaction");
-        assert_eq!(b.profile(), profile(64, 2, 20), "Σ|T| of the survivors");
-        // The compacted OID file is denser.
-        assert_eq!(b.oid_file().len(), 20);
-    }
-
-    #[test]
-    fn compact_then_insert_continues_cleanly() {
-        let disk = Arc::new(Disk::new());
-        let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "b", SignatureConfig::new(64, 2).unwrap()).unwrap();
-        b.insert(Oid::new(1), &[ElementKey::from(1u64)]).unwrap();
-        b.insert(Oid::new(2), &[ElementKey::from(2u64)]).unwrap();
-        b.delete(Oid::new(1), &[]).unwrap();
-        b.compact().unwrap();
-        b.insert(Oid::new(3), &[ElementKey::from(1u64)]).unwrap();
-        let q = SetQuery::has_subset(vec![ElementKey::from(1u64)]);
-        assert_eq!(b.candidates(&q).unwrap().oids, vec![Oid::new(3)]);
     }
 }

@@ -23,12 +23,15 @@
 //!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
 //!   either: its masks select no bit at or past the width.
 //!
-//! The AND and OR loops run on `chunks_exact(8)`, so the compiler sees
-//! short, branch-free bodies it can unroll, and [`match_rows`]
-//! reads its row words in place; only a word that runs past the end of its
-//! buffer takes the padded [`le_word`] path. The `reference` submodule
-//! keeps the pre-kernel byte/bit-granular loops as the differential-testing
-//! oracle.
+//! The AND loop runs on `chunks_exact(8)`, so the compiler sees a short,
+//! branch-free body it can unroll, and [`match_rows`] reads its row words
+//! in place; only a word that runs past the end of its buffer takes the
+//! padded [`le_word`] path. The OR ([`or_pages`]) folds up to
+//! [`OR_GROUP`] buffers into each 64-byte line of the accumulator while
+//! the line sits in registers, so the accumulator is loaded and stored
+//! once per group instead of once per buffer; [`or_assign`] is its
+//! one-buffer call. The `reference` submodule keeps the pre-kernel
+//! byte/bit-granular loops as the differential-testing oracle.
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -129,40 +132,74 @@ pub fn and_assign(acc: &mut [u64], bytes: &[u8]) -> u64 {
     alive
 }
 
-/// `acc |= bytes`, word at a time, then the tail mask, so padding bits
-/// past `nbits` (the accumulator's width; `acc.len()` must be
-/// [`words_for`]`(nbits)`) never leak in. Bytes past the end of `bytes`
+/// Buffers one [`or_pages`] pass folds into the accumulator: the
+/// accumulator is loaded and stored once per this many buffers.
+pub const OR_GROUP: usize = 8;
+
+/// Words of the accumulator a pass holds in registers while it folds the
+/// group's buffers into them: one 64-byte line.
+const LINE_WORDS: usize = 8;
+
+/// `acc |= b` for every buffer `b` of `bufs`, up to [`OR_GROUP`] buffers
+/// per pass over `acc`, each pass followed by the tail mask, so padding
+/// bits past `nbits` (the accumulator's width; `acc.len()` must be
+/// [`words_for`]`(nbits)`) never leak in. Bytes past the end of a buffer
 /// read as zero, and bytes past `acc` are not read: the BSSF `T ⊆ Q` scan
-/// hands it a whole slice page for a row page of any width.
+/// hands it whole slice pages for a row page of any width.
+pub fn or_pages(acc: &mut [u64], bufs: &[&[u8]], nbits: u32) {
+    for group in bufs.chunks(OR_GROUP) {
+        match group {
+            [one] => or_pass(acc, [*one]),
+            // A short group repeats its first buffer: OR is idempotent, and
+            // a fixed width lets the pass unroll.
+            _ => or_pass(
+                acc,
+                std::array::from_fn::<_, OR_GROUP, _>(|i| *group.get(i).unwrap_or(&group[0])),
+            ),
+        }
+        mask_tail(acc, nbits);
+    }
+}
+
+/// `acc |= bytes`: the one-buffer call of [`or_pages`].
 pub fn or_assign(acc: &mut [u64], bytes: &[u8], nbits: u32) {
-    let (words, tail) = full_words(bytes);
-    for (a, w) in acc.iter_mut().zip(words) {
-        *a |= w;
+    or_pages(acc, &[bytes], nbits);
+}
+
+/// One pass of [`or_pages`]: each line of `acc` that every buffer covers in
+/// full is loaded once, ORed with the `K` buffers' words in place and
+/// stored once; the words past it take the zero-padded [`le_word`] path.
+#[expect(
+    clippy::expect_used,
+    reason = "slice-to-array conversion of an 8-byte chunk; cannot fail"
+)]
+fn or_pass<const K: usize>(acc: &mut [u64], bufs: [&[u8]; K]) {
+    let full = bufs.iter().fold(acc.len(), |n, b| n.min(b.len() / 8));
+    let (lines, rest) = acc.split_at_mut(full - full % LINE_WORDS);
+    for (li, line) in lines.chunks_exact_mut(LINE_WORDS).enumerate() {
+        let at = li * LINE_WORDS * 8;
+        let mut w = [0u64; LINE_WORDS];
+        w.copy_from_slice(line);
+        for b in bufs {
+            let bytes = b[at..at + LINE_WORDS * 8].chunks_exact(8);
+            for (x, c) in w.iter_mut().zip(bytes) {
+                *x |= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            }
+        }
+        line.copy_from_slice(&w);
     }
-    if let (Some(a), Some(w)) = (acc.get_mut(bytes.len() / 8), tail) {
-        *a |= w;
+    let base = lines.len();
+    for (wi, a) in (base..).zip(rest) {
+        *a = bufs.iter().fold(*a, |a, b| a | le_word(b, wi));
     }
-    mask_tail(acc, nbits);
 }
 
 /// Fills `acc` from `bytes` (the deserialization kernel behind
 /// [`Bitmap::from_bytes`](crate::Bitmap::from_bytes)), masking the tail so
 /// the result is canonical.
 pub fn fill(acc: &mut [u64], bytes: &[u8], nbits: u32) {
-    let (words, tail) = full_words(bytes);
-    let mut covered = 0usize;
-    for (a, w) in acc.iter_mut().zip(words) {
-        *a = w;
-        covered += 1;
-    }
-    if let (Some(a), Some(w)) = (acc.get_mut(covered), tail) {
-        *a = w;
-        covered += 1;
-    }
-    for a in acc.iter_mut().skip(covered) {
-        *a = 0;
-    }
-    mask_tail(acc, nbits);
+    acc.fill(0);
+    or_assign(acc, bytes, nbits);
 }
 
 /// A row predicate compiled once per query: a row matches when

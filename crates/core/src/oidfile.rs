@@ -157,7 +157,7 @@ impl OidFile {
     }
 
     /// Iterates `(position, oid)` for all live entries, reading each page
-    /// once. Used by compaction and integrity checks.
+    /// once. Used by integrity checks.
     pub fn scan_live(&self) -> Result<Vec<(u64, Oid)>> {
         let npages = self.len.div_ceil(OIDS_PER_PAGE) as u32;
         let mut out = Vec::with_capacity(self.live as usize);

@@ -156,17 +156,6 @@ impl<L: Layout> SignatureFile<L> {
         Ok(start)
     }
 
-    /// Compaction's last step: swaps in fresh files that hold only `rows`,
-    /// the rows of the `live` entries, and returns how many there are.
-    pub(crate) fn rebuild(&mut self, live: &[(u64, Oid)], rows: Vec<L::Row>) -> Result<u64> {
-        let oids: Vec<Oid> = live.iter().map(|&(_, oid)| oid).collect();
-        let io = Arc::clone(self.oid_file.file().io());
-        let mut fresh = Self::create(io, "compacted", *self.config())?;
-        fresh.append_rows(&oids, rows.into_iter(), 0)?;
-        (self.layout, self.oid_file) = (fresh.layout, fresh.oid_file);
-        Ok(oids.len() as u64)
-    }
-
     /// Checkpoints the catalog state — design parameters, file bindings,
     /// entry counters — into the meta file, creating it on first use, and
     /// returns its id for [`open`](Self::open). What a failed insert left

@@ -246,33 +246,6 @@ impl Ssf {
     pub fn signature_pages(&self) -> Result<u64> {
         self.layout.storage_pages()
     }
-
-    /// Reads the stored signature at `pos` (one page read).
-    pub fn signature_at(&self, pos: u64) -> Result<Bitmap> {
-        if pos >= self.oid_file.len() {
-            return Err(Error::NoSuchEntry(pos));
-        }
-        let rows = &self.layout;
-        let (page_no, off) = rows.slot_of(pos);
-        let page = rows.sig_file.read(page_no)?;
-        Ok(Bitmap::from_bytes(
-            rows.cfg.f_bits(),
-            page.read_slice(off, rows.sig_bytes),
-        ))
-    }
-
-    /// Rebuilds the SSF without tombstoned entries, reclaiming the space of
-    /// deleted objects (an extension; the paper leaves tombstones forever).
-    ///
-    /// The old files stay on the disk (no page store frees a file): the
-    /// SSF's pages fall, the disk's and a saved image's grow. Returns the
-    /// number of live entries carried over.
-    pub fn compact(&mut self) -> Result<u64> {
-        let live = self.oid_file.scan_live()?;
-        let rows = live.iter().map(|&(pos, _)| self.signature_at(pos));
-        let rows = rows.collect::<Result<Vec<_>>>()?;
-        self.rebuild(&live, rows)
-    }
 }
 
 #[cfg(test)]
@@ -358,16 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn signature_at_roundtrips() {
-        let (_d, mut ssf) = ssf(256, 4);
-        let set = keys(&["x", "y", "z"]);
-        ssf.insert(Oid::new(9), &set).unwrap();
-        let stored = ssf.signature_at(0).unwrap();
-        assert_eq!(stored, ssf.config().signature(&set));
-        assert!(matches!(ssf.signature_at(1), Err(Error::NoSuchEntry(1))));
-    }
-
-    #[test]
     fn no_false_negatives_bulk() {
         // Soundness under volume: every truly-matching object is a drop.
         let (_d, mut ssf) = ssf(64, 2);
@@ -382,28 +345,6 @@ mod tests {
         ]);
         let c = ssf.candidates(&q).unwrap();
         assert!(c.oids.contains(&Oid::new(123)));
-    }
-
-    #[test]
-    fn compact_reclaims_tombstones() {
-        let (_d, mut ssf) = ssf(128, 3);
-        for i in 0..10u64 {
-            ssf.insert(Oid::new(i), &keys(&[&format!("e{i}")])).unwrap();
-        }
-        for i in 0..5u64 {
-            ssf.delete(Oid::new(i * 2), &[]).unwrap();
-        }
-        let live = ssf.compact().unwrap();
-        assert_eq!(live, 5);
-        assert_eq!(ssf.indexed_count(), 5);
-        // Survivors still retrievable.
-        let q = SetQuery::has_subset(keys(&["e3"]));
-        let c = ssf.candidates(&q).unwrap();
-        assert!(c.oids.contains(&Oid::new(3)));
-        // Victims gone.
-        let q = SetQuery::has_subset(keys(&["e4"]));
-        let c = ssf.candidates(&q).unwrap();
-        assert!(!c.oids.contains(&Oid::new(4)));
     }
 
     #[test]

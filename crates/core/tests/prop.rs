@@ -317,6 +317,51 @@ proptest! {
         prop_assert_eq!(&words, &recanon);
     }
 
+    /// The grouped OR is the byte-loop OR applied one buffer at a time, for
+    /// 0 to 19 buffers, so that one and two group boundaries fall inside a
+    /// call. Each buffer takes one of the shapes the test above feeds the
+    /// one-buffer call: a whole 4 KiB page with stray bits past the width,
+    /// a buffer that ends before the accumulator does, or an exact-width
+    /// buffer with garbage in its padding bits. The result stays canonical.
+    #[test]
+    fn or_pages_matches_the_byte_reference_one_buffer_at_a_time(
+        nbits in (1u32..32_768).prop_map(|n| if n % 64 == 0 { n + 1 } else { n }),
+        acc_seed in proptest::collection::vec(0u8..=255, 0..70),
+        bufs in proptest::collection::vec(
+            (proptest::collection::vec(0u8..=255, 1..70), 0u8..3, 0u8..=255, 1usize..600),
+            0..=19,
+        ),
+    ) {
+        let nbytes = (nbits as usize).div_ceil(8);
+        let mut acc_bytes: Vec<u8> = acc_seed.into_iter().cycle().take(nbytes).collect();
+        acc_bytes.resize(nbytes, 0);
+        let pages: Vec<Vec<u8>> = bufs
+            .into_iter()
+            .map(|(seed, shape, garbage, cut)| {
+                let mut page: Vec<u8> = seed.into_iter().cycle().take(PAGE_SIZE).collect();
+                match shape {
+                    0 => {}
+                    1 => page.truncate(nbytes.saturating_sub(cut)),
+                    _ => {
+                        page.truncate(nbytes);
+                        smear_tail(&mut page, nbits, garbage);
+                    }
+                }
+                page
+            })
+            .collect();
+        let bufs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+        let mut words = canonical_words(nbits, &acc_bytes);
+        let mut ref_bytes = words_to_bytes(&words, nbits);
+        kernel::or_pages(&mut words, &bufs, nbits);
+        for page in &bufs {
+            kernel::reference::or_assign(&mut ref_bytes, page, nbits);
+        }
+        prop_assert_eq!(&words_to_bytes(&words, nbits), &ref_bytes);
+        let recanon = canonical_words(nbits, &words_to_bytes(&words, nbits));
+        prop_assert_eq!(&words, &recanon);
+    }
+
     /// Word-level row predicates (⊇, ⊆, =, overlap popcount) agree with the
     /// bit-loop references on every width, including rows shorter than the
     /// width (sparse zero-padded tails) and rows with garbage tail bits.

@@ -32,7 +32,8 @@
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
 //! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate per
 //! row in the FSSF scan (`Frames::match_frames`), `.to_vec()` the page in
-//! `Slices::slice_page` or the key in `Verifier::observe`, `collect()` a
+//! `Slices::slice_page` or the key in `Verifier::observe`, give the OR
+//! group in `Slices::or_slices` a `Vec` per row page, `collect()` a
 //! node's keys in `BTree::descend`, parse the leaf (`Leaf::entries`)
 //! before `Leaf::compact` in `BTree::insert_into_leaf`, sort `Value::set`
 //! by `sort_by_key(Value::encode)`, have `ElementHasher::positions_into`
