@@ -1,8 +1,8 @@
 //! The page-cost conformance gate: measured page accesses against the
 //! paper's `RC = filter + LC_OID + P_s·A + P_p·F_d·(N − A)` (Eqs. 7–8),
-//! term by term. This module is the one place that decides conformance; CI
-//! runs it through the `report-metrics` binary. DESIGN.md §7 has the long
-//! form.
+//! term by term. This module is the one place that decides conformance
+//! ([`DriftReport::verdict`]); CI runs it as `repro drift`. DESIGN.md §7 has
+//! the long form.
 //!
 //! **Equal, on every trial.** Every facility is built on the bare disk — no
 //! pool, one shard — so a page the protocol charges is a page the disk
@@ -59,7 +59,6 @@ use setsig_costmodel::{
     object_access_cost, objects_sharing_all_of, BssfModel, FssfModel, NixModel, Params, SsfModel,
 };
 use setsig_nix::{BTree, Nix};
-use setsig_oodb::QueryExecution;
 use setsig_service::{QueryService, ServiceConfig};
 
 use crate::exhibits::Options;
@@ -343,6 +342,33 @@ impl DriftReport {
         self.points.iter().map(|p| p.trials.len()).sum()
     }
 
+    /// The gate's verdict: `Ok` with the one-line summary when every
+    /// checkpoint conforms, else `Err` naming each checkpoint that drifted
+    /// and every identity or band it broke.
+    pub fn verdict(&self) -> Result<String, String> {
+        let drifted = self.drifted();
+        if drifted.is_empty() {
+            return Ok(format!(
+                "drift: all {} checkpoints conform — reported = disk = predicted pages on all {} \
+                 trials, stochastic terms within z = {Z} bands",
+                self.points.len(),
+                self.trial_count(),
+            ));
+        }
+        let mut out = format!(
+            "drift: {}/{} checkpoints diverged from the cost model:",
+            drifted.len(),
+            self.points.len()
+        );
+        for p in drifted {
+            out.push_str(&format!("\n  {} {} D_q={}:", p.exhibit, p.series, p.d_q));
+            for v in p.violations() {
+                out.push_str(&format!("\n    {v}"));
+            }
+        }
+        Err(out)
+    }
+
     /// Renders the report as an [`Exhibit`] table (id `drift`): the three
     /// terms of `RC`, closed form next to measured average, and one note per
     /// checkpoint naming the variance and `z` of its banded comparisons.
@@ -577,11 +603,12 @@ fn nix_filter(postings: &BTreeMap<ElementKey, Vec<u64>>, tree: &BTree, q: &SetQu
     }
 }
 
-/// A facility entry point under test: how to run its filter stage, what
-/// that should cost, and the geometry the closed form must share with it.
+/// A facility entry point under test: the facility whose queries
+/// [`SimDb::measure_facility`] runs, what they should cost, and the geometry
+/// the closed form must share with it.
 struct Subject<'a> {
-    /// Drives a query through this entry point and the resolve stage.
-    run: &'a dyn Fn(&SetQuery) -> QueryExecution,
+    /// The facility, flat or behind the query service.
+    facility: &'a dyn SetAccessFacility,
     /// Predicted `(filter pages, filter units)` of a query.
     predict: &'a dyn Fn(&SetQuery) -> (u64, u64),
     /// Whether drops are looked up in an OID file (position = OID here:
@@ -608,24 +635,16 @@ type Checkpoint<'a> = (
     f64,
 );
 
-/// One storage checkpoint: series, the facility, the query subject whose
-/// pages per filter unit it shares, its predicted `(filter pages, filter
-/// units)` and the closed form's filter units.
-type StorageRow<'a> = (
-    &'static str,
-    &'a dyn SetAccessFacility,
-    &'a Subject<'a>,
-    (u64, u64),
-    Banded,
-);
+/// One storage checkpoint: series, the query subject whose facility it
+/// counts and whose pages per filter unit it shares, its predicted `(filter
+/// pages, filter units)` and the closed form's filter units.
+type StorageRow<'a> = (&'static str, &'a Subject<'a>, (u64, u64), Banded);
 
 fn measure(checkpoint: Checkpoint, sim: &SimDb, p: Params, trials: u32) -> DriftPoint {
     let (exhibit, series, d_q, seed, query, subject, units, fd, actual) = checkpoint;
-    let mut qg = sim.query_gen(seed);
-    let trials = (0..trials)
-        .map(|_| {
-            let q = query(qg.random(d_q).into_iter().map(ElementKey::from).collect());
-            let run = (subject.run)(&q);
+    let trials = (sim.draw(seed, d_q, trials, query).into_iter())
+        .map(|q| {
+            let run = sim.measure_facility(subject.facility, &q);
             let (filter, units) = (subject.predict)(&q);
             let positions: Vec<u64> = run.drops.oids.iter().map(|o| o.raw()).collect();
             Trial {
@@ -680,15 +699,12 @@ fn measure_updates(
     trials: u32,
     (ssf, bssf, fssf, nix): (&mut Ssf, &mut Bssf, &mut Fssf, &mut Nix),
 ) -> Vec<DriftPoint> {
-    let disk = sim.db.disk();
     let (cfg, fcfg) = (*bssf.config(), *fssf.config());
     let n = sim.sets.len() as u64;
     let rc = u64::from(nix.tree().rc_lookup());
-    let mut qg = sim.query_gen(701);
     // Per facility, its insert and its delete trials.
     let mut measured: [[Vec<Trial>; 2]; 4] = Default::default();
-    for t in 0..u64::from(trials) {
-        let set: Vec<ElementKey> = qg.random(D_T).into_iter().map(ElementKey::from).collect();
+    for (t, set) in (0..).zip(sim.draw(701, D_T, trials, |keys| keys)) {
         let oid = Oid::new(n + 1000 + t);
         // Every OID file holds the instance and the earlier probes'
         // tombstones: a delete scans up to the new entry's page and flags it.
@@ -708,17 +724,7 @@ fn measure_updates(
         let height = nix.tree().height();
 
         let facilities: [&mut dyn SetAccessFacility; 4] = [ssf, bssf, fssf, nix];
-        let moved = facilities.map(|facility| {
-            let before = disk.snapshot();
-            facility.insert(oid, &set).expect("probe insert");
-            let between = disk.snapshot();
-            facility.delete(oid, &set).expect("probe delete");
-            let after = disk.snapshot();
-            [
-                between.since(before).accesses(),
-                after.since(between).accesses(),
-            ]
-        });
+        let moved = facilities.map(|facility| sim.probe_update(facility, oid, &set));
 
         // Deletes never shrink the tree.
         let grown = nix.tree().storage_pages().expect("tree pages") - tree_pages;
@@ -854,35 +860,30 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let fssf_predict = |q: &SetQuery| fssf_filter(&frame_sigs, &fcfg, frame_pages, q);
     let nix_predict = |q: &SetQuery| nix_filter(&postings, nix.tree(), q);
 
-    let via_ssf = |q: &SetQuery| sim.measure_facility(&ssf, q);
-    let via_bssf = |q: &SetQuery| sim.measure_facility(&bssf, q);
-    let via_service = |q: &SetQuery| sim.measure_facility(&service, q);
-    let via_fssf = |q: &SetQuery| sim.measure_facility(&fssf, q);
-    let via_nix = |q: &SetQuery| sim.measure_facility(&nix, q);
     let ssf_subject = Subject {
-        run: &via_ssf,
+        facility: &ssf,
         predict: &ssf_predict,
         oid_file: true,
         unit_pages: sig_pages,
         model_unit_pages: SsfModel::new(p, f, m, d_t).sc_sig(),
     };
-    let bssf_subject = |run| Subject {
-        run,
+    let bssf_subject = |facility| Subject {
+        facility,
         predict: &bssf_predict,
         oid_file: true,
         unit_pages: pages_per_slice,
         model_unit_pages: bssf_model.slice_pages(),
     };
-    let (flat, sharded) = (bssf_subject(&via_bssf), bssf_subject(&via_service));
+    let (flat, sharded) = (bssf_subject(&bssf), bssf_subject(&service));
     let fssf_subject = Subject {
-        run: &via_fssf,
+        facility: &fssf,
         predict: &fssf_predict,
         oid_file: true,
         unit_pages: frame_pages,
         model_unit_pages: FssfModel::new(p, ff, fk, fm, d_t).frame_pages(),
     };
     let index = Subject {
-        run: &via_nix,
+        facility: &nix,
         predict: &nix_predict,
         oid_file: false,
         unit_pages: rc,
@@ -963,20 +964,20 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
     let frames = u64::from(fk);
     #[rustfmt::skip]
     let storage: [StorageRow; 3] = [
-        ("ssf sc", &ssf, &ssf_subject, (sig_pages, 1), one),
-        ("bssf sc", &bssf, &flat, (slices.iter().sum(), materialized), occupancy(f, m, postings.len() as u32)),
-        ("fssf sc", &fssf, &fssf_subject, (frames * frame_pages, frames), probes(fk)),
+        ("ssf sc", &ssf_subject, (sig_pages, 1), one),
+        ("bssf sc", &flat, (slices.iter().sum(), materialized), occupancy(f, m, postings.len() as u32)),
+        ("fssf sc", &fssf_subject, (frames * frame_pages, frames), probes(fk)),
     ];
     let sc_oid = (sim.sets.len() as u64).div_ceil(OIDS_PER_PAGE);
-    points.extend(storage.into_iter().map(
-        |(series, facility, subject, (filter, units), model_units)| DriftPoint {
+    points.extend(
+        storage.map(|(series, subject, (filter, units), model)| DriftPoint {
             exhibit: "table6",
             series,
             d_q: d_t,
             params: p,
             model: ModelTerms {
                 unit_pages: subject.model_unit_pages,
-                units: model_units,
+                units: model,
                 drops: Banded::exact(0.0),
                 lc_oid: p.sc_oid() as f64,
                 object: 0.0,
@@ -984,7 +985,7 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
             unit_pages: subject.unit_pages,
             trials: vec![Trial {
                 reported: None,
-                disk_pages: facility.storage_pages().expect("storage pages"),
+                disk_pages: subject.facility.storage_pages().expect("storage pages"),
                 filter,
                 lc_oid: sc_oid,
                 units,
@@ -993,8 +994,8 @@ pub fn run(scale: u64, trials: u32) -> DriftReport {
                 false_drops: 0,
                 split_pages: 0,
             }],
-        },
-    ));
+        }),
+    );
 
     let updated = (&mut ssf, &mut bssf, &mut fssf, &mut nix);
     points.extend(measure_updates(&sim, p, opts.trials, updated));
@@ -1101,6 +1102,32 @@ mod tests {
                 assert!(!off.ok(), "{series}: one page more went unnoticed");
             }
         }
+    }
+
+    /// The verdict conforms on the CI-scale run; one trial's reported pages
+    /// one off turn it into an error naming that checkpoint and the broken
+    /// identity.
+    #[test]
+    fn the_verdict_names_the_checkpoint_that_drifted() {
+        let ok = report().verdict().expect("the CI-scale run conforms");
+        assert!(ok.starts_with("drift: all 31 checkpoints conform"), "{ok}");
+        assert!(ok.contains("on all 59 trials"), "{ok}");
+        let mut points = report().points.clone();
+        let off = (points.iter_mut())
+            .find(|p| p.series == "nix ⊇" && p.d_q == 3)
+            .expect("checkpoint");
+        *off.trials[1].reported.as_mut().expect("reports") += 1;
+        let broken = DriftReport {
+            points,
+            artifacts: Vec::new(),
+        };
+        let err = broken.verdict().expect_err("one page off drifts");
+        assert!(err.starts_with("drift: 1/31 checkpoints diverged"), "{err}");
+        assert!(err.contains("\n  fig5 nix ⊇ D_q=3:\n"), "{err}");
+        assert!(err.contains("\n    trial 1: pages≠predicted: "), "{err}");
+        // The disk did not read the extra page either.
+        assert!(err.contains("\n    trial 1: pages≠disk: "), "{err}");
+        assert_eq!(err.lines().count(), 4, "{err}");
     }
 
     /// A BSSF insert is held to the weight of the probe's own signature, not

@@ -6,7 +6,7 @@
 //! index schemes (`setsig_nix`) implement them; this exhibit measures what
 //! they cost.
 
-use setsig_core::{ElementKey, SetAccessFacility, SetQuery};
+use setsig_core::{SetAccessFacility, SetQuery};
 
 use super::Options;
 use crate::report::Exhibit;
@@ -14,12 +14,7 @@ use crate::report::Exhibit;
 /// `extops`: measured retrieval cost (page accesses) per predicate per
 /// facility. Always simulated; honors `--scale`.
 pub fn extops(opts: &Options) -> Exhibit {
-    let scale = if opts.scale > 1 { opts.scale } else { 8 };
-    let run = Options {
-        simulate: true,
-        scale,
-        trials: opts.trials.max(3),
-    };
+    let run = opts.measured();
     let d_t = 10;
     let sim = run.sim(d_t);
     let ssf = sim.build_ssf(500, 2);
@@ -36,15 +31,14 @@ pub fn extops(opts: &Options) -> Exhibit {
     // Query generators per predicate. Equality gets a real target so the
     // answer set is nonempty; overlap and membership use random sets.
     let make = |pred: u8, trial: u64| -> SetQuery {
-        let mut qg = sim.query_gen(1000 + pred as u64 * 31 + trial);
+        let seed = 1000 + pred as u64 * 31 + trial;
         match pred {
-            0 => {
-                // equality on an existing target
-                let t = &sim.sets[(trial as usize * 131) % sim.sets.len()];
-                SetQuery::equals(t.iter().map(|&e| ElementKey::from(e)).collect())
-            }
-            1 => SetQuery::overlaps(qg.random(3).into_iter().map(ElementKey::from).collect()),
-            _ => SetQuery::contains(ElementKey::from(qg.random(1)[0])),
+            // equality on an existing target
+            0 => SetQuery::equals(sim.target_keys(trial * 131 % sim.sets.len() as u64)),
+            1 => sim.draw(seed, 3, 1, SetQuery::overlaps).remove(0),
+            _ => sim
+                .draw(seed, 1, 1, |mut e| SetQuery::contains(e.remove(0)))
+                .remove(0),
         }
     };
 
@@ -98,16 +92,16 @@ mod tests {
             trials: 2,
         };
         let ex = extops(&opts);
-        assert_eq!(ex.rows.len(), 3);
-        for row in &ex.rows {
-            for col in 2..6 {
-                let v: f64 = row[col].parse().unwrap();
-                assert!(v > 0.0, "{row:?}");
-            }
-        }
-        // Membership answers ≈ d = D_t·N/V objects on average.
-        let member_row = &ex.rows[2];
-        let answers: f64 = member_row[6].parse().unwrap();
-        assert!(answers >= 0.0);
+        // Every measured cell: D_q, SSF / BSSF / FSSF / NIX pages, answers
+        // (three trials: `extops` runs at least three).
+        let measured: Vec<&[String]> = ex.rows.iter().map(|r| &r[1..]).collect();
+        assert_eq!(
+            measured,
+            [
+                ["10", "18", "406", "61.7", "10.7", "1"],
+                ["3", "97", "87", "103", "71.3", "67.7"],
+                ["1", "41.3", "27.3", "34.3", "23.3", "21.3"],
+            ]
+        );
     }
 }

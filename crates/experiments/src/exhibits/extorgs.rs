@@ -4,7 +4,7 @@
 //! closing concern, BSSF's `F + 1` insertion cost; so does the BSSF engine
 //! itself, which writes only the slices whose bit is 1 (`m_t + 1`).
 
-use setsig_core::{ElementKey, Oid, SetAccessFacility, SetQuery};
+use setsig_core::{Oid, SetAccessFacility, SetQuery};
 use setsig_costmodel::{BssfModel, FssfModel, NixModel, SsfModel};
 
 use super::Options;
@@ -110,7 +110,6 @@ pub fn extorgs(opts: &Options) -> Exhibit {
         let mut bssf_i = sim.build_bssf(f, m);
         let mut fssf_i = sim.build_fssf(f, k, 3);
         let mut nix_i = sim.build_nix();
-        let disk = sim.db.disk();
 
         let storage = [
             ssf_i.storage_pages().unwrap() as f64,
@@ -118,50 +117,21 @@ pub fn extorgs(opts: &Options) -> Exhibit {
             fssf_i.storage_pages().unwrap() as f64,
             nix_i.storage_pages().unwrap() as f64,
         ];
-        let mut rc_sup = [0.0f64; 4];
-        let mut rc_sub = [0.0f64; 4];
-        {
-            let facilities: [&dyn SetAccessFacility; 4] = [&ssf_i, &bssf_i, &fssf_i, &nix_i];
-            for (i, fac) in facilities.iter().enumerate() {
-                let mut qg = sim.query_gen(31);
-                rc_sup[i] = sim.measure_avg(*fac, opts.trials, |_| {
-                    SetQuery::has_subset(
-                        qg.random(d_q_sup)
-                            .into_iter()
-                            .map(ElementKey::from)
-                            .collect(),
-                    )
-                });
-                let mut qg = sim.query_gen(37);
-                rc_sub[i] = sim.measure_avg(*fac, opts.trials, |_| {
-                    SetQuery::in_subset(
-                        qg.random(d_q_sub)
-                            .into_iter()
-                            .map(ElementKey::from)
-                            .collect(),
-                    )
-                });
-            }
-        }
-        let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
-        let mut insert = [0.0f64; 4];
-        let mut delete = [0.0f64; 4];
-        let mut probe_oid = sim.sets.len() as u64 + 100;
-        {
-            let mut run = |idx: usize, fac: &mut dyn SetAccessFacility| {
-                probe_oid += 1;
-                let s0 = disk.snapshot();
-                fac.insert(Oid::new(probe_oid), &probe).unwrap();
-                let s1 = disk.snapshot();
-                fac.delete(Oid::new(probe_oid), &probe).unwrap();
-                let s2 = disk.snapshot();
-                insert[idx] = s1.since(s0).accesses() as f64;
-                delete[idx] = s2.since(s1).accesses() as f64;
-            };
-            run(0, &mut ssf_i);
-            run(1, &mut bssf_i);
-            run(2, &mut fssf_i);
-            run(3, &mut nix_i);
+        let sup = sim.draw(31, d_q_sup, opts.trials, SetQuery::has_subset);
+        let sub = sim.draw(37, d_q_sub, opts.trials, SetQuery::in_subset);
+        let probe = sim.target_keys(0);
+        let [mut rc_sup, mut rc_sub, mut insert, mut delete] = [[0.0f64; 4]; 4];
+        let facilities: [&mut dyn SetAccessFacility; 4] =
+            [&mut ssf_i, &mut bssf_i, &mut fssf_i, &mut nix_i];
+        // Each facility's queries, then its probe; the probe touches only
+        // the facility's own files.
+        for (i, facility) in facilities.into_iter().enumerate() {
+            rc_sup[i] = sim.average_accesses(facility, &sup);
+            rc_sub[i] = sim.average_accesses(facility, &sub);
+            let oid = Oid::new(sim.sets.len() as u64 + 101 + i as u64);
+            [insert[i], delete[i]] = sim
+                .probe_update(facility, oid, &probe)
+                .map(|pages| pages as f64);
         }
         (vec![storage, rc_sup, rc_sub, insert, insert, delete], sim)
     });
@@ -217,11 +187,24 @@ mod tests {
         };
         let ex = extorgs(&opts);
         assert_eq!(ex.headers.len(), 10);
+        // Every measured cell, SSF / BSSF / FSSF / NIX counting per axis.
+        let measured: Vec<&[String]> = ex.rows.iter().map(|r| &r[6..]).collect();
+        assert_eq!(
+            measured,
+            [
+                ["18", "406", "52", "33"],
+                ["16", "4", "2", "3"],
+                ["16", "241", "33", "32"],
+                ["2", "20", "10", "30"],
+                ["2", "20", "10", "30"],
+                ["3", "3", "3", "30"],
+            ]
+        );
         // Measured insert costs: FSSF ≤ D_t + 2, BSSF = weight(probe) + 1.
         let fssf_ins: f64 = ex.rows[3][8].parse().unwrap();
         assert!(fssf_ins <= 12.0, "fssf insert {fssf_ins}");
         let sim = opts.sim(10);
-        let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
+        let probe = sim.target_keys(0);
         let cfg = setsig_core::SignatureConfig::new(500, 2).unwrap();
         let weight = cfg.signature(&probe).count_ones();
         for row in [3, 4] {

@@ -92,6 +92,17 @@ impl Options {
         }
     }
 
+    /// These options for an exhibit that always measures (`validate`,
+    /// `varcard`, `extops`): simulated, at 1/8 scale unless a scale was
+    /// given, with at least three trials.
+    pub(crate) fn measured(&self) -> Options {
+        Options {
+            simulate: true,
+            scale: if self.scale > 1 { self.scale } else { 8 },
+            trials: self.trials.max(3),
+        }
+    }
+
     /// The simulated database of [`Options::workload`] for cardinality `d_t`.
     pub(crate) fn sim(&self, d_t: u32) -> SimDb {
         SimDb::build(self.workload(d_t))

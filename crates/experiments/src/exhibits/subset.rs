@@ -1,6 +1,6 @@
 //! Figures 8–10: retrieval cost for `T ⊆ Q`.
 
-use setsig_core::{ElementKey, SetQuery};
+use setsig_core::{SetAccessFacility, SetQuery};
 use setsig_costmodel::{BssfModel, NixModel, SsfModel};
 
 use super::Options;
@@ -51,15 +51,9 @@ pub fn fig8(opts: &Options) -> Exhibit {
         row.push(Exhibit::fmt(nix.rc_subset(d_q)));
         row.push(Exhibit::fmt(nix.rc_subset_counting(d_q)));
         if let (Some(sim), Some((ssf_i, bssf_i, nix_i))) = (&sim, &meas) {
-            for facility in [
-                ssf_i as &dyn setsig_core::SetAccessFacility,
-                bssf_i as &dyn setsig_core::SetAccessFacility,
-                nix_i as &dyn setsig_core::SetAccessFacility,
-            ] {
-                let mut qg = sim.query_gen(d_q as u64 * 31 + 5);
-                row.push(Exhibit::fmt(sim.measure_avg(facility, opts.trials, |_| {
-                    SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-                })));
+            let queries = sim.draw(d_q as u64 * 31 + 5, d_q, opts.trials, SetQuery::in_subset);
+            for facility in [ssf_i as &dyn SetAccessFacility, bssf_i, nix_i] {
+                row.push(Exhibit::fmt(sim.average_accesses(facility, &queries)));
             }
         }
         ex.push_row(row);
@@ -120,16 +114,13 @@ fn smart_subset_exhibit(
         row.push(Exhibit::fmt(nix.rc_subset(d_q)));
         row.push(Exhibit::fmt(nix.rc_subset_counting(d_q)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
-            let mut qg = sim.query_gen(d_q as u64 * 13 + 3);
-            row.push(Exhibit::fmt(sim.measure_avg(bssf, opts.trials, |_| {
-                SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-                    .with_cap(slice_cap)
-                    .expect("T ⊆ Q takes a cap ≥ 1")
-            })));
-            let mut qg = sim.query_gen(d_q as u64 * 13 + 3);
-            row.push(Exhibit::fmt(sim.measure_avg(nixi, opts.trials, |_| {
-                SetQuery::in_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-            })));
+            let seed = d_q as u64 * 13 + 3;
+            let smart = sim.draw(seed, d_q, opts.trials, |keys| {
+                (SetQuery::in_subset(keys).with_cap(slice_cap)).expect("cap ≥ 1")
+            });
+            row.push(Exhibit::fmt(sim.average_accesses(bssf, &smart)));
+            let plain = sim.draw(seed, d_q, opts.trials, SetQuery::in_subset);
+            row.push(Exhibit::fmt(sim.average_accesses(nixi, &plain)));
         }
         ex.push_row(row);
     }
@@ -249,9 +240,26 @@ mod tests {
         };
         let ex = fig8(&opts);
         assert_eq!(ex.headers.len(), 8);
-        for row in &ex.rows {
-            let meas_bssf: f64 = row[6].parse().unwrap();
-            assert!(meas_bssf > 0.0);
-        }
+        // The measured SSF, BSSF and NIX counting pages per D_q, pinned.
+        let measured: Vec<[&str; 4]> = (ex.rows.iter())
+            .map(|r| [&*r[0], &*r[5], &*r[6], &*r[7]])
+            .collect();
+        assert_eq!(
+            measured,
+            [
+                ["10", "8", "257", "8"],
+                ["20", "8", "239", "14"],
+                ["30", "8", "221", "14"],
+                ["50", "8", "189", "17"],
+                ["70", "8", "157", "17"],
+                ["100", "8", "117", "17"],
+                ["150", "63", "105", "43"],
+                ["200", "465", "460", "451"],
+                ["203", "509", "501", "517"],
+                ["203", "509", "501", "517"],
+                ["203", "509", "501", "517"],
+                ["203", "509", "501", "517"],
+            ]
+        );
     }
 }

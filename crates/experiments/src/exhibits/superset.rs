@@ -1,6 +1,6 @@
 //! Figures 4–7: retrieval cost for `T ⊇ Q`.
 
-use setsig_core::{ElementKey, SetAccessFacility, SetQuery};
+use setsig_core::{SetAccessFacility, SetQuery};
 use setsig_costmodel::{BssfModel, NixModel, SsfModel};
 
 use super::Options;
@@ -44,14 +44,10 @@ pub fn fig4(opts: &Options) -> Exhibit {
         }
         row.push(Exhibit::fmt(nix.rc_superset(d_q)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
-            let mut qg = sim.query_gen(d_q as u64);
-            row.push(Exhibit::fmt(sim.measure_avg(bssf, opts.trials, |_| {
-                SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-            })));
-            let mut qg = sim.query_gen(d_q as u64);
-            row.push(Exhibit::fmt(sim.measure_avg(nixi, opts.trials, |_| {
-                SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-            })));
+            let queries = sim.draw(d_q as u64, d_q, opts.trials, SetQuery::has_subset);
+            for facility in [bssf as &dyn SetAccessFacility, nixi] {
+                row.push(Exhibit::fmt(sim.average_accesses(facility, &queries)));
+            }
         }
         ex.push_row(row);
     }
@@ -96,14 +92,10 @@ pub fn fig5(opts: &Options) -> Exhibit {
         }
         row.push(Exhibit::fmt(nix.rc_superset(d_q)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
-            let mut qg = sim.query_gen(100 + d_q as u64);
-            row.push(Exhibit::fmt(sim.measure_avg(bssf, opts.trials, |_| {
-                SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-            })));
-            let mut qg = sim.query_gen(100 + d_q as u64);
-            row.push(Exhibit::fmt(sim.measure_avg(nixi, opts.trials, |_| {
-                SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-            })));
+            let queries = sim.draw(100 + d_q as u64, d_q, opts.trials, SetQuery::has_subset);
+            for facility in [bssf as &dyn SetAccessFacility, nixi] {
+                row.push(Exhibit::fmt(sim.average_accesses(facility, &queries)));
+            }
         }
         ex.push_row(row);
     }
@@ -163,16 +155,11 @@ fn smart_superset_exhibit(
         }
         row.push(Exhibit::fmt(nix.rc_superset_smart(d_q, nix_cap)));
         if let (Some(sim), Some((bssf, nixi))) = (&sim, &meas) {
-            for (facility, cap) in [
-                (bssf as &dyn SetAccessFacility, caps[1]),
-                (nixi as &dyn SetAccessFacility, nix_cap),
-            ] {
-                let mut qg = sim.query_gen(d_q as u64 * 7 + 1);
-                row.push(Exhibit::fmt(sim.measure_avg(facility, opts.trials, |_| {
-                    SetQuery::has_subset(qg.random(d_q).into_iter().map(ElementKey::from).collect())
-                        .with_cap(cap as usize)
-                        .expect("T ⊇ Q takes a cap ≥ 1")
-                })));
+            for (facility, cap) in [(bssf as &dyn SetAccessFacility, caps[1]), (nixi, nix_cap)] {
+                let queries = sim.draw(d_q as u64 * 7 + 1, d_q, opts.trials, |keys| {
+                    (SetQuery::has_subset(keys).with_cap(cap as usize)).expect("cap ≥ 1")
+                });
+                row.push(Exhibit::fmt(sim.average_accesses(facility, &queries)));
             }
         }
         ex.push_row(row);
@@ -282,11 +269,23 @@ mod tests {
             trials: 1,
         };
         let ex = fig5(&opts);
-        // Measured columns exist and are positive.
         assert_eq!(ex.headers.len(), 8);
-        for row in &ex.rows {
-            let meas: f64 = row[6].parse().unwrap();
-            assert!(meas > 0.0);
-        }
+        // The measured BSSF m=2 and NIX pages, D_q = 1…10, pinned.
+        let measured: Vec<[&str; 2]> = ex.rows.iter().map(|r| [&*r[6], &*r[7]]).collect();
+        assert_eq!(
+            measured,
+            [
+                ["23", "22"],
+                ["8", "6"],
+                ["5", "4"],
+                ["3", "4"],
+                ["3", "4"],
+                ["3", "4"],
+                ["3", "4"],
+                ["4", "4"],
+                ["3", "3"],
+                ["3", "2"],
+            ]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Tables 2, 5, 6 and 7.
 
-use setsig_core::{ElementKey, Oid, SetAccessFacility};
+use setsig_core::{Oid, SetAccessFacility};
 use setsig_costmodel::{BssfModel, NixModel, Params, SsfModel};
 
 use super::Options;
@@ -138,47 +138,15 @@ pub fn table7(opts: &Options) -> Exhibit {
                 None,
             ),
         ];
-        let measured: Option<Vec<(f64, f64)>> = opts.simulate.then(|| {
+        let measured: Option<[[u64; 2]; 3]> = opts.simulate.then(|| {
             let sim = sims.entry(d_t).or_insert_with(|| opts.sim(d_t));
-            let mut out = Vec::new();
-            let disk = sim.db.disk();
             let probe_oid = Oid::new(sim.sets.len() as u64 + 7);
-            let probe_set: Vec<ElementKey> =
-                sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
-
-            let mut ssf_i = sim.build_ssf(f, m);
-            let s0 = disk.snapshot();
-            ssf_i.insert(probe_oid, &probe_set).unwrap();
-            let s1 = disk.snapshot();
-            ssf_i.delete(probe_oid, &probe_set).unwrap();
-            let s2 = disk.snapshot();
-            out.push((
-                s1.since(s0).accesses() as f64,
-                s2.since(s1).accesses() as f64,
-            ));
-
-            let mut bssf_i = sim.build_bssf(f, m);
-            let s0 = disk.snapshot();
-            bssf_i.insert(probe_oid, &probe_set).unwrap();
-            let s1 = disk.snapshot();
-            bssf_i.delete(probe_oid, &probe_set).unwrap();
-            let s2 = disk.snapshot();
-            out.push((
-                s1.since(s0).accesses() as f64,
-                s2.since(s1).accesses() as f64,
-            ));
-
-            let mut nix_i = sim.build_nix();
-            let s0 = disk.snapshot();
-            nix_i.insert(probe_oid, &probe_set).unwrap();
-            let s1 = disk.snapshot();
-            nix_i.delete(probe_oid, &probe_set).unwrap();
-            let s2 = disk.snapshot();
-            out.push((
-                s1.since(s0).accesses() as f64,
-                s2.since(s1).accesses() as f64,
-            ));
-            out
+            let probe = sim.target_keys(0);
+            [
+                sim.probe_update(&mut sim.build_ssf(f, m), probe_oid, &probe),
+                sim.probe_update(&mut sim.build_bssf(f, m), probe_oid, &probe),
+                sim.probe_update(&mut sim.build_nix(), probe_oid, &probe),
+            ]
         });
         for (i, (name, uci, ucd, sparse)) in models.into_iter().enumerate() {
             let mut row = vec![
@@ -190,8 +158,7 @@ pub fn table7(opts: &Options) -> Exhibit {
                 sparse.map_or("-".into(), Exhibit::fmt),
             ];
             if let Some(meas) = &measured {
-                row.push(Exhibit::fmt(meas[i].0));
-                row.push(Exhibit::fmt(meas[i].1));
+                row.extend(meas[i].map(|pages| pages.to_string()));
             }
             ex.push_row(row);
         }
@@ -256,14 +223,44 @@ mod tests {
         };
         let t6 = table6(&opts);
         assert_eq!(t6.headers.len(), 8);
+        // Measured SSF, BSSF and NIX storage pages per (D_t, F), pinned.
+        let storage: Vec<&[String]> = t6.rows.iter().map(|r| &r[5..]).collect();
+        assert_eq!(
+            storage,
+            [
+                ["5", "198", "17"],
+                ["9", "278", "17"],
+                ["17", "452", "141"],
+                ["40", "549", "141"],
+            ]
+        );
         let t7 = table7(&opts);
         assert_eq!(t7.headers.len(), 8);
+        // Measured insert and delete accesses, SSF / BSSF / NIX per (D_t, F).
+        let updates: Vec<&[String]> = t7.rows.iter().map(|r| &r[6..]).collect();
+        assert_eq!(
+            updates,
+            [
+                ["2", "2"],
+                ["20", "2"],
+                ["30", "30"],
+                ["2", "2"],
+                ["20", "2"],
+                ["30", "30"],
+                ["2", "2"],
+                ["270", "2"],
+                ["300", "300"],
+                ["2", "2"],
+                ["283", "2"],
+                ["300", "300"],
+            ]
+        );
         // Measured SSF insert = 2 writes, like the model.
         assert_eq!(t7.rows[0][6], "2");
         // Measured BSSF insert = weight(probe signature) + 1, the m_t + 1
         // the sparse column predicts — not the paper's F + 1.
         let sim = opts.sim(10);
-        let probe: Vec<ElementKey> = sim.sets[0].iter().map(|&e| ElementKey::from(e)).collect();
+        let probe = sim.target_keys(0);
         let cfg = setsig_core::SignatureConfig::new(250, 2).unwrap();
         let weight = cfg.signature(&probe).count_ones();
         assert_eq!(t7.rows[1][6], (weight + 1).to_string());

@@ -2,7 +2,7 @@
 //! Eq. (2)/(6), the Appendix C optimum, and the variable-cardinality
 //! extension (§6 further work).
 
-use setsig_core::{ElementKey, SetQuery};
+use setsig_core::{SetAccessFacility, SetQuery};
 use setsig_costmodel::{fd_subset, fd_superset, fd_superset_uniform_range, BssfModel, Params};
 use setsig_workload::{Cardinality, WorkloadConfig};
 
@@ -10,43 +10,23 @@ use super::Options;
 use crate::report::Exhibit;
 use crate::sim::SimDb;
 
-/// Measured false-drop probability over random queries: the fraction
+/// Measured false-drop probability over `queries`: the fraction
 /// `false drops / (N − A)` (the paper's definition in §3.2), averaged.
-fn measured_fd(
-    sim: &SimDb,
-    facility: &dyn setsig_core::SetAccessFacility,
-    superset: bool,
-    d_q: u32,
-    trials: u32,
-    seed: u64,
-) -> f64 {
-    let mut qg = sim.query_gen(seed);
+fn measured_fd(sim: &SimDb, facility: &dyn SetAccessFacility, queries: &[SetQuery]) -> f64 {
     let n = sim.sets.len() as f64;
     let mut total = 0.0;
-    for _ in 0..trials {
-        let elems: Vec<ElementKey> = qg.random(d_q).into_iter().map(ElementKey::from).collect();
-        let q = if superset {
-            SetQuery::has_subset(elems)
-        } else {
-            SetQuery::in_subset(elems)
-        };
-        let m = sim.measure_facility(facility, &q);
+    for q in queries {
+        let m = sim.measure_facility(facility, q);
         total += m.false_drops as f64 / (n - m.actual.len() as f64);
     }
-    total / trials as f64
+    total / queries.len() as f64
 }
 
 /// `validate`: Eq. (2) and Eq. (6) against measured false-drop rates from
 /// the real BSSF (always simulated — that is the point; honors `--scale`).
 pub fn validate_fd(opts: &Options) -> Exhibit {
-    // Validation needs real runs even without --simulate; scale down by
-    // default so `repro validate` is quick in any build.
-    let scale = if opts.scale > 1 { opts.scale } else { 8 };
-    let run_opts = Options {
-        simulate: true,
-        scale,
-        trials: opts.trials.max(3),
-    };
+    // Validation needs real runs even without --simulate.
+    let run_opts = opts.measured();
     let mut ex = Exhibit::new(
         "validate",
         "False drop probability: Eq. (2)/(6) vs measured (random queries on the real BSSF)",
@@ -69,8 +49,13 @@ pub fn validate_fd(opts: &Options) -> Exhibit {
         let bssf = sim.build_bssf(f, m);
         for d_q in [1u32, 2, 3] {
             let model = fd_superset(f, m, d_t, d_q);
-            let measured =
-                measured_fd(&sim, &bssf, true, d_q, run_opts.trials * 4, 71 + d_q as u64);
+            let queries = sim.draw(
+                71 + d_q as u64,
+                d_q,
+                run_opts.trials * 4,
+                SetQuery::has_subset,
+            );
+            let measured = measured_fd(&sim, &bssf, &queries);
             ex.push_row(vec![
                 "T ⊇ Q".into(),
                 f.to_string(),
@@ -89,7 +74,8 @@ pub fn validate_fd(opts: &Options) -> Exhibit {
     for d_q in [100u32, 300, 700, 1500] {
         let d_q = d_q.min(sim.cfg.domain as u32);
         let model = fd_subset(f, m, d_t, d_q);
-        let measured = measured_fd(&sim, &bssf, false, d_q, run_opts.trials, 171 + d_q as u64);
+        let queries = sim.draw(171 + d_q as u64, d_q, run_opts.trials, SetQuery::in_subset);
+        let measured = measured_fd(&sim, &bssf, &queries);
         ex.push_row(vec![
             "T ⊆ Q".into(),
             f.to_string(),
@@ -156,12 +142,7 @@ pub fn appendix_c() -> Exhibit {
 /// when target cardinality varies around the design `D_t` instead of being
 /// fixed.
 pub fn varcard(opts: &Options) -> Exhibit {
-    let scale = if opts.scale > 1 { opts.scale } else { 8 };
-    let run_opts = Options {
-        simulate: true,
-        scale,
-        trials: opts.trials.max(3),
-    };
+    let run_opts = opts.measured();
     let p = run_opts.params();
     let (f, m, d_t) = (250u32, 2u32, 10u32);
     let mut ex = Exhibit::new(
@@ -195,7 +176,13 @@ pub fn varcard(opts: &Options) -> Exhibit {
                 Cardinality::Fixed(d) => fd_superset(f, m, d, d_q),
                 Cardinality::UniformRange(lo, hi) => fd_superset_uniform_range(f, m, lo, hi, d_q),
             };
-            let measured = measured_fd(&sim, &bssf, true, d_q, run_opts.trials * 4, 7 + d_q as u64);
+            let queries = sim.draw(
+                7 + d_q as u64,
+                d_q,
+                run_opts.trials * 4,
+                SetQuery::has_subset,
+            );
+            let measured = measured_fd(&sim, &bssf, &queries);
             ex.push_row(vec![
                 format!("{cardinality:?}"),
                 d_q.to_string(),

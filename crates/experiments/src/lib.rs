@@ -14,6 +14,7 @@
 //! repro all --simulate      # add measured page counts from the real code
 //! repro fig5 --simulate     # one exhibit
 //! repro validate            # false-drop formulas vs. measured rates
+//! repro drift               # the page-cost conformance gate (`drift`)
 //! ```
 //!
 //! CSV copies of every exhibit land in `results/`.

@@ -1,9 +1,11 @@
 //! Simulated database instances: the measured half of every exhibit.
 //!
 //! A [`SimDb`] is a full paper-style database — object store with `N`
-//! synthetic objects on the accounting disk — from which SSF, BSSF and NIX
-//! facilities can be built (sharing the same disk) and queries measured in
-//! actual page accesses.
+//! synthetic objects on the accounting disk — from which SSF, BSSF, FSSF and
+//! NIX facilities can be built (sharing the same disk). Every measured number
+//! of the harness goes through its three steps: [`SimDb::draw`] the query
+//! elements, [`SimDb::measure_facility`] the query, [`SimDb::probe_update`]
+//! an insert and a delete.
 
 use setsig_core::{
     Bssf, ElementKey, Fssf, FssfConfig, IndexLayout, Oid, SetAccessFacility, SetQuery,
@@ -69,43 +71,50 @@ impl SimDb {
             .collect()
     }
 
-    /// A deterministic query generator over this instance's domain.
-    pub fn query_gen(&self, seed: u64) -> QueryGen {
-        QueryGen::new(self.cfg.domain, seed)
+    /// The `count` element sets `QueryGen::new(domain, seed)` draws, `d_q`
+    /// elements each, as query keys, each handed to `build` — the elements
+    /// of every measured query, whatever its predicate, cap or probe.
+    pub(crate) fn draw<Q>(
+        &self,
+        seed: u64,
+        d_q: u32,
+        count: u32,
+        build: impl Fn(Vec<ElementKey>) -> Q,
+    ) -> Vec<Q> {
+        let mut qg = QueryGen::new(self.cfg.domain, seed);
+        (0..count)
+            .map(|_| build(qg.random(d_q).into_iter().map(ElementKey::from).collect()))
+            .collect()
     }
 
     fn io(&self) -> Arc<dyn PageIo> {
         Arc::clone(self.db.disk()) as Arc<dyn PageIo>
     }
 
+    /// Inserts every target into `facility`, OID order, then clears the
+    /// disk's counters.
+    fn fill<T: SetAccessFacility>(&self, mut facility: T) -> T {
+        for oid in 0..self.sets.len() as u64 {
+            facility
+                .insert(Oid::new(oid), &self.target_keys(oid))
+                .expect("insert");
+        }
+        self.db.disk().reset_stats();
+        facility
+    }
+
     /// Builds an SSF over the instance (inserting every target signature).
     pub fn build_ssf(&self, f: u32, m: u32) -> Ssf {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
-        let name = format!("ssf-f{f}-m{m}");
-        let mut ssf = Ssf::create(self.io(), &name, cfg).expect("fits page");
-        for (i, set) in self.sets.iter().enumerate() {
-            let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
-            ssf.insert(Oid::new(i as u64), &keys).expect("insert");
-        }
-        self.db.disk().reset_stats();
-        ssf
+        self.fill(Ssf::create(self.io(), &format!("ssf-f{f}-m{m}"), cfg).expect("fits page"))
     }
 
     /// Builds a BSSF over the instance via the bulk loader.
     pub fn build_bssf(&self, f: u32, m: u32) -> Bssf {
         let cfg = SignatureConfig::new(f, m).expect("valid signature config");
-        let name = format!("bssf-f{f}-m{m}");
-        let mut bssf = Bssf::create(self.io(), &name, cfg).expect("create");
-        let items: Vec<(Oid, Vec<ElementKey>)> = self
-            .sets
-            .iter()
-            .enumerate()
-            .map(|(i, set)| {
-                (
-                    Oid::new(i as u64),
-                    set.iter().map(|&e| ElementKey::from(e)).collect(),
-                )
-            })
+        let mut bssf = Bssf::create(self.io(), &format!("bssf-f{f}-m{m}"), cfg).expect("create");
+        let items: Vec<(Oid, Vec<ElementKey>)> = (0..self.sets.len() as u64)
+            .map(|oid| (Oid::new(oid), self.target_keys(oid)))
             .collect();
         bssf.bulk_load(&items).expect("bulk load");
         self.db.disk().reset_stats();
@@ -115,25 +124,12 @@ impl SimDb {
     /// Builds a frame-sliced signature file over the instance.
     pub fn build_fssf(&self, f: u32, k: u32, m: u32) -> Fssf {
         let cfg = FssfConfig::new(f, k, m).expect("valid FSSF config");
-        let mut fssf =
-            Fssf::create(self.io(), &format!("fssf-f{f}-k{k}-m{m}"), cfg).expect("create");
-        for (i, set) in self.sets.iter().enumerate() {
-            let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
-            fssf.insert(Oid::new(i as u64), &keys).expect("insert");
-        }
-        self.db.disk().reset_stats();
-        fssf
+        self.fill(Fssf::create(self.io(), &format!("fssf-f{f}-k{k}-m{m}"), cfg).expect("create"))
     }
 
     /// Builds a NIX over the instance.
     pub fn build_nix(&self) -> Nix {
-        let mut nix = Nix::on_io(self.io(), "nix");
-        for (i, set) in self.sets.iter().enumerate() {
-            let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
-            nix.insert(Oid::new(i as u64), &keys).expect("insert");
-        }
-        self.db.disk().reset_stats();
-        nix
+        self.fill(Nix::on_io(self.io(), "nix"))
     }
 
     /// Measures one query — plain, or smart when it carries a cap
@@ -184,20 +180,35 @@ impl SimDb {
         exec
     }
 
-    /// Averages the page accesses — the measured `RC` — of `trials` queries
-    /// produced by `make_query`.
-    pub fn measure_avg(
+    /// The measured `RC`: the page accesses of `queries`, each run through
+    /// [`SimDb::measure_facility`] in order, averaged.
+    pub(crate) fn average_accesses(
         &self,
         facility: &dyn SetAccessFacility,
-        trials: u32,
-        mut make_query: impl FnMut(u32) -> SetQuery,
+        queries: &[SetQuery],
     ) -> f64 {
-        let mut total = 0u64;
-        for t in 0..trials {
-            let q = make_query(t);
-            total += self.measure_facility(facility, &q).io.accesses();
-        }
-        total as f64 / trials as f64
+        let total: u64 = (queries.iter())
+            .map(|q| self.measure_facility(facility, q).io.accesses())
+            .sum();
+        total as f64 / queries.len() as f64
+    }
+
+    /// The `Disk` reads + writes of inserting `set` as `oid` into
+    /// `facility`, and of deleting it again — Table 7's `UC_I` and `UC_D`,
+    /// measured. The delete leaves its tombstone behind.
+    pub(crate) fn probe_update(
+        &self,
+        facility: &mut dyn SetAccessFacility,
+        oid: Oid,
+        set: &[ElementKey],
+    ) -> [u64; 2] {
+        let disk = self.db.disk();
+        let before = disk.snapshot();
+        facility.insert(oid, set).expect("probe insert");
+        let between = disk.snapshot();
+        facility.delete(oid, set).expect("probe delete");
+        let moved = [between.since(before), disk.snapshot().since(between)];
+        moved.map(|io| io.accesses())
     }
 }
 
@@ -275,8 +286,8 @@ mod tests {
         let m = sim.measure_facility(&bssf, &q);
         assert!(m.stats.unwrap().pages > 0);
         assert_eq!(m.actual.len() as u64 + m.false_drops, m.drops.len() as u64);
-        // On the bare disk the whole query's accesses — what `measure_avg`
-        // averages — are the filter's charged pages plus the object pages.
+        // On the bare disk the whole query's accesses — what
+        // `average_accesses` averages — are the filter's charged pages plus the object pages.
         assert_eq!(
             m.io.accesses(),
             m.stats.unwrap().pages + m.resolve_io.accesses()
@@ -388,13 +399,10 @@ mod tests {
 
     /// A facility over a 64-frame pool on `sim`'s disk, fed every target.
     fn pooled<T: SetAccessFacility>(sim: &SimDb, create: impl FnOnce(Arc<dyn PageIo>) -> T) -> T {
-        let mut facility = create(Arc::new(BufferPool::new(Arc::clone(sim.db.disk()), 64)));
-        for oid in 0..sim.sets.len() as u64 {
-            facility
-                .insert(Oid::new(oid), &sim.target_keys(oid))
-                .unwrap();
-        }
-        facility
+        sim.fill(create(Arc::new(BufferPool::new(
+            Arc::clone(sim.db.disk()),
+            64,
+        ))))
     }
 
     #[test]
@@ -413,13 +421,24 @@ mod tests {
         assert!(plain.cache_stats().is_none());
     }
 
+    /// The draw is `QueryGen`'s, seed for seed; the average is over what
+    /// each query's own run read.
     #[test]
-    fn measure_avg_averages() {
+    fn average_accesses_averages_the_drawn_queries() {
         let sim = SimDb::build(small_cfg());
         let nix = sim.build_nix();
-        let avg = sim.measure_avg(&nix, 4, |t| {
-            SetQuery::has_subset(vec![ElementKey::from(t as u64)])
-        });
+        let mut qg = QueryGen::new(sim.cfg.domain, 9);
+        for keys in sim.draw(9, 3, 4, |keys| keys) {
+            let expected: Vec<ElementKey> =
+                (qg.random(3).into_iter().map(ElementKey::from)).collect();
+            assert_eq!(keys, expected);
+        }
+        let queries = sim.draw(9, 3, 4, SetQuery::has_subset);
+        let runs: Vec<u64> = (queries.iter())
+            .map(|q| sim.measure_facility(&nix, q).io.accesses())
+            .collect();
+        let avg = sim.average_accesses(&nix, &queries);
         assert!(avg > 0.0);
+        assert_eq!(avg, runs.iter().sum::<u64>() as f64 / 4.0);
     }
 }

@@ -2,7 +2,7 @@
 //! drift gate (`setsig_experiments::drift`), the one place that decides
 //! conformance. The gate runs once per binary at the paper's own scale —
 //! `N = 32,000`, `V = 13,000`, one trial per checkpoint, what
-//! `report-metrics --scale 1 --trials 1` runs — where the page counts only
+//! `repro drift --scale 1 --trials 1` runs — where the page counts only
 //! the full instance resolves show: `SC_SIG` = 493, NIX `rc` = 3, one page
 //! per slice and Table 6's storage. Each test below pins the paper's figures
 //! on the checkpoints that measure them; the last checks the facilities'
