@@ -353,11 +353,19 @@ mod tests {
         assert_eq!(back.count_ones(), 4);
     }
 
-    /// Whether the one-row page `row` passes `test`.
-    fn passes(test: &kernel::RowTest, row: &[u8]) -> bool {
+    /// Whether the one-row page `row` passes `test`: with one row a page,
+    /// a byte-sliced page is the row itself.
+    fn passes(test: &kernel::ColumnTest, row: &[u8]) -> bool {
         let mut out = Vec::new();
-        kernel::match_rows(test, row, row.len(), 1, 0, &mut out);
+        kernel::match_columns(test, row, 1, 0, &mut [0], &mut out);
         !out.is_empty()
+    }
+
+    /// The overlap count of the one-row page `row`.
+    fn overlap(query: &[u64], row: &[u8]) -> u32 {
+        let mut counts = [0u16];
+        kernel::overlap_columns(query, row, 1, &mut counts);
+        u32::from(counts[0])
     }
 
     #[test]
@@ -383,18 +391,18 @@ mod tests {
             assert_eq!(or_k, or_ref, "OR width {nbits}");
 
             let (aw, bw) = (a.words(), b.words());
-            let superset = kernel::RowTest::superset(aw, nbits);
+            let superset = kernel::ColumnTest::superset(aw, nbits);
             assert_eq!(passes(&superset, &bb), b.covers(&a), "⊇ width {nbits}");
-            let subset = kernel::RowTest::subset(aw, nbits);
+            let subset = kernel::ColumnTest::subset(aw, nbits);
             assert_eq!(passes(&subset, &bb), a.covers(&b), "⊆ width {nbits}");
-            let equals = kernel::RowTest::equals(aw, nbits);
+            let equals = kernel::ColumnTest::equals(aw, nbits);
             assert_eq!(passes(&equals, &bb), a == b, "eq width {nbits}");
             assert_eq!(
-                kernel::intersection_count(aw, &bb),
+                overlap(aw, &bb),
                 a.intersection_count(&b),
                 "popcount width {nbits}"
             );
-            assert!(passes(&kernel::RowTest::equals(bw, nbits), &bb));
+            assert!(passes(&kernel::ColumnTest::equals(bw, nbits), &bb));
         }
     }
 
@@ -405,10 +413,10 @@ mod tests {
         let q = Bitmap::from_positions(4, &[1, 2]);
         let qw = q.words();
         // The high nibble is padding.
-        assert!(passes(&kernel::RowTest::subset(qw, 4), &[0b1111_0110]));
-        assert!(!passes(&kernel::RowTest::equals(qw, 4), &[0b1111_0111]));
-        assert!(passes(&kernel::RowTest::equals(qw, 4), &[0b1111_0110]));
-        assert_eq!(kernel::intersection_count(qw, &[0b1111_1110]), 2);
+        assert!(passes(&kernel::ColumnTest::subset(qw, 4), &[0b1111_0110]));
+        assert!(!passes(&kernel::ColumnTest::equals(qw, 4), &[0b1111_0111]));
+        assert!(passes(&kernel::ColumnTest::equals(qw, 4), &[0b1111_0110]));
+        assert_eq!(overlap(qw, &[0b1111_1110]), 2);
         let mut o = Bitmap::zeroed(4);
         kernel::or_assign(o.words_mut(), &[0xff], 4);
         assert_eq!(o.count_ones(), 4);

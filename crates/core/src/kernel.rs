@@ -1,7 +1,8 @@
 //! Word-level slice kernels: the one place bytes become `u64` words.
 //!
 //! Every signature-scan hot path — the BSSF slice AND/OR loops, the SSF
-//! row match ([`RowTest`] + [`match_rows`]), the overlap counters, and
+//! column match ([`ColumnTest`] + [`match_columns`]) and overlap count
+//! ([`overlap_columns`]), the set-bit counters, and
 //! [`Bitmap::from_bytes`](crate::Bitmap::from_bytes) — combines serialized
 //! (LSB-first) signature bytes with in-memory `u64` words. This module is
 //! the single implementation of that bridge, so the layout and
@@ -12,6 +13,9 @@
 //!   buffer ([`le_word`]). This matches `u64::from_le_bytes`, so bit `i`
 //!   of the bitmap is bit `i % 64` of word `i / 64` — the same layout
 //!   [`Bitmap`](crate::Bitmap) stores internally.
+//! * **Byte-sliced pages.** An SSF page of `per_page` rows stores byte `c`
+//!   of row `s` at `c·per_page + s`: column `c` is byte `c` of every row,
+//!   contiguous, so a query reads only the columns it constrains.
 //! * **Tail-mask contract.** A width of `nbits` occupies
 //!   [`words_for`]`(nbits)` words; bits at positions `>= nbits` in the
 //!   last word are *padding*. Kernels that read external bytes mask the
@@ -20,18 +24,18 @@
 //!   zero) so `count_ones`/`is_zero`-style folds need no re-masking.
 //!   `AND` is the one exception that needs no mask: padding in the
 //!   incoming bytes can only clear accumulator bits that are already
-//!   zero in a canonical accumulator. A [`RowTest`] needs no mask step
+//!   zero in a canonical accumulator. A [`ColumnTest`] needs no mask step
 //!   either: its masks select no bit at or past the width.
 //!
 //! The AND loop runs on `chunks_exact(8)`, so the compiler sees a short,
-//! branch-free body it can unroll, and [`match_rows`] reads its row words
-//! in place; only a word that runs past the end of its buffer takes the
-//! padded [`le_word`] path. The OR ([`or_pages`]) folds up to
-//! [`OR_GROUP`] buffers into each 64-byte line of the accumulator while
-//! the line sits in registers, so the accumulator is loaded and stored
-//! once per group instead of once per buffer; [`or_assign`] is its
-//! one-buffer call. The `reference` submodule keeps the pre-kernel
-//! byte/bit-granular loops as the differential-testing oracle.
+//! branch-free body it can unroll, and [`match_columns`] ANDs whole
+//! columns into a per-row byte flag, a loop the compiler vectorizes. The
+//! OR ([`or_pages`]) folds up to [`OR_GROUP`] buffers into each 64-byte
+//! line of the accumulator while the line sits in registers, so the
+//! accumulator is loaded and stored once per group instead of once per
+//! buffer; [`or_assign`] is its one-buffer call. The `reference` submodule
+//! keeps the pre-kernel byte/bit-granular loops as the
+//! differential-testing oracle.
 
 /// Words needed to hold `nbits` bits: `⌈nbits/64⌉`.
 #[inline]
@@ -62,8 +66,7 @@ pub fn mask_tail(words: &mut [u64], nbits: u32) {
 /// Word `wi` of an LSB-first byte buffer, zero-padded past the end.
 ///
 /// The chunked loops below use it only for the final partial word (and
-/// out-of-range words, which read as zero); [`match_rows`] for every row
-/// word, where its full-word branch is the in-place read.
+/// out-of-range words, which read as zero).
 #[inline]
 #[expect(
     clippy::expect_used,
@@ -202,104 +205,124 @@ pub fn fill(acc: &mut [u64], bytes: &[u8], nbits: u32) {
     or_assign(acc, bytes, nbits);
 }
 
-/// A row predicate compiled once per query: a row matches when
-/// `word(wi) & mask == want` holds for every `(wi, mask, want)` term, where
-/// `word(wi)` is word `wi` of the serialized row ([`le_word`] layout). No
-/// mask selects a bit at or past the width, so neither the row's padding
-/// nor the next row's bytes, which an in-place word read runs into, can
-/// change the outcome. A test with no terms matches every row.
+/// A row predicate over byte-sliced pages, compiled once per query: a row
+/// matches when `column(c)[s] & mask == want` holds for every `(c, mask,
+/// want)` term, where column `c` holds byte `c` of every row of the page.
+/// No mask selects a bit at or past the width, so a row's padding never
+/// changes the outcome. Terms run most constraining first, by mask
+/// popcount (ties by column), so a scan stops a page as early as it can. A
+/// test with no terms matches every row.
 #[derive(Clone, Debug)]
-pub struct RowTest {
-    terms: Vec<(usize, u64, u64)>,
+pub struct ColumnTest {
+    terms: Vec<(usize, u8, u8)>,
 }
 
-impl RowTest {
-    /// `T ⊇ Q`, every query bit set in the row: `(wi, q, q)` for each
-    /// non-zero word `q` of the canonical `nbits`-wide query.
+impl ColumnTest {
+    /// `T ⊇ Q`, every query bit set in the row: `(c, q_c, q_c)` for each
+    /// non-zero byte `q_c` of the canonical `nbits`-wide query.
     pub fn superset(query: &[u64], nbits: u32) -> Self {
         Self::compile(query, nbits, |q, _| (q, q))
     }
 
-    /// `T ⊆ Q`, no row bit outside the query: `(wi, !q & valid, 0)` for
-    /// each word where that mask is non-zero.
+    /// `T ⊆ Q`, no row bit outside the query: `(c, ¬q_c & valid_c, 0)` for
+    /// each byte where that mask is non-zero.
     pub fn subset(query: &[u64], nbits: u32) -> Self {
         Self::compile(query, nbits, |q, valid| (!q & valid, 0))
     }
 
-    /// `T = Q` over the width: `(wi, valid, q)` for every word.
+    /// `T = Q` over the width: `(c, valid_c, q_c)` for every byte.
     pub fn equals(query: &[u64], nbits: u32) -> Self {
         Self::compile(query, nbits, |q, valid| (valid, q))
     }
 
-    /// One term per query word from the word and its valid bits (all ones
-    /// but on the last word, [`tail_mask`]); a zero mask tests nothing.
-    fn compile(query: &[u64], nbits: u32, term: impl Fn(u64, u64) -> (u64, u64)) -> Self {
-        let last = query.len().saturating_sub(1);
-        let terms = query.iter().enumerate().map(|(wi, &q)| {
-            let valid = if wi == last { tail_mask(nbits) } else { !0 };
+    /// One term per query byte from the byte and its valid bits (all ones
+    /// but on the last byte of a width `8 ∤ nbits`); a zero mask tests
+    /// nothing.
+    fn compile(query: &[u64], nbits: u32, term: impl Fn(u8, u8) -> (u8, u8)) -> Self {
+        let nbytes = (nbits as usize).div_ceil(8);
+        let terms_of = (0..nbytes).map(|c| {
+            let q = query.get(c / 8).map_or(0, |w| (w >> (8 * (c % 8))) as u8);
+            let valid = match nbits % 8 {
+                rem if rem != 0 && c + 1 == nbytes => (1u8 << rem) - 1,
+                _ => !0,
+            };
             let (mask, want) = term(q, valid);
-            (wi, mask, want)
+            (c, mask, want)
         });
-        let terms = terms.filter(|&(_, mask, _)| mask != 0).collect();
-        RowTest { terms }
+        // Sized once, and sorted unstably (the column breaks ties): a test
+        // is one allocation.
+        let mut terms = Vec::with_capacity(nbytes);
+        terms.extend(terms_of.filter(|&(_, mask, _)| mask != 0));
+        terms.sort_unstable_by_key(|&(c, mask, _)| (std::cmp::Reverse(mask.count_ones()), c));
+        ColumnTest { terms }
     }
 }
 
-/// Appends `base + s` to `out` for each row `s < rows` of `page` that
-/// passes `test`, row `s` starting at byte `s·stride`.
+/// Column `c` of a byte-sliced page of `per_page` rows, cut to its first
+/// `rows` bytes; shorter, possibly empty, where the page ends first.
+#[inline]
+fn column(page: &[u8], per_page: usize, c: usize, rows: usize) -> &[u8] {
+    let col = page.get(c * per_page..).unwrap_or(&[]);
+    &col[..rows.min(col.len())]
+}
+
+/// Appends `base + s` to `out` for each row `s < live.len()` of a
+/// byte-sliced `page` that passes `test`, byte `c` of row `s` at
+/// `c·per_page + s`; bytes past the end of `page` read as zero.
 ///
-/// Word `wi` of row `s` is read in place at `s·stride + 8·wi`; only a word
-/// that runs past the end of `page` takes the zero-padded [`le_word`]
-/// path. Rows go 64 at a time: the first term is evaluated branch-free into
-/// a live mask, and the other terms only for the rows still live.
-pub fn match_rows(
-    test: &RowTest,
+/// `live` holds one flag byte per row, all ones while the row is live (the
+/// caller's buffer, so a scan holds one for the whole query). Each term ANDs
+/// its contiguous column's compare into the flags in one branch-free pass
+/// that the compiler vectorizes — the all-ones flag is the byte compare's
+/// own result — fused with the OR-fold that tells whether any row is still
+/// live: the kernel stops at the first term that leaves none, and
+/// otherwise emits the rows still live.
+pub fn match_columns(
+    test: &ColumnTest,
     page: &[u8],
-    stride: usize,
-    rows: usize,
+    per_page: usize,
     base: u64,
+    live: &mut [u8],
     out: &mut Vec<u64>,
 ) {
-    let Some((&(wi, mask, want), rest)) = test.terms.split_first() else {
-        out.extend(base..base + rows as u64);
-        return;
-    };
-    let word = |s: usize, wi: usize| le_word(page.get(s * stride + 8 * wi..).unwrap_or(&[]), 0);
-    for run in (0..rows).step_by(64) {
-        let mut live = 0u64;
-        for i in 0..(rows - run).min(64) {
-            live |= u64::from(word(run + i, wi) & mask == want) << i;
+    live.fill(!0);
+    for &(c, mask, want) in &test.terms {
+        let col = column(page, per_page, c, live.len());
+        let (head, past) = live.split_at_mut(col.len());
+        let mut alive = 0u8;
+        for (l, &b) in head.iter_mut().zip(col) {
+            *l &= u8::from(b & mask == want).wrapping_neg();
+            alive |= *l;
         }
-        while live != 0 {
-            let s = run + live.trailing_zeros() as usize;
-            live &= live - 1;
-            if rest
-                .iter()
-                .all(|&(wi, mask, want)| word(s, wi) & mask == want)
-            {
-                out.push(base + s as u64);
-            }
+        // Rows the page ends before read as zero bytes.
+        if want == 0 {
+            alive |= past.iter().fold(0, |a, &l| a | l);
+        } else {
+            past.fill(0);
+        }
+        if alive == 0 {
+            return;
         }
     }
+    let hits = (base..).zip(live.iter()).filter(|&(_, &l)| l != 0);
+    out.extend(hits.map(|(pos, _)| pos));
 }
 
-/// Popcount of `query & row` — the overlap row-match kernel. The query
-/// words are canonical, so row padding ANDs against zero and needs no
-/// mask.
-pub fn intersection_count(query: &[u64], row: &[u8]) -> u32 {
-    let (words, tail) = full_words(row);
-    let mut q = query.iter();
-    let mut n = 0u32;
-    for w in words {
-        match q.next() {
-            Some(&qw) => n += (qw & w).count_ones(),
-            None => return n,
+/// `counts[s] = popcount(query & row s)` for each row `s < counts.len()`
+/// of a byte-sliced `page` of `per_page` rows — the `T ≬ Q` row kernel.
+/// Only the query's non-zero bytes are read, each as one contiguous
+/// column; the query words are canonical, so row padding ANDs against
+/// zero and needs no mask, and bytes past the end of `page` read as zero.
+/// `u16` counts hold any width that fits a page (`F ≤ 8·4096`).
+pub fn overlap_columns(query: &[u64], page: &[u8], per_page: usize, counts: &mut [u16]) {
+    counts.fill(0);
+    let bytes = query.iter().flat_map(|w| w.to_le_bytes());
+    for (c, q) in bytes.enumerate().filter(|&(_, q)| q != 0) {
+        let col = column(page, per_page, c, counts.len());
+        for (n, &b) in counts.iter_mut().zip(col) {
+            *n += (b & q).count_ones() as u16;
         }
     }
-    if let (Some(w), Some(&qw)) = (tail, q.next()) {
-        n += (qw & w).count_ones();
-    }
-    n
 }
 
 /// The set-bit positions of word `wi` (bit `b` is position `64·wi + b`),
@@ -557,22 +580,22 @@ mod tests {
                 // same way `to_words` does before comparing.
                 let qm = to_bytes(&qw, nbits);
                 assert_eq!(
-                    passes(&RowTest::superset(&qw, nbits), &r),
+                    passes(&ColumnTest::superset(&qw, nbits), &r),
                     reference::is_covered_by(&qm, &r, nbits),
                     "⊇ width {nbits} salt {salt}"
                 );
                 assert_eq!(
-                    passes(&RowTest::subset(&qw, nbits), &r),
+                    passes(&ColumnTest::subset(&qw, nbits), &r),
                     reference::covers(&qm, &r, nbits),
                     "⊆ width {nbits} salt {salt}"
                 );
                 assert_eq!(
-                    passes(&RowTest::equals(&qw, nbits), &r),
+                    passes(&ColumnTest::equals(&qw, nbits), &r),
                     reference::eq(&qm, &r, nbits),
                     "eq width {nbits} salt {salt}"
                 );
                 assert_eq!(
-                    intersection_count(&qw, &r),
+                    overlap(&qw, &r),
                     reference::intersection_count(&qm, &r, nbits),
                     "popcount width {nbits} salt {salt}"
                 );
@@ -589,89 +612,139 @@ mod tests {
 
     #[test]
     fn short_rows_read_as_zero_padded() {
-        // An SSF row buffer is exactly sig_bytes long; a query word past it
-        // must compare against zeros, not panic.
+        // A one-row page shorter than the width: a query byte past it must
+        // compare against zero, not panic.
         let q = to_words(&[0b1, 0, 0, 0, 0, 0, 0, 0, 0b1], 65);
-        assert_eq!(RowTest::superset(&q, 65).terms, vec![(0, 1, 1), (1, 1, 1)]);
-        assert!(!passes(&RowTest::superset(&q, 65), &[0b1]));
+        assert_eq!(
+            ColumnTest::superset(&q, 65).terms,
+            vec![(0, 1, 1), (8, 1, 1)]
+        );
+        assert!(!passes(&ColumnTest::superset(&q, 65), &[0b1]));
         assert!(passes(
-            &RowTest::superset(&to_words(&[0b1], 65), 65),
+            &ColumnTest::superset(&to_words(&[0b1], 65), 65),
             &[0b1]
         ));
-        // The all-zero query has no words to test and matches every row.
-        assert!(RowTest::superset(&[0, 0], 65).terms.is_empty());
-        assert!(passes(&RowTest::superset(&[0, 0], 65), &[]));
-        assert!(passes(&RowTest::subset(&q, 65), &[0b1]));
-        assert!(!passes(&RowTest::equals(&q, 65), &[0b1]));
-        assert_eq!(intersection_count(&q, &[0b1]), 1);
+        // The all-zero query has no bytes to test and matches every row.
+        assert!(ColumnTest::superset(&[0, 0], 65).terms.is_empty());
+        assert!(passes(&ColumnTest::superset(&[0, 0], 65), &[]));
+        assert!(passes(&ColumnTest::subset(&q, 65), &[0b1]));
+        assert!(!passes(&ColumnTest::equals(&q, 65), &[0b1]));
+        assert_eq!(overlap(&q, &[0b1]), 1);
     }
 
-    /// Whether the one-row page `row` passes `test`.
-    fn passes(test: &RowTest, row: &[u8]) -> bool {
+    #[test]
+    fn terms_run_most_constraining_first() {
+        // Mask popcounts 1, 3, 3, 2: the two 3s first, by column, then the
+        // 2, then the 1.
+        let q = to_words(&[0b1, 0b111, 0b1011, 0b1001], 28);
+        let columns: Vec<usize> = (ColumnTest::superset(&q, 28).terms.iter())
+            .map(|t| t.0)
+            .collect();
+        assert_eq!(columns, [1, 2, 3, 0]);
+        // `⊆` masks the last byte to its four valid bits: ¬0b1001 there is
+        // 0b0110, not 0b1111_0110.
+        assert_eq!(
+            ColumnTest::subset(&q, 28).terms,
+            [(0, 0xfe, 0), (1, 0xf8, 0), (2, 0xf4, 0), (3, 0b0110, 0)]
+        );
+    }
+
+    /// Whether the one-row page `row` passes `test`: with one row a page, a
+    /// byte-sliced page is the row itself.
+    fn passes(test: &ColumnTest, row: &[u8]) -> bool {
         let mut out = Vec::new();
-        match_rows(test, row, row.len(), 1, 7, &mut out);
+        match_columns(test, row, 1, 7, &mut [0], &mut out);
         assert!(out.is_empty() || out == [7], "{out:?}");
         !out.is_empty()
     }
 
+    /// The overlap count of the one-row page `row`.
+    fn overlap(query: &[u64], row: &[u8]) -> u32 {
+        let mut counts = [0u16];
+        overlap_columns(query, row, 1, &mut counts);
+        u32::from(counts[0])
+    }
+
+    /// A byte-sliced page of `per_page` rows holding `rows` (each `stride`
+    /// bytes): every byte no row writes — the columns' bytes past the
+    /// rows and the slack past `per_page·stride` — is a one.
+    fn sliced(rows: &[Vec<u8>], per_page: usize, stride: usize) -> Vec<u8> {
+        let mut page = vec![0xffu8; PAGE_SIZE];
+        for (s, row) in rows.iter().enumerate() {
+            for (c, &b) in row.iter().enumerate() {
+                page[c * per_page + s] = b;
+            }
+        }
+        assert!(per_page * stride <= PAGE_SIZE);
+        page
+    }
+
     #[test]
     fn full_pages_match_like_the_bit_loops_up_to_the_last_byte() {
-        const PAGE: usize = 4096;
-        type Compile = fn(&[u64], u32) -> RowTest;
+        type Compile = fn(&[u64], u32) -> ColumnTest;
         type Oracle = fn(&[u8], &[u8], u32) -> bool;
+        // One row's flag per slot of the widest page, 4,096 rows at F = 8.
+        let mut live = vec![0u8; PAGE_SIZE];
         for nbits in [8u32, 72, 100, 500] {
             let stride = (nbits as usize).div_ceil(8);
-            let rows = PAGE / stride;
-            // The last row's final word runs past the page at these widths
-            // (4095..4103, 4094..4102, 4090..4098) and ends on it at 500.
-            let last_word_end = (rows - 1) * stride + 8 * words_for(nbits);
-            assert_eq!(last_word_end > PAGE, nbits != 500, "width {nbits}");
-            // Slack bytes past the last row and every row's padding bits
-            // are ones: only the masks keep them out.
-            let mut page = vec![0xffu8; PAGE];
-            for (s, row) in page.chunks_exact_mut(stride).enumerate() {
-                row.copy_from_slice(&pattern(nbits, s as u64 * 37 + 11));
-                if nbits % 8 != 0 {
-                    *row.last_mut().unwrap() |= 0xff << (nbits % 8);
+            let per_page = PAGE_SIZE / stride;
+            // Every row's padding bits are ones: only the masks keep them out.
+            let all: Vec<Vec<u8>> = (0..per_page)
+                .map(|s| {
+                    let mut row = pattern(nbits, s as u64 * 37 + 11);
+                    if nbits % 8 != 0 {
+                        *row.last_mut().unwrap() |= 0xff << (nbits % 8);
+                    }
+                    row
+                })
+                .collect();
+            // A full page, then a partial last page of a third of the rows.
+            for rows in [per_page, per_page / 3 + 1] {
+                let page = sliced(&all[..rows], per_page, stride);
+                let last = &all[rows - 1][..];
+                // Fewer and more bits than the last row: the top bit of each
+                // run of ones, and each run grown by one.
+                let thin: Vec<u8> = last.iter().map(|r| r & !(r >> 1)).collect();
+                let wide: Vec<u8> = last.iter().map(|r| r | r << 1).collect();
+                let cases: [(&str, Compile, Oracle, &[u8]); 5] = [
+                    ("⊇", ColumnTest::superset, reference::is_covered_by, &thin),
+                    ("⊆", ColumnTest::subset, reference::covers, &wide),
+                    ("=", ColumnTest::equals, reference::eq, last),
+                    ("⊇ ∅", ColumnTest::superset, reference::is_covered_by, &[]),
+                    (
+                        "⊆ all F bits",
+                        ColumnTest::subset,
+                        reference::covers,
+                        &[0xff; 63],
+                    ),
+                ];
+                for (i, (what, compile, oracle, query)) in cases.into_iter().enumerate() {
+                    let words = to_words(query, nbits);
+                    let test = compile(&words, nbits);
+                    // The last two compile to the empty test.
+                    assert_eq!(test.terms.is_empty(), i >= 3, "{what} width {nbits}");
+                    let query = to_bytes(&words, nbits);
+                    let want: Vec<u64> = (0..rows)
+                        .filter(|&s| oracle(&query, &all[s], nbits))
+                        .map(|s| 1_000 + s as u64)
+                        .collect();
+                    let mut got = Vec::new();
+                    match_columns(&test, &page, per_page, 1_000, &mut live[..rows], &mut got);
+                    assert_eq!(got, want, "{what} width {nbits}, {rows} rows");
+                    // The query came from the last row, so it is a hit.
+                    assert_eq!(
+                        got.last(),
+                        Some(&(999 + rows as u64)),
+                        "{what} width {nbits}, {rows} rows"
+                    );
                 }
-            }
-            let row = |s: usize| &page[s * stride..(s + 1) * stride];
-            let last = row(rows - 1);
-            // Fewer and more bits than the last row: the top bit of each
-            // run of ones, and each run grown by one.
-            let thin: Vec<u8> = last.iter().map(|r| r & !(r >> 1)).collect();
-            let wide: Vec<u8> = last.iter().map(|r| r | r << 1).collect();
-            let cases: [(&str, Compile, Oracle, &[u8]); 5] = [
-                ("⊇", RowTest::superset, reference::is_covered_by, &thin),
-                ("⊆", RowTest::subset, reference::covers, &wide),
-                ("=", RowTest::equals, reference::eq, last),
-                ("⊇ ∅", RowTest::superset, reference::is_covered_by, &[]),
-                (
-                    "⊆ all F bits",
-                    RowTest::subset,
-                    reference::covers,
-                    &[0xff; 63],
-                ),
-            ];
-            for (i, (what, compile, oracle, query)) in cases.into_iter().enumerate() {
-                let words = to_words(query, nbits);
-                let test = compile(&words, nbits);
-                // The last two compile to the empty test.
-                assert_eq!(test.terms.is_empty(), i >= 3, "{what} width {nbits}");
-                let query = to_bytes(&words, nbits);
-                let want: Vec<u64> = (0..rows)
-                    .filter(|&s| oracle(&query, row(s), nbits))
-                    .map(|s| 1_000 + s as u64)
+                let words = to_words(&thin, nbits);
+                let mut counts = vec![0u16; rows];
+                overlap_columns(&words, &page, per_page, &mut counts);
+                let want: Vec<u16> = (all[..rows].iter())
+                    .map(|row| reference::intersection_count(&thin, row, nbits) as u16)
                     .collect();
-                let mut got = Vec::new();
-                match_rows(&test, &page, stride, rows, 1_000, &mut got);
-                assert_eq!(got, want, "{what} width {nbits}");
-                // The query came from the last row, so it is a hit.
-                assert_eq!(
-                    got.last(),
-                    Some(&(999 + rows as u64)),
-                    "{what} width {nbits}"
-                );
+                assert_eq!(counts, want, "≬ width {nbits}, {rows} rows");
             }
         }
     }

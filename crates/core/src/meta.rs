@@ -54,8 +54,9 @@ impl<'a> MetaReader<'a> {
     pub fn new(buf: &'a [u8], magic: &[u8; 4]) -> Result<Self> {
         if buf.len() < 4 || &buf[..4] != magic {
             return Err(Error::BadConfig(format!(
-                "meta blob has wrong magic (expected {:?})",
-                std::str::from_utf8(magic).unwrap_or("?")
+                "meta blob has wrong magic {:?} (expected {:?})",
+                String::from_utf8_lossy(&buf[..buf.len().min(4)]),
+                String::from_utf8_lossy(magic)
             )));
         }
         Ok(MetaReader { buf, pos: 4 })

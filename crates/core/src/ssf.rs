@@ -1,10 +1,16 @@
 //! The sequential signature file (SSF) organization.
 //!
 //! The simplest physical organization (§3.1, Figure 3): set signatures are
-//! stored row-wise, fixed-width, packed `⌊P/⌈F/8⌉⌋` to a page. Retrieval
-//! scans **every** signature page — which is why the paper finds SSF's
-//! retrieval cost dominated by its own storage cost `SC_SIG` (Eq. 7) — then
-//! looks up candidate positions in the [`OidFile`](crate::OidFile).
+//! fixed-width rows, packed `⌊P/⌈F/8⌉⌋` to a page. Retrieval scans
+//! **every** signature page — which is why the paper finds SSF's retrieval
+//! cost dominated by its own storage cost `SC_SIG` (Eq. 7) — then looks up
+//! candidate positions in the [`OidFile`](crate::OidFile).
+//!
+//! Each page is stored byte-sliced (column-major, the PAX layout of
+//! Ailamaki et al., VLDB 2001): byte `c` of the page's row `s` sits at
+//! `c·per_page + s`, so byte `c` of every row on the page is one contiguous
+//! column. Pages, rows per page and every page access are the paper's; a
+//! query's CPU work reads only the columns its predicate constrains.
 //!
 //! Updates are cheap, the organization's one strength: insertion blind-
 //! writes the tail page of the signature file and the tail page of the OID
@@ -19,7 +25,7 @@ use crate::bitmap::Bitmap;
 use crate::config::SignatureConfig;
 use crate::element::ElementKey;
 use crate::error::{Error, Result};
-use crate::kernel::{self, RowTest};
+use crate::kernel::{self, ColumnTest};
 use crate::meta::{MetaReader, MetaWriter};
 use crate::oidfile::OidFile;
 use crate::query::{SetPredicate, SetQuery};
@@ -28,7 +34,8 @@ use crate::sigfile::{sealed, Layout, Matches, SignatureFile};
 /// A sequential signature file with its companion OID file.
 pub type Ssf = SignatureFile<Rows>;
 
-/// The SSF layout: one signature file of fixed-width rows (`<name>.ssf`).
+/// The SSF layout: one signature file of fixed-width rows on byte-sliced
+/// pages (`<name>.ssf`).
 pub struct Rows {
     cfg: SignatureConfig,
     sig_file: PagedFile,
@@ -55,20 +62,26 @@ impl Rows {
         })
     }
 
+    /// The page of row `pos` and its slot on that page.
     fn slot_of(&self, pos: u64) -> (u32, usize) {
-        (
-            (pos / self.per_page) as u32,
-            (pos % self.per_page) as usize * self.sig_bytes,
-        )
+        ((pos / self.per_page) as u32, (pos % self.per_page) as usize)
     }
 
-    /// Writes `sig` as row `pos` with one page write.
+    /// Writes `sig` as row `pos` with one page write: byte `c` of the row,
+    /// taken from the bitmap's words, goes to `c·per_page + slot`.
     fn write_row(&self, pos: u64, sig: &Bitmap) -> Result<()> {
-        let (page_no, off) = self.slot_of(pos);
-        let bytes = sig.to_bytes();
+        let (page_no, slot) = self.slot_of(pos);
+        let per_page = self.per_page as usize;
+        let scatter = |page: &mut Page| {
+            let bytes = sig.words().iter().flat_map(|w| w.to_le_bytes());
+            let column = page.as_bytes_mut().chunks_exact_mut(per_page);
+            for (col, b) in column.zip(bytes).take(self.sig_bytes) {
+                col[slot] = b;
+            }
+        };
         if pos.is_multiple_of(self.per_page) {
             let mut page = Page::zeroed();
-            page.write_slice(off, &bytes);
+            scatter(&mut page);
             // A call that failed between this write and the OID append left
             // its page behind: write over it, or the row would sit one page
             // past where `slot_of` reads it.
@@ -79,36 +92,25 @@ impl Rows {
                 debug_assert_eq!(appended, page_no);
             }
         } else {
-            self.sig_file
-                .update(page_no, |page| page.write_slice(off, &bytes))?;
+            self.sig_file.update(page_no, scatter)?;
         }
         Ok(())
     }
 
-    /// Matches one signature page's rows in place, appending hits to `out`:
-    /// through the compiled `test`, or, with none, by the overlap count of
-    /// the query words `qw` against `m`.
-    fn scan_page(
+    /// Reads signature page `page_no` and hands `scan` its bytes and the
+    /// position of its first row, with the page's rows of the first
+    /// `total` as the length of `scratch`.
+    fn scan_page<T>(
         &self,
-        test: Option<&RowTest>,
-        qw: &[u64],
         total: u64,
         page_no: u32,
-        out: &mut Vec<u64>,
+        scratch: &mut [T],
+        scan: impl FnOnce(&[u8], u64, &mut [T]),
     ) -> Result<()> {
         let page = self.sig_file.read(page_no)?;
         let base = page_no as u64 * self.per_page;
         let slots = (total - base).min(self.per_page) as usize;
-        if let Some(test) = test {
-            kernel::match_rows(test, page.as_bytes(), self.sig_bytes, slots, base, out);
-            return Ok(());
-        }
-        for s in 0..slots {
-            let row = page.read_slice(s * self.sig_bytes, self.sig_bytes);
-            if kernel::intersection_count(qw, row) >= self.cfg.m_weight() {
-                out.push(base + s as u64);
-            }
-        }
+        scan(page.as_bytes(), base, &mut scratch[..slots]);
         Ok(())
     }
 
@@ -125,10 +127,11 @@ impl Rows {
             let base = page_no as u64 * self.per_page;
             let slots = (total - base).min(self.per_page) as usize;
             for s in 0..slots {
-                let sig = Bitmap::from_bytes(
-                    self.cfg.f_bits(),
-                    page.read_slice(s * self.sig_bytes, self.sig_bytes),
-                );
+                // Row `s` gathered from its columns.
+                let row: Vec<u8> = (0..self.sig_bytes)
+                    .map(|c| page.read_u8(c * self.per_page as usize + s))
+                    .collect();
+                let sig = Bitmap::from_bytes(self.cfg.f_bits(), &row);
                 if query.signature_matches(&self.cfg, &sig, &query_sig) {
                     positions.push(base + s as u64);
                 }
@@ -144,7 +147,7 @@ impl Layout for Rows {
     type Config = SignatureConfig;
     type Row = Bitmap;
     const NAME: &'static str = "SSF";
-    const MAGIC: &'static [u8; 4] = b"SSF1";
+    const MAGIC: &'static [u8; 4] = b"SSF2";
 
     fn create(io: &Arc<dyn PageIo>, name: &str, cfg: SignatureConfig) -> Result<Self> {
         Rows::new(cfg, || {
@@ -183,23 +186,43 @@ impl Layout for Rows {
     /// (§4.1 step 2): reads every signature page exactly once. No smart
     /// strategy: a capped query runs the plain full scan.
     ///
-    /// This is the batched row-scan path: the query compiles once to a
-    /// [`RowTest`], and each fetched page's rows are matched **in place**
-    /// by [`kernel::match_rows`] — no per-row signature is materialized.
+    /// The query compiles once to a [`ColumnTest`] (or, for `T ≬ Q`, is
+    /// counted by [`kernel::overlap_columns`]), and each fetched page's
+    /// rows are matched **in place**, column by column, by
+    /// [`kernel::match_columns`] — no per-row signature is materialized.
+    /// The per-row buffer lives on the stack, one for the whole scan.
     fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
         let query_sig = self.cfg.signature(&query.elements);
         let npages = self.sig_file.len()?;
         let (qw, nbits) = (query_sig.words(), self.cfg.f_bits());
+        let per_page = self.per_page as usize;
         // `T ≬ Q` counts bits, which is not a masked compare.
         let test = match query.predicate {
-            SetPredicate::HasSubset | SetPredicate::Contains => Some(RowTest::superset(qw, nbits)),
-            SetPredicate::InSubset => Some(RowTest::subset(qw, nbits)),
-            SetPredicate::Equals => Some(RowTest::equals(qw, nbits)),
+            SetPredicate::HasSubset | SetPredicate::Contains => {
+                Some(ColumnTest::superset(qw, nbits))
+            }
+            SetPredicate::InSubset => Some(ColumnTest::subset(qw, nbits)),
+            SetPredicate::Equals => Some(ColumnTest::equals(qw, nbits)),
             SetPredicate::Overlaps => None,
         };
         let mut positions = Vec::new();
-        for page_no in 0..npages {
-            self.scan_page(test.as_ref(), qw, n, page_no, &mut positions)?;
+        if let Some(test) = test {
+            let mut live = [0u8; PAGE_SIZE];
+            for page_no in 0..npages {
+                self.scan_page(n, page_no, &mut live, |page, base, live| {
+                    kernel::match_columns(&test, page, per_page, base, live, &mut positions);
+                })?;
+            }
+        } else {
+            let m = self.cfg.m_weight();
+            let mut counts = [0u16; PAGE_SIZE];
+            for page_no in 0..npages {
+                self.scan_page(n, page_no, &mut counts, |page, base, counts| {
+                    kernel::overlap_columns(qw, page, per_page, counts);
+                    let hits = (base..).zip(counts.iter());
+                    positions.extend(hits.filter(|&(_, &c)| u32::from(c) >= m).map(|(p, _)| p));
+                })?;
+            }
         }
         Ok(Matches {
             positions,
@@ -212,7 +235,8 @@ impl Layout for Rows {
         Ok(u64::from(self.sig_file.len()?))
     }
 
-    /// `SSF1`: `F`, `m`, seed, the signature file, then the OID file's.
+    /// `SSF2`: `F`, `m`, seed, the signature file, then the OID file's.
+    /// (An `SSF1` image holds row-major pages, and is refused by its tag.)
     fn write_meta(&self, w: &mut MetaWriter, oid_file: impl FnOnce(&mut MetaWriter)) {
         w.u32(self.cfg.f_bits());
         w.u32(self.cfg.m_weight());

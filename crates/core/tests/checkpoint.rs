@@ -53,7 +53,7 @@ fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
     assert_eq!(
         hex(&blob(&io, meta)),
         concat!(
-            "53534631",         // "SSF1"
+            "53534632",         // "SSF2"
             "40000000",         // F = 64
             "02000000",         // m = 2
             "aa16d55e5016755e", // seed
@@ -104,7 +104,7 @@ fn checkpoint_blobs_are_byte_identical_to_the_pinned_layout() {
     );
 }
 
-/// An `SSF1` checkpoint whose `F` no longer fits a page is refused on
+/// An `SSF2` checkpoint whose `F` no longer fits a page is refused on
 /// open, as `create` refuses it: a reopened file must never reach the
 /// division by its zero signatures per page.
 #[test]
@@ -123,6 +123,28 @@ fn an_ssf_checkpoint_wider_than_a_page_is_a_bad_config() {
             panic!("a {too_wide}-bit SSF reopened; its first insert gave {inserted:?}");
         }
     }
+}
+
+/// An `SSF1` checkpoint is refused by its tag: its pages hold rows
+/// end to end, and reading them as byte-sliced columns would answer
+/// queries wrongly without an error.
+#[test]
+fn an_ssf1_checkpoint_is_refused_by_its_tag() {
+    let io: Arc<dyn PageIo> = Arc::new(Disk::new());
+    let mut ssf = Ssf::create(Arc::clone(&io), "s", SignatureConfig::new(64, 2).unwrap()).unwrap();
+    fill(&mut ssf);
+    let meta = ssf.sync_meta().unwrap();
+    rewrite(&io, meta, 0, b"SSF1");
+
+    match Ssf::open(Arc::clone(&io), meta) {
+        Err(Error::BadConfig(msg)) => {
+            assert!(msg.contains("\"SSF1\" (expected \"SSF2\")"), "{msg}");
+        }
+        Err(other) => panic!("expected BadConfig, got {other}"),
+        Ok(_) => panic!("an SSF1 image reopened as byte-sliced pages"),
+    }
+    rewrite(&io, meta, 0, b"SSF2");
+    assert_eq!(Ssf::open(io, meta).unwrap().indexed_count(), 2);
 }
 
 /// A checkpoint whose `live` count is short of the live entries makes a

@@ -30,7 +30,8 @@
 //! `parse_query` over 1,000 elements what they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
-//! bite, compile the `RowTest` per page in `Rows::scan_page`, allocate per
+//! bite, compile the `ColumnTest` per page or give `Rows::scan_page` a live
+//! buffer allocated per page (`vec![0u8; slots]`), allocate per
 //! row in the FSSF scan (`Frames::match_frames`), `.to_vec()` the page in
 //! `Slices::slice_page` or the key in `Verifier::observe`, give the OR
 //! group in `Slices::or_slices` a `Vec` per row page, `collect()` a
@@ -374,12 +375,14 @@ fn kernels(rows: &mut Vec<Row>) {
     let query = vec![0x0f0f_0f0f_0f0f_0f0fu64; PAGE_SIZE / 8];
     let mut acc = vec![!0u64; PAGE_SIZE / 8];
     let mut counts = vec![0u32; PAGE_SIZE * 8];
-    // A page of SSF rows at width `F`, matched against the query's first
-    // `F` bits into a buffer that holds a page's hits.
-    let stride = F.div_ceil(8) as usize;
-    let per_page = PAGE_SIZE / stride;
+    // A byte-sliced page of SSF rows at width `F`, matched against the
+    // query's first `F` bits into a buffer that holds a page's hits, with
+    // one live flag or overlap count per row.
+    let per_page = PAGE_SIZE / F.div_ceil(8) as usize;
     let signature = &query[..F.div_ceil(64) as usize];
     let mut hits = Vec::with_capacity(per_page);
+    let mut live = vec![0u8; per_page];
+    let mut overlaps = vec![0u16; per_page];
     let mut run = |path: &'static str, what: &str, kernel: &mut dyn FnMut()| {
         let (allocations, ()) = count(|| (0..PAGES).for_each(|_| kernel()));
         rows.push(Row {
@@ -397,17 +400,18 @@ fn kernels(rows: &mut Vec<Row>) {
         kernel::or_assign(&mut acc, &page, nbits);
     });
     for (what, test) in [
-        ("T ⊇ Q, ", kernel::RowTest::superset(signature, F)),
-        ("T ⊆ Q, ", kernel::RowTest::subset(signature, F)),
-        ("T = Q, ", kernel::RowTest::equals(signature, F)),
+        ("T ⊇ Q, ", kernel::ColumnTest::superset(signature, F)),
+        ("T ⊆ Q, ", kernel::ColumnTest::subset(signature, F)),
+        ("T = Q, ", kernel::ColumnTest::equals(signature, F)),
     ] {
-        run("core.kernel.match_rows", what, &mut || {
+        run("core.kernel.match_columns", what, &mut || {
             hits.clear();
-            kernel::match_rows(&test, &page, stride, per_page, 0, &mut hits);
+            kernel::match_columns(&test, &page, per_page, 0, &mut live, &mut hits);
         });
     }
-    run("core.kernel.intersection_count", "", &mut || {
-        black_box(kernel::intersection_count(&query, &page));
+    run("core.kernel.overlap_columns", "", &mut || {
+        kernel::overlap_columns(signature, &page, per_page, &mut overlaps);
+        black_box(&overlaps);
     });
     run("core.kernel.iter_ones", "", &mut || {
         black_box(kernel::iter_ones(nbits, &page).count());
