@@ -449,19 +449,20 @@ mod tests {
     /// Test-only dense reference: a BSSF built from scratch out of `rows`
     /// `(oid, set, live)` that assigns **every** bit of every slice
     /// explicitly — set or clear — and writes every slice page, so nothing
-    /// an earlier call left behind could show through.
+    /// an earlier call left behind could show through. The pages go to the
+    /// disk behind the writer's back; the BSSF reopened from its checkpoint
+    /// then reads them as it reads any file.
     fn dense_reference(cfg: SignatureConfig, rows: &[(Oid, Vec<ElementKey>, bool)]) -> Bssf {
         let io: Arc<dyn PageIo> = Arc::new(Disk::new());
-        let mut b = Bssf::create(io, "dense", cfg).unwrap();
+        let mut b = Bssf::create(Arc::clone(&io), "dense", cfg).unwrap();
         let sigs: Vec<Bitmap> = rows.iter().map(|(_, set, _)| cfg.signature(set)).collect();
-        for (j, slice) in b.layout.slices.files_mut().iter_mut().enumerate() {
+        for (j, slice) in b.layout.slices.files().iter().enumerate() {
             for chunk in sigs.chunks(ROWS_PER_PAGE as usize) {
                 let mut page = Page::zeroed();
                 for (bit, sig) in chunk.iter().enumerate() {
                     page.set_bit(bit, sig.get(j as u32));
                 }
                 slice.file.append(&page).unwrap();
-                slice.pages += 1;
             }
         }
         let oids: Vec<Oid> = rows.iter().map(|(oid, _, _)| *oid).collect();
@@ -469,7 +470,8 @@ mod tests {
         for (oid, _, _) in rows.iter().filter(|(_, _, live)| !live) {
             b.oid_file.delete_by_oid(*oid).unwrap();
         }
-        b
+        let meta = b.sync_meta().unwrap();
+        Bssf::open(io, meta).unwrap()
     }
 
     /// Queries under all five predicates built from the rows' own sets

@@ -151,7 +151,8 @@ pub struct Frames {
 }
 
 impl Frames {
-    /// Reads frame `j` a page at a time, in order, and calls
+    /// Reads frame `j`'s pages in order, as one
+    /// [`PagedFile::read_run`](setsig_pagestore::PagedFile::read_run), and calls
     /// `visit(page, row, bit)` for each of the first `n` rows, `bit` being
     /// where the row's `s` bits start on `page`.
     ///
@@ -172,13 +173,12 @@ impl Frames {
                 "frame {j} has {have} pages but {n} indexed rows require {expected}"
             )));
         }
-        for page_no in 0..expected {
-            let page = file.read(page_no)?;
+        file.read_run(0..expected, |page_no, page| {
             let first = u64::from(page_no) * rpp;
             for r in 0..(n - first).min(rpp) {
-                visit(&page, (first + r) as u32, r as usize * s);
+                visit(page, (first + r) as u32, r as usize * s);
             }
-        }
+        })?;
         Ok(())
     }
 

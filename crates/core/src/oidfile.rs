@@ -155,25 +155,6 @@ impl OidFile {
         }
         Err(Error::OidNotFound(oid))
     }
-
-    /// Iterates `(position, oid)` for all live entries, reading each page
-    /// once. Used by integrity checks.
-    pub fn scan_live(&self) -> Result<Vec<(u64, Oid)>> {
-        let npages = self.len.div_ceil(OIDS_PER_PAGE) as u32;
-        let mut out = Vec::with_capacity(self.live as usize);
-        for page_no in 0..npages {
-            let page = self.file.read(page_no)?;
-            let base = page_no as u64 * OIDS_PER_PAGE;
-            let slots = (self.len - base).min(OIDS_PER_PAGE) as usize;
-            for s in 0..slots {
-                let raw = page.read_u64(s * OID_ENTRY_BYTES);
-                if raw & TOMBSTONE_BIT == 0 {
-                    out.push((base + s as u64, Oid::new(raw)));
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl std::fmt::Debug for OidFile {
@@ -385,8 +366,8 @@ mod tests {
         disk.clear_fault();
         assert_eq!((f.len(), f.live_count()), (10, 10));
         assert_eq!(f.storage_pages().unwrap(), 2, "the page it left behind");
-        // Scans stop at the last entry, not at the last page.
-        assert_eq!(f.scan_live().unwrap().len(), 10);
+        // Look-ups stop at the last entry, not at the last page.
+        assert!(matches!(f.drops_at(&[10]), Err(Error::NoSuchEntry(10))));
         assert!(matches!(
             f.delete_by_oid(Oid::new(100)),
             Err(Error::OidNotFound(_))
@@ -402,25 +383,5 @@ mod tests {
         for pos in [9, 10, 11, OIDS_PER_PAGE, 2 * OIDS_PER_PAGE - 1] {
             assert_eq!(live_at(&f, pos), Some(Oid::new(pos)), "position {pos}");
         }
-    }
-
-    #[test]
-    fn scan_live_returns_survivors_in_order() {
-        let (_d, mut f) = oidfile();
-        for i in 0..6u64 {
-            f.bulk_append(&[Oid::new(i * 10)]).unwrap();
-        }
-        f.delete_by_oid(Oid::new(0)).unwrap();
-        f.delete_by_oid(Oid::new(40)).unwrap();
-        let live = f.scan_live().unwrap();
-        assert_eq!(
-            live,
-            vec![
-                (1, Oid::new(10)),
-                (2, Oid::new(20)),
-                (3, Oid::new(30)),
-                (5, Oid::new(50))
-            ]
-        );
     }
 }

@@ -114,12 +114,6 @@ impl RowFiles {
         &self.files
     }
 
-    /// The files, for a test to write pages behind the writer's back.
-    #[cfg(test)]
-    pub(crate) fn files_mut(&mut self) -> &mut [RowFile] {
-        &mut self.files
-    }
-
     /// Pages on disk, over all files.
     pub(crate) fn storage_pages(&self) -> u64 {
         self.files.iter().map(|f| u64::from(f.pages)).sum()

@@ -97,21 +97,11 @@ impl Rows {
         Ok(())
     }
 
-    /// Reads signature page `page_no` and hands `scan` its bytes and the
-    /// position of its first row, with the page's rows of the first
-    /// `total` as the length of `scratch`.
-    fn scan_page<T>(
-        &self,
-        total: u64,
-        page_no: u32,
-        scratch: &mut [T],
-        scan: impl FnOnce(&[u8], u64, &mut [T]),
-    ) -> Result<()> {
-        let page = self.sig_file.read(page_no)?;
-        let base = page_no as u64 * self.per_page;
-        let slots = (total - base).min(self.per_page) as usize;
-        scan(page.as_bytes(), base, &mut scratch[..slots]);
-        Ok(())
+    /// The position of page `page_no`'s first row and how many of the
+    /// first `total` rows the page holds.
+    fn rows_on(&self, total: u64, page_no: u32) -> (u64, usize) {
+        let base = u64::from(page_no) * self.per_page;
+        (base, (total - base).min(self.per_page) as usize)
     }
 
     /// The pre-kernel reference scan: materializes a [`Bitmap`] per row
@@ -124,8 +114,7 @@ impl Rows {
         let mut positions = Vec::new();
         for page_no in 0..npages {
             let page = self.sig_file.read(page_no)?;
-            let base = page_no as u64 * self.per_page;
-            let slots = (total - base).min(self.per_page) as usize;
+            let (base, slots) = self.rows_on(total, page_no);
             for s in 0..slots {
                 // Row `s` gathered from its columns.
                 let row: Vec<u8> = (0..self.sig_bytes)
@@ -183,14 +172,15 @@ impl Layout for Rows {
     }
 
     /// Full scan of the signature file, matching the first `n` rows
-    /// (§4.1 step 2): reads every signature page exactly once. No smart
-    /// strategy: a capped query runs the plain full scan.
+    /// (§4.1 step 2): reads every signature page exactly once, in order,
+    /// as one [`PagedFile::read_run`]. No smart strategy: a capped query
+    /// runs the plain full scan.
     ///
     /// The query compiles once to a [`ColumnTest`] (or, for `T ≬ Q`, is
-    /// counted by [`kernel::overlap_columns`]), and each fetched page's
-    /// rows are matched **in place**, column by column, by
-    /// [`kernel::match_columns`] — no per-row signature is materialized.
-    /// The per-row buffer lives on the stack, one for the whole scan.
+    /// counted by [`kernel::overlap_columns`]), and each page's rows are
+    /// matched **in place**, column by column, by [`kernel::match_columns`]
+    /// — no per-row signature is materialized and no page is cloned. The
+    /// per-row buffer lives on the stack, one for the whole scan.
     fn positions(&self, query: &SetQuery, n: u64) -> Result<Matches> {
         let query_sig = self.cfg.signature(&query.elements);
         let npages = self.sig_file.len()?;
@@ -208,21 +198,21 @@ impl Layout for Rows {
         let mut positions = Vec::new();
         if let Some(test) = test {
             let mut live = [0u8; PAGE_SIZE];
-            for page_no in 0..npages {
-                self.scan_page(n, page_no, &mut live, |page, base, live| {
-                    kernel::match_columns(&test, page, per_page, base, live, &mut positions);
-                })?;
-            }
+            self.sig_file.read_run(0..npages, |page_no, page| {
+                let (base, slots) = self.rows_on(n, page_no);
+                let live = &mut live[..slots];
+                kernel::match_columns(&test, page.as_bytes(), per_page, base, live, &mut positions);
+            })?;
         } else {
             let m = self.cfg.m_weight();
             let mut counts = [0u16; PAGE_SIZE];
-            for page_no in 0..npages {
-                self.scan_page(n, page_no, &mut counts, |page, base, counts| {
-                    kernel::overlap_columns(qw, page, per_page, counts);
-                    let hits = (base..).zip(counts.iter());
-                    positions.extend(hits.filter(|&(_, &c)| u32::from(c) >= m).map(|(p, _)| p));
-                })?;
-            }
+            self.sig_file.read_run(0..npages, |page_no, page| {
+                let (base, slots) = self.rows_on(n, page_no);
+                let counts = &mut counts[..slots];
+                kernel::overlap_columns(qw, page.as_bytes(), per_page, counts);
+                let hits = (base..).zip(counts.iter());
+                positions.extend(hits.filter(|&(_, &c)| u32::from(c) >= m).map(|(p, _)| p));
+            })?;
         }
         Ok(Matches {
             positions,
@@ -391,11 +381,17 @@ mod engine_tests {
         let io: Arc<dyn PageIo> = Arc::clone(&disk) as Arc<dyn PageIo>;
         let cfg = SignatureConfig::new(f_bits, m).unwrap();
         let mut s = Ssf::create(io, "e", cfg).unwrap();
-        for i in 0..n {
+        grow(&mut s, n);
+        (disk, s)
+    }
+
+    /// Inserts objects until `s` holds `n`: object `i`'s set is
+    /// `{13i, …, 13i + 3}`.
+    fn grow(s: &mut Ssf, n: u64) {
+        for i in s.oid_file.len()..n {
             let set: Vec<ElementKey> = (0..4).map(|j| ElementKey::from(i * 13 + j)).collect();
             s.insert(Oid::new(i), &set).unwrap();
         }
-        (disk, s)
     }
 
     fn scan(s: &Ssf, q: &SetQuery) -> Vec<u64> {
@@ -408,9 +404,11 @@ mod engine_tests {
             .unwrap()
     }
 
-    fn probes() -> Vec<SetQuery> {
+    /// All four predicates around the sets of objects `objects`, and an
+    /// absent element.
+    fn probes(objects: &[u64]) -> Vec<SetQuery> {
         let mut qs = Vec::new();
-        for i in [0u64, 5, 29, 64] {
+        for &i in objects {
             qs.push(SetQuery::has_subset(vec![
                 ElementKey::from(i * 13),
                 ElementKey::from(i * 13 + 1),
@@ -432,13 +430,41 @@ mod engine_tests {
         // F=500 → 63-byte rows, several pages; exercises the tail-byte
         // masking of the word kernels on every predicate.
         let (_d, s) = populated(500, 4, 300);
-        for q in probes() {
+        for q in probes(&[0, 5, 29, 64]) {
             assert_eq!(
                 scan(&s, &q),
                 reference(&s, &q),
                 "batched scan diverged ({:?})",
                 q.predicate
             );
+        }
+    }
+
+    #[test]
+    fn scans_agree_with_the_reference_across_lock_runs() {
+        // F = 500: 65 rows a page. The scan reads its pages in runs of 64
+        // under one disk lock, so a file one page short of a run, exactly
+        // one run and one page past it, each with a partial last page,
+        // must answer like the page-at-a-time reference.
+        let (_d, mut s) = populated(500, 4, 0);
+        for pages in [63u64, 64, 65] {
+            let rows = 65 * (pages - 1) + 17;
+            grow(&mut s, rows);
+            assert_eq!(s.signature_pages().unwrap(), pages);
+            let last = SetQuery::has_subset(vec![ElementKey::from((rows - 1) * 13)]);
+            assert!(
+                scan(&s, &last).contains(&(rows - 1)),
+                "the last row is read"
+            );
+            for q in probes(&[0, 64 * 65 - 1, 64 * 65, rows - 1]) {
+                let found = scan(&s, &q);
+                assert_eq!(
+                    found,
+                    reference(&s, &q),
+                    "{:?} over {pages} pages",
+                    q.predicate
+                );
+            }
         }
     }
 

@@ -373,7 +373,9 @@ proptest! {
     /// The column kernels' row predicates (⊇, ⊆, =, overlap popcount), on a
     /// one-row page, agree with the bit-loop references on every width,
     /// including rows shorter than the width (sparse zero-padded tails) and
-    /// rows with garbage tail bits.
+    /// rows with garbage tail bits. Half the rows are drawn inside the
+    /// query's bits, garbage tail included, so that `⊆` often holds and a
+    /// `⊆` test that reads the padding bits shows.
     #[test]
     fn kernel_predicates_match_bit_loops(
         nbits in unaligned_width(),
@@ -381,6 +383,7 @@ proptest! {
         row_seed in proptest::collection::vec(0u8..=255, 0..70),
         garbage in 0u8..=255,
         truncate in 0usize..8,
+        inside_query in any::<bool>(),
     ) {
         let nbytes = (nbits as usize).div_ceil(8);
         let mut q_bytes: Vec<u8> = q_seed.into_iter().cycle().take(nbytes).collect();
@@ -390,9 +393,13 @@ proptest! {
 
         let mut row: Vec<u8> = row_seed.into_iter().cycle().take(nbytes).collect();
         row.resize(nbytes, 0);
-        // Either a short row (zero-padded past the end) or a full-width row
-        // with garbage in the final byte's padding bits.
-        if truncate > 0 {
+        // A full-width row inside the query, or a short row (zero-padded past
+        // the end), or a full-width row; the full-width ones with garbage in
+        // the final byte's padding bits.
+        if inside_query {
+            row.iter_mut().zip(&q_clean).for_each(|(r, q)| *r &= q);
+            smear_tail(&mut row, nbits, garbage);
+        } else if truncate > 0 {
             row.truncate(nbytes.saturating_sub(truncate));
         } else {
             smear_tail(&mut row, nbits, garbage);

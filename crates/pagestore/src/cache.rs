@@ -416,6 +416,46 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_run_reads_like_its_page_loop() {
+        // The pool keeps `PageIo::read_run`'s default: two fresh pools fed
+        // the same warm-up and then the same runs, one as `read_run` and one
+        // as a `read_page` loop, see the same pages, hits, misses, evictions
+        // and disk reads, and serve the same tally.
+        let laps = |by_run: bool| {
+            let (disk, pool) = pool(16);
+            let f = disk.create_file("t");
+            for n in 0..130u32 {
+                let mut p = Page::zeroed();
+                p.write_u32(0, n);
+                disk.append_page(f, &p).unwrap();
+            }
+            for n in (0..130).step_by(7) {
+                drop(pool.read_page(f, n).unwrap());
+            }
+            let mut visited = Vec::new();
+            let ((), tally) = crate::count_reads(|| {
+                for pages in [0..1, 0..63, 0..64, 60..125, 0..130] {
+                    let mut visit = |n: u32, p: &Page| visited.push((n, p.read_u32(0)));
+                    if by_run {
+                        PageIo::read_run(&pool, f, pages, &mut visit).unwrap();
+                    } else {
+                        for n in pages {
+                            visit(n, &pool.read_page(f, n).unwrap());
+                        }
+                    }
+                }
+            });
+            (visited, pool.stats(), disk.snapshot(), tally)
+        };
+        let by_run = laps(true);
+        assert_eq!(by_run, laps(false));
+        let (visited, stats, ..) = by_run;
+        assert_eq!(visited.len(), 1 + 63 + 64 + 65 + 130);
+        assert!(visited.iter().all(|&(n, word)| n == word));
+        assert!(stats.hits > 0 && stats.evictions > 0);
+    }
+
+    #[test]
     fn victims_are_a_function_of_the_access_sequence() {
         // Two fresh pools fed the same reads, writes and appends agree on
         // every counter: the victim generator's seed is a constant.

@@ -1,5 +1,7 @@
 //! The simulated disk: named paged files plus access accounting.
 
+use std::ops::Range;
+
 use parking_lot::Mutex;
 
 use crate::cache::CacheStats;
@@ -54,6 +56,43 @@ struct DiskInner {
     fail_after: Option<u64>,
 }
 
+impl DiskInner {
+    /// Spends one page access of fault budget.
+    fn spend(&mut self) -> Result<()> {
+        if let Some(remaining) = &mut self.fail_after {
+            if *remaining == 0 {
+                return Err(Error::Io("injected fault".into()));
+            }
+            *remaining -= 1;
+        }
+        Ok(())
+    }
+
+    /// Reads page `n` of `id` as one page access, charging it in the file's
+    /// and the disk's `reads` and this thread's
+    /// [`count_reads`](crate::count_reads): the one place a page read is
+    /// charged.
+    fn read(&mut self, id: FileId, n: u32) -> Result<&Page> {
+        self.spend()?;
+        let data = (self.files.get_mut(id.0 as usize)).ok_or(Error::FileNotFound(id))?;
+        let len = data.pages.len() as u32;
+        let page = data.pages.get(n as usize).ok_or(Error::PageOutOfBounds {
+            file: id,
+            page: n,
+            len,
+        })?;
+        data.stats.reads += 1;
+        self.total.reads += 1;
+        crate::file::count_read();
+        Ok(page)
+    }
+}
+
+/// Pages a [`Disk::read_run`] reads under one hold of the lock: long
+/// enough that a sequential scan pays for the lock once every 64 pages, short
+/// enough that a writer waits for at most 64 pages' visits.
+const RUN_PAGES: u32 = 64;
+
 /// An in-memory simulated disk.
 ///
 /// A `Disk` holds a set of named paged files and counts every page read and
@@ -67,7 +106,8 @@ struct DiskInner {
 pub struct Disk {
     // This is the LEAF lock of the whole system: no method calls out of
     // the crate (or into BufferPool) while holding it, so it can be taken
-    // from under any other lock without deadlock risk.
+    // from under any other lock without deadlock risk. The one exception is
+    // `read_run`'s visitor, which must not call back into any `PageIo`.
     inner: Mutex<DiskInner>,
 }
 
@@ -103,12 +143,7 @@ impl Disk {
     ) -> Result<R> {
         let mut g = self.inner.lock();
         let inner = &mut *g;
-        if let Some(remaining) = &mut inner.fail_after {
-            if *remaining == 0 {
-                return Err(Error::Io("injected fault".into()));
-            }
-            *remaining -= 1;
-        }
+        inner.spend()?;
         let data = inner
             .files
             .get_mut(id.0 as usize)
@@ -141,18 +176,30 @@ impl Disk {
     /// thread's [`count_reads`](crate::count_reads). The returned [`Page`] shares the
     /// stored buffer (a refcount bump, no copy); later writes never change it.
     pub fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
-        self.with_file(id, |data, total| {
-            let len = data.pages.len() as u32;
-            let page = data.pages.get(n as usize).ok_or(Error::PageOutOfBounds {
-                file: id,
-                page: n,
-                len,
-            })?;
-            data.stats.reads += 1;
-            total.reads += 1;
-            crate::file::count_read();
-            Ok(page.clone())
-        })
+        self.inner.lock().read(id, n).cloned()
+    }
+
+    /// Reads `pages` of `id` in order and calls `visit(n, page)` on each,
+    /// charging each page exactly as [`Disk::read_page`] does. The lock is
+    /// taken once per run of up to 64 pages and `visit` runs under it, on
+    /// the stored page itself, so no page is cloned. `visit` must therefore
+    /// not call back into this disk: the lock is not reentrant.
+    ///
+    /// A failed access (an injected fault, a page past the end) stops the
+    /// run there: the pages before it have been visited and charged.
+    pub fn read_run(
+        &self,
+        id: FileId,
+        pages: Range<u32>,
+        mut visit: impl FnMut(u32, &Page),
+    ) -> Result<()> {
+        for start in pages.clone().step_by(RUN_PAGES as usize) {
+            let mut g = self.inner.lock();
+            for n in start..pages.end.min(start.saturating_add(RUN_PAGES)) {
+                visit(n, g.read(id, n)?);
+            }
+        }
+        Ok(())
     }
 
     /// Overwrites page `n` of `id`, charging one page write.
@@ -317,6 +364,25 @@ impl std::fmt::Debug for Disk {
 pub trait PageIo: Send + Sync {
     /// Reads page `n` of `id`.
     fn read_page(&self, id: FileId, n: u32) -> Result<Page>;
+    /// Reads `pages` of `id` in order, calling `visit(n, page)` on each,
+    /// and stops at the first failed read: the pages before it have been
+    /// visited. Each page is charged as one [`read_page`](Self::read_page).
+    ///
+    /// `visit` must not call back into this `PageIo`: an implementation may
+    /// run it under its own lock ([`Disk`] does, once per 64 pages).
+    ///
+    /// The default reads a page at a time through `read_page`.
+    fn read_run(
+        &self,
+        id: FileId,
+        pages: Range<u32>,
+        visit: &mut dyn FnMut(u32, &Page),
+    ) -> Result<()> {
+        for n in pages {
+            visit(n, &self.read_page(id, n)?);
+        }
+        Ok(())
+    }
     /// Overwrites page `n` of `id`.
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()>;
     /// Mutates page `n` of `id` in place.
@@ -345,6 +411,14 @@ pub trait PageIo: Send + Sync {
 impl PageIo for Disk {
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         Disk::read_page(self, id, n)
+    }
+    fn read_run(
+        &self,
+        id: FileId,
+        pages: Range<u32>,
+        visit: &mut dyn FnMut(u32, &Page),
+    ) -> Result<()> {
+        Disk::read_run(self, id, pages, visit)
     }
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
         Disk::write_page(self, id, n, page)
@@ -489,6 +563,135 @@ mod tests {
         assert_eq!(disk.file_info(f).unwrap().name, "t");
         disk.clear_fault();
         disk.read_page(f, 1).unwrap();
+    }
+
+    /// A disk with one file of `len` pages, page `n` holding `n` in its
+    /// first word, its counters reset.
+    fn numbered(len: u32) -> (Disk, FileId) {
+        let disk = Disk::new();
+        let f = disk.create_file("t");
+        for n in 0..len {
+            let mut p = Page::zeroed();
+            p.write_u32(0, n);
+            disk.append_page(f, &p).unwrap();
+        }
+        disk.reset_stats();
+        (disk, f)
+    }
+
+    /// One way to read a page range: a run or the `read_page` loop.
+    type Read = fn(&Disk, FileId, Range<u32>, &mut dyn FnMut(u32, &Page)) -> Result<()>;
+
+    fn run(
+        disk: &Disk,
+        f: FileId,
+        pages: Range<u32>,
+        visit: &mut dyn FnMut(u32, &Page),
+    ) -> Result<()> {
+        disk.read_run(f, pages, visit)
+    }
+
+    fn page_loop(
+        disk: &Disk,
+        f: FileId,
+        pages: Range<u32>,
+        visit: &mut dyn FnMut(u32, &Page),
+    ) -> Result<()> {
+        for n in pages {
+            visit(n, &disk.read_page(f, n)?);
+        }
+        Ok(())
+    }
+
+    /// What reading `pages` of a `len`-page file shows, a fault injected
+    /// after `fault` accesses: the pages visited (number, first word), the
+    /// outcome, the file's and the disk's counters and this thread's tally.
+    fn seen(
+        read: Read,
+        len: u32,
+        pages: Range<u32>,
+        fault: Option<u64>,
+    ) -> (Vec<(u32, u32)>, Result<()>, FileStats, IoSnapshot, u64) {
+        let (disk, f) = numbered(len);
+        if let Some(k) = fault {
+            disk.inject_fault_after(k);
+        }
+        let mut visited = Vec::new();
+        let (outcome, tally) = crate::count_reads(|| {
+            read(&disk, f, pages, &mut |n, p| {
+                visited.push((n, p.read_u32(0)));
+            })
+        });
+        disk.clear_fault();
+        (
+            visited,
+            outcome,
+            disk.file_stats(f).unwrap(),
+            disk.snapshot(),
+            tally,
+        )
+    }
+
+    #[test]
+    fn a_run_charges_what_the_page_loop_charges() {
+        for (start, len) in [(0, 1), (0, 63), (0, 64), (0, 65), (0, 130), (5, 130)] {
+            let pages = start..start + len;
+            let by_run = seen(run, 140, pages.clone(), None);
+            assert_eq!(
+                by_run,
+                seen(page_loop, 140, pages.clone(), None),
+                "{pages:?}"
+            );
+            let (visited, outcome, stats, total, tally) = by_run;
+            let want: Vec<(u32, u32)> = pages.map(|n| (n, n)).collect();
+            assert_eq!(visited, want);
+            assert_eq!(outcome, Ok(()));
+            assert_eq!((stats.reads, stats.writes), (u64::from(len), 0));
+            assert_eq!((total.reads, total.writes), (u64::from(len), 0));
+            assert_eq!(tally, u64::from(len));
+        }
+    }
+
+    #[test]
+    fn a_faulted_run_visits_the_pages_before_the_fault() {
+        for k in [0, 1, 63, 64, 65, 129] {
+            let by_run = seen(run, 130, 0..130, Some(k));
+            assert_eq!(
+                by_run,
+                seen(page_loop, 130, 0..130, Some(k)),
+                "fault after {k}"
+            );
+            let (visited, outcome, stats, _, tally) = by_run;
+            assert_eq!(visited.len() as u64, k);
+            assert_eq!(outcome, Err(Error::Io("injected fault".into())));
+            assert_eq!((stats.reads, tally), (k, k));
+        }
+    }
+
+    #[test]
+    fn a_run_past_the_end_visits_the_pages_before_it() {
+        for pages in [0..100, 60..70, 64..66, 70..71] {
+            let by_run = seen(run, 70, pages.clone(), None);
+            assert_eq!(
+                by_run,
+                seen(page_loop, 70, pages.clone(), None),
+                "{pages:?}"
+            );
+            let (visited, outcome, ..) = by_run;
+            let before_the_end = pages.start..pages.end.min(70);
+            assert_eq!(visited.len(), before_the_end.len(), "{pages:?}");
+            let want = (pages.end > 70).then_some(Error::PageOutOfBounds {
+                file: FileId(0),
+                page: 70,
+                len: 70,
+            });
+            assert_eq!(outcome.err(), want, "{pages:?}");
+        }
+        let (disk, _) = numbered(3);
+        let ghost = FileId::from_raw(1);
+        let mut visits = 0;
+        let outcome = disk.read_run(ghost, 0..3, |_, _| visits += 1);
+        assert_eq!((outcome, visits), (Err(Error::FileNotFound(ghost)), 0));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! and the per-thread tally of the pages served to this thread.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::disk::{FileId, PageIo};
@@ -65,6 +66,13 @@ impl PagedFile {
     /// tally ([`count_reads`]).
     pub fn read(&self, n: u32) -> Result<Page> {
         self.io.read_page(self.id, n)
+    }
+
+    /// Reads `pages` in order and calls `visit(n, page)` on each, through
+    /// [`PageIo::read_run`]: each page is charged as one [`read`](Self::read),
+    /// and `visit` must not call back into the file's `PageIo`.
+    pub fn read_run(&self, pages: Range<u32>, mut visit: impl FnMut(u32, &Page)) -> Result<()> {
+        self.io.read_run(self.id, pages, &mut visit)
     }
 
     /// Overwrites page `n`.

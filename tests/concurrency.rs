@@ -183,6 +183,54 @@ fn a_read_miss_never_installs_a_page_older_than_a_concurrent_write() {
     });
 }
 
+/// An SSF scan reads its signature pages in runs of 64 under one disk
+/// lock. A reader querying a 2-shard SSF service, each shard's signature
+/// file two runs long, races a writer appending to the same service on the
+/// same disk: every object acknowledged before a query starts is among its
+/// candidates, and neither thread waits on the other for good.
+#[test]
+fn an_ssf_scan_across_lock_runs_sees_every_acknowledged_insert() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    // F = 500: 65 rows a signature page; every set holds element 0.
+    let disk = Arc::new(Disk::new());
+    let sig = SignatureConfig::new(500, 2).unwrap();
+    let shards = (0..2)
+        .map(|i| Ssf::create(Arc::clone(&disk) as Arc<dyn PageIo>, &format!("s{i}"), sig).unwrap());
+    let svc = QueryService::new(shards.collect(), ServiceConfig::new(2)).unwrap();
+    let set = |i: u64| [ElementKey::from(0u64), ElementKey::from(i + 1)];
+    let mut per_shard = [0u64; 2];
+    let mut next = 0u64;
+    while per_shard.iter().any(|&rows| rows <= 64 * 65) {
+        svc.insert(Oid::new(next), &set(next)).unwrap();
+        per_shard[shard_of(Oid::new(next), 2)] += 1;
+        next += 1;
+    }
+    let everyone = SetQuery::has_subset(vec![ElementKey::from(0u64)]);
+    let acknowledged = AtomicU64::new(next);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for oid in next..next + 400 {
+                svc.insert(Oid::new(oid), &set(oid)).unwrap();
+                acknowledged.store(oid + 1, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut queries = 0;
+        while queries < 5 || !done.load(Ordering::Acquire) {
+            let before = acknowledged.load(Ordering::Acquire);
+            let found = svc.candidates(&everyone).unwrap().oids;
+            let missing = (0..before).find(|&oid| found.binary_search(&Oid::new(oid)).is_err());
+            assert_eq!(
+                missing, None,
+                "query {queries}: an acknowledged object is missing"
+            );
+            queries += 1;
+        }
+    });
+}
+
 /// A trace op with its victims pre-resolved, so the sharded service and
 /// the serial oracle replay *the same* concrete operations.
 enum ResolvedOp {

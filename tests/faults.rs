@@ -162,11 +162,16 @@ where
         elems(600_000 + 8 * n..600_004 + 8 * n),
     );
     let own = fac.own_writes(&recovery.1);
-    let before = disk.snapshot().writes;
+    let (before, live) = (disk.snapshot().writes, fac.oid_file().live_count());
     fac.insert(recovery.0, &recovery.1).unwrap();
     let writes = disk.snapshot().writes - before;
-    let last = fac.oid_file().scan_live().unwrap().pop();
-    assert_eq!(last, Some((pos, recovery.0)), "{when}");
+    // The recovery is the model's last entry: it takes position `pos`, and
+    // `assert_all_found` below finds its OID from its own queries.
+    assert_eq!(
+        (fac.oid_file().len(), fac.oid_file().live_count()),
+        (pos + 1, live + 1),
+        "{when}: the recovery takes the failed call's position"
+    );
     assert!(
         writes <= own + failed_writes,
         "{} {when}: recovery wrote {writes} pages, its own {own} + the failed call's {failed_writes}",

@@ -3,8 +3,8 @@
 //! The engine's claim — nothing is allocated per page scanned, per slice
 //! combined or per candidate resolved — is held here by a number: this
 //! binary installs a counting global allocator and runs each path on real
-//! instances. A word kernel, a buffer-pool hit and the record walk of an
-//! inline candidate must allocate nothing; a `BTree::lookup` at most the
+//! instances. A word kernel, a buffer-pool hit, a sequential `Disk` run
+//! and the record walk of an inline candidate must allocate nothing; a `BTree::lookup` at most the
 //! `Vec` it returns, whatever the height and the chain, and a
 //! `BTree::lookup_many` over hundreds of keys only that `Vec`'s growth;
 //! and a filter scan
@@ -30,8 +30,9 @@
 //! `parse_query` over 1,000 elements what they do over 10.
 //!
 //! `cargo test --test hot_path -- --nocapture` prints the table. To see it
-//! bite, compile the `ColumnTest` per page or give `Rows::scan_page` a live
-//! buffer allocated per page (`vec![0u8; slots]`), allocate per
+//! bite, compile the `ColumnTest` per page or give the page visitor of
+//! `Rows::positions` a live buffer allocated per page (`vec![0u8; slots]`),
+//! collect the run into a `Vec<Page>` in `Disk::read_run`, allocate per
 //! row in the FSSF scan (`Frames::match_frames`), `.to_vec()` the page in
 //! `Slices::slice_page` or the key in `Verifier::observe`, give the OR
 //! group in `Slices::or_slices` a `Vec` per row page, `collect()` a
@@ -279,10 +280,10 @@ fn scans(rows: &mut Vec<Row>, small: &SimDb, large: &SimDb, probes: &Probes) {
     let fssf: [&dyn SetAccessFacility; 2] = [&fssf[0], &fssf[1]];
     let [superset, subset, equals, overlaps] = &probes.queries;
     for (path, [on_small, on_large], (query, _)) in [
-        ("core.ssf.scan_page", ssf, superset),
-        ("core.ssf.scan_page", ssf, subset),
-        ("core.ssf.scan_page", ssf, equals),
-        ("core.ssf.scan_page", ssf, overlaps),
+        ("core.ssf.positions", ssf, superset),
+        ("core.ssf.positions", ssf, subset),
+        ("core.ssf.positions", ssf, equals),
+        ("core.ssf.positions", ssf, overlaps),
         ("core.bssf.superset_positions", bssf, superset),
         ("core.bssf.or_slices", bssf, subset),
         ("core.bssf.equals_positions", bssf, equals),
@@ -642,6 +643,32 @@ fn pool_hit(rows: &mut Vec<Row>) {
     });
 }
 
+/// A sequential run off the disk visits the stored pages under the disk's
+/// lock: no page is cloned or collected.
+fn disk_run(rows: &mut Vec<Row>) {
+    const PAGES: u32 = 10 * 64 + 1;
+    let disk = Disk::new();
+    let f = disk.create_file("run");
+    disk.extend_to(f, PAGES).unwrap();
+    let (allocations, pages) = count(|| {
+        let mut pages = 0u64;
+        disk.read_run(f, 0..PAGES, |_, page| {
+            black_box(page);
+            pages += 1;
+        })
+        .unwrap();
+        pages
+    });
+    assert_eq!(pages, u64::from(PAGES));
+    rows.push(Row {
+        path: "pagestore.disk.read_run",
+        shape: format!("{PAGES} pages"),
+        work: pages,
+        allocations,
+        budget: 0,
+    });
+}
+
 /// A tree whose first leaf holds `keys` postings of `oids` OIDs each, keys
 /// `0..keys` filled one after another (so the last ends the leaf's heap),
 /// plus `tail` single-OID keys after them that grow it to a taller tree.
@@ -723,6 +750,7 @@ fn hot_paths_allocate_what_their_answers_need_not_what_they_read() {
     let mut rows = Vec::new();
     kernels(&mut rows);
     pool_hit(&mut rows);
+    disk_run(&mut rows);
     load(&mut rows);
     parse(&mut rows);
     plan(&mut rows, &small);
